@@ -364,16 +364,19 @@ func BenchmarkSolveSequential16(b *testing.B) {
 func BenchmarkNDFTInvert(b *testing.B) {
 	freqs := wifi.Centers(wifi.Bands5GHz())
 	taus := ndft.TauGrid(120e-9, 0.2e-9)
-	mat, err := ndft.NewMatrix(freqs, taus)
+	plan, err := ndft.NewPlan(freqs, taus)
 	if err != nil {
 		b.Fatal(err)
 	}
-	p := make(dsp.Vec, len(taus))
-	p[100], p[180] = 1, 0.5
-	h := mat.Forward(p)
+	// Two on-grid taps: unit gain at taus[100], half at taus[180].
+	ch := NewChannel([]Path{{Delay: taus[100], Gain: 1}, {Delay: taus[180], Gain: 0.5}})
+	h := make(dsp.Vec, len(freqs))
+	for i, f := range freqs {
+		h[i] = ch.Response(f)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := mat.Invert(h, ndft.InvertOptions{MaxIter: 500}); err != nil {
+		if _, err := plan.Solve(ndft.SolveRequest{H: h, InvertOptions: ndft.InvertOptions{MaxIter: 500}}); err != nil {
 			b.Fatal(err)
 		}
 	}

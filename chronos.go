@@ -118,14 +118,6 @@ func SolverTauGrid(maxTau, step float64) []float64 { return ndft.TauGrid(maxTau,
 // throughput.
 func VectorKernel() string { return ndft.VectorKernel() }
 
-// HasVectorKernel reports whether solves run a vectorized kernel tier
-// on this machine. Batching is always byte-identical to sequential
-// solving; without a vector kernel it simply yields a smaller
-// throughput gain.
-//
-// Deprecated: use VectorKernel, which names the resolved tier.
-func HasVectorKernel() bool { return VectorKernel() != "scalar" }
-
 // SolveCoalescer batches concurrent solve requests that target the same
 // plan into one SolveBatch call (bounded wait, falls through to B=1).
 // Share one instance across the estimators whose sessions should batch
@@ -321,12 +313,6 @@ type TrackMultiConfig = track.MultiConfig
 // TrackMultiResult pairs a schedule's capacity metrics with per-device
 // smoothed trajectories.
 type TrackMultiResult = track.MultiResult
-
-// TrackMultiSolver switches RunTrackMulti from the statistical range
-// model to real per-sweep channel inversion on concurrent per-device
-// goroutines — the configuration that exercises a shared SolveCoalescer
-// across sessions (TrackMultiConfig.Solver).
-type TrackMultiSolver = track.MultiSolver
 
 // RunTrackMulti replays an interleaved schedule through per-device walks,
 // the statistical range-error model, and Kalman trackers.

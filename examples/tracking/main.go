@@ -1,6 +1,8 @@
 // Tracking walkthrough: stream Chronos range fixes over a walking target
-// and smooth them with the per-device Kalman tracker, then interleave
-// sweeps across several devices to see the capacity trade-off.
+// and smooth them with the per-device Kalman tracker, interleave sweeps
+// across several devices to see the capacity trade-off, then range four
+// devices concurrently through the localization service with their
+// solves coalesced into batches.
 //
 // Sweep by sweep, the incremental estimator folds CSI in band by band on
 // the hop protocol's virtual timeline; each completed sweep yields a raw
@@ -25,6 +27,7 @@ import (
 	"log"
 	"math/rand"
 	"net/http"
+	"time"
 
 	"chronos"
 	"chronos/internal/obs/obshttp"
@@ -88,25 +91,38 @@ func main() {
 			n, s.FixesPerSecond, s.MeanFixLatency().Seconds()*1000, 100*s.Utilization)
 	}
 
-	// Batched solving: range four devices through real channel inversion
-	// on concurrent goroutines, with one shared coalescer merging their
-	// simultaneous solves into batched SolveBatch calls. Fixes are
+	// Batched solving: attach four full-pipeline devices to a
+	// virtual-time service whose shards share one coalescer, which merges
+	// their simultaneous solves into batched SolveBatch calls. Fixes are
 	// byte-identical to per-session solving — only throughput and the
 	// per-fix BatchSize telemetry change.
-	co := chronos.NewSolveCoalescer(chronos.SolveCoalescerConfig{MaxBatch: 4})
-	m := chronos.RunTrackMulti(rng, chronos.TrackMultiConfig{
-		Scheduler: chronos.TrackSchedulerConfig{
-			Bands: chronos.Bands5GHz(), Devices: 4, SweepsPerDevice: 2,
-		},
-		Speed: 0.8,
-		Solver: &chronos.TrackMultiSolver{
-			Office:    office,
-			Estimator: chronos.ToFConfig{Mode: chronos.Bands5GHzOnly, MaxIter: 600, Coalescer: co},
-		},
+	service := chronos.NewService(chronos.ServiceConfig{
+		Office: office, Virtual: true, Coalesce: true,
+		CoalescerConfig: chronos.SolveCoalescerConfig{MaxBatch: 4},
 	})
+	for id := uint64(1); id <= 4; id++ {
+		err := service.Attach(id, chronos.ServiceDeviceConfig{
+			Seed:      rng.Int63(),
+			Session:   chronos.TrackSessionConfig{Speed: 0.8, Sweeps: 2},
+			Estimator: chronos.ToFConfig{Mode: chronos.Bands5GHzOnly, MaxIter: 600},
+		})
+		if err != nil {
+			log.Fatal(err)
+		}
+	}
+	if err := service.Quiesce(time.Minute); err != nil {
+		log.Fatal(err)
+	}
+	results := service.Results()
+	if _, err := service.Drain(10 * time.Second); err != nil {
+		log.Fatal(err)
+	}
 	fixes, batched := 0, 0
-	for _, d := range m.Devices {
-		for _, f := range d.Fixes {
+	for _, r := range results {
+		if r.Err != nil {
+			log.Fatal(r.Err)
+		}
+		for _, f := range r.Session.Fixes {
 			fixes++
 			if f.BatchSize > 1 {
 				batched++

@@ -17,7 +17,7 @@ import (
 // BENCH_8.json trajectory, toward the 100k-devices-per-box target): a
 // chronos-svc instance on virtual time carrying a mixed fleet — a large
 // population of statistical ranging sessions (the fleet-scale workload,
-// as track.RunMulti's sensor mode) plus a cohort of full CSI→solve→
+// as track.RunMulti ranges) plus a cohort of full CSI→solve→
 // Kalman pipeline sessions batching through the shared coalescer — all
 // endless, so every device stays concurrently tracked through the
 // measurement window. It reports sustained fix throughput, per-kind fix

@@ -161,6 +161,14 @@ func TestTrilaterateLeastSquaresProperty(t *testing.T) {
 		}
 		return true
 	}
+	// Targets within about 10 cm of an anchor, where full Gauss–Newton
+	// steps oscillated across the anchor's distance cone until the
+	// iteration cap and returned a point that was not a local optimum.
+	for _, seed := range []int64{7475639546406219516, 10649, 12366, 14134, 14671} {
+		if !f(seed) {
+			t.Errorf("seed %d: trilaterated point is not a local least-squares optimum", seed)
+		}
+	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
 	}

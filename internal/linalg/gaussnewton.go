@@ -37,10 +37,17 @@ func (o GNOptions) withDefaults() GNOptions {
 // ErrNoConverge reports that Gauss–Newton hit MaxIter without meeting Tol.
 var ErrNoConverge = errors.New("linalg: gauss-newton did not converge")
 
+// maxHalvings bounds the step backtracking of one Gauss–Newton
+// iteration: 2⁻³⁰ of a step is far below any useful Tol.
+const maxHalvings = 30
+
 // GaussNewton minimizes ‖r(x)‖₂² starting from x0 and returns the refined
-// solution together with the final residual norm. The returned error is
-// ErrNoConverge when the iteration cap is hit (the best-so-far solution is
-// still returned) or ErrSingular when the normal equations collapse.
+// solution together with the final residual norm. Each step is halved
+// until ‖r‖ stops growing, so the iteration descends even where r has a
+// kink (a distance residual at its anchor) that a full step would jump
+// back and forth across. The returned error is ErrNoConverge when the
+// iteration cap is hit (the last iterate is still returned) or
+// ErrSingular when the normal equations collapse.
 func GaussNewton(res Residual, x0 []float64, opts GNOptions) ([]float64, float64, error) {
 	opts = opts.withDefaults()
 	m, n := res.Dims()
@@ -48,16 +55,15 @@ func GaussNewton(res Residual, x0 []float64, opts GNOptions) ([]float64, float64
 	if len(x) != n {
 		return nil, 0, errors.New("linalg: x0 has wrong dimension")
 	}
+	xt := make([]float64, n)
 	r := make([]float64, m)
 	jac := make([]float64, m*n)
 	jtj := make([]float64, n*n)
 	jtr := make([]float64, n)
 
-	var lastNorm float64
+	res.Eval(x, r, jac)
+	lastNorm := norm2(r)
 	for iter := 0; iter < opts.MaxIter; iter++ {
-		res.Eval(x, r, jac)
-		lastNorm = norm2(r)
-
 		// Normal equations (JᵀJ + λI)·δ = −Jᵀr.
 		for i := range jtj {
 			jtj[i] = 0
@@ -93,16 +99,29 @@ func GaussNewton(res Residual, x0 []float64, opts GNOptions) ([]float64, float64
 			}
 			stepNorm = opts.StepLimit
 		}
-		for i := range x {
-			x[i] += delta[i]
+		// The trial evaluation leaves r and jac at the accepted point,
+		// ready for the next iteration's normal equations.
+		for halvings := 0; ; halvings++ {
+			for i := range x {
+				xt[i] = x[i] + delta[i]
+			}
+			res.Eval(xt, r, jac)
+			norm := norm2(r)
+			if norm <= lastNorm || halvings == maxHalvings {
+				lastNorm = norm
+				break
+			}
+			for i := range delta {
+				delta[i] *= 0.5
+			}
+			stepNorm *= 0.5
 		}
+		x, xt = xt, x
 		if stepNorm < opts.Tol {
-			res.Eval(x, r, jac)
-			return x, norm2(r), nil
+			return x, lastNorm, nil
 		}
 	}
-	res.Eval(x, r, jac)
-	return x, norm2(r), ErrNoConverge
+	return x, lastNorm, ErrNoConverge
 }
 
 func norm2(v []float64) float64 {

@@ -69,7 +69,6 @@ type solveTask struct {
 
 	alpha, corrInf float64
 	corrMaxSq      float64
-	needCorr       bool
 	warm           dsp.Vec
 	useGap         bool
 	gapStopped     bool
@@ -276,7 +275,6 @@ func (t *solveTask) init(pl *Plan, req *SolveRequest, w *workspace) {
 		warm: req.Warm,
 	}
 	split(t.w.hRe, t.w.hIm, req.H)
-	t.needCorr = t.opts.Alpha == 0 || !t.opts.PlainISTA
 }
 
 // start finishes setup after the batched correlation pass — α scaling,
@@ -284,9 +282,7 @@ func (t *solveTask) init(pl *Plan, req *SolveRequest, w *workspace) {
 // and enters the main iterate phase.
 func (t *solveTask) start() {
 	pl, w, m := t.pl, t.w, t.pl.m
-	if t.needCorr {
-		t.corrInf = math.Sqrt(t.corrMaxSq)
-	}
+	t.corrInf = math.Sqrt(t.corrMaxSq)
 	t.alpha = t.opts.Alpha
 	if t.alpha == 0 {
 		scale := t.opts.AlphaScale
@@ -363,8 +359,7 @@ func (t *solveTask) start() {
 	// per-sweep noise estimate or an absolute GapTol. Without either the
 	// checks could never pass, so they are skipped entirely and the
 	// iterate rule decides alone.
-	t.useGap = t.opts.Stop == StopGap && !t.opts.PlainISTA &&
-		(t.opts.GapTol > 0 || t.opts.NoiseFloor > 0)
+	t.useGap = t.opts.Stop == StopGap && (t.opts.GapTol > 0 || t.opts.NoiseFloor > 0)
 
 	// α-continuation: start with a large threshold that admits only the
 	// strongest atoms and decay toward the target α, steering the iterate
@@ -373,7 +368,7 @@ func (t *solveTask) start() {
 	// dictionary highly coherent (strong grating lobes). A warm start is
 	// already in that basin and begins at the target α directly.
 	a0 := t.alpha
-	if !t.opts.PlainISTA && warm == nil && t.corrInf > t.alpha {
+	if warm == nil && t.corrInf > t.alpha {
 		a0 = t.corrInf * 0.5
 	}
 	t.phase = taskMain
@@ -413,10 +408,7 @@ func (t *solveTask) beginTick() {
 	t.iter++
 	copy(w.prevRe, w.pRe)
 	copy(w.prevIm, w.pIm)
-	t.srcRe, t.srcIm = w.pRe, w.pIm
-	if !t.opts.PlainISTA {
-		t.srcRe, t.srcIm = w.yRe, w.yIm
-	}
+	t.srcRe, t.srcIm = w.yRe, w.yIm
 	// The forward residual resid = F·src − h̃ is owed by the gradient
 	// pass (gradPass), which computes it per task — or lane-batched
 	// across the group — immediately before the adjoint products.
@@ -431,62 +423,50 @@ func (t *solveTask) endTick() {
 	w, set := t.w, t.set
 	var diffSq float64
 	w.active = w.active[:0]
-	if t.opts.PlainISTA {
-		for _, j := range set {
-			dr, di := w.pRe[j]-w.prevRe[j], w.pIm[j]-w.prevIm[j]
-			diffSq += dr*dr + di*di
-			if w.pRe[j] != 0 || w.pIm[j] != 0 {
-				w.active = append(w.active, j)
-			}
+	// Adaptive (gradient) restart, O'Donoghue & Candès: when the
+	// extrapolated step opposes the direction of progress the momentum
+	// has overshot — reset it, turning FISTA's oscillatory tail into
+	// near-linear convergence. Restarts run only on restricted
+	// working-set solves: the grating lobes of the coherent band lattice
+	// make the full-grid LASSO optimum a degenerate face (mass can sit on
+	// an alias ghost with the same objective), and on the full grid a
+	// restarted trajectory may settle on a ghost vertex that the
+	// sustained-momentum trajectory avoids. A working set inherited from
+	// the previous fix excludes the ghost family entirely, so restarting
+	// there is safe — and it is what lets warm solves converge in tens
+	// of iterations instead of ringing for hundreds.
+	var gdot float64
+	for _, j := range set {
+		dr, di := w.pRe[j]-w.prevRe[j], w.pIm[j]-w.prevIm[j]
+		diffSq += dr*dr + di*di
+		gdot += (w.yRe[j]-w.pRe[j])*dr + (w.yIm[j]-w.pIm[j])*di
+	}
+	if t.allowRestart && gdot > 0 && t.curAlpha == t.alpha {
+		t.tMom = 1
+	}
+	tNext := (1 + math.Sqrt(1+4*t.tMom*t.tMom)) / 2
+	beta := (t.tMom - 1) / tNext
+	for _, j := range set {
+		dr, di := w.pRe[j]-w.prevRe[j], w.pIm[j]-w.prevIm[j]
+		w.yRe[j] = w.pRe[j] + beta*dr
+		w.yIm[j] = w.pIm[j] + beta*di
+		if w.yRe[j] != 0 || w.yIm[j] != 0 {
+			w.active = append(w.active, j)
 		}
-	} else {
-		// Adaptive (gradient) restart, O'Donoghue & Candès: when
-		// the extrapolated step opposes the direction of progress
-		// the momentum has overshot — reset it, turning FISTA's
-		// oscillatory tail into near-linear convergence. Restarts
-		// run only on restricted working-set solves: the grating
-		// lobes of the coherent band lattice make the full-grid
-		// LASSO optimum a degenerate face (mass can sit on an
-		// alias ghost with the same objective), and on the full
-		// grid a restarted trajectory may settle on a ghost vertex
-		// that the sustained-momentum trajectory avoids. A working
-		// set inherited from the previous fix excludes the ghost
-		// family entirely, so restarting there is safe — and it is
-		// what lets warm solves converge in tens of iterations
-		// instead of ringing for hundreds.
-		var gdot float64
-		for _, j := range set {
-			dr, di := w.pRe[j]-w.prevRe[j], w.pIm[j]-w.prevIm[j]
-			diffSq += dr*dr + di*di
-			gdot += (w.yRe[j]-w.pRe[j])*dr + (w.yIm[j]-w.pIm[j])*di
+	}
+	t.tMom = tNext
+	// Decay the continuation threshold toward the target α, jumping
+	// ahead when the iterate has already stalled at the current
+	// threshold (further same-α iterations are no-ops the Epsilon exit
+	// cannot act on yet).
+	if t.curAlpha > t.alpha {
+		d := t.decay
+		if math.Sqrt(diffSq) < t.opts.Epsilon {
+			d = contStallDecay
 		}
-		if t.allowRestart && gdot > 0 && t.curAlpha == t.alpha {
-			t.tMom = 1
-		}
-		tNext := (1 + math.Sqrt(1+4*t.tMom*t.tMom)) / 2
-		beta := (t.tMom - 1) / tNext
-		for _, j := range set {
-			dr, di := w.pRe[j]-w.prevRe[j], w.pIm[j]-w.prevIm[j]
-			w.yRe[j] = w.pRe[j] + beta*dr
-			w.yIm[j] = w.pIm[j] + beta*di
-			if w.yRe[j] != 0 || w.yIm[j] != 0 {
-				w.active = append(w.active, j)
-			}
-		}
-		t.tMom = tNext
-		// Decay the continuation threshold toward the target α,
-		// jumping ahead when the iterate has already stalled at
-		// the current threshold (further same-α iterations are
-		// no-ops the Epsilon exit cannot act on yet).
-		if t.curAlpha > t.alpha {
-			d := t.decay
-			if math.Sqrt(diffSq) < t.opts.Epsilon {
-				d = contStallDecay
-			}
-			t.curAlpha *= d
-			if t.curAlpha < t.alpha {
-				t.curAlpha = t.alpha
-			}
+		t.curAlpha *= d
+		if t.curAlpha < t.alpha {
+			t.curAlpha = t.alpha
 		}
 	}
 
@@ -729,7 +709,7 @@ func (t *solveTask) finish() {
 			copy(w.yIm, w.pIm)
 			w.active = w.active[:0]
 			a0 := t.alpha
-			if !t.opts.PlainISTA && t.corrInf > t.alpha {
+			if t.corrInf > t.alpha {
 				a0 = t.corrInf * 0.5
 			}
 			t.phase = taskCold
@@ -771,18 +751,15 @@ func (t *solveTask) finalize() {
 	t.done = true
 }
 
-// corrPass computes ‖Fᴴh̃‖∞ for every task that needs it (the default α
-// scaling and the cold continuation ramp), batched over the dictionary
-// rows so one row pass serves the whole batch.
+// corrPass computes ‖Fᴴh̃‖∞ for every task (the default α scaling and
+// the cold continuation ramp), batched over the dictionary rows so one
+// row pass serves the whole batch.
 func (pl *Plan) corrPass(tasks []solveTask) {
 	n, m := pl.n, pl.m
 	for j := 0; j < m; j++ {
 		aRe, aIm := pl.fhRe[j*n:(j+1)*n], pl.fhIm[j*n:(j+1)*n]
 		for i := range tasks {
 			t := &tasks[i]
-			if !t.needCorr {
-				continue
-			}
 			cr, ci := adjDot(aRe, aIm, t.w.hRe, t.w.hIm)
 			if sq := cr*cr + ci*ci; sq > t.corrMaxSq {
 				t.corrMaxSq = sq

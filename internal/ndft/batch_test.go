@@ -12,8 +12,8 @@ import (
 // batchFixture builds a plan plus a set of measurement/warm/option
 // combinations that exercise every solver path in one batch: cold
 // noiseless, cold noisy gap-stopped, warm on a fresh noise draw, warm
-// whose seed forces the KKT fallback (target jumped), plain ISTA, and
-// random-seeded starts.
+// whose seed forces the KKT fallback (target jumped), a caller-fixed α,
+// and random-seeded starts.
 func batchFixture(t testing.TB) (*Plan, []SolveRequest) {
 	t.Helper()
 	freqs := wifi.Centers(wifi.Bands5GHz())
@@ -44,7 +44,7 @@ func batchFixture(t testing.TB) (*Plan, []SolveRequest) {
 		// The target jumped far beyond warmDilate: the restricted solve
 		// must fail its KKT audit and fall back to the cold path.
 		{H: noisy(0.05, 14.5, 17.9), Warm: seed.Profile, InvertOptions: gapOpts},
-		{H: noisy(0.1, 7, 11.2), InvertOptions: InvertOptions{MaxIter: 2000, PlainISTA: true, Alpha: 2}},
+		{H: noisy(0.1, 7, 11.2), InvertOptions: InvertOptions{MaxIter: 2000, Alpha: 2}},
 		{H: noisy(0.02, 5.5, 9.8), InvertOptions: InvertOptions{MaxIter: 2000, Seed: 3}},
 	}
 	return pl, reqs

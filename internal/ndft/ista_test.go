@@ -1,68 +1,20 @@
 package ndft
 
 import (
-	"math"
 	"testing"
 
 	"chronos/internal/dsp"
 	"chronos/internal/wifi"
 )
 
-func TestPlainISTARecoversSameFirstPeak(t *testing.T) {
-	// Algorithm 1 verbatim (no momentum, no continuation) and the
-	// accelerated variant share fixed points; on clean data both must
-	// find the same direct path.
-	freqs := wifi.Centers(wifi.USBands())
-	taus := TauGrid(30e-9, 0.2e-9)
-	m, err := NewMatrix(freqs, taus)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := synthChannel(freqs, []float64{6.6, 12.2}, []float64{1, 0.5})
-
-	fast, err := m.Invert(h, InvertOptions{MaxIter: 3000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	plain, err := m.Invert(h, InvertOptions{MaxIter: 12000, PlainISTA: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pf, okF := fast.FirstPeakDelay(0.3)
-	pp, okP := plain.FirstPeakDelay(0.3)
-	if !okF || !okP {
-		t.Fatal("missing peaks")
-	}
-	if math.Abs(pf-pp) > 0.3e-9 {
-		t.Errorf("plain ISTA peak %v vs accelerated %v", pp, pf)
-	}
-}
-
-func TestPlainISTANeedsMoreIterations(t *testing.T) {
-	freqs := wifi.Centers(wifi.Bands5GHz())
-	taus := TauGrid(30e-9, 0.2e-9)
-	m, _ := NewMatrix(freqs, taus)
-	h := synthChannel(freqs, []float64{8}, []float64{1})
-
-	fast, _ := m.Invert(h, InvertOptions{MaxIter: 20000})
-	plain, _ := m.Invert(h, InvertOptions{MaxIter: 20000, PlainISTA: true})
-	if !fast.Converged {
-		t.Skip("accelerated variant did not converge in budget")
-	}
-	if plain.Converged && plain.Iterations < fast.Iterations {
-		t.Errorf("plain ISTA converged faster (%d) than accelerated (%d) — unexpected on this dictionary",
-			plain.Iterations, fast.Iterations)
-	}
-}
-
 func TestAlphaScaleSweepsSparsity(t *testing.T) {
 	freqs := wifi.Centers(wifi.USBands())
 	taus := TauGrid(30e-9, 0.2e-9)
-	m, _ := NewMatrix(freqs, taus)
+	pl, _ := NewPlan(freqs, taus)
 	h := synthChannel(freqs, []float64{5, 9, 13}, []float64{1, 0.7, 0.5})
 
 	nonzeros := func(scale float64) int {
-		res, err := m.Invert(h, InvertOptions{AlphaScale: scale, MaxIter: 3000})
+		res, err := pl.Solve(SolveRequest{H: h, InvertOptions: InvertOptions{AlphaScale: scale, MaxIter: 3000}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -82,13 +34,13 @@ func TestAlphaScaleSweepsSparsity(t *testing.T) {
 func TestInvertEpsilonStopsEarly(t *testing.T) {
 	freqs := wifi.Centers(wifi.Bands5GHz())
 	taus := TauGrid(20e-9, 0.5e-9)
-	m, _ := NewMatrix(freqs, taus)
+	pl, _ := NewPlan(freqs, taus)
 	h := synthChannel(freqs, []float64{7}, []float64{1})
-	loose, err := m.Invert(h, InvertOptions{Epsilon: 1e-1 * dsp.Norm2(h), MaxIter: 5000})
+	loose, err := pl.Solve(SolveRequest{H: h, InvertOptions: InvertOptions{Epsilon: 1e-1 * dsp.Norm2(h), MaxIter: 5000}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tight, err := m.Invert(h, InvertOptions{Epsilon: 1e-9 * dsp.Norm2(h), MaxIter: 5000})
+	tight, err := pl.Solve(SolveRequest{H: h, InvertOptions: InvertOptions{Epsilon: 1e-9 * dsp.Norm2(h), MaxIter: 5000}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,9 +62,9 @@ func TestInvertEpsilonStopsEarly(t *testing.T) {
 // handful of iterations.
 func TestContinuationStallExitsEarly(t *testing.T) {
 	freqs := wifi.Centers(wifi.Bands5GHz())
-	m, _ := NewMatrix(freqs, TauGrid(20e-9, 0.5e-9))
+	pl, _ := NewPlan(freqs, TauGrid(20e-9, 0.5e-9))
 	h := synthChannel(freqs, []float64{7}, []float64{1})
-	res, err := m.Invert(h, InvertOptions{Epsilon: 1e-2 * dsp.Norm2(h), MaxIter: 5000, Stop: StopIterate})
+	res, err := pl.Solve(SolveRequest{H: h, InvertOptions: InvertOptions{Epsilon: 1e-2 * dsp.Norm2(h), MaxIter: 5000, Stop: StopIterate}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,9 +86,9 @@ func TestContinuationStallExitsEarly(t *testing.T) {
 // target α at least half the budget and converge.
 func TestContinuationScheduleFitsBudget(t *testing.T) {
 	freqs := wifi.Centers(wifi.Bands5GHz())
-	m, _ := NewMatrix(freqs, TauGrid(20e-9, 0.5e-9))
+	pl, _ := NewPlan(freqs, TauGrid(20e-9, 0.5e-9))
 	h := synthChannel(freqs, []float64{7}, []float64{1})
-	res, err := m.Invert(h, InvertOptions{AlphaScale: 0.01, Epsilon: 1e-2 * dsp.Norm2(h), MaxIter: 200, Stop: StopIterate})
+	res, err := pl.Solve(SolveRequest{H: h, InvertOptions: InvertOptions{AlphaScale: 0.01, Epsilon: 1e-2 * dsp.Norm2(h), MaxIter: 200, Stop: StopIterate}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,22 +1,29 @@
 // Package ndft implements §6 of the paper: recovering a multipath profile
 // from channel measurements taken at non-uniformly spaced Wi-Fi center
 // frequencies. The measurements form a Non-uniform Discrete Fourier
-// Transform of the (sparse) path-delay profile; inversion is
-// under-determined, so Algorithm 1 regularizes with an L1 sparsity prior
-// and solves via proximal-gradient iteration (ISTA).
+// Transform h = F·p of the (sparse) path-delay profile p, with
+// F[i][k] = e^{−j2π·fᵢ·τₖ}; inversion is under-determined, so
+// Algorithm 1 regularizes with an L1 sparsity prior and solves via
+// proximal-gradient iteration (ISTA):
 //
-// The solver core is Plan: a precomputed dictionary (plus adjoint, step
-// size, and pooled scratch state) that is built once per band-group
-// signature and shared across goroutines, with warm-started,
-// allocation-free steady-state solves. Matrix is the historical
-// construct-and-invert entry point, kept as a thin wrapper over Plan.
+//	p_{t+1} = SPARSIFY(p_t − γ·Fᴴ(F·p_t − h̃), γα)
+//
+// The magnitude of the recovered profile is the multipath profile of
+// Fig. 4(b); its first dominant peak is the direct path.
+//
+// The solver is Plan: a precomputed dictionary (plus adjoint, step size,
+// and pooled scratch state) that is built once per band-group signature
+// and shared across goroutines. Plan.Solve and Plan.SolveBatch are its
+// only entry points. Both run Algorithm 1 with FISTA momentum and
+// α-continuation, which reach the same fixed points in far fewer
+// iterations on the highly coherent NDFT dictionary, and both solve
+// warm-started and allocation-free in steady state.
 package ndft
 
 import (
 	"errors"
 
 	"chronos/internal/dsp"
-	"chronos/internal/linalg"
 )
 
 var (
@@ -25,32 +32,6 @@ var (
 	errUnknownKernel     = errors.New("ndft: unknown kernel tier (want scalar, avx2, avx512, or neon)")
 	errKernelUnavailable = errors.New("ndft: kernel tier not supported by this CPU")
 )
-
-// Matrix is the n×m non-uniform Fourier matrix F with
-// F[i][k] = e^{−j2π·fᵢ·τₖ}, mapping a delay-domain profile p (length m)
-// to frequency-domain measurements h = F·p (length n). It is a
-// compatibility wrapper over Plan, which owns the precomputed solver
-// state.
-type Matrix struct {
-	Freqs []float64 // n measurement frequencies (Hz)
-	Taus  []float64 // m delay-grid points (seconds)
-	F     *linalg.CMatrix
-
-	plan *Plan
-}
-
-// NewMatrix builds the NDFT matrix for the given frequencies and delay
-// grid and precomputes the ISTA step size. Construction is O(n·m).
-func NewMatrix(freqs, taus []float64) (*Matrix, error) {
-	pl, err := NewPlan(freqs, taus)
-	if err != nil {
-		return nil, err
-	}
-	return &Matrix{Freqs: pl.Freqs, Taus: pl.Taus, F: pl.interleaved(), plan: pl}, nil
-}
-
-// Plan returns the underlying solver plan.
-func (m *Matrix) Plan() *Plan { return m.plan }
 
 // TauGrid builds a uniform delay grid [0, maxTau] with the given step,
 // inclusive of both endpoints (within floating-point rounding).
@@ -64,13 +45,6 @@ func TauGrid(maxTau, step float64) []float64 {
 		out[i] = float64(i) * step
 	}
 	return out
-}
-
-// Forward computes h = F·p.
-func (m *Matrix) Forward(p dsp.Vec) dsp.Vec {
-	h := make(dsp.Vec, len(m.Freqs))
-	m.F.MulVec(h, p)
-	return h
 }
 
 // StopRule selects how Solve decides it is done.
@@ -135,11 +109,6 @@ type InvertOptions struct {
 	// which is deterministic and converges at least as fast for this
 	// convex objective. Ignored when a warm start is supplied.
 	Seed int64
-	// PlainISTA disables the FISTA momentum and α-continuation
-	// refinements and runs Algorithm 1 exactly as printed in the paper.
-	// The fixed points are identical; the refinements only reach them in
-	// far fewer iterations on the highly coherent NDFT dictionary.
-	PlainISTA bool
 	// Preempt, when non-nil, is polled at the duality-gap check cadence
 	// of the main and cold-fallback iterate phases (never mid-iteration,
 	// never during a polish). When it returns true the solve parks: it
@@ -174,13 +143,13 @@ func (o InvertOptions) withDefaults(h dsp.Vec) InvertOptions {
 type Result struct {
 	Profile    dsp.Vec   // sparse delay-domain profile p (len == len(Taus))
 	Magnitude  []float64 // |p| per grid point — the multipath profile plot
-	Taus       []float64 // the delay grid (aliases Matrix.Taus)
+	Taus       []float64 // the delay grid (aliases Plan.Taus)
 	Iterations int
 	Converged  bool
 	Residual   float64 // ‖h − F·p‖₂ at termination
 	// GapAtStop is the LASSO duality-gap bound measured at the last gap
-	// check (0 when no check ran: StopIterate, PlainISTA, or a solve that
-	// finished before the first check). For a gap-stopped solve it is the
+	// check (0 when no check ran: StopIterate, no noise floor or GapTol,
+	// or a solve that finished before the first check). For a gap-stopped solve it is the
 	// certified suboptimality of the returned profile.
 	GapAtStop float64
 	// NoiseFloor echoes the noise estimate the stopping tolerance was
@@ -196,18 +165,6 @@ type Result struct {
 	// instead of a converged answer. Parked implies !Converged; resume by
 	// re-solving with Profile as the warm start.
 	Parked bool
-}
-
-// Invert runs Algorithm 1: proximal-gradient (ISTA) iterations
-//
-//	p_{t+1} = SPARSIFY(p_t − γ·Fᴴ(F·p_t − h̃), γα)
-//
-// until ‖p_{t+1} − p_t‖ < ε or MaxIter. The returned profile's magnitude
-// is the multipath profile of Fig. 4(b); its first dominant peak is the
-// direct path. It is a cold-start, freshly-allocated convenience over
-// Plan.Solve.
-func (m *Matrix) Invert(h dsp.Vec, opts InvertOptions) (*Result, error) {
-	return m.plan.Solve(SolveRequest{H: h, InvertOptions: opts})
 }
 
 // FirstPeakDelay extracts the direct-path delay from an inversion result:

@@ -35,31 +35,33 @@ func TestTauGrid(t *testing.T) {
 	}
 }
 
-func TestNewMatrixErrors(t *testing.T) {
-	if _, err := NewMatrix(nil, []float64{1}); err == nil {
+func TestNewPlanErrors(t *testing.T) {
+	if _, err := NewPlan(nil, []float64{1}); err == nil {
 		t.Error("empty freqs accepted")
 	}
-	if _, err := NewMatrix([]float64{1}, nil); err == nil {
+	if _, err := NewPlan([]float64{1}, nil); err == nil {
 		t.Error("empty taus accepted")
 	}
 }
 
+// TestForwardMatchesDirectEvaluation checks the stored dictionary: the
+// forward map reads column k of F as the conjugate of adjoint row k, so
+// that row, conjugated, must match the single-path channel at delay
+// taus[k].
 func TestForwardMatchesDirectEvaluation(t *testing.T) {
 	freqs := wifi.Centers(wifi.Bands5GHz())
 	taus := TauGrid(30e-9, 0.5e-9)
-	m, err := NewMatrix(freqs, taus)
+	pl, err := NewPlan(freqs, taus)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A profile with a single unit tap at grid index 10 must produce
-	// exactly the single-path channel at that delay.
-	p := make(dsp.Vec, len(taus))
-	p[10] = 1
-	h := m.Forward(p)
-	want := synthChannel(freqs, []float64{taus[10] * 1e9}, []float64{1})
-	for i := range h {
-		if d := h[i] - want[i]; math.Hypot(real(d), imag(d)) > 1e-9 {
-			t.Fatalf("freq %d: %v vs %v", i, h[i], want[i])
+	n, _ := pl.Dims()
+	const k = 10
+	want := synthChannel(freqs, []float64{taus[k] * 1e9}, []float64{1})
+	for i := range want {
+		col := complex(pl.fhRe[k*n+i], -pl.fhIm[k*n+i])
+		if d := col - want[i]; math.Hypot(real(d), imag(d)) > 1e-9 {
+			t.Fatalf("freq %d: %v vs %v", i, col, want[i])
 		}
 	}
 }
@@ -67,13 +69,13 @@ func TestForwardMatchesDirectEvaluation(t *testing.T) {
 func TestInvertSinglePath(t *testing.T) {
 	freqs := wifi.Centers(wifi.Bands5GHz())
 	taus := TauGrid(50e-9, 0.1e-9)
-	m, err := NewMatrix(freqs, taus)
+	pl, err := NewPlan(freqs, taus)
 	if err != nil {
 		t.Fatal(err)
 	}
 	trueTau := 7.3e-9
 	h := synthChannel(freqs, []float64{7.3}, []float64{1})
-	res, err := m.Invert(h, InvertOptions{})
+	res, err := pl.Solve(SolveRequest{H: h})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,12 +93,12 @@ func TestInvertFig4ThreePaths(t *testing.T) {
 	// three peaks must be recovered and the first peak must sit at 5.2 ns.
 	freqs := wifi.Centers(wifi.USBands())
 	taus := TauGrid(40e-9, 0.1e-9)
-	m, err := NewMatrix(freqs, taus)
+	pl, err := NewPlan(freqs, taus)
 	if err != nil {
 		t.Fatal(err)
 	}
 	h := synthChannel(freqs, []float64{5.2, 10, 16}, []float64{1, 0.7, 0.5})
-	res, err := m.Invert(h, InvertOptions{MaxIter: 4000})
+	res, err := pl.Solve(SolveRequest{H: h, InvertOptions: InvertOptions{MaxIter: 4000}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,9 +130,9 @@ func TestInvertFig4ThreePaths(t *testing.T) {
 func TestInvertProfileIsSparse(t *testing.T) {
 	freqs := wifi.Centers(wifi.USBands())
 	taus := TauGrid(40e-9, 0.1e-9)
-	m, _ := NewMatrix(freqs, taus)
+	pl, _ := NewPlan(freqs, taus)
 	h := synthChannel(freqs, []float64{5.2, 10, 16}, []float64{1, 0.7, 0.5})
-	res, err := m.Invert(h, InvertOptions{MaxIter: 4000})
+	res, err := pl.Solve(SolveRequest{H: h, InvertOptions: InvertOptions{MaxIter: 4000}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,13 +152,13 @@ func TestInvertNoiseRobust(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	freqs := wifi.Centers(wifi.USBands())
 	taus := TauGrid(40e-9, 0.1e-9)
-	m, _ := NewMatrix(freqs, taus)
+	pl, _ := NewPlan(freqs, taus)
 	trueTau := 9.4e-9
 	h := synthChannel(freqs, []float64{9.4, 14.1}, []float64{1, 0.6})
 	for i := range h {
 		h[i] += complex(rng.NormFloat64()*0.05, rng.NormFloat64()*0.05)
 	}
-	res, err := m.Invert(h, InvertOptions{MaxIter: 4000})
+	res, err := pl.Solve(SolveRequest{H: h, InvertOptions: InvertOptions{MaxIter: 4000}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,11 +176,11 @@ func TestInvertAlphaControlsSparsity(t *testing.T) {
 	// fewer non-zero values in p").
 	freqs := wifi.Centers(wifi.USBands())
 	taus := TauGrid(30e-9, 0.2e-9)
-	m, _ := NewMatrix(freqs, taus)
+	pl, _ := NewPlan(freqs, taus)
 	h := synthChannel(freqs, []float64{5, 9, 13, 21}, []float64{1, 0.8, 0.6, 0.4})
 
 	count := func(alpha float64) int {
-		res, err := m.Invert(h, InvertOptions{Alpha: alpha, MaxIter: 3000})
+		res, err := pl.Solve(SolveRequest{H: h, InvertOptions: InvertOptions{Alpha: alpha, MaxIter: 3000}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -190,9 +192,7 @@ func TestInvertAlphaControlsSparsity(t *testing.T) {
 		}
 		return n
 	}
-	corr := make(dsp.Vec, len(taus))
-	m.F.MulVecH(corr, h)
-	aMax := dsp.NormInf(corr)
+	aMax := pl.MaxCorrelation(h)
 	small, large := count(0.01*aMax), count(0.5*aMax)
 	if large >= small {
 		t.Errorf("nonzeros: α small → %d, α large → %d; want decrease", small, large)
@@ -201,16 +201,16 @@ func TestInvertAlphaControlsSparsity(t *testing.T) {
 
 func TestInvertDimensionMismatch(t *testing.T) {
 	freqs := wifi.Centers(wifi.Bands5GHz())
-	m, _ := NewMatrix(freqs, TauGrid(10e-9, 1e-9))
-	if _, err := m.Invert(make(dsp.Vec, 3), InvertOptions{}); err == nil {
+	pl, _ := NewPlan(freqs, TauGrid(10e-9, 1e-9))
+	if _, err := pl.Solve(SolveRequest{H: make(dsp.Vec, 3)}); err == nil {
 		t.Error("dimension mismatch accepted")
 	}
 }
 
 func TestInvertZeroMeasurement(t *testing.T) {
 	freqs := wifi.Centers(wifi.Bands5GHz())
-	m, _ := NewMatrix(freqs, TauGrid(10e-9, 1e-9))
-	res, err := m.Invert(make(dsp.Vec, len(freqs)), InvertOptions{})
+	pl, _ := NewPlan(freqs, TauGrid(10e-9, 1e-9))
+	res, err := pl.Solve(SolveRequest{H: make(dsp.Vec, len(freqs))})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,14 +227,14 @@ func TestInvertRandomInitMatchesZeroInit(t *testing.T) {
 	// random start must reach (nearly) the same first-peak answer.
 	freqs := wifi.Centers(wifi.USBands())
 	taus := TauGrid(30e-9, 0.2e-9)
-	m, _ := NewMatrix(freqs, taus)
+	pl, _ := NewPlan(freqs, taus)
 	h := synthChannel(freqs, []float64{6.6, 12.2}, []float64{1, 0.5})
 
-	r0, err := m.Invert(h, InvertOptions{MaxIter: 5000})
+	r0, err := pl.Solve(SolveRequest{H: h, InvertOptions: InvertOptions{MaxIter: 5000}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r1, err := m.Invert(h, InvertOptions{MaxIter: 5000, Seed: 99})
+	r1, err := pl.Solve(SolveRequest{H: h, InvertOptions: InvertOptions{MaxIter: 5000, Seed: 99}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,13 +251,11 @@ func TestInvertRandomInitMatchesZeroInit(t *testing.T) {
 func TestResultResidualSmallOnExactData(t *testing.T) {
 	freqs := wifi.Centers(wifi.USBands())
 	taus := TauGrid(20e-9, 0.1e-9)
-	m, _ := NewMatrix(freqs, taus)
+	pl, _ := NewPlan(freqs, taus)
 	// Tap exactly on the grid: residual should drop well below the
 	// signal norm.
-	p := make(dsp.Vec, len(taus))
-	p[50] = 1
-	h := m.Forward(p)
-	res, err := m.Invert(h, InvertOptions{Alpha: 0.01, MaxIter: 5000})
+	h := synthChannel(freqs, []float64{taus[50] * 1e9}, []float64{1})
+	res, err := pl.Solve(SolveRequest{H: h, InvertOptions: InvertOptions{Alpha: 0.01, MaxIter: 5000}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,9 +267,9 @@ func TestResultResidualSmallOnExactData(t *testing.T) {
 func TestDominantPeaksCount(t *testing.T) {
 	freqs := wifi.Centers(wifi.USBands())
 	taus := TauGrid(40e-9, 0.1e-9)
-	m, _ := NewMatrix(freqs, taus)
+	pl, _ := NewPlan(freqs, taus)
 	h := synthChannel(freqs, []float64{5.2, 10, 16}, []float64{1, 0.7, 0.5})
-	res, err := m.Invert(h, InvertOptions{MaxIter: 4000})
+	res, err := pl.Solve(SolveRequest{H: h, InvertOptions: InvertOptions{MaxIter: 4000}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -45,21 +45,6 @@ type Plan struct {
 	bs sync.Pool // *batchState
 }
 
-// interleaved rebuilds the complex form of F from the stored adjoint
-// (F[i][k] = conj(Fᴴ[k][i])) — only the Matrix compatibility wrapper
-// needs it, so plans resolved through a registry never carry an extra
-// forward copy in any layout.
-func (pl *Plan) interleaved() *linalg.CMatrix {
-	n, m := pl.n, pl.m
-	f := linalg.NewCMatrix(n, m)
-	for i := 0; i < n; i++ {
-		for k := 0; k < m; k++ {
-			f.Data[i*m+k] = complex(pl.fhRe[k*n+i], -pl.fhIm[k*n+i])
-		}
-	}
-	return f
-}
-
 // workspace is the per-solve scratch state: every vector Algorithm 1
 // touches, preallocated at plan dimensions so iterations are
 // allocation-free.

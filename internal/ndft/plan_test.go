@@ -21,37 +21,6 @@ func fig4Plan(t testing.TB) (*Plan, dsp.Vec) {
 	return pl, synthChannel(freqs, []float64{5.2, 10, 16}, []float64{1, 0.7, 0.5})
 }
 
-// TestPlanSolveMatchesInvert pins the compatibility contract: Matrix.Invert
-// is a thin wrapper over Plan.Solve, so the two entry points must agree
-// exactly on the same inputs.
-func TestPlanSolveMatchesInvert(t *testing.T) {
-	freqs := wifi.Centers(wifi.USBands())
-	taus := TauGrid(40e-9, 0.1e-9)
-	m, err := NewMatrix(freqs, taus)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := synthChannel(freqs, []float64{5.2, 10, 16}, []float64{1, 0.7, 0.5})
-	opts := InvertOptions{MaxIter: 2000}
-
-	a, err := m.Invert(h, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := m.Plan().Solve(SolveRequest{H: h, InvertOptions: opts})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Iterations != b.Iterations || a.Converged != b.Converged || a.Residual != b.Residual {
-		t.Errorf("wrapper diverged: %+v vs %+v", a, b)
-	}
-	for i := range a.Profile {
-		if a.Profile[i] != b.Profile[i] {
-			t.Fatalf("profile[%d]: %v vs %v", i, a.Profile[i], b.Profile[i])
-		}
-	}
-}
-
 // TestPlanWarmStartEquivalence is the warm-start acceptance test: warm
 // and cold solves must converge to the same first-peak delay (the
 // solver's fixed points do not depend on the start), and on the

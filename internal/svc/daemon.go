@@ -72,8 +72,7 @@ type DeviceConfig struct {
 	// Stat selects the statistical session kind: ranges drawn from the
 	// empirical Chronos error model (drone.StatSensor) instead of full
 	// CSI sweeps and profile inversion — the cheap fleet-scale workload,
-	// exactly as track.RunMulti's sensor mode. Default is the full
-	// pipeline.
+	// exactly as track.RunMulti ranges. Default is the full pipeline.
 	Stat bool
 	// Class is the device's scheduling class in the staged pipeline
 	// (default ClassLatency). Bulk-class full devices yield the solve

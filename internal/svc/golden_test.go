@@ -37,8 +37,8 @@ func goldenSession() track.SessionConfig {
 func svcFixTable(r *track.SessionResult) string {
 	var b strings.Builder
 	for _, f := range append(append([]track.Fix{}, r.EarlyFixes...), r.Fixes...) {
-		fmt.Fprintf(&b, "at=%d lat=%d bands=%d range=%x true=%x early=%v acc=%v\n",
-			f.At, f.Latency, f.Bands, f.Range, f.TrueRange, f.Early, f.Accepted)
+		fmt.Fprintf(&b, "at=%d lat=%d bands=%d range=%x true=%x early=%v acc=%v work=%d conv=%v\n",
+			f.At, f.Latency, f.Bands, f.Range, f.TrueRange, f.Early, f.Accepted, f.Work, f.Converged)
 	}
 	return b.String()
 }
@@ -65,18 +65,15 @@ func sequentialTraces(t *testing.T, office *sim.Office, seeds map[uint64]int64) 
 	return out
 }
 
-// daemonTraces runs the same fleet through a virtual-time daemon at the
-// given shard count and returns the fix tables. Devices attach with the
-// given scheduling class (relevant only when cfg arms the staged
-// pipeline).
-func daemonTraces(t *testing.T, office *sim.Office, seeds map[uint64]int64, cfg Config, class Class) map[uint64]string {
+// daemonSessions runs the given full devices through a virtual-time
+// daemon until it quiesces and returns each device's session result.
+func daemonSessions(t *testing.T, office *sim.Office, devs map[uint64]DeviceConfig, cfg Config) map[uint64]*track.SessionResult {
 	t.Helper()
 	cfg.Office = office
 	cfg.Virtual = true
 	d := NewDaemon(cfg)
-	for id, seed := range seeds {
-		if err := d.Attach(id, DeviceConfig{Seed: seed, Class: class,
-			Session: goldenSession(), Estimator: goldenEstimator()}); err != nil {
+	for id, dc := range devs {
+		if err := d.Attach(id, dc); err != nil {
 			t.Fatalf("attach %d: %v", id, err)
 		}
 	}
@@ -87,7 +84,7 @@ func daemonTraces(t *testing.T, office *sim.Office, seeds map[uint64]int64, cfg 
 	if _, err := d.Drain(10 * time.Second); err != nil {
 		t.Fatalf("drain: %v", err)
 	}
-	out := make(map[uint64]string, len(results))
+	out := make(map[uint64]*track.SessionResult, len(results))
 	for id, r := range results {
 		if r.Err != nil {
 			t.Fatalf("device %d retired with error: %v", id, r.Err)
@@ -95,7 +92,25 @@ func daemonTraces(t *testing.T, office *sim.Office, seeds map[uint64]int64, cfg 
 		if r.Session == nil {
 			t.Fatalf("device %d has no session result", id)
 		}
-		out[id] = svcFixTable(r.Session)
+		out[id] = r.Session
+	}
+	return out
+}
+
+// daemonTraces runs the golden fleet through a virtual-time daemon with
+// the given config and returns the fix tables. Devices attach with the
+// given scheduling class (relevant only when cfg arms the staged
+// pipeline).
+func daemonTraces(t *testing.T, office *sim.Office, seeds map[uint64]int64, cfg Config, class Class) map[uint64]string {
+	t.Helper()
+	devs := make(map[uint64]DeviceConfig, len(seeds))
+	for id, seed := range seeds {
+		devs[id] = DeviceConfig{Seed: seed, Class: class,
+			Session: goldenSession(), Estimator: goldenEstimator()}
+	}
+	out := make(map[uint64]string, len(seeds))
+	for id, r := range daemonSessions(t, office, devs, cfg) {
+		out[id] = svcFixTable(r)
 	}
 	return out
 }
@@ -155,4 +170,54 @@ func TestDaemonGoldenTraceMatchesSequential(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestDaemonCoalescedSessionsMatchSolo drives concurrent full sessions
+// through the shared coalescer and runs under -short, so the race
+// detector sees the coalescer's leader/follower handoff between shard
+// goroutines on every race run. Four 5 GHz-only devices run on a
+// 4-shard virtual daemon, once with the coalescer off and once with it
+// on. Every fix table must match byte-for-byte; a coalesced fix reports
+// a batch width in [1, MaxBatch], an uncoalesced one exactly 1.
+func TestDaemonCoalescedSessionsMatchSolo(t *testing.T) {
+	const maxBatch = 4
+	office := goldenOffice()
+	devs := make(map[uint64]DeviceConfig)
+	for id := uint64(1); id <= 4; id++ {
+		devs[id] = DeviceConfig{Seed: int64(10 + id),
+			Session:   track.SessionConfig{Speed: 1.2, Sweeps: 2},
+			Estimator: tof.Config{Mode: tof.Bands5GHzOnly, MaxIter: 600}}
+	}
+	solo := daemonSessions(t, office, devs, Config{Shards: 4})
+	coalesced := daemonSessions(t, office, devs, Config{Shards: 4, Coalesce: true,
+		CoalescerConfig: tof.CoalescerConfig{MaxBatch: maxBatch, Wait: 5 * time.Millisecond}})
+
+	if len(solo) != len(devs) || len(coalesced) != len(devs) {
+		t.Fatalf("retired %d solo and %d coalesced devices, want %d", len(solo), len(coalesced), len(devs))
+	}
+	fixes, batched := 0, 0
+	for id, s := range solo {
+		c := coalesced[id]
+		if want, got := svcFixTable(s), svcFixTable(c); got != want {
+			t.Errorf("device %d: coalesced fixes diverged:\ncoalesced:\n%s\nsolo:\n%s", id, got, want)
+		}
+		for i, f := range s.Fixes {
+			if f.BatchSize != 1 {
+				t.Errorf("device %d fix %d: solo batch size %d, want 1", id, i, f.BatchSize)
+			}
+		}
+		for i, f := range c.Fixes {
+			if f.BatchSize < 1 || f.BatchSize > maxBatch {
+				t.Errorf("device %d fix %d: batch size %d outside [1, %d]", id, i, f.BatchSize, maxBatch)
+			}
+			if f.BatchSize > 1 {
+				batched++
+			}
+		}
+		fixes += len(c.Fixes)
+	}
+	if fixes == 0 {
+		t.Fatal("no fixes produced")
+	}
+	t.Logf("%d of %d fixes rode coalesced batches", batched, fixes)
 }

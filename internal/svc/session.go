@@ -19,8 +19,8 @@ const statFixPeriod = 84 * time.Millisecond
 // deviceSession is one attached device's state, owned exclusively by its
 // shard goroutine. Full devices wrap a steppable track.Session (the
 // exact RunSession pipeline, one sweep per timer fire); stat devices
-// carry the lightweight walk + sensor + Kalman chain of track.RunMulti's
-// sensor mode, one fix per timer fire.
+// carry the lightweight walk + sensor + Kalman chain of track.RunMulti,
+// one fix per timer fire.
 type deviceSession struct {
 	shard *shard
 	id    uint64

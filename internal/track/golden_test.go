@@ -1,9 +1,12 @@
 package track
 
 import (
+	"flag"
 	"fmt"
 	"math"
 	"math/rand"
+	"os"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -25,12 +28,13 @@ func goldenSessionConfig() SessionConfig {
 }
 
 // fixTable renders a session's fixes (early and final) at full float
-// precision, so two runs compare byte-for-byte.
+// precision, with each fix's solver cost and convergence, so two runs
+// compare byte-for-byte.
 func fixTable(r *SessionResult) string {
 	var b strings.Builder
 	for _, f := range append(append([]Fix{}, r.EarlyFixes...), r.Fixes...) {
-		fmt.Fprintf(&b, "at=%d lat=%d bands=%d range=%x true=%x early=%v acc=%v\n",
-			f.At, f.Latency, f.Bands, f.Range, f.TrueRange, f.Early, f.Accepted)
+		fmt.Fprintf(&b, "at=%d lat=%d bands=%d range=%x true=%x early=%v acc=%v work=%d conv=%v\n",
+			f.At, f.Latency, f.Bands, f.Range, f.TrueRange, f.Early, f.Accepted, f.Work, f.Converged)
 	}
 	return b.String()
 }
@@ -64,6 +68,45 @@ func TestSessionGoldenTraceDeterministic(t *testing.T) {
 	}
 	if a == "" {
 		t.Error("empty fix table")
+	}
+}
+
+// goldenFixture is the committed fix table of the golden session for
+// seeds 11–14. Regenerate it with `go test ./internal/track -run
+// TestSessionGoldenTraceFixture -update` only when a change is meant to
+// move fixes, and say so in the change.
+const goldenFixture = "testdata/golden_fixes.txt"
+
+var update = flag.Bool("update", false, "rewrite "+goldenFixture+" from this build")
+
+// TestSessionGoldenTraceFixture pins the golden session's fixes across
+// commits: the determinism tests compare two runs of one build, so a
+// refactor that moved every fix alike would pass them; this one compares
+// against a table recorded by an earlier build. The table holds on every
+// amd64 kernel tier (avx512, avx2, scalar).
+func TestSessionGoldenTraceFixture(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full-pipeline sessions")
+	}
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("fixture recorded on amd64; Go fuses multiply-adds on %s, which moves the low bits of a fix", runtime.GOARCH)
+	}
+	var b strings.Builder
+	for seed := int64(11); seed <= 14; seed++ {
+		fmt.Fprintf(&b, "seed=%d\n%s", seed, fixTable(runGolden(t, seed, goldenSessionConfig())))
+	}
+	got := b.String()
+	if *update {
+		if err := os.WriteFile(goldenFixture, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(goldenFixture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Errorf("fix table moved from %s:\ngot:\n%s\nwant:\n%s", goldenFixture, got, want)
 	}
 }
 

@@ -3,14 +3,9 @@ package track
 import (
 	"math"
 	"math/rand"
-	"sync"
 
-	"chronos/internal/csi"
 	"chronos/internal/drone"
 	"chronos/internal/geo"
-	"chronos/internal/sim"
-	"chronos/internal/tof"
-	"chronos/internal/wifi"
 )
 
 // MultiConfig tunes a multi-device tracking run: the scheduler interleaves
@@ -28,29 +23,6 @@ type MultiConfig struct {
 	// Sensor models per-fix ranging error (default drone.StatSensor{}).
 	Sensor drone.RangeSensor
 	Filter FilterConfig
-	// Solver, when non-nil, replaces the statistical sensor with real
-	// channel inversion: each fix event triggers a full CSI sweep and
-	// profile inversion for its device, and devices run on concurrent
-	// goroutines so their simultaneous solves coalesce into batched
-	// SolveBatch calls when the estimator config carries a shared
-	// tof.Coalescer. All per-device randomness — walk waypoints, radio
-	// noise, channel draws — comes from a device RNG seeded in device
-	// order from rng, so ranges and RMSEs stay deterministic at any
-	// goroutine interleaving — batching changes Fix.BatchSize, never a
-	// result.
-	Solver *MultiSolver
-}
-
-// MultiSolver configures solver-backed ranging for RunMulti.
-type MultiSolver struct {
-	// Office supplies the multipath channel model (required).
-	Office *sim.Office
-	// Estimator is the per-device estimator configuration. Set its
-	// Coalescer field to one shared tof.Coalescer to batch the devices'
-	// concurrent inversions; leave it nil to solve per-session.
-	Estimator tof.Config
-	// PairsPerBand is the CSI pairs measured per band sweep (default 2).
-	PairsPerBand int
 }
 
 func (c MultiConfig) withDefaults() MultiConfig {
@@ -84,7 +56,8 @@ type MultiResult struct {
 // RunMulti runs the interleaved schedule and replays its fix events
 // through per-device walks, sensors, and Kalman trackers. Each device
 // walks independently; fix staleness under contention (fewer fixes per
-// second as N grows) directly inflates its tracking error.
+// second as N grows) directly inflates its tracking error. Full-pipeline
+// devices that range concurrently run through svc.Daemon instead.
 func RunMulti(rng *rand.Rand, cfg MultiConfig) *MultiResult {
 	cfg = cfg.withDefaults()
 	sched := RunSchedule(rng, cfg.Scheduler)
@@ -95,14 +68,8 @@ func RunMulti(rng *rand.Rand, cfg MultiConfig) *MultiResult {
 	trackers := make([]*RangeTracker, n)
 	walkedTo := make([]float64, n)
 	for d := 0; d < n; d++ {
-		if cfg.Solver == nil {
-			// Solver-mode walks are built inside each device's goroutine
-			// from that device's own RNG: a walk retains the *rand.Rand it
-			// was built with for waypoint draws, and the shared rng is not
-			// goroutine-safe.
-			walks[d] = drone.NewWalk(rng, cfg.RoomW, cfg.RoomH)
-			walks[d].Speed = cfg.Speed
-		}
+		walks[d] = drone.NewWalk(rng, cfg.RoomW, cfg.RoomH)
+		walks[d].Speed = cfg.Speed
 		trackers[d] = NewRangeTracker(cfg.Filter)
 	}
 
@@ -112,12 +79,6 @@ func RunMulti(rng *rand.Rand, cfg MultiConfig) *MultiResult {
 	}
 	rawSq := make([]float64, n)
 	smoothSq := make([]float64, n)
-
-	if cfg.Solver != nil {
-		runMultiSolver(rng, cfg, sched, trackers, out, rawSq, smoothSq)
-		finishMulti(out, trackers, rawSq, smoothSq)
-		return out
-	}
 
 	// Fix events are already in completion order; walks advance lazily to
 	// each device's fix instants.
@@ -140,12 +101,6 @@ func RunMulti(rng *rand.Rand, cfg MultiConfig) *MultiResult {
 		smoothSq[d] += (smoothed - truth) * (smoothed - truth)
 	}
 
-	finishMulti(out, trackers, rawSq, smoothSq)
-	return out
-}
-
-// finishMulti rolls per-device error sums into the RMSE fields.
-func finishMulti(out *MultiResult, trackers []*RangeTracker, rawSq, smoothSq []float64) {
 	for d := range out.Devices {
 		dt := &out.Devices[d]
 		dt.Rejected = trackers[d].Rejected
@@ -156,96 +111,5 @@ func finishMulti(out *MultiResult, trackers []*RangeTracker, rawSq, smoothSq []f
 			dt.RawRMSE, dt.SmoothedRMSE = math.NaN(), math.NaN()
 		}
 	}
-}
-
-// runMultiSolver replays the schedule's fix events through real channel
-// inversion, one goroutine per device so concurrent sweeps of the shared
-// band geometry coalesce into batched solves. Each device draws from its
-// own RNG (seeded in device order before the fan-out) and constructs its
-// own walk, link, estimator, and tracker inside its goroutine — nothing
-// random is shared, so the only cross-device coupling is the coalescer,
-// whose batches are byte-identical to solo solves, keeping the output
-// deterministic even though batch composition is not.
-func runMultiSolver(rng *rand.Rand, cfg MultiConfig, sched *Schedule, trackers []*RangeTracker, out *MultiResult, rawSq, smoothSq []float64) {
-	ms := cfg.Solver
-	pairs := ms.PairsPerBand
-	if pairs == 0 {
-		pairs = 2
-	}
-	n := len(out.Devices)
-	seeds := make([]int64, n)
-	for d := range seeds {
-		seeds[d] = rng.Int63()
-	}
-	byDev := make([][]FixEvent, n)
-	for _, fe := range sched.Fixes {
-		byDev[fe.Device] = append(byDev[fe.Device], fe)
-	}
-
-	office := ms.Office
-	roomW := math.Min(cfg.RoomW, office.Width-2)
-	roomH := math.Min(cfg.RoomH, office.Height-2)
-	roomOrigin := geo.Point{X: (office.Width - roomW) / 2, Y: (office.Height - roomH) / 2}
-	anchor := roomOrigin
-
-	var wg sync.WaitGroup
-	for d := 0; d < n; d++ {
-		wg.Add(1)
-		go func(d int) {
-			defer wg.Done()
-			rngd := rand.New(rand.NewSource(seeds[d]))
-			// The walk is owned by this goroutine and draws its waypoints
-			// from the device RNG; it lives in the office-clamped room, so
-			// walk geometry and simulated placements always agree even
-			// when cfg.RoomW/RoomH exceed the office.
-			walk := drone.NewWalk(rngd, roomW, roomH)
-			walk.Speed = cfg.Speed
-			est := tof.NewEstimator(ms.Estimator)
-			bands := tof.BandsFor(est.Config())
-
-			tx, rx := csi.NewRadio(rngd), csi.NewRadio(rngd)
-			tx.Quirk24, rx.Quirk24 = ms.Estimator.Quirk24, ms.Estimator.Quirk24
-			link := &csi.Link{TX: tx, RX: rx}
-
-			// Per-pair hardware calibration, exactly as RunSession's.
-			calP := office.RandomPlacement(rngd, 8, false)
-			link.Channel = office.Channel(calP, 5.5e9)
-			link.SNRdB = sim.LinkSNR(0, calP.TrueDistance(), false)
-			calSweep := link.Sweep(rngd, bands, 3, 2.4e-3)
-			offset, err := tof.Calibrate(est, bands, calSweep, calP.TrueDistance())
-			if err != nil {
-				return
-			}
-
-			walkedTo := 0.0
-			for _, fe := range byDev[d] {
-				if t := fe.At.Seconds(); t > walkedTo {
-					walk.Advance(t - walkedTo)
-					walkedTo = t
-				}
-				p := walk.Pos()
-				pos := geo.Point{X: roomOrigin.X + p.X, Y: roomOrigin.Y + p.Y}
-				pl := sim.Placement{TX: anchor, RX: pos}
-				link.Channel = office.Channel(pl, 5.5e9)
-				link.SNRdB = sim.LinkSNR(0, pl.TrueDistance(), false)
-				sweep := link.Sweep(rngd, bands, pairs, 2.4e-3)
-				r, err := est.Estimate(bands, sweep)
-				if err != nil {
-					continue
-				}
-				meas := r.Distance - offset*wifi.SpeedOfLight
-				truth := anchor.Dist(pos)
-				smoothed, accepted := trackers[d].Observe(fe.At, meas)
-				recordFix(int64(fe.Latency), accepted, r.Converged)
-				out.Devices[d].Fixes = append(out.Devices[d].Fixes, Fix{
-					Device: d, At: fe.At, Latency: fe.Latency, Bands: len(bands),
-					Range: meas, Smoothed: smoothed, TrueRange: truth, Accepted: accepted,
-					Work: r.Work, Converged: r.Converged, BatchSize: r.BatchSize,
-				})
-				rawSq[d] += (meas - truth) * (meas - truth)
-				smoothSq[d] += (smoothed - truth) * (smoothed - truth)
-			}
-		}(d)
-	}
-	wg.Wait()
+	return out
 }
