@@ -321,14 +321,14 @@ func RunTrackMulti(rng *rand.Rand, cfg TrackMultiConfig) *TrackMultiResult {
 }
 
 // Service is the always-on localization daemon: N worker shards, each
-// exclusively owning the sessions of the devices that hash to it, a
-// hierarchical timer wheel per shard pacing sweeps, and the obs layer
+// exclusively owning the sessions of the devices that hash to it and
+// pacing their sweeps on its own mac.Sim event queue, and the obs layer
 // as its management surface. Attach/Detach manage the fleet; Drain
 // stops it gracefully.
 type Service = svc.Daemon
 
-// ServiceConfig tunes a service daemon (shard count, wheel tick,
-// virtual vs wall time, solve coalescing).
+// ServiceConfig tunes a service daemon (shard count, virtual vs wall
+// time, solve coalescing, staged pipeline).
 type ServiceConfig = svc.Config
 
 // ServiceDeviceConfig describes one device attached to the service:

@@ -1,8 +1,10 @@
 // Package mac provides the deterministic virtual-time substrate for every
 // protocol-level experiment: a discrete-event simulator, a lossy wireless
 // link model, and message scheduling between simulated stations. Nothing
-// here touches wall-clock time, so protocol runs are fast and exactly
-// reproducible from a seed.
+// here reads a clock: a simulator's owner decides how far each Run
+// advances, so protocol runs are fast and exactly reproducible from a
+// seed, and the chronos-svc daemon shards pace their sessions on one, on
+// wall or virtual time.
 package mac
 
 import (
@@ -15,9 +17,9 @@ import (
 type event struct {
 	at  time.Duration
 	seq uint64 // tie-breaker for events at the same instant (FIFO)
-	fn  func()
-	// canceled events stay in the heap but are skipped on pop.
-	canceled bool
+	// fn is nil once the event fired or was canceled; canceled events
+	// stay in the heap and are skipped on pop.
+	fn func()
 }
 
 type eventQueue []*event
@@ -45,6 +47,7 @@ type Sim struct {
 	now   time.Duration
 	queue eventQueue
 	seq   uint64
+	live  int // queued events neither fired nor canceled
 }
 
 // NewSim returns a simulator at time zero.
@@ -54,13 +57,17 @@ func NewSim() *Sim { return &Sim{} }
 func (s *Sim) Now() time.Duration { return s.now }
 
 // Timer is a handle that can cancel a scheduled event.
-type Timer struct{ ev *event }
+type Timer struct {
+	s  *Sim
+	ev *event
+}
 
 // Cancel prevents the timer's callback from running. Safe to call more
 // than once or after the callback fired.
 func (t *Timer) Cancel() {
-	if t != nil && t.ev != nil {
-		t.ev.canceled = true
+	if t != nil && t.ev != nil && t.ev.fn != nil {
+		t.ev.fn = nil
+		t.s.live--
 	}
 }
 
@@ -73,26 +80,34 @@ func (s *Sim) Schedule(delay time.Duration, fn func()) *Timer {
 	}
 	ev := &event{at: s.now + delay, seq: s.seq, fn: fn}
 	s.seq++
+	s.live++
 	heap.Push(&s.queue, ev)
-	return &Timer{ev: ev}
+	return &Timer{s: s, ev: ev}
+}
+
+// step pops the head event and runs it unless it was canceled,
+// reporting whether a callback ran.
+func (s *Sim) step() bool {
+	ev := heap.Pop(&s.queue).(*event)
+	fn := ev.fn
+	if fn == nil {
+		return false
+	}
+	ev.fn = nil
+	s.live--
+	s.now = ev.at
+	fn()
+	return true
 }
 
 // Run processes events until the queue empties or virtual time would pass
 // until. It returns the number of events executed.
 func (s *Sim) Run(until time.Duration) int {
 	n := 0
-	for len(s.queue) > 0 {
-		next := s.queue[0]
-		if next.at > until {
-			break
+	for len(s.queue) > 0 && s.queue[0].at <= until {
+		if s.step() {
+			n++
 		}
-		heap.Pop(&s.queue)
-		if next.canceled {
-			continue
-		}
-		s.now = next.at
-		next.fn()
-		n++
 	}
 	if s.now < until {
 		s.now = until
@@ -105,19 +120,29 @@ func (s *Sim) Run(until time.Duration) int {
 func (s *Sim) RunAll() int {
 	n := 0
 	for len(s.queue) > 0 {
-		next := heap.Pop(&s.queue).(*event)
-		if next.canceled {
-			continue
+		if s.step() {
+			n++
 		}
-		s.now = next.at
-		next.fn()
-		n++
 	}
 	return n
 }
 
-// Pending returns the number of queued (possibly canceled) events.
-func (s *Sim) Pending() int { return len(s.queue) }
+// Pending returns the number of scheduled events that have neither fired
+// nor been canceled.
+func (s *Sim) Pending() int { return s.live }
+
+// Next returns the due time of the earliest pending event, first
+// dropping canceled events from the head of the queue. It reports false
+// when nothing is pending.
+func (s *Sim) Next() (time.Duration, bool) {
+	for len(s.queue) > 0 {
+		if head := s.queue[0]; head.fn != nil {
+			return head.at, true
+		}
+		heap.Pop(&s.queue)
+	}
+	return 0, false
+}
 
 // Link is a half-duplex lossy link between two stations. Delivery takes
 // Latency plus the frame's airtime; each frame independently drops with

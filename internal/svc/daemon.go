@@ -1,3 +1,20 @@
+// Package svc is the always-on localization service: a long-running
+// daemon that continuously tracks every attached device through the full
+// Chronos pipeline. It is organized around per-shard exclusive ownership
+// (modeled on ndn-dpdk's service architecture): devices shard by an FNV
+// hash of their ID, each shard's goroutine exclusively owns its
+// sessions' warm solver state, Kalman trackers, and alias-window seeds —
+// no cross-shard locking on any per-device state — and each shard paces
+// its sessions' sweeps on its own mac.Sim event queue. Shards feed one
+// shared tof.Coalescer (plan-keyed internally), so concurrent sweeps
+// across shards batch into SolveBatch calls; the internal/obs layer is
+// the management surface.
+//
+// The event queues, and therefore the whole daemon, run on virtual time
+// under test and wall time in production: in virtual mode a shard runs
+// its queue straight to the next due timer, so a daemon run is
+// deterministic per device — byte-identical to sequential
+// track.RunSession calls with the same seeds, at any shard count.
 package svc
 
 import (
@@ -9,6 +26,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"chronos/internal/mac"
 	"chronos/internal/obs"
 	"chronos/internal/sim"
 	"chronos/internal/tof"
@@ -26,10 +44,8 @@ type Config struct {
 	// Office is the shared multipath world every full session ranges in
 	// (required for full-pipeline devices; read-only during operation).
 	Office *sim.Office
-	// Tick is the shard timer-wheel granularity (default 1 ms).
-	Tick time.Duration
-	// Virtual runs the shard loops on virtual time: each shard advances
-	// its wheel directly to the next pending timer instead of pacing
+	// Virtual runs the shard loops on virtual time: each shard runs its
+	// event queue straight to the next due timer instead of pacing
 	// against the wall clock. Sessions execute identically — virtual
 	// mode is how the test harness and the PerfService campaign make
 	// daemon runs deterministic and faster than real time.
@@ -53,9 +69,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.Shards <= 0 {
 		c.Shards = 4
-	}
-	if c.Tick <= 0 {
-		c.Tick = time.Millisecond
 	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 1024
@@ -126,7 +139,7 @@ var (
 
 // Daemon is the always-on localization service: N worker shards, each
 // exclusively owning the sessions of the devices that hash to it and
-// driving their sweeps from a private hierarchical timer wheel. See the
+// driving their sweeps from a private mac.Sim event queue. See the
 // package comment for the ownership model.
 type Daemon struct {
 	cfg       Config
@@ -360,15 +373,15 @@ type shardCmd struct {
 // pending, inflight) exist for the management surface — gauges and
 // Quiesce read them cross-shard.
 type shard struct {
-	d     *Daemon
-	id    int
-	wheel *Wheel
-	cmds  chan shardCmd
+	d    *Daemon
+	id   int
+	sim  *mac.Sim // the sessions' timers, on wall or virtual time
+	cmds chan shardCmd
 
 	sessions map[uint64]*deviceSession
 
 	live     atomic.Int64 // live sessions (mirror of len(sessions))
-	timers   atomic.Int64 // pending wheel timers
+	timers   atomic.Int64 // pending timers (mirror of sim.Pending())
 	pending  atomic.Int64 // queued-but-unprocessed commands
 	inflight atomic.Int64 // sweep tokens out in the pipeline
 
@@ -395,7 +408,7 @@ func newShard(d *Daemon, id int) *shard {
 	return &shard{
 		d:        d,
 		id:       id,
-		wheel:    NewWheel(d.cfg.Tick),
+		sim:      mac.NewSim(),
 		cmds:     make(chan shardCmd, d.cfg.QueueDepth),
 		sessions: make(map[uint64]*deviceSession),
 		compWake: make(chan struct{}, 1),
@@ -450,21 +463,17 @@ func (s *shard) drainCompletions(retiring bool) {
 			s.remove(ds, nil)
 		default:
 			ds.scheduleNext()
-			s.timers.Store(int64(s.wheel.Len()))
+			s.timers.Store(int64(s.sim.Pending()))
 		}
 	}
 }
 
 // run is the shard loop. Virtual mode: drain completions and commands,
-// advance the wheel straight to its next pending timer, repeat; block
-// only when idle (no timers and nothing in flight). Wall mode: one
-// Advance call fires every timer due at this wakeup — all same-tick
-// fires batch into a single pass — then the loop sleeps until the
+// run the event queue straight to its next due timer, repeat; block
+// only when idle (no timers and nothing in flight). Wall mode: one Run
+// fires every timer due at this wakeup, then the loop sleeps until the
 // earliest pending timer is due, or blocks indefinitely on lifecycle
-// traffic, completions, and stop when the wheel is empty. (It
-// historically woke every wheel tick regardless of the schedule, which
-// at the 1 ms default burned a wakeup per shard per millisecond on an
-// idle fleet.)
+// traffic, completions, and stop when no timer is pending.
 func (s *shard) run() {
 	defer s.d.wg.Done()
 	for {
@@ -475,9 +484,9 @@ func (s *shard) run() {
 			return
 		}
 		if s.d.cfg.Virtual {
-			if s.wheel.Len() > 0 {
-				s.wheel.AdvanceToNext()
-				s.timers.Store(int64(s.wheel.Len()))
+			if next, ok := s.sim.Next(); ok {
+				s.sim.Run(next)
+				s.timers.Store(int64(s.sim.Pending()))
 				continue
 			}
 			// No timers: wait for pipeline completions (which schedule
@@ -491,12 +500,11 @@ func (s *shard) run() {
 			continue
 		}
 
-		now := time.Since(s.d.start)
-		s.wheel.Advance(now)
-		s.timers.Store(int64(s.wheel.Len()))
+		s.sim.Run(time.Since(s.d.start))
+		s.timers.Store(int64(s.sim.Pending()))
 		var tmr *time.Timer
 		var timerC <-chan time.Time
-		if due, ok := s.wheel.NextDue(); ok {
+		if due, ok := s.sim.Next(); ok {
 			wait := due - time.Since(s.d.start)
 			if wait <= 0 {
 				continue
@@ -586,24 +594,24 @@ func (s *shard) attach(id uint64, cfg DeviceConfig) {
 	s.sessions[id] = ds
 	s.live.Add(1)
 	ds.scheduleNext()
-	s.timers.Store(int64(s.wheel.Len()))
+	s.timers.Store(int64(s.sim.Pending()))
 }
 
 // remove retires a session and cancels its schedule.
 func (s *shard) remove(ds *deviceSession, err error) {
-	s.wheel.Cancel(ds.timer)
+	ds.timer.Cancel()
 	ds.timer = nil
 	delete(s.sessions, ds.id)
 	s.live.Add(-1)
-	s.timers.Store(int64(s.wheel.Len()))
+	s.timers.Store(int64(s.sim.Pending()))
 	s.retire(ds.result(err))
 }
 
 // shutdown drains the shard at stop: leftover queued attaches retire
 // as ErrDraining without building (accounted, never lost), queued
 // detaches apply, in-flight pipeline sweeps finish and come home, every
-// live session retires with partial results, and the wheel is
-// discarded.
+// live session retires with partial results, and its timer is
+// canceled.
 func (s *shard) shutdown() {
 	for {
 		c, ok := s.takeCmd()
@@ -630,7 +638,7 @@ func (s *shard) shutdown() {
 	}
 	s.drainCompletions(true)
 	for _, ds := range s.sessions {
-		s.wheel.Cancel(ds.timer)
+		ds.timer.Cancel()
 		ds.timer = nil
 		s.retire(ds.result(nil))
 	}

@@ -65,12 +65,11 @@ func sequentialTraces(t *testing.T, office *sim.Office, seeds map[uint64]int64) 
 	return out
 }
 
-// daemonSessions runs the given full devices through a virtual-time
-// daemon until it quiesces and returns each device's session result.
+// daemonSessions runs the given full devices through a daemon until it
+// quiesces and returns each device's session result.
 func daemonSessions(t *testing.T, office *sim.Office, devs map[uint64]DeviceConfig, cfg Config) map[uint64]*track.SessionResult {
 	t.Helper()
 	cfg.Office = office
-	cfg.Virtual = true
 	d := NewDaemon(cfg)
 	for id, dc := range devs {
 		if err := d.Attach(id, dc); err != nil {
@@ -97,10 +96,9 @@ func daemonSessions(t *testing.T, office *sim.Office, devs map[uint64]DeviceConf
 	return out
 }
 
-// daemonTraces runs the golden fleet through a virtual-time daemon with
-// the given config and returns the fix tables. Devices attach with the
-// given scheduling class (relevant only when cfg arms the staged
-// pipeline).
+// daemonTraces runs the golden fleet through a daemon with the given
+// config and returns the fix tables. Devices attach with the given
+// scheduling class (relevant only when cfg arms the staged pipeline).
 func daemonTraces(t *testing.T, office *sim.Office, seeds map[uint64]int64, cfg Config, class Class) map[uint64]string {
 	t.Helper()
 	devs := make(map[uint64]DeviceConfig, len(seeds))
@@ -116,13 +114,13 @@ func daemonTraces(t *testing.T, office *sim.Office, seeds map[uint64]int64, cfg 
 }
 
 // TestDaemonGoldenTraceMatchesSequential is the service golden-trace
-// gate: a daemon running K full-pipeline devices on virtual time must
-// produce byte-identical fix tables to K sequential track.RunSession
-// calls with the same seeds — at 1 shard and at 8 shards (where the
-// fleet genuinely interleaves across goroutines, with the shared
-// coalescer armed). This is what licenses every later scheduling change:
-// the daemon may reorder work however it likes, but per-device results
-// are pinned.
+// gate: a daemon running K full-pipeline devices must produce
+// byte-identical fix tables to K sequential track.RunSession calls with
+// the same seeds — at 1 shard and at 8 shards (where the fleet
+// genuinely interleaves across goroutines, with the shared coalescer
+// armed), and on the wall clock as well as on virtual time. This is
+// what licenses every later scheduling change: the daemon may reorder
+// work however it likes, but per-device results are pinned.
 func TestDaemonGoldenTraceMatchesSequential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-pipeline fleet")
@@ -148,13 +146,14 @@ func TestDaemonGoldenTraceMatchesSequential(t *testing.T) {
 		cfg   Config
 		class Class
 	}{
-		{"1shard", Config{Shards: 1}, ClassLatency},
-		{"8shards_coalesced", Config{Shards: 8, Coalesce: true}, ClassLatency},
-		{"1shard_pipeline", Config{Shards: 1,
+		{"1shard", Config{Shards: 1, Virtual: true}, ClassLatency},
+		{"8shards_coalesced", Config{Shards: 8, Virtual: true, Coalesce: true}, ClassLatency},
+		{"2shards_wall_coalesced", Config{Shards: 2, Coalesce: true}, ClassLatency},
+		{"1shard_pipeline", Config{Shards: 1, Virtual: true,
 			Pipeline: PipelineConfig{Enabled: true}}, ClassLatency},
-		{"8shards_pipeline_coalesced", Config{Shards: 8, Coalesce: true,
+		{"8shards_pipeline_coalesced", Config{Shards: 8, Virtual: true, Coalesce: true,
 			Pipeline: PipelineConfig{Enabled: true}}, ClassLatency},
-		{"8shards_pipeline_bulk", Config{Shards: 8,
+		{"8shards_pipeline_bulk", Config{Shards: 8, Virtual: true,
 			Pipeline: PipelineConfig{Enabled: true, SolveWorkers: 2, QueueDepth: 2}}, ClassBulk},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -188,8 +187,8 @@ func TestDaemonCoalescedSessionsMatchSolo(t *testing.T) {
 			Session:   track.SessionConfig{Speed: 1.2, Sweeps: 2},
 			Estimator: tof.Config{Mode: tof.Bands5GHzOnly, MaxIter: 600}}
 	}
-	solo := daemonSessions(t, office, devs, Config{Shards: 4})
-	coalesced := daemonSessions(t, office, devs, Config{Shards: 4, Coalesce: true,
+	solo := daemonSessions(t, office, devs, Config{Shards: 4, Virtual: true})
+	coalesced := daemonSessions(t, office, devs, Config{Shards: 4, Virtual: true, Coalesce: true,
 		CoalescerConfig: tof.CoalescerConfig{MaxBatch: maxBatch, Wait: 5 * time.Millisecond}})
 
 	if len(solo) != len(devs) || len(coalesced) != len(devs) {

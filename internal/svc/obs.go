@@ -23,7 +23,7 @@ var (
 	obsAttachErrors = obs.NewCounter("svc.attach_errors")
 	// obsDrains counts completed graceful drains.
 	obsDrains = obs.NewCounter("svc.drains")
-	// obsTimerFires counts wheel timer fires across all shards.
+	// obsTimerFires counts shard timer fires across all shards.
 	obsTimerFires = obs.NewCounter("svc.timer_fires")
 	// obsFullSweeps counts full-pipeline sweeps executed by the daemon.
 	obsFullSweeps = obs.NewCounter("svc.full_sweeps")
@@ -64,9 +64,11 @@ var (
 	// full and blocked (bounded-queue backpressure events).
 	obsBackpressure = obs.NewCounter("svc.backpressure")
 
-	obsSessions    = obs.NewGauge("svc.sessions")
-	obsShards      = obs.NewGauge("svc.shards")
-	obsQueueDepth  = obs.NewGauge("svc.queue_depth")
+	obsSessions   = obs.NewGauge("svc.sessions")
+	obsShards     = obs.NewGauge("svc.shards")
+	obsQueueDepth = obs.NewGauge("svc.queue_depth")
+	// obsWheelTimers is the pending shard-timer count, under the metric
+	// name dashboards already read.
 	obsWheelTimers = obs.NewGauge("svc.wheel_timers")
 
 	// Staged-pipeline queue depths and pool utilization (busy workers /

@@ -14,7 +14,7 @@ import (
 // each stage on its own independently sized worker pool connected by
 // bounded queues:
 //
-//	shard wheel fire ──► [ingest queue] ─► ingest pool (CSI capture, RNG)
+//	shard timer fire ──► [ingest queue] ─► ingest pool (CSI capture, RNG)
 //	                           │
 //	                           ▼
 //	                   [solve class queue] ─► solve pool (profile inversion)
@@ -298,7 +298,7 @@ func newPipeline(d *Daemon, cfg PipelineConfig) *pipeline {
 
 // submit hands a device's next sweep to the pipeline. Called from the
 // owning shard's timer fire; blocks when the ingest queue is full
-// (backpressure stalls that shard's wheel, never drops a sweep).
+// (backpressure stalls that shard's timers, never drops a sweep).
 func (p *pipeline) submit(t *sweepToken) {
 	select {
 	case p.ingestQ <- t:

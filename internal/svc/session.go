@@ -6,15 +6,20 @@ import (
 
 	"chronos/internal/drone"
 	"chronos/internal/geo"
+	"chronos/internal/mac"
 	"chronos/internal/obs"
 	"chronos/internal/tof"
 	"chronos/internal/track"
 )
 
 // statFixPeriod is the default stat-device fix cadence: the paper's
-// median full-sweep latency, so a stat fleet loads the wheel at the same
-// event rate a full fleet would.
+// median full-sweep latency, so a stat fleet loads its shard's timers at
+// the same event rate a full fleet would.
 const statFixPeriod = 84 * time.Millisecond
+
+// timerGrain is the resolution of shard timers: due times round up to a
+// whole millisecond, fine enough to pace ~84 ms sweep cadences.
+const timerGrain = time.Millisecond
 
 // deviceSession is one attached device's state, owned exclusively by its
 // shard goroutine. Full devices wrap a steppable track.Session (the
@@ -27,9 +32,9 @@ type deviceSession struct {
 	cfg   DeviceConfig
 
 	// attachedAt anchors the device's virtual timeline on the shard
-	// wheel: event k is due at attachedAt + (session virtual time of k).
+	// clock: event k is due at attachedAt + (session virtual time of k).
 	attachedAt time.Duration
-	timer      *WheelTimer
+	timer      *mac.Timer
 
 	// Full pipeline.
 	full *track.Session
@@ -51,19 +56,23 @@ type deviceSession struct {
 	walk    *drone.Walk
 	tracker *track.RangeTracker
 	sensor  drone.RangeSensor
-	anchor  geo.Point
-	origin  geo.Point
 	now     time.Duration // stat virtual clock
 	walked  float64
 	fixes   int
-	failed  error
 }
 
 // newDeviceSession builds the session on the shard goroutine. Full
 // sessions calibrate here (the expensive part of attach); a calibration
 // failure surfaces as an immediate retire with the error recorded.
 func newDeviceSession(s *shard, id uint64, cfg DeviceConfig) (*deviceSession, error) {
-	ds := &deviceSession{shard: s, id: id, cfg: cfg, attachedAt: s.wheel.Now()}
+	// A wall-clock shard's sim stands still while the shard idles, so
+	// anchor on the wall clock there: a late attach must not fire back
+	// to back every event it "owes" since the shard last woke.
+	at := s.sim.Now()
+	if !s.d.cfg.Virtual {
+		at = time.Since(s.d.start)
+	}
+	ds := &deviceSession{shard: s, id: id, cfg: cfg, attachedAt: at}
 	rng := seedRNG(cfg.Seed)
 	if cfg.Stat {
 		if cfg.FixPeriod <= 0 {
@@ -115,11 +124,13 @@ func (ds *deviceSession) recordFixGap() {
 	ds.lastFixWall = now
 }
 
-// scheduleNext books the device's next event on the shard wheel, mapping
-// the session's own virtual time onto the wheel clock relative to the
+// scheduleNext books the device's next event on the shard sim, mapping
+// the session's own virtual time onto the shard clock relative to the
 // attach instant. In wall mode this paces sweeps in real protocol time;
-// in virtual mode the wheel collapses the waits and the mapping only
-// orders events.
+// in virtual mode the shard loop collapses the waits and the mapping
+// only orders events. Due times round up to timerGrain, and one at or
+// before the shard's now moves to the next grain, so an event never
+// fires inside the Run that scheduled it.
 func (ds *deviceSession) scheduleNext() {
 	var at time.Duration
 	if ds.full != nil {
@@ -127,13 +138,19 @@ func (ds *deviceSession) scheduleNext() {
 	} else {
 		at = ds.attachedAt + ds.now + ds.cfg.FixPeriod
 	}
-	ds.timer = ds.shard.wheel.ScheduleAt(at, ds.fire)
+	now := ds.shard.sim.Now()
+	at = (at + timerGrain - 1) / timerGrain * timerGrain
+	if at <= now {
+		at = (now/timerGrain + 1) * timerGrain
+	}
+	ds.timer = ds.shard.sim.Schedule(at-now, ds.fire)
 }
 
 // fire executes one session event on the shard goroutine: a full band
 // sweep (full devices) or one sensor fix (stat devices), then either
 // reschedules or retires the device.
 func (ds *deviceSession) fire() {
+	obsTimerFires.Inc()
 	if ds.full != nil {
 		if p := ds.shard.d.pipe; p != nil {
 			// Staged path: hand the sweep to the pipeline as a token.
@@ -166,9 +183,7 @@ func (ds *deviceSession) fire() {
 		ds.walk.Advance(t - ds.walked)
 		ds.walked = t
 	}
-	p := ds.walk.Pos()
-	pos := geo.Point{X: ds.origin.X + p.X, Y: ds.origin.Y + p.Y}
-	meas := ds.sensor.Range(ds.rng, ds.anchor, pos)
+	meas := ds.sensor.Range(ds.rng, geo.Point{}, ds.walk.Pos())
 	ds.tracker.Observe(ds.now, meas)
 	ds.fixes++
 	obsStatFixNs.Since(start)
@@ -182,9 +197,6 @@ func (ds *deviceSession) fire() {
 
 // result renders the device's retirement record.
 func (ds *deviceSession) result(err error) *DeviceResult {
-	if err == nil {
-		err = ds.failed
-	}
 	r := &DeviceResult{ID: ds.id, Stat: ds.cfg.Stat, Err: err}
 	if ds.full != nil {
 		r.Session = ds.full.Result()

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"chronos/internal/mac"
 	"chronos/internal/obs"
 	"chronos/internal/tof"
 )
@@ -203,7 +204,7 @@ func TestDaemonChurnSoak(t *testing.T) {
 }
 
 // TestDaemonWallTime runs a small stat fleet in production (wall-clock)
-// mode: the shard loops pace the wheel against real time, devices
+// mode: the shard loops pace their timers against real time, devices
 // complete their fix quota, and Quiesce/Drain behave exactly as in
 // virtual mode — same code path the smoke lane boots.
 func TestDaemonWallTime(t *testing.T) {
@@ -233,6 +234,62 @@ func TestDaemonWallTime(t *testing.T) {
 		if r.Err != nil || r.Fixes != fixes {
 			t.Errorf("device %d: fixes=%d err=%v, want %d fixes", id, r.Fixes, r.Err, fixes)
 		}
+	}
+}
+
+// TestDaemonWallLateAttachPaced pins that a device attached to a
+// wall-clock shard that sat idle is paced from its attach: it must not
+// fire back to back the fixes it would have owed since the shard's last
+// wakeup.
+func TestDaemonWallLateAttachPaced(t *testing.T) {
+	const period = 100 * time.Millisecond
+	d := NewDaemon(Config{Shards: 1})
+	time.Sleep(2 * time.Second)
+	start := time.Now()
+	if err := d.Attach(1, DeviceConfig{Seed: 1, Stat: true, FixPeriod: period, Speed: 1}); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(350 * time.Millisecond)
+	if err := d.Detach(1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.Drain(10 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	elapsed := time.Since(start)
+	r := d.Results()[1]
+	if r == nil || r.Err != nil {
+		t.Fatalf("device retired as %+v, want a clean result", r)
+	}
+	if limit := int(elapsed/period) + 2; r.Fixes > limit {
+		t.Errorf("%d fixes in %v at a %v period, want at most %d", r.Fixes, elapsed, period, limit)
+	}
+}
+
+// TestScheduleNextDue pins the shard timer due times: a session's next
+// event rounds up to a whole millisecond, and one due at or before the
+// shard's now moves to the next millisecond, so it never fires inside
+// the Run that scheduled it.
+func TestScheduleNextDue(t *testing.T) {
+	for _, tc := range []struct {
+		name           string
+		now, due, want time.Duration
+	}{
+		{"round_up", 0, 1500 * time.Microsecond, 2 * time.Millisecond},
+		{"whole_ms", 0, 2 * time.Millisecond, 2 * time.Millisecond},
+		{"past_due", 10 * time.Millisecond, 2 * time.Millisecond, 11 * time.Millisecond},
+		{"due_now", 10 * time.Millisecond, 10 * time.Millisecond, 11 * time.Millisecond},
+		{"wall_now", 10500 * time.Microsecond, 10200 * time.Microsecond, 11 * time.Millisecond},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := &shard{sim: mac.NewSim()}
+			s.sim.Run(tc.now)
+			ds := &deviceSession{shard: s, cfg: DeviceConfig{Stat: true, FixPeriod: tc.due}}
+			ds.scheduleNext()
+			if got, ok := s.sim.Next(); !ok || got != tc.want {
+				t.Errorf("due %v at now %v scheduled for %v,%v, want %v", tc.due, tc.now, got, ok, tc.want)
+			}
+		})
 	}
 }
 

@@ -123,7 +123,7 @@ type SessionResult struct {
 // pipeline RunSession runs — calibration, then full band sweeps over a
 // moving target, each ending in a Kalman-filtered fix — but one sweep
 // per StepSweep call, so an external scheduler (the chronos-svc shard
-// loops, driven by their timer wheels) can interleave thousands of
+// loops, driven by their event queues) can interleave thousands of
 // sessions and pace them on wall or virtual time. Each session owns all
 // of its mutable state (walk, radios, MAC simulator, warm solver seeds,
 // Kalman tracker) and draws every random value from the rng it was built
@@ -439,7 +439,7 @@ func (s *Session) Result() *SessionResult {
 //
 // RunSession is the sequential wrapper over the steppable Session: it
 // builds one and steps it to completion. The chronos-svc daemon steps
-// the same Session type from its shard timer wheels, which is what makes
+// the same Session type from its shard event queues, which is what makes
 // the daemon's per-device fixes byte-identical to this call.
 func RunSession(rng *rand.Rand, office *sim.Office, est *tof.Estimator, cfg SessionConfig) (*SessionResult, error) {
 	s, err := NewSession(rng, office, est, cfg)
