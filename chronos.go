@@ -328,7 +328,8 @@ func RunTrackMulti(rng *rand.Rand, cfg TrackMultiConfig) *TrackMultiResult {
 type Service = svc.Daemon
 
 // ServiceConfig tunes a service daemon (shard count, virtual vs wall
-// time, solve coalescing, staged pipeline).
+// time, solve coalescing, and the optional solve pool with latency/bulk
+// classes).
 type ServiceConfig = svc.Config
 
 // ServiceDeviceConfig describes one device attached to the service:

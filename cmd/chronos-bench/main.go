@@ -77,12 +77,12 @@ var figures = []struct {
 	// explicit-only like perf; servicescaled is the CI-sized variant.
 	{key: "service", fn: exp.PerfService, explicitOnly: true},
 	{key: "servicescaled", fn: exp.PerfServiceScaled, explicitOnly: true},
-	// pipeline is the staged-pipeline latency-isolation campaign (PR 10):
-	// a latency-class stream under a bulk-class swarm, run through the
-	// classic inline shard sweeps and again through the disaggregated
-	// ingest/solve/track pools with the class queue and gap-boundary
-	// preemption, comparing per-class p99 inter-fix gaps (BENCH_9.json).
-	// Wall-clock columns, so explicit-only like perf.
+	// pipeline is the solve-pool latency-isolation campaign: a
+	// latency-class stream under a bulk-class swarm, run with every solve
+	// on its shard and again through the solve pool with the class queue
+	// and gap-boundary preemption, comparing per-class p99 inter-fix
+	// gaps (BENCH_9.json). Wall-clock columns, so explicit-only like
+	// perf.
 	{key: "pipeline", fn: exp.PerfPipeline, explicitOnly: true},
 }
 

@@ -1,12 +1,16 @@
 // Command chronos-svc is the always-on localization daemon: N worker
 // shards continuously tracking every attached device through the full
 // Chronos pipeline (or the statistical ranging model at fleet scale),
-// with the internal/obs layer as the management surface.
+// with the internal/obs layer as the management surface. A shard
+// ingests and tracks each of its devices' sweeps itself; the solve in
+// between runs on the shard too, or with -pipeline on a shared solve
+// pool where latency-class solves dequeue first and may preempt bulk
+// ones.
 //
 //	chronos-svc                          # 4 shards, synthetic demo fleet, wall time
 //	chronos-svc -shards 8 -devices 16    # full-pipeline fleet size
 //	chronos-svc -stat-devices 5000      # statistical ranging fleet size
-//	chronos-svc -pipeline                # staged ingest/solve/track worker pools
+//	chronos-svc -pipeline                # solves on a shared pool with latency/bulk classes
 //	chronos-svc -bulk-devices 24         # bulk-class full devices (yield to latency class)
 //	chronos-svc -virtual                 # virtual time (as fast as the host allows)
 //	chronos-svc -metrics :6060           # REQUIRED for observability: /metrics + pprof
@@ -44,7 +48,7 @@ func main() {
 	devices := flag.Int("devices", 4, "latency-class full-pipeline devices in the synthetic fleet")
 	bulkDevices := flag.Int("bulk-devices", 0, "bulk-class full-pipeline devices in the synthetic fleet")
 	statDevices := flag.Int("stat-devices", 64, "statistical ranging devices in the synthetic fleet")
-	pipeline := flag.Bool("pipeline", false, "run sweeps through the staged pipeline (ingest/solve/track pools) instead of inline on shards")
+	pipeline := flag.Bool("pipeline", false, "solve sweeps on a shared solve pool with latency/bulk classes (ingest and track stay on the shards)")
 	preempt := flag.Bool("preempt", true, "with -pipeline: latency-class work preempts in-flight bulk solves at gap checks")
 	speed := flag.Float64("speed", 1.0, "device walk speed in m/s")
 	sweeps := flag.Int("sweeps", -1, "full sweeps per device (-1 = track until drain)")

@@ -150,19 +150,19 @@ func perfService(o Options, statDevices, fullDevices, shards int, window time.Du
 	return res
 }
 
-// PerfPipeline is the staged-pipeline latency-isolation campaign (the
+// PerfPipeline is the solve-pool latency-isolation campaign (the
 // BENCH_9.json trajectory): one latency-class drone-follow stream
 // buried under a bulk-class full-pipeline swarm that saturates the
 // solve capacity, measured twice on virtual time — undisaggregated
-// (classic run-to-completion shard sweeps, where the stream waits its
-// turn behind whole bulk sweeps on the shard goroutine) and through the
-// staged pipeline with latency classes (the stream's solves jump the
-// class queue and preempt in-flight bulk solves at gap-check
-// boundaries). The figure of merit is the latency-class p99 inter-fix
-// wall gap, which the staged run must hold strictly below the
-// undisaggregated run's at the same offered load; per-stage queue
-// depths and pool utilization ride along from a mid-window snapshot.
-// Wall-clock columns, so explicit-only like the other perf campaigns.
+// (every solve on its shard goroutine, where the stream waits its turn
+// behind whole bulk sweeps) and staged through the solve pool with
+// latency classes (the stream's solves jump the class queue and preempt
+// in-flight bulk solves at gap-check boundaries). The figure of merit
+// is the latency-class p99 inter-fix wall gap, which the staged run
+// must hold strictly below the undisaggregated run's at the same
+// offered load; the bulk-lane queue depth and solve-pool utilization
+// ride along from a mid-window snapshot. Wall-clock columns, so
+// explicit-only like the other perf campaigns.
 func PerfPipeline(o Options) *Result {
 	o = o.withDefaults(1)
 	const (
@@ -195,8 +195,7 @@ func PerfPipeline(o Options) *Result {
 				// parallelism, so the comparison isolates scheduling: the
 				// staged run wins by ordering and preemption, not by
 				// throwing more solver goroutines at the same load.
-				IngestWorkers: 1, SolveWorkers: shards, TrackWorkers: 1,
-				Preempt: true,
+				SolveWorkers: shards, Preempt: true,
 			},
 		})
 		scfg := track.SessionConfig{

@@ -57,8 +57,15 @@ func SetEnabled(on bool) { enabled.Store(on) }
 func Enabled() bool { return enabled.Load() }
 
 // base anchors the monotonic span clock; Tick and Hist.Since measure
-// against it so span starts fit in an int64 of nanoseconds.
+// against it so span starts fit in an int64 of nanoseconds. It stays
+// fixed for the life of the process, so a span opened before a Reset
+// and closed after it still measures its true duration.
 var base = time.Now()
+
+// resetAt is the span clock at the last Reset: Snapshot.UptimeNs counts
+// from it, so rates derived from uptime cover the same window as the
+// zeroed metrics.
+var resetAt atomic.Int64
 
 // Tick returns the current monotonic span clock in nanoseconds, or 0
 // when the layer is disabled — Hist.Since treats a zero start as "span
@@ -243,8 +250,10 @@ func OnSnapshot(f func(*Snapshot)) {
 	reg.callbacks = append(reg.callbacks, f)
 }
 
-// Reset zeroes every registered counter, gauge, and histogram — test
-// scaffolding for golden-trace comparisons, not part of the hot path.
+// Reset zeroes every registered counter, gauge, and histogram and
+// restarts Snapshot.UptimeNs — test and campaign scaffolding for
+// measurement windows, not part of the hot path. The span clock keeps
+// running: spans open across a Reset record their full duration.
 func Reset() {
 	reg.mu.Lock()
 	defer reg.mu.Unlock()
@@ -257,7 +266,7 @@ func Reset() {
 	for _, h := range reg.hists {
 		h.reset()
 	}
-	base = time.Now()
+	resetAt.Store(int64(time.Since(base)))
 }
 
 // Capture renders every registered metric into a Snapshot and runs the
@@ -280,7 +289,7 @@ func Capture() *Snapshot {
 	reg.mu.Unlock()
 
 	s := &Snapshot{
-		UptimeNs: int64(time.Since(base)),
+		UptimeNs: int64(time.Since(base)) - resetAt.Load(),
 		Counters: make(map[string]int64, len(counters)),
 		Gauges:   make(map[string]float64, len(gauges)),
 		Hists:    make(map[string]HistSnapshot, len(hists)),
@@ -304,6 +313,8 @@ func Capture() *Snapshot {
 // Snapshot is one point-in-time rendering of every registered metric —
 // the /metrics JSON body and the "obs" object campaign JSON embeds.
 type Snapshot struct {
+	// UptimeNs is the wall time since the obs package initialized or
+	// the last Reset, whichever is later.
 	UptimeNs int64                   `json:"uptime_ns"`
 	Counters map[string]int64        `json:"counters"`
 	Gauges   map[string]float64      `json:"gauges"`

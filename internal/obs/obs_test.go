@@ -1,7 +1,10 @@
 package obs
 
 import (
+	"runtime"
+	"sync"
 	"testing"
+	"time"
 )
 
 // withObs enables recording for one test body, resetting all registered
@@ -123,6 +126,80 @@ func TestRecordingAllocsFree(t *testing.T) {
 			h.Since(Tick())
 		}); n != 0 {
 			t.Fatalf("recording allocates %v allocs/op, want 0", n)
+		}
+	})
+}
+
+// The Reset tests register their histograms once per test binary, so
+// -count reruns (the -race repetition of the concurrency test) reuse
+// them instead of panicking on a duplicate name.
+var (
+	straddleHist   = NewHist("test.reset.straddle")
+	concurrentHist = NewHist("test.reset.concurrent")
+)
+
+// TestSpanStraddlesReset pins that Reset leaves the span clock alone: a
+// span opened before a Reset and closed after it records its true,
+// positive duration instead of landing in the underflow bucket, while
+// Snapshot.UptimeNs restarts at the Reset.
+func TestSpanStraddlesReset(t *testing.T) {
+	const gap = 20 * time.Millisecond
+	withObs(t, func() {
+		start := Tick()
+		time.Sleep(gap)
+		Reset()
+		straddleHist.Since(start)
+		s := Capture()
+		hs := s.Hists["test.reset.straddle"]
+		if hs.Count != 1 || hs.Sum < float64(gap) || hs.Min < float64(gap) {
+			t.Fatalf("straddling span = %+v, want one sample of at least %v", hs, gap)
+		}
+		if s.UptimeNs <= 0 || s.UptimeNs >= int64(hs.Sum) {
+			t.Fatalf("uptime = %d ns, want positive and counted from the Reset (span %g ns)",
+				s.UptimeNs, hs.Sum)
+		}
+	})
+}
+
+// TestResetConcurrentWithTick runs Resets against goroutines that keep
+// opening and closing spans: the span clock must never step backwards,
+// and (under -race) Reset must not race Tick or Since.
+func TestResetConcurrentWithTick(t *testing.T) {
+	withObs(t, func() {
+		var wg sync.WaitGroup
+		stop := make(chan struct{})
+		backwards := make(chan int64, 2)
+		for g := 0; g < 2; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				prev := Tick()
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					now := Tick()
+					if now < prev {
+						backwards <- prev - now
+						return
+					}
+					concurrentHist.Since(prev)
+					prev = now
+					runtime.Gosched()
+				}
+			}()
+		}
+		for i := 0; i < 50; i++ {
+			Reset()
+			time.Sleep(100 * time.Microsecond)
+		}
+		close(stop)
+		wg.Wait()
+		close(backwards)
+		for d := range backwards {
+			t.Errorf("span clock stepped back %d ns across a Reset", d)
 		}
 	})
 }

@@ -5,10 +5,13 @@
 // hash of their ID, each shard's goroutine exclusively owns its
 // sessions' warm solver state, Kalman trackers, and alias-window seeds —
 // no cross-shard locking on any per-device state — and each shard paces
-// its sessions' sweeps on its own mac.Sim event queue. Shards feed one
-// shared tof.Coalescer (plan-keyed internally), so concurrent sweeps
-// across shards batch into SolveBatch calls; the internal/obs layer is
-// the management surface.
+// its sessions' sweeps on its own mac.Sim event queue. A full sweep's
+// ingest and track stages run on its shard; the solve between them runs
+// there too, or on a shared solve pool with latency/bulk scheduling
+// classes when PipelineConfig.Enabled is set (see pipeline.go). Shards
+// feed one shared tof.Coalescer (plan-keyed internally), so concurrent
+// sweeps across shards batch into SolveBatch calls; the internal/obs
+// layer is the management surface.
 //
 // The event queues, and therefore the whole daemon, run on virtual time
 // under test and wall time in production: in virtual mode a shard runs
@@ -60,9 +63,9 @@ type Config struct {
 	// (default 1024). Attach blocks when the owning shard's queue is
 	// full — backpressure, not loss.
 	QueueDepth int
-	// Pipeline configures the staged execution pipeline (see
-	// pipeline.go). Disabled by default: full sweeps then run inline on
-	// their shard goroutine, the classic run-to-completion path.
+	// Pipeline configures the solve pool (see pipeline.go). Disabled by
+	// default: full sweeps then solve on their shard goroutine, between
+	// the ingest and track the shard always runs.
 	Pipeline PipelineConfig
 }
 
@@ -87,12 +90,11 @@ type DeviceConfig struct {
 	// CSI sweeps and profile inversion — the cheap fleet-scale workload,
 	// exactly as track.RunMulti ranges. Default is the full pipeline.
 	Stat bool
-	// Class is the device's scheduling class in the staged pipeline
-	// (default ClassLatency). Bulk-class full devices yield the solve
-	// stage to latency-class work and are preemptible mid-solve when
-	// PipelineConfig.Preempt is armed. Ignored on the classic inline
-	// path except for metric attribution, and by stat devices (their
-	// fixes are too cheap to stage — they stay inline on their shard).
+	// Class is the device's scheduling class on the solve pool (default
+	// ClassLatency). Bulk-class full devices yield the pool to
+	// latency-class work and are preemptible mid-solve when
+	// PipelineConfig.Preempt is armed. Without a pool it only
+	// attributes metrics; stat devices ignore it (they never solve).
 	Class Class
 
 	// Session configures a full-pipeline device (track.Session).
@@ -144,7 +146,7 @@ var (
 type Daemon struct {
 	cfg       Config
 	coalescer *tof.Coalescer
-	pipe      *pipeline // nil unless cfg.Pipeline.Enabled
+	pipe      *pipeline // solve pool; nil unless cfg.Pipeline.Enabled
 	shards    []*shard
 	start     time.Time
 
@@ -174,7 +176,7 @@ func NewDaemon(cfg Config) *Daemon {
 		d.coalescer = tof.NewCoalescer(cfg.CoalescerConfig)
 	}
 	if cfg.Pipeline.Enabled {
-		d.pipe = newPipeline(d, cfg.Pipeline)
+		d.pipe = newPipeline(cfg.Pipeline)
 	}
 	d.shards = make([]*shard, cfg.Shards)
 	for i := range d.shards {
@@ -350,9 +352,9 @@ func (d *Daemon) Drain(timeout time.Duration) (*obs.Snapshot, error) {
 		return nil, fmt.Errorf("svc: drain timed out after %v", timeout)
 	}
 	if d.pipe != nil {
-		// Every shard has exited, so no further submissions exist; the
-		// pools drain their queues stage by stage and stop.
-		d.pipe.shutdown()
+		// Every shard has exited with all its tokens home, so the solve
+		// queue is empty and nothing pushes again.
+		d.pipe.stop()
 	}
 	obsDrains.Inc()
 	return obs.Capture(), nil
@@ -367,11 +369,10 @@ type shardCmd struct {
 
 // shard owns a disjoint set of device sessions: the only goroutine that
 // touches them is the shard's run loop — except while a session's sweep
-// token is in flight through the staged pipeline, during which the
-// token's holder owns the session and the shard keeps its hands off
-// until the completion comes back. The atomic mirrors (live, timers,
-// pending, inflight) exist for the management surface — gauges and
-// Quiesce read them cross-shard.
+// token is out in the solve pool, during which the token's holder owns
+// the session and the shard keeps its hands off until the token comes
+// home. The atomic mirrors (live, timers, pending, inflight) exist for
+// the management surface — gauges and Quiesce read them cross-shard.
 type shard struct {
 	d    *Daemon
 	id   int
@@ -383,11 +384,11 @@ type shard struct {
 	live     atomic.Int64 // live sessions (mirror of len(sessions))
 	timers   atomic.Int64 // pending timers (mirror of sim.Pending())
 	pending  atomic.Int64 // queued-but-unprocessed commands
-	inflight atomic.Int64 // sweep tokens out in the pipeline
+	inflight atomic.Int64 // sweep tokens out in the solve pool
 
-	// comps is the completion mailbox: track workers append finished
+	// comps is the completion mailbox: solve workers append solved
 	// tokens (never blocking) and nudge compWake; the shard drains it
-	// on its own goroutine, where retiring and rescheduling are safe.
+	// on its own goroutine, where finishing a sweep is safe.
 	compMu   sync.Mutex
 	comps    []*sweepToken
 	compWake chan struct{}
@@ -429,8 +430,8 @@ func (s *shard) retire(r *DeviceResult) {
 	obsRetired.Inc()
 }
 
-// complete delivers a finished sweep token back to its owning shard.
-// Called from pipeline workers; never blocks.
+// complete delivers a solved sweep token back to its owning shard.
+// Called from solve workers; never blocks.
 func (s *shard) complete(t *sweepToken) {
 	s.compMu.Lock()
 	s.comps = append(s.comps, t)
@@ -441,30 +442,19 @@ func (s *shard) complete(t *sweepToken) {
 	}
 }
 
-// drainCompletions processes every delivered completion on the shard
-// goroutine: retire on error or exhaustion, reschedule otherwise. With
-// retiring=true (shutdown) nothing is rescheduled — live sessions stay
-// in the map for the final retirement pass.
+// drainCompletions finishes every token the solve pool has handed
+// back, on the shard goroutine. With retiring=true (shutdown) finish
+// still tracks each solved sweep but reschedules nothing — live
+// sessions stay in the map for the final retirement pass.
 func (s *shard) drainCompletions(retiring bool) {
 	s.compMu.Lock()
 	list := s.comps
 	s.comps = nil
 	s.compMu.Unlock()
 	for _, t := range list {
-		ds := t.ds
-		ds.inflight = false
+		t.ds.inflight = false
 		s.inflight.Add(-1)
-		switch {
-		case t.err != nil:
-			s.remove(ds, t.err)
-		case retiring:
-			// Shutdown retires it with partial results below.
-		case ds.full.Done() || ds.detachWanted:
-			s.remove(ds, nil)
-		default:
-			ds.scheduleNext()
-			s.timers.Store(int64(s.sim.Pending()))
-		}
+		t.ds.finish(t, retiring)
 	}
 }
 
@@ -489,8 +479,8 @@ func (s *shard) run() {
 				s.timers.Store(int64(s.sim.Pending()))
 				continue
 			}
-			// No timers: wait for pipeline completions (which schedule
-			// the next timer), lifecycle traffic, or stop.
+			// No timers: wait for solve-pool completions (whose finish
+			// schedules the next timer), lifecycle traffic, or stop.
 			select {
 			case <-s.compWake:
 			case c := <-s.cmds:
@@ -569,8 +559,8 @@ func (s *shard) apply(c shardCmd) {
 		return
 	}
 	if ds.inflight {
-		// The session is out in the pipeline; the completion handler
-		// performs the removal once the token comes home.
+		// The session is out in the solve pool; finish performs the
+		// removal once the token comes home.
 		ds.detachWanted = true
 		return
 	}
@@ -609,8 +599,8 @@ func (s *shard) remove(ds *deviceSession, err error) {
 
 // shutdown drains the shard at stop: leftover queued attaches retire
 // as ErrDraining without building (accounted, never lost), queued
-// detaches apply, in-flight pipeline sweeps finish and come home, every
-// live session retires with partial results, and its timer is
+// detaches apply, tokens out in the solve pool come home and finish,
+// every live session retires with partial results, and its timer is
 // canceled.
 func (s *shard) shutdown() {
 	for {
@@ -629,9 +619,9 @@ func (s *shard) shutdown() {
 		}
 		s.pending.Add(-1)
 	}
-	// Wait out sweeps still in the pipeline: their tokens own the
+	// Wait out sweeps still in the solve pool: their tokens own the
 	// session state, so retiring before they land would race the
-	// workers. The pools keep draining until every token is home.
+	// workers. The pool keeps solving until every token is home.
 	for s.inflight.Load() > 0 {
 		<-s.compWake
 		s.drainCompletions(true)

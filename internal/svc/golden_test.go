@@ -171,6 +171,18 @@ func TestDaemonGoldenTraceMatchesSequential(t *testing.T) {
 	}
 }
 
+// fiveGHzFleet is the cheap -short fixture: four 5 GHz-only full
+// devices of the given sweep count (negative = endless).
+func fiveGHzFleet(sweeps int) map[uint64]DeviceConfig {
+	devs := make(map[uint64]DeviceConfig)
+	for id := uint64(1); id <= 4; id++ {
+		devs[id] = DeviceConfig{Seed: int64(10 + id),
+			Session:   track.SessionConfig{Speed: 1.2, Sweeps: sweeps},
+			Estimator: tof.Config{Mode: tof.Bands5GHzOnly, MaxIter: 600}}
+	}
+	return devs
+}
+
 // TestDaemonCoalescedSessionsMatchSolo drives concurrent full sessions
 // through the shared coalescer and runs under -short, so the race
 // detector sees the coalescer's leader/follower handoff between shard
@@ -181,12 +193,7 @@ func TestDaemonGoldenTraceMatchesSequential(t *testing.T) {
 func TestDaemonCoalescedSessionsMatchSolo(t *testing.T) {
 	const maxBatch = 4
 	office := goldenOffice()
-	devs := make(map[uint64]DeviceConfig)
-	for id := uint64(1); id <= 4; id++ {
-		devs[id] = DeviceConfig{Seed: int64(10 + id),
-			Session:   track.SessionConfig{Speed: 1.2, Sweeps: 2},
-			Estimator: tof.Config{Mode: tof.Bands5GHzOnly, MaxIter: 600}}
-	}
+	devs := fiveGHzFleet(2)
 	solo := daemonSessions(t, office, devs, Config{Shards: 4, Virtual: true})
 	coalesced := daemonSessions(t, office, devs, Config{Shards: 4, Virtual: true, Coalesce: true,
 		CoalescerConfig: tof.CoalescerConfig{MaxBatch: maxBatch, Wait: 5 * time.Millisecond}})

@@ -31,9 +31,9 @@ var (
 	obsStatFixes = obs.NewCounter("svc.stat_fixes")
 
 	// obsSweepNs spans one full-pipeline sweep, in wall nanoseconds —
-	// the service's full-fix latency distribution. Inline it spans the
-	// StepSweep call; staged it spans submission to track completion
-	// (queueing included), so the two modes stay comparable.
+	// the service's full-fix latency distribution: from the timer fire
+	// that starts it to the finish that records its fix, with or
+	// without a solve pool (on the pool, queueing included).
 	obsSweepNs = obs.NewHist("svc.sweep_ns")
 	// obsStatFixNs spans one stat fix (walk advance, sensor draw, Kalman
 	// observe) in wall nanoseconds.
@@ -41,14 +41,17 @@ var (
 
 	// Per-class inter-fix wall gap of full devices: the time between a
 	// device's consecutive completed sweeps. Head-of-line blocking shows
-	// up here identically on both execution paths — as timer-fire delay
-	// inline, as queueing delay staged — which is what the pipeline
-	// campaign's p99 comparison and the CI smoke lane assert against.
+	// up here identically with and without a solve pool — as timer-fire
+	// delay on the shard, as class-queue delay on the pool — which is
+	// what the pipeline campaign's p99 comparison and the CI smoke lane
+	// assert against.
 	obsFixLatencyNs = obs.NewHist("svc.fix.latency_ns")
 	obsFixBulkNs    = obs.NewHist("svc.fix.bulk_ns")
 
-	// Staged-pipeline stage spans (work time on a pool worker) and the
-	// solve queue wait (class-queue enqueue → dequeue).
+	// Stage spans of every full sweep, recorded the same way with and
+	// without a solve pool (ingest and track on the shard, the solve on
+	// whichever goroutine runs it), and the solve pool's queue wait
+	// (class-queue enqueue → dequeue).
 	obsStageIngestNs    = obs.NewHist("svc.stage.ingest_ns")
 	obsStageSolveNs     = obs.NewHist("svc.stage.solve_ns")
 	obsStageSolveWaitNs = obs.NewHist("svc.stage.solve_wait_ns")
@@ -60,8 +63,8 @@ var (
 	// obsStarveGrants counts bulk tokens granted by the starvation
 	// bound while latency tokens were still queued.
 	obsStarveGrants = obs.NewCounter("svc.starve_grants")
-	// obsBackpressure counts stage-queue pushes that found the queue
-	// full and blocked (bounded-queue backpressure events).
+	// obsBackpressure counts solve-queue pushes that found the queue
+	// full and blocked their shard (bounded-queue backpressure events).
 	obsBackpressure = obs.NewCounter("svc.backpressure")
 
 	obsSessions   = obs.NewGauge("svc.sessions")
@@ -71,16 +74,12 @@ var (
 	// name dashboards already read.
 	obsWheelTimers = obs.NewGauge("svc.wheel_timers")
 
-	// Staged-pipeline queue depths and pool utilization (busy workers /
-	// pool size), refreshed at snapshot time. All zero when the staged
-	// pipeline is disabled.
-	obsPipeQueueIngest    = obs.NewGauge("svc.pipe.queue.ingest")
+	// Solve-pool class-queue depths, utilization (busy workers / pool
+	// size) and tokens out in the pool, refreshed at snapshot time. All
+	// zero without a solve pool.
 	obsPipeQueueSolveLat  = obs.NewGauge("svc.pipe.queue.solve_lat")
 	obsPipeQueueSolveBulk = obs.NewGauge("svc.pipe.queue.solve_bulk")
-	obsPipeQueueTrack     = obs.NewGauge("svc.pipe.queue.track")
-	obsPipeUtilIngest     = obs.NewGauge("svc.pipe.util.ingest")
 	obsPipeUtilSolve      = obs.NewGauge("svc.pipe.util.solve")
-	obsPipeUtilTrack      = obs.NewGauge("svc.pipe.util.track")
 	obsPipeInflight       = obs.NewGauge("svc.pipe.inflight")
 )
 
@@ -114,16 +113,10 @@ func init() {
 				g.Set(v)
 				s.Gauges[name] = v
 			}
-			set(obsPipeQueueIngest, "svc.pipe.queue.ingest", float64(len(p.ingestQ)))
 			set(obsPipeQueueSolveLat, "svc.pipe.queue.solve_lat", float64(lat))
 			set(obsPipeQueueSolveBulk, "svc.pipe.queue.solve_bulk", float64(bulk))
-			set(obsPipeQueueTrack, "svc.pipe.queue.track", float64(len(p.trackQ)))
-			set(obsPipeUtilIngest, "svc.pipe.util.ingest",
-				float64(p.ingestBusy.Load())/float64(p.cfg.IngestWorkers))
 			set(obsPipeUtilSolve, "svc.pipe.util.solve",
-				float64(p.solveBusy.Load())/float64(p.cfg.SolveWorkers))
-			set(obsPipeUtilTrack, "svc.pipe.util.track",
-				float64(p.trackBusy.Load())/float64(p.cfg.TrackWorkers))
+				float64(p.busy.Load())/float64(p.cfg.SolveWorkers))
 			set(obsPipeInflight, "svc.pipe.inflight", float64(inflight))
 		}
 	})

@@ -7,34 +7,31 @@ import (
 	"chronos/internal/obs"
 )
 
-// This file holds the daemon's staged execution pipeline. The classic
-// path runs a device's whole sweep inline on its shard goroutine
-// (run-to-completion); the staged pipeline instead cuts the sweep at the
-// track.Session stage boundaries — ingest → solve → track — and runs
-// each stage on its own independently sized worker pool connected by
-// bounded queues:
+// This file holds the daemon's solve pool. Every full sweep takes one
+// path: the owning shard's timer fire runs StepIngest (CSI capture,
+// every RNG draw of the sweep), then the solve runs, and
+// deviceSession.finish — back on the shard — runs StepTrack, records the
+// sweep metrics, and retires or reschedules the device. The one choice
+// is where the solve runs: on the shard goroutine itself (the default),
+// or, with PipelineConfig.Enabled, on a shared solve pool fed through a
+// class queue:
 //
-//	shard timer fire ──► [ingest queue] ─► ingest pool (CSI capture, RNG)
-//	                           │
+//	shard timer fire: StepIngest
+//	      │ push(token)
+//	      ▼
+//	[solve class queue] ─► solve pool (profile inversion)
+//	  latency ▸▸ bulk          │ park ⤴ (head of its lane)
 //	                           ▼
-//	                   [solve class queue] ─► solve pool (profile inversion)
-//	                     latency ▸▸ bulk        │
-//	                           ▼                ▼
-//	                     [track queue] ──► track pool (Kalman, bookkeeping)
-//	                           │
-//	                           ▼
-//	                 per-shard completion queue ─► owning shard
-//	                 (retire / schedule next sweep)
+//	per-shard completion queue ─► owning shard: finish
+//	                              (StepTrack, retire or reschedule)
 //
 // Ownership follows the token, not the goroutine: a sweepToken carries
-// the device session through the stages, and while a token is in flight
-// its shard never touches the session (the no-concurrent-token
-// invariant — at most one token per device exists, enforced by the
-// shard only submitting from a timer fire and only rescheduling on
-// completion). Shard-exclusive state therefore stays single-threaded
-// even though three different worker goroutines may step one sweep.
+// the device session to the pool and back, and while a token is out its
+// shard never touches the session (the no-concurrent-token invariant —
+// at most one token per device exists, because the shard pushes one
+// only from a timer fire and reschedules only in finish).
 //
-// Devices carry a scheduling class. The solve stage — the expensive,
+// Devices carry a scheduling class. The solve — the expensive,
 // variance-heavy stage — dequeues latency-class tokens ahead of
 // bulk-class ones (strict priority with a starvation bound), and may
 // preempt an in-flight bulk solve at its duality-gap check boundaries:
@@ -42,7 +39,7 @@ import (
 // a resume seed (tof's parked-seed machinery), and the freed worker
 // picks up the waiting latency token.
 
-// Class is a device's scheduling class in the staged pipeline.
+// Class is a device's scheduling class on the solve pool.
 type Class int
 
 const (
@@ -56,28 +53,21 @@ const (
 	ClassBulk
 )
 
-// String renders the class for logs and labels.
-func (c Class) String() string {
-	if c == ClassBulk {
-		return "bulk"
-	}
-	return "latency"
-}
-
-// PipelineConfig tunes the staged pipeline.
+// PipelineConfig tunes the solve pool.
 type PipelineConfig struct {
-	// Enabled switches the daemon from run-to-completion shard sweeps to
-	// the staged pipeline. Off (the default) keeps the classic path.
+	// Enabled moves every full sweep's solve off its shard onto the
+	// shared solve pool. Off (the default), the shard runs the solve
+	// itself, between the ingest and track it always runs.
 	Enabled bool
-	// IngestWorkers, SolveWorkers, TrackWorkers size the per-stage
-	// pools (defaults 2, 4, 2). The solve stage dominates sweep cost,
-	// so it gets the widest default pool.
-	IngestWorkers, SolveWorkers, TrackWorkers int
-	// QueueDepth bounds the ingest and track stage queues and the solve
-	// class queue (default 256 tokens each). A full queue blocks the
-	// upstream stage — backpressure, never loss. Parked-solve
-	// re-enqueues bypass the bound (a worker re-queueing its own token
-	// must not deadlock the stage).
+	// SolveWorkers sizes the solve pool (default 4).
+	SolveWorkers int
+	// Deprecated: ignored. Ingest and track run on the shard
+	// goroutines, so Config.Shards sizes them.
+	IngestWorkers, TrackWorkers int
+	// QueueDepth bounds the solve class queue (default 256 tokens). A
+	// full queue blocks the pushing shard — backpressure, never loss.
+	// Parked-solve re-enqueues bypass the bound (a worker re-queueing
+	// its own token must not deadlock the pool).
 	QueueDepth int
 	// StarveBound caps consecutive latency-class solve grants while
 	// bulk work waits (default 8): after that many, one bulk token is
@@ -96,14 +86,8 @@ type PipelineConfig struct {
 }
 
 func (c PipelineConfig) withDefaults() PipelineConfig {
-	if c.IngestWorkers <= 0 {
-		c.IngestWorkers = 2
-	}
 	if c.SolveWorkers <= 0 {
 		c.SolveWorkers = 4
-	}
-	if c.TrackWorkers <= 0 {
-		c.TrackWorkers = 2
 	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 256
@@ -114,16 +98,26 @@ func (c PipelineConfig) withDefaults() PipelineConfig {
 	return c
 }
 
-// sweepToken carries one device's in-flight sweep through the stages.
-// Exactly one token exists per device at a time; whichever goroutine
-// holds the token owns the device session.
+// sweepToken carries one device's in-flight sweep from ingest to
+// finish. Exactly one token exists per device at a time; whichever
+// goroutine holds the token owns the device session.
 type sweepToken struct {
 	ds    *deviceSession
 	class Class
-	start int64 // obs.Tick at submission (end-to-end sweep span)
+	start int64 // obs.Tick at the timer fire (end-to-end sweep span)
 	enq   int64 // obs.Tick at solve enqueue (solve-wait span)
 	parks int   // times this sweep's solve parked (bounded by StarveBound)
-	err   error // terminal stage error; the shard retires the device
+	err   error // terminal stage error; finish retires the device
+}
+
+// solve runs the sweep's inversion stage under the svc.stage.solve_ns
+// span, on whichever goroutine holds the token. parked reports a solve
+// that yielded to the preemption hook mid-iterate.
+func (t *sweepToken) solve() (parked bool) {
+	tick := obs.Tick()
+	parked, t.err = t.ds.full.StepSolve()
+	obsStageSolveNs.Since(tick)
+	return parked
 }
 
 // classQueue is the solve stage's two-class priority queue: strict
@@ -258,105 +252,44 @@ func (q *classQueue) depths() (lat, bulk int) {
 	return
 }
 
-// pipeline owns the stage queues and worker pools of one daemon.
+// pipeline is one daemon's solve pool and the class queue feeding it.
 type pipeline struct {
-	d   *Daemon
-	cfg PipelineConfig
-
-	ingestQ chan *sweepToken
-	solveQ  *classQueue
-	trackQ  chan *sweepToken
-
-	ingestWG, solveWG, trackWG sync.WaitGroup
-
-	ingestBusy, solveBusy, trackBusy atomic.Int64
+	cfg    PipelineConfig
+	solveQ *classQueue
+	wg     sync.WaitGroup
+	busy   atomic.Int64 // workers inside a solve (utilization gauge)
 }
 
-func newPipeline(d *Daemon, cfg PipelineConfig) *pipeline {
+func newPipeline(cfg PipelineConfig) *pipeline {
 	cfg = cfg.withDefaults()
-	p := &pipeline{
-		d:       d,
-		cfg:     cfg,
-		ingestQ: make(chan *sweepToken, cfg.QueueDepth),
-		solveQ:  newClassQueue(cfg.QueueDepth, cfg.StarveBound),
-		trackQ:  make(chan *sweepToken, cfg.QueueDepth),
-	}
-	p.ingestWG.Add(cfg.IngestWorkers)
-	for i := 0; i < cfg.IngestWorkers; i++ {
-		go p.ingestWorker()
-	}
-	p.solveWG.Add(cfg.SolveWorkers)
+	p := &pipeline{cfg: cfg, solveQ: newClassQueue(cfg.QueueDepth, cfg.StarveBound)}
+	p.wg.Add(cfg.SolveWorkers)
 	for i := 0; i < cfg.SolveWorkers; i++ {
 		go p.solveWorker()
-	}
-	p.trackWG.Add(cfg.TrackWorkers)
-	for i := 0; i < cfg.TrackWorkers; i++ {
-		go p.trackWorker()
 	}
 	return p
 }
 
-// submit hands a device's next sweep to the pipeline. Called from the
-// owning shard's timer fire; blocks when the ingest queue is full
-// (backpressure stalls that shard's timers, never drops a sweep).
-func (p *pipeline) submit(t *sweepToken) {
-	select {
-	case p.ingestQ <- t:
-	default:
-		obsBackpressure.Inc()
-		p.ingestQ <- t
-	}
-}
-
-// shutdown stops the pools stage by stage, upstream first. The daemon
-// calls it after every shard has exited, so no further submissions can
-// arrive and each close finds a queue that only drains.
-func (p *pipeline) shutdown() {
-	close(p.ingestQ)
-	p.ingestWG.Wait()
+// stop closes the solve queue and returns once every worker has
+// drained it and exited.
+func (p *pipeline) stop() {
 	p.solveQ.close()
-	p.solveWG.Wait()
-	close(p.trackQ)
-	p.trackWG.Wait()
+	p.wg.Wait()
 }
 
-// ingestWorker runs the capture stage: every RNG draw of a sweep
-// happens here, on whichever worker holds the token.
-func (p *pipeline) ingestWorker() {
-	defer p.ingestWG.Done()
-	for t := range p.ingestQ {
-		p.ingestBusy.Add(1)
-		tick := obs.Tick()
-		err := t.ds.full.StepIngest()
-		obsStageIngestNs.Since(tick)
-		p.ingestBusy.Add(-1)
-		if err != nil {
-			t.err = err
-			t.ds.shard.complete(t)
-			continue
-		}
-		t.enq = obs.Tick()
-		if !p.solveQ.push(t) {
-			// Closed mid-flight (only possible on a torn-down daemon);
-			// surface the sweep back to the shard unfinished.
-			t.err = ErrDraining
-			t.ds.shard.complete(t)
-		}
-	}
-}
-
-// solveWorker runs the inversion stage. Bulk-class tokens install the
-// preemption hook when armed: the device estimator's solves then poll
-// the queue's waiting-latency count at gap-check boundaries and park
-// when latency work is behind them.
+// solveWorker runs solves off the class queue and hands each solved
+// token back to its owning shard, whose finish completes the sweep.
+// Bulk-class tokens install the preemption hook when armed: the device
+// estimator's solves then poll the queue's waiting-latency count at
+// gap-check boundaries and park when latency work is behind them.
 func (p *pipeline) solveWorker() {
-	defer p.solveWG.Done()
+	defer p.wg.Done()
 	for {
 		t, ok := p.solveQ.pop()
 		if !ok {
 			return
 		}
-		p.solveBusy.Add(1)
+		p.busy.Add(1)
 		obsStageSolveWaitNs.Since(t.enq)
 		// The park cap is the preemption-side starvation bound: once a
 		// sweep has yielded StarveBound times, its remaining solves run
@@ -367,49 +300,22 @@ func (p *pipeline) solveWorker() {
 			q := p.solveQ
 			t.ds.est.SetPreempt(func() bool { return q.latWaiting.Load() > 0 })
 		}
-		tick := obs.Tick()
-		parked, err := t.ds.full.StepSolve()
-		obsStageSolveNs.Since(tick)
+		parked := t.solve()
 		if preemptible {
 			t.ds.est.SetPreempt(nil)
 		}
-		p.solveBusy.Add(-1)
-		switch {
-		case err != nil:
-			t.err = err
-			t.ds.shard.complete(t)
-		case parked:
+		p.busy.Add(-1)
+		if parked {
 			t.parks++
 			obsPreemptions.Inc()
 			t.enq = obs.Tick()
-			if !p.solveQ.pushParked(t) {
-				t.err = ErrDraining
-				t.ds.shard.complete(t)
+			if p.solveQ.pushParked(t) {
+				continue
 			}
-		default:
-			p.trackQ <- t
+			t.err = ErrDraining
 		}
-	}
-}
-
-// trackWorker runs the tracking stage and hands the finished token back
-// to its owning shard. Completion delivery never blocks (per-shard
-// mutex-guarded slice), so the track pool cannot be wedged by a slow
-// shard.
-func (p *pipeline) trackWorker() {
-	defer p.trackWG.Done()
-	for t := range p.trackQ {
-		p.trackBusy.Add(1)
-		tick := obs.Tick()
-		err := t.ds.full.StepTrack()
-		obsStageTrackNs.Since(tick)
-		p.trackBusy.Add(-1)
-		t.err = err
-		if err == nil {
-			obsSweepNs.Since(t.start)
-			obsFullSweeps.Inc()
-			t.ds.recordFixGap()
-		}
+		// Completion delivery never blocks (per-shard mutex-guarded
+		// slice), so a slow shard cannot wedge the pool.
 		t.ds.shard.complete(t)
 	}
 }

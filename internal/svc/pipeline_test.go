@@ -68,6 +68,94 @@ func TestClassQueueParkedResumesFirst(t *testing.T) {
 	}
 }
 
+// TestStageSpansOnePath pins the single instrumentation path: with the
+// solve on the shard and on a solve pool alike, every completed full
+// sweep records exactly one ingest, solve and track stage span and one
+// end-to-end sweep span (preemption off, so no solve parks).
+func TestStageSpansOnePath(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		pipe PipelineConfig
+	}{
+		{"shard", PipelineConfig{}},
+		{"pool", PipelineConfig{Enabled: true, SolveWorkers: 2}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			obs.SetEnabled(true)
+			obs.Reset()
+			defer obs.SetEnabled(false)
+			daemonSessions(t, goldenOffice(), fiveGHzFleet(2),
+				Config{Shards: 2, Virtual: true, Pipeline: tc.pipe})
+			snap := obs.Capture()
+			sweeps := snap.Counters["svc.full_sweeps"]
+			if sweeps != 8 {
+				t.Fatalf("svc.full_sweeps = %d, want 8", sweeps)
+			}
+			for _, name := range []string{"svc.stage.ingest_ns", "svc.stage.solve_ns",
+				"svc.stage.track_ns", "svc.sweep_ns"} {
+				if got := snap.Hists[name].Count; got != sweeps {
+					t.Errorf("%s count = %d, want one per sweep (%d)", name, got, sweeps)
+				}
+			}
+		})
+	}
+}
+
+// TestDrainWithTokensInPool drains a daemon while endless devices keep
+// sweep tokens queued on a one-worker solve pool. Tokens that come home
+// during shutdown must still be tracked: every device retires cleanly,
+// every counted sweep is a fix in some device's result (each sweep of
+// this fixture yields one), and every token out at the drain call
+// became one.
+func TestDrainWithTokensInPool(t *testing.T) {
+	obs.SetEnabled(true)
+	obs.Reset()
+	defer obs.SetEnabled(false)
+	d := NewDaemon(Config{Shards: 2, Office: goldenOffice(), Virtual: true,
+		Pipeline: PipelineConfig{Enabled: true, SolveWorkers: 1}})
+	devs := fiveGHzFleet(-1)
+	for id, dc := range devs {
+		if err := d.Attach(id, dc); err != nil {
+			t.Fatalf("attach %d: %v", id, err)
+		}
+	}
+	// Mid-stream: a few sweeps done and at least two tokens out. Sweeps
+	// are read before tokens, so no sweep counts in both.
+	var done, out int64
+	for deadline := time.Now().Add(60 * time.Second); ; time.Sleep(time.Millisecond) {
+		done = obsFullSweeps.Value()
+		out = int64(obs.Capture().Gauges["svc.pipe.inflight"])
+		if done >= 4 && out >= 2 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("fleet never reached mid-stream")
+		}
+	}
+	snap, err := d.Drain(30 * time.Second)
+	if err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+	results := d.Results()
+	if len(results) != len(devs) {
+		t.Fatalf("retired %d devices, want %d", len(results), len(devs))
+	}
+	fixes := 0
+	for id, r := range results {
+		if r.Err != nil {
+			t.Fatalf("device %d retired with error: %v", id, r.Err)
+		}
+		fixes += r.Fixes
+	}
+	if sweeps := snap.Counters["svc.full_sweeps"]; sweeps != int64(fixes) {
+		t.Fatalf("svc.full_sweeps = %d, but retired devices hold %d fixes", sweeps, fixes)
+	}
+	if int64(fixes) < done+out {
+		t.Fatalf("retired devices hold %d fixes, want at least %d sweeps done + %d tokens out at drain",
+			fixes, done, out)
+	}
+}
+
 // pipelineFleet attaches n full devices of alternating class to d and
 // waits for the whole fleet to retire.
 func pipelineFleet(t *testing.T, d *Daemon, n, sweeps int) map[uint64]*DeviceResult {
@@ -107,20 +195,17 @@ func pipelineFleet(t *testing.T, d *Daemon, n, sweeps int) map[uint64]*DeviceRes
 	return results
 }
 
-// TestPipelineBackpressureCompletes runs a mixed-class fleet through a
-// pipeline whose every stage queue holds ONE token and whose every pool
-// has one worker: maximum backpressure. The run must still complete —
-// bounded queues block upstream stages, they never deadlock or drop.
+// TestPipelineBackpressureCompletes runs a mixed-class fleet with a
+// solve queue of one token, one solve worker; the shard blocks on push:
+// maximum backpressure. The run must still complete — the bounded queue
+// blocks the pushing shard, it never deadlocks or drops.
 func TestPipelineBackpressureCompletes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-pipeline fleet")
 	}
 	d := NewDaemon(Config{
 		Shards: 2, Office: goldenOffice(), Virtual: true,
-		Pipeline: PipelineConfig{
-			Enabled: true, QueueDepth: 1,
-			IngestWorkers: 1, SolveWorkers: 1, TrackWorkers: 1,
-		},
+		Pipeline: PipelineConfig{Enabled: true, QueueDepth: 1, SolveWorkers: 1},
 	})
 	pipelineFleet(t, d, 6, 2)
 }

@@ -40,13 +40,13 @@ type deviceSession struct {
 	full *track.Session
 	est  *tof.Estimator // the full session's estimator (preempt hook target)
 
-	// Staged-pipeline state, owned by the shard goroutine except where
-	// noted. inflight marks a sweep token out in the pipeline (the
-	// token holder owns the session until it completes); detachWanted
-	// defers a detach that arrived mid-flight. lastFixWall is the wall
+	// Sweep-token state, owned by the shard goroutine except where
+	// noted. inflight marks a sweep token out in the solve pool (the
+	// token holder owns the session until it comes home); detachWanted
+	// defers a detach that arrived meanwhile. lastFixWall is the wall
 	// clock of the device's previous completed sweep (obs.Tick units),
-	// touched only by whoever owns the session at fix time — it backs
-	// the per-class inter-fix latency histograms.
+	// written by finish — it backs the per-class inter-fix latency
+	// histograms.
 	inflight     bool
 	detachWanted bool
 	lastFixWall  int64
@@ -108,10 +108,10 @@ func newDeviceSession(s *shard, id uint64, cfg DeviceConfig) (*deviceSession, er
 }
 
 // recordFixGap feeds the device's wall time since its previous
-// completed sweep into its class's inter-fix histogram. Recorded on
-// both execution paths (inline and staged), so the same metric compares
-// head-of-line blocking across modes: inline, a delayed timer fire
-// widens the gap; staged, queueing does.
+// completed sweep into its class's inter-fix histogram. finish records
+// it with and without a solve pool, so the same metric compares
+// head-of-line blocking across modes: on the shard, a delayed timer
+// fire widens the gap; on the pool, class-queue waiting does.
 func (ds *deviceSession) recordFixGap() {
 	now := obs.Tick()
 	if ds.lastFixWall != 0 {
@@ -152,28 +152,7 @@ func (ds *deviceSession) scheduleNext() {
 func (ds *deviceSession) fire() {
 	obsTimerFires.Inc()
 	if ds.full != nil {
-		if p := ds.shard.d.pipe; p != nil {
-			// Staged path: hand the sweep to the pipeline as a token.
-			// The session is untouchable until the completion returns;
-			// rescheduling and retirement happen there.
-			ds.inflight = true
-			ds.shard.inflight.Add(1)
-			p.submit(&sweepToken{ds: ds, class: ds.cfg.Class, start: obs.Tick()})
-			return
-		}
-		start := obs.Tick()
-		if err := ds.full.StepSweep(); err != nil {
-			ds.shard.remove(ds, err)
-			return
-		}
-		obsSweepNs.Since(start)
-		obsFullSweeps.Inc()
-		ds.recordFixGap()
-		if ds.full.Done() {
-			ds.shard.remove(ds, nil)
-			return
-		}
-		ds.scheduleNext()
+		ds.sweep()
 		return
 	}
 
@@ -193,6 +172,63 @@ func (ds *deviceSession) fire() {
 		return
 	}
 	ds.scheduleNext()
+}
+
+// sweep starts one full band sweep on the shard goroutine: StepIngest
+// here, then the solve — here too without a solve pool, else as a token
+// through the class queue, whose solve worker hands it back through the
+// shard's completion queue. Both modes end in finish on the shard.
+func (ds *deviceSession) sweep() {
+	t := &sweepToken{ds: ds, class: ds.cfg.Class, start: obs.Tick()}
+	t.err = ds.full.StepIngest()
+	obsStageIngestNs.Since(t.start)
+	if p := ds.shard.d.pipe; p != nil && t.err == nil {
+		ds.inflight = true
+		ds.shard.inflight.Add(1)
+		t.enq = obs.Tick()
+		if !p.solveQ.push(t) {
+			// Closed mid-flight (only possible on a torn-down daemon);
+			// surface the sweep back to the shard unfinished.
+			t.err = ErrDraining
+			ds.shard.complete(t)
+		}
+		return
+	}
+	if t.err == nil {
+		// Off the pool no preemption hook is installed, so this solve
+		// cannot park.
+		t.solve()
+	}
+	ds.finish(t, false)
+}
+
+// finish completes a sweep on the shard goroutine, with or without a
+// solve pool: StepTrack, the sweep metrics, then retire or reschedule.
+// With retiring (shutdown), a solved token still gets its StepTrack, so
+// its fix counts, but the device is neither rescheduled nor removed —
+// the final retirement pass collects it.
+func (ds *deviceSession) finish(t *sweepToken, retiring bool) {
+	if t.err == nil {
+		tick := obs.Tick()
+		t.err = ds.full.StepTrack()
+		obsStageTrackNs.Since(tick)
+	}
+	if t.err == nil {
+		obsSweepNs.Since(t.start)
+		obsFullSweeps.Inc()
+		ds.recordFixGap()
+	}
+	switch {
+	case t.err != nil:
+		ds.shard.remove(ds, t.err)
+	case retiring:
+		// Kept live for shutdown's final retirement pass.
+	case ds.full.Done() || ds.detachWanted:
+		ds.shard.remove(ds, nil)
+	default:
+		ds.scheduleNext()
+		ds.shard.timers.Store(int64(ds.shard.sim.Pending()))
+	}
 }
 
 // result renders the device's retirement record.

@@ -122,15 +122,15 @@ type SessionResult struct {
 // Session is one streaming tracking session in steppable form: the same
 // pipeline RunSession runs — calibration, then full band sweeps over a
 // moving target, each ending in a Kalman-filtered fix — but one sweep
-// per StepSweep call, so an external scheduler (the chronos-svc shard
-// loops, driven by their event queues) can interleave thousands of
-// sessions and pace them on wall or virtual time. Each session owns all
-// of its mutable state (walk, radios, MAC simulator, warm solver seeds,
-// Kalman tracker) and draws every random value from the rng it was built
-// with, so stepping K sessions in any interleaving produces exactly the
-// per-session outputs of K sequential RunSession calls with the same
-// seeds. A Session is not safe for concurrent use; step it from one
-// goroutine at a time.
+// at a time (StepSweep, or its three stages), so an external scheduler
+// (the chronos-svc shard loops, driven by their event queues) can
+// interleave thousands of sessions and pace them on wall or virtual
+// time. Each session owns all of its mutable state (walk, radios, MAC
+// simulator, warm solver seeds, Kalman tracker) and draws every random
+// value from the rng it was built with, so stepping K sessions in any
+// interleaving produces exactly the per-session outputs of K sequential
+// RunSession calls with the same seeds. A Session is not safe for
+// concurrent use; step it from one goroutine at a time.
 type Session struct {
 	cfg    SessionConfig
 	rng    *rand.Rand
@@ -260,8 +260,8 @@ var ErrStageOrder = errors.New("track: pipeline stage called out of order")
 // StepSweep is the run-to-completion composition of the staged entry
 // points — StepIngest, StepSolve (repeated while the solve parks), then
 // StepTrack — and is byte-identical to executing the stages separately.
-// The chronos-svc staged pipeline calls the stages individually so each
-// can run on its own worker pool.
+// The chronos-svc daemon calls the stages individually so the solve can
+// run on a shared worker pool.
 func (s *Session) StepSweep() error {
 	if err := s.StepIngest(); err != nil {
 		return err
@@ -281,8 +281,8 @@ func (s *Session) StepSweep() error {
 // StepIngest runs the capture stage of one sweep: band-by-band CSI
 // acquisition while the target walks, hop timing on the virtual MAC
 // timeline, and the early checkpoint fixes. Every random draw of the
-// sweep happens here, which is what lets the later stages run on other
-// worker pools without touching the session's rng. After a successful
+// sweep happens here, which is what lets the solve run on another
+// goroutine without touching the session's rng. After a successful
 // return the sweep is in flight: the session expects StepSolve next.
 func (s *Session) StepIngest() error {
 	if s.Done() {
