@@ -244,35 +244,6 @@ func BenchmarkPerfConvergeCampaign(b *testing.B) {
 	}
 }
 
-func BenchmarkPerfBatchCampaign(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := exp.PerfBatch(quick(3))
-		// The batch-equivalence contract holds on every machine: batched
-		// results must be byte-identical to sequential ones.
-		if r.Metrics["byte_identical"] != 1 {
-			b.Fatal("batched solves diverged from sequential solves")
-		}
-		// The throughput criterion keys on the kernel tier and is
-		// measured against scalar-forced sequential solves (the
-		// batch_speedup_b16_vs_scalar leg) — the stable baseline across
-		// PRs, since same-tier sequential solves are now vectorized too.
-		// 8-lane AVX-512 must clear ≥4× aggregate solves/sec at B=16,
-		// the 4-lane tiers (AVX2, NEON) ≥2.5×. Machines without a vector
-		// kernel still batch correctly but gain less, so scalar runs
-		// assert only the equivalence contract above.
-		switch tier := r.Labels["vector_kernel"]; tier {
-		case "avx512":
-			if s := r.Metrics["batch_speedup_b16_vs_scalar"]; s < 4 {
-				b.Fatalf("B=16 batch speedup %.2f× vs scalar on avx512, want ≥ 4×", s)
-			}
-		case "avx2", "neon":
-			if s := r.Metrics["batch_speedup_b16_vs_scalar"]; s < 2.5 {
-				b.Fatalf("B=16 batch speedup %.2f× vs scalar on %s, want ≥ 2.5×", s, tier)
-			}
-		}
-	}
-}
-
 func BenchmarkPerfServiceCampaign(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r := exp.PerfServiceScaled(quick(1))
@@ -291,72 +262,6 @@ func BenchmarkPerfServiceCampaign(b *testing.B) {
 		}
 		if r.Metrics["fix_p99_us"] <= 0 {
 			b.Fatal("service campaign recorded no fix-latency distribution")
-		}
-	}
-}
-
-// solveBatchFixture builds the service-scale subcarrier plan and 16
-// cold fixed-iteration requests — the steady-state service workload the
-// batched solver targets.
-func solveBatchFixture(b *testing.B) (*ndft.Plan, []ndft.SolveRequest) {
-	b.Helper()
-	var freqs []float64
-	for _, bd := range wifi.Bands5GHz() {
-		for _, k := range wifi.CSISubcarriers() {
-			freqs = append(freqs, wifi.SubcarrierFreq(bd, k))
-		}
-	}
-	plan, err := ndft.NewPlan(freqs, ndft.TauGrid(2*60e-9, 2*0.1e-9))
-	if err != nil {
-		b.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(5))
-	reqs := make([]ndft.SolveRequest, 16)
-	for i := range reqs {
-		tau := (5 + rng.Float64()*20) * 1e-9
-		h := make(dsp.Vec, len(freqs))
-		for j, f := range freqs {
-			for p, d := range []float64{tau, tau + 4.2e-9, tau + 9.5e-9} {
-				h[j] += dsp.FromPolar([]float64{1, 0.6, 0.4}[p], -2*2*3.141592653589793*f*d)
-			}
-			h[j] += complex(rng.NormFloat64()*0.05, rng.NormFloat64()*0.05)
-		}
-		reqs[i] = ndft.SolveRequest{H: h, Dst: &ndft.Result{}, InvertOptions: ndft.InvertOptions{MaxIter: 400}}
-	}
-	return plan, reqs
-}
-
-// BenchmarkSolveBatch times the batched solver primitive at B=16. With
-// recycled Dsts the steady state allocates nothing (run with -benchmem;
-// internal/ndft's TestSolveBatchSteadyStateAllocsNothing asserts it).
-func BenchmarkSolveBatch(b *testing.B) {
-	plan, reqs := solveBatchFixture(b)
-	if err := plan.SolveBatch(reqs); err != nil { // warm pools before timing
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := plan.SolveBatch(reqs); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkSolveSequential16 is BenchmarkSolveBatch's per-session
-// baseline: the same 16 requests solved one at a time.
-func BenchmarkSolveSequential16(b *testing.B) {
-	plan, reqs := solveBatchFixture(b)
-	if err := plan.SolveBatch(reqs); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for j := range reqs {
-			if _, err := plan.Solve(reqs[j]); err != nil {
-				b.Fatal(err)
-			}
 		}
 	}
 }

@@ -92,10 +92,7 @@ type SolverPlan = ndft.Plan
 
 // SolveRequest is one inversion request against a SolverPlan: the
 // measurement vector, an optional warm-start profile, an optional
-// recycled result, and the solver options. The same request shape
-// drives SolverPlan.Solve (B=1) and SolverPlan.SolveBatch — batching B
-// requests amortizes the dictionary's memory traffic B ways while each
-// request's result stays byte-identical to its sequential solve.
+// recycled result, and the solver options.
 type SolveRequest = ndft.SolveRequest
 
 // SolveResult is one inversion's output (profile, residual, telemetry).
@@ -113,23 +110,10 @@ func NewSolverPlan(freqs, taus []float64) (*SolverPlan, error) { return ndft.New
 func SolverTauGrid(maxTau, step float64) []float64 { return ndft.TauGrid(maxTau, step) }
 
 // VectorKernel reports the SIMD kernel tier the solver resolved for
-// this machine: "avx512", "avx2", "neon", or "scalar". Every tier is
+// this machine: "avx2", "neon", or "scalar". Every tier is
 // byte-identical to scalar solving — the tiers differ only in
 // throughput.
 func VectorKernel() string { return ndft.VectorKernel() }
-
-// SolveCoalescer batches concurrent solve requests that target the same
-// plan into one SolveBatch call (bounded wait, falls through to B=1).
-// Share one instance across the estimators whose sessions should batch
-// together via ToFConfig.Coalescer.
-type SolveCoalescer = tof.Coalescer
-
-// SolveCoalescerConfig tunes a coalescer (batch cap, door-hold wait,
-// idle bypass horizon).
-type SolveCoalescerConfig = tof.CoalescerConfig
-
-// NewSolveCoalescer builds a coalescer with the given config.
-func NewSolveCoalescer(cfg SolveCoalescerConfig) *SolveCoalescer { return tof.NewCoalescer(cfg) }
 
 // PlanRegistryStats is a snapshot of the shared NDFT plan registry's
 // occupancy (resident plans, LRU bound, builds, evictions, bytes).
@@ -328,8 +312,7 @@ func RunTrackMulti(rng *rand.Rand, cfg TrackMultiConfig) *TrackMultiResult {
 type Service = svc.Daemon
 
 // ServiceConfig tunes a service daemon (shard count, virtual vs wall
-// time, solve coalescing, and the optional solve pool with latency/bulk
-// classes).
+// time, and the optional solve pool with latency/bulk classes).
 type ServiceConfig = svc.Config
 
 // ServiceDeviceConfig describes one device attached to the service:

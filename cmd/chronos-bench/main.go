@@ -61,19 +61,11 @@ var figures = []struct {
 	// and streaming-session convergence telemetry — all in deterministic
 	// units, snapshotted into BENCH_5.json.
 	{key: "converge", fn: exp.PerfConverge, explicitOnly: true},
-	// batch is the batched cross-session solver campaign (PR 6):
-	// SolveBatch aggregate throughput vs per-session Solve at B ∈
-	// {1..16} on the service-scale subcarrier geometry, with per-request
-	// byte-identity asserted. Its solves/s columns are wall-clock (the
-	// speedup is a same-process ratio and the identity metrics are
-	// exact), so like perf it runs only when requested, snapshotted into
-	// BENCH_6.json.
-	{key: "batch", fn: exp.PerfBatch, explicitOnly: true},
 	// service is the always-on daemon capacity campaign (PR 9): a
 	// virtual-time chronos-svc carrying a 10k-device stat fleet plus a
-	// full-pipeline cohort through the shared coalescer, reporting
-	// concurrent tracked devices, sustained fix throughput, p99 fix
-	// latency, and drain time (BENCH_8.json). Wall-clock columns, so
+	// full-pipeline cohort, reporting concurrent tracked devices,
+	// sustained fix throughput, p99 fix latency, and drain time
+	// (BENCH_8.json). Wall-clock columns, so
 	// explicit-only like perf; servicescaled is the CI-sized variant.
 	{key: "service", fn: exp.PerfService, explicitOnly: true},
 	{key: "servicescaled", fn: exp.PerfServiceScaled, explicitOnly: true},
@@ -98,7 +90,7 @@ var ablations = []struct {
 }
 
 func main() {
-	fig := flag.String("fig", "", "comma-separated figures to regenerate (3,4,7a,7b,7c,8a,8b,8c,9a,9b,9c,10a,10b, plus the pseudo-figures perf, alias, aliasperf, converge, batch); empty = all paper figures (pseudo-figures run only when requested)")
+	fig := flag.String("fig", "", "comma-separated figures to regenerate (3,4,7a,7b,7c,8a,8b,8c,9a,9b,9c,10a,10b, plus the pseudo-figures perf, alias, aliasperf, converge); empty = all paper figures (pseudo-figures run only when requested)")
 	ablate := flag.String("ablate", "", "ablation to run (bands,delay,cfo,sparsity,separation, or 'all')")
 	trials := flag.Int("trials", 0, "trials per condition (0 = experiment default)")
 	seed := flag.Int64("seed", 1, "campaign seed")

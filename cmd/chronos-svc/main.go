@@ -20,9 +20,9 @@
 //	chronos-svc -json                    # final drain snapshot as JSON on stdout
 //
 // The daemon runs until -duration elapses or SIGINT/SIGTERM arrives,
-// then drains gracefully: admissions stop, in-flight solves flush
-// through the coalescer, every session retires with its partial
-// results, and the final metrics snapshot is reported.
+// then drains gracefully: admissions stop, in-flight sweeps finish,
+// every session retires with its partial results, and the final metrics
+// snapshot is reported.
 package main
 
 import (
@@ -54,7 +54,6 @@ func main() {
 	sweeps := flag.Int("sweeps", -1, "full sweeps per device (-1 = track until drain)")
 	seed := flag.Int64("seed", 1, "fleet seed (per-device RNGs derive from it)")
 	virtual := flag.Bool("virtual", false, "run shards on virtual time instead of the wall clock")
-	coalesce := flag.Bool("coalesce", true, "batch concurrent solves through the shared coalescer")
 	metrics := flag.String("metrics", "", "serve JSON /metrics and pprof on this address (e.g. :6060)")
 	watch := flag.Duration("watch", 0, "print a live fix-rate line to stderr at this interval")
 	duration := flag.Duration("duration", 0, "run this long then drain (0 = until SIGINT/SIGTERM)")
@@ -86,7 +85,6 @@ func main() {
 		Shards:   *shards,
 		Office:   office,
 		Virtual:  *virtual,
-		Coalesce: *coalesce,
 		Pipeline: svc.PipelineConfig{Enabled: *pipeline, Preempt: *preempt},
 	})
 

@@ -1,8 +1,7 @@
 // Tracking walkthrough: stream Chronos range fixes over a walking target
 // and smooth them with the per-device Kalman tracker, interleave sweeps
 // across several devices to see the capacity trade-off, then range four
-// devices concurrently through the localization service with their
-// solves coalesced into batches.
+// devices concurrently through the localization service.
 //
 // Sweep by sweep, the incremental estimator folds CSI in band by band on
 // the hop protocol's virtual timeline; each completed sweep yields a raw
@@ -91,15 +90,10 @@ func main() {
 			n, s.FixesPerSecond, s.MeanFixLatency().Seconds()*1000, 100*s.Utilization)
 	}
 
-	// Batched solving: attach four full-pipeline devices to a
-	// virtual-time service whose shards share one coalescer, which merges
-	// their simultaneous solves into batched SolveBatch calls. Fixes are
-	// byte-identical to per-session solving — only throughput and the
-	// per-fix BatchSize telemetry change.
-	service := chronos.NewService(chronos.ServiceConfig{
-		Office: office, Virtual: true, Coalesce: true,
-		CoalescerConfig: chronos.SolveCoalescerConfig{MaxBatch: 4},
-	})
+	// The service: attach four full-pipeline devices to a virtual-time
+	// daemon whose shards sweep and solve them concurrently. Fixes are
+	// byte-identical to running each session alone.
+	service := chronos.NewService(chronos.ServiceConfig{Office: office, Virtual: true})
 	for id := uint64(1); id <= 4; id++ {
 		err := service.Attach(id, chronos.ServiceDeviceConfig{
 			Seed:      rng.Int63(),
@@ -117,20 +111,14 @@ func main() {
 	if _, err := service.Drain(10 * time.Second); err != nil {
 		log.Fatal(err)
 	}
-	fixes, batched := 0, 0
+	fixes := 0
 	for _, r := range results {
 		if r.Err != nil {
 			log.Fatal(r.Err)
 		}
-		for _, f := range r.Session.Fixes {
-			fixes++
-			if f.BatchSize > 1 {
-				batched++
-			}
-		}
+		fixes += len(r.Session.Fixes)
 	}
-	fmt.Printf("\nsolver-backed ranging, 4 concurrent devices: %d fixes, %d from coalesced batches\n",
-		fixes, batched)
+	fmt.Printf("\nsolver-backed ranging, 4 concurrent devices: %d fixes\n", fixes)
 
 	if *withObs {
 		// Poll the endpoint once, exactly as an external watcher would...

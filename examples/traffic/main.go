@@ -45,8 +45,7 @@ func main() {
 
 	// Airtime is one cost of serving localization; the other is the AP's
 	// solver compute. When several clients ask at once, their inversions
-	// share one plan — and SolveBatch amortizes the dictionary's memory
-	// traffic across all of them with byte-identical results.
+	// share one plan and solve one after another.
 	var freqs []float64
 	for _, b := range chronos.USBands() {
 		freqs = append(freqs, b.Center)
@@ -72,12 +71,5 @@ func main() {
 			panic(err)
 		}
 	}
-	seq := time.Since(t0)
-	t0 = time.Now()
-	if err := plan.SolveBatch(reqs); err != nil {
-		panic(err)
-	}
-	batch := time.Since(t0)
-	fmt.Printf("AP solver compute for 8 queued clients: %.1f ms sequential, %.1f ms batched (%.1f×)\n",
-		seq.Seconds()*1000, batch.Seconds()*1000, seq.Seconds()/batch.Seconds())
+	fmt.Printf("AP solver compute for 8 queued clients: %.1f ms\n", time.Since(t0).Seconds()*1000)
 }

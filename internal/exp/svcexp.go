@@ -18,9 +18,8 @@ import (
 // chronos-svc instance on virtual time carrying a mixed fleet — a large
 // population of statistical ranging sessions (the fleet-scale workload,
 // as track.RunMulti ranges) plus a cohort of full CSI→solve→
-// Kalman pipeline sessions batching through the shared coalescer — all
-// endless, so every device stays concurrently tracked through the
-// measurement window. It reports sustained fix throughput, per-kind fix
+// Kalman pipeline sessions — all endless, so every device stays
+// concurrently tracked through the measurement window. It reports sustained fix throughput, per-kind fix
 // latency quantiles from the obs histograms, and graceful-drain time.
 // Throughput and latency columns are wall-clock (host-dependent); the
 // fleet accounting is exact.
@@ -53,10 +52,9 @@ func perfService(o Options, statDevices, fullDevices, shards int, window time.Du
 	rng := rand.New(rand.NewSource(o.Seed))
 	office := sim.NewOffice(rand.New(rand.NewSource(o.Seed^0x5eed0ff1ce)), sim.OfficeConfig{})
 	d := svc.NewDaemon(svc.Config{
-		Shards:   shards,
-		Office:   office,
-		Virtual:  true,
-		Coalesce: true,
+		Shards:  shards,
+		Office:  office,
+		Virtual: true,
 	})
 
 	// Attach the whole fleet endless (stat Fixes=0, full Sweeps<0): no
@@ -188,7 +186,7 @@ func PerfPipeline(o Options) *Result {
 		rng := rand.New(rand.NewSource(o.Seed))
 		office := sim.NewOffice(rand.New(rand.NewSource(o.Seed^0x5eed0ff1ce)), sim.OfficeConfig{})
 		d := svc.NewDaemon(svc.Config{
-			Shards: shards, Office: office, Virtual: true, Coalesce: true,
+			Shards: shards, Office: office, Virtual: true,
 			Pipeline: svc.PipelineConfig{
 				Enabled: pipeline,
 				// Solve capacity matches the undisaggregated run's shard

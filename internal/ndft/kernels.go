@@ -14,7 +14,6 @@ type kernelTier uint8
 const (
 	tierScalar kernelTier = iota
 	tierAVX2
-	tierAVX512
 	tierNEON
 )
 
@@ -22,8 +21,6 @@ const (
 // CHRONOS_NDFT_KERNEL variable, BENCH output, and the obs snapshot.
 func (t kernelTier) String() string {
 	switch t {
-	case tierAVX512:
-		return "avx512"
 	case tierAVX2:
 		return "avx2"
 	case tierNEON:
@@ -32,44 +29,15 @@ func (t kernelTier) String() string {
 	return "scalar"
 }
 
-// lanes is the tier's batch-lane width: solver tasks per SIMD register
-// in the batched gradient kernels. Eight float64 lanes fill a zmm, four
-// fill a ymm or a NEON q-register pair. The scalar tier keeps the
-// historical width of eight so group partitioning — which never affects
-// results, only grouping — is unchanged from the pre-tier code.
-func (t kernelTier) lanes() int {
-	if t == tierAVX2 || t == tierNEON {
-		return 4
-	}
-	return 8
-}
-
-// maxLanes bounds every tier's lane width; fixed-size per-lane scratch
-// arrays (batchState.cr/ci/gr/gi, group membership) are sized by it.
-const maxLanes = 8
-
-// tileFor sizes the element tile of the cache-blocked gradient walk so
-// one lane-major residual tile stays L1-resident per planar component
-// (lanes × tile × 8 bytes = 8 KiB) regardless of lane width. The tile
-// must be a multiple of 4 to preserve the accumulator-chain phase of
-// the fixed-K contract across tile boundaries.
-func tileFor(lanes int) int { return 1024 / lanes }
-
-var (
-	// activeTier is the resolved kernel tier. Mutate only through
-	// setKernelTier (tests/benches); the solver reads it on every
-	// gradient pass.
-	activeTier = resolveTier()
-	// batchLanes and dotTile are the active tier's lane width and
-	// element-tile size, kept in lockstep with activeTier.
-	batchLanes = activeTier.lanes()
-	dotTile    = tileFor(activeTier.lanes())
-)
+// activeTier is the resolved kernel tier. Mutate only through
+// setKernelTier (tests/benches); the solver reads it on every adjoint
+// dot and column accumulation.
+var activeTier = resolveTier()
 
 // resolveTier detects the best tier the hardware supports and applies
 // the CHRONOS_NDFT_KERNEL clamp. The clamp is downgrade-only: it can
-// force the scalar contract path (CI does, on AVX-512 runners) or step
-// an amd64 machine down to avx2, never select an unsupported tier.
+// force the scalar contract path (CI does), never select an unsupported
+// tier.
 func resolveTier() kernelTier {
 	t := detectTier()
 	if name := os.Getenv("CHRONOS_NDFT_KERNEL"); name != "" {
@@ -86,8 +54,6 @@ func parseTier(name string) (kernelTier, bool) {
 		return tierScalar, true
 	case "avx2":
 		return tierAVX2, true
-	case "avx512":
-		return tierAVX512, true
 	case "neon":
 		return tierNEON, true
 	}
@@ -95,48 +61,39 @@ func parseTier(name string) (kernelTier, bool) {
 }
 
 // clampTier resolves a requested tier against the detected one:
-// requests for the detected tier, the scalar fallback, or a strict
-// downgrade within the same instruction family are honored; anything
-// else (an upgrade, or a cross-architecture tier) keeps the detection.
+// requests for the detected tier or the scalar fallback are honored;
+// anything else (an upgrade, or a cross-architecture tier) keeps the
+// detection.
 func clampTier(detected, requested kernelTier) kernelTier {
-	switch {
-	case requested == detected || requested == tierScalar:
-		return requested
-	case detected == tierAVX512 && requested == tierAVX2:
+	if requested == detected || requested == tierScalar {
 		return requested
 	}
 	return detected
 }
 
 // setKernelTier is the test/bench hook behind ForceKernel: it swaps the
-// active tier (clamped against detection) and the lane-width-derived
-// sizing in lockstep, returning the previous tier. Not safe to call
-// concurrently with solves.
+// active tier (clamped against detection), returning the previous tier.
+// Not safe to call concurrently with solves.
 func setKernelTier(t kernelTier) kernelTier {
 	prev := activeTier
-	t = clampTier(detectTier(), t)
-	activeTier = t
-	batchLanes = t.lanes()
-	dotTile = tileFor(t.lanes())
-	obsKernelLanes.Set(float64(batchLanes))
+	activeTier = clampTier(detectTier(), t)
 	return prev
 }
 
-// VectorKernel reports the active SIMD kernel tier as a string:
-// "avx512", "avx2", "neon", or "scalar". Every tier returns
-// byte-identical solver results; the tier determines only throughput.
-// Campaign snapshots and CI gates key their throughput assertions on
-// this value.
+// VectorKernel reports the active SIMD kernel tier as a string: "avx2",
+// "neon", or "scalar". Every tier returns byte-identical solver results;
+// the tier determines only throughput. Campaign snapshots and the host
+// record of benchmark runs carry this value.
 func VectorKernel() string { return activeTier.String() }
 
-// ForceKernel forces the kernel tier by name ("scalar", "avx2",
-// "avx512", "neon") and returns the previously active tier's name. The
-// request is clamped downgrade-only against the detected hardware —
-// forcing an unavailable tier is an error, so a successful call always
-// means subsequent solves run the named tier. It exists for benchmarks
-// and tests that A/B tiers in one process (the CHRONOS_NDFT_KERNEL
-// environment variable is the process-level equivalent); it is not safe
-// to call concurrently with solves.
+// ForceKernel forces the kernel tier by name ("scalar", "avx2", "neon")
+// and returns the previously active tier's name. The request is clamped
+// downgrade-only against the detected hardware — forcing an unavailable
+// tier is an error, so a successful call always means subsequent solves
+// run the named tier. It exists for benchmarks and tests that A/B tiers
+// in one process (the CHRONOS_NDFT_KERNEL environment variable is the
+// process-level equivalent); it is not safe to call concurrently with
+// solves.
 func ForceKernel(name string) (prev string, err error) {
 	req, ok := parseTier(name)
 	if !ok {
@@ -147,21 +104,6 @@ func ForceKernel(name string) (prev string, err error) {
 	}
 	return setKernelTier(req).String(), nil
 }
-
-// axpyMask expands a 4-bit lane mask into per-lane all-ones/zero
-// qwords — the blend masks the 4-lane tiers (AVX2 VMASKMOVPD, NEON
-// VBIT) use to emulate the AVX-512 merge-masked store: masked-out
-// lanes' memory must not move a single bit.
-var axpyMask = func() (t [16][4]uint64) {
-	for m := range t {
-		for b := 0; b < 4; b++ {
-			if m&(1<<b) != 0 {
-				t[m][b] = ^uint64(0)
-			}
-		}
-	}
-	return
-}()
 
 // adjDot is the solver's adjoint inner product Σ a[k]·x[k] (planar, no
 // conjugation), dispatched on the active tier. The accumulation-chain

@@ -4,25 +4,12 @@ package ndft
 
 // detectTier resolves to the scalar contract path: either the
 // architecture has no vector kernels or the ndft_noasm build tag forced
-// them off. Batched solves share the scalar kernel with sequential ones
-// (identical results, per-session throughput).
+// them off.
 func detectTier() kernelTier { return tierScalar }
 
 // The kernel entry points are never reached on the scalar tier (every
 // dispatch site gates on activeTier first); the stubs keep the package
 // compiling on any architecture.
-
-func kernDot(rowRe, rowIm, resTRe, resTIm *float64, n int, grOut, giOut *float64) {
-	panic("ndft: vector kernel called on scalar tier")
-}
-
-func kernDotChunk(rowRe, rowIm, resTRe, resTIm *float64, k int, state, out *float64, mode uint64, stride int) {
-	panic("ndft: vector kernel called on scalar tier")
-}
-
-func kernAxpy(rowRe, rowIm, coefRe, coefIm, resTRe, resTIm *float64, n int, mask uint64) {
-	panic("ndft: vector kernel called on scalar tier")
-}
 
 func kernAdjDot(aRe, aIm, xRe, xIm *float64, k4 int, part *float64) {
 	panic("ndft: vector kernel called on scalar tier")

@@ -6,18 +6,12 @@ import (
 	"testing"
 )
 
-// vectorTiers lists every vector tier the host CPU can actually run, so
-// the kernel tests cover all compiled-in tiers the hardware supports
-// (an AVX-512 machine tests the AVX2 kernels too — they are the same
-// contract at half the width). Empty on scalar-only builds.
+// vectorTiers lists the vector tier the host CPU can run, so the kernel
+// tests cover the compiled-in kernels wherever the hardware supports
+// them. Empty on scalar-only builds.
 func vectorTiers() []kernelTier {
-	switch detectTier() {
-	case tierAVX512:
-		return []kernelTier{tierAVX512, tierAVX2}
-	case tierAVX2:
-		return []kernelTier{tierAVX2}
-	case tierNEON:
-		return []kernelTier{tierNEON}
+	if t := detectTier(); t != tierScalar {
+		return []kernelTier{t}
 	}
 	return nil
 }
@@ -175,27 +169,21 @@ func TestAxpyColMatchesScalar(t *testing.T) {
 	}
 }
 
-// TestSolveBatchTierEquivalence solves one batch on every available
-// vector tier and scalar-forced, and requires byte-identical results
-// across all of them — the cross-tier face of SolveBatch's
-// batch-equals-sequential contract (and, because avx512 groups 8 tasks
-// per lane kernel call while avx2/neon group 4, a lane-width
-// independence proof on real solves).
-func TestSolveBatchTierEquivalence(t *testing.T) {
-	pl, reqs := batchFixture(t)
+// TestSolveTierEquivalence solves every fixture request, cold and
+// warm, on the vector tier and scalar-forced, and requires
+// byte-identical results: the tier changes throughput, never answers.
+func TestSolveTierEquivalence(t *testing.T) {
+	pl, reqs := solveFixture(t)
 	solveOn := func(tier kernelTier) []*Result {
 		prev := setKernelTier(tier)
 		defer setKernelTier(prev)
-		batch := make([]SolveRequest, len(reqs))
+		out := make([]*Result, len(reqs))
 		for i := range reqs {
-			batch[i] = cloneReq(reqs[i])
-		}
-		if err := pl.SolveBatch(batch); err != nil {
-			t.Fatalf("tier %v: %v", tier, err)
-		}
-		out := make([]*Result, len(batch))
-		for i := range batch {
-			out[i] = batch[i].Dst
+			res, err := pl.Solve(cloneReq(reqs[i]))
+			if err != nil {
+				t.Fatalf("tier %v: %v", tier, err)
+			}
+			out[i] = res
 		}
 		return out
 	}
@@ -205,42 +193,6 @@ func TestSolveBatchTierEquivalence(t *testing.T) {
 		for i := range want {
 			sameResult(t, tier.String(), want[i], got[i])
 		}
-	}
-}
-
-// TestLaneWidthIndependence pins that group partitioning width is a
-// throughput knob, not a numerical one: the scalar path partitioned at
-// width 4 must reproduce the width-8 partitioning byte for byte (the
-// per-task arithmetic never depends on which lane group a task lands
-// in).
-func TestLaneWidthIndependence(t *testing.T) {
-	pl, reqs := batchFixture(t)
-	solveAt := func(lanes int) []*Result {
-		prev := setKernelTier(tierScalar)
-		defer setKernelTier(prev)
-		batchLanes = lanes
-		dotTile = tileFor(lanes)
-		defer func() {
-			batchLanes = tierScalar.lanes()
-			dotTile = tileFor(tierScalar.lanes())
-		}()
-		batch := make([]SolveRequest, len(reqs))
-		for i := range reqs {
-			batch[i] = cloneReq(reqs[i])
-		}
-		if err := pl.SolveBatch(batch); err != nil {
-			t.Fatalf("lanes=%d: %v", lanes, err)
-		}
-		out := make([]*Result, len(batch))
-		for i := range batch {
-			out[i] = batch[i].Dst
-		}
-		return out
-	}
-	want := solveAt(8)
-	got := solveAt(4)
-	for i := range want {
-		sameResult(t, "lanes4-vs-8", want[i], got[i])
 	}
 }
 
@@ -262,11 +214,11 @@ func TestForceKernel(t *testing.T) {
 		t.Fatalf("failed force changed tier: %q -> %q", orig, got)
 	}
 
-	// Some vector tier is always unavailable: NEON on amd64, AVX-512 on
+	// Some vector tier is always unavailable: NEON on amd64, AVX2 on
 	// arm64 and scalar-only builds.
 	unavailable := "neon"
 	if detectTier() == tierNEON || detectTier() == tierScalar {
-		unavailable = "avx512"
+		unavailable = "avx2"
 	}
 	if _, err := ForceKernel(unavailable); err != errKernelUnavailable {
 		t.Fatalf("unavailable tier %q: err=%v want %v", unavailable, err, errKernelUnavailable)
@@ -284,18 +236,5 @@ func TestForceKernel(t *testing.T) {
 	}
 	if VectorKernel() != "scalar" {
 		t.Fatalf("scalar force not active: tier=%q", VectorKernel())
-	}
-	if batchLanes != 8 || dotTile != tileFor(8) {
-		t.Fatalf("scalar sizing: lanes=%d tile=%d", batchLanes, dotTile)
-	}
-
-	// Downgrade within the amd64 family when the host allows it.
-	if detectTier() == tierAVX512 {
-		if _, err := ForceKernel("avx2"); err != nil {
-			t.Fatalf("avx512 host refusing avx2 downgrade: %v", err)
-		}
-		if VectorKernel() != "avx2" || batchLanes != 4 {
-			t.Fatalf("avx2 force: tier=%q lanes=%d", VectorKernel(), batchLanes)
-		}
 	}
 }

@@ -13,11 +13,11 @@
 //
 // The solver is Plan: a precomputed dictionary (plus adjoint, step size,
 // and pooled scratch state) that is built once per band-group signature
-// and shared across goroutines. Plan.Solve and Plan.SolveBatch are its
-// only entry points. Both run Algorithm 1 with FISTA momentum and
-// α-continuation, which reach the same fixed points in far fewer
-// iterations on the highly coherent NDFT dictionary, and both solve
-// warm-started and allocation-free in steady state.
+// and shared across goroutines. Plan.Solve is its only entry point. It
+// runs Algorithm 1 with FISTA momentum and α-continuation, which reach
+// the same fixed points in far fewer iterations on the highly coherent
+// NDFT dictionary, and solves warm-started and allocation-free in
+// steady state.
 package ndft
 
 import (
@@ -29,7 +29,7 @@ import (
 var (
 	errEmptyGrid         = errors.New("ndft: empty frequency or delay grid")
 	errZeroNorm          = errors.New("ndft: zero spectral norm")
-	errUnknownKernel     = errors.New("ndft: unknown kernel tier (want scalar, avx2, avx512, or neon)")
+	errUnknownKernel     = errors.New("ndft: unknown kernel tier (want scalar, avx2, or neon)")
 	errKernelUnavailable = errors.New("ndft: kernel tier not supported by this CPU")
 )
 

@@ -6,12 +6,12 @@ import "chronos/internal/obs"
 // scheduling-independent quantities — requests, iterations, stopping
 // outcomes — so campaign counter totals are identical at any worker
 // count; only the wall-clock histogram contents vary per host. All
-// recording happens once per SolveBatch call (aggregated over the
-// batch), never inside the iteration loop, which is how the
-// instrumented hot path stays 0 allocs/op and within 1% of the
-// uninstrumented solver (BenchmarkObsOverheadWarmStart asserts both).
+// recording happens once per Solve call, never inside the iteration
+// loop, which is how the instrumented hot path stays 0 allocs/op and
+// within 1% of the uninstrumented solver
+// (BenchmarkObsOverheadWarmStart asserts both).
 var (
-	// obsSolveRequests counts solve requests (a Solve is a B=1 batch).
+	// obsSolveRequests counts solve requests.
 	obsSolveRequests = obs.NewCounter("ndft.solve.requests")
 	// obsSolveIterations totals solver iterations across all phases
 	// (main, polish, cold fallback) of every request.
@@ -29,23 +29,13 @@ var (
 	// obsSolveParked counts requests preempted at a gap-check boundary
 	// (InvertOptions.Preempt fired; the caller holds a resume seed).
 	obsSolveParked = obs.NewCounter("ndft.solve.parked")
-	// obsBatchWidth is the distribution of SolveBatch widths (B).
-	obsBatchWidth = obs.NewHist("ndft.solve.batch_width")
-	// obsBatchWallNs is wall time per SolveBatch call, nanoseconds.
-	obsBatchWallNs = obs.NewHist("ndft.solve.batch_wall_ns")
-	// obsKernelLanes is the active kernel tier's batch-lane width (8 for
-	// avx512/scalar, 4 for avx2/neon); the tier name itself rides the
-	// snapshot as the ndft.vector_kernel label. Together they let a
-	// /metrics poll (and CI's throughput gates) see which kernel a
-	// deployment actually runs.
-	obsKernelLanes = obs.NewGauge("ndft.kernel_lanes")
+	// obsSolveWallNs is wall time per Solve call, nanoseconds.
+	obsSolveWallNs = obs.NewHist("ndft.solve.wall_ns")
 )
 
 // init publishes the resolved kernel tier on the snapshot and keeps a
 // callback refreshing the label so tier forcing (tests, benches) is
-// visible on the next capture. The lanes gauge is refreshed there too:
-// gauges no-op while the layer is disabled, so an init-time Set alone
-// could be lost if obs is enabled later.
+// visible on the next capture.
 func init() {
 	obs.SetLabel("ndft.vector_kernel", VectorKernel())
 	obs.OnSnapshot(func(s *obs.Snapshot) {
@@ -53,36 +43,24 @@ func init() {
 			s.Labels = make(map[string]string, 1)
 		}
 		s.Labels["ndft.vector_kernel"] = VectorKernel()
-		s.Gauges["ndft.kernel_lanes"] = float64(batchLanes)
 	})
 }
 
-// recordBatch aggregates one finished batch into the solver metrics.
-// Called once per SolveBatch with the task array still live; allocates
+// record books one finished solve into the solver metrics; allocates
 // nothing.
-func recordBatch(tasks []solveTask, wallStart int64) {
-	var iters, gapStops, capped, fellBack, parked int64
-	for i := range tasks {
-		t := &tasks[i]
-		iters += int64(t.res.Iterations)
-		if t.res.Parked {
-			parked++
-		} else if !t.res.Converged {
-			capped++
-		}
-		if t.everGap {
-			gapStops++
-		}
-		if t.fellBack {
-			fellBack++
-		}
+func (t *solveTask) record(wallStart int64) {
+	obsSolveRequests.Inc()
+	obsSolveIterations.Add(int64(t.res.Iterations))
+	if t.res.Parked {
+		obsSolveParked.Inc()
+	} else if !t.res.Converged {
+		obsSolveCapped.Inc()
 	}
-	obsSolveRequests.Add(int64(len(tasks)))
-	obsSolveIterations.Add(iters)
-	obsSolveGapStops.Add(gapStops)
-	obsSolveCapped.Add(capped)
-	obsSolveKKTFallbacks.Add(fellBack)
-	obsSolveParked.Add(parked)
-	obsBatchWidth.Observe(float64(len(tasks)))
-	obsBatchWallNs.Since(wallStart)
+	if t.everGap {
+		obsSolveGapStops.Inc()
+	}
+	if t.fellBack {
+		obsSolveKKTFallbacks.Inc()
+	}
+	obsSolveWallNs.Since(wallStart)
 }

@@ -17,7 +17,7 @@ import (
 // The budget was 1% when the warm solve ran the scalar adjoint; the
 // vectorized single-solve kernels roughly halved a leg's duration
 // without adding any instrumentation (recording still happens once per
-// batch, outside the iteration loop), so the same absolute overhead now
+// solve, outside the iteration loop), so the same absolute overhead now
 // doubles as a fraction — and shared CI runners show ±1–2% proportional
 // frequency drift that min-of-reps cannot fully strip at the shorter
 // leg length. 2% of the vectorized leg is the old 1% of the scalar leg.

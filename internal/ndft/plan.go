@@ -42,7 +42,6 @@ type Plan struct {
 	allIdx []int
 
 	ws sync.Pool // *workspace
-	bs sync.Pool // *batchState
 }
 
 // workspace is the per-solve scratch state: every vector Algorithm 1
@@ -113,7 +112,6 @@ func NewPlan(freqs, taus []float64) (*Plan, error) {
 			corr: make([]float64, 0, m),
 		}
 	}
-	pl.bs.New = func() any { return &batchState{} }
 	return pl, nil
 }
 
@@ -231,8 +229,8 @@ func (pl *Plan) getWorkspace() *workspace { return pl.ws.Get().(*workspace) }
 // k mod 4 tail feeding chain 0, folded as (s0+s1)+(s2+s3). The chains
 // hide scalar add latency; the fixed split is deterministic, so results
 // are identical across runs, worker counts, and — because every SIMD
-// tier implements the same contract lane-for-lane (see adjDot and the
-// lane kernels) — across architectures.
+// tier implements the same contract lane-for-lane (see adjDot) — across
+// architectures.
 func cdot(aRe, aIm, xRe, xIm []float64) (float64, float64) {
 	k := len(aRe)
 	aIm = aIm[:k]

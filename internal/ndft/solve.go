@@ -1,0 +1,653 @@
+package ndft
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+
+	"chronos/internal/dsp"
+	"chronos/internal/obs"
+)
+
+// SolveRequest is one inversion request against a Plan: the measurement
+// vector, an optional warm-start profile on the plan's delay grid, an
+// optional recycled Result, and the solver options.
+type SolveRequest struct {
+	// H is the measurement vector (length = the plan's frequency count).
+	H dsp.Vec
+	// Warm, when non-nil, is an initial iterate on the plan's delay grid
+	// — typically the previous sweep's converged profile. See Solve.
+	Warm dsp.Vec
+	// Dst, when non-nil, is reused for the result (its Profile and
+	// Magnitude backing arrays are recycled), making steady-state solves
+	// allocation-free; nil allocates a fresh Result.
+	Dst *Result
+	InvertOptions
+}
+
+// polishGapFrac scales the solve's duality-gap tolerance down for the
+// gap-certified polish exit: the polish pass exists to canonicalize the
+// stopped iterate (warm and cold trajectories must land on the same
+// restricted optimum), so its own certificate must be much tighter than
+// the stop that triggered it — 1/16 keeps the canonical point within the
+// agreement tolerances the equivalence fixtures pin while still bounding
+// the polish far below its 600-iteration budget on broad noisy supports.
+const polishGapFrac = 1.0 / 16
+
+// polishGapExit gates the gap-certified polish exit (ROADMAP PR-5
+// follow-on b). Package-internal so the regression test can compare the
+// certified exit against the historical fixed-budget polish.
+var polishGapExit = true
+
+// Task phases: the stages of Solve a task advances through. The polish
+// stages are split by what follows them — a main polish is still subject
+// to the restricted solve's KKT audit, a fallback polish is not.
+const (
+	taskMain = iota
+	taskPolish
+	taskCold
+	taskColdPolish
+)
+
+// solveTask is one request's solver state: the phase it is in, the
+// current phase's iteration schedule, and the telemetry the result and
+// the solver metrics report.
+type solveTask struct {
+	pl   *Plan
+	w    *workspace
+	res  *Result
+	opts InvertOptions
+
+	alpha, corrInf float64
+	warm           dsp.Vec
+	useGap         bool
+	gapStopped     bool
+	restricted     bool
+	phase          int
+
+	// Telemetry latches: everGap records that any main/cold phase ended
+	// on the gap certificate (gapStopped itself is consumed by
+	// startPolish), fellBack that the KKT audit forced the cold
+	// fallback. Read once per solve by record.
+	everGap  bool
+	fellBack bool
+
+	// Current iterate-phase state (one beginIterate per phase).
+	set          []int
+	budget, iter int
+	curAlpha     float64
+	decay        float64
+	tMom         float64
+	checkAt      int
+	allowRestart bool
+
+	done bool
+}
+
+// Solve runs Algorithm 1 on one request. req.Warm, when non-nil,
+// restricts the iteration to a working set (the warm support dilated by
+// warmDilate cells), making each iteration proportional to the support
+// size rather than the grid size; a final full-grid KKT audit proves the
+// excluded atoms inactive, and on violation (the target moved too far)
+// the solver transparently falls back to a cold full-grid solve, so warm
+// and cold starts converge to the same fixed points. req.Dst, when
+// non-nil, is reused for the result, making steady-state solves
+// allocation-free. The request's shapes are checked before any solving
+// starts; on error no result is written. Solve may be called
+// concurrently on one shared Plan.
+func (pl *Plan) Solve(req SolveRequest) (*Result, error) {
+	if len(req.H) != pl.n {
+		return nil, fmt.Errorf("ndft: measurement length %d != %d frequencies", len(req.H), pl.n)
+	}
+	if req.Warm != nil && len(req.Warm) != pl.m {
+		return nil, fmt.Errorf("ndft: warm start length %d != %d grid points", len(req.Warm), pl.m)
+	}
+	wallStart := obs.Tick()
+	if req.Dst == nil {
+		req.Dst = &Result{}
+	}
+	w := pl.getWorkspace()
+	var t solveTask
+	t.init(pl, &req, w)
+	t.start()
+	for !t.done {
+		if t.iter >= t.budget {
+			// Degenerate budget (caller passed MaxIter < 1): consume the
+			// phase without running an iteration.
+			t.afterIterate(t.budget)
+			continue
+		}
+		t.gradStep()
+		t.endStep()
+	}
+	pl.ws.Put(w)
+	if obs.Enabled() {
+		t.record(wallStart)
+	}
+	return req.Dst, nil
+}
+
+// init binds a task to its request: workspace, defaulted options, and
+// the planar split of the measurement. The request pointer is only read,
+// never retained.
+func (t *solveTask) init(pl *Plan, req *SolveRequest, w *workspace) {
+	*t = solveTask{
+		pl:   pl,
+		w:    w,
+		res:  req.Dst,
+		opts: req.InvertOptions.withDefaults(req.H),
+		warm: req.Warm,
+	}
+	split(t.w.hRe, t.w.hIm, req.H)
+}
+
+// start finishes setup — the Fᴴh̃ correlation bound, α scaling, warm
+// working-set construction or cold initialization, result reset — and
+// enters the main iterate phase.
+func (t *solveTask) start() {
+	pl, w, n, m := t.pl, t.w, t.pl.n, t.pl.m
+	// ‖Fᴴh̃‖∞ drives the default α scaling and the cold continuation
+	// ramp: one dense adjoint pass.
+	var corrMaxSq float64
+	for j := 0; j < m; j++ {
+		cr, ci := adjDot(pl.fhRe[j*n:(j+1)*n], pl.fhIm[j*n:(j+1)*n], w.hRe, w.hIm)
+		if sq := cr*cr + ci*ci; sq > corrMaxSq {
+			corrMaxSq = sq
+		}
+	}
+	t.corrInf = math.Sqrt(corrMaxSq)
+	t.alpha = t.opts.Alpha
+	if t.alpha == 0 {
+		scale := t.opts.AlphaScale
+		if scale == 0 {
+			scale = 1
+		}
+		// Default α: a fraction of the largest correlation between the
+		// measurement and any single atom, the standard LASSO scaling
+		// (α_max = ‖Fᴴh‖∞ zeroes the whole profile; we default to 10%).
+		t.alpha = 0.1 * scale * t.corrInf
+	}
+
+	// Initialize the iterate and, for warm starts with a usable support,
+	// the restricted working set.
+	w.active = w.active[:0]
+	warm := t.warm
+	idx := pl.allIdx
+	if warm != nil {
+		split(w.pRe, w.pIm, warm)
+		for j := 0; j < m; j++ {
+			if w.pRe[j] != 0 || w.pIm[j] != 0 {
+				w.active = append(w.active, j)
+			}
+		}
+		if len(w.active) == 0 {
+			warm = nil // empty seed: run the ordinary cold start
+		} else {
+			w.idx = w.idx[:0]
+			last := -1
+			for _, j := range w.active {
+				lo, hi := j-warmDilate, j+warmDilate
+				if lo <= last {
+					lo = last + 1
+				}
+				if lo < 0 {
+					lo = 0
+				}
+				if hi > m-1 {
+					hi = m - 1
+				}
+				for k := lo; k <= hi; k++ {
+					w.idx = append(w.idx, k)
+				}
+				last = hi
+			}
+			if len(w.idx) < m {
+				idx = w.idx
+				t.restricted = true
+			}
+		}
+	}
+	if warm == nil {
+		if t.opts.Seed != 0 {
+			rng := rand.New(rand.NewSource(t.opts.Seed))
+			s := norm2Planar(w.hRe, w.hIm) / float64(m)
+			for i := 0; i < m; i++ {
+				w.pRe[i], w.pIm[i] = rng.NormFloat64()*s, rng.NormFloat64()*s
+				w.active = append(w.active, i)
+			}
+		} else {
+			zero(w.pRe)
+			zero(w.pIm)
+		}
+	}
+	copy(w.yRe, w.pRe)
+	copy(w.yIm, w.pIm)
+
+	res := t.res
+	res.Taus = pl.Taus
+	res.Iterations, res.Converged, res.Work = 0, false, 0
+	res.GapAtStop, res.NoiseFloor = 0, t.opts.NoiseFloor
+	res.Parked = false
+	// The gap rule needs a tolerance to stop against: the caller's
+	// per-sweep noise estimate or an absolute GapTol. Without either the
+	// checks could never pass, so they are skipped entirely and the
+	// iterate rule decides alone.
+	t.useGap = t.opts.Stop == StopGap && (t.opts.GapTol > 0 || t.opts.NoiseFloor > 0)
+
+	// α-continuation: start with a large threshold that admits only the
+	// strongest atoms and decay toward the target α, steering the iterate
+	// into the basin of the sparse global optimum before fine fitting
+	// begins — important because the non-uniform band lattice makes the
+	// dictionary highly coherent (strong grating lobes). A warm start is
+	// already in that basin and begins at the target α directly.
+	a0 := t.alpha
+	if warm == nil && t.corrInf > t.alpha {
+		a0 = t.corrInf * 0.5
+	}
+	t.phase = taskMain
+	t.beginIterate(idx, a0, t.opts.MaxIter, t.restricted)
+}
+
+// beginIterate resets the per-phase iteration state: continuation
+// schedule, momentum sequence, gap-check cadence.
+func (t *solveTask) beginIterate(set []int, a0 float64, budget int, allowRestart bool) {
+	t.set = set
+	t.budget = budget
+	t.iter = 0
+	t.allowRestart = allowRestart
+	t.curAlpha = a0
+	// The continuation schedule must hand the target α a usable slice
+	// of the budget: with a forced tiny α (the sparsity ablation) the
+	// default decay could still be ramping when the budget expires,
+	// and the Epsilon exit — gated on curAlpha == alpha — could then
+	// never fire. Steepen the decay so the ramp spends at most half
+	// the budget.
+	t.decay = contDecay
+	if a0 > t.alpha && t.alpha > 0 && budget > 0 {
+		if need := math.Log(t.alpha/a0) / math.Log(t.decay); need > float64(budget)/2 {
+			t.decay = math.Exp(2 * math.Log(t.alpha/a0) / float64(budget))
+		}
+	}
+	t.tMom = 1
+	t.checkAt = gapEvery
+	t.res.Converged = false
+}
+
+// gradStep runs one iteration's proximal-gradient step from the
+// extrapolation point y, keeping the previous iterate:
+// p ← SPARSIFY(y − γ·Fᴴ·(F·y − h̃), γα), fused per grid cell over the
+// phase's working set. The adjoint dot product goes through adjDot, the
+// one tier-dispatched implementation of the fixed-K chain contract (cdot
+// on the scalar tier, the vector kernel otherwise — same bits either
+// way). The shrinkage test compares squared magnitudes so the (dominant)
+// zeroed taps never pay for a square root.
+func (t *solveTask) gradStep() {
+	pl, w := t.pl, t.w
+	n, gamma := pl.n, pl.gamma
+	t.iter++
+	copy(w.prevRe, w.pRe)
+	copy(w.prevIm, w.pIm)
+	// resid = F·y − h̃, accumulated over y's support only: the
+	// soft-thresholded iterate is sparse, so the forward product touches
+	// a few dozen dictionary columns, not the whole grid.
+	pl.forwardResid(w, w.yRe, w.yIm, w.active)
+	thr := gamma * t.curAlpha
+	thrSq := thr * thr
+	rRe, rIm := w.residRe[:n], w.resIm[:n]
+	for _, j := range t.set {
+		gr, gi := adjDot(pl.fhRe[j*n:(j+1)*n], pl.fhIm[j*n:(j+1)*n], rRe, rIm)
+		pr := w.yRe[j] - gamma*gr
+		pi := w.yIm[j] - gamma*gi
+		if sq := pr*pr + pi*pi; sq <= thrSq { // "<=" also zeroes sq==thrSq==0, avoiding 0/0 below
+			w.pRe[j], w.pIm[j] = 0, 0
+		} else {
+			a := math.Sqrt(sq)
+			sc := (a - thr) / a
+			w.pRe[j], w.pIm[j] = pr*sc, pi*sc
+		}
+	}
+}
+
+// endStep closes the iteration gradStep just advanced:
+// momentum/restart bookkeeping, α-continuation, work accounting, and the
+// stopping rules, chaining into the next phase when the iterate ends.
+func (t *solveTask) endStep() {
+	w, set := t.w, t.set
+	var diffSq float64
+	w.active = w.active[:0]
+	// Adaptive (gradient) restart, O'Donoghue & Candès: when the
+	// extrapolated step opposes the direction of progress the momentum
+	// has overshot — reset it, turning FISTA's oscillatory tail into
+	// near-linear convergence. Restarts run only on restricted
+	// working-set solves: the grating lobes of the coherent band lattice
+	// make the full-grid LASSO optimum a degenerate face (mass can sit on
+	// an alias ghost with the same objective), and on the full grid a
+	// restarted trajectory may settle on a ghost vertex that the
+	// sustained-momentum trajectory avoids. A working set inherited from
+	// the previous fix excludes the ghost family entirely, so restarting
+	// there is safe — and it is what lets warm solves converge in tens
+	// of iterations instead of ringing for hundreds.
+	var gdot float64
+	for _, j := range set {
+		dr, di := w.pRe[j]-w.prevRe[j], w.pIm[j]-w.prevIm[j]
+		diffSq += dr*dr + di*di
+		gdot += (w.yRe[j]-w.pRe[j])*dr + (w.yIm[j]-w.pIm[j])*di
+	}
+	if t.allowRestart && gdot > 0 && t.curAlpha == t.alpha {
+		t.tMom = 1
+	}
+	tNext := (1 + math.Sqrt(1+4*t.tMom*t.tMom)) / 2
+	beta := (t.tMom - 1) / tNext
+	for _, j := range set {
+		dr, di := w.pRe[j]-w.prevRe[j], w.pIm[j]-w.prevIm[j]
+		w.yRe[j] = w.pRe[j] + beta*dr
+		w.yIm[j] = w.pIm[j] + beta*di
+		if w.yRe[j] != 0 || w.yIm[j] != 0 {
+			w.active = append(w.active, j)
+		}
+	}
+	t.tMom = tNext
+	// Decay the continuation threshold toward the target α, jumping
+	// ahead when the iterate has already stalled at the current
+	// threshold (further same-α iterations are no-ops the Epsilon exit
+	// cannot act on yet).
+	if t.curAlpha > t.alpha {
+		d := t.decay
+		if math.Sqrt(diffSq) < t.opts.Epsilon {
+			d = contStallDecay
+		}
+		t.curAlpha *= d
+		if t.curAlpha < t.alpha {
+			t.curAlpha = t.alpha
+		}
+	}
+
+	t.res.Work += int64(len(set))
+	if math.Sqrt(diffSq) < t.opts.Epsilon && t.curAlpha == t.alpha {
+		t.res.Converged = true
+		t.afterIterate(t.iter)
+		return
+	}
+	if (t.gapChecks() || t.preemptPolls()) && t.iter >= t.checkAt {
+		if t.preemptPolls() && t.opts.Preempt() {
+			t.park()
+			return
+		}
+		if t.gapChecks() {
+			stop, s := t.gapCheck()
+			if stop {
+				t.res.Converged = true
+				if t.phase == taskMain || t.phase == taskCold {
+					// A gap stop inside the polish is its exit, not a
+					// trigger for another polish.
+					t.gapStopped = true
+					t.everGap = true
+				}
+				t.afterIterate(t.iter)
+				return
+			}
+			if s >= gapDualGate {
+				t.checkAt = t.iter + gapFine
+			} else {
+				t.checkAt = t.iter + gapEvery
+			}
+		} else {
+			// Preempt-only cadence: no gap tolerance to measure, so the
+			// poll just rides the coarse check interval.
+			t.checkAt = t.iter + gapEvery
+		}
+	}
+	if t.iter >= t.budget {
+		t.afterIterate(t.budget)
+	}
+}
+
+// preemptPolls reports whether the current phase polls the caller's
+// preemption hook: only the main and cold-fallback iterates — a polish
+// is short, restricted, and about to finish, so parking it would cost
+// more than letting it run out.
+func (t *solveTask) preemptPolls() bool {
+	return t.opts.Preempt != nil && (t.phase == taskMain || t.phase == taskCold)
+}
+
+// park stops a preempted solve at the current iterate: the result
+// carries the in-progress profile as a resume seed (Parked set,
+// Converged false) and skips the KKT audit, cold fallback, and polish —
+// a parked iterate is not an answer, so there is nothing to certify.
+// The phase's iterations are booked so Work/Iterations telemetry stays
+// an honest account of the cost paid before yielding.
+func (t *solveTask) park() {
+	t.res.Iterations += t.iter
+	t.res.Converged = false
+	t.res.Parked = true
+	t.restricted = false
+	t.finishResid()
+	t.finalize()
+}
+
+// gapChecks reports whether the current phase runs duality-gap checks:
+// the main and fallback iterates whenever a tolerance source exists, and
+// — under the gap-certified polish exit — the polish pass too, against
+// its polishGapFrac-tightened tolerance.
+func (t *solveTask) gapChecks() bool {
+	if !t.useGap {
+		return false
+	}
+	if t.phase == taskPolish || t.phase == taskColdPolish {
+		return polishGapExit
+	}
+	return true
+}
+
+// gapCheck measures the LASSO duality gap of the current iterate over
+// the grid cells in the phase's working set and reports whether the
+// solve may stop: the scaled residual θ = min(1, α/‖Fᴴr‖∞)·r is dual
+// feasible (on the restricted set; the excluded cells are audited by the
+// KKT pass), so
+//
+//	gap = ½‖r‖² + α‖p‖₁ + ½‖θ‖² + Re⟨θ, h̃⟩
+//
+// bounds the objective suboptimality. The tolerance is the noise
+// energy ½‖w‖² (scaled by GapScale) from the caller's per-sweep
+// estimate: once the objective is certified within the energy the
+// noise contributes, the remaining iterations fit noise, not paths.
+// A check costs about one iteration over the same set, paid once per
+// gapEvery. GapAtStop refreshes on every check, so even
+// iteration-capped solves report their last certified gap.
+func (t *solveTask) gapCheck() (bool, float64) {
+	pl, w, set, n := t.pl, t.w, t.set, t.pl.n
+	// Residual at the iterate p: the iteration loop's residual is
+	// taken at the extrapolation point y, which is not the point the
+	// gap certifies. Both scratch residuals are recomputed next
+	// iteration, so reusing them here is safe. The support scratch is
+	// gsupp, not supp: during a polish the working set itself aliases
+	// supp.
+	w.gsupp = w.gsupp[:0]
+	var l1 float64
+	for _, j := range set {
+		if w.pRe[j] != 0 || w.pIm[j] != 0 {
+			w.gsupp = append(w.gsupp, j)
+			l1 += math.Hypot(w.pRe[j], w.pIm[j])
+		}
+	}
+	pl.forwardResid(w, w.pRe, w.pIm, w.gsupp)
+	var resSq, rh float64
+	for i := 0; i < n; i++ {
+		resSq += w.residRe[i]*w.residRe[i] + w.resIm[i]*w.resIm[i]
+		rh += w.residRe[i]*w.hRe[i] + w.resIm[i]*w.hIm[i]
+	}
+	var maxSq float64
+	for _, j := range set {
+		gr, gi := adjDot(pl.fhRe[j*n:(j+1)*n], pl.fhIm[j*n:(j+1)*n], w.residRe, w.resIm)
+		if sq := gr*gr + gi*gi; sq > maxSq {
+			maxSq = sq
+		}
+	}
+	t.res.Work += int64(len(set) + len(w.gsupp))
+	gInf := math.Sqrt(maxSq)
+	s := 1.0
+	if gInf > t.alpha && t.alpha > 0 {
+		s = t.alpha / gInf
+	}
+	gap := 0.5*resSq + t.alpha*l1 + 0.5*s*s*resSq + s*rh
+	if gap < 0 {
+		gap = 0 // rounding on an essentially optimal iterate
+	}
+	t.res.GapAtStop = gap
+	tol := t.opts.GapTol
+	if tol == 0 {
+		tol = 0.5 * t.opts.GapScale * t.opts.NoiseFloor * t.opts.NoiseFloor
+	}
+	if t.phase == taskPolish || t.phase == taskColdPolish {
+		tol *= polishGapFrac
+	}
+	return s >= gapDualGate && gap <= tol, s
+}
+
+// afterIterate books the finished iterate phase and advances the task:
+// main/fallback iterates chain into the polish when gap-stopped, then
+// into the residual/KKT epilogue.
+func (t *solveTask) afterIterate(consumed int) {
+	t.res.Iterations += consumed
+	switch t.phase {
+	case taskMain, taskCold:
+		if t.startPolish() {
+			return
+		}
+	case taskPolish, taskColdPolish:
+		// The solve converged by its gap certificate whether or not the
+		// polish met the tight tolerance inside its budget.
+		t.res.Converged = true
+	}
+	t.finish()
+}
+
+// startPolish canonicalizes a gap-stopped iterate: a restricted solve at
+// the tight iterate tolerance over the stopped support (dilated by
+// polishDilate cells), costing O(support) per iteration. The gap stop
+// decides *when* the dense work may end; the polish pins *where* the
+// iterate lands — any two trajectories that stop with the same
+// support converge to the same restricted optimum, which is what
+// keeps warm-started and cold fixes in agreement under early
+// stopping, and sharpens the support amplitudes the downstream
+// dominance tests read. Reports whether a polish phase was entered.
+func (t *solveTask) startPolish() bool {
+	if !t.gapStopped {
+		return false
+	}
+	t.gapStopped = false
+	w, m := t.w, t.pl.m
+	w.supp = w.supp[:0]
+	last := -1
+	for j := 0; j < m; j++ {
+		if w.pRe[j] == 0 && w.pIm[j] == 0 {
+			continue
+		}
+		lo, hi := j-polishDilate, j+polishDilate
+		if lo <= last {
+			lo = last + 1
+		}
+		if lo < 0 {
+			lo = 0
+		}
+		if hi > m-1 {
+			hi = m - 1
+		}
+		for k := lo; k <= hi; k++ {
+			w.supp = append(w.supp, k)
+		}
+		last = hi
+	}
+	if len(w.supp) == 0 || len(w.supp) >= m {
+		return false
+	}
+	// Fresh momentum sequence seeded at p (y ≡ p is zero outside the
+	// polish set, since the set contains the whole support).
+	copy(w.yRe, w.pRe)
+	copy(w.yIm, w.pIm)
+	w.active = w.active[:0]
+	for _, j := range w.supp {
+		if w.pRe[j] != 0 || w.pIm[j] != 0 {
+			w.active = append(w.active, j)
+		}
+	}
+	if t.phase == taskCold {
+		t.phase = taskColdPolish
+	} else {
+		t.phase = taskPolish
+	}
+	t.beginIterate(w.supp, t.alpha, polishBudget, true)
+	return true
+}
+
+// finish runs the post-iterate epilogue: the final residual, the KKT
+// audit of a restricted solve (falling back to a cold full-grid solve on
+// violation, so warm starting can trade iterations but never the
+// answer), and result materialization.
+func (t *solveTask) finish() {
+	pl, w, m := t.pl, t.w, t.pl.m
+	t.finishResid()
+	if t.restricted {
+		t.restricted = false
+		t.res.Work += int64(m) // the KKT audit is one dense adjoint pass
+		if pl.kktViolated(w, t.alpha) {
+			// The optimum left the working set (the target moved farther
+			// than warmDilate cells between solves): discard the
+			// restricted answer and run the cold full-grid solve.
+			t.fellBack = true
+			zero(w.pRe)
+			zero(w.pIm)
+			copy(w.yRe, w.pRe)
+			copy(w.yIm, w.pIm)
+			w.active = w.active[:0]
+			a0 := t.alpha
+			if t.corrInf > t.alpha {
+				a0 = t.corrInf * 0.5
+			}
+			t.phase = taskCold
+			t.beginIterate(pl.allIdx, a0, t.opts.MaxIter, false)
+			return
+		}
+	}
+	t.finalize()
+}
+
+// finishResid recomputes resid = F·p − h̃ at the current iterate.
+func (t *solveTask) finishResid() {
+	w, m := t.w, t.pl.m
+	w.active = w.active[:0]
+	for j := 0; j < m; j++ {
+		if w.pRe[j] != 0 || w.pIm[j] != 0 {
+			w.active = append(w.active, j)
+		}
+	}
+	t.pl.forwardResid(w, w.pRe, w.pIm, w.active)
+}
+
+// finalize materializes the Result.
+func (t *solveTask) finalize() {
+	w, res, n, m := t.w, t.res, t.pl.n, t.pl.m
+	var resSq float64
+	for i := 0; i < n; i++ {
+		resSq += w.residRe[i]*w.residRe[i] + w.resIm[i]*w.resIm[i]
+	}
+	res.Residual = math.Sqrt(resSq)
+
+	res.Profile = growVec(res.Profile, m)
+	res.Magnitude = growFloats(res.Magnitude, m)
+	for j := 0; j < m; j++ {
+		res.Profile[j] = complex(w.pRe[j], w.pIm[j])
+		res.Magnitude[j] = math.Sqrt(w.pRe[j]*w.pRe[j] + w.pIm[j]*w.pIm[j])
+	}
+	t.done = true
+}
+
+// norm2Planar is ‖h‖₂ over the planar split — the random-initialization
+// scale.
+func norm2Planar(re, im []float64) float64 {
+	var s float64
+	for i := range re {
+		s += re[i]*re[i] + im[i]*im[i]
+	}
+	return math.Sqrt(s)
+}

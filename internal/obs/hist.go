@@ -13,7 +13,7 @@ import (
 // order statistic, the tolerance the correctness suite pins against
 // stats.Percentile. Exponents span 2^histMinExp .. 2^histMaxExp, wide
 // enough for nanosecond latencies (1 ns .. hours as float ns) and for
-// dimensionless ratios (relative noise ~0.05, batch widths 1..16);
+// dimensionless ratios (relative noise ~0.05);
 // values outside land in the shared under/overflow edge buckets, and
 // non-positive or NaN values land in the underflow bucket.
 const (

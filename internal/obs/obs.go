@@ -7,7 +7,7 @@
 //
 // # Design constraints
 //
-// The instrumented paths are the hot paths (Plan.Solve/SolveBatch,
+// The instrumented paths are the hot paths (Plan.Solve,
 // track.RunSession), so the layer is engineered to cost near-nothing:
 //
 //   - Disabled (the default), every operation is one atomic bool load
@@ -29,11 +29,11 @@
 //
 // Counters count scheduling-independent quantities (solve requests,
 // iterations, fixes, protocol events), so campaign counter totals are
-// identical at any worker count — a property the exp golden test pins.
+// identical at any worker count — a property the exp golden test pins
+// — and the ndft and tof totals identical at any daemon shard count.
 // Wall-clock histogram *contents* naturally vary per host and run;
 // their counts remain deterministic wherever the underlying event
-// streams are (everything except the timing-dependent coalescer
-// metrics).
+// streams are.
 package obs
 
 import (

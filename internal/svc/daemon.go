@@ -8,9 +8,8 @@
 // its sessions' sweeps on its own mac.Sim event queue. A full sweep's
 // ingest and track stages run on its shard; the solve between them runs
 // there too, or on a shared solve pool with latency/bulk scheduling
-// classes when PipelineConfig.Enabled is set (see pipeline.go). Shards
-// feed one shared tof.Coalescer (plan-keyed internally), so concurrent
-// sweeps across shards batch into SolveBatch calls; the internal/obs
+// classes when PipelineConfig.Enabled is set (see pipeline.go). Every
+// solve is one Plan.Solve of one device's band group; the internal/obs
 // layer is the management surface.
 //
 // The event queues, and therefore the whole daemon, run on virtual time
@@ -53,12 +52,9 @@ type Config struct {
 	// mode is how the test harness and the PerfService campaign make
 	// daemon runs deterministic and faster than real time.
 	Virtual bool
-	// Coalesce arms one shared tof.Coalescer across all shards: full
-	// sessions' concurrent main-profile inversions batch per plan into
-	// SolveBatch calls (results stay byte-identical; see tof.Coalescer).
+	// Deprecated: ignored. Every solve runs alone; the field remains
+	// only because perfbench still sets it.
 	Coalesce bool
-	// CoalescerConfig tunes the shared coalescer when Coalesce is set.
-	CoalescerConfig tof.CoalescerConfig
 	// QueueDepth bounds each shard's pending lifecycle-command queue
 	// (default 1024). Attach blocks when the owning shard's queue is
 	// full — backpressure, not loss.
@@ -101,8 +97,7 @@ type DeviceConfig struct {
 	// Session.Sweeps < 0 keeps the device tracked until detach or drain.
 	Session track.SessionConfig
 	// Estimator configures the full device's tof.Estimator. The zero
-	// value is the estimator default config; the daemon fills in the
-	// shared coalescer when Config.Coalesce is set.
+	// value is the estimator default config.
 	Estimator tof.Config
 
 	// FixPeriod paces a stat device's fixes (default 84 ms — the
@@ -144,11 +139,10 @@ var (
 // driving their sweeps from a private mac.Sim event queue. See the
 // package comment for the ownership model.
 type Daemon struct {
-	cfg       Config
-	coalescer *tof.Coalescer
-	pipe      *pipeline // solve pool; nil unless cfg.Pipeline.Enabled
-	shards    []*shard
-	start     time.Time
+	cfg    Config
+	pipe   *pipeline // solve pool; nil unless cfg.Pipeline.Enabled
+	shards []*shard
+	start  time.Time
 
 	mu       sync.Mutex
 	draining bool
@@ -171,9 +165,6 @@ func NewDaemon(cfg Config) *Daemon {
 		start:   time.Now(),
 		results: make(map[uint64]*DeviceResult),
 		stopCh:  make(chan struct{}),
-	}
-	if cfg.Coalesce {
-		d.coalescer = tof.NewCoalescer(cfg.CoalescerConfig)
 	}
 	if cfg.Pipeline.Enabled {
 		d.pipe = newPipeline(cfg.Pipeline)
@@ -326,11 +317,10 @@ func (d *Daemon) Quiesce(timeout time.Duration) error {
 }
 
 // Drain gracefully stops the daemon: admissions close immediately, each
-// shard finishes the sweep it is executing (in-flight solves flush
-// through the coalescer as usual), cancels the remaining schedule,
-// retires every live session with its partial results, and exits. Drain
-// waits for the shards up to timeout and then captures the final metrics
-// snapshot. A second Drain returns ErrDraining.
+// shard finishes the sweep it is executing, cancels the remaining
+// schedule, retires every live session with its partial results, and
+// exits. Drain waits for the shards up to timeout and then captures the
+// final metrics snapshot. A second Drain returns ErrDraining.
 func (d *Daemon) Drain(timeout time.Duration) (*obs.Snapshot, error) {
 	d.mu.Lock()
 	if d.draining {

@@ -3,10 +3,12 @@ package svc
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"chronos/internal/obs"
 	"chronos/internal/sim"
 	"chronos/internal/tof"
 	"chronos/internal/track"
@@ -117,10 +119,10 @@ func daemonTraces(t *testing.T, office *sim.Office, seeds map[uint64]int64, cfg 
 // gate: a daemon running K full-pipeline devices must produce
 // byte-identical fix tables to K sequential track.RunSession calls with
 // the same seeds — at 1 shard and at 8 shards (where the fleet
-// genuinely interleaves across goroutines, with the shared coalescer
-// armed), and on the wall clock as well as on virtual time. This is
-// what licenses every later scheduling change: the daemon may reorder
-// work however it likes, but per-device results are pinned.
+// genuinely interleaves across goroutines), and on the wall clock as
+// well as on virtual time. This is what licenses every later scheduling
+// change: the daemon may reorder work however it likes, but per-device
+// results are pinned.
 func TestDaemonGoldenTraceMatchesSequential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-pipeline fleet")
@@ -134,24 +136,22 @@ func TestDaemonGoldenTraceMatchesSequential(t *testing.T) {
 		}
 	}
 
-	// The staged-pipeline cases pin the tentpole invariant: cutting a
-	// sweep into ingest/solve/track stages executed by three different
-	// worker pools must not change a single byte of any device's fix
-	// trace — at 1 shard, at 8 shards, with the coalescer merging
-	// cross-device solves, and regardless of class (bulk class only
-	// changes dequeue ORDER; preemption stays off here because
-	// park/resume legitimately alters solve trajectories).
+	// The pipeline cases pin that moving the solve off the shard onto
+	// the solve pool must not change a single byte of any device's fix
+	// trace — at 1 shard, at 8 shards, and regardless of class (bulk
+	// class only changes dequeue ORDER; preemption stays off here
+	// because park/resume legitimately alters solve trajectories).
 	for _, tc := range []struct {
 		name  string
 		cfg   Config
 		class Class
 	}{
 		{"1shard", Config{Shards: 1, Virtual: true}, ClassLatency},
-		{"8shards_coalesced", Config{Shards: 8, Virtual: true, Coalesce: true}, ClassLatency},
-		{"2shards_wall_coalesced", Config{Shards: 2, Coalesce: true}, ClassLatency},
+		{"8shards", Config{Shards: 8, Virtual: true}, ClassLatency},
+		{"2shards_wall", Config{Shards: 2}, ClassLatency},
 		{"1shard_pipeline", Config{Shards: 1, Virtual: true,
 			Pipeline: PipelineConfig{Enabled: true}}, ClassLatency},
-		{"8shards_pipeline_coalesced", Config{Shards: 8, Virtual: true, Coalesce: true,
+		{"8shards_pipeline", Config{Shards: 8, Virtual: true,
 			Pipeline: PipelineConfig{Enabled: true}}, ClassLatency},
 		{"8shards_pipeline_bulk", Config{Shards: 8, Virtual: true,
 			Pipeline: PipelineConfig{Enabled: true, SolveWorkers: 2, QueueDepth: 2}}, ClassBulk},
@@ -183,47 +183,46 @@ func fiveGHzFleet(sweeps int) map[uint64]DeviceConfig {
 	return devs
 }
 
-// TestDaemonCoalescedSessionsMatchSolo drives concurrent full sessions
-// through the shared coalescer and runs under -short, so the race
-// detector sees the coalescer's leader/follower handoff between shard
-// goroutines on every race run. Four 5 GHz-only devices run on a
-// 4-shard virtual daemon, once with the coalescer off and once with it
-// on. Every fix table must match byte-for-byte; a coalesced fix reports
-// a batch width in [1, MaxBatch], an uncoalesced one exactly 1.
-func TestDaemonCoalescedSessionsMatchSolo(t *testing.T) {
-	const maxBatch = 4
+// TestDaemonShardCountInvariant is the -short multi-shard identity
+// check, so the race detector sees several shard goroutines solving at
+// once on every race run. Four 5 GHz-only devices run on a virtual
+// daemon at 1 shard and at 4 shards: every fix table must match
+// byte-for-byte, and with obs on every ndft.* and tof.* counter must
+// advance by the same amount — they count scheduling-independent
+// events, so the shard count must not move them.
+func TestDaemonShardCountInvariant(t *testing.T) {
 	office := goldenOffice()
 	devs := fiveGHzFleet(2)
-	solo := daemonSessions(t, office, devs, Config{Shards: 4, Virtual: true})
-	coalesced := daemonSessions(t, office, devs, Config{Shards: 4, Virtual: true, Coalesce: true,
-		CoalescerConfig: tof.CoalescerConfig{MaxBatch: maxBatch, Wait: 5 * time.Millisecond}})
 
-	if len(solo) != len(devs) || len(coalesced) != len(devs) {
-		t.Fatalf("retired %d solo and %d coalesced devices, want %d", len(solo), len(coalesced), len(devs))
-	}
-	fixes, batched := 0, 0
-	for id, s := range solo {
-		c := coalesced[id]
-		if want, got := svcFixTable(s), svcFixTable(c); got != want {
-			t.Errorf("device %d: coalesced fixes diverged:\ncoalesced:\n%s\nsolo:\n%s", id, got, want)
-		}
-		for i, f := range s.Fixes {
-			if f.BatchSize != 1 {
-				t.Errorf("device %d fix %d: solo batch size %d, want 1", id, i, f.BatchSize)
+	obs.SetEnabled(true)
+	defer obs.SetEnabled(false)
+	run := func(shards int) (map[uint64]*track.SessionResult, map[string]int64) {
+		before := obs.Capture().Counters
+		res := daemonSessions(t, office, devs, Config{Shards: shards, Virtual: true})
+		after := obs.Capture().Counters
+		delta := make(map[string]int64)
+		for name, v := range after {
+			if strings.HasPrefix(name, "ndft.") || strings.HasPrefix(name, "tof.") {
+				delta[name] = v - before[name]
 			}
 		}
-		for i, f := range c.Fixes {
-			if f.BatchSize < 1 || f.BatchSize > maxBatch {
-				t.Errorf("device %d fix %d: batch size %d outside [1, %d]", id, i, f.BatchSize, maxBatch)
-			}
-			if f.BatchSize > 1 {
-				batched++
-			}
+		return res, delta
+	}
+	one, oneCounts := run(1)
+	four, fourCounts := run(4)
+
+	if len(one) != len(devs) || len(four) != len(devs) {
+		t.Fatalf("retired %d devices at 1 shard and %d at 4, want %d", len(one), len(four), len(devs))
+	}
+	for id, r := range one {
+		if want, got := svcFixTable(r), svcFixTable(four[id]); got != want {
+			t.Errorf("device %d: 4-shard fixes diverged:\n4 shards:\n%s\n1 shard:\n%s", id, got, want)
 		}
-		fixes += len(c.Fixes)
 	}
-	if fixes == 0 {
-		t.Fatal("no fixes produced")
+	if oneCounts["ndft.solve.requests"] == 0 {
+		t.Fatal("no solves counted")
 	}
-	t.Logf("%d of %d fixes rode coalesced batches", batched, fixes)
+	if !reflect.DeepEqual(oneCounts, fourCounts) {
+		t.Errorf("ndft/tof counter deltas differ:\n1 shard:  %v\n4 shards: %v", oneCounts, fourCounts)
+	}
 }

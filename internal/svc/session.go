@@ -93,11 +93,7 @@ func newDeviceSession(s *shard, id uint64, cfg DeviceConfig) (*deviceSession, er
 		return ds, nil
 	}
 
-	ecfg := cfg.Estimator
-	if s.d.coalescer != nil {
-		ecfg.Coalescer = s.d.coalescer
-	}
-	est := tof.NewEstimator(ecfg)
+	est := tof.NewEstimator(cfg.Estimator)
 	full, err := track.NewSession(rng, s.d.cfg.Office, est, cfg.Session)
 	if err != nil {
 		return nil, err

@@ -13,7 +13,7 @@ import (
 
 // TestDaemonChurnSoak is the service race soak: Poisson attach/detach
 // churn from concurrent clients against a live shard set with the
-// coalescer armed and the shared plan registry squeezed to a tiny bound
+// shared plan registry squeezed to a tiny bound
 // (so LRU eviction fires under concurrent full-pipeline solves). After
 // drain it asserts no session was lost — every successful Attach is
 // accounted by exactly one DeviceResult — and that the obs lifecycle
@@ -36,10 +36,9 @@ func TestDaemonChurnSoak(t *testing.T) {
 	defer obs.SetEnabled(false)
 
 	d := NewDaemon(Config{
-		Shards:   4,
-		Office:   goldenOffice(),
-		Virtual:  true,
-		Coalesce: true,
+		Shards:  4,
+		Office:  goldenOffice(),
+		Virtual: true,
 	})
 
 	var (

@@ -97,14 +97,6 @@ type Config struct {
 	// the constant hardware chain delays (§7 observation 2). Obtain it
 	// once via Calibrate.
 	CalibrationOffset float64
-	// Coalescer, when non-nil, batches this estimator's main profile
-	// inversions with concurrent inversions of the same plan geometry
-	// from other sessions (see Coalescer). Results are byte-identical
-	// with or without it; only throughput, latency, and the
-	// Estimate.BatchSize telemetry change. Alias-window refits stay
-	// un-coalesced: they are short, latency-critical, and their window
-	// geometries rarely coincide across sessions.
-	Coalescer *Coalescer
 	// Preempt, when non-nil, is forwarded to the main profile inversions
 	// (ndft.InvertOptions.Preempt): the solver polls it at duality-gap
 	// check boundaries and, when it fires, parks the solve — Estimate
@@ -219,13 +211,6 @@ type Estimate struct {
 	// ‖w‖₂/‖h‖₂ measured from the spread of repeated CSI pairs (0 when
 	// no band carried repeated pairs).
 	NoiseFloor float64
-	// BatchSize is the widest coalesced solve that carried one of this
-	// estimate's main inversions (1 when every group solved alone or no
-	// coalescer is configured). Unlike the other counters it depends on
-	// wall-clock arrival timing, so it is telemetry, not part of the
-	// deterministic result — the solves themselves are byte-identical
-	// at any batch width.
-	BatchSize int
 }
 
 // ErrNoBands reports that no usable band measurements were supplied.
@@ -507,7 +492,9 @@ func (s *Sweep) windowWarmState(key planKey, cand float64) *warmGroup {
 }
 
 // AddBand folds the CSI pairs captured on one band into the sweep. Bands
-// with no pairs, and bands excluded by the estimator's Mode, are ignored.
+// with no pairs, bands excluded by the estimator's Mode, and bands whose
+// folded mean or pair spread is not finite are ignored; the last are
+// counted under tof.bands_dropped.
 func (s *Sweep) AddBand(b wifi.Band, pairs []csi.Pair) error {
 	e := s.est
 	if len(pairs) == 0 {
@@ -537,6 +524,13 @@ func (s *Sweep) AddBand(b wifi.Band, pairs []csi.Pair) error {
 	}
 	s.foldScratch = vals
 	v, noiseVar, noiseOK := pairSpread(vals)
+	if !finite(real(v)) || !finite(imag(v)) || !finite(noiseVar) {
+		// A NaN, an infinity, or CSI large enough for the fold to
+		// overflow would corrupt the whole group's inversion without an
+		// error; the group loses this band instead.
+		obsBandsDropped.Inc()
+		return nil
+	}
 	s.meas = append(s.meas, bandMeas{
 		freq: b.Center, value: v, power: total,
 		noiseVar: noiseVar, noiseOK: noiseOK,
@@ -602,7 +596,6 @@ func (e *Estimator) estimate(s *Sweep) (*Estimate, error) {
 	var totalIters int
 	allConverged := true
 	var gapMax, noiseRelMax float64
-	batchMax := 1
 	for power, g := range groups {
 		if len(g) < 3 {
 			continue // too few bands to invert meaningfully
@@ -662,9 +655,6 @@ func (e *Estimator) estimate(s *Sweep) (*Estimate, error) {
 		allConverged = allConverged && sol.Converged
 		if sol.GapAtStop > gapMax {
 			gapMax = sol.GapAtStop
-		}
-		if sol.BatchSize > batchMax {
-			batchMax = sol.BatchSize
 		}
 		aliasStart := obs.Tick()
 		var tau float64
@@ -753,7 +743,6 @@ func (e *Estimator) estimate(s *Sweep) (*Estimate, error) {
 		Converged:  allConverged,
 		GapAtStop:  gapMax,
 		NoiseFloor: noiseRelMax,
-		BatchSize:  batchMax,
 	}, nil
 }
 
@@ -784,19 +773,6 @@ type solveMeta struct {
 	Iterations int
 	Converged  bool
 	GapAtStop  float64
-	BatchSize  int
-}
-
-// solveGroup runs one main profile inversion, routing it through the
-// configured coalescer when one is set. The returned batch size is the
-// width of the coalesced solve that carried the request (1 when solved
-// alone or no coalescer is configured).
-func (e *Estimator) solveGroup(plan *ndft.Plan, req ndft.SolveRequest) (*ndft.Result, int, error) {
-	if e.cfg.Coalescer != nil {
-		return e.cfg.Coalescer.Submit(plan, req)
-	}
-	res, err := plan.Solve(req)
-	return res, 1, err
 }
 
 // planForGroup resolves (building and registering on demand) the shared
@@ -833,7 +809,7 @@ func (e *Estimator) invertGroup(key planKey, plan *ndft.Plan, h dsp.Vec, power i
 	} else if g != nil && !g.off && len(g.profile) == len(plan.Taus) {
 		warm = g.profile
 	}
-	res, batch, err := e.solveGroup(plan, ndft.SolveRequest{
+	res, err := plan.Solve(ndft.SolveRequest{
 		H: h, Warm: warm,
 		InvertOptions: ndft.InvertOptions{
 			Alpha:      e.cfg.Alpha,
@@ -876,7 +852,7 @@ func (e *Estimator) invertGroup(key planKey, plan *ndft.Plan, h dsp.Vec, power i
 	for i, t := range res.Taus {
 		taus[i] = t / float64(power)
 	}
-	meta := solveMeta{Work: res.Work, Iterations: res.Iterations, Converged: res.Converged, GapAtStop: res.GapAtStop, BatchSize: batch}
+	meta := solveMeta{Work: res.Work, Iterations: res.Iterations, Converged: res.Converged, GapAtStop: res.GapAtStop}
 	return &Profile{Taus: taus, Magnitude: res.Magnitude, Power: power}, meta, nil
 }
 

@@ -93,3 +93,6 @@ func groupNoiseFloor(g []bandMeas) float64 {
 	}
 	return math.Sqrt(sum * float64(len(g)) / float64(measured))
 }
+
+// finite reports whether x is neither NaN nor an infinity.
+func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }

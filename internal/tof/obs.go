@@ -2,12 +2,9 @@ package tof
 
 import "chronos/internal/obs"
 
-// Estimation-stage observability handles. Counters here are
-// scheduling-independent except the coalescer family, whose door-hold
-// timing makes leader/follower/bypass splits (and batch widths)
-// legitimately vary run to run — they are documented as
-// timing-dependent and excluded from the determinism golden tests.
-// Registry occupancy is exported as snapshot-time gauges (builds and
+// Estimation-stage observability handles. Counters here count
+// scheduling-independent events, so their totals are identical at any
+// shard or worker count. Registry occupancy is exported as snapshot-time gauges (builds and
 // evictions depend on process-wide cache warmth, so they are state, not
 // a deterministic event count).
 var (
@@ -33,18 +30,16 @@ var (
 	// (ErrSolveParked): the parked iterate was retained as a resume seed
 	// and the sweep's estimate deferred.
 	obsSolveParks = obs.NewCounter("tof.solve.parks")
-	// obsStageSolveNs spans the coalesced-solve stage of one group:
-	// registry resolution plus Plan.Solve (or the coalescer round trip).
+	// obsBandsDropped counts bands AddBand discarded because their
+	// folded mean or pair spread was not finite (NaN, ±Inf, or CSI so
+	// large the fold overflowed): one such band would otherwise corrupt
+	// its whole group's inversion without an error.
+	obsBandsDropped = obs.NewCounter("tof.bands_dropped")
+	// obsStageSolveNs spans the main inversion of one group: Plan.Solve
+	// plus its warm-start bookkeeping.
 	obsStageSolveNs = obs.NewHist("tof.stage.solve_ns")
 	// obsStageAliasNs spans the alias ranking/refit stage of one group.
 	obsStageAliasNs = obs.NewHist("tof.stage.alias_ns")
-
-	// Coalescer events (timing-dependent; see package comment above).
-	obsCoalesceSubmits   = obs.NewCounter("tof.coalesce.submits")
-	obsCoalesceHolds     = obs.NewCounter("tof.coalesce.holds")
-	obsCoalesceFollowers = obs.NewCounter("tof.coalesce.followers")
-	obsCoalesceBypass    = obs.NewCounter("tof.coalesce.bypass")
-	obsCoalesceWidth     = obs.NewHist("tof.coalesce.batch_width")
 
 	obsRegistryPlans     = obs.NewGauge("tof.registry.plans")
 	obsRegistryMaxPlans  = obs.NewGauge("tof.registry.max_plans")

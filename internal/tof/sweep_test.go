@@ -7,6 +7,8 @@ import (
 	"testing"
 
 	"chronos/internal/csi"
+	"chronos/internal/obs"
+	"chronos/internal/sim"
 	"chronos/internal/wifi"
 )
 
@@ -137,6 +139,61 @@ func TestSweepReset(t *testing.T) {
 		acc.Reset()
 		if acc.Bands() != 0 {
 			t.Fatal("Reset did not clear measurements")
+		}
+	}
+}
+
+// TestAddBandDropsNonFiniteBand pins the guard against silently
+// corrupted band groups: one NaN, +Inf, or overflowing subcarrier in one
+// CSI pair must cost exactly its band — the estimate equals the same
+// sweep with that band removed, in Distance and Work — and the drop is
+// counted under tof.bands_dropped. On a quirked 2.4 GHz band the
+// 8th-power fold overflows 1e300 to a non-finite value; on a 5 GHz band
+// 1e300 folds to a finite (often exactly zero) pair value that the
+// guard does not see, so that band is checked with NaN and +Inf only.
+func TestAddBandDropsNonFiniteBand(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	office := sim.NewOffice(rng, sim.OfficeConfig{})
+	link := office.NewLink(rng, office.RandomPlacement(rng, 10, false), sim.LinkConfig{Quirk: true})
+	bands := wifi.USBands()
+	sweep := link.Sweep(rng, bands, 3, 2.4e-3)
+	est := NewEstimator(Config{Mode: BandsFused, Quirk24: true, MaxIter: 1200})
+
+	obs.SetEnabled(true)
+	defer obs.SetEnabled(false)
+	for _, tc := range []struct {
+		band   int
+		values []float64
+	}{
+		{1, []float64{math.NaN(), math.Inf(1), 1e300}}, // channel 6, quirked
+		{10, []float64{math.NaN(), math.Inf(1)}},       // channel 64
+	} {
+		bad := tc.band
+		keptBands := append(append([]wifi.Band(nil), bands[:bad]...), bands[bad+1:]...)
+		kept := append(append([][]csi.Pair(nil), sweep[:bad]...), sweep[bad+1:]...)
+		want, err := est.Estimate(keptBands, kept)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, v := range tc.values {
+			corrupt := append([][]csi.Pair(nil), sweep...)
+			corrupt[bad] = append([]csi.Pair(nil), sweep[bad]...)
+			fwd := &corrupt[bad][1].Forward
+			fwd.Values = append(fwd.Values[:0:0], fwd.Values...)
+			fwd.Values[7] = complex(v, 0)
+
+			dropped := obsBandsDropped.Value()
+			got, err := est.Estimate(bands, corrupt)
+			if err != nil {
+				t.Fatalf("band %d, value %g: %v", bad, v, err)
+			}
+			if got.Distance != want.Distance || got.Work != want.Work {
+				t.Errorf("band %d, value %g: fix %.4f m (work %d), want the band-removed %.4f m (work %d)",
+					bad, v, got.Distance, got.Work, want.Distance, want.Work)
+			}
+			if n := obsBandsDropped.Value() - dropped; n != 1 {
+				t.Errorf("band %d, value %g: tof.bands_dropped moved by %d, want 1", bad, v, n)
+			}
 		}
 	}
 }

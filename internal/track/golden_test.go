@@ -83,7 +83,7 @@ var update = flag.Bool("update", false, "rewrite "+goldenFixture+" from this bui
 // commits: the determinism tests compare two runs of one build, so a
 // refactor that moved every fix alike would pass them; this one compares
 // against a table recorded by an earlier build. The table holds on every
-// amd64 kernel tier (avx512, avx2, scalar).
+// amd64 kernel tier (avx2, scalar).
 func TestSessionGoldenTraceFixture(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-pipeline sessions")

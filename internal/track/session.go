@@ -95,12 +95,6 @@ type Fix struct {
 	// CappedFixes so campaigns can expose cap-rate.
 	Work      int64
 	Converged bool
-	// BatchSize is the widest coalesced solve behind the fix's estimate
-	// (tof.Estimate.BatchSize): 1 when the session solves alone, >1 when
-	// a shared tof.Coalescer merged its inversions with concurrent
-	// sessions'. Timing-dependent telemetry — the fix itself is
-	// byte-identical at any batch width.
-	BatchSize int
 }
 
 // SessionResult is one session's streamed output.
@@ -383,7 +377,7 @@ func (s *Session) StepTrack() error {
 		s.res.Fixes = append(s.res.Fixes, Fix{
 			At: now, Latency: now - start, Bands: s.acc.Bands(),
 			Range: raw, Smoothed: smoothed, TrueRange: truth, Accepted: accepted,
-			Work: r.Work, Converged: r.Converged, BatchSize: r.BatchSize,
+			Work: r.Work, Converged: r.Converged,
 		})
 		if !r.Converged {
 			s.res.CappedFixes++
