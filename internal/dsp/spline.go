@@ -26,19 +26,10 @@ var ErrSplineInput = errors.New("dsp: spline needs at least two strictly increas
 // must be strictly increasing and len(xs) == len(ys) >= 2. With exactly two
 // knots the spline degenerates to a line.
 func NewSpline(xs, ys []float64) (*Spline, error) {
+	if err := checkKnots(xs, ys); err != nil {
+		return nil, err
+	}
 	n := len(xs)
-	if n < 2 || len(ys) != n {
-		return nil, fmt.Errorf("%w (got %d xs, %d ys)", ErrSplineInput, len(xs), len(ys))
-	}
-	if !sort.Float64sAreSorted(xs) {
-		return nil, fmt.Errorf("%w: xs not sorted", ErrSplineInput)
-	}
-	for i := 1; i < n; i++ {
-		if xs[i] == xs[i-1] {
-			return nil, fmt.Errorf("%w: duplicate knot x=%g", ErrSplineInput, xs[i])
-		}
-	}
-
 	s := &Spline{
 		xs: append([]float64(nil), xs...),
 		ys: append([]float64(nil), ys...),
@@ -46,39 +37,57 @@ func NewSpline(xs, ys []float64) (*Spline, error) {
 		c:  make([]float64, n),
 		d:  make([]float64, n),
 	}
+	s.fit(make([]float64, n), make([]float64, n))
+	return s, nil
+}
 
+func checkKnots(xs, ys []float64) error {
+	n := len(xs)
+	if n < 2 || len(ys) != n {
+		return fmt.Errorf("%w (got %d xs, %d ys)", ErrSplineInput, len(xs), len(ys))
+	}
+	if !sort.Float64sAreSorted(xs) {
+		return fmt.Errorf("%w: xs not sorted", ErrSplineInput)
+	}
+	for i := 1; i < n; i++ {
+		if xs[i] == xs[i-1] {
+			return fmt.Errorf("%w: duplicate knot x=%g", ErrSplineInput, xs[i])
+		}
+	}
+	return nil
+}
+
+// fit computes the per-interval coefficients from the knots into s.b,
+// s.c and s.d, overwriting whatever they held, with mu and z (one entry
+// per knot) as the tridiagonal solver's scratch.
+func (s *Spline) fit(mu, z []float64) {
+	xs, ys := s.xs, s.ys
+	n := len(xs)
+	s.b[n-1], s.c[n-1], s.d[n-1] = 0, 0, 0
 	if n == 2 {
 		s.b[0] = (ys[1] - ys[0]) / (xs[1] - xs[0])
 		s.b[1] = s.b[0]
-		return s, nil
+		s.c[0], s.d[0] = 0, 0
+		return
 	}
 
 	// Solve the tridiagonal system for the second derivatives (natural
-	// boundary: c[0] = c[n-1] = 0) using the Thomas algorithm.
-	h := make([]float64, n-1)
-	for i := 0; i < n-1; i++ {
-		h[i] = xs[i+1] - xs[i]
-	}
-	alpha := make([]float64, n)
+	// boundary: c[0] = c[n-1] = 0) using the Thomas algorithm, with the
+	// interval widths h[i] = xs[i+1] − xs[i] formed where they are used.
+	mu[0], z[0] = 0, 0
 	for i := 1; i < n-1; i++ {
-		alpha[i] = 3*(ys[i+1]-ys[i])/h[i] - 3*(ys[i]-ys[i-1])/h[i-1]
+		hPrev, h := xs[i]-xs[i-1], xs[i+1]-xs[i]
+		alpha := 3*(ys[i+1]-ys[i])/h - 3*(ys[i]-ys[i-1])/hPrev
+		l := 2*(xs[i+1]-xs[i-1]) - hPrev*mu[i-1]
+		mu[i] = h / l
+		z[i] = (alpha - hPrev*z[i-1]) / l
 	}
-	l := make([]float64, n)
-	mu := make([]float64, n)
-	z := make([]float64, n)
-	l[0] = 1
-	for i := 1; i < n-1; i++ {
-		l[i] = 2*(xs[i+1]-xs[i-1]) - h[i-1]*mu[i-1]
-		mu[i] = h[i] / l[i]
-		z[i] = (alpha[i] - h[i-1]*z[i-1]) / l[i]
-	}
-	l[n-1] = 1
 	for j := n - 2; j >= 0; j-- {
+		h := xs[j+1] - xs[j]
 		s.c[j] = z[j] - mu[j]*s.c[j+1]
-		s.b[j] = (ys[j+1]-ys[j])/h[j] - h[j]*(s.c[j+1]+2*s.c[j])/3
-		s.d[j] = (s.c[j+1] - s.c[j]) / (3 * h[j])
+		s.b[j] = (ys[j+1]-ys[j])/h - h*(s.c[j+1]+2*s.c[j])/3
+		s.d[j] = (s.c[j+1] - s.c[j]) / (3 * h)
 	}
-	return s, nil
 }
 
 // At evaluates the spline at x. Outside the knot range the boundary cubic
@@ -104,14 +113,21 @@ func (s *Spline) At(x float64) float64 {
 	return s.ys[i] + dx*(s.b[i]+dx*(s.c[i]+dx*s.d[i]))
 }
 
-// InterpolateAt is a convenience wrapper: it fits a natural cubic spline to
-// (xs, ys) and evaluates it at x.
-func InterpolateAt(xs, ys []float64, x float64) (float64, error) {
-	sp, err := NewSpline(xs, ys)
-	if err != nil {
+// InterpolateAt fits a natural cubic spline to (xs, ys) and evaluates it
+// at x. When buf holds at least 5·len(xs) values the fit works in it
+// instead of allocating, so a caller interpolating many measurements can
+// reuse one buffer; the result is the same either way.
+func InterpolateAt(xs, ys []float64, x float64, buf []float64) (float64, error) {
+	if err := checkKnots(xs, ys); err != nil {
 		return 0, err
 	}
-	return sp.At(x), nil
+	n := len(xs)
+	if len(buf) < 5*n {
+		buf = make([]float64, 5*n)
+	}
+	s := Spline{xs: xs, ys: ys, b: buf[:n], c: buf[n : 2*n], d: buf[2*n : 3*n]}
+	s.fit(buf[3*n:4*n], buf[4*n:5*n])
+	return s.At(x), nil
 }
 
 // LinearAt performs straight-line interpolation of (xs, ys) at x, used as

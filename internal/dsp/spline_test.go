@@ -87,7 +87,7 @@ func TestSplineZeroSubcarrierScenario(t *testing.T) {
 		xs = append(xs, float64(k))
 		ys = append(ys, slope*float64(k)+intercept)
 	}
-	got, err := InterpolateAt(xs, ys, 0)
+	got, err := InterpolateAt(xs, ys, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -111,14 +111,14 @@ func (wr *windowRefit) solve(cand, alpha, eps float64, w []float64, forceCold bo
 	obsAliasRefits.Inc()
 	rotateWindow(wr.freqs, wr.h, cand, float64(wr.power), wr.rot)
 	g := wr.s.windowWarmState(wr.key, cand)
-	// Without a usable noise estimate (or above the gap ceiling) the
-	// refit scores feed decisions whose margins sit near the score
-	// noise, and a warm-seeded score that lands on the other side of a
-	// margin than the cold score would make a warm stream decide
-	// differently than a cold one. Scoring those refits cold keeps
-	// warm-stream decisions exactly equal to cold-stream decisions where
-	// the evidence is thin; the warm savings concentrate in the regime
-	// where the margins have real slack.
+	// Without a noise floor (no usable estimate, or the precise re-solve
+	// of a contested placement) the refit scores feed decisions whose
+	// margins sit near the score noise, and a warm-seeded score that
+	// lands on the other side of a margin than the cold score would make
+	// a warm stream decide differently than a cold one. Scoring those
+	// refits cold keeps warm-stream decisions exactly equal to
+	// cold-stream decisions where the evidence is thin; the warm savings
+	// concentrate in the regime where the margins have real slack.
 	if wr.noise <= 0 {
 		forceCold = true
 	}
@@ -296,25 +296,22 @@ type aliasScorer struct {
 	work     int64
 }
 
-func (e *Estimator) newAliasScorer(freqs []float64, h dsp.Vec, power int, s *Sweep, noiseRel float64) (*aliasScorer, error) {
-	hNorm := dsp.Norm2(h)
-	// The refit solver floor follows the same gap ceiling as the main
-	// solve: deep-fade refits feed fragile residual comparisons and keep
-	// the precise rule. The evidence gates below still adapt — they are
-	// decision thresholds, not solve tolerances.
-	noise := noiseRel * hNorm
-	if noiseRel > gapNoiseCeil {
-		noise = 0
-	}
-	wr, err := e.newWindowRefit(freqs, h, power, s, noise)
+// newAliasScorer builds the scorer for one group's placement. floor is
+// the refit solver's noise floor: the group's ‖w‖₂ estimate, or 0 on the
+// precise re-solve of a contested placement, which stops every refit on
+// the iterate rule and scores it cold. The evidence gates adapt to the
+// group's noise either way: they are decision thresholds, not solve
+// tolerances.
+func (e *Estimator) newAliasScorer(g *bandGroup, s *Sweep, floor float64) (*aliasScorer, error) {
+	wr, err := e.newWindowRefit(g.freqs, g.h, g.power, s, floor)
 	if err != nil {
 		return nil, err
 	}
 	return &aliasScorer{
 		wr:      wr,
-		hNorm:   hNorm,
-		gates:   e.gatesFor(noiseRel),
-		weights: aliasWeights(freqs, power, e.cfg.AliasPeriod),
+		hNorm:   dsp.Norm2(g.h),
+		gates:   e.gatesFor(g.noiseRel),
+		weights: aliasWeights(g.freqs, g.power, e.cfg.AliasPeriod),
 		memo:    make(map[int]refitScore, 4),
 	}, nil
 }
@@ -416,15 +413,17 @@ func (sc *aliasScorer) beats(challenger, incumbent refitScore) bool {
 //     pure-raster geometries to the solver's own placement.
 //
 // ok is false when folding is degenerate for the grid or the refits
-// failed; callers fall back to the vertex chain. noiseRel is the
-// group's per-sweep relative noise estimate, from which the evidence
-// thresholds (anchor margin, refit margin, fit gate) are derived.
-func (e *Estimator) familyRank(freqs []float64, h dsp.Vec, power int, prof *Profile, s *Sweep, noiseRel float64) (float64, bool, int64) {
+// failed; callers fall back to the vertex chain. The evidence thresholds
+// (anchor margin, refit margin, fit gate) derive from the group's
+// per-sweep relative noise estimate; refitFloor is the refit solver's
+// noise floor (see newAliasScorer). contested is placeCandidate's
+// verdict on the final placement.
+func (e *Estimator) familyRank(g *bandGroup, prof *Profile, s *Sweep, refitFloor float64) (tau float64, ok, contested bool, work int64) {
 	step := e.cfg.GridStep
-	gates := e.gatesFor(noiseRel)
+	gates := e.gatesFor(g.noiseRel)
 	cells := int(math.Round(e.cfg.AliasPeriod / step))
 	if cells < 4 || cells >= len(prof.Magnitude) {
-		return 0, false, 0
+		return 0, false, false, 0
 	}
 	period := float64(cells) * step
 
@@ -433,7 +432,7 @@ func (e *Estimator) familyRank(freqs []float64, h dsp.Vec, power int, prof *Prof
 	// family dominance below.
 	peaks := dsp.FindPeaks(prof.Taus, prof.Magnitude, 0.5*e.cfg.PeakThreshold)
 	if len(peaks) == 0 {
-		return 0, false, 0
+		return 0, false, false, 0
 	}
 
 	// Folding sums the nonnegative noise floor of every period into each
@@ -480,7 +479,7 @@ func (e *Estimator) familyRank(freqs []float64, h dsp.Vec, power int, prof *Prof
 		anchor, anchorMass = byMass, byMassVal
 	}
 	if anchorMass <= 0 {
-		return 0, false, 0
+		return 0, false, false, 0
 	}
 	floor := e.cfg.PeakThreshold * anchorMass
 	lo := anchor.X - e.cfg.SearchWindow
@@ -494,9 +493,9 @@ func (e *Estimator) familyRank(freqs []float64, h dsp.Vec, power int, prof *Prof
 		}
 	}
 
-	scorer, err := e.newAliasScorer(freqs, h, power, s, noiseRel)
+	scorer, err := e.newAliasScorer(g, s, refitFloor)
 	if err != nil {
-		return 0, false, 0
+		return 0, false, false, 0
 	}
 
 	// Virtual candidates: dominant families whose in-window member
@@ -514,13 +513,15 @@ func (e *Estimator) familyRank(freqs []float64, h dsp.Vec, power int, prof *Prof
 					// confirm it on cold refits before acting.
 					fsC, vsC := scorer.score(first.X, true), scorer.score(v, true)
 					if scorer.trusted(fsC) && scorer.trusted(vsC) && scorer.beats(vsC, fsC) {
-						return e.placeCandidate(scorer, v), true, scorer.work
+						tau, contested = e.placeCandidate(scorer, v)
+						return tau, true, contested, scorer.work
 					}
 				}
 			}
 		}
 	}
-	return e.placeCandidate(scorer, first.X), true, scorer.work
+	tau, contested = e.placeCandidate(scorer, first.X)
+	return tau, true, contested, scorer.work
 }
 
 // virtualCandidates returns, in ascending delay order, the in-window
@@ -569,34 +570,43 @@ func (e *Estimator) virtualCandidates(peaks []dsp.Peak, famMass func(int) float6
 // disambiguation, sharpened by discrimination weighting and warm-started
 // refits, and gated on fit quality so an uninformative refit can never
 // displace the solver's placement.
-func (e *Estimator) placeCandidate(scorer *aliasScorer, cand float64) float64 {
-	decide := func(forceCold bool) float64 {
+//
+// contested reports a kept, trusted candidate that a ±1-period
+// neighbour out-fits on both the weighted and the plain residual, though
+// not by the refit margin. It is judged on the scores the decision
+// finally stood on: the cold ones when a warm flip went to its cold
+// confirmation, the first-pass ones otherwise.
+func (e *Estimator) placeCandidate(scorer *aliasScorer, cand float64) (best float64, contested bool) {
+	decide := func(forceCold bool) (float64, bool) {
 		base := scorer.score(cand, forceCold)
 		if !scorer.trusted(base) {
-			return cand
+			return cand, false
 		}
-		best, bestScore := cand, base
+		best, bestScore, near := cand, base, false
 		for k := -1; k <= 1; k += 2 {
 			c := cand + float64(k)*e.cfg.AliasPeriod
 			if c < -1e-9 || c > e.cfg.MaxTau {
 				continue
 			}
-			if sc := scorer.score(c, forceCold); scorer.beats(sc, base) && sc.weighted < bestScore.weighted {
+			sc := scorer.score(c, forceCold)
+			if scorer.beats(sc, base) && sc.weighted < bestScore.weighted {
 				best, bestScore = c, sc
+			} else if sc.weighted < base.weighted && sc.plain < base.plain {
+				near = true
 			}
 		}
-		return best
+		return best, near && best == cand
 	}
-	best := decide(false)
+	best, contested = decide(false)
 	if best != cand {
 		// A ±1-period flip is rare and decisive: confirm it with cold
 		// refits so warm-seeded streams place exactly as cold ones.
-		best = decide(true)
+		best, contested = decide(true)
 	}
 	if best != cand {
 		obsAliasFlips.Inc()
 	}
-	return best
+	return best, contested
 }
 
 // disambiguateAlias resolves which grating-lobe hypothesis a
@@ -616,11 +626,12 @@ func (e *Estimator) placeCandidate(scorer *aliasScorer, cand float64) float64 {
 // which shares α across hypotheses, weights residuals, gates on fit
 // quality with noise-adaptive thresholds, and cold-confirms flips.
 // noiseFloor still feeds the solver's stopping rule: the ranking
-// ablation isolates the ranking, not the convergence model.
-func (e *Estimator) disambiguateAlias(freqs []float64, h dsp.Vec, power int, tau float64, s *Sweep, noiseFloor float64) (float64, int64) {
-	wr, err := e.newWindowRefit(freqs, h, power, s, noiseFloor)
+// ablation isolates the ranking, not the convergence model. contested
+// reports a kept incumbent that a neighbour's residual undercuts.
+func (e *Estimator) disambiguateAlias(g *bandGroup, tau float64, s *Sweep, noiseFloor float64) (float64, bool, int64) {
+	wr, err := e.newWindowRefit(g.freqs, g.h, g.power, s, noiseFloor)
 	if err != nil {
-		return tau, 0
+		return tau, false, 0
 	}
 	resids := map[int]float64{}
 	var work int64
@@ -641,16 +652,18 @@ func (e *Estimator) disambiguateAlias(freqs []float64, h dsp.Vec, power int, tau
 	}
 	base, ok := resids[0]
 	if !ok {
-		return tau, work
+		return tau, false, work
 	}
 	// Shift only when a competing hypothesis fits the data decisively
 	// better than the incumbent — a conservative test, since residual
 	// comparisons are noisy when the off-lattice channels are faded.
-	bestK, bestResid := 0, base
+	bestK, bestResid, near := 0, base, false
 	for k, r := range resids {
 		if r < aliasMargin*base && r < bestResid {
 			bestK, bestResid = k, r
+		} else if r < base {
+			near = true
 		}
 	}
-	return tau + float64(bestK)*e.cfg.AliasPeriod, work
+	return tau + float64(bestK)*e.cfg.AliasPeriod, near && bestK == 0, work
 }

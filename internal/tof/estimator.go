@@ -189,20 +189,21 @@ type Estimate struct {
 	// Work counts solver grid cells processed for this estimate across
 	// every group inversion and alias refit — the deterministic cost
 	// measure the perf campaigns snapshot (wall clock varies by host,
-	// Work does not).
+	// Work does not). A group re-solved after a contested placement
+	// counts both attempts.
 	Work int64
 	// AliasWork is the portion of Work spent in alias-window refits
 	// (family placement or vertex disambiguation).
 	AliasWork int64
 	// Iterations totals the main profile inversions' solver iterations
-	// across band groups (alias refits are counted in AliasWork, not
-	// here). Deterministic, like Work.
+	// across band groups and attempts (alias refits are counted in
+	// AliasWork, not here). Deterministic, like Work.
 	Iterations int
-	// Converged reports whether every group's main inversion met its
-	// stopping rule. False means at least one solve ran to its iteration
-	// cap and returned its best iterate — the condition campaign
-	// summaries surface as cap-rate, previously indistinguishable from
-	// genuine convergence.
+	// Converged reports whether every group's final main inversion met
+	// its stopping rule. False means at least one solve ran to its
+	// iteration cap and returned its best iterate — the condition
+	// campaign summaries surface as cap-rate, previously
+	// indistinguishable from genuine convergence.
 	Converged bool
 	// GapAtStop is the largest certified LASSO duality gap at stop
 	// across the group inversions (0 when no gap check ran).
@@ -281,8 +282,10 @@ type Sweep struct {
 	// (a parked seed works even with warm starts disabled or reverted).
 	parked map[planKey]dsp.Vec
 	// foldScratch holds per-pair folded values while AddBand measures a
-	// band's mean and spread.
+	// band's mean and spread, and interp the zero-subcarrier
+	// interpolation's working memory.
 	foldScratch dsp.Vec
+	interp      interpScratch
 }
 
 // windowSeed is one alias hypothesis's warm state, labeled by the
@@ -304,15 +307,6 @@ const windowSeedTolFrac = 0.1
 // windowSeedMax bounds the retained hypothesis seeds per window
 // geometry; beyond it the least-recently-matched seed is recycled.
 const windowSeedMax = 16
-
-// gapNoiseCeil is the relative-noise ceiling for the duality-gap stop:
-// groups whose per-sweep noise estimate exceeds this fraction of ‖h‖
-// solve with the precise iterate rule instead. Calibrated between the
-// campaign operating point (noiseRel ≈ 0.05 at 26 dB, where gap
-// stopping is accurate and reclaims most of the cold-solve latency) and
-// the deep-fade regime (noiseRel ≳ 0.2 at 12 dB, where two equally
-// gap-certified iterates can fold to different alias anchors).
-const gapNoiseCeil = 0.08
 
 // warmStrikes is how many consecutive unprofitable warm solves a group
 // tolerates before permanently reverting to cold starts. A single miss
@@ -518,7 +512,7 @@ func (s *Sweep) AddBand(b wifi.Band, pairs []csi.Pair) error {
 	// spread — the per-sweep noise estimate's raw material — is measured
 	// on the same values that produce the band mean.
 	power, total := bandPowers(quirked, e.cfg.ForwardOnly)
-	vals, err := foldValues(s.foldScratch, pairs, power, e.cfg.Interp, e.cfg.ForwardOnly)
+	vals, err := foldValues(s.foldScratch, pairs, power, e.cfg.Interp, e.cfg.ForwardOnly, &s.interp)
 	if err != nil {
 		return err
 	}
@@ -567,6 +561,55 @@ func (e *Estimator) Estimate(bands []wifi.Band, sweep [][]csi.Pair) (*Estimate, 
 	return s.Estimate()
 }
 
+// bandGroup is one channel-power group of a sweep, resolved for
+// inversion: its measurement vector, its plan, and the per-sweep noise
+// estimate that sets the solver's gap tolerance and the alias-evidence
+// gates. Every solve attempt at the group shares it.
+type bandGroup struct {
+	power    int
+	freqs    []float64
+	h        dsp.Vec
+	span     float64 // frequency span; fusion weights groups by span²
+	key      planKey
+	plan     *ndft.Plan
+	noise    float64 // ‖w‖₂ estimate (0 when none could be measured)
+	noiseRel float64 // noise / ‖h‖₂
+}
+
+// newBandGroup resolves one power group's plan and noise estimate.
+func (e *Estimator) newBandGroup(power int, meas []bandMeas) (*bandGroup, error) {
+	g := &bandGroup{power: power, freqs: make([]float64, len(meas)), h: make(dsp.Vec, len(meas))}
+	for i, m := range meas {
+		g.freqs[i], g.h[i] = m.freq, m.value
+	}
+	g.span = spanOf(g.freqs)
+	// Resolve the group's plan before the noise estimate: the
+	// single-pair fallback below needs the dictionary.
+	var err error
+	if g.key, g.plan, err = e.planForGroup(g.freqs, power); err != nil {
+		return nil, err
+	}
+	// The per-sweep noise estimate drives both the solver's gap
+	// tolerance and the alias-evidence gates; noiseRel normalizes it
+	// for the gates (residual comparisons scale with ‖h‖).
+	g.noise = groupNoiseFloor(meas)
+	if g.noise == 0 {
+		// Single-pair dwells: no repeated-pair spread to measure, so
+		// fall back to the cross-band robust estimate — the MAD of the
+		// adjoint-correlation magnitudes over the delay grid
+		// (ndft.Plan.NoiseFloor), which reads the same ‖w‖₂ off the
+		// measurement itself. One dense adjoint pass, paid only when the
+		// spread estimator has nothing to say.
+		g.noise = g.plan.NoiseFloor(g.h)
+		obsNoiseFallbacks.Inc()
+	}
+	if hNorm := dsp.Norm2(g.h); hNorm > 0 {
+		g.noiseRel = g.noise / hNorm
+	}
+	obsNoiseRel.Observe(g.noiseRel)
+	return g, nil
+}
+
 // estimate runs the grouped inversion over a sweep's accumulated band
 // measurements.
 func (e *Estimator) estimate(s *Sweep) (*Estimate, error) {
@@ -580,9 +623,31 @@ func (e *Estimator) estimate(s *Sweep) (*Estimate, error) {
 	// Group by channel power: each group gets its own inversion because
 	// the delay supports differ (h̃ᵖ has delays that are sums of p path
 	// delays).
-	groups := map[int][]bandMeas{}
+	byPower := map[int][]bandMeas{}
 	for _, m := range meas {
-		groups[m.power] = append(groups[m.power], m)
+		byPower[m.power] = append(byPower[m.power], m)
+	}
+	// The primary group, the widest span among the invertible ones, is
+	// the one fusion trusts, so it is the only group whose contested
+	// placement earns a re-solve. It is picked before any solve, so map
+	// order cannot matter; a secondary group that lands a period off is
+	// dropped by fusion's outlier guard instead.
+	var groups []*bandGroup
+	var primaryGroup *bandGroup
+	var noiseRelMax float64
+	for power, gm := range byPower {
+		if len(gm) < 3 {
+			continue // too few bands to invert meaningfully
+		}
+		g, err := e.newBandGroup(power, gm)
+		if err != nil {
+			return nil, err
+		}
+		if p := primaryGroup; p == nil || g.span > p.span || (g.span == p.span && g.power < p.power) {
+			primaryGroup = g
+		}
+		noiseRelMax = math.Max(noiseRelMax, g.noiseRel)
+		groups = append(groups, g)
 	}
 
 	type groupEst struct {
@@ -595,112 +660,48 @@ func (e *Estimator) estimate(s *Sweep) (*Estimate, error) {
 	var totalWork, aliasWork int64
 	var totalIters int
 	allConverged := true
-	var gapMax, noiseRelMax float64
-	for power, g := range groups {
-		if len(g) < 3 {
-			continue // too few bands to invert meaningfully
-		}
-		freqs := make([]float64, len(g))
-		h := make(dsp.Vec, len(g))
-		for i, m := range g {
-			freqs[i] = m.freq
-			h[i] = m.value
-		}
-		// Resolve the group's plan before the noise estimate: the
-		// single-pair fallback below needs the dictionary.
-		key, plan, err := e.planForGroup(freqs, power)
+	var gapMax float64
+	for _, g := range groups {
+		seed, resumed := s.mainSeed(g.key, len(g.plan.Taus))
+		fix, res, err := e.solveGroup(s, g, seed, g.noise)
 		if err != nil {
 			return nil, err
 		}
-		// The per-sweep noise estimate drives both the solver's gap
-		// tolerance and the alias-evidence gates; noiseRel normalizes it
-		// for the gates (residual comparisons scale with ‖h‖).
-		noiseEst := groupNoiseFloor(g)
-		if noiseEst == 0 {
-			// Single-pair dwells: no repeated-pair spread to measure, so
-			// fall back to the cross-band robust estimate — the MAD of
-			// the adjoint-correlation magnitudes over the delay grid
-			// (ndft.Plan.NoiseFloor), which reads the same ‖w‖₂ off the
-			// measurement itself. One dense adjoint pass, paid only when
-			// the spread estimator has nothing to say.
-			noiseEst = plan.NoiseFloor(h)
-			obsNoiseFallbacks.Inc()
-		}
-		noiseRel := 0.0
-		if hNorm := dsp.Norm2(h); hNorm > 0 {
-			noiseRel = noiseEst / hNorm
-		}
-		if noiseRel > noiseRelMax {
-			noiseRelMax = noiseRel
-		}
-		obsNoiseRel.Observe(noiseRel)
-		// Above the gap ceiling the noise-equivalence class of solutions
-		// is too wide to anchor alias decisions (a fade can flip the
-		// folded-mass anchor by a whole period between two equally
-		// certified iterates), so deep-fade sweeps keep the precise
-		// iterate rule and the gap rule engages only where profiles are
-		// noise-determined. Zero disables the gap stop in ndft.
-		gapFloor := noiseEst
-		if noiseRel > gapNoiseCeil {
-			gapFloor = 0
-		}
-		solveStart := obs.Tick()
-		prof, sol, err := e.invertGroup(key, plan, h, power, s, gapFloor)
-		obsStageSolveNs.Since(solveStart)
-		totalWork += sol.Work
-		if err != nil {
-			return nil, err
-		}
-		totalIters += sol.Iterations
-		allConverged = allConverged && sol.Converged
-		if sol.GapAtStop > gapMax {
-			gapMax = sol.GapAtStop
-		}
-		aliasStart := obs.Tick()
-		var tau float64
-		ok := false
-		if e.cfg.Ranking == RankFamilies && e.cfg.AliasPeriod > 0 {
-			var aw int64
-			tau, ok, aw = e.familyRank(freqs, h, power, prof, s, noiseRel)
-			aliasWork += aw
-			totalWork += aw
-		}
-		if !ok {
-			// RankVertex, alias test disabled, or family ranking could
-			// not fold/place on this geometry: fall back to the vertex
-			// first peak. In family mode its placement still runs the
-			// full scorer machinery (shared α, discrimination weights,
-			// fit gate, cold-confirmed flips); the explicit RankVertex
-			// baseline keeps the historical disambiguation it documents.
-			tau, ok = e.firstPeakWindowed(prof)
-			if ok && e.cfg.AliasPeriod > 0 {
-				if e.cfg.Ranking == RankFamilies {
-					if scorer, err := e.newAliasScorer(freqs, h, power, s, noiseRel); err == nil {
-						tau = e.placeCandidate(scorer, tau)
-						aliasWork += scorer.work
-						totalWork += scorer.work
-					}
-				} else {
-					var aw int64
-					tau, aw = e.disambiguateAlias(freqs, h, power, tau, s, gapFloor)
-					aliasWork += aw
-					totalWork += aw
-				}
+		totalWork += res.Work + fix.aliasWork
+		aliasWork += fix.aliasWork
+		totalIters += res.Iterations
+		// The gap certifies the objective, not the alias decision built
+		// on it: two iterates equally close to the optimum can rank a
+		// path's grating-lobe members differently. When the fix-setting
+		// placement comes out contested after a gap-stopped solve (a
+		// noise floor under StopGap; otherwise it was already precise),
+		// solve the group once more on the precise path, from the same
+		// seed, and keep that answer.
+		if g == primaryGroup && fix.contested && g.noise > 0 && e.cfg.Stop == ndft.StopGap {
+			obsAliasResolves.Inc()
+			if fix, res, err = e.solveGroup(s, g, seed, 0); err != nil {
+				return nil, err
 			}
+			totalWork += res.Work + fix.aliasWork
+			aliasWork += fix.aliasWork
+			totalIters += res.Iterations
 		}
-		obsStageAliasNs.Since(aliasStart)
-		if !ok {
+		if err := s.commitMain(g.key, res, seed != nil, resumed); err != nil {
+			return nil, err
+		}
+		allConverged = allConverged && res.Converged
+		gapMax = math.Max(gapMax, res.GapAtStop)
+		if !fix.ok {
 			continue
 		}
-		span := spanOf(freqs)
 		ests = append(ests, groupEst{
-			tau:     tau,
-			profile: prof,
-			peaks:   dsp.DominantPeakCount(prof.Taus, prof.Magnitude, e.cfg.PeakThreshold),
+			tau:     fix.tau,
+			profile: fix.prof,
+			peaks:   dsp.DominantPeakCount(fix.prof.Taus, fix.prof.Magnitude, e.cfg.PeakThreshold),
 			// Precision ∝ (effective span)², where the channel power
 			// multiplies the phase sensitivity but also the noise; span
 			// dominates in practice.
-			weight: span * span,
+			weight: g.span * g.span,
 		})
 	}
 	if len(ests) == 0 {
@@ -766,13 +767,82 @@ func (e *Estimator) firstPeakWindowed(prof *Profile) (float64, bool) {
 	return strongest.X, true
 }
 
-// solveMeta is the per-group solver telemetry estimate aggregates into
-// the Estimate's convergence counters.
-type solveMeta struct {
-	Work       int64
-	Iterations int
-	Converged  bool
-	GapAtStop  float64
+// groupFix is one solve attempt at a band group: the profile in true τ
+// and the direct-path delay placed on it.
+type groupFix struct {
+	prof *Profile
+	tau  float64
+	ok   bool // a direct-path candidate was placed
+	// contested marks a kept placement that a ±1-period neighbour
+	// out-fit without clearing the refit margin (placeCandidate,
+	// disambiguateAlias): the one decision an early stop can get wrong.
+	contested bool
+	aliasWork int64
+}
+
+// solveGroup makes one solve attempt at a band group: Algorithm 1 from
+// seed, the profile rescaled from the h̃ᵖ delay domain back to true τ,
+// then the direct-path placement. The main solve and the alias refits
+// stop at a duality gap scaled to floor: the group's noise estimate, or
+// 0 for the re-solve of a contested placement, which puts both on the
+// precise iterate rule and scores every refit cold. A parked main solve
+// returns before placement. The caller commits the result to the
+// sweep's warm and parked state.
+func (e *Estimator) solveGroup(s *Sweep, g *bandGroup, seed dsp.Vec, floor float64) (groupFix, *ndft.Result, error) {
+	solveStart := obs.Tick()
+	res, err := g.plan.Solve(ndft.SolveRequest{
+		H: g.h, Warm: seed,
+		InvertOptions: ndft.InvertOptions{
+			Alpha:      e.cfg.Alpha,
+			AlphaScale: e.cfg.AlphaFactor,
+			MaxIter:    e.cfg.MaxIter,
+			Stop:       e.cfg.Stop,
+			GapScale:   e.cfg.GapScale,
+			NoiseFloor: floor,
+			Preempt:    e.cfg.Preempt,
+		},
+	})
+	obsStageSolveNs.Since(solveStart)
+	if err != nil {
+		return groupFix{}, nil, err
+	}
+	var fix groupFix
+	if res.Parked {
+		return fix, res, nil
+	}
+	taus := make([]float64, len(res.Taus))
+	for i, t := range res.Taus {
+		taus[i] = t / float64(g.power)
+	}
+	fix.prof = &Profile{Taus: taus, Magnitude: res.Magnitude, Power: g.power}
+
+	aliasStart := obs.Tick()
+	if e.cfg.Ranking == RankFamilies && e.cfg.AliasPeriod > 0 {
+		fix.tau, fix.ok, fix.contested, fix.aliasWork = e.familyRank(g, fix.prof, s, floor)
+	}
+	if !fix.ok {
+		// RankVertex, alias test disabled, or family ranking could not
+		// fold/place on this geometry: fall back to the vertex first
+		// peak. In family mode its placement still runs the full scorer
+		// machinery (shared α, discrimination weights, fit gate,
+		// cold-confirmed flips); the explicit RankVertex baseline keeps
+		// the historical disambiguation it documents.
+		fix.tau, fix.ok = e.firstPeakWindowed(fix.prof)
+		if fix.ok && e.cfg.AliasPeriod > 0 {
+			if e.cfg.Ranking == RankFamilies {
+				if scorer, err := e.newAliasScorer(g, s, floor); err == nil {
+					fix.tau, fix.contested = e.placeCandidate(scorer, fix.tau)
+					fix.aliasWork += scorer.work
+				}
+			} else {
+				var aw int64
+				fix.tau, fix.contested, aw = e.disambiguateAlias(g, fix.tau, s, floor)
+				fix.aliasWork += aw
+			}
+		}
+	}
+	obsStageAliasNs.Since(aliasStart)
+	return fix, res, nil
 }
 
 // planForGroup resolves (building and registering on demand) the shared
@@ -790,70 +860,52 @@ func (e *Estimator) planForGroup(freqs []float64, power int) (planKey, *ndft.Pla
 	return key, plan, err
 }
 
-// invertGroup runs Algorithm 1 for one power group and rescales the
-// resulting profile from the h̃ᵖ delay domain back to true τ. The sweep
-// supplies (and retains) the warm-start profile when enabled; a parked
-// seed left by a preempted solve of the same geometry takes precedence
-// and is consumed. noiseFloor is the group's per-sweep ‖w‖₂ estimate,
-// which scales the solver's duality-gap stopping tolerance (0 disables
-// the gap rule). A solve parked by the Preempt hook stores its iterate
-// as the geometry's resume seed and surfaces as ErrSolveParked.
-func (e *Estimator) invertGroup(key planKey, plan *ndft.Plan, h dsp.Vec, power int, s *Sweep, noiseFloor float64) (*Profile, solveMeta, error) {
-	g := s.warmState(key)
-	var warm dsp.Vec
-	resumed := false
-	if seed, ok := s.parked[key]; ok && len(seed) == len(plan.Taus) {
-		warm = seed
-		resumed = true
-		delete(s.parked, key)
-	} else if g != nil && !g.off && len(g.profile) == len(plan.Taus) {
-		warm = g.profile
+// mainSeed returns the start of a main inversion of one geometry with
+// grid points cells: a parked iterate left by a preempted solve (the
+// restricted-support resume, used whatever the warm policy says), else
+// the warm profile when warm starting is on and still profitable, else
+// nil (a cold start). Nothing is consumed: commitMain settles the state
+// once the geometry's final solve of this Estimate is known, so a
+// re-solve starts from the same seed as the first attempt.
+func (s *Sweep) mainSeed(key planKey, cells int) (seed dsp.Vec, resumed bool) {
+	if p, ok := s.parked[key]; ok && len(p) == cells {
+		return p, true
 	}
-	res, err := plan.Solve(ndft.SolveRequest{
-		H: h, Warm: warm,
-		InvertOptions: ndft.InvertOptions{
-			Alpha:      e.cfg.Alpha,
-			AlphaScale: e.cfg.AlphaFactor,
-			MaxIter:    e.cfg.MaxIter,
-			Stop:       e.cfg.Stop,
-			GapScale:   e.cfg.GapScale,
-			NoiseFloor: noiseFloor,
-			Preempt:    e.cfg.Preempt,
-		},
-	})
-	if err != nil {
-		return nil, solveMeta{}, err
+	if g := s.warmState(key); g != nil && !g.off && len(g.profile) == cells {
+		return g.profile, false
 	}
+	return nil, false
+}
+
+// commitMain settles one geometry's warm and parked state from its final
+// main solve of an Estimate. A parked solve stores its iterate (copied:
+// res.Profile belongs to the solve) as the geometry's one-shot resume
+// seed and surfaces as ErrSolveParked. Otherwise a consumed parked seed
+// is dropped and the warm policy observes the solve, except that a
+// resumed solve's work is subsidized by its parked phase, so it only
+// refreshes the seed.
+func (s *Sweep) commitMain(key planKey, res *ndft.Result, warmed, resumed bool) error {
 	if res.Parked {
-		// Preempted: retain the iterate as the geometry's one-shot
-		// resume seed (copied — res.Profile's backing array belongs to
-		// the solve) and report the work paid so far. The warm policy is
-		// not consulted: a parked iterate is neither a hit nor a miss.
 		if s.parked == nil {
 			s.parked = make(map[planKey]dsp.Vec, 1)
 		}
 		s.parked[key] = append(s.parked[key][:0], res.Profile...)
 		obsSolveParks.Inc()
-		return nil, solveMeta{Work: res.Work, Iterations: res.Iterations}, ErrSolveParked
+		return ErrSolveParked
 	}
-	if g != nil {
+	if resumed {
+		delete(s.parked, key)
+	}
+	if g := s.warmState(key); g != nil {
 		if resumed {
-			// A resumed solve's work is subsidized by the parked phase,
-			// so it must not skew the warm-efficacy policy; just retain
-			// the converged profile as the next seed.
 			if !g.off {
 				g.store(res.Profile)
 			}
 		} else {
-			g.observe(warm != nil, res)
+			g.observe(warmed, res)
 		}
 	}
-	taus := make([]float64, len(res.Taus))
-	for i, t := range res.Taus {
-		taus[i] = t / float64(power)
-	}
-	meta := solveMeta{Work: res.Work, Iterations: res.Iterations, Converged: res.Converged, GapAtStop: res.GapAtStop}
-	return &Profile{Taus: taus, Magnitude: res.Magnitude, Power: power}, meta, nil
+	return nil
 }
 
 // BandsFor returns the band plan a sweep should cover for the config's

@@ -46,20 +46,21 @@ func pairSpread(vals dsp.Vec) (mean complex128, varMean float64, ok bool) {
 }
 
 // foldValues computes the per-pair CFO-free folded values for one band —
-// the terms BandValue averages. dst is reused when it has capacity.
-func foldValues(dst dsp.Vec, pairs []csi.Pair, power int, mode InterpMode, fwdOnly bool) (dsp.Vec, error) {
+// the terms BandValue averages. dst is reused when it has capacity, and
+// sc holds the interpolation's working memory.
+func foldValues(dst dsp.Vec, pairs []csi.Pair, power int, mode InterpMode, fwdOnly bool, sc *interpScratch) (dsp.Vec, error) {
 	if cap(dst) < len(pairs) {
 		dst = make(dsp.Vec, 0, len(pairs))
 	}
 	dst = dst[:0]
 	for _, p := range pairs {
-		fwd, err := ZeroSubcarrier(p.Forward, power, mode)
+		fwd, err := sc.zeroSubcarrier(p.Forward, power, mode)
 		if err != nil {
 			return nil, err
 		}
 		v := fwd
 		if !fwdOnly {
-			rev, err := ZeroSubcarrier(p.Reverse, power, mode)
+			rev, err := sc.zeroSubcarrier(p.Reverse, power, mode)
 			if err != nil {
 				return nil, err
 			}

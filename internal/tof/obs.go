@@ -16,11 +16,15 @@ var (
 	// obsAliasFlips counts candidate placements the alias scorer moved
 	// to a different fold than the solver's first peak.
 	obsAliasFlips = obs.NewCounter("tof.alias.flips")
+	// obsAliasResolves counts primary groups solved a second time, on
+	// the precise path, because their gap-stopped placement came out
+	// contested (at most one per Estimate).
+	obsAliasResolves = obs.NewCounter("tof.alias.resolves")
 	// obsRegistryLookups counts plan-registry resolutions (hits and
 	// builds alike — deterministic, unlike the build/eviction split).
 	obsRegistryLookups = obs.NewCounter("tof.registry.lookups")
 	// obsNoiseRel is the per-group relative noise floor ‖w‖/‖h‖ — the
-	// quantity that gates gap stopping and alias evidence.
+	// quantity that scales the gap tolerance and the alias evidence gates.
 	obsNoiseRel = obs.NewHist("tof.noise_rel")
 	// obsNoiseFallbacks counts groups whose pair-spread noise estimate
 	// was empty (single-pair dwells) and fell back to the cross-band MAD
@@ -35,8 +39,8 @@ var (
 	// large the fold overflowed): one such band would otherwise corrupt
 	// its whole group's inversion without an error.
 	obsBandsDropped = obs.NewCounter("tof.bands_dropped")
-	// obsStageSolveNs spans the main inversion of one group: Plan.Solve
-	// plus its warm-start bookkeeping.
+	// obsStageSolveNs spans one main inversion attempt of one group
+	// (Plan.Solve); a re-solved group records two.
 	obsStageSolveNs = obs.NewHist("tof.stage.solve_ns")
 	// obsStageAliasNs spans the alias ranking/refit stage of one group.
 	obsStageAliasNs = obs.NewHist("tof.stage.alias_ns")

@@ -43,6 +43,19 @@ const (
 // applied to each subcarrier value first (4 on quirked 2.4 GHz bands so
 // the π/2 folds vanish, 1 otherwise).
 func ZeroSubcarrier(m csi.Measurement, power int, mode InterpMode) (complex128, error) {
+	var sc interpScratch
+	return sc.zeroSubcarrier(m, power, mode)
+}
+
+// interpScratch is the working memory of zero-subcarrier interpolation.
+// A Sweep keeps one across measurements, so folding a band allocates
+// nothing once the buffers have grown to the subcarrier count.
+type interpScratch struct {
+	vals dsp.Vec   // subcarrier values raised to the fold power
+	f    []float64 // knots, magnitudes and phases, then the spline fits
+}
+
+func (sc *interpScratch) zeroSubcarrier(m csi.Measurement, power int, mode InterpMode) (complex128, error) {
 	n := len(m.Subcarriers)
 	if n < 2 || len(m.Values) != n {
 		return 0, fmt.Errorf("tof: malformed measurement (%d subcarriers, %d values)", n, len(m.Values))
@@ -50,7 +63,10 @@ func ZeroSubcarrier(m csi.Measurement, power int, mode InterpMode) (complex128, 
 
 	vals := m.Values
 	if power != 1 {
-		vals = dsp.Power(make(dsp.Vec, n), m.Values, power)
+		if cap(sc.vals) < n {
+			sc.vals = make(dsp.Vec, n)
+		}
+		vals = dsp.Power(sc.vals[:n], m.Values, power)
 	}
 
 	if mode == InterpNone {
@@ -70,9 +86,11 @@ func ZeroSubcarrier(m csi.Measurement, power int, mode InterpMode) (complex128, 
 	// removing it keeps every step small; since the query point is k=0,
 	// no re-rotation is needed afterwards.
 	slope := estimateSlope(m.Subcarriers, vals)
-	xs := make([]float64, n)
-	mags := make([]float64, n)
-	phases := make([]float64, n)
+	if cap(sc.f) < 8*n {
+		sc.f = make([]float64, 8*n)
+	}
+	f := sc.f[:8*n]
+	xs, mags, phases, fit := f[:n], f[n:2*n], f[2*n:3*n], f[3*n:]
 	for i, k := range m.Subcarriers {
 		xs[i] = float64(k)
 		mags[i] = cmplx.Abs(vals[i])
@@ -84,10 +102,10 @@ func ZeroSubcarrier(m csi.Measurement, power int, mode InterpMode) (complex128, 
 	var err error
 	switch mode {
 	case InterpSpline:
-		if ph0, err = dsp.InterpolateAt(xs, phases, 0); err != nil {
+		if ph0, err = dsp.InterpolateAt(xs, phases, 0, fit); err != nil {
 			return 0, err
 		}
-		if mag0, err = dsp.InterpolateAt(xs, mags, 0); err != nil {
+		if mag0, err = dsp.InterpolateAt(xs, mags, 0, fit); err != nil {
 			return 0, err
 		}
 	case InterpLinear:
@@ -118,7 +136,8 @@ func BandValue(pairs []csi.Pair, quirked bool, mode InterpMode, fwdOnly bool) (c
 		return 0, 0, errors.New("tof: no CSI pairs for band")
 	}
 	power, total := bandPowers(quirked, fwdOnly)
-	vals, err := foldValues(nil, pairs, power, mode, fwdOnly)
+	var sc interpScratch
+	vals, err := foldValues(nil, pairs, power, mode, fwdOnly, &sc)
 	if err != nil {
 		return 0, 0, err
 	}

@@ -197,3 +197,31 @@ func TestAddBandDropsNonFiniteBand(t *testing.T) {
 		}
 	}
 }
+
+// TestAddBandSteadyStateAllocsNothing pins the allocation-free fold
+// path: once a Sweep has folded one full sweep, folding the next one
+// (zero-subcarrier interpolation of every pair, both fold powers)
+// allocates nothing.
+func TestAddBandSteadyStateAllocsNothing(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	office := sim.NewOffice(rng, sim.OfficeConfig{})
+	link := office.NewLink(rng, office.RandomPlacement(rng, 10, false), sim.LinkConfig{Quirk: true})
+	bands := wifi.USBands()
+	sweep := link.Sweep(rng, bands, 3, 2.4e-3)
+	s := NewEstimator(Config{Mode: BandsFused, Quirk24: true}).NewSweep()
+	fold := func() {
+		s.Reset()
+		for i, b := range bands {
+			if err := s.AddBand(b, sweep[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	fold()
+	if n := testing.AllocsPerRun(10, fold); n != 0 {
+		t.Errorf("steady-state AddBand sweep allocated %.0f times, want 0", n)
+	}
+	if s.Bands() != len(bands) {
+		t.Errorf("folded %d bands, want %d", s.Bands(), len(bands))
+	}
+}
