@@ -127,8 +127,10 @@ func adjDot(aRe, aIm, xRe, xIm []float64) (float64, float64) {
 	kernAdjDot(&aRe[0], &aIm[0], &xRe[0], &xIm[0], k4, &p[0])
 	sr0, si0 := p[0], p[4]
 	for i := k4; i < k; i++ {
-		sr0 += aRe[i]*xRe[i] - aIm[i]*xIm[i]
-		si0 += aRe[i]*xIm[i] + aIm[i]*xRe[i]
+		// float64(...) keeps each product rounded: no fused multiply-add
+		// (see cdot).
+		sr0 += float64(aRe[i]*xRe[i]) - float64(aIm[i]*xIm[i])
+		si0 += float64(aRe[i]*xIm[i]) + float64(aIm[i]*xRe[i])
 	}
 	return (sr0 + p[1]) + (p[2] + p[3]), (si0 + p[5]) + (p[6] + p[7])
 }
@@ -154,7 +156,9 @@ func axpyCol(rowRe, rowIm []float64, cr, ci float64, dstRe, dstIm []float64) {
 	for ; i < n; i++ {
 		ar := rowRe[i]
 		ai := -rowIm[i] // F[i][j] = conj(Fᴴ[j][i])
-		dstRe[i] += ar*cr - ai*ci
-		dstIm[i] += ar*ci + ai*cr
+		// float64(...) keeps each product rounded: no fused multiply-add
+		// (see cdot).
+		dstRe[i] += float64(ar*cr) - float64(ai*ci)
+		dstIm[i] += float64(ar*ci) + float64(ai*cr)
 	}
 }

@@ -23,8 +23,13 @@ var (
 	// obsSolveCapped counts requests that hit their iteration cap
 	// without meeting a stopping rule (Result.Converged == false).
 	obsSolveCapped = obs.NewCounter("ndft.solve.capped")
+	// obsSolveKKTExpansions counts KKT audits of restricted warm solves
+	// that grew the working set over their violators and continued the
+	// restricted solve (one solve may book several rounds).
+	obsSolveKKTExpansions = obs.NewCounter("ndft.solve.kkt_expansions")
 	// obsSolveKKTFallbacks counts restricted warm solves whose KKT
-	// audit failed, forcing the transparent cold full-grid fallback.
+	// audit could not grow the working set, forcing the cold full-grid
+	// fallback.
 	obsSolveKKTFallbacks = obs.NewCounter("ndft.solve.kkt_fallbacks")
 	// obsSolveParked counts requests preempted at a gap-check boundary
 	// (InvertOptions.Preempt fired; the caller holds a resume seed).
@@ -58,6 +63,9 @@ func (t *solveTask) record(wallStart int64) {
 	}
 	if t.everGap {
 		obsSolveGapStops.Inc()
+	}
+	if t.expansions > 0 {
+		obsSolveKKTExpansions.Add(int64(t.expansions))
 	}
 	if t.fellBack {
 		obsSolveKKTFallbacks.Inc()

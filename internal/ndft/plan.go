@@ -55,6 +55,8 @@ type workspace struct {
 	yRe, yIm       []float64 // FISTA extrapolation point (m)
 	active         []int     // support of the extrapolation point (≤ m)
 	idx            []int     // restricted working set for warm solves (≤ m)
+	viol           []int     // cells failing the KKT audit (≤ m)
+	inSet          []bool    // working-set membership while growing idx (m)
 	supp           []int     // polish working set (≤ m)
 	gsupp          []int     // support of the iterate at a gap check (≤ m)
 	corr           []float64 // correlation magnitudes for the noise MAD (≤ m)
@@ -108,6 +110,7 @@ func NewPlan(freqs, taus []float64) (*Plan, error) {
 			prevRe: make([]float64, m), prevIm: make([]float64, m),
 			yRe: make([]float64, m), yIm: make([]float64, m),
 			active: make([]int, 0, m), idx: make([]int, 0, m),
+			viol: make([]int, 0, m), inSet: make([]bool, m),
 			supp: make([]int, 0, m), gsupp: make([]int, 0, m),
 			corr: make([]float64, 0, m),
 		}
@@ -122,16 +125,17 @@ func (pl *Plan) Dims() (n, m int) { return pl.n, pl.m }
 func (pl *Plan) Gamma() float64 { return pl.gamma }
 
 // warmDilate is the working-set dilation radius, in grid cells, around
-// each warm-start support cell: peaks may drift this far between solves
-// (several cells covers walking-speed motion and noise wander on the
-// default grids) without leaving the restricted set. Drifts beyond the
-// set are caught by the KKT check and fall back to a full solve.
+// each warm-start support cell and each KKT violator: peaks may drift
+// this far between solves (several cells covers walking-speed motion and
+// noise wander on the default grids) without leaving the restricted set.
+// Drifts beyond the set are caught by the KKT audit, which grows the set
+// by the same radius around every violating cell.
 const warmDilate = 8
 
 // kktSlack is the multiplicative tolerance on the LASSO optimality bound
 // |Fᴴ(F·p−h̃)| ≤ α when auditing grid cells excluded from a restricted
 // solve; an excluded cell marginally above α would carry a negligible
-// coefficient, so a small slack avoids needless full-grid fallbacks.
+// coefficient, so a small slack avoids needless working-set growth.
 const kktSlack = 1.02
 
 // gapEvery and gapFine are the duality-gap check cadences, in
@@ -181,25 +185,27 @@ const (
 	polishBudget = 600
 )
 
-// kktViolated audits the LASSO optimality conditions of a restricted
+// kktViolators audits the LASSO optimality conditions of a restricted
 // solution over the full grid: every zero coefficient must satisfy
 // |Fᴴ(F·p−h̃)|ⱼ ≤ α (within kktSlack). One full adjoint pass — the cost
-// of a single dense iteration — proves the working set contained the
-// optimum; a violation means the restricted answer must be discarded.
+// of a single dense iteration — either proves the working set contained
+// the optimum (no violators) or names, ascending, every cell the
+// restricted answer wrongly holds at zero. The result aliases w.viol.
 // Expects w.resid* to hold the residual at the current iterate.
-func (pl *Plan) kktViolated(w *workspace, alpha float64) bool {
+func (pl *Plan) kktViolators(w *workspace, alpha float64) []int {
 	n, m := pl.n, pl.m
 	limSq := alpha * kktSlack * alpha * kktSlack
+	w.viol = w.viol[:0]
 	for j := 0; j < m; j++ {
 		if w.pRe[j] != 0 || w.pIm[j] != 0 {
 			continue
 		}
 		gr, gi := adjDot(pl.fhRe[j*n:(j+1)*n], pl.fhIm[j*n:(j+1)*n], w.residRe, w.resIm)
 		if gr*gr+gi*gi > limSq {
-			return true
+			w.viol = append(w.viol, j)
 		}
 	}
-	return false
+	return w.viol
 }
 
 // forwardResid computes resid = F·src − h̃ into the workspace, walking
@@ -231,6 +237,13 @@ func (pl *Plan) getWorkspace() *workspace { return pl.ws.Get().(*workspace) }
 // are identical across runs, worker counts, and — because every SIMD
 // tier implements the same contract lane-for-lane (see adjDot) — across
 // architectures.
+//
+// Every product is wrapped in float64(...). The Go spec lets the
+// compiler fuse x*y+z into one multiply-add, and arm64 does; an explicit
+// conversion rounds the product first, which forbids the fusion. The
+// vector kernels never fuse, so a fused scalar path would round
+// differently and break the byte-identity contract. adjDot's tail and
+// axpyCol's scalar loop follow the same rule.
 func cdot(aRe, aIm, xRe, xIm []float64) (float64, float64) {
 	k := len(aRe)
 	aIm = aIm[:k]
@@ -240,21 +253,21 @@ func cdot(aRe, aIm, xRe, xIm []float64) (float64, float64) {
 	i := 0
 	for ; i+4 <= k; i += 4 {
 		ar0, ai0, br0, bi0 := aRe[i], aIm[i], xRe[i], xIm[i]
-		sr0 += ar0*br0 - ai0*bi0
-		si0 += ar0*bi0 + ai0*br0
+		sr0 += float64(ar0*br0) - float64(ai0*bi0)
+		si0 += float64(ar0*bi0) + float64(ai0*br0)
 		ar1, ai1, br1, bi1 := aRe[i+1], aIm[i+1], xRe[i+1], xIm[i+1]
-		sr1 += ar1*br1 - ai1*bi1
-		si1 += ar1*bi1 + ai1*br1
+		sr1 += float64(ar1*br1) - float64(ai1*bi1)
+		si1 += float64(ar1*bi1) + float64(ai1*br1)
 		ar2, ai2, br2, bi2 := aRe[i+2], aIm[i+2], xRe[i+2], xIm[i+2]
-		sr2 += ar2*br2 - ai2*bi2
-		si2 += ar2*bi2 + ai2*br2
+		sr2 += float64(ar2*br2) - float64(ai2*bi2)
+		si2 += float64(ar2*bi2) + float64(ai2*br2)
 		ar3, ai3, br3, bi3 := aRe[i+3], aIm[i+3], xRe[i+3], xIm[i+3]
-		sr3 += ar3*br3 - ai3*bi3
-		si3 += ar3*bi3 + ai3*br3
+		sr3 += float64(ar3*br3) - float64(ai3*bi3)
+		si3 += float64(ar3*bi3) + float64(ai3*br3)
 	}
 	for ; i < k; i++ {
-		sr0 += aRe[i]*xRe[i] - aIm[i]*xIm[i]
-		si0 += aRe[i]*xIm[i] + aIm[i]*xRe[i]
+		sr0 += float64(aRe[i]*xRe[i]) - float64(aIm[i]*xIm[i])
+		si0 += float64(aRe[i]*xIm[i]) + float64(aIm[i]*xRe[i])
 	}
 	return (sr0 + sr1) + (sr2 + sr3), (si0 + si1) + (si2 + si3)
 }

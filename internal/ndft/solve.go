@@ -67,10 +67,12 @@ type solveTask struct {
 
 	// Telemetry latches: everGap records that any main/cold phase ended
 	// on the gap certificate (gapStopped itself is consumed by
-	// startPolish), fellBack that the KKT audit forced the cold
-	// fallback. Read once per solve by record.
-	everGap  bool
-	fellBack bool
+	// startPolish), expansions counts the KKT audits that grew the
+	// working set, and fellBack that an audit forced the cold fallback.
+	// Read once per solve by record.
+	everGap    bool
+	expansions int
+	fellBack   bool
 
 	// Current iterate-phase state (one beginIterate per phase).
 	set          []int
@@ -88,13 +90,16 @@ type solveTask struct {
 // restricts the iteration to a working set (the warm support dilated by
 // warmDilate cells), making each iteration proportional to the support
 // size rather than the grid size; a final full-grid KKT audit proves the
-// excluded atoms inactive, and on violation (the target moved too far)
-// the solver transparently falls back to a cold full-grid solve, so warm
-// and cold starts converge to the same fixed points. req.Dst, when
-// non-nil, is reused for the result, making steady-state solves
-// allocation-free. The request's shapes are checked before any solving
-// starts; on error no result is written. Solve may be called
-// concurrently on one shared Plan.
+// excluded atoms inactive. On violation (the target moved past the set)
+// the set grows over every violating cell and the restricted solve
+// continues from its current iterate, audited again when it stops; only
+// an audit that cannot grow the set falls back to a cold full-grid
+// solve. Every answer is therefore either KKT-certified on the full grid
+// or the cold one, so warm and cold starts converge to the same fixed
+// points. req.Dst, when non-nil, is reused for the result, making
+// steady-state solves allocation-free. The request's shapes are checked
+// before any solving starts; on error no result is written. Solve may be
+// called concurrently on one shared Plan.
 func (pl *Plan) Solve(req SolveRequest) (*Result, error) {
 	if len(req.H) != pl.n {
 		return nil, fmt.Errorf("ndft: measurement length %d != %d frequencies", len(req.H), pl.n)
@@ -581,19 +586,33 @@ func (t *solveTask) startPolish() bool {
 }
 
 // finish runs the post-iterate epilogue: the final residual, the KKT
-// audit of a restricted solve (falling back to a cold full-grid solve on
-// violation, so warm starting can trade iterations but never the
-// answer), and result materialization.
+// audit of a restricted solve, and result materialization. An audit that
+// finds violators grows the working set over them and continues the
+// restricted solve; one that cannot grow it falls back to the cold
+// full-grid solve — so warm starting can trade iterations but never the
+// answer.
 func (t *solveTask) finish() {
 	pl, w, m := t.pl, t.w, t.pl.m
 	t.finishResid()
 	if t.restricted {
-		t.restricted = false
 		t.res.Work += int64(m) // the KKT audit is one dense adjoint pass
-		if pl.kktViolated(w, t.alpha) {
-			// The optimum left the working set (the target moved farther
-			// than warmDilate cells between solves): discard the
-			// restricted answer and run the cold full-grid solve.
+		if viol := pl.kktViolators(w, t.alpha); len(viol) > 0 {
+			if t.growWorkingSet(viol) {
+				// The optimum reaches past the working set (the target
+				// moved farther than warmDilate cells between solves):
+				// continue from the current iterate — y ← p, and
+				// finishResid left active = support(p) — at the target α
+				// on the grown set, and audit again when it stops.
+				t.expansions++
+				copy(w.yRe, w.pRe)
+				copy(w.yIm, w.pIm)
+				t.phase = taskMain
+				t.beginIterate(w.idx, t.alpha, t.opts.MaxIter, true)
+				return
+			}
+			// Growing cannot help: discard the restricted answer and run
+			// the cold full-grid solve.
+			t.restricted = false
 			t.fellBack = true
 			zero(w.pRe)
 			zero(w.pIm)
@@ -610,6 +629,46 @@ func (t *solveTask) finish() {
 		}
 	}
 	t.finalize()
+}
+
+// growWorkingSet adds each KKT violator, dilated by warmDilate cells, to
+// the restricted working set w.idx, rebuilt ascending so the continued
+// solve visits cells in a deterministic order. The iterate's support
+// (w.active) joins the set too: a polish may have carried it past the
+// set's edge, and the restricted iteration only updates cells inside the
+// set. Reports false when the violators add no cell — they already sit
+// inside the set, so another round would stop where this one did — or
+// when the grown set would cover the whole grid, where the restricted
+// solve is the dense one.
+func (t *solveTask) growWorkingSet(viol []int) bool {
+	w, m := t.w, t.pl.m
+	in := w.inSet
+	clear(in)
+	for _, j := range w.idx {
+		in[j] = true
+	}
+	for _, j := range w.active {
+		in[j] = true
+	}
+	grew := false
+	for _, v := range viol {
+		for k := max(v-warmDilate, 0); k <= min(v+warmDilate, m-1); k++ {
+			if !in[k] {
+				in[k] = true
+				grew = true
+			}
+		}
+	}
+	if !grew {
+		return false
+	}
+	w.idx = w.idx[:0]
+	for j, ok := range in {
+		if ok {
+			w.idx = append(w.idx, j)
+		}
+	}
+	return len(w.idx) < m
 }
 
 // finishResid recomputes resid = F·p − h̃ at the current iterate.

@@ -311,8 +311,9 @@ const windowSeedMax = 16
 // warmStrikes is how many consecutive unprofitable warm solves a group
 // tolerates before permanently reverting to cold starts. A single miss
 // is usually the target outrunning the predicted working set for one
-// sweep (a KKT fallback already produced a correct dense answer); a run
-// of misses means warm starting structurally does not pay here.
+// sweep (the solver's KKT audit already grew the set, or fell back to a
+// cold solve, and returned a certified answer); a run of misses means
+// warm starting structurally does not pay here.
 const warmStrikes = 3
 
 // warmGroup is one power group's warm-start state and its measured
@@ -352,12 +353,13 @@ func (g *warmGroup) observe(warmed bool, res *ndft.Result) {
 		return
 	}
 	// Unprofitable — but the solve still produced the best current
-	// iterate (an over-budget restricted pass, or a KKT fallback's dense
-	// answer), so keep it as the seed while the strike budget lasts. The
-	// cold baseline is deliberately NOT re-based on this solve's work:
-	// measuring strikes against an inflated pseudo-cold baseline would
-	// let a group that persistently costs a little more than cold look
-	// alternately profitable and never revert.
+	// iterate (an over-budget restricted pass, a grown working set's
+	// certified answer, or a KKT fallback's dense one), so keep it as
+	// the seed while the strike budget lasts. The cold baseline is
+	// deliberately NOT re-based on this solve's work: measuring strikes
+	// against an inflated pseudo-cold baseline would let a group that
+	// persistently costs a little more than cold look alternately
+	// profitable and never revert.
 	g.strikes++
 	if g.strikes >= warmStrikes {
 		g.off = true
