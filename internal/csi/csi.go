@@ -183,17 +183,19 @@ func (r *Radio) measureChain(rng *rand.Rand, ch *rf.Channel, b wifi.Band, opts M
 	}
 
 	// Reference signal RMS for the noise level: the mean channel
-	// magnitude across subcarriers.
+	// magnitude across subcarriers. vals keeps each response for the
+	// loop below.
 	var rms float64
-	for _, k := range subs {
-		rms += cmplx.Abs(ch.Response(wifi.SubcarrierFreq(b, k)))
+	for i, k := range subs {
+		vals[i] = ch.Response(wifi.SubcarrierFreq(b, k))
+		rms += cmplx.Abs(vals[i])
 	}
 	rms /= float64(len(subs))
 	sigma := rf.NoiseSigmaForSNR(rms, opts.SNRdB)
 
 	for i, k := range subs {
 		f := wifi.SubcarrierFreq(b, k)
-		h := ch.Response(f)
+		h := vals[i]
 		// Hardware group delay acts like extra time of flight at the
 		// passband frequency (calibrated out later per §7 note 2).
 		h *= cmplx.Rect(1, -2*math.Pi*f*hwDelay)

@@ -95,13 +95,15 @@ func (pl *Plan) WeightedResidual(p dsp.Vec, h dsp.Vec, w []float64) float64 {
 		rowIm := pl.fhIm[j*n : (j+1)*n]
 		for i, ar := range row {
 			ai := -rowIm[i] // F[i][j] = conj(Fᴴ[j][i])
-			residRe[i] += ar*cr - ai*ci
-			residIm[i] += ar*ci + ai*cr
+			// float64(...) keeps each product rounded: no fused
+			// multiply-add (see cdot).
+			residRe[i] += float64(ar*cr) - float64(ai*ci)
+			residIm[i] += float64(ar*ci) + float64(ai*cr)
 		}
 	}
 	var sum float64
 	for i := 0; i < n; i++ {
-		sum += w[i] * (residRe[i]*residRe[i] + residIm[i]*residIm[i])
+		sum += float64(w[i] * (float64(residRe[i]*residRe[i]) + float64(residIm[i]*residIm[i])))
 	}
 	return math.Sqrt(sum)
 }
@@ -115,17 +117,16 @@ func (pl *Plan) WeightedResidual(p dsp.Vec, h dsp.Vec, w []float64) float64 {
 // window (large correlations → more shrinkage → larger residual) and
 // systematically favor displaced windows.
 func (pl *Plan) MaxCorrelation(h dsp.Vec) float64 {
-	n := pl.n
-	if len(h) != n {
+	if len(h) != pl.n {
 		return math.NaN()
 	}
-	hRe := make([]float64, n)
-	hIm := make([]float64, n)
-	split(hRe, hIm, h)
+	w := pl.getWorkspace()
+	defer pl.ws.Put(w)
+	split(w.hRe, w.hIm, h)
+	pl.adjointDense(w.hRe, w.hIm, w.gRe, w.gIm)
 	var maxSq float64
 	for j := 0; j < pl.m; j++ {
-		cr, ci := adjDot(pl.fhRe[j*n:(j+1)*n], pl.fhIm[j*n:(j+1)*n], hRe, hIm)
-		if sq := cr*cr + ci*ci; sq > maxSq {
+		if sq := float64(w.gRe[j]*w.gRe[j]) + float64(w.gIm[j]*w.gIm[j]); sq > maxSq {
 			maxSq = sq
 		}
 	}

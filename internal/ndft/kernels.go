@@ -31,7 +31,7 @@ func (t kernelTier) String() string {
 
 // activeTier is the resolved kernel tier. Mutate only through
 // setKernelTier (tests/benches); the solver reads it on every adjoint
-// dot and column accumulation.
+// run and forward product.
 var activeTier = resolveTier()
 
 // resolveTier detects the best tier the hardware supports and applies
@@ -105,60 +105,67 @@ func ForceKernel(name string) (prev string, err error) {
 	return setKernelTier(req).String(), nil
 }
 
-// adjDot is the solver's adjoint inner product Σ a[k]·x[k] (planar, no
-// conjugation), dispatched on the active tier. The accumulation-chain
-// layout is a fixed contract shared by every implementation: K=4
-// partial sums, element i feeding chain i mod 4 through the stride-4
-// main loop, the tail (k mod 4 elements) feeding chain 0 sequentially,
-// and the pinned fold (s0+s1)+(s2+s3). cdot is the scalar reference;
-// the SIMD tiers run the four chains in vector lanes and leave the tail
-// and fold to this wrapper, so scalar and vector paths are
-// byte-identical to each other on every tier.
-func adjDot(aRe, aIm, xRe, xIm []float64) (float64, float64) {
-	k := len(aRe)
-	if activeTier == tierScalar || k < 8 {
-		return cdot(aRe, aIm, xRe, xIm)
+// adjRows is the solver's adjoint product over a run of consecutive
+// dictionary rows: out[r] = Σₖ a_r[k]·x[k] (planar, no conjugation) for
+// each row a_r = fh[r·n : (r+1)·n] of the row-major block fhRe/fhIm,
+// with len(outRe) rows, dispatched on the active tier. Every row runs
+// the fixed-K accumulation contract that cdot defines: K=4 partial
+// sums, element i feeding chain i mod 4 through the stride-4 main loop,
+// the n mod 4 tail feeding chain 0 in order, and the pinned fold
+// (s0+s1)+(s2+s3). The scalar tier loops over cdot; the vector tiers
+// run the four chains in vector lanes, so every tier returns the same
+// bits per row. One call covers a whole run, so the per-call cost is
+// paid once per run of cells, not once per cell.
+func adjRows(fhRe, fhIm []float64, n int, xRe, xIm, outRe, outIm []float64) {
+	rows := len(outRe)
+	fhRe, fhIm = fhRe[:rows*n], fhIm[:rows*n]
+	xRe, xIm, outIm = xRe[:n], xIm[:n], outIm[:rows]
+	if activeTier != tierScalar && n > 0 && rows > 0 {
+		kernAdjRows(fhRe, fhIm, n, xRe, xIm, outRe, outIm)
+		return
 	}
-	aIm = aIm[:k]
-	xRe = xRe[:k]
-	xIm = xIm[:k]
-	var p [8]float64 // sr0..sr3, si0..si3
-	k4 := k &^ 3
-	kernAdjDot(&aRe[0], &aIm[0], &xRe[0], &xIm[0], k4, &p[0])
-	sr0, si0 := p[0], p[4]
-	for i := k4; i < k; i++ {
-		// float64(...) keeps each product rounded: no fused multiply-add
-		// (see cdot).
-		sr0 += float64(aRe[i]*xRe[i]) - float64(aIm[i]*xIm[i])
-		si0 += float64(aRe[i]*xIm[i]) + float64(aIm[i]*xRe[i])
+	for r := range outRe {
+		outRe[r], outIm[r] = cdot(fhRe[r*n:(r+1)*n], fhIm[r*n:(r+1)*n], xRe, xIm)
 	}
-	return (sr0 + p[1]) + (p[2] + p[3]), (si0 + p[5]) + (p[6] + p[7])
 }
 
-// axpyCol accumulates one scaled conjugated dictionary column into the
-// residual: dst[i] += conj(row[i])·(cr+i·ci) elementwise, the inner
-// loop of forwardResid, dispatched on the active tier. The operation is
-// elementwise — no accumulation chains — so the vector form is
-// trivially bit-identical to the scalar loop (the sign-folded form
-// dstRe += ar·cr + rowIm·ci is exact: IEEE negation is exact and
-// x−(−y) ≡ x+y).
-func axpyCol(rowRe, rowIm []float64, cr, ci float64, dstRe, dstIm []float64) {
-	n := len(rowRe)
-	rowIm = rowIm[:n]
-	dstRe = dstRe[:n]
-	dstIm = dstIm[:n]
-	i := 0
-	if activeTier != tierScalar && n >= 8 {
-		n4 := n &^ 3
-		kernAxpyCol(&rowRe[0], &rowIm[0], cr, ci, &dstRe[0], &dstIm[0], n4)
-		i = n4
+// axpyCols accumulates scaled conjugated dictionary columns into the
+// residual: dst[i] += conj(Fᴴ[j][i])·src[j] for every column j of cols,
+// in the listed order, the forward product of forwardResid. fhRe/fhIm is
+// the row-major n-column adjoint, so column j of F is the conjugate of
+// the contiguous row j. cols must be ascending (the last one
+// bounds-checks them all). The vector tiers take the first n&^3
+// elements; the n mod 4 tail runs here in scalar Go. Each element
+// receives the same additions in the same order on every tier: the
+// operation is elementwise, and the vector bodies use the sign-folded
+// form dstRe += ar·cr + rowIm·ci, which is exact (IEEE negation is exact
+// and x−(−y) ≡ x+y).
+func axpyCols(fhRe, fhIm []float64, n int, cols []int, srcRe, srcIm, dstRe, dstIm []float64) {
+	if len(cols) == 0 {
+		return
 	}
-	for ; i < n; i++ {
-		ar := rowRe[i]
-		ai := -rowIm[i] // F[i][j] = conj(Fᴴ[j][i])
-		// float64(...) keeps each product rounded: no fused multiply-add
-		// (see cdot).
-		dstRe[i] += float64(ar*cr) - float64(ai*ci)
-		dstIm[i] += float64(ar*ci) + float64(ai*cr)
+	last := cols[len(cols)-1]
+	fhRe, fhIm = fhRe[:(last+1)*n], fhIm[:(last+1)*n]
+	srcRe, srcIm = srcRe[:last+1], srcIm[:last+1]
+	dstRe, dstIm = dstRe[:n], dstIm[:n]
+	i := 0
+	if activeTier != tierScalar && n >= 4 {
+		kernAxpyCols(fhRe, fhIm, n, cols, srcRe, srcIm, dstRe, dstIm)
+		i = n &^ 3
+		if i == n {
+			return
+		}
+	}
+	for _, j := range cols {
+		cr, ci := srcRe[j], srcIm[j]
+		rowRe, rowIm := fhRe[j*n:(j+1)*n], fhIm[j*n:(j+1)*n]
+		for k := i; k < n; k++ {
+			ar := rowRe[k]
+			ai := -rowIm[k] // F[k][j] = conj(Fᴴ[j][k])
+			// float64(...) keeps each product rounded: no fused
+			// multiply-add (see cdot).
+			dstRe[k] += float64(ar*cr) - float64(ai*ci)
+			dstIm[k] += float64(ar*ci) + float64(ai*cr)
+		}
 	}
 }

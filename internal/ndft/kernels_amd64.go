@@ -2,15 +2,17 @@
 
 package ndft
 
-// The AVX2 (ymm) solver kernels: dotVec4 runs the four cdot accumulator
-// chains across ymm lanes and axpyCol4 the elementwise column
-// accumulation. See kernels_amd64.s.
+// The AVX2 (ymm) solver kernels behind adjRows and axpyCols:
+// kernAdjRows runs the full cdot contract for every row of a run, and
+// kernAxpyCols keeps each 4-element residual chunk in registers while
+// it adds every listed column. The callers check every length; the
+// kernels never run on the scalar tier. See kernels_amd64.s.
 //
 //go:noescape
-func dotVec4(aRe, aIm, xRe, xIm *float64, k4 int, part *float64)
+func kernAdjRows(fhRe, fhIm []float64, n int, xRe, xIm, outRe, outIm []float64)
 
 //go:noescape
-func axpyCol4(rowRe, rowIm *float64, cr, ci float64, dstRe, dstIm *float64, n4 int)
+func kernAxpyCols(fhRe, fhIm []float64, n int, cols []int, srcRe, srcIm, dstRe, dstIm []float64)
 
 func cpuidex(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv0() (eax, edx uint32)
@@ -36,14 +38,4 @@ func detectTier() kernelTier {
 		return tierAVX2
 	}
 	return tierScalar
-}
-
-// kernAdjDot / kernAxpyCol dispatch to the AVX2 kernels. Never called
-// on the scalar tier.
-func kernAdjDot(aRe, aIm, xRe, xIm *float64, k4 int, part *float64) {
-	dotVec4(aRe, aIm, xRe, xIm, k4, part)
-}
-
-func kernAxpyCol(rowRe, rowIm *float64, cr, ci float64, dstRe, dstIm *float64, n4 int) {
-	axpyCol4(rowRe, rowIm, cr, ci, dstRe, dstIm, n4)
 }

@@ -25,8 +25,8 @@
 // The adjoint dot's vector body: the four cdot accumulator chains run
 // across the four lanes (lane c = chain c, element 4i+c), each lane
 // performing the scalar chain arithmetic exactly. Runs the k4 = k&^3
-// main-loop elements only; the Go wrapper (adjDot) adds the tail into
-// chain 0 and applies the pinned fold. part receives the 8 raw partial
+// main-loop elements only; the Go caller (kernAdjRows) adds the tail
+// into chain 0 and applies the pinned fold. part receives the 8 raw partial
 // sums (sr0..sr3, si0..si3).
 TEXT ·dotVecNeon(SB), NOSPLIT, $0-48
 	MOVD aRe+0(FP), R0
@@ -81,7 +81,7 @@ vdone:
 // elementwise, in the sign-folded form of the scalar forwardResid body
 // (dstRe += ar*cr + rowIm*ci, dstIm += ar*ci - rowIm*cr — exact: IEEE
 // negation is exact and x-(-y) ≡ x+y). Elementwise, so
-// there are no chains to preserve; the Go wrapper (axpyCol) handles the
+// there are no chains to preserve; the Go caller (axpyCols) handles the
 // n&3 tail.
 TEXT ·axpyColNeon(SB), NOSPLIT, $0-56
 	MOVD  rowRe+0(FP), R0

@@ -11,10 +11,10 @@ func detectTier() kernelTier { return tierScalar }
 // dispatch site gates on activeTier first); the stubs keep the package
 // compiling on any architecture.
 
-func kernAdjDot(aRe, aIm, xRe, xIm *float64, k4 int, part *float64) {
+func kernAdjRows(fhRe, fhIm []float64, n int, xRe, xIm, outRe, outIm []float64) {
 	panic("ndft: vector kernel called on scalar tier")
 }
 
-func kernAxpyCol(rowRe, rowIm *float64, cr, ci float64, dstRe, dstIm *float64, n4 int) {
+func kernAxpyCols(fhRe, fhIm []float64, n int, cols []int, srcRe, srcIm, dstRe, dstIm []float64) {
 	panic("ndft: vector kernel called on scalar tier")
 }

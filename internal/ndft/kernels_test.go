@@ -3,6 +3,7 @@ package ndft
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 )
 
@@ -66,31 +67,62 @@ func kernelVec(rng *rand.Rand, n int, allowNaN bool) []float64 {
 	return v
 }
 
-// TestAdjDotMatchesCdot fuzzes the tier-dispatched adjoint dot against
-// the scalar contract reference on every available vector tier: every
-// length (odd tails, partial lane groups, below the vector cutover)
-// must produce bit-identical sums — the property the warm-solve and
-// alias-refit paths rely on when the tier changes between runs.
-func TestAdjDotMatchesCdot(t *testing.T) {
-	tiers := vectorTiers()
-	if len(tiers) == 0 {
-		t.Skip("no vector tier on this machine")
+// kernelTiers lists the scalar tier and every vector tier the host can
+// run: the run-form kernels are checked on each, the scalar one
+// included, so the row and column bookkeeping of its loops is covered
+// too.
+func kernelTiers() []kernelTier {
+	return append([]kernelTier{tierScalar}, vectorTiers()...)
+}
+
+// checkAdjRows runs adjRows over rows [off, off+rows) of an n-column
+// block and requires every row's output to match cdot on that row bit
+// for bit (NaN matching NaN), and the output slot past the run to stay
+// untouched.
+func checkAdjRows(t *testing.T, fhRe, fhIm, xRe, xIm []float64, n, off, rows int) {
+	t.Helper()
+	const canary = -7.25
+	outRe := make([]float64, rows+1)
+	outIm := make([]float64, rows+1)
+	outRe[rows], outIm[rows] = canary, canary
+	adjRows(fhRe[off*n:], fhIm[off*n:], n, xRe, xIm, outRe[:rows], outIm[:rows])
+	for r := 0; r < rows; r++ {
+		row := (off + r) * n
+		wantR, wantI := cdot(fhRe[row:row+n], fhIm[row:row+n], xRe, xIm)
+		if !bothNaNOrEqualBits(outRe[r], wantR) || !bothNaNOrEqualBits(outIm[r], wantI) {
+			t.Fatalf("%v n=%d off=%d rows=%d row %d: got (%v,%v) want (%v,%v)",
+				activeTier, n, off, rows, r, outRe[r], outIm[r], wantR, wantI)
+		}
 	}
-	for _, tier := range tiers {
+	if outRe[rows] != canary || outIm[rows] != canary {
+		t.Fatalf("%v n=%d off=%d rows=%d: wrote past the run", activeTier, n, off, rows)
+	}
+}
+
+// TestAdjDotMatchesCdot checks the tier-dispatched adjoint over runs of
+// rows against the scalar contract reference on every available tier:
+// every row length from 0 to 67 (odd tails, partial lane groups), run
+// lengths 1–9 at several row offsets, over zeros, denormals, ±1e300 and
+// NaNs. Every row must produce bit-identical sums — the property the
+// warm-solve and alias-refit paths rely on when the tier changes
+// between runs.
+func TestAdjDotMatchesCdot(t *testing.T) {
+	for _, tier := range kernelTiers() {
 		t.Run(tier.String(), func(t *testing.T) {
 			forceTier(t, tier)
 			rng := rand.New(rand.NewSource(41))
+			const maxRows = 3 + 9 // largest offset plus longest run
 			for n := 0; n <= 67; n++ {
-				for trial := 0; trial < 20; trial++ {
-					allowNaN := trial%5 == 4
-					aRe := kernelVec(rng, n, allowNaN)
-					aIm := kernelVec(rng, n, allowNaN)
+				for trial := 0; trial < 4; trial++ {
+					allowNaN := trial == 3
+					fhRe := kernelVec(rng, maxRows*n, allowNaN)
+					fhIm := kernelVec(rng, maxRows*n, allowNaN)
 					xRe := kernelVec(rng, n, allowNaN)
 					xIm := kernelVec(rng, n, allowNaN)
-					wantR, wantI := cdot(aRe, aIm, xRe, xIm)
-					gotR, gotI := adjDot(aRe, aIm, xRe, xIm)
-					if !bothNaNOrEqualBits(gotR, wantR) || !bothNaNOrEqualBits(gotI, wantI) {
-						t.Fatalf("n=%d: got (%v,%v) want (%v,%v)", n, gotR, gotI, wantR, wantI)
+					for rows := 1; rows <= 9; rows++ {
+						for _, off := range []int{0, 1, 3} {
+							checkAdjRows(t, fhRe, fhIm, xRe, xIm, n, off, rows)
+						}
 					}
 				}
 			}
@@ -99,68 +131,71 @@ func TestAdjDotMatchesCdot(t *testing.T) {
 }
 
 // FuzzAdjDotEquivalence is the fuzzer-driven variant of the table test
-// above: arbitrary float bit patterns (including infinities and NaNs)
-// through every available tier must match the scalar contract.
+// above: arbitrary row lengths, run lengths and offsets over the mixed
+// value set (infinities and NaNs included) must match the scalar
+// contract row by row on every available tier.
 func FuzzAdjDotEquivalence(f *testing.F) {
-	f.Add(int64(1), 7)
-	f.Add(int64(99), 16)
-	f.Add(int64(5), 65)
-	f.Fuzz(func(t *testing.T, seed int64, n int) {
-		if n < 0 || n > 512 {
+	f.Add(int64(1), 7, 1)
+	f.Add(int64(99), 16, 5)
+	f.Add(int64(5), 65, 9)
+	f.Fuzz(func(t *testing.T, seed int64, n, rows int) {
+		if n < 0 || n > 512 || rows < 1 || rows > 64 {
 			t.Skip()
 		}
 		rng := rand.New(rand.NewSource(seed))
-		aRe := kernelVec(rng, n, true)
-		aIm := kernelVec(rng, n, true)
+		off := rng.Intn(4)
+		fhRe := kernelVec(rng, (off+rows)*n, true)
+		fhIm := kernelVec(rng, (off+rows)*n, true)
 		xRe := kernelVec(rng, n, true)
 		xIm := kernelVec(rng, n, true)
-		wantR, wantI := cdot(aRe, aIm, xRe, xIm)
-		for _, tier := range vectorTiers() {
+		for _, tier := range kernelTiers() {
 			prev := setKernelTier(tier)
-			gotR, gotI := adjDot(aRe, aIm, xRe, xIm)
+			checkAdjRows(t, fhRe, fhIm, xRe, xIm, n, off, rows)
 			setKernelTier(prev)
-			if !bothNaNOrEqualBits(gotR, wantR) || !bothNaNOrEqualBits(gotI, wantI) {
-				t.Fatalf("tier=%v n=%d: got (%v,%v) want (%v,%v)", tier, n, gotR, gotI, wantR, wantI)
-			}
 		}
 	})
 }
 
-// TestAxpyColMatchesScalar fuzzes the tier-dispatched column
-// accumulation against the scalar forwardResid body: elementwise, so
-// every element must be bit-identical on every available tier,
-// including odd tails and lengths below the vector cutover.
+// TestAxpyColMatchesScalar checks the tier-dispatched forward product
+// against the scalar forwardResid body applied column by column:
+// ascending lists of 0–40 columns, every row length from 0 to 67
+// (tails and lengths below one vector included). The operation is
+// elementwise, so every element must be bit-identical on every
+// available tier.
 func TestAxpyColMatchesScalar(t *testing.T) {
-	tiers := vectorTiers()
-	if len(tiers) == 0 {
-		t.Skip("no vector tier on this machine")
-	}
 	refAxpyCol := func(rowRe, rowIm []float64, cr, ci float64, dstRe, dstIm []float64) {
 		for i, ar := range rowRe {
 			ai := -rowIm[i]
-			dstRe[i] += ar*cr - ai*ci
-			dstIm[i] += ar*ci + ai*cr
+			dstRe[i] += float64(ar*cr) - float64(ai*ci)
+			dstIm[i] += float64(ar*ci) + float64(ai*cr)
 		}
 	}
-	for _, tier := range tiers {
+	const m = 48 // dictionary rows to pick columns from
+	for _, tier := range kernelTiers() {
 		t.Run(tier.String(), func(t *testing.T) {
 			forceTier(t, tier)
 			rng := rand.New(rand.NewSource(43))
 			for n := 0; n <= 67; n++ {
-				for trial := 0; trial < 10; trial++ {
-					rowRe := kernelVec(rng, n, false)
-					rowIm := kernelVec(rng, n, false)
-					cr, ci := rng.NormFloat64(), rng.NormFloat64()
+				fhRe := kernelVec(rng, m*n, false)
+				fhIm := kernelVec(rng, m*n, false)
+				srcRe := kernelVec(rng, m, false)
+				srcIm := kernelVec(rng, m, false)
+				for ncols := 0; ncols <= 40; ncols++ {
+					cols := rng.Perm(m)[:ncols]
+					sort.Ints(cols)
 					dstRe := kernelVec(rng, n, false)
 					dstIm := kernelVec(rng, n, false)
 					wantRe := append([]float64(nil), dstRe...)
 					wantIm := append([]float64(nil), dstIm...)
-					refAxpyCol(rowRe, rowIm, cr, ci, wantRe, wantIm)
-					axpyCol(rowRe, rowIm, cr, ci, dstRe, dstIm)
+					for _, j := range cols {
+						refAxpyCol(fhRe[j*n:(j+1)*n], fhIm[j*n:(j+1)*n], srcRe[j], srcIm[j], wantRe, wantIm)
+					}
+					axpyCols(fhRe, fhIm, n, cols, srcRe, srcIm, dstRe, dstIm)
 					for i := 0; i < n; i++ {
 						if math.Float64bits(dstRe[i]) != math.Float64bits(wantRe[i]) ||
 							math.Float64bits(dstIm[i]) != math.Float64bits(wantIm[i]) {
-							t.Fatalf("n=%d i=%d: got (%v,%v) want (%v,%v)", n, i, dstRe[i], dstIm[i], wantRe[i], wantIm[i])
+							t.Fatalf("n=%d cols=%v i=%d: got (%v,%v) want (%v,%v)",
+								n, cols, i, dstRe[i], dstIm[i], wantRe[i], wantIm[i])
 						}
 					}
 				}

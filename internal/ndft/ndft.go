@@ -123,9 +123,11 @@ type InvertOptions struct {
 	Preempt func() bool
 }
 
-func (o InvertOptions) withDefaults(h dsp.Vec) InvertOptions {
+// withDefaults fills the zero options; hRe/hIm is the measurement,
+// planar.
+func (o InvertOptions) withDefaults(hRe, hIm []float64) InvertOptions {
 	if o.Epsilon == 0 {
-		o.Epsilon = 1e-6 * dsp.Norm2(h)
+		o.Epsilon = 1e-6 * norm2Planar(hRe, hIm)
 		if o.Epsilon == 0 {
 			o.Epsilon = 1e-12
 		}

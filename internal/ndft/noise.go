@@ -65,17 +65,17 @@ func noiseNormFromScale(s float64) float64 { return s * math.Sqrt2 }
 // NoiseFloor(c·h) = |c|·NoiseFloor(h) — and costs one dense adjoint
 // pass.
 func (pl *Plan) NoiseFloor(h dsp.Vec) float64 {
-	n, m := pl.n, pl.m
-	if len(h) != n {
+	if len(h) != pl.n {
 		return math.NaN()
 	}
 	w := pl.getWorkspace()
 	defer pl.ws.Put(w)
 	split(w.hRe, w.hIm, h)
-	mags := w.corr[:0]
-	for j := 0; j < m; j++ {
-		cr, ci := adjDot(pl.fhRe[j*n:(j+1)*n], pl.fhIm[j*n:(j+1)*n], w.hRe, w.hIm)
-		mags = append(mags, math.Hypot(cr, ci))
+	pl.adjointDense(w.hRe, w.hIm, w.gRe, w.gIm)
+	// The magnitudes overwrite the real parts they are computed from.
+	mags := w.gRe[:pl.m]
+	for j, cr := range mags {
+		mags[j] = math.Hypot(cr, w.gIm[j])
 	}
 	return noiseNormFromScale(noiseScaleMAD(mags))
 }

@@ -47,19 +47,24 @@ type Plan struct {
 // workspace is the per-solve scratch state: every vector Algorithm 1
 // touches, preallocated at plan dimensions so iterations are
 // allocation-free.
+//
+// gRe/gIm hold one adjoint pass's output, indexed by position in the
+// pass's cell set (a dense pass: by cell). gradStep's shrink consumes
+// position k's gradient and then stores the step p − p_prev there,
+// which endStep's momentum reads; the next adjoint pass overwrites it.
 type workspace struct {
 	hRe, hIm       []float64 // measurement, planar (n)
 	residRe, resIm []float64 // F·src − h̃ (n)
 	pRe, pIm       []float64 // iterate (m)
-	prevRe, prevIm []float64 // previous iterate (m)
 	yRe, yIm       []float64 // FISTA extrapolation point (m)
+	gRe, gIm       []float64 // adjoint output, then the step (m)
+	runs           [][2]int  // the phase's working set as runs [lo, hi) of consecutive cells
 	active         []int     // support of the extrapolation point (≤ m)
 	idx            []int     // restricted working set for warm solves (≤ m)
 	viol           []int     // cells failing the KKT audit (≤ m)
 	inSet          []bool    // working-set membership while growing idx (m)
 	supp           []int     // polish working set (≤ m)
 	gsupp          []int     // support of the iterate at a gap check (≤ m)
-	corr           []float64 // correlation magnitudes for the noise MAD (≤ m)
 }
 
 // NewPlan precomputes the NDFT dictionary, its adjoint, and the ISTA
@@ -107,12 +112,13 @@ func NewPlan(freqs, taus []float64) (*Plan, error) {
 			hRe: make([]float64, n), hIm: make([]float64, n),
 			residRe: make([]float64, n), resIm: make([]float64, n),
 			pRe: make([]float64, m), pIm: make([]float64, m),
-			prevRe: make([]float64, m), prevIm: make([]float64, m),
 			yRe: make([]float64, m), yIm: make([]float64, m),
+			gRe: make([]float64, m), gIm: make([]float64, m),
+			// A set of distinct cells has at most ⌈m/2⌉ maximal runs.
+			runs:   make([][2]int, 0, (m+1)/2),
 			active: make([]int, 0, m), idx: make([]int, 0, m),
 			viol: make([]int, 0, m), inSet: make([]bool, m),
 			supp: make([]int, 0, m), gsupp: make([]int, 0, m),
-			corr: make([]float64, 0, m),
 		}
 	}
 	return pl, nil
@@ -193,37 +199,69 @@ const (
 // restricted answer wrongly holds at zero. The result aliases w.viol.
 // Expects w.resid* to hold the residual at the current iterate.
 func (pl *Plan) kktViolators(w *workspace, alpha float64) []int {
-	n, m := pl.n, pl.m
 	limSq := alpha * kktSlack * alpha * kktSlack
+	pl.adjointDense(w.residRe, w.resIm, w.gRe, w.gIm)
 	w.viol = w.viol[:0]
-	for j := 0; j < m; j++ {
+	for j := 0; j < pl.m; j++ {
 		if w.pRe[j] != 0 || w.pIm[j] != 0 {
 			continue
 		}
-		gr, gi := adjDot(pl.fhRe[j*n:(j+1)*n], pl.fhIm[j*n:(j+1)*n], w.residRe, w.resIm)
-		if gr*gr+gi*gi > limSq {
+		gr, gi := w.gRe[j], w.gIm[j]
+		if float64(gr*gr)+float64(gi*gi) > limSq {
 			w.viol = append(w.viol, j)
 		}
 	}
 	return w.viol
 }
 
+// adjointDense writes the full adjoint product Fᴴx into gRe/gIm, indexed
+// by cell: one run, all m rows of the dictionary in one kernel call.
+func (pl *Plan) adjointDense(xRe, xIm, gRe, gIm []float64) {
+	adjRows(pl.fhRe, pl.fhIm, pl.n, xRe, xIm, gRe[:pl.m], gIm[:pl.m])
+}
+
+// adjointRuns writes (Fᴴx)ⱼ for every cell j of a working set, given as
+// its runs of consecutive cells, into gRe/gIm indexed by position in the
+// set: one kernel call per run, over the run's contiguous block of Fᴴ
+// rows.
+func (pl *Plan) adjointRuns(runs [][2]int, xRe, xIm, gRe, gIm []float64) {
+	n, pos := pl.n, 0
+	for _, r := range runs {
+		lo, hi := r[0], r[1]
+		next := pos + hi - lo
+		adjRows(pl.fhRe[lo*n:hi*n], pl.fhIm[lo*n:hi*n], n, xRe, xIm, gRe[pos:next], gIm[pos:next])
+		pos = next
+	}
+}
+
+// setRuns splits an ascending set of distinct cells into its maximal
+// runs [lo, hi) of consecutive cells, reusing dst.
+func setRuns(dst [][2]int, set []int) [][2]int {
+	dst = dst[:0]
+	for i := 0; i < len(set); {
+		lo, hi := set[i], set[i]+1
+		for i++; i < len(set) && set[i] == hi; i++ {
+			hi++
+		}
+		dst = append(dst, [2]int{lo, hi})
+	}
+	return dst
+}
+
 // forwardResid computes resid = F·src − h̃ into the workspace, walking
 // only the dictionary columns in src's support (ascending, so the
 // accumulation order — hence the result — is deterministic). Each column
 // F[·][j] is read as the conjugate of adjoint row j, which is
-// contiguous; the elementwise accumulation goes through axpyCol, which
-// vectorizes it on the active kernel tier without changing a bit.
+// contiguous. axpyCols adds the whole support in one call: on a vector
+// tier each residual chunk stays in registers across every column,
+// without changing a bit.
 func (pl *Plan) forwardResid(w *workspace, srcRe, srcIm []float64, active []int) {
 	n := pl.n
 	for i := 0; i < n; i++ {
 		w.residRe[i] = -w.hRe[i]
 		w.resIm[i] = -w.hIm[i]
 	}
-	for _, j := range active {
-		axpyCol(pl.fhRe[j*n:(j+1)*n], pl.fhIm[j*n:(j+1)*n],
-			srcRe[j], srcIm[j], w.residRe[:n], w.resIm[:n])
-	}
+	axpyCols(pl.fhRe, pl.fhIm, n, active, srcRe, srcIm, w.residRe, w.resIm)
 }
 
 func (pl *Plan) getWorkspace() *workspace { return pl.ws.Get().(*workspace) }
@@ -235,15 +273,16 @@ func (pl *Plan) getWorkspace() *workspace { return pl.ws.Get().(*workspace) }
 // k mod 4 tail feeding chain 0, folded as (s0+s1)+(s2+s3). The chains
 // hide scalar add latency; the fixed split is deterministic, so results
 // are identical across runs, worker counts, and — because every SIMD
-// tier implements the same contract lane-for-lane (see adjDot) — across
+// tier implements the same contract lane-for-lane (see adjRows) — across
 // architectures.
 //
 // Every product is wrapped in float64(...). The Go spec lets the
 // compiler fuse x*y+z into one multiply-add, and arm64 does; an explicit
 // conversion rounds the product first, which forbids the fusion. The
 // vector kernels never fuse, so a fused scalar path would round
-// differently and break the byte-identity contract. adjDot's tail and
-// axpyCol's scalar loop follow the same rule.
+// differently and break the byte-identity contract. The NEON tier's
+// tail and axpyCols' scalar loop follow the same rule, and so does every
+// product in this package that feeds an addition.
 func cdot(aRe, aIm, xRe, xIm []float64) (float64, float64) {
 	k := len(aRe)
 	aIm = aIm[:k]

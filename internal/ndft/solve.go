@@ -122,8 +122,7 @@ func (pl *Plan) Solve(req SolveRequest) (*Result, error) {
 			t.afterIterate(t.budget)
 			continue
 		}
-		t.gradStep()
-		t.endStep()
+		t.endStep(t.gradStep())
 	}
 	pl.ws.Put(w)
 	if obs.Enabled() {
@@ -136,27 +135,27 @@ func (pl *Plan) Solve(req SolveRequest) (*Result, error) {
 // the planar split of the measurement. The request pointer is only read,
 // never retained.
 func (t *solveTask) init(pl *Plan, req *SolveRequest, w *workspace) {
+	split(w.hRe, w.hIm, req.H)
 	*t = solveTask{
 		pl:   pl,
 		w:    w,
 		res:  req.Dst,
-		opts: req.InvertOptions.withDefaults(req.H),
+		opts: req.InvertOptions.withDefaults(w.hRe, w.hIm),
 		warm: req.Warm,
 	}
-	split(t.w.hRe, t.w.hIm, req.H)
 }
 
 // start finishes setup — the Fᴴh̃ correlation bound, α scaling, warm
 // working-set construction or cold initialization, result reset — and
 // enters the main iterate phase.
 func (t *solveTask) start() {
-	pl, w, n, m := t.pl, t.w, t.pl.n, t.pl.m
+	pl, w, m := t.pl, t.w, t.pl.m
 	// ‖Fᴴh̃‖∞ drives the default α scaling and the cold continuation
 	// ramp: one dense adjoint pass.
+	pl.adjointDense(w.hRe, w.hIm, w.gRe, w.gIm)
 	var corrMaxSq float64
 	for j := 0; j < m; j++ {
-		cr, ci := adjDot(pl.fhRe[j*n:(j+1)*n], pl.fhIm[j*n:(j+1)*n], w.hRe, w.hIm)
-		if sq := cr*cr + ci*ci; sq > corrMaxSq {
+		if sq := float64(w.gRe[j]*w.gRe[j]) + float64(w.gIm[j]*w.gIm[j]); sq > corrMaxSq {
 			corrMaxSq = sq
 		}
 	}
@@ -253,10 +252,13 @@ func (t *solveTask) start() {
 	t.beginIterate(idx, a0, t.opts.MaxIter, t.restricted)
 }
 
-// beginIterate resets the per-phase iteration state: continuation
-// schedule, momentum sequence, gap-check cadence.
+// beginIterate resets the per-phase iteration state: working set and
+// its runs of consecutive cells (the set does not change inside a
+// phase, so every adjoint pass of the phase reuses the runs),
+// continuation schedule, momentum sequence, gap-check cadence.
 func (t *solveTask) beginIterate(set []int, a0 float64, budget int, allowRestart bool) {
 	t.set = set
+	t.w.runs = setRuns(t.w.runs, set)
 	t.budget = budget
 	t.iter = 0
 	t.allowRestart = allowRestart
@@ -279,46 +281,55 @@ func (t *solveTask) beginIterate(set []int, a0 float64, budget int, allowRestart
 }
 
 // gradStep runs one iteration's proximal-gradient step from the
-// extrapolation point y, keeping the previous iterate:
-// p ← SPARSIFY(y − γ·Fᴴ·(F·y − h̃), γα), fused per grid cell over the
-// phase's working set. The adjoint dot product goes through adjDot, the
-// one tier-dispatched implementation of the fixed-K chain contract (cdot
-// on the scalar tier, the vector kernel otherwise — same bits either
-// way). The shrinkage test compares squared magnitudes so the (dominant)
-// zeroed taps never pay for a square root.
-func (t *solveTask) gradStep() {
+// extrapolation point y: p ← SPARSIFY(y − γ·Fᴴ·(F·y − h̃), γα) over the
+// phase's working set. The adjoint runs once per run of consecutive
+// cells (adjointRuns: the fixed-K chain contract per row, same bits on
+// every tier); one fused pass then shrinks each cell, stores its step
+// p − p_prev in place of its gradient, and sums ‖Δp‖² and the restart
+// test's ⟨y − p, Δp⟩ in set order, which it returns for endStep. The
+// shrinkage test compares squared magnitudes so the (dominant) zeroed
+// taps never pay for a square root.
+func (t *solveTask) gradStep() (diffSq, gdot float64) {
 	pl, w := t.pl, t.w
-	n, gamma := pl.n, pl.gamma
+	gamma := pl.gamma
 	t.iter++
-	copy(w.prevRe, w.pRe)
-	copy(w.prevIm, w.pIm)
 	// resid = F·y − h̃, accumulated over y's support only: the
 	// soft-thresholded iterate is sparse, so the forward product touches
 	// a few dozen dictionary columns, not the whole grid.
 	pl.forwardResid(w, w.yRe, w.yIm, w.active)
-	thr := gamma * t.curAlpha
+	pl.adjointRuns(w.runs, w.residRe, w.resIm, w.gRe, w.gIm)
+	// float64(...): the compiler may otherwise fuse γ·α into a − thr.
+	thr := float64(gamma * t.curAlpha)
 	thrSq := thr * thr
-	rRe, rIm := w.residRe[:n], w.resIm[:n]
-	for _, j := range t.set {
-		gr, gi := adjDot(pl.fhRe[j*n:(j+1)*n], pl.fhIm[j*n:(j+1)*n], rRe, rIm)
-		pr := w.yRe[j] - gamma*gr
-		pi := w.yIm[j] - gamma*gi
-		if sq := pr*pr + pi*pi; sq <= thrSq { // "<=" also zeroes sq==thrSq==0, avoiding 0/0 below
-			w.pRe[j], w.pIm[j] = 0, 0
+	for k, j := range t.set {
+		yr, yi := w.yRe[j], w.yIm[j]
+		pr := yr - float64(gamma*w.gRe[k])
+		pi := yi - float64(gamma*w.gIm[k])
+		var nr, ni float64
+		// "<=" also zeroes sq==thrSq==0, avoiding 0/0 below; a NaN takes
+		// the non-zero branch.
+		if sq := float64(pr*pr) + float64(pi*pi); sq <= thrSq {
+			nr, ni = 0, 0
 		} else {
 			a := math.Sqrt(sq)
 			sc := (a - thr) / a
-			w.pRe[j], w.pIm[j] = pr*sc, pi*sc
+			nr, ni = float64(pr*sc), float64(pi*sc)
 		}
+		dr, di := nr-w.pRe[j], ni-w.pIm[j]
+		w.pRe[j], w.pIm[j] = nr, ni
+		w.gRe[k], w.gIm[k] = dr, di
+		diffSq += float64(dr*dr) + float64(di*di)
+		gdot += float64((yr-nr)*dr) + float64((yi-ni)*di)
 	}
+	return diffSq, gdot
 }
 
-// endStep closes the iteration gradStep just advanced:
-// momentum/restart bookkeeping, α-continuation, work accounting, and the
+// endStep closes the iteration gradStep just advanced, given its ‖Δp‖²
+// and restart product: momentum/restart bookkeeping, the extrapolation
+// from the stored steps, α-continuation, work accounting, and the
 // stopping rules, chaining into the next phase when the iterate ends.
-func (t *solveTask) endStep() {
+func (t *solveTask) endStep(diffSq, gdot float64) {
 	w, set := t.w, t.set
-	var diffSq float64
 	w.active = w.active[:0]
 	// Adaptive (gradient) restart, O'Donoghue & Candès: when the
 	// extrapolated step opposes the direction of progress the momentum
@@ -332,22 +343,16 @@ func (t *solveTask) endStep() {
 	// the previous fix excludes the ghost family entirely, so restarting
 	// there is safe — and it is what lets warm solves converge in tens
 	// of iterations instead of ringing for hundreds.
-	var gdot float64
-	for _, j := range set {
-		dr, di := w.pRe[j]-w.prevRe[j], w.pIm[j]-w.prevIm[j]
-		diffSq += dr*dr + di*di
-		gdot += (w.yRe[j]-w.pRe[j])*dr + (w.yIm[j]-w.pIm[j])*di
-	}
 	if t.allowRestart && gdot > 0 && t.curAlpha == t.alpha {
 		t.tMom = 1
 	}
-	tNext := (1 + math.Sqrt(1+4*t.tMom*t.tMom)) / 2
+	tNext := (1 + math.Sqrt(1+float64(4*t.tMom*t.tMom))) / 2
 	beta := (t.tMom - 1) / tNext
-	for _, j := range set {
-		dr, di := w.pRe[j]-w.prevRe[j], w.pIm[j]-w.prevIm[j]
-		w.yRe[j] = w.pRe[j] + beta*dr
-		w.yIm[j] = w.pIm[j] + beta*di
-		if w.yRe[j] != 0 || w.yIm[j] != 0 {
+	for k, j := range set {
+		yr := w.pRe[j] + float64(beta*w.gRe[k])
+		yi := w.pIm[j] + float64(beta*w.gIm[k])
+		w.yRe[j], w.yIm[j] = yr, yi
+		if yr != 0 || yi != 0 {
 			w.active = append(w.active, j)
 		}
 	}
@@ -478,13 +483,15 @@ func (t *solveTask) gapCheck() (bool, float64) {
 	pl.forwardResid(w, w.pRe, w.pIm, w.gsupp)
 	var resSq, rh float64
 	for i := 0; i < n; i++ {
-		resSq += w.residRe[i]*w.residRe[i] + w.resIm[i]*w.resIm[i]
-		rh += w.residRe[i]*w.hRe[i] + w.resIm[i]*w.hIm[i]
+		resSq += float64(w.residRe[i]*w.residRe[i]) + float64(w.resIm[i]*w.resIm[i])
+		rh += float64(w.residRe[i]*w.hRe[i]) + float64(w.resIm[i]*w.hIm[i])
 	}
+	// The iteration's steps in w.g* were consumed by endStep's momentum
+	// before this check, so the adjoint pass may overwrite them.
+	pl.adjointRuns(w.runs, w.residRe, w.resIm, w.gRe, w.gIm)
 	var maxSq float64
-	for _, j := range set {
-		gr, gi := adjDot(pl.fhRe[j*n:(j+1)*n], pl.fhIm[j*n:(j+1)*n], w.residRe, w.resIm)
-		if sq := gr*gr + gi*gi; sq > maxSq {
+	for k := range set {
+		if sq := float64(w.gRe[k]*w.gRe[k]) + float64(w.gIm[k]*w.gIm[k]); sq > maxSq {
 			maxSq = sq
 		}
 	}
@@ -494,7 +501,7 @@ func (t *solveTask) gapCheck() (bool, float64) {
 	if gInf > t.alpha && t.alpha > 0 {
 		s = t.alpha / gInf
 	}
-	gap := 0.5*resSq + t.alpha*l1 + 0.5*s*s*resSq + s*rh
+	gap := float64(0.5*resSq) + float64(t.alpha*l1) + float64(0.5*s*s*resSq) + float64(s*rh)
 	if gap < 0 {
 		gap = 0 // rounding on an essentially optimal iterate
 	}
@@ -688,7 +695,7 @@ func (t *solveTask) finalize() {
 	w, res, n, m := t.w, t.res, t.pl.n, t.pl.m
 	var resSq float64
 	for i := 0; i < n; i++ {
-		resSq += w.residRe[i]*w.residRe[i] + w.resIm[i]*w.resIm[i]
+		resSq += float64(w.residRe[i]*w.residRe[i]) + float64(w.resIm[i]*w.resIm[i])
 	}
 	res.Residual = math.Sqrt(resSq)
 
@@ -696,17 +703,17 @@ func (t *solveTask) finalize() {
 	res.Magnitude = growFloats(res.Magnitude, m)
 	for j := 0; j < m; j++ {
 		res.Profile[j] = complex(w.pRe[j], w.pIm[j])
-		res.Magnitude[j] = math.Sqrt(w.pRe[j]*w.pRe[j] + w.pIm[j]*w.pIm[j])
+		res.Magnitude[j] = math.Sqrt(float64(w.pRe[j]*w.pRe[j]) + float64(w.pIm[j]*w.pIm[j]))
 	}
 	t.done = true
 }
 
-// norm2Planar is ‖h‖₂ over the planar split — the random-initialization
-// scale.
+// norm2Planar is ‖h‖₂ over the planar split — the default-ε and
+// random-initialization scale.
 func norm2Planar(re, im []float64) float64 {
 	var s float64
 	for i := range re {
-		s += re[i]*re[i] + im[i]*im[i]
+		s += float64(re[i]*re[i]) + float64(im[i]*im[i])
 	}
 	return math.Sqrt(s)
 }
