@@ -71,10 +71,10 @@ var figures = []struct {
 	{key: "servicescaled", fn: exp.PerfServiceScaled, explicitOnly: true},
 	// pipeline is the solve-pool latency-isolation campaign: a
 	// latency-class stream under a bulk-class swarm, run with every solve
-	// on its shard and again through the solve pool with the class queue
-	// and gap-boundary preemption, comparing per-class p99 inter-fix
-	// gaps (BENCH_9.json). Wall-clock columns, so explicit-only like
-	// perf.
+	// on its shard and again through the solve pool, where latency solves
+	// dequeue first and bulk solves run waiting ones inline at their gap
+	// checks, comparing per-class p99 inter-fix gaps (BENCH_9.json).
+	// Wall-clock columns, so explicit-only like perf.
 	{key: "pipeline", fn: exp.PerfPipeline, explicitOnly: true},
 }
 

@@ -4,8 +4,8 @@
 // with the internal/obs layer as the management surface. A shard
 // ingests and tracks each of its devices' sweeps itself; the solve in
 // between runs on the shard too, or with -pipeline on a shared solve
-// pool where latency-class solves dequeue first and may preempt bulk
-// ones.
+// pool where latency-class solves dequeue first and a running bulk
+// solve runs waiting latency solves inline at its gap checks.
 //
 //	chronos-svc                          # 4 shards, synthetic demo fleet, wall time
 //	chronos-svc -shards 8 -devices 16    # full-pipeline fleet size
@@ -49,7 +49,6 @@ func main() {
 	bulkDevices := flag.Int("bulk-devices", 0, "bulk-class full-pipeline devices in the synthetic fleet")
 	statDevices := flag.Int("stat-devices", 64, "statistical ranging devices in the synthetic fleet")
 	pipeline := flag.Bool("pipeline", false, "solve sweeps on a shared solve pool with latency/bulk classes (ingest and track stay on the shards)")
-	preempt := flag.Bool("preempt", true, "with -pipeline: latency-class work preempts in-flight bulk solves at gap checks")
 	speed := flag.Float64("speed", 1.0, "device walk speed in m/s")
 	sweeps := flag.Int("sweeps", -1, "full sweeps per device (-1 = track until drain)")
 	seed := flag.Int64("seed", 1, "fleet seed (per-device RNGs derive from it)")
@@ -85,7 +84,7 @@ func main() {
 		Shards:   *shards,
 		Office:   office,
 		Virtual:  *virtual,
-		Pipeline: svc.PipelineConfig{Enabled: *pipeline, Preempt: *preempt},
+		Pipeline: svc.PipelineConfig{Enabled: *pipeline},
 	})
 
 	attachFull := func(id uint64, class svc.Class) {

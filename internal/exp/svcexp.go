@@ -154,13 +154,13 @@ func perfService(o Options, statDevices, fullDevices, shards int, window time.Du
 // solve capacity, measured twice on virtual time — undisaggregated
 // (every solve on its shard goroutine, where the stream waits its turn
 // behind whole bulk sweeps) and staged through the solve pool with
-// latency classes (the stream's solves jump the class queue and preempt
-// in-flight bulk solves at gap-check boundaries). The figure of merit
-// is the latency-class p99 inter-fix wall gap, which the staged run
-// must hold strictly below the undisaggregated run's at the same
-// offered load; the bulk-lane queue depth and solve-pool utilization
-// ride along from a mid-window snapshot. Wall-clock columns, so
-// explicit-only like the other perf campaigns.
+// latency classes (the stream's solves jump the class queue, and a
+// running bulk solve runs them inline at its next gap check). The
+// figure of merit is the latency-class p99 inter-fix wall gap, which
+// the staged run must hold strictly below the undisaggregated run's at
+// the same offered load; the bulk-lane queue depth and solve-pool
+// utilization ride along from a mid-window snapshot. Wall-clock
+// columns, so explicit-only like the other perf campaigns.
 func PerfPipeline(o Options) *Result {
 	o = o.withDefaults(1)
 	const (
@@ -193,7 +193,7 @@ func PerfPipeline(o Options) *Result {
 				// parallelism, so the comparison isolates scheduling: the
 				// staged run wins by ordering and preemption, not by
 				// throwing more solver goroutines at the same load.
-				SolveWorkers: shards, Preempt: true,
+				SolveWorkers: shards,
 			},
 		})
 		scfg := track.SessionConfig{

@@ -109,18 +109,16 @@ type InvertOptions struct {
 	// which is deterministic and converges at least as fast for this
 	// convex objective. Ignored when a warm start is supplied.
 	Seed int64
-	// Preempt, when non-nil, is polled at the duality-gap check cadence
-	// of the main and cold-fallback iterate phases (never mid-iteration,
-	// never during a polish). When it returns true the solve parks: it
-	// stops immediately and returns its current iterate with
-	// Result.Parked set. A parked result is a resume seed, not an answer
-	// — its profile has not been KKT-audited or polished — and is meant
-	// to be passed back as SolveRequest.Warm, which resumes the
-	// optimization from the parked restricted support. Schedulers use
-	// this to yield a long bulk solve to latency-class work at a cheap
-	// boundary. Nil (the default) disables polling; results are then
-	// byte-identical to builds without this field.
-	Preempt func() bool
+	// Yield, when non-nil, is called at the duality-gap check cadence of
+	// the main and cold-fallback iterate phases (never mid-iteration,
+	// never during a polish). It cannot stop the solve: when it returns,
+	// the solve continues from exactly the state it left, so the result
+	// is bit-identical to a solve without a hook. Schedulers use it to
+	// run waiting latency-class work on the goroutine of a long bulk
+	// solve. The hook may call Solve on the same Plan: the plan is
+	// read-only after NewPlan, and each solve takes its own workspace
+	// from the plan's pool.
+	Yield func()
 }
 
 // withDefaults fills the zero options; hRe/hIm is the measurement,
@@ -162,11 +160,6 @@ type Result struct {
 	// iteration). Callers use it to compare warm against cold solves on
 	// actual cost rather than raw iteration counts.
 	Work int64
-	// Parked reports that the solve was preempted (InvertOptions.Preempt
-	// fired at a gap-check boundary) and returned its in-progress iterate
-	// instead of a converged answer. Parked implies !Converged; resume by
-	// re-solving with Profile as the warm start.
-	Parked bool
 }
 
 // FirstPeakDelay extracts the direct-path delay from an inversion result:

@@ -31,10 +31,8 @@ var (
 	// audit could not grow the working set, forcing the cold full-grid
 	// fallback.
 	obsSolveKKTFallbacks = obs.NewCounter("ndft.solve.kkt_fallbacks")
-	// obsSolveParked counts requests preempted at a gap-check boundary
-	// (InvertOptions.Preempt fired; the caller holds a resume seed).
-	obsSolveParked = obs.NewCounter("ndft.solve.parked")
-	// obsSolveWallNs is wall time per Solve call, nanoseconds.
+	// obsSolveWallNs is wall time per Solve call, nanoseconds, including
+	// whatever its InvertOptions.Yield hook ran.
 	obsSolveWallNs = obs.NewHist("ndft.solve.wall_ns")
 )
 
@@ -56,9 +54,7 @@ func init() {
 func (t *solveTask) record(wallStart int64) {
 	obsSolveRequests.Inc()
 	obsSolveIterations.Add(int64(t.res.Iterations))
-	if t.res.Parked {
-		obsSolveParked.Inc()
-	} else if !t.res.Converged {
+	if !t.res.Converged {
 		obsSolveCapped.Inc()
 	}
 	if t.everGap {

@@ -231,7 +231,6 @@ func (t *solveTask) start() {
 	res.Taus = pl.Taus
 	res.Iterations, res.Converged, res.Work = 0, false, 0
 	res.GapAtStop, res.NoiseFloor = 0, t.opts.NoiseFloor
-	res.Parked = false
 	// The gap rule needs a tolerance to stop against: the caller's
 	// per-sweep noise estimate or an absolute GapTol. Without either the
 	// checks could never pass, so they are skipped entirely and the
@@ -378,10 +377,9 @@ func (t *solveTask) endStep(diffSq, gdot float64) {
 		t.afterIterate(t.iter)
 		return
 	}
-	if (t.gapChecks() || t.preemptPolls()) && t.iter >= t.checkAt {
-		if t.preemptPolls() && t.opts.Preempt() {
-			t.park()
-			return
+	if (t.gapChecks() || t.yields()) && t.iter >= t.checkAt {
+		if t.yields() {
+			t.opts.Yield()
 		}
 		if t.gapChecks() {
 			stop, s := t.gapCheck()
@@ -402,8 +400,8 @@ func (t *solveTask) endStep(diffSq, gdot float64) {
 				t.checkAt = t.iter + gapEvery
 			}
 		} else {
-			// Preempt-only cadence: no gap tolerance to measure, so the
-			// poll just rides the coarse check interval.
+			// Yield-only cadence: no gap tolerance to measure, so the
+			// hook just rides the coarse check interval.
 			t.checkAt = t.iter + gapEvery
 		}
 	}
@@ -412,27 +410,11 @@ func (t *solveTask) endStep(diffSq, gdot float64) {
 	}
 }
 
-// preemptPolls reports whether the current phase polls the caller's
-// preemption hook: only the main and cold-fallback iterates — a polish
-// is short, restricted, and about to finish, so parking it would cost
-// more than letting it run out.
-func (t *solveTask) preemptPolls() bool {
-	return t.opts.Preempt != nil && (t.phase == taskMain || t.phase == taskCold)
-}
-
-// park stops a preempted solve at the current iterate: the result
-// carries the in-progress profile as a resume seed (Parked set,
-// Converged false) and skips the KKT audit, cold fallback, and polish —
-// a parked iterate is not an answer, so there is nothing to certify.
-// The phase's iterations are booked so Work/Iterations telemetry stays
-// an honest account of the cost paid before yielding.
-func (t *solveTask) park() {
-	t.res.Iterations += t.iter
-	t.res.Converged = false
-	t.res.Parked = true
-	t.restricted = false
-	t.finishResid()
-	t.finalize()
+// yields reports whether the current phase calls the caller's yield
+// hook: only the main and cold-fallback iterates — a polish is short,
+// restricted, and about to finish.
+func (t *solveTask) yields() bool {
+	return t.opts.Yield != nil && (t.phase == taskMain || t.phase == taskCold)
 }
 
 // gapChecks reports whether the current phase runs duality-gap checks:

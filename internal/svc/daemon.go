@@ -16,7 +16,9 @@
 // under test and wall time in production: in virtual mode a shard runs
 // its queue straight to the next due timer, so a daemon run is
 // deterministic per device — byte-identical to sequential
-// track.RunSession calls with the same seeds, at any shard count.
+// track.RunSession calls with the same seeds, at any shard count, with
+// or without a solve pool, and whether or not bulk solves run latency
+// solves inline.
 package svc
 
 import (
@@ -88,8 +90,8 @@ type DeviceConfig struct {
 	Stat bool
 	// Class is the device's scheduling class on the solve pool (default
 	// ClassLatency). Bulk-class full devices yield the pool to
-	// latency-class work and are preemptible mid-solve when
-	// PipelineConfig.Preempt is armed. Without a pool it only
+	// latency-class work: their solves dequeue after it and run waiting
+	// latency solves inline at their gap checks. Without a pool it only
 	// attributes metrics; stat devices ignore it (they never solve).
 	Class Class
 

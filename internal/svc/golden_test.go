@@ -51,20 +51,36 @@ func goldenOffice() *sim.Office {
 	return sim.NewOffice(rand.New(rand.NewSource(3)), sim.OfficeConfig{})
 }
 
-// sequentialTraces runs K sessions back to back through track.RunSession
-// — the daemon-free reference — and returns fix tables keyed by device.
-func sequentialTraces(t *testing.T, office *sim.Office, seeds map[uint64]int64) map[uint64]string {
+// sequentialTraces runs the full devices back to back through
+// track.RunSession — the daemon-free reference — and returns fix tables
+// keyed by device.
+func sequentialTraces(t *testing.T, office *sim.Office, devs map[uint64]DeviceConfig) map[uint64]string {
 	t.Helper()
-	out := make(map[uint64]string, len(seeds))
-	for id, seed := range seeds {
-		est := tof.NewEstimator(goldenEstimator())
-		r, err := track.RunSession(rand.New(rand.NewSource(seed)), office, est, goldenSession())
+	out := make(map[uint64]string, len(devs))
+	for id, dc := range devs {
+		est := tof.NewEstimator(dc.Estimator)
+		r, err := track.RunSession(rand.New(rand.NewSource(dc.Seed)), office, est, dc.Session)
 		if err != nil {
 			t.Fatalf("sequential session %d: %v", id, err)
 		}
 		out[id] = svcFixTable(r)
 	}
 	return out
+}
+
+// counterDeltas runs fn and returns how far it advanced each ndft.* and
+// tof.* counter (obs must be on). Those count scheduling-independent
+// solver events, so no daemon configuration may move them.
+func counterDeltas(fn func()) map[string]int64 {
+	before := obs.Capture().Counters
+	fn()
+	delta := make(map[string]int64)
+	for name, v := range obs.Capture().Counters {
+		if strings.HasPrefix(name, "ndft.") || strings.HasPrefix(name, "tof.") {
+			delta[name] = v - before[name]
+		}
+	}
+	return delta
 }
 
 // daemonSessions runs the given full devices through a daemon until it
@@ -98,21 +114,26 @@ func daemonSessions(t *testing.T, office *sim.Office, devs map[uint64]DeviceConf
 	return out
 }
 
-// daemonTraces runs the golden fleet through a daemon with the given
-// config and returns the fix tables. Devices attach with the given
-// scheduling class (relevant only when cfg arms the staged pipeline).
-func daemonTraces(t *testing.T, office *sim.Office, seeds map[uint64]int64, cfg Config, class Class) map[uint64]string {
+// daemonTraces runs full devices through a daemon with the given config
+// and returns the fix tables.
+func daemonTraces(t *testing.T, office *sim.Office, devs map[uint64]DeviceConfig, cfg Config) map[uint64]string {
 	t.Helper()
+	out := make(map[uint64]string, len(devs))
+	for id, r := range daemonSessions(t, office, devs, cfg) {
+		out[id] = svcFixTable(r)
+	}
+	return out
+}
+
+// goldenFleet is the golden devices with the given seeds, all of one
+// scheduling class (relevant only on a solve pool).
+func goldenFleet(seeds map[uint64]int64, class Class) map[uint64]DeviceConfig {
 	devs := make(map[uint64]DeviceConfig, len(seeds))
 	for id, seed := range seeds {
 		devs[id] = DeviceConfig{Seed: seed, Class: class,
 			Session: goldenSession(), Estimator: goldenEstimator()}
 	}
-	out := make(map[uint64]string, len(seeds))
-	for id, r := range daemonSessions(t, office, devs, cfg) {
-		out[id] = svcFixTable(r)
-	}
-	return out
+	return devs
 }
 
 // TestDaemonGoldenTraceMatchesSequential is the service golden-trace
@@ -129,7 +150,7 @@ func TestDaemonGoldenTraceMatchesSequential(t *testing.T) {
 	}
 	office := goldenOffice()
 	seeds := map[uint64]int64{1: 11, 2: 12, 3: 13, 4: 14}
-	want := sequentialTraces(t, office, seeds)
+	want := sequentialTraces(t, office, goldenFleet(seeds, ClassLatency))
 	for id, tab := range want {
 		if tab == "" {
 			t.Fatalf("device %d: empty sequential fix table", id)
@@ -139,8 +160,8 @@ func TestDaemonGoldenTraceMatchesSequential(t *testing.T) {
 	// The pipeline cases pin that moving the solve off the shard onto
 	// the solve pool must not change a single byte of any device's fix
 	// trace — at 1 shard, at 8 shards, and regardless of class (bulk
-	// class only changes dequeue ORDER; preemption stays off here
-	// because park/resume legitimately alters solve trajectories).
+	// class only changes dequeue order; TestPipelinePreemptionFires
+	// covers bulk solves that run latency solves inline).
 	for _, tc := range []struct {
 		name  string
 		cfg   Config
@@ -157,7 +178,7 @@ func TestDaemonGoldenTraceMatchesSequential(t *testing.T) {
 			Pipeline: PipelineConfig{Enabled: true, SolveWorkers: 2, QueueDepth: 2}}, ClassBulk},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			got := daemonTraces(t, office, seeds, tc.cfg, tc.class)
+			got := daemonTraces(t, office, goldenFleet(seeds, tc.class), tc.cfg)
 			if len(got) != len(want) {
 				t.Fatalf("daemon retired %d devices, want %d", len(got), len(want))
 			}
@@ -196,16 +217,10 @@ func TestDaemonShardCountInvariant(t *testing.T) {
 
 	obs.SetEnabled(true)
 	defer obs.SetEnabled(false)
-	run := func(shards int) (map[uint64]*track.SessionResult, map[string]int64) {
-		before := obs.Capture().Counters
-		res := daemonSessions(t, office, devs, Config{Shards: shards, Virtual: true})
-		after := obs.Capture().Counters
-		delta := make(map[string]int64)
-		for name, v := range after {
-			if strings.HasPrefix(name, "ndft.") || strings.HasPrefix(name, "tof.") {
-				delta[name] = v - before[name]
-			}
-		}
+	run := func(shards int) (res map[uint64]*track.SessionResult, delta map[string]int64) {
+		delta = counterDeltas(func() {
+			res = daemonSessions(t, office, devs, Config{Shards: shards, Virtual: true})
+		})
 		return res, delta
 	}
 	one, oneCounts := run(1)

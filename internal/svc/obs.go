@@ -51,14 +51,15 @@ var (
 	// Stage spans of every full sweep, recorded the same way with and
 	// without a solve pool (ingest and track on the shard, the solve on
 	// whichever goroutine runs it), and the solve pool's queue wait
-	// (class-queue enqueue → dequeue).
+	// (class-queue enqueue → dequeue). One of each per sweep: a bulk
+	// solve's span leaves out the latency solves it ran inline.
 	obsStageIngestNs    = obs.NewHist("svc.stage.ingest_ns")
 	obsStageSolveNs     = obs.NewHist("svc.stage.solve_ns")
 	obsStageSolveWaitNs = obs.NewHist("svc.stage.solve_wait_ns")
 	obsStageTrackNs     = obs.NewHist("svc.stage.track_ns")
 
-	// obsPreemptions counts bulk solves parked at a gap-check boundary
-	// to yield a solve worker to waiting latency-class work.
+	// obsPreemptions counts latency-class solves that a bulk solve ran
+	// inline at one of its gap checks.
 	obsPreemptions = obs.NewCounter("svc.preemptions")
 	// obsStarveGrants counts bulk tokens granted by the starvation
 	// bound while latency tokens were still queued.

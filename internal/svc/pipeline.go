@@ -20,7 +20,7 @@ import (
 //	      │ push(token)
 //	      ▼
 //	[solve class queue] ─► solve pool (profile inversion)
-//	  latency ▸▸ bulk          │ park ⤴ (head of its lane)
+//	  latency ▸▸ bulk          │
 //	                           ▼
 //	per-shard completion queue ─► owning shard: finish
 //	                              (StepTrack, retire or reschedule)
@@ -33,11 +33,11 @@ import (
 //
 // Devices carry a scheduling class. The solve — the expensive,
 // variance-heavy stage — dequeues latency-class tokens ahead of
-// bulk-class ones (strict priority with a starvation bound), and may
-// preempt an in-flight bulk solve at its duality-gap check boundaries:
-// the solver parks, the token re-enqueues with its iterate retained as
-// a resume seed (tof's parked-seed machinery), and the freed worker
-// picks up the waiting latency token.
+// bulk-class ones (strict priority with a starvation bound). A latency
+// token that arrives while a bulk solve runs does not wait for it: at
+// its next duality-gap check the bulk solve runs the latency solve
+// inline, on the same goroutine, and then continues from its exact
+// state, so preemption changes no result.
 
 // Class is a device's scheduling class on the solve pool.
 type Class int
@@ -45,11 +45,12 @@ type Class int
 const (
 	// ClassLatency (the zero value) marks interactive devices — e.g. a
 	// drone-follow stream — whose fix cadence the service protects:
-	// their solves dequeue first and may preempt bulk solves.
+	// their solves dequeue first, and a running bulk solve runs them
+	// inline at its next gap check.
 	ClassLatency Class = iota
 	// ClassBulk marks throughput devices (fleet surveys, batch
-	// localization) that absorb queueing delay: their solves yield to
-	// latency-class work and are preemptible at gap-check boundaries.
+	// localization) that absorb queueing delay: their solves dequeue
+	// after latency-class work and run waiting latency solves inline.
 	ClassBulk
 )
 
@@ -66,22 +67,16 @@ type PipelineConfig struct {
 	IngestWorkers, TrackWorkers int
 	// QueueDepth bounds the solve class queue (default 256 tokens). A
 	// full queue blocks the pushing shard — backpressure, never loss.
-	// Parked-solve re-enqueues bypass the bound (a worker re-queueing
-	// its own token must not deadlock the pool).
 	QueueDepth int
 	// StarveBound caps consecutive latency-class solve grants while
 	// bulk work waits (default 8): after that many, one bulk token is
 	// granted even if latency tokens are queued, bounding bulk-class
-	// starvation under latency saturation. The same bound caps parks
-	// per bulk sweep when Preempt is armed: after StarveBound yields,
-	// a sweep's remaining solves run non-preemptible.
+	// starvation under latency saturation. The same bound caps the
+	// latency solves one bulk sweep runs inline.
 	StarveBound int
-	// Preempt arms solver preemption: while a latency-class token waits
-	// in the solve queue, in-flight bulk solves park at their next
-	// duality-gap check and re-enqueue (resuming later from the parked
-	// iterate). Preemption changes bulk solve trajectories (park/resume
-	// is numerically equivalent but not bit-identical to an unbroken
-	// solve), so golden byte-identity runs leave it off.
+	// Deprecated: ignored. A bulk solve on the pool always runs waiting
+	// latency solves inline; the field remains only because perfbench
+	// still sets it.
 	Preempt bool
 }
 
@@ -106,24 +101,26 @@ type sweepToken struct {
 	class Class
 	start int64 // obs.Tick at the timer fire (end-to-end sweep span)
 	enq   int64 // obs.Tick at solve enqueue (solve-wait span)
-	parks int   // times this sweep's solve parked (bounded by StarveBound)
-	err   error // terminal stage error; finish retires the device
+	// solveAt is the obs.Tick the solve span starts at. A bulk solve's
+	// yield hook moves it forward past each latency solve it runs
+	// inline, so the span leaves them out.
+	solveAt int64
+	inline  int   // latency solves this bulk sweep ran inline (≤ StarveBound)
+	err     error // terminal stage error; finish retires the device
 }
 
 // solve runs the sweep's inversion stage under the svc.stage.solve_ns
-// span, on whichever goroutine holds the token. parked reports a solve
-// that yielded to the preemption hook mid-iterate.
-func (t *sweepToken) solve() (parked bool) {
-	tick := obs.Tick()
-	parked, t.err = t.ds.full.StepSolve()
-	obsStageSolveNs.Since(tick)
-	return parked
+// span, on whichever goroutine holds the token.
+func (t *sweepToken) solve() {
+	t.solveAt = obs.Tick()
+	_, t.err = t.ds.full.StepSolve()
+	obsStageSolveNs.Since(t.solveAt)
 }
 
 // classQueue is the solve stage's two-class priority queue: strict
 // latency-over-bulk dequeue with a starvation bound, a blocking bound
-// on total depth, and a lock-free waiting-latency count that the bulk
-// preemption hook polls from inside solver iterations.
+// on total depth, and a lock-free waiting-latency count that a bulk
+// solve's yield hook reads before it takes the lock.
 type classQueue struct {
 	mu     sync.Mutex
 	nonEmp *sync.Cond // wait: poppers; signal: push
@@ -158,28 +155,6 @@ func (q *classQueue) push(t *sweepToken) bool {
 	return q.pushLocked(t)
 }
 
-// pushParked re-enqueues a parked bulk token at the head of its class,
-// bypassing the depth bound: the pushing solve worker just freed a
-// slot's worth of work, and blocking it here could deadlock the stage.
-// Head placement resumes the half-done solve before fresh bulk work, so
-// preemption adds latency to at most one bulk sweep at a time.
-func (q *classQueue) pushParked(t *sweepToken) bool {
-	q.mu.Lock()
-	if q.closed {
-		q.mu.Unlock()
-		return false
-	}
-	if t.class == ClassBulk {
-		q.bulk = append([]*sweepToken{t}, q.bulk...)
-	} else {
-		q.lat = append([]*sweepToken{t}, q.lat...)
-		q.latWaiting.Add(1)
-	}
-	q.nonEmp.Signal()
-	q.mu.Unlock()
-	return true
-}
-
 func (q *classQueue) pushLocked(t *sweepToken) bool {
 	if q.closed {
 		q.mu.Unlock()
@@ -202,36 +177,67 @@ func (q *classQueue) pushLocked(t *sweepToken) bool {
 // returns ok=false once the queue is closed and empty.
 func (q *classQueue) pop() (*sweepToken, bool) {
 	q.mu.Lock()
+	defer q.mu.Unlock()
 	for len(q.lat) == 0 && len(q.bulk) == 0 && !q.closed {
 		q.nonEmp.Wait()
 	}
 	if len(q.lat) == 0 && len(q.bulk) == 0 {
-		q.mu.Unlock()
 		return nil, false
 	}
-	var t *sweepToken
-	takeLat := len(q.lat) > 0
-	if takeLat && len(q.bulk) > 0 && q.latRun >= q.starve {
-		takeLat = false
-		obsStarveGrants.Inc()
+	if q.latencyGrantLocked() {
+		return q.takeLatencyLocked(), true
 	}
-	if takeLat {
-		t = q.lat[0]
-		q.lat = q.lat[1:]
-		q.latWaiting.Add(-1)
-		if len(q.bulk) > 0 {
-			q.latRun++
-		} else {
-			q.latRun = 0
-		}
+	t := q.bulk[0]
+	q.bulk = q.bulk[1:]
+	q.latRun = 0
+	q.nonFul.Signal()
+	return t, true
+}
+
+// popLatency dequeues the head latency token without blocking, for a
+// running bulk solve's yield hook; nil when the latency lane is empty.
+// It follows pop's grant rule: when the starvation bound refuses the
+// grant, the bulk solve that keeps running is the bulk grant owed, so
+// the run resets and nil is returned. A closed queue still hands out
+// what it holds, as pop does.
+func (q *classQueue) popLatency() *sweepToken {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if !q.latencyGrantLocked() {
+		return nil
+	}
+	return q.takeLatencyLocked()
+}
+
+// latencyGrantLocked reports whether the head latency token may be
+// granted. With bulk work waiting and starve consecutive latency grants
+// behind it, the starvation bound refuses: the run resets and the
+// refusal counts under svc.starve_grants.
+func (q *classQueue) latencyGrantLocked() bool {
+	if len(q.lat) == 0 {
+		return false
+	}
+	if len(q.bulk) > 0 && q.latRun >= q.starve {
+		q.latRun = 0
+		obsStarveGrants.Inc()
+		return false
+	}
+	return true
+}
+
+// takeLatencyLocked dequeues the head latency token and extends the run
+// of latency grants while bulk work waits.
+func (q *classQueue) takeLatencyLocked() *sweepToken {
+	t := q.lat[0]
+	q.lat = q.lat[1:]
+	q.latWaiting.Add(-1)
+	if len(q.bulk) > 0 {
+		q.latRun++
 	} else {
-		t = q.bulk[0]
-		q.bulk = q.bulk[1:]
 		q.latRun = 0
 	}
 	q.nonFul.Signal()
-	q.mu.Unlock()
-	return t, true
+	return t
 }
 
 // close wakes every waiter; pops drain the remainder and then report
@@ -277,11 +283,7 @@ func (p *pipeline) stop() {
 	p.wg.Wait()
 }
 
-// solveWorker runs solves off the class queue and hands each solved
-// token back to its owning shard, whose finish completes the sweep.
-// Bulk-class tokens install the preemption hook when armed: the device
-// estimator's solves then poll the queue's waiting-latency count at
-// gap-check boundaries and park when latency work is behind them.
+// solveWorker runs solves off the class queue until it closes.
 func (p *pipeline) solveWorker() {
 	defer p.wg.Done()
 	for {
@@ -290,32 +292,42 @@ func (p *pipeline) solveWorker() {
 			return
 		}
 		p.busy.Add(1)
-		obsStageSolveWaitNs.Since(t.enq)
-		// The park cap is the preemption-side starvation bound: once a
-		// sweep has yielded StarveBound times, its remaining solves run
-		// non-preemptible so bulk devices make progress even under a
-		// saturating latency stream.
-		preemptible := p.cfg.Preempt && t.class == ClassBulk && t.parks < p.cfg.StarveBound
-		if preemptible {
-			q := p.solveQ
-			t.ds.est.SetPreempt(func() bool { return q.latWaiting.Load() > 0 })
-		}
-		parked := t.solve()
-		if preemptible {
-			t.ds.est.SetPreempt(nil)
-		}
+		p.run(t)
 		p.busy.Add(-1)
-		if parked {
-			t.parks++
-			obsPreemptions.Inc()
-			t.enq = obs.Tick()
-			if p.solveQ.pushParked(t) {
-				continue
-			}
-			t.err = ErrDraining
+	}
+}
+
+// run solves a dequeued token and hands it back to its owning shard,
+// whose finish completes the sweep; completion never blocks, so a slow
+// shard cannot wedge the pool. A bulk token's solve calls runInline at
+// its gap checks. Latency solves install no hook, so nesting is one
+// level deep, and the worker owns both tokens while it runs them.
+func (p *pipeline) run(t *sweepToken) {
+	obsStageSolveWaitNs.Since(t.enq)
+	if t.class == ClassBulk {
+		t.ds.est.SetYield(func() { p.runInline(t) })
+		t.solve()
+		t.ds.est.SetYield(nil)
+	} else {
+		t.solve()
+	}
+	t.ds.shard.complete(t)
+}
+
+// runInline is a bulk solve's yield hook: while latency tokens wait and
+// the sweep has run fewer than StarveBound of them, it pops one and runs
+// it to completion on this goroutine. The bulk solve then continues
+// from its exact state, so its result does not change.
+func (p *pipeline) runInline(t *sweepToken) {
+	for t.inline < p.cfg.StarveBound && p.solveQ.latWaiting.Load() > 0 {
+		lt := p.solveQ.popLatency()
+		if lt == nil {
+			return
 		}
-		// Completion delivery never blocks (per-shard mutex-guarded
-		// slice), so a slow shard cannot wedge the pool.
-		t.ds.shard.complete(t)
+		t.inline++
+		obsPreemptions.Inc()
+		paused := obs.Tick()
+		p.run(lt)
+		t.solveAt += obs.Tick() - paused
 	}
 }

@@ -1,6 +1,7 @@
 package svc
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -46,53 +47,115 @@ func TestClassQueueOrder(t *testing.T) {
 	}
 }
 
-// TestClassQueueParkedResumesFirst pins the parked re-enqueue position:
-// a preempted bulk token goes back at the head of the bulk lane, ahead
-// of fresh bulk work, so preemption delays at most one half-done solve.
-func TestClassQueueParkedResumesFirst(t *testing.T) {
-	q := newClassQueue(64, 8)
-	a := &sweepToken{class: ClassBulk, ds: &deviceSession{id: 1}}
-	b := &sweepToken{class: ClassBulk, ds: &deviceSession{id: 2}}
-	q.push(a)
-	q.push(b)
-	got, _ := q.pop()
-	if got != a {
-		t.Fatalf("first pop got device %d, want 1", got.ds.id)
+// TestClassQueuePopLatency pins the non-blocking latency pop that a
+// running bulk solve's yield hook uses: nil on an empty latency lane
+// with bulk tokens left queued, FIFO within the lane with the waiting
+// count kept, pop's starvation bound (a refusal resets the run and
+// counts a starve grant: the bulk solve that keeps running is the bulk
+// grant owed), and a closed queue still handing out what it holds.
+func TestClassQueuePopLatency(t *testing.T) {
+	obs.SetEnabled(true)
+	obs.Reset()
+	defer obs.SetEnabled(false)
+	mk := func(c Class, id uint64) *sweepToken {
+		return &sweepToken{class: c, ds: &deviceSession{id: id}}
 	}
-	q.pushParked(a) // parked mid-solve; must resume before b
-	if got, _ = q.pop(); got != a {
-		t.Fatalf("parked token did not resume first (got device %d)", got.ds.id)
+	expect := func(step string, tok *sweepToken, id uint64) {
+		t.Helper()
+		switch {
+		case id == 0 && tok != nil:
+			t.Fatalf("%s: got device %d, want nil", step, tok.ds.id)
+		case id != 0 && tok == nil:
+			t.Fatalf("%s: got nil, want device %d", step, id)
+		case id != 0 && tok.ds.id != id:
+			t.Fatalf("%s: got device %d, want %d", step, tok.ds.id, id)
+		}
 	}
-	if got, _ = q.pop(); got != b {
-		t.Fatalf("tail pop got device %d, want 2", got.ds.id)
+
+	q := newClassQueue(64, 2)
+	expect("empty queue", q.popLatency(), 0)
+	q.push(mk(ClassBulk, 101))
+	expect("bulk only", q.popLatency(), 0)
+	for i := uint64(1); i <= 3; i++ {
+		q.push(mk(ClassLatency, i)) // L1..L3
+	}
+	// With starve=2 and bulk waiting, two grants run up to the bound.
+	expect("first grant", q.popLatency(), 1)
+	expect("second grant", q.popLatency(), 2)
+	if w := q.latWaiting.Load(); w != 1 {
+		t.Fatalf("latWaiting = %d, want 1", w)
+	}
+	expect("grant past the bound", q.popLatency(), 0)
+	if q.latRun != 0 {
+		t.Fatalf("latRun = %d after a refusal, want it reset", q.latRun)
+	}
+	if n := obsStarveGrants.Value(); n != 1 {
+		t.Fatalf("svc.starve_grants = %d, want 1", n)
+	}
+	expect("grant after the reset", q.popLatency(), 3)
+	if w := q.latWaiting.Load(); w != 0 {
+		t.Fatalf("latWaiting = %d, want 0", w)
+	}
+	if lat, bulk := q.depths(); lat != 0 || bulk != 1 {
+		t.Fatalf("depths lat=%d bulk=%d, want the bulk token still queued", lat, bulk)
+	}
+
+	q.push(mk(ClassLatency, 4))
+	q.close()
+	expect("closed queue", q.popLatency(), 4)
+	expect("closed empty lane", q.popLatency(), 0)
+	if tok, ok := q.pop(); !ok || tok.ds.id != 101 {
+		t.Fatal("pop on the closed queue did not drain the bulk token")
+	}
+	if _, ok := q.pop(); ok {
+		t.Fatal("pop on a closed empty queue reported a token")
 	}
 }
 
 // TestStageSpansOnePath pins the single instrumentation path: with the
 // solve on the shard and on a solve pool alike, every completed full
 // sweep records exactly one ingest, solve and track stage span and one
-// end-to-end sweep span (preemption off, so no solve parks).
+// end-to-end sweep span, and on the pool one solve-wait span. The
+// inline row runs mixed classes on one worker, where bulk solves run
+// latency solves inline: each of those sweeps still records one solve
+// and one solve-wait span.
 func TestStageSpansOnePath(t *testing.T) {
 	for _, tc := range []struct {
-		name string
-		pipe PipelineConfig
+		name   string
+		devs   map[uint64]DeviceConfig
+		pipe   PipelineConfig
+		inline bool
 	}{
-		{"shard", PipelineConfig{}},
-		{"pool", PipelineConfig{Enabled: true, SolveWorkers: 2}},
+		{"shard", fiveGHzFleet(2), PipelineConfig{}, false},
+		{"pool", fiveGHzFleet(2), PipelineConfig{Enabled: true, SolveWorkers: 2}, false},
+		{"pool_inline", preemptionFleet(), PipelineConfig{Enabled: true, SolveWorkers: 1}, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
+			if tc.inline && testing.Short() {
+				t.Skip("full-pipeline fleet")
+			}
 			obs.SetEnabled(true)
 			obs.Reset()
 			defer obs.SetEnabled(false)
-			daemonSessions(t, goldenOffice(), fiveGHzFleet(2),
+			daemonSessions(t, goldenOffice(), tc.devs,
 				Config{Shards: 2, Virtual: true, Pipeline: tc.pipe})
 			snap := obs.Capture()
-			sweeps := snap.Counters["svc.full_sweeps"]
-			if sweeps != 8 {
-				t.Fatalf("svc.full_sweeps = %d, want 8", sweeps)
+			want := int64(0)
+			for _, dc := range tc.devs {
+				want += int64(dc.Session.Sweeps)
 			}
-			for _, name := range []string{"svc.stage.ingest_ns", "svc.stage.solve_ns",
-				"svc.stage.track_ns", "svc.sweep_ns"} {
+			sweeps := snap.Counters["svc.full_sweeps"]
+			if sweeps != want {
+				t.Fatalf("svc.full_sweeps = %d, want %d", sweeps, want)
+			}
+			if tc.inline && snap.Counters["svc.preemptions"] == 0 {
+				t.Fatal("no latency solve ran inline")
+			}
+			names := []string{"svc.stage.ingest_ns", "svc.stage.solve_ns", "svc.stage.track_ns", "svc.sweep_ns"}
+			if tc.pipe.Enabled {
+				names = append(names, "svc.stage.solve_wait_ns")
+			}
+			for _, name := range names {
 				if got := snap.Hists[name].Count; got != sweeps {
 					t.Errorf("%s count = %d, want one per sweep (%d)", name, got, sweeps)
 				}
@@ -210,11 +273,31 @@ func TestPipelineBackpressureCompletes(t *testing.T) {
 	pipelineFleet(t, d, 6, 2)
 }
 
+// preemptionFleet is one latency device against seven bulk ones, each
+// streaming eight warm sweeps on the golden estimator. On a one-worker
+// pool the bulk solves run the latency device's solves inline: 2 to 8
+// of its 8 in each of 100 runs (0 in 3 of 100 runs at four sweeps).
+func preemptionFleet() map[uint64]DeviceConfig {
+	devs := make(map[uint64]DeviceConfig, 8)
+	for i := 0; i < 8; i++ {
+		class := ClassBulk
+		if i == 0 {
+			class = ClassLatency
+		}
+		devs[uint64(i+1)] = DeviceConfig{Seed: int64(70 + i), Class: class,
+			Session:   track.SessionConfig{Sweeps: 8, WarmStart: true},
+			Estimator: goldenEstimator()}
+	}
+	return devs
+}
+
 // TestPipelinePreemptionFires runs one latency device against a bulk
-// swarm on a single solve worker with preemption armed, and asserts
-// that bulk solves actually parked for the latency stream (the
-// svc.preemptions counter moved) and that every device still finished
-// every sweep — parked solves resume and lose nothing.
+// swarm on a single solve worker, so bulk solves run the latency
+// device's solves inline at their gap checks, and asserts that this
+// changes no result: inline solves ran (svc.preemptions moved), every
+// device's fix table is byte-identical to sequential track.RunSession,
+// and every ndft.* and tof.* counter advanced exactly as it does for
+// the same fleet solved on its shards.
 func TestPipelinePreemptionFires(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-pipeline fleet")
@@ -223,48 +306,30 @@ func TestPipelinePreemptionFires(t *testing.T) {
 	obs.Reset()
 	defer obs.SetEnabled(false)
 
-	d := NewDaemon(Config{
-		Shards: 2, Office: goldenOffice(), Virtual: true,
-		Pipeline: PipelineConfig{
-			Enabled: true, SolveWorkers: 1, Preempt: true,
-		},
+	office := goldenOffice()
+	devs := preemptionFleet()
+	want := sequentialTraces(t, office, devs)
+	var got map[uint64]string
+	pooled := counterDeltas(func() {
+		got = daemonTraces(t, office, devs, Config{Shards: 2, Virtual: true,
+			Pipeline: PipelineConfig{Enabled: true, SolveWorkers: 1}})
 	})
-	scfg := track.SessionConfig{Sweeps: 4, WarmStart: true}
-	est := goldenEstimator()
-	for i := 0; i < 8; i++ {
-		class := ClassBulk
-		if i == 0 {
-			class = ClassLatency
-		}
-		err := d.Attach(uint64(i+1), DeviceConfig{
-			Seed: int64(70 + i), Class: class, Session: scfg, Estimator: est,
-		})
-		if err != nil {
-			t.Fatalf("attach %d: %v", i+1, err)
+	if n := obsPreemptions.Value(); n == 0 {
+		t.Error("no latency solve ran inline despite a bulk swarm on one solve worker")
+	} else {
+		t.Logf("%d latency solves ran inline", n)
+	}
+	for id, tab := range want {
+		if got[id] != tab {
+			t.Errorf("device %d diverged from sequential run:\ndaemon:\n%s\nsequential:\n%s",
+				id, got[id], tab)
 		}
 	}
-	if err := d.Quiesce(120 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	results := d.Results()
-	snap, err := d.Drain(10 * time.Second)
-	if err != nil {
-		t.Fatalf("drain: %v", err)
-	}
-	for id, r := range results {
-		if r.Err != nil {
-			t.Fatalf("device %d retired with error: %v", id, r.Err)
-		}
-		if r.Fixes != 4 {
-			t.Fatalf("device %d streamed %d fixes, want 4", id, r.Fixes)
-		}
-	}
-	if snap.Counters["svc.preemptions"] == 0 {
-		t.Error("no bulk solve parked despite a contending latency stream on one solve worker")
-	}
-	if snap.Counters["svc.preemptions"] != snap.Counters["tof.solve.parks"] {
-		t.Errorf("svc.preemptions (%d) and tof.solve.parks (%d) disagree",
-			snap.Counters["svc.preemptions"], snap.Counters["tof.solve.parks"])
+	onShards := counterDeltas(func() {
+		daemonSessions(t, office, devs, Config{Shards: 2, Virtual: true})
+	})
+	if !reflect.DeepEqual(pooled, onShards) {
+		t.Errorf("ndft/tof counter deltas differ:\npool:   %v\nshards: %v", pooled, onShards)
 	}
 }
 

@@ -38,7 +38,7 @@ type deviceSession struct {
 
 	// Full pipeline.
 	full *track.Session
-	est  *tof.Estimator // the full session's estimator (preempt hook target)
+	est  *tof.Estimator // the full session's estimator (yield hook target)
 
 	// Sweep-token state, owned by the shard goroutine except where
 	// noted. inflight marks a sweep token out in the solve pool (the
@@ -191,8 +191,6 @@ func (ds *deviceSession) sweep() {
 		return
 	}
 	if t.err == nil {
-		// Off the pool no preemption hook is installed, so this solve
-		// cannot park.
 		t.solve()
 	}
 	ds.finish(t, false)

@@ -97,15 +97,6 @@ type Config struct {
 	// the constant hardware chain delays (§7 observation 2). Obtain it
 	// once via Calibrate.
 	CalibrationOffset float64
-	// Preempt, when non-nil, is forwarded to the main profile inversions
-	// (ndft.InvertOptions.Preempt): the solver polls it at duality-gap
-	// check boundaries and, when it fires, parks the solve — Estimate
-	// returns ErrSolveParked and the parked iterate is retained on the
-	// Sweep as a one-shot resume seed for the next Estimate of the same
-	// geometry. Alias refits are never preemptible. Schedulers that own
-	// an estimator exclusively install the hook only around the solves
-	// they want preemptible (see SetPreempt). Nil disables preemption.
-	Preempt func() bool
 }
 
 func (c Config) withDefaults() Config {
@@ -147,6 +138,7 @@ func (c Config) withDefaults() Config {
 type Estimator struct {
 	cfg   Config
 	plans *planRegistry
+	yield func() // see SetYield
 }
 
 // NewEstimator builds an estimator with the given configuration. All
@@ -162,12 +154,15 @@ func (e *Estimator) Config() Config { return e.cfg }
 // value Calibrate returns) without rebuilding the estimator.
 func (e *Estimator) SetCalibrationOffset(off float64) { e.cfg.CalibrationOffset = off }
 
-// SetPreempt installs (nil clears) the preemption hook without
-// rebuilding the estimator — see Config.Preempt. Like Calibrate it
-// mutates the estimator's config, so it must not race with Estimate
-// calls; schedulers that own an estimator exclusively install the hook
-// before a preemptible solve and clear it after.
-func (e *Estimator) SetPreempt(f func() bool) { e.cfg.Preempt = f }
+// SetYield installs (nil clears) a hook that the main profile
+// inversions call at their duality-gap check cadence
+// (ndft.InvertOptions.Yield); alias refits never call it. The hook
+// cannot change the estimate: each solve continues from exactly where
+// it was. A scheduler uses it to run waiting latency-class work on the
+// goroutine of a bulk solve. Like Calibrate it mutates the estimator, so
+// it must not race with Estimate calls; a scheduler that owns the
+// estimator installs the hook before a solve and clears it after.
+func (e *Estimator) SetYield(f func()) { e.yield = f }
 
 // Profile is a multipath profile expressed in true time-of-flight units
 // (the channel-power scaling has been divided out).
@@ -216,13 +211,6 @@ type Estimate struct {
 
 // ErrNoBands reports that no usable band measurements were supplied.
 var ErrNoBands = errors.New("tof: no usable band measurements")
-
-// ErrSolveParked reports that a main profile inversion was preempted
-// (Config.Preempt fired): the estimate was not produced, but the parked
-// iterate is retained on the Sweep as a one-shot warm seed, so retrying
-// the same Estimate resumes the optimization from its restricted
-// support instead of starting over.
-var ErrSolveParked = errors.New("tof: solve parked by preemption")
 
 type bandMeas struct {
 	freq  float64
@@ -275,12 +263,6 @@ type Sweep struct {
 	// estSeq counts Estimate calls on this sweep stream; window seeds
 	// stamp it to drive least-recently-matched eviction.
 	estSeq int64
-	// parked holds the iterates of preempted main inversions, keyed like
-	// the warm groups by full plan geometry. Each entry is consumed by
-	// the next Estimate of that geometry as a one-shot warm seed — the
-	// restricted-support resume — independent of the warm-start policy
-	// (a parked seed works even with warm starts disabled or reverted).
-	parked map[planKey]dsp.Vec
 	// foldScratch holds per-pair folded values while AddBand measures a
 	// band's mean and spread, and interp the zero-subcarrier
 	// interpolation's working memory.
@@ -664,7 +646,14 @@ func (e *Estimator) estimate(s *Sweep) (*Estimate, error) {
 	allConverged := true
 	var gapMax float64
 	for _, g := range groups {
-		seed, resumed := s.mainSeed(g.key, len(g.plan.Taus))
+		// The seed is the group's warm profile while warm starting is on
+		// and still profitable, else nil (a cold start). A re-solve below
+		// starts from the same seed; the policy observes the final solve.
+		warm := s.warmState(g.key)
+		var seed dsp.Vec
+		if warm != nil && !warm.off && len(warm.profile) == len(g.plan.Taus) {
+			seed = warm.profile
+		}
 		fix, res, err := e.solveGroup(s, g, seed, g.noise)
 		if err != nil {
 			return nil, err
@@ -688,8 +677,8 @@ func (e *Estimator) estimate(s *Sweep) (*Estimate, error) {
 			aliasWork += fix.aliasWork
 			totalIters += res.Iterations
 		}
-		if err := s.commitMain(g.key, res, seed != nil, resumed); err != nil {
-			return nil, err
+		if warm != nil {
+			warm.observe(seed != nil, res)
 		}
 		allConverged = allConverged && res.Converged
 		gapMax = math.Max(gapMax, res.GapAtStop)
@@ -787,9 +776,8 @@ type groupFix struct {
 // then the direct-path placement. The main solve and the alias refits
 // stop at a duality gap scaled to floor: the group's noise estimate, or
 // 0 for the re-solve of a contested placement, which puts both on the
-// precise iterate rule and scores every refit cold. A parked main solve
-// returns before placement. The caller commits the result to the
-// sweep's warm and parked state.
+// precise iterate rule and scores every refit cold. The caller commits
+// the result to the sweep's warm state.
 func (e *Estimator) solveGroup(s *Sweep, g *bandGroup, seed dsp.Vec, floor float64) (groupFix, *ndft.Result, error) {
 	solveStart := obs.Tick()
 	res, err := g.plan.Solve(ndft.SolveRequest{
@@ -801,7 +789,7 @@ func (e *Estimator) solveGroup(s *Sweep, g *bandGroup, seed dsp.Vec, floor float
 			Stop:       e.cfg.Stop,
 			GapScale:   e.cfg.GapScale,
 			NoiseFloor: floor,
-			Preempt:    e.cfg.Preempt,
+			Yield:      e.yield,
 		},
 	})
 	obsStageSolveNs.Since(solveStart)
@@ -809,9 +797,6 @@ func (e *Estimator) solveGroup(s *Sweep, g *bandGroup, seed dsp.Vec, floor float
 		return groupFix{}, nil, err
 	}
 	var fix groupFix
-	if res.Parked {
-		return fix, res, nil
-	}
 	taus := make([]float64, len(res.Taus))
 	for i, t := range res.Taus {
 		taus[i] = t / float64(g.power)
@@ -860,54 +845,6 @@ func (e *Estimator) planForGroup(freqs []float64, power int) (planKey, *ndft.Pla
 		return ndft.NewPlan(freqs, taus)
 	})
 	return key, plan, err
-}
-
-// mainSeed returns the start of a main inversion of one geometry with
-// grid points cells: a parked iterate left by a preempted solve (the
-// restricted-support resume, used whatever the warm policy says), else
-// the warm profile when warm starting is on and still profitable, else
-// nil (a cold start). Nothing is consumed: commitMain settles the state
-// once the geometry's final solve of this Estimate is known, so a
-// re-solve starts from the same seed as the first attempt.
-func (s *Sweep) mainSeed(key planKey, cells int) (seed dsp.Vec, resumed bool) {
-	if p, ok := s.parked[key]; ok && len(p) == cells {
-		return p, true
-	}
-	if g := s.warmState(key); g != nil && !g.off && len(g.profile) == cells {
-		return g.profile, false
-	}
-	return nil, false
-}
-
-// commitMain settles one geometry's warm and parked state from its final
-// main solve of an Estimate. A parked solve stores its iterate (copied:
-// res.Profile belongs to the solve) as the geometry's one-shot resume
-// seed and surfaces as ErrSolveParked. Otherwise a consumed parked seed
-// is dropped and the warm policy observes the solve, except that a
-// resumed solve's work is subsidized by its parked phase, so it only
-// refreshes the seed.
-func (s *Sweep) commitMain(key planKey, res *ndft.Result, warmed, resumed bool) error {
-	if res.Parked {
-		if s.parked == nil {
-			s.parked = make(map[planKey]dsp.Vec, 1)
-		}
-		s.parked[key] = append(s.parked[key][:0], res.Profile...)
-		obsSolveParks.Inc()
-		return ErrSolveParked
-	}
-	if resumed {
-		delete(s.parked, key)
-	}
-	if g := s.warmState(key); g != nil {
-		if resumed {
-			if !g.off {
-				g.store(res.Profile)
-			}
-		} else {
-			g.observe(warmed, res)
-		}
-	}
-	return nil
 }
 
 // BandsFor returns the band plan a sweep should cover for the config's

@@ -30,17 +30,14 @@ var (
 	// was empty (single-pair dwells) and fell back to the cross-band MAD
 	// floor (ndft.Plan.NoiseFloor).
 	obsNoiseFallbacks = obs.NewCounter("tof.noise_fallbacks")
-	// obsSolveParks counts main inversions preempted mid-solve
-	// (ErrSolveParked): the parked iterate was retained as a resume seed
-	// and the sweep's estimate deferred.
-	obsSolveParks = obs.NewCounter("tof.solve.parks")
 	// obsBandsDropped counts bands AddBand discarded because their
 	// folded mean or pair spread was not finite (NaN, ±Inf, or CSI so
 	// large the fold overflowed): one such band would otherwise corrupt
 	// its whole group's inversion without an error.
 	obsBandsDropped = obs.NewCounter("tof.bands_dropped")
 	// obsStageSolveNs spans one main inversion attempt of one group
-	// (Plan.Solve); a re-solved group records two.
+	// (Plan.Solve), including whatever its yield hook ran; a re-solved
+	// group records two.
 	obsStageSolveNs = obs.NewHist("tof.stage.solve_ns")
 	// obsStageAliasNs spans the alias ranking/refit stage of one group.
 	obsStageAliasNs = obs.NewHist("tof.stage.alias_ns")

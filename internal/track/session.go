@@ -252,22 +252,16 @@ var ErrStageOrder = errors.New("track: pipeline stage called out of order")
 // first band when more sweeps remain.
 //
 // StepSweep is the run-to-completion composition of the staged entry
-// points — StepIngest, StepSolve (repeated while the solve parks), then
-// StepTrack — and is byte-identical to executing the stages separately.
+// points — StepIngest, StepSolve, then StepTrack — and is
+// byte-identical to executing the stages separately.
 // The chronos-svc daemon calls the stages individually so the solve can
 // run on a shared worker pool.
 func (s *Session) StepSweep() error {
 	if err := s.StepIngest(); err != nil {
 		return err
 	}
-	for {
-		parked, err := s.StepSolve()
-		if err != nil {
-			return err
-		}
-		if !parked {
-			break
-		}
+	if _, err := s.StepSolve(); err != nil {
+		return err
 	}
 	return s.StepTrack()
 }
@@ -334,25 +328,21 @@ func (s *Session) StepIngest() error {
 }
 
 // StepSolve runs the inversion stage of the in-flight sweep: one
-// tof.Sweep.Estimate over the bands StepIngest folded in. It returns
-// parked=true when the estimator's preemption hook yielded the solve
-// mid-iterate (tof.ErrSolveParked); the sweep stays in flight and a
-// later StepSolve resumes from the parked seed. Estimator failures are
-// swallowed exactly as RunSession's loop swallows them — the fix is
-// skipped and StepTrack completes the sweep without one.
+// tof.Sweep.Estimate over the bands StepIngest folded in. Estimator
+// failures are swallowed exactly as RunSession's loop swallows them —
+// the fix is skipped and StepTrack completes the sweep without one.
+//
+// parked is always false: a scheduler's yield hook runs other work
+// inside the solve and cannot stop it. The result remains only because
+// the perfbench harness still loops on it.
 func (s *Session) StepSolve() (parked bool, err error) {
 	if !s.ingested {
 		return false, ErrStageOrder
 	}
-	r, err := s.acc.Estimate()
+	s.pendEst, err = s.acc.Estimate()
 	if err != nil {
-		if errors.Is(err, tof.ErrSolveParked) {
-			return true, nil
-		}
 		s.pendEst = nil
-		return false, nil
 	}
-	s.pendEst = r
 	return false, nil
 }
 
