@@ -14,9 +14,6 @@ package crt
 import (
 	"errors"
 	"math"
-	"math/cmplx"
-
-	"chronos/internal/dsp"
 )
 
 // Observation is one band's phase measurement: the channel phase observed
@@ -24,16 +21,6 @@ import (
 type Observation struct {
 	Freq  float64 // carrier frequency in Hz
 	Phase float64 // measured channel phase ∠h in radians
-}
-
-// ObservationsFromChannels converts per-band complex channel values into
-// phase observations.
-func ObservationsFromChannels(freqs []float64, h dsp.Vec) []Observation {
-	obs := make([]Observation, len(freqs))
-	for i := range freqs {
-		obs[i] = Observation{Freq: freqs[i], Phase: cmplx.Phase(h[i])}
-	}
-	return obs
 }
 
 // Config tunes the alignment search.

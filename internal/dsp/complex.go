@@ -41,10 +41,19 @@ func Sub(dst, a, b Vec) Vec {
 	return dst
 }
 
+// mul returns x·y as Go's complex multiplication computes it,
+// (ac−bd, ad+bc), with each partial product rounded before the sum: the
+// compiler may otherwise fuse a product and the sum into one multiply-add
+// on arm64, which rounds differently from amd64.
+func mul(x, y complex128) complex128 {
+	a, b, c, d := real(x), imag(x), real(y), imag(y)
+	return complex(float64(a*c)-float64(b*d), float64(a*d)+float64(b*c))
+}
+
 // Scale stores s*a into dst and returns dst.
 func Scale(dst Vec, s complex128, a Vec) Vec {
 	for i := range dst {
-		dst[i] = s * a[i]
+		dst[i] = mul(s, a[i])
 	}
 	return dst
 }
@@ -52,7 +61,7 @@ func Scale(dst Vec, s complex128, a Vec) Vec {
 // AXPY computes dst = dst + s*a in place and returns dst.
 func AXPY(dst Vec, s complex128, a Vec) Vec {
 	for i := range dst {
-		dst[i] += s * a[i]
+		dst[i] += mul(s, a[i])
 	}
 	return dst
 }
@@ -61,7 +70,7 @@ func AXPY(dst Vec, s complex128, a Vec) Vec {
 func Dot(a, b Vec) complex128 {
 	var sum complex128
 	for i := range a {
-		sum += cmplx.Conj(a[i]) * b[i]
+		sum += mul(cmplx.Conj(a[i]), b[i])
 	}
 	return sum
 }
@@ -71,7 +80,7 @@ func Norm2(v Vec) float64 {
 	var sum float64
 	for _, c := range v {
 		re, im := real(c), imag(c)
-		sum += re*re + im*im
+		sum += float64(re*re) + float64(im*im)
 	}
 	return math.Sqrt(sum)
 }
@@ -112,7 +121,7 @@ func Power(dst, v Vec, n int) Vec {
 	for i, c := range v {
 		p := complex(1, 0)
 		for k := 0; k < n; k++ {
-			p *= c
+			p = mul(p, c)
 		}
 		dst[i] = p
 	}
@@ -142,7 +151,7 @@ func SoftThreshold(p Vec, t float64) {
 		if a <= t { // "<=" also zeroes a==t==0, avoiding 0/0 below
 			p[i] = 0
 		} else {
-			p[i] = c * complex((a-t)/a, 0)
+			p[i] = mul(c, complex((a-t)/a, 0))
 		}
 	}
 }

@@ -78,7 +78,7 @@ func refineParabolic(xs, mag []float64, i int) (x, y float64) {
 	if i < len(xs)-1 && delta > 0 {
 		step = xs[i+1] - xs[i]
 	}
-	return xs[i] + delta*step, y1 - 0.25*(y0-y2)*delta
+	return xs[i] + float64(delta*step), y1 - float64(0.25*(y0-y2)*delta)
 }
 
 // FirstPeak returns the earliest peak at or above threshold·max, or false

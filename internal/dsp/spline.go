@@ -78,13 +78,13 @@ func (s *Spline) fit(mu, z []float64) {
 	for i := 1; i < n-1; i++ {
 		hPrev, h := xs[i]-xs[i-1], xs[i+1]-xs[i]
 		alpha := 3*(ys[i+1]-ys[i])/h - 3*(ys[i]-ys[i-1])/hPrev
-		l := 2*(xs[i+1]-xs[i-1]) - hPrev*mu[i-1]
+		l := float64(2*(xs[i+1]-xs[i-1])) - float64(hPrev*mu[i-1])
 		mu[i] = h / l
-		z[i] = (alpha - hPrev*z[i-1]) / l
+		z[i] = (alpha - float64(hPrev*z[i-1])) / l
 	}
 	for j := n - 2; j >= 0; j-- {
 		h := xs[j+1] - xs[j]
-		s.c[j] = z[j] - mu[j]*s.c[j+1]
+		s.c[j] = z[j] - float64(mu[j]*s.c[j+1])
 		s.b[j] = (ys[j+1]-ys[j])/h - h*(s.c[j+1]+2*s.c[j])/3
 		s.d[j] = (s.c[j+1] - s.c[j]) / (3 * h)
 	}
@@ -110,7 +110,7 @@ func (s *Spline) At(x float64) float64 {
 		i = n - 2
 	}
 	dx := x - s.xs[i]
-	return s.ys[i] + dx*(s.b[i]+dx*(s.c[i]+dx*s.d[i]))
+	return s.ys[i] + float64(dx*(s.b[i]+float64(dx*(s.c[i]+float64(dx*s.d[i])))))
 }
 
 // InterpolateAt fits a natural cubic spline to (xs, ys) and evaluates it
@@ -151,5 +151,5 @@ func LinearAt(xs, ys []float64, x float64) (float64, error) {
 		return 0, fmt.Errorf("%w: duplicate knot x=%g", ErrSplineInput, x0)
 	}
 	t := (x - x0) / (x1 - x0)
-	return y0 + t*(y1-y0), nil
+	return y0 + float64(t*(y1-y0)), nil
 }

@@ -136,13 +136,8 @@ func AblationSparsity(o Options) *Result {
 		Header: []string{"alpha factor", "median (ns)", "p90 (ns)", "trials"},
 	}
 	res.Metrics = map[string]float64{}
-	// The estimator's auto α is 0.1·‖Fᴴh‖∞; Alpha overrides absolutely,
-	// so express the sweep through AlphaScale-like fractions by reusing
-	// the auto value per inversion: we emulate by scaling MaxIter-fixed
-	// configs with Alpha=0 (auto) vs large/small constants relative to
-	// typical ‖Fᴴh‖∞, which varies per trial — so instead we sweep the
-	// peak threshold-independent knob the config exposes: Alpha multiples
-	// are expressed via the dedicated AlphaFactor field below.
+	// The estimator's α is 0.1·‖Fᴴh‖∞ per inversion, and ‖Fᴴh‖∞ varies
+	// per trial, so the sweep scales that auto value by AlphaFactor.
 	for _, f := range []float64{0.3, 1.0, 3.0} {
 		cfg := tof.Config{Mode: tof.Bands5GHzOnly, MaxIter: 1200, AlphaFactor: f}
 		med, p90, n := ablationRun(o, "ablate-sparsity", cfg)

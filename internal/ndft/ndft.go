@@ -81,26 +81,15 @@ type InvertOptions struct {
 	// Stop selects the termination rule (default StopGap). StopIterate
 	// disables the noise-adaptive duality-gap test.
 	Stop StopRule
-	// GapScale scales the noise-derived duality-gap tolerance: the solve
-	// stops once the gap bound drops below
-	// GapScale·(estimated noise energy)/2. Smaller values iterate closer
-	// to the exact optimum. The default is 0.7, tuned so the full
-	// estimation stack holds its accuracy fixtures (rich-multipath peak
-	// picks degrade above ~1) while keeping the ≥2× cold-work reduction
-	// at campaign SNR; the SNR-sweep ablation varies it.
-	GapScale float64
-	// GapTol, when nonzero, is an absolute duality-gap tolerance that
-	// overrides the noise-derived one.
-	GapTol float64
 	// NoiseFloor is the caller's estimate of ‖w‖₂, the L2 norm of the
 	// measurement's noise component, in the same units as
 	// Result.Residual. The tof layer measures it per sweep from the
 	// spread of repeated CSI pairs on each band; callers without repeated
-	// measurements can fall back to Plan.NoiseFloor. When zero (and
-	// GapTol is zero) the gap rule has no tolerance to stop against and
-	// Solve behaves as StopIterate — which is exactly right for noiseless
-	// synthetic data, where iterating to the fixed tolerance is cheap and
-	// maximally accurate.
+	// measurements can fall back to Plan.NoiseFloor. When zero the gap
+	// rule has no tolerance to stop against and Solve behaves as
+	// StopIterate — which is exactly right for noiseless synthetic data,
+	// where iterating to the fixed tolerance is cheap and maximally
+	// accurate.
 	NoiseFloor float64
 	// MaxIter caps iteration count (default 2000).
 	MaxIter int
@@ -133,9 +122,6 @@ func (o InvertOptions) withDefaults(hRe, hIm []float64) InvertOptions {
 	if o.MaxIter == 0 {
 		o.MaxIter = 2000
 	}
-	if o.GapScale == 0 {
-		o.GapScale = 0.7
-	}
 	return o
 }
 
@@ -148,13 +134,10 @@ type Result struct {
 	Converged  bool
 	Residual   float64 // ‖h − F·p‖₂ at termination
 	// GapAtStop is the LASSO duality-gap bound measured at the last gap
-	// check (0 when no check ran: StopIterate, no noise floor or GapTol,
-	// or a solve that finished before the first check). For a gap-stopped solve it is the
-	// certified suboptimality of the returned profile.
+	// check (0 when no check ran: StopIterate, no noise floor, or a
+	// solve that finished before the first check). For a gap-stopped
+	// solve it is the certified suboptimality of the returned profile.
 	GapAtStop float64
-	// NoiseFloor echoes the noise estimate the stopping tolerance was
-	// derived from (InvertOptions.NoiseFloor), for telemetry plumbing.
-	NoiseFloor float64
 	// Work counts grid cells processed across all iterations (a dense
 	// solve costs Iterations×grid; restricted warm solves cost less per
 	// iteration). Callers use it to compare warm against cold solves on

@@ -127,9 +127,6 @@ func NewPlan(freqs, taus []float64) (*Plan, error) {
 // Dims returns the plan's (frequency, delay-grid) dimensions.
 func (pl *Plan) Dims() (n, m int) { return pl.n, pl.m }
 
-// Gamma returns the precomputed ISTA step size 1/‖F‖₂².
-func (pl *Plan) Gamma() float64 { return pl.gamma }
-
 // warmDilate is the working-set dilation radius, in grid cells, around
 // each warm-start support cell and each KKT violator: peaks may drift
 // this far between solves (several cells covers walking-speed motion and

@@ -34,24 +34,21 @@ type SolveRequest struct {
 // the polish far below its 600-iteration budget on broad noisy supports.
 const polishGapFrac = 1.0 / 16
 
+// gapScale scales the noise-derived duality-gap tolerance: a solve stops
+// once the gap bound drops below gapScale·½‖w‖², with ‖w‖ the caller's
+// InvertOptions.NoiseFloor. Smaller values iterate closer to the exact
+// optimum; 0.7 keeps the full estimation stack on its accuracy fixtures
+// (rich-multipath peak picks degrade above ~1) while keeping the ≥2×
+// cold-work reduction at campaign SNR.
+const gapScale = 0.7
+
 // polishGapExit gates the gap-certified polish exit (ROADMAP PR-5
 // follow-on b). Package-internal so the regression test can compare the
 // certified exit against the historical fixed-budget polish.
 var polishGapExit = true
 
-// Task phases: the stages of Solve a task advances through. The polish
-// stages are split by what follows them — a main polish is still subject
-// to the restricted solve's KKT audit, a fallback polish is not.
-const (
-	taskMain = iota
-	taskPolish
-	taskCold
-	taskColdPolish
-)
-
-// solveTask is one request's solver state: the phase it is in, the
-// current phase's iteration schedule, and the telemetry the result and
-// the solver metrics report.
+// solveTask is one request's solver state: the current iterate phase's
+// schedule and the telemetry the result and the solver metrics report.
 type solveTask struct {
 	pl   *Plan
 	w    *workspace
@@ -59,31 +56,27 @@ type solveTask struct {
 	opts InvertOptions
 
 	alpha, corrInf float64
-	warm           dsp.Vec
 	useGap         bool
-	gapStopped     bool
 	restricted     bool
-	phase          int
 
-	// Telemetry latches: everGap records that any main/cold phase ended
-	// on the gap certificate (gapStopped itself is consumed by
-	// startPolish), expansions counts the KKT audits that grew the
-	// working set, and fellBack that an audit forced the cold fallback.
-	// Read once per solve by record.
+	// Telemetry latches: everGap records that a main or fallback iterate
+	// ended on the gap certificate, expansions counts the KKT audits that
+	// grew the working set, and fellBack that an audit forced the cold
+	// fallback. Read once per solve by record.
 	everGap    bool
 	expansions int
 	fellBack   bool
 
-	// Current iterate-phase state (one beginIterate per phase).
-	set          []int
-	budget, iter int
-	curAlpha     float64
-	decay        float64
-	tMom         float64
-	checkAt      int
-	allowRestart bool
-
-	done bool
+	// Current iterate-phase state (one beginIterate per phase). polish
+	// marks the polish of a gap-stopped iterate: it never yields, and its
+	// gap checks run against the polishGapFrac-tightened tolerance.
+	set      []int
+	iter     int
+	curAlpha float64
+	decay    float64
+	tMom     float64
+	checkAt  int
+	polish   bool
 }
 
 // Solve runs Algorithm 1 on one request. req.Warm, when non-nil,
@@ -114,16 +107,10 @@ func (pl *Plan) Solve(req SolveRequest) (*Result, error) {
 	w := pl.getWorkspace()
 	var t solveTask
 	t.init(pl, &req, w)
-	t.start()
-	for !t.done {
-		if t.iter >= t.budget {
-			// Degenerate budget (caller passed MaxIter < 1): consume the
-			// phase without running an iteration.
-			t.afterIterate(t.budget)
-			continue
-		}
-		t.endStep(t.gradStep())
-	}
+	idx, a0 := t.start(req.Warm)
+	t.iterate(idx, a0)
+	t.audit()
+	t.finalize()
 	pl.ws.Put(w)
 	if obs.Enabled() {
 		t.record(wallStart)
@@ -141,14 +128,13 @@ func (t *solveTask) init(pl *Plan, req *SolveRequest, w *workspace) {
 		w:    w,
 		res:  req.Dst,
 		opts: req.InvertOptions.withDefaults(w.hRe, w.hIm),
-		warm: req.Warm,
 	}
 }
 
 // start finishes setup — the Fᴴh̃ correlation bound, α scaling, warm
 // working-set construction or cold initialization, result reset — and
-// enters the main iterate phase.
-func (t *solveTask) start() {
+// returns the main iterate's working set and starting threshold.
+func (t *solveTask) start(warm dsp.Vec) (idx []int, a0 float64) {
 	pl, w, m := t.pl, t.w, t.pl.m
 	// ‖Fᴴh̃‖∞ drives the default α scaling and the cold continuation
 	// ramp: one dense adjoint pass.
@@ -175,8 +161,7 @@ func (t *solveTask) start() {
 	// Initialize the iterate and, for warm starts with a usable support,
 	// the restricted working set.
 	w.active = w.active[:0]
-	warm := t.warm
-	idx := pl.allIdx
+	idx = pl.allIdx
 	if warm != nil {
 		split(w.pRe, w.pIm, warm)
 		for j := 0; j < m; j++ {
@@ -230,12 +215,11 @@ func (t *solveTask) start() {
 	res := t.res
 	res.Taus = pl.Taus
 	res.Iterations, res.Converged, res.Work = 0, false, 0
-	res.GapAtStop, res.NoiseFloor = 0, t.opts.NoiseFloor
+	res.GapAtStop = 0
 	// The gap rule needs a tolerance to stop against: the caller's
-	// per-sweep noise estimate or an absolute GapTol. Without either the
-	// checks could never pass, so they are skipped entirely and the
-	// iterate rule decides alone.
-	t.useGap = t.opts.Stop == StopGap && (t.opts.GapTol > 0 || t.opts.NoiseFloor > 0)
+	// per-sweep noise estimate. Without one the checks could never pass,
+	// so they are skipped entirely and the iterate rule decides alone.
+	t.useGap = t.opts.Stop == StopGap && t.opts.NoiseFloor > 0
 
 	// α-continuation: start with a large threshold that admits only the
 	// strongest atoms and decay toward the target α, steering the iterate
@@ -243,24 +227,60 @@ func (t *solveTask) start() {
 	// begins — important because the non-uniform band lattice makes the
 	// dictionary highly coherent (strong grating lobes). A warm start is
 	// already in that basin and begins at the target α directly.
-	a0 := t.alpha
-	if warm == nil && t.corrInf > t.alpha {
-		a0 = t.corrInf * 0.5
+	if warm == nil {
+		return idx, t.coldAlpha()
 	}
-	t.phase = taskMain
-	t.beginIterate(idx, a0, t.opts.MaxIter, t.restricted)
+	return idx, t.alpha
+}
+
+// coldAlpha is the continuation ramp's starting threshold for a cold
+// full-grid iterate: half the largest atom correlation, or the target α
+// when that is already larger.
+func (t *solveTask) coldAlpha() float64 {
+	if t.corrInf > t.alpha {
+		return t.corrInf * 0.5
+	}
+	return t.alpha
+}
+
+// iterate runs one main or fallback iterate phase over set, from the
+// current iterate and starting threshold a0, and, when the phase stops on
+// the gap certificate, the polish of the stopped iterate.
+func (t *solveTask) iterate(set []int, a0 float64) {
+	if t.run(set, a0, false) {
+		t.everGap = true
+		t.runPolish()
+	}
+}
+
+// run iterates over set until a stopping rule fires or the phase's
+// budget (MaxIter, or polishBudget for a polish) is spent, books the
+// iterations, and reports whether the gap certificate stopped it.
+func (t *solveTask) run(set []int, a0 float64, polish bool) (gapStop bool) {
+	budget := t.opts.MaxIter
+	if polish {
+		budget = polishBudget
+	}
+	t.beginIterate(set, a0, budget, polish)
+	for t.iter < budget {
+		if stop, gap := t.endStep(t.gradStep()); stop {
+			gapStop = gap
+			break
+		}
+	}
+	t.res.Iterations += t.iter
+	return gapStop
 }
 
 // beginIterate resets the per-phase iteration state: working set and
 // its runs of consecutive cells (the set does not change inside a
 // phase, so every adjoint pass of the phase reuses the runs),
 // continuation schedule, momentum sequence, gap-check cadence.
-func (t *solveTask) beginIterate(set []int, a0 float64, budget int, allowRestart bool) {
+func (t *solveTask) beginIterate(set []int, a0 float64, budget int, polish bool) {
 	t.set = set
 	t.w.runs = setRuns(t.w.runs, set)
-	t.budget = budget
 	t.iter = 0
-	t.allowRestart = allowRestart
+	t.polish = polish
 	t.curAlpha = a0
 	// The continuation schedule must hand the target α a usable slice
 	// of the budget: with a forced tiny α (the sparsity ablation) the
@@ -325,16 +345,18 @@ func (t *solveTask) gradStep() (diffSq, gdot float64) {
 
 // endStep closes the iteration gradStep just advanced, given its ‖Δp‖²
 // and restart product: momentum/restart bookkeeping, the extrapolation
-// from the stored steps, α-continuation, work accounting, and the
-// stopping rules, chaining into the next phase when the iterate ends.
-func (t *solveTask) endStep(diffSq, gdot float64) {
+// from the stored steps, α-continuation, work accounting, the caller's
+// yield hook, and the stopping rules. It reports whether a rule stopped
+// the phase and whether that rule was the gap certificate.
+func (t *solveTask) endStep(diffSq, gdot float64) (stop, gap bool) {
 	w, set := t.w, t.set
 	w.active = w.active[:0]
 	// Adaptive (gradient) restart, O'Donoghue & Candès: when the
 	// extrapolated step opposes the direction of progress the momentum
 	// has overshot — reset it, turning FISTA's oscillatory tail into
 	// near-linear convergence. Restarts run only on restricted
-	// working-set solves: the grating lobes of the coherent band lattice
+	// working-set solves (a polish, or a warm solve before any cold
+	// fallback): the grating lobes of the coherent band lattice
 	// make the full-grid LASSO optimum a degenerate face (mass can sit on
 	// an alias ghost with the same objective), and on the full grid a
 	// restarted trajectory may settle on a ghost vertex that the
@@ -342,7 +364,7 @@ func (t *solveTask) endStep(diffSq, gdot float64) {
 	// the previous fix excludes the ghost family entirely, so restarting
 	// there is safe — and it is what lets warm solves converge in tens
 	// of iterations instead of ringing for hundreds.
-	if t.allowRestart && gdot > 0 && t.curAlpha == t.alpha {
+	if (t.polish || t.restricted) && gdot > 0 && t.curAlpha == t.alpha {
 		t.tMom = 1
 	}
 	tNext := (1 + math.Sqrt(1+float64(4*t.tMom*t.tMom))) / 2
@@ -374,61 +396,37 @@ func (t *solveTask) endStep(diffSq, gdot float64) {
 	t.res.Work += int64(len(set))
 	if math.Sqrt(diffSq) < t.opts.Epsilon && t.curAlpha == t.alpha {
 		t.res.Converged = true
-		t.afterIterate(t.iter)
-		return
+		return true, false
 	}
-	if (t.gapChecks() || t.yields()) && t.iter >= t.checkAt {
-		if t.yields() {
-			t.opts.Yield()
-		}
-		if t.gapChecks() {
-			stop, s := t.gapCheck()
-			if stop {
-				t.res.Converged = true
-				if t.phase == taskMain || t.phase == taskCold {
-					// A gap stop inside the polish is its exit, not a
-					// trigger for another polish.
-					t.gapStopped = true
-					t.everGap = true
-				}
-				t.afterIterate(t.iter)
-				return
-			}
-			if s >= gapDualGate {
-				t.checkAt = t.iter + gapFine
-			} else {
-				t.checkAt = t.iter + gapEvery
-			}
-		} else {
-			// Yield-only cadence: no gap tolerance to measure, so the
-			// hook just rides the coarse check interval.
-			t.checkAt = t.iter + gapEvery
-		}
+	// The main and fallback iterates check the gap whenever a tolerance
+	// exists, and call the yield hook; a polish is short, restricted and
+	// about to finish, so it never yields, and checks the gap only under
+	// the gap-certified polish exit.
+	yields := t.opts.Yield != nil && !t.polish
+	gapChecks := t.useGap && (!t.polish || polishGapExit)
+	if !(gapChecks || yields) || t.iter < t.checkAt {
+		return false, false
 	}
-	if t.iter >= t.budget {
-		t.afterIterate(t.budget)
+	if yields {
+		t.opts.Yield()
 	}
-}
-
-// yields reports whether the current phase calls the caller's yield
-// hook: only the main and cold-fallback iterates — a polish is short,
-// restricted, and about to finish.
-func (t *solveTask) yields() bool {
-	return t.opts.Yield != nil && (t.phase == taskMain || t.phase == taskCold)
-}
-
-// gapChecks reports whether the current phase runs duality-gap checks:
-// the main and fallback iterates whenever a tolerance source exists, and
-// — under the gap-certified polish exit — the polish pass too, against
-// its polishGapFrac-tightened tolerance.
-func (t *solveTask) gapChecks() bool {
-	if !t.useGap {
-		return false
+	if !gapChecks {
+		// Yield-only cadence: no gap tolerance to measure, so the hook
+		// just rides the coarse check interval.
+		t.checkAt = t.iter + gapEvery
+		return false, false
 	}
-	if t.phase == taskPolish || t.phase == taskColdPolish {
-		return polishGapExit
+	ok, s := t.gapCheck()
+	if ok {
+		t.res.Converged = true
+		return true, true
 	}
-	return true
+	if s >= gapDualGate {
+		t.checkAt = t.iter + gapFine
+	} else {
+		t.checkAt = t.iter + gapEvery
+	}
+	return false, false
 }
 
 // gapCheck measures the LASSO duality gap of the current iterate over
@@ -440,7 +438,7 @@ func (t *solveTask) gapChecks() bool {
 //	gap = ½‖r‖² + α‖p‖₁ + ½‖θ‖² + Re⟨θ, h̃⟩
 //
 // bounds the objective suboptimality. The tolerance is the noise
-// energy ½‖w‖² (scaled by GapScale) from the caller's per-sweep
+// energy ½‖w‖² (scaled by gapScale) from the caller's per-sweep
 // estimate: once the objective is certified within the energy the
 // noise contributes, the remaining iterations fit noise, not paths.
 // A check costs about one iteration over the same set, paid once per
@@ -488,35 +486,14 @@ func (t *solveTask) gapCheck() (bool, float64) {
 		gap = 0 // rounding on an essentially optimal iterate
 	}
 	t.res.GapAtStop = gap
-	tol := t.opts.GapTol
-	if tol == 0 {
-		tol = 0.5 * t.opts.GapScale * t.opts.NoiseFloor * t.opts.NoiseFloor
-	}
-	if t.phase == taskPolish || t.phase == taskColdPolish {
+	tol := 0.5 * gapScale * t.opts.NoiseFloor * t.opts.NoiseFloor
+	if t.polish {
 		tol *= polishGapFrac
 	}
 	return s >= gapDualGate && gap <= tol, s
 }
 
-// afterIterate books the finished iterate phase and advances the task:
-// main/fallback iterates chain into the polish when gap-stopped, then
-// into the residual/KKT epilogue.
-func (t *solveTask) afterIterate(consumed int) {
-	t.res.Iterations += consumed
-	switch t.phase {
-	case taskMain, taskCold:
-		if t.startPolish() {
-			return
-		}
-	case taskPolish, taskColdPolish:
-		// The solve converged by its gap certificate whether or not the
-		// polish met the tight tolerance inside its budget.
-		t.res.Converged = true
-	}
-	t.finish()
-}
-
-// startPolish canonicalizes a gap-stopped iterate: a restricted solve at
+// runPolish canonicalizes a gap-stopped iterate: a restricted solve at
 // the tight iterate tolerance over the stopped support (dilated by
 // polishDilate cells), costing O(support) per iteration. The gap stop
 // decides *when* the dense work may end; the polish pins *where* the
@@ -524,12 +501,9 @@ func (t *solveTask) afterIterate(consumed int) {
 // support converge to the same restricted optimum, which is what
 // keeps warm-started and cold fixes in agreement under early
 // stopping, and sharpens the support amplitudes the downstream
-// dominance tests read. Reports whether a polish phase was entered.
-func (t *solveTask) startPolish() bool {
-	if !t.gapStopped {
-		return false
-	}
-	t.gapStopped = false
+// dominance tests read. A gap stop inside the polish is its exit, not a
+// trigger for another polish.
+func (t *solveTask) runPolish() {
 	w, m := t.w, t.pl.m
 	w.supp = w.supp[:0]
 	last := -1
@@ -553,7 +527,7 @@ func (t *solveTask) startPolish() bool {
 		last = hi
 	}
 	if len(w.supp) == 0 || len(w.supp) >= m {
-		return false
+		return
 	}
 	// Fresh momentum sequence seeded at p (y ≡ p is zero outside the
 	// polish set, since the set contains the whole support).
@@ -565,40 +539,38 @@ func (t *solveTask) startPolish() bool {
 			w.active = append(w.active, j)
 		}
 	}
-	if t.phase == taskCold {
-		t.phase = taskColdPolish
-	} else {
-		t.phase = taskPolish
-	}
-	t.beginIterate(w.supp, t.alpha, polishBudget, true)
-	return true
+	t.run(w.supp, t.alpha, true)
+	// The solve converged by its gap certificate whether or not the
+	// polish met the tight tolerance inside its budget.
+	t.res.Converged = true
 }
 
-// finish runs the post-iterate epilogue: the final residual, the KKT
-// audit of a restricted solve, and result materialization. An audit that
-// finds violators grows the working set over them and continues the
-// restricted solve; one that cannot grow it falls back to the cold
-// full-grid solve — so warm starting can trade iterations but never the
-// answer.
-func (t *solveTask) finish() {
-	pl, w, m := t.pl, t.w, t.pl.m
+// audit runs the post-iterate epilogue of a restricted solve: the final
+// residual and the full-grid KKT audit. An audit that finds violators
+// grows the working set over them and continues the restricted solve,
+// audited again when it stops; one that cannot grow it falls back to the
+// cold full-grid solve — so warm starting can trade iterations but never
+// the answer. It leaves the residual at the final iterate for finalize.
+func (t *solveTask) audit() {
+	pl, w := t.pl, t.w
 	t.finishResid()
-	if t.restricted {
-		t.res.Work += int64(m) // the KKT audit is one dense adjoint pass
-		if viol := pl.kktViolators(w, t.alpha); len(viol) > 0 {
-			if t.growWorkingSet(viol) {
-				// The optimum reaches past the working set (the target
-				// moved farther than warmDilate cells between solves):
-				// continue from the current iterate — y ← p, and
-				// finishResid left active = support(p) — at the target α
-				// on the grown set, and audit again when it stops.
-				t.expansions++
-				copy(w.yRe, w.pRe)
-				copy(w.yIm, w.pIm)
-				t.phase = taskMain
-				t.beginIterate(w.idx, t.alpha, t.opts.MaxIter, true)
-				return
-			}
+	for t.restricted {
+		t.res.Work += int64(pl.m) // the KKT audit is one dense adjoint pass
+		viol := pl.kktViolators(w, t.alpha)
+		if len(viol) == 0 {
+			return
+		}
+		if t.growWorkingSet(viol) {
+			// The optimum reaches past the working set (the target
+			// moved farther than warmDilate cells between solves):
+			// continue from the current iterate — y ← p, and
+			// finishResid left active = support(p) — at the target α
+			// on the grown set.
+			t.expansions++
+			copy(w.yRe, w.pRe)
+			copy(w.yIm, w.pIm)
+			t.iterate(w.idx, t.alpha)
+		} else {
 			// Growing cannot help: discard the restricted answer and run
 			// the cold full-grid solve.
 			t.restricted = false
@@ -608,16 +580,10 @@ func (t *solveTask) finish() {
 			copy(w.yRe, w.pRe)
 			copy(w.yIm, w.pIm)
 			w.active = w.active[:0]
-			a0 := t.alpha
-			if t.corrInf > t.alpha {
-				a0 = t.corrInf * 0.5
-			}
-			t.phase = taskCold
-			t.beginIterate(pl.allIdx, a0, t.opts.MaxIter, false)
-			return
+			t.iterate(pl.allIdx, t.coldAlpha())
 		}
+		t.finishResid()
 	}
-	t.finalize()
 }
 
 // growWorkingSet adds each KKT violator, dilated by warmDilate cells, to
@@ -687,7 +653,6 @@ func (t *solveTask) finalize() {
 		res.Profile[j] = complex(w.pRe[j], w.pIm[j])
 		res.Magnitude[j] = math.Sqrt(float64(w.pRe[j]*w.pRe[j]) + float64(w.pIm[j]*w.pIm[j]))
 	}
-	t.done = true
 }
 
 // norm2Planar is ‖h‖₂ over the planar split — the default-ε and

@@ -75,7 +75,7 @@ func sameResult(t *testing.T, label string, want, got *Result) {
 	t.Helper()
 	if want.Iterations != got.Iterations || want.Converged != got.Converged ||
 		want.Work != got.Work || want.Residual != got.Residual ||
-		want.GapAtStop != got.GapAtStop || want.NoiseFloor != got.NoiseFloor {
+		want.GapAtStop != got.GapAtStop {
 		t.Errorf("%s: scalar fields diverged:\n  want %+v\n  got  %+v", label, want, got)
 	}
 	if len(want.Profile) != len(got.Profile) {

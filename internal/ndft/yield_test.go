@@ -107,3 +107,42 @@ func TestSolveYieldIdentical(t *testing.T) {
 		})
 	}
 }
+
+// TestSolveYieldCadence pins where a solve yields. A hook cannot change
+// a result, so TestSolveYieldIdentical would pass whether a solve
+// yielded at every gap check or at none; but the yield points are the
+// daemon's preemption points, and a latency solve waits for the next
+// one. Each count is the number of gap-check boundaries the main and
+// cold-fallback iterates reach (a polish never yields).
+func TestSolveYieldCadence(t *testing.T) {
+	count := func(pl *Plan, req SolveRequest) int {
+		var calls int
+		req.Yield = func() { calls++ }
+		if _, err := pl.Solve(req); err != nil {
+			t.Fatal(err)
+		}
+		return calls
+	}
+	pl, reqs := solveFixture(t)
+	want := []int{4, 2, 4, 8, 3, 10, 4}
+	for i, req := range reqs {
+		if got := count(pl, cloneReq(req)); got != want[i] {
+			t.Errorf("solveFixture request %d: %d yields, want %d", i, got, want[i])
+		}
+	}
+	ypl, h, opts := yieldFixture(t)
+	iterOpts := opts
+	iterOpts.Stop = StopIterate
+	for _, tc := range []struct {
+		name string
+		opts InvertOptions
+		want int
+	}{
+		{"gap", opts, 2},
+		{"iterate", iterOpts, 4},
+	} {
+		if got := count(ypl, SolveRequest{H: h, InvertOptions: tc.opts}); got != tc.want {
+			t.Errorf("yieldFixture %s solve: %d yields, want %d", tc.name, got, tc.want)
+		}
+	}
+}

@@ -107,10 +107,9 @@ type DeviceConfig struct {
 	FixPeriod time.Duration
 	// Fixes bounds a stat device's fix count; 0 means until detach.
 	Fixes int
-	// Speed is a stat device's walk speed in m/s.
+	// Speed is a stat device's walk speed in m/s; the walk stays in a
+	// 12 × 10 m room.
 	Speed float64
-	// RoomW, RoomH bound a stat device's walk (default 12 × 10 m).
-	RoomW, RoomH float64
 }
 
 // DeviceResult is one retired device's outcome, collected at session

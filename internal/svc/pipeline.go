@@ -54,7 +54,16 @@ const (
 	ClassBulk
 )
 
-// PipelineConfig tunes the solve pool.
+// starveBound caps consecutive latency-class solve grants while bulk
+// work waits: after that many, one bulk token is granted even if latency
+// tokens are queued, bounding bulk-class starvation under latency
+// saturation. The same bound caps the latency solves one bulk sweep runs
+// inline.
+const starveBound = 8
+
+// PipelineConfig tunes the solve pool: whether it runs, its worker count
+// and its queue depth. The class queue's starvation bound is the fixed
+// starveBound.
 type PipelineConfig struct {
 	// Enabled moves every full sweep's solve off its shard onto the
 	// shared solve pool. Off (the default), the shard runs the solve
@@ -68,12 +77,6 @@ type PipelineConfig struct {
 	// QueueDepth bounds the solve class queue (default 256 tokens). A
 	// full queue blocks the pushing shard — backpressure, never loss.
 	QueueDepth int
-	// StarveBound caps consecutive latency-class solve grants while
-	// bulk work waits (default 8): after that many, one bulk token is
-	// granted even if latency tokens are queued, bounding bulk-class
-	// starvation under latency saturation. The same bound caps the
-	// latency solves one bulk sweep runs inline.
-	StarveBound int
 	// Deprecated: ignored. A bulk solve on the pool always runs waiting
 	// latency solves inline; the field remains only because perfbench
 	// still sets it.
@@ -86,9 +89,6 @@ func (c PipelineConfig) withDefaults() PipelineConfig {
 	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 256
-	}
-	if c.StarveBound <= 0 {
-		c.StarveBound = 8
 	}
 	return c
 }
@@ -105,7 +105,7 @@ type sweepToken struct {
 	// yield hook moves it forward past each latency solve it runs
 	// inline, so the span leaves them out.
 	solveAt int64
-	inline  int   // latency solves this bulk sweep ran inline (≤ StarveBound)
+	inline  int   // latency solves this bulk sweep ran inline (≤ starveBound)
 	err     error // terminal stage error; finish retires the device
 }
 
@@ -118,9 +118,10 @@ func (t *sweepToken) solve() {
 }
 
 // classQueue is the solve stage's two-class priority queue: strict
-// latency-over-bulk dequeue with a starvation bound, a blocking bound
-// on total depth, and a lock-free waiting-latency count that a bulk
-// solve's yield hook reads before it takes the lock.
+// latency-over-bulk dequeue with a starvation bound (starveBound on the
+// pool; tests pass smaller bounds), a blocking bound on total depth, and
+// a lock-free waiting-latency count that a bulk solve's yield hook reads
+// before it takes the lock.
 type classQueue struct {
 	mu     sync.Mutex
 	nonEmp *sync.Cond // wait: poppers; signal: push
@@ -268,7 +269,7 @@ type pipeline struct {
 
 func newPipeline(cfg PipelineConfig) *pipeline {
 	cfg = cfg.withDefaults()
-	p := &pipeline{cfg: cfg, solveQ: newClassQueue(cfg.QueueDepth, cfg.StarveBound)}
+	p := &pipeline{cfg: cfg, solveQ: newClassQueue(cfg.QueueDepth, starveBound)}
 	p.wg.Add(cfg.SolveWorkers)
 	for i := 0; i < cfg.SolveWorkers; i++ {
 		go p.solveWorker()
@@ -315,11 +316,11 @@ func (p *pipeline) run(t *sweepToken) {
 }
 
 // runInline is a bulk solve's yield hook: while latency tokens wait and
-// the sweep has run fewer than StarveBound of them, it pops one and runs
+// the sweep has run fewer than starveBound of them, it pops one and runs
 // it to completion on this goroutine. The bulk solve then continues
 // from its exact state, so its result does not change.
 func (p *pipeline) runInline(t *sweepToken) {
-	for t.inline < p.cfg.StarveBound && p.solveQ.latWaiting.Load() > 0 {
+	for t.inline < starveBound && p.solveQ.latWaiting.Load() > 0 {
 		lt := p.solveQ.popLatency()
 		if lt == nil {
 			return

@@ -17,6 +17,10 @@ import (
 // the same event rate a full fleet would.
 const statFixPeriod = 84 * time.Millisecond
 
+// statRoomW and statRoomH bound a stat device's random-waypoint walk,
+// in meters: the room track.RunMulti's targets walk by default.
+const statRoomW, statRoomH = 12.0, 10.0
+
 // timerGrain is the resolution of shard timers: due times round up to a
 // whole millisecond, fine enough to pace ~84 ms sweep cadences.
 const timerGrain = time.Millisecond
@@ -78,15 +82,9 @@ func newDeviceSession(s *shard, id uint64, cfg DeviceConfig) (*deviceSession, er
 		if cfg.FixPeriod <= 0 {
 			cfg.FixPeriod = statFixPeriod
 		}
-		if cfg.RoomW == 0 {
-			cfg.RoomW = 12
-		}
-		if cfg.RoomH == 0 {
-			cfg.RoomH = 10
-		}
 		ds.cfg = cfg
 		ds.rng = rng
-		ds.walk = drone.NewWalk(rng, cfg.RoomW, cfg.RoomH)
+		ds.walk = drone.NewWalk(rng, statRoomW, statRoomH)
 		ds.walk.Speed = cfg.Speed
 		ds.tracker = track.NewRangeTracker(track.FilterConfig{})
 		ds.sensor = drone.StatSensor{}

@@ -26,8 +26,8 @@ func TestDaemonChurnSoak(t *testing.T) {
 	}
 
 	// Force registry eviction: two resident plans, while the full fleet
-	// cycles through several distinct geometries (MaxTau variants), each
-	// needing a main plan and an alias-window plan.
+	// cycles through several distinct geometries (band modes), each
+	// needing a main plan and an alias-window plan per band group.
 	defer tof.SetSharedPlanCap(tof.SetSharedPlanCap(2))
 	evictionsBefore := tof.SharedRegistryStats().Evictions
 
@@ -62,7 +62,7 @@ func TestDaemonChurnSoak(t *testing.T) {
 					// Full pipeline, rotating plan geometry; short
 					// finite sessions.
 					est := goldenEstimator()
-					est.MaxTau = 60e-9 + float64(i%4)*10e-9
+					est.Mode = []tof.BandMode{tof.BandsFused, tof.Bands5GHzOnly, tof.Bands24Only}[i%3]
 					s := goldenSession()
 					s.Sweeps = 2
 					return id, DeviceConfig{Seed: rng.Int63(), Session: s, Estimator: est}

@@ -25,7 +25,7 @@ const (
 	// using discrimination-weighted residuals.
 	RankFamilies PeakRanking = iota
 	// RankVertex trusts the raw profile vertex the solver converged to:
-	// the earliest dominant peak within SearchWindow of the strongest
+	// the earliest dominant peak within searchWindow of the strongest
 	// vertex, then a ±1-period disambiguation refit anchored on that
 	// vertex with unweighted residuals. Kept as the ablation baseline;
 	// it is right only when the solver's trajectory lands on the true
@@ -44,10 +44,10 @@ const aliasWindow = 24e-9
 // of every sweep (a window shift is a per-frequency phase rotation).
 func (e *Estimator) windowPlan(freqs []float64, power int) (*ndft.Plan, planKey, error) {
 	pf := float64(power)
-	key := newPlanKey(freqs, power, aliasWindow, e.cfg.GridStep)
+	key := newPlanKey(freqs, power)
 	key.window = true
 	plan, err := e.plans.planFor(key, func() (*ndft.Plan, error) {
-		return ndft.NewPlan(freqs, ndft.TauGrid(pf*aliasWindow, pf*e.cfg.GridStep))
+		return ndft.NewPlan(freqs, ndft.TauGrid(pf*aliasWindow, pf*gridStep))
 	})
 	return plan, key, err
 }
@@ -130,7 +130,7 @@ func (wr *windowRefit) solve(cand, alpha, eps float64, w []float64, forceCold bo
 		H: wr.rot, Warm: warm, Dst: wr.dst,
 		InvertOptions: ndft.InvertOptions{
 			Alpha: alpha, Epsilon: eps, MaxIter: 600,
-			Stop: wr.e.cfg.Stop, GapScale: wr.e.cfg.GapScale, NoiseFloor: wr.noise,
+			Stop: wr.e.cfg.Stop, NoiseFloor: wr.noise,
 		},
 	})
 	if err != nil {
@@ -198,7 +198,7 @@ const aliasMargin = 0.85
 // anchorMargin is the historical fixed margin for how decisively another
 // family's folded mass must beat the tallest vertex's family before it
 // takes over as the window anchor. Folding sums mass across
-// ~MaxTau/AliasPeriod periods, so two unrelated noise bumps that happen
+// ~maxTau/aliasPeriod periods, so two unrelated noise bumps that happen
 // to share a residue can edge past a real path's family; a genuine split
 // or stranded path carries its full conserved mass and clears the
 // margin, chance alignments rarely do.
@@ -311,7 +311,7 @@ func (e *Estimator) newAliasScorer(g *bandGroup, s *Sweep, floor float64) (*alia
 		wr:      wr,
 		hNorm:   dsp.Norm2(g.h),
 		gates:   e.gatesFor(g.noiseRel),
-		weights: aliasWeights(g.freqs, g.power, e.cfg.AliasPeriod),
+		weights: aliasWeights(g.freqs, g.power, aliasPeriod),
 		memo:    make(map[int]refitScore, 4),
 	}, nil
 }
@@ -330,8 +330,7 @@ func (e *Estimator) newAliasScorer(g *bandGroup, s *Sweep, floor float64) (*alia
 // manufacture a ±1-period flip the data does not support. On sweeps
 // without warm starting both modes are identical and share one memo.
 func (sc *aliasScorer) score(cand float64, forceCold bool) refitScore {
-	cfg := sc.wr.e.cfg
-	cell := int(math.Round(cand / cfg.GridStep))
+	cell := int(math.Round(cand / gridStep))
 	memo := sc.memo
 	if forceCold && sc.wr.s.warm {
 		if sc.memoCold == nil {
@@ -359,17 +358,12 @@ func (sc *aliasScorer) score(cand float64, forceCold bool) refitScore {
 	return out
 }
 
-// referenceAlpha resolves the shared refit α: the configured override
-// when set, otherwise the solver's standard scaling (10% of the largest
-// atom correlation, times the ablation factor) evaluated on the
-// reference candidate's rotated window.
+// referenceAlpha resolves the shared refit α: the solver's standard
+// scaling (10% of the largest atom correlation, times the ablation
+// factor) evaluated on the reference candidate's rotated window.
 func (sc *aliasScorer) referenceAlpha(cand float64) float64 {
-	cfg := sc.wr.e.cfg
-	if cfg.Alpha != 0 {
-		return cfg.Alpha
-	}
 	rotateWindow(sc.wr.freqs, sc.wr.h, cand, float64(sc.wr.power), sc.wr.rot)
-	scale := cfg.AlphaFactor
+	scale := sc.wr.e.cfg.AlphaFactor
 	if scale == 0 {
 		scale = 1
 	}
@@ -412,25 +406,21 @@ func (sc *aliasScorer) beats(challenger, incumbent refitScore) bool {
 //     §4 test on geometries with off-lattice bands while leaving
 //     pure-raster geometries to the solver's own placement.
 //
-// ok is false when folding is degenerate for the grid or the refits
-// failed; callers fall back to the vertex chain. The evidence thresholds
-// (anchor margin, refit margin, fit gate) derive from the group's
-// per-sweep relative noise estimate; refitFloor is the refit solver's
-// noise floor (see newAliasScorer). contested is placeCandidate's
-// verdict on the final placement.
+// ok is false when the profile has no peak or family to anchor on or
+// the refits failed; callers fall back to the vertex chain. The evidence
+// thresholds (anchor margin, refit margin, fit gate) derive from the
+// group's per-sweep relative noise estimate; refitFloor is the refit
+// solver's noise floor (see newAliasScorer). contested is
+// placeCandidate's verdict on the final placement.
 func (e *Estimator) familyRank(g *bandGroup, prof *Profile, s *Sweep, refitFloor float64) (tau float64, ok, contested bool, work int64) {
-	step := e.cfg.GridStep
 	gates := e.gatesFor(g.noiseRel)
-	cells := int(math.Round(e.cfg.AliasPeriod / step))
-	if cells < 4 || cells >= len(prof.Magnitude) {
-		return 0, false, false, 0
-	}
-	period := float64(cells) * step
+	cells := int(math.Round(aliasPeriod / gridStep))
+	period := float64(cells) * gridStep
 
 	// Half the vertex floor admits direct paths whose tallest member was
 	// halved by a family split; what this lets through is filtered by
 	// family dominance below.
-	peaks := dsp.FindPeaks(prof.Taus, prof.Magnitude, 0.5*e.cfg.PeakThreshold)
+	peaks := dsp.FindPeaks(prof.Taus, prof.Magnitude, 0.5*peakThreshold)
 	if len(peaks) == 0 {
 		return 0, false, false, 0
 	}
@@ -481,8 +471,8 @@ func (e *Estimator) familyRank(g *bandGroup, prof *Profile, s *Sweep, refitFloor
 	if anchorMass <= 0 {
 		return 0, false, false, 0
 	}
-	floor := e.cfg.PeakThreshold * anchorMass
-	lo := anchor.X - e.cfg.SearchWindow
+	floor := peakThreshold * anchorMass
+	lo := anchor.X - searchWindow
 
 	// Earliest dominant real peak inside the window (the anchor itself
 	// when nothing dominant precedes it).
@@ -503,7 +493,7 @@ func (e *Estimator) familyRank(g *bandGroup, prof *Profile, s *Sweep, refitFloor
 	// out-of-window ghost member. Each is admitted over the current
 	// first peak only on a decisively better anchored refit, and only
 	// when the refits explain the data well enough to be evidence.
-	virtuals := e.virtualCandidates(peaks, famMass, floor, lo, first.X, anchor.X, period)
+	virtuals := virtualCandidates(peaks, famMass, floor, lo, first.X, anchor.X, period)
 	if len(virtuals) > 0 {
 		firstScore := scorer.score(first.X, false)
 		if scorer.trusted(firstScore) {
@@ -527,8 +517,7 @@ func (e *Estimator) familyRank(g *bandGroup, prof *Profile, s *Sweep, refitFloor
 // virtualCandidates returns, in ascending delay order, the in-window
 // member positions of dominant families that have no real candidate peak
 // nearby and that would precede the current first peak.
-func (e *Estimator) virtualCandidates(peaks []dsp.Peak, famMass func(int) float64, floor, lo, firstX, anchorX, period float64) []float64 {
-	step := e.cfg.GridStep
+func virtualCandidates(peaks []dsp.Peak, famMass func(int) float64, floor, lo, firstX, anchorX, period float64) []float64 {
 	var out []float64
 	for _, p := range peaks {
 		if famMass(p.Index) < floor {
@@ -536,12 +525,12 @@ func (e *Estimator) virtualCandidates(peaks []dsp.Peak, famMass func(int) float6
 		}
 		// The family's unique member position at or before the anchor.
 		v := anchorX - math.Mod(anchorX-p.X+64*period, period)
-		if v < lo-step || v >= firstX-2*step || v < -1e-9 {
+		if v < lo-gridStep || v >= firstX-2*gridStep || v < -1e-9 {
 			continue
 		}
 		covered := false
 		for _, q := range peaks {
-			if math.Abs(q.X-v) <= 2*step {
+			if math.Abs(q.X-v) <= 2*gridStep {
 				covered = true
 				break
 			}
@@ -551,7 +540,7 @@ func (e *Estimator) virtualCandidates(peaks []dsp.Peak, famMass func(int) float6
 		}
 		dup := false
 		for _, u := range out {
-			if math.Abs(u-v) <= 2*step {
+			if math.Abs(u-v) <= 2*gridStep {
 				dup = true
 				break
 			}
@@ -565,7 +554,7 @@ func (e *Estimator) virtualCandidates(peaks []dsp.Peak, famMass func(int) float6
 }
 
 // placeCandidate resolves which grating-lobe member the chosen first
-// peak belongs to: the §4 refit over cand + k·AliasPeriod, k ∈ {−1,0,1},
+// peak belongs to: the §4 refit over cand + k·aliasPeriod, k ∈ {−1,0,1},
 // with the candidate as the incumbent — the vertex chain's
 // disambiguation, sharpened by discrimination weighting and warm-started
 // refits, and gated on fit quality so an uninformative refit can never
@@ -584,8 +573,8 @@ func (e *Estimator) placeCandidate(scorer *aliasScorer, cand float64) (best floa
 		}
 		best, bestScore, near := cand, base, false
 		for k := -1; k <= 1; k += 2 {
-			c := cand + float64(k)*e.cfg.AliasPeriod
-			if c < -1e-9 || c > e.cfg.MaxTau {
+			c := cand + float64(k)*aliasPeriod
+			if c < -1e-9 || c > maxTau {
 				continue
 			}
 			sc := scorer.score(c, forceCold)
@@ -610,7 +599,7 @@ func (e *Estimator) placeCandidate(scorer *aliasScorer, cand float64) (best floa
 }
 
 // disambiguateAlias resolves which grating-lobe hypothesis a
-// vertex-ranked first peak belongs to. For each shift k·AliasPeriod
+// vertex-ranked first peak belongs to. For each shift k·aliasPeriod
 // around the candidate, it refits the measurements on a delay window
 // shorter than one alias period; the displaced hypotheses fit the
 // on-lattice channels but rotate the off-lattice channels, so the true
@@ -636,14 +625,14 @@ func (e *Estimator) disambiguateAlias(g *bandGroup, tau float64, s *Sweep, noise
 	resids := map[int]float64{}
 	var work int64
 	for k := -1; k <= 1; k++ {
-		cand := tau + float64(k)*e.cfg.AliasPeriod
-		if cand < -1e-9 || cand > e.cfg.MaxTau {
+		cand := tau + float64(k)*aliasPeriod
+		if cand < -1e-9 || cand > maxTau {
 			continue
 		}
 		// Warm labels use the candidate delay — the same family-stable
 		// convention as aliasScorer — so vertex-mode streams keep one
 		// consistent warm-state keying.
-		resid, w, err := wr.solve(cand, e.cfg.Alpha, 0, nil, false)
+		resid, w, err := wr.solve(cand, 0, 0, nil, false)
 		work += w
 		if err != nil {
 			continue
@@ -665,5 +654,5 @@ func (e *Estimator) disambiguateAlias(g *bandGroup, tau float64, s *Sweep, noise
 			near = true
 		}
 	}
-	return tau + float64(bestK)*e.cfg.AliasPeriod, near && bestK == 0, work
+	return tau + float64(bestK)*aliasPeriod, near && bestK == 0, work
 }

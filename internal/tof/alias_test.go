@@ -403,7 +403,7 @@ func TestCollidingFamiliesKeepWarm(t *testing.T) {
 	for _, list := range warm.warmWindows {
 		byPeriod := map[int]int{}
 		for _, ws := range list {
-			byPeriod[int(math.Round(ws.cand/est.cfg.AliasPeriod))]++
+			byPeriod[int(math.Round(ws.cand/aliasPeriod))]++
 		}
 		for _, c := range byPeriod {
 			if c > 1 {

@@ -11,42 +11,8 @@ import (
 
 func TestConfigDefaults(t *testing.T) {
 	cfg := Config{}.withDefaults()
-	if cfg.MaxTau != 60e-9 || cfg.GridStep != 0.1e-9 {
-		t.Errorf("grid defaults: %+v", cfg)
-	}
-	if cfg.PeakThreshold != 0.15 || cfg.SearchWindow != 12e-9 {
-		t.Errorf("peak defaults: %+v", cfg)
-	}
-	if cfg.MaxIter != 1500 || cfg.AliasPeriod != 25e-9 {
+	if cfg.MaxIter != 1500 {
 		t.Errorf("solver defaults: %+v", cfg)
-	}
-}
-
-func TestConfigExplicitValuesKept(t *testing.T) {
-	cfg := Config{MaxTau: 1e-9, GridStep: 1e-12, PeakThreshold: 0.5,
-		SearchWindow: 1e-9, MaxIter: 7, AliasPeriod: -1}.withDefaults()
-	if cfg.MaxTau != 1e-9 || cfg.GridStep != 1e-12 || cfg.PeakThreshold != 0.5 ||
-		cfg.SearchWindow != 1e-9 || cfg.MaxIter != 7 || cfg.AliasPeriod != -1 {
-		t.Errorf("explicit values overridden: %+v", cfg)
-	}
-}
-
-func TestEstimateAliasPeriodDisabled(t *testing.T) {
-	// With AliasPeriod < 0 the hypothesis test is skipped entirely; on a
-	// clean single path the answer must be unaffected.
-	rng := rand.New(rand.NewSource(1))
-	link := testLink(rng, 10, nil, false)
-	bands := wifi.Bands5GHz()
-	for _, alias := range []float64{-1, 25e-9} {
-		est := calibrated(t, Config{Mode: Bands5GHzOnly, MaxIter: 800, AliasPeriod: alias}, link, rng, bands)
-		sweep := link.Sweep(rng, bands, 3, 2.4e-3)
-		got, err := est.Estimate(bands, sweep)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if e := math.Abs(got.ToF - 10e-9); e > 0.5e-9 {
-			t.Errorf("alias=%v: error %v", alias, e)
-		}
 	}
 }
 
@@ -64,22 +30,6 @@ func TestEstimateAlphaFactorRuns(t *testing.T) {
 		if e := math.Abs(got.ToF - 8e-9); e > 2e-9 {
 			t.Errorf("alpha factor %v: error %v", f, e)
 		}
-	}
-}
-
-func TestEstimateCustomGrid(t *testing.T) {
-	// A coarse grid must still find the path, just less precisely.
-	rng := rand.New(rand.NewSource(3))
-	link := testLink(rng, 12, nil, false)
-	bands := wifi.Bands5GHz()
-	est := calibrated(t, Config{Mode: Bands5GHzOnly, MaxIter: 600, GridStep: 0.5e-9, MaxTau: 30e-9}, link, rng, bands)
-	sweep := link.Sweep(rng, bands, 3, 2.4e-3)
-	got, err := est.Estimate(bands, sweep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e := math.Abs(got.ToF - 12e-9); e > 1e-9 {
-		t.Errorf("coarse-grid error %v", e)
 	}
 }
 

@@ -34,47 +34,52 @@ const (
 	BandsAllCoherent
 )
 
-// Config tunes the estimator.
+// The estimator's fixed delay grid and §6 peak rules.
+const (
+	// maxTau is the largest resolvable time of flight (60 ns ≈ 18 m),
+	// and gridStep the τ-domain grid step.
+	maxTau   = 60e-9
+	gridStep = 0.1e-9
+	// peakThreshold is the dominant-peak cutoff as a fraction of the
+	// profile maximum.
+	peakThreshold = 0.15
+	// searchWindow bounds how far before the strongest profile peak the
+	// first-peak search may reach, in seconds of true τ. With indoor
+	// delay spreads bounded by ~25 ns, the squared-channel content spans
+	// at most 12.5 ns (τ) before its strongest component, while the
+	// grating-lobe ghosts of the mostly-20 MHz-spaced band lattice appear
+	// 25 ns (τ) below their parents — i.e. always more than 12.5 ns below
+	// the strongest peak. A 12 ns window therefore admits every genuine
+	// direct path and rejects every lattice ghost.
+	searchWindow = 12e-9
+	// aliasPeriod is the τ-domain grating-lobe period of the band
+	// lattice: the 20 MHz channel raster gives 50 ns in the h̃² delay
+	// domain, and the 2.4 GHz 5 MHz raster gives 200 ns in the h̃⁸
+	// domain — both 25 ns in τ. The estimator disambiguates the first
+	// peak across ±1 alias period by refitting each hypothesis on a
+	// window shorter than the period and keeping the best data fit; only
+	// the off-lattice channels can tell the hypotheses apart, which is
+	// exactly the §4 observation that unequally spaced bands raise the
+	// unambiguous range.
+	aliasPeriod = 25e-9
+)
+
+// Config tunes the estimator. The delay grid and the peak rules are the
+// package's fixed procedure; the fields select the bands, the hardware
+// model, and the ablation paths the campaigns reproduce.
 type Config struct {
-	Mode     BandMode
-	Interp   InterpMode
-	Quirk24  bool    // whether the radios exhibit the 2.4 GHz phase quirk
-	MaxTau   float64 // largest resolvable time of flight (default 60 ns ≈ 18 m)
-	GridStep float64 // τ-domain grid step (default 0.1 ns)
-	// Alpha is the sparsity parameter forwarded to Algorithm 1 (0 = auto).
-	Alpha float64
-	// AlphaFactor multiplies the auto-scaled α when Alpha is 0 (default
-	// 1). The sparsity ablation sweeps this.
+	Mode    BandMode
+	Interp  InterpMode
+	Quirk24 bool // whether the radios exhibit the 2.4 GHz phase quirk
+	// AlphaFactor multiplies the auto-scaled sparsity parameter α
+	// (default 1). The sparsity ablation sweeps this.
 	AlphaFactor float64
-	// PeakThreshold is the dominant-peak cutoff as a fraction of the
-	// profile maximum (default 0.15).
-	PeakThreshold float64
-	// SearchWindow bounds how far before the strongest profile peak the
-	// first-peak search may reach, in seconds of true τ (default 12 ns).
-	// With indoor delay spreads bounded by ~25 ns, the squared-channel
-	// content spans at most 12.5 ns (τ) before its strongest component,
-	// while the grating-lobe ghosts of the mostly-20 MHz-spaced band
-	// lattice appear 25 ns (τ) below their parents — i.e. always more
-	// than 12.5 ns below the strongest peak. A 12 ns window therefore
-	// admits every genuine direct path and rejects every lattice ghost.
-	SearchWindow float64
-	MaxIter      int // ISTA iteration cap (default 1500)
-	// AliasPeriod is the τ-domain grating-lobe period of the band
-	// lattice (default 25 ns: the 20 MHz channel raster gives 50 ns in
-	// the h̃² delay domain, and the 2.4 GHz 5 MHz raster gives 200 ns in
-	// the h̃⁸ domain — both 25 ns in τ). The estimator disambiguates the
-	// first peak across ±1 alias period by refitting each hypothesis on
-	// a window shorter than the period and keeping the best data fit;
-	// only the off-lattice channels can tell the hypotheses apart, which
-	// is exactly the §4 observation that unequally spaced bands raise
-	// the unambiguous range. Set negative to disable the test.
-	AliasPeriod float64
+	MaxIter     int // ISTA iteration cap (default 1500)
 	// Ranking selects how the direct-path peak is extracted from the
 	// profile: RankFamilies (default) ranks alias families by folded
 	// mass and lets the window refit place the winner; RankVertex is the
 	// historical chain that trusts the raw solver vertex (kept for the
-	// alias ablation). With AliasPeriod disabled both reduce to the
-	// plain windowed first-peak rule.
+	// alias ablation).
 	Ranking PeakRanking
 	// Stop selects the solver's termination rule (default ndft.StopGap:
 	// stop once a duality-gap bound certifies the objective within the
@@ -83,9 +88,6 @@ type Config struct {
 	// 1e−6·‖h‖ iterate tolerance — the convergence ablation path, which
 	// routinely runs to the iteration cap at campaign SNR.
 	Stop ndft.StopRule
-	// GapScale scales the noise-derived duality-gap tolerance (0 = the
-	// solver default, 0.7). The SNR-sweep ablation varies it.
-	GapScale float64
 	// FixedThresholds pins the alias-evidence thresholds (refit margin,
 	// fit gate, anchor margin) to their historical constants instead of
 	// deriving them from the per-sweep noise estimate — the threshold
@@ -100,23 +102,8 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.MaxTau == 0 {
-		c.MaxTau = 60e-9
-	}
-	if c.GridStep == 0 {
-		c.GridStep = 0.1e-9
-	}
-	if c.PeakThreshold == 0 {
-		c.PeakThreshold = 0.15
-	}
-	if c.SearchWindow == 0 {
-		c.SearchWindow = 12e-9
-	}
 	if c.MaxIter == 0 {
 		c.MaxIter = 1500
-	}
-	if c.AliasPeriod == 0 {
-		c.AliasPeriod = 25e-9
 	}
 	return c
 }
@@ -386,14 +373,14 @@ func (s *Sweep) SetWarmStart(on bool) {
 // instead of trailing it by one sweep, which is what keeps warm starts
 // profitable at walking speeds. The shift is the same cell count for
 // every power group: the h̃ᵖ grids scale both the drift (p·dTau) and the
-// step (p·GridStep) by p. Alias-window warm profiles are left alone
+// step (p·gridStep) by p. Alias-window warm profiles are left alone
 // (their window origin tracks the candidate). No-op when warm starting
 // is off or the drift rounds to zero cells.
 func (s *Sweep) TranslateWarm(dTau float64) {
 	if !s.warm || len(s.warmGroups) == 0 {
 		return
 	}
-	cells := int(math.Round(dTau / s.est.cfg.GridStep))
+	cells := int(math.Round(dTau / gridStep))
 	if cells == 0 {
 		return
 	}
@@ -441,7 +428,7 @@ func (s *Sweep) windowWarmState(key planKey, cand float64) *warmGroup {
 	}
 	list := s.warmWindows[key]
 	var best *windowSeed
-	bestD := windowSeedTolFrac * s.est.cfg.AliasPeriod
+	bestD := windowSeedTolFrac * aliasPeriod
 	for _, ws := range list {
 		if d := math.Abs(ws.cand - cand); d < bestD {
 			best, bestD = ws, d
@@ -688,7 +675,7 @@ func (e *Estimator) estimate(s *Sweep) (*Estimate, error) {
 		ests = append(ests, groupEst{
 			tau:     fix.tau,
 			profile: fix.prof,
-			peaks:   dsp.DominantPeakCount(fix.prof.Taus, fix.prof.Magnitude, e.cfg.PeakThreshold),
+			peaks:   dsp.DominantPeakCount(fix.prof.Taus, fix.prof.Magnitude, peakThreshold),
 			// Precision ∝ (effective span)², where the channel power
 			// multiplies the phase sensitivity but also the noise; span
 			// dominates in practice.
@@ -739,17 +726,17 @@ func (e *Estimator) estimate(s *Sweep) (*Estimate, error) {
 }
 
 // firstPeakWindowed applies the §6 first-peak rule with an alias guard:
-// the earliest dominant peak is searched only within SearchWindow before
+// the earliest dominant peak is searched only within searchWindow before
 // the strongest peak. The band lattice's grating-lobe ghosts land a full
 // alias period earlier and are excluded; the genuine direct path, bounded
 // by the indoor delay spread, is not.
-func (e *Estimator) firstPeakWindowed(prof *Profile) (float64, bool) {
+func firstPeakWindowed(prof *Profile) (float64, bool) {
 	strongest, ok := dsp.StrongestPeak(prof.Taus, prof.Magnitude)
 	if !ok {
 		return 0, false
 	}
-	peaks := dsp.FindPeaks(prof.Taus, prof.Magnitude, e.cfg.PeakThreshold)
-	lo := strongest.X - e.cfg.SearchWindow
+	peaks := dsp.FindPeaks(prof.Taus, prof.Magnitude, peakThreshold)
+	lo := strongest.X - searchWindow
 	for _, p := range peaks {
 		if p.X >= lo && p.X <= strongest.X+1e-15 {
 			return p.X, true
@@ -783,11 +770,9 @@ func (e *Estimator) solveGroup(s *Sweep, g *bandGroup, seed dsp.Vec, floor float
 	res, err := g.plan.Solve(ndft.SolveRequest{
 		H: g.h, Warm: seed,
 		InvertOptions: ndft.InvertOptions{
-			Alpha:      e.cfg.Alpha,
 			AlphaScale: e.cfg.AlphaFactor,
 			MaxIter:    e.cfg.MaxIter,
 			Stop:       e.cfg.Stop,
-			GapScale:   e.cfg.GapScale,
 			NoiseFloor: floor,
 			Yield:      e.yield,
 		},
@@ -804,18 +789,18 @@ func (e *Estimator) solveGroup(s *Sweep, g *bandGroup, seed dsp.Vec, floor float
 	fix.prof = &Profile{Taus: taus, Magnitude: res.Magnitude, Power: g.power}
 
 	aliasStart := obs.Tick()
-	if e.cfg.Ranking == RankFamilies && e.cfg.AliasPeriod > 0 {
+	if e.cfg.Ranking == RankFamilies {
 		fix.tau, fix.ok, fix.contested, fix.aliasWork = e.familyRank(g, fix.prof, s, floor)
 	}
 	if !fix.ok {
-		// RankVertex, alias test disabled, or family ranking could not
-		// fold/place on this geometry: fall back to the vertex first
-		// peak. In family mode its placement still runs the full scorer
-		// machinery (shared α, discrimination weights, fit gate,
-		// cold-confirmed flips); the explicit RankVertex baseline keeps
-		// the historical disambiguation it documents.
-		fix.tau, fix.ok = e.firstPeakWindowed(fix.prof)
-		if fix.ok && e.cfg.AliasPeriod > 0 {
+		// RankVertex, or family ranking found no candidate on this
+		// profile: fall back to the vertex first peak. In family mode its
+		// placement still runs the full scorer machinery (shared α,
+		// discrimination weights, fit gate, cold-confirmed flips); the
+		// explicit RankVertex baseline keeps the historical
+		// disambiguation it documents.
+		fix.tau, fix.ok = firstPeakWindowed(fix.prof)
+		if fix.ok {
 			if e.cfg.Ranking == RankFamilies {
 				if scorer, err := e.newAliasScorer(g, s, floor); err == nil {
 					fix.tau, fix.contested = e.placeCandidate(scorer, fix.tau)
@@ -835,13 +820,13 @@ func (e *Estimator) solveGroup(s *Sweep, g *bandGroup, seed dsp.Vec, floor float
 // planForGroup resolves (building and registering on demand) the shared
 // plan for one power group's inversion geometry.
 func (e *Estimator) planForGroup(freqs []float64, power int) (planKey, *ndft.Plan, error) {
-	key := newPlanKey(freqs, power, e.cfg.MaxTau, e.cfg.GridStep)
+	key := newPlanKey(freqs, power)
 	plan, err := e.plans.planFor(key, func() (*ndft.Plan, error) {
 		// The h̃ᵖ profile lives on delays that are sums of p path delays,
-		// so the grid must span p·MaxTau. Keep the column count constant
+		// so the grid must span p·maxTau. Keep the column count constant
 		// by scaling the step too: resolution in τ is preserved after
 		// division by p.
-		taus := ndft.TauGrid(float64(power)*e.cfg.MaxTau, float64(power)*e.cfg.GridStep)
+		taus := ndft.TauGrid(float64(power)*maxTau, float64(power)*gridStep)
 		return ndft.NewPlan(freqs, taus)
 	})
 	return key, plan, err

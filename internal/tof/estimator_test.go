@@ -168,10 +168,10 @@ func TestEstimateProfilePeaksReported(t *testing.T) {
 	}
 	// Profile taus must be in true τ units: first peak near 7 ns (sum
 	// domain divided by power). Find max tau in the grid: should span
-	// MaxTau.
+	// maxTau.
 	lastTau := got.Profile.Taus[len(got.Profile.Taus)-1]
-	if math.Abs(lastTau-est.Config().MaxTau) > est.Config().GridStep*2 {
-		t.Errorf("profile grid ends at %v, want %v", lastTau, est.Config().MaxTau)
+	if math.Abs(lastTau-maxTau) > gridStep*2 {
+		t.Errorf("profile grid ends at %v, want %v", lastTau, maxTau)
 	}
 }
 

@@ -11,34 +11,27 @@ import (
 )
 
 // planKey is the fixed-size signature of one inversion geometry: the
-// channel power (which fixes the delay-domain scaling), the frequency
+// channel power (which fixes the delay-domain scaling) and the frequency
 // list (hashed, plus its length so unequal-length collisions are
-// impossible), and the grid parameters that determine the τ lattice. It
-// replaces the fmt-formatted string key the Estimator used to build per
-// cache probe — a comparable struct costs one FNV pass over the
-// frequency bits and no heap traffic.
+// impossible); the τ lattice is the package's fixed grid. A comparable
+// struct costs one FNV pass over the frequency bits and no heap traffic.
 type planKey struct {
 	power    int
 	nFreq    int
 	freqHash uint64
-	maxTau   float64
-	gridStep float64
-	// window marks the fixed-width alias-disambiguation geometry, whose
-	// grid parameters could otherwise collide with a main grid's.
+	// window marks the fixed-width alias-disambiguation geometry, which
+	// shares its frequencies and power with the group's main grid.
 	window bool
 }
 
-func newPlanKey(freqs []float64, power int, maxTau, gridStep float64) planKey {
+func newPlanKey(freqs []float64, power int) planKey {
 	h := fnv.New64a()
 	var b [8]byte
 	for _, f := range freqs {
 		binary.LittleEndian.PutUint64(b[:], math.Float64bits(f))
 		h.Write(b[:])
 	}
-	return planKey{
-		power: power, nFreq: len(freqs), freqHash: h.Sum64(),
-		maxTau: maxTau, gridStep: gridStep,
-	}
+	return planKey{power: power, nFreq: len(freqs), freqHash: h.Sum64()}
 }
 
 // defaultMaxPlans bounds the shared registry. The fixed evaluation

@@ -13,16 +13,14 @@ import (
 
 func TestPlanKeyDistinguishesGeometries(t *testing.T) {
 	freqs := []float64{5.18e9, 5.2e9, 5.22e9}
-	base := newPlanKey(freqs, 2, 60e-9, 0.1e-9)
-	if newPlanKey(freqs, 2, 60e-9, 0.1e-9) != base {
+	base := newPlanKey(freqs, 2)
+	if newPlanKey(freqs, 2) != base {
 		t.Error("identical geometry produced different keys")
 	}
 	variants := []planKey{
-		newPlanKey(freqs, 8, 60e-9, 0.1e-9),
-		newPlanKey(freqs[:2], 2, 60e-9, 0.1e-9),
-		newPlanKey([]float64{5.18e9, 5.2e9, 5.24e9}, 2, 60e-9, 0.1e-9),
-		newPlanKey(freqs, 2, 30e-9, 0.1e-9),
-		newPlanKey(freqs, 2, 60e-9, 0.2e-9),
+		newPlanKey(freqs, 8),
+		newPlanKey(freqs[:2], 2),
+		newPlanKey([]float64{5.18e9, 5.2e9, 5.24e9}, 2),
 	}
 	for i, k := range variants {
 		if k == base {
@@ -89,7 +87,7 @@ func TestPlanRegistryConcurrentSingleBuild(t *testing.T) {
 
 func TestPlanRegistryCachesErrors(t *testing.T) {
 	reg := newPlanRegistry(0)
-	key := newPlanKey([]float64{1e9}, 2, 60e-9, 0.1e-9)
+	key := newPlanKey([]float64{1e9}, 2)
 	build := func() (*ndft.Plan, error) { return ndft.NewPlan(nil, nil) }
 	if _, err := reg.planFor(key, build); err == nil {
 		t.Fatal("invalid build succeeded")
@@ -146,7 +144,8 @@ func TestSweepWarmStartEquivalence(t *testing.T) {
 // TestPlanRegistryLRUEviction exercises the occupancy bound: filling a
 // small registry past maxPlans evicts the least-recently-used geometry,
 // stats reflect it, and an evicted geometry is rebuilt correctly on the
-// next request.
+// next request. The registry only keys the plans; each power here stands
+// for one geometry, built on its own delay span.
 func TestPlanRegistryLRUEviction(t *testing.T) {
 	reg := newPlanRegistry(3)
 	build := func(maxTau float64) func() (*ndft.Plan, error) {
@@ -157,7 +156,7 @@ func TestPlanRegistryLRUEviction(t *testing.T) {
 	keys := make([]planKey, 5)
 	for i := range keys {
 		maxTau := float64(i+1) * 10e-9
-		keys[i] = newPlanKey([]float64{5.18e9, 5.2e9, 5.22e9}, 2, maxTau, 1e-9)
+		keys[i] = newPlanKey([]float64{5.18e9, 5.2e9, 5.22e9}, i+1)
 		if _, err := reg.planFor(keys[i], build(maxTau)); err != nil {
 			t.Fatal(err)
 		}
@@ -189,7 +188,7 @@ func TestPlanRegistryLRUEviction(t *testing.T) {
 	if _, err := reg.planFor(keys[3], build(40e-9)); err != nil {
 		t.Fatal(err)
 	}
-	k5 := newPlanKey([]float64{5.18e9, 5.2e9, 5.22e9}, 2, 70e-9, 1e-9)
+	k5 := newPlanKey([]float64{5.18e9, 5.2e9, 5.22e9}, 6)
 	if _, err := reg.planFor(k5, build(70e-9)); err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +214,7 @@ func TestSetCapRebounds(t *testing.T) {
 	}
 	for i := 0; i < 4; i++ {
 		maxTau := float64(i+1) * 10e-9
-		k := newPlanKey([]float64{5.18e9, 5.2e9, 5.22e9}, 2, maxTau, 1e-9)
+		k := newPlanKey([]float64{5.18e9, 5.2e9, 5.22e9}, i+1)
 		if _, err := reg.planFor(k, build(maxTau)); err != nil {
 			t.Fatal(err)
 		}
@@ -266,7 +265,7 @@ func TestPlanRegistryEvictionUnderRace(t *testing.T) {
 			for i := 0; i < 20; i++ {
 				g := (w + i) % geoms
 				maxTau := float64(g+1) * 10e-9
-				key := newPlanKey([]float64{5.18e9, 5.2e9}, 2, maxTau, 1e-9)
+				key := newPlanKey([]float64{5.18e9, 5.2e9}, g+1)
 				plan, err := reg.planFor(key, func() (*ndft.Plan, error) {
 					return ndft.NewPlan([]float64{5.18e9, 5.2e9}, ndft.TauGrid(maxTau, 1e-9))
 				})
@@ -298,8 +297,9 @@ func TestPlanRegistryEvictionUnderRace(t *testing.T) {
 
 func TestSharedRegistryStats(t *testing.T) {
 	// Resolve a plan through the shared registry so the snapshot must
-	// report activity regardless of test ordering.
-	key := newPlanKey([]float64{5.19e9, 5.21e9, 5.23e9}, 2, 12e-9, 1e-9)
+	// report activity regardless of test ordering. No estimator inverts
+	// in channel power 3, so the test plan cannot shadow a real one.
+	key := newPlanKey([]float64{5.19e9, 5.21e9, 5.23e9}, 3)
 	if _, err := sharedPlans.planFor(key, func() (*ndft.Plan, error) {
 		return ndft.NewPlan([]float64{5.19e9, 5.21e9, 5.23e9}, ndft.TauGrid(12e-9, 1e-9))
 	}); err != nil {

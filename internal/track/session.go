@@ -17,6 +17,13 @@ import (
 	"chronos/internal/wifi"
 )
 
+// pairsPerBand is the CSI pairs a session captures per band dwell.
+const pairsPerBand = 2
+
+// walkRoom is the side, in meters, of the square room a session's target
+// random-waypoint-walks, centered on the office floor (clamped to fit).
+const walkRoom = 10.0
+
 // SessionConfig tunes one streaming tracking session: a fixed anchor
 // ranges a walking target through the full CSI → incremental-estimator →
 // Kalman pipeline, sweep after sweep, on the hop protocol's virtual
@@ -31,11 +38,8 @@ type SessionConfig struct {
 	// until its owner stops stepping it — the mode the always-on service
 	// daemon uses. RunSession treats a negative count as zero sweeps.
 	Sweeps int
-	// PairsPerBand is the CSI pairs captured per band dwell (default 2).
-	PairsPerBand int
 	// NLOS marks the link non-line-of-sight for the whole session.
-	NLOS   bool
-	Filter FilterConfig
+	NLOS bool
 	// EarlyFixBands lists checkpoints (in usable folded bands, ascending)
 	// at which a degraded early fix is also taken mid-sweep. Early fixes
 	// are recorded but not fed to the Kalman filter: before the
@@ -56,23 +60,11 @@ type SessionConfig struct {
 	// were. Requires WarmStart; ignored otherwise. Deterministic for a
 	// given rng like the rest of the session.
 	VelocityTranslate bool
-	// RoomW, RoomH bound the target's random-waypoint walk, centered on
-	// the office floor (default 10 × 10 m, clamped to fit).
-	RoomW, RoomH float64
 }
 
 func (c SessionConfig) withDefaults() SessionConfig {
 	if c.Sweeps == 0 {
 		c.Sweeps = 6
-	}
-	if c.PairsPerBand == 0 {
-		c.PairsPerBand = 2
-	}
-	if c.RoomW == 0 {
-		c.RoomW = 10
-	}
-	if c.RoomH == 0 {
-		c.RoomH = 10
 	}
 	return c
 }
@@ -177,8 +169,8 @@ func NewSession(rng *rand.Rand, office *sim.Office, est *tof.Estimator, cfg Sess
 
 	// The target random-waypoint-walks a room centered on the office
 	// floor; the anchor sits at the room's corner.
-	roomW := math.Min(cfg.RoomW, office.Width-2)
-	roomH := math.Min(cfg.RoomH, office.Height-2)
+	roomW := math.Min(walkRoom, office.Width-2)
+	roomH := math.Min(walkRoom, office.Height-2)
 	s.roomOrigin = geo.Point{X: (office.Width - roomW) / 2, Y: (office.Height - roomH) / 2}
 	s.anchor = s.roomOrigin
 	s.walk = drone.NewWalk(rng, roomW, roomH)
@@ -205,7 +197,7 @@ func NewSession(rng *rand.Rand, office *sim.Office, est *tof.Estimator, cfg Sess
 	s.msim = mac.NewSim()
 	s.hopper = hop.NewHopper(s.msim, rng, cfg.Hop)
 	s.hcfg = s.hopper.Cfg
-	s.tracker = NewRangeTracker(cfg.Filter)
+	s.tracker = NewRangeTracker(FilterConfig{})
 	s.acc = est.NewSweep()
 	s.acc.SetWarmStart(cfg.WarmStart)
 	return s, nil
@@ -292,8 +284,8 @@ func (s *Session) StepIngest() error {
 		s.link.Channel = s.office.Channel(pl, 5.5e9)
 		s.link.SNRdB = sim.LinkSNR(0, pl.TrueDistance(), cfg.NLOS)
 
-		step := s.hcfg.Dwell.Seconds() / float64(cfg.PairsPerBand+1)
-		pairs := make([]csi.Pair, cfg.PairsPerBand)
+		step := s.hcfg.Dwell.Seconds() / float64(pairsPerBand+1)
+		pairs := make([]csi.Pair, pairsPerBand)
 		for pi := range pairs {
 			pairs[pi] = s.link.MeasurePair(s.rng, b, s.msim.Now().Seconds()+float64(pi+1)*step)
 		}
