@@ -22,9 +22,10 @@ type PipelineSensor struct {
 	Est    *tof.Estimator
 	Bands  []wifi.Band
 	Offset float64 // calibration offset in seconds (hardware delays)
-	// PairsPerBand is the CSI pairs collected per band (default 2).
-	PairsPerBand int
 }
+
+// pairsPerBand is the CSI pairs a Range sweep collects per band.
+const pairsPerBand = 2
 
 // NewPipelineSensor wires fresh radios and a 5 GHz estimator over the
 // given environment (the §12.4 room) and calibrates them at a known
@@ -33,11 +34,10 @@ func NewPipelineSensor(rng *rand.Rand, env *rf.Environment) (*PipelineSensor, er
 	tx, rx := csi.NewRadio(rng), csi.NewRadio(rng)
 	tx.Quirk24, rx.Quirk24 = false, false
 	s := &PipelineSensor{
-		Env:          env,
-		Link:         &csi.Link{TX: tx, RX: rx, SNRdB: 28},
-		Est:          tof.NewEstimator(tof.Config{Mode: tof.Bands5GHzOnly, MaxIter: 800}),
-		Bands:        wifi.Bands5GHz(),
-		PairsPerBand: 2,
+		Env:   env,
+		Link:  &csi.Link{TX: tx, RX: rx, SNRdB: 28},
+		Est:   tof.NewEstimator(tof.Config{Mode: tof.Bands5GHzOnly, MaxIter: 800}),
+		Bands: wifi.Bands5GHz(),
 	}
 	// Calibration at a marked 2 m spot in the room.
 	a, b := geo.Point{X: 1, Y: 1}, geo.Point{X: 3, Y: 1}
@@ -60,12 +60,8 @@ func (s *PipelineSensor) setChannel(pos, target geo.Point) {
 
 // Range implements RangeSensor via a full band sweep and inversion.
 func (s *PipelineSensor) Range(rng *rand.Rand, pos, target geo.Point) float64 {
-	pairs := s.PairsPerBand
-	if pairs == 0 {
-		pairs = 2
-	}
 	s.setChannel(pos, target)
-	sweep := s.Link.Sweep(rng, s.Bands, pairs, 2.4e-3)
+	sweep := s.Link.Sweep(rng, s.Bands, pairsPerBand, 2.4e-3)
 	r, err := s.Est.Estimate(s.Bands, sweep)
 	if err != nil {
 		// A failed sweep (e.g. all bands faded) reports the last-known

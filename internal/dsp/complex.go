@@ -41,11 +41,12 @@ func Sub(dst, a, b Vec) Vec {
 	return dst
 }
 
-// mul returns x·y as Go's complex multiplication computes it,
+// Mul returns x·y as Go's complex multiplication computes it,
 // (ac−bd, ad+bc), with each partial product rounded before the sum: the
 // compiler may otherwise fuse a product and the sum into one multiply-add
-// on arm64, which rounds differently from amd64.
-func mul(x, y complex128) complex128 {
+// on arm64, which rounds differently from amd64. Code that must give the
+// same bits on every architecture multiplies complex values through it.
+func Mul(x, y complex128) complex128 {
 	a, b, c, d := real(x), imag(x), real(y), imag(y)
 	return complex(float64(a*c)-float64(b*d), float64(a*d)+float64(b*c))
 }
@@ -53,7 +54,7 @@ func mul(x, y complex128) complex128 {
 // Scale stores s*a into dst and returns dst.
 func Scale(dst Vec, s complex128, a Vec) Vec {
 	for i := range dst {
-		dst[i] = mul(s, a[i])
+		dst[i] = Mul(s, a[i])
 	}
 	return dst
 }
@@ -61,7 +62,7 @@ func Scale(dst Vec, s complex128, a Vec) Vec {
 // AXPY computes dst = dst + s*a in place and returns dst.
 func AXPY(dst Vec, s complex128, a Vec) Vec {
 	for i := range dst {
-		dst[i] += mul(s, a[i])
+		dst[i] += Mul(s, a[i])
 	}
 	return dst
 }
@@ -70,7 +71,7 @@ func AXPY(dst Vec, s complex128, a Vec) Vec {
 func Dot(a, b Vec) complex128 {
 	var sum complex128
 	for i := range a {
-		sum += mul(cmplx.Conj(a[i]), b[i])
+		sum += Mul(cmplx.Conj(a[i]), b[i])
 	}
 	return sum
 }
@@ -121,7 +122,7 @@ func Power(dst, v Vec, n int) Vec {
 	for i, c := range v {
 		p := complex(1, 0)
 		for k := 0; k < n; k++ {
-			p = mul(p, c)
+			p = Mul(p, c)
 		}
 		dst[i] = p
 	}
@@ -151,7 +152,7 @@ func SoftThreshold(p Vec, t float64) {
 		if a <= t { // "<=" also zeroes a==t==0, avoiding 0/0 below
 			p[i] = 0
 		} else {
-			p[i] = mul(c, complex((a-t)/a, 0))
+			p[i] = Mul(c, complex((a-t)/a, 0))
 		}
 	}
 }

@@ -74,36 +74,28 @@ func ShiftProfile(p dsp.Vec, cells int) {
 // on the discriminating (off-lattice) channels only: bands whose
 // frequency is a multiple of the alias rate fit every hypothesis
 // identically, so including their residual noise in the comparison only
-// dilutes the decision. The forward product walks p's support, reading
-// each dictionary column as the conjugate of the contiguous adjoint row.
+// dilutes the decision. The residual is the solver's own forward
+// product (forwardResid over p's support, in a pooled workspace), so a
+// call allocates nothing.
 func (pl *Plan) WeightedResidual(p dsp.Vec, h dsp.Vec, w []float64) float64 {
 	n := pl.n
 	if len(p) != pl.m || len(h) != n || len(w) != n {
 		return math.NaN()
 	}
-	residRe := make([]float64, n)
-	residIm := make([]float64, n)
-	for i, c := range h {
-		residRe[i], residIm[i] = -real(c), -imag(c)
-	}
+	ws := pl.getWorkspace()
+	defer pl.ws.Put(ws)
+	split(ws.hRe, ws.hIm, h)
+	ws.active = ws.active[:0]
 	for j, c := range p {
-		if c == 0 {
-			continue
-		}
-		cr, ci := real(c), imag(c)
-		row := pl.fhRe[j*n : (j+1)*n]
-		rowIm := pl.fhIm[j*n : (j+1)*n]
-		for i, ar := range row {
-			ai := -rowIm[i] // F[i][j] = conj(Fᴴ[j][i])
-			// float64(...) keeps each product rounded: no fused
-			// multiply-add (see cdot).
-			residRe[i] += float64(ar*cr) - float64(ai*ci)
-			residIm[i] += float64(ar*ci) + float64(ai*cr)
+		if c != 0 {
+			ws.pRe[j], ws.pIm[j] = real(c), imag(c)
+			ws.active = append(ws.active, j)
 		}
 	}
+	pl.forwardResid(ws, ws.pRe, ws.pIm, ws.active)
 	var sum float64
 	for i := 0; i < n; i++ {
-		sum += float64(w[i] * (float64(residRe[i]*residRe[i]) + float64(residIm[i]*residIm[i])))
+		sum += float64(w[i] * (float64(ws.residRe[i]*ws.residRe[i]) + float64(ws.resIm[i]*ws.resIm[i])))
 	}
 	return math.Sqrt(sum)
 }

@@ -100,6 +100,30 @@ func TestWeightedResidualMatchesPlain(t *testing.T) {
 	}
 }
 
+// TestWeightedResidualAllocsNothing pins the alias scorer's residual to
+// the pooled workspace: a steady-state call allocates nothing.
+func TestWeightedResidualAllocsNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-instrumented sync.Pool drops items; zero-alloc holds only in normal builds")
+	}
+	pl, h := fig4Plan(t)
+	res, err := pl.Solve(SolveRequest{H: h, InvertOptions: InvertOptions{MaxIter: 200}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := make([]float64, len(h))
+	for i := range w {
+		w[i] = float64(i % 3)
+	}
+	var sink float64
+	if allocs := testing.AllocsPerRun(20, func() { sink += pl.WeightedResidual(res.Profile, h, w) }); allocs != 0 {
+		t.Errorf("WeightedResidual allocated %.1f objects/op, want 0", allocs)
+	}
+	if math.IsNaN(sink) {
+		t.Error("WeightedResidual returned NaN")
+	}
+}
+
 // fuzzBandPlan derives a deterministic random band plan and path set
 // from the fuzz seed: 14–24 center frequencies on the 5 MHz raster
 // (mixing on- and off-20 MHz-raster channels, dense enough that the

@@ -2,7 +2,8 @@
 
 // AVX2 (ymm) solver kernels plus the CPUID/XGETBV probes behind
 // detectTier. Every lane executes the EXACT scalar operation sequence
-// of the fixed-K adjoint-dot contract (cdot in plan.go): four
+// of its reference (cdot in plan.go; axpyColsScalar, shrinkRunScalar
+// and momentumRunScalar in kernels.go): for the adjoint dot, four
 // accumulator chains, element i feeding chain i mod 4, the n mod 4 tail
 // added into chain 0 in order, and the pinned (s0+s1)+(s2+s3) fold —
 // separate multiply and add/subtract instructions, no FMA, which would
@@ -11,6 +12,30 @@
 // kernels.go.
 
 #include "textflag.h"
+
+// tailMask holds three all-ones quadwords then three zeros: the four
+// quadwords at index 3−r are the VMASKMOVPD mask of lanes [0, r).
+DATA tailMask<>+0(SB)/8, $0xffffffffffffffff
+DATA tailMask<>+8(SB)/8, $0xffffffffffffffff
+DATA tailMask<>+16(SB)/8, $0xffffffffffffffff
+DATA tailMask<>+24(SB)/8, $0
+DATA tailMask<>+32(SB)/8, $0
+DATA tailMask<>+40(SB)/8, $0
+GLOBL tailMask<>(SB), RODATA|NOPTR, $48
+
+// AXPY_COLUMN adds one column into the residual chunk Y0/Y1 (re/im) in
+// the sign-folded form of the scalar body, given the row's ar in Y4,
+// rowIm in Y5 and the broadcast cr/ci in Y2/Y3:
+// dstRe += ar*cr + rowIm*ci, dstIm += ar*ci − rowIm*cr. Clobbers Y6/Y7.
+#define AXPY_COLUMN \
+	VMULPD Y2, Y4, Y6; \
+	VMULPD Y3, Y5, Y7; \
+	VADDPD Y7, Y6, Y6; \
+	VADDPD Y6, Y0, Y0; \
+	VMULPD Y3, Y4, Y6; \
+	VMULPD Y2, Y5, Y7; \
+	VSUBPD Y7, Y6, Y6; \
+	VADDPD Y6, Y1, Y1
 
 // func cpuidex(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuidex(SB), NOSPLIT, $0-24
@@ -133,15 +158,15 @@ rcheck:
 
 // func kernAxpyCols(fhRe, fhIm []float64, n int, cols []int, srcRe, srcIm, dstRe, dstIm []float64)
 //
-// The forward product's vector body over the first n&^3 residual
-// elements: for each 4-element chunk, load dstRe/dstIm once, add
-// conj(Fᴴ[j][chunk])·(srcRe[j]+i·srcIm[j]) for every column j of cols
-// in order, in the sign-folded form of the scalar body (dstRe += ar*cr
-// + rowIm*ci, dstIm += ar*ci − rowIm*cr — exact: IEEE negation is exact
-// and x−(−y) ≡ x+y), and store the chunk once. Each element gets the
-// same additions in the same order as the column-by-column scalar loop.
-// The caller (axpyCols) has bounds-checked every column and handles the
-// n&3 tail.
+// The forward product over all n residual elements: for each 4-element
+// chunk, load dstRe/dstIm once, add conj(Fᴴ[j][chunk])·(srcRe[j]+i·srcIm[j])
+// for every column j of cols in order (AXPY_COLUMN — exact: IEEE
+// negation is exact and x−(−y) ≡ x+y), and store the chunk once. The
+// n mod 4 tail is one more chunk with every load and the store masked to
+// its lanes, so it reads and writes nothing past element n of a row or
+// of dst. Each element gets the same additions in the same order as the
+// column-by-column scalar loop. The caller (axpyCols) has bounds-checked
+// every column.
 TEXT ·kernAxpyCols(SB), NOSPLIT, $0-176
 	MOVQ fhRe_base+0(FP), SI
 	MOVQ fhIm_base+24(FP), DI
@@ -171,20 +196,8 @@ kloop:
 	IMULQ        CX, AX          // row j's byte offset
 	VMOVUPD      (SI)(AX*1), Y4  // ar
 	VMOVUPD      (DI)(AX*1), Y5  // rowIm
-
-	// dstRe += ar*cr + rowIm*ci
-	VMULPD Y2, Y4, Y6
-	VMULPD Y3, Y5, Y7
-	VADDPD Y7, Y6, Y6
-	VADDPD Y6, Y0, Y0
-
-	// dstIm += ar*ci − rowIm*cr
-	VMULPD Y3, Y4, Y6
-	VMULPD Y2, Y5, Y7
-	VSUBPD Y7, Y6, Y6
-	VADDPD Y6, Y1, Y1
-
-	INCQ BX
+	AXPY_COLUMN
+	INCQ         BX
 
 kcheck:
 	CMPQ BX, R9
@@ -202,5 +215,192 @@ ccheck:
 	TESTQ DX, DX
 	JNZ   cloop
 
+	// The tail: r = n&3 elements, lanes [0, r) of the mask Y8.
+	MOVQ       n+48(FP), DX
+	ANDQ       $3, DX
+	JZ         done
+	NEGQ       DX
+	ADDQ       $3, DX // 3 − r
+	LEAQ       tailMask<>(SB), AX
+	VMOVUPD    (AX)(DX*8), Y8
+	VMASKMOVPD (R12), Y8, Y0
+	VMASKMOVPD (R13), Y8, Y1
+	XORQ       BX, BX
+	JMP        tcheck
+
+tloop:
+	MOVQ         (R8)(BX*8), AX
+	VBROADCASTSD (R10)(AX*8), Y2
+	VBROADCASTSD (R11)(AX*8), Y3
+	IMULQ        CX, AX
+	VMASKMOVPD   (SI)(AX*1), Y8, Y4
+	VMASKMOVPD   (DI)(AX*1), Y8, Y5
+	AXPY_COLUMN
+	INCQ         BX
+
+tcheck:
+	CMPQ BX, R9
+	JLT  tloop
+
+	VMASKMOVPD Y0, Y8, (R12)
+	VMASKMOVPD Y1, Y8, (R13)
+
+done:
+	VZEROUPPER
+	RET
+
+// func kernShrinkRun(yRe, yIm, pRe, pIm, gRe, gIm []float64, gamma, thr, diffSq, gdot float64) (diffSqOut, gdotOut float64)
+//
+// gradStep's shrink over len(gRe)/4 chunks of four consecutive cells, the
+// lanes running shrinkRunScalar's arithmetic: pr = yr − γ·gr,
+// sq = pr² + pi², the non-zero branch (a = √sq, sc = (a − thr)/a,
+// n = p·sc) on every lane, then an and-not with the ordered
+// sq ≤ thr² mask, so zeroed cells are +0 and NaN takes the non-zero
+// branch as in Go. The step Δ = n − p_prev replaces the gradient, n the
+// iterate. X9 carries (diffSq, gdot): each cell's (Δr² + Δi²,
+// (yr−nr)·Δr + (yi−ni)·Δi) pair is interleaved out of the lanes and
+// added to it in cell order, one 2-lane add per cell. The caller
+// (shrinkRun) sliced every run to the chunked length.
+TEXT ·kernShrinkRun(SB), NOSPLIT, $0-192
+	MOVQ         yRe_base+0(FP), SI
+	MOVQ         yIm_base+24(FP), DI
+	MOVQ         pRe_base+48(FP), R8
+	MOVQ         pIm_base+72(FP), R9
+	MOVQ         gRe_base+96(FP), R10
+	MOVQ         gRe_len+104(FP), DX
+	MOVQ         gIm_base+120(FP), R11
+	VBROADCASTSD gamma+144(FP), Y12
+	VBROADCASTSD thr+152(FP), Y13
+	VMULPD       Y13, Y13, Y14 // thr²
+	VMOVSD       diffSq+160(FP), X9
+	VMOVHPD      gdot+168(FP), X9, X9
+
+	SHRQ $2, DX // chunks
+	XORQ AX, AX // byte offset
+	JMP  scheck
+
+sloop:
+	VMOVUPD (SI)(AX*1), Y0      // yr
+	VMOVUPD (DI)(AX*1), Y1      // yi
+	VMULPD  (R10)(AX*1), Y12, Y4
+	VSUBPD  Y4, Y0, Y4          // pr = yr − γ·gr
+	VMULPD  (R11)(AX*1), Y12, Y5
+	VSUBPD  Y5, Y1, Y5          // pi = yi − γ·gi
+	VMULPD  Y4, Y4, Y6
+	VMULPD  Y5, Y5, Y7
+	VADDPD  Y7, Y6, Y6          // sq = pr² + pi²
+	VCMPPD  $2, Y14, Y6, Y7     // zeroed: sq ≤ thr² (ordered LE)
+	VSQRTPD Y6, Y6              // a
+	VSUBPD  Y13, Y6, Y8
+	VDIVPD  Y6, Y8, Y8          // sc = (a − thr)/a
+	VMULPD  Y8, Y4, Y10
+	VMULPD  Y8, Y5, Y11
+	VANDNPD Y10, Y7, Y10        // nr = zeroed ? +0 : pr·sc
+	VANDNPD Y11, Y7, Y11        // ni
+	VMOVUPD (R8)(AX*1), Y2
+	VMOVUPD (R9)(AX*1), Y3
+	VSUBPD  Y2, Y10, Y2         // dr = nr − p_prev
+	VSUBPD  Y3, Y11, Y3         // di
+	VMOVUPD Y10, (R8)(AX*1)
+	VMOVUPD Y11, (R9)(AX*1)
+	VMOVUPD Y2, (R10)(AX*1)
+	VMOVUPD Y3, (R11)(AX*1)
+
+	VMULPD       Y2, Y2, Y4
+	VMULPD       Y3, Y3, Y5
+	VADDPD       Y5, Y4, Y4   // dr² + di²
+	VSUBPD       Y10, Y0, Y0
+	VMULPD       Y2, Y0, Y0
+	VSUBPD       Y11, Y1, Y1
+	VMULPD       Y3, Y1, Y1
+	VADDPD       Y1, Y0, Y0   // (yr−nr)·dr + (yi−ni)·di
+	VUNPCKLPD    Y0, Y4, Y5   // cells 0 and 2
+	VUNPCKHPD    Y0, Y4, Y6   // cells 1 and 3
+	VADDPD       X5, X9, X9
+	VADDPD       X6, X9, X9
+	VEXTRACTF128 $1, Y5, X5
+	VADDPD       X5, X9, X9
+	VEXTRACTF128 $1, Y6, X6
+	VADDPD       X6, X9, X9
+
+	ADDQ $32, AX
+	DECQ DX
+
+scheck:
+	TESTQ DX, DX
+	JNZ   sloop
+
+	VMOVSD  X9, diffSqOut+176(FP)
+	VMOVHPD X9, gdotOut+184(FP)
+	VZEROUPPER
+	RET
+
+// func kernMomentumRun(pRe, pIm, gRe, gIm, yRe, yIm []float64, beta float64, lo int, act []int) (k int)
+//
+// endStep's extrapolation over len(gRe)/4 chunks of four consecutive
+// cells, the first at cell lo: y = p + β·Δp per lane as
+// momentumRunScalar computes it. The active test is an unordered
+// y ≠ 0 compare on each half, so a NaN cell stays active. The active
+// cells are appended to act in ascending order without a branch: every
+// cell's index is written to act[k], and k advances past the active
+// ones, so act needs one slot per cell. Returns k.
+TEXT ·kernMomentumRun(SB), NOSPLIT, $0-192
+	MOVQ         pRe_base+0(FP), SI
+	MOVQ         pIm_base+24(FP), DI
+	MOVQ         gRe_base+48(FP), R8
+	MOVQ         gRe_len+56(FP), DX
+	MOVQ         gIm_base+72(FP), R9
+	MOVQ         yRe_base+96(FP), R10
+	MOVQ         yIm_base+120(FP), R11
+	VBROADCASTSD beta+144(FP), Y13
+	MOVQ         lo+152(FP), R12 // the next cell's index
+	MOVQ         act_base+160(FP), R13
+	VXORPD       Y14, Y14, Y14
+	XORQ         CX, CX // k
+
+	SHRQ $2, DX // chunks
+	XORQ AX, AX // byte offset
+	JMP  mcheck
+
+mloop:
+	VMULPD    (R8)(AX*1), Y13, Y0
+	VMOVUPD   (SI)(AX*1), Y1
+	VADDPD    Y0, Y1, Y1      // yr = pr + β·Δr
+	VMULPD    (R9)(AX*1), Y13, Y2
+	VMOVUPD   (DI)(AX*1), Y3
+	VADDPD    Y2, Y3, Y3      // yi = pi + β·Δi
+	VMOVUPD   Y1, (R10)(AX*1)
+	VMOVUPD   Y3, (R11)(AX*1)
+	VCMPPD    $4, Y14, Y1, Y1 // yr ≠ 0 (unordered NEQ)
+	VCMPPD    $4, Y14, Y3, Y3
+	VORPD     Y3, Y1, Y1
+	VMOVMSKPD Y1, BX
+
+	// For each of the four cells: act[k] = cell; k += its mask bit.
+	MOVQ R12, (R13)(CX*8)
+	BTQ  $0, BX
+	ADCQ $0, CX
+	INCQ R12
+	MOVQ R12, (R13)(CX*8)
+	BTQ  $1, BX
+	ADCQ $0, CX
+	INCQ R12
+	MOVQ R12, (R13)(CX*8)
+	BTQ  $2, BX
+	ADCQ $0, CX
+	INCQ R12
+	MOVQ R12, (R13)(CX*8)
+	BTQ  $3, BX
+	ADCQ $0, CX
+	INCQ R12
+
+	ADDQ $32, AX
+	DECQ DX
+
+mcheck:
+	TESTQ DX, DX
+	JNZ   mloop
+
+	MOVQ CX, k+184(FP)
 	VZEROUPPER
 	RET

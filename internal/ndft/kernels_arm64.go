@@ -42,13 +42,28 @@ func kernAdjRows(fhRe, fhIm []float64, n int, xRe, xIm, outRe, outIm []float64) 
 	}
 }
 
-// kernAxpyCols adds every listed column into the first n&^3 residual
-// elements on the NEON tier, one axpyColNeon call per column in order;
-// the caller (axpyCols) has bounds-checked the columns and adds the
-// n mod 4 tail.
+// kernAxpyCols adds every listed column into the residual on the NEON
+// tier: one axpyColNeon call per column in order over the first n&^3
+// elements, then axpyColsScalar over the n mod 4 tail. The caller
+// (axpyCols) has bounds-checked the columns.
 func kernAxpyCols(fhRe, fhIm []float64, n int, cols []int, srcRe, srcIm, dstRe, dstIm []float64) {
 	n4 := n &^ 3
 	for _, j := range cols {
 		axpyColNeon(&fhRe[j*n], &fhIm[j*n], srcRe[j], srcIm[j], &dstRe[0], &dstIm[0], n4)
 	}
+	if n4 < n {
+		axpyColsScalar(fhRe, fhIm, n, n4, cols, srcRe, srcIm, dstRe, dstIm)
+	}
+}
+
+// The shrink and momentum passes have no NEON form: shrinkRun and
+// momentumRun run their scalar bodies on this tier and never reach the
+// AVX2-only kernels.
+
+func kernShrinkRun(yRe, yIm, pRe, pIm, gRe, gIm []float64, gamma, thr, diffSq, gdot float64) (float64, float64) {
+	panic("ndft: AVX2 kernel called on the NEON tier")
+}
+
+func kernMomentumRun(pRe, pIm, gRe, gIm, yRe, yIm []float64, beta float64, lo int, act []int) int {
+	panic("ndft: AVX2 kernel called on the NEON tier")
 }

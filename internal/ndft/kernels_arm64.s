@@ -81,7 +81,7 @@ vdone:
 // elementwise, in the sign-folded form of the scalar forwardResid body
 // (dstRe += ar*cr + rowIm*ci, dstIm += ar*ci - rowIm*cr — exact: IEEE
 // negation is exact and x-(-y) ≡ x+y). Elementwise, so
-// there are no chains to preserve; the Go caller (axpyCols) handles the
+// there are no chains to preserve; the Go caller (kernAxpyCols) adds the
 // n&3 tail.
 TEXT ·axpyColNeon(SB), NOSPLIT, $0-56
 	MOVD  rowRe+0(FP), R0

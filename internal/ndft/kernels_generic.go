@@ -18,3 +18,11 @@ func kernAdjRows(fhRe, fhIm []float64, n int, xRe, xIm, outRe, outIm []float64) 
 func kernAxpyCols(fhRe, fhIm []float64, n int, cols []int, srcRe, srcIm, dstRe, dstIm []float64) {
 	panic("ndft: vector kernel called on scalar tier")
 }
+
+func kernShrinkRun(yRe, yIm, pRe, pIm, gRe, gIm []float64, gamma, thr, diffSq, gdot float64) (float64, float64) {
+	panic("ndft: vector kernel called on scalar tier")
+}
+
+func kernMomentumRun(pRe, pIm, gRe, gIm, yRe, yIm []float64, beta float64, lo int, act []int) int {
+	panic("ndft: vector kernel called on scalar tier")
+}

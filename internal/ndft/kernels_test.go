@@ -3,6 +3,7 @@ package ndft
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -161,8 +162,10 @@ func FuzzAdjDotEquivalence(f *testing.F) {
 // ascending lists of 0–40 columns, every row length from 0 to 67
 // (tails and lengths below one vector included). The operation is
 // elementwise, so every element must be bit-identical on every
-// available tier.
+// available tier, and the canaries past element n of the residual must
+// stay untouched (the AVX2 tail is a masked store).
 func TestAxpyColMatchesScalar(t *testing.T) {
+	const canary = -7.25
 	refAxpyCol := func(rowRe, rowIm []float64, cr, ci float64, dstRe, dstIm []float64) {
 		for i, ar := range rowRe {
 			ai := -rowIm[i]
@@ -183,15 +186,15 @@ func TestAxpyColMatchesScalar(t *testing.T) {
 				for ncols := 0; ncols <= 40; ncols++ {
 					cols := rng.Perm(m)[:ncols]
 					sort.Ints(cols)
-					dstRe := kernelVec(rng, n, false)
-					dstIm := kernelVec(rng, n, false)
+					dstRe := append(kernelVec(rng, n, false), canary, canary, canary, canary)
+					dstIm := append(kernelVec(rng, n, false), canary, canary, canary, canary)
 					wantRe := append([]float64(nil), dstRe...)
 					wantIm := append([]float64(nil), dstIm...)
 					for _, j := range cols {
-						refAxpyCol(fhRe[j*n:(j+1)*n], fhIm[j*n:(j+1)*n], srcRe[j], srcIm[j], wantRe, wantIm)
+						refAxpyCol(fhRe[j*n:(j+1)*n], fhIm[j*n:(j+1)*n], srcRe[j], srcIm[j], wantRe[:n], wantIm[:n])
 					}
 					axpyCols(fhRe, fhIm, n, cols, srcRe, srcIm, dstRe, dstIm)
-					for i := 0; i < n; i++ {
+					for i := range dstRe {
 						if math.Float64bits(dstRe[i]) != math.Float64bits(wantRe[i]) ||
 							math.Float64bits(dstIm[i]) != math.Float64bits(wantIm[i]) {
 							t.Fatalf("n=%d cols=%v i=%d: got (%v,%v) want (%v,%v)",
@@ -202,6 +205,161 @@ func TestAxpyColMatchesScalar(t *testing.T) {
 			}
 		})
 	}
+}
+
+// spreadVec fills a test vector with finite values spread over 2^±20,
+// a tenth of them exact zeros: ‖Δp‖² and ⟨y − p, Δp⟩ stay finite over a
+// whole run, so a change in their order of addition shows in the
+// rounding (kernelVec's ±1e300 and NaN cells make both sums non-finite).
+func spreadVec(rng *rand.Rand, n int) []float64 {
+	v := make([]float64, n)
+	for i := range v {
+		if rng.Intn(10) != 0 {
+			v[i] = math.Ldexp(rng.NormFloat64(), rng.Intn(41)-20)
+		}
+	}
+	return v
+}
+
+// checkRunPasses runs shrinkRun and momentumRun on the active tier over
+// one run of n cells at offset off, with values from vec, and requires
+// every output to match shrinkRunScalar and momentumRunScalar bit for
+// bit (NaN matching NaN): p, the stored step, y, both sums and the
+// active list. A fifth of the cells sit exactly on the threshold
+// (gradient 0, y = (±3, ±4)·thr/5, so |y| = thr for thr 0 and 5) and a
+// fifth extrapolate to a signed-zero y (p = Δp = ±0, inactive). Every
+// array, the active list's spare capacity included, carries canaries
+// past the run that must stay untouched.
+func checkRunPasses(t *testing.T, rng *rand.Rand, vec func(int) []float64, n, off int, gamma, thr, beta float64) {
+	t.Helper()
+	const pad, canary, idxCanary = 5, -7.25, -9
+	size := off + n + pad
+	var a [6][]float64 // yRe, yIm, pRe, pIm, gRe, gIm
+	for i := range a {
+		a[i] = vec(size)
+		for c := off + n; c < size; c++ {
+			a[i][c] = canary
+		}
+	}
+	sign := func() float64 { return float64(1 - 2*rng.Intn(2)) }
+	for c := off; c < off+n; c++ {
+		switch rng.Intn(5) {
+		case 0:
+			a[0][c], a[1][c] = 3*thr/5*sign(), 4*thr/5*sign()
+			a[4][c], a[5][c] = 0*sign(), 0*sign()
+		case 1:
+			a[2][c], a[3][c] = 0*sign(), 0*sign()
+			a[4][c], a[5][c] = 0*sign(), 0*sign()
+		}
+	}
+	clone := func() (out [6][]float64) {
+		for i := range a {
+			out[i] = append([]float64(nil), a[i]...)
+		}
+		return out
+	}
+	run := func(v []float64) []float64 { return v[off : off+n] }
+	same := func(what string, got, want [6][]float64) {
+		t.Helper()
+		for i := range got {
+			for c := range got[i] {
+				if !bothNaNOrEqualBits(got[i][c], want[i][c]) {
+					t.Fatalf("%v %s n=%d off=%d γ=%v thr=%v β=%v: array %d cell %d = %v, want %v",
+						activeTier, what, n, off, gamma, thr, beta, i, c, got[i][c], want[i][c])
+				}
+			}
+		}
+	}
+
+	w, g := clone(), clone()
+	d0, g0 := rng.NormFloat64(), rng.NormFloat64()
+	wantD, wantG := shrinkRunScalar(gamma, thr, run(w[0]), run(w[1]), run(w[2]), run(w[3]), run(w[4]), run(w[5]), d0, g0)
+	gotD, gotG := shrinkRun(gamma, thr, run(g[0]), run(g[1]), run(g[2]), run(g[3]), run(g[4]), run(g[5]), d0, g0)
+	if !bothNaNOrEqualBits(gotD, wantD) || !bothNaNOrEqualBits(gotG, wantG) {
+		t.Fatalf("%v shrink n=%d off=%d γ=%v thr=%v: sums (%v, %v), want (%v, %v)",
+			activeTier, n, off, gamma, thr, gotD, gotG, wantD, wantG)
+	}
+	same("shrink", g, w)
+
+	w, g = clone(), clone()
+	actList := func() []int {
+		l := make([]int, 2+n+pad)
+		for i := range l {
+			l[i] = idxCanary
+		}
+		l[0], l[1] = 1<<20, 1<<21 // cells an earlier run appended
+		return l
+	}
+	wantL, gotL := actList(), actList()
+	wantAct := momentumRunScalar(beta, off, run(w[2]), run(w[3]), run(w[4]), run(w[5]), run(w[0]), run(w[1]), wantL[:2])
+	gotAct := momentumRun(beta, off, run(g[2]), run(g[3]), run(g[4]), run(g[5]), run(g[0]), run(g[1]), gotL[:2])
+	same("momentum", g, w)
+	if !slices.Equal(gotAct, wantAct) {
+		t.Fatalf("%v momentum n=%d off=%d β=%v: active %v, want %v", activeTier, n, off, beta, gotAct, wantAct)
+	}
+	for _, k := range gotL[2+n:] {
+		if k != idxCanary {
+			t.Fatalf("%v momentum n=%d off=%d: wrote past the run's active slots: %v", activeTier, n, off, gotL)
+		}
+	}
+}
+
+// runPassParams are the (γ, thr, β) of a run-pass check: thresholds of
+// 0 and 5, which checkRunPasses puts cells exactly on, β = 0, and a
+// random draw.
+func runPassParams(rng *rand.Rand) [][3]float64 {
+	return [][3]float64{{0.37, 0, 0}, {1, 5, 0.61}, {rng.Float64(), 2 * rng.Float64(), rng.Float64()}}
+}
+
+// TestRunPassesMatchScalar checks the tier-dispatched shrink and
+// momentum runs against their scalar bodies on every available tier, the
+// scalar one included: every run length from 0 to 67 at several
+// offsets, over kernelVec's zeros, denormals, ±1e300 and NaNs, and over
+// spreadVec's finite values, whose sums expose any reordering.
+func TestRunPassesMatchScalar(t *testing.T) {
+	for _, tier := range kernelTiers() {
+		t.Run(tier.String(), func(t *testing.T) {
+			forceTier(t, tier)
+			rng := rand.New(rand.NewSource(47))
+			vecs := []func(int) []float64{
+				func(k int) []float64 { return kernelVec(rng, k, true) },
+				func(k int) []float64 { return kernelVec(rng, k, false) },
+				func(k int) []float64 { return spreadVec(rng, k) },
+			}
+			for n := 0; n <= 67; n++ {
+				for _, off := range []int{0, 1, 3} {
+					for _, vec := range vecs {
+						for _, prm := range runPassParams(rng) {
+							checkRunPasses(t, rng, vec, n, off, prm[0], prm[1], prm[2])
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
+// FuzzShrinkEquivalence is the fuzzer-driven variant of the run-pass
+// table test: arbitrary seeds, run lengths (0–67) and offsets over
+// kernelVec data must match the scalar shrink and momentum bodies on
+// every available tier.
+func FuzzShrinkEquivalence(f *testing.F) {
+	f.Add(int64(1), 7, 1)
+	f.Add(int64(99), 16, 0)
+	f.Add(int64(5), 67, 3)
+	f.Fuzz(func(t *testing.T, seed int64, n, off int) {
+		if n < 0 || n > 67 || off < 0 || off > 3 {
+			t.Skip()
+		}
+		rng := rand.New(rand.NewSource(seed))
+		vec := func(k int) []float64 { return kernelVec(rng, k, true) }
+		prm := runPassParams(rng)[rng.Intn(3)]
+		for _, tier := range kernelTiers() {
+			prev := setKernelTier(tier)
+			checkRunPasses(t, rng, vec, n, off, prm[0], prm[1], prm[2])
+			setKernelTier(prev)
+		}
+	})
 }
 
 // TestSolveTierEquivalence solves every fixture request, cold and

@@ -303,11 +303,11 @@ func (t *solveTask) beginIterate(set []int, a0 float64, budget int, polish bool)
 // extrapolation point y: p ← SPARSIFY(y − γ·Fᴴ·(F·y − h̃), γα) over the
 // phase's working set. The adjoint runs once per run of consecutive
 // cells (adjointRuns: the fixed-K chain contract per row, same bits on
-// every tier); one fused pass then shrinks each cell, stores its step
-// p − p_prev in place of its gradient, and sums ‖Δp‖² and the restart
-// test's ⟨y − p, Δp⟩ in set order, which it returns for endStep. The
-// shrinkage test compares squared magnitudes so the (dominant) zeroed
-// taps never pay for a square root.
+// every tier); shrinkRun then shrinks each run's cells, stores each
+// cell's step p − p_prev in place of its gradient, and adds ‖Δp‖² and the
+// restart test's ⟨y − p, Δp⟩ cell by cell, carried from run to run in
+// set order; gradStep returns both for endStep. On the AVX2 tier the
+// shrink runs four cells to a vector, bit for bit as shrinkRunScalar.
 func (t *solveTask) gradStep() (diffSq, gdot float64) {
 	pl, w := t.pl, t.w
 	gamma := pl.gamma
@@ -319,35 +319,25 @@ func (t *solveTask) gradStep() (diffSq, gdot float64) {
 	pl.adjointRuns(w.runs, w.residRe, w.resIm, w.gRe, w.gIm)
 	// float64(...): the compiler may otherwise fuse γ·α into a − thr.
 	thr := float64(gamma * t.curAlpha)
-	thrSq := thr * thr
-	for k, j := range t.set {
-		yr, yi := w.yRe[j], w.yIm[j]
-		pr := yr - float64(gamma*w.gRe[k])
-		pi := yi - float64(gamma*w.gIm[k])
-		var nr, ni float64
-		// "<=" also zeroes sq==thrSq==0, avoiding 0/0 below; a NaN takes
-		// the non-zero branch.
-		if sq := float64(pr*pr) + float64(pi*pi); sq <= thrSq {
-			nr, ni = 0, 0
-		} else {
-			a := math.Sqrt(sq)
-			sc := (a - thr) / a
-			nr, ni = float64(pr*sc), float64(pi*sc)
-		}
-		dr, di := nr-w.pRe[j], ni-w.pIm[j]
-		w.pRe[j], w.pIm[j] = nr, ni
-		w.gRe[k], w.gIm[k] = dr, di
-		diffSq += float64(dr*dr) + float64(di*di)
-		gdot += float64((yr-nr)*dr) + float64((yi-ni)*di)
+	pos := 0
+	for _, r := range w.runs {
+		lo, hi := r[0], r[1]
+		next := pos + hi - lo
+		diffSq, gdot = shrinkRun(gamma, thr, w.yRe[lo:hi], w.yIm[lo:hi], w.pRe[lo:hi], w.pIm[lo:hi],
+			w.gRe[pos:next], w.gIm[pos:next], diffSq, gdot)
+		pos = next
 	}
 	return diffSq, gdot
 }
 
 // endStep closes the iteration gradStep just advanced, given its ‖Δp‖²
 // and restart product: momentum/restart bookkeeping, the extrapolation
-// from the stored steps, α-continuation, work accounting, the caller's
-// yield hook, and the stopping rules. It reports whether a rule stopped
-// the phase and whether that rule was the gap certificate.
+// y = p + β·Δp from the stored steps and the rebuild of y's ascending
+// support (momentumRun, one call per run of the working set: four cells
+// to a vector on the AVX2 tier, bit for bit as momentumRunScalar),
+// α-continuation, work accounting, the caller's yield hook, and the
+// stopping rules. It reports whether a rule stopped the phase and
+// whether that rule was the gap certificate.
 func (t *solveTask) endStep(diffSq, gdot float64) (stop, gap bool) {
 	w, set := t.w, t.set
 	w.active = w.active[:0]
@@ -369,13 +359,13 @@ func (t *solveTask) endStep(diffSq, gdot float64) (stop, gap bool) {
 	}
 	tNext := (1 + math.Sqrt(1+float64(4*t.tMom*t.tMom))) / 2
 	beta := (t.tMom - 1) / tNext
-	for k, j := range set {
-		yr := w.pRe[j] + float64(beta*w.gRe[k])
-		yi := w.pIm[j] + float64(beta*w.gIm[k])
-		w.yRe[j], w.yIm[j] = yr, yi
-		if yr != 0 || yi != 0 {
-			w.active = append(w.active, j)
-		}
+	pos := 0
+	for _, r := range w.runs {
+		lo, hi := r[0], r[1]
+		next := pos + hi - lo
+		w.active = momentumRun(beta, lo, w.pRe[lo:hi], w.pIm[lo:hi], w.gRe[pos:next], w.gIm[pos:next],
+			w.yRe[lo:hi], w.yIm[lo:hi], w.active)
+		pos = next
 	}
 	t.tMom = tNext
 	// Decay the continuation threshold toward the target α, jumping

@@ -18,7 +18,7 @@ import (
 const statFixPeriod = 84 * time.Millisecond
 
 // statRoomW and statRoomH bound a stat device's random-waypoint walk,
-// in meters: the room track.RunMulti's targets walk by default.
+// in meters: the room track.RunMulti's targets walk.
 const statRoomW, statRoomH = 12.0, 10.0
 
 // timerGrain is the resolution of shard timers: due times round up to a

@@ -159,7 +159,7 @@ func rotateWindow(freqs []float64, h dsp.Vec, cand, pf float64, rot dsp.Vec) {
 	}
 	for i, f := range freqs {
 		ph := math.Mod(2*math.Pi*f*lo, 2*math.Pi)
-		rot[i] = h[i] * cmplx.Rect(1, ph)
+		rot[i] = dsp.Mul(h[i], cmplx.Rect(1, ph))
 	}
 }
 
@@ -257,8 +257,8 @@ func (e *Estimator) gatesFor(noiseRel float64) evidenceGates {
 		return fixedGates
 	}
 	return evidenceGates{
-		refitMargin:  clampF(1-refitMarginSlope*noiseRel, 0.6, 0.97),
-		anchorMargin: clampF(1+anchorSlope*noiseRel, 1.1, 1.9),
+		refitMargin:  clampF(1-float64(refitMarginSlope*noiseRel), 0.6, 0.97),
+		anchorMargin: clampF(1+float64(anchorSlope*noiseRel), 1.1, 1.9),
 		fitGate:      clampF(fitGateSlope*noiseRel, 0.15, 0.6),
 	}
 }
@@ -524,7 +524,7 @@ func virtualCandidates(peaks []dsp.Peak, famMass func(int) float64, floor, lo, f
 			continue
 		}
 		// The family's unique member position at or before the anchor.
-		v := anchorX - math.Mod(anchorX-p.X+64*period, period)
+		v := anchorX - math.Mod(anchorX-p.X+float64(64*period), period)
 		if v < lo-gridStep || v >= firstX-2*gridStep || v < -1e-9 {
 			continue
 		}
@@ -573,7 +573,7 @@ func (e *Estimator) placeCandidate(scorer *aliasScorer, cand float64) (best floa
 		}
 		best, bestScore, near := cand, base, false
 		for k := -1; k <= 1; k += 2 {
-			c := cand + float64(k)*aliasPeriod
+			c := cand + float64(float64(k)*aliasPeriod)
 			if c < -1e-9 || c > maxTau {
 				continue
 			}
@@ -625,7 +625,7 @@ func (e *Estimator) disambiguateAlias(g *bandGroup, tau float64, s *Sweep, noise
 	resids := map[int]float64{}
 	var work int64
 	for k := -1; k <= 1; k++ {
-		cand := tau + float64(k)*aliasPeriod
+		cand := tau + float64(float64(k)*aliasPeriod)
 		if cand < -1e-9 || cand > maxTau {
 			continue
 		}
@@ -654,5 +654,5 @@ func (e *Estimator) disambiguateAlias(g *bandGroup, tau float64, s *Sweep, noise
 			near = true
 		}
 	}
-	return tau + float64(bestK)*aliasPeriod, near && bestK == 0, work
+	return tau + float64(float64(bestK)*aliasPeriod), near && bestK == 0, work
 }

@@ -701,7 +701,7 @@ func (e *Estimator) estimate(s *Sweep) (*Estimate, error) {
 			continue
 		}
 		if math.Abs(g.tau-primary.tau) < 3e-9 {
-			tauSum += g.tau * g.weight
+			tauSum += float64(g.tau * g.weight)
 			wSum += g.weight
 			fused = true
 		}

@@ -40,7 +40,7 @@ func pairSpread(vals dsp.Vec) (mean complex128, varMean float64, ok bool) {
 	var ss float64
 	for _, v := range vals {
 		d := v - mean
-		ss += real(d)*real(d) + imag(d)*imag(d)
+		ss += float64(real(d)*real(d)) + float64(imag(d)*imag(d))
 	}
 	return mean, ss / float64(k*(k-1)), true
 }
@@ -64,7 +64,7 @@ func foldValues(dst dsp.Vec, pairs []csi.Pair, power int, mode InterpMode, fwdOn
 			if err != nil {
 				return nil, err
 			}
-			v = fwd * rev
+			v = dsp.Mul(fwd, rev)
 		}
 		dst = append(dst, v)
 	}

@@ -94,7 +94,7 @@ func (sc *interpScratch) zeroSubcarrier(m csi.Measurement, power int, mode Inter
 	for i, k := range m.Subcarriers {
 		xs[i] = float64(k)
 		mags[i] = cmplx.Abs(vals[i])
-		phases[i] = cmplx.Phase(vals[i] * cmplx.Rect(1, -slope*float64(k)))
+		phases[i] = cmplx.Phase(dsp.Mul(vals[i], cmplx.Rect(1, -slope*float64(k))))
 	}
 	dsp.Unwrap(phases)
 
@@ -195,7 +195,7 @@ func estimateSlope(subs []int, vals dsp.Vec) float64 {
 	}
 	for i := 1; i < n; i++ {
 		if subs[i]-subs[i-1] == minStep {
-			r += vals[i] * cmplx.Conj(vals[i-1])
+			r += dsp.Mul(vals[i], cmplx.Conj(vals[i-1]))
 		}
 	}
 	coarse := cmplx.Phase(r) / float64(minStep)
@@ -204,13 +204,13 @@ func estimateSlope(subs []int, vals dsp.Vec) float64 {
 	var num, den float64
 	for i := 1; i < n; i++ {
 		d := float64(subs[i] - subs[i-1])
-		prod := vals[i] * cmplx.Conj(vals[i-1]) * cmplx.Rect(1, -coarse*d)
+		prod := dsp.Mul(dsp.Mul(vals[i], cmplx.Conj(vals[i-1])), cmplx.Rect(1, -coarse*d))
 		w := cmplx.Abs(prod)
 		if w == 0 {
 			continue
 		}
-		num += cmplx.Phase(prod) * d * w
-		den += d * d * w
+		num += float64(cmplx.Phase(prod) * d * w)
+		den += float64(d * d * w)
 	}
 	if den == 0 {
 		return coarse

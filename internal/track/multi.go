@@ -11,32 +11,17 @@ import (
 // MultiConfig tunes a multi-device tracking run: the scheduler interleaves
 // sweeps across N device pairs, and each device's fixes are drawn from the
 // empirical Chronos range-error model (drone.StatSensor) at the virtual
-// instants the schedule makes them available, then Kalman-smoothed. This
-// is the capacity-scale counterpart of RunSession: protocol timing is
-// exact, ranging error is statistical.
+// instants the schedule makes them available, then Kalman-smoothed with
+// the default filter. This is the capacity-scale counterpart of
+// RunSession: protocol timing is exact, ranging error is statistical.
 type MultiConfig struct {
 	Scheduler SchedulerConfig
 	// Speed is each target's walking speed in m/s (0 = static targets).
 	Speed float64
-	// RoomW, RoomH bound each target's walk (default 12 × 10 m).
-	RoomW, RoomH float64
-	// Sensor models per-fix ranging error (default drone.StatSensor{}).
-	Sensor drone.RangeSensor
-	Filter FilterConfig
 }
 
-func (c MultiConfig) withDefaults() MultiConfig {
-	if c.RoomW == 0 {
-		c.RoomW = 12
-	}
-	if c.RoomH == 0 {
-		c.RoomH = 10
-	}
-	if c.Sensor == nil {
-		c.Sensor = drone.StatSensor{}
-	}
-	return c
-}
+// multiRoomW and multiRoomH bound each RunMulti target's walk, in meters.
+const multiRoomW, multiRoomH = 12.0, 10.0
 
 // DeviceTrack is one device's smoothed trajectory over the schedule.
 type DeviceTrack struct {
@@ -59,7 +44,6 @@ type MultiResult struct {
 // second as N grows) directly inflates its tracking error. Full-pipeline
 // devices that range concurrently run through svc.Daemon instead.
 func RunMulti(rng *rand.Rand, cfg MultiConfig) *MultiResult {
-	cfg = cfg.withDefaults()
 	sched := RunSchedule(rng, cfg.Scheduler)
 	n := cfg.Scheduler.withDefaults().Devices
 
@@ -68,9 +52,9 @@ func RunMulti(rng *rand.Rand, cfg MultiConfig) *MultiResult {
 	trackers := make([]*RangeTracker, n)
 	walkedTo := make([]float64, n)
 	for d := 0; d < n; d++ {
-		walks[d] = drone.NewWalk(rng, cfg.RoomW, cfg.RoomH)
+		walks[d] = drone.NewWalk(rng, multiRoomW, multiRoomH)
 		walks[d].Speed = cfg.Speed
-		trackers[d] = NewRangeTracker(cfg.Filter)
+		trackers[d] = NewRangeTracker(FilterConfig{})
 	}
 
 	out := &MultiResult{Schedule: sched, Devices: make([]DeviceTrack, n)}
@@ -90,7 +74,7 @@ func RunMulti(rng *rand.Rand, cfg MultiConfig) *MultiResult {
 		}
 		pos := walks[d].Pos()
 		truth := anchor.Dist(pos)
-		meas := cfg.Sensor.Range(rng, anchor, pos)
+		meas := drone.StatSensor{}.Range(rng, anchor, pos)
 		smoothed, accepted := trackers[d].Observe(fe.At, meas)
 		recordFix(int64(fe.Latency), accepted, true)
 		out.Devices[d].Fixes = append(out.Devices[d].Fixes, Fix{
