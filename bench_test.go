@@ -203,21 +203,6 @@ func BenchmarkTrackSessionSteadyState(b *testing.B) { benchSession(b, true) }
 
 func BenchmarkTrackSessionColdStart(b *testing.B) { benchSession(b, false) }
 
-func BenchmarkPerfSolverCampaign(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := exp.PerfSolver(quick(6))
-		if r.Metrics["iters_warm_static"] <= 0 {
-			b.Fatal("solver snapshot missing warm iterations")
-		}
-		// Under the noise-adaptive gap stop the snapshot's solves must
-		// actually converge: iteration-capped solves were previously
-		// indistinguishable from converged ones in this output.
-		if r.CapRate == nil || *r.CapRate > 0.05 {
-			b.Fatalf("solver snapshot cap-rate %v, want ~0 under the gap stop", r.CapRate)
-		}
-	}
-}
-
 func BenchmarkPerfConvergeCampaign(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r := exp.PerfConverge(quick(6))
@@ -244,28 +229,6 @@ func BenchmarkPerfConvergeCampaign(b *testing.B) {
 		}
 		if d := r.Metrics["collide_warm_cold_dtof_ns"]; d > 0.05 {
 			b.Fatalf("colliding-families warm fix diverged %.4f ns from cold, want ≤ 0.05", d)
-		}
-	}
-}
-
-func BenchmarkPerfServiceCampaign(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := exp.PerfServiceScaled(quick(1))
-		// The CI-sized daemon must hold its whole fleet concurrently
-		// tracked through the window, sustain throughput, and account
-		// every device at drain: tracked == stat + full == retired.
-		fleet := r.Metrics["stat_devices"] + r.Metrics["full_devices"]
-		if r.Metrics["tracked_devices"] != fleet {
-			b.Fatalf("tracked %v devices, fleet is %v", r.Metrics["tracked_devices"], fleet)
-		}
-		if r.Metrics["retired"] != fleet {
-			b.Fatalf("retired %v devices at drain, fleet is %v", r.Metrics["retired"], fleet)
-		}
-		if r.Metrics["fix_rate_hz"] <= 0 {
-			b.Fatal("service campaign recorded no fixes")
-		}
-		if r.Metrics["fix_p99_us"] <= 0 {
-			b.Fatal("service campaign recorded no fix-latency distribution")
 		}
 	}
 }

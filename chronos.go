@@ -246,9 +246,6 @@ type DroneConfig = drone.TrackConfig
 // requested at any point. Obtain one from ToFEstimator.NewSweep.
 type ToFSweep = tof.Sweep
 
-// TrackFilterConfig tunes the per-device constant-velocity Kalman filters.
-type TrackFilterConfig = track.FilterConfig
-
 // RangeTracker smooths a stream of scalar range fixes with outlier gating.
 type RangeTracker = track.RangeTracker
 
@@ -256,12 +253,10 @@ type RangeTracker = track.RangeTracker
 type PositionTracker = track.PositionTracker
 
 // NewRangeTracker builds a range tracker.
-func NewRangeTracker(cfg TrackFilterConfig) *RangeTracker { return track.NewRangeTracker(cfg) }
+func NewRangeTracker() *RangeTracker { return track.NewRangeTracker() }
 
 // NewPositionTracker builds a position tracker.
-func NewPositionTracker(cfg TrackFilterConfig) *PositionTracker {
-	return track.NewPositionTracker(cfg)
-}
+func NewPositionTracker() *PositionTracker { return track.NewPositionTracker() }
 
 // TrackSessionConfig tunes one full-pipeline streaming tracking session.
 type TrackSessionConfig = track.SessionConfig

@@ -92,7 +92,7 @@ func TestFacadeTracking(t *testing.T) {
 	}
 
 	// Kalman smoothing and the multi-device scheduler.
-	tr := NewRangeTracker(TrackFilterConfig{})
+	tr := NewRangeTracker()
 	if got, ok := tr.Observe(0, 5); !ok || got != 5 {
 		t.Errorf("tracker priming = (%v, %v)", got, ok)
 	}

@@ -7,7 +7,7 @@
 //	chronos-bench -ablate cfo  # one ablation study
 //	chronos-bench -trials 50   # scale campaign sizes
 //	chronos-bench -workers 4   # bound the trial worker pool (0 = all cores)
-//	chronos-bench -json        # machine-readable output (feeds BENCH_*.json)
+//	chronos-bench -json        # machine-readable output
 //
 // Campaign trials are seeded per trial, so tables are byte-identical for
 // a given -seed regardless of -workers.
@@ -43,38 +43,24 @@ var figures = []struct {
 	{key: "9c", fn: exp.Fig9c},
 	{key: "10a", fn: exp.Fig10a},
 	{key: "10b", fn: exp.Fig10b},
-	// perf is not a paper figure: it snapshots the solver core's cold vs
-	// warm-started iteration counts and latency (the BENCH_baseline.json
-	// trajectory). Its µs columns are wall-clock, so it only runs when
-	// requested explicitly.
-	{key: "perf", fn: exp.PerfSolver, explicitOnly: true},
 	// alias is the alias-resolution ablation (vertex- vs family-ranked
 	// peaks); aliasperf snapshots the alias-refit cost cold vs
-	// warm-started in deterministic Work units (both feed BENCH_4.json).
-	// They are deterministic per seed but not paper figures, so like perf
-	// they run only when requested.
+	// warm-started in deterministic Work units. They are deterministic
+	// per seed but not paper figures, so they run only when requested.
 	{key: "alias", fn: exp.AliasRanking, explicitOnly: true},
 	{key: "aliasperf", fn: exp.PerfAlias, explicitOnly: true},
-	// converge is the noise-adaptive convergence campaign (PR 5): the
+	// converge is the noise-adaptive convergence campaign: the
 	// duality-gap stop vs the fixed-tolerance ablation across SNR, the
 	// office accuracy guard, the colliding-families warm-refit fixture,
 	// and streaming-session convergence telemetry — all in deterministic
-	// units, snapshotted into BENCH_5.json.
+	// units.
 	{key: "converge", fn: exp.PerfConverge, explicitOnly: true},
-	// service is the always-on daemon capacity campaign (PR 9): a
-	// virtual-time chronos-svc carrying a 10k-device stat fleet plus a
-	// full-pipeline cohort, reporting concurrent tracked devices,
-	// sustained fix throughput, p99 fix latency, and drain time
-	// (BENCH_8.json). Wall-clock columns, so
-	// explicit-only like perf; servicescaled is the CI-sized variant.
-	{key: "service", fn: exp.PerfService, explicitOnly: true},
-	{key: "servicescaled", fn: exp.PerfServiceScaled, explicitOnly: true},
 	// pipeline is the solve-pool latency-isolation campaign: a
 	// latency-class stream under a bulk-class swarm, run with every solve
 	// on its shard and again through the solve pool, where latency solves
 	// dequeue first and bulk solves run waiting ones inline at their gap
-	// checks, comparing per-class p99 inter-fix gaps (BENCH_9.json).
-	// Wall-clock columns, so explicit-only like perf.
+	// checks, comparing per-class p99 inter-fix gaps. Its columns are
+	// wall-clock, so it runs only when requested.
 	{key: "pipeline", fn: exp.PerfPipeline, explicitOnly: true},
 }
 
@@ -90,7 +76,7 @@ var ablations = []struct {
 }
 
 func main() {
-	fig := flag.String("fig", "", "comma-separated figures to regenerate (3,4,7a,7b,7c,8a,8b,8c,9a,9b,9c,10a,10b, plus the pseudo-figures perf, alias, aliasperf, converge); empty = all paper figures (pseudo-figures run only when requested)")
+	fig := flag.String("fig", "", "comma-separated figures to regenerate (3,4,7a,7b,7c,8a,8b,8c,9a,9b,9c,10a,10b, plus the pseudo-figures alias, aliasperf, converge, pipeline); empty = all paper figures (pseudo-figures run only when requested)")
 	ablate := flag.String("ablate", "", "ablation to run (bands,delay,cfo,sparsity,separation, or 'all')")
 	trials := flag.Int("trials", 0, "trials per condition (0 = experiment default)")
 	seed := flag.Int64("seed", 1, "campaign seed")
@@ -125,8 +111,8 @@ func main() {
 		}
 	} else {
 		// -fig accepts a comma-separated list so one invocation can emit
-		// a combined JSON snapshot (e.g. -fig perf,alias,aliasperf -json
-		// regenerates BENCH_4.json as a single array). Keys are validated
+		// a combined JSON snapshot (e.g. -fig alias,aliasperf -json
+		// prints both tables as a single array). Keys are validated
 		// up front: campaigns take minutes, and a typo must not burn a
 		// run before erroring (or discard buffered -json results).
 		known := map[string]bool{}

@@ -1,7 +1,6 @@
 package exp
 
 import (
-	"fmt"
 	"math/rand"
 
 	"chronos/internal/drone"
@@ -74,12 +73,3 @@ func Fig10b(o Options) *Result {
 	res.Rows = append(res.Rows, []string{"steady mean", "", "", fmtF(stats.Mean(dist), 2)})
 	return res
 }
-
-// fig10Check is exposed for tests: the steady-state mean pairwise
-// distance must sit near the 1.4 m target.
-func fig10Check(o Options) (mean float64) {
-	r := Fig10b(o)
-	return r.Metrics["mean_distance_m"]
-}
-
-var _ = fmt.Sprintf // keep fmt referenced even if rows change

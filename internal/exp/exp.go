@@ -31,10 +31,8 @@ import (
 	"math/rand"
 	"strings"
 
-	"chronos/internal/csi"
 	"chronos/internal/sim"
 	"chronos/internal/tof"
-	"chronos/internal/wifi"
 )
 
 // Options scales a campaign.
@@ -64,18 +62,11 @@ type Result struct {
 	Header  []string           `json:"header"`
 	Rows    [][]string         `json:"rows"`
 	Metrics map[string]float64 `json:"metrics"` // headline numbers, keyed for EXPERIMENTS.md
-	// Labels carries non-numeric campaign facts (the active SIMD kernel
-	// tier, for one) so snapshot consumers — the CI throughput gate keys
-	// its per-tier speedup floor on labels["vector_kernel"] — never have
-	// to decode strings from float metrics.
-	Labels map[string]string `json:"labels,omitempty"`
 	// CapRate, when set, is the fraction of the campaign's profile
 	// solves that hit their iteration cap instead of converging
-	// (tof.Estimate.Converged == false). Iteration-capped solves used to
-	// be indistinguishable from converged ones in campaign output; the
-	// solver-facing campaigns now report the rate so BENCH_*.json
-	// snapshots expose it, and bench-smoke asserts it stays ~0 under the
-	// noise-adaptive stopping rule.
+	// (tof.Estimate.Converged == false). The convergence campaign sets it
+	// over its gap-stopped solves; BenchmarkPerfConvergeCampaign asserts
+	// the campaign-SNR share of it (cap_rate_gap_26) stays ~0.
 	CapRate *float64 `json:"cap_rate,omitempty"`
 }
 
@@ -123,7 +114,7 @@ type tofTrial struct {
 // them resolve NDFT plans from the shared registry, so the dictionaries
 // are built once per band-group geometry, not once per worker.
 func runToFCampaign(o Options, campaignID string, office *sim.Office, cfg tof.Config, trials int, nlos bool, maxDist float64) []tofTrial {
-	bands := pickBands(cfg)
+	bands := tof.BandsFor(cfg)
 	return runTrials(o, campaignID, trials, func(t int, rng *rand.Rand) (tofTrial, bool) {
 		est := tof.NewEstimator(cfg)
 
@@ -160,19 +151,11 @@ func runToFCampaign(o Options, campaignID string, office *sim.Office, cfg tof.Co
 	})
 }
 
-// pickBands returns the band list matching the estimator mode.
-func pickBands(cfg tof.Config) []wifi.Band { return tof.BandsFor(cfg) }
-
 // defaultToFConfig is the evaluation configuration used across figures:
 // quirked radios (faithful to the Intel 5300), 5 GHz profile inversion
 // fused with the 2.4 GHz group.
 func defaultToFConfig() tof.Config {
 	return tof.Config{Mode: tof.BandsFused, Quirk24: true, MaxIter: 1200}
-}
-
-// sweepOnce is shared by examples and benches needing raw sweeps.
-func sweepOnce(rng *rand.Rand, link *csi.Link, bands []wifi.Band) [][]csi.Pair {
-	return link.Sweep(rng, bands, 3, 2.4e-3)
 }
 
 func fmtF(v float64, prec int) string { return fmt.Sprintf("%.*f", prec, v) }

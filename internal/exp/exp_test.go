@@ -110,7 +110,7 @@ func TestFig10aMedianCentimeters(t *testing.T) {
 }
 
 func TestFig10bHoldsTarget(t *testing.T) {
-	mean := fig10Check(Options{})
+	mean := Fig10b(Options{}).Metrics["mean_distance_m"]
 	if math.Abs(mean-1.4) > 0.25 {
 		t.Errorf("steady mean distance = %v m, want ≈1.4", mean)
 	}

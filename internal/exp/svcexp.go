@@ -3,7 +3,6 @@ package exp
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
 	"time"
 
 	"chronos/internal/obs"
@@ -12,141 +11,6 @@ import (
 	"chronos/internal/tof"
 	"chronos/internal/track"
 )
-
-// PerfService is the always-on daemon capacity/latency snapshot (the
-// BENCH_8.json trajectory, toward the 100k-devices-per-box target): a
-// chronos-svc instance on virtual time carrying a mixed fleet — a large
-// population of statistical ranging sessions (the fleet-scale workload,
-// as track.RunMulti ranges) plus a cohort of full CSI→solve→
-// Kalman pipeline sessions — all endless, so every device stays
-// concurrently tracked through the measurement window. It reports sustained fix throughput, per-kind fix
-// latency quantiles from the obs histograms, and graceful-drain time.
-// Throughput and latency columns are wall-clock (host-dependent); the
-// fleet accounting is exact.
-func PerfService(o Options) *Result {
-	// 8 shards is the architecture under test (the golden harness's
-	// upper shard count), not a host property: on fewer cores the shard
-	// goroutines timeshare, and the runtime's preemption keeps stat
-	// shards advancing while full-pipeline shards sit in long solves.
-	return perfService(o, 10000, 64, 8, 3*time.Second)
-}
-
-// PerfServiceScaled is the CI-sized PerfService: a fleet two orders
-// smaller with a short measurement window, for bench-smoke lanes and
-// -short regression runs. Same code path, same metrics.
-func PerfServiceScaled(o Options) *Result {
-	return perfService(o, 400, 8, 4, 300*time.Millisecond)
-}
-
-func perfService(o Options, statDevices, fullDevices, shards int, window time.Duration) *Result {
-	o = o.withDefaults(1)
-	if shards <= 0 {
-		shards = runtime.NumCPU()
-	}
-
-	wasEnabled := obs.Enabled()
-	obs.SetEnabled(true)
-	obs.Reset()
-	defer obs.SetEnabled(wasEnabled)
-
-	rng := rand.New(rand.NewSource(o.Seed))
-	office := sim.NewOffice(rand.New(rand.NewSource(o.Seed^0x5eed0ff1ce)), sim.OfficeConfig{})
-	d := svc.NewDaemon(svc.Config{
-		Shards:  shards,
-		Office:  office,
-		Virtual: true,
-	})
-
-	// Attach the whole fleet endless (stat Fixes=0, full Sweeps<0): no
-	// device retires on its own, so once the attach queue clears the
-	// concurrent tracked-device count holds at the full fleet size for
-	// the entire measurement window.
-	for i := 0; i < fullDevices; i++ {
-		err := d.Attach(uint64(1+i), svc.DeviceConfig{
-			Seed: rng.Int63(),
-			Session: track.SessionConfig{
-				Speed: 1.0, Sweeps: -1,
-				WarmStart: true, VelocityTranslate: true,
-			},
-			Estimator: tof.Config{Mode: tof.BandsFused, Quirk24: true, MaxIter: 1200},
-		})
-		if err != nil {
-			panic(fmt.Sprintf("perf-service: full attach: %v", err))
-		}
-	}
-	for i := 0; i < statDevices; i++ {
-		err := d.Attach(uint64(1<<20+i), svc.DeviceConfig{
-			Seed: rng.Int63(), Stat: true,
-			FixPeriod: 84 * time.Millisecond, Speed: 1.0,
-		})
-		if err != nil {
-			panic(fmt.Sprintf("perf-service: stat attach: %v", err))
-		}
-	}
-
-	// Wait for the shards to work through the attach queue (full
-	// sessions calibrate at attach, the expensive part), then measure a
-	// steady-state window.
-	fleet := statDevices + fullDevices
-	for d.Sessions() < fleet || d.QueueDepth() > 0 {
-		time.Sleep(time.Millisecond)
-	}
-	tracked := d.Sessions()
-	before := obs.Capture()
-	t0 := time.Now()
-	time.Sleep(window)
-	after := obs.Capture()
-	elapsed := time.Since(t0).Seconds()
-
-	drainStart := time.Now()
-	snap, err := d.Drain(120 * time.Second)
-	if err != nil {
-		panic(fmt.Sprintf("perf-service: %v", err))
-	}
-	drainMs := float64(time.Since(drainStart)) / 1e6
-
-	statFixes := after.Counters["svc.stat_fixes"] - before.Counters["svc.stat_fixes"]
-	fullSweeps := after.Counters["svc.full_sweeps"] - before.Counters["svc.full_sweeps"]
-	fires := after.Counters["svc.timer_fires"] - before.Counters["svc.timer_fires"]
-	statHist := snap.Hists["svc.stat_fix_ns"]
-	sweepHist := snap.Hists["svc.sweep_ns"]
-
-	res := &Result{
-		ID:    "perf-service",
-		Title: "chronos-svc capacity: concurrent tracked devices, fix throughput, p99 fix latency",
-		Header: []string{"fleet", "tracked", "shards", "fix/s", "sweep/s (full)",
-			"stat p99 µs", "sweep p99 ms", "drain ms"},
-	}
-	res.Metrics = map[string]float64{
-		"tracked_devices":  float64(tracked),
-		"stat_devices":     float64(statDevices),
-		"full_devices":     float64(fullDevices),
-		"shards":           float64(shards),
-		"window_s":         elapsed,
-		"fix_rate_hz":      float64(statFixes+fullSweeps) / elapsed,
-		"stat_fix_rate_hz": float64(statFixes) / elapsed,
-		"sweep_rate_hz":    float64(fullSweeps) / elapsed,
-		"timer_fires_hz":   float64(fires) / elapsed,
-		"stat_fix_p50_us":  statHist.P50 / 1e3,
-		"stat_fix_p99_us":  statHist.P99 / 1e3,
-		"fix_p99_us":       statHist.P99 / 1e3,
-		"sweep_p50_ms":     sweepHist.P50 / 1e6,
-		"sweep_p99_ms":     sweepHist.P99 / 1e6,
-		"drain_ms":         drainMs,
-		"retired":          float64(len(d.Results())),
-	}
-	res.Rows = append(res.Rows, []string{
-		fmt.Sprintf("%d stat + %d full", statDevices, fullDevices),
-		fmt.Sprintf("%d", tracked),
-		fmt.Sprintf("%d", shards),
-		fmtF(res.Metrics["fix_rate_hz"], 0),
-		fmtF(res.Metrics["sweep_rate_hz"], 1),
-		fmtF(res.Metrics["stat_fix_p99_us"], 1),
-		fmtF(res.Metrics["sweep_p99_ms"], 1),
-		fmtF(drainMs, 1),
-	})
-	return res
-}
 
 // PerfPipeline is the solve-pool latency-isolation campaign (the
 // BENCH_9.json trajectory): one latency-class drone-follow stream

@@ -23,10 +23,11 @@ type Localizer struct {
 	// Estimators holds one calibrated ToF estimator per antenna. They may
 	// share a Config but each carries its own calibration offset.
 	Estimators []*tof.Estimator
-	// OutlierSlack is the extra tolerance (meters) in the geometric
-	// consistency check (default 0.45 m ≈ 1.5 ns of ToF error).
-	OutlierSlack float64
 }
+
+// outlierSlack is the extra tolerance (meters) in the geometric
+// consistency check: 0.45 m ≈ 1.5 ns of ToF error.
+const outlierSlack = 0.45
 
 // NewLocalizer builds a localizer for the given array, instantiating one
 // estimator per antenna from cfg.
@@ -35,7 +36,7 @@ func NewLocalizer(array geo.Array, cfg tof.Config) *Localizer {
 	for i := range ests {
 		ests[i] = tof.NewEstimator(cfg)
 	}
-	return &Localizer{Array: array, Estimators: ests, OutlierSlack: 0.45}
+	return &Localizer{Array: array, Estimators: ests}
 }
 
 // ErrAntennaCount reports a sweep count that does not match the array.
@@ -52,51 +53,6 @@ type Fix struct {
 	Distances    []float64
 	KeptAntennas []int
 	DroppedCount int
-}
-
-// Locate runs the full §8 pipeline. sweeps[i] is the CSI band sweep
-// captured at antenna i (against the same transmitter), aligned with
-// bands.
-func (l *Localizer) Locate(bands []wifi.Band, sweeps [][][]csi.Pair) (*Fix, error) {
-	if len(sweeps) != len(l.Array.Antennas) {
-		return nil, fmt.Errorf("%w: %d sweeps, %d antennas", ErrAntennaCount, len(sweeps), len(l.Array.Antennas))
-	}
-	circles := make([]geo.Circle, 0, len(sweeps))
-	idx := make([]int, 0, len(sweeps))
-	for i, sweep := range sweeps {
-		est, err := l.Estimators[i].Estimate(bands, sweep)
-		if err != nil {
-			continue // a failed antenna just contributes no circle
-		}
-		circles = append(circles, geo.Circle{Center: l.Array.Antennas[i], Radius: est.Distance})
-		idx = append(idx, i)
-	}
-	if len(circles) < 2 {
-		return nil, errors.New("loc: fewer than two usable antenna distances")
-	}
-
-	kept := geo.RejectOutliers(circles, l.OutlierSlack)
-	keptCircles := make([]geo.Circle, len(kept))
-	keptIdx := make([]int, len(kept))
-	for i, k := range kept {
-		keptCircles[i] = circles[k]
-		keptIdx[i] = idx[k]
-	}
-
-	pos, amb, err := geo.Trilaterate(keptCircles)
-	if err != nil {
-		return nil, err
-	}
-	fix := &Fix{
-		Position:     pos,
-		Candidates:   amb,
-		KeptAntennas: keptIdx,
-		DroppedCount: len(circles) - len(keptCircles),
-	}
-	for _, c := range keptCircles {
-		fix.Distances = append(fix.Distances, c.Radius)
-	}
-	return fix, nil
 }
 
 // LocateArray runs §8 localization over a shared-packet array sweep
@@ -129,7 +85,7 @@ func (l *Localizer) LocateArray(bands []wifi.Band, sweeps [][][]csi.Pair) (*Fix,
 
 // solve applies outlier rejection and least squares to distance circles.
 func (l *Localizer) solve(circles []geo.Circle, idx []int) (*Fix, error) {
-	kept := geo.RejectOutliers(circles, l.OutlierSlack)
+	kept := geo.RejectOutliers(circles, outlierSlack)
 	keptCircles := make([]geo.Circle, len(kept))
 	keptIdx := make([]int, len(kept))
 	for i, k := range kept {
@@ -181,25 +137,6 @@ func (l *Localizer) CalibrateArray(rng *rand.Rand, bands []wifi.Band, link *csi.
 	sweeps := link.Sweep(rng, bands, pairsPerBand, 2.4e-3)
 	for i := range l.Estimators {
 		off, err := tof.Calibrate(l.Estimators[i], bands, sweeps[i], trueDist[i])
-		if err != nil {
-			return fmt.Errorf("loc: calibrating antenna %d: %w", i, err)
-		}
-		l.Estimators[i].SetCalibrationOffset(off)
-	}
-	return nil
-}
-
-// CalibrateAll calibrates every antenna's estimator against a known
-// transmitter position, emulating the paper's one-time setup. links[i] is
-// the measurement link of antenna i; trueDist[i] the laser-measured
-// distance from the transmitter to antenna i.
-func (l *Localizer) CalibrateAll(rng *rand.Rand, bands []wifi.Band, links []*csi.Link, trueDist []float64, pairsPerBand int) error {
-	if len(links) != len(l.Estimators) || len(trueDist) != len(l.Estimators) {
-		return errors.New("loc: calibration inputs do not match antenna count")
-	}
-	for i, link := range links {
-		sweep := link.Sweep(rng, bands, pairsPerBand, 2.4e-3)
-		off, err := tof.Calibrate(l.Estimators[i], bands, sweep, trueDist[i])
 		if err != nil {
 			return fmt.Errorf("loc: calibrating antenna %d: %w", i, err)
 		}

@@ -69,8 +69,13 @@ func calibratedLocalizer(t *testing.T, rng *rand.Rand, r *rig, bands []wifi.Band
 	for i, ant := range r.array.At(rxCenter) {
 		trueDist[i] = txPos.Dist(ant)
 	}
-	if err := loc.CalibrateAll(rng, bands, r.links, trueDist, 3); err != nil {
-		t.Fatal(err)
+	for i, link := range r.links {
+		sweep := link.Sweep(rng, bands, 3, 2.4e-3)
+		off, err := tof.Calibrate(loc.Estimators[i], bands, sweep, trueDist[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		loc.Estimators[i].SetCalibrationOffset(off)
 	}
 	return loc
 }
@@ -89,7 +94,7 @@ func TestLocateThreeAntennaLOS(t *testing.T) {
 	txPos := geo.Point{X: 12.5, Y: 13}
 	r.place(txPos, rxCenter, false)
 
-	fix, err := loc.Locate(bands, r.sweeps(rng, bands, 3))
+	fix, err := loc.LocateArray(bands, r.sweeps(rng, bands, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +125,7 @@ func TestLocateWiderArrayNoWorse(t *testing.T) {
 		var total float64
 		const trials = 3
 		for i := 0; i < trials; i++ {
-			fix, err := loc.Locate(bands, r.sweeps(rng, bands, 3))
+			fix, err := loc.LocateArray(bands, r.sweeps(rng, bands, 3))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -136,7 +141,7 @@ func TestLocateWiderArrayNoWorse(t *testing.T) {
 
 func TestLocateSweepCountMismatch(t *testing.T) {
 	loc := NewLocalizer(geo.LinearArray(3, 0.3), tof.Config{})
-	if _, err := loc.Locate(wifi.Bands5GHz(), make([][][]csi.Pair, 2)); !errors.Is(err, ErrAntennaCount) {
+	if _, err := loc.LocateArray(wifi.Bands5GHz(), make([][][]csi.Pair, 2)); !errors.Is(err, ErrAntennaCount) {
 		t.Errorf("err = %v", err)
 	}
 }
@@ -144,15 +149,8 @@ func TestLocateSweepCountMismatch(t *testing.T) {
 func TestLocateEmptySweepsFail(t *testing.T) {
 	loc := NewLocalizer(geo.LinearArray(3, 0.3), tof.Config{})
 	sweeps := make([][][]csi.Pair, 3) // all antennas empty
-	if _, err := loc.Locate(wifi.Bands5GHz(), sweeps); err == nil {
+	if _, err := loc.LocateArray(wifi.Bands5GHz(), sweeps); err == nil {
 		t.Error("empty sweeps accepted")
-	}
-}
-
-func TestCalibrateAllInputMismatch(t *testing.T) {
-	loc := NewLocalizer(geo.LinearArray(3, 0.3), tof.Config{})
-	if err := loc.CalibrateAll(rand.New(rand.NewSource(1)), wifi.Bands5GHz(), nil, nil, 1); err == nil {
-		t.Error("mismatched calibration inputs accepted")
 	}
 }
 
@@ -168,7 +166,7 @@ func TestLocateTwoAntennaAmbiguity(t *testing.T) {
 	rxCenter := geo.Point{X: 10, Y: 10}
 	txPos := geo.Point{X: 12, Y: 13}
 	r.place(txPos, rxCenter, false)
-	fix, err := loc.Locate(bands, r.sweeps(rng, bands, 3))
+	fix, err := loc.LocateArray(bands, r.sweeps(rng, bands, 3))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,8 @@ import (
 	"math"
 	"os"
 	"slices"
+
+	"chronos/internal/obs"
 )
 
 // kernelTier identifies the SIMD kernel family the solver hot loops run
@@ -81,6 +83,7 @@ func clampTier(detected, requested kernelTier) kernelTier {
 func setKernelTier(t kernelTier) kernelTier {
 	prev := activeTier
 	activeTier = clampTier(detectTier(), t)
+	obs.SetLabel(kernelLabel, activeTier.String())
 	return prev
 }
 

@@ -36,18 +36,12 @@ var (
 	obsSolveWallNs = obs.NewHist("ndft.solve.wall_ns")
 )
 
-// init publishes the resolved kernel tier on the snapshot and keeps a
-// callback refreshing the label so tier forcing (tests, benches) is
-// visible on the next capture.
-func init() {
-	obs.SetLabel("ndft.vector_kernel", VectorKernel())
-	obs.OnSnapshot(func(s *obs.Snapshot) {
-		if s.Labels == nil {
-			s.Labels = make(map[string]string, 1)
-		}
-		s.Labels["ndft.vector_kernel"] = VectorKernel()
-	})
-}
+// kernelLabel names the resolved kernel tier on every snapshot. init
+// publishes it, and setKernelTier republishes it when a test or bench
+// forces a tier.
+const kernelLabel = "ndft.vector_kernel"
+
+func init() { obs.SetLabel(kernelLabel, VectorKernel()) }
 
 // record books one finished solve into the solver metrics; allocates
 // nothing.

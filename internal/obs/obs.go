@@ -1,9 +1,9 @@
 // Package obs is the unified observability core: dependency-free,
-// concurrency-safe counters, gauges, and log-bucketed latency histograms
-// that every layer of the pipeline reports through — ndft solver
-// telemetry, tof estimation stages, hop protocol events, track fixes —
-// surfaced live over the cmd binaries' -metrics endpoint and embedded in
-// campaign JSON (exp.WriteJSON).
+// concurrency-safe counters, log-bucketed latency histograms and
+// snapshot-time gauges that every layer of the pipeline reports
+// through — ndft solver telemetry, tof estimation stages, hop protocol
+// events, track fixes — surfaced live over the cmd binaries' -metrics
+// endpoint and embedded in campaign JSON (exp.WriteJSON).
 //
 // # Design constraints
 //
@@ -20,8 +20,9 @@
 //     reads. The zero-alloc solve and session paths stay 0 allocs/op
 //     with obs on (asserted by tests and the bench-smoke lane).
 //
-// Metric handles are package-level vars in the instrumented packages,
-// registered by name at init; Capture renders everything into a
+// Counter and histogram handles are package-level vars in the
+// instrumented packages, registered by name at init, as are the
+// functions that derive the gauges; Capture renders everything into a
 // Snapshot. Instrumentation never changes results — the golden-trace
 // tests pin track.RunSession byte-identity with obs on vs off.
 //
@@ -148,40 +149,25 @@ func (c *Counter) reset() {
 	}
 }
 
-// Gauge is a last-value-wins float64 (atomic bits).
-type Gauge struct {
-	name string
-	bits atomic.Uint64
-}
-
-// Set stores v. No-op when disabled.
-func (g *Gauge) Set(v float64) {
-	if !enabled.Load() {
-		return
-	}
-	g.bits.Store(math.Float64bits(v))
-}
-
-// Value returns the last stored value (0 before any Set).
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
-
-// Name returns the gauge's registered name.
-func (g *Gauge) Name() string { return g.name }
-
-func (g *Gauge) reset() { g.bits.Store(0) }
-
 // registry is the package-level metric namespace. Handles register at
 // package init of the instrumented packages (deterministic order per
 // package); duplicate names panic — silently merged metrics would make
 // two call sites indistinguishable in every snapshot.
 var reg struct {
-	mu        sync.Mutex
-	names     map[string]bool
-	counters  []*Counter
-	gauges    []*Gauge
-	hists     []*Hist
-	labels    map[string]string
-	callbacks []func(*Snapshot)
+	mu       sync.Mutex
+	names    map[string]bool
+	counters []*Counter
+	gauges   []gauge
+	hists    []*Hist
+	labels   map[string]string
+}
+
+// gauge is a value derived at snapshot time: the tof plan-registry
+// occupancy, a fix rate. Registering the function that computes it lets
+// packages contribute gauges without obs depending on them.
+type gauge struct {
+	name string
+	eval func(*Snapshot) float64
 }
 
 func register(name string) {
@@ -204,14 +190,15 @@ func NewCounter(name string) *Counter {
 	return c
 }
 
-// NewGauge registers a gauge under name (panics on duplicates).
-func NewGauge(name string) *Gauge {
+// NewGauge registers a gauge under name (panics on duplicates). Capture
+// evaluates eval once per snapshot, after the counters and histograms
+// are rendered, so a gauge may derive from them; it records whether or
+// not the layer is enabled.
+func NewGauge(name string, eval func(*Snapshot) float64) {
 	reg.mu.Lock()
 	defer reg.mu.Unlock()
 	register(name)
-	g := &Gauge{name: name}
-	reg.gauges = append(reg.gauges, g)
-	return g
+	reg.gauges = append(reg.gauges, gauge{name: name, eval: eval})
 }
 
 // NewHist registers a histogram under name (panics on duplicates). By
@@ -241,27 +228,15 @@ func SetLabel(name, value string) {
 	reg.labels[name] = value
 }
 
-// OnSnapshot registers a callback run by Capture after the registered
-// metrics are rendered, so packages can contribute derived gauges (the
-// tof plan-registry occupancy, fix rates) without obs depending on them.
-func OnSnapshot(f func(*Snapshot)) {
-	reg.mu.Lock()
-	defer reg.mu.Unlock()
-	reg.callbacks = append(reg.callbacks, f)
-}
-
-// Reset zeroes every registered counter, gauge, and histogram and
-// restarts Snapshot.UptimeNs — test and campaign scaffolding for
-// measurement windows, not part of the hot path. The span clock keeps
-// running: spans open across a Reset record their full duration.
+// Reset zeroes every registered counter and histogram and restarts
+// Snapshot.UptimeNs — test and campaign scaffolding for measurement
+// windows, not part of the hot path. The span clock keeps running:
+// spans open across a Reset record their full duration.
 func Reset() {
 	reg.mu.Lock()
 	defer reg.mu.Unlock()
 	for _, c := range reg.counters {
 		c.reset()
-	}
-	for _, g := range reg.gauges {
-		g.reset()
 	}
 	for _, h := range reg.hists {
 		h.reset()
@@ -269,16 +244,15 @@ func Reset() {
 	resetAt.Store(int64(time.Since(base)))
 }
 
-// Capture renders every registered metric into a Snapshot and runs the
-// OnSnapshot callbacks. Safe to call concurrently with recording;
-// the snapshot is a consistent-enough point-in-time read (individual
-// atomics, not a global barrier), which is all a telemetry poll needs.
+// Capture renders every registered metric into a Snapshot, gauges
+// last. Safe to call concurrently with recording; the snapshot is a
+// consistent-enough point-in-time read (individual atomics, not a
+// global barrier), which is all a telemetry poll needs.
 func Capture() *Snapshot {
 	reg.mu.Lock()
 	counters := append([]*Counter(nil), reg.counters...)
-	gauges := append([]*Gauge(nil), reg.gauges...)
+	gauges := append([]gauge(nil), reg.gauges...)
 	hists := append([]*Hist(nil), reg.hists...)
-	callbacks := append([]func(*Snapshot){}, reg.callbacks...)
 	var labels map[string]string
 	if len(reg.labels) > 0 {
 		labels = make(map[string]string, len(reg.labels))
@@ -298,14 +272,11 @@ func Capture() *Snapshot {
 	for _, c := range counters {
 		s.Counters[c.name] = c.Value()
 	}
-	for _, g := range gauges {
-		s.Gauges[g.name] = g.Value()
-	}
 	for _, h := range hists {
 		s.Hists[h.name] = h.snapshot()
 	}
-	for _, f := range callbacks {
-		f(s)
+	for _, g := range gauges {
+		s.Gauges[g.name] = g.eval(s)
 	}
 	return s
 }

@@ -23,15 +23,12 @@ func withObs(t *testing.T, body func()) {
 
 func TestCounterGatedWhenDisabled(t *testing.T) {
 	c := NewCounter("test.gate.counter")
-	g := NewGauge("test.gate.gauge")
 	h := NewHist("test.gate.hist")
 	SetEnabled(false)
 	c.Add(5)
-	g.Set(3.5)
 	h.Observe(1.25)
-	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 {
-		t.Fatalf("disabled recording leaked: counter=%d gauge=%v hist=%d",
-			c.Value(), g.Value(), h.Count())
+	if c.Value() != 0 || h.Count() != 0 {
+		t.Fatalf("disabled recording leaked: counter=%d hist=%d", c.Value(), h.Count())
 	}
 	if tick := Tick(); tick != 0 {
 		t.Fatalf("Tick() = %d while disabled, want 0", tick)
@@ -47,23 +44,32 @@ func TestCounterGatedWhenDisabled(t *testing.T) {
 	}
 }
 
+// TestCounterGaugeRoundTrip checks that a gauge reads its source at
+// every capture, the last value wins, and it records with the layer
+// disabled too.
 func TestCounterGaugeRoundTrip(t *testing.T) {
 	c := NewCounter("test.rt.counter")
-	g := NewGauge("test.rt.gauge")
+	v := 2.5
+	NewGauge("test.rt.gauge", func(*Snapshot) float64 { return v })
 	withObs(t, func() {
 		c.Add(3)
 		c.Inc()
 		if got := c.Value(); got != 4 {
 			t.Fatalf("counter = %d, want 4", got)
 		}
-		g.Set(2.5)
-		g.Set(-1.25)
-		if got := g.Value(); got != -1.25 {
+		if got := Capture().Gauges["test.rt.gauge"]; got != 2.5 {
+			t.Fatalf("gauge = %v, want 2.5", got)
+		}
+		v = -1.25
+		if got := Capture().Gauges["test.rt.gauge"]; got != -1.25 {
 			t.Fatalf("gauge = %v, want -1.25", got)
 		}
 	})
 	if c.Value() != 0 {
 		t.Fatal("Reset did not zero the counter")
+	}
+	if got := Capture().Gauges["test.rt.gauge"]; got != -1.25 {
+		t.Fatalf("gauge with the layer disabled = %v, want -1.25", got)
 	}
 }
 
@@ -80,7 +86,9 @@ func TestDuplicateNamePanics(t *testing.T) {
 func TestCaptureAndCallbacks(t *testing.T) {
 	c := NewCounter("test.capture.counter")
 	h := NewHist("test.capture.hist")
-	OnSnapshot(func(s *Snapshot) { s.Gauges["test.capture.derived"] = float64(s.Counters["test.capture.counter"]) * 2 })
+	NewGauge("test.capture.derived", func(s *Snapshot) float64 {
+		return float64(s.Counters["test.capture.counter"] + s.Hists["test.capture.hist"].Count)
+	})
 	withObs(t, func() {
 		c.Add(7)
 		h.Observe(10)
@@ -89,8 +97,9 @@ func TestCaptureAndCallbacks(t *testing.T) {
 		if s.Counters["test.capture.counter"] != 7 {
 			t.Fatalf("snapshot counter = %d, want 7", s.Counters["test.capture.counter"])
 		}
-		if s.Gauges["test.capture.derived"] != 14 {
-			t.Fatalf("snapshot callback gauge = %v, want 14", s.Gauges["test.capture.derived"])
+		// The gauge sees the counter and the histogram of its own snapshot.
+		if s.Gauges["test.capture.derived"] != 9 {
+			t.Fatalf("derived gauge = %v, want 9", s.Gauges["test.capture.derived"])
 		}
 		hs := s.Hists["test.capture.hist"]
 		if hs.Count != 2 || hs.Sum != 30 || hs.Min != 10 || hs.Max != 20 {
@@ -116,12 +125,10 @@ func TestCaptureAndCallbacks(t *testing.T) {
 // enabled, every recording operation is allocation-free.
 func TestRecordingAllocsFree(t *testing.T) {
 	c := NewCounter("test.alloc.counter")
-	g := NewGauge("test.alloc.gauge")
 	h := NewHist("test.alloc.hist")
 	withObs(t, func() {
 		if n := testing.AllocsPerRun(100, func() {
 			c.Inc()
-			g.Set(1.5)
 			h.Observe(123456)
 			h.Since(Tick())
 		}); n != 0 {

@@ -24,69 +24,44 @@ type Office struct {
 	Height    float64
 }
 
-// OfficeConfig tunes floor-plan generation.
-type OfficeConfig struct {
-	Width, Height   float64 // floor size in meters (default 20 × 20)
-	Locations       int     // number of candidate spots (default 30)
-	Scatterers      int     // furniture/cabinet scatterers (default 10)
-	WallLoss        float64 // reflection amplitude loss (default 0.55)
-	NLOSAttenDB     float64 // direct-path penetration loss in NLOS (default 8)
-	InternalWalls   int     // number of interior wall segments (default 3)
-	ScattererLoss   float64 // amplitude loss of scattered paths (default 0.3)
-	MinPlacementGap float64 // minimum spacing between candidate locations (default 1.5)
-}
+// OfficeConfig is NewOffice's floor-plan argument. It has no fields:
+// every office is the §12 testbed's floor, whose dimensions and
+// propagation constants follow.
+type OfficeConfig struct{}
 
-func (c OfficeConfig) withDefaults() OfficeConfig {
-	if c.Width == 0 {
-		c.Width = 20
-	}
-	if c.Height == 0 {
-		c.Height = 20
-	}
-	if c.Locations == 0 {
-		c.Locations = 30
-	}
-	if c.Scatterers == 0 {
-		c.Scatterers = 10
-	}
-	if c.WallLoss == 0 {
-		c.WallLoss = 0.55
-	}
-	if c.NLOSAttenDB == 0 {
-		c.NLOSAttenDB = 8
-	}
-	if c.InternalWalls == 0 {
-		c.InternalWalls = 3
-	}
-	if c.ScattererLoss == 0 {
-		c.ScattererLoss = 0.3
-	}
-	if c.MinPlacementGap == 0 {
-		c.MinPlacementGap = 1.5
-	}
-	return c
-}
+// The testbed floor: a 20 m × 20 m office with 30 candidate device
+// spots at least 1.5 m apart, 3 interior walls and 10 furniture/cabinet
+// scatterers.
+const (
+	officeWidth, officeHeight = 20.0, 20.0
+	officeLocations           = 30
+	officeScatterers          = 10
+	officeInternalWalls       = 3
+	minPlacementGap           = 1.5
+	wallLoss                  = 0.55 // reflection amplitude loss of the outer walls
+	scattererLoss             = 0.3  // amplitude loss of scattered paths
+	nlosAttenDB               = 8    // direct-path penetration loss in NLOS
+)
 
 // NewOffice generates a floor plan. All randomness comes from rng, so a
 // fixed seed reproduces the testbed exactly.
-func NewOffice(rng *rand.Rand, cfg OfficeConfig) *Office {
-	cfg = cfg.withDefaults()
-	walls := rf.Rectangle(0, 0, cfg.Width, cfg.Height, cfg.WallLoss)
+func NewOffice(rng *rand.Rand, _ OfficeConfig) *Office {
+	walls := rf.Rectangle(0, 0, officeWidth, officeHeight, wallLoss)
 
 	// Interior walls: horizontal or vertical segments (office partitions,
 	// metal cabinets) with slightly higher reflectivity.
-	for i := 0; i < cfg.InternalWalls; i++ {
-		x := 2 + rng.Float64()*(cfg.Width-4)
-		y := 2 + rng.Float64()*(cfg.Height-4)
+	for i := 0; i < officeInternalWalls; i++ {
+		x := 2 + rng.Float64()*(officeWidth-4)
+		y := 2 + rng.Float64()*(officeHeight-4)
 		length := 2 + rng.Float64()*4
 		if i%2 == 0 {
 			walls = append(walls, rf.Wall{
-				A: rf.Point2{X: x, Y: y}, B: rf.Point2{X: math.Min(x+length, cfg.Width-1), Y: y},
+				A: rf.Point2{X: x, Y: y}, B: rf.Point2{X: math.Min(x+length, officeWidth-1), Y: y},
 				Loss: 0.7,
 			})
 		} else {
 			walls = append(walls, rf.Wall{
-				A: rf.Point2{X: x, Y: y}, B: rf.Point2{X: x, Y: math.Min(y+length, cfg.Height-1)},
+				A: rf.Point2{X: x, Y: y}, B: rf.Point2{X: x, Y: math.Min(y+length, officeHeight-1)},
 				Loss: 0.7,
 			})
 		}
@@ -94,21 +69,21 @@ func NewOffice(rng *rand.Rand, cfg OfficeConfig) *Office {
 
 	env := &rf.Environment{
 		Walls:         walls,
-		Scatterers:    rf.RandomScatterers(rng, cfg.Scatterers, 1, 1, cfg.Width-1, cfg.Height-1),
-		ScattererLoss: cfg.ScattererLoss,
-		NLOSAttenDB:   cfg.NLOSAttenDB,
+		Scatterers:    rf.RandomScatterers(rng, officeScatterers, 1, 1, officeWidth-1, officeHeight-1),
+		ScattererLoss: scattererLoss,
+		NLOSAttenDB:   nlosAttenDB,
 	}
 
 	// Candidate locations with a minimum pairwise gap.
 	var locs []geo.Point
-	for len(locs) < cfg.Locations {
+	for len(locs) < officeLocations {
 		p := geo.Point{
-			X: 1 + rng.Float64()*(cfg.Width-2),
-			Y: 1 + rng.Float64()*(cfg.Height-2),
+			X: 1 + rng.Float64()*(officeWidth-2),
+			Y: 1 + rng.Float64()*(officeHeight-2),
 		}
 		tooClose := false
 		for _, q := range locs {
-			if p.Dist(q) < cfg.MinPlacementGap {
+			if p.Dist(q) < minPlacementGap {
 				tooClose = true
 				break
 			}
@@ -117,7 +92,7 @@ func NewOffice(rng *rand.Rand, cfg OfficeConfig) *Office {
 			locs = append(locs, p)
 		}
 	}
-	return &Office{Env: env, Locations: locs, Width: cfg.Width, Height: cfg.Height}
+	return &Office{Env: env, Locations: locs, Width: officeWidth, Height: officeHeight}
 }
 
 // Placement is one experiment instance: a transmitter and receiver

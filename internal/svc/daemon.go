@@ -51,8 +51,8 @@ type Config struct {
 	// Virtual runs the shard loops on virtual time: each shard runs its
 	// event queue straight to the next due timer instead of pacing
 	// against the wall clock. Sessions execute identically — virtual
-	// mode is how the test harness and the PerfService campaign make
-	// daemon runs deterministic and faster than real time.
+	// mode is how the test harness, the pipeline campaign and perfbench
+	// make daemon runs deterministic and faster than real time.
 	Virtual bool
 	// Deprecated: ignored. Every solve runs alone; the field remains
 	// only because perfbench still sets it.
@@ -301,8 +301,9 @@ func (d *Daemon) PendingTimers() int {
 
 // Quiesce blocks until every shard is idle — no live sessions, no
 // pending commands, no scheduled timers — or the timeout expires. It is
-// how finite-fleet runs (the golden harness, PerfService) wait for
-// completion; an always-on fleet with endless sessions never quiesces.
+// how finite-fleet runs (the golden harness, perfbench's fleet workload)
+// wait for completion; an always-on fleet with endless sessions never
+// quiesces.
 func (d *Daemon) Quiesce(timeout time.Duration) error {
 	deadline := time.Now().Add(timeout)
 	for {
@@ -599,15 +600,11 @@ func (s *shard) shutdown() {
 		if !ok {
 			break
 		}
-		if c.attach {
-			s.retire(&DeviceResult{ID: c.id, Stat: c.cfg.Stat, Err: ErrDraining})
-		} else if ds, live := s.sessions[c.id]; live && !ds.inflight {
-			s.remove(ds, nil)
-		} else if live {
-			ds.detachWanted = true
-		} else {
-			obsAttachErrors.Inc()
+		if !c.attach {
+			s.apply(c)
+			continue
 		}
+		s.retire(&DeviceResult{ID: c.id, Stat: c.cfg.Stat, Err: ErrDraining})
 		s.pending.Add(-1)
 	}
 	// Wait out sweeps still in the solve pool: their tokens own the

@@ -67,21 +67,6 @@ var (
 	// obsBackpressure counts solve-queue pushes that found the queue
 	// full and blocked their shard (bounded-queue backpressure events).
 	obsBackpressure = obs.NewCounter("svc.backpressure")
-
-	obsSessions   = obs.NewGauge("svc.sessions")
-	obsShards     = obs.NewGauge("svc.shards")
-	obsQueueDepth = obs.NewGauge("svc.queue_depth")
-	// obsWheelTimers is the pending shard-timer count, under the metric
-	// name dashboards already read.
-	obsWheelTimers = obs.NewGauge("svc.wheel_timers")
-
-	// Solve-pool class-queue depths, utilization (busy workers / pool
-	// size) and tokens out in the pool, refreshed at snapshot time. All
-	// zero without a solve pool.
-	obsPipeQueueSolveLat  = obs.NewGauge("svc.pipe.queue.solve_lat")
-	obsPipeQueueSolveBulk = obs.NewGauge("svc.pipe.queue.solve_bulk")
-	obsPipeUtilSolve      = obs.NewGauge("svc.pipe.util.solve")
-	obsPipeInflight       = obs.NewGauge("svc.pipe.inflight")
 )
 
 // currentDaemon is the daemon the snapshot gauges describe. The metric
@@ -91,34 +76,47 @@ var (
 var currentDaemon atomic.Pointer[Daemon]
 
 func init() {
-	obs.OnSnapshot(func(s *obs.Snapshot) {
-		d := currentDaemon.Load()
-		if d == nil {
-			return
-		}
-		obsSessions.Set(float64(d.Sessions()))
-		obsShards.Set(float64(len(d.shards)))
-		obsQueueDepth.Set(float64(d.QueueDepth()))
-		obsWheelTimers.Set(float64(d.PendingTimers()))
-		s.Gauges["svc.sessions"] = obsSessions.Value()
-		s.Gauges["svc.shards"] = obsShards.Value()
-		s.Gauges["svc.queue_depth"] = obsQueueDepth.Value()
-		s.Gauges["svc.wheel_timers"] = obsWheelTimers.Value()
-		if p := d.pipe; p != nil {
-			lat, bulk := p.solveQ.depths()
-			inflight := int64(0)
-			for _, sh := range d.shards {
-				inflight += sh.inflight.Load()
+	gauge := func(name string, f func(*Daemon) float64) {
+		obs.NewGauge(name, func(*obs.Snapshot) float64 {
+			if d := currentDaemon.Load(); d != nil {
+				return f(d)
 			}
-			set := func(g *obs.Gauge, name string, v float64) {
-				g.Set(v)
-				s.Gauges[name] = v
+			return 0
+		})
+	}
+	gauge("svc.sessions", func(d *Daemon) float64 { return float64(d.Sessions()) })
+	gauge("svc.shards", func(d *Daemon) float64 { return float64(len(d.shards)) })
+	gauge("svc.queue_depth", func(d *Daemon) float64 { return float64(d.QueueDepth()) })
+	// The pending shard-timer count, under the metric name dashboards
+	// already read.
+	gauge("svc.wheel_timers", func(d *Daemon) float64 { return float64(d.PendingTimers()) })
+
+	// Solve-pool class-queue depths, utilization (busy workers / pool
+	// size) and tokens out in the pool. All zero without a solve pool.
+	pipeGauge := func(name string, f func(*pipeline) float64) {
+		gauge(name, func(d *Daemon) float64 {
+			if d.pipe == nil {
+				return 0
 			}
-			set(obsPipeQueueSolveLat, "svc.pipe.queue.solve_lat", float64(lat))
-			set(obsPipeQueueSolveBulk, "svc.pipe.queue.solve_bulk", float64(bulk))
-			set(obsPipeUtilSolve, "svc.pipe.util.solve",
-				float64(p.busy.Load())/float64(p.cfg.SolveWorkers))
-			set(obsPipeInflight, "svc.pipe.inflight", float64(inflight))
+			return f(d.pipe)
+		})
+	}
+	pipeGauge("svc.pipe.queue.solve_lat", func(p *pipeline) float64 {
+		lat, _ := p.solveQ.depths()
+		return float64(lat)
+	})
+	pipeGauge("svc.pipe.queue.solve_bulk", func(p *pipeline) float64 {
+		_, bulk := p.solveQ.depths()
+		return float64(bulk)
+	})
+	pipeGauge("svc.pipe.util.solve", func(p *pipeline) float64 {
+		return float64(p.busy.Load()) / float64(p.cfg.SolveWorkers)
+	})
+	gauge("svc.pipe.inflight", func(d *Daemon) float64 {
+		inflight := int64(0)
+		for _, sh := range d.shards {
+			inflight += sh.inflight.Load()
 		}
+		return float64(inflight)
 	})
 }

@@ -86,7 +86,7 @@ func newDeviceSession(s *shard, id uint64, cfg DeviceConfig) (*deviceSession, er
 		ds.rng = rng
 		ds.walk = drone.NewWalk(rng, statRoomW, statRoomH)
 		ds.walk.Speed = cfg.Speed
-		ds.tracker = track.NewRangeTracker(track.FilterConfig{})
+		ds.tracker = track.NewRangeTracker()
 		ds.sensor = drone.StatSensor{}
 		return ds, nil
 	}

@@ -202,6 +202,44 @@ func TestDaemonChurnSoak(t *testing.T) {
 	}
 }
 
+// TestDaemonTracksEndlessFleet pins the always-on fleet accounting: with
+// N endless devices attached, full-pipeline and statistical, every one
+// is a live session once the command queues drain, and Drain retires
+// all N with their partial results.
+func TestDaemonTracksEndlessFleet(t *testing.T) {
+	d := NewDaemon(Config{Shards: 3, Office: goldenOffice(), Virtual: true})
+	fleet := fiveGHzFleet(-1)
+	for i := uint64(0); i < 32; i++ {
+		fleet[100+i] = DeviceConfig{Seed: int64(100 + i), Stat: true,
+			FixPeriod: 2 * time.Millisecond, Speed: 1}
+	}
+	for id, dc := range fleet {
+		if err := d.Attach(id, dc); err != nil {
+			t.Fatalf("attach %d: %v", id, err)
+		}
+	}
+	for deadline := time.Now().Add(60 * time.Second); d.QueueDepth() > 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d commands still queued", d.QueueDepth())
+		}
+	}
+	if got := d.Sessions(); got != len(fleet) {
+		t.Errorf("%d live sessions once the queues drained, want %d", got, len(fleet))
+	}
+	if _, err := d.Drain(60 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	results := d.Results()
+	if len(results) != len(fleet) {
+		t.Errorf("drain retired %d devices, fleet is %d", len(results), len(fleet))
+	}
+	for id := range fleet {
+		if r := results[id]; r == nil || r.Err != nil {
+			t.Errorf("device %d retired as %+v, want a clean result", id, r)
+		}
+	}
+}
+
 // TestDaemonWallTime runs a small stat fleet in production (wall-clock)
 // mode: the shard loops pace their timers against real time, devices
 // complete their fix quota, and Quiesce/Drain behave exactly as in

@@ -479,10 +479,20 @@ func (s *Sweep) AddBand(b wifi.Band, pairs []csi.Pair) error {
 			return nil
 		}
 	}
-	// Fold the pairs inline (BandValue's internals) so the per-pair
-	// spread — the per-sweep noise estimate's raw material — is measured
-	// on the same values that produce the band mean.
-	power, total := bandPowers(quirked, e.cfg.ForwardOnly)
+	// The per-pair spread — the per-sweep noise estimate's raw material —
+	// is measured on the same folded values that produce the band mean.
+	// Each side is raised to the 4th power on a quirked 2.4 GHz band, so
+	// the π/2 phase folds cancel, and the forward×reverse CFO product
+	// doubles the power of the folded value: h̃² on a clean band, h̃⁸ on
+	// a quirked one.
+	power := 1
+	if quirked {
+		power = 4
+	}
+	total := 2 * power
+	if e.cfg.ForwardOnly {
+		total = power
+	}
 	vals, err := foldValues(s.foldScratch, pairs, power, e.cfg.Interp, e.cfg.ForwardOnly, &s.interp)
 	if err != nil {
 		return err

@@ -8,7 +8,7 @@ import (
 )
 
 // Per-sweep noise estimation. Every band dwell captures several CSI
-// pairs of the same (quasi-static) channel, and BandValue folds them
+// pairs of the same (quasi-static) channel, and Sweep.AddBand folds them
 // into one mean value; the spread of the per-pair folded values around
 // that mean is therefore a direct, signal-free measurement of the
 // effective noise on the band value — it includes thermal noise,
@@ -22,7 +22,7 @@ import (
 // pairSpread reduces per-pair folded values to their mean and the
 // variance of that mean. The variance is the total complex variance
 // (real + imaginary components): Σ|vₚ − mean|² / (k·(k−1)), i.e. the
-// sample variance shrunk by the 1/k averaging BandValue performs. A
+// sample variance shrunk by the 1/k averaging AddBand performs. A
 // single pair carries no spread information and reports variance 0 with
 // ok=false.
 func pairSpread(vals dsp.Vec) (mean complex128, varMean float64, ok bool) {
@@ -46,7 +46,7 @@ func pairSpread(vals dsp.Vec) (mean complex128, varMean float64, ok bool) {
 }
 
 // foldValues computes the per-pair CFO-free folded values for one band —
-// the terms BandValue averages. dst is reused when it has capacity, and
+// the terms AddBand averages. dst is reused when it has capacity, and
 // sc holds the interpolation's working memory.
 func foldValues(dst dsp.Vec, pairs []csi.Pair, power int, mode InterpMode, fwdOnly bool, sc *interpScratch) (dsp.Vec, error) {
 	if cap(dst) < len(pairs) {

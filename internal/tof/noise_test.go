@@ -11,7 +11,7 @@ import (
 )
 
 // TestPairSpreadMoments pins the estimator's arithmetic on a hand-sized
-// sample: the mean matches BandValue's fold, and the variance of the
+// sample: the mean is the band value AddBand folds, and the variance of the
 // mean is the sample variance over k·(k−1).
 func TestPairSpreadMoments(t *testing.T) {
 	vals := dsp.Vec{1 + 2i, 3 - 2i, 2 + 0i}

@@ -4,9 +4,9 @@ import "chronos/internal/obs"
 
 // Estimation-stage observability handles. Counters here count
 // scheduling-independent events, so their totals are identical at any
-// shard or worker count. Registry occupancy is exported as snapshot-time gauges (builds and
-// evictions depend on process-wide cache warmth, so they are state, not
-// a deterministic event count).
+// shard or worker count. Registry occupancy is exported as
+// snapshot-time gauges (builds and evictions depend on process-wide
+// cache warmth, so they are state, not a deterministic event count).
 var (
 	// obsEstimates counts Estimate calls that reached inversion.
 	obsEstimates = obs.NewCounter("tof.estimates")
@@ -41,32 +41,19 @@ var (
 	obsStageSolveNs = obs.NewHist("tof.stage.solve_ns")
 	// obsStageAliasNs spans the alias ranking/refit stage of one group.
 	obsStageAliasNs = obs.NewHist("tof.stage.alias_ns")
-
-	obsRegistryPlans     = obs.NewGauge("tof.registry.plans")
-	obsRegistryMaxPlans  = obs.NewGauge("tof.registry.max_plans")
-	obsRegistryBuilds    = obs.NewGauge("tof.registry.builds")
-	obsRegistryEvictions = obs.NewGauge("tof.registry.evictions")
-	obsRegistryBytes     = obs.NewGauge("tof.registry.bytes")
 )
 
 func init() {
 	// Registry occupancy is read at snapshot time rather than pushed on
 	// every mutation: the registry converges to a steady state within
-	// one campaign, and a poll-time gauge read avoids putting the stats
-	// lock on the solve path.
-	obs.OnSnapshot(func(s *obs.Snapshot) {
-		st := SharedRegistryStats()
-		obsRegistryPlans.Set(float64(st.Plans))
-		obsRegistryMaxPlans.Set(float64(st.MaxPlans))
-		obsRegistryBuilds.Set(float64(st.Builds))
-		obsRegistryEvictions.Set(float64(st.Evictions))
-		obsRegistryBytes.Set(float64(st.Bytes))
-		// Callbacks run after the gauge map is rendered, so snapshot-time
-		// gauges write the map directly (Set alone would lag a snapshot).
-		s.Gauges["tof.registry.plans"] = float64(st.Plans)
-		s.Gauges["tof.registry.max_plans"] = float64(st.MaxPlans)
-		s.Gauges["tof.registry.builds"] = float64(st.Builds)
-		s.Gauges["tof.registry.evictions"] = float64(st.Evictions)
-		s.Gauges["tof.registry.bytes"] = float64(st.Bytes)
-	})
+	// one campaign, and a poll-time read avoids putting the stats lock
+	// on the solve path.
+	gauge := func(name string, field func(RegistryStats) float64) {
+		obs.NewGauge(name, func(*obs.Snapshot) float64 { return field(SharedRegistryStats()) })
+	}
+	gauge("tof.registry.plans", func(st RegistryStats) float64 { return float64(st.Plans) })
+	gauge("tof.registry.max_plans", func(st RegistryStats) float64 { return float64(st.MaxPlans) })
+	gauge("tof.registry.builds", func(st RegistryStats) float64 { return float64(st.Builds) })
+	gauge("tof.registry.evictions", func(st RegistryStats) float64 { return float64(st.Evictions) })
+	gauge("tof.registry.bytes", func(st RegistryStats) float64 { return float64(st.Bytes) })
 }

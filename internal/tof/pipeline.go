@@ -13,7 +13,6 @@
 package tof
 
 import (
-	"errors"
 	"fmt"
 	"math/cmplx"
 
@@ -122,45 +121,6 @@ func (sc *interpScratch) zeroSubcarrier(m csi.Measurement, power int, mode Inter
 		mag0 = 0
 	}
 	return dsp.FromPolar(mag0, ph0), nil
-}
-
-// BandValue reduces the CSI pairs collected on one band to a single
-// CFO-free complex channel value, and reports the total channel power of
-// that value: 2 for clean bands (h̃²), 8 for quirked 2.4 GHz bands (h̃⁸,
-// since each side is raised to the 4th power before multiplication).
-//
-// When fwdOnly is true the reverse measurement is ignored (the CFO
-// ablation) and the power is 1 or 4.
-func BandValue(pairs []csi.Pair, quirked bool, mode InterpMode, fwdOnly bool) (complex128, int, error) {
-	if len(pairs) == 0 {
-		return 0, 0, errors.New("tof: no CSI pairs for band")
-	}
-	power, total := bandPowers(quirked, fwdOnly)
-	var sc interpScratch
-	vals, err := foldValues(nil, pairs, power, mode, fwdOnly, &sc)
-	if err != nil {
-		return 0, 0, err
-	}
-	acc, _, _ := pairSpread(vals)
-	return acc, total, nil
-}
-
-// bandPowers is the single home of the channel-power convention: the
-// per-side power applied before folding (4 on quirked 2.4 GHz bands so
-// the π/2 phase folds cancel, 1 otherwise) and the total power label of
-// the folded value (doubled by the forward×reverse CFO product unless
-// fwdOnly). BandValue and Sweep.AddBand both resolve it here so the
-// batch and incremental paths can never diverge.
-func bandPowers(quirked, fwdOnly bool) (power, total int) {
-	power = 1
-	if quirked {
-		power = 4
-	}
-	total = power
-	if !fwdOnly {
-		total = 2 * power
-	}
-	return power, total
 }
 
 // IsQuirked reports whether band b needs the 4th-power workaround on a

@@ -110,6 +110,21 @@ func TestZeroSubcarrierMalformed(t *testing.T) {
 	}
 }
 
+// foldBand folds pairs captured on band b through Sweep.AddBand on an
+// estimator built from cfg, and returns the band's value and its channel
+// power.
+func foldBand(t *testing.T, cfg Config, b wifi.Band, pairs []csi.Pair) (complex128, int) {
+	t.Helper()
+	s := NewEstimator(cfg).NewSweep()
+	if err := s.AddBand(b, pairs); err != nil {
+		t.Fatal(err)
+	}
+	if s.Bands() != 1 {
+		t.Fatalf("AddBand kept %d bands, want 1", s.Bands())
+	}
+	return s.meas[0].value, s.meas[0].power
+}
+
 func TestBandValueCancelsCFO(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	rx, tx := cleanRadio(rng), cleanRadio(rng)
@@ -121,14 +136,8 @@ func TestBandValueCancelsCFO(t *testing.T) {
 	// between them, but the products must agree.
 	p1 := link.MeasurePair(rng, b, 0.001)
 	p2 := link.MeasurePair(rng, b, 0.050)
-	v1, pow1, err := BandValue([]csi.Pair{p1}, false, InterpSpline, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v2, pow2, err := BandValue([]csi.Pair{p2}, false, InterpSpline, false)
-	if err != nil {
-		t.Fatal(err)
-	}
+	v1, pow1 := foldBand(t, Config{}, b, []csi.Pair{p1})
+	v2, pow2 := foldBand(t, Config{}, b, []csi.Pair{p2})
 	if pow1 != 2 || pow2 != 2 {
 		t.Fatalf("power = %d, %d, want 2", pow1, pow2)
 	}
@@ -149,8 +158,8 @@ func TestBandValueForwardOnlyKeepsCFOError(t *testing.T) {
 	b := band5()
 	p1 := link.MeasurePair(rng, b, 0.001)
 	p2 := link.MeasurePair(rng, b, 0.050)
-	v1, pow, _ := BandValue([]csi.Pair{p1}, false, InterpSpline, true)
-	v2, _, _ := BandValue([]csi.Pair{p2}, false, InterpSpline, true)
+	v1, pow := foldBand(t, Config{ForwardOnly: true}, b, []csi.Pair{p1})
+	v2, _ := foldBand(t, Config{ForwardOnly: true}, b, []csi.Pair{p2})
 	if pow != 1 {
 		t.Fatalf("forward-only power = %d, want 1", pow)
 	}
@@ -167,10 +176,7 @@ func TestBandValueQuirked24GHz(t *testing.T) {
 	link := &csi.Link{TX: tx, RX: rx, Channel: singlePath(4), SNRdB: 60, DisableCFO: true}
 	b := band24()
 	p := link.MeasurePair(rng, b, 0.001)
-	v, pow, err := BandValue([]csi.Pair{p}, true, InterpSpline, false)
-	if err != nil {
-		t.Fatal(err)
-	}
+	v, pow := foldBand(t, Config{Quirk24: true}, b, []csi.Pair{p})
 	if pow != 8 {
 		t.Fatalf("power = %d, want 8", pow)
 	}
@@ -199,10 +205,7 @@ func TestBandValueAveragingReducesNoise(t *testing.T) {
 			for i := range pairs {
 				pairs[i] = link.MeasurePair(rng, b, float64(trial)*1e-3+float64(i)*1e-4)
 			}
-			v, _, err := BandValue(pairs, false, InterpSpline, false)
-			if err != nil {
-				t.Fatal(err)
-			}
+			v, _ := foldBand(t, Config{}, b, pairs)
 			errs = append(errs, math.Abs(phaseDiff(cmplx.Phase(v), truePh)))
 		}
 		var s float64
@@ -217,8 +220,9 @@ func TestBandValueAveragingReducesNoise(t *testing.T) {
 }
 
 func TestBandValueEmpty(t *testing.T) {
-	if _, _, err := BandValue(nil, false, InterpSpline, false); err == nil {
-		t.Error("empty pairs accepted")
+	s := NewEstimator(Config{}).NewSweep()
+	if err := s.AddBand(band5(), nil); err != nil || s.Bands() != 0 {
+		t.Errorf("empty pairs: err %v and %d bands, want nil and 0", err, s.Bands())
 	}
 }
 

@@ -47,40 +47,25 @@ import (
 	"chronos/internal/geo"
 )
 
-// FilterConfig tunes the constant-velocity Kalman filters.
-type FilterConfig struct {
-	// ProcessAccel is the white-acceleration noise density driving the
-	// constant-velocity model, in m/s² (default 0.7 — brisk human motion
-	// changes direction on the order of a second).
-	ProcessAccel float64
-	// MeasSigma is the measurement standard deviation in meters (default
-	// 0.15, the Chronos core ranging error at room scale).
-	MeasSigma float64
-	// Gate is the innovation gate in standard deviations (default 3.5).
-	// Measurements whose normalized innovation exceeds the gate are
-	// rejected as outliers. Set negative to disable gating.
-	Gate float64
-	// MaxRejects bounds consecutive gate rejections before the filter
-	// reinitializes on the next measurement (default 4) — the target may
-	// genuinely have teleported (tracking reacquisition).
-	MaxRejects int
-}
-
-func (c FilterConfig) withDefaults() FilterConfig {
-	if c.ProcessAccel == 0 {
-		c.ProcessAccel = 0.7
-	}
-	if c.MeasSigma == 0 {
-		c.MeasSigma = 0.15
-	}
-	if c.Gate == 0 {
-		c.Gate = 3.5
-	}
-	if c.MaxRejects == 0 {
-		c.MaxRejects = 4
-	}
-	return c
-}
+// The constant-velocity Kalman filters' tuning.
+const (
+	// processAccel is the white-acceleration noise density driving the
+	// constant-velocity model, in m/s²: brisk human motion changes
+	// direction on the order of a second. It reaches predict as an
+	// argument, so its square is a rounded float64 product; the exact
+	// constant 0.7² would round to a different float64.
+	processAccel = 0.7
+	// measSigma is the measurement standard deviation in meters, the
+	// Chronos core ranging error at room scale.
+	measSigma = 0.15
+	// gate is the innovation gate in standard deviations: measurements
+	// whose normalized innovation exceeds it are rejected as outliers.
+	gate = 3.5
+	// maxRejects bounds consecutive gate rejections before the filter
+	// reinitializes on the next measurement: the target may genuinely
+	// have teleported (tracking reacquisition).
+	maxRejects = 4
+)
 
 // axis is one dimension of a constant-velocity Kalman filter: state
 // (position p, velocity v) with covariance [[ppp, ppv], [ppv, pvv]].
@@ -103,10 +88,10 @@ func (a *axis) predict(dt, q float64) {
 		return
 	}
 	q2 := q * q
-	a.p += a.v * dt
-	ppp := a.ppp + 2*dt*a.ppv + dt*dt*a.pvv + q2*dt*dt*dt/3
-	ppv := a.ppv + dt*a.pvv + q2*dt*dt/2
-	pvv := a.pvv + q2*dt
+	a.p += float64(a.v * dt)
+	ppp := a.ppp + float64(2*dt*a.ppv) + float64(dt*dt*a.pvv) + float64(q2*dt*dt*dt/3)
+	ppv := a.ppv + float64(dt*a.pvv) + float64(q2*dt*dt/2)
+	pvv := a.pvv + float64(q2*dt)
 	a.ppp, a.ppv, a.pvv = ppp, ppv, pvv
 }
 
@@ -119,11 +104,11 @@ func (a *axis) innovation(z, measVar float64) (y, s float64) {
 func (a *axis) update(z, measVar float64) {
 	y, s := a.innovation(z, measVar)
 	kp, kv := a.ppp/s, a.ppv/s
-	a.p += kp * y
-	a.v += kv * y
+	a.p += float64(kp * y)
+	a.v += float64(kv * y)
 	ppp := (1 - kp) * a.ppp
 	ppv := (1 - kp) * a.ppv
-	pvv := a.pvv - kv*a.ppv
+	pvv := a.pvv - float64(kv*a.ppv)
 	a.ppp, a.ppv, a.pvv = ppp, ppv, pvv
 }
 
@@ -134,7 +119,6 @@ const initVelVar = 4.0
 // RangeTracker smooths a stream of scalar range fixes (one anchor) with a
 // constant-velocity Kalman filter and innovation gating.
 type RangeTracker struct {
-	cfg     FilterConfig
 	ax      axis
 	primed  bool
 	last    time.Duration
@@ -145,25 +129,22 @@ type RangeTracker struct {
 }
 
 // NewRangeTracker builds a range tracker.
-func NewRangeTracker(cfg FilterConfig) *RangeTracker {
-	return &RangeTracker{cfg: cfg.withDefaults()}
-}
+func NewRangeTracker() *RangeTracker { return &RangeTracker{} }
 
 // Observe folds one range fix taken at virtual time at and returns the
 // smoothed range plus whether the measurement was accepted by the gate.
 func (t *RangeTracker) Observe(at time.Duration, r float64) (float64, bool) {
-	c := t.cfg
-	mv := c.MeasSigma * c.MeasSigma
+	const mv = measSigma * measSigma
 	if !t.primed {
 		t.ax.init(r, mv, initVelVar)
 		t.primed, t.last = true, at
 		return r, true
 	}
-	t.ax.predict((at - t.last).Seconds(), c.ProcessAccel)
+	t.ax.predict((at - t.last).Seconds(), processAccel)
 	t.last = at
-	if y, s := t.ax.innovation(r, mv); c.Gate > 0 && y*y > c.Gate*c.Gate*s {
+	if y, s := t.ax.innovation(r, mv); y*y > gate*gate*s {
 		t.rejects++
-		if t.rejects > c.MaxRejects {
+		if t.rejects > maxRejects {
 			// Reacquire: too many consecutive rejections means the model
 			// lost the target, not that the measurements are wrong. This
 			// measurement is accepted (it seeds the new state), so it does
@@ -190,7 +171,6 @@ func (t *RangeTracker) Velocity() float64 { return t.ax.v }
 // loc trilateration engine) with two decoupled constant-velocity axes
 // and a joint innovation gate.
 type PositionTracker struct {
-	cfg     FilterConfig
 	x, y    axis
 	primed  bool
 	last    time.Duration
@@ -200,15 +180,12 @@ type PositionTracker struct {
 }
 
 // NewPositionTracker builds a position tracker.
-func NewPositionTracker(cfg FilterConfig) *PositionTracker {
-	return &PositionTracker{cfg: cfg.withDefaults()}
-}
+func NewPositionTracker() *PositionTracker { return &PositionTracker{} }
 
 // Observe folds one position fix at virtual time at and returns the
 // smoothed position plus whether the fix passed the gate.
 func (t *PositionTracker) Observe(at time.Duration, p geo.Point) (geo.Point, bool) {
-	c := t.cfg
-	mv := c.MeasSigma * c.MeasSigma
+	const mv = measSigma * measSigma
 	if !t.primed {
 		t.x.init(p.X, mv, initVelVar)
 		t.y.init(p.Y, mv, initVelVar)
@@ -216,16 +193,16 @@ func (t *PositionTracker) Observe(at time.Duration, p geo.Point) (geo.Point, boo
 		return p, true
 	}
 	dt := (at - t.last).Seconds()
-	t.x.predict(dt, c.ProcessAccel)
-	t.y.predict(dt, c.ProcessAccel)
+	t.x.predict(dt, processAccel)
+	t.y.predict(dt, processAccel)
 	t.last = at
 	yx, sx := t.x.innovation(p.X, mv)
 	yy, sy := t.y.innovation(p.Y, mv)
 	// Joint Mahalanobis gate over both axes (the filter axes are
 	// decoupled, so the innovation covariance is diagonal).
-	if c.Gate > 0 && yx*yx/sx+yy*yy/sy > c.Gate*c.Gate {
+	if yx*yx/sx+yy*yy/sy > gate*gate {
 		t.rejects++
-		if t.rejects > c.MaxRejects {
+		if t.rejects > maxRejects {
 			// Reacquisition: the seeding measurement is accepted, so it
 			// does not count toward Rejected.
 			t.x.init(p.X, mv, initVelVar)

@@ -28,7 +28,7 @@ func noisyRange(rng *rand.Rand, truth, sigma, outlierProb, outlierMag float64) f
 // come in below the raw per-sweep fix error.
 func TestRangeTrackerSmoothsMovingTarget(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	tr := NewRangeTracker(FilterConfig{})
+	tr := NewRangeTracker()
 
 	// Target recedes at 0.9 m/s with gentle speed modulation; fixes
 	// arrive at the ≈84 ms sweep cadence with 12 cm core noise and 5%
@@ -64,7 +64,7 @@ func TestRangeTrackerSmoothsMovingTarget(t *testing.T) {
 // converges to the target's true radial speed.
 func TestRangeTrackerTracksVelocity(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	tr := NewRangeTracker(FilterConfig{})
+	tr := NewRangeTracker()
 	const dt = 100 * time.Millisecond
 	for i := 0; i < 200; i++ {
 		at := time.Duration(i) * dt
@@ -76,12 +76,12 @@ func TestRangeTrackerTracksVelocity(t *testing.T) {
 	}
 }
 
-// TestRangeTrackerReacquires checks the MaxRejects escape hatch: a target
+// TestRangeTrackerReacquires checks the maxRejects escape hatch: a target
 // that genuinely jumps (reacquisition after a tracking gap) must not be
 // gated out forever.
 func TestRangeTrackerReacquires(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	tr := NewRangeTracker(FilterConfig{MaxRejects: 3})
+	tr := NewRangeTracker()
 	const dt = 100 * time.Millisecond
 	at := time.Duration(0)
 	for i := 0; i < 50; i++ {
@@ -107,7 +107,7 @@ func TestRangeTrackerReacquires(t *testing.T) {
 // walk with ghost outliers; the smoothed path must beat the raw fixes.
 func TestPositionTrackerSmoothsWalk(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
-	tr := NewPositionTracker(FilterConfig{})
+	tr := NewPositionTracker()
 	const dt = 84 * time.Millisecond
 	pos := geo.Point{X: 2, Y: 3}
 	vel := geo.Point{X: 0.6, Y: -0.4}
@@ -135,28 +135,14 @@ func TestPositionTrackerSmoothsWalk(t *testing.T) {
 
 // TestTrackerFirstObservationPrimes pins the initialization contract.
 func TestTrackerFirstObservationPrimes(t *testing.T) {
-	tr := NewRangeTracker(FilterConfig{})
+	tr := NewRangeTracker()
 	got, ok := tr.Observe(0, 7.5)
 	if !ok || got != 7.5 {
 		t.Errorf("first observation = (%v, %v), want (7.5, true)", got, ok)
 	}
-	pt := NewPositionTracker(FilterConfig{})
+	pt := NewPositionTracker()
 	p, ok := pt.Observe(0, geo.Point{X: 1, Y: 2})
 	if !ok || p != (geo.Point{X: 1, Y: 2}) {
 		t.Errorf("first 2D observation = (%v, %v)", p, ok)
-	}
-}
-
-// TestTrackerGateDisabled checks Gate < 0 accepts everything.
-func TestTrackerGateDisabled(t *testing.T) {
-	tr := NewRangeTracker(FilterConfig{Gate: -1})
-	tr.Observe(0, 5)
-	for i := 1; i <= 10; i++ {
-		if _, ok := tr.Observe(time.Duration(i)*time.Second, float64(5+i*10)); !ok {
-			t.Fatal("disabled gate rejected a measurement")
-		}
-	}
-	if tr.Rejected != 0 {
-		t.Errorf("Rejected = %d with gate disabled", tr.Rejected)
 	}
 }

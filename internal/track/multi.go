@@ -54,7 +54,7 @@ func RunMulti(rng *rand.Rand, cfg MultiConfig) *MultiResult {
 	for d := 0; d < n; d++ {
 		walks[d] = drone.NewWalk(rng, multiRoomW, multiRoomH)
 		walks[d].Speed = cfg.Speed
-		trackers[d] = NewRangeTracker(FilterConfig{})
+		trackers[d] = NewRangeTracker()
 	}
 
 	out := &MultiResult{Schedule: sched, Devices: make([]DeviceTrack, n)}
@@ -81,8 +81,8 @@ func RunMulti(rng *rand.Rand, cfg MultiConfig) *MultiResult {
 			Device: d, At: fe.At, Latency: fe.Latency,
 			Range: meas, Smoothed: smoothed, TrueRange: truth, Accepted: accepted,
 		})
-		rawSq[d] += (meas - truth) * (meas - truth)
-		smoothSq[d] += (smoothed - truth) * (smoothed - truth)
+		rawSq[d] += float64((meas - truth) * (meas - truth))
+		smoothSq[d] += float64((smoothed - truth) * (smoothed - truth))
 	}
 
 	for d := range out.Devices {

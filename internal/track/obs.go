@@ -25,25 +25,23 @@ var (
 	// obsStageKalmanNs spans one Kalman observe/update in wall
 	// nanoseconds.
 	obsStageKalmanNs = obs.NewHist("track.stage.kalman_ns")
-
-	obsFixRateHz = obs.NewGauge("track.fix_rate_hz")
-	obsCapRate   = obs.NewGauge("track.cap_rate")
 )
 
 func init() {
 	// Fix rate and cap rate are derived at snapshot time from the
 	// counters already in the snapshot — the live numbers the -watch
 	// mode polls.
-	obs.OnSnapshot(func(s *obs.Snapshot) {
-		fixes := s.Counters["track.fixes"]
+	obs.NewGauge("track.fix_rate_hz", func(s *obs.Snapshot) float64 {
 		if up := float64(s.UptimeNs) / 1e9; up > 0 {
-			obsFixRateHz.Set(float64(fixes) / up)
+			return float64(s.Counters["track.fixes"]) / up
 		}
-		if fixes > 0 {
-			obsCapRate.Set(float64(s.Counters["track.capped_fixes"]) / float64(fixes))
+		return 0
+	})
+	obs.NewGauge("track.cap_rate", func(s *obs.Snapshot) float64 {
+		if fixes := s.Counters["track.fixes"]; fixes > 0 {
+			return float64(s.Counters["track.capped_fixes"]) / float64(fixes)
 		}
-		s.Gauges["track.fix_rate_hz"] = obsFixRateHz.Value()
-		s.Gauges["track.cap_rate"] = obsCapRate.Value()
+		return 0
 	})
 }
 

@@ -197,7 +197,7 @@ func NewSession(rng *rand.Rand, office *sim.Office, est *tof.Estimator, cfg Sess
 	s.msim = mac.NewSim()
 	s.hopper = hop.NewHopper(s.msim, rng, cfg.Hop)
 	s.hcfg = s.hopper.Cfg
-	s.tracker = NewRangeTracker(FilterConfig{})
+	s.tracker = NewRangeTracker()
 	s.acc = est.NewSweep()
 	s.acc.SetWarmStart(cfg.WarmStart)
 	return s, nil
@@ -218,9 +218,6 @@ func (s *Session) targetAt(now time.Duration) geo.Point {
 // has advanced. Schedulers pace a session by mapping this onto their own
 // clock (the daemon maps it to wall time; tests leave it virtual).
 func (s *Session) Now() time.Duration { return s.msim.Now() }
-
-// Sweeps reports how many full sweeps have completed.
-func (s *Session) Sweeps() int { return s.sweeps }
 
 // Done reports whether the configured sweep budget is exhausted. A
 // session built with SessionConfig.Sweeps < 0 is never done; its owner
@@ -287,7 +284,7 @@ func (s *Session) StepIngest() error {
 		step := s.hcfg.Dwell.Seconds() / float64(pairsPerBand+1)
 		pairs := make([]csi.Pair, pairsPerBand)
 		for pi := range pairs {
-			pairs[pi] = s.link.MeasurePair(s.rng, b, s.msim.Now().Seconds()+float64(pi+1)*step)
+			pairs[pi] = s.link.MeasurePair(s.rng, b, s.msim.Now().Seconds()+float64(float64(pi+1)*step))
 		}
 		s.msim.Run(s.msim.Now() + s.hcfg.Dwell)
 		if err := s.acc.AddBand(b, pairs); err != nil {
@@ -296,7 +293,7 @@ func (s *Session) StepIngest() error {
 
 		if checkpoint < len(cfg.EarlyFixBands) && s.acc.Bands() >= cfg.EarlyFixBands[checkpoint] && bi+1 < len(s.bands) {
 			if r, err := s.acc.Estimate(); err == nil {
-				raw := r.Distance - s.offset*wifi.SpeedOfLight
+				raw := r.Distance - float64(s.offset*wifi.SpeedOfLight)
 				s.res.EarlyFixes = append(s.res.EarlyFixes, Fix{
 					At: s.msim.Now(), Latency: s.msim.Now() - start, Bands: s.acc.Bands(),
 					Range: raw, Smoothed: raw,
@@ -349,7 +346,7 @@ func (s *Session) StepTrack() error {
 	cfg := s.cfg
 	start := s.sweepStart
 	if r := s.pendEst; r != nil {
-		raw := r.Distance - s.offset*wifi.SpeedOfLight
+		raw := r.Distance - float64(s.offset*wifi.SpeedOfLight)
 		now := s.msim.Now()
 		truth := s.anchor.Dist(s.targetAt(now))
 		kalmanTick := obs.Tick()
@@ -364,8 +361,8 @@ func (s *Session) StepTrack() error {
 		if !r.Converged {
 			s.res.CappedFixes++
 		}
-		s.rawSq += (raw - truth) * (raw - truth)
-		s.smoothSq += (smoothed - truth) * (smoothed - truth)
+		s.rawSq += float64((raw - truth) * (raw - truth))
+		s.smoothSq += float64((smoothed - truth) * (smoothed - truth))
 		if cfg.WarmStart && cfg.VelocityTranslate && s.havePrevFix {
 			// Predict the delay drift the next sweep will see: the
 			// filter's radial velocity over one inter-fix interval
