@@ -22,59 +22,6 @@ import (
 	"chronos/internal/exp"
 )
 
-var figures = []struct {
-	key string
-	fn  func(exp.Options) *exp.Result
-	// explicitOnly excludes a pseudo-figure from the empty -fig "run
-	// everything" loop: the default invocation must keep the documented
-	// byte-identical-per-seed contract, which wall-clock columns break.
-	explicitOnly bool
-}{
-	{key: "3", fn: exp.Fig3},
-	{key: "4", fn: exp.Fig4},
-	{key: "7a", fn: exp.Fig7a},
-	{key: "7b", fn: exp.Fig7b},
-	{key: "7c", fn: exp.Fig7c},
-	{key: "8a", fn: exp.Fig8a},
-	{key: "8b", fn: exp.Fig8b},
-	{key: "8c", fn: exp.Fig8c},
-	{key: "9a", fn: exp.Fig9a},
-	{key: "9b", fn: exp.Fig9b},
-	{key: "9c", fn: exp.Fig9c},
-	{key: "10a", fn: exp.Fig10a},
-	{key: "10b", fn: exp.Fig10b},
-	// alias is the alias-resolution ablation (vertex- vs family-ranked
-	// peaks); aliasperf snapshots the alias-refit cost cold vs
-	// warm-started in deterministic Work units. They are deterministic
-	// per seed but not paper figures, so they run only when requested.
-	{key: "alias", fn: exp.AliasRanking, explicitOnly: true},
-	{key: "aliasperf", fn: exp.PerfAlias, explicitOnly: true},
-	// converge is the noise-adaptive convergence campaign: the
-	// duality-gap stop vs the fixed-tolerance ablation across SNR, the
-	// office accuracy guard, the colliding-families warm-refit fixture,
-	// and streaming-session convergence telemetry — all in deterministic
-	// units.
-	{key: "converge", fn: exp.PerfConverge, explicitOnly: true},
-	// pipeline is the solve-pool latency-isolation campaign: a
-	// latency-class stream under a bulk-class swarm, run with every solve
-	// on its shard and again through the solve pool, where latency solves
-	// dequeue first and bulk solves run waiting ones inline at their gap
-	// checks, comparing per-class p99 inter-fix gaps. Its columns are
-	// wall-clock, so it runs only when requested.
-	{key: "pipeline", fn: exp.PerfPipeline, explicitOnly: true},
-}
-
-var ablations = []struct {
-	key string
-	fn  func(exp.Options) *exp.Result
-}{
-	{key: "bands", fn: exp.AblationBands},
-	{key: "delay", fn: exp.AblationDelay},
-	{key: "cfo", fn: exp.AblationCFO},
-	{key: "sparsity", fn: exp.AblationSparsity},
-	{key: "separation", fn: exp.AblationSeparation},
-}
-
 func main() {
 	fig := flag.String("fig", "", "comma-separated figures to regenerate (3,4,7a,7b,7c,8a,8b,8c,9a,9b,9c,10a,10b, plus the pseudo-figures alias, aliasperf, converge, pipeline); empty = all paper figures (pseudo-figures run only when requested)")
 	ablate := flag.String("ablate", "", "ablation to run (bands,delay,cfo,sparsity,separation, or 'all')")
@@ -99,14 +46,14 @@ func main() {
 
 	ran := false
 	if *ablate != "" {
-		for _, a := range ablations {
-			if *ablate == "all" || a.key == *ablate {
-				collect(a.fn(opts))
+		for _, a := range exp.Ablations {
+			if *ablate == "all" || a.Key == *ablate {
+				collect(a.Run(opts))
 				ran = true
 			}
 		}
 		if !ran {
-			fmt.Fprintf(os.Stderr, "unknown ablation %q (have: %s, all)\n", *ablate, keys(len(ablations), func(i int) string { return ablations[i].key }))
+			fmt.Fprintf(os.Stderr, "unknown ablation %q (have: %s, all)\n", *ablate, exp.Keys(exp.Ablations))
 			os.Exit(2)
 		}
 	} else {
@@ -116,8 +63,8 @@ func main() {
 		// up front: campaigns take minutes, and a typo must not burn a
 		// run before erroring (or discard buffered -json results).
 		known := map[string]bool{}
-		for _, f := range figures {
-			known[f.key] = true
+		for _, f := range exp.Figures {
+			known[f.Key] = true
 		}
 		want := map[string]bool{}
 		var unknown []string
@@ -130,24 +77,24 @@ func main() {
 			}
 		}
 		if len(unknown) > 0 {
-			fmt.Fprintf(os.Stderr, "unknown figure(s) %q (have: %s)\n", strings.Join(unknown, ","), keys(len(figures), func(i int) string { return figures[i].key }))
+			fmt.Fprintf(os.Stderr, "unknown figure(s) %q (have: %s)\n", strings.Join(unknown, ","), exp.Keys(exp.Figures))
 			os.Exit(2)
 		}
 		if len(want) == 0 && strings.TrimSpace(*fig) != "" {
 			// A -fig of only commas/whitespace is a typo, not a request
 			// to run the full multi-minute sweep.
-			fmt.Fprintf(os.Stderr, "no figure selected by -fig %q (have: %s)\n", *fig, keys(len(figures), func(i int) string { return figures[i].key }))
+			fmt.Fprintf(os.Stderr, "no figure selected by -fig %q (have: %s)\n", *fig, exp.Keys(exp.Figures))
 			os.Exit(2)
 		}
 		runAll := len(want) == 0
-		for _, f := range figures {
-			if want[f.key] || (runAll && !f.explicitOnly) {
-				collect(f.fn(opts))
+		for _, f := range exp.Figures {
+			if want[f.Key] || (runAll && !f.ExplicitOnly) {
+				collect(f.Run(opts))
 				ran = true
 			}
 		}
 		if !ran {
-			fmt.Fprintf(os.Stderr, "no figure selected by %q (have: %s)\n", *fig, keys(len(figures), func(i int) string { return figures[i].key }))
+			fmt.Fprintf(os.Stderr, "no figure selected by %q (have: %s)\n", *fig, exp.Keys(exp.Figures))
 			os.Exit(2)
 		}
 	}
@@ -158,12 +105,4 @@ func main() {
 			os.Exit(1)
 		}
 	}
-}
-
-func keys(n int, get func(int) string) string {
-	out := make([]string, n)
-	for i := range out {
-		out[i] = get(i)
-	}
-	return strings.Join(out, ",")
 }

@@ -23,22 +23,12 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 	"time"
 
 	"chronos/internal/exp"
 	"chronos/internal/obs"
 	"chronos/internal/obs/obshttp"
 )
-
-var campaigns = []struct {
-	key string
-	fn  func(exp.Options) *exp.Result
-}{
-	{"speed", exp.TrackSpeed},
-	{"latency", exp.TrackLatency},
-	{"capacity", exp.TrackCapacity},
-}
 
 func main() {
 	campaign := flag.String("campaign", "", "campaign to run (speed,latency,capacity); empty = all")
@@ -71,17 +61,13 @@ func main() {
 	opts := exp.Options{Seed: *seed, Trials: *trials, Workers: *workers}
 
 	var results []*exp.Result
-	for _, c := range campaigns {
-		if *campaign == "" || c.key == *campaign {
-			results = append(results, c.fn(opts))
+	for _, c := range exp.TrackCampaigns {
+		if *campaign == "" || c.Key == *campaign {
+			results = append(results, c.Run(opts))
 		}
 	}
 	if len(results) == 0 {
-		keys := make([]string, len(campaigns))
-		for i, c := range campaigns {
-			keys[i] = c.key
-		}
-		fmt.Fprintf(os.Stderr, "unknown campaign %q (have: %s)\n", *campaign, strings.Join(keys, ","))
+		fmt.Fprintf(os.Stderr, "unknown campaign %q (have: %s)\n", *campaign, exp.Keys(exp.TrackCampaigns))
 		os.Exit(2)
 	}
 
