@@ -14,37 +14,10 @@ func approx(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
 func TestAddSubScale(t *testing.T) {
 	a := Vec{1 + 2i, 3 - 1i}
-	b := Vec{-1 + 1i, 2 + 2i}
-	dst := NewVec(2)
-
-	Add(dst, a, b)
-	if dst[0] != 0+3i || dst[1] != 5+1i {
-		t.Errorf("Add = %v", dst)
-	}
-	Sub(dst, a, b)
-	if dst[0] != 2+1i || dst[1] != 1-3i {
-		t.Errorf("Sub = %v", dst)
-	}
+	dst := make(Vec, 2)
 	Scale(dst, 2i, a)
 	if dst[0] != -4+2i || dst[1] != 2+6i {
 		t.Errorf("Scale = %v", dst)
-	}
-}
-
-func TestAXPY(t *testing.T) {
-	dst := Vec{1, 1}
-	AXPY(dst, 3, Vec{1i, 2})
-	if dst[0] != 1+3i || dst[1] != 7 {
-		t.Errorf("AXPY = %v", dst)
-	}
-}
-
-func TestDotConjugatesFirstArgument(t *testing.T) {
-	a := Vec{1i}
-	b := Vec{1i}
-	// conj(i)*i = -i*i = 1
-	if got := Dot(a, b); got != 1 {
-		t.Errorf("Dot = %v, want 1", got)
 	}
 }
 
@@ -53,20 +26,11 @@ func TestNorms(t *testing.T) {
 	if got := Norm2(v); !approx(got, math.Sqrt(50), eps) {
 		t.Errorf("Norm2 = %v", got)
 	}
-	if got := Norm1(v); !approx(got, 10, eps) {
-		t.Errorf("Norm1 = %v", got)
-	}
-	if got := NormInf(v); !approx(got, 5, eps) {
-		t.Errorf("NormInf = %v", got)
-	}
-	if got := NormInf(nil); got != 0 {
-		t.Errorf("NormInf(nil) = %v", got)
-	}
 }
 
 func TestPower(t *testing.T) {
 	v := Vec{2i}
-	dst := NewVec(1)
+	dst := make(Vec, 1)
 	Power(dst, v, 2)
 	if dst[0] != -4 {
 		t.Errorf("Power2 = %v", dst[0])
@@ -81,82 +45,14 @@ func TestPower(t *testing.T) {
 	}
 }
 
-func TestSoftThreshold(t *testing.T) {
-	p := Vec{3, 1, -2i, 0.5 + 0.5i}
-	SoftThreshold(p, 1.0)
-	if p[0] != 2 {
-		t.Errorf("p[0] = %v", p[0])
-	}
-	if p[1] != 0 {
-		t.Errorf("p[1] = %v, want 0 (|1| not < 1 but shrinks to 0)", p[1])
-	}
-	if got := cmplx.Abs(p[2]); !approx(got, 1, eps) {
-		t.Errorf("|p[2]| = %v", got)
-	}
-	if p[3] != 0 {
-		t.Errorf("p[3] = %v, want 0", p[3])
-	}
-}
-
-func TestSoftThresholdPreservesPhase(t *testing.T) {
-	f := func(re, im float64) bool {
-		if math.IsNaN(re) || math.IsNaN(im) || math.Abs(re) > 1e100 || math.Abs(im) > 1e100 {
-			return true
-		}
-		c := complex(re, im)
-		if a := cmplx.Abs(c); a < 1e-9 || a > 1e100 {
-			return true
-		}
-		p := Vec{c}
-		SoftThreshold(p, cmplx.Abs(c)/2)
-		if p[0] == 0 {
-			return true
-		}
-		return approx(cmplx.Phase(p[0]), cmplx.Phase(c), 1e-9)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestWrapPhase(t *testing.T) {
-	cases := []struct{ in, want float64 }{
-		{0, 0},
-		{math.Pi, math.Pi},
-		{-math.Pi, math.Pi},
-		{3 * math.Pi, math.Pi},
-		{2 * math.Pi, 0},
-		{-0.5, -0.5},
-		{7, 7 - 2*math.Pi},
-	}
-	for _, c := range cases {
-		if got := WrapPhase(c.in); !approx(got, c.want, 1e-9) {
-			t.Errorf("WrapPhase(%v) = %v, want %v", c.in, got, c.want)
-		}
-	}
-}
-
-func TestWrapPhaseRange(t *testing.T) {
-	f := func(x float64) bool {
-		if math.IsNaN(x) || math.IsInf(x, 0) || math.Abs(x) > 1e9 {
-			return true
-		}
-		w := WrapPhase(x)
-		return w > -math.Pi-1e-9 && w <= math.Pi+1e-9
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestUnwrapLinearRamp(t *testing.T) {
-	// A steep linear phase ramp wrapped into (-π, π] must unwrap back to
+	// A steep linear phase ramp wrapped into [-π, π] must unwrap back to
 	// the original line.
 	slope := 2.9 // rad per sample, below π so unwrapping is unambiguous
 	n := 50
 	wrapped := make([]float64, n)
 	for i := range wrapped {
-		wrapped[i] = WrapPhase(slope * float64(i))
+		wrapped[i] = math.Remainder(slope*float64(i), 2*math.Pi)
 	}
 	got := Unwrap(wrapped)
 	for i := range got {
@@ -192,18 +88,6 @@ func TestUnwrapConsecutiveDiffBounded(t *testing.T) {
 	}
 }
 
-func TestAbsAndPhases(t *testing.T) {
-	v := Vec{3 + 4i, -1}
-	mags := Abs(make([]float64, 2), v)
-	if !approx(mags[0], 5, eps) || !approx(mags[1], 1, eps) {
-		t.Errorf("Abs = %v", mags)
-	}
-	phs := Phases(make([]float64, 2), v)
-	if !approx(phs[1], math.Pi, eps) {
-		t.Errorf("Phases = %v", phs)
-	}
-}
-
 func TestFromPolarRoundTrip(t *testing.T) {
 	f := func(mag, ph float64) bool {
 		mag = math.Abs(math.Mod(mag, 1e6))
@@ -213,14 +97,5 @@ func TestFromPolarRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestCloneIndependent(t *testing.T) {
-	v := Vec{1, 2}
-	c := v.Clone()
-	c[0] = 99
-	if v[0] != 1 {
-		t.Error("Clone aliases original")
 	}
 }
