@@ -1,11 +1,10 @@
 // Package stats provides the descriptive statistics the Chronos evaluation
-// harness reports: empirical CDFs, percentiles, histograms, RMSE, and
-// running moments. All functions are deterministic and allocation-light so
-// they can run inside benchmarks.
+// harness reports: percentiles, means, RMSE, and running moments. All
+// functions are deterministic and allocation-light so they can run inside
+// benchmarks.
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
@@ -80,118 +79,6 @@ func RMSE(xs []float64) float64 {
 		ss += x * x
 	}
 	return math.Sqrt(ss / float64(len(xs)))
-}
-
-// CDF is an empirical cumulative distribution function over a sample.
-type CDF struct {
-	sorted []float64
-}
-
-// NewCDF builds an empirical CDF from the sample (which is copied).
-func NewCDF(xs []float64) *CDF {
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	return &CDF{sorted: sorted}
-}
-
-// Len returns the sample size.
-func (c *CDF) Len() int { return len(c.sorted) }
-
-// At returns P(X ≤ x).
-func (c *CDF) At(x float64) float64 {
-	if len(c.sorted) == 0 {
-		return math.NaN()
-	}
-	i := sort.SearchFloat64s(c.sorted, math.Nextafter(x, math.Inf(1)))
-	return float64(i) / float64(len(c.sorted))
-}
-
-// Quantile returns the q-quantile (q in [0,1]).
-func (c *CDF) Quantile(q float64) float64 {
-	if len(c.sorted) == 0 {
-		return math.NaN()
-	}
-	return percentileSorted(c.sorted, q*100)
-}
-
-// Median is shorthand for Quantile(0.5).
-func (c *CDF) Median() float64 { return c.Quantile(0.5) }
-
-// Points samples the CDF at n evenly spaced probabilities and returns
-// (value, probability) pairs suitable for plotting the paper's CDF figures.
-func (c *CDF) Points(n int) [][2]float64 {
-	if n < 2 || len(c.sorted) == 0 {
-		return nil
-	}
-	out := make([][2]float64, n)
-	for i := 0; i < n; i++ {
-		q := float64(i) / float64(n-1)
-		out[i] = [2]float64{c.Quantile(q), q}
-	}
-	return out
-}
-
-// Histogram is a fixed-width-bin histogram over [Min, Max).
-type Histogram struct {
-	Min, Max float64
-	Counts   []int
-	total    int
-	under    int // samples below Min
-	over     int // samples at or above Max
-}
-
-// NewHistogram creates a histogram with bins equal-width bins spanning
-// [min, max). It panics if bins < 1 or max <= min, which indicates a
-// programming error in the harness.
-func NewHistogram(min, max float64, bins int) *Histogram {
-	if bins < 1 || max <= min {
-		panic(fmt.Sprintf("stats: invalid histogram [%g,%g) bins=%d", min, max, bins))
-	}
-	return &Histogram{Min: min, Max: max, Counts: make([]int, bins)}
-}
-
-// Add records one observation.
-func (h *Histogram) Add(x float64) {
-	h.total++
-	switch {
-	case x < h.Min:
-		h.under++
-	case x >= h.Max:
-		h.over++
-	default:
-		i := int((x - h.Min) / (h.Max - h.Min) * float64(len(h.Counts)))
-		if i >= len(h.Counts) { // float edge case at upper boundary
-			i = len(h.Counts) - 1
-		}
-		h.Counts[i]++
-	}
-}
-
-// AddAll records every value in xs.
-func (h *Histogram) AddAll(xs []float64) {
-	for _, x := range xs {
-		h.Add(x)
-	}
-}
-
-// Total returns the number of observations recorded (including out-of-range).
-func (h *Histogram) Total() int { return h.total }
-
-// OutOfRange returns the counts below Min and at/above Max.
-func (h *Histogram) OutOfRange() (under, over int) { return h.under, h.over }
-
-// BinCenter returns the midpoint of bin i.
-func (h *Histogram) BinCenter(i int) float64 {
-	w := (h.Max - h.Min) / float64(len(h.Counts))
-	return h.Min + (float64(i)+0.5)*w
-}
-
-// Fraction returns the fraction of all observations landing in bin i.
-func (h *Histogram) Fraction(i int) float64 {
-	if h.total == 0 {
-		return 0
-	}
-	return float64(h.Counts[i]) / float64(h.total)
 }
 
 // Running accumulates streaming mean/variance via Welford's algorithm.

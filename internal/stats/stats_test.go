@@ -3,7 +3,6 @@ package stats
 import (
 	"math"
 	"math/rand"
-	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -86,119 +85,6 @@ func TestRMSE(t *testing.T) {
 	}
 	if !math.IsNaN(RMSE(nil)) {
 		t.Error("RMSE of empty should be NaN")
-	}
-}
-
-func TestCDFAt(t *testing.T) {
-	c := NewCDF([]float64{1, 2, 3, 4})
-	cases := []struct{ x, want float64 }{
-		{0.5, 0}, {1, 0.25}, {2.5, 0.5}, {4, 1}, {9, 1},
-	}
-	for _, cse := range cases {
-		if got := c.At(cse.x); got != cse.want {
-			t.Errorf("At(%v) = %v, want %v", cse.x, got, cse.want)
-		}
-	}
-}
-
-func TestCDFQuantileInverse(t *testing.T) {
-	// Quantile and At are approximate inverses on the sample support.
-	rng := rand.New(rand.NewSource(11))
-	xs := make([]float64, 1000)
-	for i := range xs {
-		xs[i] = rng.NormFloat64()
-	}
-	c := NewCDF(xs)
-	for q := 0.05; q < 1; q += 0.05 {
-		x := c.Quantile(q)
-		if got := c.At(x); math.Abs(got-q) > 0.01 {
-			t.Errorf("At(Quantile(%v)) = %v", q, got)
-		}
-	}
-}
-
-func TestCDFMedianMatchesMedian(t *testing.T) {
-	xs := []float64{5, 1, 9, 3, 7}
-	if got, want := NewCDF(xs).Median(), Median(xs); got != want {
-		t.Errorf("CDF median %v != %v", got, want)
-	}
-}
-
-func TestCDFPoints(t *testing.T) {
-	c := NewCDF([]float64{1, 2, 3})
-	pts := c.Points(5)
-	if len(pts) != 5 {
-		t.Fatalf("len = %d", len(pts))
-	}
-	if pts[0][1] != 0 || pts[4][1] != 1 {
-		t.Errorf("probability endpoints: %v %v", pts[0], pts[4])
-	}
-	if !sort.SliceIsSorted(pts, func(i, j int) bool { return pts[i][0] < pts[j][0] }) {
-		// Values must be non-decreasing.
-		for i := 1; i < len(pts); i++ {
-			if pts[i][0] < pts[i-1][0] {
-				t.Errorf("points not sorted: %v", pts)
-			}
-		}
-	}
-	if c.Points(1) != nil {
-		t.Error("Points(1) should be nil")
-	}
-	if NewCDF(nil).Points(5) != nil {
-		t.Error("empty CDF Points should be nil")
-	}
-}
-
-func TestHistogramBasics(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	h.AddAll([]float64{0, 1.9, 2, 5, 9.999, -3, 10, 42})
-	if h.Total() != 8 {
-		t.Errorf("total = %d", h.Total())
-	}
-	under, over := h.OutOfRange()
-	if under != 1 || over != 2 {
-		t.Errorf("out of range: %d %d", under, over)
-	}
-	if h.Counts[0] != 2 { // 0 and 1.9
-		t.Errorf("bin0 = %d", h.Counts[0])
-	}
-	if h.Counts[1] != 1 { // 2
-		t.Errorf("bin1 = %d", h.Counts[1])
-	}
-	if h.Counts[4] != 1 { // 9.999
-		t.Errorf("bin4 = %d", h.Counts[4])
-	}
-	if got := h.BinCenter(0); got != 1 {
-		t.Errorf("BinCenter(0) = %v", got)
-	}
-	if got := h.Fraction(0); got != 0.25 {
-		t.Errorf("Fraction(0) = %v", got)
-	}
-}
-
-func TestHistogramPanicsOnBadRange(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic")
-		}
-	}()
-	NewHistogram(5, 5, 10)
-}
-
-func TestHistogramFractionsSumToOne(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	h := NewHistogram(-3, 3, 20)
-	for i := 0; i < 5000; i++ {
-		h.Add(rng.NormFloat64() * 0.8) // mostly in range
-	}
-	var sum float64
-	for i := range h.Counts {
-		sum += h.Fraction(i)
-	}
-	under, over := h.OutOfRange()
-	sum += float64(under+over) / float64(h.Total())
-	if math.Abs(sum-1) > 1e-12 {
-		t.Errorf("fractions sum to %v", sum)
 	}
 }
 
