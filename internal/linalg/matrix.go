@@ -1,7 +1,7 @@
 // Package linalg implements the small dense linear-algebra kernel Chronos
 // needs: complex matrix–vector products for the non-uniform DFT, power
-// iteration for the ISTA step size, and real least squares / Gauss–Newton
-// for trilateration.
+// iteration for the ISTA step size, and a real linear solve and
+// Gauss–Newton for trilateration.
 package linalg
 
 import (
@@ -140,33 +140,4 @@ func SolveReal(a []float64, n int, b []float64) ([]float64, error) {
 		b[r] = sum / a[r*n+r]
 	}
 	return b, nil
-}
-
-// LeastSquares solves min‖A·x − b‖₂ for a real m×n matrix (m ≥ n) via the
-// normal equations AᵀA·x = Aᵀb. Suitable for the small, well-conditioned
-// systems in trilateration.
-func LeastSquares(a []float64, m, n int, b []float64) ([]float64, error) {
-	if len(a) != m*n || len(b) != m {
-		return nil, fmt.Errorf("linalg: LeastSquares dims a=%d b=%d m=%d n=%d", len(a), len(b), m, n)
-	}
-	if m < n {
-		return nil, fmt.Errorf("linalg: underdetermined system m=%d < n=%d", m, n)
-	}
-	ata := make([]float64, n*n)
-	atb := make([]float64, n)
-	for i := 0; i < m; i++ {
-		row := a[i*n : (i+1)*n]
-		for p := 0; p < n; p++ {
-			atb[p] += row[p] * b[i]
-			for q := p; q < n; q++ {
-				ata[p*n+q] += row[p] * row[q]
-			}
-		}
-	}
-	for p := 0; p < n; p++ {
-		for q := 0; q < p; q++ {
-			ata[p*n+q] = ata[q*n+p]
-		}
-	}
-	return SolveReal(ata, n, atb)
 }

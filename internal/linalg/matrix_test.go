@@ -6,7 +6,6 @@ import (
 	"math/cmplx"
 	"math/rand"
 	"testing"
-	"testing/quick"
 
 	"chronos/internal/dsp"
 )
@@ -179,62 +178,5 @@ func TestSolveRealRandomRoundTrip(t *testing.T) {
 				t.Fatalf("trial %d: x[%d] = %v, want %v", trial, i, got[i], want[i])
 			}
 		}
-	}
-}
-
-func TestLeastSquaresExact(t *testing.T) {
-	// Overdetermined but consistent: y = 3x + 2 sampled at 4 points.
-	a := []float64{0, 1, 1, 1, 2, 1, 3, 1}
-	b := []float64{2, 5, 8, 11}
-	x, err := LeastSquares(a, 4, 2, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(x[0]-3) > 1e-9 || math.Abs(x[1]-2) > 1e-9 {
-		t.Errorf("LeastSquares = %v", x)
-	}
-}
-
-func TestLeastSquaresResidualOrthogonality(t *testing.T) {
-	// Property: the least-squares residual is orthogonal to the columns
-	// of A.
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		m, n := 8, 3
-		a := make([]float64, m*n)
-		for i := range a {
-			a[i] = rng.NormFloat64()
-		}
-		b := make([]float64, m)
-		for i := range b {
-			b[i] = rng.NormFloat64()
-		}
-		x, err := LeastSquares(append([]float64(nil), a...), m, n, append([]float64(nil), b...))
-		if err != nil {
-			return true
-		}
-		for j := 0; j < n; j++ {
-			var dot float64
-			for i := 0; i < m; i++ {
-				r := b[i]
-				for k := 0; k < n; k++ {
-					r -= a[i*n+k] * x[k]
-				}
-				dot += a[i*n+j] * r
-			}
-			if math.Abs(dot) > 1e-6 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestLeastSquaresUnderdetermined(t *testing.T) {
-	if _, err := LeastSquares(make([]float64, 2), 1, 2, []float64{1}); err == nil {
-		t.Error("expected error for m < n")
 	}
 }
