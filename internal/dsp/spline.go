@@ -131,7 +131,8 @@ func InterpolateAt(xs, ys []float64, x float64, buf []float64) (float64, error) 
 }
 
 // LinearAt performs straight-line interpolation of (xs, ys) at x, used as
-// the ablation baseline for the spline (DESIGN.md: "interp" ablation).
+// the ablation baseline for the spline (the "linear zero-subcarrier" row
+// of chronos-bench -ablate delay).
 // xs must be strictly increasing with at least two points.
 func LinearAt(xs, ys []float64, x float64) (float64, error) {
 	n := len(xs)

@@ -26,7 +26,7 @@ func ablationRun(o Options, campaignID string, cfg tof.Config) (median, p90 floa
 
 // AblationBands compares band subsets: the 2.4 GHz group alone, the 5 GHz
 // group alone, the faithful fused mode, and the quirk-free all-coherent
-// upper bound (DESIGN.md "bands" ablation).
+// upper bound (the "bands" row of EXPERIMENTS.md's ablations).
 func AblationBands(o Options) *Result {
 	o = o.withDefaults(12)
 	res := &Result{

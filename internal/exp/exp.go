@@ -1,10 +1,13 @@
 // Package exp is the evaluation harness: one function per figure of the
 // paper's §12, each regenerating the corresponding table or series from
-// the simulated testbed, plus the streaming tracking campaigns
-// (TrackSpeed, TrackLatency, TrackCapacity) built on internal/track. The
-// cmd/chronos-bench and cmd/chronos-track binaries, the top-level Go
-// benchmarks, and EXPERIMENTS.md all drive these functions, so the
-// numbers reported everywhere come from a single implementation.
+// the simulated testbed, plus the ablations, the pseudo-figures and the
+// streaming tracking campaigns (TrackSpeed, TrackLatency, TrackCapacity)
+// built on internal/track. One registry (Figures, Ablations,
+// TrackCampaigns) lists them: cmd/chronos-bench and cmd/chronos-track
+// run from it, and TestCampaignGolden checks every campaign that does
+// not time the host against testdata/campaigns.json, the values
+// EXPERIMENTS.md quotes. So the numbers reported everywhere come from a
+// single implementation.
 //
 // # Campaign parallelism and the per-trial seeding scheme
 //
@@ -61,7 +64,7 @@ type Result struct {
 	Title   string             `json:"title"`
 	Header  []string           `json:"header"`
 	Rows    [][]string         `json:"rows"`
-	Metrics map[string]float64 `json:"metrics"` // headline numbers, keyed for EXPERIMENTS.md
+	Metrics map[string]float64 `json:"metrics"` // headline numbers by name; EXPERIMENTS.md quotes them
 	// CapRate, when set, is the fraction of the campaign's profile
 	// solves that hit their iteration cap instead of converging
 	// (tof.Estimate.Converged == false). The convergence campaign sets it

@@ -16,7 +16,8 @@ import (
 // `chronos-bench -ablate all -json` and `chronos-track -json` print, as
 // one array. Regenerate it with `go test ./internal/exp -run
 // TestCampaignGolden -update` only when a change is meant to move a
-// figure, and say so in the change.
+// figure, say so in the change, and update the rows it moved in
+// EXPERIMENTS.md.
 const campaignGolden = "testdata/campaigns.json"
 
 var update = flag.Bool("update", false, "rewrite "+campaignGolden+" from this build")
