@@ -165,58 +165,114 @@ func (r *Radio) drawPacketImpairments(rng *rand.Rand, opts MeasureOptions) (delt
 	return delta, cfoPhase
 }
 
-// measureChain renders one chain's CSI given the packet-level impairments.
+// measureChain renders one chain's CSI given the packet-level
+// impairments: the dwell-invariant part (render) and then this packet's
+// (measureRendered), in place in the rendering's buffers.
 func (r *Radio) measureChain(rng *rand.Rand, ch *rf.Channel, b wifi.Band, opts MeasureOptions, delta, cfoPhase float64) Measurement {
-	if opts.SNRdB == 0 {
-		opts.SNRdB = 30
-	}
-	subs := wifi.CSISubcarriers()
-	vals := make(dsp.Vec, len(subs))
+	var d Dwell
+	r.render(&d, ch, b, opts.TX, opts.SNRdB)
+	m := Measurement{Subcarriers: d.subs, Values: d.resp}
+	r.measureRendered(rng, &d, opts.Time, delta, cfoPhase, &m)
+	return m
+}
 
+// Dwell is the part of a band dwell's CSI that every packet of the dwell
+// shares while the channel holds still: the channel response on the
+// reported subcarriers times the pair's hardware group delay
+// exp(−j2πf·hwDelay), the pair's hardware phase, and the noise scale
+// derived from the response's mean magnitude. Link.RenderDwell fills it
+// once per dwell and Link.MeasureDwellPair adds each packet's own
+// impairments, with the same random draws in the same order as
+// Radio.Measure, so the output is Measure's bit for bit. hwDelay and
+// hwPhase are sums of the two radios' constants and IEEE addition
+// commutes, so the forward and the reverse measurement share one
+// rendering. A Dwell's buffers are reused by the next rendering.
+type Dwell struct {
+	band       wifi.Band
+	subs       []int
+	resp       dsp.Vec // channel response × exp(−j2πf·hwDelay) per subcarrier
+	hwPhase    float64
+	rms, sigma float64 // mean response magnitude and the AWGN σ it sets
+}
+
+// render fills d with the dwell-invariant CSI that radio r reports for
+// packets from tx (nil: no transmitter constants) over ch on band b at
+// the given SNR (0: 30 dB).
+func (r *Radio) render(d *Dwell, ch *rf.Channel, b wifi.Band, tx *Radio, snrDB float64) {
+	if snrDB == 0 {
+		snrDB = 30
+	}
 	// Hardware constant (part of κ): receiver chain phase plus the
 	// transmitter chain phase, and the fixed chain group delays.
 	hwPhase := r.Osc.HWPhase
 	hwDelay := r.Osc.HWDelayNs * 1e-9
-	if opts.TX != nil {
-		hwPhase += opts.TX.Osc.HWPhase
-		hwDelay += opts.TX.Osc.HWDelayNs * 1e-9
+	if tx != nil {
+		hwPhase += tx.Osc.HWPhase
+		hwDelay += tx.Osc.HWDelayNs * 1e-9
 	}
+	if d.subs == nil {
+		d.subs = wifi.CSISubcarriers()
+	}
+	if cap(d.resp) < len(d.subs) {
+		d.resp = make(dsp.Vec, len(d.subs))
+	}
+	d.resp = d.resp[:len(d.subs)]
+	d.band, d.hwPhase = b, hwPhase
 
 	// Reference signal RMS for the noise level: the mean channel
-	// magnitude across subcarriers. vals keeps each response for the
-	// loop below.
+	// magnitude across subcarriers.
 	var rms float64
-	for i, k := range subs {
-		vals[i] = ch.Response(wifi.SubcarrierFreq(b, k))
-		rms += cmplx.Abs(vals[i])
-	}
-	rms /= float64(len(subs))
-	sigma := rf.NoiseSigmaForSNR(rms, opts.SNRdB)
-
-	for i, k := range subs {
+	for i, k := range d.subs {
 		f := wifi.SubcarrierFreq(b, k)
-		h := vals[i]
+		h := ch.Response(f)
+		rms += cmplx.Abs(h)
 		// Hardware group delay acts like extra time of flight at the
 		// passband frequency (calibrated out later per §7 note 2).
 		h *= cmplx.Rect(1, -2*math.Pi*f*hwDelay)
+		d.resp[i] = h
+	}
+	rms /= float64(len(d.subs))
+	d.rms, d.sigma = rms, rf.NoiseSigmaForSNR(rms, snrDB)
+}
+
+// measureRendered writes the CSI radio r reports for one packet of the
+// rendered dwell d, received at time t with the packet's detection delay
+// and CFO phase, into dst. dst's Subcarriers and Values are reused when
+// they have room (measureChain hands over d's own buffers, which are
+// read before they are written).
+func (r *Radio) measureRendered(rng *rand.Rand, d *Dwell, t, delta, cfoPhase float64, dst *Measurement) {
+	n := len(d.subs)
+	subs, vals := dst.Subcarriers, dst.Values
+	if cap(subs) < n {
+		subs = make([]int, n)
+	}
+	if cap(vals) < n {
+		vals = make(dsp.Vec, n)
+	}
+	subs, vals = subs[:n], vals[:n]
+	copy(subs, d.subs)
+	b := d.band
+	for i, k := range d.subs {
+		f := wifi.SubcarrierFreq(b, k)
+		h := d.resp[i]
 		// Detection-delay ramp: baseband, so proportional to (f_k − f_0).
 		ramp := -2 * math.Pi * (f - b.Center) * delta
-		h *= cmplx.Rect(1, ramp+cfoPhase+hwPhase)
-		h = rf.AWGN(rng, h, sigma)
+		h *= cmplx.Rect(1, ramp+cfoPhase+d.hwPhase)
+		h = rf.AWGN(rng, h, d.sigma)
 		if r.QuantBits > 0 {
-			h = quantize(h, r.QuantBits, rms*4)
+			h = quantize(h, r.QuantBits, d.rms*4)
 		}
 		if r.Quirk24 && b.GHz24() {
 			h = quirkFold(h)
 		}
 		vals[i] = h
 	}
-	return Measurement{
+	*dst = Measurement{
 		Band:           b,
 		Subcarriers:    subs,
 		Values:         vals,
 		DetectionDelay: delta,
-		Time:           opts.Time,
+		Time:           t,
 	}
 }
 

@@ -71,17 +71,7 @@ func (s *Spline) fit(mu, z []float64) {
 		return
 	}
 
-	// Solve the tridiagonal system for the second derivatives (natural
-	// boundary: c[0] = c[n-1] = 0) using the Thomas algorithm, with the
-	// interval widths h[i] = xs[i+1] − xs[i] formed where they are used.
-	mu[0], z[0] = 0, 0
-	for i := 1; i < n-1; i++ {
-		hPrev, h := xs[i]-xs[i-1], xs[i+1]-xs[i]
-		alpha := 3*(ys[i+1]-ys[i])/h - 3*(ys[i]-ys[i-1])/hPrev
-		l := float64(2*(xs[i+1]-xs[i-1])) - float64(hPrev*mu[i-1])
-		mu[i] = h / l
-		z[i] = (alpha - float64(hPrev*z[i-1])) / l
-	}
+	forwardSweep(xs, ys, mu, z)
 	for j := n - 2; j >= 0; j-- {
 		h := xs[j+1] - xs[j]
 		s.c[j] = z[j] - float64(mu[j]*s.c[j+1])
@@ -90,14 +80,39 @@ func (s *Spline) fit(mu, z []float64) {
 	}
 }
 
+// forwardSweep runs the forward elimination of the tridiagonal system
+// for a natural spline's second derivatives (natural boundary:
+// c[0] = c[n-1] = 0; Thomas algorithm) over n ≥ 3 knots, into mu and z,
+// with the interval widths h[i] = xs[i+1] − xs[i] formed where they are
+// used. The back-substitution is c[j] = z[j] − mu[j]·c[j+1].
+func forwardSweep(xs, ys, mu, z []float64) {
+	n := len(xs)
+	mu[0], z[0] = 0, 0
+	for i := 1; i < n-1; i++ {
+		hPrev, h := xs[i]-xs[i-1], xs[i+1]-xs[i]
+		alpha := 3*(ys[i+1]-ys[i])/h - 3*(ys[i]-ys[i-1])/hPrev
+		l := float64(2*(xs[i+1]-xs[i-1])) - float64(hPrev*mu[i-1])
+		mu[i] = h / l
+		z[i] = (alpha - float64(hPrev*z[i-1])) / l
+	}
+}
+
 // At evaluates the spline at x. Outside the knot range the boundary cubic
 // is extrapolated, which is exactly what the zero-subcarrier estimate
 // needs when subcarrier 0 sits between the measured ±1 indices (it never
 // does for 802.11n, but guard bands can push the query to the edge).
 func (s *Spline) At(x float64) float64 {
-	n := len(s.xs)
+	i := interval(s.xs, x)
+	return evalCubic(x-s.xs[i], s.ys[i], s.b[i], s.c[i], s.d[i])
+}
+
+// interval returns the index i of the knot interval [xs[i], xs[i+1]]
+// whose cubic At evaluates at x: the one containing x, or the boundary
+// interval outside the knot range.
+func interval(xs []float64, x float64) int {
+	n := len(xs)
 	// Binary search for the interval containing x.
-	i := sort.SearchFloat64s(s.xs, x)
+	i := sort.SearchFloat64s(xs, x)
 	switch {
 	case i <= 0:
 		i = 0
@@ -109,25 +124,45 @@ func (s *Spline) At(x float64) float64 {
 	if i > n-2 {
 		i = n - 2
 	}
-	dx := x - s.xs[i]
-	return s.ys[i] + float64(dx*(s.b[i]+float64(dx*(s.c[i]+float64(dx*s.d[i])))))
+	return i
+}
+
+// evalCubic evaluates one interval's cubic a + b·dx + c·dx² + d·dx³ in
+// Horner form.
+func evalCubic(dx, a, b, c, d float64) float64 {
+	return a + float64(dx*(b+float64(dx*(c+float64(dx*d)))))
 }
 
 // InterpolateAt fits a natural cubic spline to (xs, ys) and evaluates it
-// at x. When buf holds at least 5·len(xs) values the fit works in it
-// instead of allocating, so a caller interpolating many measurements can
-// reuse one buffer; the result is the same either way.
+// at x, returning NewSpline(xs, ys).At(x) bit for bit. It runs the fit's
+// forward sweep in full, but back-substitutes the second derivatives c
+// only down to x's interval and forms b and d for that interval alone,
+// the only coefficients At reads, each value by the same operations in
+// the same order as the full fit. When buf holds at least 3·len(xs)
+// values the fit works in it instead of allocating, so a caller
+// interpolating many measurements can reuse one buffer.
 func InterpolateAt(xs, ys []float64, x float64, buf []float64) (float64, error) {
 	if err := checkKnots(xs, ys); err != nil {
 		return 0, err
 	}
 	n := len(xs)
-	if len(buf) < 5*n {
-		buf = make([]float64, 5*n)
+	if len(buf) < 3*n {
+		buf = make([]float64, 3*n)
 	}
-	s := Spline{xs: xs, ys: ys, b: buf[:n], c: buf[n : 2*n], d: buf[2*n : 3*n]}
-	s.fit(buf[3*n:4*n], buf[4*n:5*n])
-	return s.At(x), nil
+	i := interval(xs, x)
+	if n == 2 {
+		return evalCubic(x-xs[0], ys[0], (ys[1]-ys[0])/(xs[1]-xs[0]), 0, 0), nil
+	}
+	c, mu, z := buf[:n], buf[n:2*n], buf[2*n:3*n]
+	forwardSweep(xs, ys, mu, z)
+	c[n-1] = 0
+	for j := n - 2; j >= i; j-- {
+		c[j] = z[j] - float64(mu[j]*c[j+1])
+	}
+	h := xs[i+1] - xs[i]
+	b := (ys[i+1]-ys[i])/h - h*(c[i+1]+2*c[i])/3
+	d := (c[i+1] - c[i]) / (3 * h)
+	return evalCubic(x-xs[i], ys[i], b, c[i], d), nil
 }
 
 // LinearAt performs straight-line interpolation of (xs, ys) at x, used as

@@ -3,6 +3,7 @@ package dsp
 import (
 	"errors"
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -162,5 +163,52 @@ func TestSplineInterpolationBetweenKnotsProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestInterpolateAtMatchesSpline pins InterpolateAt, which
+// back-substitutes only down to the query's interval, to the full fit
+// bit for bit: random knot sets of 2, 3 and up to 40 knots (spread
+// scales, signed values, exact zeros), queried at every knot, between
+// knots, just outside and far outside the knot range, and at 0, with a
+// fresh and a reused scratch buffer.
+func TestInterpolateAtMatchesSpline(t *testing.T) {
+	rng := rand.New(rand.NewSource(81))
+	buf := make([]float64, 3*40)
+	for trial := 0; trial < 400; trial++ {
+		n := []int{2, 3, 2 + rng.Intn(39)}[trial%3]
+		xs, ys := make([]float64, n), make([]float64, n)
+		x := math.Ldexp(rng.NormFloat64(), rng.Intn(10)-5)
+		for i := range xs {
+			x += math.Ldexp(0.1+rng.Float64(), rng.Intn(6)-3)
+			xs[i] = x
+			if rng.Intn(8) != 0 {
+				ys[i] = math.Ldexp(rng.NormFloat64(), rng.Intn(20)-10)
+			}
+		}
+		sp, err := NewSpline(xs, ys)
+		if err != nil {
+			t.Fatal(err)
+		}
+		span := xs[n-1] - xs[0]
+		queries := []float64{0, xs[0] - span, xs[0] - 1e-9, xs[n-1] + 1e-9, xs[n-1] + 2*span}
+		for i := range xs {
+			queries = append(queries, xs[i])
+			if i+1 < n {
+				queries = append(queries, xs[i]+rng.Float64()*(xs[i+1]-xs[i]))
+			}
+		}
+		for _, q := range queries {
+			want := sp.At(q)
+			for _, b := range [][]float64{nil, buf} {
+				got, err := InterpolateAt(xs, ys, q, b)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("n=%d x=%v: InterpolateAt = %v, Spline.At = %v (knots %v, values %v)", n, q, got, want, xs, ys)
+				}
+			}
+		}
 	}
 }

@@ -126,10 +126,11 @@ func (pl *Plan) MaxCorrelation(h dsp.Vec) float64 {
 }
 
 // MemoryBytes approximates the plan's resident size. The planar adjoint
-// dictionary (two float64 planes of n×m) dominates; the frequency/delay
-// grids and the full-grid index set are included, pooled per-solve
-// workspaces are not (they scale with concurrent solves, not with the
-// registry's plan count).
+// dictionary dominates: two layouts (row-major and cell-major) of two
+// float64 planes of n×m each; the frequency/delay grids and the
+// full-grid index set are included, pooled per-solve workspaces are not
+// (they scale with concurrent solves, not with the registry's plan
+// count).
 func (pl *Plan) MemoryBytes() int64 {
-	return int64(8 * (2*pl.n*pl.m + len(pl.Freqs) + len(pl.Taus) + len(pl.allIdx)))
+	return int64(8 * (4*pl.n*pl.m + len(pl.Freqs) + len(pl.Taus) + len(pl.allIdx)))
 }

@@ -112,28 +112,104 @@ func ForceKernel(name string) (prev string, err error) {
 	return setKernelTier(req).String(), nil
 }
 
-// adjRows is the solver's adjoint product over a run of consecutive
-// dictionary rows: out[r] = Σₖ a_r[k]·x[k] (planar, no conjugation) for
-// each row a_r = fh[r·n : (r+1)·n] of the row-major block fhRe/fhIm,
-// with len(outRe) rows, dispatched on the active tier. Every row runs
-// the fixed-K accumulation contract that cdot defines: K=4 partial
+// adjCells is the solver's adjoint product over one run [lo, hi) of
+// consecutive grid cells: g[k] = Σᵢ Fᴴ[lo+k][i]·x[i] (planar, no
+// conjugation) for each of the run's hi−lo cells, dispatched on the
+// active tier. fhRe/fhIm is Fᴴ row-major (row j at j·n) and ftRe/ftIm
+// the same matrix cell-major (element i of cell j at i·m+j). Every cell
+// runs the fixed-K accumulation contract that cdot defines: K=4 partial
 // sums, element i feeding chain i mod 4 through the stride-4 main loop,
 // the n mod 4 tail feeding chain 0 in order, and the pinned fold
-// (s0+s1)+(s2+s3). The scalar tier loops over cdot; the vector tiers
-// run the four chains in vector lanes, so every tier returns the same
-// bits per row. One call covers a whole run, so the per-call cost is
-// paid once per run of cells, not once per cell.
+// (s0+s1)+(s2+s3). The AVX2 tier runs kernAdjCells on the cell-major
+// copy, one cell per lane and the four chains as four accumulator pairs,
+// with a masked last quad, so one call covers any run; the scalar and
+// NEON tiers run adjRows on the row-major rows. Every tier returns the
+// same bits per cell.
+//
+// With a screen (gradStep's; nil computes every cell) the run is taken
+// four cells at a time from lo, the last quad possibly partial. A quad
+// whose cells all have y and p equal to +0 bit for bit and a key below
+// scr.thr is skipped: its g is stored as +0, and its cells count in the
+// returned total. Every computed cell's key becomes |g| − scr.c,
+// computed as math.Sqrt(gr·gr + gi·gi) − c on every tier. The AVX2
+// kernel fuses the test; the other tiers run adjRowsScreened.
+func adjCells(fhRe, fhIm, ftRe, ftIm []float64, n, m, lo, hi int, xRe, xIm, gRe, gIm []float64, scr *screen) (skipped int) {
+	cells := hi - lo
+	if cells <= 0 {
+		return 0
+	}
+	xRe, xIm, gRe, gIm = xRe[:n], xIm[:n], gRe[:cells], gIm[:cells]
+	if activeTier == tierAVX2 && n > 0 {
+		// The last element the kernel reads is (n−1, hi−1).
+		end := (n-1)*m + hi
+		ftRe, ftIm = ftRe[lo:end], ftIm[lo:end]
+		if scr == nil {
+			return kernAdjCells(ftRe, ftIm, m, xRe, xIm, gRe, gIm, nil, nil, nil, nil, nil, 0, 0)
+		}
+		return kernAdjCells(ftRe, ftIm, m, xRe, xIm, gRe, gIm,
+			scr.yRe[lo:hi], scr.yIm[lo:hi], scr.pRe[lo:hi], scr.pIm[lo:hi], scr.key[lo:hi], scr.thr, scr.c)
+	}
+	fhRe, fhIm = fhRe[lo*n:hi*n], fhIm[lo*n:hi*n]
+	if scr == nil {
+		adjRows(fhRe, fhIm, n, xRe, xIm, gRe, gIm)
+		return 0
+	}
+	return adjRowsScreened(fhRe, fhIm, n, xRe, xIm, gRe, gIm,
+		scr.yRe[lo:hi], scr.yIm[lo:hi], scr.pRe[lo:hi], scr.pIm[lo:hi], scr.key[lo:hi], scr.thr, scr.c)
+}
+
+// adjRows is the row-major adjoint over a run of consecutive dictionary
+// rows: out[r] = Σₖ a_r[k]·x[k] for each row a_r = fh[r·n : (r+1)·n] of
+// the block fhRe/fhIm, len(outRe) rows. The NEON tier runs kernAdjRows,
+// its four chains in vector lanes; every other tier loops over cdot.
 func adjRows(fhRe, fhIm []float64, n int, xRe, xIm, outRe, outIm []float64) {
 	rows := len(outRe)
 	fhRe, fhIm = fhRe[:rows*n], fhIm[:rows*n]
 	xRe, xIm, outIm = xRe[:n], xIm[:n], outIm[:rows]
-	if activeTier != tierScalar && n > 0 && rows > 0 {
+	if activeTier == tierNEON && n > 0 && rows > 0 {
 		kernAdjRows(fhRe, fhIm, n, xRe, xIm, outRe, outIm)
 		return
 	}
 	for r := range outRe {
 		outRe[r], outIm[r] = cdot(fhRe[r*n:(r+1)*n], fhIm[r*n:(r+1)*n], xRe, xIm)
 	}
+}
+
+// adjRowsScreened is adjCells' screened body on the scalar and NEON
+// tiers: quad by quad from the run's first cell, the skip test in Go,
+// then adjRows over the quad's rows and the computed cells' keys.
+// y, p and key are the run's cells.
+func adjRowsScreened(fhRe, fhIm []float64, n int, xRe, xIm, gRe, gIm, yRe, yIm, pRe, pIm, key []float64, thr, c float64) (skipped int) {
+	cells := len(gRe)
+	gIm, yRe, yIm, pRe, pIm, key = gIm[:cells], yRe[:cells], yIm[:cells], pRe[:cells], pIm[:cells], key[:cells]
+	for q := 0; q < cells; q += 4 {
+		e := min(q+4, cells)
+		if quadScreened(yRe[q:e], yIm[q:e], pRe[q:e], pIm[q:e], key[q:e], thr) {
+			for k := q; k < e; k++ {
+				gRe[k], gIm[k] = 0, 0
+			}
+			skipped += e - q
+			continue
+		}
+		adjRows(fhRe[q*n:e*n], fhIm[q*n:e*n], n, xRe, xIm, gRe[q:e], gIm[q:e])
+		for k := q; k < e; k++ {
+			key[k] = math.Sqrt(float64(gRe[k]*gRe[k])+float64(gIm[k]*gIm[k])) - c
+		}
+	}
+	return skipped
+}
+
+// quadScreened is the skip test of one quad: every cell's y and p are +0
+// bit for bit (−0 fails) and its key is below thr (a NaN key or thr
+// fails).
+func quadScreened(yRe, yIm, pRe, pIm, key []float64, thr float64) bool {
+	for k := range key {
+		bits := math.Float64bits(yRe[k]) | math.Float64bits(yIm[k]) | math.Float64bits(pRe[k]) | math.Float64bits(pIm[k])
+		if bits != 0 || !(key[k] < thr) {
+			return false
+		}
+	}
+	return true
 }
 
 // axpyCols accumulates scaled conjugated dictionary columns into the

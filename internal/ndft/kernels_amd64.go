@@ -2,17 +2,18 @@
 
 package ndft
 
-// The AVX2 (ymm) solver kernels behind adjRows, axpyCols, shrinkRun and
-// momentumRun: kernAdjRows runs the full cdot contract for every row of
-// a run; kernAxpyCols keeps each 4-element residual chunk in registers
-// while it adds every listed column, the n mod 4 tail as one masked
-// chunk; kernShrinkRun and kernMomentumRun run the per-cell passes over
-// len(gRe)/4 whole chunks of a run, four cells to a vector. The callers
-// check every length; the kernels never run on the scalar tier. See
-// kernels_amd64.s.
+// The AVX2 (ymm) solver kernels behind adjCells, axpyCols, shrinkRun and
+// momentumRun: kernAdjCells runs the full cdot contract for every cell
+// of a run on the cell-major Fᴴ, one cell per lane, with the
+// drift-bound screen fused; kernAxpyCols keeps each 4-element residual
+// chunk in registers while it adds every listed column, the n mod 4 tail
+// as one masked chunk; kernShrinkRun and kernMomentumRun run the
+// per-cell passes over len(gRe)/4 whole chunks of a run, four cells to a
+// vector. The callers check every length; the kernels never run on the
+// scalar tier. See kernels_amd64.s.
 //
 //go:noescape
-func kernAdjRows(fhRe, fhIm []float64, n int, xRe, xIm, outRe, outIm []float64)
+func kernAdjCells(ftRe, ftIm []float64, m int, xRe, xIm, gRe, gIm, yRe, yIm, pRe, pIm, key []float64, thr, c float64) (skipped int)
 
 //go:noescape
 func kernAxpyCols(fhRe, fhIm []float64, n int, cols []int, srcRe, srcIm, dstRe, dstIm []float64)
@@ -50,4 +51,10 @@ func detectTier() kernelTier {
 		return tierAVX2
 	}
 	return tierScalar
+}
+
+// kernAdjRows is the NEON tier's row adjoint; adjRows never calls it on
+// amd64.
+func kernAdjRows(fhRe, fhIm []float64, n int, xRe, xIm, outRe, outIm []float64) {
+	panic("ndft: NEON kernel called on amd64")
 }

@@ -3,11 +3,11 @@
 // AVX2 (ymm) solver kernels plus the CPUID/XGETBV probes behind
 // detectTier. Every lane executes the EXACT scalar operation sequence
 // of its reference (cdot in plan.go; axpyColsScalar, shrinkRunScalar
-// and momentumRunScalar in kernels.go): for the adjoint dot, four
-// accumulator chains, element i feeding chain i mod 4, the n mod 4 tail
-// added into chain 0 in order, and the pinned (s0+s1)+(s2+s3) fold —
-// separate multiply and add/subtract instructions, no FMA, which would
-// change rounding. Lane-wise vector arithmetic is bit-identical to
+// and momentumRunScalar in kernels.go): for the adjoint, one cell per
+// lane with four accumulator chains, element i feeding chain i mod 4,
+// the n mod 4 tail added into chain 0 in order, and the pinned
+// (s0+s1)+(s2+s3) fold — separate multiply and add/subtract
+// instructions, no FMA, which would change rounding. Lane-wise vector arithmetic is bit-identical to
 // scalar arithmetic, so every tier returns the same solver results; see
 // kernels.go.
 
@@ -56,103 +56,276 @@ TEXT ·xgetbv0(SB), NOSPLIT, $0-8
 	MOVL DX, edx+4(FP)
 	RET
 
-// func kernAdjRows(fhRe, fhIm []float64, n int, xRe, xIm, outRe, outIm []float64)
+// ADJ_ELEM adds one element of Fᴴ into accumulator chain (SR, SI) of
+// each lane, cdot's step: with the four cells' row entries ar/ai in
+// Y8/Y9 and the element's x broadcast from OFF(R8)(AX*1) and
+// OFF(R9)(AX*1), SR += ar·xr − ai·xi and SI += ar·xi + ai·xr. Then it
+// moves the row pointers R12/R13 down one row. Clobbers Y10–Y13.
+#define ADJ_ELEM(OFF, SR, SI) \
+	VBROADCASTSD OFF(R8)(AX*1), Y10; \
+	VBROADCASTSD OFF(R9)(AX*1), Y11; \
+	VMULPD       Y10, Y8, Y12; \
+	VMULPD       Y11, Y9, Y13; \
+	VSUBPD       Y13, Y12, Y12; \
+	VADDPD       Y12, SR, SR; \
+	VMULPD       Y11, Y8, Y12; \
+	VMULPD       Y10, Y9, Y13; \
+	VADDPD       Y13, Y12, Y12; \
+	VADDPD       Y12, SI, SI; \
+	ADDQ         BX, R12; \
+	ADDQ         BX, R13
+
+// ADJ_ZERO clears the four chain pairs: sr0..sr3 in Y0–Y3, si0..si3 in
+// Y4–Y7.
+#define ADJ_ZERO \
+	VXORPD Y0, Y0, Y0; \
+	VXORPD Y1, Y1, Y1; \
+	VXORPD Y2, Y2, Y2; \
+	VXORPD Y3, Y3, Y3; \
+	VXORPD Y4, Y4, Y4; \
+	VXORPD Y5, Y5, Y5; \
+	VXORPD Y6, Y6, Y6; \
+	VXORPD Y7, Y7, Y7
+
+// ADJ_FOLD folds the chains lane-wise as cdot does, (s0+s1)+(s2+s3):
+// the real parts into Y0, the imaginary parts into Y4.
+#define ADJ_FOLD \
+	VADDPD Y1, Y0, Y0; \
+	VADDPD Y3, Y2, Y2; \
+	VADDPD Y2, Y0, Y0; \
+	VADDPD Y5, Y4, Y4; \
+	VADDPD Y7, Y6, Y6; \
+	VADDPD Y6, Y4, Y4
+
+// ADJ_KEY computes the cells' screen keys into Y8 from the folded g in
+// Y0/Y4 and c broadcast in Y10: √(gr·gr + gi·gi) − c, as
+// adjRowsScreened does. Clobbers Y9.
+#define ADJ_KEY \
+	VMULPD  Y0, Y0, Y8; \
+	VMULPD  Y4, Y4, Y9; \
+	VADDPD  Y9, Y8, Y8; \
+	VSQRTPD Y8, Y8; \
+	VSUBPD  Y10, Y8, Y8
+
+// func kernAdjCells(ftRe, ftIm []float64, m int, xRe, xIm, gRe, gIm, yRe, yIm, pRe, pIm, key []float64, thr, c float64) (skipped int)
 //
-// The adjoint product over a run of len(outRe) consecutive rows of the
-// row-major block fhRe/fhIm (row stride n). Per row: the four cdot
-// accumulator chains run across the four ymm lanes (lane c = chain c,
-// element 4i+c) over the first n&^3 elements; the n mod 4 tail is added
-// into chain 0 in order with scalar instructions on lane 0; the fold
-// (s0+s1)+(s2+s3) runs as two horizontal adds; (re, im) is stored to
-// outRe[r], outIm[r]. The caller (adjRows) has checked every length.
-TEXT ·kernAdjRows(SB), NOSPLIT, $0-152
-	MOVQ fhRe_base+0(FP), SI
-	MOVQ fhIm_base+24(FP), DI
-	MOVQ n+48(FP), CX
+// The adjoint product over a run of len(gRe) consecutive cells of the
+// cell-major Fᴴ (ftRe/ftIm start at the run's first cell; row stride m),
+// four cells per vector, one cell per lane. Each lane runs cdot's
+// contract: element i < n&^3 feeds chain i mod 4 (accumulator pairs
+// Y0/Y4 … Y3/Y7), the n mod 4 tail feeds chain 0 in order, and the
+// chains fold lane-wise as (s0+s1)+(s2+s3), so there are no horizontal
+// adds and no scalar tail. The last len mod 4 cells are one more quad
+// with every cell-indexed load and store masked to its lanes (Y14), so
+// nothing past the run is read or written.
+//
+// With a screen (len(key) > 0), a quad whose y and p lanes are all +0
+// bit for bit (the OR of the four vectors tests zero) and whose keys are
+// all below thr (ordered <, so NaN fails) is skipped: its g is stored as
+// +0 and its cells are added to skipped, which accumulates in the
+// result slot. A computed quad's keys become √(gr² + gi²) − c. The
+// caller (adjCells) has checked every length.
+TEXT ·kernAdjCells(SB), NOSPLIT, $0-296
+	MOVQ ftRe_base+0(FP), SI
+	MOVQ ftIm_base+24(FP), DI
+	MOVQ m+48(FP), BX
+	SHLQ $3, BX                // row stride in bytes
 	MOVQ xRe_base+56(FP), R8
+	MOVQ xRe_len+64(FP), CX
 	MOVQ xIm_base+80(FP), R9
-	MOVQ outRe_base+104(FP), R10
-	MOVQ outRe_len+112(FP), R12
-	MOVQ outIm_base+128(FP), R11
+	MOVQ CX, R11
+	ANDQ $-4, R11
+	SHLQ $3, R11               // n&^3 elements, in bytes
+	SHLQ $3, CX                // n elements, in bytes
+	MOVQ gRe_len+112(FP), R10
+	ANDQ $-4, R10
+	SHLQ $3, R10               // the whole quads, in bytes
+	MOVQ $0, skipped+288(FP)
+	XORQ DX, DX                // the quad's byte offset in the run
+	JMP  qcheck
 
-	MOVQ CX, DX
-	ANDQ $-4, DX // n4 = n&^3
-	SHLQ $3, DX  // n4*8 bytes
-	SHLQ $3, CX  // n*8 bytes: the row stride and the tail bound
-	XORQ BX, BX  // row r
-	JMP  rcheck
+qloop:
+	MOVQ  key_len+256(FP), R12
+	TESTQ R12, R12
+	JZ    qcompute
+	MOVQ    yRe_base+152(FP), R12
+	VMOVUPD (R12)(DX*1), Y8
+	MOVQ    yIm_base+176(FP), R12
+	VORPD   (R12)(DX*1), Y8, Y8
+	MOVQ    pRe_base+200(FP), R12
+	VORPD   (R12)(DX*1), Y8, Y8
+	MOVQ    pIm_base+224(FP), R12
+	VORPD   (R12)(DX*1), Y8, Y8
+	VPTEST  Y8, Y8
+	JNZ     qcompute
+	MOVQ         key_base+248(FP), R12
+	VMOVUPD      (R12)(DX*1), Y8
+	VBROADCASTSD thr+272(FP), Y9
+	VCMPPD       $0x11, Y9, Y8, Y8 // key < thr (ordered LT)
+	VMOVMSKPD    Y8, R12
+	CMPQ         R12, $15
+	JNE          qcompute
+	VXORPD       Y0, Y0, Y0
+	MOVQ         gRe_base+104(FP), R12
+	VMOVUPD      Y0, (R12)(DX*1)
+	MOVQ         gIm_base+128(FP), R12
+	VMOVUPD      Y0, (R12)(DX*1)
+	ADDQ         $4, skipped+288(FP)
+	JMP          qnext
 
-rloop:
-	VXORPD Y0, Y0, Y0 // sr chains
-	VXORPD Y1, Y1, Y1 // si chains
-	XORQ   AX, AX     // byte offset within the row
-	JMP    vcheck
+qcompute:
+	ADJ_ZERO
+	LEAQ (SI)(DX*1), R12 // the quad's entries of row 0
+	LEAQ (DI)(DX*1), R13
+	XORQ AX, AX          // element byte offset into x
+	JMP  echeck
 
-vloop:
-	VMOVUPD (SI)(AX*1), Y2 // ar
-	VMOVUPD (DI)(AX*1), Y3 // ai
-	VMOVUPD (R8)(AX*1), Y4 // br
-	VMOVUPD (R9)(AX*1), Y5 // bi
+eloop:
+	VMOVUPD (R12), Y8
+	VMOVUPD (R13), Y9
+	ADJ_ELEM(0, Y0, Y4)
+	VMOVUPD (R12), Y8
+	VMOVUPD (R13), Y9
+	ADJ_ELEM(8, Y1, Y5)
+	VMOVUPD (R12), Y8
+	VMOVUPD (R13), Y9
+	ADJ_ELEM(16, Y2, Y6)
+	VMOVUPD (R12), Y8
+	VMOVUPD (R13), Y9
+	ADJ_ELEM(24, Y3, Y7)
+	ADDQ    $32, AX
 
-	VMULPD Y4, Y2, Y6 // ar*br
-	VMULPD Y5, Y3, Y7 // ai*bi
-	VSUBPD Y7, Y6, Y6 // ar*br - ai*bi
-	VADDPD Y6, Y0, Y0
-
-	VMULPD Y5, Y2, Y6 // ar*bi
-	VMULPD Y4, Y3, Y7 // ai*br
-	VADDPD Y7, Y6, Y6 // ar*bi + ai*br
-	VADDPD Y6, Y1, Y1
-
-	ADDQ $32, AX
-
-vcheck:
-	CMPQ AX, DX
-	JLT  vloop
-
-	// Split the chains before the scalar tail: a VEX.128 op on X0/X1
-	// zeroes the upper ymm half. X0 = (sr0, sr1), X8 = (sr2, sr3),
-	// X1 = (si0, si1), X9 = (si2, si3).
-	VEXTRACTF128 $1, Y0, X8
-	VEXTRACTF128 $1, Y1, X9
-	JMP          tcheck
+echeck:
+	CMPQ AX, R11
+	JLT  eloop
+	JMP  tcheck
 
 tloop:
-	VMOVSD (SI)(AX*1), X2 // ar
-	VMOVSD (DI)(AX*1), X3 // ai
-	VMOVSD (R8)(AX*1), X4 // br
-	VMOVSD (R9)(AX*1), X5 // bi
-
-	VMULSD X4, X2, X6 // ar*br
-	VMULSD X5, X3, X7 // ai*bi
-	VSUBSD X7, X6, X6 // ar*br - ai*bi
-	VADDSD X6, X0, X0 // sr0 += ..., lane 1 (sr1) kept
-
-	VMULSD X5, X2, X6 // ar*bi
-	VMULSD X4, X3, X7 // ai*br
-	VADDSD X7, X6, X6 // ar*bi + ai*br
-	VADDSD X6, X1, X1 // si0 += ..., lane 1 (si1) kept
-
-	ADDQ $8, AX
+	VMOVUPD (R12), Y8
+	VMOVUPD (R13), Y9
+	ADJ_ELEM(0, Y0, Y4)
+	ADDQ    $8, AX
 
 tcheck:
 	CMPQ AX, CX
 	JLT  tloop
 
-	VHADDPD X8, X0, X0 // (sr0+sr1, sr2+sr3)
-	VHADDPD X9, X1, X1 // (si0+si1, si2+si3)
-	VHADDPD X1, X0, X0 // ((sr0+sr1)+(sr2+sr3), (si0+si1)+(si2+si3))
-	VMOVSD  X0, (R10)(BX*8)
-	VMOVHPD X0, (R11)(BX*8)
+	ADJ_FOLD
+	MOVQ    gRe_base+104(FP), R12
+	VMOVUPD Y0, (R12)(DX*1)
+	MOVQ    gIm_base+128(FP), R12
+	VMOVUPD Y4, (R12)(DX*1)
+	MOVQ    key_len+256(FP), R12
+	TESTQ   R12, R12
+	JZ      qnext
+	VBROADCASTSD c+280(FP), Y10
+	ADJ_KEY
+	MOVQ    key_base+248(FP), R12
+	VMOVUPD Y8, (R12)(DX*1)
 
-	ADDQ CX, SI
-	ADDQ CX, DI
-	INCQ BX
+qnext:
+	ADDQ $32, DX
 
-rcheck:
-	CMPQ BX, R12
-	JLT  rloop
+qcheck:
+	CMPQ DX, R10
+	JLT  qloop
 
+	// The partial quad: r = len&3 cells, lanes [0, r) of the mask Y14,
+	// their bits in R10.
+	MOVQ      gRe_len+112(FP), R12
+	ANDQ      $3, R12
+	JZ        done
+	NEGQ      R12
+	ADDQ      $3, R12 // 3 − r
+	LEAQ      tailMask<>(SB), R13
+	VMOVUPD   (R13)(R12*8), Y14
+	VMOVMSKPD Y14, R10
+
+	MOVQ       key_len+256(FP), R12
+	TESTQ      R12, R12
+	JZ         pcompute
+	MOVQ       yRe_base+152(FP), R12
+	VMASKMOVPD (R12)(DX*1), Y14, Y8
+	MOVQ       yIm_base+176(FP), R12
+	VMASKMOVPD (R12)(DX*1), Y14, Y9
+	VORPD      Y9, Y8, Y8
+	MOVQ       pRe_base+200(FP), R12
+	VMASKMOVPD (R12)(DX*1), Y14, Y9
+	VORPD      Y9, Y8, Y8
+	MOVQ       pIm_base+224(FP), R12
+	VMASKMOVPD (R12)(DX*1), Y14, Y9
+	VORPD      Y9, Y8, Y8
+	VPTEST     Y8, Y8
+	JNZ        pcompute
+	MOVQ         key_base+248(FP), R12
+	VMASKMOVPD   (R12)(DX*1), Y14, Y8
+	VBROADCASTSD thr+272(FP), Y9
+	VCMPPD       $0x11, Y9, Y8, Y8
+	VMOVMSKPD    Y8, R12
+	ANDQ         R10, R12
+	CMPQ         R12, R10
+	JNE          pcompute
+	VXORPD       Y0, Y0, Y0
+	MOVQ         gRe_base+104(FP), R12
+	VMASKMOVPD   Y0, Y14, (R12)(DX*1)
+	MOVQ         gIm_base+128(FP), R12
+	VMASKMOVPD   Y0, Y14, (R12)(DX*1)
+	MOVQ         gRe_len+112(FP), R12
+	ANDQ         $3, R12
+	ADDQ         R12, skipped+288(FP)
+	JMP          done
+
+pcompute:
+	ADJ_ZERO
+	LEAQ (SI)(DX*1), R12
+	LEAQ (DI)(DX*1), R13
+	XORQ AX, AX
+	JMP  pecheck
+
+peloop:
+	VMASKMOVPD (R12), Y14, Y8
+	VMASKMOVPD (R13), Y14, Y9
+	ADJ_ELEM(0, Y0, Y4)
+	VMASKMOVPD (R12), Y14, Y8
+	VMASKMOVPD (R13), Y14, Y9
+	ADJ_ELEM(8, Y1, Y5)
+	VMASKMOVPD (R12), Y14, Y8
+	VMASKMOVPD (R13), Y14, Y9
+	ADJ_ELEM(16, Y2, Y6)
+	VMASKMOVPD (R12), Y14, Y8
+	VMASKMOVPD (R13), Y14, Y9
+	ADJ_ELEM(24, Y3, Y7)
+	ADDQ       $32, AX
+
+pecheck:
+	CMPQ AX, R11
+	JLT  peloop
+	JMP  ptcheck
+
+ptloop:
+	VMASKMOVPD (R12), Y14, Y8
+	VMASKMOVPD (R13), Y14, Y9
+	ADJ_ELEM(0, Y0, Y4)
+	ADDQ       $8, AX
+
+ptcheck:
+	CMPQ AX, CX
+	JLT  ptloop
+
+	ADJ_FOLD
+	MOVQ       gRe_base+104(FP), R12
+	VMASKMOVPD Y0, Y14, (R12)(DX*1)
+	MOVQ       gIm_base+128(FP), R12
+	VMASKMOVPD Y4, Y14, (R12)(DX*1)
+	MOVQ       key_len+256(FP), R12
+	TESTQ      R12, R12
+	JZ         done
+	VBROADCASTSD c+280(FP), Y10
+	ADJ_KEY
+	MOVQ       key_base+248(FP), R12
+	VMASKMOVPD Y8, Y14, (R12)(DX*1)
+
+done:
 	VZEROUPPER
 	RET
 

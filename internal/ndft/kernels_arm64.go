@@ -56,9 +56,14 @@ func kernAxpyCols(fhRe, fhIm []float64, n int, cols []int, srcRe, srcIm, dstRe, 
 	}
 }
 
-// The shrink and momentum passes have no NEON form: shrinkRun and
-// momentumRun run their scalar bodies on this tier and never reach the
-// AVX2-only kernels.
+// The cell-major adjoint and the shrink and momentum passes have no
+// NEON form: adjCells runs the row kernel above on this tier, shrinkRun
+// and momentumRun their scalar bodies, and none reaches the AVX2-only
+// kernels.
+
+func kernAdjCells(ftRe, ftIm []float64, m int, xRe, xIm, gRe, gIm, yRe, yIm, pRe, pIm, key []float64, thr, c float64) int {
+	panic("ndft: AVX2 kernel called on the NEON tier")
+}
 
 func kernShrinkRun(yRe, yIm, pRe, pIm, gRe, gIm []float64, gamma, thr, diffSq, gdot float64) (float64, float64) {
 	panic("ndft: AVX2 kernel called on the NEON tier")

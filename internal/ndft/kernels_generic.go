@@ -15,6 +15,10 @@ func kernAdjRows(fhRe, fhIm []float64, n int, xRe, xIm, outRe, outIm []float64) 
 	panic("ndft: vector kernel called on scalar tier")
 }
 
+func kernAdjCells(ftRe, ftIm []float64, m int, xRe, xIm, gRe, gIm, yRe, yIm, pRe, pIm, key []float64, thr, c float64) int {
+	panic("ndft: vector kernel called on scalar tier")
+}
+
 func kernAxpyCols(fhRe, fhIm []float64, n int, cols []int, srcRe, srcIm, dstRe, dstIm []float64) {
 	panic("ndft: vector kernel called on scalar tier")
 }

@@ -100,13 +100,120 @@ func checkAdjRows(t *testing.T, fhRe, fhIm, xRe, xIm []float64, n, off, rows int
 	}
 }
 
-// TestAdjDotMatchesCdot checks the tier-dispatched adjoint over runs of
-// rows against the scalar contract reference on every available tier:
-// every row length from 0 to 67 (odd tails, partial lane groups), run
-// lengths 1–9 at several row offsets, over zeros, denormals, ±1e300 and
-// NaNs. Every row must produce bit-identical sums — the property the
-// warm-solve and alias-refit paths rely on when the tier changes
-// between runs.
+// transpose returns the cell-major copy of an m-row, n-column row-major
+// block, as NewPlan stores ftRe/ftIm: element i of row j at i·m+j.
+func transpose(fh []float64, n, m int) []float64 {
+	ft := make([]float64, n*m)
+	for j := 0; j < m; j++ {
+		for i := 0; i < n; i++ {
+			ft[i*m+j] = fh[j*n+i]
+		}
+	}
+	return ft
+}
+
+// screenFixture draws a screen over m cells for checkAdjCells: y and p
+// mostly +0, some with a −0 or a non-zero component; keys below, at and
+// above thr, NaN and ±Inf; thr finite, NaN or −Inf.
+func screenFixture(rng *rand.Rand, m int) *screen {
+	scr := &screen{
+		yRe: make([]float64, m), yIm: make([]float64, m),
+		pRe: make([]float64, m), pIm: make([]float64, m),
+		key: make([]float64, m),
+		thr: rng.NormFloat64(), c: rng.NormFloat64(),
+	}
+	switch rng.Intn(8) {
+	case 0:
+		scr.thr = math.NaN()
+	case 1:
+		scr.thr = math.Inf(-1)
+	}
+	vecs := [][]float64{scr.yRe, scr.yIm, scr.pRe, scr.pIm}
+	for j := 0; j < m; j++ {
+		switch rng.Intn(10) {
+		case 0:
+			vecs[rng.Intn(4)][j] = math.Copysign(0, -1)
+		case 1, 2:
+			vecs[rng.Intn(4)][j] = rng.NormFloat64()
+		}
+		switch rng.Intn(10) {
+		case 0:
+			scr.key[j] = scr.thr
+		case 1:
+			scr.key[j] = math.NaN()
+		case 2:
+			scr.key[j] = math.Inf(1 - 2*rng.Intn(2))
+		case 3:
+			scr.key[j] = scr.thr + math.Abs(rng.NormFloat64())
+		default:
+			scr.key[j] = scr.thr - math.Abs(rng.NormFloat64())
+		}
+	}
+	return scr
+}
+
+// checkAdjCells runs adjCells over the cells [lo, hi) of an m-cell
+// dictionary, given row-major (fh) and cell-major (ft), and requires
+// every cell's output to match cdot on its row bit for bit (NaN matching
+// NaN) and the output slot past the run to stay untouched. Then it runs
+// adjCells again under a screen and requires the skipped count, every
+// output and every key of the grid to match adjRowsScreened, the
+// screen's Go body.
+func checkAdjCells(t *testing.T, rng *rand.Rand, fhRe, fhIm, ftRe, ftIm, xRe, xIm []float64, n, m, lo, hi int) {
+	t.Helper()
+	const canary = -7.25
+	cells := hi - lo
+	outRe := make([]float64, cells+1)
+	outIm := make([]float64, cells+1)
+	outRe[cells], outIm[cells] = canary, canary
+	if skipped := adjCells(fhRe, fhIm, ftRe, ftIm, n, m, lo, hi, xRe, xIm, outRe[:cells], outIm[:cells], nil); skipped != 0 {
+		t.Fatalf("%v n=%d run [%d,%d): %d cells skipped without a screen", activeTier, n, lo, hi, skipped)
+	}
+	for r := 0; r < cells; r++ {
+		row := (lo + r) * n
+		wantR, wantI := cdot(fhRe[row:row+n], fhIm[row:row+n], xRe, xIm)
+		if !bothNaNOrEqualBits(outRe[r], wantR) || !bothNaNOrEqualBits(outIm[r], wantI) {
+			t.Fatalf("%v n=%d run [%d,%d) cell %d: got (%v,%v) want (%v,%v)",
+				activeTier, n, lo, hi, lo+r, outRe[r], outIm[r], wantR, wantI)
+		}
+	}
+	if outRe[cells] != canary || outIm[cells] != canary {
+		t.Fatalf("%v n=%d run [%d,%d): wrote past the run", activeTier, n, lo, hi)
+	}
+
+	scr := screenFixture(rng, m)
+	wantKey := append([]float64(nil), scr.key...)
+	wantRe := append([]float64(nil), outRe...)
+	wantIm := append([]float64(nil), outIm...)
+	wantSkip := adjRowsScreened(fhRe[lo*n:hi*n], fhIm[lo*n:hi*n], n, xRe, xIm, wantRe[:cells], wantIm[:cells],
+		scr.yRe[lo:hi], scr.yIm[lo:hi], scr.pRe[lo:hi], scr.pIm[lo:hi], wantKey[lo:hi], scr.thr, scr.c)
+	gotSkip := adjCells(fhRe, fhIm, ftRe, ftIm, n, m, lo, hi, xRe, xIm, outRe[:cells], outIm[:cells], scr)
+	if gotSkip != wantSkip {
+		t.Fatalf("%v n=%d run [%d,%d) thr=%v: skipped %d cells, want %d", activeTier, n, lo, hi, scr.thr, gotSkip, wantSkip)
+	}
+	for r := range outRe {
+		if !bothNaNOrEqualBits(outRe[r], wantRe[r]) || !bothNaNOrEqualBits(outIm[r], wantIm[r]) {
+			t.Fatalf("%v n=%d run [%d,%d) screened slot %d: got (%v,%v) want (%v,%v)",
+				activeTier, n, lo, hi, r, outRe[r], outIm[r], wantRe[r], wantIm[r])
+		}
+	}
+	for j := range wantKey {
+		if !bothNaNOrEqualBits(scr.key[j], wantKey[j]) {
+			t.Fatalf("%v n=%d run [%d,%d): key of cell %d = %v, want %v", activeTier, n, lo, hi, j, scr.key[j], wantKey[j])
+		}
+	}
+}
+
+// TestAdjDotMatchesCdot checks the tier-dispatched adjoint against the
+// scalar contract reference on every available tier. adjRows (the row
+// kernels): every row length from 0 to 67 (odd tails, partial lane
+// groups), run lengths 1–9 at several row offsets. adjCells (the AVX2
+// tier's cell-major kernel, the row kernels elsewhere): every n from 1
+// to 35 and every run [lo, hi) of a 13-cell grid, so every run offset
+// and every run length mod 4, masked tails included, plain and under a
+// screen. The data mixes zeros, denormals, ±1e300 and NaNs. Every cell
+// must produce bit-identical sums — the property the warm-solve and
+// alias-refit paths rely on when the tier changes between runs.
 func TestAdjDotMatchesCdot(t *testing.T) {
 	for _, tier := range kernelTiers() {
 		t.Run(tier.String(), func(t *testing.T) {
@@ -127,6 +234,22 @@ func TestAdjDotMatchesCdot(t *testing.T) {
 					}
 				}
 			}
+			const m = 13
+			for n := 1; n <= 35; n++ {
+				for trial := 0; trial < 2; trial++ {
+					allowNaN := trial == 1
+					fhRe := kernelVec(rng, m*n, allowNaN)
+					fhIm := kernelVec(rng, m*n, allowNaN)
+					ftRe, ftIm := transpose(fhRe, n, m), transpose(fhIm, n, m)
+					xRe := kernelVec(rng, n, allowNaN)
+					xIm := kernelVec(rng, n, allowNaN)
+					for lo := 0; lo < m; lo++ {
+						for hi := lo + 1; hi <= m; hi++ {
+							checkAdjCells(t, rng, fhRe, fhIm, ftRe, ftIm, xRe, xIm, n, m, lo, hi)
+						}
+					}
+				}
+			}
 		})
 	}
 }
@@ -134,7 +257,8 @@ func TestAdjDotMatchesCdot(t *testing.T) {
 // FuzzAdjDotEquivalence is the fuzzer-driven variant of the table test
 // above: arbitrary row lengths, run lengths and offsets over the mixed
 // value set (infinities and NaNs included) must match the scalar
-// contract row by row on every available tier.
+// contract row by row on every available tier, through the row kernels
+// and through adjCells, plain and screened.
 func FuzzAdjDotEquivalence(f *testing.F) {
 	f.Add(int64(1), 7, 1)
 	f.Add(int64(99), 16, 5)
@@ -145,13 +269,18 @@ func FuzzAdjDotEquivalence(f *testing.F) {
 		}
 		rng := rand.New(rand.NewSource(seed))
 		off := rng.Intn(4)
-		fhRe := kernelVec(rng, (off+rows)*n, true)
-		fhIm := kernelVec(rng, (off+rows)*n, true)
+		m := off + rows
+		fhRe := kernelVec(rng, m*n, true)
+		fhIm := kernelVec(rng, m*n, true)
+		ftRe, ftIm := transpose(fhRe, n, m), transpose(fhIm, n, m)
 		xRe := kernelVec(rng, n, true)
 		xIm := kernelVec(rng, n, true)
 		for _, tier := range kernelTiers() {
 			prev := setKernelTier(tier)
 			checkAdjRows(t, fhRe, fhIm, xRe, xIm, n, off, rows)
+			if n > 0 {
+				checkAdjCells(t, rng, fhRe, fhIm, ftRe, ftIm, xRe, xIm, n, m, off, m)
+			}
 			setKernelTier(prev)
 		}
 	})

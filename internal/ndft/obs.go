@@ -31,6 +31,10 @@ var (
 	// audit could not grow the working set, forcing the cold full-grid
 	// fallback.
 	obsSolveKKTFallbacks = obs.NewCounter("ndft.solve.kkt_fallbacks")
+	// obsSolveScreenedCells counts the working-set cells whose gradStep
+	// adjoint the drift-bound screen skipped (see screen.go), booked once
+	// per solve; Result.Work still counts them.
+	obsSolveScreenedCells = obs.NewCounter("ndft.solve.screened_cells")
 	// obsSolveWallNs is wall time per Solve call, nanoseconds, including
 	// whatever its InvertOptions.Yield hook ran.
 	obsSolveWallNs = obs.NewHist("ndft.solve.wall_ns")
@@ -60,5 +64,6 @@ func (t *solveTask) record(wallStart int64) {
 	if t.fellBack {
 		obsSolveKKTFallbacks.Inc()
 	}
+	obsSolveScreenedCells.Add(t.screened)
 	obsSolveWallNs.Since(wallStart)
 }

@@ -11,8 +11,9 @@ import (
 
 // Plan is the precomputed, reusable form of one NDFT inversion problem:
 // the dictionary F for a fixed (freqs, taus) pair, its conjugate
-// transpose laid out row-major so the adjoint product streams through
-// memory, and the Lipschitz/step constants Algorithm 1 needs. A Plan is
+// transpose in two layouts (row-major for the forward product and the
+// row adjoints, cell-major for the AVX2 adjoint), and the Lipschitz/step
+// constants Algorithm 1 needs. A Plan is
 // built once per band-group signature and shared: Solve is safe for
 // concurrent use (scratch vectors live in an internal pool, one set per
 // in-flight solve), and steady-state solves allocate nothing, so the
@@ -28,11 +29,22 @@ type Plan struct {
 	Taus  []float64 // m delay-grid points (seconds)
 
 	n, m int
-	// The conjugate-transpose dictionary Fᴴ (m×n), row-major planar. It
-	// is the only stored form: the adjoint product walks its rows, and
-	// the forward product walks the same rows as conjugated columns of
-	// F, so no separate forward copy is kept.
+	// The conjugate-transpose dictionary Fᴴ (m×n), row-major planar: the
+	// forward product walks its rows as conjugated columns of F, and the
+	// scalar and NEON adjoints walk them as rows.
 	fhRe, fhIm []float64
+	// ftRe/ftIm is the same Fᴴ stored cell-major: n rows over the m
+	// cells, element i of cell j at i·m+j. The AVX2 adjoint reads four
+	// consecutive cells of one row per vector load.
+	ftRe, ftIm []float64
+
+	// The drift-bound screen's per-plan constants (see screenStep):
+	// √n, the slope √n·(1+screenDelta) that T subtracts per unit of
+	// residual path length, and the rounding allowance per unit of the
+	// largest residual norm. screenOK is false for a plan the screen's
+	// error analysis does not cover.
+	sqrtN, screenSlope, screenEps float64
+	screenOK                      bool
 
 	normSq float64 // ‖F‖₂²
 	gamma  float64 // ISTA step size 1/‖F‖₂²
@@ -58,6 +70,8 @@ type workspace struct {
 	pRe, pIm       []float64 // iterate (m)
 	yRe, yIm       []float64 // FISTA extrapolation point (m)
 	gRe, gIm       []float64 // adjoint output, then the step (m)
+	prevRe, prevIm []float64 // the previous gradStep residual (n)
+	key            []float64 // per cell: |g| − √n·D at its last computed gradStep (m)
 	runs           [][2]int  // the phase's working set as runs [lo, hi) of consecutive cells
 	active         []int     // support of the extrapolation point (≤ m)
 	idx            []int     // restricted working set for warm solves (≤ m)
@@ -81,8 +95,10 @@ func NewPlan(freqs, taus []float64) (*Plan, error) {
 		Taus:  append([]float64(nil), taus...),
 		n:     n, m: m,
 		fhRe: make([]float64, n*m), fhIm: make([]float64, n*m),
+		ftRe: make([]float64, n*m), ftIm: make([]float64, n*m),
 	}
 	f := linalg.NewCMatrix(n, m)
+	var modSqMax float64
 	for i, fr := range freqs {
 		for k, tau := range taus {
 			ph := -2 * math.Pi * fr * tau
@@ -93,10 +109,16 @@ func NewPlan(freqs, taus []float64) (*Plan, error) {
 			f.Data[i*m+k] = complex(c, s)
 			// Adjoint row k, column i: conj(F[i][k]).
 			pl.fhRe[k*n+i], pl.fhIm[k*n+i] = c, -s
+			pl.ftRe[i*m+k], pl.ftIm[i*m+k] = c, -s
+			modSqMax = max(modSqMax, float64(c*c)+float64(s*s))
 		}
 	}
+	pl.sqrtN = math.Sqrt(float64(n))
+	pl.screenSlope = float64(pl.sqrtN * (1 + screenDelta))
+	pl.screenEps = float64(float64(4*(n+8))*0x1p-53) * pl.sqrtN
+	pl.screenOK = n <= screenMaxN && modSqMax <= 1+0x1p-40
 	// f is used only for the power iteration below and then released;
-	// the planar adjoint is the plan's dictionary.
+	// the planar adjoint layouts are the plan's dictionary.
 	pl.allIdx = make([]int, m)
 	for j := range pl.allIdx {
 		pl.allIdx[j] = j
@@ -114,6 +136,8 @@ func NewPlan(freqs, taus []float64) (*Plan, error) {
 			pRe: make([]float64, m), pIm: make([]float64, m),
 			yRe: make([]float64, m), yIm: make([]float64, m),
 			gRe: make([]float64, m), gIm: make([]float64, m),
+			prevRe: make([]float64, n), prevIm: make([]float64, n),
+			key: make([]float64, m),
 			// A set of distinct cells has at most ⌈m/2⌉ maximal runs.
 			runs:   make([][2]int, 0, (m+1)/2),
 			active: make([]int, 0, m), idx: make([]int, 0, m),
@@ -212,23 +236,28 @@ func (pl *Plan) kktViolators(w *workspace, alpha float64) []int {
 }
 
 // adjointDense writes the full adjoint product Fᴴx into gRe/gIm, indexed
-// by cell: one run, all m rows of the dictionary in one kernel call.
+// by cell: one run over all m cells, every cell computed.
 func (pl *Plan) adjointDense(xRe, xIm, gRe, gIm []float64) {
-	adjRows(pl.fhRe, pl.fhIm, pl.n, xRe, xIm, gRe[:pl.m], gIm[:pl.m])
+	pl.adjointRun(0, pl.m, xRe, xIm, gRe, gIm, nil)
 }
 
 // adjointRuns writes (Fᴴx)ⱼ for every cell j of a working set, given as
 // its runs of consecutive cells, into gRe/gIm indexed by position in the
-// set: one kernel call per run, over the run's contiguous block of Fᴴ
-// rows.
-func (pl *Plan) adjointRuns(runs [][2]int, xRe, xIm, gRe, gIm []float64) {
-	n, pos := pl.n, 0
+// set: one kernel call per run. scr is gradStep's screen, or nil to
+// compute every cell; it returns the cells the screen skipped.
+func (pl *Plan) adjointRuns(runs [][2]int, xRe, xIm, gRe, gIm []float64, scr *screen) (skipped int) {
+	pos := 0
 	for _, r := range runs {
-		lo, hi := r[0], r[1]
-		next := pos + hi - lo
-		adjRows(pl.fhRe[lo*n:hi*n], pl.fhIm[lo*n:hi*n], n, xRe, xIm, gRe[pos:next], gIm[pos:next])
+		next := pos + r[1] - r[0]
+		skipped += pl.adjointRun(r[0], r[1], xRe, xIm, gRe[pos:next], gIm[pos:next], scr)
 		pos = next
 	}
+	return skipped
+}
+
+// adjointRun is adjCells over the plan's two layouts of Fᴴ.
+func (pl *Plan) adjointRun(lo, hi int, xRe, xIm, gRe, gIm []float64, scr *screen) int {
+	return adjCells(pl.fhRe, pl.fhIm, pl.ftRe, pl.ftIm, pl.n, pl.m, lo, hi, xRe, xIm, gRe, gIm, scr)
 }
 
 // setRuns splits an ascending set of distinct cells into its maximal
@@ -270,7 +299,7 @@ func (pl *Plan) getWorkspace() *workspace { return pl.ws.Get().(*workspace) }
 // k mod 4 tail feeding chain 0, folded as (s0+s1)+(s2+s3). The chains
 // hide scalar add latency; the fixed split is deterministic, so results
 // are identical across runs, worker counts, and — because every SIMD
-// tier implements the same contract lane-for-lane (see adjRows) — across
+// tier implements the same contract lane-for-lane (see adjCells) — across
 // architectures.
 //
 // Every product is wrapped in float64(...). The Go spec lets the

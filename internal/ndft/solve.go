@@ -67,6 +67,14 @@ type solveTask struct {
 	expansions int
 	fellBack   bool
 
+	// The drift-bound screen's clock, shared by every phase of the solve
+	// (see screen.go): gradSteps run so far, the residual path length D,
+	// the largest squared residual norm, and the cells it skipped.
+	steps    int
+	path     float64
+	resMaxSq float64
+	screened int64
+
 	// Current iterate-phase state (one beginIterate per phase). polish
 	// marks the polish of a gap-stopped iterate: it never yields, and its
 	// gap checks run against the polishGapFrac-tightened tolerance.
@@ -129,6 +137,7 @@ func (t *solveTask) init(pl *Plan, req *SolveRequest, w *workspace) {
 		res:  req.Dst,
 		opts: req.InvertOptions.withDefaults(w.hRe, w.hIm),
 	}
+	t.resetScreen()
 }
 
 // start finishes setup — the Fᴴh̃ correlation bound, α scaling, warm
@@ -302,12 +311,14 @@ func (t *solveTask) beginIterate(set []int, a0 float64, budget int, polish bool)
 // gradStep runs one iteration's proximal-gradient step from the
 // extrapolation point y: p ← SPARSIFY(y − γ·Fᴴ·(F·y − h̃), γα) over the
 // phase's working set. The adjoint runs once per run of consecutive
-// cells (adjointRuns: the fixed-K chain contract per row, same bits on
-// every tier); shrinkRun then shrinks each run's cells, stores each
-// cell's step p − p_prev in place of its gradient, and adds ‖Δp‖² and the
-// restart test's ⟨y − p, Δp⟩ cell by cell, carried from run to run in
-// set order; gradStep returns both for endStep. On the AVX2 tier the
-// shrink runs four cells to a vector, bit for bit as shrinkRunScalar.
+// cells (adjointRuns: the fixed-K chain contract per cell, same bits on
+// every tier) under the drift-bound screen (screen.go), which stores +0
+// for every quad of cells it proves would shrink to +0 anyway;
+// shrinkRun then shrinks each run's cells, stores each cell's step
+// p − p_prev in place of its gradient, and adds ‖Δp‖² and the restart
+// test's ⟨y − p, Δp⟩ cell by cell, carried from run to run in set order;
+// gradStep returns both for endStep. On the AVX2 tier the shrink runs
+// four cells to a vector, bit for bit as shrinkRunScalar.
 func (t *solveTask) gradStep() (diffSq, gdot float64) {
 	pl, w := t.pl, t.w
 	gamma := pl.gamma
@@ -316,9 +327,10 @@ func (t *solveTask) gradStep() (diffSq, gdot float64) {
 	// soft-thresholded iterate is sparse, so the forward product touches
 	// a few dozen dictionary columns, not the whole grid.
 	pl.forwardResid(w, w.yRe, w.yIm, w.active)
-	pl.adjointRuns(w.runs, w.residRe, w.resIm, w.gRe, w.gIm)
 	// float64(...): the compiler may otherwise fuse γ·α into a − thr.
 	thr := float64(gamma * t.curAlpha)
+	scr := t.screenStep(thr)
+	t.screened += int64(pl.adjointRuns(w.runs, w.residRe, w.resIm, w.gRe, w.gIm, &scr))
 	pos := 0
 	for _, r := range w.runs {
 		lo, hi := r[0], r[1]
@@ -458,7 +470,7 @@ func (t *solveTask) gapCheck() (bool, float64) {
 	}
 	// The iteration's steps in w.g* were consumed by endStep's momentum
 	// before this check, so the adjoint pass may overwrite them.
-	pl.adjointRuns(w.runs, w.residRe, w.resIm, w.gRe, w.gIm)
+	pl.adjointRuns(w.runs, w.residRe, w.resIm, w.gRe, w.gIm, nil)
 	var maxSq float64
 	for k := range set {
 		if sq := float64(w.gRe[k]*w.gRe[k]) + float64(w.gIm[k]*w.gIm[k]); sq > maxSq {

@@ -85,10 +85,10 @@ func (sc *interpScratch) zeroSubcarrier(m csi.Measurement, power int, mode Inter
 	// removing it keeps every step small; since the query point is k=0,
 	// no re-rotation is needed afterwards.
 	slope := estimateSlope(m.Subcarriers, vals)
-	if cap(sc.f) < 8*n {
-		sc.f = make([]float64, 8*n)
+	if cap(sc.f) < 6*n {
+		sc.f = make([]float64, 6*n)
 	}
-	f := sc.f[:8*n]
+	f := sc.f[:6*n]
 	xs, mags, phases, fit := f[:n], f[n:2*n], f[2*n:3*n], f[3*n:]
 	for i, k := range m.Subcarriers {
 		xs[i] = float64(k)
@@ -161,10 +161,24 @@ func estimateSlope(subs []int, vals dsp.Vec) float64 {
 	coarse := cmplx.Phase(r) / float64(minStep)
 
 	// Refine: all consecutive pairs, phases now small after de-rotation.
+	// The de-rotation depends only on the spacing, which takes one or two
+	// values per band, so the last two distinct spacings keep theirs
+	// (every spacing is at least minStep > 0, so 0 marks an empty slot).
 	var num, den float64
+	var spacing [2]int
+	var rot [2]complex128
 	for i := 1; i < n; i++ {
-		d := float64(subs[i] - subs[i-1])
-		prod := dsp.Mul(dsp.Mul(vals[i], cmplx.Conj(vals[i-1])), cmplx.Rect(1, -coarse*d))
+		step := subs[i] - subs[i-1]
+		k := 0
+		if spacing[0] != step {
+			k = 1
+			if spacing[1] != step {
+				spacing[0], rot[0] = spacing[1], rot[1]
+				spacing[1], rot[1] = step, cmplx.Rect(1, -coarse*float64(step))
+			}
+		}
+		d := float64(step)
+		prod := dsp.Mul(dsp.Mul(vals[i], cmplx.Conj(vals[i-1])), rot[k])
 		w := cmplx.Abs(prod)
 		if w == 0 {
 			continue

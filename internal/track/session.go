@@ -136,6 +136,11 @@ type Session struct {
 	tracker *RangeTracker
 	acc     *tof.Sweep
 
+	// The capture buffers StepIngest reuses band after band: the band
+	// dwell's rendered CSI and its pairs.
+	dwell csi.Dwell
+	pairs []csi.Pair
+
 	res             *SessionResult
 	walkedTo        float64
 	rawSq, smoothSq float64
@@ -200,6 +205,7 @@ func NewSession(rng *rand.Rand, office *sim.Office, est *tof.Estimator, cfg Sess
 	s.tracker = NewRangeTracker()
 	s.acc = est.NewSweep()
 	s.acc.SetWarmStart(cfg.WarmStart)
+	s.pairs = make([]csi.Pair, pairsPerBand)
 	return s, nil
 }
 
@@ -281,13 +287,15 @@ func (s *Session) StepIngest() error {
 		s.link.Channel = s.office.Channel(pl, 5.5e9)
 		s.link.SNRdB = sim.LinkSNR(0, pl.TrueDistance(), cfg.NLOS)
 
+		// The channel holds still for the dwell: render it once for
+		// every pair (the fold keeps no reference to the pairs).
 		step := s.hcfg.Dwell.Seconds() / float64(pairsPerBand+1)
-		pairs := make([]csi.Pair, pairsPerBand)
-		for pi := range pairs {
-			pairs[pi] = s.link.MeasurePair(s.rng, b, s.msim.Now().Seconds()+float64(float64(pi+1)*step))
+		s.link.RenderDwell(&s.dwell, b)
+		for pi := range s.pairs {
+			s.link.MeasureDwellPair(s.rng, &s.dwell, s.msim.Now().Seconds()+float64(float64(pi+1)*step), &s.pairs[pi])
 		}
 		s.msim.Run(s.msim.Now() + s.hcfg.Dwell)
-		if err := s.acc.AddBand(b, pairs); err != nil {
+		if err := s.acc.AddBand(b, s.pairs); err != nil {
 			return err
 		}
 
