@@ -109,8 +109,8 @@ func NewSolverPlan(freqs, taus []float64) (*SolverPlan, error) { return ndft.New
 // step — the profile domain a plan inverts onto.
 func SolverTauGrid(maxTau, step float64) []float64 { return ndft.TauGrid(maxTau, step) }
 
-// VectorKernel reports the SIMD kernel tier the solver resolved for
-// this machine: "avx2", "neon", or "scalar". Every tier is
+// VectorKernel reports the kernel tier the solver detected for this
+// machine and build: "avx2" or "scalar". The AVX2 tier is
 // byte-identical to scalar solving — the tiers differ only in
 // throughput.
 func VectorKernel() string { return ndft.VectorKernel() }

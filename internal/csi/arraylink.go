@@ -29,31 +29,57 @@ type ArrayLink struct {
 
 // MeasureSet captures one forward packet across all chains plus one
 // round-robin reverse measurement per antenna, and returns one Pair per
-// antenna.
+// antenna: the chains' dwells rendered on band b, then one set measured.
 func (l *ArrayLink) MeasureSet(rng *rand.Rand, b wifi.Band, t float64) []Pair {
+	return l.measureSet(rng, l.renderDwells(nil, b), t)
+}
+
+// renderDwells renders every receive chain's dwell on band b into ds,
+// resized to one Dwell per channel with its buffers reused, and returns
+// it. Like Link's, one rendering serves the chain's forward packet and
+// its reverse ACK (see Dwell).
+func (l *ArrayLink) renderDwells(ds []Dwell, b wifi.Band) []Dwell {
+	if cap(ds) < len(l.Channels) {
+		ds = make([]Dwell, len(l.Channels))
+	}
+	ds = ds[:len(l.Channels)]
+	for i, ch := range l.Channels {
+		l.RX.render(&ds[i], ch, b, l.TX, l.SNRdB)
+	}
+	return ds
+}
+
+// measureSet captures one set at time t from the rendered dwells ds.
+// Every chain's forward CSI shares the packet's detection delay, CFO
+// rotation and PLL jitter (they are card-level, not per-antenna), while
+// each chain sees its own geometry and its own thermal noise and
+// quantization. This per-packet correlation is what makes differential
+// (antenna-to-antenna) phase far more precise than absolute phase on
+// real multi-chain cards, and it is the property §8's localization
+// leans on. The draws are a per-packet capture's (Radio.Measure): the
+// forward packet's impairments, each chain's noise, then each ACK's.
+func (l *ArrayLink) measureSet(rng *rand.Rand, ds []Dwell, t float64) []Pair {
 	sep := l.PairSeparation
 	if sep == 0 {
 		sep = 28e-6
 	}
-	snr := l.SNRdB
-	if snr == 0 {
-		snr = 30
-	}
-	fwd := l.RX.MeasureArray(rng, l.Channels, b, MeasureOptions{
-		SNRdB: snr, Time: t, TX: l.TX,
+	opts := MeasureOptions{
+		SNRdB: l.SNRdB, Time: t, TX: l.TX,
 		DisableDetectionDelay: l.DisableDetectionDelay,
 		DisableCFO:            l.DisableCFO,
-	})
-	pairs := make([]Pair, len(fwd))
-	for i := range fwd {
+	}
+	pairs := make([]Pair, len(ds))
+	delta, cfoPhase := l.RX.drawPacketImpairments(rng, opts)
+	for i := range ds {
+		l.RX.measureRendered(rng, &ds[i], t, delta, cfoPhase, &pairs[i].Forward)
+	}
+	opts.TX = l.RX
+	for i := range ds {
 		// The i-th ACK is transmitted from RX antenna i, so the
 		// transmitter measures antenna i's reciprocal channel.
-		rev := l.TX.Measure(rng, l.Channels[i], b, MeasureOptions{
-			SNRdB: snr, Time: t + sep + float64(i)*sep, TX: l.RX,
-			DisableDetectionDelay: l.DisableDetectionDelay,
-			DisableCFO:            l.DisableCFO,
-		})
-		pairs[i] = Pair{Forward: fwd[i], Reverse: rev}
+		opts.Time = t + sep + float64(i)*sep
+		delta, cfoPhase = l.TX.drawPacketImpairments(rng, opts)
+		l.TX.measureRendered(rng, &ds[i], opts.Time, delta, cfoPhase, &pairs[i].Reverse)
 	}
 	return pairs
 }
@@ -61,6 +87,7 @@ func (l *ArrayLink) MeasureSet(rng *rand.Rand, b wifi.Band, t float64) []Pair {
 // Sweep runs pairsPerBand measurement sets on every band and returns the
 // per-antenna band sweeps: out[ant][band] is the pair list for that
 // antenna and band, directly consumable by one tof.Estimator per antenna.
+// Each band's chains are rendered once for all of its sets.
 func (l *ArrayLink) Sweep(rng *rand.Rand, bands []wifi.Band, pairsPerBand int, dwell float64) [][][]Pair {
 	if pairsPerBand < 1 {
 		pairsPerBand = 1
@@ -68,18 +95,21 @@ func (l *ArrayLink) Sweep(rng *rand.Rand, bands []wifi.Band, pairsPerBand int, d
 	if dwell == 0 {
 		dwell = 2.4e-3
 	}
-	n := len(l.Channels)
-	out := make([][][]Pair, n)
-	for a := 0; a < n; a++ {
+	out := make([][][]Pair, len(l.Channels))
+	for a := range out {
 		out[a] = make([][]Pair, len(bands))
 	}
+	var ds []Dwell
 	t := 0.0
 	for bi, b := range bands {
 		step := dwell / float64(pairsPerBand+1)
+		ds = l.renderDwells(ds, b)
+		for a := range out {
+			out[a][bi] = make([]Pair, pairsPerBand)
+		}
 		for p := 0; p < pairsPerBand; p++ {
-			set := l.MeasureSet(rng, b, t+float64(p+1)*step)
-			for a := 0; a < n; a++ {
-				out[a][bi] = append(out[a][bi], set[a])
+			for a, pair := range l.measureSet(rng, ds, t+float64(p+1)*step) {
+				out[a][bi][p] = pair
 			}
 		}
 		t += dwell

@@ -120,27 +120,16 @@ type MeasureOptions struct {
 // over channel ch on band b. It implements Eq. 5–6 and Eq. 11 of the
 // paper: measured phase = true channel phase + detection-delay ramp + CFO
 // rotation (+ hardware phase), then noise, quantization, and optionally
-// the 2.4 GHz quirk.
+// the 2.4 GHz quirk. It renders the channel for this one packet: the
+// per-packet reference that the dwell captures (Link, ArrayLink) match
+// bit for bit.
 func (r *Radio) Measure(rng *rand.Rand, ch *rf.Channel, b wifi.Band, opts MeasureOptions) Measurement {
 	delta, cfoPhase := r.drawPacketImpairments(rng, opts)
-	return r.measureChain(rng, ch, b, opts, delta, cfoPhase)
-}
-
-// MeasureArray produces one CSI report per receive chain for a single
-// received packet: every chain shares the packet's detection delay, CFO
-// rotation and PLL jitter (they are card-level, not per-antenna), while
-// each chain sees its own geometry and its own thermal noise and
-// quantization. This per-packet correlation is what makes differential
-// (antenna-to-antenna) phase far more precise than absolute phase on
-// real multi-chain cards, and it is the property §8's localization
-// leans on.
-func (r *Radio) MeasureArray(rng *rand.Rand, chans []*rf.Channel, b wifi.Band, opts MeasureOptions) []Measurement {
-	delta, cfoPhase := r.drawPacketImpairments(rng, opts)
-	out := make([]Measurement, len(chans))
-	for i, ch := range chans {
-		out[i] = r.measureChain(rng, ch, b, opts, delta, cfoPhase)
-	}
-	return out
+	var d Dwell
+	r.render(&d, ch, b, opts.TX, opts.SNRdB)
+	m := Measurement{Subcarriers: d.subs, Values: d.resp}
+	r.measureRendered(rng, &d, opts.Time, delta, cfoPhase, &m)
+	return m
 }
 
 // drawPacketImpairments samples the card-level impairments of one packet.
@@ -165,28 +154,18 @@ func (r *Radio) drawPacketImpairments(rng *rand.Rand, opts MeasureOptions) (delt
 	return delta, cfoPhase
 }
 
-// measureChain renders one chain's CSI given the packet-level
-// impairments: the dwell-invariant part (render) and then this packet's
-// (measureRendered), in place in the rendering's buffers.
-func (r *Radio) measureChain(rng *rand.Rand, ch *rf.Channel, b wifi.Band, opts MeasureOptions, delta, cfoPhase float64) Measurement {
-	var d Dwell
-	r.render(&d, ch, b, opts.TX, opts.SNRdB)
-	m := Measurement{Subcarriers: d.subs, Values: d.resp}
-	r.measureRendered(rng, &d, opts.Time, delta, cfoPhase, &m)
-	return m
-}
-
 // Dwell is the part of a band dwell's CSI that every packet of the dwell
 // shares while the channel holds still: the channel response on the
 // reported subcarriers times the pair's hardware group delay
 // exp(−j2πf·hwDelay), the pair's hardware phase, and the noise scale
 // derived from the response's mean magnitude. Link.RenderDwell fills it
-// once per dwell and Link.MeasureDwellPair adds each packet's own
-// impairments, with the same random draws in the same order as
-// Radio.Measure, so the output is Measure's bit for bit. hwDelay and
-// hwPhase are sums of the two radios' constants and IEEE addition
-// commutes, so the forward and the reverse measurement share one
-// rendering. A Dwell's buffers are reused by the next rendering.
+// once per dwell (ArrayLink one per receive chain) and
+// Link.MeasureDwellPair adds each packet's own impairments, with the same
+// random draws in the same order as Radio.Measure, so the output is
+// Measure's bit for bit. hwDelay and hwPhase are sums of the two radios'
+// constants and IEEE addition commutes, so the forward and the reverse
+// measurement share one rendering. A Dwell's buffers are reused by the
+// next rendering.
 type Dwell struct {
 	band       wifi.Band
 	subs       []int
@@ -203,12 +182,15 @@ func (r *Radio) render(d *Dwell, ch *rf.Channel, b wifi.Band, tx *Radio, snrDB f
 		snrDB = 30
 	}
 	// Hardware constant (part of κ): receiver chain phase plus the
-	// transmitter chain phase, and the fixed chain group delays.
+	// transmitter chain phase, and the fixed chain group delays. The
+	// forward and the reverse packet share one rendering only if these
+	// sums commute, so float64(...) keeps arm64 from fusing either
+	// delay's product into the addition.
 	hwPhase := r.Osc.HWPhase
-	hwDelay := r.Osc.HWDelayNs * 1e-9
+	hwDelay := float64(r.Osc.HWDelayNs * 1e-9)
 	if tx != nil {
 		hwPhase += tx.Osc.HWPhase
-		hwDelay += tx.Osc.HWDelayNs * 1e-9
+		hwDelay += float64(tx.Osc.HWDelayNs * 1e-9)
 	}
 	if d.subs == nil {
 		d.subs = wifi.CSISubcarriers()
@@ -238,8 +220,8 @@ func (r *Radio) render(d *Dwell, ch *rf.Channel, b wifi.Band, tx *Radio, snrDB f
 // measureRendered writes the CSI radio r reports for one packet of the
 // rendered dwell d, received at time t with the packet's detection delay
 // and CFO phase, into dst. dst's Subcarriers and Values are reused when
-// they have room (measureChain hands over d's own buffers, which are
-// read before they are written).
+// they have room (Measure hands over d's own buffers, which are read
+// before they are written).
 func (r *Radio) measureRendered(rng *rand.Rand, d *Dwell, t, delta, cfoPhase float64, dst *Measurement) {
 	n := len(d.subs)
 	subs, vals := dst.Subcarriers, dst.Values

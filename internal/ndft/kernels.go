@@ -2,115 +2,57 @@ package ndft
 
 import (
 	"math"
-	"os"
 	"slices"
 
 	"chronos/internal/obs"
 )
 
-// kernelTier identifies the SIMD kernel family the solver hot loops run
-// on this machine. Exactly one tier is active per process, resolved once
-// at init (CPUID on amd64, architecture on arm64) and clamped by the
-// CHRONOS_NDFT_KERNEL environment variable (downgrade-only, so a forced
-// tier can never select instructions the CPU lacks). Every tier — the
-// scalar fallback included — implements the same fixed-K accumulation
-// contract (see cdot), so the tier changes throughput, never results.
+// kernelTier identifies the kernel family the solver hot loops run on
+// this machine: the AVX2 kernels, or the scalar Go reference bodies they
+// are tested against. Exactly one tier is active per process, detected
+// once at init from the hardware (CPUID on amd64) and the ndft_noasm
+// build tag. Both tiers implement the same fixed-K accumulation contract
+// (see cdot), so the tier changes throughput, never results.
 type kernelTier uint8
 
 const (
 	tierScalar kernelTier = iota
 	tierAVX2
-	tierNEON
 )
 
-// String returns the tier name used by VectorKernel, the
-// CHRONOS_NDFT_KERNEL variable, BENCH output, and the obs snapshot.
+// String returns the tier name used by VectorKernel, BENCH output, and
+// the obs snapshot.
 func (t kernelTier) String() string {
-	switch t {
-	case tierAVX2:
+	if t == tierAVX2 {
 		return "avx2"
-	case tierNEON:
-		return "neon"
 	}
 	return "scalar"
 }
 
-// activeTier is the resolved kernel tier. Mutate only through
+// activeTier is the detected kernel tier. Mutate only through
 // setKernelTier (tests/benches); the solver reads it on every adjoint,
 // shrink and momentum run and every forward product.
-var activeTier = resolveTier()
+var activeTier = detectTier()
 
-// resolveTier detects the best tier the hardware supports and applies
-// the CHRONOS_NDFT_KERNEL clamp. The clamp is downgrade-only: it can
-// force the scalar contract path (CI does), never select an unsupported
-// tier.
-func resolveTier() kernelTier {
-	t := detectTier()
-	if name := os.Getenv("CHRONOS_NDFT_KERNEL"); name != "" {
-		if req, ok := parseTier(name); ok {
-			t = clampTier(t, req)
-		}
-	}
-	return t
-}
-
-func parseTier(name string) (kernelTier, bool) {
-	switch name {
-	case "scalar":
-		return tierScalar, true
-	case "avx2":
-		return tierAVX2, true
-	case "neon":
-		return tierNEON, true
-	}
-	return tierScalar, false
-}
-
-// clampTier resolves a requested tier against the detected one:
-// requests for the detected tier or the scalar fallback are honored;
-// anything else (an upgrade, or a cross-architecture tier) keeps the
-// detection.
-func clampTier(detected, requested kernelTier) kernelTier {
-	if requested == detected || requested == tierScalar {
-		return requested
-	}
-	return detected
-}
-
-// setKernelTier is the test/bench hook behind ForceKernel: it swaps the
-// active tier (clamped against detection), returning the previous tier.
-// Not safe to call concurrently with solves.
+// setKernelTier is the test/bench hook that swaps the active tier,
+// returning the previous tier. It never activates AVX2 on a host or
+// build without it: there every request runs the scalar tier. Not safe
+// to call concurrently with solves.
 func setKernelTier(t kernelTier) kernelTier {
 	prev := activeTier
-	activeTier = clampTier(detectTier(), t)
+	if detectTier() == tierScalar {
+		t = tierScalar
+	}
+	activeTier = t
 	obs.SetLabel(kernelLabel, activeTier.String())
 	return prev
 }
 
-// VectorKernel reports the active SIMD kernel tier as a string: "avx2",
-// "neon", or "scalar". Every tier returns byte-identical solver results;
-// the tier determines only throughput. Campaign snapshots and the host
-// record of benchmark runs carry this value.
+// VectorKernel reports the active kernel tier as a string: "avx2" or
+// "scalar". Both tiers return byte-identical solver results; the tier
+// determines only throughput. Campaign snapshots and the host record of
+// benchmark runs carry this value.
 func VectorKernel() string { return activeTier.String() }
-
-// ForceKernel forces the kernel tier by name ("scalar", "avx2", "neon")
-// and returns the previously active tier's name. The request is clamped
-// downgrade-only against the detected hardware — forcing an unavailable
-// tier is an error, so a successful call always means subsequent solves
-// run the named tier. It exists for benchmarks and tests that A/B tiers
-// in one process (the CHRONOS_NDFT_KERNEL environment variable is the
-// process-level equivalent); it is not safe to call concurrently with
-// solves.
-func ForceKernel(name string) (prev string, err error) {
-	req, ok := parseTier(name)
-	if !ok {
-		return activeTier.String(), errUnknownKernel
-	}
-	if clampTier(detectTier(), req) != req {
-		return activeTier.String(), errKernelUnavailable
-	}
-	return setKernelTier(req).String(), nil
-}
 
 // adjCells is the solver's adjoint product over one run [lo, hi) of
 // consecutive grid cells: g[k] = Σᵢ Fᴴ[lo+k][i]·x[i] (planar, no
@@ -122,17 +64,17 @@ func ForceKernel(name string) (prev string, err error) {
 // the n mod 4 tail feeding chain 0 in order, and the pinned fold
 // (s0+s1)+(s2+s3). The AVX2 tier runs kernAdjCells on the cell-major
 // copy, one cell per lane and the four chains as four accumulator pairs,
-// with a masked last quad, so one call covers any run; the scalar and
-// NEON tiers run adjRows on the row-major rows. Every tier returns the
-// same bits per cell.
+// with a masked last quad, so one call covers any run; the scalar tier
+// runs adjRows on the row-major rows. Both tiers return the same bits
+// per cell.
 //
 // With a screen (gradStep's; nil computes every cell) the run is taken
 // four cells at a time from lo, the last quad possibly partial. A quad
 // whose cells all have y and p equal to +0 bit for bit and a key below
 // scr.thr is skipped: its g is stored as +0, and its cells count in the
 // returned total. Every computed cell's key becomes |g| − scr.c,
-// computed as math.Sqrt(gr·gr + gi·gi) − c on every tier. The AVX2
-// kernel fuses the test; the other tiers run adjRowsScreened.
+// computed as math.Sqrt(gr·gr + gi·gi) − c on both tiers. The AVX2
+// kernel fuses the test; the scalar tier runs adjRowsScreened.
 func adjCells(fhRe, fhIm, ftRe, ftIm []float64, n, m, lo, hi int, xRe, xIm, gRe, gIm []float64, scr *screen) (skipped int) {
 	cells := hi - lo
 	if cells <= 0 {
@@ -158,27 +100,23 @@ func adjCells(fhRe, fhIm, ftRe, ftIm []float64, n, m, lo, hi int, xRe, xIm, gRe,
 		scr.yRe[lo:hi], scr.yIm[lo:hi], scr.pRe[lo:hi], scr.pIm[lo:hi], scr.key[lo:hi], scr.thr, scr.c)
 }
 
-// adjRows is the row-major adjoint over a run of consecutive dictionary
-// rows: out[r] = Σₖ a_r[k]·x[k] for each row a_r = fh[r·n : (r+1)·n] of
-// the block fhRe/fhIm, len(outRe) rows. The NEON tier runs kernAdjRows,
-// its four chains in vector lanes; every other tier loops over cdot.
+// adjRows is the scalar tier's row-major adjoint over a run of
+// consecutive dictionary rows: out[r] = Σₖ a_r[k]·x[k] for each row
+// a_r = fh[r·n : (r+1)·n] of the block fhRe/fhIm, len(outRe) rows, one
+// cdot per row.
 func adjRows(fhRe, fhIm []float64, n int, xRe, xIm, outRe, outIm []float64) {
 	rows := len(outRe)
 	fhRe, fhIm = fhRe[:rows*n], fhIm[:rows*n]
 	xRe, xIm, outIm = xRe[:n], xIm[:n], outIm[:rows]
-	if activeTier == tierNEON && n > 0 && rows > 0 {
-		kernAdjRows(fhRe, fhIm, n, xRe, xIm, outRe, outIm)
-		return
-	}
 	for r := range outRe {
 		outRe[r], outIm[r] = cdot(fhRe[r*n:(r+1)*n], fhIm[r*n:(r+1)*n], xRe, xIm)
 	}
 }
 
-// adjRowsScreened is adjCells' screened body on the scalar and NEON
-// tiers: quad by quad from the run's first cell, the skip test in Go,
-// then adjRows over the quad's rows and the computed cells' keys.
-// y, p and key are the run's cells.
+// adjRowsScreened is adjCells' screened body on the scalar tier: quad
+// by quad from the run's first cell, the skip test in Go, then adjRows
+// over the quad's rows and the computed cells' keys. y, p and key are
+// the run's cells.
 func adjRowsScreened(fhRe, fhIm []float64, n int, xRe, xIm, gRe, gIm, yRe, yIm, pRe, pIm, key []float64, thr, c float64) (skipped int) {
 	cells := len(gRe)
 	gIm, yRe, yIm, pRe, pIm, key = gIm[:cells], yRe[:cells], yIm[:cells], pRe[:cells], pIm[:cells], key[:cells]
@@ -217,15 +155,13 @@ func quadScreened(yRe, yIm, pRe, pIm, key []float64, thr float64) bool {
 // in the listed order, the forward product of forwardResid. fhRe/fhIm is
 // the row-major n-column adjoint, so column j of F is the conjugate of
 // the contiguous row j. cols must be ascending (the last one
-// bounds-checks them all). The scalar tier runs axpyColsScalar over
-// every element; the vector tiers take the whole residual, the AVX2
-// kernel as n/4 full chunks plus the n mod 4 tail as one masked chunk
-// (VMASKMOVPD, which neither reads nor writes past n), the NEON tier
-// with axpyColsScalar on the tail. Each element receives the same
-// additions in the same order on every tier: the operation is
-// elementwise, and the vector bodies use the sign-folded form
-// dstRe += ar·cr + rowIm·ci, which is exact (IEEE negation is exact and
-// x−(−y) ≡ x+y).
+// bounds-checks them all). The scalar tier runs axpyColsScalar; the
+// AVX2 tier takes the whole residual as n/4 full chunks plus the n mod 4
+// tail as one masked chunk (VMASKMOVPD, which neither reads nor writes
+// past n). Each element receives the same additions in the same order on
+// both tiers: the operation is elementwise, and the AVX2 body uses the
+// sign-folded form dstRe += ar·cr + rowIm·ci, which is exact (IEEE
+// negation is exact and x−(−y) ≡ x+y).
 func axpyCols(fhRe, fhIm []float64, n int, cols []int, srcRe, srcIm, dstRe, dstIm []float64) {
 	if len(cols) == 0 {
 		return
@@ -234,21 +170,20 @@ func axpyCols(fhRe, fhIm []float64, n int, cols []int, srcRe, srcIm, dstRe, dstI
 	fhRe, fhIm = fhRe[:(last+1)*n], fhIm[:(last+1)*n]
 	srcRe, srcIm = srcRe[:last+1], srcIm[:last+1]
 	dstRe, dstIm = dstRe[:n], dstIm[:n]
-	if activeTier != tierScalar && n > 0 {
+	if activeTier == tierAVX2 && n > 0 {
 		kernAxpyCols(fhRe, fhIm, n, cols, srcRe, srcIm, dstRe, dstIm)
 		return
 	}
-	axpyColsScalar(fhRe, fhIm, n, 0, cols, srcRe, srcIm, dstRe, dstIm)
+	axpyColsScalar(fhRe, fhIm, n, cols, srcRe, srcIm, dstRe, dstIm)
 }
 
-// axpyColsScalar is axpyCols' scalar body over the residual elements
-// [from, n): the scalar tier runs it from 0, the NEON tier over the
-// n mod 4 tail. The caller has bounds-checked every column.
-func axpyColsScalar(fhRe, fhIm []float64, n, from int, cols []int, srcRe, srcIm, dstRe, dstIm []float64) {
+// axpyColsScalar is axpyCols' scalar body over every residual element.
+// The caller has bounds-checked every column.
+func axpyColsScalar(fhRe, fhIm []float64, n int, cols []int, srcRe, srcIm, dstRe, dstIm []float64) {
 	for _, j := range cols {
 		cr, ci := srcRe[j], srcIm[j]
 		rowRe, rowIm := fhRe[j*n:(j+1)*n], fhIm[j*n:(j+1)*n]
-		for k := from; k < n; k++ {
+		for k := 0; k < n; k++ {
 			ar := rowRe[k]
 			ai := -rowIm[k] // F[k][j] = conj(Fᴴ[j][k])
 			// float64(...) keeps each product rounded: no fused
@@ -273,7 +208,7 @@ func axpyColsScalar(fhRe, fhIm []float64, n, from int, cols []int, srcRe, srcIm,
 // takes the non-zero branch, zeroed cells are +0), and each cell's
 // (‖Δp‖², ⟨y − p, Δp⟩) terms are added to the sums in order, one 2-lane
 // add per cell. shrinkRunScalar finishes the len mod 4 tail from the
-// kernel's sums, so every tier returns the same bits.
+// kernel's sums, so both tiers return the same bits.
 func shrinkRun(gamma, thr float64, yRe, yIm, pRe, pIm, gRe, gIm []float64, diffSq, gdot float64) (float64, float64) {
 	c := 0
 	if activeTier == tierAVX2 {
@@ -285,9 +220,9 @@ func shrinkRun(gamma, thr float64, yRe, yIm, pRe, pIm, gRe, gIm []float64, diffS
 }
 
 // shrinkRunScalar is the reference shrink: shrinkRun's scalar body, run
-// over whole runs on the scalar and NEON tiers and over the AVX2 tier's
-// tails. The zero test compares squared magnitudes so the (dominant)
-// zeroed cells never pay for a square root.
+// over whole runs on the scalar tier and over the AVX2 tier's tails. The
+// zero test compares squared magnitudes so the (dominant) zeroed cells
+// never pay for a square root.
 func shrinkRunScalar(gamma, thr float64, yRe, yIm, pRe, pIm, gRe, gIm []float64, diffSq, gdot float64) (float64, float64) {
 	n := len(gRe)
 	yRe, yIm, pRe, pIm, gIm = yRe[:n], yIm[:n], pRe[:n], pIm[:n], gIm[:n]
@@ -339,8 +274,8 @@ func momentumRun(beta float64, lo int, pRe, pIm, gRe, gIm, yRe, yIm []float64, a
 }
 
 // momentumRunScalar is the reference extrapolation: momentumRun's scalar
-// body, run over whole runs on the scalar and NEON tiers and over the
-// AVX2 tier's tails.
+// body, run over whole runs on the scalar tier and over the AVX2 tier's
+// tails.
 func momentumRunScalar(beta float64, lo int, pRe, pIm, gRe, gIm, yRe, yIm []float64, active []int) []int {
 	n := len(gRe)
 	pRe, pIm, gIm, yRe, yIm = pRe[:n], pIm[:n], gIm[:n], yRe[:n], yIm[:n]

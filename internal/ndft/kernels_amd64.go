@@ -52,9 +52,3 @@ func detectTier() kernelTier {
 	}
 	return tierScalar
 }
-
-// kernAdjRows is the NEON tier's row adjoint; adjRows never calls it on
-// amd64.
-func kernAdjRows(fhRe, fhIm []float64, n int, xRe, xIm, outRe, outIm []float64) {
-	panic("ndft: NEON kernel called on amd64")
-}

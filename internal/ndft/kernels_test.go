@@ -6,11 +6,13 @@ import (
 	"slices"
 	"sort"
 	"testing"
+
+	"chronos/internal/obs"
 )
 
-// vectorTiers lists the vector tier the host CPU can run, so the kernel
-// tests cover the compiled-in kernels wherever the hardware supports
-// them. Empty on scalar-only builds.
+// vectorTiers lists the AVX2 tier when the host CPU and the build can
+// run it, so the kernel tests cover the compiled-in kernels wherever the
+// hardware supports them. Empty on scalar-only hosts and builds.
 func vectorTiers() []kernelTier {
 	if t := detectTier(); t != tierScalar {
 		return []kernelTier{t}
@@ -68,8 +70,8 @@ func kernelVec(rng *rand.Rand, n int, allowNaN bool) []float64 {
 	return v
 }
 
-// kernelTiers lists the scalar tier and every vector tier the host can
-// run: the run-form kernels are checked on each, the scalar one
+// kernelTiers lists the scalar tier and, where the host can run it, the
+// AVX2 tier: the run-form kernels are checked on each, the scalar one
 // included, so the row and column bookkeeping of its loops is covered
 // too.
 func kernelTiers() []kernelTier {
@@ -205,15 +207,16 @@ func checkAdjCells(t *testing.T, rng *rand.Rand, fhRe, fhIm, ftRe, ftIm, xRe, xI
 }
 
 // TestAdjDotMatchesCdot checks the tier-dispatched adjoint against the
-// scalar contract reference on every available tier. adjRows (the row
-// kernels): every row length from 0 to 67 (odd tails, partial lane
-// groups), run lengths 1–9 at several row offsets. adjCells (the AVX2
-// tier's cell-major kernel, the row kernels elsewhere): every n from 1
-// to 35 and every run [lo, hi) of a 13-cell grid, so every run offset
-// and every run length mod 4, masked tails included, plain and under a
-// screen. The data mixes zeros, denormals, ±1e300 and NaNs. Every cell
-// must produce bit-identical sums — the property the warm-solve and
-// alias-refit paths rely on when the tier changes between runs.
+// scalar contract reference on every available tier. adjRows (the
+// scalar tier's row loop): every row length from 0 to 67 (odd tails,
+// partial lane groups), run lengths 1–9 at several row offsets. adjCells
+// (the AVX2 tier's cell-major kernel, adjRows on the scalar tier): every
+// n from 1 to 35 and every run [lo, hi) of a 13-cell grid, so every run
+// offset and every run length mod 4, masked tails included, plain and
+// under a screen. The data mixes zeros, denormals, ±1e300 and NaNs.
+// Every cell must produce bit-identical sums — the property the
+// warm-solve and alias-refit paths rely on when the tier changes between
+// runs.
 func TestAdjDotMatchesCdot(t *testing.T) {
 	for _, tier := range kernelTiers() {
 		t.Run(tier.String(), func(t *testing.T) {
@@ -257,8 +260,8 @@ func TestAdjDotMatchesCdot(t *testing.T) {
 // FuzzAdjDotEquivalence is the fuzzer-driven variant of the table test
 // above: arbitrary row lengths, run lengths and offsets over the mixed
 // value set (infinities and NaNs included) must match the scalar
-// contract row by row on every available tier, through the row kernels
-// and through adjCells, plain and screened.
+// contract row by row on every available tier, through adjRows and
+// through adjCells, plain and screened.
 func FuzzAdjDotEquivalence(f *testing.F) {
 	f.Add(int64(1), 7, 1)
 	f.Add(int64(99), 16, 5)
@@ -518,45 +521,32 @@ func TestSolveTierEquivalence(t *testing.T) {
 	}
 }
 
-// TestForceKernel pins the public tier-forcing semantics: unknown names
-// and unavailable tiers error without changing the active tier,
-// downgrades succeed, and the returned previous name restores exactly.
-func TestForceKernel(t *testing.T) {
-	orig := VectorKernel()
-	t.Cleanup(func() {
-		if _, err := ForceKernel(orig); err != nil {
-			t.Fatalf("restoring %q: %v", orig, err)
+// TestSetKernelTierClamp pins the in-process tier switch: a request
+// for AVX2 activates it only where detectTier found it, so on a host or
+// build without it (the ndft_noasm tag) the scalar tier stays active; a
+// scalar request always takes effect; each call returns the tier it
+// replaced, which restores exactly; and the obs label follows the
+// active tier.
+func TestSetKernelTierClamp(t *testing.T) {
+	orig := activeTier
+	t.Cleanup(func() { setKernelTier(orig) })
+	active := func(want kernelTier) {
+		t.Helper()
+		if activeTier != want || VectorKernel() != want.String() {
+			t.Fatalf("active tier %v (VectorKernel %q), want %v", activeTier, VectorKernel(), want)
 		}
-	})
-
-	if _, err := ForceKernel("avx1024"); err != errUnknownKernel {
-		t.Fatalf("unknown name: err=%v want %v", err, errUnknownKernel)
+		if got := obs.Capture().Labels[kernelLabel]; got != want.String() {
+			t.Fatalf("label %s = %q, want %q", kernelLabel, got, want)
+		}
 	}
-	if got := VectorKernel(); got != orig {
-		t.Fatalf("failed force changed tier: %q -> %q", orig, got)
+	if prev := setKernelTier(tierScalar); prev != orig {
+		t.Fatalf("scalar request returned %v, want %v", prev, orig)
 	}
-
-	// Some vector tier is always unavailable: NEON on amd64, AVX2 on
-	// arm64 and scalar-only builds.
-	unavailable := "neon"
-	if detectTier() == tierNEON || detectTier() == tierScalar {
-		unavailable = "avx2"
+	active(tierScalar)
+	if prev := setKernelTier(tierAVX2); prev != tierScalar {
+		t.Fatalf("AVX2 request returned %v, want scalar", prev)
 	}
-	if _, err := ForceKernel(unavailable); err != errKernelUnavailable {
-		t.Fatalf("unavailable tier %q: err=%v want %v", unavailable, err, errKernelUnavailable)
-	}
-	if got := VectorKernel(); got != orig {
-		t.Fatalf("failed force changed tier: %q -> %q", orig, got)
-	}
-
-	prev, err := ForceKernel("scalar")
-	if err != nil {
-		t.Fatalf("forcing scalar: %v", err)
-	}
-	if prev != orig {
-		t.Fatalf("prev = %q, want %q", prev, orig)
-	}
-	if VectorKernel() != "scalar" {
-		t.Fatalf("scalar force not active: tier=%q", VectorKernel())
-	}
+	active(detectTier())
+	setKernelTier(orig)
+	active(orig)
 }

@@ -27,10 +27,8 @@ import (
 )
 
 var (
-	errEmptyGrid         = errors.New("ndft: empty frequency or delay grid")
-	errZeroNorm          = errors.New("ndft: zero spectral norm")
-	errUnknownKernel     = errors.New("ndft: unknown kernel tier (want scalar, avx2, or neon)")
-	errKernelUnavailable = errors.New("ndft: kernel tier not supported by this CPU")
+	errEmptyGrid = errors.New("ndft: empty frequency or delay grid")
+	errZeroNorm  = errors.New("ndft: zero spectral norm")
 )
 
 // TauGrid builds a uniform delay grid [0, maxTau] with the given step,

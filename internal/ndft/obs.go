@@ -40,9 +40,9 @@ var (
 	obsSolveWallNs = obs.NewHist("ndft.solve.wall_ns")
 )
 
-// kernelLabel names the resolved kernel tier on every snapshot. init
+// kernelLabel names the active kernel tier on every snapshot. init
 // publishes it, and setKernelTier republishes it when a test or bench
-// forces a tier.
+// switches tiers.
 const kernelLabel = "ndft.vector_kernel"
 
 func init() { obs.SetLabel(kernelLabel, VectorKernel()) }

@@ -31,7 +31,7 @@ type Plan struct {
 	n, m int
 	// The conjugate-transpose dictionary Fᴴ (m×n), row-major planar: the
 	// forward product walks its rows as conjugated columns of F, and the
-	// scalar and NEON adjoints walk them as rows.
+	// scalar adjoint walks them as rows.
 	fhRe, fhIm []float64
 	// ftRe/ftIm is the same Fᴴ stored cell-major: n rows over the m
 	// cells, element i of cell j at i·m+j. The AVX2 adjoint reads four
@@ -278,7 +278,7 @@ func setRuns(dst [][2]int, set []int) [][2]int {
 // only the dictionary columns in src's support (ascending, so the
 // accumulation order — hence the result — is deterministic). Each column
 // F[·][j] is read as the conjugate of adjoint row j, which is
-// contiguous. axpyCols adds the whole support in one call: on a vector
+// contiguous. axpyCols adds the whole support in one call: on the AVX2
 // tier each residual chunk stays in registers across every column,
 // without changing a bit.
 func (pl *Plan) forwardResid(w *workspace, srcRe, srcIm []float64, active []int) {
@@ -298,17 +298,17 @@ func (pl *Plan) getWorkspace() *workspace { return pl.ws.Get().(*workspace) }
 // independent accumulator chains (element i feeds chain i mod 4), the
 // k mod 4 tail feeding chain 0, folded as (s0+s1)+(s2+s3). The chains
 // hide scalar add latency; the fixed split is deterministic, so results
-// are identical across runs, worker counts, and — because every SIMD
-// tier implements the same contract lane-for-lane (see adjCells) — across
-// architectures.
+// are identical across runs, worker counts, and — because the AVX2 tier
+// implements the same contract lane-for-lane (see adjCells) — across
+// kernel tiers and, by the rounding rule below, architectures.
 //
 // Every product is wrapped in float64(...). The Go spec lets the
 // compiler fuse x*y+z into one multiply-add, and arm64 does; an explicit
 // conversion rounds the product first, which forbids the fusion. The
 // vector kernels never fuse, so a fused scalar path would round
-// differently and break the byte-identity contract. The NEON tier's
-// tail and axpyCols' scalar loop follow the same rule, and so does every
-// product in this package that feeds an addition.
+// differently and break the byte-identity contract. axpyCols' scalar
+// loop follows the same rule, and so does every product in this package
+// that feeds an addition.
 func cdot(aRe, aIm, xRe, xIm []float64) (float64, float64) {
 	k := len(aRe)
 	aIm = aIm[:k]

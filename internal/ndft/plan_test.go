@@ -216,10 +216,16 @@ func benchPlan(b *testing.B) (*Plan, dsp.Vec, dsp.Vec) {
 func BenchmarkPlanSolveColdStart(b *testing.B) {
 	pl, h, _ := benchPlan(b)
 	dst := &Result{}
+	req := SolveRequest{H: h, Dst: dst, InvertOptions: InvertOptions{MaxIter: 4000}}
+	// One solve before the timer grows dst, so allocs/op reads the
+	// steady state even at -benchtime=1x.
+	if _, err := pl.Solve(req); err != nil {
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := pl.Solve(SolveRequest{H: h, Dst: dst, InvertOptions: InvertOptions{MaxIter: 4000}})
+		res, err := pl.Solve(req)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -230,10 +236,15 @@ func BenchmarkPlanSolveColdStart(b *testing.B) {
 func BenchmarkPlanSolveWarmStart(b *testing.B) {
 	pl, h, seed := benchPlan(b)
 	dst := &Result{}
+	req := SolveRequest{H: h, Warm: seed, Dst: dst, InvertOptions: InvertOptions{MaxIter: 4000}}
+	// One solve before the timer grows dst (see the cold benchmark).
+	if _, err := pl.Solve(req); err != nil {
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := pl.Solve(SolveRequest{H: h, Warm: seed, Dst: dst, InvertOptions: InvertOptions{MaxIter: 4000}})
+		res, err := pl.Solve(req)
 		if err != nil {
 			b.Fatal(err)
 		}

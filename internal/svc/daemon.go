@@ -128,12 +128,8 @@ type DeviceResult struct {
 	Err error
 }
 
-var (
-	// ErrDraining rejects lifecycle calls after Drain has begun.
-	ErrDraining = errors.New("svc: daemon is draining")
-	// ErrUnknownDevice rejects a Detach for an ID that is not attached.
-	ErrUnknownDevice = errors.New("svc: unknown device")
-)
+// ErrDraining rejects lifecycle calls after Drain has begun.
+var ErrDraining = errors.New("svc: daemon is draining")
 
 // Daemon is the always-on localization service: N worker shards, each
 // exclusively owning the sessions of the devices that hash to it and

@@ -332,8 +332,13 @@ func TestScheduleNextDue(t *testing.T) {
 
 // TestDaemonLifecycleErrors pins the edge contracts the soak can't hit
 // deterministically: duplicate attach, detach of an unknown ID, and
-// post-drain rejections.
+// post-drain rejections. The duplicate attach and the unknown detach
+// each count once under svc.attach_errors; the synchronously rejected
+// attach does not.
 func TestDaemonLifecycleErrors(t *testing.T) {
+	obs.SetEnabled(true)
+	defer obs.SetEnabled(false)
+	errsBefore := obs.Capture().Counters["svc.attach_errors"]
 	d := NewDaemon(Config{Shards: 2, Virtual: true})
 	if err := d.Attach(7, DeviceConfig{Stat: true, Fixes: 0, FixPeriod: time.Millisecond}); err != nil {
 		t.Fatal(err)
@@ -360,8 +365,12 @@ func TestDaemonLifecycleErrors(t *testing.T) {
 	if err := d.Detach(99); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.Drain(10 * time.Second); err != nil {
+	snap, err := d.Drain(10 * time.Second)
+	if err != nil {
 		t.Fatal(err)
+	}
+	if got := snap.Counters["svc.attach_errors"] - errsBefore; got != 2 {
+		t.Errorf("svc.attach_errors moved by %d, want 2 (duplicate attach, unknown detach)", got)
 	}
 	// Device 7 (endless) must have been drained with its partial results.
 	if r := d.Results()[7]; r == nil {

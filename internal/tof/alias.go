@@ -622,7 +622,9 @@ func (e *Estimator) disambiguateAlias(g *bandGroup, tau float64, s *Sweep, noise
 	if err != nil {
 		return tau, false, 0
 	}
-	resids := map[int]float64{}
+	// resids[k+1] is shift k's residual; NaN marks a hypothesis off the
+	// grid or whose refit failed.
+	resids := [3]float64{math.NaN(), math.NaN(), math.NaN()}
 	var work int64
 	for k := -1; k <= 1; k++ {
 		cand := tau + float64(float64(k)*aliasPeriod)
@@ -637,22 +639,31 @@ func (e *Estimator) disambiguateAlias(g *bandGroup, tau float64, s *Sweep, noise
 		if err != nil {
 			continue
 		}
-		resids[k] = resid.plain
+		resids[k+1] = resid.plain
 	}
-	base, ok := resids[0]
-	if !ok {
-		return tau, false, work
-	}
-	// Shift only when a competing hypothesis fits the data decisively
-	// better than the incumbent — a conservative test, since residual
-	// comparisons are noisy when the off-lattice channels are faded.
-	bestK, bestResid, near := 0, base, false
-	for k, r := range resids {
+	k, contested := pickAliasShift(resids)
+	return tau + float64(float64(k)*aliasPeriod), contested, work
+}
+
+// pickAliasShift is disambiguateAlias' decision over the refit residuals
+// resids[k+1] of the shifts k = −1, 0, +1, NaN marking a hypothesis not
+// fitted (NaN compares false, so it neither wins nor contests, and a NaN
+// incumbent keeps k = 0). A neighbour displaces the incumbent only when
+// it fits decisively better, below aliasMargin times the incumbent's
+// residual — a conservative test, since residual comparisons are noisy
+// when the off-lattice channels are faded — and the lowest such residual
+// wins. The scan runs k = −1, 0, +1 in order, so an exact tie goes to
+// the earlier shift. contested reports a kept incumbent that a
+// neighbour's residual undercuts.
+func pickAliasShift(resids [3]float64) (k int, contested bool) {
+	base := resids[1]
+	bestResid, near := base, false
+	for i, r := range resids {
 		if r < aliasMargin*base && r < bestResid {
-			bestK, bestResid = k, r
+			k, bestResid = i-1, r
 		} else if r < base {
 			near = true
 		}
 	}
-	return tau + float64(float64(bestK)*aliasPeriod), near && bestK == 0, work
+	return k, near && k == 0
 }

@@ -250,6 +250,42 @@ func TestAliasWeights(t *testing.T) {
 	}
 }
 
+// TestPickAliasShift pins RankVertex's ±1-period decision: a neighbour
+// shifts the fix only below aliasMargin times the incumbent's residual,
+// the lower neighbour wins, an exact tie goes to k = −1, a hypothesis
+// skipped at either grid edge (NaN) neither wins nor contests, and
+// contested marks a kept incumbent that a neighbour undercuts.
+func TestPickAliasShift(t *testing.T) {
+	nan := math.NaN()
+	cases := []struct {
+		name      string
+		resids    [3]float64
+		k         int
+		contested bool
+	}{
+		{"incumbent best", [3]float64{2, 1, 3}, 0, false},
+		{"-1 decisive", [3]float64{0.5, 1, 3}, -1, false},
+		{"+1 decisive", [3]float64{3, 1, 0.5}, 1, false},
+		{"both decisive, -1 lower", [3]float64{0.4, 1, 0.5}, -1, false},
+		{"both decisive, +1 lower", [3]float64{0.5, 1, 0.4}, 1, false},
+		{"tie goes to -1", [3]float64{0.5, 1, 0.5}, -1, false},
+		{"at the margin stays", [3]float64{aliasMargin, 1, 2}, 0, true},
+		{"near -1 contests", [3]float64{0.9, 1, 2}, 0, true},
+		{"near +1 contests", [3]float64{2, 1, 0.9}, 0, true},
+		{"low edge skipped", [3]float64{nan, 1, 0.9}, 0, true},
+		{"low edge skipped, +1 decisive", [3]float64{nan, 1, 0.5}, 1, false},
+		{"high edge skipped", [3]float64{0.5, 1, nan}, -1, false},
+		{"high edge skipped, kept", [3]float64{1.5, 1, nan}, 0, false},
+		{"incumbent not fitted", [3]float64{0.1, nan, 0.1}, 0, false},
+	}
+	for _, c := range cases {
+		if k, contested := pickAliasShift(c.resids); k != c.k || contested != c.contested {
+			t.Errorf("%s %v: k=%d contested=%v, want k=%d contested=%v",
+				c.name, c.resids, k, contested, c.k, c.contested)
+		}
+	}
+}
+
 // TestFoldMassConservation pins the fold invariant the ranking rests on.
 func TestFoldMassConservation(t *testing.T) {
 	mag := make([]float64, 601)
