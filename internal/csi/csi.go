@@ -14,9 +14,9 @@ package csi
 
 import (
 	"math"
-	"math/cmplx"
 	"math/rand"
 
+	"chronos/internal/detmath"
 	"chronos/internal/dsp"
 	"chronos/internal/rf"
 	"chronos/internal/wifi"
@@ -172,6 +172,20 @@ type Dwell struct {
 	resp       dsp.Vec // channel response × exp(−j2πf·hwDelay) per subcarrier
 	hwPhase    float64
 	rms, sigma float64 // mean response magnitude and the AWGN σ it sets
+	// f holds the subcarrier frequencies (its first len(subs) elements,
+	// kept from the rendering for the packets) and the planar scratch of
+	// the batch math (detmath) behind them.
+	f []float64
+}
+
+// scratch returns the dwell's subcarrier frequencies and its planar
+// work space of five elements per subcarrier.
+func (d *Dwell) scratch() (freqs, w []float64) {
+	n := len(d.subs)
+	if cap(d.f) < 6*n {
+		d.f = make([]float64, 6*n)
+	}
+	return d.f[:n], d.f[n : 6*n]
 }
 
 // render fills d with the dwell-invariant CSI that radio r reports for
@@ -201,19 +215,30 @@ func (r *Radio) render(d *Dwell, ch *rf.Channel, b wifi.Band, tx *Radio, snrDB f
 	d.resp = d.resp[:len(d.subs)]
 	d.band, d.hwPhase = b, hwPhase
 
+	freqs, w := d.scratch()
+	n := len(freqs)
+	re, im, sin, cos, mag := w[:n], w[n:2*n], w[2*n:3*n], w[3*n:4*n], w[4*n:]
+	for i, k := range d.subs {
+		freqs[i] = wifi.SubcarrierFreq(b, k)
+	}
+	ch.ResponseAt(re, im, freqs, sin, cos)
 	// Reference signal RMS for the noise level: the mean channel
 	// magnitude across subcarriers.
+	detmath.HypotBatch(mag, re, im)
 	var rms float64
-	for i, k := range d.subs {
-		f := wifi.SubcarrierFreq(b, k)
-		h := ch.Response(f)
-		rms += cmplx.Abs(h)
-		// Hardware group delay acts like extra time of flight at the
-		// passband frequency (calibrated out later per §7 note 2).
-		h *= cmplx.Rect(1, -2*math.Pi*f*hwDelay)
-		d.resp[i] = h
+	for _, m := range mag {
+		rms += m
 	}
-	rms /= float64(len(d.subs))
+	rms /= float64(n)
+	// Hardware group delay acts like extra time of flight at the
+	// passband frequency (calibrated out later per §7 note 2).
+	for i, f := range freqs {
+		sin[i] = -2 * math.Pi * f * hwDelay
+	}
+	detmath.SincosBatch(sin, cos, sin)
+	for i := range d.resp {
+		d.resp[i] = dsp.Mul(complex(re[i], im[i]), complex(cos[i], sin[i]))
+	}
 	d.rms, d.sigma = rms, rf.NoiseSigmaForSNR(rms, snrDB)
 }
 
@@ -221,7 +246,9 @@ func (r *Radio) render(d *Dwell, ch *rf.Channel, b wifi.Band, tx *Radio, snrDB f
 // rendered dwell d, received at time t with the packet's detection delay
 // and CFO phase, into dst. dst's Subcarriers and Values are reused when
 // they have room (Measure hands over d's own buffers, which are read
-// before they are written).
+// before they are written). The packet's rotations run as one batch
+// before the noise draws and the quirk's fold as one after them, so the
+// draws keep their per-subcarrier order.
 func (r *Radio) measureRendered(rng *rand.Rand, d *Dwell, t, delta, cfoPhase float64, dst *Measurement) {
 	n := len(d.subs)
 	subs, vals := dst.Subcarriers, dst.Values
@@ -234,20 +261,24 @@ func (r *Radio) measureRendered(rng *rand.Rand, d *Dwell, t, delta, cfoPhase flo
 	subs, vals = subs[:n], vals[:n]
 	copy(subs, d.subs)
 	b := d.band
-	for i, k := range d.subs {
-		f := wifi.SubcarrierFreq(b, k)
-		h := d.resp[i]
+	freqs, w := d.scratch()
+	sin, cos := w[:n], w[n:2*n]
+	for i, f := range freqs {
 		// Detection-delay ramp: baseband, so proportional to (f_k − f_0).
-		ramp := -2 * math.Pi * (f - b.Center) * delta
-		h *= cmplx.Rect(1, ramp+cfoPhase+d.hwPhase)
+		ramp := float64(-2 * math.Pi * (f - b.Center) * delta)
+		sin[i] = ramp + cfoPhase + d.hwPhase
+	}
+	detmath.SincosBatch(sin, cos, sin)
+	for i := range vals {
+		h := dsp.Mul(d.resp[i], complex(cos[i], sin[i]))
 		h = rf.AWGN(rng, h, d.sigma)
 		if r.QuantBits > 0 {
 			h = quantize(h, r.QuantBits, d.rms*4)
 		}
-		if r.Quirk24 && b.GHz24() {
-			h = quirkFold(h)
-		}
 		vals[i] = h
+	}
+	if r.Quirk24 && b.GHz24() {
+		quirkFold(vals, w)
 	}
 	*dst = Measurement{
 		Band:           b,
@@ -277,15 +308,28 @@ func quantize(h complex128, bits int, fullScale float64) complex128 {
 	return complex(q(real(h)), q(imag(h)))
 }
 
-// quirkFold reports the channel with its phase folded modulo π/2,
-// reproducing the Intel 5300 2.4 GHz firmware issue (§11 footnote 5).
-// Magnitude is preserved.
-func quirkFold(h complex128) complex128 {
-	mag := cmplx.Abs(h)
-	ph := cmplx.Phase(h)
-	folded := math.Mod(ph, math.Pi/2)
-	if folded < 0 {
-		folded += math.Pi / 2
+// quirkFold folds the phase of each value of vals modulo π/2 in place,
+// reproducing the Intel 5300 2.4 GHz firmware issue (§11 footnote 5):
+// magnitude |h| and phase arg h as cmplx.Abs and cmplx.Phase compute
+// them, and the folded value as cmplx.Rect, through detmath's batch
+// forms. w is scratch of 5·len(vals) elements.
+func quirkFold(vals dsp.Vec, w []float64) {
+	n := len(vals)
+	re, im, mag, ph, cos := w[:n], w[n:2*n], w[2*n:3*n], w[3*n:4*n], w[4*n:5*n]
+	for i, h := range vals {
+		re[i], im[i] = real(h), imag(h)
 	}
-	return cmplx.Rect(mag, folded)
+	detmath.HypotBatch(mag, re, im)
+	detmath.Atan2Batch(ph, im, re)
+	for i, p := range ph {
+		folded := math.Mod(p, math.Pi/2)
+		if folded < 0 {
+			folded += math.Pi / 2
+		}
+		ph[i] = folded
+	}
+	detmath.SincosBatch(ph, cos, ph)
+	for i := range vals {
+		vals[i] = complex(mag[i]*cos[i], mag[i]*ph[i])
+	}
 }

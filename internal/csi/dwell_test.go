@@ -1,8 +1,11 @@
 package csi
 
 import (
+	"fmt"
 	"math"
+	"math/cmplx"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"chronos/internal/rf"
@@ -109,5 +112,135 @@ func TestDwellMatchesPerPacketMeasure(t *testing.T) {
 				sameMeasurement(t, "reused reverse", want.Reverse, buf[p].Reverse)
 			}
 		}
+	}
+}
+
+// refMeasure is Radio.Measure written per subcarrier with math and
+// math/cmplx, as the capture was before its subcarrier math ran in
+// batches: the channel response summed path by path, its magnitude,
+// the hardware-delay rotation, then per subcarrier the packet's
+// rotation, the noise draws, quantization and the quirk's fold.
+func refMeasure(r *Radio, rng *rand.Rand, ch *rf.Channel, b wifi.Band, opts MeasureOptions) Measurement {
+	delta, cfoPhase := r.drawPacketImpairments(rng, opts)
+	snr := opts.SNRdB
+	if snr == 0 {
+		snr = 30
+	}
+	hwPhase := r.Osc.HWPhase
+	hwDelay := float64(r.Osc.HWDelayNs * 1e-9)
+	if opts.TX != nil {
+		hwPhase += opts.TX.Osc.HWPhase
+		hwDelay += float64(opts.TX.Osc.HWDelayNs * 1e-9)
+	}
+	subs := wifi.CSISubcarriers()
+	resp := make([]complex128, len(subs))
+	var rms float64
+	for i, k := range subs {
+		f := wifi.SubcarrierFreq(b, k)
+		var h complex128
+		for _, p := range ch.Paths {
+			phase := -2 * math.Pi * f * p.Delay
+			h += complex(p.Gain*math.Cos(phase), p.Gain*math.Sin(phase))
+		}
+		rms += cmplx.Abs(h)
+		h *= cmplx.Rect(1, -2*math.Pi*f*hwDelay)
+		resp[i] = h
+	}
+	rms /= float64(len(subs))
+	sigma := rf.NoiseSigmaForSNR(rms, snr)
+	vals := make([]complex128, len(subs))
+	for i, k := range subs {
+		f := wifi.SubcarrierFreq(b, k)
+		h := resp[i]
+		ramp := -2 * math.Pi * (f - b.Center) * delta
+		h *= cmplx.Rect(1, ramp+cfoPhase+hwPhase)
+		h = rf.AWGN(rng, h, sigma)
+		if r.QuantBits > 0 {
+			h = quantize(h, r.QuantBits, rms*4)
+		}
+		if r.Quirk24 && b.GHz24() {
+			folded := math.Mod(cmplx.Phase(h), math.Pi/2)
+			if folded < 0 {
+				folded += math.Pi / 2
+			}
+			h = cmplx.Rect(cmplx.Abs(h), folded)
+		}
+		vals[i] = h
+	}
+	return Measurement{Band: b, Subcarriers: subs, Values: vals, DetectionDelay: delta, Time: opts.Time}
+}
+
+// TestCaptureMatchesStdReference pins the capture, whose subcarrier
+// math runs through detmath's batch forms, to the per-subcarrier
+// math/cmplx reference bit for bit: 1–8 paths, the quirk and
+// quantization on and off, both bands, through Radio.Measure and
+// through one Dwell and one Measurement reused across channels of every
+// path count. Each capture must leave its random source where the
+// reference leaves it. std fuses multiply-adds off amd64, so the
+// comparison runs there only.
+func TestCaptureMatchesStdReference(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("std fuses multiply-adds off amd64")
+	}
+	rng := rand.New(rand.NewSource(43))
+	var d Dwell
+	var reused Measurement
+	for trial := 0; trial < 160; trial++ {
+		rx, tx := NewRadio(rng), NewRadio(rng)
+		rx.Quirk24 = trial%2 == 0
+		if trial%4 < 2 {
+			rx.QuantBits = 0
+		}
+		paths := make([]rf.Path, 1+trial%8)
+		for i := range paths {
+			paths[i] = rf.Path{Delay: rng.Float64() * 80e-9, Gain: 0.05 + rng.Float64()}
+		}
+		ch := rf.NewChannel(paths)
+		b := []wifi.Band{band24(), band5()}[(trial/8)%2]
+		opts := MeasureOptions{SNRdB: []float64{0, 5, 30}[trial%3], Time: rng.Float64(), TX: tx}
+		seed := rng.Int63()
+
+		ref := rand.New(rand.NewSource(seed))
+		want := refMeasure(rx, ref, ch, b, opts)
+		next := ref.Int63()
+		label := fmt.Sprintf("trial %d (%d paths, quirk %v, %d bits, band %d)", trial, len(paths), rx.Quirk24, rx.QuantBits, b.Channel)
+
+		src := rand.New(rand.NewSource(seed))
+		sameMeasurement(t, label+" Measure", want, rx.Measure(src, ch, b, opts))
+		if src.Int63() != next {
+			t.Fatalf("%s: Measure left its random source elsewhere than the reference", label)
+		}
+
+		src = rand.New(rand.NewSource(seed))
+		delta, cfoPhase := rx.drawPacketImpairments(src, opts)
+		rx.render(&d, ch, b, tx, opts.SNRdB)
+		rx.measureRendered(src, &d, opts.Time, delta, cfoPhase, &reused)
+		sameMeasurement(t, label+" reused dwell", want, reused)
+		if src.Int63() != next {
+			t.Fatalf("%s: the dwell capture left its random source elsewhere than the reference", label)
+		}
+	}
+}
+
+// TestDwellCaptureSteadyStateAllocsNothing pins the allocation-free
+// capture: once a Dwell and a Pair have grown, rendering a band dwell
+// and measuring a pair from it allocates nothing, on a quirked 2.4 GHz
+// band and on a 5 GHz band.
+func TestDwellCaptureSteadyStateAllocsNothing(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	l := dwellLink(rng)
+	l.TX.Quirk24, l.RX.Quirk24 = true, true
+	l.TX.QuantBits, l.RX.QuantBits = 8, 8
+	var d Dwell
+	var p Pair
+	capture := func() {
+		for _, b := range []wifi.Band{band24(), band5()} {
+			l.RenderDwell(&d, b)
+			l.MeasureDwellPair(rng, &d, 0.5, &p)
+		}
+	}
+	capture()
+	if n := testing.AllocsPerRun(20, capture); n != 0 {
+		t.Errorf("steady-state RenderDwell + MeasureDwellPair allocated %.0f times, want 0", n)
 	}
 }

@@ -8,7 +8,8 @@ package dsp
 
 import (
 	"math"
-	"math/cmplx"
+
+	"chronos/internal/detmath"
 )
 
 // Vec is a complex-valued signal vector.
@@ -56,9 +57,10 @@ func Power(dst, v Vec, n int) Vec {
 	return dst
 }
 
-// FromPolar builds a complex number from magnitude and phase.
+// FromPolar builds a complex number from magnitude and phase, as
+// cmplx.Rect does, through detmath's fusion-free Sincos.
 func FromPolar(mag, phase float64) complex128 {
-	return cmplx.Rect(mag, phase)
+	return detmath.Rect(mag, phase)
 }
 
 // Unwrap removes 2π discontinuities from a phase sequence in place and

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/cmplx"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -97,5 +98,32 @@ func TestFromPolarRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestMulMatchesComplexMultiply pins the identities the batched capture
+// and fold rest on, on amd64 where the compiler fuses no multiply-add:
+// Mul(h, c) is Go's h *= c, and FromPolar is cmplx.Rect, bit for bit.
+func TestMulMatchesComplexMultiply(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("the compiler fuses complex multiplies and std's Sincos off amd64")
+	}
+	rng := rand.New(rand.NewSource(9))
+	same := func(a, b complex128) bool {
+		return math.Float64bits(real(a)) == math.Float64bits(real(b)) &&
+			math.Float64bits(imag(a)) == math.Float64bits(imag(b))
+	}
+	for i := 0; i < 10000; i++ {
+		h := complex(rng.NormFloat64()*math.Pow(10, float64(rng.Intn(20)-10)), rng.NormFloat64())
+		c := cmplx.Rect(1, (rng.Float64()*2-1)*1e4)
+		want := h
+		want *= c
+		if got := Mul(h, c); !same(got, want) {
+			t.Fatalf("Mul(%v, %v) = %v; h *= c gives %v", h, c, got, want)
+		}
+		mag, ph := math.Abs(real(h)), (rng.Float64()*2-1)*1e4
+		if got, want := FromPolar(mag, ph), cmplx.Rect(mag, ph); !same(got, want) {
+			t.Fatalf("FromPolar(%v, %v) = %v; cmplx.Rect gives %v", mag, ph, got, want)
+		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 	"slices"
 
+	"chronos/internal/detmath"
 	"chronos/internal/obs"
 )
 
@@ -27,6 +28,17 @@ func (t kernelTier) String() string {
 		return "avx2"
 	}
 	return "scalar"
+}
+
+// detectTier resolves the best kernel tier of this build and CPU from
+// the process's one CPU probe, detmath's: AVX2 where its vector
+// kernels run (amd64 with AVX2 and the OS-enabled ymm state, no
+// ndft_noasm tag), else the scalar contract path.
+func detectTier() kernelTier {
+	if detmath.AVX2() {
+		return tierAVX2
+	}
+	return tierScalar
 }
 
 // activeTier is the detected kernel tier. Mutate only through

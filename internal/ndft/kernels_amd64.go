@@ -26,29 +26,3 @@ func kernShrinkRun(yRe, yIm, pRe, pIm, gRe, gIm []float64, gamma, thr, diffSq, g
 //
 //go:noescape
 func kernMomentumRun(pRe, pIm, gRe, gIm, yRe, yIm []float64, beta float64, lo int, act []int) (k int)
-
-func cpuidex(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
-func xgetbv0() (eax, edx uint32)
-
-// detectTier resolves the best amd64 kernel tier the CPU and OS
-// support: AVX2 with ymm state, else the scalar contract path.
-func detectTier() kernelTier {
-	maxID, _, _, _ := cpuidex(0, 0)
-	if maxID < 7 {
-		return tierScalar
-	}
-	_, _, c1, _ := cpuidex(1, 0)
-	const osxsave = 1 << 27
-	if c1&osxsave == 0 {
-		return tierScalar
-	}
-	lo, _ := xgetbv0()
-	_, b7, _, _ := cpuidex(7, 0)
-	// AVX2 needs the OS-enabled SSE+AVX state bits (XCR0 bits 1-2) and
-	// the leaf-7 AVX2 flag.
-	const avx2 = 1 << 5
-	if lo&0x6 == 0x6 && b7&avx2 != 0 {
-		return tierAVX2
-	}
-	return tierScalar
-}

@@ -1,9 +1,9 @@
 //go:build !ndft_noasm
 
-// AVX2 (ymm) solver kernels plus the CPUID/XGETBV probes behind
-// detectTier. Every lane executes the EXACT scalar operation sequence
-// of its reference (cdot in plan.go; axpyColsScalar, shrinkRunScalar
-// and momentumRunScalar in kernels.go): for the adjoint, one cell per
+// AVX2 (ymm) solver kernels; detmath probes the CPU for them. Every
+// lane executes the EXACT scalar operation sequence of its reference
+// (cdot in plan.go; axpyColsScalar, shrinkRunScalar and
+// momentumRunScalar in kernels.go): for the adjoint, one cell per
 // lane with four accumulator chains, element i feeding chain i mod 4,
 // the n mod 4 tail added into chain 0 in order, and the pinned
 // (s0+s1)+(s2+s3) fold — separate multiply and add/subtract
@@ -36,25 +36,6 @@ GLOBL tailMask<>(SB), RODATA|NOPTR, $48
 	VMULPD Y2, Y5, Y7; \
 	VSUBPD Y7, Y6, Y6; \
 	VADDPD Y6, Y1, Y1
-
-// func cpuidex(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
-TEXT ·cpuidex(SB), NOSPLIT, $0-24
-	MOVL leaf+0(FP), AX
-	MOVL sub+4(FP), CX
-	CPUID
-	MOVL AX, eax+8(FP)
-	MOVL BX, ebx+12(FP)
-	MOVL CX, ecx+16(FP)
-	MOVL DX, edx+20(FP)
-	RET
-
-// func xgetbv0() (eax, edx uint32)
-TEXT ·xgetbv0(SB), NOSPLIT, $0-8
-	XORL CX, CX
-	XGETBV
-	MOVL AX, eax+0(FP)
-	MOVL DX, edx+4(FP)
-	RET
 
 // ADJ_ELEM adds one element of Fᴴ into accumulator chain (SR, SI) of
 // each lane, cdot's step: with the four cells' row entries ar/ai in

@@ -2,14 +2,11 @@
 
 package ndft
 
-// detectTier resolves to the scalar contract path: either the
-// architecture is not amd64 or the ndft_noasm build tag forced the AVX2
-// kernels off.
-func detectTier() kernelTier { return tierScalar }
-
 // The kernel entry points are never reached on the scalar tier (every
-// dispatch site gates on activeTier first); the stubs keep the package
-// compiling on any architecture.
+// dispatch site gates on activeTier first, and detectTier never picks
+// AVX2 where the architecture is not amd64 or the ndft_noasm build tag
+// turned the assembly off); the stubs keep the package compiling on any
+// architecture.
 
 func kernAdjCells(ftRe, ftIm []float64, m int, xRe, xIm, gRe, gIm, yRe, yIm, pRe, pIm, key []float64, thr, c float64) int {
 	panic("ndft: vector kernel called on scalar tier")

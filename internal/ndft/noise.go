@@ -4,6 +4,7 @@ import (
 	"math"
 	"sort"
 
+	"chronos/internal/detmath"
 	"chronos/internal/dsp"
 )
 
@@ -74,8 +75,6 @@ func (pl *Plan) NoiseFloor(h dsp.Vec) float64 {
 	pl.adjointDense(w.hRe, w.hIm, w.gRe, w.gIm)
 	// The magnitudes overwrite the real parts they are computed from.
 	mags := w.gRe[:pl.m]
-	for j, cr := range mags {
-		mags[j] = math.Hypot(cr, w.gIm[j])
-	}
+	detmath.HypotBatch(mags, mags, w.gIm)
 	return noiseNormFromScale(noiseScaleMAD(mags))
 }

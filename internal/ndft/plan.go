@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"sync"
 
+	"chronos/internal/detmath"
 	"chronos/internal/dsp"
 	"chronos/internal/linalg"
 )
@@ -99,13 +100,17 @@ func NewPlan(freqs, taus []float64) (*Plan, error) {
 	}
 	f := linalg.NewCMatrix(n, m)
 	var modSqMax float64
+	sin, cos := make([]float64, m), make([]float64, m)
 	for i, fr := range freqs {
 		for k, tau := range taus {
 			ph := -2 * math.Pi * fr * tau
 			// Reduce the argument before Sincos: fr·tau can reach 1e1
 			// range but ph magnitudes stay modest; Mod keeps precision.
-			ph = math.Mod(ph, 2*math.Pi)
-			s, c := math.Sincos(ph)
+			sin[k] = math.Mod(ph, 2*math.Pi)
+		}
+		detmath.SincosBatch(sin, cos, sin)
+		for k, s := range sin {
+			c := cos[k]
 			f.Data[i*m+k] = complex(c, s)
 			// Adjoint row k, column i: conj(F[i][k]).
 			pl.fhRe[k*n+i], pl.fhIm[k*n+i] = c, -s

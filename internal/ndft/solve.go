@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 
+	"chronos/internal/detmath"
 	"chronos/internal/dsp"
 	"chronos/internal/obs"
 )
@@ -459,7 +460,7 @@ func (t *solveTask) gapCheck() (bool, float64) {
 	for _, j := range set {
 		if w.pRe[j] != 0 || w.pIm[j] != 0 {
 			w.gsupp = append(w.gsupp, j)
-			l1 += math.Hypot(w.pRe[j], w.pIm[j])
+			l1 += detmath.Hypot(w.pRe[j], w.pIm[j])
 		}
 	}
 	pl.forwardResid(w, w.pRe, w.pIm, w.gsupp)

@@ -14,6 +14,8 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+
+	"chronos/internal/detmath"
 )
 
 // Path is a single propagation path between transmitter and receiver.
@@ -36,14 +38,35 @@ func NewChannel(paths []Path) *Channel {
 	return &Channel{Paths: ps}
 }
 
-// Response returns the complex frequency response h(f) = Σ aₖ·e^{−j2πfτₖ}.
+// Response returns the complex frequency response h(f) = Σ aₖ·e^{−j2πfτₖ}:
+// ResponseAt for the one frequency.
 func (c *Channel) Response(freq float64) complex128 {
-	var h complex128
+	var re, im, sin, cos [1]float64
+	f := [1]float64{freq}
+	c.ResponseAt(re[:], im[:], f[:], sin[:], cos[:])
+	return complex(re[0], im[0])
+}
+
+// ResponseAt stores the frequency response h(f) of each frequency of
+// freqs into re and im. Per path, the phases −2π·f·τₖ of every frequency
+// go through one detmath.SincosBatch, in sin and cos (scratch,
+// len(freqs) each), and each frequency's sum adds the paths in order, so
+// element i is Response(freqs[i]) bit for bit.
+func (c *Channel) ResponseAt(re, im, freqs, sin, cos []float64) {
+	n := len(freqs)
+	re, im, sin, cos = re[:n], im[:n], sin[:n], cos[:n]
+	clear(re)
+	clear(im)
 	for _, p := range c.Paths {
-		phase := -2 * math.Pi * freq * p.Delay
-		h += complex(p.Gain*math.Cos(phase), p.Gain*math.Sin(phase))
+		for i, f := range freqs {
+			sin[i] = -2 * math.Pi * f * p.Delay
+		}
+		detmath.SincosBatch(sin, cos, sin)
+		for i := range re {
+			re[i] += float64(p.Gain * cos[i])
+			im[i] += float64(p.Gain * sin[i])
+		}
 	}
-	return h
 }
 
 // DirectDelay returns the smallest path delay — the true time of flight —

@@ -2,9 +2,9 @@ package tof
 
 import (
 	"math"
-	"math/cmplx"
 	"sort"
 
+	"chronos/internal/detmath"
 	"chronos/internal/dsp"
 	"chronos/internal/ndft"
 )
@@ -159,7 +159,7 @@ func rotateWindow(freqs []float64, h dsp.Vec, cand, pf float64, rot dsp.Vec) {
 	}
 	for i, f := range freqs {
 		ph := math.Mod(2*math.Pi*f*lo, 2*math.Pi)
-		rot[i] = dsp.Mul(h[i], cmplx.Rect(1, ph))
+		rot[i] = dsp.Mul(h[i], detmath.Rect(1, ph))
 	}
 }
 
@@ -176,7 +176,7 @@ func aliasWeights(freqs []float64, power int, period float64) []float64 {
 	any := false
 	for i, f := range freqs {
 		frac := math.Mod(f*float64(power)*period, 1)
-		s := math.Sin(math.Pi * frac)
+		s := detmath.Sin(math.Pi * frac)
 		w[i] = s * s
 		if w[i] > 1e-6 {
 			any = true

@@ -17,6 +17,7 @@ import (
 	"math/cmplx"
 
 	"chronos/internal/csi"
+	"chronos/internal/detmath"
 	"chronos/internal/dsp"
 	"chronos/internal/wifi"
 )
@@ -50,8 +51,10 @@ func ZeroSubcarrier(m csi.Measurement, power int, mode InterpMode) (complex128, 
 // A Sweep keeps one across measurements, so folding a band allocates
 // nothing once the buffers have grown to the subcarrier count.
 type interpScratch struct {
-	vals dsp.Vec   // subcarrier values raised to the fold power
-	f    []float64 // knots, magnitudes and phases, then the spline fits
+	vals dsp.Vec // subcarrier values raised to the fold power
+	// f holds the knots, magnitudes and phases, then four planar work
+	// arrays for the batch math (detmath), which the spline fits reuse.
+	f []float64
 }
 
 func (sc *interpScratch) zeroSubcarrier(m csi.Measurement, power int, mode InterpMode) (complex128, error) {
@@ -84,17 +87,27 @@ func (sc *interpScratch) zeroSubcarrier(m csi.Measurement, power int, mode Inter
 	// Estimating the dominant linear slope from adjacent subcarriers and
 	// removing it keeps every step small; since the query point is k=0,
 	// no re-rotation is needed afterwards.
-	slope := estimateSlope(m.Subcarriers, vals)
-	if cap(sc.f) < 6*n {
-		sc.f = make([]float64, 6*n)
+	if cap(sc.f) < 7*n {
+		sc.f = make([]float64, 7*n)
 	}
-	f := sc.f[:6*n]
+	f := sc.f[:7*n]
 	xs, mags, phases, fit := f[:n], f[n:2*n], f[2*n:3*n], f[3*n:]
+	slope := estimateSlope(m.Subcarriers, vals, fit)
+	re, im, sin, cos := fit[:n], fit[n:2*n], fit[2*n:3*n], fit[3*n:]
 	for i, k := range m.Subcarriers {
 		xs[i] = float64(k)
-		mags[i] = cmplx.Abs(vals[i])
-		phases[i] = cmplx.Phase(dsp.Mul(vals[i], cmplx.Rect(1, -slope*float64(k))))
+		re[i], im[i] = real(vals[i]), imag(vals[i])
+		sin[i] = -slope * float64(k)
 	}
+	detmath.HypotBatch(mags, re, im)
+	detmath.SincosBatch(sin, cos, sin)
+	// The de-rotated values vals[i]·e^{−j·slope·k}, formed as dsp.Mul
+	// forms them, in place of the values; then their phases.
+	for i := range re {
+		a, b, c, s := re[i], im[i], cos[i], sin[i]
+		re[i], im[i] = float64(a*c)-float64(b*s), float64(a*s)+float64(b*c)
+	}
+	detmath.Atan2Batch(phases, im, re)
 	dsp.Unwrap(phases)
 
 	var mag0, ph0 float64
@@ -139,8 +152,10 @@ func abs(k int) int {
 // the sum of conjugate products over index-adjacent pairs (step 1), which
 // stays unaliased for detection delays up to ≈350 ns even in the
 // fourth-power domain. Stage two de-rotates with the coarse slope and
-// refines with a least-squares fit over every consecutive pair.
-func estimateSlope(subs []int, vals dsp.Vec) float64 {
+// refines with a least-squares fit over every consecutive pair, whose
+// magnitudes and phases run as one batch each (detmath) in w, scratch
+// of at least 4·len(subs) elements; the fit's sums stay sequential.
+func estimateSlope(subs []int, vals dsp.Vec, w []float64) float64 {
 	n := len(subs)
 	// Coarse: step-1 pairs only.
 	var r complex128
@@ -158,13 +173,14 @@ func estimateSlope(subs []int, vals dsp.Vec) float64 {
 			r += dsp.Mul(vals[i], cmplx.Conj(vals[i-1]))
 		}
 	}
-	coarse := cmplx.Phase(r) / float64(minStep)
+	coarse := detmath.Phase(r) / float64(minStep)
 
 	// Refine: all consecutive pairs, phases now small after de-rotation.
 	// The de-rotation depends only on the spacing, which takes one or two
 	// values per band, so the last two distinct spacings keep theirs
 	// (every spacing is at least minStep > 0, so 0 marks an empty slot).
-	var num, den float64
+	m := n - 1
+	re, im, mag, ph := w[:m], w[m:2*m], w[2*m:3*m], w[3*m:4*m]
 	var spacing [2]int
 	var rot [2]complex128
 	for i := 1; i < n; i++ {
@@ -174,17 +190,22 @@ func estimateSlope(subs []int, vals dsp.Vec) float64 {
 			k = 1
 			if spacing[1] != step {
 				spacing[0], rot[0] = spacing[1], rot[1]
-				spacing[1], rot[1] = step, cmplx.Rect(1, -coarse*float64(step))
+				spacing[1], rot[1] = step, detmath.Rect(1, -coarse*float64(step))
 			}
 		}
-		d := float64(step)
 		prod := dsp.Mul(dsp.Mul(vals[i], cmplx.Conj(vals[i-1])), rot[k])
-		w := cmplx.Abs(prod)
-		if w == 0 {
+		re[i-1], im[i-1] = real(prod), imag(prod)
+	}
+	detmath.HypotBatch(mag, re, im)
+	detmath.Atan2Batch(ph, im, re)
+	var num, den float64
+	for i, wt := range mag {
+		if wt == 0 {
 			continue
 		}
-		num += float64(cmplx.Phase(prod) * d * w)
-		den += float64(d * d * w)
+		d := float64(subs[i+1] - subs[i])
+		num += float64(ph[i] * d * wt)
+		den += float64(d * d * wt)
 	}
 	if den == 0 {
 		return coarse
