@@ -61,26 +61,15 @@ const (
 	BandsAllCoherent = tof.BandsAllCoherent
 )
 
-// PeakRanking selects how the direct-path peak is extracted from the
-// multipath profile (ToFConfig.Ranking): alias-family ranking (default)
-// or the raw-vertex baseline.
-type PeakRanking = tof.PeakRanking
-
-// Peak-ranking selectors for ToFConfig.Ranking.
-const (
-	RankFamilies = tof.RankFamilies
-	RankVertex   = tof.RankVertex
-)
-
 // StopRule selects the profile solver's termination rule
-// (ToFConfig.Stop): the noise-adaptive duality-gap stop (default) or the
-// historical fixed iterate tolerance.
-type StopRule = ndft.StopRule
+// (ToFConfig.Stop): the noise-adaptive duality-gap stop (default) or
+// Algorithm 1's fixed iterate tolerance.
+type StopRule = tof.StopRule
 
 // Stop-rule selectors for ToFConfig.Stop.
 const (
-	StopGap     = ndft.StopGap
-	StopIterate = ndft.StopIterate
+	StopGap     = tof.StopGap
+	StopIterate = tof.StopIterate
 )
 
 // SolverPlan is a precomputed NDFT solver plan for one band geometry:

@@ -17,18 +17,22 @@ import (
 // period, so any wrong-family placement lands beyond it.
 const ghostNs = 12.5
 
-// adversarialPaths is the deep-NLOS geometry that reliably strands
-// direct-path mass on a grating-lobe ghost vertex of the degenerate
-// LASSO face (the PR-3 ablate-delay regression, distilled): a faded
-// direct path under two strong late reflections at low SNR with a tight
-// iteration budget.
+// adversarialPaths is the deep-NLOS geometry of the alias campaign: a
+// faded direct path under two strong late reflections at low SNR with a
+// tight iteration budget. The profile's windowed first peak lands in the
+// true alias cell, a few ns late, but a ±1-period refit that auto-scales
+// α per hypothesis fits the member one period early better: the
+// well-matched window draws the larger α and is shrunk harder. The
+// estimator's placement shares one α across hypotheses and weights the
+// residuals by their discrimination power, and must keep the fix in the
+// true cell.
 func adversarialPaths() (direct float64, extra []rf.Path, snr float64, maxIter int) {
 	return 30, []rf.Path{{Delay: 37e-9, Gain: 1.8}, {Delay: 42e-9, Gain: 1.0}}, 12, 400
 }
 
-// adversarialTrial measures one synthetic deep-NLOS link with both
-// rankings over the identical sweep, returning absolute errors in ns.
-func adversarialTrial(rng *rand.Rand) (vertexErr, familyErr float64, ok bool) {
+// adversarialTrial measures one synthetic deep-NLOS link, returning the
+// absolute ToF error in ns.
+func adversarialTrial(_ int, rng *rand.Rand) (float64, bool) {
 	direct, extra, snr, maxIter := adversarialPaths()
 	tx, rx := csi.NewRadio(rng), csi.NewRadio(rng)
 	tx.Quirk24, rx.Quirk24 = false, false
@@ -37,102 +41,53 @@ func adversarialTrial(rng *rand.Rand) (vertexErr, familyErr float64, ok bool) {
 	bands := wifi.Bands5GHz()
 	sweep := link.Sweep(rng, bands, 3, 2.4e-3)
 	hw := link.TX.Osc.HWDelayNs + link.RX.Osc.HWDelayNs
-	errFor := func(rk tof.PeakRanking) (float64, bool) {
-		est := tof.NewEstimator(tof.Config{Mode: tof.Bands5GHzOnly, MaxIter: maxIter, Ranking: rk})
-		r, err := est.Estimate(bands, sweep)
-		if err != nil {
-			return 0, false
-		}
-		return math.Abs(r.ToF*1e9 - direct - hw), true
+	est := tof.NewEstimator(tof.Config{Mode: tof.Bands5GHzOnly, MaxIter: maxIter})
+	r, err := est.Estimate(bands, sweep)
+	if err != nil {
+		return 0, false
 	}
-	v, okV := errFor(tof.RankVertex)
-	f, okF := errFor(tof.RankFamilies)
-	return v, f, okV && okF
+	return math.Abs(r.ToF*1e9 - direct - hw), true
 }
 
-// AliasRanking is the alias-resolution ablation (chronos-bench -fig
-// alias): vertex-ranked versus family-ranked peak extraction, measured
-// on the standard office campaign (where both should agree — family
-// ranking is a conservative extension) and on the adversarial deep-NLOS
-// geometry where the solver strands direct-path mass on a ±25 ns ghost
-// vertex and only family ranking recovers the true alias cell.
+// AliasRanking is the alias-resolution campaign (chronos-bench -fig
+// alias): the estimator's family-ranked peak extraction on the standard
+// office campaign and on the adversarial deep-NLOS geometry
+// (adversarialPaths), counting ghosts — fixes a whole alias cell off.
 func AliasRanking(o Options) *Result {
 	o = o.withDefaults(12)
 	res := &Result{
 		ID:     "alias-ranking",
-		Title:  "Alias resolution: vertex-ranked vs family-ranked peaks",
-		Header: []string{"scenario", "ranking", "median (ns)", "p90 (ns)", "ghosts", "trials"},
+		Title:  "Alias resolution: family-ranked peaks",
+		Header: []string{"scenario", "median (ns)", "p90 (ns)", "ghosts", "trials"},
 	}
 	res.Metrics = map[string]float64{}
-
-	rankings := []struct {
-		name string
-		rk   tof.PeakRanking
-	}{
-		{"vertex", tof.RankVertex},
-		{"family", tof.RankFamilies},
-	}
-
-	// Office campaign, paired per trial: the ranking is the only
-	// variable (identical placements, channels, and noise draws).
-	office := newOffice(o)
-	for _, rc := range rankings {
-		cfg := tof.Config{Mode: tof.Bands5GHzOnly, MaxIter: 1200, Ranking: rc.rk}
-		trials := runToFCampaign(o, "alias-ranking/office", office, cfg, o.Trials, false, 15)
-		errs := make([]float64, len(trials))
-		ghosts := 0
-		for i, t := range trials {
-			errs[i] = t.ErrNs
-			if t.ErrNs > ghostNs {
+	addRow := func(scenario, key string, errs []float64) (ghosts int) {
+		for _, e := range errs {
+			if e > ghostNs {
 				ghosts++
 			}
 		}
 		res.Rows = append(res.Rows, []string{
-			"office LOS", rc.name,
+			scenario,
 			fmtF(stats.Median(errs), 3), fmtF(stats.Percentile(errs, 90), 3),
 			fmt.Sprintf("%d", ghosts), fmt.Sprintf("%d", len(errs)),
 		})
-		res.Metrics["office_median_"+rc.name+"_ns"] = stats.Median(errs)
-		res.Metrics["office_ghosts_"+rc.name] = float64(ghosts)
+		res.Metrics[key+"_median_family_ns"] = stats.Median(errs)
+		res.Metrics[key+"_ghosts_family"] = float64(ghosts)
+		return ghosts
 	}
 
-	// Adversarial deep-NLOS links: both rankings see the same sweep, so
-	// the ghost-rate gap is attributable to the ranking alone.
-	advTrials := o.Trials * 3
-	type advOut struct{ v, f float64 }
-	runs := runTrials(o, "alias-ranking/adversarial", advTrials, func(t int, rng *rand.Rand) (advOut, bool) {
-		v, f, ok := adversarialTrial(rng)
-		return advOut{v: v, f: f}, ok
-	})
-	var vErrs, fErrs []float64
-	vGhosts, fGhosts := 0, 0
-	for _, r := range runs {
-		vErrs = append(vErrs, r.v)
-		fErrs = append(fErrs, r.f)
-		if r.v > ghostNs {
-			vGhosts++
-		}
-		if r.f > ghostNs {
-			fGhosts++
-		}
+	cfg := tof.Config{Mode: tof.Bands5GHzOnly, MaxIter: 1200}
+	trials := runToFCampaign(o, "alias-ranking/office", newOffice(o), cfg, o.Trials, false, 15)
+	errs := make([]float64, len(trials))
+	for i, t := range trials {
+		errs[i] = t.ErrNs
 	}
-	n := len(runs)
-	for _, rc := range rankings {
-		errs, ghosts := vErrs, vGhosts
-		if rc.rk == tof.RankFamilies {
-			errs, ghosts = fErrs, fGhosts
-		}
-		res.Rows = append(res.Rows, []string{
-			"deep NLOS (adversarial)", rc.name,
-			fmtF(stats.Median(errs), 3), fmtF(stats.Percentile(errs, 90), 3),
-			fmt.Sprintf("%d", ghosts), fmt.Sprintf("%d", n),
-		})
-		res.Metrics["adversarial_median_"+rc.name+"_ns"] = stats.Median(errs)
-		res.Metrics["adversarial_ghosts_"+rc.name] = float64(ghosts)
-	}
-	if n > 0 {
-		res.Metrics["adversarial_ghost_rate_vertex"] = float64(vGhosts) / float64(n)
-		res.Metrics["adversarial_ghost_rate_family"] = float64(fGhosts) / float64(n)
+	addRow("office LOS", "office", errs)
+
+	adv := runTrials(o, "alias-ranking/adversarial", o.Trials*3, adversarialTrial)
+	if ghosts := addRow("deep NLOS (adversarial)", "adversarial", adv); len(adv) > 0 {
+		res.Metrics["adversarial_ghost_rate_family"] = float64(ghosts) / float64(len(adv))
 	}
 	return res
 }

@@ -34,13 +34,14 @@ var Figures = []Campaign{
 	{Key: "9c", Run: Fig9c},
 	{Key: "10a", Run: Fig10a},
 	{Key: "10b", Run: Fig10b},
-	// alias is the alias-resolution ablation (vertex- vs family-ranked
-	// peaks); aliasperf snapshots the alias-refit cost cold vs
-	// warm-started in deterministic Work units.
+	// alias measures the family-ranked alias resolution on the office
+	// campaign and an adversarial deep-NLOS geometry; aliasperf
+	// snapshots the alias-refit cost cold vs warm-started in
+	// deterministic Work units.
 	{Key: "alias", Run: AliasRanking, ExplicitOnly: true},
 	{Key: "aliasperf", Run: PerfAlias, ExplicitOnly: true},
 	// converge is the noise-adaptive convergence campaign: the
-	// duality-gap stop vs the fixed-tolerance ablation across SNR, the
+	// duality-gap stop vs Algorithm 1's iterate rule across SNR, the
 	// office accuracy guard, the colliding-families warm-refit fixture,
 	// and streaming-session convergence telemetry — all in deterministic
 	// units.

@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"chronos/internal/csi"
-	"chronos/internal/ndft"
 	"chronos/internal/rf"
 	"chronos/internal/stats"
 	"chronos/internal/tof"
@@ -14,18 +13,17 @@ import (
 )
 
 // PerfConverge is the noise-adaptive convergence campaign
-// (chronos-bench -fig converge): it proves the duality-gap stopping rule
-// and the self-calibrating alias thresholds against the fixed-tolerance
-// ablation across SNR regimes, in deterministic units (solver
+// (chronos-bench -fig converge): it compares the duality-gap stopping
+// rule with Algorithm 1's fixed iterate tolerance (tof.StopIterate, the
+// "eps" arm) across SNR regimes, in deterministic units (solver
 // iterations, Work, ToF error — never wall clock). Four sections:
 //
 //  1. an SNR sweep (12/18/26 dB) over a fixed deep-multipath link,
 //     gap-stopped versus fixed-epsilon solves, cold and warm: iteration
 //     medians, cap-rates, and ToF error medians per arm;
-//  2. an office LOS accuracy guard: the full default stack (gap stop +
-//     adaptive thresholds) against the full legacy ablation
-//     (StopIterate + FixedThresholds) on paired placements — the
-//     campaign-SNR median must not move;
+//  2. an office LOS accuracy guard: the default gap stop against
+//     StopIterate on paired placements — the campaign-SNR median must
+//     not move;
 //  3. the deep-NLOS colliding-families fixture: two dominant alias
 //     families in one period cell, whose warm refit seeds the PR-4
 //     period-index labels collided back to cold — warm/cold alias Work
@@ -57,7 +55,7 @@ func PerfConverge(o Options) *Result {
 	}
 	arms := []arm{
 		{"gap", func(*tof.Config) {}},
-		{"eps", func(c *tof.Config) { c.Stop = ndft.StopIterate; c.FixedThresholds = true }},
+		{"eps", func(c *tof.Config) { c.Stop = tof.StopIterate }},
 	}
 	for _, snr := range []float64{12, 18, 26} {
 		for _, a := range arms {

@@ -64,7 +64,7 @@ func TestContinuationStallExitsEarly(t *testing.T) {
 	freqs := wifi.Centers(wifi.Bands5GHz())
 	pl, _ := NewPlan(freqs, TauGrid(20e-9, 0.5e-9))
 	h := synthChannel(freqs, []float64{7}, []float64{1})
-	res, err := pl.Solve(SolveRequest{H: h, InvertOptions: InvertOptions{Epsilon: 1e-2 * dsp.Norm2(h), MaxIter: 5000, Stop: StopIterate}})
+	res, err := pl.Solve(SolveRequest{H: h, InvertOptions: InvertOptions{Epsilon: 1e-2 * dsp.Norm2(h), MaxIter: 5000}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestContinuationScheduleFitsBudget(t *testing.T) {
 	freqs := wifi.Centers(wifi.Bands5GHz())
 	pl, _ := NewPlan(freqs, TauGrid(20e-9, 0.5e-9))
 	h := synthChannel(freqs, []float64{7}, []float64{1})
-	res, err := pl.Solve(SolveRequest{H: h, InvertOptions: InvertOptions{AlphaScale: 0.01, Epsilon: 1e-2 * dsp.Norm2(h), MaxIter: 200, Stop: StopIterate}})
+	res, err := pl.Solve(SolveRequest{H: h, InvertOptions: InvertOptions{AlphaScale: 0.01, Epsilon: 1e-2 * dsp.Norm2(h), MaxIter: 200}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -45,26 +45,6 @@ func TauGrid(maxTau, step float64) []float64 {
 	return out
 }
 
-// StopRule selects how Solve decides it is done.
-type StopRule int
-
-const (
-	// StopGap (default) stops when a LASSO duality-gap bound falls below
-	// a tolerance scaled to the caller's per-sweep noise floor
-	// (InvertOptions.NoiseFloor — the tof layer measures it from the
-	// spread of repeated CSI pairs per band), in addition to the iterate
-	// test. Useful precision is bounded by the measurement noise, so
-	// iterating past the point where the objective is within a fraction
-	// of the noise energy of its optimum only fits noise; with no floor
-	// supplied the rule reduces to StopIterate.
-	StopGap StopRule = iota
-	// StopIterate is the historical fixed-tolerance rule: stop only when
-	// ‖p_{t+1} − p_t‖₂ < Epsilon. Kept as the convergence ablation path;
-	// at campaign SNR it routinely runs to the iteration cap because the
-	// default 1e−6·‖h‖ tolerance sits far below the noise floor.
-	StopIterate
-)
-
 // InvertOptions tunes Algorithm 1.
 type InvertOptions struct {
 	// Alpha is the sparsity parameter α: larger values force fewer
@@ -73,29 +53,24 @@ type InvertOptions struct {
 	// AlphaScale multiplies the auto-scaled α when Alpha is zero
 	// (default 1); used by the sparsity ablation.
 	AlphaScale float64
-	// Epsilon is the convergence threshold ε on ‖p_{t+1} − p_t‖₂.
-	// Default 1e−6·‖h‖₂.
+	// Epsilon is the convergence threshold ε on ‖p_{t+1} − p_t‖₂, the
+	// iterate rule Algorithm 1 stops on. Default 1e−6·‖h‖₂.
 	Epsilon float64
-	// Stop selects the termination rule (default StopGap). StopIterate
-	// disables the noise-adaptive duality-gap test.
-	Stop StopRule
 	// NoiseFloor is the caller's estimate of ‖w‖₂, the L2 norm of the
 	// measurement's noise component, in the same units as
 	// Result.Residual. The tof layer measures it per sweep from the
 	// spread of repeated CSI pairs on each band; callers without repeated
-	// measurements can fall back to Plan.NoiseFloor. When zero the gap
-	// rule has no tolerance to stop against and Solve behaves as
-	// StopIterate — which is exactly right for noiseless synthetic data,
-	// where iterating to the fixed tolerance is cheap and maximally
-	// accurate.
+	// measurements can fall back to Plan.NoiseFloor. When positive, Solve
+	// also stops once a LASSO duality-gap bound falls below a tolerance
+	// scaled to it (gapScale): useful precision is bounded by the
+	// measurement noise, so iterating past the point where the objective
+	// is within a fraction of the noise energy of its optimum only fits
+	// noise. When zero the iterate rule decides alone, which is exactly
+	// right for noiseless synthetic data, where iterating to the fixed
+	// tolerance is cheap and maximally accurate.
 	NoiseFloor float64
 	// MaxIter caps iteration count (default 2000).
 	MaxIter int
-	// Seed seeds the random initialization of p₀ (Algorithm 1
-	// initializes p₀ randomly). Zero means start from the zero vector,
-	// which is deterministic and converges at least as fast for this
-	// convex objective. Ignored when a warm start is supplied.
-	Seed int64
 	// Yield, when non-nil, is called at the duality-gap check cadence of
 	// the main and cold-fallback iterate phases (never mid-iteration,
 	// never during a polish). It cannot stop the solve: when it returns,
@@ -132,8 +107,8 @@ type Result struct {
 	Converged  bool
 	Residual   float64 // ‖h − F·p‖₂ at termination
 	// GapAtStop is the LASSO duality-gap bound measured at the last gap
-	// check (0 when no check ran: StopIterate, no noise floor, or a
-	// solve that finished before the first check). For a gap-stopped
+	// check (0 when no check ran: no noise floor, or a solve that
+	// finished before the first check). For a gap-stopped
 	// solve it is the certified suboptimality of the returned profile.
 	GapAtStop float64
 	// Work counts grid cells processed across all iterations (a dense

@@ -222,32 +222,6 @@ func TestInvertZeroMeasurement(t *testing.T) {
 	}
 }
 
-func TestInvertRandomInitMatchesZeroInit(t *testing.T) {
-	// Algorithm 1 initializes p₀ randomly; the objective is convex, so a
-	// random start must reach (nearly) the same first-peak answer.
-	freqs := wifi.Centers(wifi.USBands())
-	taus := TauGrid(30e-9, 0.2e-9)
-	pl, _ := NewPlan(freqs, taus)
-	h := synthChannel(freqs, []float64{6.6, 12.2}, []float64{1, 0.5})
-
-	r0, err := pl.Solve(SolveRequest{H: h, InvertOptions: InvertOptions{MaxIter: 5000}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r1, err := pl.Solve(SolveRequest{H: h, InvertOptions: InvertOptions{MaxIter: 5000, Seed: 99}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p0, ok0 := r0.FirstPeakDelay(0.3)
-	p1, ok1 := r1.FirstPeakDelay(0.3)
-	if !ok0 || !ok1 {
-		t.Fatal("missing peaks")
-	}
-	if math.Abs(p0-p1) > 0.3e-9 {
-		t.Errorf("init sensitivity: %v vs %v", p0, p1)
-	}
-}
-
 func TestResultResidualSmallOnExactData(t *testing.T) {
 	freqs := wifi.Centers(wifi.USBands())
 	taus := TauGrid(20e-9, 0.1e-9)

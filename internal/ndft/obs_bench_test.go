@@ -37,7 +37,7 @@ func checkObsRecordsOncePerSolve(tb testing.TB, pl *Plan, h []complex128) {
 	delta := func(iters int) (map[string]int64, int) {
 		before := obsRecords()
 		res, err := pl.Solve(SolveRequest{H: h, InvertOptions: InvertOptions{
-			MaxIter: iters, Epsilon: -1, Stop: StopIterate,
+			MaxIter: iters, Epsilon: -1,
 		}})
 		if err != nil {
 			tb.Fatal(err)

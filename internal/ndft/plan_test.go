@@ -290,7 +290,7 @@ func TestGapStopWarmColdEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		full, err := pl.Solve(SolveRequest{H: h, InvertOptions: InvertOptions{MaxIter: 4000, Stop: StopIterate}})
+		full, err := pl.Solve(SolveRequest{H: h, InvertOptions: InvertOptions{MaxIter: 4000}})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -110,7 +110,7 @@ func TestScreenedSolveIdentical(t *testing.T) {
 			opts.NoiseFloor = sigma * math.Sqrt(2*float64(len(freqs)))
 		}
 		if rng.Intn(4) == 0 {
-			opts.Stop = StopIterate
+			opts.NoiseFloor = 0
 		}
 		if rng.Intn(4) == 0 {
 			opts.Alpha = pl.MaxCorrelation(noisy(0)) * (0.02 + 0.3*rng.Float64())
@@ -146,7 +146,7 @@ func TestScreenedSolveIdentical(t *testing.T) {
 		for k := -4; k <= 4; k++ {
 			trials++
 			screened += solveScreenedAndNot(t, "just under α", pl, SolveRequest{H: h, InvertOptions: InvertOptions{
-				Alpha: corr * (1 + float64(k)*0x1p-52), Epsilon: -1, MaxIter: 40, Stop: StopIterate,
+				Alpha: corr * (1 + float64(k)*0x1p-52), Epsilon: -1, MaxIter: 40,
 			}})
 		}
 	}

@@ -3,7 +3,6 @@ package ndft
 import (
 	"fmt"
 	"math"
-	"math/rand"
 
 	"chronos/internal/detmath"
 	"chronos/internal/dsp"
@@ -207,17 +206,8 @@ func (t *solveTask) start(warm dsp.Vec) (idx []int, a0 float64) {
 		}
 	}
 	if warm == nil {
-		if t.opts.Seed != 0 {
-			rng := rand.New(rand.NewSource(t.opts.Seed))
-			s := norm2Planar(w.hRe, w.hIm) / float64(m)
-			for i := 0; i < m; i++ {
-				w.pRe[i], w.pIm[i] = rng.NormFloat64()*s, rng.NormFloat64()*s
-				w.active = append(w.active, i)
-			}
-		} else {
-			zero(w.pRe)
-			zero(w.pIm)
-		}
+		zero(w.pRe)
+		zero(w.pIm)
 	}
 	copy(w.yRe, w.pRe)
 	copy(w.yIm, w.pIm)
@@ -229,7 +219,7 @@ func (t *solveTask) start(warm dsp.Vec) (idx []int, a0 float64) {
 	// The gap rule needs a tolerance to stop against: the caller's
 	// per-sweep noise estimate. Without one the checks could never pass,
 	// so they are skipped entirely and the iterate rule decides alone.
-	t.useGap = t.opts.Stop == StopGap && t.opts.NoiseFloor > 0
+	t.useGap = t.opts.NoiseFloor > 0
 
 	// α-continuation: start with a large threshold that admits only the
 	// strongest atoms and decay toward the target α, steering the iterate
@@ -658,8 +648,7 @@ func (t *solveTask) finalize() {
 	}
 }
 
-// norm2Planar is ‖h‖₂ over the planar split — the default-ε and
-// random-initialization scale.
+// norm2Planar is ‖h‖₂ over the planar split — the default-ε scale.
 func norm2Planar(re, im []float64) float64 {
 	var s float64
 	for i := range re {

@@ -59,7 +59,7 @@ func TestSolveYieldIdentical(t *testing.T) {
 	warm := append(dsp.Vec(nil), cold.Profile...)
 	ShiftProfile(warm, 12)
 	iterOpts := opts
-	iterOpts.Stop = StopIterate
+	iterOpts.NoiseFloor = 0
 
 	for _, tc := range []struct {
 		name string
@@ -132,7 +132,7 @@ func TestSolveYieldCadence(t *testing.T) {
 	}
 	ypl, h, opts := yieldFixture(t)
 	iterOpts := opts
-	iterOpts.Stop = StopIterate
+	iterOpts.NoiseFloor = 0
 	for _, tc := range []struct {
 		name string
 		opts InvertOptions

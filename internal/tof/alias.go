@@ -9,30 +9,6 @@ import (
 	"chronos/internal/ndft"
 )
 
-// PeakRanking selects how the direct-path peak is extracted from a
-// multipath profile.
-type PeakRanking int
-
-const (
-	// RankFamilies (default) applies the §6 windowed first-peak rule
-	// with peaks ranked by alias-family mass: profile magnitude folded
-	// modulo the alias period, baseline-subtracted, so a path keeps its
-	// full rank however the solver split its mass across grating-lobe
-	// vertices of the degenerate LASSO face. Families whose mass was
-	// stranded entirely outside the search window contribute virtual
-	// candidates that must win a decisive refit against the best real
-	// peak, and the §4 alias-window refit places the final candidate
-	// using discrimination-weighted residuals.
-	RankFamilies PeakRanking = iota
-	// RankVertex trusts the raw profile vertex the solver converged to:
-	// the earliest dominant peak within searchWindow of the strongest
-	// vertex, then a ±1-period disambiguation refit anchored on that
-	// vertex with unweighted residuals. Kept as the ablation baseline;
-	// it is right only when the solver's trajectory lands on the true
-	// vertex of the degenerate face.
-	RankVertex
-)
-
 // aliasWindow is the width of the disambiguation refit window in τ:
 // [cand−2 ns, cand+22 ns]. 24 ns < the 25 ns alias period, so the window
 // holds at most one hypothesis.
@@ -111,8 +87,8 @@ func (wr *windowRefit) solve(cand, alpha, eps float64, w []float64, forceCold bo
 	obsAliasRefits.Inc()
 	rotateWindow(wr.freqs, wr.h, cand, float64(wr.power), wr.rot)
 	g := wr.s.windowWarmState(wr.key, cand)
-	// Without a noise floor (no usable estimate, or the precise re-solve
-	// of a contested placement) the refit scores feed decisions whose
+	// Without a noise estimate (none usable, or the precise re-solve of
+	// a contested placement) the refit scores feed decisions whose
 	// margins sit near the score noise, and a warm-seeded score that
 	// lands on the other side of a margin than the cold score would make
 	// a warm stream decide differently than a cold one. Scoring those
@@ -130,7 +106,7 @@ func (wr *windowRefit) solve(cand, alpha, eps float64, w []float64, forceCold bo
 		H: wr.rot, Warm: warm, Dst: wr.dst,
 		InvertOptions: ndft.InvertOptions{
 			Alpha: alpha, Epsilon: eps, MaxIter: 600,
-			Stop: wr.e.cfg.Stop, NoiseFloor: wr.noise,
+			NoiseFloor: wr.e.solveFloor(wr.noise),
 		},
 	})
 	if err != nil {
@@ -188,8 +164,7 @@ func aliasWeights(freqs []float64, power int, period float64) []float64 {
 	return w
 }
 
-// aliasMargin is the historical evidence margin of the vertex chain (and
-// the family chain's FixedThresholds ablation): a refit hypothesis
+// aliasMargin is the historical fixed refit margin: a refit hypothesis
 // displaces the incumbent only when its residual beats the incumbent's
 // by this factor — residual comparisons are noisy when the off-lattice
 // channels are faded, so near-ties must never flip decisions.
@@ -223,8 +198,8 @@ type evidenceGates struct {
 
 // fixedGates are the historical constants, tuned on the simulated
 // testbed at its standard campaign SNR (relative noise ≈ 0.05 per band
-// group). They remain the FixedThresholds ablation values and the
-// fallback when no per-sweep noise estimate exists.
+// group). They remain the fallback when no per-sweep noise estimate
+// exists.
 var fixedGates = evidenceGates{refitMargin: aliasMargin, anchorMargin: anchorMargin, fitGate: refitFitGate}
 
 // Slopes of the noise-adaptive evidence thresholds in the relative noise
@@ -251,9 +226,9 @@ const (
 // gatesFor derives the estimate's evidence thresholds from the
 // per-sweep relative noise estimate, making the family chain
 // self-calibrating across SNR regimes; the historical constants remain
-// as the FixedThresholds ablation and the no-estimate fallback.
-func (e *Estimator) gatesFor(noiseRel float64) evidenceGates {
-	if e.cfg.FixedThresholds || noiseRel <= 0 {
+// as the no-estimate fallback.
+func gatesFor(noiseRel float64) evidenceGates {
+	if noiseRel <= 0 {
 		return fixedGates
 	}
 	return evidenceGates{
@@ -297,11 +272,12 @@ type aliasScorer struct {
 }
 
 // newAliasScorer builds the scorer for one group's placement. floor is
-// the refit solver's noise floor: the group's ‖w‖₂ estimate, or 0 on the
-// precise re-solve of a contested placement, which stops every refit on
-// the iterate rule and scores it cold. The evidence gates adapt to the
-// group's noise either way: they are decision thresholds, not solve
-// tolerances.
+// the group's ‖w‖₂ estimate, or 0 on the precise re-solve of a contested
+// placement, which stops every refit on the iterate rule and scores it
+// cold. Under StopIterate the refits stop on the iterate rule whatever
+// floor is (solveFloor), and a positive floor only lets them start warm.
+// The evidence gates adapt to the group's noise either way: they are
+// decision thresholds, not solve tolerances.
 func (e *Estimator) newAliasScorer(g *bandGroup, s *Sweep, floor float64) (*aliasScorer, error) {
 	wr, err := e.newWindowRefit(g.freqs, g.h, g.power, s, floor)
 	if err != nil {
@@ -310,7 +286,7 @@ func (e *Estimator) newAliasScorer(g *bandGroup, s *Sweep, floor float64) (*alia
 	return &aliasScorer{
 		wr:      wr,
 		hNorm:   dsp.Norm2(g.h),
-		gates:   e.gatesFor(g.noiseRel),
+		gates:   gatesFor(g.noiseRel),
 		weights: aliasWeights(g.freqs, g.power, aliasPeriod),
 		memo:    make(map[int]refitScore, 4),
 	}, nil
@@ -390,7 +366,7 @@ func (sc *aliasScorer) beats(challenger, incumbent refitScore) bool {
 }
 
 // familyRank extracts the direct-path delay with alias-family ranking.
-// It follows the §6 windowed first-peak structure of the vertex chain,
+// It follows the §6 windowed first-peak structure of firstPeakWindowed,
 // with three ghost-insensitivity repairs:
 //
 //  1. dominance and the window anchor are ranked by baseline-subtracted
@@ -407,19 +383,19 @@ func (sc *aliasScorer) beats(challenger, incumbent refitScore) bool {
 //     pure-raster geometries to the solver's own placement.
 //
 // ok is false when the profile has no peak or family to anchor on or
-// the refits failed; callers fall back to the vertex chain. The evidence
-// thresholds (anchor margin, refit margin, fit gate) derive from the
-// group's per-sweep relative noise estimate; refitFloor is the refit
-// solver's noise floor (see newAliasScorer). contested is
-// placeCandidate's verdict on the final placement.
+// the refits failed; callers then place firstPeakWindowed's peak with
+// placeCandidate. The evidence thresholds (anchor margin, refit margin,
+// fit gate) derive from the group's per-sweep relative noise estimate;
+// refitFloor is the refit solver's noise floor (see newAliasScorer).
+// contested is placeCandidate's verdict on the final placement.
 func (e *Estimator) familyRank(g *bandGroup, prof *Profile, s *Sweep, refitFloor float64) (tau float64, ok, contested bool, work int64) {
-	gates := e.gatesFor(g.noiseRel)
+	gates := gatesFor(g.noiseRel)
 	cells := int(math.Round(aliasPeriod / gridStep))
 	period := float64(cells) * gridStep
 
-	// Half the vertex floor admits direct paths whose tallest member was
-	// halved by a family split; what this lets through is filtered by
-	// family dominance below.
+	// Half the first-peak floor admits direct paths whose tallest member
+	// was halved by a family split; what this lets through is filtered
+	// by family dominance below.
 	peaks := dsp.FindPeaks(prof.Taus, prof.Magnitude, 0.5*peakThreshold)
 	if len(peaks) == 0 {
 		return 0, false, false, 0
@@ -555,10 +531,10 @@ func virtualCandidates(peaks []dsp.Peak, famMass func(int) float64, floor, lo, f
 
 // placeCandidate resolves which grating-lobe member the chosen first
 // peak belongs to: the §4 refit over cand + k·aliasPeriod, k ∈ {−1,0,1},
-// with the candidate as the incumbent — the vertex chain's
-// disambiguation, sharpened by discrimination weighting and warm-started
-// refits, and gated on fit quality so an uninformative refit can never
-// displace the solver's placement.
+// with the candidate as the incumbent. All hypotheses share one α and
+// compare discrimination-weighted residuals, refits are warm-started,
+// and the decision is gated on fit quality so an uninformative refit can
+// never displace the solver's placement.
 //
 // contested reports a kept, trusted candidate that a ±1-period
 // neighbour out-fits on both the weighted and the plain residual, though
@@ -596,74 +572,4 @@ func (e *Estimator) placeCandidate(scorer *aliasScorer, cand float64) (best floa
 		obsAliasFlips.Inc()
 	}
 	return best, contested
-}
-
-// disambiguateAlias resolves which grating-lobe hypothesis a
-// vertex-ranked first peak belongs to. For each shift k·aliasPeriod
-// around the candidate, it refits the measurements on a delay window
-// shorter than one alias period; the displaced hypotheses fit the
-// on-lattice channels but rotate the off-lattice channels, so the true
-// hypothesis has the smallest residual. When a candidate sits within
-// 2 ns of zero the shift clamps to lo=0 and the fixed-width window
-// extends slightly past cand+22 ns; the extra atoms stay inside one alias
-// period (24 ns < 25 ns), so the window still holds at most one
-// hypothesis. Returns the resolved delay and the solver work spent.
-//
-// This is the RankVertex ablation baseline: historical per-solve α,
-// unweighted residuals, and the fixed displacement margin. The family
-// chain never calls it — its fallback placement runs placeCandidate,
-// which shares α across hypotheses, weights residuals, gates on fit
-// quality with noise-adaptive thresholds, and cold-confirms flips.
-// noiseFloor still feeds the solver's stopping rule: the ranking
-// ablation isolates the ranking, not the convergence model. contested
-// reports a kept incumbent that a neighbour's residual undercuts.
-func (e *Estimator) disambiguateAlias(g *bandGroup, tau float64, s *Sweep, noiseFloor float64) (float64, bool, int64) {
-	wr, err := e.newWindowRefit(g.freqs, g.h, g.power, s, noiseFloor)
-	if err != nil {
-		return tau, false, 0
-	}
-	// resids[k+1] is shift k's residual; NaN marks a hypothesis off the
-	// grid or whose refit failed.
-	resids := [3]float64{math.NaN(), math.NaN(), math.NaN()}
-	var work int64
-	for k := -1; k <= 1; k++ {
-		cand := tau + float64(float64(k)*aliasPeriod)
-		if cand < -1e-9 || cand > maxTau {
-			continue
-		}
-		// Warm labels use the candidate delay — the same family-stable
-		// convention as aliasScorer — so vertex-mode streams keep one
-		// consistent warm-state keying.
-		resid, w, err := wr.solve(cand, 0, 0, nil, false)
-		work += w
-		if err != nil {
-			continue
-		}
-		resids[k+1] = resid.plain
-	}
-	k, contested := pickAliasShift(resids)
-	return tau + float64(float64(k)*aliasPeriod), contested, work
-}
-
-// pickAliasShift is disambiguateAlias' decision over the refit residuals
-// resids[k+1] of the shifts k = −1, 0, +1, NaN marking a hypothesis not
-// fitted (NaN compares false, so it neither wins nor contests, and a NaN
-// incumbent keeps k = 0). A neighbour displaces the incumbent only when
-// it fits decisively better, below aliasMargin times the incumbent's
-// residual — a conservative test, since residual comparisons are noisy
-// when the off-lattice channels are faded — and the lowest such residual
-// wins. The scan runs k = −1, 0, +1 in order, so an exact tie goes to
-// the earlier shift. contested reports a kept incumbent that a
-// neighbour's residual undercuts.
-func pickAliasShift(resids [3]float64) (k int, contested bool) {
-	base := resids[1]
-	bestResid, near := base, false
-	for i, r := range resids {
-		if r < aliasMargin*base && r < bestResid {
-			k, bestResid = i-1, r
-		} else if r < base {
-			near = true
-		}
-	}
-	return k, near && k == 0
 }

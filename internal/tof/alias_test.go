@@ -13,15 +13,18 @@ import (
 	"chronos/internal/wifi"
 )
 
-// ghostScenario is one deep-NLOS geometry whose LASSO optimum strands
-// direct-path mass on a ±25 ns grating-lobe ghost vertex of the
-// degenerate face: the PR-3 ablate-delay regression, distilled into a
-// deterministic fixture. Seeds are pinned to draws where the solver's
-// trajectory demonstrably lands on the ghost (Go's rand is stable, so
-// these reproduce bit-for-bit). These scenarios run at 12 dB, where the
-// solves stop at the duality gap like every other; the fixture checks
-// that vertex ranking still lands on the ghost, so a stop rule that
-// moved the trajectory off it fails here instead of passing vacuously.
+// ghostScenario is one deep-NLOS geometry on which a ±1-period refit
+// that auto-scales α separately per hypothesis moves the fix a whole
+// alias period early. The profile does not strand the direct path on a
+// ghost: on every pinned draw its windowed first peak sits in the true
+// alias cell, a few ns late. The trap is the refit, whose auto α grows
+// with the window's atom correlations and shrinks the well-matched
+// window harder, so the window one period early leaves the smaller
+// residual. Seeds are pinned to draws where that holds (Go's rand is
+// stable, so these reproduce bit-for-bit), and the fixture checks that
+// it still does, so a solver change that disarmed the trap fails here
+// instead of passing vacuously. The scenarios run at 12 dB, where the
+// solves stop at the duality gap like every other.
 type ghostScenario struct {
 	name    string
 	direct  float64 // ns
@@ -56,31 +59,58 @@ func (sc ghostScenario) measure() (bands []wifi.Band, sweep [][]csi.Pair, trueNs
 }
 
 // TestAliasFamilyRecoversGhostVertices is the alias-family acceptance
-// fixture: on each pinned deep-NLOS draw, vertex ranking returns a
-// ghost (an error beyond half the 25 ns alias period) while family
-// ranking recovers the true alias cell.
+// fixture: on each pinned deep-NLOS draw the estimator's fix lands in
+// the true alias cell, although a refit of the windowed first peak with
+// a per-hypothesis auto α fits the member one period early better.
 func TestAliasFamilyRecoversGhostVertices(t *testing.T) {
 	for _, sc := range ghostScenarios() {
 		t.Run(sc.name, func(t *testing.T) {
 			bands, sweep, trueNs := sc.measure()
-			estFor := func(rk PeakRanking) float64 {
-				est := NewEstimator(Config{Mode: Bands5GHzOnly, MaxIter: sc.maxIter, Ranking: rk})
-				r, err := est.Estimate(bands, sweep)
-				if err != nil {
+			est := NewEstimator(Config{Mode: Bands5GHzOnly, MaxIter: sc.maxIter})
+			s := est.NewSweep()
+			for i, b := range bands {
+				if err := s.AddBand(b, sweep[i]); err != nil {
 					t.Fatal(err)
 				}
-				return math.Abs(r.ToF*1e9 - trueNs)
 			}
-			vErr := estFor(RankVertex)
-			fErr := estFor(RankFamilies)
-			if vErr <= 12.5 {
-				t.Errorf("vertex ranking error %.2f ns — fixture no longer exhibits the ghost (solver changed?); re-pin seeds", vErr)
+			r, err := s.Estimate()
+			if err != nil {
+				t.Fatal(err)
 			}
-			if fErr >= 12.5 {
-				t.Errorf("family ranking error %.2f ns — ghost not recovered (vertex: %.2f ns)", fErr, vErr)
-			}
-			if fErr >= 6 {
+			if fErr := math.Abs(r.ToF*1e9 - trueNs); fErr >= 12.5 {
+				t.Errorf("family ranking error %.2f ns — ghost not recovered", fErr)
+			} else if fErr >= 6 {
 				t.Errorf("family ranking error %.2f ns, want < 6 ns (right alias cell, modest NLOS blur)", fErr)
+			}
+
+			// The trap: refit the windowed first peak and its member one
+			// period early, each with the solver's own α.
+			cand, ok := firstPeakWindowed(r.Profile)
+			if !ok {
+				t.Fatal("profile has no peak")
+			}
+			if d := math.Abs(cand*1e9 - trueNs); d >= 12.5 {
+				t.Errorf("windowed first peak %.2f ns off, want it in the true alias cell", d)
+			}
+			g, err := est.newBandGroup(2, s.meas)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wr, err := est.newWindowRefit(g.freqs, g.h, g.power, s, g.noise)
+			if err != nil {
+				t.Fatal(err)
+			}
+			at, _, err := wr.solve(cand, 0, 0, nil, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			early, _, err := wr.solve(cand-aliasPeriod, 0, 0, nil, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if early.plain >= at.plain {
+				t.Errorf("auto-α refit residual one period early %.4g, not below %.4g at the first peak %.2f ns — fixture no longer exhibits the ghost (solver changed?); re-pin seeds",
+					early.plain, at.plain, cand*1e9)
 			}
 		})
 	}
@@ -88,7 +118,7 @@ func TestAliasFamilyRecoversGhostVertices(t *testing.T) {
 
 // TestAliasFamilyMatchesVertexOnCleanLinks pins the conservative-
 // extension contract: on clean LOS links the family chain must return
-// exactly what the vertex chain returns — its extra machinery may only
+// the profile's windowed first peak — its extra machinery may only
 // engage on decisive evidence.
 func TestAliasFamilyMatchesVertexOnCleanLinks(t *testing.T) {
 	bands := wifi.Bands5GHz()
@@ -96,17 +126,16 @@ func TestAliasFamilyMatchesVertexOnCleanLinks(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		link := testLink(rng, 10+float64(seed)*3, []rf.Path{{Delay: 30e-9, Gain: 0.5}}, false)
 		sweep := link.Sweep(rng, bands, 3, 2.4e-3)
-		var tofs [2]float64
-		for i, rk := range []PeakRanking{RankVertex, RankFamilies} {
-			est := NewEstimator(Config{Mode: Bands5GHzOnly, MaxIter: 1000, Ranking: rk})
-			r, err := est.Estimate(bands, sweep)
-			if err != nil {
-				t.Fatal(err)
-			}
-			tofs[i] = r.ToF
+		r, err := NewEstimator(Config{Mode: Bands5GHzOnly, MaxIter: 1000}).Estimate(bands, sweep)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if d := math.Abs(tofs[0]-tofs[1]) * 1e9; d > 0.05 {
-			t.Errorf("seed %d: family ToF differs from vertex by %.3f ns on a clean link", seed, d)
+		first, ok := firstPeakWindowed(r.Profile)
+		if !ok {
+			t.Fatalf("seed %d: profile has no peak", seed)
+		}
+		if d := math.Abs(r.ToF-first) * 1e9; d > 0.05 {
+			t.Errorf("seed %d: family ToF differs from the windowed first peak by %.3f ns on a clean link", seed, d)
 		}
 	}
 }
@@ -247,42 +276,6 @@ func TestAliasWeights(t *testing.T) {
 	w = aliasWeights([]float64{5.18e9, 5.2e9, 5.5e9}, 2, 25e-9)
 	if w != nil {
 		t.Errorf("pure-raster geometry got weights %v, want nil", w)
-	}
-}
-
-// TestPickAliasShift pins RankVertex's ±1-period decision: a neighbour
-// shifts the fix only below aliasMargin times the incumbent's residual,
-// the lower neighbour wins, an exact tie goes to k = −1, a hypothesis
-// skipped at either grid edge (NaN) neither wins nor contests, and
-// contested marks a kept incumbent that a neighbour undercuts.
-func TestPickAliasShift(t *testing.T) {
-	nan := math.NaN()
-	cases := []struct {
-		name      string
-		resids    [3]float64
-		k         int
-		contested bool
-	}{
-		{"incumbent best", [3]float64{2, 1, 3}, 0, false},
-		{"-1 decisive", [3]float64{0.5, 1, 3}, -1, false},
-		{"+1 decisive", [3]float64{3, 1, 0.5}, 1, false},
-		{"both decisive, -1 lower", [3]float64{0.4, 1, 0.5}, -1, false},
-		{"both decisive, +1 lower", [3]float64{0.5, 1, 0.4}, 1, false},
-		{"tie goes to -1", [3]float64{0.5, 1, 0.5}, -1, false},
-		{"at the margin stays", [3]float64{aliasMargin, 1, 2}, 0, true},
-		{"near -1 contests", [3]float64{0.9, 1, 2}, 0, true},
-		{"near +1 contests", [3]float64{2, 1, 0.9}, 0, true},
-		{"low edge skipped", [3]float64{nan, 1, 0.9}, 0, true},
-		{"low edge skipped, +1 decisive", [3]float64{nan, 1, 0.5}, 1, false},
-		{"high edge skipped", [3]float64{0.5, 1, nan}, -1, false},
-		{"high edge skipped, kept", [3]float64{1.5, 1, nan}, 0, false},
-		{"incumbent not fitted", [3]float64{0.1, nan, 0.1}, 0, false},
-	}
-	for _, c := range cases {
-		if k, contested := pickAliasShift(c.resids); k != c.k || contested != c.contested {
-			t.Errorf("%s %v: k=%d contested=%v, want k=%d contested=%v",
-				c.name, c.resids, k, contested, c.k, c.contested)
-		}
 	}
 }
 

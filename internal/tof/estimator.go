@@ -29,9 +29,28 @@ const (
 	Bands24Only
 	// BandsAllCoherent inverts every band in one NDFT in the h̃² domain,
 	// spanning the full 2.4–5.8 GHz ≈ 3.4 GHz. Valid only when the
-	// radio's 2.4 GHz quirk is disabled (clean-firmware what-if); it is
-	// the upper bound on stitching resolution.
+	// radio's 2.4 GHz quirk is disabled (a clean-firmware what-if). It
+	// bounds how often stitching misses an alias period, not the median
+	// error: it misses almost no period, but its median error is about
+	// 3× the fused mode's.
 	BandsAllCoherent
+)
+
+// StopRule selects when the estimator's profile solves stop.
+type StopRule int
+
+const (
+	// StopGap (default) stops a solve once a duality-gap bound certifies
+	// the objective within the per-sweep noise energy, estimated from the
+	// spread of repeated CSI pairs per band, or at Algorithm 1's iterate
+	// rule, whichever comes first.
+	StopGap StopRule = iota
+	// StopIterate is Algorithm 1's own rule: a solve stops only when
+	// ‖p_{t+1} − p_t‖₂ < ε (1e−6·‖h‖ for the main solve). The estimator
+	// passes its solves a zero noise floor; the noise estimate still sets
+	// the evidence gates. At campaign SNR the main solve routinely runs to
+	// the iteration cap, since that tolerance sits far below the noise.
+	StopIterate
 )
 
 // The estimator's fixed delay grid and §6 peak rules.
@@ -75,24 +94,10 @@ type Config struct {
 	// (default 1). The sparsity ablation sweeps this.
 	AlphaFactor float64
 	MaxIter     int // ISTA iteration cap (default 1500)
-	// Ranking selects how the direct-path peak is extracted from the
-	// profile: RankFamilies (default) ranks alias families by folded
-	// mass and lets the window refit place the winner; RankVertex is the
-	// historical chain that trusts the raw solver vertex (kept for the
-	// alias ablation).
-	Ranking PeakRanking
-	// Stop selects the solver's termination rule (default ndft.StopGap:
-	// stop once a duality-gap bound certifies the objective within the
-	// per-sweep noise energy, estimated from the spread of repeated CSI
-	// pairs per band). ndft.StopIterate restores the fixed
-	// 1e−6·‖h‖ iterate tolerance — the convergence ablation path, which
-	// routinely runs to the iteration cap at campaign SNR.
-	Stop ndft.StopRule
-	// FixedThresholds pins the alias-evidence thresholds (refit margin,
-	// fit gate, anchor margin) to their historical constants instead of
-	// deriving them from the per-sweep noise estimate — the threshold
-	// ablation path.
-	FixedThresholds bool
+	// Stop selects the solves' termination rule (default StopGap).
+	// StopIterate is the paper's fixed iterate tolerance, the comparison
+	// arm of the converge campaign.
+	Stop StopRule
 	// ForwardOnly disables the §7 CFO cancellation (ablation).
 	ForwardOnly bool
 	// CalibrationOffset is subtracted from every τ estimate; it absorbs
@@ -174,8 +179,8 @@ type Estimate struct {
 	// Work does not). A group re-solved after a contested placement
 	// counts both attempts.
 	Work int64
-	// AliasWork is the portion of Work spent in alias-window refits
-	// (family placement or vertex disambiguation).
+	// AliasWork is the portion of Work spent in the alias-window refits
+	// that rank and place the direct path.
 	AliasWork int64
 	// Iterations totals the main profile inversions' solver iterations
 	// across band groups and attempts (alias refits are counted in
@@ -557,6 +562,14 @@ type bandGroup struct {
 	noiseRel float64 // noise / ‖h‖₂
 }
 
+// outranks reports whether g is a better primary than p (nil for none):
+// the wider span, which fusion weights by span², with ties going to the
+// lower channel power. Primaries are picked by this rule alone, so
+// neither depends on the order groups come out of their map.
+func (g *bandGroup) outranks(p *bandGroup) bool {
+	return p == nil || g.span > p.span || (g.span == p.span && g.power < p.power)
+}
+
 // newBandGroup resolves one power group's plan and noise estimate.
 func (e *Estimator) newBandGroup(power int, meas []bandMeas) (*bandGroup, error) {
 	g := &bandGroup{power: power, freqs: make([]float64, len(meas)), h: make(dsp.Vec, len(meas))}
@@ -608,7 +621,7 @@ func (e *Estimator) estimate(s *Sweep) (*Estimate, error) {
 	for _, m := range meas {
 		byPower[m.power] = append(byPower[m.power], m)
 	}
-	// The primary group, the widest span among the invertible ones, is
+	// The primary group, the invertible one that outranks the others, is
 	// the one fusion trusts, so it is the only group whose contested
 	// placement earns a re-solve. It is picked before any solve, so map
 	// order cannot matter; a secondary group that lands a period off is
@@ -624,7 +637,7 @@ func (e *Estimator) estimate(s *Sweep) (*Estimate, error) {
 		if err != nil {
 			return nil, err
 		}
-		if p := primaryGroup; p == nil || g.span > p.span || (g.span == p.span && g.power < p.power) {
+		if g.outranks(primaryGroup) {
 			primaryGroup = g
 		}
 		noiseRelMax = math.Max(noiseRelMax, g.noiseRel)
@@ -632,6 +645,7 @@ func (e *Estimator) estimate(s *Sweep) (*Estimate, error) {
 	}
 
 	type groupEst struct {
+		group   *bandGroup
 		tau     float64
 		profile *Profile
 		peaks   int
@@ -665,7 +679,7 @@ func (e *Estimator) estimate(s *Sweep) (*Estimate, error) {
 		// noise floor under StopGap; otherwise it was already precise),
 		// solve the group once more on the precise path, from the same
 		// seed, and keep that answer.
-		if g == primaryGroup && fix.contested && g.noise > 0 && e.cfg.Stop == ndft.StopGap {
+		if g == primaryGroup && fix.contested && g.noise > 0 && e.cfg.Stop == StopGap {
 			obsAliasResolves.Inc()
 			if fix, res, err = e.solveGroup(s, g, seed, 0); err != nil {
 				return nil, err
@@ -683,6 +697,7 @@ func (e *Estimator) estimate(s *Sweep) (*Estimate, error) {
 			continue
 		}
 		ests = append(ests, groupEst{
+			group:   g,
 			tau:     fix.tau,
 			profile: fix.prof,
 			peaks:   dsp.DominantPeakCount(fix.prof.Taus, fix.prof.Magnitude, peakThreshold),
@@ -696,11 +711,12 @@ func (e *Estimator) estimate(s *Sweep) (*Estimate, error) {
 		return nil, ErrNoBands
 	}
 
-	// Pick the highest-weight group as primary; fuse others that agree
+	// The primary is the placed group that outranks the others, by the
+	// rule that picked the re-solve's primary; fuse others that agree
 	// within 3 ns (outlier guard).
 	primary := ests[0]
 	for _, g := range ests[1:] {
-		if g.weight > primary.weight {
+		if g.group.outranks(primary.group) {
 			primary = g
 		}
 	}
@@ -762,19 +778,19 @@ type groupFix struct {
 	tau  float64
 	ok   bool // a direct-path candidate was placed
 	// contested marks a kept placement that a ±1-period neighbour
-	// out-fit without clearing the refit margin (placeCandidate,
-	// disambiguateAlias): the one decision an early stop can get wrong.
+	// out-fit without clearing the refit margin (placeCandidate): the
+	// one decision an early stop can get wrong.
 	contested bool
 	aliasWork int64
 }
 
 // solveGroup makes one solve attempt at a band group: Algorithm 1 from
 // seed, the profile rescaled from the h̃ᵖ delay domain back to true τ,
-// then the direct-path placement. The main solve and the alias refits
-// stop at a duality gap scaled to floor: the group's noise estimate, or
-// 0 for the re-solve of a contested placement, which puts both on the
-// precise iterate rule and scores every refit cold. The caller commits
-// the result to the sweep's warm state.
+// then the direct-path placement. Under StopGap the main solve and the
+// alias refits stop at a duality gap scaled to floor: the group's noise
+// estimate, or 0 for the re-solve of a contested placement, which puts
+// both on the precise iterate rule and scores every refit cold. The
+// caller commits the result to the sweep's warm state.
 func (e *Estimator) solveGroup(s *Sweep, g *bandGroup, seed dsp.Vec, floor float64) (groupFix, *ndft.Result, error) {
 	solveStart := obs.Tick()
 	res, err := g.plan.Solve(ndft.SolveRequest{
@@ -782,8 +798,7 @@ func (e *Estimator) solveGroup(s *Sweep, g *bandGroup, seed dsp.Vec, floor float
 		InvertOptions: ndft.InvertOptions{
 			AlphaScale: e.cfg.AlphaFactor,
 			MaxIter:    e.cfg.MaxIter,
-			Stop:       e.cfg.Stop,
-			NoiseFloor: floor,
+			NoiseFloor: e.solveFloor(floor),
 			Yield:      e.yield,
 		},
 	})
@@ -799,32 +814,31 @@ func (e *Estimator) solveGroup(s *Sweep, g *bandGroup, seed dsp.Vec, floor float
 	fix.prof = &Profile{Taus: taus, Magnitude: res.Magnitude, Power: g.power}
 
 	aliasStart := obs.Tick()
-	if e.cfg.Ranking == RankFamilies {
-		fix.tau, fix.ok, fix.contested, fix.aliasWork = e.familyRank(g, fix.prof, s, floor)
-	}
+	fix.tau, fix.ok, fix.contested, fix.aliasWork = e.familyRank(g, fix.prof, s, floor)
 	if !fix.ok {
-		// RankVertex, or family ranking found no candidate on this
-		// profile: fall back to the vertex first peak. In family mode its
-		// placement still runs the full scorer machinery (shared α,
-		// discrimination weights, fit gate, cold-confirmed flips); the
-		// explicit RankVertex baseline keeps the historical
-		// disambiguation it documents.
+		// Family ranking found no candidate on this profile: place the
+		// windowed first peak through the same scorer (shared α,
+		// discrimination weights, fit gate, cold-confirmed flips).
 		fix.tau, fix.ok = firstPeakWindowed(fix.prof)
 		if fix.ok {
-			if e.cfg.Ranking == RankFamilies {
-				if scorer, err := e.newAliasScorer(g, s, floor); err == nil {
-					fix.tau, fix.contested = e.placeCandidate(scorer, fix.tau)
-					fix.aliasWork += scorer.work
-				}
-			} else {
-				var aw int64
-				fix.tau, fix.contested, aw = e.disambiguateAlias(g, fix.tau, s, floor)
-				fix.aliasWork += aw
+			if scorer, err := e.newAliasScorer(g, s, floor); err == nil {
+				fix.tau, fix.contested = e.placeCandidate(scorer, fix.tau)
+				fix.aliasWork += scorer.work
 			}
 		}
 	}
 	obsStageAliasNs.Since(aliasStart)
 	return fix, res, nil
+}
+
+// solveFloor is the noise floor a solve stops against: floor itself
+// under StopGap, 0 under StopIterate, which leaves Algorithm 1's iterate
+// rule to decide alone.
+func (e *Estimator) solveFloor(floor float64) float64 {
+	if e.cfg.Stop == StopIterate {
+		return 0
+	}
+	return floor
 }
 
 // planForGroup resolves (building and registering on demand) the shared

@@ -7,7 +7,9 @@ import (
 	"testing"
 
 	"chronos/internal/csi"
+	"chronos/internal/dsp"
 	"chronos/internal/rf"
+	"chronos/internal/sim"
 	"chronos/internal/wifi"
 )
 
@@ -219,6 +221,89 @@ func TestEstimateNeverNegative(t *testing.T) {
 		}
 		if got.ToF < 0 {
 			t.Errorf("negative ToF %v", got.ToF)
+		}
+	}
+}
+
+// TestFusedPrimaryTieGoesToLowerPower: a quirked 2.4 GHz group on
+// channels 1/5/9 and a 5 GHz group on 36/40/44 both span 40 MHz, so
+// which group is fusion's primary is a tie. It must go to the lower
+// channel power by the rule that picks the re-solve's primary, not to
+// whichever group the map yields last: repeated estimates of one sweep
+// agree bit for bit and report the h̃² profile.
+func TestFusedPrimaryTieGoesToLowerPower(t *testing.T) {
+	var bands []wifi.Band
+	for _, b := range wifi.USBands() {
+		switch b.Channel {
+		case 1, 5, 9, 36, 40, 44:
+			bands = append(bands, b)
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	office := sim.NewOffice(rng, sim.OfficeConfig{})
+	link := office.NewLink(rng, office.RandomPlacement(rng, 15, false), sim.LinkConfig{Quirk: true})
+	sweep := link.Sweep(rng, bands, 3, 2.4e-3)
+	est := NewEstimator(Config{Mode: BandsFused, Quirk24: true, MaxIter: 1200})
+	var first *Estimate
+	for i := 0; i < 40; i++ {
+		r, err := est.Estimate(bands, sweep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Profile.Power != 2 {
+			t.Fatalf("call %d: primary profile power %d, want 2", i, r.Profile.Power)
+		}
+		if first == nil {
+			first = r
+		} else if math.Float64bits(r.ToF) != math.Float64bits(first.ToF) {
+			t.Fatalf("call %d: ToF %.4f ns, first call %.4f ns", i, r.ToF*1e9, first.ToF*1e9)
+		}
+	}
+}
+
+// TestEstimateScaleInvariant scales every CSI value of a sweep by 2^k.
+// A power of two scales every folded value, residual and noise estimate
+// exactly, so the fix must come out bit for bit the same, and with the
+// same solver cost: the adaptive evidence gates and the gap tolerance
+// are relative to the measurement, never absolute.
+func TestEstimateScaleInvariant(t *testing.T) {
+	bands := wifi.USBands()
+	rng := rand.New(rand.NewSource(4))
+	office := sim.NewOffice(rng, sim.OfficeConfig{})
+	est := NewEstimator(Config{Mode: BandsFused, Quirk24: true, MaxIter: 1200})
+	scaled := func(sweep [][]csi.Pair, s float64) [][]csi.Pair {
+		scale := func(m csi.Measurement) csi.Measurement {
+			v := make(dsp.Vec, len(m.Values))
+			for i, c := range m.Values {
+				v[i] = complex(real(c)*s, imag(c)*s)
+			}
+			m.Values = v
+			return m
+		}
+		out := make([][]csi.Pair, len(sweep))
+		for i, pairs := range sweep {
+			for _, p := range pairs {
+				out[i] = append(out[i], csi.Pair{Forward: scale(p.Forward), Reverse: scale(p.Reverse)})
+			}
+		}
+		return out
+	}
+	for n := 0; n < 12; n++ {
+		link := office.NewLink(rng, office.RandomPlacement(rng, 15, n%3 == 2), sim.LinkConfig{Quirk: true})
+		sweep := link.Sweep(rng, bands, 3, 2.4e-3)
+		want, err := est.Estimate(bands, sweep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, k := range []int{-20, -4, -1, 1, 4, 20} {
+			got, err := est.Estimate(bands, scaled(sweep, math.Ldexp(1, k)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Float64bits(got.ToF) != math.Float64bits(want.ToF) || got.Work != want.Work || got.Iterations != want.Iterations {
+				t.Errorf("sweep %d, scale 2^%d: ToF %.6f ns, work %d, %d iterations; unscaled %.6f ns, %d, %d",
+					n, k, got.ToF*1e9, got.Work, got.Iterations, want.ToF*1e9, want.Work, want.Iterations)
+			}
 		}
 	}
 }

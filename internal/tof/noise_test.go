@@ -113,24 +113,19 @@ func TestEstimateNoiseFloorTracksSNR(t *testing.T) {
 
 // TestAdaptiveGatesAnchoring pins the noise-adaptive threshold formulas
 // at their calibration anchor (the historical constants at
-// noiseRel = 0.05), their clamps, and the ablation/fallback paths.
+// noiseRel = 0.05), their clamps, and the no-estimate fallback.
 func TestAdaptiveGatesAnchoring(t *testing.T) {
-	e := NewEstimator(Config{})
-	g := e.gatesFor(0.05)
+	g := gatesFor(0.05)
 	if math.Abs(g.refitMargin-aliasMargin) > 1e-12 ||
 		math.Abs(g.anchorMargin-anchorMargin) > 1e-12 ||
 		math.Abs(g.fitGate-refitFitGate) > 1e-12 {
 		t.Errorf("gates at the tuning point %+v, want the historical constants", g)
 	}
-	if g := e.gatesFor(10); g.refitMargin != 0.6 || g.anchorMargin != 1.9 || g.fitGate != 0.6 {
+	if g := gatesFor(10); g.refitMargin != 0.6 || g.anchorMargin != 1.9 || g.fitGate != 0.6 {
 		t.Errorf("deep-fade clamps: %+v", g)
 	}
-	if g := e.gatesFor(0); g != fixedGates {
+	if g := gatesFor(0); g != fixedGates {
 		t.Errorf("no estimate: %+v, want fixed gates", g)
-	}
-	fixed := NewEstimator(Config{FixedThresholds: true})
-	if g := fixed.gatesFor(0.3); g != fixedGates {
-		t.Errorf("FixedThresholds ablation: %+v, want fixed gates", g)
 	}
 }
 
