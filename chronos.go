@@ -299,9 +299,8 @@ type Service = svc.Daemon
 // time, and the optional solve pool with latency/bulk classes).
 type ServiceConfig = svc.Config
 
-// ServiceDeviceConfig describes one device attached to the service:
-// either a full CSI→solve→Kalman pipeline session or the statistical
-// ranging model at fleet scale.
+// ServiceDeviceConfig describes one device attached to the service: a
+// full CSI→solve→Kalman pipeline session in the service's office.
 type ServiceDeviceConfig = svc.DeviceConfig
 
 // ServiceDeviceResult is one retired device's outcome (at completion,

@@ -1,17 +1,16 @@
 // Command chronos-svc is the always-on localization daemon: N worker
 // shards continuously tracking every attached device through the full
-// Chronos pipeline (or the statistical ranging model at fleet scale),
-// with the internal/obs layer as the management surface. A shard
-// ingests and tracks each of its devices' sweeps itself; the solve in
-// between runs on the shard too, or with -pipeline on a shared solve
-// pool where latency-class solves dequeue first and a running bulk
-// solve runs waiting latency solves inline at its gap checks.
+// Chronos pipeline, with the internal/obs layer as the management
+// surface. A shard ingests and tracks each of its devices' sweeps
+// itself; the solve in between runs on the shard too, or with -pipeline
+// on a shared solve pool where latency-class solves dequeue first and a
+// running bulk solve runs waiting latency solves inline at its gap
+// checks.
 //
 //	chronos-svc                          # 4 shards, synthetic demo fleet, wall time
-//	chronos-svc -shards 8 -devices 16    # full-pipeline fleet size
-//	chronos-svc -stat-devices 5000      # statistical ranging fleet size
+//	chronos-svc -shards 8 -devices 16    # latency-class fleet size
 //	chronos-svc -pipeline                # solves on a shared pool with latency/bulk classes
-//	chronos-svc -bulk-devices 24         # bulk-class full devices (yield to latency class)
+//	chronos-svc -bulk-devices 24         # bulk-class devices (yield to latency class)
 //	chronos-svc -virtual                 # virtual time (as fast as the host allows)
 //	chronos-svc -metrics :6060           # REQUIRED for observability: /metrics + pprof
 //	chronos-svc -watch 1s                # live fix-rate line on stderr
@@ -45,9 +44,8 @@ import (
 
 func main() {
 	shards := flag.Int("shards", 4, "worker-shard count (devices hash to shards by ID)")
-	devices := flag.Int("devices", 4, "latency-class full-pipeline devices in the synthetic fleet")
-	bulkDevices := flag.Int("bulk-devices", 0, "bulk-class full-pipeline devices in the synthetic fleet")
-	statDevices := flag.Int("stat-devices", 64, "statistical ranging devices in the synthetic fleet")
+	devices := flag.Int("devices", 4, "latency-class devices in the synthetic fleet")
+	bulkDevices := flag.Int("bulk-devices", 0, "bulk-class devices in the synthetic fleet")
 	pipeline := flag.Bool("pipeline", false, "solve sweeps on a shared solve pool with latency/bulk classes (ingest and track stay on the shards)")
 	speed := flag.Float64("speed", 1.0, "device walk speed in m/s")
 	sweeps := flag.Int("sweeps", -1, "full sweeps per device (-1 = track until drain)")
@@ -87,7 +85,7 @@ func main() {
 		Pipeline: svc.PipelineConfig{Enabled: *pipeline},
 	})
 
-	attachFull := func(id uint64, class svc.Class) {
+	attach := func(id uint64, class svc.Class) {
 		err := d.Attach(id, svc.DeviceConfig{
 			Seed: rng.Int63(), Class: class,
 			Session: track.SessionConfig{
@@ -102,22 +100,13 @@ func main() {
 		}
 	}
 	for i := 0; i < *devices; i++ {
-		attachFull(uint64(1+i), svc.ClassLatency)
+		attach(uint64(1+i), svc.ClassLatency)
 	}
 	for i := 0; i < *bulkDevices; i++ {
-		attachFull(uint64(1<<16+i), svc.ClassBulk)
+		attach(uint64(1<<16+i), svc.ClassBulk)
 	}
-	for i := 0; i < *statDevices; i++ {
-		err := d.Attach(uint64(1<<20+i), svc.DeviceConfig{
-			Seed: rng.Int63(), Stat: true, Speed: *speed,
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "attach: %v\n", err)
-			os.Exit(1)
-		}
-	}
-	fmt.Fprintf(os.Stderr, "chronos-svc: %d shards, %d latency + %d bulk full + %d stat devices (pipeline=%v)\n",
-		*shards, *devices, *bulkDevices, *statDevices, *pipeline)
+	fmt.Fprintf(os.Stderr, "chronos-svc: %d shards, %d latency + %d bulk devices (pipeline=%v)\n",
+		*shards, *devices, *bulkDevices, *pipeline)
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)

@@ -1,41 +1,14 @@
-// Package baseline implements the comparison systems the paper positions
-// Chronos against: clock-based time-of-flight (the ~tens-of-nanoseconds
-// resolution the related work is limited to), time-of-arrival that
-// includes packet-detection delay (the SourceSync-class measurement §5
-// contrasts with), and single-band phase ranging (the 12 cm modular
-// ambiguity of §4 that motivates multi-band stitching).
+// Package baseline models the packet-detection delay that the paper's
+// time-of-arrival baseline suffers (§5): a per-packet delay drawn from
+// the Fig. 7c statistics, and the error it leaves in an uncompensated
+// time-of-arrival measurement. The delay ablation (exp.AblationDelay)
+// sets that error beside Chronos's zero-subcarrier interpolation.
 package baseline
 
-import (
-	"math"
-	"math/rand"
-
-	"chronos/internal/rf"
-	"chronos/internal/wifi"
-)
-
-// ClockToF quantizes a (true) time of flight plus detection delay to one
-// clock tick of clockHz, the best a timestamp-based ranger can do
-// ([55, 10]: Wi-Fi cards expose 20–88 MHz clocks). The caller is assumed
-// to subtract the average detection delay (the best static compensation),
-// passed as meanDelay.
-func ClockToF(trueToF, detectionDelay, meanDelay, clockHz float64) float64 {
-	tick := 1 / clockHz
-	measured := trueToF + detectionDelay
-	quantized := math.Round(measured/tick) * tick
-	return quantized - meanDelay
-}
-
-// ClockRangeError returns the absolute ranging error (meters) of the
-// clock-based method for one packet.
-func ClockRangeError(rng *rand.Rand, trueToF, clockHz float64, radio DelayModel) float64 {
-	delay := radio.Draw(rng)
-	est := ClockToF(trueToF, delay, radio.Mean(), clockHz)
-	return math.Abs(est-trueToF) * wifi.SpeedOfLight
-}
+import "math/rand"
 
 // DelayModel abstracts the packet-detection delay distribution so the
-// baselines share the csi radio's statistics without importing it.
+// baseline shares the csi radio's statistics without importing it.
 type DelayModel struct {
 	Med   float64 // median detection delay (s)
 	Sigma float64 // spread (s)
@@ -67,41 +40,4 @@ func (d DelayModel) Mean() float64 { return d.Med + 0.1*d.Sigma }
 // the mean delay. This is why §5 exists.
 func ToAError(rng *rand.Rand, model DelayModel) float64 {
 	return model.Draw(rng) - model.Mean()
-}
-
-// SingleBandToF estimates time of flight from the channel phase on one
-// band only: τ = −∠h/(2πf) mod 1/f (§4 Eq. 3). The returned estimate is
-// the smallest non-negative representative; the ambiguity period 1/f is
-// also returned. At 2.4 GHz the period is ≈0.4 ns ≈ 12 cm, which is what
-// makes a single band useless for absolute ranging.
-func SingleBandToF(ch *rf.Channel, freq float64) (tof, period float64) {
-	h := ch.Response(freq)
-	phase := math.Atan2(imag(h), real(h))
-	period = 1 / freq
-	tof = math.Mod(-phase/(2*math.Pi*freq), period)
-	if tof < 0 {
-		tof += period
-	}
-	return tof, period
-}
-
-// SingleBandRangeError returns the absolute distance error of single-band
-// phase ranging: the estimate is only defined modulo ~12 cm, so the error
-// is computed against the true ToF folded into the same period.
-func SingleBandRangeError(ch *rf.Channel, freq, trueToF float64) float64 {
-	est, period := SingleBandToF(ch, freq)
-	truthMod := math.Mod(trueToF, period)
-	diff := math.Abs(est - truthMod)
-	if diff > period/2 {
-		diff = period - diff
-	}
-	return diff * wifi.SpeedOfLight
-}
-
-// AmbiguityCount returns how many plausible positions a single-band
-// estimate leaves within maxRange meters — the count of aliases a
-// receiver cannot tell apart (≈ maxRange / 12 cm at 2.4 GHz).
-func AmbiguityCount(freq, maxRange float64) int {
-	period := wifi.SpeedOfLight / freq
-	return int(maxRange / period)
 }

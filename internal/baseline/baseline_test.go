@@ -5,54 +5,9 @@ import (
 	"math/rand"
 	"testing"
 
-	"chronos/internal/rf"
 	"chronos/internal/stats"
 	"chronos/internal/wifi"
 )
-
-func TestClockToFQuantization(t *testing.T) {
-	// At 20 MHz a tick is 50 ns → a 10 ns ToF with zero delay rounds to 0.
-	got := ClockToF(10e-9, 0, 0, 20e6)
-	if got != 0 {
-		t.Errorf("ClockToF = %v, want 0 (quantized away)", got)
-	}
-	// 30 ns rounds up to 50 ns.
-	got = ClockToF(30e-9, 0, 0, 20e6)
-	if math.Abs(got-50e-9) > 1e-15 {
-		t.Errorf("ClockToF = %v, want 50 ns", got)
-	}
-}
-
-func TestClockRangeErrorScale(t *testing.T) {
-	// The paper cites ~2.3 m mean error for 88 MHz clock systems and
-	// ~15 m granularity at 20 MHz. Our model should reproduce the order
-	// of magnitude and the clock-speed ordering.
-	rng := rand.New(rand.NewSource(1))
-	model := DefaultDelayModel()
-	meanErr := func(clockHz float64) float64 {
-		var errs []float64
-		for i := 0; i < 2000; i++ {
-			errs = append(errs, ClockRangeError(rng, 20e-9, clockHz, model))
-		}
-		return stats.Mean(errs)
-	}
-	e20, e88 := meanErr(20e6), meanErr(88e6)
-	// Both clocks land at meters of error: the per-packet detection-delay
-	// variance (σ ≈ 25 ns ≈ 7.5 m) dominates the quantization difference,
-	// which is exactly why faster clocks alone never fixed Wi-Fi ToF
-	// (§1 "Packet Detection Delay").
-	if e88 < 1 || e88 > 20 {
-		t.Errorf("88 MHz mean error = %.2f m, want meters-scale", e88)
-	}
-	if e20 < 1 || e20 > 40 {
-		t.Errorf("20 MHz mean error = %.2f m, want meters-scale", e20)
-	}
-	// Either way the clock baseline is ≥ an order of magnitude worse than
-	// Chronos's ~15 cm.
-	if e20 < 10*0.15 || e88 < 10*0.15 {
-		t.Error("clock baseline implausibly close to Chronos accuracy")
-	}
-}
 
 func TestDelayModelStatistics(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
@@ -87,40 +42,6 @@ func TestToAErrorDominatesChronos(t *testing.T) {
 	}
 	if med > 100e-9 {
 		t.Errorf("median ToA error = %v, implausibly large", med)
-	}
-}
-
-func TestSingleBandToFExactModulo(t *testing.T) {
-	// A noiseless single path must be recovered exactly modulo 1/f.
-	freq := 2.412e9
-	for _, tau := range []float64{0.1e-9, 2e-9, 7.77e-9} {
-		ch := rf.NewChannel([]rf.Path{{Delay: tau, Gain: 1}})
-		est, period := SingleBandToF(ch, freq)
-		want := math.Mod(tau, period)
-		if math.Abs(est-want) > 1e-15 {
-			t.Errorf("tau %v: est %v, want %v", tau, est, want)
-		}
-	}
-}
-
-func TestSingleBandRangeErrorSmallModulo(t *testing.T) {
-	// Within its 12 cm period the single-band method is extremely
-	// precise — the problem is the ambiguity, not the precision.
-	ch := rf.NewChannel([]rf.Path{{Delay: 10e-9, Gain: 1}})
-	if e := SingleBandRangeError(ch, 2.412e9, 10e-9); e > 1e-6 {
-		t.Errorf("modular error = %v m", e)
-	}
-}
-
-func TestAmbiguityCount(t *testing.T) {
-	// ~12.4 cm period at 2.412 GHz → ≈80 aliases in 10 m.
-	n := AmbiguityCount(2.412e9, 10)
-	if n < 70 || n > 90 {
-		t.Errorf("ambiguities = %d, want ≈80", n)
-	}
-	// Many fewer at a lower frequency.
-	if n2 := AmbiguityCount(100e6, 10); n2 >= n {
-		t.Errorf("lower frequency should alias less: %d vs %d", n2, n)
 	}
 }
 

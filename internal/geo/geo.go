@@ -293,28 +293,3 @@ func RejectOutliers(circles []Circle, slack float64) []int {
 	}
 	return kept
 }
-
-// DisambiguateByMotion implements §8 strategy (2): given the two candidate
-// positions from a 2-antenna fix and a second fix taken after moving the
-// receiver by the known displacement, pick the candidate that stayed
-// consistent. prev are the candidates from the first fix (in the first
-// fix's frame), cur from the second, and displacement is how far the
-// receiver moved between fixes. The winner is the current-fix candidate
-// whose implied target position (relative to the world) moved least.
-func DisambiguateByMotion(prev, cur []Point, displacement Point) (Point, error) {
-	if len(prev) == 0 || len(cur) == 0 {
-		return Point{}, errors.New("geo: missing candidates")
-	}
-	best := cur[0]
-	bestMove := math.Inf(1)
-	for _, c := range cur {
-		world := c.Add(displacement) // candidate in the first fix's frame
-		for _, p := range prev {
-			if move := world.Dist(p); move < bestMove {
-				bestMove = move
-				best = c
-			}
-		}
-	}
-	return best, nil
-}

@@ -243,42 +243,6 @@ func TestRejectOutliersSmallInputs(t *testing.T) {
 	}
 }
 
-func TestDisambiguateByMotion(t *testing.T) {
-	// The receiver moves +1 m in x between fixes. The true target is at
-	// (3, 4) in the world; the first fix (receiver at origin) yields
-	// candidates (3, ±4); the second fix (receiver at (1,0)) yields
-	// candidates (2, ±4) in the receiver frame.
-	prev := []Point{{3, 4}, {3, -4}}
-	cur := []Point{{2, 4}, {2, -4}}
-	got, err := DisambiguateByMotion(prev, cur, Point{1, 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Dist(Point{2, 4}) > 1e-9 && got.Dist(Point{2, -4}) > 1e-9 {
-		t.Fatalf("unexpected candidate %v", got)
-	}
-	// Both (2,4)+(1,0)=(3,4) and (2,-4)+(1,0)=(3,-4) match a prev
-	// candidate exactly here, so refine: move the receiver along y too.
-	prev = []Point{{3, 4}, {3, -4}}
-	cur = []Point{{2, 3}, {2, -5}}
-	got, err = DisambiguateByMotion(prev, cur, Point{1, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Dist(Point{2, 3}) > 1e-9 {
-		t.Errorf("disambiguation chose %v, want (2,3)", got)
-	}
-}
-
-func TestDisambiguateByMotionErrors(t *testing.T) {
-	if _, err := DisambiguateByMotion(nil, []Point{{1, 1}}, Point{}); err == nil {
-		t.Error("empty prev accepted")
-	}
-	if _, err := DisambiguateByMotion([]Point{{1, 1}}, nil, Point{}); err == nil {
-		t.Error("empty cur accepted")
-	}
-}
-
 func TestPointArithmetic(t *testing.T) {
 	p := Point{1, 2}
 	if got := p.Add(Point{3, -1}); got != (Point{4, 1}) {

@@ -266,8 +266,8 @@ func FuzzFamilyFold(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cp, okC := coldRes.FirstPeakDelay(0.2)
-		wp, okW := warmRes.FirstPeakDelay(0.2)
+		cp, okC := firstPeakDelay(coldRes, 0.2)
+		wp, okW := firstPeakDelay(warmRes, 0.2)
 		if okC != okW {
 			t.Fatalf("warm refit peak presence %v != cold %v", okW, okC)
 		}

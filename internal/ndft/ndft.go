@@ -117,20 +117,3 @@ type Result struct {
 	// actual cost rather than raw iteration counts.
 	Work int64
 }
-
-// FirstPeakDelay extracts the direct-path delay from an inversion result:
-// the earliest profile peak at or above threshold·max (§6's "first peak"
-// rule). ok is false when the profile is empty.
-func (r *Result) FirstPeakDelay(threshold float64) (float64, bool) {
-	p, ok := dsp.FirstPeak(r.Taus, r.Magnitude, threshold)
-	if !ok {
-		return 0, false
-	}
-	return p.X, true
-}
-
-// DominantPeaks counts profile peaks at or above threshold·max — the
-// sparsity census reported in §12.1.
-func (r *Result) DominantPeaks(threshold float64) int {
-	return dsp.DominantPeakCount(r.Taus, r.Magnitude, threshold)
-}

@@ -22,6 +22,14 @@ func synthChannel(freqs []float64, delaysNs, gains []float64) dsp.Vec {
 	return h
 }
 
+// firstPeakDelay is §6's first-peak rule on a solve's profile: the
+// earliest peak at or above threshold·max. ok is false when the profile
+// is empty.
+func firstPeakDelay(r *Result, threshold float64) (float64, bool) {
+	p, ok := dsp.FirstPeak(r.Taus, r.Magnitude, threshold)
+	return p.X, ok
+}
+
 func TestTauGrid(t *testing.T) {
 	g := TauGrid(10e-9, 1e-9)
 	if len(g) != 11 {
@@ -79,7 +87,7 @@ func TestInvertSinglePath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, ok := res.FirstPeakDelay(0.3)
+	got, ok := firstPeakDelay(res, 0.3)
 	if !ok {
 		t.Fatal("no peak")
 	}
@@ -102,7 +110,7 @@ func TestInvertFig4ThreePaths(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, ok := res.FirstPeakDelay(0.2)
+	first, ok := firstPeakDelay(res, 0.2)
 	if !ok {
 		t.Fatal("no peak")
 	}
@@ -162,7 +170,7 @@ func TestInvertNoiseRobust(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, ok := res.FirstPeakDelay(0.3)
+	got, ok := firstPeakDelay(res, 0.3)
 	if !ok {
 		t.Fatal("no peak")
 	}
@@ -247,7 +255,7 @@ func TestDominantPeaksCount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := res.DominantPeaks(0.2)
+	n := dsp.DominantPeakCount(res.Taus, res.Magnitude, 0.2)
 	if n < 3 || n > 6 {
 		t.Errorf("dominant peaks = %d, want 3–6", n)
 	}

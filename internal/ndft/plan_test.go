@@ -54,8 +54,8 @@ func TestPlanWarmStartEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pc, okC := cold.FirstPeakDelay(0.3)
-	pw, okW := warm.FirstPeakDelay(0.3)
+	pc, okC := firstPeakDelay(cold, 0.3)
+	pw, okW := firstPeakDelay(warm, 0.3)
 	if !okC || !okW {
 		t.Fatal("missing peaks")
 	}
@@ -81,8 +81,8 @@ func TestPlanWarmStartEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pcD, okC := coldD.FirstPeakDelay(0.3)
-	pwD, okW := warmD.FirstPeakDelay(0.3)
+	pcD, okC := firstPeakDelay(coldD, 0.3)
+	pwD, okW := firstPeakDelay(warmD, 0.3)
 	if !okC || !okW {
 		t.Fatal("missing drifted peaks")
 	}
@@ -306,9 +306,9 @@ func TestGapStopWarmColdEquivalence(t *testing.T) {
 		if warm.Work*2 >= cold.Work {
 			t.Errorf("sigma=%v: warm work %d not clearly below cold %d", sigma, warm.Work, cold.Work)
 		}
-		pc, okC := cold.FirstPeakDelay(0.3)
-		pw, okW := warm.FirstPeakDelay(0.3)
-		pf, okF := full.FirstPeakDelay(0.3)
+		pc, okC := firstPeakDelay(cold, 0.3)
+		pw, okW := firstPeakDelay(warm, 0.3)
+		pf, okF := firstPeakDelay(full, 0.3)
 		if !okC || !okW || !okF {
 			t.Fatalf("sigma=%v: missing peaks", sigma)
 		}

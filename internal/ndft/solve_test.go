@@ -183,8 +183,8 @@ func TestPolishGapExit(t *testing.T) {
 	if !certified.Converged {
 		t.Error("certified solve not marked converged")
 	}
-	pc, okC := certified.FirstPeakDelay(0.3)
-	pf, okF := fixed.FirstPeakDelay(0.3)
+	pc, okC := firstPeakDelay(certified, 0.3)
+	pf, okF := firstPeakDelay(fixed, 0.3)
 	if !okC || !okF {
 		t.Fatal("missing first peak")
 	}
@@ -274,8 +274,8 @@ func TestWarmSolveGrowsWorkingSet(t *testing.T) {
 		}
 	}
 
-	pw, okW := warm.FirstPeakDelay(0.3)
-	pc, okC := cold.FirstPeakDelay(0.3)
+	pw, okW := firstPeakDelay(warm, 0.3)
+	pc, okC := firstPeakDelay(cold, 0.3)
 	if !okW || !okC {
 		t.Fatal("missing first peak")
 	}

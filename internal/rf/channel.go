@@ -78,15 +78,6 @@ func (c *Channel) DirectDelay() float64 {
 	return c.Paths[0].Delay
 }
 
-// TotalPower returns Σ aₖ².
-func (c *Channel) TotalPower() float64 {
-	var p float64
-	for _, path := range c.Paths {
-		p += path.Gain * path.Gain
-	}
-	return p
-}
-
 // FreeSpaceGain returns the linear amplitude gain of free-space
 // propagation over distance d meters at frequency f, per the Friis
 // equation amplitude λ/(4πd). Distances below 10 cm are clamped to keep
@@ -137,17 +128,4 @@ func NewOscillator(rng *rand.Rand, maxPPM float64) Oscillator {
 		// §7 notes it is pre-calibrated once, so keep it small but nonzero.
 		HWDelayNs: rng.Float64() * 3,
 	}
-}
-
-// CarrierFreq returns the oscillator's actual carrier for a nominal
-// frequency: nominal · (1 + ppm·1e−6).
-func (o Oscillator) CarrierFreq(nominal float64) float64 {
-	return nominal * (1 + o.PPM*1e-6)
-}
-
-// CFOPhase returns the phase error accumulated at time t (seconds) when
-// this oscillator downconverts a signal upconverted by tx at the same
-// nominal carrier: 2π·(f_tx − f_rx)·t, as in Eq. 11 of the paper.
-func CFOPhase(tx, rx Oscillator, nominal, t float64) float64 {
-	return 2 * math.Pi * (tx.CarrierFreq(nominal) - rx.CarrierFreq(nominal)) * t
 }

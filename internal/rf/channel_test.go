@@ -60,13 +60,6 @@ func TestDirectDelayEmpty(t *testing.T) {
 	}
 }
 
-func TestTotalPower(t *testing.T) {
-	ch := NewChannel([]Path{{Delay: 1e-9, Gain: 3}, {Delay: 2e-9, Gain: 4}})
-	if got := ch.TotalPower(); got != 25 {
-		t.Errorf("TotalPower = %v", got)
-	}
-}
-
 func TestFreeSpaceGainDecreasesWithDistance(t *testing.T) {
 	f := 5.18e9
 	prev := math.Inf(1)
@@ -128,29 +121,6 @@ func TestNoiseSigmaForSNR(t *testing.T) {
 	}
 	if got := NoiseSigmaForSNR(1, math.Inf(1)); got != 0 {
 		t.Errorf("infinite SNR sigma = %v", got)
-	}
-}
-
-func TestOscillatorCarrier(t *testing.T) {
-	o := Oscillator{PPM: 10}
-	f := o.CarrierFreq(2.4e9)
-	if math.Abs(f-2.4e9*(1+1e-5)) > 1 {
-		t.Errorf("carrier = %v", f)
-	}
-}
-
-func TestCFOPhaseAntisymmetric(t *testing.T) {
-	// §7: the offset at the transmitter is the negative of the offset at
-	// the receiver — the property that CSI multiplication exploits.
-	rng := rand.New(rand.NewSource(2))
-	a := NewOscillator(rng, 20)
-	b := NewOscillator(rng, 20)
-	for _, tm := range []float64{1e-6, 5e-3, 1.7} {
-		fwd := CFOPhase(a, b, 5.18e9, tm)
-		rev := CFOPhase(b, a, 5.18e9, tm)
-		if math.Abs(fwd+rev) > 1e-9*math.Abs(fwd) {
-			t.Errorf("t=%v: fwd %v + rev %v != 0", tm, fwd, rev)
-		}
 	}
 }
 

@@ -25,7 +25,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"math/rand"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -45,8 +44,9 @@ type Config struct {
 	// sessions always land on one shard and its warm solver state,
 	// Kalman tracker, and alias-window seeds are shard-exclusive.
 	Shards int
-	// Office is the shared multipath world every full session ranges in
-	// (required for full-pipeline devices; read-only during operation).
+	// Office is the shared multipath world every session ranges in
+	// (required: Attach refuses every device without it; read-only
+	// during operation).
 	Office *sim.Office
 	// Virtual runs the shard loops on virtual time: each shard runs its
 	// event queue straight to the next due timer instead of pacing
@@ -77,50 +77,35 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// DeviceConfig describes one device attached to the daemon.
+// DeviceConfig describes one device attached to the daemon: a
+// full-pipeline track.Session ranging in Config.Office.
 type DeviceConfig struct {
 	// Seed seeds the device's private RNG; every random draw the device
 	// makes (walk waypoints, radio noise, channel fading) comes from it,
 	// which is what makes daemon runs reproducible per device.
 	Seed int64
-	// Stat selects the statistical session kind: ranges drawn from the
-	// empirical Chronos error model (drone.StatSensor) instead of full
-	// CSI sweeps and profile inversion — the cheap fleet-scale workload,
-	// exactly as track.RunMulti ranges. Default is the full pipeline.
-	Stat bool
 	// Class is the device's scheduling class on the solve pool (default
-	// ClassLatency). Bulk-class full devices yield the pool to
-	// latency-class work: their solves dequeue after it and run waiting
-	// latency solves inline at their gap checks. Without a pool it only
-	// attributes metrics; stat devices ignore it (they never solve).
+	// ClassLatency). Bulk-class devices yield the pool to latency-class
+	// work: their solves dequeue after it and run waiting latency solves
+	// inline at their gap checks. Without a pool it only attributes
+	// metrics.
 	Class Class
-
-	// Session configures a full-pipeline device (track.Session).
-	// Session.Sweeps < 0 keeps the device tracked until detach or drain.
+	// Session configures the device's track.Session. Session.Sweeps < 0
+	// keeps the device tracked until detach or drain.
 	Session track.SessionConfig
-	// Estimator configures the full device's tof.Estimator. The zero
-	// value is the estimator default config.
+	// Estimator configures the device's tof.Estimator. The zero value
+	// is the estimator default config.
 	Estimator tof.Config
-
-	// FixPeriod paces a stat device's fixes (default 84 ms — the
-	// paper's median full-sweep latency).
-	FixPeriod time.Duration
-	// Fixes bounds a stat device's fix count; 0 means until detach.
-	Fixes int
-	// Speed is a stat device's walk speed in m/s; the walk stays in a
-	// 12 × 10 m room.
-	Speed float64
 }
 
 // DeviceResult is one retired device's outcome, collected at session
 // completion, detach, or drain.
 type DeviceResult struct {
-	ID   uint64
-	Stat bool
+	ID uint64
 	// Fixes is the device's total fix count.
 	Fixes int
-	// Session is the full-pipeline session's result (nil for stat
-	// devices); partial when the device was detached or drained
+	// Session is the device's session result (nil when the session never
+	// built); partial when the device was detached or drained
 	// mid-stream.
 	Session *track.SessionResult
 	// Err records a session that failed to build or stream (calibration
@@ -141,16 +126,22 @@ type Daemon struct {
 	shards []*shard
 	start  time.Time
 
-	mu       sync.Mutex
-	draining bool
+	// A lifecycle command holds mu shared from its draining check until
+	// its command is queued or refused; Drain takes it exclusively
+	// before it stops the shards, so every accepted command reaches a
+	// live shard. refuse, closed when Drain begins, releases senders
+	// blocked on a full queue; stopCh, closed once no send is in
+	// flight, stops the shards.
+	mu       sync.RWMutex
+	draining atomic.Bool
+	refuse   chan struct{}
+	stopCh   chan struct{}
 	wg       sync.WaitGroup
 
 	// results retains every drained retirement; shards publish onto
 	// their own lock-free stacks and Results() merges them here.
 	resMu   sync.Mutex
 	results map[uint64]*DeviceResult
-
-	stopCh chan struct{}
 }
 
 // NewDaemon builds and starts a daemon: shard goroutines spin up
@@ -161,6 +152,7 @@ func NewDaemon(cfg Config) *Daemon {
 		cfg:     cfg,
 		start:   time.Now(),
 		results: make(map[uint64]*DeviceResult),
+		refuse:  make(chan struct{}),
 		stopCh:  make(chan struct{}),
 	}
 	if cfg.Pipeline.Enabled {
@@ -196,46 +188,39 @@ func (d *Daemon) shardFor(id uint64) *shard {
 // session on its own goroutine, so Attach returns once the command is
 // enqueued. A duplicate ID retires immediately with an error recorded in
 // its DeviceResult. Attach blocks only when the shard's command queue is
-// full, and fails once draining has begun.
+// full, and fails without Config.Office or once draining has begun.
 func (d *Daemon) Attach(id uint64, cfg DeviceConfig) error {
-	d.mu.Lock()
-	if d.draining {
-		d.mu.Unlock()
-		return ErrDraining
+	if d.cfg.Office == nil {
+		return errors.New("svc: Attach requires Config.Office")
 	}
-	d.mu.Unlock()
-	if !cfg.Stat && d.cfg.Office == nil {
-		return errors.New("svc: full-pipeline device requires Config.Office")
-	}
-	s := d.shardFor(id)
-	s.pending.Add(1)
-	select {
-	case s.cmds <- shardCmd{attach: true, id: id, cfg: cfg}:
-		obsAttaches.Inc()
-		return nil
-	case <-d.stopCh:
-		s.pending.Add(-1)
-		return ErrDraining
-	}
+	return d.send(shardCmd{attach: true, id: id, cfg: cfg}, obsAttaches)
 }
 
 // Detach removes a device: its session retires with whatever it has
 // streamed so far. Asynchronous like Attach; detaching an unknown ID is
 // recorded (and counted) when the owning shard processes the command.
 func (d *Daemon) Detach(id uint64) error {
-	d.mu.Lock()
-	if d.draining {
-		d.mu.Unlock()
+	return d.send(shardCmd{id: id}, obsDetaches)
+}
+
+// send queues a lifecycle command on its device's shard and counts it,
+// or refuses it once draining has begun. It holds mu shared throughout,
+// so Drain cannot stop the shards between the check and the enqueue;
+// Drain closes refuse before it takes mu, so a send blocked on a full
+// queue never holds Drain up.
+func (d *Daemon) send(c shardCmd, accepted *obs.Counter) error {
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	if d.draining.Load() {
 		return ErrDraining
 	}
-	d.mu.Unlock()
-	s := d.shardFor(id)
+	s := d.shardFor(c.id)
 	s.pending.Add(1)
 	select {
-	case s.cmds <- shardCmd{attach: false, id: id}:
-		obsDetaches.Inc()
+	case s.cmds <- c:
+		accepted.Inc()
 		return nil
-	case <-d.stopCh:
+	case <-d.refuse:
 		s.pending.Add(-1)
 		return ErrDraining
 	}
@@ -314,21 +299,25 @@ func (d *Daemon) Quiesce(timeout time.Duration) error {
 	}
 }
 
-// Drain gracefully stops the daemon: admissions close immediately, each
-// shard finishes the sweep it is executing, cancels the remaining
-// schedule, retires every live session with its partial results, and
-// exits. Drain waits for the shards up to timeout and then captures the
-// final metrics snapshot. A second Drain returns ErrDraining.
+// Drain gracefully stops the daemon: admissions close immediately (a
+// sender blocked on a full shard queue is refused too, so Drain never
+// waits on one), each shard applies the commands it accepted, finishes
+// the sweep it is executing, cancels the remaining schedule, retires
+// every live session with its partial results, and exits. Drain waits
+// for the shards up to timeout and then captures the final metrics
+// snapshot. A second Drain returns ErrDraining.
 func (d *Daemon) Drain(timeout time.Duration) (*obs.Snapshot, error) {
-	d.mu.Lock()
-	if d.draining {
-		d.mu.Unlock()
+	if d.draining.Swap(true) {
 		return nil, ErrDraining
 	}
-	d.draining = true
+	// Refuse senders blocked on a full queue, wait out every send still
+	// in flight, then stop the shards: their shutdown finds each
+	// accepted command queued.
+	close(d.refuse)
+	d.mu.Lock()
+	close(d.stopCh)
 	d.mu.Unlock()
 
-	close(d.stopCh)
 	done := make(chan struct{})
 	go func() {
 		d.wg.Wait()
@@ -555,18 +544,17 @@ func (s *shard) apply(c shardCmd) {
 	s.remove(ds, nil)
 }
 
-// attach builds the device's session and schedules its first event.
+// attach builds the device's session and schedules its first sweep.
 func (s *shard) attach(id uint64, cfg DeviceConfig) {
 	if _, dup := s.sessions[id]; dup {
 		obsAttachErrors.Inc()
-		s.retire(&DeviceResult{ID: id, Stat: cfg.Stat,
-			Err: fmt.Errorf("svc: device %d already attached", id)})
+		s.retire(&DeviceResult{ID: id, Err: fmt.Errorf("svc: device %d already attached", id)})
 		return
 	}
 	ds, err := newDeviceSession(s, id, cfg)
 	if err != nil {
 		obsAttachErrors.Inc()
-		s.retire(&DeviceResult{ID: id, Stat: cfg.Stat, Err: err})
+		s.retire(&DeviceResult{ID: id, Err: err})
 		return
 	}
 	s.sessions[id] = ds
@@ -600,7 +588,7 @@ func (s *shard) shutdown() {
 			s.apply(c)
 			continue
 		}
-		s.retire(&DeviceResult{ID: c.id, Stat: c.cfg.Stat, Err: ErrDraining})
+		s.retire(&DeviceResult{ID: c.id, Err: ErrDraining})
 		s.pending.Add(-1)
 	}
 	// Wait out sweeps still in the solve pool: their tokens own the
@@ -620,6 +608,3 @@ func (s *shard) shutdown() {
 	s.live.Store(0)
 	s.timers.Store(0)
 }
-
-// seedRNG builds the device's private RNG.
-func seedRNG(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }

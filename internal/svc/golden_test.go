@@ -192,14 +192,20 @@ func TestDaemonGoldenTraceMatchesSequential(t *testing.T) {
 	}
 }
 
-// fiveGHzFleet is the cheap -short fixture: four 5 GHz-only full
-// devices of the given sweep count (negative = endless).
+// fiveGHzDevice is the cheap -short device: a 5 GHz-only session of the
+// given sweep count (negative = endless).
+func fiveGHzDevice(seed int64, sweeps int) DeviceConfig {
+	return DeviceConfig{Seed: seed,
+		Session:   track.SessionConfig{Speed: 1.2, Sweeps: sweeps},
+		Estimator: tof.Config{Mode: tof.Bands5GHzOnly, MaxIter: 600}}
+}
+
+// fiveGHzFleet is the cheap -short fixture: four 5 GHz-only devices of
+// the given sweep count (negative = endless).
 func fiveGHzFleet(sweeps int) map[uint64]DeviceConfig {
 	devs := make(map[uint64]DeviceConfig)
 	for id := uint64(1); id <= 4; id++ {
-		devs[id] = DeviceConfig{Seed: int64(10 + id),
-			Session:   track.SessionConfig{Speed: 1.2, Sweeps: sweeps},
-			Estimator: tof.Config{Mode: tof.Bands5GHzOnly, MaxIter: 600}}
+		devs[id] = fiveGHzDevice(int64(10+id), sweeps)
 	}
 	return devs
 }

@@ -25,21 +25,16 @@ var (
 	obsDrains = obs.NewCounter("svc.drains")
 	// obsTimerFires counts shard timer fires across all shards.
 	obsTimerFires = obs.NewCounter("svc.timer_fires")
-	// obsFullSweeps counts full-pipeline sweeps executed by the daemon.
+	// obsFullSweeps counts full band sweeps executed by the daemon.
 	obsFullSweeps = obs.NewCounter("svc.full_sweeps")
-	// obsStatFixes counts stat-device fixes executed by the daemon.
-	obsStatFixes = obs.NewCounter("svc.stat_fixes")
 
-	// obsSweepNs spans one full-pipeline sweep, in wall nanoseconds —
-	// the service's full-fix latency distribution: from the timer fire
-	// that starts it to the finish that records its fix, with or
-	// without a solve pool (on the pool, queueing included).
+	// obsSweepNs spans one sweep, in wall nanoseconds — the service's
+	// fix latency distribution: from the timer fire that starts it to
+	// the finish that records its fix, with or without a solve pool (on
+	// the pool, queueing included).
 	obsSweepNs = obs.NewHist("svc.sweep_ns")
-	// obsStatFixNs spans one stat fix (walk advance, sensor draw, Kalman
-	// observe) in wall nanoseconds.
-	obsStatFixNs = obs.NewHist("svc.stat_fix_ns")
 
-	// Per-class inter-fix wall gap of full devices: the time between a
+	// Per-class inter-fix wall gap of every device: the time between a
 	// device's consecutive completed sweeps. Head-of-line blocking shows
 	// up here identically with and without a solve pool — as timer-fire
 	// delay on the shard, as class-queue delay on the pool — which is

@@ -113,7 +113,7 @@ type sweepToken struct {
 // span, on whichever goroutine holds the token.
 func (t *sweepToken) solve() {
 	t.solveAt = obs.Tick()
-	_, t.err = t.ds.full.StepSolve()
+	_, t.err = t.ds.sess.StepSolve()
 	obsStageSolveNs.Since(t.solveAt)
 }
 

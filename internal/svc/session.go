@@ -4,45 +4,31 @@ import (
 	"math/rand"
 	"time"
 
-	"chronos/internal/drone"
-	"chronos/internal/geo"
 	"chronos/internal/mac"
 	"chronos/internal/obs"
 	"chronos/internal/tof"
 	"chronos/internal/track"
 )
 
-// statFixPeriod is the default stat-device fix cadence: the paper's
-// median full-sweep latency, so a stat fleet loads its shard's timers at
-// the same event rate a full fleet would.
-const statFixPeriod = 84 * time.Millisecond
-
-// statRoomW and statRoomH bound a stat device's random-waypoint walk,
-// in meters: the room track.RunMulti's targets walk.
-const statRoomW, statRoomH = 12.0, 10.0
-
 // timerGrain is the resolution of shard timers: due times round up to a
 // whole millisecond, fine enough to pace ~84 ms sweep cadences.
 const timerGrain = time.Millisecond
 
 // deviceSession is one attached device's state, owned exclusively by its
-// shard goroutine. Full devices wrap a steppable track.Session (the
-// exact RunSession pipeline, one sweep per timer fire); stat devices
-// carry the lightweight walk + sensor + Kalman chain of track.RunMulti,
-// one fix per timer fire.
+// shard goroutine: a steppable track.Session (the exact RunSession
+// pipeline, one sweep per timer fire).
 type deviceSession struct {
 	shard *shard
 	id    uint64
 	cfg   DeviceConfig
 
 	// attachedAt anchors the device's virtual timeline on the shard
-	// clock: event k is due at attachedAt + (session virtual time of k).
+	// clock: sweep k is due at attachedAt + (session virtual time of k).
 	attachedAt time.Duration
 	timer      *mac.Timer
 
-	// Full pipeline.
-	full *track.Session
-	est  *tof.Estimator // the full session's estimator (yield hook target)
+	sess *track.Session
+	est  *tof.Estimator // the session's estimator (yield hook target)
 
 	// Sweep-token state, owned by the shard goroutine except where
 	// noted. inflight marks a sweep token out in the solve pool (the
@@ -54,51 +40,26 @@ type deviceSession struct {
 	inflight     bool
 	detachWanted bool
 	lastFixWall  int64
-
-	// Stat pipeline.
-	rng     *rand.Rand
-	walk    *drone.Walk
-	tracker *track.RangeTracker
-	sensor  drone.RangeSensor
-	now     time.Duration // stat virtual clock
-	walked  float64
-	fixes   int
 }
 
-// newDeviceSession builds the session on the shard goroutine. Full
-// sessions calibrate here (the expensive part of attach); a calibration
-// failure surfaces as an immediate retire with the error recorded.
+// newDeviceSession builds and calibrates the session on the shard
+// goroutine (the expensive part of attach); a calibration failure
+// surfaces as an immediate retire with the error recorded.
 func newDeviceSession(s *shard, id uint64, cfg DeviceConfig) (*deviceSession, error) {
 	// A wall-clock shard's sim stands still while the shard idles, so
 	// anchor on the wall clock there: a late attach must not fire back
-	// to back every event it "owes" since the shard last woke.
+	// to back every sweep it "owes" since the shard last woke.
 	at := s.sim.Now()
 	if !s.d.cfg.Virtual {
 		at = time.Since(s.d.start)
 	}
-	ds := &deviceSession{shard: s, id: id, cfg: cfg, attachedAt: at}
-	rng := seedRNG(cfg.Seed)
-	if cfg.Stat {
-		if cfg.FixPeriod <= 0 {
-			cfg.FixPeriod = statFixPeriod
-		}
-		ds.cfg = cfg
-		ds.rng = rng
-		ds.walk = drone.NewWalk(rng, statRoomW, statRoomH)
-		ds.walk.Speed = cfg.Speed
-		ds.tracker = track.NewRangeTracker()
-		ds.sensor = drone.StatSensor{}
-		return ds, nil
-	}
-
 	est := tof.NewEstimator(cfg.Estimator)
-	full, err := track.NewSession(rng, s.d.cfg.Office, est, cfg.Session)
+	rng := rand.New(rand.NewSource(cfg.Seed))
+	sess, err := track.NewSession(rng, s.d.cfg.Office, est, cfg.Session)
 	if err != nil {
 		return nil, err
 	}
-	ds.full = full
-	ds.est = est
-	return ds, nil
+	return &deviceSession{shard: s, id: id, cfg: cfg, attachedAt: at, sess: sess, est: est}, nil
 }
 
 // recordFixGap feeds the device's wall time since its previous
@@ -118,63 +79,36 @@ func (ds *deviceSession) recordFixGap() {
 	ds.lastFixWall = now
 }
 
-// scheduleNext books the device's next event on the shard sim, mapping
+// scheduleNext books the device's next sweep on the shard sim, mapping
 // the session's own virtual time onto the shard clock relative to the
 // attach instant. In wall mode this paces sweeps in real protocol time;
 // in virtual mode the shard loop collapses the waits and the mapping
-// only orders events. Due times round up to timerGrain, and one at or
-// before the shard's now moves to the next grain, so an event never
-// fires inside the Run that scheduled it.
+// only orders sweeps.
 func (ds *deviceSession) scheduleNext() {
-	var at time.Duration
-	if ds.full != nil {
-		at = ds.attachedAt + ds.full.Now()
-	} else {
-		at = ds.attachedAt + ds.now + ds.cfg.FixPeriod
-	}
-	now := ds.shard.sim.Now()
+	ds.timer = ds.shard.scheduleAt(ds.attachedAt+ds.sess.Now(), ds.sweep)
+}
+
+// scheduleAt books fn on the shard sim at shard time at, rounded up to
+// timerGrain; a time at or before the shard's now moves to the next
+// grain, so an event never fires inside the Run that scheduled it.
+func (s *shard) scheduleAt(at time.Duration, fn func()) *mac.Timer {
+	now := s.sim.Now()
 	at = (at + timerGrain - 1) / timerGrain * timerGrain
 	if at <= now {
 		at = (now/timerGrain + 1) * timerGrain
 	}
-	ds.timer = ds.shard.sim.Schedule(at-now, ds.fire)
+	return s.sim.Schedule(at-now, fn)
 }
 
-// fire executes one session event on the shard goroutine: a full band
-// sweep (full devices) or one sensor fix (stat devices), then either
-// reschedules or retires the device.
-func (ds *deviceSession) fire() {
-	obsTimerFires.Inc()
-	if ds.full != nil {
-		ds.sweep()
-		return
-	}
-
-	start := obs.Tick()
-	ds.now += ds.cfg.FixPeriod
-	if t := ds.now.Seconds(); t > ds.walked {
-		ds.walk.Advance(t - ds.walked)
-		ds.walked = t
-	}
-	meas := ds.sensor.Range(ds.rng, geo.Point{}, ds.walk.Pos())
-	ds.tracker.Observe(ds.now, meas)
-	ds.fixes++
-	obsStatFixNs.Since(start)
-	obsStatFixes.Inc()
-	if ds.cfg.Fixes > 0 && ds.fixes >= ds.cfg.Fixes {
-		ds.shard.remove(ds, nil)
-		return
-	}
-	ds.scheduleNext()
-}
-
-// sweep starts one full band sweep on the shard goroutine: StepIngest
-// here, then the solve — here too without a solve pool, else as a token
-// through the class queue, whose solve worker hands it back through the
-// shard's completion queue. Both modes end in finish on the shard.
+// sweep runs one timer fire: it starts a full band sweep on the shard
+// goroutine, StepIngest here, then the solve — here too without a solve
+// pool, else as a token through the class queue, whose solve worker
+// hands it back through the shard's completion queue. Both modes end in
+// finish on the shard.
 func (ds *deviceSession) sweep() {
+	obsTimerFires.Inc()
 	t := &sweepToken{ds: ds, class: ds.cfg.Class, start: obs.Tick()}
-	t.err = ds.full.StepIngest()
+	t.err = ds.sess.StepIngest()
 	obsStageIngestNs.Since(t.start)
 	if p := ds.shard.d.pipe; p != nil && t.err == nil {
 		ds.inflight = true
@@ -202,7 +136,7 @@ func (ds *deviceSession) sweep() {
 func (ds *deviceSession) finish(t *sweepToken, retiring bool) {
 	if t.err == nil {
 		tick := obs.Tick()
-		t.err = ds.full.StepTrack()
+		t.err = ds.sess.StepTrack()
 		obsStageTrackNs.Since(tick)
 	}
 	if t.err == nil {
@@ -215,7 +149,7 @@ func (ds *deviceSession) finish(t *sweepToken, retiring bool) {
 		ds.shard.remove(ds, t.err)
 	case retiring:
 		// Kept live for shutdown's final retirement pass.
-	case ds.full.Done() || ds.detachWanted:
+	case ds.sess.Done() || ds.detachWanted:
 		ds.shard.remove(ds, nil)
 	default:
 		ds.scheduleNext()
@@ -225,12 +159,6 @@ func (ds *deviceSession) finish(t *sweepToken, retiring bool) {
 
 // result renders the device's retirement record.
 func (ds *deviceSession) result(err error) *DeviceResult {
-	r := &DeviceResult{ID: ds.id, Stat: ds.cfg.Stat, Err: err}
-	if ds.full != nil {
-		r.Session = ds.full.Result()
-		r.Fixes = len(r.Session.Fixes)
-	} else {
-		r.Fixes = ds.fixes
-	}
-	return r
+	r := ds.sess.Result()
+	return &DeviceResult{ID: ds.id, Fixes: len(r.Fixes), Session: r, Err: err}
 }

@@ -9,23 +9,24 @@ import (
 	"chronos/internal/mac"
 	"chronos/internal/obs"
 	"chronos/internal/tof"
+	"chronos/internal/track"
 )
 
 // TestDaemonChurnSoak is the service race soak: Poisson attach/detach
 // churn from concurrent clients against a live shard set with the
-// shared plan registry squeezed to a tiny bound
-// (so LRU eviction fires under concurrent full-pipeline solves). After
-// drain it asserts no session was lost — every successful Attach is
-// accounted by exactly one DeviceResult — and that the obs lifecycle
-// counters cohere with the ground truth. Run under -race in CI; -short
-// scales the fleet down so the race lane stays fast.
+// shared plan registry squeezed to a tiny bound (so LRU eviction fires
+// under concurrent solves). After drain it asserts no session was lost
+// — every successful Attach is accounted by exactly one DeviceResult —
+// and that the obs lifecycle counters cohere with the ground truth. Run
+// under -race in CI; -short scales the fleet down so the race lane
+// stays fast.
 func TestDaemonChurnSoak(t *testing.T) {
-	churners, statEach, fullEach := 4, 40, 3
+	churners, shortEach, rotateEach := 4, 24, 3
 	if testing.Short() {
-		churners, statEach, fullEach = 2, 12, 1
+		churners, shortEach, rotateEach = 2, 8, 1
 	}
 
-	// Force registry eviction: two resident plans, while the full fleet
+	// Force registry eviction: two resident plans, while the fleet
 	// cycles through several distinct geometries (band modes), each
 	// needing a main plan and an alias-window plan per band group.
 	defer tof.SetSharedPlanCap(tof.SetSharedPlanCap(2))
@@ -58,25 +59,21 @@ func TestDaemonChurnSoak(t *testing.T) {
 			base := uint64(c+1) << 32
 			mk := func(i int) (uint64, DeviceConfig) {
 				id := base + uint64(i)
-				if i < fullEach {
-					// Full pipeline, rotating plan geometry; short
-					// finite sessions.
+				if i < rotateEach {
+					// Rotating plan geometry; short finite sessions.
 					est := goldenEstimator()
 					est.Mode = []tof.BandMode{tof.BandsFused, tof.Bands5GHzOnly, tof.Bands24Only}[i%3]
 					s := goldenSession()
 					s.Sweeps = 2
 					return id, DeviceConfig{Seed: rng.Int63(), Session: s, Estimator: est}
 				}
-				cfg := DeviceConfig{Seed: rng.Int63(), Stat: true,
-					FixPeriod: 2 * time.Millisecond, Speed: 1}
-				if i%3 == 0 {
-					cfg.Fixes = 0 // endless: retires only via detach or drain
-				} else {
-					cfg.Fixes = 1 + rng.Intn(6)
+				sweeps := -1 // endless: retires only via detach or drain
+				if i%3 != 0 {
+					sweeps = 1 + rng.Intn(2)
 				}
-				return id, cfg
+				return id, fiveGHzDevice(rng.Int63(), sweeps)
 			}
-			for i := 0; i < statEach+fullEach; i++ {
+			for i := 0; i < shortEach+rotateEach; i++ {
 				// Poisson arrivals: exponential inter-attach gaps.
 				time.Sleep(time.Duration(rng.ExpFloat64() * float64(150*time.Microsecond)))
 				id, cfg := mk(i)
@@ -86,13 +83,11 @@ func TestDaemonChurnSoak(t *testing.T) {
 				}
 				mu.Lock()
 				attached[id] = true
-				if !cfg.Stat {
+				if cfg.Session.Sweeps > 0 {
 					finite[id] = cfg.Session.Sweeps
-				} else if cfg.Fixes > 0 {
-					finite[id] = cfg.Fixes
 				}
 				mu.Unlock()
-				if cfg.Stat && cfg.Fixes == 0 {
+				if cfg.Session.Sweeps < 0 {
 					endlessMu.Lock()
 					endless = append(endless, id)
 					endlessMu.Unlock()
@@ -186,9 +181,6 @@ func TestDaemonChurnSoak(t *testing.T) {
 	if got := snap.Counters["svc.attach_errors"]; got != 0 {
 		t.Errorf("svc.attach_errors=%d, want 0", got)
 	}
-	if snap.Counters["svc.stat_fixes"] == 0 {
-		t.Error("no stat fixes recorded")
-	}
 	if snap.Counters["svc.full_sweeps"] == 0 {
 		t.Error("no full sweeps recorded")
 	}
@@ -203,15 +195,14 @@ func TestDaemonChurnSoak(t *testing.T) {
 }
 
 // TestDaemonTracksEndlessFleet pins the always-on fleet accounting: with
-// N endless devices attached, full-pipeline and statistical, every one
-// is a live session once the command queues drain, and Drain retires
-// all N with their partial results.
+// N endless devices attached, every one is a live session once the
+// command queues drain, and Drain retires all N with their partial
+// results.
 func TestDaemonTracksEndlessFleet(t *testing.T) {
 	d := NewDaemon(Config{Shards: 3, Office: goldenOffice(), Virtual: true})
 	fleet := fiveGHzFleet(-1)
-	for i := uint64(0); i < 32; i++ {
-		fleet[100+i] = DeviceConfig{Seed: int64(100 + i), Stat: true,
-			FixPeriod: 2 * time.Millisecond, Speed: 1}
+	for i := uint64(0); i < 8; i++ {
+		fleet[100+i] = fiveGHzDevice(int64(100+i), -1)
 	}
 	for id, dc := range fleet {
 		if err := d.Attach(id, dc); err != nil {
@@ -240,23 +231,20 @@ func TestDaemonTracksEndlessFleet(t *testing.T) {
 	}
 }
 
-// TestDaemonWallTime runs a small stat fleet in production (wall-clock)
+// TestDaemonWallTime runs a small fleet in production (wall-clock)
 // mode: the shard loops pace their timers against real time, devices
-// complete their fix quota, and Quiesce/Drain behave exactly as in
+// complete their sweep quota, and Quiesce/Drain behave exactly as in
 // virtual mode — same code path the smoke lane boots.
 func TestDaemonWallTime(t *testing.T) {
-	d := NewDaemon(Config{Shards: 2})
-	const devices, fixes = 6, 5
-	for id := uint64(1); id <= devices; id++ {
-		err := d.Attach(id, DeviceConfig{
-			Seed: int64(id), Stat: true, Fixes: fixes,
-			FixPeriod: 5 * time.Millisecond, Speed: 1,
-		})
-		if err != nil {
+	d := NewDaemon(Config{Shards: 2, Office: goldenOffice()})
+	const sweeps = 2
+	fleet := fiveGHzFleet(sweeps)
+	for id, dc := range fleet {
+		if err := d.Attach(id, dc); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// ~25 ms of protocol time; generous wall deadline for loaded CI.
+	// ~60 ms of protocol time; generous wall deadline for loaded CI.
 	if err := d.Quiesce(30 * time.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -264,26 +252,35 @@ func TestDaemonWallTime(t *testing.T) {
 		t.Fatal(err)
 	}
 	results := d.Results()
-	if len(results) != devices {
-		t.Fatalf("retired %d devices, want %d", len(results), devices)
+	if len(results) != len(fleet) {
+		t.Fatalf("retired %d devices, want %d", len(results), len(fleet))
 	}
 	for id, r := range results {
-		if r.Err != nil || r.Fixes != fixes {
-			t.Errorf("device %d: fixes=%d err=%v, want %d fixes", id, r.Fixes, r.Err, fixes)
+		if r.Err != nil || r.Fixes != sweeps {
+			t.Errorf("device %d: fixes=%d err=%v, want %d fixes", id, r.Fixes, r.Err, sweeps)
 		}
 	}
 }
 
 // TestDaemonWallLateAttachPaced pins that a device attached to a
 // wall-clock shard that sat idle is paced from its attach: it must not
-// fire back to back the fixes it would have owed since the shard's last
-// wakeup.
+// fire back to back the sweeps it would have owed since the shard's last
+// wakeup. The period is a sequential session's fix spacing.
 func TestDaemonWallLateAttachPaced(t *testing.T) {
-	const period = 100 * time.Millisecond
-	d := NewDaemon(Config{Shards: 1})
-	time.Sleep(2 * time.Second)
+	office := goldenOffice()
+	dc := fiveGHzDevice(1, 2)
+	seq, err := track.RunSession(rand.New(rand.NewSource(dc.Seed)), office,
+		tof.NewEstimator(dc.Estimator), dc.Session)
+	if err != nil {
+		t.Fatal(err)
+	}
+	period := seq.Fixes[1].At - seq.Fixes[0].At
+
+	dc.Session.Sweeps = -1
+	d := NewDaemon(Config{Shards: 1, Office: office})
+	time.Sleep(500 * time.Millisecond)
 	start := time.Now()
-	if err := d.Attach(1, DeviceConfig{Seed: 1, Stat: true, FixPeriod: period, Speed: 1}); err != nil {
+	if err := d.Attach(1, dc); err != nil {
 		t.Fatal(err)
 	}
 	time.Sleep(350 * time.Millisecond)
@@ -304,7 +301,7 @@ func TestDaemonWallLateAttachPaced(t *testing.T) {
 }
 
 // TestScheduleNextDue pins the shard timer due times: a session's next
-// event rounds up to a whole millisecond, and one due at or before the
+// sweep rounds up to a whole millisecond, and one due at or before the
 // shard's now moves to the next millisecond, so it never fires inside
 // the Run that scheduled it.
 func TestScheduleNextDue(t *testing.T) {
@@ -321,8 +318,7 @@ func TestScheduleNextDue(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			s := &shard{sim: mac.NewSim()}
 			s.sim.Run(tc.now)
-			ds := &deviceSession{shard: s, cfg: DeviceConfig{Stat: true, FixPeriod: tc.due}}
-			ds.scheduleNext()
+			s.scheduleAt(tc.due, func() {})
 			if got, ok := s.sim.Next(); !ok || got != tc.want {
 				t.Errorf("due %v at now %v scheduled for %v,%v, want %v", tc.due, tc.now, got, ok, tc.want)
 			}
@@ -331,24 +327,29 @@ func TestScheduleNextDue(t *testing.T) {
 }
 
 // TestDaemonLifecycleErrors pins the edge contracts the soak can't hit
-// deterministically: duplicate attach, detach of an unknown ID, and
-// post-drain rejections. The duplicate attach and the unknown detach
-// each count once under svc.attach_errors; the synchronously rejected
-// attach does not.
+// deterministically: attach without an office, duplicate attach, detach
+// of an unknown ID, and post-drain rejections. The duplicate attach and
+// the unknown detach each count once under svc.attach_errors; the
+// synchronously rejected attach does not.
 func TestDaemonLifecycleErrors(t *testing.T) {
 	obs.SetEnabled(true)
 	defer obs.SetEnabled(false)
 	errsBefore := obs.Capture().Counters["svc.attach_errors"]
-	d := NewDaemon(Config{Shards: 2, Virtual: true})
-	if err := d.Attach(7, DeviceConfig{Stat: true, Fixes: 0, FixPeriod: time.Millisecond}); err != nil {
+	// Attach without an office is rejected synchronously.
+	bare := NewDaemon(Config{Shards: 1, Virtual: true})
+	if err := bare.Attach(8, fiveGHzDevice(8, 1)); err == nil {
+		t.Error("attach without office succeeded")
+	}
+	if _, err := bare.Drain(10 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	// Full-pipeline attach without an office is rejected synchronously.
-	if err := d.Attach(8, DeviceConfig{}); err == nil {
-		t.Error("full attach without office succeeded")
+
+	d := NewDaemon(Config{Shards: 2, Office: goldenOffice(), Virtual: true})
+	if err := d.Attach(7, fiveGHzDevice(7, -1)); err != nil {
+		t.Fatal(err)
 	}
 	// Duplicate attach retires with an error result.
-	if err := d.Attach(7, DeviceConfig{Stat: true, FixPeriod: time.Millisecond}); err != nil {
+	if err := d.Attach(7, fiveGHzDevice(7, 1)); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(10 * time.Second)
@@ -373,10 +374,10 @@ func TestDaemonLifecycleErrors(t *testing.T) {
 		t.Errorf("svc.attach_errors moved by %d, want 2 (duplicate attach, unknown detach)", got)
 	}
 	// Device 7 (endless) must have been drained with its partial results.
-	if r := d.Results()[7]; r == nil {
-		t.Error("endless device lost at drain")
+	if r := d.Results()[7]; r == nil || r.Err != nil || r.Session == nil {
+		t.Errorf("endless device drained as %+v, want its partial session", r)
 	}
-	if err := d.Attach(11, DeviceConfig{Stat: true}); err != ErrDraining {
+	if err := d.Attach(11, fiveGHzDevice(11, 1)); err != ErrDraining {
 		t.Errorf("post-drain Attach err=%v, want ErrDraining", err)
 	}
 	if err := d.Detach(7); err != ErrDraining {
@@ -384,5 +385,35 @@ func TestDaemonLifecycleErrors(t *testing.T) {
 	}
 	if _, err := d.Drain(time.Second); err != ErrDraining {
 		t.Errorf("second Drain err=%v, want ErrDraining", err)
+	}
+}
+
+// TestCommandRacingDrainNotStranded races Detach against Drain on a
+// one-shard daemon. Drain may refuse a racing command, but one it
+// accepts must reach a live shard: once the sender has seen the refusal,
+// no command may be left queued.
+func TestCommandRacingDrainNotStranded(t *testing.T) {
+	runs := 2000
+	if testing.Short() {
+		runs = 500
+	}
+	for i := 0; i < runs; i++ {
+		d := NewDaemon(Config{Shards: 1, Virtual: true})
+		started, done := make(chan struct{}), make(chan struct{})
+		go func() {
+			defer close(done)
+			close(started)
+			for d.Detach(99) == nil {
+			}
+		}()
+		<-started
+		time.Sleep(time.Duration(i%20) * time.Microsecond)
+		if _, err := d.Drain(10 * time.Second); err != nil {
+			t.Fatal(err)
+		}
+		<-done
+		if n := d.QueueDepth(); n != 0 {
+			t.Fatalf("run %d: %d commands stranded after Drain", i, n)
+		}
 	}
 }

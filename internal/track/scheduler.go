@@ -79,17 +79,6 @@ func (s *Schedule) MeanFixLatency() time.Duration {
 	return sum / time.Duration(len(s.Fixes))
 }
 
-// DeviceFixes returns device d's fix events in time order.
-func (s *Schedule) DeviceFixes(d int) []FixEvent {
-	var out []FixEvent
-	for _, f := range s.Fixes {
-		if f.Device == d {
-			out = append(out, f)
-		}
-	}
-	return out
-}
-
 // RunSchedule interleaves band-hopping sweeps across N concurrent devices
 // on one virtual timeline. The anchor (AP) has a single radio, so slots
 // serialize through it: each round-robin turn serves one device for one

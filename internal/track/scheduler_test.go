@@ -33,8 +33,12 @@ func TestScheduleCompletesAllSweeps(t *testing.T) {
 	if len(s.Fixes) != 4*3 {
 		t.Fatalf("fixes = %d, want 12", len(s.Fixes))
 	}
-	for d := 0; d < 4; d++ {
-		if got := len(s.DeviceFixes(d)); got != 3 {
+	perDevice := make([]int, 4)
+	for _, f := range s.Fixes {
+		perDevice[f.Device]++
+	}
+	for d, got := range perDevice {
+		if got != 3 {
 			t.Errorf("device %d completed %d sweeps, want 3", d, got)
 		}
 	}

@@ -4,10 +4,7 @@
 // OFDM subcarrier layout over which CSI is reported.
 package wifi
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // SpeedOfLight is the propagation speed used to convert time of flight to
 // distance, in meters per second.
@@ -118,61 +115,6 @@ func CSISubcarriers() []int {
 // SubcarrierFreq returns the absolute frequency of subcarrier k in band b.
 func SubcarrierFreq(b Band, k int) float64 {
 	return b.Center + float64(k)*SubcarrierSpacing
-}
-
-// UnambiguousRange returns the maximum time (seconds) over which a set of
-// band center frequencies can disambiguate time of flight via the Chinese
-// remainder structure: the least common multiple of the per-band periods
-// 1/fᵢ, estimated numerically on a frequency grid of gcdHz resolution.
-//
-// In practice Wi-Fi center frequencies are all multiples of 5 MHz
-// (actually of 2.5 MHz counting 2.4 GHz offsets), so the LCM of periods is
-// 1/gcd(fᵢ) with gcd on that grid — e.g. ≈200 ns for the 2.4 GHz set the
-// paper quotes (§4).
-func UnambiguousRange(bands []Band) float64 {
-	if len(bands) == 0 {
-		return 0
-	}
-	// Represent each center frequency as an integer count of 0.5 MHz and
-	// take the integer gcd.
-	const unit = 0.5e6
-	g := int64(math.Round(bands[0].Center / unit))
-	for _, b := range bands[1:] {
-		g = gcd64(g, int64(math.Round(b.Center/unit)))
-	}
-	if g == 0 {
-		return 0
-	}
-	return 1 / (float64(g) * unit)
-}
-
-func gcd64(a, b int64) int64 {
-	for b != 0 {
-		a, b = b, a%b
-	}
-	if a < 0 {
-		return -a
-	}
-	return a
-}
-
-// TotalSpan returns the frequency span (max center − min center) covered
-// by the band set — the "effective bandwidth" that sets the multipath
-// profile resolution.
-func TotalSpan(bands []Band) float64 {
-	if len(bands) == 0 {
-		return 0
-	}
-	lo, hi := bands[0].Center, bands[0].Center
-	for _, b := range bands[1:] {
-		if b.Center < lo {
-			lo = b.Center
-		}
-		if b.Center > hi {
-			hi = b.Center
-		}
-	}
-	return hi - lo
 }
 
 // Centers extracts the center frequencies of bands, in order.

@@ -102,38 +102,6 @@ func TestSubcarrierFreq(t *testing.T) {
 	}
 }
 
-func TestUnambiguousRange(t *testing.T) {
-	// The paper states ~200 ns (60 m) using the 2.4 GHz bands alone (§4).
-	// The exact integer gcd of the 2.4 GHz centers is 1 MHz, giving 1 µs —
-	// comfortably above the paper's conservative ~200 ns (60 m) claim.
-	r24 := UnambiguousRange(Bands24GHz())
-	if r24 < 200e-9 || r24 > 10e-6 {
-		t.Errorf("2.4 GHz unambiguous range = %v s, want ≥200 ns", r24)
-	}
-	// All 35 bands can't do worse than the 2.4 GHz subset.
-	rAll := UnambiguousRange(USBands())
-	if rAll < r24-1e-12 {
-		t.Errorf("all-band range %v < 2.4 GHz range %v", rAll, r24)
-	}
-	if got := UnambiguousRange(nil); got != 0 {
-		t.Errorf("empty range = %v", got)
-	}
-}
-
-func TestTotalSpan(t *testing.T) {
-	span := TotalSpan(USBands())
-	// 5.825 GHz - 2.412 GHz ≈ 3.413 GHz of spanned spectrum.
-	if math.Abs(span-3.413e9) > 1e6 {
-		t.Errorf("span = %v", span)
-	}
-	if got := TotalSpan(nil); got != 0 {
-		t.Errorf("empty span = %v", got)
-	}
-	if got := TotalSpan(USBands()[:1]); got != 0 {
-		t.Errorf("single-band span = %v", got)
-	}
-}
-
 func TestCenters(t *testing.T) {
 	bands := USBands()
 	cs := Centers(bands)
