@@ -59,6 +59,9 @@ func TestSpanOfSingleFrequency(t *testing.T) {
 	if got := spanOf([]float64{5e9, 5.1e9}); got != 0.1e9 {
 		t.Errorf("span = %v", got)
 	}
+}
+
+func TestSpanOfFullBandPlan(t *testing.T) {
 	// 5.825 GHz − 2.412 GHz ≈ 3.413 GHz across the full band plan.
 	if got := spanOf(wifi.Centers(wifi.USBands())); math.Abs(got-3.413e9) > 1e6 {
 		t.Errorf("full-plan span = %v", got)
