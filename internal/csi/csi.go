@@ -62,10 +62,10 @@ type Radio struct {
 }
 
 // NewRadio builds a radio with paper-calibrated defaults and a randomly
-// drawn oscillator (±20 ppm, per 802.11 tolerance).
+// drawn oscillator.
 func NewRadio(rng *rand.Rand) *Radio {
 	return &Radio{
-		Osc:              rf.NewOscillator(rng, 20),
+		Osc:              rf.NewOscillator(rng),
 		ResidualCFOHz:    rng.NormFloat64() * 40,
 		PhaseJitterRad:   0.02,
 		DetectDelayMed:   177e-9,

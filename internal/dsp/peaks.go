@@ -81,16 +81,6 @@ func refineParabolic(xs, mag []float64, i int) (x, y float64) {
 	return xs[i] + float64(delta*step), y1 - float64(0.25*(y0-y2)*delta)
 }
 
-// FirstPeak returns the earliest peak at or above threshold·max, or false
-// if the profile has no peak. It is the direct-path extraction rule of §6.
-func FirstPeak(xs, mag []float64, threshold float64) (Peak, bool) {
-	peaks := FindPeaks(xs, mag, threshold)
-	if len(peaks) == 0 {
-		return Peak{}, false
-	}
-	return peaks[0], true
-}
-
 // DominantPeakCount counts peaks at or above threshold·max. The paper
 // reports a mean of ~5 dominant peaks in indoor profiles (§12.1); this is
 // the statistic behind that number.

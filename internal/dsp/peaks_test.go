@@ -83,11 +83,11 @@ func TestFirstPeakPicksEarliest(t *testing.T) {
 	xs := grid(400, 0.05)
 	mag := gaussianBump(xs, 4, 0.3, 0.6)
 	addInto(mag, gaussianBump(xs, 9, 0.3, 1.0))
-	p, ok := FirstPeak(xs, mag, 0.3)
-	if !ok {
+	peaks := FindPeaks(xs, mag, 0.3)
+	if len(peaks) == 0 {
 		t.Fatal("no peak found")
 	}
-	if math.Abs(p.X-4) > 0.1 {
+	if p := peaks[0]; math.Abs(p.X-4) > 0.1 {
 		t.Errorf("first peak at %v, want ~4", p.X)
 	}
 }
@@ -111,9 +111,6 @@ func TestFindPeaksEmptyAndZero(t *testing.T) {
 	if got := FindPeaks(xs, zero, 0.5); got != nil {
 		t.Errorf("zero profile: %v", got)
 	}
-	if _, ok := FirstPeak(xs, zero, 0.5); ok {
-		t.Error("FirstPeak found peak in zero profile")
-	}
 	if _, ok := StrongestPeak(xs, zero); ok {
 		t.Error("StrongestPeak found peak in zero profile")
 	}
@@ -134,10 +131,11 @@ func TestParabolicRefinementBeatsGrid(t *testing.T) {
 		xs := grid(300, step)
 		center := 5 + rng.Float64()*10
 		mag := gaussianBump(xs, center, 0.8, 1.0)
-		p, ok := FirstPeak(xs, mag, 0.5)
-		if !ok {
+		peaks := FindPeaks(xs, mag, 0.5)
+		if len(peaks) == 0 {
 			t.Fatal("no peak")
 		}
+		p := peaks[0]
 		gridErr := math.Abs(float64(int(center/step+0.5))*step - center)
 		refErr := math.Abs(p.X - center)
 		if refErr > gridErr+1e-9 {

@@ -126,45 +126,23 @@ func PerfAlias(o Options) *Result {
 		tx.Quirk24, rx.Quirk24 = false, false
 		link := &csi.Link{TX: tx, RX: rx, SNRdB: 26}
 
-		est := tof.NewEstimator(cfg)
-		cold := est.NewSweep()
-		warm := est.NewSweep()
-		warm.SetWarmStart(true)
-
 		var coldAlias, warmAlias, warmTotal []float64
 		tauNs := 20.0
-		for s := 0; s < o.Trials; s++ {
+		twinStreams(tof.NewEstimator(cfg), bands, o.Trials, func() [][]csi.Pair {
 			link.Channel = rf.NewChannel([]rf.Path{
 				{Delay: tauNs * 1e-9, Gain: 1},
 				{Delay: (tauNs + 4.2) * 1e-9, Gain: 0.6},
 				{Delay: (tauNs + 9.5) * 1e-9, Gain: 0.4},
 			})
-			sweep := link.Sweep(rng, bands, 3, 2.4e-3)
-			for i, b := range bands {
-				if err := cold.AddBand(b, sweep[i]); err != nil {
-					panic(err) // fixed synthetic geometry; cannot fail
-				}
-				if err := warm.AddBand(b, sweep[i]); err != nil {
-					panic(err)
-				}
-			}
-			rc, err := cold.Estimate()
-			if err != nil {
-				panic(err)
-			}
-			rw, err := warm.Estimate()
-			if err != nil {
-				panic(err)
-			}
+			tauNs += sc.speed * sweepDt / wifi.SpeedOfLight * 1e9
+			return link.Sweep(rng, bands, 3, 2.4e-3)
+		}, func(s int, rc, rw *tof.Estimate) {
 			coldAlias = append(coldAlias, float64(rc.AliasWork))
 			if s > 0 { // the first warm sweep has nothing to warm from
 				warmAlias = append(warmAlias, float64(rw.AliasWork))
 				warmTotal = append(warmTotal, float64(rw.Work))
 			}
-			cold.Reset()
-			warm.Reset()
-			tauNs += sc.speed * sweepDt / wifi.SpeedOfLight * 1e9
-		}
+		})
 		ca, wa := stats.Median(coldAlias), stats.Median(warmAlias)
 		res.Rows = append(res.Rows, []string{
 			sc.name, fmtF(ca, 0), fmtF(wa, 0), fmtF(wa/ca, 3), fmtF(stats.Median(warmTotal), 0),

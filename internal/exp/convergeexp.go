@@ -72,31 +72,11 @@ func PerfConverge(o Options) *Result {
 			bands := wifi.Bands5GHz()
 			cfg := tof.Config{Mode: tof.Bands5GHzOnly, MaxIter: 1200}
 			a.mod(&cfg)
-			est := tof.NewEstimator(cfg)
-			cold := est.NewSweep()
-			warm := est.NewSweep()
-			warm.SetWarmStart(true)
-
 			var coldWork, warmWork, errs []float64
 			solves, capped := 0, 0
-			for s := 0; s < o.Trials; s++ {
-				sweep := link.Sweep(rng, bands, 3, 2.4e-3)
-				for i, b := range bands {
-					if err := cold.AddBand(b, sweep[i]); err != nil {
-						panic(err) // fixed synthetic geometry; cannot fail
-					}
-					if err := warm.AddBand(b, sweep[i]); err != nil {
-						panic(err)
-					}
-				}
-				rc, err := cold.Estimate()
-				if err != nil {
-					panic(err)
-				}
-				rw, err := warm.Estimate()
-				if err != nil {
-					panic(err)
-				}
+			twinStreams(tof.NewEstimator(cfg), bands, o.Trials, func() [][]csi.Pair {
+				return link.Sweep(rng, bands, 3, 2.4e-3)
+			}, func(s int, rc, rw *tof.Estimate) {
 				coldWork = append(coldWork, float64(rc.Work))
 				errs = append(errs, math.Abs(rc.ToF*1e9-tauNs-hw))
 				solves += 2
@@ -109,9 +89,7 @@ func PerfConverge(o Options) *Result {
 				if s > 0 { // the first warm sweep has nothing to warm from
 					warmWork = append(warmWork, float64(rw.Work))
 				}
-				cold.Reset()
-				warm.Reset()
-			}
+			})
 			capRate := float64(capped) / float64(solves)
 			if a.name == "gap" && snr == 26 {
 				// The headline cap-rate is the campaign-SNR arm's, the
@@ -171,30 +149,12 @@ func PerfConverge(o Options) *Result {
 			{Delay: 42e-9, Gain: 1.0},
 		})}
 		bands := wifi.Bands5GHz()
-		est := tof.NewEstimator(tof.Config{Mode: tof.Bands5GHzOnly, MaxIter: 1200})
-		cold := est.NewSweep()
-		warm := est.NewSweep()
-		warm.SetWarmStart(true)
 		var cW, wW int64
 		var dMax float64
-		for s := 0; s < o.Trials; s++ {
-			sweep := link.Sweep(rng, bands, 3, 2.4e-3)
-			for i, b := range bands {
-				if err := cold.AddBand(b, sweep[i]); err != nil {
-					panic(err)
-				}
-				if err := warm.AddBand(b, sweep[i]); err != nil {
-					panic(err)
-				}
-			}
-			rc, err := cold.Estimate()
-			if err != nil {
-				panic(err)
-			}
-			rw, err := warm.Estimate()
-			if err != nil {
-				panic(err)
-			}
+		est := tof.NewEstimator(tof.Config{Mode: tof.Bands5GHzOnly, MaxIter: 1200})
+		twinStreams(est, bands, o.Trials, func() [][]csi.Pair {
+			return link.Sweep(rng, bands, 3, 2.4e-3)
+		}, func(s int, rc, rw *tof.Estimate) {
 			if d := math.Abs(rc.ToF-rw.ToF) * 1e9; d > dMax {
 				dMax = d
 			}
@@ -202,9 +162,7 @@ func PerfConverge(o Options) *Result {
 				cW += rc.AliasWork
 				wW += rw.AliasWork
 			}
-			cold.Reset()
-			warm.Reset()
-		}
+		})
 		ratio := math.NaN()
 		if cW > 0 {
 			ratio = float64(wW) / float64(cW)

@@ -85,8 +85,9 @@ func TestRunTrialsRNGIsPerTrial(t *testing.T) {
 // TestToFCampaignParallelSmoke runs a real (if tiny) ToF campaign with
 // concurrent workers and compares it against a serial run. Unlike the
 // figure-scale determinism tests it is NOT skipped in short mode: it is
-// the one test that drives the estimator sync.Pool and the shared
-// read-only office through runTrials under the -race CI lane.
+// the one test that drives one shared estimator (every worker calibrates
+// and estimates on it), the solver's sync.Pool and the shared read-only
+// office through runTrials under the -race CI lane.
 func TestToFCampaignParallelSmoke(t *testing.T) {
 	cfg := tof.Config{Mode: tof.Bands5GHzOnly, MaxIter: 300}
 	run := func(workers int) []tofTrial {

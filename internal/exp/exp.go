@@ -34,8 +34,10 @@ import (
 	"math/rand"
 	"strings"
 
+	"chronos/internal/csi"
 	"chronos/internal/sim"
 	"chronos/internal/tof"
+	"chronos/internal/wifi"
 )
 
 // Options scales a campaign.
@@ -112,15 +114,13 @@ type tofTrial struct {
 
 // runToFCampaign measures calibrated ToF error over `trials` random
 // placements of each visibility class, fanned out over the worker pool.
-// Each trial builds its own tof.Estimator (Calibrate mutates estimator
-// config, so instances cannot be shared between racing trials); all of
-// them resolve NDFT plans from the shared registry, so the dictionaries
-// are built once per band-group geometry, not once per worker.
+// The racing trials share one tof.Estimator: Estimate and Calibrate are
+// safe for concurrent use, and the NDFT plans come from the shared
+// registry, built once per band-group geometry.
 func runToFCampaign(o Options, campaignID string, office *sim.Office, cfg tof.Config, trials int, nlos bool, maxDist float64) []tofTrial {
 	bands := tof.BandsFor(cfg)
+	est := tof.NewEstimator(cfg)
 	return runTrials(o, campaignID, trials, func(t int, rng *rand.Rand) (tofTrial, bool) {
-		est := tof.NewEstimator(cfg)
-
 		p := office.RandomPlacement(rng, maxDist, nlos)
 		link := office.NewLink(rng, p, sim.LinkConfig{Quirk: cfg.Quirk24})
 
@@ -152,6 +152,38 @@ func runToFCampaign(o Options, campaignID string, office *sim.Office, cfg tof.Co
 		}
 		return trial, true
 	})
+}
+
+// twinStreams folds n sweeps, each drawn by next over bands, into a cold
+// Sweep and a warm-started one on est, hands each sweep's two estimates
+// to each (s counts sweeps from 0), and resets both streams. The
+// campaigns that compare the streams run fixed synthetic geometries, so
+// a fold or estimate error is a bug and panics.
+func twinStreams(est *tof.Estimator, bands []wifi.Band, n int, next func() [][]csi.Pair, each func(s int, cold, warm *tof.Estimate)) {
+	cold, warm := est.NewSweep(), est.NewSweep()
+	warm.SetWarmStart(true)
+	for s := 0; s < n; s++ {
+		sweep := next()
+		for i, b := range bands {
+			if err := cold.AddBand(b, sweep[i]); err != nil {
+				panic(err)
+			}
+			if err := warm.AddBand(b, sweep[i]); err != nil {
+				panic(err)
+			}
+		}
+		rc, err := cold.Estimate()
+		if err != nil {
+			panic(err)
+		}
+		rw, err := warm.Estimate()
+		if err != nil {
+			panic(err)
+		}
+		each(s, rc, rw)
+		cold.Reset()
+		warm.Reset()
+	}
 }
 
 // defaultToFConfig is the evaluation configuration used across figures:

@@ -26,8 +26,11 @@ func synthChannel(freqs []float64, delaysNs, gains []float64) dsp.Vec {
 // earliest peak at or above threshold·max. ok is false when the profile
 // is empty.
 func firstPeakDelay(r *Result, threshold float64) (float64, bool) {
-	p, ok := dsp.FirstPeak(r.Taus, r.Magnitude, threshold)
-	return p.X, ok
+	peaks := dsp.FindPeaks(r.Taus, r.Magnitude, threshold)
+	if len(peaks) == 0 {
+		return 0, false
+	}
+	return peaks[0].X, true
 }
 
 func TestTauGrid(t *testing.T) {

@@ -109,20 +109,22 @@ func NoiseSigmaForSNR(signalRMS, snrDB float64) float64 {
 	return math.Sqrt(noisePower / 2)
 }
 
-// Oscillator models one radio's local oscillator: a part-per-million
-// frequency error plus a fixed hardware phase (the per-device component of
-// the reciprocity constant κ in §7).
+// Oscillator models one radio's fixed hardware chain: its phase (the
+// per-device component of the reciprocity constant κ in §7) and its group
+// delay. Carrier frequency offset is the radio's own (csi's
+// Radio.ResidualCFOHz).
 type Oscillator struct {
-	PPM       float64 // carrier frequency error in parts per million
 	HWPhase   float64 // constant phase from the TX/RX chain, radians
 	HWDelayNs float64 // constant group delay through the chain, nanoseconds
 }
 
-// NewOscillator draws a random oscillator with ppm error in ±maxPPM and a
-// uniform hardware phase, modelling manufacturing spread.
-func NewOscillator(rng *rand.Rand, maxPPM float64) Oscillator {
+// NewOscillator draws a random oscillator with a uniform hardware phase
+// and chain delay, modelling manufacturing spread.
+func NewOscillator(rng *rand.Rand) Oscillator {
+	// A discarded draw (a carrier error no model reads) keeps every
+	// seeded stream, and with it every golden, where it was.
+	rng.Float64()
 	return Oscillator{
-		PPM:     (rng.Float64()*2 - 1) * maxPPM,
 		HWPhase: rng.Float64() * 2 * math.Pi,
 		// A couple of nanoseconds of chain delay, constant per device;
 		// §7 notes it is pre-calibrated once, so keep it small but nonzero.

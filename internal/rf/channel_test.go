@@ -127,10 +127,7 @@ func TestNoiseSigmaForSNR(t *testing.T) {
 func TestNewOscillatorBounds(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for i := 0; i < 100; i++ {
-		o := NewOscillator(rng, 20)
-		if math.Abs(o.PPM) > 20 {
-			t.Errorf("PPM %v out of bounds", o.PPM)
-		}
+		o := NewOscillator(rng)
 		if o.HWPhase < 0 || o.HWPhase >= 2*math.Pi {
 			t.Errorf("HWPhase %v out of range", o.HWPhase)
 		}

@@ -2,6 +2,7 @@ package tof
 
 import (
 	"math"
+	"slices"
 	"sort"
 
 	"chronos/internal/detmath"
@@ -28,106 +29,12 @@ func (e *Estimator) windowPlan(freqs []float64, power int) (*ndft.Plan, planKey,
 	return plan, key, err
 }
 
-// windowRefit bundles the per-group refit context — the canonical window
-// plan and the scratch every hypothesis solve of one estimate call
-// shares — so the solve call sites thread one receiver instead of a long
-// positional argument list.
-type windowRefit struct {
-	e     *Estimator
-	s     *Sweep
-	plan  *ndft.Plan
-	key   planKey
-	freqs []float64
-	h     dsp.Vec
-	power int
-	noise float64 // per-sweep ‖w‖₂ estimate; rotation preserves it
-	rot   dsp.Vec
-	dst   *ndft.Result
-}
-
-func (e *Estimator) newWindowRefit(freqs []float64, h dsp.Vec, power int, s *Sweep, noise float64) (*windowRefit, error) {
-	plan, key, err := e.windowPlan(freqs, power)
-	if err != nil {
-		return nil, err
-	}
-	return &windowRefit{
-		e: e, s: s, plan: plan, key: key, freqs: freqs, h: h, power: power, noise: noise,
-		rot: make(dsp.Vec, len(h)), dst: &ndft.Result{},
-	}, nil
-}
-
-// solve fits the group measurement against the canonical window plan
-// with the delay origin shifted to cand−2 ns (clamped at 0): fitting on
-// [lo, lo+W] equals fitting the phase-rotated measurement h·e^{+j2πf·lo}
-// on [0, W], since a delay shift is a per-frequency rotation that
-// preserves the residual norm. The candidate delay labels the alias
-// hypothesis for the sweep's per-hypothesis warm state (family-stable
-// nearest-candidate matching, see windowWarmState): the window tracks
-// the candidate, so in window coordinates the profile barely moves
-// between sweeps and the previous converged window profile is an
-// excellent seed (forceCold bypasses the seed; the result still
-// refreshes the warm state). Warm seeding follows the same
-// measured-efficacy policy as the main solve — after warmStrikes
-// consecutive warm refits that cost more than the cold baseline, that
-// hypothesis permanently reverts to cold starts.
-//
-// alpha, when nonzero, overrides the solver's per-measurement α
-// auto-scaling: residuals of competing hypotheses are only comparable
-// under one shared sparsity penalty, since the auto α grows with the
-// window's atom correlations and would shrink the well-matched window
-// harder than a displaced one. eps, when nonzero, loosens the iterate
-// convergence tolerance: a refit feeds a 15%-margin residual comparison,
-// not a peak readout, so ranking callers stop at 1e−3·‖h‖ instead of
-// ringing toward the solver's default 1e−6 — which both cuts the cold
-// refit cost and lets refits actually converge, the precondition for
-// retaining their profiles as next-sweep warm seeds. w, when non-nil,
-// additionally scores the refit by the w-weighted residual (see
-// aliasWeights); otherwise the weighted score equals the plain one.
-func (wr *windowRefit) solve(cand, alpha, eps float64, w []float64, forceCold bool) (refitScore, int64, error) {
-	obsAliasRefits.Inc()
-	rotateWindow(wr.freqs, wr.h, cand, float64(wr.power), wr.rot)
-	g := wr.s.windowWarmState(wr.key, cand)
-	// Without a noise estimate (none usable, or the precise re-solve of
-	// a contested placement) the refit scores feed decisions whose
-	// margins sit near the score noise, and a warm-seeded score that
-	// lands on the other side of a margin than the cold score would make
-	// a warm stream decide differently than a cold one. Scoring those
-	// refits cold keeps warm-stream decisions exactly equal to
-	// cold-stream decisions where the evidence is thin; the warm savings
-	// concentrate in the regime where the margins have real slack.
-	if wr.noise <= 0 {
-		forceCold = true
-	}
-	var warm dsp.Vec
-	if g != nil && !forceCold && !g.off && len(g.profile) == len(wr.plan.Taus) {
-		warm = g.profile
-	}
-	res, err := wr.plan.Solve(ndft.SolveRequest{
-		H: wr.rot, Warm: warm, Dst: wr.dst,
-		InvertOptions: ndft.InvertOptions{
-			Alpha: alpha, Epsilon: eps, MaxIter: 600,
-			NoiseFloor: wr.e.solveFloor(wr.noise),
-		},
-	})
-	if err != nil {
-		return refitScore{}, 0, err
-	}
-	if g != nil {
-		g.observe(warm != nil, res)
-	}
-	score := refitScore{plain: res.Residual, weighted: res.Residual}
-	if w != nil {
-		score.weighted = wr.plan.WeightedResidual(res.Profile, wr.rot, w)
-	}
-	return score, res.Work, nil
-}
-
 // rotateWindow writes h·e^{+j2πf·lo} into rot for the refit window
 // anchored at candidate cand: lo = (cand − 2 ns)·pf, clamped at 0 — the
 // delay-shift rotation that maps the candidate's window onto the
-// canonical [0, W] plan. Every consumer of a window measurement (the
-// refits and the shared-α reference) goes through this one function so
-// the anchoring can never diverge between them.
+// canonical [0, W] plan. Every refit, and the shared α read off the
+// first refit's window, goes through this one function, so the
+// anchoring can never diverge between them.
 func rotateWindow(freqs []float64, h dsp.Vec, cand, pf float64, rot dsp.Vec) {
 	lo := (cand - 2e-9) * pf
 	if lo < 0 {
@@ -256,140 +163,95 @@ type refitScore struct {
 	weighted float64
 }
 
-// aliasScorer memoizes anchored window refits for one band group within
-// one estimate call: the first-peak scan and the final placement often
-// score the same candidate, and a candidate's score is deterministic
-// within a call, so each distinct grid cell is solved once.
-type aliasScorer struct {
-	wr       *windowRefit
-	hNorm    float64
-	gates    evidenceGates // noise-adaptive evidence thresholds
-	alpha    float64       // shared sparsity penalty; set from the first candidate
-	weights  []float64
-	memo     map[int]refitScore
-	memoCold map[int]refitScore // forced-cold confirmation scores
-	work     int64
+// refitMemo is one memoized refit score, keyed by the candidate's τ grid
+// cell and by whether a forced-cold refit scored it on a warm sweep.
+type refitMemo struct {
+	cell  int
+	cold  bool
+	score refitScore
 }
 
-// newAliasScorer builds the scorer for one group's placement. floor is
+// aliasScorer places the direct path of one band group within one
+// estimate call. Every hypothesis goes through one refit (see refit),
+// and each score lands in the sweep's refit memo: virtual admission and
+// the ±1-period placement often score the same candidate, and a score
+// is deterministic within a call, so each grid cell is solved once per
+// mode. The memo, the rotated measurement and the refit result are
+// Sweep-owned scratch, reset for each new scorer.
+type aliasScorer struct {
+	e       *Estimator
+	s       *Sweep
+	g       *bandGroup
+	plan    *ndft.Plan // the group's canonical window plan
+	key     planKey
+	floor   float64 // the refits' noise floor; see placeDirectPath
+	hNorm   float64
+	gates   evidenceGates // noise-adaptive evidence thresholds
+	alpha   float64       // shared sparsity penalty; set from the first candidate
+	weights []float64
+	work    int64
+}
+
+// placeDirectPath places the direct-path delay on one solve attempt's
+// profile. It follows the §6 windowed first-peak structure of
+// firstPeakWindowed, with three ghost-insensitivity repairs:
+//
+//  1. dominance and the window anchor are ranked by baseline-subtracted
+//     folded family mass (familyCandidates), so a path whose vertex the
+//     solver split across grating-lobe members keeps its full rank;
+//  2. a dominant family with no real peak inside the search window
+//     contributes a virtual candidate at its in-window member position,
+//     admitted as the first peak only when its anchored refit beats the
+//     best real candidate decisively (admitVirtual): energy stranded
+//     wholly on an out-of-window ghost is recoverable, but never on a
+//     noisy tie;
+//  3. the final ±1-period placement refit compares
+//     discrimination-weighted residuals (place, aliasWeights), sharpening
+//     the §4 test on geometries with off-lattice bands while leaving
+//     pure-raster geometries to the solver's own placement.
+//
+// A profile on which no family rises above the folded baseline places
+// firstPeakWindowed's peak through the same scorer; a profile with no
+// peak leaves fix unplaced. The error is the window plan's build
+// failure. The evidence gates derive from the group's
+// per-sweep relative noise estimate whatever floor is: they are decision
+// thresholds, not solve tolerances. floor is the refits' noise floor:
 // the group's ‖w‖₂ estimate, or 0 on the precise re-solve of a contested
 // placement, which stops every refit on the iterate rule and scores it
 // cold. Under StopIterate the refits stop on the iterate rule whatever
 // floor is (solveFloor), and a positive floor only lets them start warm.
-// The evidence gates adapt to the group's noise either way: they are
-// decision thresholds, not solve tolerances.
-func (e *Estimator) newAliasScorer(g *bandGroup, s *Sweep, floor float64) (*aliasScorer, error) {
-	wr, err := e.newWindowRefit(g.freqs, g.h, g.power, s, floor)
-	if err != nil {
-		return nil, err
-	}
-	return &aliasScorer{
-		wr:      wr,
-		hNorm:   dsp.Norm2(g.h),
-		gates:   gatesFor(g.noiseRel),
-		weights: aliasWeights(g.freqs, g.power, aliasPeriod),
-		memo:    make(map[int]refitScore, 4),
-	}, nil
-}
-
-// score runs (or recalls) the anchored refit for one direct-path
-// candidate. Warm state is labeled by the candidate's period index, which
-// is stable while the tracked path stays within one alias cell. The
-// first candidate scored fixes the shared sparsity penalty α for every
-// later hypothesis — callers score their incumbent first, so α is scaled
-// to the window the solver's own evidence points at.
-//
-// forceCold bypasses warm seeding (the result still refreshes the warm
-// state): decisive actions — placement flips, virtual admissions — are
-// confirmed on cold refits, so a warm-seeded stream takes exactly the
-// decisions a cold stream would, and a marginal warm solve can never
-// manufacture a ±1-period flip the data does not support. On sweeps
-// without warm starting both modes are identical and share one memo.
-func (sc *aliasScorer) score(cand float64, forceCold bool) refitScore {
-	cell := int(math.Round(cand / gridStep))
-	memo := sc.memo
-	if forceCold && sc.wr.s.warm {
-		if sc.memoCold == nil {
-			sc.memoCold = make(map[int]refitScore, 4)
-		}
-		memo = sc.memoCold
-	}
-	if v, ok := memo[cell]; ok {
-		return v
-	}
-	if sc.alpha == 0 {
-		sc.alpha = sc.referenceAlpha(cand)
-	}
-	v, w, err := sc.wr.solve(cand, sc.alpha, 1e-3*sc.hNorm, sc.weights, forceCold && sc.wr.s.warm)
-	sc.work += w
-	out := refitScore{plain: math.Inf(1), weighted: math.Inf(1)}
-	if err == nil {
-		out = v
-	}
-	memo[cell] = out
-	if !sc.wr.s.warm {
-		// Cold sessions: both modes are the same solve.
-		sc.memoCold = sc.memo
-	}
-	return out
-}
-
-// referenceAlpha resolves the shared refit α: the solver's standard
-// scaling (10% of the largest atom correlation, times the ablation
-// factor) evaluated on the reference candidate's rotated window.
-func (sc *aliasScorer) referenceAlpha(cand float64) float64 {
-	rotateWindow(sc.wr.freqs, sc.wr.h, cand, float64(sc.wr.power), sc.wr.rot)
-	scale := sc.wr.e.cfg.AlphaFactor
-	if scale == 0 {
-		scale = 1
-	}
-	return 0.1 * scale * sc.wr.plan.MaxCorrelation(sc.wr.rot)
-}
-
-// trusted reports whether a refit outcome explains enough of the
-// measurement for its residual comparisons to carry evidence. The gate
-// scales with the per-sweep noise estimate: at low SNR the best
-// possible fit strands more of ‖h‖, so a fixed gate would reject
-// genuine evidence there and accept noise-floor comparisons at high
-// SNR.
-func (sc *aliasScorer) trusted(r refitScore) bool {
-	return !math.IsInf(r.plain, 1) && r.plain <= sc.gates.fitGate*sc.hNorm
-}
-
-// beats reports whether challenger fits decisively better than the
-// incumbent: the noise-adaptive margin on the discrimination-weighted
-// residual, plus a plain-residual sanity check so a weighted fluke on
-// faded bands cannot flip a decision the full measurement contradicts.
-func (sc *aliasScorer) beats(challenger, incumbent refitScore) bool {
-	return challenger.weighted < sc.gates.refitMargin*incumbent.weighted &&
-		challenger.plain < incumbent.plain
-}
-
-// familyRank extracts the direct-path delay with alias-family ranking.
-// It follows the §6 windowed first-peak structure of firstPeakWindowed,
-// with three ghost-insensitivity repairs:
-//
-//  1. dominance and the window anchor are ranked by baseline-subtracted
-//     folded family mass, so a path whose vertex the solver split across
-//     grating-lobe members keeps its full rank;
-//  2. a dominant family with no real peak inside the search window
-//     contributes a virtual candidate at its in-window member position —
-//     admitted as the first peak only when its anchored refit beats the
-//     best real candidate decisively (energy stranded wholly on an
-//     out-of-window ghost is recoverable, but never on a noisy tie);
-//  3. the final ±1-period placement refit compares
-//     discrimination-weighted residuals (aliasWeights), sharpening the
-//     §4 test on geometries with off-lattice bands while leaving
-//     pure-raster geometries to the solver's own placement.
-//
-// ok is false when the profile has no peak or family to anchor on or
-// the refits failed; callers then place firstPeakWindowed's peak with
-// placeCandidate. The evidence thresholds (anchor margin, refit margin,
-// fit gate) derive from the group's per-sweep relative noise estimate;
-// refitFloor is the refit solver's noise floor (see newAliasScorer).
-// contested is placeCandidate's verdict on the final placement.
-func (e *Estimator) familyRank(g *bandGroup, prof *Profile, s *Sweep, refitFloor float64) (tau float64, ok, contested bool, work int64) {
+func (e *Estimator) placeDirectPath(fix *groupFix, g *bandGroup, s *Sweep, floor float64) error {
 	gates := gatesFor(g.noiseRel)
+	first, virtuals, ok := familyCandidates(fix.prof, gates)
+	if !ok {
+		if first, ok = firstPeakWindowed(fix.prof); !ok {
+			return nil
+		}
+	}
+	plan, key, err := e.windowPlan(g.freqs, g.power)
+	if err != nil {
+		return err
+	}
+	s.refitMemo = s.refitMemo[:0]
+	s.refitRot = slices.Grow(s.refitRot[:0], len(g.h))[:len(g.h)]
+	sc := aliasScorer{
+		e: e, s: s, g: g, plan: plan, key: key, floor: floor,
+		hNorm: dsp.Norm2(g.h), gates: gates,
+		weights: aliasWeights(g.freqs, g.power, aliasPeriod),
+	}
+	fix.tau, fix.contested = sc.place(sc.admitVirtual(first, virtuals))
+	fix.ok, fix.aliasWork = true, sc.work
+	return nil
+}
+
+// familyCandidates proposes the direct-path candidates on one profile
+// without solving anything. first is the earliest dominant real peak
+// within searchWindow before the anchor (the anchor itself when nothing
+// dominant precedes it). virtuals, in ascending delay order, are the
+// in-window member positions of dominant families that hold no real
+// peak there and would precede first. ok is false when the profile has
+// no peak or no family rises above the folded baseline.
+func familyCandidates(prof *Profile, gates evidenceGates) (first float64, virtuals []float64, ok bool) {
 	cells := int(math.Round(aliasPeriod / gridStep))
 	period := float64(cells) * gridStep
 
@@ -398,7 +260,7 @@ func (e *Estimator) familyRank(g *bandGroup, prof *Profile, s *Sweep, refitFloor
 	// by family dominance below.
 	peaks := dsp.FindPeaks(prof.Taus, prof.Magnitude, 0.5*peakThreshold)
 	if len(peaks) == 0 {
-		return 0, false, false, 0
+		return 0, nil, false
 	}
 
 	// Folding sums the nonnegative noise floor of every period into each
@@ -445,131 +307,222 @@ func (e *Estimator) familyRank(g *bandGroup, prof *Profile, s *Sweep, refitFloor
 		anchor, anchorMass = byMass, byMassVal
 	}
 	if anchorMass <= 0 {
-		return 0, false, false, 0
+		return 0, nil, false
 	}
 	floor := peakThreshold * anchorMass
 	lo := anchor.X - searchWindow
 
 	// Earliest dominant real peak inside the window (the anchor itself
 	// when nothing dominant precedes it).
-	first := anchor
+	first = anchor.X
 	for _, p := range peaks {
-		if p.X >= lo && p.X < first.X && famMass(p.Index) >= floor {
-			first = p
+		if p.X >= lo && p.X < first && famMass(p.Index) >= floor {
+			first = p.X
 		}
-	}
-
-	scorer, err := e.newAliasScorer(g, s, refitFloor)
-	if err != nil {
-		return 0, false, false, 0
 	}
 
 	// Virtual candidates: dominant families whose in-window member
 	// position holds no real peak — their mass is stranded on an
-	// out-of-window ghost member. Each is admitted over the current
-	// first peak only on a decisively better anchored refit, and only
-	// when the refits explain the data well enough to be evidence.
-	virtuals := virtualCandidates(peaks, famMass, floor, lo, first.X, anchor.X, period)
-	if len(virtuals) > 0 {
-		firstScore := scorer.score(first.X, false)
-		if scorer.trusted(firstScore) {
-			for _, v := range virtuals {
-				if vs := scorer.score(v, false); scorer.trusted(vs) && scorer.beats(vs, firstScore) {
-					// Admitting a virtual candidate is a decisive action:
-					// confirm it on cold refits before acting.
-					fsC, vsC := scorer.score(first.X, true), scorer.score(v, true)
-					if scorer.trusted(fsC) && scorer.trusted(vsC) && scorer.beats(vsC, fsC) {
-						tau, contested = e.placeCandidate(scorer, v)
-						return tau, true, contested, scorer.work
-					}
-				}
-			}
-		}
-	}
-	tau, contested = e.placeCandidate(scorer, first.X)
-	return tau, true, contested, scorer.work
-}
-
-// virtualCandidates returns, in ascending delay order, the in-window
-// member positions of dominant families that have no real candidate peak
-// nearby and that would precede the current first peak.
-func virtualCandidates(peaks []dsp.Peak, famMass func(int) float64, floor, lo, firstX, anchorX, period float64) []float64 {
-	var out []float64
+	// out-of-window ghost member.
 	for _, p := range peaks {
 		if famMass(p.Index) < floor {
 			continue
 		}
 		// The family's unique member position at or before the anchor.
-		v := anchorX - math.Mod(anchorX-p.X+float64(64*period), period)
-		if v < lo-gridStep || v >= firstX-2*gridStep || v < -1e-9 {
+		v := anchor.X - math.Mod(anchor.X-p.X+float64(64*period), period)
+		if v < lo-gridStep || v >= first-2*gridStep || v < -1e-9 ||
+			slices.ContainsFunc(peaks, func(q dsp.Peak) bool { return math.Abs(q.X-v) <= 2*gridStep }) ||
+			slices.ContainsFunc(virtuals, func(u float64) bool { return math.Abs(u-v) <= 2*gridStep }) {
 			continue
 		}
-		covered := false
-		for _, q := range peaks {
-			if math.Abs(q.X-v) <= 2*gridStep {
-				covered = true
-				break
-			}
-		}
-		if covered {
-			continue
-		}
-		dup := false
-		for _, u := range out {
-			if math.Abs(u-v) <= 2*gridStep {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			out = append(out, v)
-		}
+		virtuals = append(virtuals, v)
 	}
-	sort.Float64s(out)
-	return out
+	sort.Float64s(virtuals)
+	return first, virtuals, true
 }
 
-// placeCandidate resolves which grating-lobe member the chosen first
-// peak belongs to: the §4 refit over cand + k·aliasPeriod, k ∈ {−1,0,1},
-// with the candidate as the incumbent. All hypotheses share one α and
-// compare discrimination-weighted residuals, refits are warm-started,
-// and the decision is gated on fit quality so an uninformative refit can
-// never displace the solver's placement.
+// admitVirtual returns the candidate the ±1-period placement starts
+// from: the first virtual candidate whose refit beats the first peak's,
+// confirmed on cold refits, or else first. Nothing is admitted over an
+// untrusted first peak: the refits must explain the data well enough to
+// be evidence (a challenger that beats a trusted incumbent is trusted
+// too, its plain residual being lower). The first peak is scored even
+// when there are no virtuals, so the shared α always comes from its
+// window.
+func (sc *aliasScorer) admitVirtual(first float64, virtuals []float64) float64 {
+	fs := sc.score(first, false)
+	if !sc.trusted(fs) {
+		return first
+	}
+	for _, v := range virtuals {
+		if sc.beats(sc.score(v, false), fs) {
+			// Admitting a virtual candidate is a decisive action:
+			// confirm it on cold refits before acting.
+			fsC, vsC := sc.score(first, true), sc.score(v, true)
+			if sc.trusted(fsC) && sc.beats(vsC, fsC) {
+				return v
+			}
+		}
+	}
+	return first
+}
+
+// place resolves which grating-lobe member cand belongs to: the §4 refit
+// over cand + k·aliasPeriod, k ∈ {−1,0,1}, with cand as the incumbent,
+// gated on fit quality so an uninformative refit can never displace the
+// solver's placement.
 //
 // contested reports a kept, trusted candidate that a ±1-period
 // neighbour out-fits on both the weighted and the plain residual, though
 // not by the refit margin. It is judged on the scores the decision
 // finally stood on: the cold ones when a warm flip went to its cold
 // confirmation, the first-pass ones otherwise.
-func (e *Estimator) placeCandidate(scorer *aliasScorer, cand float64) (best float64, contested bool) {
-	decide := func(forceCold bool) (float64, bool) {
-		base := scorer.score(cand, forceCold)
-		if !scorer.trusted(base) {
-			return cand, false
-		}
-		best, bestScore, near := cand, base, false
-		for k := -1; k <= 1; k += 2 {
-			c := cand + float64(float64(k)*aliasPeriod)
-			if c < -1e-9 || c > maxTau {
-				continue
-			}
-			sc := scorer.score(c, forceCold)
-			if scorer.beats(sc, base) && sc.weighted < bestScore.weighted {
-				best, bestScore = c, sc
-			} else if sc.weighted < base.weighted && sc.plain < base.plain {
-				near = true
-			}
-		}
-		return best, near && best == cand
-	}
-	best, contested = decide(false)
+func (sc *aliasScorer) place(cand float64) (best float64, contested bool) {
+	best, contested = sc.decide(cand, false)
 	if best != cand {
 		// A ±1-period flip is rare and decisive: confirm it with cold
 		// refits so warm-seeded streams place exactly as cold ones.
-		best, contested = decide(true)
+		best, contested = sc.decide(cand, true)
 	}
 	if best != cand {
 		obsAliasFlips.Inc()
 	}
 	return best, contested
+}
+
+// decide is one pass of place over the first-pass or the forced-cold
+// scores.
+func (sc *aliasScorer) decide(cand float64, forceCold bool) (best float64, contested bool) {
+	base := sc.score(cand, forceCold)
+	if !sc.trusted(base) {
+		return cand, false
+	}
+	best, bestScore, near := cand, base, false
+	for k := -1; k <= 1; k += 2 {
+		c := cand + float64(float64(k)*aliasPeriod)
+		if c < -1e-9 || c > maxTau {
+			continue
+		}
+		s := sc.score(c, forceCold)
+		if sc.beats(s, base) && s.weighted < bestScore.weighted {
+			best, bestScore = c, s
+		} else if s.weighted < base.weighted && s.plain < base.plain {
+			near = true
+		}
+	}
+	return best, near && best == cand
+}
+
+// trusted reports whether a refit outcome explains enough of the
+// measurement for its residual comparisons to carry evidence. The gate
+// scales with the per-sweep noise estimate: at low SNR the best
+// possible fit strands more of ‖h‖, so a fixed gate would reject
+// genuine evidence there and accept noise-floor comparisons at high
+// SNR.
+func (sc *aliasScorer) trusted(r refitScore) bool {
+	return !math.IsInf(r.plain, 1) && r.plain <= sc.gates.fitGate*sc.hNorm
+}
+
+// beats reports whether challenger fits decisively better than the
+// incumbent: the noise-adaptive margin on the discrimination-weighted
+// residual, plus a plain-residual sanity check so a weighted fluke on
+// faded bands cannot flip a decision the full measurement contradicts.
+func (sc *aliasScorer) beats(challenger, incumbent refitScore) bool {
+	return challenger.weighted < sc.gates.refitMargin*incumbent.weighted &&
+		challenger.plain < incumbent.plain
+}
+
+// score recalls a candidate's refit score from the memo, or runs the
+// refit and memoizes it. forceCold bypasses warm seeding: decisive
+// actions (placement flips,
+// virtual admissions) are confirmed on cold refits, so a warm-seeded
+// stream takes exactly the decisions a cold stream would, and a marginal
+// warm solve can never manufacture a ±1-period flip the data does not
+// support. On sweeps without warm starting both modes are the same
+// solve and share one memo entry.
+func (sc *aliasScorer) score(cand float64, forceCold bool) refitScore {
+	cell := int(math.Round(cand / gridStep))
+	cold := forceCold && sc.s.warm
+	for _, m := range sc.s.refitMemo {
+		if m.cell == cell && m.cold == cold {
+			return m.score
+		}
+	}
+	v := sc.refit(cand, cold)
+	sc.s.refitMemo = append(sc.s.refitMemo, refitMemo{cell: cell, cold: cold, score: v})
+	return v
+}
+
+// refit fits the group measurement against the canonical window plan
+// with the delay origin shifted to cand−2 ns (clamped at 0): fitting on
+// [lo, lo+W] equals fitting the phase-rotated measurement h·e^{+j2πf·lo}
+// on [0, W], since a delay shift is a per-frequency rotation that
+// preserves the residual norm. It is the scorer's one refit:
+//
+//   - every hypothesis shares one α, fixed from the first candidate
+//     scored: residuals of competing hypotheses are only comparable under
+//     one sparsity penalty, and the solver's per-window auto α grows with
+//     the window's atom correlations, shrinking the well-matched window
+//     harder than a displaced one;
+//   - it stops at 1e−3·‖h‖ instead of the solver's default 1e−6·‖h‖: a
+//     refit feeds a margin comparison, not a peak readout, so the looser
+//     tolerance cuts the cold refit cost and lets refits converge, the
+//     precondition for keeping their profiles as next-sweep warm seeds;
+//   - the score carries the discrimination-weighted residual (see
+//     aliasWeights) beside the plain one.
+//
+// The candidate delay labels the alias hypothesis for the sweep's
+// per-hypothesis warm state (family-stable nearest-candidate matching,
+// see windowWarmState): the window tracks the candidate, so in window
+// coordinates the profile barely moves between sweeps and the previous
+// converged window profile is an excellent seed (forceCold bypasses the
+// seed; the result still refreshes the warm state). Warm seeding follows
+// the same measured-efficacy policy as the main solve: after
+// warmStrikes consecutive warm refits that cost more than the cold
+// baseline, that hypothesis permanently reverts to cold starts.
+func (sc *aliasScorer) refit(cand float64, forceCold bool) refitScore {
+	rot := sc.s.refitRot
+	rotateWindow(sc.g.freqs, sc.g.h, cand, float64(sc.g.power), rot)
+	if sc.alpha == 0 {
+		// The solver's standard scaling (10% of the largest atom
+		// correlation, times the ablation factor) on this window.
+		scale := sc.e.cfg.AlphaFactor
+		if scale == 0 {
+			scale = 1
+		}
+		sc.alpha = 0.1 * scale * sc.plan.MaxCorrelation(rot)
+	}
+	obsAliasRefits.Inc()
+	ws := sc.s.windowWarmState(sc.key, cand)
+	// Without a noise estimate (none usable, or the precise re-solve of
+	// a contested placement) the refit scores feed decisions whose
+	// margins sit near the score noise, and a warm-seeded score that
+	// lands on the other side of a margin than the cold score would make
+	// a warm stream decide differently than a cold one. Scoring those
+	// refits cold keeps warm-stream decisions exactly equal to
+	// cold-stream decisions where the evidence is thin; the warm savings
+	// concentrate in the regime where the margins have real slack.
+	var warm dsp.Vec
+	if ws != nil && !forceCold && sc.floor > 0 && !ws.off && len(ws.profile) == len(sc.plan.Taus) {
+		warm = ws.profile
+	}
+	res, err := sc.plan.Solve(ndft.SolveRequest{
+		H: rot, Warm: warm, Dst: &sc.s.refitDst,
+		InvertOptions: ndft.InvertOptions{
+			Alpha: sc.alpha, Epsilon: 1e-3 * sc.hNorm, MaxIter: 600,
+			NoiseFloor: sc.e.solveFloor(sc.floor),
+		},
+	})
+	if err != nil {
+		return refitScore{plain: math.Inf(1), weighted: math.Inf(1)}
+	}
+	sc.work += res.Work
+	if ws != nil {
+		ws.observe(warm != nil, res)
+	}
+	score := refitScore{plain: res.Residual, weighted: res.Residual}
+	if sc.weights != nil {
+		score.weighted = sc.plan.WeightedResidual(res.Profile, rot, sc.weights)
+	}
+	return score
 }

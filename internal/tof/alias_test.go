@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"chronos/internal/csi"
+	"chronos/internal/dsp"
 	"chronos/internal/ndft"
 	"chronos/internal/obs"
 	"chronos/internal/rf"
@@ -96,21 +97,25 @@ func TestAliasFamilyRecoversGhostVertices(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			wr, err := est.newWindowRefit(g.freqs, g.h, g.power, s, g.noise)
+			plan, _, err := est.windowPlan(g.freqs, g.power)
 			if err != nil {
 				t.Fatal(err)
 			}
-			at, _, err := wr.solve(cand, 0, 0, nil, false)
-			if err != nil {
-				t.Fatal(err)
+			autoRefit := func(c float64) float64 {
+				rot := make(dsp.Vec, len(g.h))
+				rotateWindow(g.freqs, g.h, c, float64(g.power), rot)
+				res, err := plan.Solve(ndft.SolveRequest{
+					H:             rot,
+					InvertOptions: ndft.InvertOptions{MaxIter: 600, NoiseFloor: g.noise},
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res.Residual
 			}
-			early, _, err := wr.solve(cand-aliasPeriod, 0, 0, nil, false)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if early.plain >= at.plain {
+			if at, early := autoRefit(cand), autoRefit(cand-aliasPeriod); early >= at {
 				t.Errorf("auto-α refit residual one period early %.4g, not below %.4g at the first peak %.2f ns — fixture no longer exhibits the ghost (solver changed?); re-pin seeds",
-					early.plain, at.plain, cand*1e9)
+					early, at, cand*1e9)
 			}
 		})
 	}
@@ -515,5 +520,172 @@ func TestResolveAtMostOncePerEstimate(t *testing.T) {
 	}
 	if obsAliasResolves.Value() == start {
 		t.Error("no sweep re-solved: the stream no longer exercises the certificate; re-pin the seed")
+	}
+}
+
+// memoScore is one pre-filled refit score: the candidate delay in ns,
+// whether a forced-cold refit on a warm sweep scored it, and its plain
+// and weighted residuals.
+type memoScore struct {
+	ns              float64
+	cold            bool
+	plain, weighted float64
+}
+
+// memoScorer returns a scorer with no plan whose refit memo holds
+// scores. Its gates are fixedGates on ‖h‖ = 1: a refit is trusted at
+// plain ≤ 0.35, and a challenger beats an incumbent with a weighted
+// residual below 0.85× the incumbent's and a plain one below it.
+func memoScorer(warm bool, scores []memoScore) *aliasScorer {
+	s := &Sweep{warm: warm}
+	for _, m := range scores {
+		s.refitMemo = append(s.refitMemo, refitMemo{
+			cell: int(math.Round(m.ns * 1e-9 / gridStep)), cold: m.cold,
+			score: refitScore{plain: m.plain, weighted: m.weighted},
+		})
+	}
+	return &aliasScorer{s: s, hNorm: 1, gates: fixedGates}
+}
+
+// solverFree runs f, failing the test if f scored a candidate the memo
+// does not hold: the scorer has no plan, so a refit panics.
+func solverFree(t *testing.T, f func()) {
+	t.Helper()
+	defer func() {
+		if r := recover(); r != nil {
+			t.Fatalf("scored a candidate outside the memo: %v", r)
+		}
+	}()
+	f()
+}
+
+// TestPlaceDecision drives the ±1-period placement of a 30 ns candidate
+// (neighbours 5 and 55 ns) from a pre-filled memo, with no solve.
+func TestPlaceDecision(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		warm      bool
+		scores    []memoScore
+		wantNs    float64
+		contested bool
+	}{
+		{"untrusted incumbent kept", true,
+			[]memoScore{{30, false, 0.5, 0.5}}, 30, false},
+		{"decisive flip on a cold sweep", false,
+			[]memoScore{{30, false, 0.2, 0.2}, {5, false, 0.1, 0.1}, {55, false, 0.3, 0.3}}, 5, false},
+		{"warm flip confirmed cold", true, []memoScore{
+			{30, false, 0.2, 0.2}, {5, false, 0.1, 0.1}, {55, false, 0.3, 0.3},
+			{30, true, 0.2, 0.2}, {5, true, 0.12, 0.12}, {55, true, 0.3, 0.3}}, 5, false},
+		{"warm flip vetoed cold, contested on the cold scores", true, []memoScore{
+			{30, false, 0.2, 0.2}, {5, false, 0.1, 0.1}, {55, false, 0.3, 0.3},
+			{30, true, 0.2, 0.2}, {5, true, 0.18, 0.18}, {55, true, 0.3, 0.3}}, 30, true},
+		{"neighbour inside the margin contested", true,
+			[]memoScore{{30, false, 0.2, 0.2}, {5, false, 0.18, 0.18}, {55, false, 0.3, 0.3}}, 30, true},
+		{"weighted-only win not contested", false,
+			[]memoScore{{30, false, 0.2, 0.2}, {5, false, 0.25, 0.1}, {55, false, 0.3, 0.3}}, 30, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sc := memoScorer(tc.warm, tc.scores)
+			solverFree(t, func() {
+				got, contested := sc.place(30e-9)
+				if math.Abs(got*1e9-tc.wantNs) > 1e-6 || contested != tc.contested {
+					t.Errorf("place = %.2f ns, contested %v; want %.2f ns, contested %v",
+						got*1e9, contested, tc.wantNs, tc.contested)
+				}
+			})
+		})
+	}
+}
+
+// TestAdmitVirtual drives virtual admission over a 30 ns first peak from
+// a pre-filled memo, with no solve.
+func TestAdmitVirtual(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		warm     bool
+		virtuals []float64 // ns
+		scores   []memoScore
+		wantNs   float64
+	}{
+		{"wins on both columns, admitted", false, []float64{24},
+			[]memoScore{{30, false, 0.2, 0.2}, {24, false, 0.1, 0.1}}, 24},
+		{"cold veto keeps the first peak", true, []float64{24}, []memoScore{
+			{30, false, 0.2, 0.2}, {24, false, 0.1, 0.1},
+			{30, true, 0.2, 0.2}, {24, true, 0.19, 0.19}}, 30},
+		{"untrusted first peak admits nothing", false, []float64{24},
+			[]memoScore{{30, false, 0.5, 0.5}}, 30},
+		{"untrusted virtual skipped", false, []float64{22, 24},
+			[]memoScore{{30, false, 0.2, 0.2}, {22, false, 0.4, 0.05}, {24, false, 0.1, 0.1}}, 24},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sc := memoScorer(tc.warm, tc.scores)
+			virtuals := make([]float64, len(tc.virtuals))
+			for i, v := range tc.virtuals {
+				virtuals[i] = v * 1e-9
+			}
+			solverFree(t, func() {
+				if got := sc.admitVirtual(30e-9, virtuals); math.Abs(got*1e9-tc.wantNs) > 1e-6 {
+					t.Errorf("admitVirtual = %.2f ns, want %.2f ns", got*1e9, tc.wantNs)
+				}
+			})
+		})
+	}
+}
+
+// spikeProfile is a profile on the estimator's τ grid that is zero but
+// for one-cell spikes, each a {delay ns, height} pair.
+func spikeProfile(spikes ...[2]float64) *Profile {
+	n := int(math.Round(maxTau/gridStep)) + 1
+	p := &Profile{Taus: make([]float64, n), Magnitude: make([]float64, n), Power: 2}
+	for i := range p.Taus {
+		p.Taus[i] = float64(i) * gridStep
+	}
+	for _, s := range spikes {
+		p.Magnitude[int(math.Round(s[0]*1e-9/gridStep))] = s[1]
+	}
+	return p
+}
+
+// TestFamilyCandidates checks the solver-free candidate rules on
+// synthetic profiles under fixedGates (anchor margin 1.3). 10 and 35 ns
+// share one alias family; 8 and 40 ns do not.
+func TestFamilyCandidates(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		prof      *Profile
+		firstNs   float64
+		virtualNs []float64
+	}{
+		// The 10/35 ns family's mass 1.4 beats the tallest vertex's 1.0
+		// by more than the margin: the anchor moves to its tallest
+		// member, 10 ns, with nothing dominant before it.
+		{"anchor moves to a heavier family", spikeProfile([2]float64{10, 0.7}, [2]float64{35, 0.7}, [2]float64{40, 1}), 10, nil},
+		// At 1.2 the lead is inside the margin: the anchor stays at
+		// 40 ns, and 35 ns is the earliest dominant peak of its window.
+		{"anchor stays within the margin", spikeProfile([2]float64{10, 0.6}, [2]float64{35, 0.6}, [2]float64{40, 1}), 35, nil},
+		// The 8 ns family's member in the 40 ns anchor's window, 33 ns,
+		// holds no real peak: one virtual candidate.
+		{"uncovered family yields one virtual", spikeProfile([2]float64{8, 0.5}, [2]float64{40, 1}), 40, []float64{33}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			first, virtuals, ok := familyCandidates(tc.prof, fixedGates)
+			if !ok {
+				t.Fatal("no candidates")
+			}
+			if math.Abs(first*1e9-tc.firstNs) > 1e-6 {
+				t.Errorf("first = %.3f ns, want %.3f ns", first*1e9, tc.firstNs)
+			}
+			if len(virtuals) != len(tc.virtualNs) {
+				t.Fatalf("virtuals = %v, want %v ns", virtuals, tc.virtualNs)
+			}
+			for i, v := range virtuals {
+				if math.Abs(v*1e9-tc.virtualNs[i]) > 1e-6 {
+					t.Errorf("virtual %d = %.3f ns, want %.3f ns", i, v*1e9, tc.virtualNs[i])
+				}
+			}
+		})
+	}
+	if _, _, ok := familyCandidates(spikeProfile(), fixedGates); ok {
+		t.Error("an all-zero profile returned candidates")
 	}
 }

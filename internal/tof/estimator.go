@@ -120,13 +120,13 @@ func (c Config) withDefaults() Config {
 // sweep accumulator, and track scheduler that inverts the same geometry
 // shares one precomputed plan.
 //
-// Concurrency contract: Estimate and the plan registry are safe for
-// concurrent use — an Estimator holds no per-call mutable state, and
-// plan solves synchronize internally. Two exceptions remain
-// single-goroutine: Calibrate temporarily rewrites
-// Config.CalibrationOffset, and a Sweep accumulator (which carries
-// folded measurements and warm-start state) must stay confined to one
-// goroutine at a time.
+// Concurrency contract: Estimate, Calibrate and the plan registry are
+// safe for concurrent use — an Estimator holds no per-call mutable
+// state, Calibrate estimates on a copy, and plan solves synchronize
+// internally. The setters (SetCalibrationOffset, SetYield) must not race
+// with those calls, and a Sweep accumulator (which carries folded
+// measurements, warm-start state and refit scratch) must stay confined
+// to one goroutine at a time.
 type Estimator struct {
 	cfg   Config
 	plans *planRegistry
@@ -151,8 +151,8 @@ func (e *Estimator) SetCalibrationOffset(off float64) { e.cfg.CalibrationOffset 
 // (ndft.InvertOptions.Yield); alias refits never call it. The hook
 // cannot change the estimate: each solve continues from exactly where
 // it was. A scheduler uses it to run waiting latency-class work on the
-// goroutine of a bulk solve. Like Calibrate it mutates the estimator, so
-// it must not race with Estimate calls; a scheduler that owns the
+// goroutine of a bulk solve. It mutates the estimator, so it must not
+// race with Estimate or Calibrate calls; a scheduler that owns the
 // estimator installs the hook before a solve and clears it after.
 func (e *Estimator) SetYield(f func()) { e.yield = f }
 
@@ -260,6 +260,13 @@ type Sweep struct {
 	// interpolation's working memory.
 	foldScratch dsp.Vec
 	interp      interpScratch
+	// refitMemo, refitRot and refitDst are the alias scorer's scratch
+	// (aliasScorer): one band group's memoized refit scores, cleared for
+	// each new scorer, the rotated window measurement, and the refit
+	// result.
+	refitMemo []refitMemo
+	refitRot  dsp.Vec
+	refitDst  ndft.Result
 }
 
 // windowSeed is one alias hypothesis's warm state, labeled by the
@@ -778,7 +785,7 @@ type groupFix struct {
 	tau  float64
 	ok   bool // a direct-path candidate was placed
 	// contested marks a kept placement that a ±1-period neighbour
-	// out-fit without clearing the refit margin (placeCandidate): the
+	// out-fit without clearing the refit margin (aliasScorer.place): the
 	// one decision an early stop can get wrong.
 	contested bool
 	aliasWork int64
@@ -814,20 +821,11 @@ func (e *Estimator) solveGroup(s *Sweep, g *bandGroup, seed dsp.Vec, floor float
 	fix.prof = &Profile{Taus: taus, Magnitude: res.Magnitude, Power: g.power}
 
 	aliasStart := obs.Tick()
-	fix.tau, fix.ok, fix.contested, fix.aliasWork = e.familyRank(g, fix.prof, s, floor)
-	if !fix.ok {
-		// Family ranking found no candidate on this profile: place the
-		// windowed first peak through the same scorer (shared α,
-		// discrimination weights, fit gate, cold-confirmed flips).
-		fix.tau, fix.ok = firstPeakWindowed(fix.prof)
-		if fix.ok {
-			if scorer, err := e.newAliasScorer(g, s, floor); err == nil {
-				fix.tau, fix.contested = e.placeCandidate(scorer, fix.tau)
-				fix.aliasWork += scorer.work
-			}
-		}
-	}
+	err = e.placeDirectPath(&fix, g, s, floor)
 	obsStageAliasNs.Since(aliasStart)
+	if err != nil {
+		return groupFix{}, nil, err
+	}
 	return fix, res, nil
 }
 
@@ -892,12 +890,13 @@ func spanOf(freqs []float64) float64 {
 // Calibrate measures the constant hardware offset of a device pair by
 // estimating ToF at a known true distance and returning the difference.
 // The paper performs this once per pair (§7 observation 2); the returned
-// value is meant to be stored in Config.CalibrationOffset.
+// value is meant to be stored in Config.CalibrationOffset. It estimates
+// on a copy of est with the offset cleared, so est itself is never
+// written.
 func Calibrate(est *Estimator, bands []wifi.Band, sweep [][]csi.Pair, trueDistance float64) (float64, error) {
-	saved := est.cfg.CalibrationOffset
-	est.cfg.CalibrationOffset = 0
-	defer func() { est.cfg.CalibrationOffset = saved }()
-	r, err := est.Estimate(bands, sweep)
+	raw := *est
+	raw.cfg.CalibrationOffset = 0
+	r, err := raw.Estimate(bands, sweep)
 	if err != nil {
 		return 0, err
 	}

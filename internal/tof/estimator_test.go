@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"chronos/internal/csi"
@@ -205,6 +206,52 @@ func TestCalibrationRemovesHardwareOffset(t *testing.T) {
 	}
 	if e := math.Abs(got.ToF - 10e-9); e > 0.5e-9 {
 		t.Errorf("calibrated error = %v", e)
+	}
+}
+
+// TestCalibrateSharesEstimator runs Calibrate and Estimate on one
+// estimator from two goroutines: Calibrate estimates on a copy, so the
+// concurrent Estimate keeps the installed offset, the estimator's offset
+// is unchanged afterwards, and the race detector stays quiet.
+func TestCalibrateSharesEstimator(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	link := testLink(rng, 10, nil, false)
+	bands := wifi.Bands5GHz()
+	const offset = 1.5e-9
+	est := NewEstimator(Config{Mode: Bands5GHzOnly, MaxIter: 400, CalibrationOffset: offset})
+	calSweep := link.Sweep(rng, bands, 2, 2.4e-3)
+	sweep := link.Sweep(rng, bands, 2, 2.4e-3)
+	trueDist := link.Channel.DirectDelay() * wifi.SpeedOfLight
+	wantOff, err := Calibrate(est, bands, calSweep, trueDist)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := est.Estimate(bands, sweep)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var wg sync.WaitGroup
+	var gotOff float64
+	var calErr error
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		gotOff, calErr = Calibrate(est, bands, calSweep, trueDist)
+	}()
+	got, err := est.Estimate(bands, sweep)
+	wg.Wait()
+	if err != nil || calErr != nil {
+		t.Fatal(err, calErr)
+	}
+	if gotOff != wantOff {
+		t.Errorf("concurrent Calibrate returned %v, want %v", gotOff, wantOff)
+	}
+	if got.ToF != want.ToF {
+		t.Errorf("Estimate beside Calibrate returned ToF %v, want %v", got.ToF, want.ToF)
+	}
+	if off := est.Config().CalibrationOffset; off != offset {
+		t.Errorf("estimator offset %v after Calibrate, want %v", off, offset)
 	}
 }
 

@@ -225,3 +225,36 @@ func TestAddBandSteadyStateAllocsNothing(t *testing.T) {
 		t.Errorf("folded %d bands, want %d", s.Bands(), len(bands))
 	}
 }
+
+// TestWarmEstimateSteadyStateAllocs pins the allocations of a warm fused
+// Estimate: the quirked 35-band USBands sweep at 2 pairs per band, its
+// 5 GHz h̃² group and its 2.4 GHz h̃⁸ group each solved and placed on
+// the sweep's retained warm state and refit scratch. The bound is the
+// count the estimator reaches; an Estimate that allocates more fails.
+func TestWarmEstimateSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-instrumented sync.Pool drops the solver's workspaces")
+	}
+	rng := rand.New(rand.NewSource(3))
+	office := sim.NewOffice(rng, sim.OfficeConfig{})
+	link := office.NewLink(rng, office.RandomPlacement(rng, 10, false), sim.LinkConfig{Quirk: true})
+	bands := wifi.USBands()
+	sweep := link.Sweep(rng, bands, 2, 2.4e-3)
+	s := NewEstimator(Config{Mode: BandsFused, Quirk24: true}).NewSweep()
+	s.SetWarmStart(true)
+	for i, b := range bands {
+		if err := s.AddBand(b, sweep[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	estimate := func() {
+		if _, err := s.Estimate(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	estimate()
+	const maxAllocs = 58
+	if n := testing.AllocsPerRun(10, estimate); n > maxAllocs {
+		t.Errorf("warm fused Estimate allocated %.0f times, want at most %d", n, maxAllocs)
+	}
+}

@@ -18,12 +18,11 @@
 // filter state, sessions own a simulator, and a session's tof.Sweep
 // accumulator carries warm-start state. Callers that fan sessions out
 // over goroutines (internal/exp's campaign engine) give each concurrent
-// trial its own tracker/session and its own tof.Estimator — estimators
-// are cheap to construct because the expensive NDFT plans live in a
-// shared, concurrency-safe registry inside internal/tof, warmed once per
-// band-group geometry for the whole process. Per-trial estimators are
-// still required (rather than one shared instance) only because the
-// one-time tof.Calibrate briefly rewrites the estimator's configuration.
+// trial its own tracker/session. Sessions may share one tof.Estimator:
+// its Estimate and Calibrate are safe for concurrent use, and the
+// expensive NDFT plans live in a shared, concurrency-safe registry
+// inside internal/tof, warmed once per band-group geometry for the
+// whole process.
 //
 // # Warm-started tracking
 //

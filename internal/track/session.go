@@ -161,9 +161,8 @@ type Session struct {
 // same setup as RunSession's preamble — room geometry, fresh radios, the
 // one-time LOS reference calibration (§7 observation 2) — consuming rng
 // identically, so a Session stepped to completion reproduces RunSession
-// byte for byte. The estimator is left as it found it apart from the
-// shared plan registry warming; only Calibrate requires est to stay on
-// one goroutine for the duration of this call.
+// byte for byte. The estimator is never written (only the shared plan
+// registry warms), so sessions on other goroutines may share it.
 func NewSession(rng *rand.Rand, office *sim.Office, est *tof.Estimator, cfg SessionConfig) (*Session, error) {
 	cfg = cfg.withDefaults()
 	s := &Session{
@@ -410,13 +409,9 @@ func (s *Session) Result() *SessionResult {
 }
 
 // RunSession streams cfg.Sweeps full band sweeps over a moving target in
-// the office and returns the resulting fixes. The session leaves est as
-// it found it: tof.Calibrate briefly rewrites (and restores) the
-// estimator's calibration offset, and the shared plan registry warms,
-// but no configuration survives the call. Estimators are cheap to build
-// (solver state lives in the registry), so campaign workers simply
-// construct one per trial; only Calibrate requires the estimator to stay
-// on one goroutine for the duration of the call.
+// the office and returns the resulting fixes. The session never writes
+// est (tof.Calibrate estimates on a copy; only the shared plan registry
+// warms), so concurrent sessions may share one estimator.
 //
 // RunSession is the sequential wrapper over the steppable Session: it
 // builds one and steps it to completion. The chronos-svc daemon steps
