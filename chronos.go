@@ -223,9 +223,16 @@ func DroneTrack(rng *rand.Rand, sensor drone.RangeSensor, cfg drone.TrackConfig)
 	return drone.Track(rng, sensor, cfg)
 }
 
-// DroneSensor is the statistical Chronos range-sensor model used by the
-// drone experiments; see internal/drone for the full-pipeline variant.
-type DroneSensor = drone.StatSensor
+// DroneSensor ranges the drone to the user with the full Chronos
+// pipeline: a 5 GHz band sweep over the room's multipath channel and the
+// time-of-flight estimator, per control tick.
+type DroneSensor = drone.PipelineSensor
+
+// NewDroneSensor builds a calibrated DroneSensor from rng in the 6 m ×
+// 5 m room a default DroneConfig flies in.
+func NewDroneSensor(rng *rand.Rand) (*DroneSensor, error) {
+	return drone.NewPipelineSensor(rng, drone.Room(6, 5))
+}
 
 // DroneConfig tunes a drone following run.
 type DroneConfig = drone.TrackConfig
@@ -238,14 +245,8 @@ type ToFSweep = tof.Sweep
 // RangeTracker smooths a stream of scalar range fixes with outlier gating.
 type RangeTracker = track.RangeTracker
 
-// PositionTracker smooths a stream of 2D position fixes with outlier gating.
-type PositionTracker = track.PositionTracker
-
 // NewRangeTracker builds a range tracker.
 func NewRangeTracker() *RangeTracker { return track.NewRangeTracker() }
-
-// NewPositionTracker builds a position tracker.
-func NewPositionTracker() *PositionTracker { return track.NewPositionTracker() }
 
 // TrackSessionConfig tunes one full-pipeline streaming tracking session.
 type TrackSessionConfig = track.SessionConfig
@@ -273,19 +274,6 @@ type TrackSchedule = track.Schedule
 // devices on one virtual timeline.
 func RunTrackSchedule(rng *rand.Rand, cfg TrackSchedulerConfig) *TrackSchedule {
 	return track.RunSchedule(rng, cfg)
-}
-
-// TrackMultiConfig tunes a capacity-scale multi-device tracking run.
-type TrackMultiConfig = track.MultiConfig
-
-// TrackMultiResult pairs a schedule's capacity metrics with per-device
-// smoothed trajectories.
-type TrackMultiResult = track.MultiResult
-
-// RunTrackMulti replays an interleaved schedule through per-device walks,
-// the statistical range-error model, and Kalman trackers.
-func RunTrackMulti(rng *rand.Rand, cfg TrackMultiConfig) *TrackMultiResult {
-	return track.RunMulti(rng, cfg)
 }
 
 // Service is the always-on localization daemon: N worker shards, each

@@ -61,7 +61,11 @@ func TestFacadeOfficeAndHop(t *testing.T) {
 
 func TestFacadeDrone(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	res := DroneTrack(rng, DroneSensor{}, DroneConfig{Duration: 10})
+	sensor, err := NewDroneSensor(rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := DroneTrack(rng, sensor, DroneConfig{Duration: 10})
 	if len(res.Deviations) == 0 {
 		t.Fatal("no deviations")
 	}
@@ -99,13 +103,6 @@ func TestFacadeTracking(t *testing.T) {
 	sched := RunTrackSchedule(rng, TrackSchedulerConfig{Devices: 2})
 	if len(sched.Fixes) != 2 || sched.Utilization <= 0 {
 		t.Errorf("schedule: %d fixes, util %v", len(sched.Fixes), sched.Utilization)
-	}
-	multi := RunTrackMulti(rng, TrackMultiConfig{
-		Scheduler: TrackSchedulerConfig{Devices: 2, SweepsPerDevice: 3},
-		Speed:     0.8,
-	})
-	if len(multi.Devices) != 2 {
-		t.Errorf("multi devices = %d", len(multi.Devices))
 	}
 }
 

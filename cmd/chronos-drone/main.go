@@ -1,7 +1,9 @@
 // Command chronos-drone runs the §9/§12.4 personal-drone simulation: a
-// quadrotor holds a fixed distance to a walking user using Chronos range
-// estimates and a negative-feedback controller, and the run's deviation
-// statistics and trajectory samples are printed.
+// quadrotor holds a fixed distance to a walking user in a 6 m × 5 m room
+// using Chronos range estimates (a full-pipeline 5 GHz sweep and
+// time-of-flight estimate per control tick) and a negative-feedback
+// controller, and the run's deviation statistics and trajectory samples
+// are printed.
 //
 //	chronos-drone -duration 60 -desired 1.4
 package main
@@ -9,6 +11,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"log"
 	"math/rand"
 
 	"chronos/internal/drone"
@@ -23,7 +26,11 @@ func main() {
 	flag.Parse()
 
 	rng := rand.New(rand.NewSource(*seed))
-	res := drone.Track(rng, drone.StatSensor{}, drone.TrackConfig{
+	sensor, err := drone.NewPipelineSensor(rng, drone.Room(6, 5))
+	if err != nil {
+		log.Fatal(err)
+	}
+	res := drone.Track(rng, sensor, drone.TrackConfig{
 		Duration: *duration,
 		Desired:  *desired,
 	})

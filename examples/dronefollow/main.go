@@ -8,6 +8,7 @@ package main
 
 import (
 	"fmt"
+	"log"
 	"math/rand"
 
 	"chronos"
@@ -17,7 +18,13 @@ import (
 func main() {
 	rng := rand.New(rand.NewSource(11))
 
-	res := chronos.DroneTrack(rng, chronos.DroneSensor{}, chronos.DroneConfig{
+	// Every control tick ranges through the full pipeline: a 5 GHz band
+	// sweep over the room's multipath channel, then the ToF estimator.
+	sensor, err := chronos.NewDroneSensor(rng)
+	if err != nil {
+		log.Fatal(err)
+	}
+	res := chronos.DroneTrack(rng, sensor, chronos.DroneConfig{
 		Duration: 45,
 		Desired:  1.4,
 	})

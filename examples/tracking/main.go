@@ -81,11 +81,7 @@ func main() {
 	// single-anchor schedule and watch fix latency stretch.
 	fmt.Println("multi-device capacity (3 sweeps per device):")
 	for _, n := range []int{1, 4, 8} {
-		m := chronos.RunTrackMulti(rng, chronos.TrackMultiConfig{
-			Scheduler: chronos.TrackSchedulerConfig{Devices: n, SweepsPerDevice: 3},
-			Speed:     0.8,
-		})
-		s := m.Schedule
+		s := chronos.RunTrackSchedule(rng, chronos.TrackSchedulerConfig{Devices: n, SweepsPerDevice: 3})
 		fmt.Printf("  %2d devices: %5.2f fixes/s aggregate, %6.1f ms fix latency, %4.1f%% airtime\n",
 			n, s.FixesPerSecond, s.MeanFixLatency().Seconds()*1000, 100*s.Utilization)
 	}

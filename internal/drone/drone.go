@@ -1,7 +1,9 @@
 // Package drone implements the §9 personal-drone application: a quadrotor
 // that keeps a fixed distance to the user's device using only Chronos
 // range estimates and a negative-feedback controller, evaluated in a
-// motion-capture room as in §12.4.
+// motion-capture room as in §12.4. Every range comes from PipelineSensor,
+// which sweeps the 5 GHz bands over the room's multipath channel and runs
+// the full time-of-flight estimator.
 package drone
 
 import (
@@ -12,49 +14,12 @@ import (
 )
 
 // RangeSensor produces a distance measurement from the drone to the user
-// device. The production implementation wraps the full Chronos ToF
-// pipeline; experiments may use a statistical model fitted to the
-// pipeline's measured error distribution for speed.
+// device. PipelineSensor, the full Chronos time-of-flight pipeline, is
+// the one implementation; tests substitute fakes through this interface
+// to drive the controller with known noise.
 type RangeSensor interface {
 	// Range returns a distance estimate in meters between pos and target.
 	Range(rng *rand.Rand, pos, target geo.Point) float64
-}
-
-// StatSensor is a range sensor whose errors follow the empirical Chronos
-// ToF error model: a tight Gaussian core with occasional heavy-tail
-// outliers (the profile ghost failures of §12.1's CDF tail).
-type StatSensor struct {
-	CoreSigma   float64 // core error std dev in meters (default 0.10)
-	OutlierProb float64 // probability of a tail error (default 0.05)
-	OutlierMag  float64 // tail error magnitude in meters (default 3.75 ≈ 12.5 ns)
-}
-
-// Range implements RangeSensor.
-func (s StatSensor) Range(rng *rand.Rand, pos, target geo.Point) float64 {
-	sigma := s.CoreSigma
-	if sigma == 0 {
-		sigma = 0.10
-	}
-	op := s.OutlierProb
-	if op == 0 {
-		op = 0.05
-	}
-	om := s.OutlierMag
-	if om == 0 {
-		om = 3.75
-	}
-	d := pos.Dist(target) + rng.NormFloat64()*sigma
-	if rng.Float64() < op {
-		if rng.Float64() < 0.5 {
-			d -= om
-		} else {
-			d += om
-		}
-	}
-	if d < 0 {
-		d = 0
-	}
-	return d
 }
 
 // Controller is the §9 negative-feedback distance keeper with the

@@ -9,46 +9,12 @@ import (
 	"chronos/internal/stats"
 )
 
-func TestStatSensorCoreAccuracy(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	s := StatSensor{OutlierProb: 1e-12}
-	pos, target := geo.Point{X: 0, Y: 0}, geo.Point{X: 3, Y: 4}
-	var errs []float64
-	for i := 0; i < 5000; i++ {
-		errs = append(errs, s.Range(rng, pos, target)-5)
-	}
-	if m := stats.Mean(errs); math.Abs(m) > 0.01 {
-		t.Errorf("bias = %v", m)
-	}
-	if sd := stats.StdDev(errs); sd < 0.08 || sd > 0.12 {
-		t.Errorf("std = %v, want ≈0.10", sd)
-	}
-}
+// noisySensor is a test RangeSensor: the true range plus zero-mean
+// Gaussian noise of standard deviation sigma, drawn from the flight's rng.
+type noisySensor struct{ sigma float64 }
 
-func TestStatSensorOutliers(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	s := StatSensor{OutlierProb: 0.5, OutlierMag: 5}
-	pos, target := geo.Point{}, geo.Point{X: 10, Y: 0}
-	big := 0
-	n := 2000
-	for i := 0; i < n; i++ {
-		if math.Abs(s.Range(rng, pos, target)-10) > 2 {
-			big++
-		}
-	}
-	if frac := float64(big) / float64(n); frac < 0.4 || frac > 0.6 {
-		t.Errorf("outlier fraction = %v, want ≈0.5", frac)
-	}
-}
-
-func TestStatSensorNeverNegative(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	s := StatSensor{OutlierProb: 0.5, OutlierMag: 10}
-	for i := 0; i < 1000; i++ {
-		if d := s.Range(rng, geo.Point{}, geo.Point{X: 0.5, Y: 0}); d < 0 {
-			t.Fatal("negative range")
-		}
-	}
+func (s noisySensor) Range(rng *rand.Rand, pos, target geo.Point) float64 {
+	return pos.Dist(target) + rng.NormFloat64()*s.sigma
 }
 
 func TestControllerConvergesFromOffset(t *testing.T) {
@@ -56,7 +22,7 @@ func TestControllerConvergesFromOffset(t *testing.T) {
 	ctl := NewController(1.4)
 	user := geo.Point{X: 0, Y: 0}
 	pos := geo.Point{X: 4, Y: 0} // far too distant
-	s := StatSensor{CoreSigma: 0.02, OutlierProb: 1e-12}
+	s := noisySensor{sigma: 0.02}
 	for i := 0; i < 100; i++ {
 		meas := s.Range(rng, pos, user)
 		pos = ctl.Step(pos, meas, user.Sub(pos))
@@ -134,8 +100,7 @@ func TestWalkSpeed(t *testing.T) {
 
 func TestTrackHoldsDistance(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	sensor := StatSensor{}
-	res := Track(rng, sensor, TrackConfig{Duration: 60})
+	res := Track(rng, noisySensor{sigma: 0.10}, TrackConfig{Duration: 60})
 	if len(res.Deviations) == 0 {
 		t.Fatal("no deviations recorded")
 	}
@@ -151,7 +116,7 @@ func TestTrackHoldsDistance(t *testing.T) {
 
 func TestTrackDroneFollowsUser(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
-	res := Track(rng, StatSensor{}, TrackConfig{Duration: 30})
+	res := Track(rng, noisySensor{sigma: 0.10}, TrackConfig{Duration: 30})
 	// At every step the drone should be within a couple of meters of the
 	// user (it is trying to hold 1.4 m).
 	for i := range res.DronePath {
@@ -162,8 +127,8 @@ func TestTrackDroneFollowsUser(t *testing.T) {
 }
 
 func TestTrackDeterministic(t *testing.T) {
-	a := Track(rand.New(rand.NewSource(9)), StatSensor{}, TrackConfig{Duration: 10})
-	b := Track(rand.New(rand.NewSource(9)), StatSensor{}, TrackConfig{Duration: 10})
+	a := Track(rand.New(rand.NewSource(9)), noisySensor{sigma: 0.10}, TrackConfig{Duration: 10})
+	b := Track(rand.New(rand.NewSource(9)), noisySensor{sigma: 0.10}, TrackConfig{Duration: 10})
 	if stats.Median(a.Deviations) != stats.Median(b.Deviations) {
 		t.Error("same seed produced different runs")
 	}

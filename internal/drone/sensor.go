@@ -10,18 +10,19 @@ import (
 	"chronos/internal/wifi"
 )
 
-// PipelineSensor is a RangeSensor backed by the complete Chronos
-// time-of-flight pipeline: every Range call rebuilds the multipath
-// channel for the current drone/user geometry, sweeps the Wi-Fi bands
-// through the simulated radios, and runs the full estimator. It is what
-// the real drone runs (§9); StatSensor is its fast statistical stand-in
-// for large campaigns.
+// PipelineSensor is the drone's RangeSensor, backed by the complete
+// Chronos time-of-flight pipeline: every Range call rebuilds the
+// multipath channel for the current drone/user geometry, sweeps the
+// 5 GHz bands through the simulated radios, and runs the full estimator
+// (§9). It is not safe for concurrent use: each flight builds its own.
 type PipelineSensor struct {
 	Env    *rf.Environment
 	Link   *csi.Link
 	Est    *tof.Estimator
 	Bands  []wifi.Band
 	Offset float64 // calibration offset in seconds (hardware delays)
+
+	last float64 // the last measured range, reported when a sweep fails
 }
 
 // pairsPerBand is the CSI pairs a Range sweep collects per band.
@@ -29,7 +30,7 @@ const pairsPerBand = 2
 
 // NewPipelineSensor wires fresh radios and a 5 GHz estimator over the
 // given environment (the §12.4 room) and calibrates them at a known
-// 2 m reference geometry.
+// 2 m reference geometry, which also seeds the last measured range.
 func NewPipelineSensor(rng *rand.Rand, env *rf.Environment) (*PipelineSensor, error) {
 	tx, rx := csi.NewRadio(rng), csi.NewRadio(rng)
 	tx.Quirk24, rx.Quirk24 = false, false
@@ -47,7 +48,7 @@ func NewPipelineSensor(rng *rand.Rand, env *rf.Environment) (*PipelineSensor, er
 	if err != nil {
 		return nil, err
 	}
-	s.Offset = off
+	s.Offset, s.last = off, a.Dist(b)
 	return s, nil
 }
 
@@ -64,16 +65,12 @@ func (s *PipelineSensor) Range(rng *rand.Rand, pos, target geo.Point) float64 {
 	sweep := s.Link.Sweep(rng, s.Bands, pairsPerBand, 2.4e-3)
 	r, err := s.Est.Estimate(s.Bands, sweep)
 	if err != nil {
-		// A failed sweep (e.g. all bands faded) reports the last-known
-		// geometry as a crude fallback; the controller's median filter
-		// absorbs it.
-		return pos.Dist(target)
+		// A failed sweep (e.g. all bands faded) repeats the last
+		// measured range; the controller's median filter absorbs it.
+		return s.last
 	}
-	d := (r.ToF - s.Offset) * wifi.SpeedOfLight
-	if d < 0 {
-		d = 0
-	}
-	return d
+	s.last = max((r.ToF-s.Offset)*wifi.SpeedOfLight, 0)
+	return s.last
 }
 
 // Room builds the §12.4 motion-capture room as an rf.Environment: a

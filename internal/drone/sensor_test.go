@@ -1,12 +1,14 @@
 package drone
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
 
 	"chronos/internal/geo"
 	"chronos/internal/stats"
+	"chronos/internal/tof"
 )
 
 func TestPipelineSensorAccuracy(t *testing.T) {
@@ -40,6 +42,27 @@ func TestPipelineSensorNonNegative(t *testing.T) {
 	// Nearly coincident devices must not produce a negative range.
 	if d := s.Range(rng, geo.Point{X: 2, Y: 2}, geo.Point{X: 2.15, Y: 2}); d < 0 {
 		t.Errorf("negative range %v", d)
+	}
+}
+
+// TestPipelineSensorFailedSweepRepeatsLastRange cuts the sweep to two
+// bands, below the three a band group needs, so every Estimate fails:
+// the sensor must repeat its last measured range, not read the true
+// distance of the new geometry.
+func TestPipelineSensorFailedSweepRepeatsLastRange(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	s, err := NewPipelineSensor(rng, Room(6, 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pos := geo.Point{X: 1, Y: 2}
+	before := s.Range(rng, pos, geo.Point{X: 3, Y: 2})
+	s.Bands = s.Bands[:2]
+	if _, err := s.Est.Estimate(s.Bands, s.Link.Sweep(rng, s.Bands, pairsPerBand, 2.4e-3)); !errors.Is(err, tof.ErrNoBands) {
+		t.Fatalf("two-band Estimate: err = %v, want ErrNoBands", err)
+	}
+	if after := s.Range(rng, pos, geo.Point{X: 4.5, Y: 2}); after != before {
+		t.Errorf("failed sweep read %.3f m, want the last range %.3f m (true distance 3.5 m)", after, before)
 	}
 }
 

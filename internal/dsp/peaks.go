@@ -81,13 +81,6 @@ func refineParabolic(xs, mag []float64, i int) (x, y float64) {
 	return xs[i] + float64(delta*step), y1 - float64(0.25*(y0-y2)*delta)
 }
 
-// DominantPeakCount counts peaks at or above threshold·max. The paper
-// reports a mean of ~5 dominant peaks in indoor profiles (§12.1); this is
-// the statistic behind that number.
-func DominantPeakCount(xs, mag []float64, threshold float64) int {
-	return len(FindPeaks(xs, mag, threshold))
-}
-
 // StrongestPeak returns the global maximum as a refined peak, or false for
 // an empty/zero profile.
 func StrongestPeak(xs, mag []float64) (Peak, bool) {

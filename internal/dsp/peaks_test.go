@@ -70,10 +70,10 @@ func TestFindPeaksThresholdSuppressesWeak(t *testing.T) {
 	xs := grid(400, 0.05)
 	mag := gaussianBump(xs, 5, 0.3, 1.0)
 	addInto(mag, gaussianBump(xs, 12, 0.3, 0.05)) // 5% of max
-	if got := DominantPeakCount(xs, mag, 0.2); got != 1 {
-		t.Errorf("DominantPeakCount = %d, want 1", got)
+	if got := len(FindPeaks(xs, mag, 0.2)); got != 1 {
+		t.Errorf("peaks at 0.2 = %d, want 1", got)
 	}
-	if got := DominantPeakCount(xs, mag, 0.01); got != 2 {
+	if got := len(FindPeaks(xs, mag, 0.01)); got != 2 {
 		t.Errorf("low-threshold count = %d, want 2", got)
 	}
 }

@@ -7,13 +7,28 @@ import (
 	"chronos/internal/stats"
 )
 
+// flight flies one §12.4 following run of the given duration on a
+// calibrated full-pipeline sensor built from rng, in the 6 m × 5 m room
+// the user walks in (drone.TrackConfig's default). ok is false when the
+// sensor fails to calibrate.
+func flight(rng *rand.Rand, duration float64) (*drone.TrackResult, bool) {
+	sensor, err := drone.NewPipelineSensor(rng, drone.Room(6, 5))
+	if err != nil {
+		return nil, false
+	}
+	return drone.Track(rng, sensor, drone.TrackConfig{Duration: duration}), true
+}
+
 // Fig10a reproduces the drone distance-keeping CDF: deviation from the
 // desired 1.4 m while following a walking user (paper: median ≈4.2 cm).
 func Fig10a(o Options) *Result {
 	o = o.withDefaults(10)
 
 	runs := runTrials(o, "fig10a", o.Trials, func(t int, rng *rand.Rand) ([]float64, bool) {
-		res := drone.Track(rng, drone.StatSensor{}, drone.TrackConfig{Duration: 40})
+		res, ok := flight(rng, 40)
+		if !ok {
+			return nil, false
+		}
 		return res.Deviations, true
 	})
 	var all []float64
@@ -44,12 +59,14 @@ func Fig10a(o Options) *Result {
 // user's, holding the pairwise distance.
 func Fig10b(o Options) *Result {
 	o = o.withDefaults(1)
-	tr := drone.Track(trialRNG(o, "fig10b", 0), drone.StatSensor{}, drone.TrackConfig{Duration: 30})
-
 	res := &Result{
 		ID:     "fig10b",
 		Title:  "Drone and user trajectories (sampled)",
 		Header: []string{"t (s)", "user (x,y)", "drone (x,y)", "distance (m)"},
+	}
+	tr, ok := flight(trialRNG(o, "fig10b", 0), 30)
+	if !ok {
+		return res
 	}
 	rate := 12.0
 	for i := 0; i < len(tr.UserPath); i += int(rate * 2) { // every 2 s

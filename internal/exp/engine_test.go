@@ -146,3 +146,13 @@ func TestLocalizationDeterministicAcrossWorkers(t *testing.T) {
 	pooled := Fig8b(Options{Seed: 3, Trials: 2, Workers: 8})
 	resultEqual(t, "fig8b", serial, pooled)
 }
+
+// TestFig10aDeterministicAcrossWorkers covers the drone flights: each
+// trial calibrates its own full-pipeline sensor, and the sensors'
+// estimators share the plan registry concurrently. It runs in short mode
+// too, so the race lane sees that sharing.
+func TestFig10aDeterministicAcrossWorkers(t *testing.T) {
+	serial := Fig10a(Options{Seed: 3, Trials: 2, Workers: 1})
+	pooled := Fig10a(Options{Seed: 3, Trials: 2, Workers: 8})
+	resultEqual(t, "fig10a", serial, pooled)
+}

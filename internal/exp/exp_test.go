@@ -104,8 +104,8 @@ func TestFig9cDipSingleDigit(t *testing.T) {
 
 func TestFig10aMedianCentimeters(t *testing.T) {
 	r := Fig10a(Options{Trials: 3})
-	if m := r.Metrics["median_cm"]; m > 15 {
-		t.Errorf("median deviation = %v cm, want ≲10 (paper 4.2)", m)
+	if m := r.Metrics["median_cm"]; m > 4.2 {
+		t.Errorf("median deviation = %v cm, want at most the paper's 4.2", m)
 	}
 }
 

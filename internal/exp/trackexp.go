@@ -154,9 +154,9 @@ func TrackLatency(o Options) *Result {
 }
 
 // TrackCapacity measures the multi-client scheduler: aggregate fix
-// throughput, per-device fix latency, anchor airtime utilization, and the
-// tracking error the resulting fix staleness implies, as the number of
-// concurrently tracked devices grows.
+// throughput, per-device fix latency and anchor airtime utilization as
+// the number of concurrently tracked devices grows. It runs the protocol
+// schedule alone; TrackSpeed measures the tracking error of real fixes.
 func TrackCapacity(o Options) *Result {
 	o = o.withDefaults(8)
 	deviceCounts := []int{1, 2, 4, 8, 16}
@@ -164,46 +164,28 @@ func TrackCapacity(o Options) *Result {
 	res := &Result{
 		ID:     "track-capacity",
 		Title:  "Multi-device tracking capacity vs concurrent clients",
-		Header: []string{"devices", "fixes/s", "fix latency (ms)", "airtime util", "smoothed RMSE (m)"},
+		Header: []string{"devices", "fixes/s", "fix latency (ms)", "airtime util"},
 	}
 	res.Metrics = map[string]float64{}
-	type out struct {
-		fps, latencyMS, util, rmse float64
-	}
 	for _, n := range deviceCounts {
 		campaign := fmt.Sprintf("track-capacity/n%d", n)
-		runs := runTrials(o, campaign, o.Trials, func(t int, rng *rand.Rand) (out, bool) {
-			m := track.RunMulti(rng, track.MultiConfig{
-				Scheduler: track.SchedulerConfig{Devices: n, SweepsPerDevice: 3},
-				Speed:     0.8,
-			})
-			var rmses []float64
-			for _, d := range m.Devices {
-				rmses = append(rmses, d.SmoothedRMSE)
-			}
-			return out{
-				fps:       m.Schedule.FixesPerSecond,
-				latencyMS: m.Schedule.MeanFixLatency().Seconds() * 1000,
-				util:      m.Schedule.Utilization,
-				rmse:      stats.Median(rmses),
-			}, true
+		runs := runTrials(o, campaign, o.Trials, func(t int, rng *rand.Rand) (*track.Schedule, bool) {
+			return track.RunSchedule(rng, track.SchedulerConfig{Devices: n, SweepsPerDevice: 3}), true
 		})
-		var fps, lats, utils, rmses []float64
-		for _, r := range runs {
-			fps = append(fps, r.fps)
-			lats = append(lats, r.latencyMS)
-			utils = append(utils, r.util)
-			rmses = append(rmses, r.rmse)
+		var fps, lats, utils []float64
+		for _, s := range runs {
+			fps = append(fps, s.FixesPerSecond)
+			lats = append(lats, s.MeanFixLatency().Seconds()*1000)
+			utils = append(utils, s.Utilization)
 		}
 		res.Rows = append(res.Rows, []string{
 			fmt.Sprintf("%d", n), fmtF(stats.Median(fps), 2), fmtF(stats.Median(lats), 1),
-			fmtF(stats.Median(utils), 3), fmtF(stats.Median(rmses), 3),
+			fmtF(stats.Median(utils), 3),
 		})
 		key := fmt.Sprintf("n%d", n)
 		res.Metrics["fixes_per_sec_"+key] = stats.Median(fps)
 		res.Metrics["fix_latency_"+key+"_ms"] = stats.Median(lats)
 		res.Metrics["util_"+key] = stats.Median(utils)
-		res.Metrics["smooth_rmse_"+key+"_m"] = stats.Median(rmses)
 	}
 	return res
 }

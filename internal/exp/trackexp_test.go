@@ -50,11 +50,6 @@ func TestTrackCapacityShape(t *testing.T) {
 	if r.Metrics["util_n16"] >= r.Metrics["util_n1"] {
 		t.Errorf("airtime utilization did not drop under contention")
 	}
-	for _, key := range []string{"smooth_rmse_n1_m", "smooth_rmse_n16_m"} {
-		if v := r.Metrics[key]; !(v > 0) || v > 3 {
-			t.Errorf("%s = %v m, want plausible tracking error", key, v)
-		}
-	}
 }
 
 // TestTrackLatencyShape checks the early-fix trade-off: fewer bands mean

@@ -258,7 +258,7 @@ func TestDominantPeaksCount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := dsp.DominantPeakCount(res.Taus, res.Magnitude, 0.2)
+	n := len(dsp.FindPeaks(res.Taus, res.Magnitude, 0.2))
 	if n < 3 || n > 6 {
 		t.Errorf("dominant peaks = %d, want 3–6", n)
 	}

@@ -222,7 +222,8 @@ type aliasScorer struct {
 // floor is (solveFloor), and a positive floor only lets them start warm.
 func (e *Estimator) placeDirectPath(fix *groupFix, g *bandGroup, s *Sweep, floor float64) error {
 	gates := gatesFor(g.noiseRel)
-	first, virtuals, ok := familyCandidates(fix.prof, gates)
+	first, virtuals, peaks, ok := familyCandidates(fix.prof, gates)
+	fix.peaks = peaks
 	if !ok {
 		if first, ok = firstPeakWindowed(fix.prof); !ok {
 			return nil
@@ -249,9 +250,10 @@ func (e *Estimator) placeDirectPath(fix *groupFix, g *bandGroup, s *Sweep, floor
 // within searchWindow before the anchor (the anchor itself when nothing
 // dominant precedes it). virtuals, in ascending delay order, are the
 // in-window member positions of dominant families that hold no real
-// peak there and would precede first. ok is false when the profile has
-// no peak or no family rises above the folded baseline.
-func familyCandidates(prof *Profile, gates evidenceGates) (first float64, virtuals []float64, ok bool) {
+// peak there and would precede first. dominant is the profile's §12.1
+// dominant-peak count, set on every return. ok is false when the
+// profile has no peak or no family rises above the folded baseline.
+func familyCandidates(prof *Profile, gates evidenceGates) (first float64, virtuals []float64, dominant int, ok bool) {
 	cells := int(math.Round(aliasPeriod / gridStep))
 	period := float64(cells) * gridStep
 
@@ -260,8 +262,9 @@ func familyCandidates(prof *Profile, gates evidenceGates) (first float64, virtua
 	// by family dominance below.
 	peaks := dsp.FindPeaks(prof.Taus, prof.Magnitude, 0.5*peakThreshold)
 	if len(peaks) == 0 {
-		return 0, nil, false
+		return 0, nil, 0, false
 	}
+	dominant = dominantPeaks(peaks, prof.Magnitude)
 
 	// Folding sums the nonnegative noise floor of every period into each
 	// residue, so family mass is measured above the folded baseline (the
@@ -307,7 +310,7 @@ func familyCandidates(prof *Profile, gates evidenceGates) (first float64, virtua
 		anchor, anchorMass = byMass, byMassVal
 	}
 	if anchorMass <= 0 {
-		return 0, nil, false
+		return 0, nil, dominant, false
 	}
 	floor := peakThreshold * anchorMass
 	lo := anchor.X - searchWindow
@@ -338,7 +341,30 @@ func familyCandidates(prof *Profile, gates evidenceGates) (first float64, virtua
 		virtuals = append(virtuals, v)
 	}
 	sort.Float64s(virtuals)
-	return first, virtuals, true
+	return first, virtuals, dominant, true
+}
+
+// dominantPeaks returns the number of peaks dsp.FindPeaks reports on mag
+// at peakThreshold, taken from peaks, a FindPeaks scan of mag at a lower
+// threshold. It keeps the peaks whose sample is not below
+// peakThreshold·max(mag), the comparison FindPeaks makes; the scan holds
+// the maximum sample, since FindPeaks reports the global maximum at any
+// threshold up to 1.
+func dominantPeaks(peaks []dsp.Peak, mag []float64) int {
+	maxV := 0.0
+	for _, p := range peaks {
+		if v := mag[p.Index]; v > maxV {
+			maxV = v
+		}
+	}
+	floor := peakThreshold * maxV
+	n := 0
+	for _, p := range peaks {
+		if !(mag[p.Index] < floor) {
+			n++
+		}
+	}
+	return n
 }
 
 // admitVirtual returns the candidate the ±1-period placement starts

@@ -648,27 +648,35 @@ func spikeProfile(spikes ...[2]float64) *Profile {
 
 // TestFamilyCandidates checks the solver-free candidate rules on
 // synthetic profiles under fixedGates (anchor margin 1.3). 10 and 35 ns
-// share one alias family; 8 and 40 ns do not.
+// share one alias family; 8 and 40 ns do not. Every return counts the
+// profile's dominant peaks exactly as a FindPeaks scan at peakThreshold
+// does.
 func TestFamilyCandidates(t *testing.T) {
+	dominant := func(prof *Profile) int {
+		return len(dsp.FindPeaks(prof.Taus, prof.Magnitude, peakThreshold))
+	}
 	for _, tc := range []struct {
 		name      string
 		prof      *Profile
 		firstNs   float64
 		virtualNs []float64
+		peaks     int
 	}{
 		// The 10/35 ns family's mass 1.4 beats the tallest vertex's 1.0
 		// by more than the margin: the anchor moves to its tallest
 		// member, 10 ns, with nothing dominant before it.
-		{"anchor moves to a heavier family", spikeProfile([2]float64{10, 0.7}, [2]float64{35, 0.7}, [2]float64{40, 1}), 10, nil},
+		{"anchor moves to a heavier family", spikeProfile([2]float64{10, 0.7}, [2]float64{35, 0.7}, [2]float64{40, 1}), 10, nil, 3},
 		// At 1.2 the lead is inside the margin: the anchor stays at
 		// 40 ns, and 35 ns is the earliest dominant peak of its window.
-		{"anchor stays within the margin", spikeProfile([2]float64{10, 0.6}, [2]float64{35, 0.6}, [2]float64{40, 1}), 35, nil},
+		{"anchor stays within the margin", spikeProfile([2]float64{10, 0.6}, [2]float64{35, 0.6}, [2]float64{40, 1}), 35, nil, 3},
 		// The 8 ns family's member in the 40 ns anchor's window, 33 ns,
-		// holds no real peak: one virtual candidate.
-		{"uncovered family yields one virtual", spikeProfile([2]float64{8, 0.5}, [2]float64{40, 1}), 40, []float64{33}},
+		// holds no real peak: one virtual candidate. The 20 ns spike is
+		// above half the peak threshold but below the threshold itself:
+		// scanned, yet neither dominant nor a candidate.
+		{"uncovered family yields one virtual", spikeProfile([2]float64{8, 0.5}, [2]float64{20, 0.1}, [2]float64{40, 1}), 40, []float64{33}, 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			first, virtuals, ok := familyCandidates(tc.prof, fixedGates)
+			first, virtuals, peaks, ok := familyCandidates(tc.prof, fixedGates)
 			if !ok {
 				t.Fatal("no candidates")
 			}
@@ -683,9 +691,29 @@ func TestFamilyCandidates(t *testing.T) {
 					t.Errorf("virtual %d = %.3f ns, want %.3f ns", i, v*1e9, tc.virtualNs[i])
 				}
 			}
+			if want := dominant(tc.prof); peaks != tc.peaks || peaks != want {
+				t.Errorf("dominant peaks = %d, want %d (FindPeaks at the threshold: %d)", peaks, tc.peaks, want)
+			}
 		})
 	}
-	if _, _, ok := familyCandidates(spikeProfile(), fixedGates); ok {
-		t.Error("an all-zero profile returned candidates")
+	if _, _, peaks, ok := familyCandidates(spikeProfile(), fixedGates); ok || peaks != 0 {
+		t.Errorf("an all-zero profile returned candidates (ok %v) or %d dominant peaks", ok, peaks)
+	}
+
+	// A background of 1 over two whole alias periods folds to mass 2 in
+	// every residue; 0.75 at 5 ns, 1.125 at 30 ns and 0.125 at 55 ns
+	// share a residue and fold to 2 too. No family rises above the
+	// baseline, but the count still comes back: peaks at 0, 5.1 and
+	// 30 ns dominate, and 55 ns sits between half the threshold and the
+	// threshold.
+	flat := spikeProfile([2]float64{5, 0.75}, [2]float64{30, 1.125}, [2]float64{55, 0.125})
+	cells := int(math.Round(aliasPeriod / gridStep))
+	for i := 0; i < 2*cells; i++ {
+		if flat.Magnitude[i] == 0 {
+			flat.Magnitude[i] = 1
+		}
+	}
+	if _, _, peaks, ok := familyCandidates(flat, fixedGates); ok || peaks != 3 || peaks != dominant(flat) {
+		t.Errorf("baseline-only profile: ok %v, %d dominant peaks, want false and 3 (FindPeaks at the threshold: %d)", ok, peaks, dominant(flat))
 	}
 }

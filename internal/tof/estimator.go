@@ -707,7 +707,7 @@ func (e *Estimator) estimate(s *Sweep) (*Estimate, error) {
 			group:   g,
 			tau:     fix.tau,
 			profile: fix.prof,
-			peaks:   dsp.DominantPeakCount(fix.prof.Taus, fix.prof.Magnitude, peakThreshold),
+			peaks:   fix.peaks,
 			// Precision ∝ (effective span)², where the channel power
 			// multiplies the phase sensitivity but also the noise; span
 			// dominates in practice.
@@ -781,9 +781,10 @@ func firstPeakWindowed(prof *Profile) (float64, bool) {
 // groupFix is one solve attempt at a band group: the profile in true τ
 // and the direct-path delay placed on it.
 type groupFix struct {
-	prof *Profile
-	tau  float64
-	ok   bool // a direct-path candidate was placed
+	prof  *Profile
+	tau   float64
+	peaks int  // dominant peaks on prof, counted by familyCandidates
+	ok    bool // a direct-path candidate was placed
 	// contested marks a kept placement that a ±1-period neighbour
 	// out-fit without clearing the refit margin (aliasScorer.place): the
 	// one decision an early stop can get wrong.

@@ -5,9 +5,9 @@
 //  1. the incremental estimator core (tof.Sweep) folds CSI in band by
 //     band as the hop protocol delivers it, so a fix is ready the moment
 //     the last band lands — with a degraded early fix available before;
-//  2. per-device constant-velocity Kalman filters (RangeTracker,
-//     PositionTracker) smooth successive fixes and gate out the
-//     profile-ghost outliers of §12.1's CDF tail;
+//  2. a per-device constant-velocity Kalman filter (RangeTracker)
+//     smooths successive range fixes and gates out the profile-ghost
+//     outliers of §12.1's CDF tail;
 //  3. a multi-client session scheduler interleaves band-hopping sweeps
 //     across N concurrent devices on the mac/hop virtual-time substrate
 //     and reports aggregate airtime and fix capacity.
@@ -40,13 +40,9 @@
 // seeds trail the target and revert to cold.
 package track
 
-import (
-	"time"
+import "time"
 
-	"chronos/internal/geo"
-)
-
-// The constant-velocity Kalman filters' tuning.
+// The constant-velocity Kalman filter's tuning.
 const (
 	// processAccel is the white-acceleration noise density driving the
 	// constant-velocity model, in m/s²: brisk human motion changes
@@ -165,61 +161,3 @@ func (t *RangeTracker) Range() float64 { return t.ax.p }
 
 // Velocity returns the current radial-velocity estimate in m/s.
 func (t *RangeTracker) Velocity() float64 { return t.ax.v }
-
-// PositionTracker smooths a stream of 2D position fixes (e.g. from the
-// loc trilateration engine) with two decoupled constant-velocity axes
-// and a joint innovation gate.
-type PositionTracker struct {
-	x, y    axis
-	primed  bool
-	last    time.Duration
-	rejects int
-	// Rejected counts measurements discarded by the gate.
-	Rejected int
-}
-
-// NewPositionTracker builds a position tracker.
-func NewPositionTracker() *PositionTracker { return &PositionTracker{} }
-
-// Observe folds one position fix at virtual time at and returns the
-// smoothed position plus whether the fix passed the gate.
-func (t *PositionTracker) Observe(at time.Duration, p geo.Point) (geo.Point, bool) {
-	const mv = measSigma * measSigma
-	if !t.primed {
-		t.x.init(p.X, mv, initVelVar)
-		t.y.init(p.Y, mv, initVelVar)
-		t.primed, t.last = true, at
-		return p, true
-	}
-	dt := (at - t.last).Seconds()
-	t.x.predict(dt, processAccel)
-	t.y.predict(dt, processAccel)
-	t.last = at
-	yx, sx := t.x.innovation(p.X, mv)
-	yy, sy := t.y.innovation(p.Y, mv)
-	// Joint Mahalanobis gate over both axes (the filter axes are
-	// decoupled, so the innovation covariance is diagonal).
-	if yx*yx/sx+yy*yy/sy > gate*gate {
-		t.rejects++
-		if t.rejects > maxRejects {
-			// Reacquisition: the seeding measurement is accepted, so it
-			// does not count toward Rejected.
-			t.x.init(p.X, mv, initVelVar)
-			t.y.init(p.Y, mv, initVelVar)
-			t.rejects = 0
-			return p, true
-		}
-		t.Rejected++
-		return t.Position(), false
-	}
-	t.x.update(p.X, mv)
-	t.y.update(p.Y, mv)
-	t.rejects = 0
-	return t.Position(), true
-}
-
-// Position returns the current smoothed position.
-func (t *PositionTracker) Position() geo.Point { return geo.Point{X: t.x.p, Y: t.y.p} }
-
-// Velocity returns the current velocity estimate in m/s per axis.
-func (t *PositionTracker) Velocity() geo.Point { return geo.Point{X: t.x.v, Y: t.y.v} }

@@ -5,8 +5,6 @@ import (
 	"math/rand"
 	"testing"
 	"time"
-
-	"chronos/internal/geo"
 )
 
 // noisyRange draws a Chronos-like range fix: tight Gaussian core with
@@ -103,46 +101,11 @@ func TestRangeTrackerReacquires(t *testing.T) {
 	}
 }
 
-// TestPositionTrackerSmoothsWalk runs the 2D filter over a random-waypoint
-// walk with ghost outliers; the smoothed path must beat the raw fixes.
-func TestPositionTrackerSmoothsWalk(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	tr := NewPositionTracker()
-	const dt = 84 * time.Millisecond
-	pos := geo.Point{X: 2, Y: 3}
-	vel := geo.Point{X: 0.6, Y: -0.4}
-	var rawSq, smoothSq float64
-	n := 300
-	for i := 0; i < n; i++ {
-		at := time.Duration(i) * dt
-		pos = pos.Add(vel.Scale(dt.Seconds()))
-		meas := geo.Point{
-			X: noisyRange(rng, pos.X, 0.12, 0.04, 3.0),
-			Y: noisyRange(rng, pos.Y, 0.12, 0.04, 3.0),
-		}
-		smoothed, _ := tr.Observe(at, meas)
-		rawSq += meas.Sub(pos).Norm() * meas.Sub(pos).Norm()
-		smoothSq += smoothed.Sub(pos).Norm() * smoothed.Sub(pos).Norm()
-	}
-	raw, smooth := math.Sqrt(rawSq/float64(n)), math.Sqrt(smoothSq/float64(n))
-	if smooth >= raw {
-		t.Fatalf("2D smoothed RMSE %.3f m not below raw %.3f m", smooth, raw)
-	}
-	if v := tr.Velocity(); math.Abs(v.X-0.6) > 0.3 || math.Abs(v.Y+0.4) > 0.3 {
-		t.Errorf("velocity = %+v, want ≈(0.6, −0.4)", v)
-	}
-}
-
 // TestTrackerFirstObservationPrimes pins the initialization contract.
 func TestTrackerFirstObservationPrimes(t *testing.T) {
 	tr := NewRangeTracker()
 	got, ok := tr.Observe(0, 7.5)
 	if !ok || got != 7.5 {
 		t.Errorf("first observation = (%v, %v), want (7.5, true)", got, ok)
-	}
-	pt := NewPositionTracker()
-	p, ok := pt.Observe(0, geo.Point{X: 1, Y: 2})
-	if !ok || p != (geo.Point{X: 1, Y: 2}) {
-		t.Errorf("first 2D observation = (%v, %v)", p, ok)
 	}
 }

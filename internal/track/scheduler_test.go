@@ -114,27 +114,3 @@ func TestScheduleLossyLinkStillCompletes(t *testing.T) {
 		t.Errorf("expected fail-safes at 70%% loss: failsafes=%d revert=%v", s.FailSafes, s.RevertTime)
 	}
 }
-
-func TestRunMultiTracksEveryDevice(t *testing.T) {
-	cfg := MultiConfig{
-		Scheduler: SchedulerConfig{Devices: 4, SweepsPerDevice: 6, Bands: wifi.USBands()[:10]},
-		Speed:     0.8,
-	}
-	m := RunMulti(rand.New(rand.NewSource(9)), cfg)
-	if len(m.Devices) != 4 {
-		t.Fatalf("devices = %d", len(m.Devices))
-	}
-	for _, d := range m.Devices {
-		if len(d.Fixes) != 6 {
-			t.Errorf("device %d has %d fixes, want 6", d.Device, len(d.Fixes))
-		}
-		if d.RawRMSE <= 0 {
-			t.Errorf("device %d raw RMSE = %v", d.Device, d.RawRMSE)
-		}
-		for _, f := range d.Fixes {
-			if f.TrueRange < 0 || f.TrueRange > 20 {
-				t.Errorf("device %d truth out of room: %v", d.Device, f.TrueRange)
-			}
-		}
-	}
-}
