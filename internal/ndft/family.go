@@ -115,7 +115,7 @@ func (pl *Plan) MaxCorrelation(h dsp.Vec) float64 {
 	w := pl.getWorkspace()
 	defer pl.ws.Put(w)
 	split(w.hRe, w.hIm, h)
-	pl.adjointDense(w.hRe, w.hIm, w.gRe, w.gIm)
+	pl.adjointDense(w, w.hRe, w.hIm)
 	var maxSq float64
 	for j := 0; j < pl.m; j++ {
 		if sq := float64(w.gRe[j]*w.gRe[j]) + float64(w.gIm[j]*w.gIm[j]); sq > maxSq {

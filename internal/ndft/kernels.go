@@ -2,7 +2,6 @@ package ndft
 
 import (
 	"math"
-	"slices"
 
 	"chronos/internal/detmath"
 	"chronos/internal/obs"
@@ -43,7 +42,7 @@ func detectTier() kernelTier {
 
 // activeTier is the detected kernel tier. Mutate only through
 // setKernelTier (tests/benches); the solver reads it on every adjoint,
-// shrink and momentum run and every forward product.
+// shrink and momentum pass and every forward product.
 var activeTier = detectTier()
 
 // setKernelTier is the test/bench hook that swaps the active tier,
@@ -66,50 +65,105 @@ func setKernelTier(t kernelTier) kernelTier {
 // benchmark runs carry this value.
 func VectorKernel() string { return activeTier.String() }
 
-// adjCells is the solver's adjoint product over one run [lo, hi) of
-// consecutive grid cells: g[k] = Σᵢ Fᴴ[lo+k][i]·x[i] (planar, no
-// conjugation) for each of the run's hi−lo cells, dispatched on the
-// active tier. fhRe/fhIm is Fᴴ row-major (row j at j·n) and ftRe/ftIm
-// the same matrix cell-major (element i of cell j at i·m+j). Every cell
-// runs the fixed-K accumulation contract that cdot defines: K=4 partial
-// sums, element i feeding chain i mod 4 through the stride-4 main loop,
-// the n mod 4 tail feeding chain 0 in order, and the pinned fold
-// (s0+s1)+(s2+s3). The AVX2 tier runs kernAdjCells on the cell-major
-// copy, one cell per lane and the four chains as four accumulator pairs,
-// with a masked last quad, so one call covers any run; the scalar tier
-// runs adjRows on the row-major rows. Both tiers return the same bits
-// per cell.
-//
-// With a screen (gradStep's; nil computes every cell) the run is taken
-// four cells at a time from lo, the last quad possibly partial. A quad
-// whose cells all have y and p equal to +0 bit for bit and a key below
-// scr.thr is skipped: its g is stored as +0, and its cells count in the
-// returned total. Every computed cell's key becomes |g| − scr.c,
-// computed as math.Sqrt(gr·gr + gi·gi) − c on both tiers. The AVX2
-// kernel fuses the test; the scalar tier runs adjRowsScreened.
-func adjCells(fhRe, fhIm, ftRe, ftIm []float64, n, m, lo, hi int, xRe, xIm, gRe, gIm []float64, scr *screen) (skipped int) {
-	cells := hi - lo
-	if cells <= 0 {
-		return 0
-	}
-	xRe, xIm, gRe, gIm = xRe[:n], xIm[:n], gRe[:cells], gIm[:cells]
-	if activeTier == tierAVX2 && n > 0 {
-		// The last element the kernel reads is (n−1, hi−1).
-		end := (n-1)*m + hi
-		ftRe, ftIm = ftRe[lo:end], ftIm[lo:end]
-		if scr == nil {
-			return kernAdjCells(ftRe, ftIm, m, xRe, xIm, gRe, gIm, nil, nil, nil, nil, nil, 0, 0)
+// Quad lists. Every pass of a solver phase walks the phase's working set
+// as one list of quads: each maximal run of consecutive cells is taken
+// four cells at a time from its first cell, so a quad is one to four
+// consecutive cells, the last of a run possibly partial. An entry packs
+// the quad's first cell and its lane count as lo<<2 | (lanes−1)
+// (packQuad), and a list is ascending, so its last entry bounds every
+// cell it names. Each pass is one call on the active tier: the AVX2
+// kernels walk the list four cells to a vector with partial quads masked,
+// and the scalar tier runs the same list through the Go reference bodies.
+// g is indexed by cell.
+
+// packQuad packs the quad of lanes cells (1–4) from cell lo.
+func packQuad(lo, lanes int) int { return lo<<2 | (lanes - 1) }
+
+// quadSpan returns the cells [lo, hi) of a packed quad.
+func quadSpan(q int) (lo, hi int) {
+	lo = q >> 2
+	return lo, lo + q&3 + 1
+}
+
+// setQuads splits an ascending set of distinct cells into its quad list,
+// reusing dst. A set of m-grid cells has at most ⌈m/2⌉ quads.
+func setQuads(dst, set []int) []int {
+	dst = dst[:0]
+	for i := 0; i < len(set); {
+		lo, hi := set[i], set[i]+1
+		for i++; i < len(set) && set[i] == hi; i++ {
+			hi++
 		}
-		return kernAdjCells(ftRe, ftIm, m, xRe, xIm, gRe, gIm,
-			scr.yRe[lo:hi], scr.yIm[lo:hi], scr.pRe[lo:hi], scr.pIm[lo:hi], scr.key[lo:hi], scr.thr, scr.c)
+		for ; lo < hi; lo += 4 {
+			dst = append(dst, packQuad(lo, min(4, hi-lo)))
+		}
 	}
-	fhRe, fhIm = fhRe[lo*n:hi*n], fhIm[lo*n:hi*n]
-	if scr == nil {
-		adjRows(fhRe, fhIm, n, xRe, xIm, gRe, gIm)
-		return 0
+	return dst
+}
+
+// adjQuads is the solver's adjoint product over a quad list:
+// g[j] = Σᵢ Fᴴ[j][i]·x[i] (planar, no conjugation) for every cell j of
+// the listed quads, indexed by cell, in one call on the active tier.
+// fhRe/fhIm is Fᴴ row-major (row j at j·n) and ftRe/ftIm the same matrix
+// cell-major (element i of cell j at i·m+j). Every cell runs the fixed-K
+// accumulation contract that cdot defines: K=4 partial sums, element i
+// feeding chain i mod 4 through the stride-4 main loop, the n mod 4 tail
+// feeding chain 0 in order, and the pinned fold (s0+s1)+(s2+s3). The
+// AVX2 tier runs kernAdjQuads on the cell-major copy, one cell per lane
+// and the four chains as four accumulator pairs, a partial quad masked to
+// its lanes; the scalar tier runs adjQuadsScalar on the row-major rows.
+// Both tiers return the same bits per cell.
+//
+// With a screen (gradStep's; nil computes every quad) a quad whose cells
+// all have y and p equal to +0 bit for bit and a key below scr.thr is
+// skipped: nothing of it is written, and its cells count in the returned
+// total. Every computed cell's key becomes |g| − scr.c, computed as
+// math.Sqrt(gr·gr + gi·gi) − c on both tiers. The AVX2 kernel fuses the
+// test. Every computed quad is written to live, in list order, and the
+// live list is returned over live's backing array, which needs room for
+// every quad.
+func adjQuads(fhRe, fhIm, ftRe, ftIm []float64, n, m int, quads []int, xRe, xIm, gRe, gIm []float64, scr *screen, live []int) (liveOut []int, skipped int) {
+	if len(quads) == 0 {
+		return live[:0], 0
 	}
-	return adjRowsScreened(fhRe, fhIm, n, xRe, xIm, gRe, gIm,
-		scr.yRe[lo:hi], scr.yIm[lo:hi], scr.pRe[lo:hi], scr.pIm[lo:hi], scr.key[lo:hi], scr.thr, scr.c)
+	_, end := quadSpan(quads[len(quads)-1])
+	xRe, xIm, gRe, gIm = xRe[:n], xIm[:n], gRe[:end], gIm[:end]
+	if activeTier == tierAVX2 && n > 0 {
+		// The last element the kernel reads is (n−1, end−1).
+		ftRe, ftIm = ftRe[:(n-1)*m+end], ftIm[:(n-1)*m+end]
+		live = live[:len(quads)]
+		var k int
+		if scr == nil {
+			k, skipped = kernAdjQuads(ftRe, ftIm, m, quads, xRe, xIm, gRe, gIm, nil, nil, nil, nil, nil, 0, 0, live)
+		} else {
+			k, skipped = kernAdjQuads(ftRe, ftIm, m, quads, xRe, xIm, gRe, gIm,
+				scr.yRe[:end], scr.yIm[:end], scr.pRe[:end], scr.pIm[:end], scr.key[:end], scr.thr, scr.c, live)
+		}
+		return live[:k], skipped
+	}
+	return adjQuadsScalar(fhRe[:end*n], fhIm[:end*n], n, quads, xRe, xIm, gRe, gIm, scr, live)
+}
+
+// adjQuadsScalar is adjQuads' reference body and its scalar tier: quad
+// by quad, the skip test in Go (quadScreened), then adjRows over the
+// quad's rows and the computed cells' keys.
+func adjQuadsScalar(fhRe, fhIm []float64, n int, quads []int, xRe, xIm, gRe, gIm []float64, scr *screen, live []int) (liveOut []int, skipped int) {
+	live = live[:0]
+	for _, q := range quads {
+		lo, hi := quadSpan(q)
+		if scr != nil && quadScreened(scr.yRe[lo:hi], scr.yIm[lo:hi], scr.pRe[lo:hi], scr.pIm[lo:hi], scr.key[lo:hi], scr.thr) {
+			skipped += hi - lo
+			continue
+		}
+		adjRows(fhRe[lo*n:hi*n], fhIm[lo*n:hi*n], n, xRe, xIm, gRe[lo:hi], gIm[lo:hi])
+		if scr != nil {
+			for j := lo; j < hi; j++ {
+				scr.key[j] = math.Sqrt(float64(gRe[j]*gRe[j])+float64(gIm[j]*gIm[j])) - scr.c
+			}
+		}
+		live = append(live, q)
+	}
+	return live, skipped
 }
 
 // adjRows is the scalar tier's row-major adjoint over a run of
@@ -123,30 +177,6 @@ func adjRows(fhRe, fhIm []float64, n int, xRe, xIm, outRe, outIm []float64) {
 	for r := range outRe {
 		outRe[r], outIm[r] = cdot(fhRe[r*n:(r+1)*n], fhIm[r*n:(r+1)*n], xRe, xIm)
 	}
-}
-
-// adjRowsScreened is adjCells' screened body on the scalar tier: quad
-// by quad from the run's first cell, the skip test in Go, then adjRows
-// over the quad's rows and the computed cells' keys. y, p and key are
-// the run's cells.
-func adjRowsScreened(fhRe, fhIm []float64, n int, xRe, xIm, gRe, gIm, yRe, yIm, pRe, pIm, key []float64, thr, c float64) (skipped int) {
-	cells := len(gRe)
-	gIm, yRe, yIm, pRe, pIm, key = gIm[:cells], yRe[:cells], yIm[:cells], pRe[:cells], pIm[:cells], key[:cells]
-	for q := 0; q < cells; q += 4 {
-		e := min(q+4, cells)
-		if quadScreened(yRe[q:e], yIm[q:e], pRe[q:e], pIm[q:e], key[q:e], thr) {
-			for k := q; k < e; k++ {
-				gRe[k], gIm[k] = 0, 0
-			}
-			skipped += e - q
-			continue
-		}
-		adjRows(fhRe[q*n:e*n], fhIm[q*n:e*n], n, xRe, xIm, gRe[q:e], gIm[q:e])
-		for k := q; k < e; k++ {
-			key[k] = math.Sqrt(float64(gRe[k]*gRe[k])+float64(gIm[k]*gIm[k])) - c
-		}
-	}
-	return skipped
 }
 
 // quadScreened is the skip test of one quad: every cell's y and p are +0
@@ -206,97 +236,98 @@ func axpyColsScalar(fhRe, fhIm []float64, n int, cols []int, srcRe, srcIm, dstRe
 	}
 }
 
-// shrinkRun is gradStep's shrink over one run of consecutive working-set
-// cells: yRe/yIm, pRe/pIm are the run's cells and gRe/gIm their adjoint
-// outputs (len(gRe) cells). Each cell takes the gradient step
-// y − γ·g, soft-thresholds it at thr into p, and stores the step
-// Δp = p − p_prev in place of its gradient; ‖Δp‖² and the restart
-// product ⟨y − p, Δp⟩ are added to diffSq and gdot cell by cell, in run
-// order, and returned. shrinkRunScalar is the reference body. On the
-// AVX2 tier kernShrinkRun takes the first len&^3 cells four to a vector,
-// each lane running the scalar arithmetic exactly: the multiplies,
-// subtractions, square root and division round as their scalar forms,
-// an ordered ≤ compare and an and-not replace the zero branch (NaN
-// takes the non-zero branch, zeroed cells are +0), and each cell's
+// shrinkQuads is gradStep's shrink over the live quads of its adjoint
+// pass, in one call: each cell takes the gradient step y − γ·g,
+// soft-thresholds it at thr into p, and stores the step Δp = p − p_prev
+// in place of its gradient; ‖Δp‖² and the restart product ⟨y − p, Δp⟩
+// are added to diffSq and gdot cell by cell, in list order, and
+// returned. shrinkQuadsScalar is the reference body and the scalar tier.
+// On the AVX2 tier kernShrinkQuads takes each quad as one vector, each
+// lane running the scalar arithmetic exactly: the multiplies,
+// subtractions, square root and division round as their scalar forms, an
+// ordered ≤ compare and an and-not replace the zero branch (NaN takes the
+// non-zero branch, zeroed cells are +0), and each cell's
 // (‖Δp‖², ⟨y − p, Δp⟩) terms are added to the sums in order, one 2-lane
-// add per cell. shrinkRunScalar finishes the len mod 4 tail from the
-// kernel's sums, so both tiers return the same bits.
-func shrinkRun(gamma, thr float64, yRe, yIm, pRe, pIm, gRe, gIm []float64, diffSq, gdot float64) (float64, float64) {
-	c := 0
-	if activeTier == tierAVX2 {
-		if c = len(gRe) &^ 3; c > 0 {
-			diffSq, gdot = kernShrinkRun(yRe[:c], yIm[:c], pRe[:c], pIm[:c], gRe[:c], gIm[:c], gamma, thr, diffSq, gdot)
-		}
+// add per cell. A partial quad's loads and stores are masked to its lanes
+// and only its lanes' terms are added, so both tiers return the same bits
+// and touch no cell outside the list.
+func shrinkQuads(gamma, thr float64, live []int, yRe, yIm, pRe, pIm, gRe, gIm []float64, diffSq, gdot float64) (float64, float64) {
+	if len(live) == 0 {
+		return diffSq, gdot
 	}
-	return shrinkRunScalar(gamma, thr, yRe[c:], yIm[c:], pRe[c:], pIm[c:], gRe[c:], gIm[c:], diffSq, gdot)
+	_, end := quadSpan(live[len(live)-1])
+	yRe, yIm, pRe, pIm, gRe, gIm = yRe[:end], yIm[:end], pRe[:end], pIm[:end], gRe[:end], gIm[:end]
+	if activeTier == tierAVX2 {
+		return kernShrinkQuads(live, yRe, yIm, pRe, pIm, gRe, gIm, gamma, thr, diffSq, gdot)
+	}
+	return shrinkQuadsScalar(gamma, thr, live, yRe, yIm, pRe, pIm, gRe, gIm, diffSq, gdot)
 }
 
-// shrinkRunScalar is the reference shrink: shrinkRun's scalar body, run
-// over whole runs on the scalar tier and over the AVX2 tier's tails. The
-// zero test compares squared magnitudes so the (dominant) zeroed cells
-// never pay for a square root.
-func shrinkRunScalar(gamma, thr float64, yRe, yIm, pRe, pIm, gRe, gIm []float64, diffSq, gdot float64) (float64, float64) {
-	n := len(gRe)
-	yRe, yIm, pRe, pIm, gIm = yRe[:n], yIm[:n], pRe[:n], pIm[:n], gIm[:n]
+// shrinkQuadsScalar is the reference shrink. The zero test compares
+// squared magnitudes so the (dominant) zeroed cells never pay for a
+// square root.
+func shrinkQuadsScalar(gamma, thr float64, live []int, yRe, yIm, pRe, pIm, gRe, gIm []float64, diffSq, gdot float64) (float64, float64) {
 	thrSq := thr * thr
-	for c := range gRe {
-		yr, yi := yRe[c], yIm[c]
-		pr := yr - float64(gamma*gRe[c])
-		pi := yi - float64(gamma*gIm[c])
-		var nr, ni float64
-		// "<=" also zeroes sq==thrSq==0, avoiding 0/0 below; a NaN takes
-		// the non-zero branch.
-		if sq := float64(pr*pr) + float64(pi*pi); sq <= thrSq {
-			nr, ni = 0, 0
-		} else {
-			a := math.Sqrt(sq)
-			sc := (a - thr) / a
-			nr, ni = float64(pr*sc), float64(pi*sc)
+	for _, q := range live {
+		lo, hi := quadSpan(q)
+		for c := lo; c < hi; c++ {
+			yr, yi := yRe[c], yIm[c]
+			pr := yr - float64(gamma*gRe[c])
+			pi := yi - float64(gamma*gIm[c])
+			var nr, ni float64
+			// "<=" also zeroes sq==thrSq==0, avoiding 0/0 below; a NaN
+			// takes the non-zero branch.
+			if sq := float64(pr*pr) + float64(pi*pi); sq <= thrSq {
+				nr, ni = 0, 0
+			} else {
+				a := math.Sqrt(sq)
+				sc := (a - thr) / a
+				nr, ni = float64(pr*sc), float64(pi*sc)
+			}
+			dr, di := nr-pRe[c], ni-pIm[c]
+			pRe[c], pIm[c] = nr, ni
+			gRe[c], gIm[c] = dr, di
+			diffSq += float64(dr*dr) + float64(di*di)
+			gdot += float64((yr-nr)*dr) + float64((yi-ni)*di)
 		}
-		dr, di := nr-pRe[c], ni-pIm[c]
-		pRe[c], pIm[c] = nr, ni
-		gRe[c], gIm[c] = dr, di
-		diffSq += float64(dr*dr) + float64(di*di)
-		gdot += float64((yr-nr)*dr) + float64((yi-ni)*di)
 	}
 	return diffSq, gdot
 }
 
-// momentumRun is endStep's extrapolation over one run of consecutive
-// working-set cells starting at cell lo: y = p + β·Δp for each cell,
-// with pRe/pIm, yRe/yIm the run's cells and gRe/gIm their stored steps.
-// Each cell whose y is non-zero (NaN counts as non-zero) is appended to
-// active, in ascending order, and the grown list is returned.
-// momentumRunScalar is the reference body. On the AVX2 tier
-// kernMomentumRun takes the first len&^3 cells four to a vector, with
-// the multiply and add rounding as their scalar forms and the active
-// test an unordered ≠ 0 compare; momentumRunScalar finishes the
-// len mod 4 tail.
-func momentumRun(beta float64, lo int, pRe, pIm, gRe, gIm, yRe, yIm []float64, active []int) []int {
-	c := 0
-	if activeTier == tierAVX2 {
-		if c = len(gRe) &^ 3; c > 0 {
-			active = slices.Grow(active, c)
-			k := len(active)
-			k += kernMomentumRun(pRe[:c], pIm[:c], gRe[:c], gIm[:c], yRe[:c], yIm[:c], beta, lo, active[k:k+c])
-			active = active[:k]
-		}
+// momentumQuads is endStep's extrapolation over the live quads, in one
+// call: y = p + β·Δp for each of their cells, with gRe/gIm the stored
+// steps. Each cell whose y is non-zero (NaN counts as non-zero) is
+// appended to active, in list order, and the grown list is returned.
+// momentumQuadsScalar is the reference body and the scalar tier. On the
+// AVX2 tier kernMomentumQuads takes each quad as one vector, partial
+// quads masked to their lanes, with the multiply and add rounding as
+// their scalar forms and the active test an unordered ≠ 0 compare. Its
+// append is branchless, so active needs three spare slots past the live
+// cells.
+func momentumQuads(beta float64, live []int, pRe, pIm, gRe, gIm, yRe, yIm []float64, active []int) []int {
+	if len(live) == 0 {
+		return active
 	}
-	return momentumRunScalar(beta, lo+c, pRe[c:], pIm[c:], gRe[c:], gIm[c:], yRe[c:], yIm[c:], active)
+	_, end := quadSpan(live[len(live)-1])
+	pRe, pIm, gRe, gIm, yRe, yIm = pRe[:end], pIm[:end], gRe[:end], gIm[:end], yRe[:end], yIm[:end]
+	if activeTier == tierAVX2 {
+		k := len(active)
+		return active[:k+kernMomentumQuads(live, pRe, pIm, gRe, gIm, yRe, yIm, beta, active[k:k+end+3])]
+	}
+	return momentumQuadsScalar(beta, live, pRe, pIm, gRe, gIm, yRe, yIm, active)
 }
 
-// momentumRunScalar is the reference extrapolation: momentumRun's scalar
-// body, run over whole runs on the scalar tier and over the AVX2 tier's
-// tails.
-func momentumRunScalar(beta float64, lo int, pRe, pIm, gRe, gIm, yRe, yIm []float64, active []int) []int {
-	n := len(gRe)
-	pRe, pIm, gIm, yRe, yIm = pRe[:n], pIm[:n], gIm[:n], yRe[:n], yIm[:n]
-	for c := range gRe {
-		yr := pRe[c] + float64(beta*gRe[c])
-		yi := pIm[c] + float64(beta*gIm[c])
-		yRe[c], yIm[c] = yr, yi
-		if yr != 0 || yi != 0 {
-			active = append(active, lo+c)
+// momentumQuadsScalar is the reference extrapolation.
+func momentumQuadsScalar(beta float64, live []int, pRe, pIm, gRe, gIm, yRe, yIm []float64, active []int) []int {
+	for _, q := range live {
+		lo, hi := quadSpan(q)
+		for c := lo; c < hi; c++ {
+			yr := pRe[c] + float64(beta*gRe[c])
+			yi := pIm[c] + float64(beta*gIm[c])
+			yRe[c], yIm[c] = yr, yi
+			if yr != 0 || yi != 0 {
+				active = append(active, c)
+			}
 		}
 	}
 	return active

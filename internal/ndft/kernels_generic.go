@@ -8,7 +8,7 @@ package ndft
 // turned the assembly off); the stubs keep the package compiling on any
 // architecture.
 
-func kernAdjCells(ftRe, ftIm []float64, m int, xRe, xIm, gRe, gIm, yRe, yIm, pRe, pIm, key []float64, thr, c float64) int {
+func kernAdjQuads(ftRe, ftIm []float64, m int, quads []int, xRe, xIm, gRe, gIm, yRe, yIm, pRe, pIm, key []float64, thr, c float64, live []int) (int, int) {
 	panic("ndft: vector kernel called on scalar tier")
 }
 
@@ -16,10 +16,10 @@ func kernAxpyCols(fhRe, fhIm []float64, n int, cols []int, srcRe, srcIm, dstRe, 
 	panic("ndft: vector kernel called on scalar tier")
 }
 
-func kernShrinkRun(yRe, yIm, pRe, pIm, gRe, gIm []float64, gamma, thr, diffSq, gdot float64) (float64, float64) {
+func kernShrinkQuads(live []int, yRe, yIm, pRe, pIm, gRe, gIm []float64, gamma, thr, diffSq, gdot float64) (float64, float64) {
 	panic("ndft: vector kernel called on scalar tier")
 }
 
-func kernMomentumRun(pRe, pIm, gRe, gIm, yRe, yIm []float64, beta float64, lo int, act []int) int {
+func kernMomentumQuads(live []int, pRe, pIm, gRe, gIm, yRe, yIm []float64, beta float64, act []int) int {
 	panic("ndft: vector kernel called on scalar tier")
 }

@@ -1,6 +1,7 @@
 package ndft
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -154,54 +155,142 @@ func screenFixture(rng *rand.Rand, m int) *screen {
 	return scr
 }
 
-// checkAdjCells runs adjCells over the cells [lo, hi) of an m-cell
-// dictionary, given row-major (fh) and cell-major (ft), and requires
-// every cell's output to match cdot on its row bit for bit (NaN matching
-// NaN) and the output slot past the run to stay untouched. Then it runs
-// adjCells again under a screen and requires the skipped count, every
-// output and every key of the grid to match adjRowsScreened, the
-// screen's Go body.
-func checkAdjCells(t *testing.T, rng *rand.Rand, fhRe, fhIm, ftRe, ftIm, xRe, xIm []float64, n, m, lo, hi int) {
-	t.Helper()
-	const canary = -7.25
-	cells := hi - lo
-	outRe := make([]float64, cells+1)
-	outIm := make([]float64, cells+1)
-	outRe[cells], outIm[cells] = canary, canary
-	if skipped := adjCells(fhRe, fhIm, ftRe, ftIm, n, m, lo, hi, xRe, xIm, outRe[:cells], outIm[:cells], nil); skipped != 0 {
-		t.Fatalf("%v n=%d run [%d,%d): %d cells skipped without a screen", activeTier, n, lo, hi, skipped)
+// cellRange returns the set of cells [lo, hi): one run.
+func cellRange(lo, hi int) []int {
+	set := make([]int, 0, max(hi-lo, 0))
+	for j := lo; j < hi; j++ {
+		set = append(set, j)
 	}
-	for r := 0; r < cells; r++ {
-		row := (lo + r) * n
-		wantR, wantI := cdot(fhRe[row:row+n], fhIm[row:row+n], xRe, xIm)
-		if !bothNaNOrEqualBits(outRe[r], wantR) || !bothNaNOrEqualBits(outIm[r], wantI) {
-			t.Fatalf("%v n=%d run [%d,%d) cell %d: got (%v,%v) want (%v,%v)",
-				activeTier, n, lo, hi, lo+r, outRe[r], outIm[r], wantR, wantI)
+	return set
+}
+
+// randomSet draws an ascending set of distinct cells of [lo, hi) for the
+// quad-list checks: runs of 1–9 cells, so partial quads of every lane
+// count, separated by gaps of 1–3 cells.
+func randomSet(rng *rand.Rand, lo, hi int) []int {
+	var set []int
+	for j := lo + rng.Intn(3); j < hi; j += 1 + rng.Intn(3) {
+		for end := min(j+1+rng.Intn(9), hi); j < end; j++ {
+			set = append(set, j)
 		}
 	}
-	if outRe[cells] != canary || outIm[cells] != canary {
-		t.Fatalf("%v n=%d run [%d,%d): wrote past the run", activeTier, n, lo, hi)
+	return set
+}
+
+// TestSetQuads pins the quad lists every pass walks: each maximal run of
+// a set taken four cells at a time from its first cell, the last quad of
+// a run holding the rest, in ascending order, within the ⌈m/2⌉ entries a
+// workspace holds.
+func TestSetQuads(t *testing.T) {
+	rng := rand.New(rand.NewSource(53))
+	for trial := 0; trial < 500; trial++ {
+		m := 1 + rng.Intn(80)
+		set := randomSet(rng, 0, m)
+		if trial%5 == 0 {
+			set = cellRange(0, m)
+		}
+		quads := setQuads(nil, set)
+		var cells []int
+		for i, q := range quads {
+			lo, hi := quadSpan(q)
+			if hi-lo < 1 || hi-lo > 4 || q != packQuad(lo, hi-lo) {
+				t.Fatalf("set %v: quad %d spans [%d,%d)", set, i, lo, hi)
+			}
+			// A quad starts a run, or four cells after the quad before it
+			// in the same run; a quad of fewer than four cells ends its run.
+			if k := len(cells); k > 0 && cells[k-1] == lo-1 {
+				if plo, phi := quadSpan(quads[i-1]); phi != lo || phi-plo != 4 {
+					t.Fatalf("set %v: quad %d [%d,%d) splits a run after [%d,%d)", set, i, lo, hi, plo, phi)
+				}
+			}
+			cells = append(cells, cellRange(lo, hi)...)
+		}
+		if !slices.Equal(cells, set) {
+			t.Fatalf("set %v: quads %v cover %v", set, quads, cells)
+		}
+		if len(quads) > (m+1)/2 {
+			t.Fatalf("set %v: %d quads on a %d-cell grid", set, len(quads), m)
+		}
 	}
+}
+
+// checkAdjQuads runs adjQuads over the quad list of set, cells of an
+// m-cell dictionary given row-major (fh) and cell-major (ft), and
+// requires every cell of the set to match cdot on its row bit for bit
+// (NaN matching NaN), every quad to be listed live, and every other cell
+// of g, canaries past the grid included, to stay untouched. Then it runs
+// adjQuads again under a screen and requires each quad to follow
+// quadScreened's verdict on it: a screened quad is counted as skipped and
+// leaves its cells' g and keys untouched; a computed one is listed live,
+// in list order, with its cells matching cdot and their keys |g| − c. The
+// live buffer's slots past the live list must stay untouched too.
+func checkAdjQuads(t *testing.T, rng *rand.Rand, fhRe, fhIm, ftRe, ftIm, xRe, xIm []float64, n, m int, set []int) {
+	t.Helper()
+	const pad, canary, idxCanary = 4, -7.25, -9
+	quads := setQuads(nil, set)
+	dot := func(j int) (float64, float64) {
+		return cdot(fhRe[j*n:(j+1)*n], fhIm[j*n:(j+1)*n], xRe, xIm)
+	}
+	canaries := func() (re, im []float64) {
+		re, im = make([]float64, m+pad), make([]float64, m+pad)
+		for j := range re {
+			re[j], im[j] = canary, canary
+		}
+		return re, im
+	}
+	run := func(scr *screen, wantLive []int, wantSkip int, wantRe, wantIm []float64) {
+		t.Helper()
+		buf := make([]int, len(quads)+pad)
+		for i := range buf {
+			buf[i] = idxCanary
+		}
+		gRe, gIm := canaries()
+		live, skipped := adjQuads(fhRe, fhIm, ftRe, ftIm, n, m, quads, xRe, xIm, gRe, gIm, scr, buf[:0])
+		if skipped != wantSkip || !slices.Equal(live, wantLive) {
+			t.Fatalf("%v n=%d set %v screen=%v: live %v, %d cells skipped; want live %v, %d skipped",
+				activeTier, n, set, scr != nil, live, skipped, wantLive, wantSkip)
+		}
+		for _, k := range buf[len(live):] {
+			if k != idxCanary {
+				t.Fatalf("%v n=%d set %v: wrote past the live list: %v", activeTier, n, set, buf)
+			}
+		}
+		for j := range wantRe {
+			if !bothNaNOrEqualBits(gRe[j], wantRe[j]) || !bothNaNOrEqualBits(gIm[j], wantIm[j]) {
+				t.Fatalf("%v n=%d set %v screen=%v: g[%d] = (%v,%v), want (%v,%v)",
+					activeTier, n, set, scr != nil, j, gRe[j], gIm[j], wantRe[j], wantIm[j])
+			}
+		}
+	}
+
+	wantRe, wantIm := canaries()
+	for _, j := range set {
+		wantRe[j], wantIm[j] = dot(j)
+	}
+	run(nil, quads, 0, wantRe, wantIm)
 
 	scr := screenFixture(rng, m)
 	wantKey := append([]float64(nil), scr.key...)
-	wantRe := append([]float64(nil), outRe...)
-	wantIm := append([]float64(nil), outIm...)
-	wantSkip := adjRowsScreened(fhRe[lo*n:hi*n], fhIm[lo*n:hi*n], n, xRe, xIm, wantRe[:cells], wantIm[:cells],
-		scr.yRe[lo:hi], scr.yIm[lo:hi], scr.pRe[lo:hi], scr.pIm[lo:hi], wantKey[lo:hi], scr.thr, scr.c)
-	gotSkip := adjCells(fhRe, fhIm, ftRe, ftIm, n, m, lo, hi, xRe, xIm, outRe[:cells], outIm[:cells], scr)
-	if gotSkip != wantSkip {
-		t.Fatalf("%v n=%d run [%d,%d) thr=%v: skipped %d cells, want %d", activeTier, n, lo, hi, scr.thr, gotSkip, wantSkip)
-	}
-	for r := range outRe {
-		if !bothNaNOrEqualBits(outRe[r], wantRe[r]) || !bothNaNOrEqualBits(outIm[r], wantIm[r]) {
-			t.Fatalf("%v n=%d run [%d,%d) screened slot %d: got (%v,%v) want (%v,%v)",
-				activeTier, n, lo, hi, r, outRe[r], outIm[r], wantRe[r], wantIm[r])
+	wantRe, wantIm = canaries()
+	var wantLive []int
+	wantSkip := 0
+	for _, q := range quads {
+		lo, hi := quadSpan(q)
+		if quadScreened(scr.yRe[lo:hi], scr.yIm[lo:hi], scr.pRe[lo:hi], scr.pIm[lo:hi], scr.key[lo:hi], scr.thr) {
+			wantSkip += hi - lo
+			continue
+		}
+		wantLive = append(wantLive, q)
+		for j := lo; j < hi; j++ {
+			gr, gi := dot(j)
+			wantRe[j], wantIm[j] = gr, gi
+			wantKey[j] = math.Sqrt(float64(gr*gr)+float64(gi*gi)) - scr.c
 		}
 	}
+	run(scr, wantLive, wantSkip, wantRe, wantIm)
 	for j := range wantKey {
 		if !bothNaNOrEqualBits(scr.key[j], wantKey[j]) {
-			t.Fatalf("%v n=%d run [%d,%d): key of cell %d = %v, want %v", activeTier, n, lo, hi, j, scr.key[j], wantKey[j])
+			t.Fatalf("%v n=%d set %v thr=%v: key of cell %d = %v, want %v", activeTier, n, set, scr.thr, j, scr.key[j], wantKey[j])
 		}
 	}
 }
@@ -209,14 +298,14 @@ func checkAdjCells(t *testing.T, rng *rand.Rand, fhRe, fhIm, ftRe, ftIm, xRe, xI
 // TestAdjDotMatchesCdot checks the tier-dispatched adjoint against the
 // scalar contract reference on every available tier. adjRows (the
 // scalar tier's row loop): every row length from 0 to 67 (odd tails,
-// partial lane groups), run lengths 1–9 at several row offsets. adjCells
-// (the AVX2 tier's cell-major kernel, adjRows on the scalar tier): every
-// n from 1 to 35 and every run [lo, hi) of a 13-cell grid, so every run
-// offset and every run length mod 4, masked tails included, plain and
-// under a screen. The data mixes zeros, denormals, ±1e300 and NaNs.
-// Every cell must produce bit-identical sums — the property the
-// warm-solve and alias-refit paths rely on when the tier changes between
-// runs.
+// partial lane groups), run lengths 1–9 at several row offsets. adjQuads
+// (the AVX2 tier's cell-major kernel, adjQuadsScalar on the scalar tier):
+// every n from 1 to 35 over a 13-cell grid, every single run [lo, hi) —
+// every run offset and every partial quad of 1, 2 and 3 lanes — and
+// random sets of several runs with gaps between them, plain and under a
+// screen. The data mixes zeros, denormals, ±1e300 and NaNs. Every cell
+// must produce bit-identical sums — the property the warm-solve and
+// alias-refit paths rely on when the tier changes between runs.
 func TestAdjDotMatchesCdot(t *testing.T) {
 	for _, tier := range kernelTiers() {
 		t.Run(tier.String(), func(t *testing.T) {
@@ -248,8 +337,11 @@ func TestAdjDotMatchesCdot(t *testing.T) {
 					xIm := kernelVec(rng, n, allowNaN)
 					for lo := 0; lo < m; lo++ {
 						for hi := lo + 1; hi <= m; hi++ {
-							checkAdjCells(t, rng, fhRe, fhIm, ftRe, ftIm, xRe, xIm, n, m, lo, hi)
+							checkAdjQuads(t, rng, fhRe, fhIm, ftRe, ftIm, xRe, xIm, n, m, cellRange(lo, hi))
 						}
+					}
+					for k := 0; k < 24; k++ {
+						checkAdjQuads(t, rng, fhRe, fhIm, ftRe, ftIm, xRe, xIm, n, m, randomSet(rng, 0, m))
 					}
 				}
 			}
@@ -261,7 +353,8 @@ func TestAdjDotMatchesCdot(t *testing.T) {
 // above: arbitrary row lengths, run lengths and offsets over the mixed
 // value set (infinities and NaNs included) must match the scalar
 // contract row by row on every available tier, through adjRows and
-// through adjCells, plain and screened.
+// through adjQuads over one run or a random set of runs, plain and
+// screened.
 func FuzzAdjDotEquivalence(f *testing.F) {
 	f.Add(int64(1), 7, 1)
 	f.Add(int64(99), 16, 5)
@@ -278,11 +371,15 @@ func FuzzAdjDotEquivalence(f *testing.F) {
 		ftRe, ftIm := transpose(fhRe, n, m), transpose(fhIm, n, m)
 		xRe := kernelVec(rng, n, true)
 		xIm := kernelVec(rng, n, true)
+		set := cellRange(off, m)
+		if rng.Intn(2) == 0 {
+			set = randomSet(rng, 0, m)
+		}
 		for _, tier := range kernelTiers() {
 			prev := setKernelTier(tier)
 			checkAdjRows(t, fhRe, fhIm, xRe, xIm, n, off, rows)
 			if n > 0 {
-				checkAdjCells(t, rng, fhRe, fhIm, ftRe, ftIm, xRe, xIm, n, m, off, m)
+				checkAdjQuads(t, rng, fhRe, fhIm, ftRe, ftIm, xRe, xIm, n, m, set)
 			}
 			setKernelTier(prev)
 		}
@@ -353,35 +450,70 @@ func spreadVec(rng *rand.Rand, n int) []float64 {
 	return v
 }
 
-// checkRunPasses runs shrinkRun and momentumRun on the active tier over
-// one run of n cells at offset off, with values from vec, and requires
-// every output to match shrinkRunScalar and momentumRunScalar bit for
-// bit (NaN matching NaN): p, the stored step, y, both sums and the
-// active list. A fifth of the cells sit exactly on the threshold
-// (gradient 0, y = (±3, ±4)·thr/5, so |y| = thr for thr 0 and 5) and a
-// fifth extrapolate to a signed-zero y (p = Δp = ±0, inactive). Every
-// array, the active list's spare capacity included, carries canaries
-// past the run that must stay untouched.
-func checkRunPasses(t *testing.T, rng *rand.Rand, vec func(int) []float64, n, off int, gamma, thr, beta float64) {
+// negZeros returns n cells of −0. Shrunk from sums of (−0, −0), every
+// cell adds a −0 restart term, so the restart sum stays −0 until a term
+// that is not −0 arrives: a masked lane's term, +0, shows.
+func negZeros(n int) []float64 {
+	v := make([]float64, n)
+	for i := range v {
+		v[i] = math.Copysign(0, -1)
+	}
+	return v
+}
+
+// runPass is one shrink-and-momentum check's draw: the cell values, the
+// (γ, thr, β) of runPassParams, and whether the cells are negZeros'.
+type runPass struct {
+	vec              func(int) []float64
+	gamma, thr, beta float64
+	negZero          bool
+}
+
+// checkRunPasses runs shrinkQuads and momentumQuads on the active tier
+// over a live list drawn from the quad list of set (every quad, or some
+// left out), on a grid of size cells with values from p.vec, and
+// requires every output to match the scalar bodies applied one cell at a
+// time in list order, bit for bit (NaN matching NaN): p, the stored step,
+// y, both sums and the active list. Unless the cells are negZeros', a
+// fifth of the live cells sit exactly on the threshold (gradient 0,
+// y = (±3, ±4)·thr/5, so |y| = thr for thr 0 and 5) and a fifth
+// extrapolate to a signed-zero y (p = Δp = ±0, inactive). Every cell
+// outside the live quads — the gaps between runs, the quads left out of
+// the list and the cells past the grid — holds a canary that must stay
+// untouched, and so must the active list's slots past the three spare
+// ones.
+func checkRunPasses(t *testing.T, rng *rand.Rand, p runPass, size int, set []int) {
 	t.Helper()
 	const pad, canary, idxCanary = 5, -7.25, -9
-	size := off + n + pad
+	live := setQuads(nil, set)
+	if rng.Intn(2) == 0 {
+		live = slices.DeleteFunc(live, func(int) bool { return rng.Intn(4) == 0 })
+	}
+	var cells []int
+	for _, q := range live {
+		cells = append(cells, cellRange(quadSpan(q))...)
+	}
 	var a [6][]float64 // yRe, yIm, pRe, pIm, gRe, gIm
 	for i := range a {
-		a[i] = vec(size)
-		for c := off + n; c < size; c++ {
-			a[i][c] = canary
+		a[i] = p.vec(size + pad)
+		for c := range a[i] {
+			if _, in := slices.BinarySearch(cells, c); !in {
+				a[i][c] = canary
+			}
 		}
 	}
 	sign := func() float64 { return float64(1 - 2*rng.Intn(2)) }
-	for c := off; c < off+n; c++ {
-		switch rng.Intn(5) {
-		case 0:
-			a[0][c], a[1][c] = 3*thr/5*sign(), 4*thr/5*sign()
-			a[4][c], a[5][c] = 0*sign(), 0*sign()
-		case 1:
-			a[2][c], a[3][c] = 0*sign(), 0*sign()
-			a[4][c], a[5][c] = 0*sign(), 0*sign()
+	thr := p.thr
+	if !p.negZero {
+		for _, c := range cells {
+			switch rng.Intn(5) {
+			case 0:
+				a[0][c], a[1][c] = 3*thr/5*sign(), 4*thr/5*sign()
+				a[4][c], a[5][c] = 0*sign(), 0*sign()
+			case 1:
+				a[2][c], a[3][c] = 0*sign(), 0*sign()
+				a[4][c], a[5][c] = 0*sign(), 0*sign()
+			}
 		}
 	}
 	clone := func() (out [6][]float64) {
@@ -390,14 +522,16 @@ func checkRunPasses(t *testing.T, rng *rand.Rand, vec func(int) []float64, n, of
 		}
 		return out
 	}
-	run := func(v []float64) []float64 { return v[off : off+n] }
+	fail := func(format string, args ...any) {
+		t.Helper()
+		t.Fatalf("%v set %v live %v γ=%v thr=%v β=%v: %s", activeTier, set, live, p.gamma, thr, p.beta, fmt.Sprintf(format, args...))
+	}
 	same := func(what string, got, want [6][]float64) {
 		t.Helper()
 		for i := range got {
 			for c := range got[i] {
 				if !bothNaNOrEqualBits(got[i][c], want[i][c]) {
-					t.Fatalf("%v %s n=%d off=%d γ=%v thr=%v β=%v: array %d cell %d = %v, want %v",
-						activeTier, what, n, off, gamma, thr, beta, i, c, got[i][c], want[i][c])
+					fail("%s: array %d cell %d = %v, want %v", what, i, c, got[i][c], want[i][c])
 				}
 			}
 		}
@@ -405,33 +539,45 @@ func checkRunPasses(t *testing.T, rng *rand.Rand, vec func(int) []float64, n, of
 
 	w, g := clone(), clone()
 	d0, g0 := rng.NormFloat64(), rng.NormFloat64()
-	wantD, wantG := shrinkRunScalar(gamma, thr, run(w[0]), run(w[1]), run(w[2]), run(w[3]), run(w[4]), run(w[5]), d0, g0)
-	gotD, gotG := shrinkRun(gamma, thr, run(g[0]), run(g[1]), run(g[2]), run(g[3]), run(g[4]), run(g[5]), d0, g0)
+	if p.negZero {
+		d0, g0 = math.Copysign(0, -1), math.Copysign(0, -1)
+	}
+	wantD, wantG := d0, g0
+	for _, c := range cells {
+		wantD, wantG = shrinkQuadsScalar(p.gamma, thr, []int{packQuad(c, 1)}, w[0], w[1], w[2], w[3], w[4], w[5], wantD, wantG)
+	}
+	gotD, gotG := shrinkQuads(p.gamma, thr, live, g[0], g[1], g[2], g[3], g[4], g[5], d0, g0)
 	if !bothNaNOrEqualBits(gotD, wantD) || !bothNaNOrEqualBits(gotG, wantG) {
-		t.Fatalf("%v shrink n=%d off=%d γ=%v thr=%v: sums (%v, %v), want (%v, %v)",
-			activeTier, n, off, gamma, thr, gotD, gotG, wantD, wantG)
+		fail("shrink sums (%v, %v), want (%v, %v)", gotD, gotG, wantD, wantG)
 	}
 	same("shrink", g, w)
 
 	w, g = clone(), clone()
 	actList := func() []int {
-		l := make([]int, 2+n+pad)
+		end := 0
+		if len(live) > 0 {
+			_, end = quadSpan(live[len(live)-1])
+		}
+		l := make([]int, 2+end+3+pad)
 		for i := range l {
 			l[i] = idxCanary
 		}
-		l[0], l[1] = 1<<20, 1<<21 // cells an earlier run appended
+		l[0], l[1] = 1<<20, 1<<21 // cells an earlier pass appended
 		return l
 	}
 	wantL, gotL := actList(), actList()
-	wantAct := momentumRunScalar(beta, off, run(w[2]), run(w[3]), run(w[4]), run(w[5]), run(w[0]), run(w[1]), wantL[:2])
-	gotAct := momentumRun(beta, off, run(g[2]), run(g[3]), run(g[4]), run(g[5]), run(g[0]), run(g[1]), gotL[:2])
+	wantAct := wantL[:2]
+	for _, c := range cells {
+		wantAct = momentumQuadsScalar(p.beta, []int{packQuad(c, 1)}, w[2], w[3], w[4], w[5], w[0], w[1], wantAct)
+	}
+	gotAct := momentumQuads(p.beta, live, g[2], g[3], g[4], g[5], g[0], g[1], gotL[:2])
 	same("momentum", g, w)
 	if !slices.Equal(gotAct, wantAct) {
-		t.Fatalf("%v momentum n=%d off=%d β=%v: active %v, want %v", activeTier, n, off, beta, gotAct, wantAct)
+		fail("active %v, want %v", gotAct, wantAct)
 	}
-	for _, k := range gotL[2+n:] {
+	for _, k := range gotL[2+len(cells)+3:] {
 		if k != idxCanary {
-			t.Fatalf("%v momentum n=%d off=%d: wrote past the run's active slots: %v", activeTier, n, off, gotL)
+			fail("momentum wrote past the active list's spare slots: %v", gotL)
 		}
 	}
 }
@@ -444,10 +590,13 @@ func runPassParams(rng *rand.Rand) [][3]float64 {
 }
 
 // TestRunPassesMatchScalar checks the tier-dispatched shrink and
-// momentum runs against their scalar bodies on every available tier, the
-// scalar one included: every run length from 0 to 67 at several
-// offsets, over kernelVec's zeros, denormals, ±1e300 and NaNs, and over
-// spreadVec's finite values, whose sums expose any reordering.
+// momentum passes against their scalar bodies cell by cell on every
+// available tier, the scalar one included: over grids of up to 70 cells,
+// one run at offsets 0, 1 and 3 of every length from 0 to 67, and random
+// sets of several runs with live lists that leave quads out, over
+// kernelVec's zeros, denormals, ±1e300 and NaNs, spreadVec's finite
+// values, whose sums expose any reordering, and negZeros, whose restart
+// sum exposes an added masked lane.
 func TestRunPassesMatchScalar(t *testing.T) {
 	for _, tier := range kernelTiers() {
 		t.Run(tier.String(), func(t *testing.T) {
@@ -457,12 +606,16 @@ func TestRunPassesMatchScalar(t *testing.T) {
 				func(k int) []float64 { return kernelVec(rng, k, true) },
 				func(k int) []float64 { return kernelVec(rng, k, false) },
 				func(k int) []float64 { return spreadVec(rng, k) },
+				negZeros,
 			}
 			for n := 0; n <= 67; n++ {
 				for _, off := range []int{0, 1, 3} {
-					for _, vec := range vecs {
-						for _, prm := range runPassParams(rng) {
-							checkRunPasses(t, rng, vec, n, off, prm[0], prm[1], prm[2])
+					for _, set := range [][]int{cellRange(off, off+n), randomSet(rng, off, off+n)} {
+						for i, vec := range vecs {
+							for _, prm := range runPassParams(rng) {
+								p := runPass{vec: vec, gamma: prm[0], thr: prm[1], beta: prm[2], negZero: i == 3}
+								checkRunPasses(t, rng, p, off+n, set)
+							}
 						}
 					}
 				}
@@ -472,9 +625,10 @@ func TestRunPassesMatchScalar(t *testing.T) {
 }
 
 // FuzzShrinkEquivalence is the fuzzer-driven variant of the run-pass
-// table test: arbitrary seeds, run lengths (0–67) and offsets over
-// kernelVec data must match the scalar shrink and momentum bodies on
-// every available tier.
+// table test: arbitrary seeds, spans (0–67 cells) and offsets, one run or
+// a random set of runs, over kernelVec data or negZeros, must match the
+// scalar shrink and momentum bodies cell by cell on every available
+// tier.
 func FuzzShrinkEquivalence(f *testing.F) {
 	f.Add(int64(1), 7, 1)
 	f.Add(int64(99), 16, 0)
@@ -484,11 +638,18 @@ func FuzzShrinkEquivalence(f *testing.F) {
 			t.Skip()
 		}
 		rng := rand.New(rand.NewSource(seed))
-		vec := func(k int) []float64 { return kernelVec(rng, k, true) }
 		prm := runPassParams(rng)[rng.Intn(3)]
+		p := runPass{vec: func(k int) []float64 { return kernelVec(rng, k, true) }, gamma: prm[0], thr: prm[1], beta: prm[2]}
+		if rng.Intn(4) == 0 {
+			p.vec, p.negZero = negZeros, true
+		}
+		set := cellRange(off, off+n)
+		if rng.Intn(2) == 0 {
+			set = randomSet(rng, off, off+n)
+		}
 		for _, tier := range kernelTiers() {
 			prev := setKernelTier(tier)
-			checkRunPasses(t, rng, vec, n, off, prm[0], prm[1], prm[2])
+			checkRunPasses(t, rng, p, off+n, set)
 			setKernelTier(prev)
 		}
 	})

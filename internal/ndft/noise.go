@@ -72,7 +72,7 @@ func (pl *Plan) NoiseFloor(h dsp.Vec) float64 {
 	w := pl.getWorkspace()
 	defer pl.ws.Put(w)
 	split(w.hRe, w.hIm, h)
-	pl.adjointDense(w.hRe, w.hIm, w.gRe, w.gIm)
+	pl.adjointDense(w, w.hRe, w.hIm)
 	// The magnitudes overwrite the real parts they are computed from.
 	mags := w.gRe[:pl.m]
 	detmath.HypotBatch(mags, mags, w.gIm)

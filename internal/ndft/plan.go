@@ -51,8 +51,9 @@ type Plan struct {
 	gamma  float64 // ISTA step size 1/‖F‖₂²
 
 	// allIdx is [0, m): the full-grid iteration set, shared by every
-	// dense solve so restricted and dense paths run the same loops.
-	allIdx []int
+	// dense solve so restricted and dense paths run the same loops, and
+	// allQuads its quad list, which every dense adjoint pass walks.
+	allIdx, allQuads []int
 
 	ws sync.Pool // *workspace
 }
@@ -61,20 +62,23 @@ type Plan struct {
 // touches, preallocated at plan dimensions so iterations are
 // allocation-free.
 //
-// gRe/gIm hold one adjoint pass's output, indexed by position in the
-// pass's cell set (a dense pass: by cell). gradStep's shrink consumes
-// position k's gradient and then stores the step p − p_prev there,
-// which endStep's momentum reads; the next adjoint pass overwrites it.
+// gRe/gIm hold one adjoint pass's output, indexed by cell. gradStep's
+// shrink consumes the gradient of each cell of the live quads and then
+// stores the step p − p_prev there, which endStep's momentum reads; the
+// next adjoint pass overwrites it. A quad the screen skipped keeps what
+// its cells held: neither pass reads it, and every later reader of g runs
+// an adjoint pass over its cells first.
 type workspace struct {
 	hRe, hIm       []float64 // measurement, planar (n)
 	residRe, resIm []float64 // F·src − h̃ (n)
 	pRe, pIm       []float64 // iterate (m)
 	yRe, yIm       []float64 // FISTA extrapolation point (m)
-	gRe, gIm       []float64 // adjoint output, then the step (m)
+	gRe, gIm       []float64 // adjoint output, then the step, by cell (m)
 	prevRe, prevIm []float64 // the previous gradStep residual (n)
 	key            []float64 // per cell: |g| − √n·D at its last computed gradStep (m)
-	runs           [][2]int  // the phase's working set as runs [lo, hi) of consecutive cells
-	active         []int     // support of the extrapolation point (≤ m)
+	quads          []int     // the phase's working set as a quad list (≤ ⌈m/2⌉)
+	live           []int     // the quads the last adjoint pass computed (≤ ⌈m/2⌉)
+	active         []int     // support of the extrapolation point (≤ m, 3 spare slots)
 	idx            []int     // restricted working set for warm solves (≤ m)
 	viol           []int     // cells failing the KKT audit (≤ m)
 	inSet          []bool    // working-set membership while growing idx (m)
@@ -128,6 +132,7 @@ func NewPlan(freqs, taus []float64) (*Plan, error) {
 	for j := range pl.allIdx {
 		pl.allIdx[j] = j
 	}
+	pl.allQuads = setQuads(make([]int, 0, (m+3)/4), pl.allIdx)
 	norm := f.SpectralNorm(rand.New(rand.NewSource(1)), 40)
 	if norm == 0 {
 		return nil, errZeroNorm
@@ -142,10 +147,10 @@ func NewPlan(freqs, taus []float64) (*Plan, error) {
 			yRe: make([]float64, m), yIm: make([]float64, m),
 			gRe: make([]float64, m), gIm: make([]float64, m),
 			prevRe: make([]float64, n), prevIm: make([]float64, n),
-			key: make([]float64, m),
-			// A set of distinct cells has at most ⌈m/2⌉ maximal runs.
-			runs:   make([][2]int, 0, (m+1)/2),
-			active: make([]int, 0, m), idx: make([]int, 0, m),
+			key:   make([]float64, m),
+			quads: make([]int, 0, (m+1)/2), live: make([]int, 0, (m+1)/2),
+			// momentumQuads' branchless append needs 3 spare slots.
+			active: make([]int, 0, m+3), idx: make([]int, 0, m),
 			viol: make([]int, 0, m), inSet: make([]bool, m),
 			supp: make([]int, 0, m), gsupp: make([]int, 0, m),
 		}
@@ -226,7 +231,7 @@ const (
 // Expects w.resid* to hold the residual at the current iterate.
 func (pl *Plan) kktViolators(w *workspace, alpha float64) []int {
 	limSq := alpha * kktSlack * alpha * kktSlack
-	pl.adjointDense(w.residRe, w.resIm, w.gRe, w.gIm)
+	pl.adjointDense(w, w.residRe, w.resIm)
 	w.viol = w.viol[:0]
 	for j := 0; j < pl.m; j++ {
 		if w.pRe[j] != 0 || w.pIm[j] != 0 {
@@ -240,43 +245,20 @@ func (pl *Plan) kktViolators(w *workspace, alpha float64) []int {
 	return w.viol
 }
 
-// adjointDense writes the full adjoint product Fᴴx into gRe/gIm, indexed
-// by cell: one run over all m cells, every cell computed.
-func (pl *Plan) adjointDense(xRe, xIm, gRe, gIm []float64) {
-	pl.adjointRun(0, pl.m, xRe, xIm, gRe, gIm, nil)
+// adjointDense writes the full adjoint product Fᴴx into w.g*, indexed
+// by cell: one pass over every cell of the grid.
+func (pl *Plan) adjointDense(w *workspace, xRe, xIm []float64) {
+	pl.adjoint(w, pl.allQuads, xRe, xIm, nil)
 }
 
-// adjointRuns writes (Fᴴx)ⱼ for every cell j of a working set, given as
-// its runs of consecutive cells, into gRe/gIm indexed by position in the
-// set: one kernel call per run. scr is gradStep's screen, or nil to
-// compute every cell; it returns the cells the screen skipped.
-func (pl *Plan) adjointRuns(runs [][2]int, xRe, xIm, gRe, gIm []float64, scr *screen) (skipped int) {
-	pos := 0
-	for _, r := range runs {
-		next := pos + r[1] - r[0]
-		skipped += pl.adjointRun(r[0], r[1], xRe, xIm, gRe[pos:next], gIm[pos:next], scr)
-		pos = next
-	}
+// adjoint writes (Fᴴx)ⱼ into w.g* for every cell j of a quad list,
+// indexed by cell, in one adjQuads call over the plan's two layouts of
+// Fᴴ, and leaves the quads it computed in w.live. scr is gradStep's
+// screen, or nil to compute every quad; it returns the cells the screen
+// skipped.
+func (pl *Plan) adjoint(w *workspace, quads []int, xRe, xIm []float64, scr *screen) (skipped int) {
+	w.live, skipped = adjQuads(pl.fhRe, pl.fhIm, pl.ftRe, pl.ftIm, pl.n, pl.m, quads, xRe, xIm, w.gRe, w.gIm, scr, w.live)
 	return skipped
-}
-
-// adjointRun is adjCells over the plan's two layouts of Fᴴ.
-func (pl *Plan) adjointRun(lo, hi int, xRe, xIm, gRe, gIm []float64, scr *screen) int {
-	return adjCells(pl.fhRe, pl.fhIm, pl.ftRe, pl.ftIm, pl.n, pl.m, lo, hi, xRe, xIm, gRe, gIm, scr)
-}
-
-// setRuns splits an ascending set of distinct cells into its maximal
-// runs [lo, hi) of consecutive cells, reusing dst.
-func setRuns(dst [][2]int, set []int) [][2]int {
-	dst = dst[:0]
-	for i := 0; i < len(set); {
-		lo, hi := set[i], set[i]+1
-		for i++; i < len(set) && set[i] == hi; i++ {
-			hi++
-		}
-		dst = append(dst, [2]int{lo, hi})
-	}
-	return dst
 }
 
 // forwardResid computes resid = F·src − h̃ into the workspace, walking
@@ -304,7 +286,7 @@ func (pl *Plan) getWorkspace() *workspace { return pl.ws.Get().(*workspace) }
 // k mod 4 tail feeding chain 0, folded as (s0+s1)+(s2+s3). The chains
 // hide scalar add latency; the fixed split is deterministic, so results
 // are identical across runs, worker counts, and — because the AVX2 tier
-// implements the same contract lane-for-lane (see adjCells) — across
+// implements the same contract lane-for-lane (see adjQuads) — across
 // kernel tiers and, by the rounding rule below, architectures.
 //
 // Every product is wrapped in float64(...). The Go spec lets the

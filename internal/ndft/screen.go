@@ -57,12 +57,20 @@ import "math"
 // residual makes D or max‖r‖ NaN or +Inf, so T is NaN or −Inf, and a
 // NaN key fails the compare.
 //
-// Exactness. A skipped cell would have shrunk to +0 anyway. With g
-// stored as +0 the shrink takes the same branch and stores the same +0
-// step; the step adds +0 to ‖Δp‖² and to the restart product, and
-// neither sum can be −0 (both start at +0, and a sum rounds to −0 only
-// when both addends are −0), so y, p, the active list and both sums keep
-// their bits. Result.Work still counts every working-set cell.
+// Exactness. A skipped cell would have shrunk to +0 anyway, so the
+// shrink and the momentum skip its quad too: they walk only the quads
+// the adjoint computed (w.live). Had they run, the shrink would have
+// stored p = +0 over p = +0 and a +0 step, and the momentum
+// y = +0 + β·(+0) = +0 (β ≥ 0), which is inactive, so y, p and the
+// active list keep their bits. The skipped quad's g is left stale, and
+// nothing reads it: every later reader of g runs an adjoint pass over
+// its cells first. Its cells' terms of ‖Δp‖² and of the restart product
+// would have been +0, and adding +0 changes a sum only when the sum is
+// −0. Neither can be: ‖Δp‖² adds terms dr² + di², which are never −0,
+// and the restart product starts at +0, and a sum rounds to −0 only when
+// both addends are −0. The live list is in set order, so both sums add
+// the remaining terms in the same order and keep their bits.
+// Result.Work still counts every working-set cell.
 const (
 	screenDelta    = 1e-9
 	screenMaxSteps = 1 << 20
@@ -75,7 +83,7 @@ const (
 // compare screened and unscreened solves bit for bit.
 var screenOff = false
 
-// screen is one gradStep's skip test, handed to adjCells: the grid's y,
+// screen is one gradStep's skip test, handed to adjQuads: the grid's y,
 // p and keys (indexed by cell), the threshold T, and c = √n·D, which a
 // computed cell's key subtracts from |g|.
 type screen struct {

@@ -147,7 +147,7 @@ func (t *solveTask) start(warm dsp.Vec) (idx []int, a0 float64) {
 	pl, w, m := t.pl, t.w, t.pl.m
 	// ‖Fᴴh̃‖∞ drives the default α scaling and the cold continuation
 	// ramp: one dense adjoint pass.
-	pl.adjointDense(w.hRe, w.hIm, w.gRe, w.gIm)
+	pl.adjointDense(w, w.hRe, w.hIm)
 	var corrMaxSq float64
 	for j := 0; j < m; j++ {
 		if sq := float64(w.gRe[j]*w.gRe[j]) + float64(w.gIm[j]*w.gIm[j]); sq > corrMaxSq {
@@ -273,12 +273,12 @@ func (t *solveTask) run(set []int, a0 float64, polish bool) (gapStop bool) {
 }
 
 // beginIterate resets the per-phase iteration state: working set and
-// its runs of consecutive cells (the set does not change inside a
-// phase, so every adjoint pass of the phase reuses the runs),
-// continuation schedule, momentum sequence, gap-check cadence.
+// its quad list (the set does not change inside a phase, so every
+// adjoint pass of the phase walks the same list), continuation schedule,
+// momentum sequence, gap-check cadence.
 func (t *solveTask) beginIterate(set []int, a0 float64, budget int, polish bool) {
 	t.set = set
-	t.w.runs = setRuns(t.w.runs, set)
+	t.w.quads = setQuads(t.w.quads, set)
 	t.iter = 0
 	t.polish = polish
 	t.curAlpha = a0
@@ -301,15 +301,15 @@ func (t *solveTask) beginIterate(set []int, a0 float64, budget int, polish bool)
 
 // gradStep runs one iteration's proximal-gradient step from the
 // extrapolation point y: p ← SPARSIFY(y − γ·Fᴴ·(F·y − h̃), γα) over the
-// phase's working set. The adjoint runs once per run of consecutive
-// cells (adjointRuns: the fixed-K chain contract per cell, same bits on
-// every tier) under the drift-bound screen (screen.go), which stores +0
-// for every quad of cells it proves would shrink to +0 anyway;
-// shrinkRun then shrinks each run's cells, stores each cell's step
-// p − p_prev in place of its gradient, and adds ‖Δp‖² and the restart
-// test's ⟨y − p, Δp⟩ cell by cell, carried from run to run in set order;
-// gradStep returns both for endStep. On the AVX2 tier the shrink runs
-// four cells to a vector, bit for bit as shrinkRunScalar.
+// phase's working set. The adjoint walks the phase's quad list in one
+// call (adjQuads: the fixed-K chain contract per cell, same bits on every
+// tier) under the drift-bound screen (screen.go), which skips every quad
+// of cells it proves would shrink to +0 anyway and leaves the computed
+// quads in w.live; shrinkQuads then shrinks the live cells in one call,
+// stores each cell's step p − p_prev in place of its gradient, and adds
+// ‖Δp‖² and the restart test's ⟨y − p, Δp⟩ cell by cell in set order;
+// gradStep returns both for endStep. A skipped quad keeps y = p = +0 and
+// would add +0 to both sums, so skipping it moves no bit.
 func (t *solveTask) gradStep() (diffSq, gdot float64) {
 	pl, w := t.pl, t.w
 	gamma := pl.gamma
@@ -321,29 +321,20 @@ func (t *solveTask) gradStep() (diffSq, gdot float64) {
 	// float64(...): the compiler may otherwise fuse γ·α into a − thr.
 	thr := float64(gamma * t.curAlpha)
 	scr := t.screenStep(thr)
-	t.screened += int64(pl.adjointRuns(w.runs, w.residRe, w.resIm, w.gRe, w.gIm, &scr))
-	pos := 0
-	for _, r := range w.runs {
-		lo, hi := r[0], r[1]
-		next := pos + hi - lo
-		diffSq, gdot = shrinkRun(gamma, thr, w.yRe[lo:hi], w.yIm[lo:hi], w.pRe[lo:hi], w.pIm[lo:hi],
-			w.gRe[pos:next], w.gIm[pos:next], diffSq, gdot)
-		pos = next
-	}
-	return diffSq, gdot
+	t.screened += int64(pl.adjoint(w, w.quads, w.residRe, w.resIm, &scr))
+	return shrinkQuads(gamma, thr, w.live, w.yRe, w.yIm, w.pRe, w.pIm, w.gRe, w.gIm, 0, 0)
 }
 
 // endStep closes the iteration gradStep just advanced, given its ‖Δp‖²
 // and restart product: momentum/restart bookkeeping, the extrapolation
 // y = p + β·Δp from the stored steps and the rebuild of y's ascending
-// support (momentumRun, one call per run of the working set: four cells
-// to a vector on the AVX2 tier, bit for bit as momentumRunScalar),
+// support (momentumQuads, one call over the live quads: a skipped quad
+// keeps y = +0, which is what the extrapolation would store),
 // α-continuation, work accounting, the caller's yield hook, and the
 // stopping rules. It reports whether a rule stopped the phase and
 // whether that rule was the gap certificate.
 func (t *solveTask) endStep(diffSq, gdot float64) (stop, gap bool) {
-	w, set := t.w, t.set
-	w.active = w.active[:0]
+	w := t.w
 	// Adaptive (gradient) restart, O'Donoghue & Candès: when the
 	// extrapolated step opposes the direction of progress the momentum
 	// has overshot — reset it, turning FISTA's oscillatory tail into
@@ -362,14 +353,7 @@ func (t *solveTask) endStep(diffSq, gdot float64) (stop, gap bool) {
 	}
 	tNext := (1 + math.Sqrt(1+float64(4*t.tMom*t.tMom))) / 2
 	beta := (t.tMom - 1) / tNext
-	pos := 0
-	for _, r := range w.runs {
-		lo, hi := r[0], r[1]
-		next := pos + hi - lo
-		w.active = momentumRun(beta, lo, w.pRe[lo:hi], w.pIm[lo:hi], w.gRe[pos:next], w.gIm[pos:next],
-			w.yRe[lo:hi], w.yIm[lo:hi], w.active)
-		pos = next
-	}
+	w.active = momentumQuads(beta, w.live, w.pRe, w.pIm, w.gRe, w.gIm, w.yRe, w.yIm, w.active[:0])
 	t.tMom = tNext
 	// Decay the continuation threshold toward the target α, jumping
 	// ahead when the iterate has already stalled at the current
@@ -386,7 +370,7 @@ func (t *solveTask) endStep(diffSq, gdot float64) (stop, gap bool) {
 		}
 	}
 
-	t.res.Work += int64(len(set))
+	t.res.Work += int64(len(t.set))
 	if math.Sqrt(diffSq) < t.opts.Epsilon && t.curAlpha == t.alpha {
 		t.res.Converged = true
 		return true, false
@@ -461,10 +445,10 @@ func (t *solveTask) gapCheck() (bool, float64) {
 	}
 	// The iteration's steps in w.g* were consumed by endStep's momentum
 	// before this check, so the adjoint pass may overwrite them.
-	pl.adjointRuns(w.runs, w.residRe, w.resIm, w.gRe, w.gIm, nil)
+	pl.adjoint(w, w.quads, w.residRe, w.resIm, nil)
 	var maxSq float64
-	for k := range set {
-		if sq := float64(w.gRe[k]*w.gRe[k]) + float64(w.gIm[k]*w.gIm[k]); sq > maxSq {
+	for _, j := range set {
+		if sq := float64(w.gRe[j]*w.gRe[j]) + float64(w.gIm[j]*w.gIm[j]); sq > maxSq {
 			maxSq = sq
 		}
 	}

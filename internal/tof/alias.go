@@ -18,15 +18,18 @@ const aliasWindow = 24e-9
 // windowPlan resolves the canonical alias-refit window plan for one band
 // group: the [0, aliasWindow] grid in the group's h̃ᵖ delay domain, built
 // once per geometry in the shared registry and reused by every hypothesis
-// of every sweep (a window shift is a per-frequency phase rotation).
-func (e *Estimator) windowPlan(freqs []float64, power int) (*ndft.Plan, planKey, error) {
+// of every sweep (a window shift is a per-frequency phase rotation), and
+// the group's aliasWeights, built with it. The weights are shared: read
+// them, never write them.
+func (e *Estimator) windowPlan(freqs []float64, power int) (*ndft.Plan, []float64, planKey, error) {
 	pf := float64(power)
 	key := newPlanKey(freqs, power)
 	key.window = true
-	plan, err := e.plans.planFor(key, func() (*ndft.Plan, error) {
-		return ndft.NewPlan(freqs, ndft.TauGrid(pf*aliasWindow, pf*gridStep))
+	ent := e.plans.entryFor(key, func(ent *planEntry) {
+		ent.plan, ent.err = ndft.NewPlan(freqs, ndft.TauGrid(pf*aliasWindow, pf*gridStep))
+		ent.weights = aliasWeights(freqs, power, aliasPeriod)
 	})
-	return plan, key, err
+	return ent.plan, ent.weights, key, ent.err
 }
 
 // rotateWindow writes h·e^{+j2πf·lo} into rot for the refit window
@@ -229,7 +232,7 @@ func (e *Estimator) placeDirectPath(fix *groupFix, g *bandGroup, s *Sweep, floor
 			return nil
 		}
 	}
-	plan, key, err := e.windowPlan(g.freqs, g.power)
+	plan, weights, key, err := e.windowPlan(g.freqs, g.power)
 	if err != nil {
 		return err
 	}
@@ -238,7 +241,7 @@ func (e *Estimator) placeDirectPath(fix *groupFix, g *bandGroup, s *Sweep, floor
 	sc := aliasScorer{
 		e: e, s: s, g: g, plan: plan, key: key, floor: floor,
 		hNorm: dsp.Norm2(g.h), gates: gates,
-		weights: aliasWeights(g.freqs, g.power, aliasPeriod),
+		weights: weights,
 	}
 	fix.tau, fix.contested = sc.place(sc.admitVirtual(first, virtuals))
 	fix.ok, fix.aliasWork = true, sc.work

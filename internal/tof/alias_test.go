@@ -97,7 +97,7 @@ func TestAliasFamilyRecoversGhostVertices(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			plan, _, err := est.windowPlan(g.freqs, g.power)
+			plan, _, _, err := est.windowPlan(g.freqs, g.power)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -67,9 +67,13 @@ type planRegistry struct {
 }
 
 type planEntry struct {
-	once     sync.Once
-	plan     *ndft.Plan
-	err      error
+	once sync.Once
+	plan *ndft.Plan
+	err  error
+	// weights are a window plan's alias-discrimination weights
+	// (aliasWeights), built with the plan: they depend only on the
+	// frequencies and the power that key it. nil on other plans.
+	weights  []float64
 	lastUsed atomic.Int64
 	bytes    atomic.Int64
 }
@@ -89,6 +93,13 @@ var sharedPlans = newPlanRegistry(0)
 
 // planFor returns the plan for key, building it via build on first use.
 func (r *planRegistry) planFor(key planKey, build func() (*ndft.Plan, error)) (*ndft.Plan, error) {
+	e := r.entryFor(key, func(e *planEntry) { e.plan, e.err = build() })
+	return e.plan, e.err
+}
+
+// entryFor returns key's entry, filled by build on first use: build sets
+// the plan or the error, and anything derived alongside the plan.
+func (r *planRegistry) entryFor(key planKey, build func(*planEntry)) *planEntry {
 	obsRegistryLookups.Inc()
 	r.mu.RLock()
 	e := r.entries[key]
@@ -108,12 +119,12 @@ func (r *planRegistry) planFor(key planKey, build func() (*ndft.Plan, error)) (*
 	e.lastUsed.Store(r.clock.Add(1))
 	e.once.Do(func() {
 		r.builds.Add(1)
-		e.plan, e.err = build()
+		build(e)
 		if e.plan != nil {
 			e.bytes.Store(e.plan.MemoryBytes())
 		}
 	})
-	return e.plan, e.err
+	return e
 }
 
 // evictLocked drops least-recently-used entries until the bound holds,

@@ -253,7 +253,7 @@ func TestWarmEstimateSteadyStateAllocs(t *testing.T) {
 		}
 	}
 	estimate()
-	const maxAllocs = 49
+	const maxAllocs = 47
 	if n := testing.AllocsPerRun(10, estimate); n > maxAllocs {
 		t.Errorf("warm fused Estimate allocated %.0f times, want at most %d", n, maxAllocs)
 	}
