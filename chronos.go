@@ -11,8 +11,13 @@
 //	est := chronos.NewToFEstimator(chronos.ToFConfig{})
 //	result, err := est.Estimate(bands, sweep)
 //
-// Heavier experiment drivers live in the cmd/ binaries; runnable
-// walkthroughs live under examples/.
+// The package's examples walk through ranging (MeasureDistance), §8
+// localization (Localizer.LocateArray), streaming tracking
+// (RunTrackSession, RunTrackSchedule), the localization service
+// (NewService), the §9 drone (DroneTrack) and a sweep's effect on AP
+// traffic (HopSweep), each with its output pinned. cmd/chronos-bench
+// regenerates every figure of the evaluation, and cmd/chronos-svc runs
+// the service as a daemon.
 package chronos
 
 import (
@@ -200,14 +205,16 @@ func NewLocalizer(array Array, cfg ToFConfig) *Localizer { return loc.NewLocaliz
 // Office is the simulated 20 m × 20 m evaluation floor of §12.
 type Office = sim.Office
 
-// OfficeConfig tunes floor-plan generation.
-type OfficeConfig = sim.OfficeConfig
-
 // Placement is one TX/RX placement on the floor.
 type Placement = sim.Placement
 
+// AntennaPlacement places a single-antenna transmitter and a receive
+// array on the floor; Office.AntennaChannels renders one channel per
+// receive antenna from it.
+type AntennaPlacement = sim.AntennaPlacement
+
 // NewOffice generates a floor plan deterministically from rng.
-func NewOffice(rng *rand.Rand, cfg OfficeConfig) *Office { return sim.NewOffice(rng, cfg) }
+func NewOffice(rng *rand.Rand) *Office { return sim.NewOffice(rng, sim.OfficeConfig{}) }
 
 // HopConfig tunes the §4 channel-hopping protocol.
 type HopConfig = hop.Config

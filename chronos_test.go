@@ -26,9 +26,6 @@ func TestFacadeQuickstartFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tofSec := offset // offset is in seconds of ToF; reuse for distance calc below
-	_ = tofSec
-
 	d, err := MeasureDistance(rng, link, est, bands, offset)
 	if err != nil {
 		t.Fatal(err)
@@ -49,7 +46,7 @@ func TestFacadeBandHelpers(t *testing.T) {
 
 func TestFacadeOfficeAndHop(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	office := NewOffice(rng, OfficeConfig{})
+	office := NewOffice(rng)
 	if len(office.Locations) != 30 {
 		t.Errorf("locations = %d", len(office.Locations))
 	}
@@ -111,7 +108,7 @@ func TestFacadeTrackSession(t *testing.T) {
 		t.Skip("full-pipeline session")
 	}
 	rng := rand.New(rand.NewSource(5))
-	office := NewOffice(rng, OfficeConfig{})
+	office := NewOffice(rng)
 	est := NewToFEstimator(ToFConfig{Mode: Bands5GHzOnly, MaxIter: 400})
 	res, err := RunTrackSession(rng, office, est, TrackSessionConfig{Speed: 0.8, Sweeps: 2})
 	if err != nil {

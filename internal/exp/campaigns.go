@@ -1,14 +1,18 @@
 package exp
 
-import "strings"
+import (
+	"fmt"
+	"slices"
+	"strings"
+)
 
-// Campaign is one registered campaign: the key a binary selects it by
-// and the function that regenerates its table.
+// Campaign is one registered campaign: the key chronos-bench selects it
+// by and the function that regenerates its table.
 type Campaign struct {
 	Key string
 	Run func(Options) *Result
-	// ExplicitOnly keeps a pseudo-figure out of chronos-bench's empty
-	// -fig "run everything" loop: it runs only when named.
+	// ExplicitOnly keeps a pseudo-figure out of chronos-bench's default
+	// run of the paper figures: it runs only when named.
 	ExplicitOnly bool
 	// WallClock marks a campaign whose columns time the host, so its
 	// table differs from run to run at one seed. Such a campaign is
@@ -17,8 +21,8 @@ type Campaign struct {
 	WallClock bool
 }
 
-// Figures lists chronos-bench's -fig keys in run order: the paper's §12
-// figures, then the pseudo-figures. The pseudo-figures are not paper
+// Figures lists chronos-bench's figure keys in run order: the paper's
+// §12 figures, then the pseudo-figures. The pseudo-figures are not paper
 // figures, so they run only when named.
 var Figures = []Campaign{
 	{Key: "3", Run: Fig3},
@@ -63,12 +67,18 @@ var Ablations = []Campaign{
 	{Key: "separation", Run: AblationSeparation},
 }
 
-// TrackCampaigns lists chronos-track's -campaign keys in run order.
+// TrackCampaigns lists the streaming tracking campaigns in run order.
+// chronos-bench's -fig names them beside the figures, and like the
+// pseudo-figures they run only when named.
 var TrackCampaigns = []Campaign{
 	{Key: "speed", Run: TrackSpeed},
 	{Key: "latency", Run: TrackLatency},
 	{Key: "capacity", Run: TrackCapacity},
 }
+
+// registry is every campaign list in run order. Keys are unique across
+// it, so one key names one campaign.
+var registry = [][]Campaign{Figures, Ablations, TrackCampaigns}
 
 // Keys joins the campaigns' keys with commas, in list order.
 func Keys(cs []Campaign) string {
@@ -77,4 +87,66 @@ func Keys(cs []Campaign) string {
 		keys[i] = c.Key
 	}
 	return strings.Join(keys, ",")
+}
+
+// Select resolves chronos-bench's -fig and -ablate values to the
+// campaigns they name, in registry order: Figures, Ablations, then
+// TrackCampaigns. Each value is a comma-separated key list: fig names
+// figure and tracking keys, ablate names ablation keys or is "all".
+// With both empty, Select returns the paper figures, the Figures that
+// are not ExplicitOnly. An unknown key, or a value that names no key,
+// is an error that lists the valid keys, so a typo fails before any
+// campaign runs.
+func Select(fig, ablate string) ([]Campaign, error) {
+	want := map[string]bool{}
+	figs := slices.Concat(Figures, TrackCampaigns)
+	if err := addKeys(want, "-fig", fig, figs, Keys(figs)); err != nil {
+		return nil, err
+	}
+	if ablate == "all" {
+		ablate = Keys(Ablations)
+	}
+	if err := addKeys(want, "-ablate", ablate, Ablations, Keys(Ablations)+",all"); err != nil {
+		return nil, err
+	}
+	if len(want) == 0 {
+		for _, c := range Figures {
+			want[c.Key] = !c.ExplicitOnly
+		}
+	}
+	var sel []Campaign
+	for _, c := range slices.Concat(registry...) {
+		if want[c.Key] {
+			sel = append(sel, c)
+		}
+	}
+	return sel, nil
+}
+
+// addKeys adds each key of value, a comma-separated list, to want. Every
+// key must name a campaign of known; have lists the valid keys for the
+// error.
+func addKeys(want map[string]bool, flag, value string, known []Campaign, have string) error {
+	var named, unknown []string
+	for _, k := range strings.Split(value, ",") {
+		if k = strings.TrimSpace(k); k == "" {
+			continue
+		}
+		if !slices.ContainsFunc(known, func(c Campaign) bool { return c.Key == k }) {
+			unknown = append(unknown, k)
+		}
+		named = append(named, k)
+	}
+	switch {
+	case len(unknown) > 0:
+		return fmt.Errorf("unknown %s key(s) %q (have: %s)", flag, strings.Join(unknown, ","), have)
+	case len(named) == 0 && value != "":
+		// A value of only commas or spaces is a typo, not a request for
+		// the default run.
+		return fmt.Errorf("no campaign selected by %s %q (have: %s)", flag, value, have)
+	}
+	for _, k := range named {
+		want[k] = true
+	}
+	return nil
 }

@@ -3,9 +3,9 @@
 // the simulated testbed, plus the ablations, the pseudo-figures and the
 // streaming tracking campaigns (TrackSpeed, TrackLatency, TrackCapacity)
 // built on internal/track. One registry (Figures, Ablations,
-// TrackCampaigns) lists them: cmd/chronos-bench and cmd/chronos-track
-// run from it, and TestCampaignGolden checks every campaign that does
-// not time the host against testdata/campaigns.json, the values
+// TrackCampaigns) lists them: cmd/chronos-bench runs from it through
+// Select, and TestCampaignGolden checks every campaign that does not
+// time the host against testdata/campaigns.json, the values
 // EXPERIMENTS.md quotes. So the numbers reported everywhere come from a
 // single implementation.
 //

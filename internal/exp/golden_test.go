@@ -13,11 +13,11 @@ import (
 // campaignGolden is the committed JSON of every registered campaign but
 // the wall-clock ones, at seed 1 and default trials: what `chronos-bench
 // -json`, `chronos-bench -fig alias,aliasperf,converge -json`,
-// `chronos-bench -ablate all -json` and `chronos-track -json` print, as
-// one array. Regenerate it with `go test ./internal/exp -run
-// TestCampaignGolden -update` only when a change is meant to move a
-// figure, say so in the change, and update the rows it moved in
-// EXPERIMENTS.md.
+// `chronos-bench -ablate all -json` and `chronos-bench -fig
+// speed,latency,capacity -json` print, as one array. Regenerate it with
+// `go test ./internal/exp -run TestCampaignGolden -update` only when a
+// change is meant to move a figure, say so in the change, and update
+// the rows it moved in EXPERIMENTS.md.
 const campaignGolden = "testdata/campaigns.json"
 
 var update = flag.Bool("update", false, "rewrite "+campaignGolden+" from this build")
@@ -38,7 +38,7 @@ func TestCampaignGolden(t *testing.T) {
 	obs.SetEnabled(false)
 
 	var results []*Result
-	for _, list := range [][]Campaign{Figures, Ablations, TrackCampaigns} {
+	for _, list := range registry {
 		for _, c := range list {
 			if !c.WallClock {
 				results = append(results, c.Run(Options{Seed: 1}))

@@ -11,9 +11,10 @@
 package rf
 
 import (
+	"cmp"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"chronos/internal/detmath"
 )
@@ -33,9 +34,15 @@ type Channel struct {
 // NewChannel returns a channel over the given paths sorted by delay (the
 // direct path first). The input slice is copied.
 func NewChannel(paths []Path) *Channel {
-	ps := append([]Path(nil), paths...)
-	sort.Slice(ps, func(i, j int) bool { return ps[i].Delay < ps[j].Delay })
-	return &Channel{Paths: ps}
+	return newChannel(slices.Clone(paths))
+}
+
+// newChannel sorts paths by delay in place and wraps them. The sort is
+// unstable, and ResponseAt adds the paths in order, so the order it
+// leaves paths of equal delay in is part of every response's bits.
+func newChannel(paths []Path) *Channel {
+	slices.SortFunc(paths, func(a, b Path) int { return cmp.Compare(a.Delay, b.Delay) })
+	return &Channel{Paths: paths}
 }
 
 // Response returns the complex frequency response h(f) = Σ aₖ·e^{−j2πfτₖ}:

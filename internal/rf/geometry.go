@@ -159,7 +159,7 @@ func GenerateChannel(env *Environment, tx, rx Point2, opts PropagationOptions) *
 		paths = append(paths, Path{Delay: (d1 + d2) / c, Gain: gain})
 	}
 
-	ch := NewChannel(paths)
+	ch := newChannel(paths)
 
 	// Prune weak and very late paths (always keep the direct one at
 	// index 0).
