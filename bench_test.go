@@ -153,7 +153,7 @@ func BenchmarkFullToFEstimate(b *testing.B) {
 	}), SNRdB: 28}
 	bands := Bands5GHz()
 	est := NewToFEstimator(ToFConfig{Mode: Bands5GHzOnly, MaxIter: 1000})
-	sweep := link.Sweep(rng, bands, 3, 2.4e-3)
+	sweep := link.Sweep(rng, bands, 3)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := est.Estimate(bands, sweep); err != nil {
@@ -169,7 +169,7 @@ func BenchmarkCSISweep35Bands(b *testing.B) {
 	bands := USBands()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		link.Sweep(rng, bands, 3, 2.4e-3)
+		link.Sweep(rng, bands, 3)
 	}
 }
 

@@ -13,11 +13,11 @@
 //
 // The package's examples walk through ranging (MeasureDistance), §8
 // localization (Localizer.LocateArray), streaming tracking
-// (RunTrackSession, RunTrackSchedule), the localization service
-// (NewService), the §9 drone (DroneTrack) and a sweep's effect on AP
-// traffic (HopSweep), each with its output pinned. cmd/chronos-bench
-// regenerates every figure of the evaluation, and cmd/chronos-svc runs
-// the service as a daemon.
+// (RunTrackSession), the single-anchor capacity schedule and a sweep's
+// effect on AP traffic (HopSweep), the localization service
+// (NewService) and the §9 drone (DroneTrack), each with its output
+// pinned. cmd/chronos-bench regenerates every figure of the evaluation,
+// and cmd/chronos-svc runs the service as a daemon.
 package chronos
 
 import (
@@ -216,13 +216,16 @@ type AntennaPlacement = sim.AntennaPlacement
 // NewOffice generates a floor plan deterministically from rng.
 func NewOffice(rng *rand.Rand) *Office { return sim.NewOffice(rng, sim.OfficeConfig{}) }
 
-// HopConfig tunes the §4 channel-hopping protocol.
-type HopConfig = hop.Config
+// HopSchedule is one run of the §4 hop protocol: its band slots, fixes,
+// airtime and fix-capacity metrics.
+type HopSchedule = hop.Schedule
 
-// HopSweep runs one hop-protocol sweep across bands in virtual time and
-// returns its timing (Fig. 9a measures its duration distribution).
-func HopSweep(rng *rand.Rand, bands []Band, cfg HopConfig) hop.SweepResult {
-	return hop.Sweep(rng, bands, cfg)
+// HopSweep runs the §4 hop protocol's band sweeps in virtual time:
+// sweeps full sweeps for each of devices concurrent devices, served by
+// the anchor's single radio. One device and one sweep is the lone sweep
+// whose duration Fig. 9a measures.
+func HopSweep(rng *rand.Rand, devices, sweeps int) *HopSchedule {
+	return hop.RunSchedule(rng, devices, sweeps)
 }
 
 // DroneTrack runs the §9 personal-drone distance-keeping simulation.
@@ -270,19 +273,6 @@ func RunTrackSession(rng *rand.Rand, office *Office, est *ToFEstimator, cfg Trac
 	return track.RunSession(rng, office, est, cfg)
 }
 
-// TrackSchedulerConfig tunes the multi-client session scheduler.
-type TrackSchedulerConfig = track.SchedulerConfig
-
-// TrackSchedule is one interleaved multi-device schedule with airtime and
-// fix-capacity metrics.
-type TrackSchedule = track.Schedule
-
-// RunTrackSchedule interleaves band-hopping sweeps across N concurrent
-// devices on one virtual timeline.
-func RunTrackSchedule(rng *rand.Rand, cfg TrackSchedulerConfig) *TrackSchedule {
-	return track.RunSchedule(rng, cfg)
-}
-
 // Service is the always-on localization daemon: N worker shards, each
 // exclusively owning the sessions of the devices that hash to it and
 // pacing their sweeps on its own mac.Sim event queue, and the obs layer
@@ -316,7 +306,7 @@ func SetSharedPlanCap(maxPlans int) int { return tof.SetSharedPlanCap(maxPlans) 
 // in meters. calOffset is the pair's calibration constant (0 for
 // uncalibrated hardware-delay-inclusive output).
 func MeasureDistance(rng *rand.Rand, link *Link, est *ToFEstimator, bands []Band, calOffset float64) (float64, error) {
-	sweep := link.Sweep(rng, bands, 3, 2.4e-3)
+	sweep := link.Sweep(rng, bands, 3)
 	r, err := est.Estimate(bands, sweep)
 	if err != nil {
 		return 0, err

@@ -21,7 +21,7 @@ func TestFacadeQuickstartFlow(t *testing.T) {
 	est := NewToFEstimator(ToFConfig{Mode: Bands5GHzOnly, MaxIter: 800})
 
 	// Calibrate once at a known distance, then measure.
-	calSweep := link.Sweep(rng, bands, 3, 2.4e-3)
+	calSweep := link.Sweep(rng, bands, 3)
 	offset, err := CalibrateToF(est, bands, calSweep, 3)
 	if err != nil {
 		t.Fatal(err)
@@ -50,9 +50,9 @@ func TestFacadeOfficeAndHop(t *testing.T) {
 	if len(office.Locations) != 30 {
 		t.Errorf("locations = %d", len(office.Locations))
 	}
-	res := HopSweep(rng, USBands(), HopConfig{})
-	if res.Duration <= 0 || len(res.Visits) < 35 {
-		t.Errorf("hop sweep: %v, %d visits", res.Duration, len(res.Visits))
+	res := HopSweep(rng, 1, 1)
+	if res.Duration <= 0 || len(res.Slots) != 35 {
+		t.Errorf("hop sweep: %v, %d slots", res.Duration, len(res.Slots))
 	}
 }
 
@@ -81,7 +81,7 @@ func TestFacadeTracking(t *testing.T) {
 	}
 	bands := Bands5GHz()
 	est := NewToFEstimator(ToFConfig{Mode: Bands5GHzOnly, MaxIter: 500})
-	sweep := link.Sweep(rng, bands, 2, 2.4e-3)
+	sweep := link.Sweep(rng, bands, 2)
 	acc := est.NewSweep()
 	for i, b := range bands {
 		if err := acc.AddBand(b, sweep[i]); err != nil {
@@ -97,7 +97,7 @@ func TestFacadeTracking(t *testing.T) {
 	if got, ok := tr.Observe(0, 5); !ok || got != 5 {
 		t.Errorf("tracker priming = (%v, %v)", got, ok)
 	}
-	sched := RunTrackSchedule(rng, TrackSchedulerConfig{Devices: 2})
+	sched := HopSweep(rng, 2, 1)
 	if len(sched.Fixes) != 2 || sched.Utilization <= 0 {
 		t.Errorf("schedule: %d fixes, util %v", len(sched.Fixes), sched.Utilization)
 	}
@@ -150,7 +150,7 @@ func TestFacadeStopRuleAndTelemetry(t *testing.T) {
 		SNRdB:   26,
 	}
 	bands := Bands5GHz()
-	sweep := link.Sweep(rng, bands, 3, 2.4e-3)
+	sweep := link.Sweep(rng, bands, 3)
 
 	gap := NewToFEstimator(ToFConfig{Mode: Bands5GHzOnly, MaxIter: 1200, Stop: StopGap})
 	rg, err := gap.Estimate(bands, sweep)

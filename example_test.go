@@ -49,7 +49,7 @@ func ExampleMeasureDistance() {
 
 	// One-time calibration at a known 4.2 m records the constant offset
 	// (hardware chain delays).
-	calSweep := link.Sweep(rng, bands, 3, 2.4e-3)
+	calSweep := link.Sweep(rng, bands, 3)
 	offset, err := chronos.CalibrateToF(est, bands, calSweep, 4.2)
 	if err != nil {
 		log.Fatal(err)
@@ -134,7 +134,7 @@ func ExampleLocalizer_LocateArray() {
 	for trial, target := range targets {
 		nlos := trial%2 == 1
 		place(target, nlos)
-		fix, err := localizer.LocateArray(bands, link.Sweep(rng, bands, 3, 2.4e-3))
+		fix, err := localizer.LocateArray(bands, link.Sweep(rng, bands, 3))
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -202,10 +202,10 @@ func ExampleRunTrackSession() {
 // Interleave band-hopping sweeps across concurrent devices on the
 // single-anchor schedule and watch fix latency stretch: the capacity
 // trade-off of one anchor radio serving many clients.
-func ExampleRunTrackSchedule() {
+func ExampleHopSweep_capacity() {
 	rng := rand.New(rand.NewSource(42))
 	for _, n := range []int{1, 4, 8} {
-		s := chronos.RunTrackSchedule(rng, chronos.TrackSchedulerConfig{Devices: n, SweepsPerDevice: 3})
+		s := chronos.HopSweep(rng, n, 3)
 		fmt.Printf("%d devices: %.2f fixes/s aggregate, %.1f ms fix latency, %.1f%% airtime\n",
 			n, s.FixesPerSecond, s.MeanFixLatency().Seconds()*1000, 100*s.Utilization)
 	}
@@ -323,10 +323,10 @@ func ExampleHopSweep() {
 	rng := rand.New(rand.NewSource(5))
 
 	// How long does one sweep take on this link? Run the hop protocol in
-	// virtual time.
-	sweep := chronos.HopSweep(rng, chronos.USBands(), chronos.HopConfig{})
+	// virtual time: one device, one sweep.
+	sweep := chronos.HopSweep(rng, 1, 1)
 	fmt.Printf("band sweep over %d bands: %.0f ms, %d announce frames, %d fail-safes\n",
-		len(sweep.Visits), sweep.Duration.Seconds()*1000, sweep.Announces, sweep.FailSafes)
+		len(sweep.Slots), sweep.Duration.Seconds()*1000, sweep.Announces, sweep.FailSafes)
 
 	outage := netsim.Outage{Start: 6 * time.Second, Duration: sweep.Duration}
 

@@ -84,16 +84,14 @@ func (l *ArrayLink) measureSet(rng *rand.Rand, ds []Dwell, t float64) []Pair {
 	return pairs
 }
 
-// Sweep runs pairsPerBand measurement sets on every band and returns the
-// per-antenna band sweeps: out[ant][band] is the pair list for that
-// antenna and band, directly consumable by one tof.Estimator per antenna.
-// Each band's chains are rendered once for all of its sets.
-func (l *ArrayLink) Sweep(rng *rand.Rand, bands []wifi.Band, pairsPerBand int, dwell float64) [][][]Pair {
+// Sweep runs pairsPerBand measurement sets on every band, SweepDwell
+// apart, and returns the per-antenna band sweeps: out[ant][band] is the
+// pair list for that antenna and band, directly consumable by one
+// tof.Estimator per antenna. Each band's chains are rendered once for all
+// of its sets.
+func (l *ArrayLink) Sweep(rng *rand.Rand, bands []wifi.Band, pairsPerBand int) [][][]Pair {
 	if pairsPerBand < 1 {
 		pairsPerBand = 1
-	}
-	if dwell == 0 {
-		dwell = 2.4e-3
 	}
 	out := make([][][]Pair, len(l.Channels))
 	for a := range out {
@@ -102,7 +100,7 @@ func (l *ArrayLink) Sweep(rng *rand.Rand, bands []wifi.Band, pairsPerBand int, d
 	var ds []Dwell
 	t := 0.0
 	for bi, b := range bands {
-		step := dwell / float64(pairsPerBand+1)
+		step := SweepDwell / float64(pairsPerBand+1)
 		ds = l.renderDwells(ds, b)
 		for a := range out {
 			out[a][bi] = make([]Pair, pairsPerBand)
@@ -112,7 +110,7 @@ func (l *ArrayLink) Sweep(rng *rand.Rand, bands []wifi.Band, pairsPerBand int, d
 				out[a][bi][p] = pair
 			}
 		}
-		t += dwell
+		t += SweepDwell
 	}
 	return out
 }

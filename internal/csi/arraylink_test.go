@@ -103,15 +103,11 @@ func TestArrayLinkSweepMatchesMeasureSet(t *testing.T) {
 			l.Channels[i] = randomChannel(rng)
 		}
 		sets := 1 + rng.Intn(3)
-		dwell := []float64{0, 3e-3}[rng.Intn(2)]
 		seed := rng.Int63()
 
-		got := l.Sweep(rand.New(rand.NewSource(seed)), bands, sets, dwell)
+		got := l.Sweep(rand.New(rand.NewSource(seed)), bands, sets)
 		setRng, ref := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
-		if dwell == 0 {
-			dwell = 2.4e-3
-		}
-		step := dwell / float64(sets+1)
+		step := SweepDwell / float64(sets+1)
 		at := 0.0
 		for bi, b := range bands {
 			for p := 0; p < sets; p++ {
@@ -124,7 +120,7 @@ func TestArrayLinkSweepMatchesMeasureSet(t *testing.T) {
 					sameMeasurement(t, "Sweep reverse", set[a].Reverse, got[a][bi][p].Reverse)
 				}
 			}
-			at += dwell
+			at += SweepDwell
 		}
 	}
 }
@@ -160,7 +156,7 @@ func TestArrayLinkSweepShape(t *testing.T) {
 		Channels: arrayChannels(8, 0, 1),
 	}
 	bands := wifi.Bands5GHz()
-	sw := l.Sweep(rng, bands, 2, 2e-3)
+	sw := l.Sweep(rng, bands, 2)
 	if len(sw) != 2 {
 		t.Fatalf("antennas = %d", len(sw))
 	}

@@ -235,7 +235,7 @@ func TestSweepShape(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	l := &Link{TX: NewRadio(rng), RX: NewRadio(rng), Channel: singlePathChannel(5)}
 	bands := wifi.USBands()
-	sw := l.Sweep(rng, bands, 3, 2e-3)
+	sw := l.Sweep(rng, bands, 3)
 	if len(sw) != len(bands) {
 		t.Fatalf("sweep bands = %d", len(sw))
 	}
@@ -256,7 +256,7 @@ func TestSweepShape(t *testing.T) {
 func TestSweepDefaults(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	l := &Link{TX: NewRadio(rng), RX: NewRadio(rng), Channel: singlePathChannel(5)}
-	sw := l.Sweep(rng, wifi.USBands()[:2], 0, 0)
+	sw := l.Sweep(rng, wifi.USBands()[:2], 0)
 	if len(sw[0]) != 1 {
 		t.Errorf("default pairsPerBand = %d, want 1", len(sw[0]))
 	}

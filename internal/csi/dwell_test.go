@@ -87,12 +87,12 @@ func TestDwellMatchesPerPacketMeasure(t *testing.T) {
 		pairs := 1 + rng.Intn(3)
 		seed := rng.Int63()
 
-		got := l.Sweep(rand.New(rand.NewSource(seed)), bands, pairs, 2.4e-3)
+		got := l.Sweep(rand.New(rand.NewSource(seed)), bands, pairs)
 		ref := rand.New(rand.NewSource(seed))
-		step := 2.4e-3 / float64(pairs+1)
+		step := SweepDwell / float64(pairs+1)
 		for bi, b := range bands {
 			for p := 0; p < pairs; p++ {
-				want := perPacketPair(ref, l, b, float64(bi)*2.4e-3+float64(p+1)*step)
+				want := perPacketPair(ref, l, b, float64(bi)*SweepDwell+float64(p+1)*step)
 				sameMeasurement(t, "Sweep forward", want.Forward, got[bi][p].Forward)
 				sameMeasurement(t, "Sweep reverse", want.Reverse, got[bi][p].Reverse)
 			}

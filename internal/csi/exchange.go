@@ -81,28 +81,29 @@ func (l *Link) snr() float64 {
 	return l.SNRdB
 }
 
+// SweepDwell is the simulated time, in seconds, a Sweep spends on each
+// band: the 2–3 ms per-band dwell of §4.
+const SweepDwell = 2.4e-3
+
 // Sweep measures pairsPerBand CSI pairs on every band, advancing simulated
-// time by dwell per band (the 2–3 ms per-band dwell of §4). It returns one
-// slice of pairs per band, index-aligned with bands. Each band's dwell is
-// rendered once for all of its pairs.
-func (l *Link) Sweep(rng *rand.Rand, bands []wifi.Band, pairsPerBand int, dwell float64) [][]Pair {
+// time by SweepDwell per band. It returns one slice of pairs per band,
+// index-aligned with bands. Each band's dwell is rendered once for all of
+// its pairs.
+func (l *Link) Sweep(rng *rand.Rand, bands []wifi.Band, pairsPerBand int) [][]Pair {
 	if pairsPerBand < 1 {
 		pairsPerBand = 1
-	}
-	if dwell == 0 {
-		dwell = 2.4e-3
 	}
 	out := make([][]Pair, len(bands))
 	var d Dwell
 	t := 0.0
 	for i, b := range bands {
 		out[i] = make([]Pair, pairsPerBand)
-		step := dwell / float64(pairsPerBand+1)
+		step := SweepDwell / float64(pairsPerBand+1)
 		l.RenderDwell(&d, b)
 		for p := range out[i] {
 			l.MeasureDwellPair(rng, &d, t+float64(p+1)*step, &out[i][p])
 		}
-		t += dwell
+		t += SweepDwell
 	}
 	return out
 }

@@ -43,7 +43,7 @@ func NewPipelineSensor(rng *rand.Rand, env *rf.Environment) (*PipelineSensor, er
 	// Calibration at a marked 2 m spot in the room.
 	a, b := geo.Point{X: 1, Y: 1}, geo.Point{X: 3, Y: 1}
 	s.setChannel(a, b)
-	sweep := s.Link.Sweep(rng, s.Bands, 3, 2.4e-3)
+	sweep := s.Link.Sweep(rng, s.Bands, 3)
 	off, err := tof.Calibrate(s.Est, s.Bands, sweep, a.Dist(b))
 	if err != nil {
 		return nil, err
@@ -62,7 +62,7 @@ func (s *PipelineSensor) setChannel(pos, target geo.Point) {
 // Range implements RangeSensor via a full band sweep and inversion.
 func (s *PipelineSensor) Range(rng *rand.Rand, pos, target geo.Point) float64 {
 	s.setChannel(pos, target)
-	sweep := s.Link.Sweep(rng, s.Bands, pairsPerBand, 2.4e-3)
+	sweep := s.Link.Sweep(rng, s.Bands, pairsPerBand)
 	r, err := s.Est.Estimate(s.Bands, sweep)
 	if err != nil {
 		// A failed sweep (e.g. all bands faded) repeats the last

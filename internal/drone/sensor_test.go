@@ -58,7 +58,7 @@ func TestPipelineSensorFailedSweepRepeatsLastRange(t *testing.T) {
 	pos := geo.Point{X: 1, Y: 2}
 	before := s.Range(rng, pos, geo.Point{X: 3, Y: 2})
 	s.Bands = s.Bands[:2]
-	if _, err := s.Est.Estimate(s.Bands, s.Link.Sweep(rng, s.Bands, pairsPerBand, 2.4e-3)); !errors.Is(err, tof.ErrNoBands) {
+	if _, err := s.Est.Estimate(s.Bands, s.Link.Sweep(rng, s.Bands, pairsPerBand)); !errors.Is(err, tof.ErrNoBands) {
 		t.Fatalf("two-band Estimate: err = %v, want ErrNoBands", err)
 	}
 	if after := s.Range(rng, pos, geo.Point{X: 4.5, Y: 2}); after != before {

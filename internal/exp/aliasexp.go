@@ -39,7 +39,7 @@ func adversarialTrial(_ int, rng *rand.Rand) (float64, bool) {
 	paths := append([]rf.Path{{Delay: direct * 1e-9, Gain: 1}}, extra...)
 	link := &csi.Link{TX: tx, RX: rx, Channel: rf.NewChannel(paths), SNRdB: snr}
 	bands := wifi.Bands5GHz()
-	sweep := link.Sweep(rng, bands, 3, 2.4e-3)
+	sweep := link.Sweep(rng, bands, 3)
 	hw := link.TX.Osc.HWDelayNs + link.RX.Osc.HWDelayNs
 	est := tof.NewEstimator(tof.Config{Mode: tof.Bands5GHzOnly, MaxIter: maxIter})
 	r, err := est.Estimate(bands, sweep)
@@ -135,7 +135,7 @@ func PerfAlias(o Options) *Result {
 				{Delay: (tauNs + 9.5) * 1e-9, Gain: 0.4},
 			})
 			tauNs += sc.speed * sweepDt / wifi.SpeedOfLight * 1e9
-			return link.Sweep(rng, bands, 3, 2.4e-3)
+			return link.Sweep(rng, bands, 3)
 		}, func(s int, rc, rw *tof.Estimate) {
 			coldAlias = append(coldAlias, float64(rc.AliasWork))
 			if s > 0 { // the first warm sweep has nothing to warm from

@@ -75,7 +75,7 @@ func PerfConverge(o Options) *Result {
 			var coldWork, warmWork, errs []float64
 			solves, capped := 0, 0
 			twinStreams(tof.NewEstimator(cfg), bands, o.Trials, func() [][]csi.Pair {
-				return link.Sweep(rng, bands, 3, 2.4e-3)
+				return link.Sweep(rng, bands, 3)
 			}, func(s int, rc, rw *tof.Estimate) {
 				coldWork = append(coldWork, float64(rc.Work))
 				errs = append(errs, math.Abs(rc.ToF*1e9-tauNs-hw))
@@ -153,7 +153,7 @@ func PerfConverge(o Options) *Result {
 		var dMax float64
 		est := tof.NewEstimator(tof.Config{Mode: tof.Bands5GHzOnly, MaxIter: 1200})
 		twinStreams(est, bands, o.Trials, func() [][]csi.Pair {
-			return link.Sweep(rng, bands, 3, 2.4e-3)
+			return link.Sweep(rng, bands, 3)
 		}, func(s int, rc, rw *tof.Estimate) {
 			if d := math.Abs(rc.ToF-rw.ToF) * 1e9; d > dMax {
 				dMax = d

@@ -128,14 +128,14 @@ func runToFCampaign(o Options, campaignID string, office *sim.Office, cfg tof.Co
 		// placement (LOS, mid-range).
 		calP := office.RandomPlacement(rng, 8, false)
 		link.Channel = office.Channel(calP, 5.5e9)
-		calSweep := link.Sweep(rng, bands, 3, 2.4e-3)
+		calSweep := link.Sweep(rng, bands, 3)
 		offset, err := tof.Calibrate(est, bands, calSweep, calP.TrueDistance())
 		if err != nil {
 			return tofTrial{}, false
 		}
 
 		link.Channel = office.Channel(p, 5.5e9)
-		sweep := link.Sweep(rng, bands, 3, 2.4e-3)
+		sweep := link.Sweep(rng, bands, 3)
 		r, err := est.Estimate(bands, sweep)
 		if err != nil {
 			return tofTrial{}, false

@@ -61,7 +61,7 @@ func locCampaign(o Options, campaignID string, office *sim.Office, sep float64, 
 			}
 		}
 		place(target, nlos)
-		fix, err := localizer.LocateArray(bands, link.Sweep(rng, bands, 3, 2.4e-3))
+		fix, err := localizer.LocateArray(bands, link.Sweep(rng, bands, 3))
 		if err != nil {
 			return 0, false
 		}

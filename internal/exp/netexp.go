@@ -8,7 +8,6 @@ import (
 	"chronos/internal/hop"
 	"chronos/internal/netsim"
 	"chronos/internal/stats"
-	"chronos/internal/wifi"
 )
 
 // Fig9a reproduces the band-sweep duration CDF (paper: median 84 ms over
@@ -16,7 +15,7 @@ import (
 func Fig9a(o Options) *Result {
 	o = o.withDefaults(30)
 	ms := runTrials(o, "fig9a", o.Trials, func(t int, rng *rand.Rand) (float64, bool) {
-		return hop.Sweep(rng, wifi.USBands(), hop.Config{}).Duration.Seconds() * 1000, true
+		return hop.RunSchedule(rng, 1, 1).Duration.Seconds() * 1000, true
 	})
 	res := &Result{
 		ID:     "fig9a",
@@ -37,7 +36,7 @@ func Fig9a(o Options) *Result {
 // t = 6 s pauses the download but the playout buffer prevents any stall.
 func Fig9b(o Options) *Result {
 	o = o.withDefaults(1)
-	sweep := hop.Sweep(trialRNG(o, "fig9b", 0), wifi.USBands(), hop.Config{})
+	sweep := hop.RunSchedule(trialRNG(o, "fig9b", 0), 1, 1)
 	outage := netsim.Outage{Start: 6 * time.Second, Duration: sweep.Duration}
 	tr := netsim.Video(netsim.VideoConfig{}, 12*time.Second, []netsim.Outage{outage})
 
@@ -77,7 +76,7 @@ func indexAt(samples []netsim.Sample, at time.Duration) int {
 func Fig9c(o Options) *Result {
 	o = o.withDefaults(1)
 	rng := trialRNG(o, "fig9c", 0)
-	sweep := hop.Sweep(rng, wifi.USBands(), hop.Config{})
+	sweep := hop.RunSchedule(rng, 1, 1)
 	outage := netsim.Outage{Start: 6 * time.Second, Duration: sweep.Duration}
 	samples := netsim.TCPTrace(rng, netsim.TCPConfig{}, 15*time.Second, time.Second, []netsim.Outage{outage})
 

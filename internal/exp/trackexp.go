@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"sort"
 
+	"chronos/internal/hop"
 	"chronos/internal/stats"
 	"chronos/internal/tof"
 	"chronos/internal/track"
@@ -153,7 +154,7 @@ func TrackLatency(o Options) *Result {
 	return res
 }
 
-// TrackCapacity measures the multi-client scheduler: aggregate fix
+// TrackCapacity measures the multi-client schedule: aggregate fix
 // throughput, per-device fix latency and anchor airtime utilization as
 // the number of concurrently tracked devices grows. It runs the protocol
 // schedule alone; TrackSpeed measures the tracking error of real fixes.
@@ -169,8 +170,8 @@ func TrackCapacity(o Options) *Result {
 	res.Metrics = map[string]float64{}
 	for _, n := range deviceCounts {
 		campaign := fmt.Sprintf("track-capacity/n%d", n)
-		runs := runTrials(o, campaign, o.Trials, func(t int, rng *rand.Rand) (*track.Schedule, bool) {
-			return track.RunSchedule(rng, track.SchedulerConfig{Devices: n, SweepsPerDevice: 3}), true
+		runs := runTrials(o, campaign, o.Trials, func(t int, rng *rand.Rand) (*hop.Schedule, bool) {
+			return hop.RunSchedule(rng, n, 3), true
 		})
 		var fps, lats, utils []float64
 		for _, s := range runs {

@@ -6,8 +6,11 @@
 // retransmitted after a timeout, and both sides fall back to the default
 // band if a band stays silent too long — the paper's fail-safe.
 //
-// The sweep duration distribution this produces is Fig. 9a (median
-// ≈84 ms over 35 bands).
+// RunSchedule is the one driver of whole sweeps: devices × sweeps over
+// all 35 U.S. bands through the anchor's single radio. One device and
+// one sweep is the Fig. 9a sweep (median ≈84 ms); more devices are the
+// capacity campaign. The streaming session (internal/track) drives a
+// Hopper band by band itself, on the same timing.
 package hop
 
 import (
@@ -15,98 +18,47 @@ import (
 	"time"
 
 	"chronos/internal/mac"
-	"chronos/internal/obs"
-	"chronos/internal/wifi"
 )
 
-// Config tunes protocol timing. Defaults reproduce the paper's per-band
-// budget: 35 bands in a median of ≈84 ms.
-type Config struct {
+// Protocol timing. It reproduces the paper's per-band budget: 35 bands
+// in a median of ≈84 ms.
+const (
 	// Dwell is the time spent exchanging CSI packets on each band before
-	// the hop announcement (default 1.1 ms — a handful of packet/ACK
-	// pairs at microsecond airtimes).
-	Dwell time.Duration
-	// SwitchTime is the radio retune latency after deciding to hop
-	// (default 1.15 ms, the dominant per-band cost on the Intel 5300).
-	SwitchTime time.Duration
-	// SwitchJitter adds uniform random retune spread (default 0.2 ms).
-	SwitchJitter time.Duration
-	// AckTimeout is the announce retransmission timeout (default 300 µs).
-	AckTimeout time.Duration
-	// MaxRetries bounds announce retransmissions before the fail-safe
-	// aborts the band (default 8).
-	MaxRetries int
-	// FailSafe is the silence window after which both radios revert to
-	// the default band (default 20 ms).
-	FailSafe time.Duration
-	// LossProb is the control-frame loss probability (default 0.02).
-	LossProb float64
-	// Latency is the one-way control-frame delay (default 60 µs:
-	// DIFS + airtime + kernel path, per §11's hrtimer implementation).
-	Latency time.Duration
-}
-
-func (c Config) withDefaults() Config {
-	if c.Dwell == 0 {
-		c.Dwell = 1100 * time.Microsecond
-	}
-	if c.SwitchTime == 0 {
-		c.SwitchTime = 1150 * time.Microsecond
-	}
-	if c.SwitchJitter == 0 {
-		c.SwitchJitter = 200 * time.Microsecond
-	}
-	if c.AckTimeout == 0 {
-		c.AckTimeout = 300 * time.Microsecond
-	}
-	if c.MaxRetries == 0 {
-		c.MaxRetries = 8
-	}
-	if c.FailSafe == 0 {
-		c.FailSafe = 20 * time.Millisecond
-	}
-	if c.LossProb == 0 {
-		c.LossProb = 0.02
-	}
-	if c.Latency == 0 {
-		c.Latency = 60 * time.Microsecond
-	}
-	return c
-}
-
-// BandVisit records the protocol's stay on one band.
-type BandVisit struct {
-	Band      wifi.Band
-	Enter     time.Duration // virtual time both sides were on the band
-	Leave     time.Duration // virtual time the transmitter left
-	Retries   int           // announce retransmissions needed to move on
-	FailSafed bool          // band abandoned via the fail-safe timer
-}
-
-// SweepResult summarizes one full sweep across all bands.
-type SweepResult struct {
-	Duration  time.Duration
-	Visits    []BandVisit
-	Announces int // total announce frames sent (incl. retransmissions)
-	FailSafes int
-	// RevertTime is the total virtual time lost to fail-safe reverts: the
-	// silence window plus the retune back to the default band before the
-	// announcement restarts there.
-	RevertTime time.Duration
-}
+	// the hop announcement: a handful of packet/ACK pairs at microsecond
+	// airtimes.
+	Dwell = 1100 * time.Microsecond
+	// switchTime is the radio retune latency after deciding to hop, the
+	// dominant per-band cost on the Intel 5300.
+	switchTime = 1150 * time.Microsecond
+	// switchJitter is the uniform random spread added to each retune.
+	switchJitter = 200 * time.Microsecond
+	// ackTimeout is the announce retransmission timeout.
+	ackTimeout = 300 * time.Microsecond
+	// maxRetries bounds announce retransmissions before the fail-safe
+	// aborts the band.
+	maxRetries = 8
+	// failSafe is the silence window after which both radios revert to
+	// the default band.
+	failSafe = 20 * time.Millisecond
+	// lossProb is the control-frame loss probability.
+	lossProb = 0.02
+	// latency is the one-way control-frame delay: DIFS + airtime +
+	// kernel path, per §11's hrtimer implementation.
+	latency = 60 * time.Microsecond
+)
 
 // Hopper drives the transmitter-side hop state machine for one device
 // pair on an externally owned simulator, so several pairs can interleave
-// their hops on one virtual timeline (internal/track's multi-client
-// scheduler) while Sweep remains the single-pair convenience wrapper.
+// their hops on one virtual timeline (RunSchedule) and a streaming
+// session can hop between its own band captures.
 //
 // A Hopper is bound to its simulator and RNG and is not safe for
 // concurrent use; interleaving is achieved by event ordering on the
 // shared Sim, never by goroutines.
 type Hopper struct {
-	Sim  *mac.Sim
-	Rng  *rand.Rand
-	Cfg  Config // effective (defaulted) configuration
+	Sim *mac.Sim
+	Rng *rand.Rand
+	// Link carries the announce and ack frames.
 	Link *mac.Link
 
 	// Counters accumulate across every Hop on this pair.
@@ -116,23 +68,22 @@ type Hopper struct {
 }
 
 // NewHopper builds a hop driver for one device pair on sim.
-func NewHopper(sim *mac.Sim, rng *rand.Rand, cfg Config) *Hopper {
-	cfg = cfg.withDefaults()
+func NewHopper(sim *mac.Sim, rng *rand.Rand) *Hopper {
 	return &Hopper{
-		Sim: sim, Rng: rng, Cfg: cfg,
-		Link: &mac.Link{Sim: sim, Latency: cfg.Latency, Rng: rng, LossProb: cfg.LossProb},
+		Sim: sim, Rng: rng,
+		Link: &mac.Link{Sim: sim, Latency: latency, Rng: rng, LossProb: lossProb},
 	}
 }
 
-// SwitchDelay draws one radio retune time (base switch time plus
-// jitter). Exported so schedulers layering on the Hopper charge retunes
-// from the same model the hop protocol uses.
-func (h *Hopper) SwitchDelay() time.Duration {
-	return h.Cfg.SwitchTime + time.Duration(h.Rng.Int63n(int64(h.Cfg.SwitchJitter)+1))
+// switchDelay draws one radio retune time (base switch time plus
+// jitter). The anchor's retune between devices (RunSchedule) draws from
+// the same model.
+func (h *Hopper) switchDelay() time.Duration {
+	return switchTime + time.Duration(h.Rng.Int63n(int64(switchJitter)+1))
 }
 
 // hopState is the Hop-scoped state shared across announce rounds: an ack
-// that lands after its round already timed out (AckTimeout shorter than
+// that lands after its round already timed out (ackTimeout shorter than
 // the ack round trip) must still complete the hop exactly once, silence
 // every outstanding retry timer, and call off a pending fail-safe revert.
 type hopState struct {
@@ -149,13 +100,12 @@ func (h *Hopper) Hop(done func(retries, failsafes int)) { h.hop(0, 0, &hopState{
 
 // hop runs one announce round.
 func (h *Hopper) hop(retries, failsafes int, st *hopState, done func(retries, failsafes int)) {
-	cfg := h.Cfg
-	if retries > cfg.MaxRetries {
+	if retries > maxRetries {
 		// Fail-safe: after a silent window both radios revert to the
 		// default band (one retune) and the transmitter restarts the hop
 		// announcement from there. Counters are charged when the revert
 		// actually happens — a late in-flight ack cancels it.
-		revert := cfg.FailSafe + h.SwitchDelay()
+		revert := failSafe + h.switchDelay()
 		st.revert = h.Sim.Schedule(revert, func() {
 			st.revert = nil
 			h.FailSafes++
@@ -169,8 +119,8 @@ func (h *Hopper) hop(retries, failsafes int, st *hopState, done func(retries, fa
 	h.Announces++
 	obsAnnounces.Inc()
 	// Announce → receiver; receiver ACKs → transmitter.
-	h.Link.Send(mac.Frame{Kind: "announce", Payload: 28}, func(mac.Frame) {
-		h.Link.Send(mac.Frame{Kind: "ack", Payload: 14}, func(mac.Frame) {
+	h.Link.Send(func() {
+		h.Link.Send(func() {
 			if st.acked {
 				return
 			}
@@ -179,67 +129,13 @@ func (h *Hopper) hop(retries, failsafes int, st *hopState, done func(retries, fa
 			obsHops.Inc()
 			obsRetries.Add(int64(retries))
 			// Both sides retune; the slower radio gates band entry.
-			h.Sim.Schedule(h.SwitchDelay(), func() { done(retries, failsafes) })
+			h.Sim.Schedule(h.switchDelay(), func() { done(retries, failsafes) })
 		})
 	})
 	// Retransmit on silence.
-	h.Sim.Schedule(cfg.AckTimeout, func() {
+	h.Sim.Schedule(ackTimeout, func() {
 		if !st.acked {
 			h.hop(retries+1, failsafes, st, done)
 		}
 	})
-}
-
-// Sweep runs the hop protocol across bands once and returns its timing.
-// All randomness (losses, jitter) is drawn from rng.
-func Sweep(rng *rand.Rand, bands []wifi.Band, cfg Config) SweepResult {
-	cfg = cfg.withDefaults()
-	sim := mac.NewSim()
-	h := NewHopper(sim, rng, cfg)
-
-	res := SweepResult{}
-	var visitBand func(i int)
-	visitBand = func(i int) {
-		res.Visits = append(res.Visits, BandVisit{Band: bands[i], Enter: sim.Now()})
-		// Exchange CSI packets for the dwell, then move on.
-		sim.Schedule(cfg.Dwell, func() {
-			v := &res.Visits[len(res.Visits)-1]
-			v.Leave = sim.Now()
-			if i+1 < len(bands) {
-				h.Hop(func(retries, failsafes int) {
-					v.Retries = retries
-					if failsafes > 0 {
-						v.FailSafed = true
-					}
-					visitBand(i + 1)
-				})
-			}
-		})
-	}
-
-	// The sweep starts with both radios already on band 0.
-	visitBand(0)
-	sim.RunAll()
-	res.Duration = sim.Now()
-	res.Announces = h.Announces
-	res.FailSafes = h.FailSafes
-	res.RevertTime = h.RevertTime
-	if obs.Enabled() {
-		for i := range res.Visits {
-			v := &res.Visits[i]
-			obsDwellNs.Observe(float64(v.Leave - v.Enter))
-		}
-		obsSweepNs.Observe(float64(res.Duration))
-	}
-	return res
-}
-
-// SweepDurations runs n independent sweeps and returns their durations in
-// seconds — the sample behind the Fig. 9a CDF.
-func SweepDurations(rng *rand.Rand, bands []wifi.Band, cfg Config, n int) []float64 {
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = Sweep(rng, bands, cfg).Duration.Seconds()
-	}
-	return out
 }

@@ -19,8 +19,9 @@ var (
 	// obsRevertNs totals virtual time lost to fail-safe reverts.
 	obsRevertNs = obs.NewCounter("hop.revert_ns")
 	// obsDwellNs is per-band occupancy (virtual ns from band entry to
-	// leave) across sweeps.
+	// leave) of every RunSchedule dwell.
 	obsDwellNs = obs.NewHist("hop.band_dwell_ns")
-	// obsSweepNs is full-sweep duration in virtual nanoseconds.
+	// obsSweepNs is each completed sweep's duration, first dwell to fix,
+	// in virtual nanoseconds.
 	obsSweepNs = obs.NewHist("hop.sweep_duration_ns")
 )

@@ -1,39 +1,12 @@
-package track
+package hop
 
 import (
 	"math/rand"
 	"time"
 
-	"chronos/internal/hop"
 	"chronos/internal/mac"
 	"chronos/internal/wifi"
 )
-
-// SchedulerConfig tunes the multi-client session scheduler.
-type SchedulerConfig struct {
-	// Hop carries the per-band protocol timing (dwell, switch, timeouts).
-	Hop hop.Config
-	// Bands is the sweep plan per device (default: all 35 U.S. bands).
-	Bands []wifi.Band
-	// Devices is the number of concurrent tracked devices (default 1).
-	Devices int
-	// SweepsPerDevice is how many full sweeps each device completes
-	// before the schedule ends (default 1).
-	SweepsPerDevice int
-}
-
-func (c SchedulerConfig) withDefaults() SchedulerConfig {
-	if c.Bands == nil {
-		c.Bands = wifi.USBands()
-	}
-	if c.Devices == 0 {
-		c.Devices = 1
-	}
-	if c.SweepsPerDevice == 0 {
-		c.SweepsPerDevice = 1
-	}
-	return c
-}
 
 // Slot is one device's stay on one band within the interleaved schedule.
 type Slot struct {
@@ -64,7 +37,10 @@ type Schedule struct {
 	FixesPerSecond float64
 	Announces      int
 	FailSafes      int
-	RevertTime     time.Duration
+	// RevertTime is the total virtual time lost to fail-safe reverts: the
+	// silence window plus the retune back to the default band before the
+	// announcement restarts there.
+	RevertTime time.Duration
 }
 
 // MeanFixLatency averages the per-sweep fix latency across all fixes.
@@ -79,37 +55,48 @@ func (s *Schedule) MeanFixLatency() time.Duration {
 	return sum / time.Duration(len(s.Fixes))
 }
 
-// RunSchedule interleaves band-hopping sweeps across N concurrent devices
-// on one virtual timeline. The anchor (AP) has a single radio, so slots
-// serialize through it: each round-robin turn serves one device for one
-// band dwell, then hops that device pair to its next band; turning to a
-// different device costs the anchor a retune onto that device's current
-// band. With one device the schedule degenerates to hop.Sweep's timing.
+// RunSchedule runs sweeps full sweeps over the 35 U.S. bands for each of
+// devices concurrent devices on one virtual timeline. The anchor (AP)
+// has a single radio, so slots serialize through it: each round-robin
+// turn serves one device for one band dwell, then hops that device pair
+// to its next band; turning to a different device costs the anchor a
+// retune onto that device's current band. One device and one sweep is
+// the lone sweep of Fig. 9a. A count below one runs nothing.
 //
 // All randomness (losses, jitter) is drawn from rng, and execution is
 // strictly sequential on the simulator, so a seed reproduces the schedule
 // exactly regardless of where it runs.
-func RunSchedule(rng *rand.Rand, cfg SchedulerConfig) *Schedule {
-	cfg = cfg.withDefaults()
-	sim := mac.NewSim()
-	hoppers := make([]*hop.Hopper, cfg.Devices)
-	for i := range hoppers {
-		hoppers[i] = hop.NewHopper(sim, rng, cfg.Hop)
+func RunSchedule(rng *rand.Rand, devices, sweeps int) *Schedule {
+	if devices < 1 || sweeps < 1 {
+		return &Schedule{}
 	}
-	hcfg := hoppers[0].Cfg
+	sim := mac.NewSim()
+	hoppers := make([]*Hopper, devices)
+	for i := range hoppers {
+		hoppers[i] = NewHopper(sim, rng)
+	}
+	return runSchedule(hoppers, sweeps)
+}
+
+// runSchedule is RunSchedule's driver over prebuilt hoppers, one per
+// device, all on one simulator.
+func runSchedule(hoppers []*Hopper, sweeps int) *Schedule {
+	sim := hoppers[0].Sim
+	bands := wifi.USBands()
+	devices := len(hoppers)
 
 	res := &Schedule{}
-	pos := make([]int, cfg.Devices)    // next band index in the current sweep
-	sweeps := make([]int, cfg.Devices) // completed sweeps
-	sweepStart := make([]time.Duration, cfg.Devices)
+	pos := make([]int, devices)       // next band index in the current sweep
+	completed := make([]int, devices) // completed sweeps
+	sweepStart := make([]time.Duration, devices)
 	var totalDwell time.Duration
 	lastDevice := -1
 
 	// next picks the following unfinished device in round-robin order.
 	next := func(after int) int {
-		for k := 1; k <= cfg.Devices; k++ {
-			d := (after + k) % cfg.Devices
-			if sweeps[d] < cfg.SweepsPerDevice {
+		for k := 1; k <= devices; k++ {
+			d := (after + k) % devices
+			if completed[d] < sweeps {
 				return d
 			}
 		}
@@ -128,16 +115,19 @@ func RunSchedule(rng *rand.Rand, cfg SchedulerConfig) *Schedule {
 			sweepStart[d] = sim.Now()
 		}
 		start := sim.Now()
-		sim.Schedule(hcfg.Dwell, func() {
-			totalDwell += hcfg.Dwell
-			res.Slots = append(res.Slots, Slot{Device: d, Band: cfg.Bands[pos[d]], Start: start, End: sim.Now()})
+		sim.Schedule(Dwell, func() {
+			totalDwell += Dwell
+			res.Slots = append(res.Slots, Slot{Device: d, Band: bands[pos[d]], Start: start, End: sim.Now()})
+			obsDwellNs.Observe(float64(sim.Now() - start))
 			pos[d]++
-			if pos[d] == len(cfg.Bands) {
-				res.Fixes = append(res.Fixes, FixEvent{Device: d, At: sim.Now(), Latency: sim.Now() - sweepStart[d]})
-				sweeps[d]++
+			if pos[d] == len(bands) {
+				fix := FixEvent{Device: d, At: sim.Now(), Latency: sim.Now() - sweepStart[d]}
+				res.Fixes = append(res.Fixes, fix)
+				obsSweepNs.Observe(float64(fix.Latency))
+				completed[d]++
 				pos[d] = 0
 			}
-			if sweeps[d] < cfg.SweepsPerDevice {
+			if completed[d] < sweeps {
 				// Hop this pair to its next band (or back to the first
 				// band for its next sweep) before the anchor turns away.
 				hoppers[d].Hop(func(retries, failsafes int) { advance(d) })
@@ -150,7 +140,7 @@ func RunSchedule(rng *rand.Rand, cfg SchedulerConfig) *Schedule {
 		if lastDevice != d && lastDevice >= 0 {
 			// The anchor retunes onto this device's current band, at the
 			// same retune cost the hop protocol charges.
-			sim.Schedule(hoppers[d].SwitchDelay(), func() { dwell(d) })
+			sim.Schedule(hoppers[d].switchDelay(), func() { dwell(d) })
 			return
 		}
 		dwell(d)

@@ -1,35 +1,15 @@
-package track
+package hop
 
 import (
 	"math/rand"
 	"testing"
-	"time"
 
-	"chronos/internal/hop"
+	"chronos/internal/obs"
 	"chronos/internal/wifi"
 )
 
-func TestScheduleSingleDeviceMatchesHopSweep(t *testing.T) {
-	// With one device the scheduler must reproduce hop.Sweep's shape: one
-	// dwell per band and a duration in the Fig. 9a neighborhood.
-	s := RunSchedule(rand.New(rand.NewSource(1)), SchedulerConfig{})
-	if len(s.Fixes) != 1 {
-		t.Fatalf("fixes = %d, want 1", len(s.Fixes))
-	}
-	if len(s.Slots) != len(wifi.USBands()) {
-		t.Errorf("slots = %d, want %d", len(s.Slots), len(wifi.USBands()))
-	}
-	if d := s.Duration; d < 60*time.Millisecond || d > 130*time.Millisecond {
-		t.Errorf("single-device sweep = %v, want ≈84 ms", d)
-	}
-	if s.Utilization <= 0 || s.Utilization >= 1 {
-		t.Errorf("utilization = %v, want in (0,1)", s.Utilization)
-	}
-}
-
 func TestScheduleCompletesAllSweeps(t *testing.T) {
-	cfg := SchedulerConfig{Devices: 4, SweepsPerDevice: 3, Bands: wifi.USBands()[:10]}
-	s := RunSchedule(rand.New(rand.NewSource(2)), cfg)
+	s := RunSchedule(rand.New(rand.NewSource(2)), 4, 3)
 	if len(s.Fixes) != 4*3 {
 		t.Fatalf("fixes = %d, want 12", len(s.Fixes))
 	}
@@ -42,16 +22,21 @@ func TestScheduleCompletesAllSweeps(t *testing.T) {
 			t.Errorf("device %d completed %d sweeps, want 3", d, got)
 		}
 	}
-	if len(s.Slots) != 4*3*10 {
-		t.Errorf("slots = %d, want 120", len(s.Slots))
+	if want := 4 * 3 * len(wifi.USBands()); len(s.Slots) != want {
+		t.Errorf("slots = %d, want %d", len(s.Slots), want)
+	}
+	// A count below one runs nothing.
+	for _, c := range [][2]int{{0, 3}, {4, 0}, {-1, -1}} {
+		if s := RunSchedule(rand.New(rand.NewSource(2)), c[0], c[1]); len(s.Slots) != 0 || s.Duration != 0 || s.MeanFixLatency() != 0 {
+			t.Errorf("RunSchedule(%d devices, %d sweeps) ran %d slots over %v", c[0], c[1], len(s.Slots), s.Duration)
+		}
 	}
 }
 
 // TestScheduleSlotsSerialize pins the single-anchor-radio invariant: the
 // timeline never overlaps two slots.
 func TestScheduleSlotsSerialize(t *testing.T) {
-	cfg := SchedulerConfig{Devices: 3, SweepsPerDevice: 2, Bands: wifi.USBands()[:8]}
-	s := RunSchedule(rand.New(rand.NewSource(3)), cfg)
+	s := RunSchedule(rand.New(rand.NewSource(3)), 3, 2)
 	for i := 1; i < len(s.Slots); i++ {
 		if s.Slots[i].Start < s.Slots[i-1].End {
 			t.Fatalf("slot %d starts (%v) before slot %d ends (%v)",
@@ -65,9 +50,8 @@ func TestScheduleSlotsSerialize(t *testing.T) {
 // latency but higher aggregate fix throughput than a lone device would
 // leave idle.
 func TestScheduleContentionStretchesLatency(t *testing.T) {
-	bands := wifi.USBands()[:12]
-	one := RunSchedule(rand.New(rand.NewSource(4)), SchedulerConfig{Devices: 1, SweepsPerDevice: 4, Bands: bands})
-	eight := RunSchedule(rand.New(rand.NewSource(4)), SchedulerConfig{Devices: 8, SweepsPerDevice: 4, Bands: bands})
+	one := RunSchedule(rand.New(rand.NewSource(4)), 1, 4)
+	eight := RunSchedule(rand.New(rand.NewSource(4)), 8, 4)
 	if eight.MeanFixLatency() <= one.MeanFixLatency() {
 		t.Errorf("8-device fix latency (%v) not above single-device (%v)",
 			eight.MeanFixLatency(), one.MeanFixLatency())
@@ -86,9 +70,8 @@ func TestScheduleContentionStretchesLatency(t *testing.T) {
 }
 
 func TestScheduleDeterministicPerSeed(t *testing.T) {
-	cfg := SchedulerConfig{Devices: 5, SweepsPerDevice: 2, Bands: wifi.USBands()[:6]}
-	a := RunSchedule(rand.New(rand.NewSource(7)), cfg)
-	b := RunSchedule(rand.New(rand.NewSource(7)), cfg)
+	a := RunSchedule(rand.New(rand.NewSource(7)), 5, 2)
+	b := RunSchedule(rand.New(rand.NewSource(7)), 5, 2)
 	if a.Duration != b.Duration || len(a.Slots) != len(b.Slots) || a.Announces != b.Announces {
 		t.Error("same seed produced different schedules")
 	}
@@ -100,17 +83,34 @@ func TestScheduleDeterministicPerSeed(t *testing.T) {
 }
 
 // TestScheduleLossyLinkStillCompletes drives the fail-safe path through
-// the scheduler: heavy control-frame loss must not wedge the rotation.
+// the schedule: heavy control-frame loss must not wedge the rotation.
 func TestScheduleLossyLinkStillCompletes(t *testing.T) {
-	cfg := SchedulerConfig{
-		Devices: 3, SweepsPerDevice: 2, Bands: wifi.USBands()[:6],
-		Hop: hop.Config{LossProb: 0.7, MaxRetries: 2},
-	}
-	s := RunSchedule(rand.New(rand.NewSource(8)), cfg)
+	s := runSchedule(lossyHoppers(rand.New(rand.NewSource(8)), 3, 0.7), 2)
 	if len(s.Fixes) != 6 {
 		t.Fatalf("fixes = %d, want 6 despite losses", len(s.Fixes))
 	}
 	if s.FailSafes == 0 || s.RevertTime == 0 {
 		t.Errorf("expected fail-safes at 70%% loss: failsafes=%d revert=%v", s.FailSafes, s.RevertTime)
+	}
+}
+
+// TestScheduleRecordsHistograms pins what the schedule books: one
+// hop.band_dwell_ns sample per dwell and one hop.sweep_duration_ns
+// sample, the fix latency, per completed sweep.
+func TestScheduleRecordsHistograms(t *testing.T) {
+	obs.Reset()
+	obs.SetEnabled(true)
+	defer func() { obs.SetEnabled(false); obs.Reset() }()
+	s := RunSchedule(rand.New(rand.NewSource(9)), 2, 3)
+	h := obs.Capture().Hists
+	if got := h["hop.band_dwell_ns"]; got.Count != int64(len(s.Slots)) || got.Min != float64(Dwell) || got.Max != float64(Dwell) {
+		t.Errorf("band dwell hist: %d samples in [%v, %v], want %d of %v", got.Count, got.Min, got.Max, len(s.Slots), float64(Dwell))
+	}
+	var longest float64
+	for _, f := range s.Fixes {
+		longest = max(longest, float64(f.Latency))
+	}
+	if got := h["hop.sweep_duration_ns"]; got.Count != int64(len(s.Fixes)) || got.Max != longest {
+		t.Errorf("sweep duration hist: count %d max %v, want %d samples up to %v", got.Count, got.Max, len(s.Fixes), longest)
 	}
 }

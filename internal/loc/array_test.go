@@ -61,7 +61,7 @@ func TestLocateArrayAccuracy(t *testing.T) {
 	good := 0
 	for _, target := range targets {
 		r.place(target, rxCenter, false)
-		fix, err := localizer.LocateArray(bands, r.link.Sweep(rng, bands, 3, 2.4e-3))
+		fix, err := localizer.LocateArray(bands, r.link.Sweep(rng, bands, 3))
 		if err != nil {
 			t.Fatalf("target %v: %v", target, err)
 		}
@@ -97,7 +97,7 @@ func TestLocateArrayDistancesTrackTruth(t *testing.T) {
 
 	target := geo.Point{X: 13, Y: 11}
 	r.place(target, rxCenter, false)
-	fix, err := localizer.LocateArray(bands, r.link.Sweep(rng, bands, 3, 2.4e-3))
+	fix, err := localizer.LocateArray(bands, r.link.Sweep(rng, bands, 3))
 	if err != nil {
 		t.Fatal(err)
 	}

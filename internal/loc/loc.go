@@ -134,7 +134,7 @@ func (l *Localizer) CalibrateArray(rng *rand.Rand, bands []wifi.Band, link *csi.
 	if len(trueDist) != len(l.Estimators) || len(link.Channels) != len(l.Estimators) {
 		return errors.New("loc: calibration inputs do not match antenna count")
 	}
-	sweeps := link.Sweep(rng, bands, pairsPerBand, 2.4e-3)
+	sweeps := link.Sweep(rng, bands, pairsPerBand)
 	for i := range l.Estimators {
 		off, err := tof.Calibrate(l.Estimators[i], bands, sweeps[i], trueDist[i])
 		if err != nil {

@@ -54,7 +54,7 @@ func (r *rig) place(txPos, rxCenter geo.Point, nlos bool) {
 func (r *rig) sweeps(rng *rand.Rand, bands []wifi.Band, pairs int) [][][]csi.Pair {
 	out := make([][][]csi.Pair, len(r.links))
 	for i, l := range r.links {
-		out[i] = l.Sweep(rng, bands, pairs, 2.4e-3)
+		out[i] = l.Sweep(rng, bands, pairs)
 	}
 	return out
 }
@@ -70,7 +70,7 @@ func calibratedLocalizer(t *testing.T, rng *rand.Rand, r *rig, bands []wifi.Band
 		trueDist[i] = txPos.Dist(ant)
 	}
 	for i, link := range r.links {
-		sweep := link.Sweep(rng, bands, 3, 2.4e-3)
+		sweep := link.Sweep(rng, bands, 3)
 		off, err := tof.Calibrate(loc.Estimators[i], bands, sweep, trueDist[i])
 		if err != nil {
 			t.Fatal(err)

@@ -145,34 +145,20 @@ func (s *Sim) Next() (time.Duration, bool) {
 }
 
 // Link is a half-duplex lossy link between two stations. Delivery takes
-// Latency plus the frame's airtime; each frame independently drops with
-// probability LossProb.
+// Latency; each frame independently drops with probability LossProb.
 type Link struct {
 	Sim      *Sim
 	Latency  time.Duration // propagation + processing latency
-	Rate     float64       // bits per second (for airtime); 0 = instantaneous
 	LossProb float64
 	Rng      *rand.Rand
 }
 
-// Frame is an opaque message with a size used to compute airtime.
-type Frame struct {
-	Kind    string
-	Payload int // bytes, for airtime
-	Data    any
-}
-
-// Send delivers frame to the receiver callback after the link delay, or
-// drops it. It reports whether the frame was put on the air (always true;
-// loss happens silently at the receiver, as in a real radio).
-func (l *Link) Send(f Frame, deliver func(Frame)) {
-	airtime := time.Duration(0)
-	if l.Rate > 0 {
-		airtime = time.Duration(float64(f.Payload*8) / l.Rate * float64(time.Second))
-	}
-	total := l.Latency + airtime
+// Send delivers a frame to the receiver callback after Latency, or drops
+// it. Loss happens silently at the receiver, as in a real radio: the
+// sender learns of it only by the missing reply.
+func (l *Link) Send(deliver func()) {
 	if l.Rng != nil && l.Rng.Float64() < l.LossProb {
 		return // lost in flight: receiver never sees it
 	}
-	l.Sim.Schedule(total, func() { deliver(f) })
+	l.Sim.Schedule(l.Latency, deliver)
 }

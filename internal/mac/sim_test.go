@@ -156,25 +156,34 @@ func TestNegativeDelay(t *testing.T) {
 
 func TestLinkDeliveryTiming(t *testing.T) {
 	s := NewSim()
-	l := &Link{Sim: s, Latency: 10 * time.Microsecond, Rate: 1e6} // 1 Mbps
+	l := &Link{Sim: s, Latency: 10 * time.Microsecond}
 	var at time.Duration
-	l.Send(Frame{Kind: "x", Payload: 125}, func(Frame) { at = s.Now() })
+	l.Send(func() { at = s.Now() })
 	s.RunAll()
-	// 125 bytes at 1 Mbps = 1 ms airtime + 10 µs latency.
-	want := time.Millisecond + 10*time.Microsecond
-	if at != want {
+	if want := 10 * time.Microsecond; at != want {
 		t.Errorf("delivered at %v, want %v", at, want)
 	}
 }
 
+// TestLinkZeroRateInstantaneous pins that the link has no airtime model:
+// frames sent back to back at one instant take no time on the air, so
+// none waits behind another and each lands exactly Latency after its send.
 func TestLinkZeroRateInstantaneous(t *testing.T) {
 	s := NewSim()
+	s.Run(5 * time.Millisecond) // send from a later clock
 	l := &Link{Sim: s, Latency: time.Microsecond}
-	var at time.Duration
-	l.Send(Frame{Payload: 1500}, func(Frame) { at = s.Now() })
+	var at []time.Duration
+	for i := 0; i < 3; i++ {
+		l.Send(func() { at = append(at, s.Now()) })
+	}
 	s.RunAll()
-	if at != time.Microsecond {
-		t.Errorf("delivered at %v", at)
+	if len(at) != 3 {
+		t.Fatalf("delivered %d frames, want 3", len(at))
+	}
+	for i, got := range at {
+		if want := 5*time.Millisecond + time.Microsecond; got != want {
+			t.Errorf("frame %d delivered at %v, want %v", i, got, want)
+		}
 	}
 }
 
@@ -184,7 +193,7 @@ func TestLinkLossRate(t *testing.T) {
 	delivered := 0
 	n := 10000
 	for i := 0; i < n; i++ {
-		l.Send(Frame{}, func(Frame) { delivered++ })
+		l.Send(func() { delivered++ })
 	}
 	s.RunAll()
 	got := float64(delivered) / float64(n)
@@ -197,7 +206,7 @@ func TestLinkNoRngNeverDrops(t *testing.T) {
 	s := NewSim()
 	l := &Link{Sim: s, LossProb: 1.0} // no Rng → loss disabled
 	delivered := 0
-	l.Send(Frame{}, func(Frame) { delivered++ })
+	l.Send(func() { delivered++ })
 	s.RunAll()
 	if delivered != 1 {
 		t.Error("frame dropped without an Rng")

@@ -138,8 +138,8 @@ type Daemon struct {
 	stopCh   chan struct{}
 	wg       sync.WaitGroup
 
-	// results retains every drained retirement; shards publish onto
-	// their own lock-free stacks and Results() merges them here.
+	// results holds every retirement by ID; shards write it under resMu,
+	// once per device lifetime.
 	resMu   sync.Mutex
 	results map[uint64]*DeviceResult
 }
@@ -226,26 +226,13 @@ func (d *Daemon) send(c shardCmd, accepted *obs.Counter) error {
 	}
 }
 
-// Results snapshots the retired devices by ID: it drains every shard's
-// retirement stack into the retained map (in each shard's publish
-// order, so a duplicate ID's later retirement wins exactly as the old
-// single-map scheme behaved) and returns a copy. Complete only after
-// Quiesce (finite fleets) or Drain.
+// Results snapshots the retired devices by ID and returns a copy. A
+// device's retirements all happen on its owning shard, in order, so a
+// duplicate ID's later retirement wins. Complete only after Quiesce
+// (finite fleets) or Drain.
 func (d *Daemon) Results() map[uint64]*DeviceResult {
 	d.resMu.Lock()
 	defer d.resMu.Unlock()
-	for _, s := range d.shards {
-		// The stack pops newest-first; a device's retirements all land
-		// on its owning shard's stack, so reversing restores their
-		// publish order before the map merge.
-		var list []*DeviceResult
-		for n := s.retired.Swap(nil); n != nil; n = n.next {
-			list = append(list, n.r)
-		}
-		for i := len(list) - 1; i >= 0; i-- {
-			d.results[list[i].ID] = list[i]
-		}
-	}
 	out := make(map[uint64]*DeviceResult, len(d.results))
 	for k, v := range d.results {
 		out[k] = v
@@ -369,17 +356,6 @@ type shard struct {
 	compMu   sync.Mutex
 	comps    []*sweepToken
 	compWake chan struct{}
-
-	// retired is the shard's lock-free retirement stack (Treiber);
-	// Results() drains it. Publishing here instead of a daemon-wide
-	// mutexed map keeps retirement off the cross-shard lock.
-	retired atomic.Pointer[retNode]
-}
-
-// retNode is one link of a shard's retirement stack.
-type retNode struct {
-	r    *DeviceResult
-	next *retNode
 }
 
 func newShard(d *Daemon, id int) *shard {
@@ -393,17 +369,12 @@ func newShard(d *Daemon, id int) *shard {
 	}
 }
 
-// retire publishes a finished device onto the shard's retirement stack.
-// Called from the shard goroutine only; Results() swaps the stack out.
+// retire records a finished device in the daemon's results. Called from
+// the shard goroutine only.
 func (s *shard) retire(r *DeviceResult) {
-	n := &retNode{r: r}
-	for {
-		old := s.retired.Load()
-		n.next = old
-		if s.retired.CompareAndSwap(old, n) {
-			break
-		}
-	}
+	s.d.resMu.Lock()
+	s.d.results[r.ID] = r
+	s.d.resMu.Unlock()
 	obsRetired.Inc()
 }
 

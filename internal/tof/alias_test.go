@@ -55,7 +55,7 @@ func (sc ghostScenario) measure() (bands []wifi.Band, sweep [][]csi.Pair, trueNs
 	link := testLink(rng, sc.direct, sc.extra, false)
 	link.SNRdB = sc.snr
 	bands = wifi.Bands5GHz()
-	sweep = link.Sweep(rng, bands, 3, 2.4e-3)
+	sweep = link.Sweep(rng, bands, 3)
 	return bands, sweep, sc.direct + link.TX.Osc.HWDelayNs + link.RX.Osc.HWDelayNs
 }
 
@@ -130,7 +130,7 @@ func TestAliasFamilyMatchesVertexOnCleanLinks(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		link := testLink(rng, 10+float64(seed)*3, []rf.Path{{Delay: 30e-9, Gain: 0.5}}, false)
-		sweep := link.Sweep(rng, bands, 3, 2.4e-3)
+		sweep := link.Sweep(rng, bands, 3)
 		r, err := NewEstimator(Config{Mode: Bands5GHzOnly, MaxIter: 1000}).Estimate(bands, sweep)
 		if err != nil {
 			t.Fatal(err)
@@ -162,7 +162,7 @@ func TestAliasWarmRefitCost(t *testing.T) {
 
 	var coldAlias, warmAlias []int64
 	for s := 0; s < 6; s++ {
-		sweep := link.Sweep(rng, bands, 3, 2.4e-3)
+		sweep := link.Sweep(rng, bands, 3)
 		for i, b := range bands {
 			if err := cold.AddBand(b, sweep[i]); err != nil {
 				t.Fatal(err)
@@ -223,7 +223,7 @@ func TestTranslateWarmKeepsSeedsProfitable(t *testing.T) {
 				{Delay: tau * 1e-9, Gain: 1},
 				{Delay: (tau + 4.2) * 1e-9, Gain: 0.6},
 			})
-			sweep := link.Sweep(rng, bands, 3, 2.4e-3)
+			sweep := link.Sweep(rng, bands, 3)
 			for i, b := range bands {
 				if err := acc.AddBand(b, sweep[i]); err != nil {
 					t.Fatal(err)
@@ -397,7 +397,7 @@ func TestCollidingFamiliesKeepWarm(t *testing.T) {
 
 	var coldWork, warmWork int64
 	for s := 0; s < 6; s++ {
-		sweep := link.Sweep(rng, bands, 3, 2.4e-3)
+		sweep := link.Sweep(rng, bands, 3)
 		for i, b := range bands {
 			if err := cold.AddBand(b, sweep[i]); err != nil {
 				t.Fatal(err)
@@ -466,9 +466,9 @@ func TestContestedPlacementResolves(t *testing.T) {
 	// The trial calibrates at a second placement first; draw that sweep
 	// too, so the measured sweep below is the trial's own.
 	link.Channel = office.Channel(office.RandomPlacement(rng, 8, false), 5.5e9)
-	link.Sweep(rng, bands, 3, 2.4e-3)
+	link.Sweep(rng, bands, 3)
 	link.Channel = office.Channel(p, 5.5e9)
-	sweep := link.Sweep(rng, bands, 3, 2.4e-3)
+	sweep := link.Sweep(rng, bands, 3)
 	trueNs := p.TrueToF()*1e9 + link.TX.Osc.HWDelayNs + link.RX.Osc.HWDelayNs
 
 	obs.SetEnabled(true)
@@ -503,7 +503,7 @@ func TestResolveAtMostOncePerEstimate(t *testing.T) {
 	defer obs.SetEnabled(false)
 	start := obsAliasResolves.Value()
 	for i := 0; i < 8; i++ {
-		sweep := link.Sweep(rng, bands, 3, 2.4e-3)
+		sweep := link.Sweep(rng, bands, 3)
 		s.Reset()
 		for j, b := range bands {
 			if err := s.AddBand(b, sweep[j]); err != nil {

@@ -22,7 +22,7 @@ func TestEstimateAlphaFactorRuns(t *testing.T) {
 	bands := wifi.Bands5GHz()
 	for _, f := range []float64{0.3, 3} {
 		est := calibrated(t, Config{Mode: Bands5GHzOnly, MaxIter: 800, AlphaFactor: f}, link, rng, bands)
-		sweep := link.Sweep(rng, bands, 3, 2.4e-3)
+		sweep := link.Sweep(rng, bands, 3)
 		got, err := est.Estimate(bands, sweep)
 		if err != nil {
 			t.Fatalf("alpha factor %v: %v", f, err)
@@ -42,7 +42,7 @@ func TestEstimateAliasNearZeroCandidate(t *testing.T) {
 	link := testLink(rng, 26, nil, false)
 	bands := wifi.Bands5GHz()
 	est := calibrated(t, Config{Mode: Bands5GHzOnly, MaxIter: 1200}, link, rng, bands)
-	sweep := link.Sweep(rng, bands, 3, 2.4e-3)
+	sweep := link.Sweep(rng, bands, 3)
 	got, err := est.Estimate(bands, sweep)
 	if err != nil {
 		t.Fatal(err)

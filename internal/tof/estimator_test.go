@@ -28,7 +28,7 @@ func testLink(rng *rand.Rand, directNs float64, extraPaths []rf.Path, quirk bool
 func calibrated(t *testing.T, cfg Config, link *csi.Link, rng *rand.Rand, bands []wifi.Band) *Estimator {
 	t.Helper()
 	est := NewEstimator(cfg)
-	sweep := link.Sweep(rng, bands, 3, 2.4e-3)
+	sweep := link.Sweep(rng, bands, 3)
 	trueDist := link.Channel.DirectDelay() * wifi.SpeedOfLight
 	off, err := Calibrate(est, bands, sweep, trueDist)
 	if err != nil {
@@ -44,7 +44,7 @@ func TestEstimateSinglePath5GHz(t *testing.T) {
 	bands := wifi.Bands5GHz()
 	est := calibrated(t, Config{Mode: Bands5GHzOnly, MaxIter: 800}, link, rng, bands)
 
-	sweep := link.Sweep(rng, bands, 3, 2.4e-3)
+	sweep := link.Sweep(rng, bands, 3)
 	got, err := est.Estimate(bands, sweep)
 	if err != nil {
 		t.Fatal(err)
@@ -69,7 +69,7 @@ func TestEstimateMultipath5GHz(t *testing.T) {
 
 	var errs []float64
 	for trial := 0; trial < 5; trial++ {
-		sweep := link.Sweep(rng, bands, 3, 2.4e-3)
+		sweep := link.Sweep(rng, bands, 3)
 		got, err := est.Estimate(bands, sweep)
 		if err != nil {
 			t.Fatal(err)
@@ -94,7 +94,7 @@ func TestEstimateFusedWithQuirk(t *testing.T) {
 	bands := wifi.USBands()
 	est := calibrated(t, Config{Mode: BandsFused, Quirk24: true, MaxIter: 1200}, link, rng, bands)
 
-	sweep := link.Sweep(rng, bands, 3, 2.4e-3)
+	sweep := link.Sweep(rng, bands, 3)
 	got, err := est.Estimate(bands, sweep)
 	if err != nil {
 		t.Fatal(err)
@@ -111,7 +111,7 @@ func TestEstimateAllCoherentQuirkFree(t *testing.T) {
 	bands := wifi.USBands()
 	est := calibrated(t, Config{Mode: BandsAllCoherent, MaxIter: 1200}, link, rng, bands)
 
-	sweep := link.Sweep(rng, bands, 3, 2.4e-3)
+	sweep := link.Sweep(rng, bands, 3)
 	got, err := est.Estimate(bands, sweep)
 	if err != nil {
 		t.Fatal(err)
@@ -126,7 +126,7 @@ func TestEstimateAllCoherentRejectsQuirk(t *testing.T) {
 	link := testLink(rng, 9, nil, true)
 	bands := wifi.USBands()
 	est := NewEstimator(Config{Mode: BandsAllCoherent, Quirk24: true})
-	sweep := link.Sweep(rng, bands, 1, 2.4e-3)
+	sweep := link.Sweep(rng, bands, 1)
 	if _, err := est.Estimate(bands, sweep); err == nil {
 		t.Error("BandsAllCoherent accepted quirked radios")
 	}
@@ -155,7 +155,7 @@ func TestEstimateProfilePeaksReported(t *testing.T) {
 	bands := wifi.Bands5GHz()
 	est := calibrated(t, Config{Mode: Bands5GHzOnly, MaxIter: 1200}, link, rng, bands)
 
-	sweep := link.Sweep(rng, bands, 3, 2.4e-3)
+	sweep := link.Sweep(rng, bands, 3)
 	got, err := est.Estimate(bands, sweep)
 	if err != nil {
 		t.Fatal(err)
@@ -185,7 +185,7 @@ func TestCalibrationRemovesHardwareOffset(t *testing.T) {
 
 	// Uncalibrated: the chain delays bias the estimate.
 	est := NewEstimator(Config{Mode: Bands5GHzOnly, MaxIter: 800})
-	sweep := link.Sweep(rng, bands, 3, 2.4e-3)
+	sweep := link.Sweep(rng, bands, 3)
 	raw, err := est.Estimate(bands, sweep)
 	if err != nil {
 		t.Fatal(err)
@@ -199,7 +199,7 @@ func TestCalibrationRemovesHardwareOffset(t *testing.T) {
 
 	// Calibrated at a known distance, the bias disappears.
 	cal := calibrated(t, Config{Mode: Bands5GHzOnly, MaxIter: 800}, link, rng, bands)
-	sweep2 := link.Sweep(rng, bands, 3, 2.4e-3)
+	sweep2 := link.Sweep(rng, bands, 3)
 	got, err := cal.Estimate(bands, sweep2)
 	if err != nil {
 		t.Fatal(err)
@@ -219,8 +219,8 @@ func TestCalibrateSharesEstimator(t *testing.T) {
 	bands := wifi.Bands5GHz()
 	const offset = 1.5e-9
 	est := NewEstimator(Config{Mode: Bands5GHzOnly, MaxIter: 400, CalibrationOffset: offset})
-	calSweep := link.Sweep(rng, bands, 2, 2.4e-3)
-	sweep := link.Sweep(rng, bands, 2, 2.4e-3)
+	calSweep := link.Sweep(rng, bands, 2)
+	sweep := link.Sweep(rng, bands, 2)
 	trueDist := link.Channel.DirectDelay() * wifi.SpeedOfLight
 	wantOff, err := Calibrate(est, bands, calSweep, trueDist)
 	if err != nil {
@@ -261,7 +261,7 @@ func TestEstimateNeverNegative(t *testing.T) {
 	bands := wifi.Bands5GHz()
 	est := calibrated(t, Config{Mode: Bands5GHzOnly, MaxIter: 800}, link, rng, bands)
 	for trial := 0; trial < 3; trial++ {
-		sweep := link.Sweep(rng, bands, 3, 2.4e-3)
+		sweep := link.Sweep(rng, bands, 3)
 		got, err := est.Estimate(bands, sweep)
 		if err != nil {
 			t.Fatal(err)
@@ -289,7 +289,7 @@ func TestFusedPrimaryTieGoesToLowerPower(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	office := sim.NewOffice(rng, sim.OfficeConfig{})
 	link := office.NewLink(rng, office.RandomPlacement(rng, 15, false), sim.LinkConfig{Quirk: true})
-	sweep := link.Sweep(rng, bands, 3, 2.4e-3)
+	sweep := link.Sweep(rng, bands, 3)
 	est := NewEstimator(Config{Mode: BandsFused, Quirk24: true, MaxIter: 1200})
 	var first *Estimate
 	for i := 0; i < 40; i++ {
@@ -337,7 +337,7 @@ func TestEstimateScaleInvariant(t *testing.T) {
 	}
 	for n := 0; n < 12; n++ {
 		link := office.NewLink(rng, office.RandomPlacement(rng, 15, n%3 == 2), sim.LinkConfig{Quirk: true})
-		sweep := link.Sweep(rng, bands, 3, 2.4e-3)
+		sweep := link.Sweep(rng, bands, 3)
 		want, err := est.Estimate(bands, sweep)
 		if err != nil {
 			t.Fatal(err)

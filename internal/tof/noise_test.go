@@ -97,7 +97,7 @@ func TestEstimateNoiseFloorTracksSNR(t *testing.T) {
 		link := testLink(rng, 20, []rf.Path{{Delay: 24.2e-9, Gain: 0.6}}, false)
 		link.SNRdB = snr
 		est := NewEstimator(Config{Mode: Bands5GHzOnly, MaxIter: 1200})
-		r, err := est.Estimate(bands, link.Sweep(rng, bands, 3, 2.4e-3))
+		r, err := est.Estimate(bands, link.Sweep(rng, bands, 3))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -141,7 +141,7 @@ func TestEstimateSinglePairNoiseFallback(t *testing.T) {
 		link := testLink(rng, 18, []rf.Path{{Delay: 25e-9, Gain: 0.5}}, false)
 		link.SNRdB = snr
 		est := NewEstimator(Config{Mode: Bands5GHzOnly, MaxIter: 1500})
-		r, err := est.Estimate(bands, link.Sweep(rng, bands, 1, 2.4e-3))
+		r, err := est.Estimate(bands, link.Sweep(rng, bands, 1))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -160,7 +160,7 @@ func TestEstimateSinglePairNoiseFallback(t *testing.T) {
 	link := testLink(rng, 18, []rf.Path{{Delay: 25e-9, Gain: 0.5}}, false)
 	link.SNRdB = 26
 	est := NewEstimator(Config{Mode: Bands5GHzOnly, MaxIter: 1500})
-	r3, err := est.Estimate(bands, link.Sweep(rng, bands, 3, 2.4e-3))
+	r3, err := est.Estimate(bands, link.Sweep(rng, bands, 3))
 	if err != nil {
 		t.Fatal(err)
 	}

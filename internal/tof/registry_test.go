@@ -43,7 +43,7 @@ func TestPlanRegistryConcurrentSingleBuild(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	link := testLink(rng, 9, nil, false)
 	bands := wifi.Bands5GHz()
-	sweep := link.Sweep(rng, bands, 2, 2.4e-3)
+	sweep := link.Sweep(rng, bands, 2)
 
 	reg := newPlanRegistry(0)
 	cfg := Config{Mode: Bands5GHzOnly, MaxIter: 600}.withDefaults()
@@ -116,7 +116,7 @@ func TestSweepWarmStartEquivalence(t *testing.T) {
 	warm.SetWarmStart(true)
 
 	for cycle := 0; cycle < 3; cycle++ {
-		sweep := link.Sweep(rng, bands, 2, 2.4e-3)
+		sweep := link.Sweep(rng, bands, 2)
 		for i, b := range bands {
 			if err := cold.AddBand(b, sweep[i]); err != nil {
 				t.Fatal(err)

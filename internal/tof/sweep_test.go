@@ -20,7 +20,7 @@ func TestSweepIncrementalMatchesBatch(t *testing.T) {
 	link := testLink(rng, 12, nil, true)
 	bands := wifi.USBands()
 	est := NewEstimator(Config{Mode: BandsFused, Quirk24: true, MaxIter: 600})
-	sweep := link.Sweep(rng, bands, 3, 2.4e-3)
+	sweep := link.Sweep(rng, bands, 3)
 
 	batch, err := est.Estimate(bands, sweep)
 	if err != nil {
@@ -52,7 +52,7 @@ func TestSweepEarlyFix(t *testing.T) {
 	bands := wifi.Bands5GHz()
 	est := calibrated(t, Config{Mode: Bands5GHzOnly, MaxIter: 800}, link, rng, bands)
 
-	sweep := link.Sweep(rng, bands, 3, 2.4e-3)
+	sweep := link.Sweep(rng, bands, 3)
 	acc := est.NewSweep()
 	var earlyToF float64
 	for i, b := range bands {
@@ -124,7 +124,7 @@ func TestSweepReset(t *testing.T) {
 
 	acc := est.NewSweep()
 	for cycle := 0; cycle < 2; cycle++ {
-		sweep := link.Sweep(rng, bands, 2, 2.4e-3)
+		sweep := link.Sweep(rng, bands, 2)
 		for i, b := range bands {
 			if err := acc.AddBand(b, sweep[i]); err != nil {
 				t.Fatal(err)
@@ -156,7 +156,7 @@ func TestAddBandDropsNonFiniteBand(t *testing.T) {
 	office := sim.NewOffice(rng, sim.OfficeConfig{})
 	link := office.NewLink(rng, office.RandomPlacement(rng, 10, false), sim.LinkConfig{Quirk: true})
 	bands := wifi.USBands()
-	sweep := link.Sweep(rng, bands, 3, 2.4e-3)
+	sweep := link.Sweep(rng, bands, 3)
 	est := NewEstimator(Config{Mode: BandsFused, Quirk24: true, MaxIter: 1200})
 
 	obs.SetEnabled(true)
@@ -207,7 +207,7 @@ func TestAddBandSteadyStateAllocsNothing(t *testing.T) {
 	office := sim.NewOffice(rng, sim.OfficeConfig{})
 	link := office.NewLink(rng, office.RandomPlacement(rng, 10, false), sim.LinkConfig{Quirk: true})
 	bands := wifi.USBands()
-	sweep := link.Sweep(rng, bands, 3, 2.4e-3)
+	sweep := link.Sweep(rng, bands, 3)
 	s := NewEstimator(Config{Mode: BandsFused, Quirk24: true}).NewSweep()
 	fold := func() {
 		s.Reset()
@@ -239,7 +239,7 @@ func TestWarmEstimateSteadyStateAllocs(t *testing.T) {
 	office := sim.NewOffice(rng, sim.OfficeConfig{})
 	link := office.NewLink(rng, office.RandomPlacement(rng, 10, false), sim.LinkConfig{Quirk: true})
 	bands := wifi.USBands()
-	sweep := link.Sweep(rng, bands, 2, 2.4e-3)
+	sweep := link.Sweep(rng, bands, 2)
 	s := NewEstimator(Config{Mode: BandsFused, Quirk24: true}).NewSweep()
 	s.SetWarmStart(true)
 	for i, b := range bands {

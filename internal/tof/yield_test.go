@@ -22,7 +22,7 @@ func TestEstimatorYieldIdentical(t *testing.T) {
 	cfg := Config{Mode: BandsFused, Quirk24: true, MaxIter: 1200}
 	link := func(rng *rand.Rand, directNs float64) func() [][]csi.Pair {
 		l := testLink(rng, directNs, []rf.Path{{Delay: (directNs + 6) * 1e-9, Gain: 0.5}}, true)
-		return func() [][]csi.Pair { return l.Sweep(rng, bands, 3, 2.4e-3) }
+		return func() [][]csi.Pair { return l.Sweep(rng, bands, 3) }
 	}
 	fill := func(s *Sweep, sweep [][]csi.Pair) {
 		s.Reset()

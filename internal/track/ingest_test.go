@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"chronos/internal/csi"
+	"chronos/internal/hop"
 	"chronos/internal/sim"
 )
 
@@ -21,7 +22,7 @@ func ingestPerPacket(t *testing.T, s *Session) {
 		pl := sim.Placement{TX: s.anchor, RX: pos, NLOS: s.cfg.NLOS}
 		s.link.Channel = s.office.Channel(pl, 5.5e9)
 		s.link.SNRdB = sim.LinkSNR(0, pl.TrueDistance(), s.cfg.NLOS)
-		step := s.hcfg.Dwell.Seconds() / float64(pairsPerBand+1)
+		step := hop.Dwell.Seconds() / float64(pairsPerBand+1)
 		pairs := make([]csi.Pair, pairsPerBand)
 		for pi := range pairs {
 			at := s.msim.Now().Seconds() + float64(float64(pi+1)*step)
@@ -30,7 +31,7 @@ func ingestPerPacket(t *testing.T, s *Session) {
 			opts.Time, opts.TX = at+28e-6, s.link.RX
 			pairs[pi].Reverse = s.link.TX.Measure(s.rng, s.link.Channel, b, opts)
 		}
-		s.msim.Run(s.msim.Now() + s.hcfg.Dwell)
+		s.msim.Run(s.msim.Now() + hop.Dwell)
 		if err := s.acc.AddBand(b, pairs); err != nil {
 			t.Fatal(err)
 		}

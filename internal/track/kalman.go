@@ -1,16 +1,18 @@
-// Package track is the streaming multi-device tracking subsystem: it
-// turns the per-sweep position/range fixes of the batch pipeline into
-// continuous trajectories. Three layers compose:
+// Package track is the streaming tracking subsystem: it turns the
+// per-sweep range fixes of the batch pipeline into continuous
+// trajectories. Two parts compose:
 //
-//  1. the incremental estimator core (tof.Sweep) folds CSI in band by
-//     band as the hop protocol delivers it, so a fix is ready the moment
-//     the last band lands — with a degraded early fix available before;
+//  1. the session (Session, RunSession) hops band by band with a
+//     hop.Hopper on its own virtual-time simulator while the incremental
+//     estimator core (tof.Sweep) folds each band's CSI in, so a fix is
+//     ready the moment the last band lands — with a degraded early fix
+//     available before;
 //  2. a per-device constant-velocity Kalman filter (RangeTracker)
 //     smooths successive range fixes and gates out the profile-ghost
-//     outliers of §12.1's CDF tail;
-//  3. a multi-client session scheduler interleaves band-hopping sweeps
-//     across N concurrent devices on the mac/hop virtual-time substrate
-//     and reports aggregate airtime and fix capacity.
+//     outliers of §12.1's CDF tail.
+//
+// Many devices sharing one anchor radio are internal/hop's schedule
+// (hop.RunSchedule); the chronos-svc daemon steps many sessions at once.
 //
 // # Concurrency contract
 //

@@ -29,7 +29,6 @@ const walkRoom = 10.0
 // Kalman pipeline, sweep after sweep, on the hop protocol's virtual
 // timeline.
 type SessionConfig struct {
-	Hop hop.Config
 	// Speed is the target's walking speed in m/s; 0 pins the target for
 	// a static baseline.
 	Speed float64
@@ -132,7 +131,6 @@ type Session struct {
 
 	msim    *mac.Sim
 	hopper  *hop.Hopper
-	hcfg    hop.Config
 	tracker *RangeTracker
 	acc     *tof.Sweep
 
@@ -191,7 +189,7 @@ func NewSession(rng *rand.Rand, office *sim.Office, est *tof.Estimator, cfg Sess
 	calP := office.RandomPlacement(rng, 8, false)
 	s.link.Channel = office.Channel(calP, 5.5e9)
 	s.link.SNRdB = sim.LinkSNR(0, calP.TrueDistance(), false)
-	calSweep := s.link.Sweep(rng, s.bands, 3, 2.4e-3)
+	calSweep := s.link.Sweep(rng, s.bands, 3)
 	offset, err := tof.Calibrate(est, s.bands, calSweep, calP.TrueDistance())
 	if err != nil {
 		return nil, err
@@ -199,8 +197,7 @@ func NewSession(rng *rand.Rand, office *sim.Office, est *tof.Estimator, cfg Sess
 	s.offset = offset
 
 	s.msim = mac.NewSim()
-	s.hopper = hop.NewHopper(s.msim, rng, cfg.Hop)
-	s.hcfg = s.hopper.Cfg
+	s.hopper = hop.NewHopper(s.msim, rng)
 	s.tracker = NewRangeTracker()
 	s.acc = est.NewSweep()
 	s.acc.SetWarmStart(cfg.WarmStart)
@@ -288,12 +285,12 @@ func (s *Session) StepIngest() error {
 
 		// The channel holds still for the dwell: render it once for
 		// every pair (the fold keeps no reference to the pairs).
-		step := s.hcfg.Dwell.Seconds() / float64(pairsPerBand+1)
+		step := hop.Dwell.Seconds() / float64(pairsPerBand+1)
 		s.link.RenderDwell(&s.dwell, b)
 		for pi := range s.pairs {
 			s.link.MeasureDwellPair(s.rng, &s.dwell, s.msim.Now().Seconds()+float64(float64(pi+1)*step), &s.pairs[pi])
 		}
-		s.msim.Run(s.msim.Now() + s.hcfg.Dwell)
+		s.msim.Run(s.msim.Now() + hop.Dwell)
 		if err := s.acc.AddBand(b, s.pairs); err != nil {
 			return err
 		}

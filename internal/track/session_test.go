@@ -5,9 +5,13 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+	"time"
 
+	"chronos/internal/hop"
 	"chronos/internal/sim"
+	"chronos/internal/stats"
 	"chronos/internal/tof"
+	"chronos/internal/wifi"
 )
 
 // sessionFixture builds the office and a cheap estimator config shared by
@@ -55,6 +59,48 @@ func TestSessionStreamsFixes(t *testing.T) {
 	}
 	if res.Duration <= 0 {
 		t.Error("no virtual time elapsed")
+	}
+}
+
+// TestScheduleSingleDeviceMatchesHopSweep checks that the two drivers of
+// the hop timing agree. A session hops band by band itself, so one
+// device's sweep over all 35 bands must take what hop.RunSchedule's lone
+// sweep takes: one fix per sweep, one dwell per band, and a sweep time
+// in the Fig. 9a neighborhood (≈84 ms) within 10% of the schedule's.
+func TestScheduleSingleDeviceMatchesHopSweep(t *testing.T) {
+	office := sim.NewOffice(rand.New(rand.NewSource(42)), sim.OfficeConfig{})
+	est := tof.NewEstimator(tof.Config{MaxIter: 400})
+	res, err := RunSession(rand.New(rand.NewSource(1)), office, est, SessionConfig{Sweeps: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Fixes) == 0 || len(res.Fixes) > 3 {
+		t.Fatalf("fixes = %d, want one per sweep (3)", len(res.Fixes))
+	}
+
+	rng := rand.New(rand.NewSource(1))
+	durs := make([]float64, 25)
+	for i := range durs {
+		s := hop.RunSchedule(rng, 1, 1)
+		if len(s.Fixes) != 1 {
+			t.Fatalf("lone schedule fixes = %d, want 1", len(s.Fixes))
+		}
+		durs[i] = s.Duration.Seconds()
+	}
+	med := stats.Median(durs)
+
+	capture := time.Duration(len(wifi.USBands())) * hop.Dwell
+	for i, f := range res.Fixes {
+		d := f.Latency.Seconds()
+		if d < 0.060 || d > 0.130 {
+			t.Errorf("fix %d: session sweep = %v, want ≈84 ms", i, f.Latency)
+		}
+		if math.Abs(d-med) > 0.10*med {
+			t.Errorf("fix %d: session sweep = %v, lone schedule median = %.1f ms", i, f.Latency, med*1000)
+		}
+		if u := capture.Seconds() / d; u <= 0 || u >= 1 {
+			t.Errorf("fix %d: capture utilization = %v, want in (0,1)", i, u)
+		}
 	}
 }
 
