@@ -281,7 +281,8 @@ func RunTrackSession(rng *rand.Rand, office *Office, est *ToFEstimator, cfg Trac
 type Service = svc.Daemon
 
 // ServiceConfig tunes a service daemon (shard count, virtual vs wall
-// time, and the optional solve pool with latency/bulk classes).
+// time, and the size of the solve pool that runs every sweep's solve
+// with latency/bulk classes).
 type ServiceConfig = svc.Config
 
 // ServiceDeviceConfig describes one device attached to the service: a

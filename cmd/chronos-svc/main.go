@@ -2,14 +2,12 @@
 // shards continuously tracking every attached device through the full
 // Chronos pipeline, with the internal/obs layer as the management
 // surface. A shard ingests and tracks each of its devices' sweeps
-// itself; the solve in between runs on the shard too, or with -pipeline
-// on a shared solve pool where latency-class solves dequeue first and a
-// running bulk solve runs waiting latency solves inline at its gap
-// checks.
+// itself; the solve in between runs on a shared solve pool, one worker
+// per CPU, where latency-class solves dequeue first and a running bulk
+// solve runs waiting latency solves inline at its gap checks.
 //
 //	chronos-svc                          # 4 shards, synthetic demo fleet, wall time
 //	chronos-svc -shards 8 -devices 16    # latency-class fleet size
-//	chronos-svc -pipeline                # solves on a shared pool with latency/bulk classes
 //	chronos-svc -bulk-devices 24         # bulk-class devices (yield to latency class)
 //	chronos-svc -virtual                 # virtual time (as fast as the host allows)
 //	chronos-svc -metrics :6060           # REQUIRED for observability: /metrics + pprof
@@ -46,7 +44,6 @@ func main() {
 	shards := flag.Int("shards", 4, "worker-shard count (devices hash to shards by ID)")
 	devices := flag.Int("devices", 4, "latency-class devices in the synthetic fleet")
 	bulkDevices := flag.Int("bulk-devices", 0, "bulk-class devices in the synthetic fleet")
-	pipeline := flag.Bool("pipeline", false, "solve sweeps on a shared solve pool with latency/bulk classes (ingest and track stay on the shards)")
 	speed := flag.Float64("speed", 1.0, "device walk speed in m/s")
 	sweeps := flag.Int("sweeps", -1, "full sweeps per device (-1 = track until drain)")
 	seed := flag.Int64("seed", 1, "fleet seed (per-device RNGs derive from it)")
@@ -78,12 +75,7 @@ func main() {
 
 	rng := rand.New(rand.NewSource(*seed))
 	office := sim.NewOffice(rand.New(rand.NewSource(*seed^0x0ff1ce)), sim.OfficeConfig{})
-	d := svc.NewDaemon(svc.Config{
-		Shards:   *shards,
-		Office:   office,
-		Virtual:  *virtual,
-		Pipeline: svc.PipelineConfig{Enabled: *pipeline},
-	})
+	d := svc.NewDaemon(svc.Config{Shards: *shards, Office: office, Virtual: *virtual})
 
 	attach := func(id uint64, class svc.Class) {
 		err := d.Attach(id, svc.DeviceConfig{
@@ -105,8 +97,8 @@ func main() {
 	for i := 0; i < *bulkDevices; i++ {
 		attach(uint64(1<<16+i), svc.ClassBulk)
 	}
-	fmt.Fprintf(os.Stderr, "chronos-svc: %d shards, %d latency + %d bulk devices (pipeline=%v)\n",
-		*shards, *devices, *bulkDevices, *pipeline)
+	fmt.Fprintf(os.Stderr, "chronos-svc: %d shards, %d latency + %d bulk devices\n",
+		*shards, *devices, *bulkDevices)
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)

@@ -216,12 +216,13 @@ func ExampleHopSweep_capacity() {
 }
 
 // Attach four full-pipeline devices to a virtual-time localization
-// service, whose shards sweep and solve them concurrently. Each device's
-// fixes are byte-identical to running its session alone. The output
-// shows the error that dominates this system, the estimator's 25 ns
-// alias period (7.5 m): seven of the eight fixes land a period long or
-// short. Each range tracker primes on its device's first fix, so device
-// 2's tracker gates out its true range as an outlier.
+// service, whose shards sweep them and whose solve pool solves them
+// concurrently. Each device's fixes are byte-identical to running its
+// session alone. The output shows the error that dominates this system,
+// the estimator's 25 ns alias period (7.5 m): seven of the eight fixes
+// land a period long or short. Each range tracker primes on its
+// device's first fix, so device 2's tracker gates out its true range as
+// an outlier.
 func ExampleNewService() {
 	rng := rand.New(rand.NewSource(42))
 	office := chronos.NewOffice(rng)

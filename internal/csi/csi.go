@@ -37,6 +37,13 @@ type Measurement struct {
 	Time float64
 }
 
+// Fig. 7c's packet-detection delay statistics (seconds): the median and
+// spread a Radio draws with when its own fields are zero.
+const (
+	DefaultDetectDelayMed   = 177e-9
+	DefaultDetectDelaySigma = 24.76e-9
+)
+
 // Radio is one simulated Wi-Fi device's RF front end.
 type Radio struct {
 	Osc rf.Oscillator
@@ -51,7 +58,8 @@ type Radio struct {
 	// standard deviation in radians.
 	PhaseJitterRad float64
 	// DetectDelayMed and DetectDelaySigma parameterize the right-skewed
-	// packet-detection delay (seconds). Defaults: 177 ns / 24.76 ns.
+	// packet-detection delay (seconds); zero means DefaultDetectDelayMed
+	// and DefaultDetectDelaySigma.
 	DetectDelayMed   float64
 	DetectDelaySigma float64
 	// Quirk24 enables the 2.4 GHz phase-mod-π/2 firmware bug.
@@ -68,8 +76,8 @@ func NewRadio(rng *rand.Rand) *Radio {
 		Osc:              rf.NewOscillator(rng),
 		ResidualCFOHz:    rng.NormFloat64() * 40,
 		PhaseJitterRad:   0.02,
-		DetectDelayMed:   177e-9,
-		DetectDelaySigma: 24.76e-9,
+		DetectDelayMed:   DefaultDetectDelayMed,
+		DetectDelaySigma: DefaultDetectDelaySigma,
 		Quirk24:          true,
 		QuantBits:        8,
 	}
@@ -82,11 +90,11 @@ func NewRadio(rng *rand.Rand) *Radio {
 func (r *Radio) DrawDetectionDelay(rng *rand.Rand, snrDB float64) float64 {
 	med := r.DetectDelayMed
 	if med == 0 {
-		med = 177e-9
+		med = DefaultDetectDelayMed
 	}
 	sigma := r.DetectDelaySigma
 	if sigma == 0 {
-		sigma = 24.76e-9
+		sigma = DefaultDetectDelaySigma
 	}
 	// Low SNR lengthens detection: +1%/dB below 25 dB.
 	snrFactor := 1.0

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/cmplx"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"chronos/internal/rf"
@@ -97,6 +98,33 @@ func TestDrawDetectionDelayStatistics(t *testing.T) {
 	// Mean should be near the 177 ns median (slight right skew).
 	if mean < 160e-9 || mean > 210e-9 {
 		t.Errorf("mean delay = %v, want ≈177–190 ns", mean)
+	}
+}
+
+// TestDelayModelStatistics pins the Fig. 7c defaults that a zero Radio
+// draws with, as the delay ablation's time-of-arrival row does: the
+// same draws as NewRadio's, a median near 177 ns, and no draw at or
+// below zero.
+func TestDelayModelStatistics(t *testing.T) {
+	var zero Radio
+	r := NewRadio(rand.New(rand.NewSource(2)))
+	a, b := rand.New(rand.NewSource(5)), rand.New(rand.NewSource(5))
+	for i := 0; i < 1000; i++ {
+		if got, want := zero.DrawDetectionDelay(a, 30), r.DrawDetectionDelay(b, 30); got != want {
+			t.Fatalf("draw %d: zero radio %v, default radio %v", i, got, want)
+		}
+	}
+	rng := rand.New(rand.NewSource(2))
+	vals := make([]float64, 10000)
+	for i := range vals {
+		vals[i] = zero.DrawDetectionDelay(rng, 30)
+		if vals[i] <= 0 {
+			t.Fatal("non-positive delay")
+		}
+	}
+	slices.Sort(vals)
+	if med := vals[len(vals)/2]; med < 170e-9 || med > 190e-9 {
+		t.Errorf("median delay = %v, want ≈177 ns", med)
 	}
 }
 

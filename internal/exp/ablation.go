@@ -3,7 +3,7 @@ package exp
 import (
 	"fmt"
 
-	"chronos/internal/baseline"
+	"chronos/internal/csi"
 	"chronos/internal/stats"
 	"chronos/internal/tof"
 )
@@ -84,13 +84,15 @@ func AblationDelay(o Options) *Result {
 	}
 	// The truly uncompensated approach — time-of-arrival from the raw
 	// packet timeline, detection delay included — is the §5 strawman.
-	// Even after subtracting the mean delay, the per-packet variance
-	// leaks straight into ToF.
+	// Even after subtracting the mean delay (the median plus the skew of
+	// the 10% heavy shoulder), the per-packet variance leaks straight
+	// into ToF. The draws come from a default radio at 30 dB.
 	rng := trialRNG(o, "ablate-delay/toa", 0)
-	model := baseline.DefaultDelayModel()
+	var radio csi.Radio
+	mean := csi.DefaultDetectDelayMed + 0.1*csi.DefaultDetectDelaySigma
 	var toaErrs []float64
 	for i := 0; i < 500; i++ {
-		e := baseline.ToAError(rng, model) * 1e9
+		e := (radio.DrawDetectionDelay(rng, 30) - mean) * 1e9
 		if e < 0 {
 			e = -e
 		}

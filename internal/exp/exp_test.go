@@ -158,6 +158,19 @@ func TestAblationDelayOrdering(t *testing.T) {
 	}
 }
 
+// TestToAErrorDominatesChronos pins the delay ablation's time-of-arrival
+// row: uncompensated ToA error is tens of ns — orders beyond Chronos's
+// sub-ns. This is the Fig. 7c punchline.
+func TestToAErrorDominatesChronos(t *testing.T) {
+	toa := AblationDelay(Options{Seed: 3, Trials: 1}).Metrics["median_toa_ns"]
+	if toa < 5 {
+		t.Errorf("median ToA error = %v ns, implausibly small", toa)
+	}
+	if toa > 100 {
+		t.Errorf("median ToA error = %v ns, implausibly large", toa)
+	}
+}
+
 func TestAblationCFOOrdering(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaign experiment")

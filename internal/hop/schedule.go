@@ -118,7 +118,6 @@ func runSchedule(hoppers []*Hopper, sweeps int) *Schedule {
 		sim.Schedule(Dwell, func() {
 			totalDwell += Dwell
 			res.Slots = append(res.Slots, Slot{Device: d, Band: bands[pos[d]], Start: start, End: sim.Now()})
-			obsDwellNs.Observe(float64(sim.Now() - start))
 			pos[d]++
 			if pos[d] == len(bands) {
 				fix := FixEvent{Device: d, At: sim.Now(), Latency: sim.Now() - sweepStart[d]}

@@ -7,18 +7,16 @@
 // no cross-shard locking on any per-device state — and each shard paces
 // its sessions' sweeps on its own mac.Sim event queue. A full sweep's
 // ingest and track stages run on its shard; the solve between them runs
-// there too, or on a shared solve pool with latency/bulk scheduling
-// classes when PipelineConfig.Enabled is set (see pipeline.go). Every
-// solve is one Plan.Solve of one device's band group; the internal/obs
-// layer is the management surface.
+// on the daemon's solve pool, with latency/bulk scheduling classes (see
+// pipeline.go). Every solve is one Plan.Solve of one device's band
+// group; the internal/obs layer is the management surface.
 //
 // The event queues, and therefore the whole daemon, run on virtual time
 // under test and wall time in production: in virtual mode a shard runs
 // its queue straight to the next due timer, so a daemon run is
 // deterministic per device — byte-identical to sequential
-// track.RunSession calls with the same seeds, at any shard count, with
-// or without a solve pool, and whether or not bulk solves run latency
-// solves inline.
+// track.RunSession calls with the same seeds, at any shard count and
+// pool size, and whether or not bulk solves run latency solves inline.
 package svc
 
 import (
@@ -61,9 +59,8 @@ type Config struct {
 	// (default 1024). Attach blocks when the owning shard's queue is
 	// full — backpressure, not loss.
 	QueueDepth int
-	// Pipeline configures the solve pool (see pipeline.go). Disabled by
-	// default: full sweeps then solve on their shard goroutine, between
-	// the ingest and track the shard always runs.
+	// Pipeline sizes the solve pool that runs every full sweep's solve,
+	// between the ingest and track its shard runs (see pipeline.go).
 	Pipeline PipelineConfig
 }
 
@@ -87,8 +84,7 @@ type DeviceConfig struct {
 	// Class is the device's scheduling class on the solve pool (default
 	// ClassLatency). Bulk-class devices yield the pool to latency-class
 	// work: their solves dequeue after it and run waiting latency solves
-	// inline at their gap checks. Without a pool it only attributes
-	// metrics.
+	// inline at their gap checks.
 	Class Class
 	// Session configures the device's track.Session. Session.Sweeps < 0
 	// keeps the device tracked until detach or drain.
@@ -122,7 +118,7 @@ var ErrDraining = errors.New("svc: daemon is draining")
 // package comment for the ownership model.
 type Daemon struct {
 	cfg    Config
-	pipe   *pipeline // solve pool; nil unless cfg.Pipeline.Enabled
+	pipe   *pipeline // solve pool
 	shards []*shard
 	start  time.Time
 
@@ -144,8 +140,9 @@ type Daemon struct {
 	results map[uint64]*DeviceResult
 }
 
-// NewDaemon builds and starts a daemon: shard goroutines spin up
-// immediately and idle until devices attach. Stop it with Drain.
+// NewDaemon builds and starts a daemon: shard goroutines and solve
+// workers spin up immediately and idle until devices attach. Stop it
+// with Drain.
 func NewDaemon(cfg Config) *Daemon {
 	cfg = cfg.withDefaults()
 	d := &Daemon{
@@ -154,9 +151,7 @@ func NewDaemon(cfg Config) *Daemon {
 		results: make(map[uint64]*DeviceResult),
 		refuse:  make(chan struct{}),
 		stopCh:  make(chan struct{}),
-	}
-	if cfg.Pipeline.Enabled {
-		d.pipe = newPipeline(cfg.Pipeline)
+		pipe:    newPipeline(cfg.Pipeline),
 	}
 	d.shards = make([]*shard, cfg.Shards)
 	for i := range d.shards {
@@ -291,8 +286,8 @@ func (d *Daemon) Quiesce(timeout time.Duration) error {
 // waits on one), each shard applies the commands it accepted, finishes
 // the sweep it is executing, cancels the remaining schedule, retires
 // every live session with its partial results, and exits. Drain waits
-// for the shards up to timeout and then captures the final metrics
-// snapshot. A second Drain returns ErrDraining.
+// for the shards up to timeout, stops the solve pool and then captures
+// the final metrics snapshot. A second Drain returns ErrDraining.
 func (d *Daemon) Drain(timeout time.Duration) (*obs.Snapshot, error) {
 	if d.draining.Swap(true) {
 		return nil, ErrDraining
@@ -315,11 +310,9 @@ func (d *Daemon) Drain(timeout time.Duration) (*obs.Snapshot, error) {
 	case <-time.After(timeout):
 		return nil, fmt.Errorf("svc: drain timed out after %v", timeout)
 	}
-	if d.pipe != nil {
-		// Every shard has exited with all its tokens home, so the solve
-		// queue is empty and nothing pushes again.
-		d.pipe.stop()
-	}
+	// Every shard has exited with all its tokens home, so the solve queue
+	// is empty and nothing pushes again.
+	d.pipe.stop()
 	obsDrains.Inc()
 	return obs.Capture(), nil
 }

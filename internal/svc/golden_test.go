@@ -126,7 +126,7 @@ func daemonTraces(t *testing.T, office *sim.Office, devs map[uint64]DeviceConfig
 }
 
 // goldenFleet is the golden devices with the given seeds, all of one
-// scheduling class (relevant only on a solve pool).
+// scheduling class.
 func goldenFleet(seeds map[uint64]int64, class Class) map[uint64]DeviceConfig {
 	devs := make(map[uint64]DeviceConfig, len(seeds))
 	for id, seed := range seeds {
@@ -140,10 +140,12 @@ func goldenFleet(seeds map[uint64]int64, class Class) map[uint64]DeviceConfig {
 // gate: a daemon running K full-pipeline devices must produce
 // byte-identical fix tables to K sequential track.RunSession calls with
 // the same seeds — at 1 shard and at 8 shards (where the fleet
-// genuinely interleaves across goroutines), and on the wall clock as
-// well as on virtual time. This is what licenses every later scheduling
-// change: the daemon may reorder work however it likes, but per-device
-// results are pinned.
+// genuinely interleaves across goroutines), on the wall clock as well
+// as on virtual time, on the default pool and on pools of one and of
+// eight solve workers, and with bulk-class devices on a two-worker pool
+// behind a two-token queue. This is what licenses every later
+// scheduling change: the daemon may reorder work however it likes, but
+// per-device results are pinned.
 func TestDaemonGoldenTraceMatchesSequential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-pipeline fleet")
@@ -157,11 +159,11 @@ func TestDaemonGoldenTraceMatchesSequential(t *testing.T) {
 		}
 	}
 
-	// The pipeline cases pin that moving the solve off the shard onto
-	// the solve pool must not change a single byte of any device's fix
-	// trace — at 1 shard, at 8 shards, and regardless of class (bulk
-	// class only changes dequeue order; TestPipelinePreemptionFires
-	// covers bulk solves that run latency solves inline).
+	// The pool's size must not change a byte of any device's fix trace:
+	// the _pipeline cases set it against the default of one worker per
+	// CPU. Bulk class only changes dequeue order;
+	// TestPipelinePreemptionFires covers bulk solves that run latency
+	// solves inline.
 	for _, tc := range []struct {
 		name  string
 		cfg   Config
@@ -171,11 +173,11 @@ func TestDaemonGoldenTraceMatchesSequential(t *testing.T) {
 		{"8shards", Config{Shards: 8, Virtual: true}, ClassLatency},
 		{"2shards_wall", Config{Shards: 2}, ClassLatency},
 		{"1shard_pipeline", Config{Shards: 1, Virtual: true,
-			Pipeline: PipelineConfig{Enabled: true}}, ClassLatency},
+			Pipeline: PipelineConfig{SolveWorkers: 1}}, ClassLatency},
 		{"8shards_pipeline", Config{Shards: 8, Virtual: true,
-			Pipeline: PipelineConfig{Enabled: true}}, ClassLatency},
+			Pipeline: PipelineConfig{SolveWorkers: 8}}, ClassLatency},
 		{"8shards_pipeline_bulk", Config{Shards: 8, Virtual: true,
-			Pipeline: PipelineConfig{Enabled: true, SolveWorkers: 2, QueueDepth: 2}}, ClassBulk},
+			Pipeline: PipelineConfig{SolveWorkers: 2, QueueDepth: 2}}, ClassBulk},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			got := daemonTraces(t, office, goldenFleet(seeds, tc.class), tc.cfg)

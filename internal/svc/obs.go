@@ -30,23 +30,20 @@ var (
 
 	// obsSweepNs spans one sweep, in wall nanoseconds — the service's
 	// fix latency distribution: from the timer fire that starts it to
-	// the finish that records its fix, with or without a solve pool (on
-	// the pool, queueing included).
+	// the finish that records its fix, solve-queue waiting included.
 	obsSweepNs = obs.NewHist("svc.sweep_ns")
 
 	// Per-class inter-fix wall gap of every device: the time between a
 	// device's consecutive completed sweeps. Head-of-line blocking shows
-	// up here identically with and without a solve pool — as timer-fire
-	// delay on the shard, as class-queue delay on the pool — which is
-	// what the pipeline campaign's p99 comparison and the CI smoke lane
-	// assert against.
+	// up here wherever it happens — as timer-fire delay on the shard, as
+	// class-queue delay on the pool — which is what the pipeline
+	// campaign's p99 comparison and the CI smoke lane assert against.
 	obsFixLatencyNs = obs.NewHist("svc.fix.latency_ns")
 	obsFixBulkNs    = obs.NewHist("svc.fix.bulk_ns")
 
-	// Stage spans of every full sweep, recorded the same way with and
-	// without a solve pool (ingest and track on the shard, the solve on
-	// whichever goroutine runs it), and the solve pool's queue wait
-	// (class-queue enqueue → dequeue). One of each per sweep: a bulk
+	// Stage spans of every full sweep (ingest and track on the shard, the
+	// solve on whichever pool goroutine runs it) and the solve's queue
+	// wait (class-queue enqueue → dequeue). One of each per sweep: a bulk
 	// solve's span leaves out the latency solves it ran inline.
 	obsStageIngestNs    = obs.NewHist("svc.stage.ingest_ns")
 	obsStageSolveNs     = obs.NewHist("svc.stage.solve_ns")
@@ -87,25 +84,17 @@ func init() {
 	gauge("svc.wheel_timers", func(d *Daemon) float64 { return float64(d.PendingTimers()) })
 
 	// Solve-pool class-queue depths, utilization (busy workers / pool
-	// size) and tokens out in the pool. All zero without a solve pool.
-	pipeGauge := func(name string, f func(*pipeline) float64) {
-		gauge(name, func(d *Daemon) float64 {
-			if d.pipe == nil {
-				return 0
-			}
-			return f(d.pipe)
-		})
-	}
-	pipeGauge("svc.pipe.queue.solve_lat", func(p *pipeline) float64 {
-		lat, _ := p.solveQ.depths()
+	// size) and tokens out in the pool.
+	gauge("svc.pipe.queue.solve_lat", func(d *Daemon) float64 {
+		lat, _ := d.pipe.solveQ.depths()
 		return float64(lat)
 	})
-	pipeGauge("svc.pipe.queue.solve_bulk", func(p *pipeline) float64 {
-		_, bulk := p.solveQ.depths()
+	gauge("svc.pipe.queue.solve_bulk", func(d *Daemon) float64 {
+		_, bulk := d.pipe.solveQ.depths()
 		return float64(bulk)
 	})
-	pipeGauge("svc.pipe.util.solve", func(p *pipeline) float64 {
-		return float64(p.busy.Load()) / float64(p.cfg.SolveWorkers)
+	gauge("svc.pipe.util.solve", func(d *Daemon) float64 {
+		return float64(d.pipe.busy.Load()) / float64(d.pipe.cfg.SolveWorkers)
 	})
 	gauge("svc.pipe.inflight", func(d *Daemon) float64 {
 		inflight := int64(0)

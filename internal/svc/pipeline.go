@@ -1,6 +1,7 @@
 package svc
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -9,12 +10,10 @@ import (
 
 // This file holds the daemon's solve pool. Every full sweep takes one
 // path: the owning shard's timer fire runs StepIngest (CSI capture,
-// every RNG draw of the sweep), then the solve runs, and
-// deviceSession.finish — back on the shard — runs StepTrack, records the
-// sweep metrics, and retires or reschedules the device. The one choice
-// is where the solve runs: on the shard goroutine itself (the default),
-// or, with PipelineConfig.Enabled, on a shared solve pool fed through a
-// class queue:
+// every RNG draw of the sweep), the solve runs on a shared solve pool
+// fed through a class queue, and deviceSession.finish — back on the
+// shard — runs StepTrack, records the sweep metrics, and retires or
+// reschedules the device:
 //
 //	shard timer fire: StepIngest
 //	      │ push(token)
@@ -61,15 +60,13 @@ const (
 // inline.
 const starveBound = 8
 
-// PipelineConfig tunes the solve pool: whether it runs, its worker count
-// and its queue depth. The class queue's starvation bound is the fixed
-// starveBound.
+// PipelineConfig tunes the solve pool: its worker count and its queue
+// depth. The class queue's starvation bound is the fixed starveBound.
 type PipelineConfig struct {
-	// Enabled moves every full sweep's solve off its shard onto the
-	// shared solve pool. Off (the default), the shard runs the solve
-	// itself, between the ingest and track it always runs.
+	// Deprecated: ignored. Every daemon solves on its pool; the field
+	// remains only because perfbench still sets it.
 	Enabled bool
-	// SolveWorkers sizes the solve pool (default 4).
+	// SolveWorkers sizes the solve pool (default runtime.NumCPU()).
 	SolveWorkers int
 	// Deprecated: ignored. Ingest and track run on the shard
 	// goroutines, so Config.Shards sizes them.
@@ -85,7 +82,7 @@ type PipelineConfig struct {
 
 func (c PipelineConfig) withDefaults() PipelineConfig {
 	if c.SolveWorkers <= 0 {
-		c.SolveWorkers = 4
+		c.SolveWorkers = runtime.NumCPU()
 	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 256

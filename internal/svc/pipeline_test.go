@@ -112,23 +112,25 @@ func TestClassQueuePopLatency(t *testing.T) {
 	}
 }
 
-// TestStageSpansOnePath pins the single instrumentation path: with the
-// solve on the shard and on a solve pool alike, every completed full
-// sweep records exactly one ingest, solve and track stage span and one
-// end-to-end sweep span, and on the pool one solve-wait span. The
-// inline row runs mixed classes on one worker, where bulk solves run
-// latency solves inline: each of those sweeps still records one solve
-// and one solve-wait span.
+// TestStageSpansOnePath pins the single solve path and its
+// instrumentation: a daemon built with no Pipeline field solves on its
+// pool like one given a pool size, and every completed full sweep
+// records exactly one ingest, solve-wait, solve and track stage span and
+// one end-to-end sweep span. The inline row runs mixed classes on one
+// worker, where bulk solves run latency solves inline: each of those
+// sweeps still records one solve and one solve-wait span.
 func TestStageSpansOnePath(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		devs   map[uint64]DeviceConfig
-		pipe   PipelineConfig
+		cfg    Config
 		inline bool
 	}{
-		{"shard", fiveGHzFleet(2), PipelineConfig{}, false},
-		{"pool", fiveGHzFleet(2), PipelineConfig{Enabled: true, SolveWorkers: 2}, false},
-		{"pool_inline", preemptionFleet(), PipelineConfig{Enabled: true, SolveWorkers: 1}, true},
+		{"default", fiveGHzFleet(2), Config{Shards: 2, Virtual: true}, false},
+		{"pool", fiveGHzFleet(2), Config{Shards: 2, Virtual: true,
+			Pipeline: PipelineConfig{SolveWorkers: 2}}, false},
+		{"pool_inline", preemptionFleet(), Config{Shards: 2, Virtual: true,
+			Pipeline: PipelineConfig{SolveWorkers: 1}}, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if tc.inline && testing.Short() {
@@ -137,8 +139,7 @@ func TestStageSpansOnePath(t *testing.T) {
 			obs.SetEnabled(true)
 			obs.Reset()
 			defer obs.SetEnabled(false)
-			daemonSessions(t, goldenOffice(), tc.devs,
-				Config{Shards: 2, Virtual: true, Pipeline: tc.pipe})
+			daemonSessions(t, goldenOffice(), tc.devs, tc.cfg)
 			snap := obs.Capture()
 			want := int64(0)
 			for _, dc := range tc.devs {
@@ -151,11 +152,8 @@ func TestStageSpansOnePath(t *testing.T) {
 			if tc.inline && snap.Counters["svc.preemptions"] == 0 {
 				t.Fatal("no latency solve ran inline")
 			}
-			names := []string{"svc.stage.ingest_ns", "svc.stage.solve_ns", "svc.stage.track_ns", "svc.sweep_ns"}
-			if tc.pipe.Enabled {
-				names = append(names, "svc.stage.solve_wait_ns")
-			}
-			for _, name := range names {
+			for _, name := range []string{"svc.stage.ingest_ns", "svc.stage.solve_wait_ns",
+				"svc.stage.solve_ns", "svc.stage.track_ns", "svc.sweep_ns"} {
 				if got := snap.Hists[name].Count; got != sweeps {
 					t.Errorf("%s count = %d, want one per sweep (%d)", name, got, sweeps)
 				}
@@ -175,7 +173,7 @@ func TestDrainWithTokensInPool(t *testing.T) {
 	obs.Reset()
 	defer obs.SetEnabled(false)
 	d := NewDaemon(Config{Shards: 2, Office: goldenOffice(), Virtual: true,
-		Pipeline: PipelineConfig{Enabled: true, SolveWorkers: 1}})
+		Pipeline: PipelineConfig{SolveWorkers: 1}})
 	devs := fiveGHzFleet(-1)
 	for id, dc := range devs {
 		if err := d.Attach(id, dc); err != nil {
@@ -268,7 +266,7 @@ func TestPipelineBackpressureCompletes(t *testing.T) {
 	}
 	d := NewDaemon(Config{
 		Shards: 2, Office: goldenOffice(), Virtual: true,
-		Pipeline: PipelineConfig{Enabled: true, QueueDepth: 1, SolveWorkers: 1},
+		Pipeline: PipelineConfig{QueueDepth: 1, SolveWorkers: 1},
 	})
 	pipelineFleet(t, d, 6, 2)
 }
@@ -297,7 +295,7 @@ func preemptionFleet() map[uint64]DeviceConfig {
 // changes no result: inline solves ran (svc.preemptions moved), every
 // device's fix table is byte-identical to sequential track.RunSession,
 // and every ndft.* and tof.* counter advanced exactly as it does for
-// the same fleet solved on its shards.
+// the sequential run.
 func TestPipelinePreemptionFires(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-pipeline fleet")
@@ -308,11 +306,13 @@ func TestPipelinePreemptionFires(t *testing.T) {
 
 	office := goldenOffice()
 	devs := preemptionFleet()
-	want := sequentialTraces(t, office, devs)
-	var got map[uint64]string
+	var want, got map[uint64]string
+	sequential := counterDeltas(func() {
+		want = sequentialTraces(t, office, devs)
+	})
 	pooled := counterDeltas(func() {
 		got = daemonTraces(t, office, devs, Config{Shards: 2, Virtual: true,
-			Pipeline: PipelineConfig{Enabled: true, SolveWorkers: 1}})
+			Pipeline: PipelineConfig{SolveWorkers: 1}})
 	})
 	if n := obsPreemptions.Value(); n == 0 {
 		t.Error("no latency solve ran inline despite a bulk swarm on one solve worker")
@@ -325,11 +325,8 @@ func TestPipelinePreemptionFires(t *testing.T) {
 				id, got[id], tab)
 		}
 	}
-	onShards := counterDeltas(func() {
-		daemonSessions(t, office, devs, Config{Shards: 2, Virtual: true})
-	})
-	if !reflect.DeepEqual(pooled, onShards) {
-		t.Errorf("ndft/tof counter deltas differ:\npool:   %v\nshards: %v", pooled, onShards)
+	if !reflect.DeepEqual(pooled, sequential) {
+		t.Errorf("ndft/tof counter deltas differ:\npool:       %v\nsequential: %v", pooled, sequential)
 	}
 }
 
@@ -342,7 +339,7 @@ func TestPipelineDetachMidFlight(t *testing.T) {
 	}
 	d := NewDaemon(Config{
 		Shards: 1, Office: goldenOffice(), Virtual: true,
-		Pipeline: PipelineConfig{Enabled: true, SolveWorkers: 1},
+		Pipeline: PipelineConfig{SolveWorkers: 1},
 	})
 	// Endless session: only detach (or drain) retires it.
 	scfg := track.SessionConfig{Sweeps: -1, WarmStart: true}

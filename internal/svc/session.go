@@ -63,10 +63,9 @@ func newDeviceSession(s *shard, id uint64, cfg DeviceConfig) (*deviceSession, er
 }
 
 // recordFixGap feeds the device's wall time since its previous
-// completed sweep into its class's inter-fix histogram. finish records
-// it with and without a solve pool, so the same metric compares
-// head-of-line blocking across modes: on the shard, a delayed timer
-// fire widens the gap; on the pool, class-queue waiting does.
+// completed sweep into its class's inter-fix histogram, so the gap
+// counts head-of-line blocking wherever it happens: a delayed timer fire
+// on the shard, or class-queue waiting on the pool.
 func (ds *deviceSession) recordFixGap() {
 	now := obs.Tick()
 	if ds.lastFixWall != 0 {
@@ -101,38 +100,34 @@ func (s *shard) scheduleAt(at time.Duration, fn func()) *mac.Timer {
 }
 
 // sweep runs one timer fire: it starts a full band sweep on the shard
-// goroutine, StepIngest here, then the solve — here too without a solve
-// pool, else as a token through the class queue, whose solve worker
-// hands it back through the shard's completion queue. Both modes end in
-// finish on the shard.
+// goroutine, StepIngest here, then pushes the sweep as a token through
+// the class queue, whose solve worker hands it back through the shard's
+// completion queue to finish. A failed ingest finishes here at once.
 func (ds *deviceSession) sweep() {
 	obsTimerFires.Inc()
 	t := &sweepToken{ds: ds, class: ds.cfg.Class, start: obs.Tick()}
 	t.err = ds.sess.StepIngest()
 	obsStageIngestNs.Since(t.start)
-	if p := ds.shard.d.pipe; p != nil && t.err == nil {
-		ds.inflight = true
-		ds.shard.inflight.Add(1)
-		t.enq = obs.Tick()
-		if !p.solveQ.push(t) {
-			// Closed mid-flight (only possible on a torn-down daemon);
-			// surface the sweep back to the shard unfinished.
-			t.err = ErrDraining
-			ds.shard.complete(t)
-		}
+	if t.err != nil {
+		ds.finish(t, false)
 		return
 	}
-	if t.err == nil {
-		t.solve()
+	ds.inflight = true
+	ds.shard.inflight.Add(1)
+	t.enq = obs.Tick()
+	if !ds.shard.d.pipe.solveQ.push(t) {
+		// Closed mid-flight (only possible on a torn-down daemon);
+		// surface the sweep back to the shard unfinished.
+		t.err = ErrDraining
+		ds.shard.complete(t)
 	}
-	ds.finish(t, false)
 }
 
-// finish completes a sweep on the shard goroutine, with or without a
-// solve pool: StepTrack, the sweep metrics, then retire or reschedule.
-// With retiring (shutdown), a solved token still gets its StepTrack, so
-// its fix counts, but the device is neither rescheduled nor removed —
-// the final retirement pass collects it.
+// finish completes a sweep on the shard goroutine: StepTrack, the sweep
+// metrics, then retire or reschedule. With retiring (shutdown), a solved
+// token still gets its StepTrack, so its fix counts, but the device is
+// neither rescheduled nor removed — the final retirement pass collects
+// it.
 func (ds *deviceSession) finish(t *sweepToken, retiring bool) {
 	if t.err == nil {
 		tick := obs.Tick()

@@ -121,3 +121,10 @@ func TestBandString(t *testing.T) {
 		t.Errorf("String = %q", got)
 	}
 }
+
+func TestSpeedOfLightConsistency(t *testing.T) {
+	// Guard against unit drift between packages.
+	if math.Abs(SpeedOfLight-299792458) > 1 {
+		t.Error("speed of light changed")
+	}
+}
