@@ -143,7 +143,8 @@ type ToFEstimate = tof.Estimate
 func NewToFEstimator(cfg ToFConfig) *ToFEstimator { return tof.NewEstimator(cfg) }
 
 // CalibrateToF measures the constant hardware offset of a device pair at
-// a known distance (§7); store the result in ToFConfig.CalibrationOffset.
+// a known distance (§7): subtract it from every later estimate's ToF, as
+// MeasureDistance's calOffset does.
 func CalibrateToF(est *ToFEstimator, bands []Band, sweep [][]CSIPair, trueDistance float64) (float64, error) {
 	return tof.Calibrate(est, bands, sweep, trueDistance)
 }
@@ -228,9 +229,11 @@ func HopSweep(rng *rand.Rand, devices, sweeps int) *HopSchedule {
 	return hop.RunSchedule(rng, devices, sweeps)
 }
 
-// DroneTrack runs the §9 personal-drone distance-keeping simulation.
-func DroneTrack(rng *rand.Rand, sensor drone.RangeSensor, cfg drone.TrackConfig) *drone.TrackResult {
-	return drone.Track(rng, sensor, cfg)
+// DroneTrack runs the §9 personal-drone distance-keeping simulation for
+// duration seconds: the drone holds 1.4 m to a user walking the 6 m ×
+// 5 m room, at the 12 Hz sweep rate.
+func DroneTrack(rng *rand.Rand, sensor drone.RangeSensor, duration float64) *drone.TrackResult {
+	return drone.Track(rng, sensor, duration)
 }
 
 // DroneSensor ranges the drone to the user with the full Chronos
@@ -238,14 +241,11 @@ func DroneTrack(rng *rand.Rand, sensor drone.RangeSensor, cfg drone.TrackConfig)
 // time-of-flight estimator, per control tick.
 type DroneSensor = drone.PipelineSensor
 
-// NewDroneSensor builds a calibrated DroneSensor from rng in the 6 m ×
-// 5 m room a default DroneConfig flies in.
+// NewDroneSensor builds a calibrated DroneSensor from rng in the room
+// DroneTrack flies in.
 func NewDroneSensor(rng *rand.Rand) (*DroneSensor, error) {
-	return drone.NewPipelineSensor(rng, drone.Room(6, 5))
+	return drone.NewPipelineSensor(rng)
 }
-
-// DroneConfig tunes a drone following run.
-type DroneConfig = drone.TrackConfig
 
 // ToFSweep is the incremental estimation core: CSI folds in band by band
 // as a sweep streams in, and a (possibly early, degraded) fix can be

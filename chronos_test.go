@@ -62,7 +62,7 @@ func TestFacadeDrone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := DroneTrack(rng, sensor, DroneConfig{Duration: 10})
+	res := DroneTrack(rng, sensor, 10)
 	if len(res.Deviations) == 0 {
 		t.Fatal("no deviations")
 	}
@@ -121,8 +121,8 @@ func TestFacadeTrackSession(t *testing.T) {
 
 func TestFacadeLocalizer(t *testing.T) {
 	l := NewLocalizer(LinearArray(3, 0.3), ToFConfig{})
-	if len(l.Estimators) != 3 {
-		t.Errorf("estimators = %d", len(l.Estimators))
+	if l.Est == nil || len(l.Offsets) != 3 {
+		t.Errorf("estimator %v, offsets = %d", l.Est, len(l.Offsets))
 	}
 }
 

@@ -102,7 +102,7 @@ func ExampleLocalizer_LocateArray() {
 	rxCenter := office.Locations[0]
 	place := func(txPos chronos.Point, nlos bool) {
 		ap := chronos.AntennaPlacement{TX: txPos, RXCenter: rxCenter, Array: array, NLOS: nlos}
-		link.Channels = office.AntennaChannels(ap, 5.5e9)
+		link.Channels = office.AntennaChannels(ap)
 	}
 
 	// Calibrate each antenna chain once at a marked spot a few meters
@@ -278,10 +278,7 @@ func ExampleDroneTrack() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	res := chronos.DroneTrack(rng, sensor, chronos.DroneConfig{
-		Duration: 45,
-		Desired:  1.4,
-	})
+	res := chronos.DroneTrack(rng, sensor, 45)
 
 	fmt.Printf("%5s  %-14s  %-14s  %8s\n", "t (s)", "user", "drone", "dist (m)")
 	for i := 0; i < len(res.UserPath); i += 36 { // every 3 s at 12 Hz
@@ -332,7 +329,7 @@ func ExampleHopSweep() {
 	outage := netsim.Outage{Start: 6 * time.Second, Duration: sweep.Duration}
 
 	// A TCP flow through the AP, in 1 s windows.
-	samples := netsim.TCPTrace(rng, netsim.TCPConfig{}, 15*time.Second, time.Second, []netsim.Outage{outage})
+	samples := netsim.TCPTrace(rng, 15*time.Second, time.Second, []netsim.Outage{outage})
 	for _, s := range samples {
 		marker := ""
 		if s.At > outage.Start && s.At <= outage.Start+time.Second {
@@ -343,7 +340,7 @@ func ExampleHopSweep() {
 	fmt.Printf("TCP dip: %.1f%%\n", netsim.ThroughputDipPercent(samples, outage))
 
 	// A video stream with a playout buffer.
-	tr := netsim.Video(netsim.VideoConfig{}, 12*time.Second, []netsim.Outage{outage})
+	tr := netsim.Video(12*time.Second, []netsim.Outage{outage})
 	fmt.Printf("video stalls: %d\n", tr.Stalls)
 	// Output:
 	// band sweep over 35 bands: 85 ms, 36 announce frames, 0 fail-safes

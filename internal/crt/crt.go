@@ -23,30 +23,12 @@ type Observation struct {
 	Phase float64 // measured channel phase ∠h in radians
 }
 
-// Config tunes the alignment search.
-type Config struct {
-	// MaxTau bounds the search range in seconds (default 200 ns, the
-	// paper's 2.4 GHz unambiguous range, ≈60 m).
-	MaxTau float64
-	// CoarseStep is the scan resolution in seconds (default 10 ps).
-	CoarseStep float64
-	// RefineIters controls the golden-section refinement around the best
-	// coarse candidate (default 40).
-	RefineIters int
-}
-
-func (c Config) withDefaults() Config {
-	if c.MaxTau == 0 {
-		c.MaxTau = 200e-9
-	}
-	if c.CoarseStep == 0 {
-		c.CoarseStep = 10e-12
-	}
-	if c.RefineIters == 0 {
-		c.RefineIters = 40
-	}
-	return c
-}
+// The alignment search: a coarse scan at coarseStep seconds, then
+// refineIters golden-section steps around the best coarse candidate.
+const (
+	coarseStep  float64 = 10e-12
+	refineIters         = 40
+)
 
 // ErrNoObservations reports an empty observation set.
 var ErrNoObservations = errors.New("crt: no observations")
@@ -66,30 +48,30 @@ func Score(obs []Observation, tau float64) float64 {
 	return s / float64(len(obs))
 }
 
-// Solve scans τ ∈ [0, MaxTau] for the best phase-aligned time of flight
-// and refines it. It returns the estimated τ and its alignment score.
-func Solve(obs []Observation, cfg Config) (tau, score float64, err error) {
+// Solve scans τ ∈ [0, maxTau] (seconds) for the best phase-aligned time
+// of flight and refines it. It returns the estimated τ and its alignment
+// score.
+func Solve(obs []Observation, maxTau float64) (tau, score float64, err error) {
 	if len(obs) == 0 {
 		return 0, 0, ErrNoObservations
 	}
-	cfg = cfg.withDefaults()
 
 	bestTau, bestScore := 0.0, math.Inf(-1)
-	for t := 0.0; t <= cfg.MaxTau; t += cfg.CoarseStep {
+	for t := 0.0; t <= maxTau; t += coarseStep {
 		if s := Score(obs, t); s > bestScore {
 			bestTau, bestScore = t, s
 		}
 	}
 
 	// Golden-section refinement in a ±1 coarse-step bracket.
-	lo := math.Max(0, bestTau-cfg.CoarseStep)
-	hi := math.Min(cfg.MaxTau, bestTau+cfg.CoarseStep)
+	lo := math.Max(0, bestTau-coarseStep)
+	hi := math.Min(maxTau, bestTau+coarseStep)
 	const invPhi = 0.6180339887498949
 	a, b := lo, hi
 	c1 := b - (b-a)*invPhi
 	c2 := a + (b-a)*invPhi
 	f1, f2 := Score(obs, c1), Score(obs, c2)
-	for i := 0; i < cfg.RefineIters; i++ {
+	for i := 0; i < refineIters; i++ {
 		if f1 > f2 {
 			b, c2, f2 = c2, c1, f1
 			c1 = b - (b-a)*invPhi

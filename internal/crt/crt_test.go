@@ -33,7 +33,7 @@ func TestSolveFig3Scenario(t *testing.T) {
 	// A source at 0.6 m → τ = 2 ns, the exact example of Fig. 3.
 	tau := 2e-9
 	obs := makeObs(fig3Freqs(), tau, nil, 0)
-	got, score, err := Solve(obs, Config{MaxTau: 10e-9})
+	got, score, err := Solve(obs, 10e-9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func TestSolveAllUSBands(t *testing.T) {
 	freqs := wifi.Centers(wifi.USBands())
 	for _, tau := range []float64{0.5e-9, 2e-9, 17e-9, 49.9e-9} {
 		obs := makeObs(freqs, tau, nil, 0)
-		got, _, err := Solve(obs, Config{MaxTau: 60e-9})
+		got, _, err := Solve(obs, 60e-9)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -66,7 +66,7 @@ func TestSolveWithPhaseNoise(t *testing.T) {
 	var worst float64
 	for trial := 0; trial < 20; trial++ {
 		obs := makeObs(freqs, tau, rng, 0.2) // ~11° of phase noise
-		got, _, err := Solve(obs, Config{MaxTau: 60e-9})
+		got, _, err := Solve(obs, 60e-9)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -82,7 +82,7 @@ func TestSolveWithPhaseNoise(t *testing.T) {
 }
 
 func TestSolveEmpty(t *testing.T) {
-	if _, _, err := Solve(nil, Config{}); !errors.Is(err, ErrNoObservations) {
+	if _, _, err := Solve(nil, 10e-9); !errors.Is(err, ErrNoObservations) {
 		t.Errorf("err = %v", err)
 	}
 }

@@ -20,11 +20,8 @@ type ArrayLink struct {
 	RX *Radio // n-chain receiver card (shared oscillator and detector)
 	// Channels is the per-receive-antenna propagation channel.
 	Channels []*rf.Channel
-	SNRdB    float64
-	// PairSeparation is the packet→ACK turnaround (default 28 µs).
-	PairSeparation        float64
-	DisableDetectionDelay bool
-	DisableCFO            bool
+	// SNRdB is the per-subcarrier measurement SNR (default 30).
+	SNRdB float64
 }
 
 // MeasureSet captures one forward packet across all chains plus one
@@ -59,15 +56,7 @@ func (l *ArrayLink) renderDwells(ds []Dwell, b wifi.Band) []Dwell {
 // leans on. The draws are a per-packet capture's (Radio.Measure): the
 // forward packet's impairments, each chain's noise, then each ACK's.
 func (l *ArrayLink) measureSet(rng *rand.Rand, ds []Dwell, t float64) []Pair {
-	sep := l.PairSeparation
-	if sep == 0 {
-		sep = 28e-6
-	}
-	opts := MeasureOptions{
-		SNRdB: l.SNRdB, Time: t, TX: l.TX,
-		DisableDetectionDelay: l.DisableDetectionDelay,
-		DisableCFO:            l.DisableCFO,
-	}
+	opts := MeasureOptions{SNRdB: l.SNRdB, Time: t, TX: l.TX}
 	pairs := make([]Pair, len(ds))
 	delta, cfoPhase := l.RX.drawPacketImpairments(rng, opts)
 	for i := range ds {
@@ -77,7 +66,7 @@ func (l *ArrayLink) measureSet(rng *rand.Rand, ds []Dwell, t float64) []Pair {
 	for i := range ds {
 		// The i-th ACK is transmitted from RX antenna i, so the
 		// transmitter measures antenna i's reciprocal channel.
-		opts.Time = t + sep + float64(i)*sep
+		opts.Time = t + pairSeparation + float64(i)*pairSeparation
 		delta, cfoPhase = l.TX.drawPacketImpairments(rng, opts)
 		l.TX.measureRendered(rng, &ds[i], opts.Time, delta, cfoPhase, &pairs[i].Reverse)
 	}

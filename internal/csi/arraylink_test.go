@@ -56,14 +56,10 @@ func TestMeasureArraySharesPacketImpairments(t *testing.T) {
 // rendered for every packet and chain: the forward packet's impairments
 // drawn once and each chain rendered from the receiver's side, then each
 // round-robin ACK through Radio.Measure, rendered from the
-// transmitter's.
+// transmitter's, the i-th ACK (i+1)·28 µs after the forward packet.
 func perPacketSet(rng *rand.Rand, l *ArrayLink, b wifi.Band, t float64) []Pair {
-	sep := l.PairSeparation
-	if sep == 0 {
-		sep = 28e-6
-	}
-	opts := MeasureOptions{SNRdB: l.SNRdB, Time: t, TX: l.TX,
-		DisableDetectionDelay: l.DisableDetectionDelay, DisableCFO: l.DisableCFO}
+	const sep = 28e-6
+	opts := MeasureOptions{SNRdB: l.SNRdB, Time: t, TX: l.TX}
 	set := make([]Pair, len(l.Channels))
 	delta, cfoPhase := l.RX.drawPacketImpairments(rng, opts)
 	for i, ch := range l.Channels {
@@ -81,11 +77,11 @@ func perPacketSet(rng *rand.Rand, l *ArrayLink, b wifi.Band, t float64) []Pair {
 
 // TestArrayLinkSweepMatchesMeasureSet pins the array capture's shared
 // renderings bit for bit, over random radios, channels, chain counts,
-// SNRs and impairment settings on 2.4 and 5 GHz bands: ArrayLink.Sweep
-// (each band's chains rendered once for all of its sets) against
-// MeasureSet called once per set with the same draws at the same times,
-// and MeasureSet (one rendering per chain for the forward packet and the
-// chain's ACK) against perPacketSet.
+// SNRs, quirk and quantization settings on 2.4 and 5 GHz bands:
+// ArrayLink.Sweep (each band's chains rendered once for all of its sets)
+// against MeasureSet called once per set with the same draws at the same
+// times, and MeasureSet (one rendering per chain for the forward packet
+// and the chain's ACK) against perPacketSet.
 func TestArrayLinkSweepMatchesMeasureSet(t *testing.T) {
 	rng := rand.New(rand.NewSource(73))
 	bands := []wifi.Band{band24(), band5(), {Channel: 6, Center: 2.437e9}, {Channel: 149, Center: 5.745e9}}
@@ -93,11 +89,8 @@ func TestArrayLinkSweepMatchesMeasureSet(t *testing.T) {
 		dl := dwellLink(rng)
 		l := &ArrayLink{
 			TX: dl.TX, RX: dl.RX,
-			Channels:              make([]*rf.Channel, 1+rng.Intn(3)),
-			SNRdB:                 dl.SNRdB,
-			PairSeparation:        dl.PairSeparation,
-			DisableDetectionDelay: dl.DisableDetectionDelay,
-			DisableCFO:            dl.DisableCFO,
+			Channels: make([]*rf.Channel, 1+rng.Intn(3)),
+			SNRdB:    dl.SNRdB,
 		}
 		for i := range l.Channels {
 			l.Channels[i] = randomChannel(rng)

@@ -118,10 +118,21 @@ type MeasureOptions struct {
 	Time  float64 // receive time in seconds (for CFO phase)
 	// TX is the transmitting radio (its oscillator sets the CFO sign).
 	TX *Radio
-	// DisableDetectionDelay zeroes δ — used by ablation benches.
+	// DisableDetectionDelay zeroes δ.
 	DisableDetectionDelay bool
 	// DisableCFO zeroes the carrier frequency offset phase.
 	DisableCFO bool
+}
+
+// defaultSNRdB is the per-subcarrier SNR of a capture whose SNR is zero.
+const defaultSNRdB float64 = 30
+
+// snrOrDefault returns snrDB, or defaultSNRdB for zero.
+func snrOrDefault(snrDB float64) float64 {
+	if snrDB == 0 {
+		return defaultSNRdB
+	}
+	return snrDB
 }
 
 // Measure produces the CSI this radio would report for a packet from tx
@@ -142,11 +153,8 @@ func (r *Radio) Measure(rng *rand.Rand, ch *rf.Channel, b wifi.Band, opts Measur
 
 // drawPacketImpairments samples the card-level impairments of one packet.
 func (r *Radio) drawPacketImpairments(rng *rand.Rand, opts MeasureOptions) (delta, cfoPhase float64) {
-	if opts.SNRdB == 0 {
-		opts.SNRdB = 30
-	}
 	if !opts.DisableDetectionDelay {
-		delta = r.DrawDetectionDelay(rng, opts.SNRdB)
+		delta = r.DrawDetectionDelay(rng, snrOrDefault(opts.SNRdB))
 	}
 	// CFO phase at the center frequency; to first order all subcarriers
 	// share it because the offset is a carrier-level rotation. The raw
@@ -200,9 +208,6 @@ func (d *Dwell) scratch() (freqs, w []float64) {
 // packets from tx (nil: no transmitter constants) over ch on band b at
 // the given SNR (0: 30 dB).
 func (r *Radio) render(d *Dwell, ch *rf.Channel, b wifi.Band, tx *Radio, snrDB float64) {
-	if snrDB == 0 {
-		snrDB = 30
-	}
 	// Hardware constant (part of κ): receiver chain phase plus the
 	// transmitter chain phase, and the fixed chain group delays. The
 	// forward and the reverse packet share one rendering only if these
@@ -247,7 +252,7 @@ func (r *Radio) render(d *Dwell, ch *rf.Channel, b wifi.Band, tx *Radio, snrDB f
 	for i := range d.resp {
 		d.resp[i] = dsp.Mul(complex(re[i], im[i]), complex(cos[i], sin[i]))
 	}
-	d.rms, d.sigma = rms, rf.NoiseSigmaForSNR(rms, snrDB)
+	d.rms, d.sigma = rms, rf.NoiseSigmaForSNR(rms, snrOrDefault(snrDB))
 }
 
 // measureRendered writes the CSI radio r reports for one packet of the

@@ -30,8 +30,8 @@ func sameMeasurement(t *testing.T, label string, want, got Measurement) {
 	}
 }
 
-// dwellLink is a link with random radios, a random multipath channel and
-// a random mix of impairment settings.
+// dwellLink is a link with random radios, a random multipath channel, a
+// random SNR and a random mix of quirk and quantization settings.
 func dwellLink(rng *rand.Rand) *Link {
 	tx, rx := NewRadio(rng), NewRadio(rng)
 	tx.Quirk24 = rng.Intn(2) == 0
@@ -41,11 +41,8 @@ func dwellLink(rng *rand.Rand) *Link {
 	}
 	return &Link{
 		TX: tx, RX: rx,
-		Channel:               randomChannel(rng),
-		SNRdB:                 []float64{0, 12, 30}[rng.Intn(3)],
-		PairSeparation:        []float64{0, 40e-6}[rng.Intn(2)],
-		DisableDetectionDelay: rng.Intn(4) == 0,
-		DisableCFO:            rng.Intn(4) == 0,
+		Channel: randomChannel(rng),
+		SNRdB:   []float64{0, 12, 30}[rng.Intn(3)],
 	}
 }
 
@@ -58,24 +55,20 @@ func randomChannel(rng *rand.Rand) *rf.Channel {
 }
 
 // perPacketPair is the reference for one pair: two Radio.Measure calls,
-// forward then reverse, each rendering the channel for its own packet.
+// forward then reverse, each rendering the channel for its own packet,
+// the reverse 28 µs after the forward.
 func perPacketPair(rng *rand.Rand, l *Link, b wifi.Band, t float64) Pair {
-	sep := l.PairSeparation
-	if sep == 0 {
-		sep = 28e-6
-	}
-	opts := MeasureOptions{SNRdB: l.SNRdB, Time: t, TX: l.TX,
-		DisableDetectionDelay: l.DisableDetectionDelay, DisableCFO: l.DisableCFO}
+	opts := MeasureOptions{SNRdB: l.SNRdB, Time: t, TX: l.TX}
 	fwd := l.RX.Measure(rng, l.Channel, b, opts)
-	opts.Time, opts.TX = t+sep, l.RX
+	opts.Time, opts.TX = t+28e-6, l.RX
 	rev := l.TX.Measure(rng, l.Channel, b, opts)
 	return Pair{Forward: fwd, Reverse: rev}
 }
 
 // TestDwellMatchesPerPacketMeasure pins the dwell rendering bit for bit
-// to per-packet Radio.Measure, over random radios, channels, SNRs and
-// impairment settings on 2.4 and 5 GHz bands: Link.Sweep (one rendering
-// per band for all its pairs) against the same draws through
+// to per-packet Radio.Measure, over random radios, channels, SNRs, quirk
+// and quantization settings on 2.4 and 5 GHz bands: Link.Sweep (one
+// rendering per band for all its pairs) against the same draws through
 // Radio.Measure, and the session's capture pattern — one Dwell and one
 // pair buffer reused band after band while the channel changes between
 // bands — against the same.

@@ -26,14 +26,12 @@ type Link struct {
 	Channel *rf.Channel
 	// SNRdB is the per-subcarrier measurement SNR (default 30).
 	SNRdB float64
-	// PairSeparation is the packet→ACK turnaround (seconds); defaults to
-	// 28 µs (SIFS + ACK duration), leaving the small residual CFO phase
-	// error the paper notes in §7 observation (1).
-	PairSeparation float64
-	// DisableDetectionDelay / DisableCFO feed the ablation benches.
-	DisableDetectionDelay bool
-	DisableCFO            bool
 }
+
+// pairSeparation is the packet→ACK turnaround in seconds: 28 µs (SIFS +
+// ACK duration), leaving the small residual CFO phase error the paper
+// notes in §7 observation (1).
+const pairSeparation float64 = 28e-6
 
 // MeasurePair captures one forward/reverse CSI pair on band b at simulated
 // time t.
@@ -50,7 +48,7 @@ func (l *Link) MeasurePair(rng *rand.Rand, b wifi.Band, t float64) Pair {
 // reusing d's buffers. Render again when the channel, the band or the
 // SNR changes.
 func (l *Link) RenderDwell(d *Dwell, b wifi.Band) {
-	l.RX.render(d, l.Channel, b, l.TX, l.snr())
+	l.RX.render(d, l.Channel, b, l.TX, l.SNRdB)
 }
 
 // MeasureDwellPair captures one forward/reverse CSI pair of the rendered
@@ -58,27 +56,12 @@ func (l *Link) RenderDwell(d *Dwell, b wifi.Band) {
 // from rng exactly as two Radio.Measure calls would, forward then
 // reverse, and reports the same bits.
 func (l *Link) MeasureDwellPair(rng *rand.Rand, d *Dwell, t float64, dst *Pair) {
-	sep := l.PairSeparation
-	if sep == 0 {
-		sep = 28e-6
-	}
-	opts := MeasureOptions{
-		SNRdB: l.snr(), Time: t, TX: l.TX,
-		DisableDetectionDelay: l.DisableDetectionDelay,
-		DisableCFO:            l.DisableCFO,
-	}
+	opts := MeasureOptions{SNRdB: l.SNRdB, Time: t, TX: l.TX}
 	delta, cfoPhase := l.RX.drawPacketImpairments(rng, opts)
 	l.RX.measureRendered(rng, d, opts.Time, delta, cfoPhase, &dst.Forward)
-	opts.Time, opts.TX = t+sep, l.RX
+	opts.Time, opts.TX = t+pairSeparation, l.RX
 	delta, cfoPhase = l.TX.drawPacketImpairments(rng, opts)
 	l.TX.measureRendered(rng, d, opts.Time, delta, cfoPhase, &dst.Reverse)
-}
-
-func (l *Link) snr() float64 {
-	if l.SNRdB == 0 {
-		return 30
-	}
-	return l.SNRdB
 }
 
 // SweepDwell is the simulated time, in seconds, a Sweep spends on each

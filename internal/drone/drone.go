@@ -154,53 +154,32 @@ type TrackResult struct {
 	UserPath  []geo.Point
 }
 
-// TrackConfig tunes a following run.
-type TrackConfig struct {
-	Desired  float64 // distance to hold (default 1.4 m)
-	Duration float64 // seconds of flight (default 60)
-	RateHz   float64 // control rate (default 12, the sweep rate of §4)
-	RoomW    float64 // default 6
-	RoomH    float64 // default 5
-	// Settle discards the first seconds while the controller converges
-	// (default 3 s).
-	Settle float64
-}
+// The §12.4 following run.
+const (
+	// Desired is the distance the drone holds to the user, in meters.
+	Desired float64 = 1.4
+	// RateHz is the control rate: one range per §4 band sweep.
+	RateHz float64 = 12
+	// Settle is the seconds of flight, while the controller converges,
+	// that Track does not score.
+	Settle float64 = 3
+	// RoomW and RoomH are the motion-capture room's size in meters.
+	RoomW, RoomH float64 = 6, 5
+)
 
-func (c TrackConfig) withDefaults() TrackConfig {
-	if c.Desired == 0 {
-		c.Desired = 1.4
-	}
-	if c.Duration == 0 {
-		c.Duration = 60
-	}
-	if c.RateHz == 0 {
-		c.RateHz = 12
-	}
-	if c.RoomW == 0 {
-		c.RoomW = 6
-	}
-	if c.RoomH == 0 {
-		c.RoomH = 5
-	}
-	if c.Settle == 0 {
-		c.Settle = 3
-	}
-	return c
-}
-
-// Track runs the full §12.4 experiment: the user walks, the drone follows
-// with the feedback controller fed by sensor measurements.
-func Track(rng *rand.Rand, sensor RangeSensor, cfg TrackConfig) *TrackResult {
-	cfg = cfg.withDefaults()
-	walk := NewWalk(rng, cfg.RoomW, cfg.RoomH)
-	ctl := NewController(cfg.Desired)
+// Track runs the full §12.4 experiment for duration seconds: the user
+// walks the room, the drone follows with the feedback controller fed by
+// sensor measurements.
+func Track(rng *rand.Rand, sensor RangeSensor, duration float64) *TrackResult {
+	walk := NewWalk(rng, RoomW, RoomH)
+	ctl := NewController(Desired)
 
 	// Drone starts at the desired offset from the user.
 	user := walk.Pos()
-	drone := user.Add(geo.Point{X: cfg.Desired, Y: 0})
+	drone := user.Add(geo.Point{X: Desired, Y: 0})
 
-	dt := 1 / cfg.RateHz
-	steps := int(cfg.Duration * cfg.RateHz)
+	dt := 1 / RateHz
+	steps := int(duration * RateHz)
 	res := &TrackResult{}
 	for i := 0; i < steps; i++ {
 		user = walk.Advance(dt)
@@ -212,8 +191,8 @@ func Track(rng *rand.Rand, sensor RangeSensor, cfg TrackConfig) *TrackResult {
 		toUser := geo.Point{X: math.Cos(ang), Y: math.Sin(ang)}
 		drone = ctl.Step(drone, meas, toUser)
 
-		if float64(i)*dt >= cfg.Settle {
-			res.Deviations = append(res.Deviations, math.Abs(drone.Dist(user)-cfg.Desired))
+		if float64(i)*dt >= Settle {
+			res.Deviations = append(res.Deviations, math.Abs(drone.Dist(user)-Desired))
 		}
 		res.DronePath = append(res.DronePath, drone)
 		res.UserPath = append(res.UserPath, user)

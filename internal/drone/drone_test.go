@@ -100,7 +100,7 @@ func TestWalkSpeed(t *testing.T) {
 
 func TestTrackHoldsDistance(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	res := Track(rng, noisySensor{sigma: 0.10}, TrackConfig{Duration: 60})
+	res := Track(rng, noisySensor{sigma: 0.10}, 60)
 	if len(res.Deviations) == 0 {
 		t.Fatal("no deviations recorded")
 	}
@@ -116,7 +116,7 @@ func TestTrackHoldsDistance(t *testing.T) {
 
 func TestTrackDroneFollowsUser(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
-	res := Track(rng, noisySensor{sigma: 0.10}, TrackConfig{Duration: 30})
+	res := Track(rng, noisySensor{sigma: 0.10}, 30)
 	// At every step the drone should be within a couple of meters of the
 	// user (it is trying to hold 1.4 m).
 	for i := range res.DronePath {
@@ -127,8 +127,8 @@ func TestTrackDroneFollowsUser(t *testing.T) {
 }
 
 func TestTrackDeterministic(t *testing.T) {
-	a := Track(rand.New(rand.NewSource(9)), noisySensor{sigma: 0.10}, TrackConfig{Duration: 10})
-	b := Track(rand.New(rand.NewSource(9)), noisySensor{sigma: 0.10}, TrackConfig{Duration: 10})
+	a := Track(rand.New(rand.NewSource(9)), noisySensor{sigma: 0.10}, 10)
+	b := Track(rand.New(rand.NewSource(9)), noisySensor{sigma: 0.10}, 10)
 	if stats.Median(a.Deviations) != stats.Median(b.Deviations) {
 		t.Error("same seed produced different runs")
 	}

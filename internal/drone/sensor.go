@@ -28,14 +28,14 @@ type PipelineSensor struct {
 // pairsPerBand is the CSI pairs a Range sweep collects per band.
 const pairsPerBand = 2
 
-// NewPipelineSensor wires fresh radios and a 5 GHz estimator over the
-// given environment (the §12.4 room) and calibrates them at a known
-// 2 m reference geometry, which also seeds the last measured range.
-func NewPipelineSensor(rng *rand.Rand, env *rf.Environment) (*PipelineSensor, error) {
+// NewPipelineSensor wires fresh radios and a 5 GHz estimator in the
+// §12.4 room and calibrates them at a known 2 m reference geometry, which
+// also seeds the last measured range.
+func NewPipelineSensor(rng *rand.Rand) (*PipelineSensor, error) {
 	tx, rx := csi.NewRadio(rng), csi.NewRadio(rng)
 	tx.Quirk24, rx.Quirk24 = false, false
 	s := &PipelineSensor{
-		Env:   env,
+		Env:   room(),
 		Link:  &csi.Link{TX: tx, RX: rx, SNRdB: 28},
 		Est:   tof.NewEstimator(tof.Config{Mode: tof.Bands5GHzOnly, MaxIter: 800}),
 		Bands: wifi.Bands5GHz(),
@@ -53,10 +53,7 @@ func NewPipelineSensor(rng *rand.Rand, env *rf.Environment) (*PipelineSensor, er
 }
 
 func (s *PipelineSensor) setChannel(pos, target geo.Point) {
-	s.Link.Channel = rf.GenerateChannel(s.Env,
-		rf.Point2{X: pos.X, Y: pos.Y},
-		rf.Point2{X: target.X, Y: target.Y},
-		rf.PropagationOptions{Freq: 5.5e9, MinGain: 0.15, MaxPaths: 6})
+	s.Link.Channel = rf.GenerateChannel(s.Env, pos, target, false)
 }
 
 // Range implements RangeSensor via a full band sweep and inversion.
@@ -73,8 +70,8 @@ func (s *PipelineSensor) Range(rng *rand.Rand, pos, target geo.Point) float64 {
 	return s.last
 }
 
-// Room builds the §12.4 motion-capture room as an rf.Environment: a
-// 6 m × 5 m space with reflective walls.
-func Room(w, h float64) *rf.Environment {
-	return &rf.Environment{Walls: rf.Rectangle(0, 0, w, h, 0.55)}
+// room builds the §12.4 motion-capture room as an rf.Environment: a
+// RoomW × RoomH space with reflective walls.
+func room() *rf.Environment {
+	return &rf.Environment{Walls: rf.Rectangle(0, 0, RoomW, RoomH, 0.55)}
 }

@@ -16,7 +16,7 @@ func TestPipelineSensorAccuracy(t *testing.T) {
 		t.Skip("full ToF pipeline per range — slow under -race")
 	}
 	rng := rand.New(rand.NewSource(1))
-	s, err := NewPipelineSensor(rng, Room(6, 5))
+	s, err := NewPipelineSensor(rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +35,7 @@ func TestPipelineSensorNonNegative(t *testing.T) {
 		t.Skip("full ToF pipeline per range — slow under -race")
 	}
 	rng := rand.New(rand.NewSource(2))
-	s, err := NewPipelineSensor(rng, Room(6, 5))
+	s, err := NewPipelineSensor(rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func TestPipelineSensorNonNegative(t *testing.T) {
 // distance of the new geometry.
 func TestPipelineSensorFailedSweepRepeatsLastRange(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
-	s, err := NewPipelineSensor(rng, Room(6, 5))
+	s, err := NewPipelineSensor(rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,15 +71,16 @@ func TestTrackWithPipelineSensor(t *testing.T) {
 		t.Skip("full-pipeline flight is slow")
 	}
 	rng := rand.New(rand.NewSource(3))
-	s, err := NewPipelineSensor(rng, Room(6, 5))
+	s, err := NewPipelineSensor(rng)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A short flight at a reduced control rate keeps the full pipeline
-	// tractable in tests; the controller still has to hold distance.
-	res := Track(rng, s, TrackConfig{Duration: 8, RateHz: 4, Settle: 2})
-	if len(res.Deviations) == 0 {
-		t.Fatal("no deviations recorded")
+	// A short flight at the 12 Hz control rate: 72 ranges, the last 36
+	// scored after the 3 s settle. The controller still has to hold
+	// distance.
+	res := Track(rng, s, 6)
+	if len(res.Deviations) != 36 {
+		t.Fatalf("deviations = %d, want 36", len(res.Deviations))
 	}
 	med := stats.Median(res.Deviations)
 	if med > 0.5 {
@@ -88,8 +89,11 @@ func TestTrackWithPipelineSensor(t *testing.T) {
 }
 
 func TestRoomGeometry(t *testing.T) {
-	env := Room(6, 5)
+	env := room()
 	if len(env.Walls) != 4 {
 		t.Fatalf("walls = %d", len(env.Walls))
+	}
+	if c := env.Walls[1].B; c != (geo.Point{X: 6, Y: 5}) {
+		t.Errorf("far corner %v, want the 6 m × 5 m room's", c)
 	}
 }

@@ -8,15 +8,14 @@ import (
 )
 
 // flight flies one §12.4 following run of the given duration on a
-// calibrated full-pipeline sensor built from rng, in the 6 m × 5 m room
-// the user walks in (drone.TrackConfig's default). ok is false when the
-// sensor fails to calibrate.
+// calibrated full-pipeline sensor built from rng, in the room the user
+// walks in. ok is false when the sensor fails to calibrate.
 func flight(rng *rand.Rand, duration float64) (*drone.TrackResult, bool) {
-	sensor, err := drone.NewPipelineSensor(rng, drone.Room(6, 5))
+	sensor, err := drone.NewPipelineSensor(rng)
 	if err != nil {
 		return nil, false
 	}
-	return drone.Track(rng, sensor, drone.TrackConfig{Duration: duration}), true
+	return drone.Track(rng, sensor, duration), true
 }
 
 // Fig10a reproduces the drone distance-keeping CDF: deviation from the
@@ -68,24 +67,23 @@ func Fig10b(o Options) *Result {
 	if !ok {
 		return res
 	}
-	rate := 12.0
-	for i := 0; i < len(tr.UserPath); i += int(rate * 2) { // every 2 s
+	for i := 0; i < len(tr.UserPath); i += int(drone.RateHz * 2) { // every 2 s
 		u, d := tr.UserPath[i], tr.DronePath[i]
 		res.Rows = append(res.Rows, []string{
-			fmtF(float64(i)/rate, 0), u.String(), d.String(), fmtF(u.Dist(d), 2),
+			fmtF(float64(i)/drone.RateHz, 0), u.String(), d.String(), fmtF(u.Dist(d), 2),
 		})
 	}
 	// Steady-state distance statistics over the trajectory.
 	var dist []float64
 	for i := range tr.UserPath {
-		if float64(i)/rate >= 3 {
+		if float64(i)/drone.RateHz >= drone.Settle {
 			dist = append(dist, tr.UserPath[i].Dist(tr.DronePath[i]))
 		}
 	}
 	res.Metrics = map[string]float64{
 		"mean_distance_m":   stats.Mean(dist),
 		"median_distance_m": stats.Median(dist),
-		"target_m":          1.4,
+		"target_m":          drone.Desired,
 	}
 	res.Rows = append(res.Rows, []string{"steady mean", "", "", fmtF(stats.Mean(dist), 2)})
 	return res

@@ -127,14 +127,14 @@ func runToFCampaign(o Options, campaignID string, office *sim.Office, cfg tof.Co
 		// One-time calibration of this device pair at a known reference
 		// placement (LOS, mid-range).
 		calP := office.RandomPlacement(rng, 8, false)
-		link.Channel = office.Channel(calP, 5.5e9)
+		link.Channel = office.Channel(calP)
 		calSweep := link.Sweep(rng, bands, 3)
 		offset, err := tof.Calibrate(est, bands, calSweep, calP.TrueDistance())
 		if err != nil {
 			return tofTrial{}, false
 		}
 
-		link.Channel = office.Channel(p, 5.5e9)
+		link.Channel = office.Channel(p)
 		sweep := link.Sweep(rng, bands, 3)
 		r, err := est.Estimate(bands, sweep)
 		if err != nil {

@@ -40,7 +40,7 @@ func locCampaign(o Options, campaignID string, office *sim.Office, sep float64, 
 		rxCenter := office.Locations[rng.Intn(len(office.Locations))]
 		place := func(txPos geo.Point, isNLOS bool) {
 			ap := sim.AntennaPlacement{TX: txPos, RXCenter: rxCenter, Array: array, NLOS: isNLOS}
-			link.Channels = office.AntennaChannels(ap, 5.5e9)
+			link.Channels = office.AntennaChannels(ap)
 		}
 		place(calTx, false)
 		trueDist := make([]float64, 3)

@@ -38,7 +38,7 @@ func Fig9b(o Options) *Result {
 	o = o.withDefaults(1)
 	sweep := hop.RunSchedule(trialRNG(o, "fig9b", 0), 1, 1)
 	outage := netsim.Outage{Start: 6 * time.Second, Duration: sweep.Duration}
-	tr := netsim.Video(netsim.VideoConfig{}, 12*time.Second, []netsim.Outage{outage})
+	tr := netsim.Video(12*time.Second, []netsim.Outage{outage})
 
 	res := &Result{
 		ID:     "fig9b",
@@ -78,7 +78,7 @@ func Fig9c(o Options) *Result {
 	rng := trialRNG(o, "fig9c", 0)
 	sweep := hop.RunSchedule(rng, 1, 1)
 	outage := netsim.Outage{Start: 6 * time.Second, Duration: sweep.Duration}
-	samples := netsim.TCPTrace(rng, netsim.TCPConfig{}, 15*time.Second, time.Second, []netsim.Outage{outage})
+	samples := netsim.TCPTrace(rng, 15*time.Second, time.Second, []netsim.Outage{outage})
 
 	res := &Result{
 		ID:     "fig9c",

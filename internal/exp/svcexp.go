@@ -19,9 +19,8 @@ import (
 // jump the class queue, and a running bulk solve runs them inline at its
 // next gap check. The figure of merit is the latency-class p99
 // inter-fix wall gap, which must stay strictly below the bulk class's
-// at the same offered load; the bulk-lane queue depth and solve-pool
-// utilization ride along from a mid-window snapshot. Wall-clock
-// columns, so explicit-only like the other perf campaigns.
+// at the same offered load. Wall-clock columns, so explicit-only like
+// the other perf campaigns.
 func PerfPipeline(o Options) *Result {
 	o = o.withDefaults(1)
 	const (
@@ -77,33 +76,29 @@ func PerfPipeline(o Options) *Result {
 	if err != nil {
 		panic(fmt.Sprintf("perf-pipeline: %v", err))
 	}
-	// Queue depth and utilization are meaningful only mid-run, so they
-	// come from the in-window capture; the per-class gap histograms come
-	// from the drain snapshot so sweeps still in flight at window close
-	// (under starvation, most bulk sweeps) flush into the quantiles
-	// instead of vanishing.
+	// The sweep and preemption counts come from the in-window capture;
+	// the per-class gap histograms come from the drain snapshot so sweeps
+	// still in flight at window close (under starvation, most bulk
+	// sweeps) flush into the quantiles instead of vanishing.
 	lat := snap.Hists["svc.fix.latency_ns"]
 	bulk := snap.Hists["svc.fix.bulk_ns"]
 	latP50, latP99 := lat.P50/1e6, lat.P99/1e6
 	bulkP50, bulkP99 := bulk.P50/1e6, bulk.P99/1e6
 	sweepRate := float64(mid.Counters["svc.full_sweeps"]) / elapsed
 	preemptions := float64(mid.Counters["svc.preemptions"])
-	queueBulk := mid.Gauges["svc.pipe.queue.solve_bulk"]
-	utilSolve := mid.Gauges["svc.pipe.util.solve"]
 
 	return &Result{
 		ID: "perf-pipeline",
 		Title: "staged pipeline with latency classes: latency-class and bulk-class fix gaps " +
 			"under bulk saturation (class queue + preemption)",
 		Header: []string{"mode", "lat p50 ms", "lat p99 ms", "bulk p50 ms", "bulk p99 ms",
-			"sweep/s", "preempts", "q(bulk)", "util(solve)"},
+			"sweep/s", "preempts"},
 		Rows: [][]string{{
 			"staged+classes",
 			fmtF(latP50, 1), fmtF(latP99, 1),
 			fmtF(bulkP50, 1), fmtF(bulkP99, 1),
 			fmtF(sweepRate, 1),
 			fmtF(preemptions, 0),
-			fmtF(queueBulk, 0), fmtF(utilSolve, 2),
 		}},
 		Metrics: map[string]float64{
 			"shards":                shards,
@@ -116,8 +111,6 @@ func PerfPipeline(o Options) *Result {
 			"staged_sweep_rate_hz":  sweepRate,
 			"staged_preemptions":    preemptions,
 			"staged_starve_grants":  float64(mid.Counters["svc.starve_grants"]),
-			"staged_queue_bulk":     queueBulk,
-			"staged_util_solve":     utilSolve,
 			"lat_under_bulk_staged": boolMetric(latP99 < bulkP99),
 		},
 	}

@@ -39,7 +39,7 @@ func Fig3(o Options) *Result {
 			fmtF(f/1e9, 3), fmtF(1/f*1e9, 3), fmt.Sprintf("%d", len(cands)),
 		})
 	}
-	tau, score, err := crt.Solve(obs, crt.Config{MaxTau: 10e-9})
+	tau, score, err := crt.Solve(obs, 10e-9)
 	if err != nil {
 		tau, score = math.NaN(), math.NaN()
 	}

@@ -243,6 +243,12 @@ func TestRejectOutliersSmallInputs(t *testing.T) {
 	}
 }
 
+func TestPointDist(t *testing.T) {
+	if got := (Point{0, 0}).Dist(Point{3, 4}); got != 5 {
+		t.Errorf("Dist = %v", got)
+	}
+}
+
 func TestPointArithmetic(t *testing.T) {
 	p := Point{1, 2}
 	if got := p.Add(Point{3, -1}); got != (Point{4, 1}) {

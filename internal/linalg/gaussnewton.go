@@ -16,8 +16,6 @@ type Residual interface {
 // GNOptions configures Gauss–Newton iteration.
 type GNOptions struct {
 	MaxIter   int     // maximum iterations (default 50)
-	Tol       float64 // stop when the step norm falls below Tol (default 1e-9)
-	Damping   float64 // Levenberg damping added to JᵀJ diagonal (default 1e-9)
 	StepLimit float64 // optional per-iteration step clamp; 0 disables
 }
 
@@ -25,20 +23,22 @@ func (o GNOptions) withDefaults() GNOptions {
 	if o.MaxIter == 0 {
 		o.MaxIter = 50
 	}
-	if o.Tol == 0 {
-		o.Tol = 1e-9
-	}
-	if o.Damping == 0 {
-		o.Damping = 1e-9
-	}
 	return o
 }
 
-// ErrNoConverge reports that Gauss–Newton hit MaxIter without meeting Tol.
+// The iteration stops when the step norm falls below gnTol, and adds
+// the Levenberg damping gnDamping to the diagonal of JᵀJ.
+const (
+	gnTol     float64 = 1e-9
+	gnDamping float64 = 1e-9
+)
+
+// ErrNoConverge reports that Gauss–Newton hit MaxIter without meeting
+// gnTol.
 var ErrNoConverge = errors.New("linalg: gauss-newton did not converge")
 
 // maxHalvings bounds the step backtracking of one Gauss–Newton
-// iteration: 2⁻³⁰ of a step is far below any useful Tol.
+// iteration: 2⁻³⁰ of a step is far below gnTol.
 const maxHalvings = 30
 
 // GaussNewton minimizes ‖r(x)‖₂² starting from x0 and returns the refined
@@ -82,7 +82,7 @@ func GaussNewton(res Residual, x0 []float64, opts GNOptions) ([]float64, float64
 			}
 		}
 		for p := 0; p < n; p++ {
-			jtj[p*n+p] += opts.Damping
+			jtj[p*n+p] += gnDamping
 			for q := 0; q < p; q++ {
 				jtj[p*n+q] = jtj[q*n+p]
 			}
@@ -117,7 +117,7 @@ func GaussNewton(res Residual, x0 []float64, opts GNOptions) ([]float64, float64
 			stepNorm *= 0.5
 		}
 		x, xt = xt, x
-		if stepNorm < opts.Tol {
+		if stepNorm < gnTol {
 			return x, lastNorm, nil
 		}
 	}

@@ -34,7 +34,7 @@ func newArrayRig(rng *rand.Rand, side float64) *arrayRig {
 
 func (r *arrayRig) place(txPos, rxCenter geo.Point, nlos bool) {
 	ap := sim.AntennaPlacement{TX: txPos, RXCenter: rxCenter, Array: r.array, NLOS: nlos}
-	r.link.Channels = r.office.AntennaChannels(ap, 5.5e9)
+	r.link.Channels = r.office.AntennaChannels(ap)
 }
 
 func TestLocateArrayAccuracy(t *testing.T) {
@@ -107,6 +107,48 @@ func TestLocateArrayDistancesTrackTruth(t *testing.T) {
 		got := fix.Distances[i]
 		if d := got - want; d > 0.5 || d < -0.5 {
 			t.Errorf("antenna %d distance %v, want %v", ai, got, want)
+		}
+	}
+}
+
+// TestLocateArraySubtractsChainOffsets pins the per-chain calibration:
+// every chain's sweep runs through the one estimator, and its distance
+// is its ToF less its own offset, clamped at zero, times c.
+func TestLocateArraySubtractsChainOffsets(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	r := newArrayRig(rng, 0.3)
+	bands := wifi.Bands5GHz()
+	localizer := NewLocalizer(r.array, tof.Config{Mode: tof.Bands5GHzOnly, MaxIter: 400})
+	r.place(geo.Point{X: 6, Y: 7}, geo.Point{X: 10, Y: 10}, false)
+	sweeps := r.link.Sweep(rng, bands, 2)
+	raw := make([]float64, len(sweeps))
+	for i, sw := range sweeps {
+		est, err := localizer.Est.Estimate(bands, sw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw[i] = est.ToF
+	}
+	for _, tc := range []struct {
+		name    string
+		offsets []float64
+	}{
+		{"offsets", []float64{0.2e-9, 0.5e-9, 0.8e-9}},
+		{"clamped", []float64{raw[0] + 1e-9, raw[1] + 1e-9, raw[2] + 1e-9}},
+	} {
+		copy(localizer.Offsets, tc.offsets)
+		fix, err := localizer.LocateArray(bands, sweeps)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if len(fix.KeptAntennas) != len(sweeps) {
+			t.Fatalf("%s: kept %v, want every chain", tc.name, fix.KeptAntennas)
+		}
+		for j, k := range fix.KeptAntennas {
+			want := max(raw[k]-tc.offsets[k], 0) * wifi.SpeedOfLight
+			if fix.Distances[j] != want {
+				t.Errorf("%s: chain %d distance %v, want %v", tc.name, k, fix.Distances[j], want)
+			}
 		}
 	}
 }

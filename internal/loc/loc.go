@@ -1,8 +1,9 @@
 // Package loc is the §8 device-to-device localization engine: it runs the
-// time-of-flight estimator once per receive antenna, converts the
-// resulting ToFs to distances, rejects geometrically inconsistent
-// estimates, and solves for the transmitter position relative to the
-// receiver's antenna array by least squares.
+// time-of-flight estimator once per receive antenna, subtracts each
+// antenna's calibration offset, converts the resulting ToFs to
+// distances, rejects geometrically inconsistent estimates, and solves
+// for the transmitter position relative to the receiver's antenna array
+// by least squares.
 package loc
 
 import (
@@ -20,23 +21,22 @@ import (
 // receive antenna array.
 type Localizer struct {
 	Array geo.Array
-	// Estimators holds one calibrated ToF estimator per antenna. They may
-	// share a Config but each carries its own calibration offset.
-	Estimators []*tof.Estimator
+	// Est is the ToF estimator every antenna's sweep runs through.
+	Est *tof.Estimator
+	// Offsets holds each antenna's calibration offset in seconds (the
+	// hardware chain delays, §7 observation 2), index-aligned with
+	// Array.Antennas; CalibrateArray measures them.
+	Offsets []float64
 }
 
 // outlierSlack is the extra tolerance (meters) in the geometric
 // consistency check: 0.45 m ≈ 1.5 ns of ToF error.
 const outlierSlack = 0.45
 
-// NewLocalizer builds a localizer for the given array, instantiating one
-// estimator per antenna from cfg.
+// NewLocalizer builds an uncalibrated localizer for the given array,
+// with one estimator from cfg.
 func NewLocalizer(array geo.Array, cfg tof.Config) *Localizer {
-	ests := make([]*tof.Estimator, len(array.Antennas))
-	for i := range ests {
-		ests[i] = tof.NewEstimator(cfg)
-	}
-	return &Localizer{Array: array, Estimators: ests}
+	return &Localizer{Array: array, Est: tof.NewEstimator(cfg), Offsets: make([]float64, len(array.Antennas))}
 }
 
 // ErrAntennaCount reports a sweep count that does not match the array.
@@ -62,7 +62,8 @@ type Fix struct {
 // channel. Each antenna therefore yields a clean per-antenna distance.
 // Because all chains share each forward packet's detection delay and
 // CFO, antenna-differential errors stay well below the absolute ones —
-// the property that makes 30 cm baselines usable at room scale.
+// the property that makes 30 cm baselines usable at room scale. Each
+// antenna's ToF, less its calibration offset, is clamped at zero.
 func (l *Localizer) LocateArray(bands []wifi.Band, sweeps [][][]csi.Pair) (*Fix, error) {
 	if len(sweeps) != len(l.Array.Antennas) {
 		return nil, fmt.Errorf("%w: %d sweeps, %d antennas", ErrAntennaCount, len(sweeps), len(l.Array.Antennas))
@@ -70,11 +71,15 @@ func (l *Localizer) LocateArray(bands []wifi.Band, sweeps [][][]csi.Pair) (*Fix,
 	circles := make([]geo.Circle, 0, len(sweeps))
 	idx := make([]int, 0, len(sweeps))
 	for i, sweep := range sweeps {
-		est, err := l.Estimators[i].Estimate(bands, sweep)
+		est, err := l.Est.Estimate(bands, sweep)
 		if err != nil {
 			continue
 		}
-		circles = append(circles, geo.Circle{Center: l.Array.Antennas[i], Radius: est.Distance})
+		tau := est.ToF - l.Offsets[i]
+		if tau < 0 {
+			tau = 0
+		}
+		circles = append(circles, geo.Circle{Center: l.Array.Antennas[i], Radius: tau * wifi.SpeedOfLight})
 		idx = append(idx, i)
 	}
 	if len(circles) < 2 {
@@ -127,20 +132,20 @@ func (l *Localizer) solve(circles []geo.Circle, idx []int) (*Fix, error) {
 	return fix, nil
 }
 
-// CalibrateArray calibrates the per-antenna estimators of a shared-packet
+// CalibrateArray measures the per-antenna offsets of a shared-packet
 // array link at a known geometry: trueDist[i] is the laser-measured
 // distance from the transmitter to antenna i.
 func (l *Localizer) CalibrateArray(rng *rand.Rand, bands []wifi.Band, link *csi.ArrayLink, trueDist []float64, pairsPerBand int) error {
-	if len(trueDist) != len(l.Estimators) || len(link.Channels) != len(l.Estimators) {
+	if len(trueDist) != len(l.Offsets) || len(link.Channels) != len(l.Offsets) {
 		return errors.New("loc: calibration inputs do not match antenna count")
 	}
 	sweeps := link.Sweep(rng, bands, pairsPerBand)
-	for i := range l.Estimators {
-		off, err := tof.Calibrate(l.Estimators[i], bands, sweeps[i], trueDist[i])
+	for i := range l.Offsets {
+		off, err := tof.Calibrate(l.Est, bands, sweeps[i], trueDist[i])
 		if err != nil {
 			return fmt.Errorf("loc: calibrating antenna %d: %w", i, err)
 		}
-		l.Estimators[i].SetCalibrationOffset(off)
+		l.Offsets[i] = off
 	}
 	return nil
 }

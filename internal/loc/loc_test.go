@@ -44,7 +44,7 @@ func newRig(rng *rand.Rand, nAnt int, sep float64) *rig {
 // place points every antenna link at the given TX/RX-center geometry.
 func (r *rig) place(txPos, rxCenter geo.Point, nlos bool) {
 	ap := sim.AntennaPlacement{TX: txPos, RXCenter: rxCenter, Array: r.array, NLOS: nlos}
-	chans := r.office.AntennaChannels(ap, 5.5e9)
+	chans := r.office.AntennaChannels(ap)
 	for i := range r.links {
 		r.links[i].Channel = chans[i]
 	}
@@ -71,11 +71,11 @@ func calibratedLocalizer(t *testing.T, rng *rand.Rand, r *rig, bands []wifi.Band
 	}
 	for i, link := range r.links {
 		sweep := link.Sweep(rng, bands, 3)
-		off, err := tof.Calibrate(loc.Estimators[i], bands, sweep, trueDist[i])
+		off, err := tof.Calibrate(loc.Est, bands, sweep, trueDist[i])
 		if err != nil {
 			t.Fatal(err)
 		}
-		loc.Estimators[i].SetCalibrationOffset(off)
+		loc.Offsets[i] = off
 	}
 	return loc
 }

@@ -15,33 +15,14 @@ import (
 	"time"
 )
 
-// TCPConfig tunes the AIMD flow model.
-type TCPConfig struct {
-	LinkRate   float64       // bottleneck rate in bits/s (default 24 Mbit/s 802.11n MCS)
-	RTT        time.Duration // round-trip time (default 15 ms)
-	SegBytes   int           // segment size (default 1448)
-	Tick       time.Duration // sampling resolution (default 10 ms)
-	WindowInit float64       // initial cwnd in segments (default 4)
-}
-
-func (c TCPConfig) withDefaults() TCPConfig {
-	if c.LinkRate == 0 {
-		c.LinkRate = 24e6
-	}
-	if c.RTT == 0 {
-		c.RTT = 15 * time.Millisecond
-	}
-	if c.SegBytes == 0 {
-		c.SegBytes = 1448
-	}
-	if c.Tick == 0 {
-		c.Tick = 10 * time.Millisecond
-	}
-	if c.WindowInit == 0 {
-		c.WindowInit = 4
-	}
-	return c
-}
+// The §12.3 TCP flow: an AIMD window over an 802.11n link.
+const (
+	tcpLinkRate   float64 = 24e6                  // bottleneck rate in bits/s (802.11n MCS)
+	tcpRTT                = 15 * time.Millisecond // round-trip time
+	tcpSegBytes           = 1448                  // segment size in bytes
+	tcpTick               = 10 * time.Millisecond // sampling resolution
+	tcpWindowInit float64 = 4                     // initial cwnd in segments
+)
 
 // Sample is one point of a time series.
 type Sample struct {
@@ -69,18 +50,18 @@ func inOutage(t time.Duration, outages []Outage) bool {
 // outages and returns throughput samples averaged over windows of
 // `window` (Fig. 9c uses 1 s windows). rng adds small service jitter so
 // traces look like measurements rather than staircases.
-func TCPTrace(rng *rand.Rand, cfg TCPConfig, total, window time.Duration, outages []Outage) []Sample {
-	cfg = cfg.withDefaults()
+func TCPTrace(rng *rand.Rand, total, window time.Duration, outages []Outage) []Sample {
 	// cwnd in segments; capacity in segments per RTT.
-	capacity := cfg.LinkRate * cfg.RTT.Seconds() / float64(cfg.SegBytes*8)
-	cwnd := cfg.WindowInit
+	rtt, tick := tcpRTT.Seconds(), tcpTick.Seconds()
+	capacity := tcpLinkRate * rtt / float64(tcpSegBytes*8)
+	cwnd := tcpWindowInit
 
 	var samples []Sample
 	var winBytes float64
 	winStart := time.Duration(0)
 	outageNow := false
 
-	for t := time.Duration(0); t < total; t += cfg.Tick {
+	for t := time.Duration(0); t < total; t += tcpTick {
 		wasOutage := outageNow
 		outageNow = inOutage(t, outages)
 		switch {
@@ -96,56 +77,40 @@ func TCPTrace(rng *rand.Rand, cfg TCPConfig, total, window time.Duration, outage
 			fallthrough
 		default:
 			// Deliver cwnd segments per RTT, capped by link rate.
-			rate := cwnd / cfg.RTT.Seconds() * float64(cfg.SegBytes*8) // bits/s
-			if rate > cfg.LinkRate {
-				rate = cfg.LinkRate
+			rate := cwnd / rtt * float64(tcpSegBytes*8) // bits/s
+			if rate > tcpLinkRate {
+				rate = tcpLinkRate
 			}
 			jitter := 1.0
 			if rng != nil {
 				jitter = 1 + rng.NormFloat64()*0.01
 			}
-			winBytes += rate * cfg.Tick.Seconds() / 8 * jitter
+			winBytes += rate * tick / 8 * jitter
 			// Additive increase up to capacity; drop back on overflow
 			// (buffer loss), the classic sawtooth.
-			cwnd += cfg.Tick.Seconds() / cfg.RTT.Seconds()
+			cwnd += tick / rtt
 			if cwnd > capacity*1.1 {
 				cwnd = capacity * 0.55
 			}
 		}
 
-		if t-winStart+cfg.Tick >= window {
-			elapsed := (t - winStart + cfg.Tick).Seconds()
-			samples = append(samples, Sample{At: t + cfg.Tick, Value: winBytes * 8 / elapsed})
+		if t-winStart+tcpTick >= window {
+			elapsed := (t - winStart + tcpTick).Seconds()
+			samples = append(samples, Sample{At: t + tcpTick, Value: winBytes * 8 / elapsed})
 			winBytes = 0
-			winStart = t + cfg.Tick
+			winStart = t + tcpTick
 		}
 	}
 	return samples
 }
 
-// VideoConfig tunes the CBR streaming model of Fig. 9b.
-type VideoConfig struct {
-	BitRate      float64       // playback rate in bits/s (default 4 Mbit/s)
-	DownloadRate float64       // network download rate (default 6 Mbit/s)
-	Prebuffer    time.Duration // startup buffering before playback (default 1 s)
-	Tick         time.Duration // sampling resolution (default 20 ms)
-}
-
-func (c VideoConfig) withDefaults() VideoConfig {
-	if c.BitRate == 0 {
-		c.BitRate = 4e6
-	}
-	if c.DownloadRate == 0 {
-		c.DownloadRate = 6e6
-	}
-	if c.Prebuffer == 0 {
-		c.Prebuffer = time.Second
-	}
-	if c.Tick == 0 {
-		c.Tick = 20 * time.Millisecond
-	}
-	return c
-}
+// The CBR video stream of Fig. 9b.
+const (
+	videoBitRate      float64 = 4e6                   // playback rate in bits/s
+	videoDownloadRate float64 = 6e6                   // network download rate in bits/s
+	videoPrebuffer            = time.Second           // startup buffering before playback
+	videoTick                 = 20 * time.Millisecond // sampling resolution
+)
 
 // VideoTrace is the Fig. 9b result: cumulative downloaded and played
 // bytes over time, plus stall accounting.
@@ -157,26 +122,26 @@ type VideoTrace struct {
 }
 
 // Video simulates a buffered CBR stream for total duration with outages.
-func Video(cfg VideoConfig, total time.Duration, outages []Outage) *VideoTrace {
-	cfg = cfg.withDefaults()
+func Video(total time.Duration, outages []Outage) *VideoTrace {
+	tick := videoTick.Seconds()
 	tr := &VideoTrace{}
 	var downloaded, played float64 // bytes
 	playing := false
 	stalled := false
 
-	for t := time.Duration(0); t < total; t += cfg.Tick {
+	for t := time.Duration(0); t < total; t += videoTick {
 		if !inOutage(t, outages) {
 			// The client downloads only while it is behind a modest
 			// buffer target (streaming apps cap their buffer).
-			if downloaded-played < cfg.BitRate*4/8 { // ≤ 4 s of media buffered
-				downloaded += cfg.DownloadRate * cfg.Tick.Seconds() / 8
+			if downloaded-played < videoBitRate*4/8 { // ≤ 4 s of media buffered
+				downloaded += videoDownloadRate * tick / 8
 			}
 		}
-		if !playing && t >= cfg.Prebuffer {
+		if !playing && t >= videoPrebuffer {
 			playing = true
 		}
 		if playing {
-			need := cfg.BitRate * cfg.Tick.Seconds() / 8
+			need := videoBitRate * tick / 8
 			if downloaded-played >= need {
 				played += need
 				if stalled {
@@ -188,7 +153,7 @@ func Video(cfg VideoConfig, total time.Duration, outages []Outage) *VideoTrace {
 					tr.Stalls++
 					stalled = true
 				}
-				tr.StallTime += cfg.Tick
+				tr.StallTime += videoTick
 			}
 		}
 		tr.Downloaded = append(tr.Downloaded, Sample{At: t, Value: downloaded})

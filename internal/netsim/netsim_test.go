@@ -8,8 +8,7 @@ import (
 
 func TestTCPTraceReachesLinkRate(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	cfg := TCPConfig{}
-	samples := TCPTrace(rng, cfg, 10*time.Second, time.Second, nil)
+	samples := TCPTrace(rng, 10*time.Second, time.Second, nil)
 	if len(samples) != 10 {
 		t.Fatalf("samples = %d", len(samples))
 	}
@@ -23,7 +22,7 @@ func TestTCPTraceReachesLinkRate(t *testing.T) {
 func TestTCPTraceOutageDip(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	outage := Outage{Start: 6 * time.Second, Duration: 84 * time.Millisecond}
-	samples := TCPTrace(rng, TCPConfig{}, 15*time.Second, time.Second, []Outage{outage})
+	samples := TCPTrace(rng, 15*time.Second, time.Second, []Outage{outage})
 	dip := ThroughputDipPercent(samples, outage)
 	// Fig. 9c: ≈6.5% dip for an 84 ms absence in a 1 s window.
 	if dip < 2 || dip > 20 {
@@ -40,16 +39,16 @@ func TestTCPTraceLongerOutageBiggerDip(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	short := Outage{Start: 6 * time.Second, Duration: 84 * time.Millisecond}
 	long := Outage{Start: 6 * time.Second, Duration: 500 * time.Millisecond}
-	dipShort := ThroughputDipPercent(TCPTrace(rng, TCPConfig{}, 12*time.Second, time.Second, []Outage{short}), short)
-	dipLong := ThroughputDipPercent(TCPTrace(rng, TCPConfig{}, 12*time.Second, time.Second, []Outage{long}), long)
+	dipShort := ThroughputDipPercent(TCPTrace(rng, 12*time.Second, time.Second, []Outage{short}), short)
+	dipLong := ThroughputDipPercent(TCPTrace(rng, 12*time.Second, time.Second, []Outage{long}), long)
 	if dipLong <= dipShort {
 		t.Errorf("500 ms dip (%.1f%%) not bigger than 84 ms dip (%.1f%%)", dipLong, dipShort)
 	}
 }
 
 func TestTCPTraceNoRngDeterministic(t *testing.T) {
-	a := TCPTrace(nil, TCPConfig{}, 5*time.Second, time.Second, nil)
-	b := TCPTrace(nil, TCPConfig{}, 5*time.Second, time.Second, nil)
+	a := TCPTrace(nil, 5*time.Second, time.Second, nil)
+	b := TCPTrace(nil, 5*time.Second, time.Second, nil)
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatal("nil-rng traces differ")
@@ -61,7 +60,7 @@ func TestVideoNoStallWithSweepOutage(t *testing.T) {
 	// Fig. 9b: an 84 ms localization outage must not stall playback —
 	// the playout buffer absorbs it.
 	outage := Outage{Start: 6 * time.Second, Duration: 84 * time.Millisecond}
-	tr := Video(VideoConfig{}, 12*time.Second, []Outage{outage})
+	tr := Video(12*time.Second, []Outage{outage})
 	if tr.Stalls != 0 {
 		t.Errorf("stalls = %d, want 0", tr.Stalls)
 	}
@@ -75,7 +74,7 @@ func TestVideoNoStallWithSweepOutage(t *testing.T) {
 
 func TestVideoDownloadPausesDuringOutage(t *testing.T) {
 	outage := Outage{Start: 6 * time.Second, Duration: 500 * time.Millisecond}
-	tr := Video(VideoConfig{}, 10*time.Second, []Outage{outage})
+	tr := Video(10*time.Second, []Outage{outage})
 	var before, during float64
 	for i := 1; i < len(tr.Downloaded); i++ {
 		s := tr.Downloaded[i]
@@ -98,7 +97,7 @@ func TestVideoHugeOutageStalls(t *testing.T) {
 	// An outage longer than the playout buffer must eventually stall —
 	// the §10 caveat about frequent localization requests.
 	outage := Outage{Start: 6 * time.Second, Duration: 6 * time.Second}
-	tr := Video(VideoConfig{}, 15*time.Second, []Outage{outage})
+	tr := Video(15*time.Second, []Outage{outage})
 	if tr.Stalls == 0 {
 		t.Error("6 s outage did not stall playback")
 	}
@@ -108,10 +107,14 @@ func TestVideoHugeOutageStalls(t *testing.T) {
 }
 
 func TestVideoPrebufferDelaysPlayback(t *testing.T) {
-	tr := Video(VideoConfig{Prebuffer: 2 * time.Second}, 5*time.Second, nil)
+	// Playback starts at the 1 s prebuffer, not a tick earlier.
+	tr := Video(5*time.Second, nil)
 	for _, s := range tr.Played {
-		if s.At < 2*time.Second && s.Value > 0 {
+		if s.At < time.Second && s.Value > 0 {
 			t.Fatalf("playback started at %v, before prebuffer", s.At)
+		}
+		if s.At == time.Second && s.Value == 0 {
+			t.Fatal("playback did not start at the 1 s prebuffer")
 		}
 	}
 	last := tr.Played[len(tr.Played)-1]

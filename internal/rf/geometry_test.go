@@ -4,13 +4,9 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-)
 
-func TestPointDist(t *testing.T) {
-	if got := (Point2{0, 0}).Dist(Point2{3, 4}); got != 5 {
-		t.Errorf("Dist = %v", got)
-	}
-}
+	"chronos/internal/geo"
+)
 
 func TestRectangle(t *testing.T) {
 	walls := Rectangle(0, 0, 20, 20, 0.6)
@@ -26,14 +22,14 @@ func TestRectangle(t *testing.T) {
 
 func TestMirror(t *testing.T) {
 	// Mirror across the x-axis wall.
-	w := Wall{A: Point2{0, 0}, B: Point2{10, 0}}
-	got := w.mirror(Point2{3, 4})
+	w := Wall{A: geo.Point{X: 0, Y: 0}, B: geo.Point{X: 10, Y: 0}}
+	got := w.mirror(geo.Point{X: 3, Y: 4})
 	if math.Abs(got.X-3) > 1e-12 || math.Abs(got.Y+4) > 1e-12 {
 		t.Errorf("mirror = %+v", got)
 	}
 	// Degenerate wall returns the point unchanged.
-	deg := Wall{A: Point2{1, 1}, B: Point2{1, 1}}
-	if got := deg.mirror(Point2{5, 5}); got != (Point2{5, 5}) {
+	deg := Wall{A: geo.Point{X: 1, Y: 1}, B: geo.Point{X: 1, Y: 1}}
+	if got := deg.mirror(geo.Point{X: 5, Y: 5}); got != (geo.Point{X: 5, Y: 5}) {
 		t.Errorf("degenerate mirror = %+v", got)
 	}
 }
@@ -41,8 +37,8 @@ func TestMirror(t *testing.T) {
 func TestReflectionPointSymmetricCase(t *testing.T) {
 	// TX and RX symmetric about x=5; floor wall along y=0. The specular
 	// point must be at (5, 0) and satisfy the equal-angle law.
-	w := Wall{A: Point2{0, 0}, B: Point2{10, 0}, Loss: 0.5}
-	pt, ok := w.reflectionPoint(Point2{2, 3}, Point2{8, 3})
+	w := Wall{A: geo.Point{X: 0, Y: 0}, B: geo.Point{X: 10, Y: 0}, Loss: 0.5}
+	pt, ok := w.reflectionPoint(geo.Point{X: 2, Y: 3}, geo.Point{X: 8, Y: 3})
 	if !ok {
 		t.Fatal("no reflection point")
 	}
@@ -53,16 +49,24 @@ func TestReflectionPointSymmetricCase(t *testing.T) {
 
 func TestReflectionPointOffSegment(t *testing.T) {
 	// Wall too short: specular point at x=5 is outside [0,1].
-	w := Wall{A: Point2{0, 0}, B: Point2{1, 0}}
-	if _, ok := w.reflectionPoint(Point2{2, 3}, Point2{8, 3}); ok {
+	w := Wall{A: geo.Point{X: 0, Y: 0}, B: geo.Point{X: 1, Y: 0}}
+	if _, ok := w.reflectionPoint(geo.Point{X: 2, Y: 3}, geo.Point{X: 8, Y: 3}); ok {
 		t.Error("reflection reported for point off segment")
+	}
+}
+
+func TestReflectionPointCollinear(t *testing.T) {
+	// Both ends on the wall's own line: no specular bounce.
+	w := Wall{A: geo.Point{X: 0, Y: 0}, B: geo.Point{X: 10, Y: 0}}
+	if _, ok := w.reflectionPoint(geo.Point{X: 2, Y: 0}, geo.Point{X: 8, Y: 0}); ok {
+		t.Error("reflection reported for a link along the wall")
 	}
 }
 
 func TestGenerateChannelDirectPathDelay(t *testing.T) {
 	env := &Environment{Walls: Rectangle(0, 0, 20, 20, 0.5)}
-	tx, rx := Point2{5, 5}, Point2{11, 5}
-	ch := GenerateChannel(env, tx, rx, PropagationOptions{Freq: 5.18e9})
+	tx, rx := geo.Point{X: 5, Y: 5}, geo.Point{X: 11, Y: 5}
+	ch := GenerateChannel(env, tx, rx, false)
 	wantDelay := 6.0 / 299792458.0
 	if math.Abs(ch.DirectDelay()-wantDelay) > 1e-15 {
 		t.Errorf("direct delay = %v, want %v", ch.DirectDelay(), wantDelay)
@@ -74,7 +78,7 @@ func TestGenerateChannelDirectPathDelay(t *testing.T) {
 
 func TestGenerateChannelDirectIsStrongest(t *testing.T) {
 	env := &Environment{Walls: Rectangle(0, 0, 20, 20, 0.5)}
-	ch := GenerateChannel(env, Point2{5, 10}, Point2{15, 10}, PropagationOptions{Freq: 5.18e9})
+	ch := GenerateChannel(env, geo.Point{X: 5, Y: 10}, geo.Point{X: 15, Y: 10}, false)
 	direct := ch.Paths[0].Gain
 	for _, p := range ch.Paths[1:] {
 		if p.Gain > direct {
@@ -84,12 +88,12 @@ func TestGenerateChannelDirectIsStrongest(t *testing.T) {
 }
 
 func TestGenerateChannelNLOSAttenuation(t *testing.T) {
-	env := &Environment{Walls: Rectangle(0, 0, 20, 20, 0.5), NLOSAttenDB: 12}
-	tx, rx := Point2{5, 5}, Point2{15, 15}
-	los := GenerateChannel(env, tx, rx, PropagationOptions{Freq: 5.18e9})
-	nlos := GenerateChannel(env, tx, rx, PropagationOptions{Freq: 5.18e9, NLOS: true})
+	env := &Environment{Walls: Rectangle(0, 0, 20, 20, 0.5)}
+	tx, rx := geo.Point{X: 5, Y: 5}, geo.Point{X: 15, Y: 15}
+	los := GenerateChannel(env, tx, rx, false)
+	nlos := GenerateChannel(env, tx, rx, true)
 	ratio := los.Paths[0].Gain / nlos.Paths[0].Gain
-	want := math.Pow(10, 12.0/20)
+	want := math.Pow(10, 8.0/20) // nlosAttenDB
 	if math.Abs(ratio-want) > 1e-9 {
 		t.Errorf("NLOS attenuation ratio = %v, want %v", ratio, want)
 	}
@@ -100,13 +104,15 @@ func TestGenerateChannelNLOSAttenuation(t *testing.T) {
 }
 
 func TestGenerateChannelScatterers(t *testing.T) {
-	env := &Environment{Scatterers: []Point2{{10, 8}}}
-	tx, rx := Point2{5, 5}, Point2{15, 5}
-	ch := GenerateChannel(env, tx, rx, PropagationOptions{Freq: 5.18e9})
+	// The scatterer's path is 0.3 of the direct gain: above the
+	// minGain pruning, below the half-gain clamp.
+	env := &Environment{Scatterers: []geo.Point{{X: 6, Y: 6}}}
+	tx, rx := geo.Point{X: 5, Y: 5}, geo.Point{X: 7, Y: 5}
+	ch := GenerateChannel(env, tx, rx, false)
 	if len(ch.Paths) != 2 {
 		t.Fatalf("paths = %d, want direct + scatterer", len(ch.Paths))
 	}
-	scatterLen := tx.Dist(Point2{10, 8}) + (Point2{10, 8}).Dist(rx)
+	scatterLen := tx.Dist(geo.Point{X: 6, Y: 6}) + (geo.Point{X: 6, Y: 6}).Dist(rx)
 	if math.Abs(ch.Paths[1].Delay-scatterLen/299792458.0) > 1e-15 {
 		t.Errorf("scatter delay = %v", ch.Paths[1].Delay)
 	}
@@ -115,41 +121,82 @@ func TestGenerateChannelScatterers(t *testing.T) {
 	}
 }
 
-func TestGenerateChannelExcessDelayCap(t *testing.T) {
-	// A strong specular wall far away produces a path 30+ ns late; the
-	// default 25 ns excess-delay cap must drop it.
-	env := &Environment{Walls: []Wall{{A: Point2{-10, -5}, B: Point2{20, -5}, Loss: 0.9}}}
-	tx, rx := Point2{0, 0}, Point2{2, 0}
-	ch := GenerateChannel(env, tx, rx, PropagationOptions{Freq: 5.18e9, MinGain: 0.0001})
-	for _, p := range ch.Paths[1:] {
-		if p.Delay-ch.Paths[0].Delay > 25e-9 {
-			t.Errorf("late path at excess %.1f ns survived", (p.Delay-ch.Paths[0].Delay)*1e9)
-		}
+func TestGenerateChannelScattererClamp(t *testing.T) {
+	// A scatterer 10 cm from the transmitter would outshine the direct
+	// path; its gain is clamped to half the direct gain.
+	env := &Environment{Scatterers: []geo.Point{{X: 5, Y: 5.1}}}
+	ch := GenerateChannel(env, geo.Point{X: 5, Y: 5}, geo.Point{X: 9, Y: 5}, false)
+	if len(ch.Paths) != 2 {
+		t.Fatalf("paths = %d, want direct + scatterer", len(ch.Paths))
 	}
-	// With a generous cap the wall bounce (path ≈ 10.2 m vs 2 m direct,
-	// excess ≈ 27 ns) must reappear.
-	ch2 := GenerateChannel(env, tx, rx, PropagationOptions{Freq: 5.18e9, MinGain: 0.0001, MaxExcessDelay: 100e-9})
-	if len(ch2.Paths) <= len(ch.Paths) {
-		t.Errorf("raising MaxExcessDelay did not admit the late path (%d vs %d)", len(ch2.Paths), len(ch.Paths))
+	if got, want := ch.Paths[1].Gain, 0.5*ch.Paths[0].Gain; got != want {
+		t.Errorf("scatterer gain %v, want the clamp %v", got, want)
+	}
+}
+
+func TestGenerateChannelExcessDelayCap(t *testing.T) {
+	// A strong specular wall (0.18–0.22 of the direct gain, above the
+	// minGain pruning) far enough away produces a path 27.3 ns late,
+	// which the 25 ns excess-delay cap must drop; 1 m closer its bounce
+	// arrives 20.8 ns late and must be kept.
+	tx, rx := geo.Point{X: 0, Y: 0}, geo.Point{X: 2, Y: 0}
+	for _, tc := range []struct {
+		wallY float64
+		kept  bool
+	}{{-5, false}, {-4, true}} {
+		env := &Environment{Walls: []Wall{{A: geo.Point{X: -10, Y: tc.wallY}, B: geo.Point{X: 20, Y: tc.wallY}, Loss: 0.9}}}
+		ch := GenerateChannel(env, tx, rx, false)
+		if got := len(ch.Paths) == 2; got != tc.kept {
+			t.Errorf("wall at y=%v: bounce kept = %v, want %v (%d paths)", tc.wallY, got, tc.kept, len(ch.Paths))
+		}
+		for _, p := range ch.Paths[1:] {
+			if p.Delay-ch.Paths[0].Delay > 25e-9 {
+				t.Errorf("late path at excess %.1f ns survived", (p.Delay-ch.Paths[0].Delay)*1e9)
+			}
+		}
 	}
 }
 
 func TestGenerateChannelMaxPaths(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
+	// Four wall bounces and five scatterers next to the transmitter all
+	// clear the gain and delay pruning; the cap keeps the 6 earliest.
 	env := &Environment{
 		Walls:      Rectangle(0, 0, 20, 20, 0.9),
-		Scatterers: RandomScatterers(rng, 30, 0, 0, 20, 20),
+		Scatterers: []geo.Point{{X: 3, Y: 4}, {X: 4, Y: 3}, {X: 2, Y: 3}, {X: 3, Y: 2}, {X: 4, Y: 4}},
 	}
-	ch := GenerateChannel(env, Point2{3, 3}, Point2{17, 17}, PropagationOptions{Freq: 5.18e9, MaxPaths: 5, MinGain: 0.0001})
-	if len(ch.Paths) > 5 {
-		t.Errorf("paths = %d, want ≤ 5", len(ch.Paths))
+	tx, rx := geo.Point{X: 3, Y: 3}, geo.Point{X: 17, Y: 17}
+	ch := GenerateChannel(env, tx, rx, false)
+	if len(ch.Paths) != 6 {
+		t.Fatalf("paths = %d, want 6", len(ch.Paths))
+	}
+	// The cap truncates the delay-sorted census: a scatterer detour of
+	// at most 1.7 m arrives before every wall bounce (≥ 4.6 m longer).
+	for _, p := range ch.Paths[1:] {
+		if excess := (p.Delay - ch.Paths[0].Delay) * 299792458.0; excess > 2.1 {
+			t.Errorf("kept a path %.2f m late over an earlier one", excess)
+		}
 	}
 }
 
 func TestGenerateChannelPruneWeak(t *testing.T) {
-	env := &Environment{Scatterers: []Point2{{1000, 1000}}} // extremely long detour
-	ch := GenerateChannel(env, Point2{0, 0}, Point2{1, 0}, PropagationOptions{Freq: 5.18e9, MinGain: 0.01})
-	if len(ch.Paths) != 1 {
+	// Scatterers equidistant from both ends of a 2 m link: 1.5 m off the
+	// axis the path carries 0.18 of the direct gain and is kept; 2 m off
+	// it carries 0.12, below the 0.15 cut, and is dropped. Both arrive
+	// within 9 ns, so only the gain rule tells them apart.
+	tx, rx := geo.Point{X: 5, Y: 5}, geo.Point{X: 7, Y: 5}
+	for _, tc := range []struct {
+		y    float64
+		kept bool
+	}{{6.5, true}, {7, false}} {
+		env := &Environment{Scatterers: []geo.Point{{X: 6, Y: tc.y}}}
+		ch := GenerateChannel(env, tx, rx, false)
+		if got := len(ch.Paths) == 2; got != tc.kept {
+			t.Errorf("scatterer at y=%v: kept = %v, want %v", tc.y, got, tc.kept)
+		}
+	}
+	// A scatterer a kilometre away is both weak and late.
+	env := &Environment{Scatterers: []geo.Point{{X: 1000, Y: 1000}}}
+	if ch := GenerateChannel(env, geo.Point{X: 0, Y: 0}, geo.Point{X: 1, Y: 0}, false); len(ch.Paths) != 1 {
 		t.Errorf("weak scatterer not pruned: %d paths", len(ch.Paths))
 	}
 }

@@ -31,7 +31,7 @@ type OfficeConfig struct{}
 
 // The testbed floor: a 20 m × 20 m office with 30 candidate device
 // spots at least 1.5 m apart, 3 interior walls and 10 furniture/cabinet
-// scatterers.
+// scatterers. Its propagation constants are rf's.
 const (
 	officeWidth, officeHeight = 20.0, 20.0
 	officeLocations           = 30
@@ -39,8 +39,9 @@ const (
 	officeInternalWalls       = 3
 	minPlacementGap           = 1.5
 	wallLoss                  = 0.55 // reflection amplitude loss of the outer walls
-	scattererLoss             = 0.3  // amplitude loss of scattered paths
-	nlosAttenDB               = 8    // direct-path penetration loss in NLOS
+	// baseSNRdB is the link budget's per-subcarrier CSI SNR at 1 m in
+	// line of sight (see LinkSNR).
+	baseSNRdB float64 = 28
 )
 
 // NewOffice generates a floor plan. All randomness comes from rng, so a
@@ -56,22 +57,20 @@ func NewOffice(rng *rand.Rand, _ OfficeConfig) *Office {
 		length := 2 + rng.Float64()*4
 		if i%2 == 0 {
 			walls = append(walls, rf.Wall{
-				A: rf.Point2{X: x, Y: y}, B: rf.Point2{X: math.Min(x+length, officeWidth-1), Y: y},
+				A: geo.Point{X: x, Y: y}, B: geo.Point{X: math.Min(x+length, officeWidth-1), Y: y},
 				Loss: 0.7,
 			})
 		} else {
 			walls = append(walls, rf.Wall{
-				A: rf.Point2{X: x, Y: y}, B: rf.Point2{X: x, Y: math.Min(y+length, officeHeight-1)},
+				A: geo.Point{X: x, Y: y}, B: geo.Point{X: x, Y: math.Min(y+length, officeHeight-1)},
 				Loss: 0.7,
 			})
 		}
 	}
 
 	env := &rf.Environment{
-		Walls:         walls,
-		Scatterers:    rf.RandomScatterers(rng, officeScatterers, 1, 1, officeWidth-1, officeHeight-1),
-		ScattererLoss: scattererLoss,
-		NLOSAttenDB:   nlosAttenDB,
+		Walls:      walls,
+		Scatterers: rf.RandomScatterers(rng, officeScatterers, 1, 1, officeWidth-1, officeHeight-1),
 	}
 
 	// Candidate locations with a minimum pairwise gap.
@@ -125,34 +124,27 @@ func (o *Office) RandomPlacement(rng *rand.Rand, maxDist float64, nlos bool) Pla
 	}
 }
 
-// Channel builds the multipath channel for a placement at a representative
-// frequency. The path census is pruned to the dominant few: §12.1 reports
-// a mean of ≈5 dominant peaks in measured indoor profiles, and the sparse
+// Channel builds the multipath channel for a placement (rf.GenerateChannel).
+// The path census is pruned to the dominant few: §12.1 reports a mean of
+// ≈5 dominant peaks in measured indoor profiles, and the sparse
 // inversion has only ~24 five-GHz measurements to explain the squared
 // channel's pairwise cross-terms, so weak straggler paths are dropped at
 // generation just as they fall below the noise floor on real hardware.
-func (o *Office) Channel(p Placement, freq float64) *rf.Channel {
-	return rf.GenerateChannel(o.Env,
-		rf.Point2{X: p.TX.X, Y: p.TX.Y},
-		rf.Point2{X: p.RX.X, Y: p.RX.Y},
-		rf.PropagationOptions{Freq: freq, NLOS: p.NLOS, MinGain: 0.15, MaxPaths: 6})
+func (o *Office) Channel(p Placement) *rf.Channel {
+	return rf.GenerateChannel(o.Env, p.TX, p.RX, p.NLOS)
 }
 
 // LinkConfig tunes device-pair link creation.
 type LinkConfig struct {
-	SNRdB float64 // per-subcarrier CSI SNR (default 28)
-	Quirk bool    // radios exhibit the 2.4 GHz quirk (default matches radios)
+	Quirk bool // radios exhibit the 2.4 GHz quirk (default matches radios)
 }
 
-// LinkSNR is the office link budget: the base per-subcarrier SNR degrades
-// gently with distance (the §12.1 observation that error grows at longer
-// ranges) and drops further through obstructions. baseSNRdB of 0 means
-// the default 28 dB. Shared by NewLink and the streaming tracking
-// sessions so both evaluate on the same budget.
-func LinkSNR(baseSNRdB, dist float64, nlos bool) float64 {
-	if baseSNRdB == 0 {
-		baseSNRdB = 28
-	}
+// LinkSNR is the office link budget: the base per-subcarrier SNR of
+// 28 dB degrades gently with distance (the §12.1 observation that error
+// grows at longer ranges) and drops further through obstructions.
+// Shared by NewLink and the streaming tracking sessions so both evaluate
+// on the same budget.
+func LinkSNR(dist float64, nlos bool) float64 {
 	snr := baseSNRdB - 10*math.Log10(math.Max(dist, 1))
 	if nlos {
 		snr -= 4
@@ -167,8 +159,8 @@ func (o *Office) NewLink(rng *rand.Rand, p Placement, cfg LinkConfig) *csi.Link 
 	tx.Quirk24, rx.Quirk24 = cfg.Quirk, cfg.Quirk
 	return &csi.Link{
 		TX: tx, RX: rx,
-		Channel: o.Channel(p, 5.5e9),
-		SNRdB:   LinkSNR(cfg.SNRdB, p.TrueDistance(), p.NLOS),
+		Channel: o.Channel(p),
+		SNRdB:   LinkSNR(p.TrueDistance(), p.NLOS),
 	}
 }
 
@@ -185,13 +177,10 @@ type AntennaPlacement struct {
 // AntennaChannels builds one channel per receive antenna. Each antenna
 // sees its own geometry (its own direct delay), which is what localization
 // triangulates on.
-func (o *Office) AntennaChannels(ap AntennaPlacement, freq float64) []*rf.Channel {
+func (o *Office) AntennaChannels(ap AntennaPlacement) []*rf.Channel {
 	out := make([]*rf.Channel, len(ap.Array.Antennas))
 	for i, ant := range ap.Array.At(ap.RXCenter) {
-		out[i] = rf.GenerateChannel(o.Env,
-			rf.Point2{X: ap.TX.X, Y: ap.TX.Y},
-			rf.Point2{X: ant.X, Y: ant.Y},
-			rf.PropagationOptions{Freq: freq, NLOS: ap.NLOS, MinGain: 0.15, MaxPaths: 6})
+		out[i] = rf.GenerateChannel(o.Env, ap.TX, ant, ap.NLOS)
 	}
 	return out
 }

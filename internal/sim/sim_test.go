@@ -81,7 +81,7 @@ func TestChannelDirectDelayMatchesGeometry(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	o := NewOffice(rng, OfficeConfig{})
 	p := o.RandomPlacement(rng, 15, false)
-	ch := o.Channel(p, 5.5e9)
+	ch := o.Channel(p)
 	if math.Abs(ch.DirectDelay()-p.TrueToF()) > 1e-15 {
 		t.Errorf("direct delay %v != true ToF %v", ch.DirectDelay(), p.TrueToF())
 	}
@@ -94,9 +94,9 @@ func TestNLOSChannelWeakerDirect(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	o := NewOffice(rng, OfficeConfig{})
 	p := o.RandomPlacement(rng, 10, false)
-	los := o.Channel(p, 5.5e9)
+	los := o.Channel(p)
 	p.NLOS = true
-	nlos := o.Channel(p, 5.5e9)
+	nlos := o.Channel(p)
 	if nlos.Paths[0].Gain >= los.Paths[0].Gain {
 		t.Error("NLOS direct path not attenuated")
 	}
@@ -111,6 +111,20 @@ func TestNewLinkSNRDegradesWithDistance(t *testing.T) {
 	lf := o.NewLink(rng, far, LinkConfig{})
 	if lf.SNRdB >= ln.SNRdB {
 		t.Errorf("far SNR %v not below near SNR %v", lf.SNRdB, ln.SNRdB)
+	}
+}
+
+func TestLinkSNRBudget(t *testing.T) {
+	// 28 dB at 1 m and closer, 10 dB less per decade of distance, and
+	// 4 dB less through an obstruction.
+	for _, tc := range []struct {
+		dist float64
+		nlos bool
+		want float64
+	}{{0.5, false, 28}, {1, false, 28}, {10, false, 18}, {10, true, 14}, {100, true, 4}} {
+		if got := LinkSNR(tc.dist, tc.nlos); math.Abs(got-tc.want) > 1e-12 {
+			t.Errorf("LinkSNR(%v, %v) = %v, want %v", tc.dist, tc.nlos, got, tc.want)
+		}
 	}
 }
 
@@ -132,7 +146,7 @@ func TestAntennaChannels(t *testing.T) {
 		RXCenter: geo.Point{X: 12, Y: 9},
 		Array:    geo.LinearArray(3, 0.3),
 	}
-	chans := o.AntennaChannels(ap, 5.5e9)
+	chans := o.AntennaChannels(ap)
 	if len(chans) != 3 {
 		t.Fatalf("channels = %d", len(chans))
 	}

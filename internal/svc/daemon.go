@@ -55,10 +55,6 @@ type Config struct {
 	// Deprecated: ignored. Every solve runs alone; the field remains
 	// only because perfbench still sets it.
 	Coalesce bool
-	// QueueDepth bounds each shard's pending lifecycle-command queue
-	// (default 1024). Attach blocks when the owning shard's queue is
-	// full — backpressure, not loss.
-	QueueDepth int
 	// Pipeline sizes the solve pool that runs every full sweep's solve,
 	// between the ingest and track its shard runs (see pipeline.go).
 	Pipeline PipelineConfig
@@ -68,11 +64,13 @@ func (c Config) withDefaults() Config {
 	if c.Shards <= 0 {
 		c.Shards = 4
 	}
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = 1024
-	}
 	return c
 }
+
+// cmdQueueDepth bounds each shard's pending lifecycle-command queue.
+// Attach blocks when the owning shard's queue is full — backpressure,
+// not loss.
+const cmdQueueDepth = 1024
 
 // DeviceConfig describes one device attached to the daemon: a
 // full-pipeline track.Session ranging in Config.Office.
@@ -356,7 +354,7 @@ func newShard(d *Daemon, id int) *shard {
 		d:        d,
 		id:       id,
 		sim:      mac.NewSim(),
-		cmds:     make(chan shardCmd, d.cfg.QueueDepth),
+		cmds:     make(chan shardCmd, cmdQueueDepth),
 		sessions: make(map[uint64]*deviceSession),
 		compWake: make(chan struct{}, 1),
 	}

@@ -465,9 +465,9 @@ func TestContestedPlacementResolves(t *testing.T) {
 	link := office.NewLink(rng, p, sim.LinkConfig{})
 	// The trial calibrates at a second placement first; draw that sweep
 	// too, so the measured sweep below is the trial's own.
-	link.Channel = office.Channel(office.RandomPlacement(rng, 8, false), 5.5e9)
+	link.Channel = office.Channel(office.RandomPlacement(rng, 8, false))
 	link.Sweep(rng, bands, 3)
-	link.Channel = office.Channel(p, 5.5e9)
+	link.Channel = office.Channel(p)
 	sweep := link.Sweep(rng, bands, 3)
 	trueNs := p.TrueToF()*1e9 + link.TX.Osc.HWDelayNs + link.RX.Osc.HWDelayNs
 

@@ -21,13 +21,13 @@ func TestEstimateAlphaFactorRuns(t *testing.T) {
 	link := testLink(rng, 8, []rf.Path{{Delay: 13e-9, Gain: 0.5}}, false)
 	bands := wifi.Bands5GHz()
 	for _, f := range []float64{0.3, 3} {
-		est := calibrated(t, Config{Mode: Bands5GHzOnly, MaxIter: 800, AlphaFactor: f}, link, rng, bands)
+		est, off := calibrated(t, Config{Mode: Bands5GHzOnly, MaxIter: 800, AlphaFactor: f}, link, rng, bands)
 		sweep := link.Sweep(rng, bands, 3)
 		got, err := est.Estimate(bands, sweep)
 		if err != nil {
 			t.Fatalf("alpha factor %v: %v", f, err)
 		}
-		if e := math.Abs(got.ToF - 8e-9); e > 2e-9 {
+		if e := math.Abs(got.ToF - off - 8e-9); e > 2e-9 {
 			t.Errorf("alpha factor %v: error %v", f, e)
 		}
 	}
@@ -41,13 +41,13 @@ func TestEstimateAliasNearZeroCandidate(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	link := testLink(rng, 26, nil, false)
 	bands := wifi.Bands5GHz()
-	est := calibrated(t, Config{Mode: Bands5GHzOnly, MaxIter: 1200}, link, rng, bands)
+	est, off := calibrated(t, Config{Mode: Bands5GHzOnly, MaxIter: 1200}, link, rng, bands)
 	sweep := link.Sweep(rng, bands, 3)
 	got, err := est.Estimate(bands, sweep)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e := math.Abs(got.ToF - 26e-9); e > 1e-9 {
+	if e := math.Abs(got.ToF - off - 26e-9); e > 1e-9 {
 		t.Errorf("near-clamp alias error %v ns", e*1e9)
 	}
 }

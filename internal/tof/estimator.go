@@ -100,10 +100,6 @@ type Config struct {
 	Stop StopRule
 	// ForwardOnly disables the §7 CFO cancellation (ablation).
 	ForwardOnly bool
-	// CalibrationOffset is subtracted from every τ estimate; it absorbs
-	// the constant hardware chain delays (§7 observation 2). Obtain it
-	// once via Calibrate.
-	CalibrationOffset float64
 }
 
 func (c Config) withDefaults() Config {
@@ -122,8 +118,7 @@ func (c Config) withDefaults() Config {
 //
 // Concurrency contract: Estimate, Calibrate and the plan registry are
 // safe for concurrent use — an Estimator holds no per-call mutable
-// state, Calibrate estimates on a copy, and plan solves synchronize
-// internally. The setters (SetCalibrationOffset, SetYield) must not race
+// state, and plan solves synchronize internally. SetYield must not race
 // with those calls, and a Sweep accumulator (which carries folded
 // measurements, warm-start state and refit scratch) must stay confined
 // to one goroutine at a time.
@@ -141,10 +136,6 @@ func NewEstimator(cfg Config) *Estimator {
 
 // Config returns the estimator's effective (defaulted) configuration.
 func (e *Estimator) Config() Config { return e.cfg }
-
-// SetCalibrationOffset installs a measured hardware-chain offset (the
-// value Calibrate returns) without rebuilding the estimator.
-func (e *Estimator) SetCalibrationOffset(off float64) { e.cfg.CalibrationOffset = off }
 
 // SetYield installs (nil clears) a hook that the main profile
 // inversions call at their duality-gap check cadence
@@ -166,7 +157,9 @@ type Profile struct {
 
 // Estimate is the result of one sweep.
 type Estimate struct {
-	ToF      float64 // direct-path time of flight in seconds
+	// ToF is the direct-path time of flight in seconds, hardware chain
+	// delays included: subtract Calibrate's offset to remove them.
+	ToF      float64
 	Distance float64 // ToF × c, meters
 	Profile  *Profile
 	// Peaks is the number of dominant peaks in the profile (§12.1).
@@ -739,7 +732,8 @@ func (e *Estimator) estimate(s *Sweep) (*Estimate, error) {
 			fused = true
 		}
 	}
-	tau := tauSum/wSum - e.cfg.CalibrationOffset
+	// A candidate can sit up to 1 ns before zero; no fix lies there.
+	tau := tauSum / wSum
 	if tau < 0 {
 		tau = 0
 	}
@@ -890,14 +884,10 @@ func spanOf(freqs []float64) float64 {
 
 // Calibrate measures the constant hardware offset of a device pair by
 // estimating ToF at a known true distance and returning the difference.
-// The paper performs this once per pair (§7 observation 2); the returned
-// value is meant to be stored in Config.CalibrationOffset. It estimates
-// on a copy of est with the offset cleared, so est itself is never
-// written.
+// The paper performs this once per pair (§7 observation 2); the caller
+// subtracts the returned offset from every later estimate's ToF.
 func Calibrate(est *Estimator, bands []wifi.Band, sweep [][]csi.Pair, trueDistance float64) (float64, error) {
-	raw := *est
-	raw.cfg.CalibrationOffset = 0
-	r, err := raw.Estimate(bands, sweep)
+	r, err := est.Estimate(bands, sweep)
 	if err != nil {
 		return 0, err
 	}

@@ -23,9 +23,10 @@ func testLink(rng *rand.Rand, directNs float64, extraPaths []rf.Path, quirk bool
 	return &csi.Link{TX: tx, RX: rx, Channel: rf.NewChannel(paths), SNRdB: 30}
 }
 
-// calibrated returns an estimator calibrated against the hardware delays
-// of the link, emulating the paper's one-time known-distance calibration.
-func calibrated(t *testing.T, cfg Config, link *csi.Link, rng *rand.Rand, bands []wifi.Band) *Estimator {
+// calibrated returns an estimator and the link's hardware-delay offset,
+// which the caller subtracts from every ToF, emulating the paper's
+// one-time known-distance calibration.
+func calibrated(t *testing.T, cfg Config, link *csi.Link, rng *rand.Rand, bands []wifi.Band) (*Estimator, float64) {
 	t.Helper()
 	est := NewEstimator(cfg)
 	sweep := link.Sweep(rng, bands, 3)
@@ -34,22 +35,21 @@ func calibrated(t *testing.T, cfg Config, link *csi.Link, rng *rand.Rand, bands 
 	if err != nil {
 		t.Fatal(err)
 	}
-	est.cfg.CalibrationOffset = off
-	return est
+	return est, off
 }
 
 func TestEstimateSinglePath5GHz(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	link := testLink(rng, 10, nil, false)
 	bands := wifi.Bands5GHz()
-	est := calibrated(t, Config{Mode: Bands5GHzOnly, MaxIter: 800}, link, rng, bands)
+	est, off := calibrated(t, Config{Mode: Bands5GHzOnly, MaxIter: 800}, link, rng, bands)
 
 	sweep := link.Sweep(rng, bands, 3)
 	got, err := est.Estimate(bands, sweep)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e := math.Abs(got.ToF - 10e-9); e > 0.5e-9 {
+	if e := math.Abs(got.ToF - off - 10e-9); e > 0.5e-9 {
 		t.Errorf("ToF error = %v, want < 0.5 ns", e)
 	}
 	if math.Abs(got.Distance-got.ToF*wifi.SpeedOfLight) > 1e-9 {
@@ -65,7 +65,7 @@ func TestEstimateMultipath5GHz(t *testing.T) {
 	}
 	link := testLink(rng, 8, extra, false)
 	bands := wifi.Bands5GHz()
-	est := calibrated(t, Config{Mode: Bands5GHzOnly, MaxIter: 1200}, link, rng, bands)
+	est, off := calibrated(t, Config{Mode: Bands5GHzOnly, MaxIter: 1200}, link, rng, bands)
 
 	var errs []float64
 	for trial := 0; trial < 5; trial++ {
@@ -74,7 +74,7 @@ func TestEstimateMultipath5GHz(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		errs = append(errs, math.Abs(got.ToF-8e-9))
+		errs = append(errs, math.Abs(got.ToF-off-8e-9))
 	}
 	// Median-ish check: at least 3 of 5 trials within 1 ns.
 	good := 0
@@ -92,14 +92,14 @@ func TestEstimateFusedWithQuirk(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	link := testLink(rng, 12, []rf.Path{{Delay: 18e-9, Gain: 0.5}}, true)
 	bands := wifi.USBands()
-	est := calibrated(t, Config{Mode: BandsFused, Quirk24: true, MaxIter: 1200}, link, rng, bands)
+	est, off := calibrated(t, Config{Mode: BandsFused, Quirk24: true, MaxIter: 1200}, link, rng, bands)
 
 	sweep := link.Sweep(rng, bands, 3)
 	got, err := est.Estimate(bands, sweep)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e := math.Abs(got.ToF - 12e-9); e > 1.5e-9 {
+	if e := math.Abs(got.ToF - off - 12e-9); e > 1.5e-9 {
 		t.Errorf("fused ToF error = %v", e)
 	}
 }
@@ -109,14 +109,14 @@ func TestEstimateAllCoherentQuirkFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	link := testLink(rng, 9, []rf.Path{{Delay: 15e-9, Gain: 0.5}}, false)
 	bands := wifi.USBands()
-	est := calibrated(t, Config{Mode: BandsAllCoherent, MaxIter: 1200}, link, rng, bands)
+	est, off := calibrated(t, Config{Mode: BandsAllCoherent, MaxIter: 1200}, link, rng, bands)
 
 	sweep := link.Sweep(rng, bands, 3)
 	got, err := est.Estimate(bands, sweep)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e := math.Abs(got.ToF - 9e-9); e > 0.5e-9 {
+	if e := math.Abs(got.ToF - off - 9e-9); e > 0.5e-9 {
 		t.Errorf("all-coherent ToF error = %v", e)
 	}
 }
@@ -153,7 +153,7 @@ func TestEstimateProfilePeaksReported(t *testing.T) {
 	extra := []rf.Path{{Delay: 13e-9, Gain: 0.7}, {Delay: 19e-9, Gain: 0.5}}
 	link := testLink(rng, 7, extra, false)
 	bands := wifi.Bands5GHz()
-	est := calibrated(t, Config{Mode: Bands5GHzOnly, MaxIter: 1200}, link, rng, bands)
+	est, _ := calibrated(t, Config{Mode: Bands5GHzOnly, MaxIter: 1200}, link, rng, bands)
 
 	sweep := link.Sweep(rng, bands, 3)
 	got, err := est.Estimate(bands, sweep)
@@ -198,33 +198,39 @@ func TestCalibrationRemovesHardwareOffset(t *testing.T) {
 	}
 
 	// Calibrated at a known distance, the bias disappears.
-	cal := calibrated(t, Config{Mode: Bands5GHzOnly, MaxIter: 800}, link, rng, bands)
+	cal, off := calibrated(t, Config{Mode: Bands5GHzOnly, MaxIter: 800}, link, rng, bands)
 	sweep2 := link.Sweep(rng, bands, 3)
 	got, err := cal.Estimate(bands, sweep2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e := math.Abs(got.ToF - 10e-9); e > 0.5e-9 {
+	if e := math.Abs(got.ToF - off - 10e-9); e > 0.5e-9 {
 		t.Errorf("calibrated error = %v", e)
 	}
 }
 
 // TestCalibrateSharesEstimator runs Calibrate and Estimate on one
-// estimator from two goroutines: Calibrate estimates on a copy, so the
-// concurrent Estimate keeps the installed offset, the estimator's offset
-// is unchanged afterwards, and the race detector stays quiet.
+// estimator from two goroutines: Calibrate is the calibration sweep's
+// Estimate less the true ToF, neither call writes the estimator, and the
+// race detector stays quiet.
 func TestCalibrateSharesEstimator(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	link := testLink(rng, 10, nil, false)
 	bands := wifi.Bands5GHz()
-	const offset = 1.5e-9
-	est := NewEstimator(Config{Mode: Bands5GHzOnly, MaxIter: 400, CalibrationOffset: offset})
+	est := NewEstimator(Config{Mode: Bands5GHzOnly, MaxIter: 400})
 	calSweep := link.Sweep(rng, bands, 2)
 	sweep := link.Sweep(rng, bands, 2)
 	trueDist := link.Channel.DirectDelay() * wifi.SpeedOfLight
 	wantOff, err := Calibrate(est, bands, calSweep, trueDist)
 	if err != nil {
 		t.Fatal(err)
+	}
+	raw, err := est.Estimate(bands, calSweep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if off := raw.ToF - trueDist/wifi.SpeedOfLight; off != wantOff {
+		t.Errorf("Calibrate returned %v, want the estimate's %v", wantOff, off)
 	}
 	want, err := est.Estimate(bands, sweep)
 	if err != nil {
@@ -250,16 +256,13 @@ func TestCalibrateSharesEstimator(t *testing.T) {
 	if got.ToF != want.ToF {
 		t.Errorf("Estimate beside Calibrate returned ToF %v, want %v", got.ToF, want.ToF)
 	}
-	if off := est.Config().CalibrationOffset; off != offset {
-		t.Errorf("estimator offset %v after Calibrate, want %v", off, offset)
-	}
 }
 
 func TestEstimateNeverNegative(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	link := testLink(rng, 0.5, nil, false) // 15 cm — devices nearly touching
 	bands := wifi.Bands5GHz()
-	est := calibrated(t, Config{Mode: Bands5GHzOnly, MaxIter: 800}, link, rng, bands)
+	est, _ := calibrated(t, Config{Mode: Bands5GHzOnly, MaxIter: 800}, link, rng, bands)
 	for trial := 0; trial < 3; trial++ {
 		sweep := link.Sweep(rng, bands, 3)
 		got, err := est.Estimate(bands, sweep)

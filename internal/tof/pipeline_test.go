@@ -173,7 +173,8 @@ func TestBandValueQuirked24GHz(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	rx, tx := cleanRadio(rng), cleanRadio(rng)
 	rx.Quirk24, tx.Quirk24 = true, true
-	link := &csi.Link{TX: tx, RX: rx, Channel: singlePath(4), SNRdB: 60, DisableCFO: true}
+	rx.ResidualCFOHz, tx.ResidualCFOHz = 0, 0 // no CFO phase
+	link := &csi.Link{TX: tx, RX: rx, Channel: singlePath(4), SNRdB: 60}
 	b := band24()
 	p := link.MeasurePair(rng, b, 0.001)
 	v, pow := foldBand(t, Config{Quirk24: true}, b, []csi.Pair{p})

@@ -50,7 +50,7 @@ func TestSweepEarlyFix(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	link := testLink(rng, 10, nil, false)
 	bands := wifi.Bands5GHz()
-	est := calibrated(t, Config{Mode: Bands5GHzOnly, MaxIter: 800}, link, rng, bands)
+	est, off := calibrated(t, Config{Mode: Bands5GHzOnly, MaxIter: 800}, link, rng, bands)
 
 	sweep := link.Sweep(rng, bands, 3)
 	acc := est.NewSweep()
@@ -64,7 +64,7 @@ func TestSweepEarlyFix(t *testing.T) {
 			if err != nil {
 				t.Fatalf("early fix at 8 bands: %v", err)
 			}
-			earlyToF = early.ToF
+			earlyToF = early.ToF - off
 		}
 	}
 	full, err := acc.Estimate()
@@ -84,7 +84,7 @@ func TestSweepEarlyFix(t *testing.T) {
 	if earlyErr > 6e-9 {
 		t.Errorf("early fix error = %v ns (mod alias), want coarse agreement", earlyErr*1e9)
 	}
-	if e := math.Abs(full.ToF - 10e-9); e > 0.5e-9 {
+	if e := math.Abs(full.ToF - off - 10e-9); e > 0.5e-9 {
 		t.Errorf("full fix error = %v ns, want < 0.5 ns", e*1e9)
 	}
 }

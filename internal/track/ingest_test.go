@@ -20,8 +20,8 @@ func ingestPerPacket(t *testing.T, s *Session) {
 	for bi, b := range s.bands {
 		pos := s.targetAt(s.msim.Now())
 		pl := sim.Placement{TX: s.anchor, RX: pos, NLOS: s.cfg.NLOS}
-		s.link.Channel = s.office.Channel(pl, 5.5e9)
-		s.link.SNRdB = sim.LinkSNR(0, pl.TrueDistance(), s.cfg.NLOS)
+		s.link.Channel = s.office.Channel(pl)
+		s.link.SNRdB = sim.LinkSNR(pl.TrueDistance(), s.cfg.NLOS)
 		step := hop.Dwell.Seconds() / float64(pairsPerBand+1)
 		pairs := make([]csi.Pair, pairsPerBand)
 		for pi := range pairs {

@@ -187,8 +187,8 @@ func NewSession(rng *rand.Rand, office *sim.Office, est *tof.Estimator, cfg Sess
 	// One-time calibration of the pair at a known LOS reference placement
 	// (§7 observation 2), exactly as the batch campaigns calibrate.
 	calP := office.RandomPlacement(rng, 8, false)
-	s.link.Channel = office.Channel(calP, 5.5e9)
-	s.link.SNRdB = sim.LinkSNR(0, calP.TrueDistance(), false)
+	s.link.Channel = office.Channel(calP)
+	s.link.SNRdB = sim.LinkSNR(calP.TrueDistance(), false)
 	calSweep := s.link.Sweep(rng, s.bands, 3)
 	offset, err := tof.Calibrate(est, s.bands, calSweep, calP.TrueDistance())
 	if err != nil {
@@ -280,8 +280,8 @@ func (s *Session) StepIngest() error {
 		// the sweep is exactly what blurs high-speed tracking.
 		pos := s.targetAt(s.msim.Now())
 		pl := sim.Placement{TX: s.anchor, RX: pos, NLOS: cfg.NLOS}
-		s.link.Channel = s.office.Channel(pl, 5.5e9)
-		s.link.SNRdB = sim.LinkSNR(0, pl.TrueDistance(), cfg.NLOS)
+		s.link.Channel = s.office.Channel(pl)
+		s.link.SNRdB = sim.LinkSNR(pl.TrueDistance(), cfg.NLOS)
 
 		// The channel holds still for the dwell: render it once for
 		// every pair (the fold keeps no reference to the pairs).
