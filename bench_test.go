@@ -1,6 +1,5 @@
 // Top-level benchmarks: the campaigns whose assertions are CI criteria
-// (the alias ghost count, the warm alias-refit saving and the convergence
-// criteria), each driving the internal/exp campaign chronos-bench runs at
+// (the alias ghost count and the convergence criteria), each driving the internal/exp campaign chronos-bench runs at
 // a reduced trial count, plus micro-benchmarks for the pipeline's hot
 // kernels. internal/exp's campaign golden pins the figures themselves,
 // and perfbench/ is the end-to-end performance benchmark.
@@ -42,27 +41,14 @@ func BenchmarkAliasRankingCampaign(b *testing.B) {
 	}
 }
 
-func BenchmarkPerfAliasCampaign(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := exp.PerfAlias(quick(8))
-		// The warm-start acceptance criterion: warm alias refits must cost
-		// at most 75% of the cold ones on the static steady state.
-		if ratio := r.Metrics["alias_warm_ratio_static"]; !(ratio > 0) || ratio > 0.75 {
-			b.Fatalf("warm alias-refit ratio %v, want (0, 0.75]", ratio)
-		}
-	}
-}
-
 // --- Micro-benchmarks for the pipeline's hot kernels ---
 
-// benchSession streams one full-pipeline tracking session per iteration:
-// a static target, eight sweeps, the fused evaluation estimator. The
-// warm variant is the steady state the plan/warm-start architecture
-// targets — every sweep's inversion seeded from the previous fix.
-func benchSession(b *testing.B, warm bool) {
-	b.Helper()
+// BenchmarkTrackSession streams one full-pipeline tracking session per
+// iteration: a static target, eight sweeps, the fused evaluation
+// estimator.
+func BenchmarkTrackSession(b *testing.B) {
 	office := sim.NewOffice(rand.New(rand.NewSource(7)), sim.OfficeConfig{})
-	cfg := track.SessionConfig{Speed: 0, Sweeps: 8, WarmStart: warm}
+	cfg := track.SessionConfig{Speed: 0, Sweeps: 8}
 	est := tof.NewEstimator(tof.Config{Mode: tof.BandsFused, Quirk24: true, MaxIter: 1200})
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -77,10 +63,6 @@ func benchSession(b *testing.B, warm bool) {
 	}
 }
 
-func BenchmarkTrackSessionSteadyState(b *testing.B) { benchSession(b, true) }
-
-func BenchmarkTrackSessionColdStart(b *testing.B) { benchSession(b, false) }
-
 func BenchmarkPerfConvergeCampaign(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r := exp.PerfConverge(quick(6))
@@ -88,9 +70,8 @@ func BenchmarkPerfConvergeCampaign(b *testing.B) {
 		// at every SNR of the sweep the gap rule must at least halve the
 		// cold solve work against the fixed iterate tolerance (deep fades
 		// included: no noise ceiling may switch the gap stop off), at
-		// campaign SNR with cap-rate ~0, the office median must not move
-		// beyond solver tolerance, and the colliding-families fixture must
-		// keep its alias refits warm.
+		// campaign SNR with cap-rate ~0, and the office median must not
+		// move beyond solver tolerance.
 		for _, snr := range []string{"12", "18", "26"} {
 			if red := r.Metrics["work_reduction_"+snr]; red < 2 {
 				b.Fatalf("%s dB cold work reduction %.2f×, want ≥ 2×", snr, red)
@@ -101,12 +82,6 @@ func BenchmarkPerfConvergeCampaign(b *testing.B) {
 		}
 		if d := r.Metrics["office_median_delta_ns"]; d > 0.05 {
 			b.Fatalf("office median moved %.3f ns between gap and fixed-tolerance stacks, want ≤ 0.05", d)
-		}
-		if ratio := r.Metrics["collide_alias_warm_ratio"]; !(ratio > 0) || ratio > 0.75 {
-			b.Fatalf("colliding-families warm/cold alias work %v, want (0, 0.75]", ratio)
-		}
-		if d := r.Metrics["collide_warm_cold_dtof_ns"]; d > 0.05 {
-			b.Fatalf("colliding-families warm fix diverged %.4f ns from cold, want ≤ 0.05", d)
 		}
 	}
 }

@@ -85,8 +85,8 @@ const (
 type SolverPlan = ndft.Plan
 
 // SolveRequest is one inversion request against a SolverPlan: the
-// measurement vector, an optional warm-start profile, an optional
-// recycled result, and the solver options.
+// measurement vector, an optional recycled result, and the solver
+// options. Every solve starts from a zero profile.
 type SolveRequest = ndft.SolveRequest
 
 // SolveResult is one inversion's output (profile, residual, telemetry).

@@ -80,10 +80,7 @@ func main() {
 	attach := func(id uint64, class svc.Class) {
 		err := d.Attach(id, svc.DeviceConfig{
 			Seed: rng.Int63(), Class: class,
-			Session: track.SessionConfig{
-				Speed: *speed, Sweeps: *sweeps,
-				WarmStart: true, VelocityTranslate: true,
-			},
+			Session:   track.SessionConfig{Speed: *speed, Sweeps: *sweeps},
 			Estimator: tof.Config{Mode: tof.BandsFused, Quirk24: true, MaxIter: 1200},
 		})
 		if err != nil {

@@ -26,37 +26,36 @@ type RangeSensor interface {
 // measurement averaging and outlier rejection the paper credits for the
 // drone's higher accuracy (§12.4: "drones measure multiple distances as
 // they navigate, which helps de-noise measurements and remove outliers").
+// It holds the Desired distance.
 type Controller struct {
-	Target geo.Point // current believed user position (for direction)
-	// Desired is the distance to hold (the paper uses 1.4 m).
-	Desired float64
-	// Gain is the proportional step factor (default 1.0).
-	Gain float64
-	// DGain adds derivative action to counter tracking lag against a
-	// moving user (default 0.6).
-	DGain float64
-	// MaxStep clamps movement per control tick in meters (default 0.3 —
-	// a gentle quadrotor step at 12 Hz).
-	MaxStep float64
-	// History is the median/outlier window (default 3 measurements —
-	// enough to reject single-sweep ghosts without adding much lag).
-	History int
-
 	recent  []float64
 	prevErr float64
 	primed  bool
 }
 
-// NewController builds a controller holding the desired distance.
-func NewController(desired float64) *Controller {
-	return &Controller{Desired: desired, Gain: 1.0, DGain: 0.6, MaxStep: 0.3, History: 3}
-}
+// The controller's tuning.
+const (
+	// gain is the proportional step factor.
+	gain = 1.0
+	// dGain adds derivative action to counter tracking lag against a
+	// moving user.
+	dGain = 0.6
+	// maxStep clamps movement per control tick in meters: a gentle
+	// quadrotor step at 12 Hz.
+	maxStep = 0.3
+	// history is the median/outlier window in measurements: enough to
+	// reject single-sweep ghosts without adding much lag.
+	history = 3
+)
+
+// NewController builds a controller holding the Desired distance.
+func NewController() *Controller { return &Controller{} }
 
 // filteredRange folds a new measurement into the history window and
 // returns the outlier-rejected estimate: the median of the window.
 func (c *Controller) filteredRange(meas float64) float64 {
 	c.recent = append(c.recent, meas)
-	if len(c.recent) > c.History {
+	if len(c.recent) > history {
 		c.recent = c.recent[1:]
 	}
 	cp := append([]float64(nil), c.recent...)
@@ -78,17 +77,17 @@ func (c *Controller) filteredRange(meas float64) float64 {
 // drone backs away; farther, it approaches.
 func (c *Controller) Step(pos geo.Point, meas float64, toUser geo.Point) geo.Point {
 	d := c.filteredRange(meas)
-	err := d - c.Desired // positive → too far → move toward the user
+	err := d - Desired // positive → too far → move toward the user
 	derr := 0.0
 	if c.primed {
 		derr = err - c.prevErr
 	}
 	c.prevErr, c.primed = err, true
-	step := c.Gain*err + c.DGain*derr
-	if step > c.MaxStep {
-		step = c.MaxStep
-	} else if step < -c.MaxStep {
-		step = -c.MaxStep
+	step := gain*err + dGain*derr
+	if step > maxStep {
+		step = maxStep
+	} else if step < -maxStep {
+		step = -maxStep
 	}
 	norm := toUser.Norm()
 	if norm < 1e-9 {
@@ -172,7 +171,7 @@ const (
 // sensor measurements.
 func Track(rng *rand.Rand, sensor RangeSensor, duration float64) *TrackResult {
 	walk := NewWalk(rng, RoomW, RoomH)
-	ctl := NewController(Desired)
+	ctl := NewController()
 
 	// Drone starts at the desired offset from the user.
 	user := walk.Pos()

@@ -19,7 +19,7 @@ func (s noisySensor) Range(rng *rand.Rand, pos, target geo.Point) float64 {
 
 func TestControllerConvergesFromOffset(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
-	ctl := NewController(1.4)
+	ctl := NewController()
 	user := geo.Point{X: 0, Y: 0}
 	pos := geo.Point{X: 4, Y: 0} // far too distant
 	s := noisySensor{sigma: 0.02}
@@ -33,7 +33,7 @@ func TestControllerConvergesFromOffset(t *testing.T) {
 }
 
 func TestControllerBacksAwayWhenTooClose(t *testing.T) {
-	ctl := NewController(1.4)
+	ctl := NewController()
 	pos := geo.Point{X: 0.5, Y: 0}
 	user := geo.Point{}
 	next := ctl.Step(pos, 0.5, user.Sub(pos))
@@ -43,16 +43,16 @@ func TestControllerBacksAwayWhenTooClose(t *testing.T) {
 }
 
 func TestControllerStepClamped(t *testing.T) {
-	ctl := NewController(1.4)
+	ctl := NewController()
 	pos := geo.Point{X: 100, Y: 0}
 	next := ctl.Step(pos, 100, geo.Point{X: -1, Y: 0})
-	if moved := pos.Dist(next); moved > ctl.MaxStep+1e-12 {
-		t.Errorf("step %v exceeds MaxStep %v", moved, ctl.MaxStep)
+	if moved := pos.Dist(next); moved > maxStep+1e-12 {
+		t.Errorf("step %v exceeds maxStep %v", moved, maxStep)
 	}
 }
 
 func TestControllerMedianRejectsOutlier(t *testing.T) {
-	ctl := NewController(1.4)
+	ctl := NewController()
 	pos := geo.Point{X: 1.4, Y: 0}
 	user := geo.Point{}
 	// Prime the history at the desired distance, then feed one wild
@@ -67,7 +67,7 @@ func TestControllerMedianRejectsOutlier(t *testing.T) {
 }
 
 func TestControllerZeroDirection(t *testing.T) {
-	ctl := NewController(1.4)
+	ctl := NewController()
 	pos := geo.Point{X: 1, Y: 1}
 	if next := ctl.Step(pos, 2, geo.Point{}); next != pos {
 		t.Error("zero direction moved the drone")

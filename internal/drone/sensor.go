@@ -16,13 +16,13 @@ import (
 // 5 GHz bands through the simulated radios, and runs the full estimator
 // (§9). It is not safe for concurrent use: each flight builds its own.
 type PipelineSensor struct {
-	Env    *rf.Environment
-	Link   *csi.Link
-	Est    *tof.Estimator
-	Bands  []wifi.Band
-	Offset float64 // calibration offset in seconds (hardware delays)
+	Link  *csi.Link
+	Est   *tof.Estimator
+	Bands []wifi.Band
 
-	last float64 // the last measured range, reported when a sweep fails
+	env    *rf.Environment // the §12.4 room
+	offset float64         // calibration offset in seconds (hardware delays)
+	last   float64         // the last measured range, reported when a sweep fails
 }
 
 // pairsPerBand is the CSI pairs a Range sweep collects per band.
@@ -35,10 +35,10 @@ func NewPipelineSensor(rng *rand.Rand) (*PipelineSensor, error) {
 	tx, rx := csi.NewRadio(rng), csi.NewRadio(rng)
 	tx.Quirk24, rx.Quirk24 = false, false
 	s := &PipelineSensor{
-		Env:   room(),
 		Link:  &csi.Link{TX: tx, RX: rx, SNRdB: 28},
 		Est:   tof.NewEstimator(tof.Config{Mode: tof.Bands5GHzOnly, MaxIter: 800}),
 		Bands: wifi.Bands5GHz(),
+		env:   room(),
 	}
 	// Calibration at a marked 2 m spot in the room.
 	a, b := geo.Point{X: 1, Y: 1}, geo.Point{X: 3, Y: 1}
@@ -48,12 +48,12 @@ func NewPipelineSensor(rng *rand.Rand) (*PipelineSensor, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.Offset, s.last = off, a.Dist(b)
+	s.offset, s.last = off, a.Dist(b)
 	return s, nil
 }
 
 func (s *PipelineSensor) setChannel(pos, target geo.Point) {
-	s.Link.Channel = rf.GenerateChannel(s.Env, pos, target, false)
+	s.Link.Channel = rf.GenerateChannel(s.env, pos, target, false)
 }
 
 // Range implements RangeSensor via a full band sweep and inversion.
@@ -66,7 +66,7 @@ func (s *PipelineSensor) Range(rng *rand.Rand, pos, target geo.Point) float64 {
 		// measured range; the controller's median filter absorbs it.
 		return s.last
 	}
-	s.last = max((r.ToF-s.Offset)*wifi.SpeedOfLight, 0)
+	s.last = max((r.ToF-s.offset)*wifi.SpeedOfLight, 0)
 	return s.last
 }
 

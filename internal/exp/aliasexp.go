@@ -91,68 +91,3 @@ func AliasRanking(o Options) *Result {
 	}
 	return res
 }
-
-// PerfAlias characterizes the alias-disambiguation refit cost (the ~⅓ of
-// estimate time the ROADMAP flagged) in solver Work units — grid cells
-// processed, a deterministic measure unlike wall clock — cold versus
-// warm-started across a sweep stream (chronos-bench -fig aliasperf). The
-// warm column seeds each hypothesis's windowed solve from the previous
-// sweep's converged window profile; the committed BENCH_4.json snapshots
-// this table next to the PR-3 BENCH_baseline.json solver trajectory.
-func PerfAlias(o Options) *Result {
-	o = o.withDefaults(16)
-	if o.Trials < 3 {
-		o.Trials = 3 // warm medians need at least two seeded sweeps
-	}
-	bands := wifi.Bands5GHz()
-	cfg := tof.Config{Mode: tof.Bands5GHzOnly, MaxIter: 1200}
-	const sweepDt = 0.084 // seconds per full band sweep (Fig. 9a median)
-
-	res := &Result{
-		ID:     "perf-alias",
-		Title:  "Alias-refit cost per estimate, cold vs warm-started (Work units)",
-		Header: []string{"scenario", "alias work (cold)", "alias work (warm)", "warm/cold", "total work (warm)"},
-	}
-	res.Metrics = map[string]float64{}
-	for _, sc := range []struct {
-		name  string
-		speed float64
-	}{
-		{"static", 0},
-		{"walking 1 m/s", 1.0},
-	} {
-		rng := trialRNG(o, "perf-alias/"+sc.name, 0)
-		tx, rx := csi.NewRadio(rng), csi.NewRadio(rng)
-		tx.Quirk24, rx.Quirk24 = false, false
-		link := &csi.Link{TX: tx, RX: rx, SNRdB: 26}
-
-		var coldAlias, warmAlias, warmTotal []float64
-		tauNs := 20.0
-		twinStreams(tof.NewEstimator(cfg), bands, o.Trials, func() [][]csi.Pair {
-			link.Channel = rf.NewChannel([]rf.Path{
-				{Delay: tauNs * 1e-9, Gain: 1},
-				{Delay: (tauNs + 4.2) * 1e-9, Gain: 0.6},
-				{Delay: (tauNs + 9.5) * 1e-9, Gain: 0.4},
-			})
-			tauNs += sc.speed * sweepDt / wifi.SpeedOfLight * 1e9
-			return link.Sweep(rng, bands, 3)
-		}, func(s int, rc, rw *tof.Estimate) {
-			coldAlias = append(coldAlias, float64(rc.AliasWork))
-			if s > 0 { // the first warm sweep has nothing to warm from
-				warmAlias = append(warmAlias, float64(rw.AliasWork))
-				warmTotal = append(warmTotal, float64(rw.Work))
-			}
-		})
-		ca, wa := stats.Median(coldAlias), stats.Median(warmAlias)
-		res.Rows = append(res.Rows, []string{
-			sc.name, fmtF(ca, 0), fmtF(wa, 0), fmtF(wa/ca, 3), fmtF(stats.Median(warmTotal), 0),
-		})
-		key := map[string]string{"static": "static", "walking 1 m/s": "walking"}[sc.name]
-		res.Metrics["alias_work_cold_"+key] = ca
-		res.Metrics["alias_work_warm_"+key] = wa
-		if ca > 0 {
-			res.Metrics["alias_warm_ratio_"+key] = wa / ca
-		}
-	}
-	return res
-}

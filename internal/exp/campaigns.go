@@ -39,16 +39,12 @@ var Figures = []Campaign{
 	{Key: "10a", Run: Fig10a},
 	{Key: "10b", Run: Fig10b},
 	// alias measures the family-ranked alias resolution on the office
-	// campaign and an adversarial deep-NLOS geometry; aliasperf
-	// snapshots the alias-refit cost cold vs warm-started in
-	// deterministic Work units.
+	// campaign and an adversarial deep-NLOS geometry.
 	{Key: "alias", Run: AliasRanking, ExplicitOnly: true},
-	{Key: "aliasperf", Run: PerfAlias, ExplicitOnly: true},
 	// converge is the noise-adaptive convergence campaign: the
 	// duality-gap stop vs Algorithm 1's iterate rule across SNR, the
-	// office accuracy guard, the colliding-families warm-refit fixture,
-	// and streaming-session convergence telemetry — all in deterministic
-	// units.
+	// office accuracy guard, and streaming-session convergence telemetry
+	// — all in deterministic units.
 	{Key: "converge", Run: PerfConverge, ExplicitOnly: true},
 	// pipeline is the solve-pool latency-isolation campaign: a
 	// latency-class stream under a bulk-class swarm, run with every solve

@@ -16,37 +16,27 @@ import (
 // (chronos-bench -fig converge): it compares the duality-gap stopping
 // rule with Algorithm 1's fixed iterate tolerance (tof.StopIterate, the
 // "eps" arm) across SNR regimes, in deterministic units (solver
-// iterations, Work, ToF error — never wall clock). Four sections:
+// iterations, Work, ToF error — never wall clock). Three sections:
 //
 //  1. an SNR sweep (12/18/26 dB) over a fixed deep-multipath link,
-//     gap-stopped versus fixed-epsilon solves, cold and warm: iteration
-//     medians, cap-rates, and ToF error medians per arm;
+//     gap-stopped versus fixed-epsilon solves: Work medians, cap-rates,
+//     and ToF error medians per arm;
 //  2. an office LOS accuracy guard: the default gap stop against
 //     StopIterate on paired placements — the campaign-SNR median must
 //     not move;
-//  3. the deep-NLOS colliding-families fixture: two dominant alias
-//     families in one period cell, whose warm refit seeds the PR-4
-//     period-index labels collided back to cold — warm/cold alias Work
-//     must stay ≤ 0.75 with identical fixes;
-//  4. a streaming track session, warm versus cold, surfacing the
-//     per-fix convergence telemetry (cap-rate, Work) the session now
-//     records.
+//  3. a streaming track session, surfacing the per-fix convergence
+//     telemetry (cap-rate, Work) the session records.
 //
-// The committed BENCH_5.json snapshots this table next to the perf and
-// alias campaigns.
+// The campaign golden, internal/exp/testdata/campaigns.json, snapshots
+// this table.
 func PerfConverge(o Options) *Result {
 	o = o.withDefaults(12)
-	if o.Trials < 4 {
-		o.Trials = 4 // warm medians need a few seeded sweeps
-	}
 	res := &Result{
 		ID:     "perf-converge",
 		Title:  "Noise-adaptive convergence: gap stop vs fixed tolerance across SNR",
-		Header: []string{"scenario", "rule", "work (cold)", "work (warm)", "cap rate", "median err (ns)"},
+		Header: []string{"scenario", "rule", "work (cold)", "cap rate", "median err (ns)"},
 	}
 	res.Metrics = map[string]float64{}
-
-	gapSolves, gapCapped := 0, 0
 
 	// --- 1. SNR sweep over a fixed deep-multipath link ---
 	type arm struct {
@@ -72,43 +62,36 @@ func PerfConverge(o Options) *Result {
 			bands := wifi.Bands5GHz()
 			cfg := tof.Config{Mode: tof.Bands5GHzOnly, MaxIter: 1200}
 			a.mod(&cfg)
-			var coldWork, warmWork, errs []float64
-			solves, capped := 0, 0
-			twinStreams(tof.NewEstimator(cfg), bands, o.Trials, func() [][]csi.Pair {
-				return link.Sweep(rng, bands, 3)
-			}, func(s int, rc, rw *tof.Estimate) {
-				coldWork = append(coldWork, float64(rc.Work))
-				errs = append(errs, math.Abs(rc.ToF*1e9-tauNs-hw))
-				solves += 2
-				if !rc.Converged {
+			est := tof.NewEstimator(cfg)
+			var work, errs []float64
+			capped := 0
+			for s := 0; s < o.Trials; s++ {
+				// A fixed synthetic geometry: an estimate error is a bug.
+				r, err := est.Estimate(bands, link.Sweep(rng, bands, 3))
+				if err != nil {
+					panic(err)
+				}
+				work = append(work, float64(r.Work))
+				errs = append(errs, math.Abs(r.ToF*1e9-tauNs-hw))
+				if !r.Converged {
 					capped++
 				}
-				if !rw.Converged {
-					capped++
-				}
-				if s > 0 { // the first warm sweep has nothing to warm from
-					warmWork = append(warmWork, float64(rw.Work))
-				}
-			})
-			capRate := float64(capped) / float64(solves)
+			}
+			capRate := float64(capped) / float64(o.Trials)
 			if a.name == "gap" && snr == 26 {
 				// The headline cap-rate is the campaign-SNR arm's, the
 				// operating point the committed snapshots record; the
-				// 12/18 dB arms report theirs in the table, where a
-				// contested placement's precise re-solve is what can
-				// still run to the cap.
-				gapSolves += solves
-				gapCapped += capped
+				// 12/18 dB arms report theirs in the table.
+				res.CapRate = &capRate
+				res.Metrics["cap_rate_gap_overall"] = capRate
 			}
 			scen := fmt.Sprintf("SNR %g dB", snr)
-			cw, ww := stats.Median(coldWork), stats.Median(warmWork)
-			me := stats.Median(errs)
+			cw, me := stats.Median(work), stats.Median(errs)
 			res.Rows = append(res.Rows, []string{
-				scen, a.name, fmtF(cw, 0), fmtF(ww, 0), fmtF(capRate, 3), fmtF(me, 3),
+				scen, a.name, fmtF(cw, 0), fmtF(capRate, 3), fmtF(me, 3),
 			})
 			key := fmt.Sprintf("%s_%g", a.name, snr)
 			res.Metrics["work_cold_"+key] = cw
-			res.Metrics["work_warm_"+key] = ww
 			res.Metrics["cap_rate_"+key] = capRate
 			res.Metrics["err_"+key+"_ns"] = me
 		}
@@ -131,82 +114,32 @@ func PerfConverge(o Options) *Result {
 			errs[i] = tr.ErrNs
 		}
 		res.Rows = append(res.Rows, []string{
-			"office LOS", a.name, "-", "-", "-", fmtF(stats.Median(errs), 3),
+			"office LOS", a.name, "-", "-", fmtF(stats.Median(errs), 3),
 		})
 		res.Metrics["office_median_"+a.name+"_ns"] = stats.Median(errs)
 	}
 	res.Metrics["office_median_delta_ns"] = math.Abs(
 		res.Metrics["office_median_gap_ns"] - res.Metrics["office_median_eps_ns"])
 
-	// --- 3. Colliding-families warm refits ---
+	// --- 3. Streaming track session ---
 	{
-		rng := trialRNG(o, "perf-converge/collide", 0)
-		tx, rx := csi.NewRadio(rng), csi.NewRadio(rng)
-		tx.Quirk24, rx.Quirk24 = false, false
-		link := &csi.Link{TX: tx, RX: rx, SNRdB: 26, Channel: rf.NewChannel([]rf.Path{
-			{Delay: 30e-9, Gain: 1},
-			{Delay: 37e-9, Gain: 1.8},
-			{Delay: 42e-9, Gain: 1.0},
-		})}
-		bands := wifi.Bands5GHz()
-		var cW, wW int64
-		var dMax float64
+		rng := trialRNG(o, "perf-converge/session", 0)
 		est := tof.NewEstimator(tof.Config{Mode: tof.Bands5GHzOnly, MaxIter: 1200})
-		twinStreams(est, bands, o.Trials, func() [][]csi.Pair {
-			return link.Sweep(rng, bands, 3)
-		}, func(s int, rc, rw *tof.Estimate) {
-			if d := math.Abs(rc.ToF-rw.ToF) * 1e9; d > dMax {
-				dMax = d
-			}
-			if s > 0 {
-				cW += rc.AliasWork
-				wW += rw.AliasWork
-			}
-		})
-		ratio := math.NaN()
-		if cW > 0 {
-			ratio = float64(wW) / float64(cW)
-		}
-		res.Rows = append(res.Rows, []string{
-			"colliding families (deep NLOS geometry)", "gap", "-", "-", "-", fmtF(dMax, 4),
-		})
-		res.Metrics["collide_alias_warm_ratio"] = ratio
-		res.Metrics["collide_warm_cold_dtof_ns"] = dMax
-	}
-
-	// --- 4. Streaming track session, warm vs cold ---
-	{
-		scfg := track.SessionConfig{Speed: 1.0, Sweeps: 6}
-		for _, warmStart := range []bool{false, true} {
-			// Both arms replay the identical session (same rng stream), so
-			// the warm row is directly comparable to the cold one.
-			rng := trialRNG(o, "perf-converge/session", 0)
-			cfg := scfg
-			cfg.WarmStart = warmStart
-			est := tof.NewEstimator(tof.Config{Mode: tof.Bands5GHzOnly, MaxIter: 1200})
-			r, err := track.RunSession(rng, office, est, cfg)
-			if err != nil || len(r.Fixes) == 0 {
-				continue
-			}
+		r, err := track.RunSession(rng, office, est, track.SessionConfig{Speed: 1.0, Sweeps: 6})
+		if err == nil && len(r.Fixes) > 0 {
 			var work []float64
 			for _, f := range r.Fixes {
 				work = append(work, float64(f.Work))
 			}
-			name := map[bool]string{false: "cold", true: "warm"}[warmStart]
 			res.Rows = append(res.Rows, []string{
-				"track session (" + name + ")", "gap", "-", "-",
+				"track session (cold)", "gap", "-",
 				fmtF(float64(r.CappedFixes)/float64(len(r.Fixes)), 3), fmtF(r.RawRMSE, 3),
 			})
-			res.Metrics["session_"+name+"_median_work"] = stats.Median(work)
-			res.Metrics["session_"+name+"_cap_fixes"] = float64(r.CappedFixes)
-			res.Metrics["session_"+name+"_raw_rmse_m"] = r.RawRMSE
+			res.Metrics["session_cold_median_work"] = stats.Median(work)
+			res.Metrics["session_cold_cap_fixes"] = float64(r.CappedFixes)
+			res.Metrics["session_cold_raw_rmse_m"] = r.RawRMSE
 		}
 	}
 
-	if gapSolves > 0 {
-		rate := float64(gapCapped) / float64(gapSolves)
-		res.CapRate = &rate
-		res.Metrics["cap_rate_gap_overall"] = rate
-	}
 	return res
 }

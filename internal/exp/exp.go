@@ -34,10 +34,8 @@ import (
 	"math/rand"
 	"strings"
 
-	"chronos/internal/csi"
 	"chronos/internal/sim"
 	"chronos/internal/tof"
-	"chronos/internal/wifi"
 )
 
 // Options scales a campaign.
@@ -152,38 +150,6 @@ func runToFCampaign(o Options, campaignID string, office *sim.Office, cfg tof.Co
 		}
 		return trial, true
 	})
-}
-
-// twinStreams folds n sweeps, each drawn by next over bands, into a cold
-// Sweep and a warm-started one on est, hands each sweep's two estimates
-// to each (s counts sweeps from 0), and resets both streams. The
-// campaigns that compare the streams run fixed synthetic geometries, so
-// a fold or estimate error is a bug and panics.
-func twinStreams(est *tof.Estimator, bands []wifi.Band, n int, next func() [][]csi.Pair, each func(s int, cold, warm *tof.Estimate)) {
-	cold, warm := est.NewSweep(), est.NewSweep()
-	warm.SetWarmStart(true)
-	for s := 0; s < n; s++ {
-		sweep := next()
-		for i, b := range bands {
-			if err := cold.AddBand(b, sweep[i]); err != nil {
-				panic(err)
-			}
-			if err := warm.AddBand(b, sweep[i]); err != nil {
-				panic(err)
-			}
-		}
-		rc, err := cold.Estimate()
-		if err != nil {
-			panic(err)
-		}
-		rw, err := warm.Estimate()
-		if err != nil {
-			panic(err)
-		}
-		each(s, rc, rw)
-		cold.Reset()
-		warm.Reset()
-	}
 }
 
 // defaultToFConfig is the evaluation configuration used across figures:

@@ -12,7 +12,7 @@ import (
 
 // campaignGolden is the committed JSON of every registered campaign but
 // the wall-clock ones, at seed 1 and default trials: what `chronos-bench
-// -json`, `chronos-bench -fig alias,aliasperf,converge -json`,
+// -json`, `chronos-bench -fig alias,converge -json`,
 // `chronos-bench -ablate all -json` and `chronos-bench -fig
 // speed,latency,capacity -json` print, as one array. Regenerate it with
 // `go test ./internal/exp -run TestCampaignGolden -update` only when a

@@ -43,9 +43,7 @@ func PerfPipeline(o Options) *Result {
 		Shards: shards, Office: office, Virtual: true,
 		Pipeline: svc.PipelineConfig{SolveWorkers: solveWorkers},
 	})
-	scfg := track.SessionConfig{
-		Speed: 1.0, Sweeps: -1, WarmStart: true, VelocityTranslate: true,
-	}
+	scfg := track.SessionConfig{Speed: 1.0, Sweeps: -1}
 	ecfg := tof.Config{Mode: tof.BandsFused, Quirk24: true, MaxIter: 1200}
 	for i := 0; i < latDevices; i++ {
 		if err := d.Attach(uint64(1+i), svc.DeviceConfig{

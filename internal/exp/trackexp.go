@@ -14,13 +14,10 @@ import (
 // trackSessionConfig is the shared full-pipeline session shape for the
 // tracking campaigns: a handful of sweeps per session, driven by the
 // same fused evaluation estimator (defaultToFConfig) as the figures.
-// Sessions warm-start with velocity translation: each sweep's inversion
-// is seeded from the previous fix, shifted by the Kalman-predicted
-// inter-sweep delay change — the steady-state mode the streaming
-// subsystem is built for (per-session state, so results stay identical
-// at any -workers).
+// Each session owns its state, so results stay identical at any
+// -workers.
 func trackSessionConfig(speed float64, sweeps int) track.SessionConfig {
-	return track.SessionConfig{Speed: speed, Sweeps: sweeps, WarmStart: true, VelocityTranslate: true}
+	return track.SessionConfig{Speed: speed, Sweeps: sweeps}
 }
 
 // TrackSpeed measures streaming tracking error against target speed: for

@@ -4,9 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"math"
 	"math/rand"
-	"strconv"
 	"strings"
 	"testing"
 
@@ -117,25 +115,19 @@ func TestWriteJSONRoundTrips(t *testing.T) {
 }
 
 // TestTrackGoldenTraceAcrossWorkers is the golden-trace acceptance test
-// for warm-started, velocity-translated sessions: a fixed-seed
-// moving-target campaign must produce byte-identical per-fix tables at
-// Workers=1 and Workers=8 (warm state is per-session, so worker
-// scheduling must not leak into fixes), and the warm fix tables must
-// stay within solver tolerance of the cold-start session's.
+// for moving-target sessions: a fixed-seed campaign must produce
+// byte-identical per-fix tables at Workers=1 and Workers=8 (session
+// state is per-session, so worker scheduling must not leak into fixes).
 func TestTrackGoldenTraceAcrossWorkers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaign experiment")
 	}
 	office := newOffice(Options{Seed: 5})
-	trace := func(workers int, warm bool) []string {
+	trace := func(workers int) []string {
 		o := Options{Seed: 5, Workers: workers}
 		return runTrials(o, "golden-trace", 4, func(trial int, rng *rand.Rand) (string, bool) {
 			est := tof.NewEstimator(defaultToFConfig())
-			cfg := track.SessionConfig{
-				Speed: 1.2, Sweeps: 4,
-				WarmStart: warm, VelocityTranslate: warm,
-			}
-			r, err := track.RunSession(rng, office, est, cfg)
+			r, err := track.RunSession(rng, office, est, track.SessionConfig{Speed: 1.2, Sweeps: 4})
 			if err != nil || len(r.Fixes) == 0 {
 				return "", false
 			}
@@ -147,42 +139,11 @@ func TestTrackGoldenTraceAcrossWorkers(t *testing.T) {
 			return b.String(), true
 		})
 	}
-	serial := trace(1, true)
-	pooled := trace(8, true)
-	if strings.Join(serial, "") != strings.Join(pooled, "") {
-		t.Errorf("warm fix tables differ across worker counts:\n%v\nvs\n%v", serial, pooled)
+	serial := trace(1)
+	if len(serial) == 0 {
+		t.Fatal("no trial produced fixes")
 	}
-	cold := trace(1, false)
-	if len(cold) != len(serial) {
-		t.Fatalf("trial counts differ: cold %d warm %d", len(cold), len(serial))
+	if pooled := trace(8); strings.Join(serial, "") != strings.Join(pooled, "") {
+		t.Errorf("fix tables differ across worker counts:\n%v\nvs\n%v", serial, pooled)
 	}
-	for i := range cold {
-		warmLines := strings.Split(strings.TrimSpace(serial[i]), "\n")
-		coldLines := strings.Split(strings.TrimSpace(cold[i]), "\n")
-		if len(warmLines) != len(coldLines) {
-			t.Fatalf("trial %d: fix counts differ", i)
-		}
-		for j := range warmLines {
-			wr, cr := parseRange(t, warmLines[j]), parseRange(t, coldLines[j])
-			if d := math.Abs(wr - cr); d > 0.05 {
-				t.Errorf("trial %d fix %d: warm range %.4f vs cold %.4f (Δ %.4f m)\nwarm: %s\ncold: %s", i, j, wr, cr, d, warmLines[j], coldLines[j])
-			}
-		}
-	}
-}
-
-// parseRange extracts the hex-float range field from a golden-trace line.
-func parseRange(t *testing.T, line string) float64 {
-	t.Helper()
-	for _, f := range strings.Fields(line) {
-		if strings.HasPrefix(f, "range=") {
-			v, err := strconv.ParseFloat(strings.TrimPrefix(f, "range="), 64)
-			if err != nil {
-				t.Fatalf("bad range in %q: %v", line, err)
-			}
-			return v
-		}
-	}
-	t.Fatalf("no range field in %q", line)
-	return 0
 }

@@ -39,35 +39,6 @@ func FoldMass(dst, mag []float64, period int) []float64 {
 	return dst
 }
 
-// ShiftProfile circularly shifts a profile by cells grid positions in
-// place (positive toward larger delay), using the three-reversal rotation
-// so no scratch is allocated — it runs between solves on the warm-start
-// hot path. Mass shifted past either end wraps around; callers translate
-// by far less than the grid span, and any wrapped residue lands outside
-// the dilated working set's interesting region and is cheap for the
-// solver to zero again.
-func ShiftProfile(p dsp.Vec, cells int) {
-	n := len(p)
-	if n == 0 {
-		return
-	}
-	cells %= n
-	if cells < 0 {
-		cells += n
-	}
-	if cells == 0 {
-		return
-	}
-	reverse := func(v dsp.Vec) {
-		for i, j := 0, len(v)-1; i < j; i, j = i+1, j-1 {
-			v[i], v[j] = v[j], v[i]
-		}
-	}
-	reverse(p[:n-cells])
-	reverse(p[n-cells:])
-	reverse(p)
-}
-
 // WeightedResidual recomputes the per-frequency residual F·p − h for a
 // solved profile p on this plan and returns the w-weighted L2 norm
 // √Σᵢ wᵢ·|F·p − h|ᵢ². Alias placement uses it to score hypothesis refits

@@ -304,7 +304,7 @@ func checkAdjQuads(t *testing.T, rng *rand.Rand, fhRe, fhIm, ftRe, ftIm, xRe, xI
 // every run offset and every partial quad of 1, 2 and 3 lanes — and
 // random sets of several runs with gaps between them, plain and under a
 // screen. The data mixes zeros, denormals, ±1e300 and NaNs. Every cell
-// must produce bit-identical sums — the property the warm-solve and
+// must produce bit-identical sums — the property the polish and
 // alias-refit paths rely on when the tier changes between runs.
 func TestAdjDotMatchesCdot(t *testing.T) {
 	for _, tier := range kernelTiers() {
@@ -655,8 +655,8 @@ func FuzzShrinkEquivalence(f *testing.F) {
 	})
 }
 
-// TestSolveTierEquivalence solves every fixture request, cold and
-// warm, on the vector tier and scalar-forced, and requires
+// TestSolveTierEquivalence solves every fixture request on the vector
+// tier and scalar-forced, and requires
 // byte-identical results: the tier changes throughput, never answers.
 func TestSolveTierEquivalence(t *testing.T) {
 	pl, reqs := solveFixture(t)

@@ -16,8 +16,8 @@
 // and shared across goroutines. Plan.Solve is its only entry point. It
 // runs Algorithm 1 with FISTA momentum and α-continuation, which reach
 // the same fixed points in far fewer iterations on the highly coherent
-// NDFT dictionary, and solves warm-started and allocation-free in
-// steady state.
+// NDFT dictionary. Every solve starts from a zero profile, and
+// steady-state solves allocate nothing.
 package ndft
 
 import (
@@ -72,8 +72,8 @@ type InvertOptions struct {
 	// MaxIter caps iteration count (default 2000).
 	MaxIter int
 	// Yield, when non-nil, is called at the duality-gap check cadence of
-	// the main and cold-fallback iterate phases (never mid-iteration,
-	// never during a polish). It cannot stop the solve: when it returns,
+	// the main iterate phase (never mid-iteration, never during a
+	// polish). It cannot stop the solve: when it returns,
 	// the solve continues from exactly the state it left, so the result
 	// is bit-identical to a solve without a hook. Schedulers use it to
 	// run waiting latency-class work on the goroutine of a long bulk
@@ -111,9 +111,9 @@ type Result struct {
 	// finished before the first check). For a gap-stopped
 	// solve it is the certified suboptimality of the returned profile.
 	GapAtStop float64
-	// Work counts grid cells processed across all iterations (a dense
-	// solve costs Iterations×grid; restricted warm solves cost less per
-	// iteration). Callers use it to compare warm against cold solves on
-	// actual cost rather than raw iteration counts.
+	// Work counts grid cells processed across all iterations and gap
+	// checks (a main iteration costs the grid, a polish iteration its
+	// restricted set): a deterministic cost measure, unlike wall clock,
+	// that callers compare solves on rather than raw iteration counts.
 	Work int64
 }

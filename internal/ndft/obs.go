@@ -9,28 +9,19 @@ import "chronos/internal/obs"
 // recording happens once per Solve call, never inside the iteration
 // loop, which is how the instrumented hot path stays 0 allocs/op and
 // within 1% of the uninstrumented solver
-// (BenchmarkObsOverheadWarmStart asserts both).
+// (BenchmarkObsOverheadSolve asserts both).
 var (
 	// obsSolveRequests counts solve requests.
 	obsSolveRequests = obs.NewCounter("ndft.solve.requests")
-	// obsSolveIterations totals solver iterations across all phases
-	// (main, polish, cold fallback) of every request.
+	// obsSolveIterations totals solver iterations across both phases
+	// (main and polish) of every request.
 	obsSolveIterations = obs.NewCounter("ndft.solve.iterations")
-	// obsSolveGapStops counts requests whose main or fallback iterate
-	// ended on the duality-gap certificate rather than the iterate rule
+	// obsSolveGapStops counts requests whose main iterate ended on the duality-gap certificate rather than the iterate rule
 	// or the cap.
 	obsSolveGapStops = obs.NewCounter("ndft.solve.gap_stops")
 	// obsSolveCapped counts requests that hit their iteration cap
 	// without meeting a stopping rule (Result.Converged == false).
 	obsSolveCapped = obs.NewCounter("ndft.solve.capped")
-	// obsSolveKKTExpansions counts KKT audits of restricted warm solves
-	// that grew the working set over their violators and continued the
-	// restricted solve (one solve may book several rounds).
-	obsSolveKKTExpansions = obs.NewCounter("ndft.solve.kkt_expansions")
-	// obsSolveKKTFallbacks counts restricted warm solves whose KKT
-	// audit could not grow the working set, forcing the cold full-grid
-	// fallback.
-	obsSolveKKTFallbacks = obs.NewCounter("ndft.solve.kkt_fallbacks")
 	// obsSolveScreenedCells counts the working-set cells whose gradStep
 	// adjoint the drift-bound screen skipped (see screen.go), booked once
 	// per solve; Result.Work still counts them.
@@ -57,12 +48,6 @@ func (t *solveTask) record(wallStart int64) {
 	}
 	if t.everGap {
 		obsSolveGapStops.Inc()
-	}
-	if t.expansions > 0 {
-		obsSolveKKTExpansions.Add(int64(t.expansions))
-	}
-	if t.fellBack {
-		obsSolveKKTFallbacks.Inc()
 	}
 	obsSolveScreenedCells.Add(t.screened)
 	obsSolveWallNs.Since(wallStart)

@@ -79,9 +79,6 @@ type workspace struct {
 	quads          []int     // the phase's working set as a quad list (≤ ⌈m/2⌉)
 	live           []int     // the quads the last adjoint pass computed (≤ ⌈m/2⌉)
 	active         []int     // support of the extrapolation point (≤ m, 3 spare slots)
-	idx            []int     // restricted working set for warm solves (≤ m)
-	viol           []int     // cells failing the KKT audit (≤ m)
-	inSet          []bool    // working-set membership while growing idx (m)
 	supp           []int     // polish working set (≤ m)
 	gsupp          []int     // support of the iterate at a gap check (≤ m)
 }
@@ -150,9 +147,8 @@ func NewPlan(freqs, taus []float64) (*Plan, error) {
 			key:   make([]float64, m),
 			quads: make([]int, 0, (m+1)/2), live: make([]int, 0, (m+1)/2),
 			// momentumQuads' branchless append needs 3 spare slots.
-			active: make([]int, 0, m+3), idx: make([]int, 0, m),
-			viol: make([]int, 0, m), inSet: make([]bool, m),
-			supp: make([]int, 0, m), gsupp: make([]int, 0, m),
+			active: make([]int, 0, m+3),
+			supp:   make([]int, 0, m), gsupp: make([]int, 0, m),
 		}
 	}
 	return pl, nil
@@ -160,20 +156,6 @@ func NewPlan(freqs, taus []float64) (*Plan, error) {
 
 // Dims returns the plan's (frequency, delay-grid) dimensions.
 func (pl *Plan) Dims() (n, m int) { return pl.n, pl.m }
-
-// warmDilate is the working-set dilation radius, in grid cells, around
-// each warm-start support cell and each KKT violator: peaks may drift
-// this far between solves (several cells covers walking-speed motion and
-// noise wander on the default grids) without leaving the restricted set.
-// Drifts beyond the set are caught by the KKT audit, which grows the set
-// by the same radius around every violating cell.
-const warmDilate = 8
-
-// kktSlack is the multiplicative tolerance on the LASSO optimality bound
-// |Fᴴ(F·p−h̃)| ≤ α when auditing grid cells excluded from a restricted
-// solve; an excluded cell marginally above α would carry a negligible
-// coefficient, so a small slack avoids needless working-set growth.
-const kktSlack = 1.02
 
 // gapEvery and gapFine are the duality-gap check cadences, in
 // iterations. A check costs about one iteration over the same working
@@ -221,29 +203,6 @@ const (
 	polishDilate = 3
 	polishBudget = 600
 )
-
-// kktViolators audits the LASSO optimality conditions of a restricted
-// solution over the full grid: every zero coefficient must satisfy
-// |Fᴴ(F·p−h̃)|ⱼ ≤ α (within kktSlack). One full adjoint pass — the cost
-// of a single dense iteration — either proves the working set contained
-// the optimum (no violators) or names, ascending, every cell the
-// restricted answer wrongly holds at zero. The result aliases w.viol.
-// Expects w.resid* to hold the residual at the current iterate.
-func (pl *Plan) kktViolators(w *workspace, alpha float64) []int {
-	limSq := alpha * kktSlack * alpha * kktSlack
-	pl.adjointDense(w, w.residRe, w.resIm)
-	w.viol = w.viol[:0]
-	for j := 0; j < pl.m; j++ {
-		if w.pRe[j] != 0 || w.pIm[j] != 0 {
-			continue
-		}
-		gr, gi := w.gRe[j], w.gIm[j]
-		if float64(gr*gr)+float64(gi*gi) > limSq {
-			w.viol = append(w.viol, j)
-		}
-	}
-	return w.viol
-}
 
 // adjointDense writes the full adjoint product Fᴴx into w.g*, indexed
 // by cell: one pass over every cell of the grid.

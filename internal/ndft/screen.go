@@ -21,8 +21,8 @@ import "math"
 //	|gⱼ(t)| ≤ keyⱼ + √n·Dₜ,
 //
 // and keyⱼ < curAlpha − √n·Dₜ proves |gⱼ(t)| < curAlpha. h̃ and F are
-// fixed for a whole Solve, so D and the keys span all of its phases:
-// main, polish, grown and fallback. Keys start at +Inf for every solve;
+// fixed for a whole Solve, so D and the keys span both of its phases,
+// main and polish. Keys start at +Inf for every solve;
 // only gradStep screens and refreshes them.
 //
 // Rounding. The test is keyⱼ < T with
@@ -101,7 +101,7 @@ func (t *solveTask) resetScreen() {
 // screenStep advances the residual path by gradStep's new residual
 // (w.resid*, at y) and returns the step's screen for a shrink threshold
 // thr = γ·curAlpha. The previous residual is kept in w.prev*, because gap
-// checks and audits overwrite the scratch residual between steps.
+// checks overwrite the scratch residual between steps.
 func (t *solveTask) screenStep(thr float64) screen {
 	pl, w := t.pl, t.w
 	n := pl.n

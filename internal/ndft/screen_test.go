@@ -57,11 +57,10 @@ func solveScreenedAndNot(t *testing.T, label string, pl *Plan, req SolveRequest)
 // Iterations. It covers random plans (Wi-Fi band groups and random
 // frequency sets over grids of 41–241 cells), random multipath
 // measurements with and without noise, default, scaled and explicit α,
-// both stopping rules, cold starts, warm seeds from a neighbouring
-// measurement (restricted solves, KKT growth and fallbacks) and random
-// sparse seeds, and a sweep of explicit α within a few ulps of the
-// largest correlation, where a cell's gradient sits just under the
-// threshold and the shrink's own rounding decides it. The screen must
+// both stopping rules, drifted copies of each measurement, and a sweep
+// of explicit α within a few ulps of the largest correlation, where a
+// cell's gradient sits just under the threshold and the shrink's own
+// rounding decides it. The screen must
 // also actually skip cells, or the comparison shows nothing.
 func TestScreenedSolveIdentical(t *testing.T) {
 	obs.SetEnabled(true)
@@ -119,23 +118,12 @@ func TestScreenedSolveIdentical(t *testing.T) {
 		trials++
 		screened += solveScreenedAndNot(t, "cold", pl, SolveRequest{H: h, InvertOptions: opts})
 
-		// A warm seed from a neighbouring measurement: the restricted
-		// solve, its KKT audit, working-set growth and cold fallback.
-		seed, err := pl.Solve(SolveRequest{H: noisy(0), InvertOptions: opts})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, shift := range []float64{0, 0.4, 3} {
+		// The same paths drifted: neighbouring measurements of a moving
+		// target.
+		for _, shift := range []float64{0.4, 3} {
 			trials++
-			screened += solveScreenedAndNot(t, "warm", pl, SolveRequest{H: noisy(shift), Warm: seed.Profile, InvertOptions: opts})
+			screened += solveScreenedAndNot(t, "drifted", pl, SolveRequest{H: noisy(shift), InvertOptions: opts})
 		}
-		// A random sparse seed.
-		warm := make(dsp.Vec, len(pl.Taus))
-		for k := 0; k < 1+rng.Intn(5); k++ {
-			warm[rng.Intn(len(warm))] = complex(rng.NormFloat64(), rng.NormFloat64())
-		}
-		trials++
-		screened += solveScreenedAndNot(t, "random seed", pl, SolveRequest{H: h, Warm: warm, InvertOptions: opts})
 
 		// Cells just under α: with α within a few ulps of the largest
 		// correlation the cold iterate stays (nearly) at zero, the

@@ -10,14 +10,10 @@ import (
 )
 
 // SolveRequest is one inversion request against a Plan: the measurement
-// vector, an optional warm-start profile on the plan's delay grid, an
-// optional recycled Result, and the solver options.
+// vector, an optional recycled Result, and the solver options.
 type SolveRequest struct {
 	// H is the measurement vector (length = the plan's frequency count).
 	H dsp.Vec
-	// Warm, when non-nil, is an initial iterate on the plan's delay grid
-	// — typically the previous sweep's converged profile. See Solve.
-	Warm dsp.Vec
 	// Dst, when non-nil, is reused for the result (its Profile and
 	// Magnitude backing arrays are recycled), making steady-state solves
 	// allocation-free; nil allocates a fresh Result.
@@ -27,11 +23,10 @@ type SolveRequest struct {
 
 // polishGapFrac scales the solve's duality-gap tolerance down for the
 // gap-certified polish exit: the polish pass exists to canonicalize the
-// stopped iterate (warm and cold trajectories must land on the same
-// restricted optimum), so its own certificate must be much tighter than
-// the stop that triggered it — 1/16 keeps the canonical point within the
-// agreement tolerances the equivalence fixtures pin while still bounding
-// the polish far below its 600-iteration budget on broad noisy supports.
+// stopped iterate on its restricted optimum, so its own certificate must
+// be much tighter than the stop that triggered it — 1/16 sharpens the
+// amplitudes the dominance tests read while still bounding the polish
+// far below its 600-iteration budget on broad noisy supports.
 const polishGapFrac = 1.0 / 16
 
 // gapScale scales the noise-derived duality-gap tolerance: a solve stops
@@ -57,15 +52,10 @@ type solveTask struct {
 
 	alpha, corrInf float64
 	useGap         bool
-	restricted     bool
 
-	// Telemetry latches: everGap records that a main or fallback iterate
-	// ended on the gap certificate, expansions counts the KKT audits that
-	// grew the working set, and fellBack that an audit forced the cold
-	// fallback. Read once per solve by record.
-	everGap    bool
-	expansions int
-	fellBack   bool
+	// everGap records that the main iterate ended on the gap
+	// certificate; record reads it once per solve.
+	everGap bool
 
 	// The drift-bound screen's clock, shared by every phase of the solve
 	// (see screen.go): gradSteps run so far, the residual path length D,
@@ -87,26 +77,16 @@ type solveTask struct {
 	polish   bool
 }
 
-// Solve runs Algorithm 1 on one request. req.Warm, when non-nil,
-// restricts the iteration to a working set (the warm support dilated by
-// warmDilate cells), making each iteration proportional to the support
-// size rather than the grid size; a final full-grid KKT audit proves the
-// excluded atoms inactive. On violation (the target moved past the set)
-// the set grows over every violating cell and the restricted solve
-// continues from its current iterate, audited again when it stops; only
-// an audit that cannot grow the set falls back to a cold full-grid
-// solve. Every answer is therefore either KKT-certified on the full grid
-// or the cold one, so warm and cold starts converge to the same fixed
-// points. req.Dst, when non-nil, is reused for the result, making
-// steady-state solves allocation-free. The request's shapes are checked
-// before any solving starts; on error no result is written. Solve may be
-// called concurrently on one shared Plan.
+// Solve runs Algorithm 1 on one request from a zero profile over the
+// full delay grid; a main iterate that stops on the gap certificate is
+// then polished on its support (runPolish). req.Dst, when non-nil, is
+// reused for the result, making steady-state solves allocation-free. The
+// request's shape is checked before any solving starts; on error no
+// result is written. Solve may be called concurrently on one shared
+// Plan.
 func (pl *Plan) Solve(req SolveRequest) (*Result, error) {
 	if len(req.H) != pl.n {
 		return nil, fmt.Errorf("ndft: measurement length %d != %d frequencies", len(req.H), pl.n)
-	}
-	if req.Warm != nil && len(req.Warm) != pl.m {
-		return nil, fmt.Errorf("ndft: warm start length %d != %d grid points", len(req.Warm), pl.m)
 	}
 	wallStart := obs.Tick()
 	if req.Dst == nil {
@@ -115,9 +95,11 @@ func (pl *Plan) Solve(req SolveRequest) (*Result, error) {
 	w := pl.getWorkspace()
 	var t solveTask
 	t.init(pl, &req, w)
-	idx, a0 := t.start(req.Warm)
-	t.iterate(idx, a0)
-	t.audit()
+	if t.run(pl.allIdx, t.start(), false) {
+		t.everGap = true
+		t.runPolish()
+	}
+	t.finishResid()
 	t.finalize()
 	pl.ws.Put(w)
 	if obs.Enabled() {
@@ -140,13 +122,13 @@ func (t *solveTask) init(pl *Plan, req *SolveRequest, w *workspace) {
 	t.resetScreen()
 }
 
-// start finishes setup — the Fᴴh̃ correlation bound, α scaling, warm
-// working-set construction or cold initialization, result reset — and
-// returns the main iterate's working set and starting threshold.
-func (t *solveTask) start(warm dsp.Vec) (idx []int, a0 float64) {
+// start finishes setup — the Fᴴh̃ correlation bound, α scaling, the
+// zero iterate, result reset — and returns the main iterate's starting
+// threshold.
+func (t *solveTask) start() (a0 float64) {
 	pl, w, m := t.pl, t.w, t.pl.m
-	// ‖Fᴴh̃‖∞ drives the default α scaling and the cold continuation
-	// ramp: one dense adjoint pass.
+	// ‖Fᴴh̃‖∞ drives the default α scaling and the continuation ramp:
+	// one dense adjoint pass.
 	pl.adjointDense(w, w.hRe, w.hIm)
 	var corrMaxSq float64
 	for j := 0; j < m; j++ {
@@ -167,50 +149,11 @@ func (t *solveTask) start(warm dsp.Vec) (idx []int, a0 float64) {
 		t.alpha = 0.1 * scale * t.corrInf
 	}
 
-	// Initialize the iterate and, for warm starts with a usable support,
-	// the restricted working set.
 	w.active = w.active[:0]
-	idx = pl.allIdx
-	if warm != nil {
-		split(w.pRe, w.pIm, warm)
-		for j := 0; j < m; j++ {
-			if w.pRe[j] != 0 || w.pIm[j] != 0 {
-				w.active = append(w.active, j)
-			}
-		}
-		if len(w.active) == 0 {
-			warm = nil // empty seed: run the ordinary cold start
-		} else {
-			w.idx = w.idx[:0]
-			last := -1
-			for _, j := range w.active {
-				lo, hi := j-warmDilate, j+warmDilate
-				if lo <= last {
-					lo = last + 1
-				}
-				if lo < 0 {
-					lo = 0
-				}
-				if hi > m-1 {
-					hi = m - 1
-				}
-				for k := lo; k <= hi; k++ {
-					w.idx = append(w.idx, k)
-				}
-				last = hi
-			}
-			if len(w.idx) < m {
-				idx = w.idx
-				t.restricted = true
-			}
-		}
-	}
-	if warm == nil {
-		zero(w.pRe)
-		zero(w.pIm)
-	}
-	copy(w.yRe, w.pRe)
-	copy(w.yIm, w.pIm)
+	zero(w.pRe)
+	zero(w.pIm)
+	zero(w.yRe)
+	zero(w.yIm)
 
 	res := t.res
 	res.Taus = pl.Taus
@@ -221,36 +164,16 @@ func (t *solveTask) start(warm dsp.Vec) (idx []int, a0 float64) {
 	// so they are skipped entirely and the iterate rule decides alone.
 	t.useGap = t.opts.NoiseFloor > 0
 
-	// α-continuation: start with a large threshold that admits only the
-	// strongest atoms and decay toward the target α, steering the iterate
-	// into the basin of the sparse global optimum before fine fitting
-	// begins — important because the non-uniform band lattice makes the
-	// dictionary highly coherent (strong grating lobes). A warm start is
-	// already in that basin and begins at the target α directly.
-	if warm == nil {
-		return idx, t.coldAlpha()
-	}
-	return idx, t.alpha
-}
-
-// coldAlpha is the continuation ramp's starting threshold for a cold
-// full-grid iterate: half the largest atom correlation, or the target α
-// when that is already larger.
-func (t *solveTask) coldAlpha() float64 {
+	// α-continuation: start at half the largest atom correlation, a
+	// threshold that admits only the strongest atoms, and decay toward the
+	// target α, steering the iterate into the basin of the sparse global
+	// optimum before fine fitting begins. This matters because the
+	// non-uniform band lattice makes the dictionary highly coherent
+	// (strong grating lobes).
 	if t.corrInf > t.alpha {
 		return t.corrInf * 0.5
 	}
 	return t.alpha
-}
-
-// iterate runs one main or fallback iterate phase over set, from the
-// current iterate and starting threshold a0, and, when the phase stops on
-// the gap certificate, the polish of the stopped iterate.
-func (t *solveTask) iterate(set []int, a0 float64) {
-	if t.run(set, a0, false) {
-		t.everGap = true
-		t.runPolish()
-	}
 }
 
 // run iterates over set until a stopping rule fires or the phase's
@@ -338,17 +261,14 @@ func (t *solveTask) endStep(diffSq, gdot float64) (stop, gap bool) {
 	// Adaptive (gradient) restart, O'Donoghue & Candès: when the
 	// extrapolated step opposes the direction of progress the momentum
 	// has overshot — reset it, turning FISTA's oscillatory tail into
-	// near-linear convergence. Restarts run only on restricted
-	// working-set solves (a polish, or a warm solve before any cold
-	// fallback): the grating lobes of the coherent band lattice
-	// make the full-grid LASSO optimum a degenerate face (mass can sit on
-	// an alias ghost with the same objective), and on the full grid a
-	// restarted trajectory may settle on a ghost vertex that the
-	// sustained-momentum trajectory avoids. A working set inherited from
-	// the previous fix excludes the ghost family entirely, so restarting
-	// there is safe — and it is what lets warm solves converge in tens
-	// of iterations instead of ringing for hundreds.
-	if (t.polish || t.restricted) && gdot > 0 && t.curAlpha == t.alpha {
+	// near-linear convergence. Restarts run only in the polish: the
+	// grating lobes of the coherent band lattice make the full-grid LASSO
+	// optimum a degenerate face (mass can sit on an alias ghost with the
+	// same objective), and on the full grid a restarted trajectory may
+	// settle on a ghost vertex that the sustained-momentum trajectory
+	// avoids. The polish set, the stopped support dilated by a few cells,
+	// excludes the ghost family, so restarting there is safe.
+	if t.polish && gdot > 0 && t.curAlpha == t.alpha {
 		t.tMom = 1
 	}
 	tNext := (1 + math.Sqrt(1+float64(4*t.tMom*t.tMom))) / 2
@@ -375,8 +295,8 @@ func (t *solveTask) endStep(diffSq, gdot float64) (stop, gap bool) {
 		t.res.Converged = true
 		return true, false
 	}
-	// The main and fallback iterates check the gap whenever a tolerance
-	// exists, and call the yield hook; a polish is short, restricted and
+	// The main iterate checks the gap whenever a tolerance exists, and
+	// calls the yield hook; a polish is short, restricted and
 	// about to finish, so it never yields, and checks the gap only under
 	// the gap-certified polish exit.
 	yields := t.opts.Yield != nil && !t.polish
@@ -409,8 +329,8 @@ func (t *solveTask) endStep(diffSq, gdot float64) (stop, gap bool) {
 // gapCheck measures the LASSO duality gap of the current iterate over
 // the grid cells in the phase's working set and reports whether the
 // solve may stop: the scaled residual θ = min(1, α/‖Fᴴr‖∞)·r is dual
-// feasible (on the restricted set; the excluded cells are audited by the
-// KKT pass), so
+// feasible over the phase's working set (the whole grid for the main
+// iterate; the polish certifies its restricted problem), so
 //
 //	gap = ½‖r‖² + α‖p‖₁ + ½‖θ‖² + Re⟨θ, h̃⟩
 //
@@ -475,11 +395,9 @@ func (t *solveTask) gapCheck() (bool, float64) {
 // polishDilate cells), costing O(support) per iteration. The gap stop
 // decides *when* the dense work may end; the polish pins *where* the
 // iterate lands — any two trajectories that stop with the same
-// support converge to the same restricted optimum, which is what
-// keeps warm-started and cold fixes in agreement under early
-// stopping, and sharpens the support amplitudes the downstream
-// dominance tests read. A gap stop inside the polish is its exit, not a
-// trigger for another polish.
+// support converge to the same restricted optimum — and sharpens the
+// support amplitudes the downstream dominance tests read. A gap stop
+// inside the polish is its exit, not a trigger for another polish.
 func (t *solveTask) runPolish() {
 	w, m := t.w, t.pl.m
 	w.supp = w.supp[:0]
@@ -520,87 +438,6 @@ func (t *solveTask) runPolish() {
 	// The solve converged by its gap certificate whether or not the
 	// polish met the tight tolerance inside its budget.
 	t.res.Converged = true
-}
-
-// audit runs the post-iterate epilogue of a restricted solve: the final
-// residual and the full-grid KKT audit. An audit that finds violators
-// grows the working set over them and continues the restricted solve,
-// audited again when it stops; one that cannot grow it falls back to the
-// cold full-grid solve — so warm starting can trade iterations but never
-// the answer. It leaves the residual at the final iterate for finalize.
-func (t *solveTask) audit() {
-	pl, w := t.pl, t.w
-	t.finishResid()
-	for t.restricted {
-		t.res.Work += int64(pl.m) // the KKT audit is one dense adjoint pass
-		viol := pl.kktViolators(w, t.alpha)
-		if len(viol) == 0 {
-			return
-		}
-		if t.growWorkingSet(viol) {
-			// The optimum reaches past the working set (the target
-			// moved farther than warmDilate cells between solves):
-			// continue from the current iterate — y ← p, and
-			// finishResid left active = support(p) — at the target α
-			// on the grown set.
-			t.expansions++
-			copy(w.yRe, w.pRe)
-			copy(w.yIm, w.pIm)
-			t.iterate(w.idx, t.alpha)
-		} else {
-			// Growing cannot help: discard the restricted answer and run
-			// the cold full-grid solve.
-			t.restricted = false
-			t.fellBack = true
-			zero(w.pRe)
-			zero(w.pIm)
-			copy(w.yRe, w.pRe)
-			copy(w.yIm, w.pIm)
-			w.active = w.active[:0]
-			t.iterate(pl.allIdx, t.coldAlpha())
-		}
-		t.finishResid()
-	}
-}
-
-// growWorkingSet adds each KKT violator, dilated by warmDilate cells, to
-// the restricted working set w.idx, rebuilt ascending so the continued
-// solve visits cells in a deterministic order. The iterate's support
-// (w.active) joins the set too: a polish may have carried it past the
-// set's edge, and the restricted iteration only updates cells inside the
-// set. Reports false when the violators add no cell — they already sit
-// inside the set, so another round would stop where this one did — or
-// when the grown set would cover the whole grid, where the restricted
-// solve is the dense one.
-func (t *solveTask) growWorkingSet(viol []int) bool {
-	w, m := t.w, t.pl.m
-	in := w.inSet
-	clear(in)
-	for _, j := range w.idx {
-		in[j] = true
-	}
-	for _, j := range w.active {
-		in[j] = true
-	}
-	grew := false
-	for _, v := range viol {
-		for k := max(v-warmDilate, 0); k <= min(v+warmDilate, m-1); k++ {
-			if !in[k] {
-				in[k] = true
-				grew = true
-			}
-		}
-	}
-	if !grew {
-		return false
-	}
-	w.idx = w.idx[:0]
-	for j, ok := range in {
-		if ok {
-			w.idx = append(w.idx, j)
-		}
-	}
-	return len(w.idx) < m
 }
 
 // finishResid recomputes resid = F·p − h̃ at the current iterate.

@@ -32,9 +32,8 @@ func yieldFixture(t testing.TB) (*Plan, dsp.Vec, InvertOptions) {
 // TestSolveYieldIdentical pins the yield contract: a hook cannot change
 // a solve. An idle hook, and a hook that runs a whole other Plan.Solve
 // on the same plan, leave every result field bit-identical to a solve
-// without a hook: from a cold start, from a warm seed whose KKT audit
-// falls back to the cold solve, and on the iterate rule, where the hook
-// rides the check cadence alone. The solve the hook ran matches the
+// without a hook: on the gap rule, and on the iterate rule, where the
+// hook rides the check cadence alone. The solve the hook ran matches the
 // same request solved on its own.
 func TestSolveYieldIdentical(t *testing.T) {
 	pl, h, opts := yieldFixture(t)
@@ -50,34 +49,24 @@ func TestSolveYieldIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	cold, err := pl.Solve(SolveRequest{H: h, InvertOptions: opts})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A seed 12 cells off the optimum: the restricted solve's KKT audit
-	// falls back to the cold full-grid solve, whose iterate yields too.
-	warm := append(dsp.Vec(nil), cold.Profile...)
-	ShiftProfile(warm, 12)
 	iterOpts := opts
 	iterOpts.NoiseFloor = 0
 
 	for _, tc := range []struct {
 		name string
-		warm dsp.Vec
 		opts InvertOptions
 	}{
-		{"cold", nil, opts},
-		{"warm", warm, opts},
-		{"iterate", nil, iterOpts},
+		{"cold", opts},
+		{"iterate", iterOpts},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			ref, err := pl.Solve(SolveRequest{H: h, Warm: tc.warm, InvertOptions: tc.opts})
+			ref, err := pl.Solve(SolveRequest{H: h, InvertOptions: tc.opts})
 			if err != nil {
 				t.Fatal(err)
 			}
 			idle := tc.opts
 			idle.Yield = func() {}
-			got, err := pl.Solve(SolveRequest{H: h, Warm: tc.warm, InvertOptions: idle})
+			got, err := pl.Solve(SolveRequest{H: h, InvertOptions: idle})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -95,7 +84,7 @@ func TestSolveYieldIdentical(t *testing.T) {
 				}
 				inner = r
 			}
-			got, err = pl.Solve(SolveRequest{H: h, Warm: tc.warm, InvertOptions: nested})
+			got, err = pl.Solve(SolveRequest{H: h, InvertOptions: nested})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -112,8 +101,8 @@ func TestSolveYieldIdentical(t *testing.T) {
 // a result, so TestSolveYieldIdentical would pass whether a solve
 // yielded at every gap check or at none; but the yield points are the
 // daemon's preemption points, and a latency solve waits for the next
-// one. Each count is the number of gap-check boundaries the main and
-// cold-fallback iterates reach (a polish never yields).
+// one. Each count is the number of gap-check boundaries the main
+// iterate reaches (a polish never yields).
 func TestSolveYieldCadence(t *testing.T) {
 	count := func(pl *Plan, req SolveRequest) int {
 		var calls int
@@ -124,7 +113,7 @@ func TestSolveYieldCadence(t *testing.T) {
 		return calls
 	}
 	pl, reqs := solveFixture(t)
-	want := []int{4, 2, 4, 8, 3, 10, 4}
+	want := []int{4, 2, 2, 2, 2, 2, 10, 4}
 	for i, req := range reqs {
 		if got := count(pl, cloneReq(req)); got != want[i] {
 			t.Errorf("solveFixture request %d: %d yields, want %d", i, got, want[i])

@@ -13,7 +13,7 @@
 //   - Disabled (the default), every operation is one atomic bool load
 //     and a branch. Nothing is recorded, Tick returns 0, and no state is
 //     touched — the instrumented solve benchmarks measure the layer at
-//     ≤1% overhead (BenchmarkObsOverheadWarmStart asserts it).
+//     ≤1% overhead (BenchmarkObsOverheadSolve asserts it).
 //   - Enabled, no operation allocates: counters are sharded padded
 //     atomics, histogram recording is one atomic bucket increment plus a
 //     sharded compare-and-swap sum, and spans are two monotonic clock

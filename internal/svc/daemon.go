@@ -3,8 +3,8 @@
 // Chronos pipeline. It is organized around per-shard exclusive ownership
 // (modeled on ndn-dpdk's service architecture): devices shard by an FNV
 // hash of their ID, each shard's goroutine exclusively owns its
-// sessions' warm solver state, Kalman trackers, and alias-window seeds —
-// no cross-shard locking on any per-device state — and each shard paces
+// sessions' sweep accumulators and Kalman trackers — no cross-shard
+// locking on any per-device state — and each shard paces
 // its sessions' sweeps on its own mac.Sim event queue. A full sweep's
 // ingest and track stages run on its shard; the solve between them runs
 // on the daemon's solve pool, with latency/bulk scheduling classes (see
@@ -39,8 +39,8 @@ type Config struct {
 	// Shards is the worker-shard count (default 4). Devices map to
 	// shards by FNV-1a over the device ID — the same hashing discipline
 	// the campaign engine uses for per-trial seeds — so a device's
-	// sessions always land on one shard and its warm solver state,
-	// Kalman tracker, and alias-window seeds are shard-exclusive.
+	// sessions always land on one shard and its sweep accumulator and
+	// Kalman tracker are shard-exclusive.
 	Shards int
 	// Office is the shared multipath world every session ranges in
 	// (required: Attach refuses every device without it; read-only

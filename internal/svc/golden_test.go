@@ -20,16 +20,13 @@ func goldenEstimator() tof.Config {
 	return tof.Config{Mode: tof.BandsFused, Quirk24: true, MaxIter: 1200}
 }
 
-// goldenSession is the full steady-state session the daemon must
-// reproduce: moving target, warm starts, velocity translation, an
-// early-fix checkpoint.
+// goldenSession is the full session the daemon must reproduce: moving
+// target, an early-fix checkpoint.
 func goldenSession() track.SessionConfig {
 	return track.SessionConfig{
-		Speed:             1.2,
-		Sweeps:            3,
-		WarmStart:         true,
-		VelocityTranslate: true,
-		EarlyFixBands:     []int{8},
+		Speed:         1.2,
+		Sweeps:        3,
+		EarlyFixBands: []int{8},
 	}
 }
 

@@ -221,7 +221,7 @@ func TestDrainWithTokensInPool(t *testing.T) {
 // waits for the whole fleet to retire.
 func pipelineFleet(t *testing.T, d *Daemon, n, sweeps int) map[uint64]*DeviceResult {
 	t.Helper()
-	scfg := track.SessionConfig{Sweeps: sweeps, WarmStart: true}
+	scfg := track.SessionConfig{Sweeps: sweeps}
 	for i := 0; i < n; i++ {
 		class := ClassLatency
 		if i%2 == 1 {
@@ -272,9 +272,9 @@ func TestPipelineBackpressureCompletes(t *testing.T) {
 }
 
 // preemptionFleet is one latency device against seven bulk ones, each
-// streaming eight warm sweeps on the golden estimator. On a one-worker
-// pool the bulk solves run the latency device's solves inline: 2 to 8
-// of its 8 in each of 100 runs (0 in 3 of 100 runs at four sweeps).
+// streaming eight sweeps on the golden estimator. On a one-worker pool
+// the bulk solves run the latency device's solves inline: 1 to 8 of its
+// 8 in each of 100 runs (0 in 17 of 100 runs at four sweeps).
 func preemptionFleet() map[uint64]DeviceConfig {
 	devs := make(map[uint64]DeviceConfig, 8)
 	for i := 0; i < 8; i++ {
@@ -283,7 +283,7 @@ func preemptionFleet() map[uint64]DeviceConfig {
 			class = ClassLatency
 		}
 		devs[uint64(i+1)] = DeviceConfig{Seed: int64(70 + i), Class: class,
-			Session:   track.SessionConfig{Sweeps: 8, WarmStart: true},
+			Session:   track.SessionConfig{Sweeps: 8},
 			Estimator: goldenEstimator()}
 	}
 	return devs
@@ -342,7 +342,7 @@ func TestPipelineDetachMidFlight(t *testing.T) {
 		Pipeline: PipelineConfig{SolveWorkers: 1},
 	})
 	// Endless session: only detach (or drain) retires it.
-	scfg := track.SessionConfig{Sweeps: -1, WarmStart: true}
+	scfg := track.SessionConfig{Sweeps: -1}
 	if err := d.Attach(1, DeviceConfig{Seed: 91, Session: scfg, Estimator: goldenEstimator()}); err != nil {
 		t.Fatal(err)
 	}

@@ -21,7 +21,7 @@ const aliasWindow = 24e-9
 // of every sweep (a window shift is a per-frequency phase rotation), and
 // the group's aliasWeights, built with it. The weights are shared: read
 // them, never write them.
-func (e *Estimator) windowPlan(freqs []float64, power int) (*ndft.Plan, []float64, planKey, error) {
+func (e *Estimator) windowPlan(freqs []float64, power int) (*ndft.Plan, []float64, error) {
 	pf := float64(power)
 	key := newPlanKey(freqs, power)
 	key.window = true
@@ -29,7 +29,7 @@ func (e *Estimator) windowPlan(freqs []float64, power int) (*ndft.Plan, []float6
 		ent.plan, ent.err = ndft.NewPlan(freqs, ndft.TauGrid(pf*aliasWindow, pf*gridStep))
 		ent.weights = aliasWeights(freqs, power, aliasPeriod)
 	})
-	return ent.plan, ent.weights, key, ent.err
+	return ent.plan, ent.weights, ent.err
 }
 
 // rotateWindow writes h·e^{+j2πf·lo} into rot for the refit window
@@ -167,10 +167,9 @@ type refitScore struct {
 }
 
 // refitMemo is one memoized refit score, keyed by the candidate's τ grid
-// cell and by whether a forced-cold refit scored it on a warm sweep.
+// cell.
 type refitMemo struct {
 	cell  int
-	cold  bool
 	score refitScore
 }
 
@@ -178,16 +177,15 @@ type refitMemo struct {
 // estimate call. Every hypothesis goes through one refit (see refit),
 // and each score lands in the sweep's refit memo: virtual admission and
 // the ±1-period placement often score the same candidate, and a score
-// is deterministic within a call, so each grid cell is solved once per
-// mode. The memo, the rotated measurement and the refit result are
+// is deterministic within a call, so each grid cell is solved once. The
+// memo, the rotated measurement and the refit result are
 // Sweep-owned scratch, reset for each new scorer.
 type aliasScorer struct {
 	e       *Estimator
 	s       *Sweep
 	g       *bandGroup
 	plan    *ndft.Plan // the group's canonical window plan
-	key     planKey
-	floor   float64 // the refits' noise floor; see placeDirectPath
+	floor   float64    // the refits' noise floor; see placeDirectPath
 	hNorm   float64
 	gates   evidenceGates // noise-adaptive evidence thresholds
 	alpha   float64       // shared sparsity penalty; set from the first candidate
@@ -220,9 +218,9 @@ type aliasScorer struct {
 // per-sweep relative noise estimate whatever floor is: they are decision
 // thresholds, not solve tolerances. floor is the refits' noise floor:
 // the group's ‖w‖₂ estimate, or 0 on the precise re-solve of a contested
-// placement, which stops every refit on the iterate rule and scores it
-// cold. Under StopIterate the refits stop on the iterate rule whatever
-// floor is (solveFloor), and a positive floor only lets them start warm.
+// placement, which stops every refit on the iterate rule. Under
+// StopIterate the refits stop on the iterate rule whatever floor is
+// (solveFloor).
 func (e *Estimator) placeDirectPath(fix *groupFix, g *bandGroup, s *Sweep, floor float64) error {
 	gates := gatesFor(g.noiseRel)
 	first, virtuals, peaks, ok := familyCandidates(fix.prof, gates)
@@ -232,14 +230,14 @@ func (e *Estimator) placeDirectPath(fix *groupFix, g *bandGroup, s *Sweep, floor
 			return nil
 		}
 	}
-	plan, weights, key, err := e.windowPlan(g.freqs, g.power)
+	plan, weights, err := e.windowPlan(g.freqs, g.power)
 	if err != nil {
 		return err
 	}
 	s.refitMemo = s.refitMemo[:0]
 	s.refitRot = slices.Grow(s.refitRot[:0], len(g.h))[:len(g.h)]
 	sc := aliasScorer{
-		e: e, s: s, g: g, plan: plan, key: key, floor: floor,
+		e: e, s: s, g: g, plan: plan, floor: floor,
 		hNorm: dsp.Norm2(g.h), gates: gates,
 		weights: weights,
 	}
@@ -372,25 +370,19 @@ func dominantPeaks(peaks []dsp.Peak, mag []float64) int {
 
 // admitVirtual returns the candidate the ±1-period placement starts
 // from: the first virtual candidate whose refit beats the first peak's,
-// confirmed on cold refits, or else first. Nothing is admitted over an
-// untrusted first peak: the refits must explain the data well enough to
-// be evidence (a challenger that beats a trusted incumbent is trusted
-// too, its plain residual being lower). The first peak is scored even
-// when there are no virtuals, so the shared α always comes from its
-// window.
+// or else first. Nothing is admitted over an untrusted first peak: the
+// refits must explain the data well enough to be evidence (a challenger
+// that beats a trusted incumbent is trusted too, its plain residual
+// being lower). The first peak is scored even when there are no
+// virtuals, so the shared α always comes from its window.
 func (sc *aliasScorer) admitVirtual(first float64, virtuals []float64) float64 {
-	fs := sc.score(first, false)
+	fs := sc.score(first)
 	if !sc.trusted(fs) {
 		return first
 	}
 	for _, v := range virtuals {
-		if sc.beats(sc.score(v, false), fs) {
-			// Admitting a virtual candidate is a decisive action:
-			// confirm it on cold refits before acting.
-			fsC, vsC := sc.score(first, true), sc.score(v, true)
-			if sc.trusted(fsC) && sc.beats(vsC, fsC) {
-				return v
-			}
+		if sc.beats(sc.score(v), fs) {
+			return v
 		}
 	}
 	return first
@@ -403,26 +395,9 @@ func (sc *aliasScorer) admitVirtual(first float64, virtuals []float64) float64 {
 //
 // contested reports a kept, trusted candidate that a ±1-period
 // neighbour out-fits on both the weighted and the plain residual, though
-// not by the refit margin. It is judged on the scores the decision
-// finally stood on: the cold ones when a warm flip went to its cold
-// confirmation, the first-pass ones otherwise.
+// not by the refit margin.
 func (sc *aliasScorer) place(cand float64) (best float64, contested bool) {
-	best, contested = sc.decide(cand, false)
-	if best != cand {
-		// A ±1-period flip is rare and decisive: confirm it with cold
-		// refits so warm-seeded streams place exactly as cold ones.
-		best, contested = sc.decide(cand, true)
-	}
-	if best != cand {
-		obsAliasFlips.Inc()
-	}
-	return best, contested
-}
-
-// decide is one pass of place over the first-pass or the forced-cold
-// scores.
-func (sc *aliasScorer) decide(cand float64, forceCold bool) (best float64, contested bool) {
-	base := sc.score(cand, forceCold)
+	base := sc.score(cand)
 	if !sc.trusted(base) {
 		return cand, false
 	}
@@ -432,12 +407,15 @@ func (sc *aliasScorer) decide(cand float64, forceCold bool) (best float64, conte
 		if c < -1e-9 || c > maxTau {
 			continue
 		}
-		s := sc.score(c, forceCold)
+		s := sc.score(c)
 		if sc.beats(s, base) && s.weighted < bestScore.weighted {
 			best, bestScore = c, s
 		} else if s.weighted < base.weighted && s.plain < base.plain {
 			near = true
 		}
+	}
+	if best != cand {
+		obsAliasFlips.Inc()
 	}
 	return best, near && best == cand
 }
@@ -462,23 +440,16 @@ func (sc *aliasScorer) beats(challenger, incumbent refitScore) bool {
 }
 
 // score recalls a candidate's refit score from the memo, or runs the
-// refit and memoizes it. forceCold bypasses warm seeding: decisive
-// actions (placement flips,
-// virtual admissions) are confirmed on cold refits, so a warm-seeded
-// stream takes exactly the decisions a cold stream would, and a marginal
-// warm solve can never manufacture a ±1-period flip the data does not
-// support. On sweeps without warm starting both modes are the same
-// solve and share one memo entry.
-func (sc *aliasScorer) score(cand float64, forceCold bool) refitScore {
+// refit and memoizes it.
+func (sc *aliasScorer) score(cand float64) refitScore {
 	cell := int(math.Round(cand / gridStep))
-	cold := forceCold && sc.s.warm
 	for _, m := range sc.s.refitMemo {
-		if m.cell == cell && m.cold == cold {
+		if m.cell == cell {
 			return m.score
 		}
 	}
-	v := sc.refit(cand, cold)
-	sc.s.refitMemo = append(sc.s.refitMemo, refitMemo{cell: cell, cold: cold, score: v})
+	v := sc.refit(cand)
+	sc.s.refitMemo = append(sc.s.refitMemo, refitMemo{cell: cell, score: v})
 	return v
 }
 
@@ -495,21 +466,10 @@ func (sc *aliasScorer) score(cand float64, forceCold bool) refitScore {
 //     harder than a displaced one;
 //   - it stops at 1e−3·‖h‖ instead of the solver's default 1e−6·‖h‖: a
 //     refit feeds a margin comparison, not a peak readout, so the looser
-//     tolerance cuts the cold refit cost and lets refits converge, the
-//     precondition for keeping their profiles as next-sweep warm seeds;
+//     tolerance cuts the refit cost and lets refits converge;
 //   - the score carries the discrimination-weighted residual (see
 //     aliasWeights) beside the plain one.
-//
-// The candidate delay labels the alias hypothesis for the sweep's
-// per-hypothesis warm state (family-stable nearest-candidate matching,
-// see windowWarmState): the window tracks the candidate, so in window
-// coordinates the profile barely moves between sweeps and the previous
-// converged window profile is an excellent seed (forceCold bypasses the
-// seed; the result still refreshes the warm state). Warm seeding follows
-// the same measured-efficacy policy as the main solve: after
-// warmStrikes consecutive warm refits that cost more than the cold
-// baseline, that hypothesis permanently reverts to cold starts.
-func (sc *aliasScorer) refit(cand float64, forceCold bool) refitScore {
+func (sc *aliasScorer) refit(cand float64) refitScore {
 	rot := sc.s.refitRot
 	rotateWindow(sc.g.freqs, sc.g.h, cand, float64(sc.g.power), rot)
 	if sc.alpha == 0 {
@@ -522,21 +482,8 @@ func (sc *aliasScorer) refit(cand float64, forceCold bool) refitScore {
 		sc.alpha = 0.1 * scale * sc.plan.MaxCorrelation(rot)
 	}
 	obsAliasRefits.Inc()
-	ws := sc.s.windowWarmState(sc.key, cand)
-	// Without a noise estimate (none usable, or the precise re-solve of
-	// a contested placement) the refit scores feed decisions whose
-	// margins sit near the score noise, and a warm-seeded score that
-	// lands on the other side of a margin than the cold score would make
-	// a warm stream decide differently than a cold one. Scoring those
-	// refits cold keeps warm-stream decisions exactly equal to
-	// cold-stream decisions where the evidence is thin; the warm savings
-	// concentrate in the regime where the margins have real slack.
-	var warm dsp.Vec
-	if ws != nil && !forceCold && sc.floor > 0 && !ws.off && len(ws.profile) == len(sc.plan.Taus) {
-		warm = ws.profile
-	}
 	res, err := sc.plan.Solve(ndft.SolveRequest{
-		H: rot, Warm: warm, Dst: &sc.s.refitDst,
+		H: rot, Dst: &sc.s.refitDst,
 		InvertOptions: ndft.InvertOptions{
 			Alpha: sc.alpha, Epsilon: 1e-3 * sc.hNorm, MaxIter: 600,
 			NoiseFloor: sc.e.solveFloor(sc.floor),
@@ -546,9 +493,6 @@ func (sc *aliasScorer) refit(cand float64, forceCold bool) refitScore {
 		return refitScore{plain: math.Inf(1), weighted: math.Inf(1)}
 	}
 	sc.work += res.Work
-	if ws != nil {
-		ws.observe(warm != nil, res)
-	}
 	score := refitScore{plain: res.Residual, weighted: res.Residual}
 	if sc.weights != nil {
 		score.weighted = sc.plan.WeightedResidual(res.Profile, rot, sc.weights)

@@ -97,7 +97,7 @@ func TestAliasFamilyRecoversGhostVertices(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			plan, _, _, err := est.windowPlan(g.freqs, g.power)
+			plan, _, err := est.windowPlan(g.freqs, g.power)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -142,116 +142,6 @@ func TestAliasFamilyMatchesVertexOnCleanLinks(t *testing.T) {
 		if d := math.Abs(r.ToF-first) * 1e9; d > 0.05 {
 			t.Errorf("seed %d: family ToF differs from the windowed first peak by %.3f ns on a clean link", seed, d)
 		}
-	}
-}
-
-// TestAliasWarmRefitCost pins the warm-start acceptance criterion: over
-// a steady sweep stream, warm-seeded alias-window refits must cost at
-// most 75% of the cold refits (they measure ~50% in practice), while
-// producing the same fixes.
-func TestAliasWarmRefitCost(t *testing.T) {
-	bands := wifi.Bands5GHz()
-	rng := rand.New(rand.NewSource(21))
-	link := testLink(rng, 23, []rf.Path{{Delay: 27.2e-9, Gain: 0.6}, {Delay: 32.5e-9, Gain: 0.4}}, false)
-	link.SNRdB = 26
-
-	est := NewEstimator(Config{Mode: Bands5GHzOnly, MaxIter: 1200})
-	cold := est.NewSweep()
-	warm := est.NewSweep()
-	warm.SetWarmStart(true)
-
-	var coldAlias, warmAlias []int64
-	for s := 0; s < 6; s++ {
-		sweep := link.Sweep(rng, bands, 3)
-		for i, b := range bands {
-			if err := cold.AddBand(b, sweep[i]); err != nil {
-				t.Fatal(err)
-			}
-			if err := warm.AddBand(b, sweep[i]); err != nil {
-				t.Fatal(err)
-			}
-		}
-		rc, err := cold.Estimate()
-		if err != nil {
-			t.Fatal(err)
-		}
-		rw, err := warm.Estimate()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if d := math.Abs(rc.ToF-rw.ToF) * 1e9; d > 0.05 {
-			t.Errorf("sweep %d: warm ToF differs from cold by %.3f ns", s, d)
-		}
-		if s > 0 { // the first warm sweep has nothing to warm from
-			coldAlias = append(coldAlias, rc.AliasWork)
-			warmAlias = append(warmAlias, rw.AliasWork)
-		}
-		cold.Reset()
-		warm.Reset()
-	}
-	var cSum, wSum int64
-	for i := range coldAlias {
-		cSum += coldAlias[i]
-		wSum += warmAlias[i]
-	}
-	if cSum == 0 {
-		t.Fatal("no alias work recorded")
-	}
-	if ratio := float64(wSum) / float64(cSum); ratio > 0.75 {
-		t.Errorf("warm alias work ratio %.3f, want ≤ 0.75 (cold %d, warm %d)", ratio, cSum, wSum)
-	}
-}
-
-// TestTranslateWarmKeepsSeedsProfitable exercises the velocity
-// feed-forward on a target drifting a full 1 ns (10 grid cells, beyond
-// the solver's working-set dilation) per sweep: untranslated warm seeds
-// miss the moved optimum, while translated seeds keep most sweeps on
-// the restricted fast path — at identical fixes.
-func TestTranslateWarmKeepsSeedsProfitable(t *testing.T) {
-	bands := wifi.Bands5GHz()
-	const driftNs = 1.0
-	run := func(translate bool) (total int64, tofs []float64) {
-		rng := rand.New(rand.NewSource(9))
-		link := testLink(rng, 18, nil, false)
-		link.SNRdB = 28
-		est := NewEstimator(Config{Mode: Bands5GHzOnly, MaxIter: 1200})
-		acc := est.NewSweep()
-		acc.SetWarmStart(true)
-		tau := 18.0
-		for s := 0; s < 8; s++ {
-			link.Channel = rf.NewChannel([]rf.Path{
-				{Delay: tau * 1e-9, Gain: 1},
-				{Delay: (tau + 4.2) * 1e-9, Gain: 0.6},
-			})
-			sweep := link.Sweep(rng, bands, 3)
-			for i, b := range bands {
-				if err := acc.AddBand(b, sweep[i]); err != nil {
-					t.Fatal(err)
-				}
-			}
-			r, err := acc.Estimate()
-			if err != nil {
-				t.Fatal(err)
-			}
-			total += r.Work
-			tofs = append(tofs, r.ToF*1e9)
-			acc.Reset()
-			if translate {
-				acc.TranslateWarm(driftNs * 1e-9)
-			}
-			tau += driftNs
-		}
-		return total, tofs
-	}
-	staticWork, staticToFs := run(false)
-	transWork, transToFs := run(true)
-	for i := range staticToFs {
-		if d := math.Abs(staticToFs[i] - transToFs[i]); d > 0.1 {
-			t.Errorf("sweep %d: translated ToF %.3f differs from untranslated %.3f", i, transToFs[i], staticToFs[i])
-		}
-	}
-	if transWork >= staticWork*3/4 {
-		t.Errorf("translated warm work %d not clearly below untranslated %d", transWork, staticWork)
 	}
 }
 
@@ -306,150 +196,6 @@ func TestFoldMassConservation(t *testing.T) {
 	}
 }
 
-// TestWindowWarmStateFamilyStable is the unit regression for the PR-4
-// warm-key collision: seeds are labeled by the candidate delay they
-// track, so two hypotheses whose candidates share a period cell — the
-// deep-NLOS two-dominant-families case, which the old period-index
-// labels mapped to one clobbered slot — keep distinct warm states,
-// while one hypothesis drifting between sweeps keeps matching its own
-// seed.
-func TestWindowWarmStateFamilyStable(t *testing.T) {
-	est := NewEstimator(Config{Mode: Bands5GHzOnly})
-	s := est.NewSweep()
-	s.SetWarmStart(true)
-	key := planKey{power: 2, window: true}
-
-	// Two families in period cell 1 (old labels: both round(c/25ns)=1).
-	a := s.windowWarmState(key, 30e-9)
-	b := s.windowWarmState(key, 37e-9)
-	if a == b {
-		t.Fatal("candidates 30 ns and 37 ns share one warm state (period-index collision)")
-	}
-	// A drifted revisit matches the original seed, not a fresh one.
-	if got := s.windowWarmState(key, 30.4e-9); got != a {
-		t.Error("0.4 ns drift did not match the tracked seed")
-	}
-	// The matched seed re-anchors: a further drift from the new position
-	// still matches.
-	if got := s.windowWarmState(key, 30.9e-9); got != a {
-		t.Error("re-anchored seed lost its hypothesis after cumulative drift")
-	}
-	// The other family's seed is untouched by the drift updates.
-	if got := s.windowWarmState(key, 37e-9); got != b {
-		t.Error("neighbor family's seed was disturbed")
-	}
-	// Same residue one period apart is a different hypothesis.
-	if got := s.windowWarmState(key, 55e-9); got == a || got == b {
-		t.Error("candidate one period away reused another hypothesis's seed")
-	}
-	// Warm starting off: no state.
-	s.SetWarmStart(false)
-	if s.windowWarmState(key, 30e-9) != nil {
-		t.Error("warm state handed out while warm starting is off")
-	}
-}
-
-// TestWindowWarmStateEviction pins the per-geometry seed bound: the
-// least-recently-matched seed is recycled once windowSeedMax distinct
-// hypotheses accumulate.
-func TestWindowWarmStateEviction(t *testing.T) {
-	est := NewEstimator(Config{Mode: Bands5GHzOnly})
-	s := est.NewSweep()
-	s.SetWarmStart(true)
-	key := planKey{power: 2, window: true}
-	first := s.windowWarmState(key, 5e-9)
-	s.estSeq++
-	for i := 1; i < windowSeedMax; i++ {
-		s.windowWarmState(key, float64(i)*60e-9)
-	}
-	if len(s.warmWindows[key]) != windowSeedMax {
-		t.Fatalf("seed count %d, want %d", len(s.warmWindows[key]), windowSeedMax)
-	}
-	// The next unmatched candidate recycles the stalest seed (the first,
-	// stamped at an older estSeq).
-	got := s.windowWarmState(key, 2000e-9)
-	if got != first {
-		t.Error("eviction did not recycle the least-recently-matched seed")
-	}
-	if len(s.warmWindows[key]) != windowSeedMax {
-		t.Errorf("eviction grew the list to %d", len(s.warmWindows[key]))
-	}
-}
-
-// TestCollidingFamiliesKeepWarm is the PR-5 acceptance fixture for
-// family-stable warm keys: a deep-NLOS multipath geometry (weak direct
-// under two strong late reflections) whose refit candidates land two
-// alias hypotheses in one period cell. Under the PR-4 period-index
-// labels those hypotheses clobbered each other's seeds every sweep and
-// the efficacy policy reverted exactly these refits to cold; with
-// candidate-keyed seeds the stream must hold warm alias work at or
-// below 75% of cold while producing identical fixes.
-func TestCollidingFamiliesKeepWarm(t *testing.T) {
-	bands := wifi.Bands5GHz()
-	rng := rand.New(rand.NewSource(9))
-	link := testLink(rng, 30, []rf.Path{{Delay: 37e-9, Gain: 1.8}, {Delay: 42e-9, Gain: 1.0}}, false)
-	link.SNRdB = 26
-
-	est := NewEstimator(Config{Mode: Bands5GHzOnly, MaxIter: 1200})
-	cold := est.NewSweep()
-	warm := est.NewSweep()
-	warm.SetWarmStart(true)
-
-	var coldWork, warmWork int64
-	for s := 0; s < 6; s++ {
-		sweep := link.Sweep(rng, bands, 3)
-		for i, b := range bands {
-			if err := cold.AddBand(b, sweep[i]); err != nil {
-				t.Fatal(err)
-			}
-			if err := warm.AddBand(b, sweep[i]); err != nil {
-				t.Fatal(err)
-			}
-		}
-		rc, err := cold.Estimate()
-		if err != nil {
-			t.Fatal(err)
-		}
-		rw, err := warm.Estimate()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if d := math.Abs(rc.ToF-rw.ToF) * 1e9; d > 0.05 {
-			t.Errorf("sweep %d: warm ToF differs from cold by %.4f ns", s, d)
-		}
-		if s > 0 {
-			coldWork += rc.AliasWork
-			warmWork += rw.AliasWork
-		}
-		cold.Reset()
-		warm.Reset()
-	}
-	if coldWork == 0 {
-		t.Fatal("fixture scored no alias refits")
-	}
-	if ratio := float64(warmWork) / float64(coldWork); ratio > 0.75 {
-		t.Errorf("colliding-families warm/cold alias work %.3f, want ≤ 0.75", ratio)
-	}
-	// The pinned property that makes this the collision fixture: at
-	// least one window geometry retains two hypothesis seeds in one
-	// period cell — the configuration the period-index labels collapsed.
-	colliding := 0
-	for _, list := range warm.warmWindows {
-		byPeriod := map[int]int{}
-		for _, ws := range list {
-			byPeriod[int(math.Round(ws.cand/aliasPeriod))]++
-		}
-		for _, c := range byPeriod {
-			if c > 1 {
-				colliding++
-			}
-		}
-	}
-	if colliding == 0 {
-		t.Error("fixture no longer places two hypotheses in one period cell; re-pin the geometry")
-	}
-}
-
 // TestContestedPlacementResolves pins the alias certificate. The sweep
 // replays trial 1 of the seed-2 detection-delay ablation (5 GHz only,
 // spline interpolation, relative noise ≈ 0.088): its gap-stopped profile
@@ -487,7 +233,7 @@ func TestContestedPlacementResolves(t *testing.T) {
 }
 
 // TestResolveAtMostOncePerEstimate streams fused sweeps (the quirked
-// 2.4 GHz group beside the 5 GHz one) through a warm sweep. The seed is
+// 2.4 GHz group beside the 5 GHz one) through one Sweep. The seed is
 // pinned to a stream where both groups come out contested on some
 // sweeps; only the primary group may re-solve, so tof.alias.resolves
 // moves at most once per Estimate, and at least once over the stream.
@@ -497,7 +243,6 @@ func TestResolveAtMostOncePerEstimate(t *testing.T) {
 	office := sim.NewOffice(rng, sim.OfficeConfig{})
 	link := office.NewLink(rng, office.RandomPlacement(rng, 15, false), sim.LinkConfig{Quirk: true})
 	s := NewEstimator(Config{Mode: BandsFused, Quirk24: true, MaxIter: 1200}).NewSweep()
-	s.SetWarmStart(true)
 
 	obs.SetEnabled(true)
 	defer obs.SetEnabled(false)
@@ -523,12 +268,10 @@ func TestResolveAtMostOncePerEstimate(t *testing.T) {
 	}
 }
 
-// memoScore is one pre-filled refit score: the candidate delay in ns,
-// whether a forced-cold refit on a warm sweep scored it, and its plain
-// and weighted residuals.
+// memoScore is one pre-filled refit score: the candidate delay in ns and
+// its plain and weighted residuals.
 type memoScore struct {
 	ns              float64
-	cold            bool
 	plain, weighted float64
 }
 
@@ -536,11 +279,11 @@ type memoScore struct {
 // scores. Its gates are fixedGates on ‖h‖ = 1: a refit is trusted at
 // plain ≤ 0.35, and a challenger beats an incumbent with a weighted
 // residual below 0.85× the incumbent's and a plain one below it.
-func memoScorer(warm bool, scores []memoScore) *aliasScorer {
-	s := &Sweep{warm: warm}
+func memoScorer(scores []memoScore) *aliasScorer {
+	s := &Sweep{}
 	for _, m := range scores {
 		s.refitMemo = append(s.refitMemo, refitMemo{
-			cell: int(math.Round(m.ns * 1e-9 / gridStep)), cold: m.cold,
+			cell:  int(math.Round(m.ns * 1e-9 / gridStep)),
 			score: refitScore{plain: m.plain, weighted: m.weighted},
 		})
 	}
@@ -564,28 +307,21 @@ func solverFree(t *testing.T, f func()) {
 func TestPlaceDecision(t *testing.T) {
 	for _, tc := range []struct {
 		name      string
-		warm      bool
 		scores    []memoScore
 		wantNs    float64
 		contested bool
 	}{
-		{"untrusted incumbent kept", true,
-			[]memoScore{{30, false, 0.5, 0.5}}, 30, false},
-		{"decisive flip on a cold sweep", false,
-			[]memoScore{{30, false, 0.2, 0.2}, {5, false, 0.1, 0.1}, {55, false, 0.3, 0.3}}, 5, false},
-		{"warm flip confirmed cold", true, []memoScore{
-			{30, false, 0.2, 0.2}, {5, false, 0.1, 0.1}, {55, false, 0.3, 0.3},
-			{30, true, 0.2, 0.2}, {5, true, 0.12, 0.12}, {55, true, 0.3, 0.3}}, 5, false},
-		{"warm flip vetoed cold, contested on the cold scores", true, []memoScore{
-			{30, false, 0.2, 0.2}, {5, false, 0.1, 0.1}, {55, false, 0.3, 0.3},
-			{30, true, 0.2, 0.2}, {5, true, 0.18, 0.18}, {55, true, 0.3, 0.3}}, 30, true},
-		{"neighbour inside the margin contested", true,
-			[]memoScore{{30, false, 0.2, 0.2}, {5, false, 0.18, 0.18}, {55, false, 0.3, 0.3}}, 30, true},
-		{"weighted-only win not contested", false,
-			[]memoScore{{30, false, 0.2, 0.2}, {5, false, 0.25, 0.1}, {55, false, 0.3, 0.3}}, 30, false},
+		{"untrusted incumbent kept",
+			[]memoScore{{30, 0.5, 0.5}}, 30, false},
+		{"decisive flip on a cold sweep",
+			[]memoScore{{30, 0.2, 0.2}, {5, 0.1, 0.1}, {55, 0.3, 0.3}}, 5, false},
+		{"neighbour inside the margin contested",
+			[]memoScore{{30, 0.2, 0.2}, {5, 0.18, 0.18}, {55, 0.3, 0.3}}, 30, true},
+		{"weighted-only win not contested",
+			[]memoScore{{30, 0.2, 0.2}, {5, 0.25, 0.1}, {55, 0.3, 0.3}}, 30, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			sc := memoScorer(tc.warm, tc.scores)
+			sc := memoScorer(tc.scores)
 			solverFree(t, func() {
 				got, contested := sc.place(30e-9)
 				if math.Abs(got*1e9-tc.wantNs) > 1e-6 || contested != tc.contested {
@@ -602,23 +338,19 @@ func TestPlaceDecision(t *testing.T) {
 func TestAdmitVirtual(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
-		warm     bool
 		virtuals []float64 // ns
 		scores   []memoScore
 		wantNs   float64
 	}{
-		{"wins on both columns, admitted", false, []float64{24},
-			[]memoScore{{30, false, 0.2, 0.2}, {24, false, 0.1, 0.1}}, 24},
-		{"cold veto keeps the first peak", true, []float64{24}, []memoScore{
-			{30, false, 0.2, 0.2}, {24, false, 0.1, 0.1},
-			{30, true, 0.2, 0.2}, {24, true, 0.19, 0.19}}, 30},
-		{"untrusted first peak admits nothing", false, []float64{24},
-			[]memoScore{{30, false, 0.5, 0.5}}, 30},
-		{"untrusted virtual skipped", false, []float64{22, 24},
-			[]memoScore{{30, false, 0.2, 0.2}, {22, false, 0.4, 0.05}, {24, false, 0.1, 0.1}}, 24},
+		{"wins on both columns, admitted", []float64{24},
+			[]memoScore{{30, 0.2, 0.2}, {24, 0.1, 0.1}}, 24},
+		{"untrusted first peak admits nothing", []float64{24},
+			[]memoScore{{30, 0.5, 0.5}}, 30},
+		{"untrusted virtual skipped", []float64{22, 24},
+			[]memoScore{{30, 0.2, 0.2}, {22, 0.4, 0.05}, {24, 0.1, 0.1}}, 24},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			sc := memoScorer(tc.warm, tc.scores)
+			sc := memoScorer(tc.scores)
 			virtuals := make([]float64, len(tc.virtuals))
 			for i, v := range tc.virtuals {
 				virtuals[i] = v * 1e-9

@@ -120,8 +120,8 @@ func (c Config) withDefaults() Config {
 // safe for concurrent use — an Estimator holds no per-call mutable
 // state, and plan solves synchronize internally. SetYield must not race
 // with those calls, and a Sweep accumulator (which carries folded
-// measurements, warm-start state and refit scratch) must stay confined
-// to one goroutine at a time.
+// measurements and refit scratch) must stay confined to one goroutine at
+// a time.
 type Estimator struct {
 	cfg   Config
 	plans *planRegistry
@@ -214,40 +214,14 @@ type bandMeas struct {
 // band set, or the full-resolution fix the moment the last band lands.
 // The batch Estimator.Estimate is a thin wrapper over this type.
 //
-// A Sweep carries mutable per-stream state (folded measurements and,
-// when warm starts are enabled, the last converged profile per power
-// group) and must stay confined to one goroutine at a time. Each
+// A Sweep carries mutable per-stream state (folded measurements and
+// solver scratch) and must stay confined to one goroutine at a time. Each
 // distinct partial band set inverted by an early Estimate call resolves
 // (and registers) its own plans, so callers should take early fixes at a
 // few fixed checkpoints rather than after every band.
 type Sweep struct {
 	est  *Estimator
 	meas []bandMeas
-	// warm enables warm-started inversions: each inversion geometry's
-	// converged profile seeds the next Estimate of that geometry,
-	// surviving Reset so consecutive band cycles of a tracking stream
-	// start from the previous fix. State is keyed by the full plan key —
-	// not just the power group — so the partial band sets of early fixes
-	// and the full sweep each keep their own seed and cold baseline.
-	warm       bool
-	warmGroups map[planKey]*warmGroup
-	// warmWindows carries the alias-refit warm state, keyed by window
-	// geometry with per-hypothesis seeds labeled by the candidate delay
-	// each refit window tracks: the window origin follows its candidate,
-	// so in window coordinates each hypothesis's profile is nearly
-	// stationary between sweeps and seeds its own next solve. Labeling
-	// by candidate (matched within a fraction of the alias period, see
-	// windowWarmState) is family-stable: two dominant families whose
-	// candidates share a period cell — the deep-NLOS refit case — keep
-	// distinct seeds, where the period-index labels this replaced made
-	// them collide, clobber each other's profiles, and trip the efficacy
-	// policy into reverting exactly those hypotheses to cold. Window
-	// profiles are never velocity-translated — the window origin already
-	// follows the moving candidate.
-	warmWindows map[planKey][]*windowSeed
-	// estSeq counts Estimate calls on this sweep stream; window seeds
-	// stamp it to drive least-recently-matched eviction.
-	estSeq int64
 	// foldScratch holds per-pair folded values while AddBand measures a
 	// band's mean and spread, and interp the zero-subcarrier
 	// interpolation's working memory.
@@ -262,204 +236,8 @@ type Sweep struct {
 	refitDst  ndft.Result
 }
 
-// windowSeed is one alias hypothesis's warm state, labeled by the
-// (slowly drifting) candidate delay its refit window tracks.
-type windowSeed struct {
-	cand float64 // τ-domain candidate the seed's window last anchored on
-	used int64   // Sweep.estSeq at the last match
-	g    warmGroup
-}
-
-// windowSeedTolFrac is the candidate-matching radius for window warm
-// seeds, as a fraction of the alias period: a seed is reused when the
-// new candidate lies within this distance of the delay the seed last
-// tracked. Inter-sweep drift is a small fraction of a nanosecond at
-// walking speeds, far inside the radius, while distinct families in one
-// period cell sit several nanoseconds apart and stay distinct.
-const windowSeedTolFrac = 0.1
-
-// windowSeedMax bounds the retained hypothesis seeds per window
-// geometry; beyond it the least-recently-matched seed is recycled.
-const windowSeedMax = 16
-
-// warmStrikes is how many consecutive unprofitable warm solves a group
-// tolerates before permanently reverting to cold starts. A single miss
-// is usually the target outrunning the predicted working set for one
-// sweep (the solver's KKT audit already grew the set, or fell back to a
-// cold solve, and returned a certified answer); a run of misses means
-// warm starting structurally does not pay here.
-const warmStrikes = 3
-
-// warmGroup is one power group's warm-start state and its measured
-// efficacy. Warm starting helps when the optimum barely moves between
-// solves (coarse grids, static targets, velocity-translated seeds) and
-// can cost extra iterations when per-sweep noise shifts the fine-grid
-// support; rather than guess, the sweep compares each warm solve's
-// actual solver work against the group's cold baseline and reverts the
-// group to cold starts after warmStrikes consecutive misses.
-type warmGroup struct {
-	profile  dsp.Vec
-	coldWork int64 // solver work of the group's last cold solve
-	strikes  int   // consecutive unprofitable warm solves
-	off      bool  // warm starting measured unprofitable for this group
-}
-
-// observe folds one solve's outcome into the group's policy. Profiles
-// are retained as seeds whether or not the solve met its convergence
-// tolerance: an iteration-capped iterate still sits near the optimum
-// (noisy measurements routinely cap the main solve), and seeding from it
-// lets optimization effectively continue across sweeps. Correctness is
-// guarded by the solver's full-grid KKT audit, and cost by this policy —
-// warmStrikes consecutive warm solves that fail to beat the group's cold
-// baseline permanently revert the group to cold starts.
-func (g *warmGroup) observe(warmed bool, res *ndft.Result) {
-	if g.off {
-		return // reverted to cold starts; nothing to maintain
-	}
-	if !warmed {
-		g.coldWork = res.Work
-		g.store(res.Profile)
-		return
-	}
-	if res.Work < g.coldWork {
-		g.strikes = 0
-		g.store(res.Profile)
-		return
-	}
-	// Unprofitable — but the solve still produced the best current
-	// iterate (an over-budget restricted pass, a grown working set's
-	// certified answer, or a KKT fallback's dense one), so keep it as
-	// the seed while the strike budget lasts. The cold baseline is
-	// deliberately NOT re-based on this solve's work: measuring strikes
-	// against an inflated pseudo-cold baseline would let a group that
-	// persistently costs a little more than cold look alternately
-	// profitable and never revert.
-	g.strikes++
-	if g.strikes >= warmStrikes {
-		g.off = true
-		g.profile = nil
-		return
-	}
-	g.store(res.Profile)
-}
-
-// store retains a converged profile, reusing the backing array.
-func (g *warmGroup) store(profile dsp.Vec) {
-	if cap(g.profile) < len(profile) {
-		g.profile = make(dsp.Vec, len(profile))
-	}
-	g.profile = g.profile[:len(profile)]
-	copy(g.profile, profile)
-}
-
 // NewSweep starts an empty sweep accumulator on this estimator.
 func (e *Estimator) NewSweep() *Sweep { return &Sweep{est: e} }
-
-// SetWarmStart toggles warm-started inversions on this sweep stream:
-// when enabled, each Estimate seeds Algorithm 1 from the previous
-// converged profile of the same band group, cutting steady-state
-// iterations dramatically on slowly-moving targets. The solver's fixed
-// points do not depend on the start, so warm and cold fixes agree within
-// the convergence tolerance; results remain deterministic for a given
-// measurement stream. Disabling also drops any retained profiles.
-func (s *Sweep) SetWarmStart(on bool) {
-	s.warm = on
-	if !on {
-		s.warmGroups = nil
-		s.warmWindows = nil
-	}
-}
-
-// TranslateWarm circularly shifts every retained main-grid warm profile
-// by dTau seconds of predicted delay drift — the velocity feed-forward
-// for tracking streams. A target moving radially at v for Δt seconds
-// shifts every path delay by v·Δt/c; shifting the seed by the same
-// amount keeps the warm working set centered on the predicted optimum
-// instead of trailing it by one sweep, which is what keeps warm starts
-// profitable at walking speeds. The shift is the same cell count for
-// every power group: the h̃ᵖ grids scale both the drift (p·dTau) and the
-// step (p·gridStep) by p. Alias-window warm profiles are left alone
-// (their window origin tracks the candidate). No-op when warm starting
-// is off or the drift rounds to zero cells.
-func (s *Sweep) TranslateWarm(dTau float64) {
-	if !s.warm || len(s.warmGroups) == 0 {
-		return
-	}
-	cells := int(math.Round(dTau / gridStep))
-	if cells == 0 {
-		return
-	}
-	for _, g := range s.warmGroups {
-		if g.off || len(g.profile) == 0 {
-			continue
-		}
-		ndft.ShiftProfile(g.profile, cells)
-	}
-}
-
-// warmState returns (creating on demand) the warm policy state for one
-// inversion geometry, or nil when warm starting is disabled on this
-// sweep.
-func (s *Sweep) warmState(key planKey) *warmGroup {
-	if !s.warm {
-		return nil
-	}
-	if s.warmGroups == nil {
-		s.warmGroups = make(map[planKey]*warmGroup, 2)
-	}
-	g := s.warmGroups[key]
-	if g == nil {
-		g = &warmGroup{}
-		s.warmGroups[key] = g
-	}
-	return g
-}
-
-// windowWarmState returns (creating on demand) the warm policy state for
-// the alias hypothesis tracking candidate delay cand on one window
-// geometry, or nil when warm starting is disabled on this sweep. Seeds
-// are matched to the nearest retained candidate within
-// windowSeedTolFrac of the alias period — the family-stable labeling —
-// and the matched seed re-anchors on the new candidate so it follows
-// the hypothesis as it drifts. Matching scans the geometry's seed list
-// in insertion order, so resolution is deterministic for a given
-// scoring sequence.
-func (s *Sweep) windowWarmState(key planKey, cand float64) *warmGroup {
-	if !s.warm {
-		return nil
-	}
-	if s.warmWindows == nil {
-		s.warmWindows = make(map[planKey][]*windowSeed, 2)
-	}
-	list := s.warmWindows[key]
-	var best *windowSeed
-	bestD := windowSeedTolFrac * aliasPeriod
-	for _, ws := range list {
-		if d := math.Abs(ws.cand - cand); d < bestD {
-			best, bestD = ws, d
-		}
-	}
-	if best != nil {
-		best.cand = cand
-		best.used = s.estSeq
-		return &best.g
-	}
-	if len(list) >= windowSeedMax {
-		// Recycle the least-recently-matched seed rather than growing
-		// without bound on long multi-family streams.
-		victim := list[0]
-		for _, ws := range list[1:] {
-			if ws.used < victim.used {
-				victim = ws
-			}
-		}
-		*victim = windowSeed{cand: cand, used: s.estSeq}
-		return &victim.g
-	}
-	ws := &windowSeed{cand: cand, used: s.estSeq}
-	s.warmWindows[key] = append(list, ws)
-	return &ws.g
-}
 
 // AddBand folds the CSI pairs captured on one band into the sweep. Bands
 // with no pairs, bands excluded by the estimator's Mode, and bands whose
@@ -522,8 +300,7 @@ func (s *Sweep) AddBand(b wifi.Band, pairs []csi.Pair) error {
 func (s *Sweep) Bands() int { return len(s.meas) }
 
 // Reset discards the accumulated measurements so the Sweep can accumulate
-// the next band cycle without reallocating. Warm-start profiles survive a
-// Reset — carrying the previous cycle's fix forward is their purpose.
+// the next band cycle without reallocating.
 func (s *Sweep) Reset() { s.meas = s.meas[:0] }
 
 // Estimate inverts the bands folded in so far. It may be called more than
@@ -556,7 +333,6 @@ type bandGroup struct {
 	freqs    []float64
 	h        dsp.Vec
 	span     float64 // frequency span; fusion weights groups by span²
-	key      planKey
 	plan     *ndft.Plan
 	noise    float64 // ‖w‖₂ estimate (0 when none could be measured)
 	noiseRel float64 // noise / ‖h‖₂
@@ -580,7 +356,7 @@ func (e *Estimator) newBandGroup(power int, meas []bandMeas) (*bandGroup, error)
 	// Resolve the group's plan before the noise estimate: the
 	// single-pair fallback below needs the dictionary.
 	var err error
-	if g.key, g.plan, err = e.planForGroup(g.freqs, power); err != nil {
+	if g.plan, err = e.planForGroup(g.freqs, power); err != nil {
 		return nil, err
 	}
 	// The per-sweep noise estimate drives both the solver's gap
@@ -611,7 +387,6 @@ func (e *Estimator) estimate(s *Sweep) (*Estimate, error) {
 	if len(meas) == 0 {
 		return nil, ErrNoBands
 	}
-	s.estSeq++
 	obsEstimates.Inc()
 
 	// Group by channel power: each group gets its own inversion because
@@ -657,15 +432,7 @@ func (e *Estimator) estimate(s *Sweep) (*Estimate, error) {
 	allConverged := true
 	var gapMax float64
 	for _, g := range groups {
-		// The seed is the group's warm profile while warm starting is on
-		// and still profitable, else nil (a cold start). A re-solve below
-		// starts from the same seed; the policy observes the final solve.
-		warm := s.warmState(g.key)
-		var seed dsp.Vec
-		if warm != nil && !warm.off && len(warm.profile) == len(g.plan.Taus) {
-			seed = warm.profile
-		}
-		fix, res, err := e.solveGroup(s, g, seed, g.noise)
+		fix, res, err := e.solveGroup(s, g, g.noise)
 		if err != nil {
 			return nil, err
 		}
@@ -677,19 +444,16 @@ func (e *Estimator) estimate(s *Sweep) (*Estimate, error) {
 		// path's grating-lobe members differently. When the fix-setting
 		// placement comes out contested after a gap-stopped solve (a
 		// noise floor under StopGap; otherwise it was already precise),
-		// solve the group once more on the precise path, from the same
-		// seed, and keep that answer.
+		// solve the group once more on the precise path and keep that
+		// answer.
 		if g == primaryGroup && fix.contested && g.noise > 0 && e.cfg.Stop == StopGap {
 			obsAliasResolves.Inc()
-			if fix, res, err = e.solveGroup(s, g, seed, 0); err != nil {
+			if fix, res, err = e.solveGroup(s, g, 0); err != nil {
 				return nil, err
 			}
 			totalWork += res.Work + fix.aliasWork
 			aliasWork += fix.aliasWork
 			totalIters += res.Iterations
-		}
-		if warm != nil {
-			warm.observe(seed != nil, res)
 		}
 		allConverged = allConverged && res.Converged
 		gapMax = math.Max(gapMax, res.GapAtStop)
@@ -786,17 +550,16 @@ type groupFix struct {
 	aliasWork int64
 }
 
-// solveGroup makes one solve attempt at a band group: Algorithm 1 from
-// seed, the profile rescaled from the h̃ᵖ delay domain back to true τ,
-// then the direct-path placement. Under StopGap the main solve and the
-// alias refits stop at a duality gap scaled to floor: the group's noise
+// solveGroup makes one solve attempt at a band group: Algorithm 1, the
+// profile rescaled from the h̃ᵖ delay domain back to true τ, then the
+// direct-path placement. Under StopGap the main solve and the alias
+// refits stop at a duality gap scaled to floor: the group's noise
 // estimate, or 0 for the re-solve of a contested placement, which puts
-// both on the precise iterate rule and scores every refit cold. The
-// caller commits the result to the sweep's warm state.
-func (e *Estimator) solveGroup(s *Sweep, g *bandGroup, seed dsp.Vec, floor float64) (groupFix, *ndft.Result, error) {
+// both on the precise iterate rule.
+func (e *Estimator) solveGroup(s *Sweep, g *bandGroup, floor float64) (groupFix, *ndft.Result, error) {
 	solveStart := obs.Tick()
 	res, err := g.plan.Solve(ndft.SolveRequest{
-		H: g.h, Warm: seed,
+		H: g.h,
 		InvertOptions: ndft.InvertOptions{
 			AlphaScale: e.cfg.AlphaFactor,
 			MaxIter:    e.cfg.MaxIter,
@@ -836,9 +599,8 @@ func (e *Estimator) solveFloor(floor float64) float64 {
 
 // planForGroup resolves (building and registering on demand) the shared
 // plan for one power group's inversion geometry.
-func (e *Estimator) planForGroup(freqs []float64, power int) (planKey, *ndft.Plan, error) {
-	key := newPlanKey(freqs, power)
-	plan, err := e.plans.planFor(key, func() (*ndft.Plan, error) {
+func (e *Estimator) planForGroup(freqs []float64, power int) (*ndft.Plan, error) {
+	return e.plans.planFor(newPlanKey(freqs, power), func() (*ndft.Plan, error) {
 		// The h̃ᵖ profile lives on delays that are sums of p path delays,
 		// so the grid must span p·maxTau. Keep the column count constant
 		// by scaling the step too: resolution in τ is preserved after
@@ -846,7 +608,6 @@ func (e *Estimator) planForGroup(freqs []float64, power int) (planKey, *ndft.Pla
 		taus := ndft.TauGrid(float64(power)*maxTau, float64(power)*gridStep)
 		return ndft.NewPlan(freqs, taus)
 	})
-	return key, plan, err
 }
 
 // BandsFor returns the band plan a sweep should cover for the config's

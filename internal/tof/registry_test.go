@@ -100,47 +100,6 @@ func TestPlanRegistryCachesErrors(t *testing.T) {
 	}
 }
 
-// TestSweepWarmStartEquivalence pins the upper-layer warm-start contract:
-// a warm-started sweep stream and a cold one over the same measurement
-// cycles must produce matching ToF fixes (within the solver's convergence
-// tolerance, ≪ the 0.1 ns grid step).
-func TestSweepWarmStartEquivalence(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	link := testLink(rng, 11, nil, false)
-	bands := wifi.Bands5GHz()
-
-	// Both arms fold the identical measurement stream, cycle by cycle.
-	est := NewEstimator(Config{Mode: Bands5GHzOnly, MaxIter: 1200})
-	cold := est.NewSweep()
-	warm := est.NewSweep()
-	warm.SetWarmStart(true)
-
-	for cycle := 0; cycle < 3; cycle++ {
-		sweep := link.Sweep(rng, bands, 2)
-		for i, b := range bands {
-			if err := cold.AddBand(b, sweep[i]); err != nil {
-				t.Fatal(err)
-			}
-			if err := warm.AddBand(b, sweep[i]); err != nil {
-				t.Fatal(err)
-			}
-		}
-		rc, err := cold.Estimate()
-		if err != nil {
-			t.Fatal(err)
-		}
-		rw, err := warm.Estimate()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if d := math.Abs(rc.ToF - rw.ToF); d > 0.05e-9 {
-			t.Errorf("cycle %d: warm ToF %v differs from cold %v by %v ns", cycle, rw.ToF, rc.ToF, d*1e9)
-		}
-		cold.Reset()
-		warm.Reset()
-	}
-}
-
 // TestPlanRegistryLRUEviction exercises the occupancy bound: filling a
 // small registry past maxPlans evicts the least-recently-used geometry,
 // stats reflect it, and an evicted geometry is rebuilt correctly on the

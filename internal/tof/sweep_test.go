@@ -115,7 +115,10 @@ func TestSweepEmptyAndFiltered(t *testing.T) {
 	}
 }
 
-// TestSweepReset confirms a Sweep can be reused across band cycles.
+// TestSweepReset confirms a Sweep can be reused across band cycles and
+// carries nothing from one cycle into the next: each reused cycle's
+// Estimate equals a fresh Estimator.Estimate of the same sweep in ToF,
+// Work, Iterations, Converged and every profile bit.
 func TestSweepReset(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	link := testLink(rng, 9, nil, false)
@@ -123,7 +126,7 @@ func TestSweepReset(t *testing.T) {
 	est := NewEstimator(Config{Mode: Bands5GHzOnly, MaxIter: 500})
 
 	acc := est.NewSweep()
-	for cycle := 0; cycle < 2; cycle++ {
+	for cycle := 0; cycle < 3; cycle++ {
 		sweep := link.Sweep(rng, bands, 2)
 		for i, b := range bands {
 			if err := acc.AddBand(b, sweep[i]); err != nil {
@@ -133,8 +136,25 @@ func TestSweepReset(t *testing.T) {
 		if acc.Bands() != len(bands) {
 			t.Fatalf("cycle %d folded %d bands, want %d", cycle, acc.Bands(), len(bands))
 		}
-		if _, err := acc.Estimate(); err != nil {
+		got, err := acc.Estimate()
+		if err != nil {
 			t.Fatalf("cycle %d estimate: %v", cycle, err)
+		}
+		want, err := est.Estimate(bands, sweep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.ToF != want.ToF || got.Work != want.Work || got.Iterations != want.Iterations || got.Converged != want.Converged {
+			t.Errorf("cycle %d: reused sweep ToF %x work %d iterations %d converged %v, fresh %x %d %d %v",
+				cycle, got.ToF, got.Work, got.Iterations, got.Converged, want.ToF, want.Work, want.Iterations, want.Converged)
+		}
+		if len(got.Profile.Magnitude) != len(want.Profile.Magnitude) {
+			t.Fatalf("cycle %d: profile length %d, fresh %d", cycle, len(got.Profile.Magnitude), len(want.Profile.Magnitude))
+		}
+		for i, m := range want.Profile.Magnitude {
+			if got.Profile.Magnitude[i] != m || got.Profile.Taus[i] != want.Profile.Taus[i] {
+				t.Fatalf("cycle %d: profile cell %d differs from the fresh estimate's", cycle, i)
+			}
 		}
 		acc.Reset()
 		if acc.Bands() != 0 {
@@ -226,12 +246,12 @@ func TestAddBandSteadyStateAllocsNothing(t *testing.T) {
 	}
 }
 
-// TestWarmEstimateSteadyStateAllocs pins the allocations of a warm fused
+// TestEstimateSteadyStateAllocs pins the allocations of a fused
 // Estimate: the quirked 35-band USBands sweep at 2 pairs per band, its
 // 5 GHz h̃² group and its 2.4 GHz h̃⁸ group each solved and placed on
-// the sweep's retained warm state and refit scratch. The bound is the
-// count the estimator reaches; an Estimate that allocates more fails.
-func TestWarmEstimateSteadyStateAllocs(t *testing.T) {
+// the sweep's refit scratch. The bound is the count the estimator
+// reaches; an Estimate that allocates more fails.
+func TestEstimateSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-instrumented sync.Pool drops the solver's workspaces")
 	}
@@ -241,7 +261,6 @@ func TestWarmEstimateSteadyStateAllocs(t *testing.T) {
 	bands := wifi.USBands()
 	sweep := link.Sweep(rng, bands, 2)
 	s := NewEstimator(Config{Mode: BandsFused, Quirk24: true}).NewSweep()
-	s.SetWarmStart(true)
 	for i, b := range bands {
 		if err := s.AddBand(b, sweep[i]); err != nil {
 			t.Fatal(err)
@@ -255,6 +274,6 @@ func TestWarmEstimateSteadyStateAllocs(t *testing.T) {
 	estimate()
 	const maxAllocs = 47
 	if n := testing.AllocsPerRun(10, estimate); n > maxAllocs {
-		t.Errorf("warm fused Estimate allocated %.0f times, want at most %d", n, maxAllocs)
+		t.Errorf("fused Estimate allocated %.0f times, want at most %d", n, maxAllocs)
 	}
 }

@@ -11,7 +11,7 @@ import (
 )
 
 // TestEstimatorYieldIdentical pins that the yield hook changes no
-// estimate. A warm three-sweep stream on the fused quirked
+// estimate. A three-sweep stream on the fused quirked
 // configuration (two band groups, alias refits) runs with no hook, with
 // an idle hook, and with a hook that runs a whole Estimate of another
 // device on the same shared plans, as a scheduler runs a latency solve
@@ -37,7 +37,6 @@ func TestEstimatorYieldIdentical(t *testing.T) {
 		est := NewEstimator(cfg)
 		est.SetYield(hook)
 		s := est.NewSweep()
-		s.SetWarmStart(true)
 		var out []*Estimate
 		for k := 0; k < 3; k++ {
 			fill(s, next())
@@ -50,7 +49,7 @@ func TestEstimatorYieldIdentical(t *testing.T) {
 		return out
 	}
 
-	// The other device: one cold sweep, estimated again on every call.
+	// The other device: one sweep, estimated again on every call.
 	other := NewEstimator(cfg).NewSweep()
 	fill(other, link(rand.New(rand.NewSource(21)), 33)())
 	otherRef, err := other.Estimate()

@@ -52,7 +52,7 @@ func ingestPerPacket(t *testing.T, s *Session) {
 // own stages, report identical fix tables sweep after sweep.
 func TestIngestMatchesPerPacketMeasure(t *testing.T) {
 	office, est := sessionFixture()
-	cfg := SessionConfig{Speed: 1.5, Sweeps: 3, WarmStart: true, VelocityTranslate: true}
+	cfg := SessionConfig{Speed: 1.5, Sweeps: 3}
 	newSession := func() *Session {
 		s, err := NewSession(rand.New(rand.NewSource(23)), office, est, cfg)
 		if err != nil {

@@ -18,28 +18,15 @@
 //
 // Nothing in this package is safe for concurrent use: trackers carry
 // filter state, sessions own a simulator, and a session's tof.Sweep
-// accumulator carries warm-start state. Callers that fan sessions out
+// accumulator carries folded bands and refit scratch. Callers that fan
+// sessions out
 // over goroutines (internal/exp's campaign engine) give each concurrent
 // trial its own tracker/session. Sessions may share one tof.Estimator:
 // its Estimate and Calibrate are safe for concurrent use, and the
 // expensive NDFT plans live in a shared, concurrency-safe registry
-// inside internal/tof, warmed once per band-group geometry for the
-// whole process.
-//
-// # Warm-started tracking
-//
-// Steady-state tracking solves a nearly identical inversion sweep after
-// sweep. SessionConfig.WarmStart threads tof.Sweep's warm starts through
-// the streaming pipeline: each sweep's Algorithm 1 iterate starts from
-// the previous fix's profile and the solver needs a fraction of the
-// cold iterations while converging to the same fixed points. On moving
-// targets SessionConfig.VelocityTranslate closes the loop between the
-// filter and the solver: the Kalman radial-velocity estimate predicts
-// the inter-sweep delay drift, and the retained warm profiles are
-// circularly shifted by that amount (tof.Sweep.TranslateWarm) so the
-// solver's restricted working set is centered on where the paths will
-// be — keeping warm starts profitable at walking speeds where static
-// seeds trail the target and revert to cold.
+// inside internal/tof, built once per band-group geometry for the
+// whole process. Every sweep's inversion starts cold, as the paper's
+// Algorithm 1 does: the filter and the solver share no state.
 package track
 
 import "time"

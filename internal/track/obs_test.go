@@ -7,7 +7,7 @@ import (
 )
 
 // TestObsDoesNotChangeResults is the golden-trace guard for the
-// observability layer: one full warm-start session with metrics
+// observability layer: one full session with metrics
 // disabled and one with metrics enabled must produce byte-identical
 // fixes — instrumentation observes the pipeline, it never steers it.
 func TestObsDoesNotChangeResults(t *testing.T) {

@@ -45,19 +45,9 @@ type SessionConfig struct {
 	// off-lattice bands arrive they are ambiguous modulo the band
 	// lattice's 25 ns grating-lobe period.
 	EarlyFixBands []int
-	// WarmStart seeds each sweep's profile inversion from the previous
-	// sweep's converged profile (tof.Sweep warm starts). On a target that
-	// moves little between sweeps the iterate starts near the new fix and
-	// the solver converges in a fraction of the cold iterations; the
-	// session remains deterministic for a given rng.
+	// Deprecated: ignored. Every sweep's inversion starts cold.
 	WarmStart bool
-	// VelocityTranslate feeds the Kalman radial-velocity estimate
-	// forward into the warm seeds: after each fix, the retained profiles
-	// are circularly shifted by the predicted inter-sweep delay change
-	// (tof.Sweep.TranslateWarm), so on a walking target the warm working
-	// set is centered on where the paths will be rather than where they
-	// were. Requires WarmStart; ignored otherwise. Deterministic for a
-	// given rng like the rest of the session.
+	// Deprecated: ignored. Every sweep's inversion starts cold.
 	VelocityTranslate bool
 }
 
@@ -111,7 +101,7 @@ type SessionResult struct {
 // (the chronos-svc shard loops, driven by their event queues) can
 // interleave thousands of sessions and pace them on wall or virtual
 // time. Each session owns all of its mutable state (walk, radios, MAC
-// simulator, warm solver seeds, Kalman tracker) and draws every random
+// simulator, sweep accumulator, Kalman tracker) and draws every random
 // value from the rng it was built with, so stepping K sessions in any
 // interleaving produces exactly the per-session outputs of K sequential
 // RunSession calls with the same seeds. A Session is not safe for
@@ -142,8 +132,6 @@ type Session struct {
 	res             *SessionResult
 	walkedTo        float64
 	rawSq, smoothSq float64
-	prevFixAt       time.Duration
-	havePrevFix     bool
 	sweeps          int // completed sweeps
 
 	// Staged-pipeline state: one sweep in flight between StepIngest and
@@ -160,7 +148,7 @@ type Session struct {
 // one-time LOS reference calibration (§7 observation 2) — consuming rng
 // identically, so a Session stepped to completion reproduces RunSession
 // byte for byte. The estimator is never written (only the shared plan
-// registry warms), so sessions on other goroutines may share it.
+// registry fills), so sessions on other goroutines may share it.
 func NewSession(rng *rand.Rand, office *sim.Office, est *tof.Estimator, cfg SessionConfig) (*Session, error) {
 	cfg = cfg.withDefaults()
 	s := &Session{
@@ -200,7 +188,6 @@ func NewSession(rng *rand.Rand, office *sim.Office, est *tof.Estimator, cfg Sess
 	s.hopper = hop.NewHopper(s.msim, rng)
 	s.tracker = NewRangeTracker()
 	s.acc = est.NewSweep()
-	s.acc.SetWarmStart(cfg.WarmStart)
 	s.pairs = make([]csi.Pair, pairsPerBand)
 	return s, nil
 }
@@ -238,7 +225,7 @@ var ErrStageOrder = errors.New("track: pipeline stage called out of order")
 // StepSweep streams one full band sweep: band-by-band CSI capture while
 // the target keeps walking, hop-protocol timing on the session's virtual
 // MAC timeline, early checkpoint fixes, and the final Kalman-filtered
-// fix with warm-seed bookkeeping. It is exactly one iteration of
+// fix. It is exactly one iteration of
 // RunSession's sweep loop, including the inter-sweep hop back to the
 // first band when more sweeps remain.
 //
@@ -340,8 +327,8 @@ func (s *Session) StepSolve() (parked bool, err error) {
 }
 
 // StepTrack runs the tracking stage of the in-flight sweep: Kalman
-// filtering of the solved range, fix recording, warm-seed translation,
-// and the inter-sweep hop back to the first band. It completes the
+// filtering of the solved range, fix recording, and the inter-sweep hop
+// back to the first band. It completes the
 // sweep; the session is ready for the next StepIngest afterwards.
 func (s *Session) StepTrack() error {
 	if !s.ingested {
@@ -367,17 +354,6 @@ func (s *Session) StepTrack() error {
 		}
 		s.rawSq += float64((raw - truth) * (raw - truth))
 		s.smoothSq += float64((smoothed - truth) * (smoothed - truth))
-		if cfg.WarmStart && cfg.VelocityTranslate && s.havePrevFix {
-			// Predict the delay drift the next sweep will see: the
-			// filter's radial velocity over one inter-fix interval
-			// (sweep cadence is steady, so the last interval is the
-			// forecast), converted to seconds of τ. Shift the warm
-			// seeds so the restricted working set is already centered
-			// when the next inversion starts.
-			dt := (now - s.prevFixAt).Seconds()
-			s.acc.TranslateWarm(s.tracker.Velocity() * dt / wifi.SpeedOfLight)
-		}
-		s.prevFixAt, s.havePrevFix = now, true
 	}
 	if cfg.Sweeps < 0 || s.sweeps+1 < cfg.Sweeps {
 		// Hop back to the first band for the next cycle.
@@ -407,8 +383,9 @@ func (s *Session) Result() *SessionResult {
 
 // RunSession streams cfg.Sweeps full band sweeps over a moving target in
 // the office and returns the resulting fixes. The session never writes
-// est (tof.Calibrate estimates on a copy; only the shared plan registry
-// warms), so concurrent sessions may share one estimator.
+// est: tof.Calibrate and every sweep only call Estimate on it, which
+// holds no per-call state (only the shared plan registry fills), so
+// concurrent sessions may share one estimator.
 //
 // RunSession is the sequential wrapper over the steppable Session: it
 // builds one and steps it to completion. The chronos-svc daemon steps
