@@ -54,8 +54,10 @@ func Bands5GHz() []Band { return wifi.Bands5GHz() }
 func Bands24GHz() []Band { return wifi.Bands24GHz() }
 
 // ToFConfig configures the time-of-flight estimator. The zero value gives
-// the paper-faithful pipeline: fused 5 GHz (h̃²) and 2.4 GHz (h̃⁸) groups
-// with spline zero-subcarrier interpolation and CFO cancellation.
+// the paper-faithful pipeline: all 35 bands folded, the 5 GHz bands in
+// h̃² and the 2.4 GHz bands in h̃⁸, the fix placed on the primary
+// (widest-span) group, with spline zero-subcarrier interpolation and CFO
+// cancellation.
 type ToFConfig = tof.Config
 
 // Band-mode selectors for ToFConfig.Mode.

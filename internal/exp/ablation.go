@@ -25,11 +25,12 @@ func ablationRun(o Options, campaignID string, cfg tof.Config) (median, p90 floa
 }
 
 // AblationBands compares band subsets: the 2.4 GHz group alone, the 5 GHz
-// group alone, the faithful fused mode, and the quirk-free all-coherent
-// what-if (the "bands" row of EXPERIMENTS.md's ablations). The what-if
-// bounds how often stitching misses an alias period, not the median: it
-// misses almost no period, but its median error is about 3× the fused
-// mode's.
+// group alone, the 5 GHz fix of the faithful 35-band sweep (BandsFused
+// solves the same 24 bands as 5 GHz only; the two rows differ by the
+// capture draws of the 2.4 GHz dwells between them), and the quirk-free
+// all-coherent what-if (the "bands" row of EXPERIMENTS.md's ablations). The what-if bounds how often stitching
+// misses an alias period, not the median: it misses almost no period,
+// but its median error is about 3× the 35-band sweep's.
 func AblationBands(o Options) *Result {
 	o = o.withDefaults(12)
 	res := &Result{
@@ -44,7 +45,7 @@ func AblationBands(o Options) *Result {
 	}{
 		{"2.4GHz only (h^8)", tof.Config{Mode: tof.Bands24Only, Quirk24: true, MaxIter: 1200}},
 		{"5GHz only (h^2)", tof.Config{Mode: tof.Bands5GHzOnly, Quirk24: true, MaxIter: 1200}},
-		{"fused (faithful)", tof.Config{Mode: tof.BandsFused, Quirk24: true, MaxIter: 1200}},
+		{"5GHz fix, 35-band sweep", tof.Config{Mode: tof.BandsFused, Quirk24: true, MaxIter: 1200}},
 		{"all coherent (no quirk)", tof.Config{Mode: tof.BandsAllCoherent, Quirk24: false, MaxIter: 1200}},
 	}
 	for i, c := range cases {

@@ -47,10 +47,10 @@ var Figures = []Campaign{
 	// — all in deterministic units.
 	{Key: "converge", Run: PerfConverge, ExplicitOnly: true},
 	// pipeline is the solve-pool latency-isolation campaign: a
-	// latency-class stream under a bulk-class swarm, run with every solve
-	// on its shard and again through the solve pool, where latency solves
-	// dequeue first and bulk solves run waiting ones inline at their gap
-	// checks, comparing per-class p99 inter-fix gaps.
+	// latency-class stream under a bulk-class swarm on the daemon's solve
+	// pool, where latency solves dequeue first and bulk solves run
+	// waiting ones inline at their gap checks, comparing per-class p99
+	// inter-fix gaps.
 	{Key: "pipeline", Run: PerfPipeline, ExplicitOnly: true, WallClock: true},
 }
 

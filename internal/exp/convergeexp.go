@@ -20,7 +20,10 @@ import (
 //
 //  1. an SNR sweep (12/18/26 dB) over a fixed deep-multipath link,
 //     gap-stopped versus fixed-epsilon solves: Work medians, cap-rates,
-//     and ToF error medians per arm;
+//     and ToF error medians per arm. Every solve of the eps arm runs to
+//     its 1200-iteration cap (cap_rate_eps_* read 1), so
+//     work_reduction_* compares the gap stop against that cap, not
+//     against the iterate rule converging;
 //  2. an office LOS accuracy guard: the default gap stop against
 //     StopIterate on paired placements — the campaign-SNR median must
 //     not move;

@@ -13,7 +13,7 @@ import (
 
 // trackSessionConfig is the shared full-pipeline session shape for the
 // tracking campaigns: a handful of sweeps per session, driven by the
-// same fused evaluation estimator (defaultToFConfig) as the figures.
+// same 35-band evaluation estimator (defaultToFConfig) as the figures.
 // Each session owns its state, so results stay identical at any
 // -workers.
 func trackSessionConfig(speed float64, sweeps int) track.SessionConfig {

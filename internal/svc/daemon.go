@@ -525,14 +525,16 @@ func (s *shard) attach(id uint64, cfg DeviceConfig) {
 	s.timers.Store(int64(s.sim.Pending()))
 }
 
-// remove retires a session and cancels its schedule.
+// remove retires a session and cancels its schedule. The result is
+// recorded before the live count drops, so Quiesce cannot return ahead
+// of it.
 func (s *shard) remove(ds *deviceSession, err error) {
 	ds.timer.Cancel()
 	ds.timer = nil
 	delete(s.sessions, ds.id)
+	s.retire(ds.result(err))
 	s.live.Add(-1)
 	s.timers.Store(int64(s.sim.Pending()))
-	s.retire(ds.result(err))
 }
 
 // shutdown drains the shard at stop: leftover queued attaches retire

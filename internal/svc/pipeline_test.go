@@ -1,11 +1,14 @@
 package svc
 
 import (
+	"maps"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
 	"chronos/internal/obs"
+	"chronos/internal/sim"
 	"chronos/internal/track"
 )
 
@@ -116,9 +119,10 @@ func TestClassQueuePopLatency(t *testing.T) {
 // instrumentation: a daemon built with no Pipeline field solves on its
 // pool like one given a pool size, and every completed full sweep
 // records exactly one ingest, solve-wait, solve and track stage span and
-// one end-to-end sweep span. The inline row runs mixed classes on one
-// worker, where bulk solves run latency solves inline: each of those
-// sweeps still records one solve and one solve-wait span.
+// one end-to-end sweep span. The inline row runs the preemption fleet
+// through inlineSessions, where every latency sweep's solve runs inline
+// in a bulk solve: each of those sweeps still records one solve and one
+// solve-wait span.
 func TestStageSpansOnePath(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -129,8 +133,7 @@ func TestStageSpansOnePath(t *testing.T) {
 		{"default", fiveGHzFleet(2), Config{Shards: 2, Virtual: true}, false},
 		{"pool", fiveGHzFleet(2), Config{Shards: 2, Virtual: true,
 			Pipeline: PipelineConfig{SolveWorkers: 2}}, false},
-		{"pool_inline", preemptionFleet(), Config{Shards: 2, Virtual: true,
-			Pipeline: PipelineConfig{SolveWorkers: 1}}, true},
+		{"pool_inline", preemptionFleet(), Config{}, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if tc.inline && testing.Short() {
@@ -139,7 +142,11 @@ func TestStageSpansOnePath(t *testing.T) {
 			obs.SetEnabled(true)
 			obs.Reset()
 			defer obs.SetEnabled(false)
-			daemonSessions(t, goldenOffice(), tc.devs, tc.cfg)
+			if tc.inline {
+				inlineSessions(t, goldenOffice(), tc.devs)
+			} else {
+				daemonSessions(t, goldenOffice(), tc.devs, tc.cfg)
+			}
 			snap := obs.Capture()
 			want := int64(0)
 			for _, dc := range tc.devs {
@@ -272,9 +279,7 @@ func TestPipelineBackpressureCompletes(t *testing.T) {
 }
 
 // preemptionFleet is one latency device against seven bulk ones, each
-// streaming eight sweeps on the golden estimator. On a one-worker pool
-// the bulk solves run the latency device's solves inline: 1 to 8 of its
-// 8 in each of 100 runs (0 in 17 of 100 runs at four sweeps).
+// streaming eight sweeps on the golden estimator.
 func preemptionFleet() map[uint64]DeviceConfig {
 	devs := make(map[uint64]DeviceConfig, 8)
 	for i := 0; i < 8; i++ {
@@ -289,13 +294,77 @@ func preemptionFleet() map[uint64]DeviceConfig {
 	return devs
 }
 
-// TestPipelinePreemptionFires runs one latency device against a bulk
-// swarm on a single solve worker, so bulk solves run the latency
-// device's solves inline at their gap checks, and asserts that this
-// changes no result: inline solves ran (svc.preemptions moved), every
-// device's fix table is byte-identical to sequential track.RunSession,
-// and every ndft.* and tof.* counter advanced exactly as it does for
-// the sequential run.
+// inlineSessions runs devs, at most one of them latency-class, sweep by
+// sweep through a worker-less solve pool whose only worker is the test
+// goroutine, so that every latency solve runs inline in a bulk solve.
+// Each round, every bulk device ingests and queues its sweep token, one
+// bulk token is popped, the latency device ingests and queues its token,
+// and the popped bulk solve runs: its first gap check finds the latency
+// token waiting and runs it inline. The other bulk tokens then run and
+// the shard finishes every sweep. Each sweep takes the daemon's own path
+// (sweep, pipeline.run, finish); only the timer fires and the pool's
+// worker are the test's. It returns each device's session result.
+func inlineSessions(t *testing.T, office *sim.Office, devs map[uint64]DeviceConfig) map[uint64]*track.SessionResult {
+	t.Helper()
+	d := &Daemon{cfg: Config{Office: office, Virtual: true}, results: make(map[uint64]*DeviceResult),
+		pipe: &pipeline{solveQ: newClassQueue(len(devs), starveBound)}}
+	s := newShard(d, 0)
+	ids := slices.Sorted(maps.Keys(devs))
+	for _, id := range ids {
+		s.attach(id, devs[id])
+	}
+	fire := func(ds *deviceSession) {
+		ds.timer.Cancel()
+		ds.sweep()
+	}
+	q := d.pipe.solveQ
+	for s.live.Load() > 0 {
+		var lat *deviceSession
+		for _, id := range ids {
+			switch ds := s.sessions[id]; {
+			case ds == nil:
+			case ds.cfg.Class == ClassLatency:
+				lat = ds
+			default:
+				fire(ds)
+			}
+		}
+		if _, bulk := q.depths(); bulk == 0 {
+			t.Fatal("no bulk sweep token queued")
+		}
+		tok, _ := q.pop()
+		if lat != nil {
+			fire(lat)
+		}
+		d.pipe.run(tok)
+		for nl, nb := q.depths(); nl+nb > 0; nl, nb = q.depths() {
+			tok, _ := q.pop()
+			d.pipe.run(tok)
+		}
+		s.drainCompletions(false)
+	}
+	out := make(map[uint64]*track.SessionResult, len(devs))
+	for id, r := range d.Results() {
+		if r.Err != nil {
+			t.Fatalf("device %d retired with error: %v", id, r.Err)
+		}
+		out[id] = r.Session
+	}
+	if len(out) != len(devs) {
+		t.Fatalf("retired %d devices, want %d", len(out), len(devs))
+	}
+	return out
+}
+
+// TestPipelinePreemptionFires asserts that running latency solves inline
+// in bulk solves changes no result. The preemption fleet runs through a
+// daemon with one solve worker, where bulk solves run the latency
+// device's solves inline at their gap checks whenever the two overlap,
+// and through inlineSessions, where every latency solve runs inline
+// (svc.preemptions moves once per latency sweep). Both must match
+// sequential track.RunSession: every device's fix table byte for byte,
+// and every ndft.* and tof.* counter advanced exactly as it does for the
+// sequential run.
 func TestPipelinePreemptionFires(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-pipeline fleet")
@@ -306,27 +375,37 @@ func TestPipelinePreemptionFires(t *testing.T) {
 
 	office := goldenOffice()
 	devs := preemptionFleet()
-	var want, got map[uint64]string
+	var want, pooled, inline map[uint64]string
 	sequential := counterDeltas(func() {
 		want = sequentialTraces(t, office, devs)
 	})
-	pooled := counterDeltas(func() {
-		got = daemonTraces(t, office, devs, Config{Shards: 2, Virtual: true,
+	pooledCounts := counterDeltas(func() {
+		pooled = daemonTraces(t, office, devs, Config{Shards: 2, Virtual: true,
 			Pipeline: PipelineConfig{SolveWorkers: 1}})
 	})
-	if n := obsPreemptions.Value(); n == 0 {
-		t.Error("no latency solve ran inline despite a bulk swarm on one solve worker")
-	} else {
-		t.Logf("%d latency solves ran inline", n)
+	t.Logf("%d latency solves ran inline on the daemon's pool", obsPreemptions.Value())
+	before := obsPreemptions.Value()
+	inlineCounts := counterDeltas(func() {
+		inline = make(map[uint64]string, len(devs))
+		for id, r := range inlineSessions(t, office, devs) {
+			inline[id] = svcFixTable(r)
+		}
+	})
+	if n, sweeps := obsPreemptions.Value()-before, int64(devs[1].Session.Sweeps); n != sweeps {
+		t.Errorf("%d latency solves ran inline, want one per latency sweep (%d)", n, sweeps)
 	}
-	for id, tab := range want {
-		if got[id] != tab {
-			t.Errorf("device %d diverged from sequential run:\ndaemon:\n%s\nsequential:\n%s",
-				id, got[id], tab)
+	for name, got := range map[string]map[uint64]string{"daemon": pooled, "inline": inline} {
+		for id, tab := range want {
+			if got[id] != tab {
+				t.Errorf("device %d diverged from sequential run:\n%s:\n%s\nsequential:\n%s",
+					id, name, got[id], tab)
+			}
 		}
 	}
-	if !reflect.DeepEqual(pooled, sequential) {
-		t.Errorf("ndft/tof counter deltas differ:\npool:       %v\nsequential: %v", pooled, sequential)
+	for name, got := range map[string]map[string]int64{"daemon": pooledCounts, "inline": inlineCounts} {
+		if !reflect.DeepEqual(got, sequential) {
+			t.Errorf("ndft/tof counter deltas differ:\n%s: %v\nsequential: %v", name, got, sequential)
+		}
 	}
 }
 

@@ -1,9 +1,10 @@
 package tof
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"math"
+	"slices"
 
 	"chronos/internal/csi"
 	"chronos/internal/dsp"
@@ -16,12 +17,16 @@ import (
 type BandMode int
 
 const (
-	// BandsFused (default) inverts the 5 GHz bands in the h̃² domain and,
-	// when 2.4 GHz measurements are present, fuses the coarse 2.4 GHz
-	// estimate with the fine 5 GHz one by precision weighting. This is
-	// the faithful mode for quirked hardware: the two groups live in
-	// different channel-power domains (h̃² vs h̃⁸) and cannot share one
-	// NDFT (their delay supports differ).
+	// BandsFused (default) sweeps all 35 bands, folding the 5 GHz bands
+	// into the h̃² domain and the quirked 2.4 GHz bands into h̃⁸ (§7), and
+	// places the fix on the primary group alone: the widest-span group
+	// with at least three bands, on a full sweep the 5 GHz one (645 MHz
+	// against 60 MHz). The two groups cannot share one NDFT (their delay
+	// supports differ), and the other group's bands stay folded in the
+	// Sweep unsolved: weighted by precision ∝ span², the 2.4 GHz
+	// estimate could move a full-sweep fix by millimetres at most. On a
+	// partial sweep whose 2.4 GHz bands span wider, that group is the
+	// primary.
 	BandsFused BandMode = iota
 	// Bands5GHzOnly uses only the 5 GHz bands (h̃², 645 MHz span).
 	Bands5GHzOnly
@@ -32,7 +37,7 @@ const (
 	// radio's 2.4 GHz quirk is disabled (a clean-firmware what-if). It
 	// bounds how often stitching misses an alias period, not the median
 	// error: it misses almost no period, but its median error is about
-	// 3× the fused mode's.
+	// 3× BandsFused's.
 	BandsAllCoherent
 )
 
@@ -164,33 +169,32 @@ type Estimate struct {
 	Profile  *Profile
 	// Peaks is the number of dominant peaks in the profile (§12.1).
 	Peaks int
-	// Fused reports whether a 2.4 GHz estimate was blended in.
-	Fused bool
 	// Work counts solver grid cells processed for this estimate across
-	// every group inversion and alias refit — the deterministic cost
-	// measure the perf campaigns snapshot (wall clock varies by host,
-	// Work does not). A group re-solved after a contested placement
+	// the primary group's inversions and alias refits — the deterministic
+	// cost measure the perf campaigns snapshot (wall clock varies by
+	// host, Work does not). A group re-solved after a contested placement
 	// counts both attempts.
 	Work int64
 	// AliasWork is the portion of Work spent in the alias-window refits
 	// that rank and place the direct path.
 	AliasWork int64
-	// Iterations totals the main profile inversions' solver iterations
-	// across band groups and attempts (alias refits are counted in
+	// Iterations totals the primary group's main profile inversions'
+	// solver iterations across attempts (alias refits are counted in
 	// AliasWork, not here). Deterministic, like Work.
 	Iterations int
-	// Converged reports whether every group's final main inversion met
-	// its stopping rule. False means at least one solve ran to its
-	// iteration cap and returned its best iterate — the condition
-	// campaign summaries surface as cap-rate, previously
-	// indistinguishable from genuine convergence.
+	// Converged reports whether the primary group's final main inversion
+	// met its stopping rule. False means the solve ran to its iteration
+	// cap and returned its best iterate — the condition campaign
+	// summaries surface as cap-rate, previously indistinguishable from
+	// genuine convergence.
 	Converged bool
-	// GapAtStop is the largest certified LASSO duality gap at stop
-	// across the group inversions (0 when no gap check ran).
+	// GapAtStop is the certified LASSO duality gap at stop of the primary
+	// group's final main inversion (0 when no gap check ran).
 	GapAtStop float64
-	// NoiseFloor is the largest per-group relative noise estimate
-	// ‖w‖₂/‖h‖₂ measured from the spread of repeated CSI pairs (0 when
-	// no band carried repeated pairs).
+	// NoiseFloor is the primary group's relative noise estimate
+	// ‖w‖₂/‖h‖₂, measured from the spread of repeated CSI pairs (or, when
+	// no band carried repeated pairs, read off the measurement by
+	// ndft.Plan.NoiseFloor).
 	NoiseFloor float64
 }
 
@@ -227,6 +231,10 @@ type Sweep struct {
 	// interpolation's working memory.
 	foldScratch dsp.Vec
 	interp      interpScratch
+	// freqs and h are the primary group's frequencies and measurement
+	// vector (primaryGroup).
+	freqs []float64
+	h     dsp.Vec
 	// refitMemo, refitRot and refitDst are the alias scorer's scratch
 	// (aliasScorer): one band group's memoized refit scores, cleared for
 	// each new scorer, the rotated window measurement, and the refit
@@ -324,40 +332,68 @@ func (e *Estimator) Estimate(bands []wifi.Band, sweep [][]csi.Pair) (*Estimate, 
 	return s.Estimate()
 }
 
-// bandGroup is one channel-power group of a sweep, resolved for
+// bandGroup is the sweep's primary channel-power group, resolved for
 // inversion: its measurement vector, its plan, and the per-sweep noise
 // estimate that sets the solver's gap tolerance and the alias-evidence
 // gates. Every solve attempt at the group shares it.
 type bandGroup struct {
 	power    int
+	span     float64 // frequency span, by which groups rank (outranks)
 	freqs    []float64
 	h        dsp.Vec
-	span     float64 // frequency span; fusion weights groups by span²
 	plan     *ndft.Plan
 	noise    float64 // ‖w‖₂ estimate (0 when none could be measured)
 	noiseRel float64 // noise / ‖h‖₂
 }
 
-// outranks reports whether g is a better primary than p (nil for none):
-// the wider span, which fusion weights by span², with ties going to the
-// lower channel power. Primaries are picked by this rule alone, so
-// neither depends on the order groups come out of their map.
+// outranks reports whether g is a better primary than p: the wider
+// span, which sets the resolution of the group's profile, with ties
+// going to the lower channel power.
 func (g *bandGroup) outranks(p *bandGroup) bool {
-	return p == nil || g.span > p.span || (g.span == p.span && g.power < p.power)
+	return g.span > p.span || (g.span == p.span && g.power < p.power)
 }
 
-// newBandGroup resolves one power group's plan and noise estimate.
-func (e *Estimator) newBandGroup(power int, meas []bandMeas) (*bandGroup, error) {
-	g := &bandGroup{power: power, freqs: make([]float64, len(meas)), h: make(dsp.Vec, len(meas))}
-	for i, m := range meas {
-		g.freqs[i], g.h[i] = m.freq, m.value
+// primaryGroup picks and resolves the sweep's primary group: of the
+// channel-power groups with at least three bands, the one that outranks
+// the others. It is picked on the groups' spans, and no other group gets
+// a plan or a noise estimate. The sweep's measurements are first sorted
+// by power, then frequency, so each group is one run and the primary's
+// plan key, solves and noise sum see its bands in one order, whatever
+// order they arrived in. The group's frequencies and vector live on the
+// sweep's scratch: plans copy the frequencies they are built from, and
+// nothing keeps the vector past the estimate. ok is false when no group
+// has three bands.
+func (e *Estimator) primaryGroup(s *Sweep) (g bandGroup, ok bool, err error) {
+	slices.SortStableFunc(s.meas, func(a, b bandMeas) int {
+		return cmp.Or(cmp.Compare(a.power, b.power), cmp.Compare(a.freq, b.freq))
+	})
+	var meas []bandMeas
+	for lo := 0; lo < len(s.meas); {
+		hi := lo + 1
+		for hi < len(s.meas) && s.meas[hi].power == s.meas[lo].power {
+			hi++
+		}
+		c := bandGroup{power: s.meas[lo].power, span: spanOf(s.meas[lo:hi])}
+		// Fewer than three bands are too few to invert meaningfully.
+		if hi-lo >= 3 && (!ok || c.outranks(&g)) {
+			g, meas, ok = c, s.meas[lo:hi], true
+		}
+		lo = hi
 	}
-	g.span = spanOf(g.freqs)
+	if !ok {
+		return g, false, nil
+	}
+	n := len(meas)
+	s.freqs = slices.Grow(s.freqs[:0], n)[:n]
+	s.h = slices.Grow(s.h[:0], n)[:n]
+	for i, m := range meas {
+		s.freqs[i], s.h[i] = m.freq, m.value
+	}
+	g.freqs, g.h = s.freqs, s.h
 	// Resolve the group's plan before the noise estimate: the
 	// single-pair fallback below needs the dictionary.
-	var err error
-	if g.plan, err = e.planForGroup(g.freqs, power); err != nil {
-		return nil, err
+	if g.plan, err = e.planForGroup(g.freqs, g.power); err != nil {
+		return g, false, err
 	}
 	// The per-sweep noise estimate drives both the solver's gap
 	// tolerance and the alias-evidence gates; noiseRel normalizes it
@@ -377,142 +413,67 @@ func (e *Estimator) newBandGroup(power int, meas []bandMeas) (*bandGroup, error)
 		g.noiseRel = g.noise / hNorm
 	}
 	obsNoiseRel.Observe(g.noiseRel)
-	return g, nil
+	return g, true, nil
 }
 
-// estimate runs the grouped inversion over a sweep's accumulated band
-// measurements.
+// estimate solves and places the primary group of a sweep's accumulated
+// band measurements. The other groups' bands stay folded in the sweep,
+// unsolved.
 func (e *Estimator) estimate(s *Sweep) (*Estimate, error) {
-	meas := s.meas
-	if len(meas) == 0 {
+	if len(s.meas) == 0 {
 		return nil, ErrNoBands
 	}
 	obsEstimates.Inc()
-
-	// Group by channel power: each group gets its own inversion because
-	// the delay supports differ (h̃ᵖ has delays that are sums of p path
-	// delays).
-	byPower := map[int][]bandMeas{}
-	for _, m := range meas {
-		byPower[m.power] = append(byPower[m.power], m)
+	g, ok, err := e.primaryGroup(s)
+	if err != nil {
+		return nil, err
 	}
-	// The primary group, the invertible one that outranks the others, is
-	// the one fusion trusts, so it is the only group whose contested
-	// placement earns a re-solve. It is picked before any solve, so map
-	// order cannot matter; a secondary group that lands a period off is
-	// dropped by fusion's outlier guard instead.
-	var groups []*bandGroup
-	var primaryGroup *bandGroup
-	var noiseRelMax float64
-	for power, gm := range byPower {
-		if len(gm) < 3 {
-			continue // too few bands to invert meaningfully
-		}
-		g, err := e.newBandGroup(power, gm)
-		if err != nil {
-			return nil, err
-		}
-		if g.outranks(primaryGroup) {
-			primaryGroup = g
-		}
-		noiseRelMax = math.Max(noiseRelMax, g.noiseRel)
-		groups = append(groups, g)
-	}
-
-	type groupEst struct {
-		group   *bandGroup
-		tau     float64
-		profile *Profile
-		peaks   int
-		weight  float64
-	}
-	var ests []groupEst
-	var totalWork, aliasWork int64
-	var totalIters int
-	allConverged := true
-	var gapMax float64
-	for _, g := range groups {
-		fix, res, err := e.solveGroup(s, g, g.noise)
-		if err != nil {
-			return nil, err
-		}
-		totalWork += res.Work + fix.aliasWork
-		aliasWork += fix.aliasWork
-		totalIters += res.Iterations
-		// The gap certifies the objective, not the alias decision built
-		// on it: two iterates equally close to the optimum can rank a
-		// path's grating-lobe members differently. When the fix-setting
-		// placement comes out contested after a gap-stopped solve (a
-		// noise floor under StopGap; otherwise it was already precise),
-		// solve the group once more on the precise path and keep that
-		// answer.
-		if g == primaryGroup && fix.contested && g.noise > 0 && e.cfg.Stop == StopGap {
-			obsAliasResolves.Inc()
-			if fix, res, err = e.solveGroup(s, g, 0); err != nil {
-				return nil, err
-			}
-			totalWork += res.Work + fix.aliasWork
-			aliasWork += fix.aliasWork
-			totalIters += res.Iterations
-		}
-		allConverged = allConverged && res.Converged
-		gapMax = math.Max(gapMax, res.GapAtStop)
-		if !fix.ok {
-			continue
-		}
-		ests = append(ests, groupEst{
-			group:   g,
-			tau:     fix.tau,
-			profile: fix.prof,
-			peaks:   fix.peaks,
-			// Precision ∝ (effective span)², where the channel power
-			// multiplies the phase sensitivity but also the noise; span
-			// dominates in practice.
-			weight: g.span * g.span,
-		})
-	}
-	if len(ests) == 0 {
+	if !ok {
 		return nil, ErrNoBands
 	}
-
-	// The primary is the placed group that outranks the others, by the
-	// rule that picked the re-solve's primary; fuse others that agree
-	// within 3 ns (outlier guard).
-	primary := ests[0]
-	for _, g := range ests[1:] {
-		if g.group.outranks(primary.group) {
-			primary = g
-		}
+	fix, res, err := e.solveGroup(s, &g, g.noise)
+	if err != nil {
+		return nil, err
 	}
-	tauSum, wSum := primary.tau*primary.weight, primary.weight
-	fused := false
-	for _, g := range ests {
-		if g.profile == primary.profile {
-			continue
+	work, aliasWork, iters := res.Work+fix.aliasWork, fix.aliasWork, res.Iterations
+	// The gap certifies the objective, not the alias decision built on
+	// it: two iterates equally close to the optimum can rank a path's
+	// grating-lobe members differently. When the placement comes out
+	// contested after a gap-stopped solve (a noise floor under StopGap;
+	// otherwise it was already precise), solve the group once more on
+	// the precise path and keep that answer.
+	if fix.contested && g.noise > 0 && e.cfg.Stop == StopGap {
+		obsAliasResolves.Inc()
+		if fix, res, err = e.solveGroup(s, &g, 0); err != nil {
+			return nil, err
 		}
-		if math.Abs(g.tau-primary.tau) < 3e-9 {
-			tauSum += float64(g.tau * g.weight)
-			wSum += g.weight
-			fused = true
-		}
+		work += res.Work + fix.aliasWork
+		aliasWork += fix.aliasWork
+		iters += res.Iterations
 	}
-	// A candidate can sit up to 1 ns before zero; no fix lies there.
-	tau := tauSum / wSum
+	if !fix.ok {
+		return nil, ErrNoBands
+	}
+	// τ passes through the span² weight, (τ·w)/w, which can round its
+	// last bit: every golden and campaign figure is pinned to that
+	// rounding, and dropping it moves ten campaigns' low digits. A
+	// candidate can sit up to 1 ns before zero; no fix lies there.
+	w := g.span * g.span
+	tau := fix.tau * w / w
 	if tau < 0 {
 		tau = 0
 	}
 	return &Estimate{
 		ToF:        tau,
 		Distance:   tau * wifi.SpeedOfLight,
-		Profile:    primary.profile,
-		Peaks:      primary.peaks,
-		Fused:      fused,
-		Work:       totalWork,
+		Profile:    fix.prof,
+		Peaks:      fix.peaks,
+		Work:       work,
 		AliasWork:  aliasWork,
-		Iterations: totalIters,
-		Converged:  allConverged,
-		GapAtStop:  gapMax,
-		NoiseFloor: noiseRelMax,
+		Iterations: iters,
+		Converged:  res.Converged,
+		GapAtStop:  res.GapAtStop,
+		NoiseFloor: g.noiseRel,
 	}, nil
 }
 
@@ -625,22 +586,15 @@ func BandsFor(cfg Config) []wifi.Band {
 	}
 }
 
-func spanOf(freqs []float64) float64 {
-	lo, hi := freqs[0], freqs[0]
-	for _, f := range freqs[1:] {
-		if f < lo {
-			lo = f
-		}
-		if f > hi {
-			hi = f
-		}
+// spanOf is the frequency span of a group's measurements, given in
+// frequency order.
+func spanOf(meas []bandMeas) float64 {
+	if span := meas[len(meas)-1].freq - meas[0].freq; span > 0 {
+		return span
 	}
-	if hi == lo {
-		// A single-band group still carries some information; use the
-		// channel bandwidth as its effective span.
-		return wifi.BandwidthHT20
-	}
-	return hi - lo
+	// A single-frequency group still carries some information; use the
+	// channel bandwidth as its effective span.
+	return wifi.BandwidthHT20
 }
 
 // Calibrate measures the constant hardware offset of a device pair by

@@ -277,10 +277,9 @@ func TestEstimateNeverNegative(t *testing.T) {
 
 // TestFusedPrimaryTieGoesToLowerPower: a quirked 2.4 GHz group on
 // channels 1/5/9 and a 5 GHz group on 36/40/44 both span 40 MHz, so
-// which group is fusion's primary is a tie. It must go to the lower
-// channel power by the rule that picks the re-solve's primary, not to
-// whichever group the map yields last: repeated estimates of one sweep
-// agree bit for bit and report the h̃² profile.
+// which group is the primary, the one group solved, is a tie. It must
+// go to the lower channel power by the outranks rule: repeated estimates
+// of one sweep agree bit for bit and report the h̃² profile.
 func TestFusedPrimaryTieGoesToLowerPower(t *testing.T) {
 	var bands []wifi.Band
 	for _, b := range wifi.USBands() {

@@ -11,8 +11,8 @@ import (
 )
 
 // TestEstimatorYieldIdentical pins that the yield hook changes no
-// estimate. A three-sweep stream on the fused quirked
-// configuration (two band groups, alias refits) runs with no hook, with
+// estimate. A three-sweep stream on the BandsFused quirked
+// configuration (35 bands, alias refits) runs with no hook, with
 // an idle hook, and with a hook that runs a whole Estimate of another
 // device on the same shared plans, as a scheduler runs a latency solve
 // inline. Every estimate agrees bit for bit, and so does every estimate
