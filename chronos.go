@@ -54,10 +54,11 @@ func Bands5GHz() []Band { return wifi.Bands5GHz() }
 func Bands24GHz() []Band { return wifi.Bands24GHz() }
 
 // ToFConfig configures the time-of-flight estimator. The zero value gives
-// the paper-faithful pipeline: all 35 bands folded, the 5 GHz bands in
-// h̃² and the 2.4 GHz bands in h̃⁸, the fix placed on the primary
-// (widest-span) group, with spline zero-subcarrier interpolation and CFO
-// cancellation.
+// the paper's pipeline over a 35-band sweep: the fix is read off the 24
+// 5 GHz bands folded in h̃², with spline zero-subcarrier interpolation and
+// CFO cancellation. The 2.4 GHz bands, whose phase the Intel 5300's quirk
+// corrupts (NewRadio's default), are not folded; Bands24Only with Quirk24
+// folds them in h̃⁸, the paper's workaround for that quirk.
 type ToFConfig = tof.Config
 
 // Band-mode selectors for ToFConfig.Mode.

@@ -24,11 +24,12 @@ func ablationRun(o Options, campaignID string, cfg tof.Config) (median, p90 floa
 	return stats.Median(errs), stats.Percentile(errs, 90), len(errs)
 }
 
-// AblationBands compares band subsets: the 2.4 GHz group alone, the 5 GHz
-// group alone, the 5 GHz fix of the faithful 35-band sweep (BandsFused
-// solves the same 24 bands as 5 GHz only; the two rows differ by the
-// capture draws of the 2.4 GHz dwells between them), and the quirk-free
-// all-coherent what-if (the "bands" row of EXPERIMENTS.md's ablations). The what-if bounds how often stitching
+// AblationBands compares band subsets: the 2.4 GHz bands alone (h̃⁸ on
+// quirked radios), the 5 GHz bands alone, the 5 GHz fix of the faithful
+// 35-band sweep (BandsFused folds the same 24 bands as 5 GHz only; the
+// two rows differ by the capture draws of the 2.4 GHz dwells between
+// them), and the quirk-free all-coherent what-if (the "bands" row of
+// EXPERIMENTS.md's ablations). The what-if bounds how often stitching
 // misses an alias period, not the median: it misses almost no period,
 // but its median error is about 3× the 35-band sweep's.
 func AblationBands(o Options) *Result {

@@ -154,7 +154,7 @@ func runToFCampaign(o Options, campaignID string, office *sim.Office, cfg tof.Co
 
 // defaultToFConfig is the evaluation configuration used across figures:
 // quirked radios (faithful to the Intel 5300) sweeping all 35 bands, the
-// fix placed on the primary group (the 5 GHz h̃² group on a full sweep).
+// fix read off the 5 GHz bands folded in h̃².
 func defaultToFConfig() tof.Config {
 	return tof.Config{Mode: tof.BandsFused, Quirk24: true, MaxIter: 1200}
 }

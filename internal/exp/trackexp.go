@@ -74,9 +74,10 @@ func TrackSpeed(o Options) *Result {
 }
 
 // TrackLatency measures fix latency and the accuracy of degraded early
-// fixes: the incremental estimator snapshots mid-sweep at fixed band
-// checkpoints, so the table shows how error falls and latency rises as
-// more bands fold in — the streaming subsystem's core trade-off.
+// fixes: the incremental estimator snapshots mid-sweep once the hop has
+// visited 8 and 16 bands, so the table shows, by bands folded, how error
+// falls and latency rises as more bands fold in — the streaming
+// subsystem's core trade-off.
 func TrackLatency(o Options) *Result {
 	o = o.withDefaults(3)
 	office := newOffice(o)

@@ -50,23 +50,27 @@ func TestTrackCapacityShape(t *testing.T) {
 	}
 }
 
-// TestTrackLatencyShape checks the early-fix trade-off: fewer bands mean
+// TestTrackLatencyShape checks the early-fix trade-off on the first
+// early row (the first checkpoint's folded bands): fewer bands mean
 // strictly lower latency, and the full-sweep fix is the most accurate.
 func TestTrackLatencyShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaign experiment")
 	}
 	r := TrackLatency(Options{Trials: 2})
-	if r.Metrics["median_latency_8bands_ms"] >= r.Metrics["median_latency_full_ms"] {
-		t.Errorf("8-band latency (%v ms) not below full-sweep (%v ms)",
-			r.Metrics["median_latency_8bands_ms"], r.Metrics["median_latency_full_ms"])
+	if len(r.Rows) < 2 {
+		t.Fatalf("%d rows, want early rows before the full sweep's", len(r.Rows))
+	}
+	early := r.Rows[0][0] + "bands"
+	if lat := r.Metrics["median_latency_"+early+"_ms"]; lat >= r.Metrics["median_latency_full_ms"] {
+		t.Errorf("%s latency (%v ms) not below full-sweep (%v ms)", early, lat, r.Metrics["median_latency_full_ms"])
 	}
 	if full := r.Metrics["median_err_full_m"]; full > 1.5 {
 		t.Errorf("full-sweep median error = %v m, want sub-meter-ish", full)
 	}
-	if r.Metrics["median_err_8bands_m"] <= r.Metrics["median_err_full_m"] {
-		t.Errorf("early fixes (%v m) should be less accurate than full sweeps (%v m)",
-			r.Metrics["median_err_8bands_m"], r.Metrics["median_err_full_m"])
+	if e := r.Metrics["median_err_"+early+"_m"]; e <= r.Metrics["median_err_full_m"] {
+		t.Errorf("%s early fixes (%v m) should be less accurate than full sweeps (%v m)",
+			early, e, r.Metrics["median_err_full_m"])
 	}
 }
 

@@ -59,8 +59,8 @@ type InvertOptions struct {
 	// NoiseFloor is the caller's estimate of ‖w‖₂, the L2 norm of the
 	// measurement's noise component, in the same units as
 	// Result.Residual. The tof layer measures it per sweep from the
-	// spread of repeated CSI pairs on each band; callers without repeated
-	// measurements can fall back to Plan.NoiseFloor. When positive, Solve
+	// spread of repeated CSI pairs on each band, and passes zero for a
+	// sweep without repeated pairs. When positive, Solve
 	// also stops once a LASSO duality-gap bound falls below a tolerance
 	// scaled to it (gapScale): useful precision is bounded by the
 	// measurement noise, so iterating past the point where the objective

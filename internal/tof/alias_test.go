@@ -93,9 +93,9 @@ func TestAliasFamilyRecoversGhostVertices(t *testing.T) {
 			if d := math.Abs(cand*1e9 - trueNs); d >= 12.5 {
 				t.Errorf("windowed first peak %.2f ns off, want it in the true alias cell", d)
 			}
-			g, ok, err := est.primaryGroup(s)
-			if err != nil || !ok {
-				t.Fatal(ok, err)
+			g, err := est.group(s)
+			if err != nil {
+				t.Fatal(err)
 			}
 			plan, _, err := est.windowPlan(g.freqs, g.power)
 			if err != nil {
@@ -232,11 +232,10 @@ func TestContestedPlacementResolves(t *testing.T) {
 	}
 }
 
-// TestResolveAtMostOncePerEstimate streams full quirked sweeps (the
-// 2.4 GHz group folded beside the 5 GHz one) through one Sweep. Only the
-// primary group is solved, and it re-solves at most once, so
-// tof.alias.resolves moves at most once per Estimate; the seed is pinned
-// to a stream where it moves at least once.
+// TestResolveAtMostOncePerEstimate streams full quirked sweeps through
+// one Sweep. Each Estimate re-solves at most once, so tof.alias.resolves
+// moves at most once per Estimate; the seed is pinned to a stream where
+// it moves at least once.
 func TestResolveAtMostOncePerEstimate(t *testing.T) {
 	bands := wifi.USBands()
 	rng := rand.New(rand.NewSource(23))

@@ -3,7 +3,6 @@ package tof
 import (
 	"math"
 	"math/rand"
-	"slices"
 	"testing"
 
 	"chronos/internal/rf"
@@ -50,31 +49,5 @@ func TestEstimateAliasNearZeroCandidate(t *testing.T) {
 	}
 	if e := math.Abs(got.ToF - off - 26e-9); e > 1e-9 {
 		t.Errorf("near-clamp alias error %v ns", e*1e9)
-	}
-}
-
-// measAt is a frequency-ordered group measured at the given frequencies.
-func measAt(freqs []float64) []bandMeas {
-	slices.Sort(freqs)
-	meas := make([]bandMeas, len(freqs))
-	for i, f := range freqs {
-		meas[i].freq = f
-	}
-	return meas
-}
-
-func TestSpanOfSingleFrequency(t *testing.T) {
-	if got := spanOf(measAt([]float64{5e9})); got != wifi.BandwidthHT20 {
-		t.Errorf("single-band span = %v, want channel bandwidth", got)
-	}
-	if got := spanOf(measAt([]float64{5e9, 5.1e9})); got != 0.1e9 {
-		t.Errorf("span = %v", got)
-	}
-}
-
-func TestSpanOfFullBandPlan(t *testing.T) {
-	// 5.825 GHz − 2.412 GHz ≈ 3.413 GHz across the full band plan.
-	if got := spanOf(measAt(wifi.Centers(wifi.USBands()))); math.Abs(got-3.413e9) > 1e6 {
-		t.Errorf("full-plan span = %v", got)
 	}
 }

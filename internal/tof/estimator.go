@@ -17,20 +17,18 @@ import (
 type BandMode int
 
 const (
-	// BandsFused (default) sweeps all 35 bands, folding the 5 GHz bands
-	// into the h̃² domain and the quirked 2.4 GHz bands into h̃⁸ (§7), and
-	// places the fix on the primary group alone: the widest-span group
-	// with at least three bands, on a full sweep the 5 GHz one (645 MHz
-	// against 60 MHz). The two groups cannot share one NDFT (their delay
-	// supports differ), and the other group's bands stay folded in the
-	// Sweep unsolved: weighted by precision ∝ span², the 2.4 GHz
-	// estimate could move a full-sweep fix by millimetres at most. On a
-	// partial sweep whose 2.4 GHz bands span wider, that group is the
-	// primary.
+	// BandsFused (default) is the paper's sweep: the hop visits all 35
+	// bands, and the fix is read off the 5 GHz bands alone, folded into the
+	// h̃² domain (645 MHz span). The 2.4 GHz bands are captured but not
+	// folded, whatever Quirk24 says: their 60 MHz span could move a
+	// full-sweep fix by millimetres at most.
 	BandsFused BandMode = iota
-	// Bands5GHzOnly uses only the 5 GHz bands (h̃², 645 MHz span).
+	// Bands5GHzOnly folds the same 5 GHz bands as BandsFused on a hop that
+	// visits only them (24 bands).
 	Bands5GHzOnly
-	// Bands24Only uses only the 2.4 GHz bands (h̃⁸ when quirked).
+	// Bands24Only folds only the 2.4 GHz bands: in the h̃⁸ domain when
+	// Quirk24 is set (the paper's §7 fourth-power workaround for the Intel
+	// 5300's quirk), else in h̃².
 	Bands24Only
 	// BandsAllCoherent inverts every band in one NDFT in the h̃² domain,
 	// spanning the full 2.4–5.8 GHz ≈ 3.4 GHz. Valid only when the
@@ -114,6 +112,37 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// folds reports whether the mode folds band b: the 5 GHz bands under
+// BandsFused and Bands5GHzOnly, the 2.4 GHz bands under Bands24Only, and
+// every band under BandsAllCoherent.
+func (c Config) folds(b wifi.Band) bool {
+	switch c.Mode {
+	case Bands24Only:
+		return b.GHz24()
+	case BandsAllCoherent:
+		return true
+	default:
+		return !b.GHz24()
+	}
+}
+
+// powers returns the power each side of a CSI pair is raised to before
+// the fold, and the channel power of the folded band value, which is one
+// for every band the estimator folds. Each side is raised to the 4th
+// power on a quirked Bands24Only sweep, so the quirk's π/2 phase folds
+// cancel, and the forward×reverse CFO product doubles the power: h̃² on
+// clean bands, h̃⁸ on quirked ones (h̃ and h̃⁴ under ForwardOnly).
+func (c Config) powers() (side, channel int) {
+	side = 1
+	if c.Mode == Bands24Only && c.Quirk24 {
+		side = 4
+	}
+	if c.ForwardOnly {
+		return side, side
+	}
+	return side, 2 * side
+}
+
 // Estimator turns band sweeps of CSI pairs into time-of-flight estimates.
 // The expensive solver state (NDFT dictionaries, step constants, scratch
 // buffers) lives in a process-wide plan registry keyed by the band-group
@@ -157,7 +186,9 @@ func (e *Estimator) SetYield(f func()) { e.yield = f }
 type Profile struct {
 	Taus      []float64 // delays in seconds (τ domain)
 	Magnitude []float64
-	Power     int // channel power the profile was computed in (2 or 8)
+	// Power is the channel power the profile was computed in: 2, or 8 on
+	// a quirked Bands24Only sweep, halved under ForwardOnly.
+	Power int
 }
 
 // Estimate is the result of one sweep.
@@ -170,31 +201,30 @@ type Estimate struct {
 	// Peaks is the number of dominant peaks in the profile (§12.1).
 	Peaks int
 	// Work counts solver grid cells processed for this estimate across
-	// the primary group's inversions and alias refits — the deterministic
-	// cost measure the perf campaigns snapshot (wall clock varies by
-	// host, Work does not). A group re-solved after a contested placement
-	// counts both attempts.
+	// its inversions and alias refits — the deterministic cost measure
+	// the perf campaigns snapshot (wall clock varies by host, Work does
+	// not). A sweep re-solved after a contested placement counts both
+	// attempts.
 	Work int64
 	// AliasWork is the portion of Work spent in the alias-window refits
 	// that rank and place the direct path.
 	AliasWork int64
-	// Iterations totals the primary group's main profile inversions'
-	// solver iterations across attempts (alias refits are counted in
-	// AliasWork, not here). Deterministic, like Work.
+	// Iterations totals the main profile inversions' solver iterations
+	// across attempts (alias refits are counted in AliasWork, not here).
+	// Deterministic, like Work.
 	Iterations int
-	// Converged reports whether the primary group's final main inversion
-	// met its stopping rule. False means the solve ran to its iteration
-	// cap and returned its best iterate — the condition campaign
-	// summaries surface as cap-rate, previously indistinguishable from
-	// genuine convergence.
+	// Converged reports whether the final main inversion met its
+	// stopping rule. False means the solve ran to its iteration cap and
+	// returned its best iterate — the condition campaign summaries
+	// surface as cap-rate, previously indistinguishable from genuine
+	// convergence.
 	Converged bool
-	// GapAtStop is the certified LASSO duality gap at stop of the primary
-	// group's final main inversion (0 when no gap check ran).
+	// GapAtStop is the certified LASSO duality gap at stop of the final
+	// main inversion (0 when no gap check ran).
 	GapAtStop float64
-	// NoiseFloor is the primary group's relative noise estimate
-	// ‖w‖₂/‖h‖₂, measured from the spread of repeated CSI pairs (or, when
-	// no band carried repeated pairs, read off the measurement by
-	// ndft.Plan.NoiseFloor).
+	// NoiseFloor is the sweep's relative noise estimate ‖w‖₂/‖h‖₂,
+	// measured from the spread of repeated CSI pairs; 0 when no band
+	// carried repeated pairs.
 	NoiseFloor float64
 }
 
@@ -204,7 +234,6 @@ var ErrNoBands = errors.New("tof: no usable band measurements")
 type bandMeas struct {
 	freq  float64
 	value complex128
-	power int
 	// noiseVar is the variance of the folded value's mean across the
 	// band's CSI pairs (total over real+imaginary components); noiseOK
 	// marks bands with at least two pairs, the minimum for a spread.
@@ -231,8 +260,8 @@ type Sweep struct {
 	// interpolation's working memory.
 	foldScratch dsp.Vec
 	interp      interpScratch
-	// freqs and h are the primary group's frequencies and measurement
-	// vector (primaryGroup).
+	// freqs and h are the folded bands' frequencies and measurement
+	// vector in frequency order (group).
 	freqs []float64
 	h     dsp.Vec
 	// refitMemo, refitRot and refitDst are the alias scorer's scratch
@@ -248,43 +277,21 @@ type Sweep struct {
 func (e *Estimator) NewSweep() *Sweep { return &Sweep{est: e} }
 
 // AddBand folds the CSI pairs captured on one band into the sweep. Bands
-// with no pairs, bands excluded by the estimator's Mode, and bands whose
-// folded mean or pair spread is not finite are ignored; the last are
-// counted under tof.bands_dropped.
+// with no pairs, bands the estimator's Mode does not fold, and bands
+// whose folded mean or pair spread is not finite are ignored; the last
+// are counted under tof.bands_dropped.
 func (s *Sweep) AddBand(b wifi.Band, pairs []csi.Pair) error {
 	e := s.est
-	if len(pairs) == 0 {
+	if len(pairs) == 0 || !e.cfg.folds(b) {
 		return nil
 	}
-	quirked := IsQuirked(b, e.cfg.Quirk24)
-	if e.cfg.Mode == BandsAllCoherent && quirked {
+	if e.cfg.Mode == BandsAllCoherent && IsQuirked(b, e.cfg.Quirk24) {
 		return errors.New("tof: BandsAllCoherent requires quirk-free radios")
-	}
-	switch e.cfg.Mode {
-	case Bands5GHzOnly:
-		if b.GHz24() {
-			return nil
-		}
-	case Bands24Only:
-		if !b.GHz24() {
-			return nil
-		}
 	}
 	// The per-pair spread — the per-sweep noise estimate's raw material —
 	// is measured on the same folded values that produce the band mean.
-	// Each side is raised to the 4th power on a quirked 2.4 GHz band, so
-	// the π/2 phase folds cancel, and the forward×reverse CFO product
-	// doubles the power of the folded value: h̃² on a clean band, h̃⁸ on
-	// a quirked one.
-	power := 1
-	if quirked {
-		power = 4
-	}
-	total := 2 * power
-	if e.cfg.ForwardOnly {
-		total = power
-	}
-	vals, err := foldValues(s.foldScratch, pairs, power, e.cfg.Interp, e.cfg.ForwardOnly, &s.interp)
+	side, _ := e.cfg.powers()
+	vals, err := foldValues(s.foldScratch, pairs, side, e.cfg.Interp, e.cfg.ForwardOnly, &s.interp)
 	if err != nil {
 		return err
 	}
@@ -292,15 +299,12 @@ func (s *Sweep) AddBand(b wifi.Band, pairs []csi.Pair) error {
 	v, noiseVar, noiseOK := pairSpread(vals)
 	if !finite(real(v)) || !finite(imag(v)) || !finite(noiseVar) {
 		// A NaN, an infinity, or CSI large enough for the fold to
-		// overflow would corrupt the whole group's inversion without an
-		// error; the group loses this band instead.
+		// overflow would corrupt the whole inversion without an error;
+		// the sweep loses this band instead.
 		obsBandsDropped.Inc()
 		return nil
 	}
-	s.meas = append(s.meas, bandMeas{
-		freq: b.Center, value: v, power: total,
-		noiseVar: noiseVar, noiseOK: noiseOK,
-	})
+	s.meas = append(s.meas, bandMeas{freq: b.Center, value: v, noiseVar: noiseVar, noiseOK: noiseOK})
 	return nil
 }
 
@@ -332,104 +336,59 @@ func (e *Estimator) Estimate(bands []wifi.Band, sweep [][]csi.Pair) (*Estimate, 
 	return s.Estimate()
 }
 
-// bandGroup is the sweep's primary channel-power group, resolved for
-// inversion: its measurement vector, its plan, and the per-sweep noise
-// estimate that sets the solver's gap tolerance and the alias-evidence
-// gates. Every solve attempt at the group shares it.
+// bandGroup is a sweep's folded bands resolved for inversion: their
+// measurement vector, its plan, and the per-sweep noise estimate that
+// sets the solver's gap tolerance and the alias-evidence gates. Every
+// solve attempt at the sweep shares it.
 type bandGroup struct {
 	power    int
-	span     float64 // frequency span, by which groups rank (outranks)
 	freqs    []float64
 	h        dsp.Vec
 	plan     *ndft.Plan
-	noise    float64 // ‖w‖₂ estimate (0 when none could be measured)
+	noise    float64 // ‖w‖₂ estimate (0 when no band had repeated pairs)
 	noiseRel float64 // noise / ‖h‖₂
 }
 
-// outranks reports whether g is a better primary than p: the wider
-// span, which sets the resolution of the group's profile, with ties
-// going to the lower channel power.
-func (g *bandGroup) outranks(p *bandGroup) bool {
-	return g.span > p.span || (g.span == p.span && g.power < p.power)
-}
-
-// primaryGroup picks and resolves the sweep's primary group: of the
-// channel-power groups with at least three bands, the one that outranks
-// the others. It is picked on the groups' spans, and no other group gets
-// a plan or a noise estimate. The sweep's measurements are first sorted
-// by power, then frequency, so each group is one run and the primary's
-// plan key, solves and noise sum see its bands in one order, whatever
-// order they arrived in. The group's frequencies and vector live on the
-// sweep's scratch: plans copy the frequencies they are built from, and
-// nothing keeps the vector past the estimate. ok is false when no group
-// has three bands.
-func (e *Estimator) primaryGroup(s *Sweep) (g bandGroup, ok bool, err error) {
-	slices.SortStableFunc(s.meas, func(a, b bandMeas) int {
-		return cmp.Or(cmp.Compare(a.power, b.power), cmp.Compare(a.freq, b.freq))
-	})
-	var meas []bandMeas
-	for lo := 0; lo < len(s.meas); {
-		hi := lo + 1
-		for hi < len(s.meas) && s.meas[hi].power == s.meas[lo].power {
-			hi++
-		}
-		c := bandGroup{power: s.meas[lo].power, span: spanOf(s.meas[lo:hi])}
-		// Fewer than three bands are too few to invert meaningfully.
-		if hi-lo >= 3 && (!ok || c.outranks(&g)) {
-			g, meas, ok = c, s.meas[lo:hi], true
-		}
-		lo = hi
-	}
-	if !ok {
-		return g, false, nil
-	}
-	n := len(meas)
+// group resolves the sweep's folded bands for inversion. The
+// measurements are first sorted by frequency, so the plan key, the
+// solves and the noise sum see the bands in one order, whatever order
+// they arrived in. The frequencies and vector live on the sweep's
+// scratch: plans copy the frequencies they are built from, and nothing
+// keeps the vector past the estimate.
+func (e *Estimator) group(s *Sweep) (g bandGroup, err error) {
+	slices.SortStableFunc(s.meas, func(a, b bandMeas) int { return cmp.Compare(a.freq, b.freq) })
+	n := len(s.meas)
 	s.freqs = slices.Grow(s.freqs[:0], n)[:n]
 	s.h = slices.Grow(s.h[:0], n)[:n]
-	for i, m := range meas {
+	for i, m := range s.meas {
 		s.freqs[i], s.h[i] = m.freq, m.value
 	}
+	_, g.power = e.cfg.powers()
 	g.freqs, g.h = s.freqs, s.h
-	// Resolve the group's plan before the noise estimate: the
-	// single-pair fallback below needs the dictionary.
 	if g.plan, err = e.planForGroup(g.freqs, g.power); err != nil {
-		return g, false, err
+		return g, err
 	}
 	// The per-sweep noise estimate drives both the solver's gap
 	// tolerance and the alias-evidence gates; noiseRel normalizes it
 	// for the gates (residual comparisons scale with ‖h‖).
-	g.noise = groupNoiseFloor(meas)
-	if g.noise == 0 {
-		// Single-pair dwells: no repeated-pair spread to measure, so
-		// fall back to the cross-band robust estimate — the MAD of the
-		// adjoint-correlation magnitudes over the delay grid
-		// (ndft.Plan.NoiseFloor), which reads the same ‖w‖₂ off the
-		// measurement itself. One dense adjoint pass, paid only when the
-		// spread estimator has nothing to say.
-		g.noise = g.plan.NoiseFloor(g.h)
-		obsNoiseFallbacks.Inc()
-	}
+	g.noise = groupNoiseFloor(s.meas)
 	if hNorm := dsp.Norm2(g.h); hNorm > 0 {
 		g.noiseRel = g.noise / hNorm
 	}
 	obsNoiseRel.Observe(g.noiseRel)
-	return g, true, nil
+	return g, nil
 }
 
-// estimate solves and places the primary group of a sweep's accumulated
-// band measurements. The other groups' bands stay folded in the sweep,
-// unsolved.
+// estimate solves and places a sweep's accumulated band measurements.
 func (e *Estimator) estimate(s *Sweep) (*Estimate, error) {
-	if len(s.meas) == 0 {
+	// Fewer than three bands are too few to invert meaningfully.
+	if len(s.meas) < 3 {
 		return nil, ErrNoBands
 	}
 	obsEstimates.Inc()
-	g, ok, err := e.primaryGroup(s)
+	g, err := e.group(s)
 	if err != nil {
 		return nil, err
-	}
-	if !ok {
-		return nil, ErrNoBands
 	}
 	fix, res, err := e.solveGroup(s, &g, g.noise)
 	if err != nil {
@@ -440,8 +399,8 @@ func (e *Estimator) estimate(s *Sweep) (*Estimate, error) {
 	// it: two iterates equally close to the optimum can rank a path's
 	// grating-lobe members differently. When the placement comes out
 	// contested after a gap-stopped solve (a noise floor under StopGap;
-	// otherwise it was already precise), solve the group once more on
-	// the precise path and keep that answer.
+	// otherwise it was already precise), solve once more on the precise
+	// path and keep that answer.
 	if fix.contested && g.noise > 0 && e.cfg.Stop == StopGap {
 		obsAliasResolves.Inc()
 		if fix, res, err = e.solveGroup(s, &g, 0); err != nil {
@@ -454,12 +413,8 @@ func (e *Estimator) estimate(s *Sweep) (*Estimate, error) {
 	if !fix.ok {
 		return nil, ErrNoBands
 	}
-	// τ passes through the span² weight, (τ·w)/w, which can round its
-	// last bit: every golden and campaign figure is pinned to that
-	// rounding, and dropping it moves ten campaigns' low digits. A
-	// candidate can sit up to 1 ns before zero; no fix lies there.
-	w := g.span * g.span
-	tau := fix.tau * w / w
+	// A candidate can sit up to 1 ns before zero; no fix lies there.
+	tau := fix.tau
 	if tau < 0 {
 		tau = 0
 	}
@@ -497,8 +452,8 @@ func firstPeakWindowed(prof *Profile) (float64, bool) {
 	return strongest.X, true
 }
 
-// groupFix is one solve attempt at a band group: the profile in true τ
-// and the direct-path delay placed on it.
+// groupFix is one solve attempt at a sweep's band group: the profile in
+// true τ and the direct-path delay placed on it.
 type groupFix struct {
 	prof  *Profile
 	tau   float64
@@ -511,7 +466,7 @@ type groupFix struct {
 	aliasWork int64
 }
 
-// solveGroup makes one solve attempt at a band group: Algorithm 1, the
+// solveGroup makes one solve attempt at the band group: Algorithm 1, the
 // profile rescaled from the h̃ᵖ delay domain back to true τ, then the
 // direct-path placement. Under StopGap the main solve and the alias
 // refits stop at a duality gap scaled to floor: the group's noise
@@ -559,7 +514,7 @@ func (e *Estimator) solveFloor(floor float64) float64 {
 }
 
 // planForGroup resolves (building and registering on demand) the shared
-// plan for one power group's inversion geometry.
+// plan for one band group's inversion geometry.
 func (e *Estimator) planForGroup(freqs []float64, power int) (*ndft.Plan, error) {
 	return e.plans.planFor(newPlanKey(freqs, power), func() (*ndft.Plan, error) {
 		// The h̃ᵖ profile lives on delays that are sums of p path delays,
@@ -571,10 +526,11 @@ func (e *Estimator) planForGroup(freqs []float64, power int) (*ndft.Plan, error)
 	})
 }
 
-// BandsFor returns the band plan a sweep should cover for the config's
-// mode: the subset the estimator will actually use. Callers that drive
-// sweeps (the exp campaigns, the track sessions) share this mapping so a
-// new mode cannot diverge between them.
+// BandsFor returns the bands a sweep's hop should visit for the config's
+// mode. BandsFused visits all 35, as the paper's sweep does, though it
+// folds only the 5 GHz ones. Callers that drive sweeps (the exp
+// campaigns, the track sessions) share this mapping so a new mode cannot
+// diverge between them.
 func BandsFor(cfg Config) []wifi.Band {
 	switch cfg.Mode {
 	case Bands5GHzOnly:
@@ -584,17 +540,6 @@ func BandsFor(cfg Config) []wifi.Band {
 	default:
 		return wifi.USBands()
 	}
-}
-
-// spanOf is the frequency span of a group's measurements, given in
-// frequency order.
-func spanOf(meas []bandMeas) float64 {
-	if span := meas[len(meas)-1].freq - meas[0].freq; span > 0 {
-		return span
-	}
-	// A single-frequency group still carries some information; use the
-	// channel bandwidth as its effective span.
-	return wifi.BandwidthHT20
 }
 
 // Calibrate measures the constant hardware offset of a device pair by

@@ -275,37 +275,36 @@ func TestEstimateNeverNegative(t *testing.T) {
 	}
 }
 
-// TestFusedPrimaryTieGoesToLowerPower: a quirked 2.4 GHz group on
-// channels 1/5/9 and a 5 GHz group on 36/40/44 both span 40 MHz, so
-// which group is the primary, the one group solved, is a tie. It must
-// go to the lower channel power by the outranks rule: repeated estimates
-// of one sweep agree bit for bit and report the h̃² profile.
-func TestFusedPrimaryTieGoesToLowerPower(t *testing.T) {
-	var bands []wifi.Band
-	for _, b := range wifi.USBands() {
-		switch b.Channel {
-		case 1, 5, 9, 36, 40, 44:
-			bands = append(bands, b)
-		}
-	}
-	rng := rand.New(rand.NewSource(1))
+// TestZeroConfigMatches5GHzOnly pins the zero-value Config on quirked
+// radios, the facade's quickstart: BandsFused folds no 2.4 GHz band
+// whatever Quirk24 says, so a 35-band sweep gives the ToF, Work and
+// every profile bit that Bands5GHzOnly gives on the same sweep.
+func TestZeroConfigMatches5GHzOnly(t *testing.T) {
+	bands := wifi.USBands()
+	rng := rand.New(rand.NewSource(3))
 	office := sim.NewOffice(rng, sim.OfficeConfig{})
-	link := office.NewLink(rng, office.RandomPlacement(rng, 15, false), sim.LinkConfig{Quirk: true})
-	sweep := link.Sweep(rng, bands, 3)
-	est := NewEstimator(Config{Mode: BandsFused, Quirk24: true, MaxIter: 1200})
-	var first *Estimate
-	for i := 0; i < 40; i++ {
-		r, err := est.Estimate(bands, sweep)
+	zero, only5 := NewEstimator(Config{}), NewEstimator(Config{Mode: Bands5GHzOnly})
+	for n := 0; n < 6; n++ {
+		link := office.NewLink(rng, office.RandomPlacement(rng, 15, n%2 == 1), sim.LinkConfig{Quirk: true})
+		sweep := link.Sweep(rng, bands, 3)
+		got, err := zero.Estimate(bands, sweep)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if r.Profile.Power != 2 {
-			t.Fatalf("call %d: primary profile power %d, want 2", i, r.Profile.Power)
+		want, err := only5.Estimate(bands, sweep)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if first == nil {
-			first = r
-		} else if math.Float64bits(r.ToF) != math.Float64bits(first.ToF) {
-			t.Fatalf("call %d: ToF %.4f ns, first call %.4f ns", i, r.ToF*1e9, first.ToF*1e9)
+		if math.Float64bits(got.ToF) != math.Float64bits(want.ToF) || got.Work != want.Work {
+			t.Errorf("sweep %d: zero config ToF %x work %d, Bands5GHzOnly %x %d", n, got.ToF, got.Work, want.ToF, want.Work)
+			continue
+		}
+		for i, m := range want.Profile.Magnitude {
+			if math.Float64bits(got.Profile.Magnitude[i]) != math.Float64bits(m) ||
+				math.Float64bits(got.Profile.Taus[i]) != math.Float64bits(want.Profile.Taus[i]) {
+				t.Errorf("sweep %d: profile cell %d differs from Bands5GHzOnly", n, i)
+				break
+			}
 		}
 	}
 }

@@ -129,47 +129,25 @@ func TestAdaptiveGatesAnchoring(t *testing.T) {
 	}
 }
 
-// TestEstimateSinglePairNoiseFallback covers the cross-band MAD
-// fallback: a single-pair-per-band dwell has no repeated-pair spread, so
-// the per-sweep noise floor must come from ndft.Plan.NoiseFloor instead
-// of silently collapsing to zero (which would disable gap stopping for
-// exactly the fast low-dwell sweeps that need it most).
-func TestEstimateSinglePairNoiseFallback(t *testing.T) {
+// TestEstimateSinglePairZeroNoiseFloor covers a sweep of single-pair
+// dwells: no band carries a repeated-pair spread, so the sweep has no
+// noise estimate. It still returns a finite fix on the true delay, with
+// NoiseFloor 0 and no gap check: its solves stop on the iterate rule,
+// and its evidence gates are the fixed ones (gatesFor(0)).
+func TestEstimateSinglePairZeroNoiseFloor(t *testing.T) {
 	bands := wifi.Bands5GHz()
-	single := func(snr float64) *Estimate {
-		rng := rand.New(rand.NewSource(6))
-		link := testLink(rng, 18, []rf.Path{{Delay: 25e-9, Gain: 0.5}}, false)
-		link.SNRdB = snr
-		est := NewEstimator(Config{Mode: Bands5GHzOnly, MaxIter: 1500})
-		r, err := est.Estimate(bands, link.Sweep(rng, bands, 1))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return r
-	}
-	r := single(26)
-	if r.NoiseFloor <= 0 || math.IsInf(r.NoiseFloor, 0) || math.IsNaN(r.NoiseFloor) {
-		t.Fatalf("single-pair sweep: NoiseFloor = %v, want the MAD fallback to engage", r.NoiseFloor)
-	}
-	// The MAD floor is documented as an upper bound under signal leakage
-	// (sidelobes of a strong sparse signal lift the off-support cells),
-	// so it must never read below the calibrated repeated-pair estimate
-	// on the same link — conservatism is what keeps the gap stop from
-	// engaging on an underestimated floor.
 	rng := rand.New(rand.NewSource(6))
 	link := testLink(rng, 18, []rf.Path{{Delay: 25e-9, Gain: 0.5}}, false)
 	link.SNRdB = 26
-	est := NewEstimator(Config{Mode: Bands5GHzOnly, MaxIter: 1500})
-	r3, err := est.Estimate(bands, link.Sweep(rng, bands, 3))
+	est, off := calibrated(t, Config{Mode: Bands5GHzOnly, MaxIter: 1500}, link, rng, bands)
+	r, err := est.Estimate(bands, link.Sweep(rng, bands, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.NoiseFloor < r3.NoiseFloor {
-		t.Errorf("fallback noiseRel %v below the pair-spread estimate %v; the upper-bound property broke",
-			r.NoiseFloor, r3.NoiseFloor)
+	if r.NoiseFloor != 0 || r.GapAtStop != 0 {
+		t.Errorf("single-pair sweep: NoiseFloor %v, GapAtStop %v, want 0 and 0", r.NoiseFloor, r.GapAtStop)
 	}
-	// And it tracks the link: a noisier link must not read cleaner.
-	if lo, hi := single(26), single(8); hi.NoiseFloor < lo.NoiseFloor {
-		t.Errorf("fallback at 8 dB (%v) reads below 26 dB (%v)", hi.NoiseFloor, lo.NoiseFloor)
+	if !finite(r.ToF) || math.Abs(r.ToF-off-18e-9) > 1e-9 {
+		t.Errorf("single-pair fix %v ns, want within 1 ns of 18 ns", (r.ToF-off)*1e9)
 	}
 }

@@ -16,29 +16,25 @@ var (
 	// obsAliasFlips counts candidate placements the alias scorer moved
 	// to a different fold than the solver's first peak.
 	obsAliasFlips = obs.NewCounter("tof.alias.flips")
-	// obsAliasResolves counts primary groups solved a second time, on
-	// the precise path, because their gap-stopped placement came out
+	// obsAliasResolves counts sweeps solved a second time, on the
+	// precise path, because their gap-stopped placement came out
 	// contested (at most one per Estimate).
 	obsAliasResolves = obs.NewCounter("tof.alias.resolves")
 	// obsRegistryLookups counts plan-registry resolutions (hits and
 	// builds alike — deterministic, unlike the build/eviction split).
 	obsRegistryLookups = obs.NewCounter("tof.registry.lookups")
-	// obsNoiseRel is the primary group's relative noise floor ‖w‖/‖h‖,
-	// one per solved Estimate — the quantity that scales the gap
-	// tolerance and the alias evidence gates.
+	// obsNoiseRel is the sweep's relative noise floor ‖w‖/‖h‖, one per
+	// solved Estimate — the quantity that scales the gap tolerance and
+	// the alias evidence gates.
 	obsNoiseRel = obs.NewHist("tof.noise_rel")
-	// obsNoiseFallbacks counts primary groups whose pair-spread noise
-	// estimate was empty (single-pair dwells) and fell back to the
-	// cross-band MAD floor (ndft.Plan.NoiseFloor).
-	obsNoiseFallbacks = obs.NewCounter("tof.noise_fallbacks")
 	// obsBandsDropped counts bands AddBand discarded because their
 	// folded mean or pair spread was not finite (NaN, ±Inf, or CSI so
 	// large the fold overflowed): one such band would otherwise corrupt
-	// its whole group's inversion without an error.
+	// the whole inversion without an error.
 	obsBandsDropped = obs.NewCounter("tof.bands_dropped")
-	// obsStageSolveNs spans one main inversion attempt of the primary
-	// group (Plan.Solve), including whatever its yield hook ran; a
-	// re-solved group records two.
+	// obsStageSolveNs spans one main inversion attempt (Plan.Solve),
+	// including whatever its yield hook ran; a re-solved sweep records
+	// two.
 	obsStageSolveNs = obs.NewHist("tof.stage.solve_ns")
 	// obsStageAliasNs spans the alias ranking/refit stage of one attempt.
 	obsStageAliasNs = obs.NewHist("tof.stage.alias_ns")

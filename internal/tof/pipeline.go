@@ -5,7 +5,7 @@
 //     subcarrier, which is free of packet-detection delay (§5);
 //  3. forward×reverse CSI multiplication to cancel carrier frequency
 //     offset (§7), yielding the squared channel h̃² per band — and, on
-//     2.4 GHz bands affected by the Intel firmware quirk, fourth powers
+//     the quirked 2.4 GHz bands a Bands24Only sweep folds, fourth powers
 //     so the π/2 phase folds cancel (§11), yielding h̃⁸;
 //  4. sparse inverse-NDFT over the per-band values (§6, Algorithm 1);
 //  5. first-peak extraction and division by the channel power to recover

@@ -122,7 +122,8 @@ func foldBand(t *testing.T, cfg Config, b wifi.Band, pairs []csi.Pair) (complex1
 	if s.Bands() != 1 {
 		t.Fatalf("AddBand kept %d bands, want 1", s.Bands())
 	}
-	return s.meas[0].value, s.meas[0].power
+	_, power := cfg.powers()
+	return s.meas[0].value, power
 }
 
 func TestBandValueCancelsCFO(t *testing.T) {
@@ -177,7 +178,7 @@ func TestBandValueQuirked24GHz(t *testing.T) {
 	link := &csi.Link{TX: tx, RX: rx, Channel: singlePath(4), SNRdB: 60}
 	b := band24()
 	p := link.MeasurePair(rng, b, 0.001)
-	v, pow := foldBand(t, Config{Quirk24: true}, b, []csi.Pair{p})
+	v, pow := foldBand(t, Config{Mode: Bands24Only, Quirk24: true}, b, []csi.Pair{p})
 	if pow != 8 {
 		t.Fatalf("power = %d, want 8", pow)
 	}

@@ -215,30 +215,32 @@ func TestSweepReset(t *testing.T) {
 }
 
 // TestAddBandDropsNonFiniteBand pins the guard against silently
-// corrupted band groups: one NaN, +Inf, or overflowing subcarrier in one
+// corrupted inversions: one NaN, +Inf, or overflowing subcarrier in one
 // CSI pair must cost exactly its band — the estimate equals the same
 // sweep with that band removed, in Distance and Work — and the drop is
-// counted under tof.bands_dropped. On a quirked 2.4 GHz band the
-// 8th-power fold overflows 1e300 to a non-finite value; on a 5 GHz band
-// 1e300 folds to a finite (often exactly zero) pair value that the
-// guard does not see, so that band is checked with NaN and +Inf only.
+// counted under tof.bands_dropped. Each case corrupts a band its mode
+// folds. On a quirked 2.4 GHz band (Bands24Only) the 8th-power fold
+// overflows 1e300 to a non-finite value; on a 5 GHz band 1e300 folds to
+// a finite (often exactly zero) pair value that the guard does not see,
+// so that band is checked with NaN and +Inf only.
 func TestAddBandDropsNonFiniteBand(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	office := sim.NewOffice(rng, sim.OfficeConfig{})
 	link := office.NewLink(rng, office.RandomPlacement(rng, 10, false), sim.LinkConfig{Quirk: true})
 	bands := wifi.USBands()
 	sweep := link.Sweep(rng, bands, 3)
-	est := NewEstimator(Config{Mode: BandsFused, Quirk24: true, MaxIter: 1200})
 
 	obs.SetEnabled(true)
 	defer obs.SetEnabled(false)
 	for _, tc := range []struct {
+		mode   BandMode
 		band   int
 		values []float64
 	}{
-		{1, []float64{math.NaN(), math.Inf(1), 1e300}}, // channel 6, quirked
-		{10, []float64{math.NaN(), math.Inf(1)}},       // channel 64
+		{Bands24Only, 1, []float64{math.NaN(), math.Inf(1), 1e300}}, // channel 6, quirked
+		{BandsFused, 10, []float64{math.NaN(), math.Inf(1)}},        // channel 64
 	} {
+		est := NewEstimator(Config{Mode: tc.mode, Quirk24: true, MaxIter: 1200})
 		bad := tc.band
 		keptBands := append(append([]wifi.Band(nil), bands[:bad]...), bands[bad+1:]...)
 		kept := append(append([][]csi.Pair(nil), sweep[:bad]...), sweep[bad+1:]...)
@@ -256,14 +258,14 @@ func TestAddBandDropsNonFiniteBand(t *testing.T) {
 			dropped := obsBandsDropped.Value()
 			got, err := est.Estimate(bands, corrupt)
 			if err != nil {
-				t.Fatalf("band %d, value %g: %v", bad, v, err)
+				t.Fatalf("mode %d, band %d, value %g: %v", tc.mode, bad, v, err)
 			}
 			if got.Distance != want.Distance || got.Work != want.Work {
-				t.Errorf("band %d, value %g: fix %.4f m (work %d), want the band-removed %.4f m (work %d)",
-					bad, v, got.Distance, got.Work, want.Distance, want.Work)
+				t.Errorf("mode %d, band %d, value %g: fix %.4f m (work %d), want the band-removed %.4f m (work %d)",
+					tc.mode, bad, v, got.Distance, got.Work, want.Distance, want.Work)
 			}
 			if n := obsBandsDropped.Value() - dropped; n != 1 {
-				t.Errorf("band %d, value %g: tof.bands_dropped moved by %d, want 1", bad, v, n)
+				t.Errorf("mode %d, band %d, value %g: tof.bands_dropped moved by %d, want 1", tc.mode, bad, v, n)
 			}
 		}
 	}
@@ -271,37 +273,44 @@ func TestAddBandDropsNonFiniteBand(t *testing.T) {
 
 // TestAddBandSteadyStateAllocsNothing pins the allocation-free fold
 // path: once a Sweep has folded one full sweep, folding the next one
-// (zero-subcarrier interpolation of every pair, both fold powers)
-// allocates nothing.
+// allocates nothing, in both fold powers. The 35-band sweep is folded by
+// BandsFused (zero-subcarrier interpolation of every pair of the 24 5 GHz
+// bands, the 11 2.4 GHz bands passed over) and by quirked Bands24Only
+// (the 11 2.4 GHz bands raised to the 4th power).
 func TestAddBandSteadyStateAllocsNothing(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	office := sim.NewOffice(rng, sim.OfficeConfig{})
 	link := office.NewLink(rng, office.RandomPlacement(rng, 10, false), sim.LinkConfig{Quirk: true})
 	bands := wifi.USBands()
 	sweep := link.Sweep(rng, bands, 3)
-	s := NewEstimator(Config{Mode: BandsFused, Quirk24: true}).NewSweep()
-	fold := func() {
-		s.Reset()
-		for i, b := range bands {
-			if err := s.AddBand(b, sweep[i]); err != nil {
-				t.Fatal(err)
+	for _, tc := range []struct {
+		mode BandMode
+		want int
+	}{{BandsFused, len(wifi.Bands5GHz())}, {Bands24Only, len(wifi.Bands24GHz())}} {
+		s := NewEstimator(Config{Mode: tc.mode, Quirk24: true}).NewSweep()
+		fold := func() {
+			s.Reset()
+			for i, b := range bands {
+				if err := s.AddBand(b, sweep[i]); err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
-	}
-	fold()
-	if n := testing.AllocsPerRun(10, fold); n != 0 {
-		t.Errorf("steady-state AddBand sweep allocated %.0f times, want 0", n)
-	}
-	if s.Bands() != len(bands) {
-		t.Errorf("folded %d bands, want %d", s.Bands(), len(bands))
+		fold()
+		if n := testing.AllocsPerRun(10, fold); n != 0 {
+			t.Errorf("mode %d: steady-state AddBand sweep allocated %.0f times, want 0", tc.mode, n)
+		}
+		if s.Bands() != tc.want {
+			t.Errorf("mode %d: folded %d bands, want %d", tc.mode, s.Bands(), tc.want)
+		}
 	}
 }
 
 // TestEstimateSteadyStateAllocs pins the allocations of a BandsFused
 // Estimate: the quirked 35-band USBands sweep at 2 pairs per band, its
-// primary 5 GHz h̃² group built, solved and placed on the sweep's scratch
-// and its 2.4 GHz h̃⁸ bands left folded. The bound is the count the
-// estimator reaches; an Estimate that allocates more fails.
+// 5 GHz h̃² bands built, solved and placed on the sweep's scratch. The
+// bound is the count the estimator reaches; an Estimate that allocates
+// more fails.
 func TestEstimateSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-instrumented sync.Pool drops the solver's workspaces")

@@ -39,11 +39,11 @@ type SessionConfig struct {
 	Sweeps int
 	// NLOS marks the link non-line-of-sight for the whole session.
 	NLOS bool
-	// EarlyFixBands lists checkpoints (in usable folded bands, ascending)
-	// at which a degraded early fix is also taken mid-sweep. Early fixes
-	// are recorded but not fed to the Kalman filter: before the
-	// off-lattice bands arrive they are ambiguous modulo the band
-	// lattice's 25 ns grating-lobe period.
+	// EarlyFixBands lists checkpoints (in bands the hop has visited,
+	// ascending) at which a degraded early fix is also taken mid-sweep,
+	// over the bands folded by then. Early fixes are recorded but not
+	// fed to the Kalman filter: before the off-lattice bands arrive they
+	// are ambiguous modulo the band lattice's 25 ns grating-lobe period.
 	EarlyFixBands []int
 	// Deprecated: ignored. Every sweep's inversion starts cold.
 	WarmStart bool
@@ -282,7 +282,7 @@ func (s *Session) StepIngest() error {
 			return err
 		}
 
-		if checkpoint < len(cfg.EarlyFixBands) && s.acc.Bands() >= cfg.EarlyFixBands[checkpoint] && bi+1 < len(s.bands) {
+		if checkpoint < len(cfg.EarlyFixBands) && bi+1 >= cfg.EarlyFixBands[checkpoint] && bi+1 < len(s.bands) {
 			if r, err := s.acc.Estimate(); err == nil {
 				raw := r.Distance - float64(s.offset*wifi.SpeedOfLight)
 				s.res.EarlyFixes = append(s.res.EarlyFixes, Fix{

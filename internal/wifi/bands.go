@@ -13,9 +13,6 @@ const SpeedOfLight = 299792458.0
 // SubcarrierSpacing is the 802.11n OFDM subcarrier spacing (312.5 kHz).
 const SubcarrierSpacing = 312.5e3
 
-// BandwidthHT20 is the nominal channel bandwidth in hertz.
-const BandwidthHT20 = 20e6
-
 // Band is one Wi-Fi frequency band (a 20 MHz channel) identified by its
 // IEEE channel number and center frequency.
 type Band struct {
