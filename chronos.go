@@ -9,7 +9,9 @@
 // depend on a single import:
 //
 //	est := chronos.NewToFEstimator(chronos.ToFConfig{})
+//	cal, err := est.Calibrate(bands, calSweep, knownDistance) // once per pair
 //	result, err := est.Estimate(bands, sweep)
+//	meters := cal.Range(result)
 //
 // The package's examples walk through ranging (MeasureDistance), §8
 // localization (Localizer.LocateArray), streaming tracking
@@ -139,18 +141,16 @@ func CaptureObs() *ObsSnapshot { return obs.Capture() }
 // estimates (§4–§7 of the paper).
 type ToFEstimator = tof.Estimator
 
-// ToFEstimate is one estimation result (ToF, distance, multipath profile).
+// ToFEstimate is one estimation result (ToF, multipath profile).
 type ToFEstimate = tof.Estimate
 
 // NewToFEstimator builds an estimator.
 func NewToFEstimator(cfg ToFConfig) *ToFEstimator { return tof.NewEstimator(cfg) }
 
-// CalibrateToF measures the constant hardware offset of a device pair at
-// a known distance (§7): subtract it from every later estimate's ToF, as
-// MeasureDistance's calOffset does.
-func CalibrateToF(est *ToFEstimator, bands []Band, sweep [][]CSIPair, trueDistance float64) (float64, error) {
-	return tof.Calibrate(est, bands, sweep, trueDistance)
-}
+// ToFCalibration is a device pair's constant hardware offset (§7),
+// measured once at a known distance by ToFEstimator.Calibrate. Its Range
+// turns an estimate into the pair's calibrated range, clamped at zero.
+type ToFCalibration = tof.Calibration
 
 // Radio is a simulated Intel 5300-class Wi-Fi front end.
 type Radio = csi.Radio
@@ -305,15 +305,14 @@ func NewService(cfg ServiceConfig) *Service { return svc.NewDaemon(cfg) }
 // operational memory lever for long-running services.
 func SetSharedPlanCap(maxPlans int) int { return tof.SetSharedPlanCap(maxPlans) }
 
-// MeasureDistance is the quickstart helper: it sweeps all bands over the
-// link, runs the faithful estimator, and returns the estimated distance
-// in meters. calOffset is the pair's calibration constant (0 for
-// uncalibrated hardware-delay-inclusive output).
-func MeasureDistance(rng *rand.Rand, link *Link, est *ToFEstimator, bands []Band, calOffset float64) (float64, error) {
+// MeasureDistance is the quickstart helper: it sweeps the bands over the
+// link, runs the faithful estimator, and returns the fix's cal.Range in
+// meters (the zero calibration keeps the hardware delays in).
+func MeasureDistance(rng *rand.Rand, link *Link, est *ToFEstimator, bands []Band, cal ToFCalibration) (float64, error) {
 	sweep := link.Sweep(rng, bands, 3)
 	r, err := est.Estimate(bands, sweep)
 	if err != nil {
 		return 0, err
 	}
-	return (r.ToF - calOffset) * SpeedOfLight, nil
+	return cal.Range(r), nil
 }

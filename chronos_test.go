@@ -22,11 +22,11 @@ func TestFacadeQuickstartFlow(t *testing.T) {
 
 	// Calibrate once at a known distance, then measure.
 	calSweep := link.Sweep(rng, bands, 3)
-	offset, err := CalibrateToF(est, bands, calSweep, 3)
+	cal, err := est.Calibrate(bands, calSweep, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := MeasureDistance(rng, link, est, bands, offset)
+	d, err := MeasureDistance(rng, link, est, bands, cal)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,8 +121,8 @@ func TestFacadeTrackSession(t *testing.T) {
 
 func TestFacadeLocalizer(t *testing.T) {
 	l := NewLocalizer(LinearArray(3, 0.3), ToFConfig{})
-	if l.Est == nil || len(l.Offsets) != 3 {
-		t.Errorf("estimator %v, offsets = %d", l.Est, len(l.Offsets))
+	if l.Est == nil || len(l.Cals) != 3 {
+		t.Errorf("estimator %v, calibrations = %d", l.Est, len(l.Cals))
 	}
 }
 

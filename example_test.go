@@ -50,14 +50,14 @@ func ExampleMeasureDistance() {
 	// One-time calibration at a known 4.2 m records the constant offset
 	// (hardware chain delays).
 	calSweep := link.Sweep(rng, bands, 3)
-	offset, err := chronos.CalibrateToF(est, bands, calSweep, 4.2)
+	cal, err := est.Calibrate(bands, calSweep, 4.2)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("calibrated hardware offset: %.2f ns\n", offset*1e9)
+	fmt.Printf("calibrated hardware offset: %.2f ns\n", cal.Offset*1e9)
 
 	for i := 0; i < 5; i++ {
-		d, err := chronos.MeasureDistance(rng, link, est, bands, offset)
+		d, err := chronos.MeasureDistance(rng, link, est, bands, cal)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -119,7 +119,7 @@ func ExampleLocalizer_LocateArray() {
 	for i, ant := range array.At(rxCenter) {
 		trueDist[i] = calTx.Dist(ant)
 	}
-	if err := localizer.CalibrateArray(rng, bands, link, trueDist, 3); err != nil {
+	if err := localizer.CalibrateArray(rng, bands, link, trueDist); err != nil {
 		log.Fatal(err)
 	}
 
@@ -220,9 +220,9 @@ func ExampleHopSweep_capacity() {
 // concurrently. Each device's fixes are byte-identical to running its
 // session alone. The output shows the error that dominates this system,
 // the estimator's 25 ns alias period (7.5 m): seven of the eight fixes
-// land a period long or short. Each range tracker primes on its
-// device's first fix, so device 2's tracker gates out its true range as
-// an outlier.
+// land a period long or short; device 3's first fix, a period short,
+// clamps at 0 m. Each range tracker primes on its device's first fix, so
+// device 2's tracker gates out its true range as an outlier.
 func ExampleNewService() {
 	rng := rand.New(rand.NewSource(42))
 	office := chronos.NewOffice(rng)
@@ -259,8 +259,8 @@ func ExampleNewService() {
 	// device 1: raw   0.35 m, smoothed  14.89 m, truth 7.17 m, accepted false
 	// device 2: raw  14.76 m, smoothed  14.76 m, truth 7.10 m, accepted true
 	// device 2: raw   7.41 m, smoothed  14.76 m, truth 7.13 m, accepted false
-	// device 3: raw  -0.68 m, smoothed  -0.68 m, truth 7.03 m, accepted true
-	// device 3: raw  13.85 m, smoothed  -0.68 m, truth 6.99 m, accepted false
+	// device 3: raw   0.00 m, smoothed   0.00 m, truth 7.03 m, accepted true
+	// device 3: raw  13.85 m, smoothed   0.00 m, truth 6.99 m, accepted false
 	// device 4: raw  14.81 m, smoothed  14.81 m, truth 7.11 m, accepted true
 	// device 4: raw  14.87 m, smoothed  14.85 m, truth 7.15 m, accepted true
 }

@@ -20,9 +20,9 @@ type PipelineSensor struct {
 	Est   *tof.Estimator
 	Bands []wifi.Band
 
-	env    *rf.Environment // the §12.4 room
-	offset float64         // calibration offset in seconds (hardware delays)
-	last   float64         // the last measured range, reported when a sweep fails
+	env  *rf.Environment // the §12.4 room
+	cal  tof.Calibration // the pair's hardware offset
+	last float64         // the last measured range, reported when a sweep fails
 }
 
 // pairsPerBand is the CSI pairs a Range sweep collects per band.
@@ -44,11 +44,11 @@ func NewPipelineSensor(rng *rand.Rand) (*PipelineSensor, error) {
 	a, b := geo.Point{X: 1, Y: 1}, geo.Point{X: 3, Y: 1}
 	s.setChannel(a, b)
 	sweep := s.Link.Sweep(rng, s.Bands, 3)
-	off, err := tof.Calibrate(s.Est, s.Bands, sweep, a.Dist(b))
+	cal, err := s.Est.Calibrate(s.Bands, sweep, a.Dist(b))
 	if err != nil {
 		return nil, err
 	}
-	s.offset, s.last = off, a.Dist(b)
+	s.cal, s.last = cal, a.Dist(b)
 	return s, nil
 }
 
@@ -66,7 +66,7 @@ func (s *PipelineSensor) Range(rng *rand.Rand, pos, target geo.Point) float64 {
 		// measured range; the controller's median filter absorbs it.
 		return s.last
 	}
-	s.last = max((r.ToF-s.offset)*wifi.SpeedOfLight, 0)
+	s.last = s.cal.Range(r)
 	return s.last
 }
 

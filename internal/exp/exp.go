@@ -103,7 +103,7 @@ func (r *Result) String() string {
 
 // tofTrial is one calibrated ToF measurement in an office.
 type tofTrial struct {
-	ErrNs    float64 // |estimate − truth| in ns
+	ErrNs    float64 // |ToF − offset − truth| in ns; unclamped, so period-early fixes count
 	DistM    float64 // ground-truth distance
 	Peaks    int     // dominant profile peaks
 	DelaysNs []float64
@@ -127,7 +127,7 @@ func runToFCampaign(o Options, campaignID string, office *sim.Office, cfg tof.Co
 		calP := office.RandomPlacement(rng, 8, false)
 		link.Channel = office.Channel(calP)
 		calSweep := link.Sweep(rng, bands, 3)
-		offset, err := tof.Calibrate(est, bands, calSweep, calP.TrueDistance())
+		cal, err := est.Calibrate(bands, calSweep, calP.TrueDistance())
 		if err != nil {
 			return tofTrial{}, false
 		}
@@ -138,7 +138,7 @@ func runToFCampaign(o Options, campaignID string, office *sim.Office, cfg tof.Co
 		if err != nil {
 			return tofTrial{}, false
 		}
-		e := (r.ToF - offset - p.TrueToF()) * 1e9
+		e := (r.ToF - cal.Offset - p.TrueToF()) * 1e9
 		if e < 0 {
 			e = -e
 		}

@@ -47,7 +47,7 @@ func locCampaign(o Options, campaignID string, office *sim.Office, sep float64, 
 		for i, ant := range array.At(rxCenter) {
 			trueDist[i] = calTx.Dist(ant)
 		}
-		if err := localizer.CalibrateArray(rng, bands, link, trueDist, 3); err != nil {
+		if err := localizer.CalibrateArray(rng, bands, link, trueDist); err != nil {
 			return 0, false
 		}
 

@@ -53,7 +53,7 @@ func TestLocateArrayAccuracy(t *testing.T) {
 	for i, ant := range r.array.At(rxCenter) {
 		trueDist[i] = calTx.Dist(ant)
 	}
-	if err := localizer.CalibrateArray(rng, bands, r.link, trueDist, 3); err != nil {
+	if err := localizer.CalibrateArray(rng, bands, r.link, trueDist); err != nil {
 		t.Fatal(err)
 	}
 
@@ -91,7 +91,7 @@ func TestLocateArrayDistancesTrackTruth(t *testing.T) {
 	for i, ant := range r.array.At(rxCenter) {
 		trueDist[i] = calTx.Dist(ant)
 	}
-	if err := localizer.CalibrateArray(rng, bands, r.link, trueDist, 3); err != nil {
+	if err := localizer.CalibrateArray(rng, bands, r.link, trueDist); err != nil {
 		t.Fatal(err)
 	}
 
@@ -113,7 +113,8 @@ func TestLocateArrayDistancesTrackTruth(t *testing.T) {
 
 // TestLocateArraySubtractsChainOffsets pins the per-chain calibration:
 // every chain's sweep runs through the one estimator, and its distance
-// is its ToF less its own offset, clamped at zero, times c.
+// is its own calibration's range: its ToF less its own offset, clamped
+// at zero, times c.
 func TestLocateArraySubtractsChainOffsets(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	r := newArrayRig(rng, 0.3)
@@ -136,7 +137,9 @@ func TestLocateArraySubtractsChainOffsets(t *testing.T) {
 		{"offsets", []float64{0.2e-9, 0.5e-9, 0.8e-9}},
 		{"clamped", []float64{raw[0] + 1e-9, raw[1] + 1e-9, raw[2] + 1e-9}},
 	} {
-		copy(localizer.Offsets, tc.offsets)
+		for i, off := range tc.offsets {
+			localizer.Cals[i] = tof.Calibration{Offset: off}
+		}
 		fix, err := localizer.LocateArray(bands, sweeps)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
@@ -164,7 +167,7 @@ func TestCalibrateArrayInputMismatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	l := NewLocalizer(geo.TriangleArray(0.3), tof.Config{})
 	link := &csi.ArrayLink{TX: csi.NewRadio(rng), RX: csi.NewRadio(rng)}
-	if err := l.CalibrateArray(rng, wifi.Bands5GHz(), link, []float64{1}, 1); err == nil {
+	if err := l.CalibrateArray(rng, wifi.Bands5GHz(), link, []float64{1}); err == nil {
 		t.Error("mismatched calibration inputs accepted")
 	}
 }

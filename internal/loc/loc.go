@@ -1,7 +1,7 @@
 // Package loc is the §8 device-to-device localization engine: it runs the
-// time-of-flight estimator once per receive antenna, subtracts each
-// antenna's calibration offset, converts the resulting ToFs to
-// distances, rejects geometrically inconsistent estimates, and solves
+// time-of-flight estimator once per receive antenna, turns each
+// antenna's ToF into a distance through that chain's calibration,
+// rejects geometrically inconsistent estimates, and solves
 // for the transmitter position relative to the receiver's antenna array
 // by least squares.
 package loc
@@ -23,10 +23,10 @@ type Localizer struct {
 	Array geo.Array
 	// Est is the ToF estimator every antenna's sweep runs through.
 	Est *tof.Estimator
-	// Offsets holds each antenna's calibration offset in seconds (the
-	// hardware chain delays, §7 observation 2), index-aligned with
-	// Array.Antennas; CalibrateArray measures them.
-	Offsets []float64
+	// Cals holds each antenna chain's calibration (its hardware chain
+	// delays, §7 observation 2), index-aligned with Array.Antennas;
+	// CalibrateArray measures them.
+	Cals []tof.Calibration
 }
 
 // outlierSlack is the extra tolerance (meters) in the geometric
@@ -36,7 +36,7 @@ const outlierSlack = 0.45
 // NewLocalizer builds an uncalibrated localizer for the given array,
 // with one estimator from cfg.
 func NewLocalizer(array geo.Array, cfg tof.Config) *Localizer {
-	return &Localizer{Array: array, Est: tof.NewEstimator(cfg), Offsets: make([]float64, len(array.Antennas))}
+	return &Localizer{Array: array, Est: tof.NewEstimator(cfg), Cals: make([]tof.Calibration, len(array.Antennas))}
 }
 
 // ErrAntennaCount reports a sweep count that does not match the array.
@@ -62,8 +62,7 @@ type Fix struct {
 // channel. Each antenna therefore yields a clean per-antenna distance.
 // Because all chains share each forward packet's detection delay and
 // CFO, antenna-differential errors stay well below the absolute ones —
-// the property that makes 30 cm baselines usable at room scale. Each
-// antenna's ToF, less its calibration offset, is clamped at zero.
+// the property that makes 30 cm baselines usable at room scale.
 func (l *Localizer) LocateArray(bands []wifi.Band, sweeps [][][]csi.Pair) (*Fix, error) {
 	if len(sweeps) != len(l.Array.Antennas) {
 		return nil, fmt.Errorf("%w: %d sweeps, %d antennas", ErrAntennaCount, len(sweeps), len(l.Array.Antennas))
@@ -75,11 +74,7 @@ func (l *Localizer) LocateArray(bands []wifi.Band, sweeps [][][]csi.Pair) (*Fix,
 		if err != nil {
 			continue
 		}
-		tau := est.ToF - l.Offsets[i]
-		if tau < 0 {
-			tau = 0
-		}
-		circles = append(circles, geo.Circle{Center: l.Array.Antennas[i], Radius: tau * wifi.SpeedOfLight})
+		circles = append(circles, geo.Circle{Center: l.Array.Antennas[i], Radius: l.Cals[i].Range(est)})
 		idx = append(idx, i)
 	}
 	if len(circles) < 2 {
@@ -132,20 +127,20 @@ func (l *Localizer) solve(circles []geo.Circle, idx []int) (*Fix, error) {
 	return fix, nil
 }
 
-// CalibrateArray measures the per-antenna offsets of a shared-packet
-// array link at a known geometry: trueDist[i] is the laser-measured
-// distance from the transmitter to antenna i.
-func (l *Localizer) CalibrateArray(rng *rand.Rand, bands []wifi.Band, link *csi.ArrayLink, trueDist []float64, pairsPerBand int) error {
-	if len(trueDist) != len(l.Offsets) || len(link.Channels) != len(l.Offsets) {
+// CalibrateArray measures the per-chain calibrations of a shared-packet
+// array link at a known geometry from one 3-pair sweep: trueDist[i] is
+// the laser-measured distance from the transmitter to antenna i.
+func (l *Localizer) CalibrateArray(rng *rand.Rand, bands []wifi.Band, link *csi.ArrayLink, trueDist []float64) error {
+	if len(trueDist) != len(l.Cals) || len(link.Channels) != len(l.Cals) {
 		return errors.New("loc: calibration inputs do not match antenna count")
 	}
-	sweeps := link.Sweep(rng, bands, pairsPerBand)
-	for i := range l.Offsets {
-		off, err := tof.Calibrate(l.Est, bands, sweeps[i], trueDist[i])
+	sweeps := link.Sweep(rng, bands, 3)
+	for i := range l.Cals {
+		cal, err := l.Est.Calibrate(bands, sweeps[i], trueDist[i])
 		if err != nil {
 			return fmt.Errorf("loc: calibrating antenna %d: %w", i, err)
 		}
-		l.Offsets[i] = off
+		l.Cals[i] = cal
 	}
 	return nil
 }

@@ -71,11 +71,11 @@ func calibratedLocalizer(t *testing.T, rng *rand.Rand, r *rig, bands []wifi.Band
 	}
 	for i, link := range r.links {
 		sweep := link.Sweep(rng, bands, 3)
-		off, err := tof.Calibrate(loc.Est, bands, sweep, trueDist[i])
+		cal, err := loc.Est.Calibrate(bands, sweep, trueDist[i])
 		if err != nil {
 			t.Fatal(err)
 		}
-		loc.Offsets[i] = off
+		loc.Cals[i] = cal
 	}
 	return loc
 }

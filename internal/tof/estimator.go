@@ -194,10 +194,9 @@ type Profile struct {
 // Estimate is the result of one sweep.
 type Estimate struct {
 	// ToF is the direct-path time of flight in seconds, hardware chain
-	// delays included: subtract Calibrate's offset to remove them.
-	ToF      float64
-	Distance float64 // ToF × c, meters
-	Profile  *Profile
+	// delays included: a pair's Calibration.Range removes them.
+	ToF     float64
+	Profile *Profile
 	// Peaks is the number of dominant peaks in the profile (§12.1).
 	Peaks int
 	// Work counts solver grid cells processed for this estimate across
@@ -413,14 +412,9 @@ func (e *Estimator) estimate(s *Sweep) (*Estimate, error) {
 	if !fix.ok {
 		return nil, ErrNoBands
 	}
-	// A candidate can sit up to 1 ns before zero; no fix lies there.
-	tau := fix.tau
-	if tau < 0 {
-		tau = 0
-	}
 	return &Estimate{
-		ToF:        tau,
-		Distance:   tau * wifi.SpeedOfLight,
+		// A candidate can sit up to 1 ns before zero; no fix lies there.
+		ToF:        max(fix.tau, 0),
 		Profile:    fix.prof,
 		Peaks:      fix.peaks,
 		Work:       work,
@@ -542,14 +536,24 @@ func BandsFor(cfg Config) []wifi.Band {
 	}
 }
 
-// Calibrate measures the constant hardware offset of a device pair by
-// estimating ToF at a known true distance and returning the difference.
-// The paper performs this once per pair (§7 observation 2); the caller
-// subtracts the returned offset from every later estimate's ToF.
-func Calibrate(est *Estimator, bands []wifi.Band, sweep [][]csi.Pair, trueDistance float64) (float64, error) {
-	r, err := est.Estimate(bands, sweep)
+// Calibration is a device pair's hardware offset in seconds: the chain
+// delays every ToF of the pair carries, measured once at a known
+// distance (§7 observation 2). The zero value applies none.
+type Calibration struct{ Offset float64 }
+
+// Calibrate measures a device pair's hardware offset from a sweep taken
+// at a known true distance: the estimate's ToF less the true one.
+func (e *Estimator) Calibrate(bands []wifi.Band, sweep [][]csi.Pair, trueDistance float64) (Calibration, error) {
+	r, err := e.Estimate(bands, sweep)
 	if err != nil {
-		return 0, err
+		return Calibration{}, err
 	}
-	return r.ToF - trueDistance/wifi.SpeedOfLight, nil
+	return Calibration{Offset: r.ToF - trueDistance/wifi.SpeedOfLight}, nil
+}
+
+// Range is the estimate's calibrated range in meters, (ToF − Offset)·c
+// clamped at zero. The float64 conversion keeps arm64 from fusing the
+// product into a caller's subtraction.
+func (c Calibration) Range(r *Estimate) float64 {
+	return float64(max(r.ToF-c.Offset, 0) * wifi.SpeedOfLight)
 }

@@ -23,19 +23,20 @@ func testLink(rng *rand.Rand, directNs float64, extraPaths []rf.Path, quirk bool
 	return &csi.Link{TX: tx, RX: rx, Channel: rf.NewChannel(paths), SNRdB: 30}
 }
 
-// calibrated returns an estimator and the link's hardware-delay offset,
-// which the caller subtracts from every ToF, emulating the paper's
-// one-time known-distance calibration.
+// calibrated returns an estimator and the link's hardware-delay offset
+// from the paper's one-time known-distance calibration. The tests
+// subtract it from each ToF themselves, so an estimate's error keeps its
+// sign.
 func calibrated(t *testing.T, cfg Config, link *csi.Link, rng *rand.Rand, bands []wifi.Band) (*Estimator, float64) {
 	t.Helper()
 	est := NewEstimator(cfg)
 	sweep := link.Sweep(rng, bands, 3)
 	trueDist := link.Channel.DirectDelay() * wifi.SpeedOfLight
-	off, err := Calibrate(est, bands, sweep, trueDist)
+	cal, err := est.Calibrate(bands, sweep, trueDist)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return est, off
+	return est, cal.Offset
 }
 
 func TestEstimateSinglePath5GHz(t *testing.T) {
@@ -51,9 +52,6 @@ func TestEstimateSinglePath5GHz(t *testing.T) {
 	}
 	if e := math.Abs(got.ToF - off - 10e-9); e > 0.5e-9 {
 		t.Errorf("ToF error = %v, want < 0.5 ns", e)
-	}
-	if math.Abs(got.Distance-got.ToF*wifi.SpeedOfLight) > 1e-9 {
-		t.Error("Distance inconsistent with ToF")
 	}
 }
 
@@ -221,7 +219,7 @@ func TestCalibrateSharesEstimator(t *testing.T) {
 	calSweep := link.Sweep(rng, bands, 2)
 	sweep := link.Sweep(rng, bands, 2)
 	trueDist := link.Channel.DirectDelay() * wifi.SpeedOfLight
-	wantOff, err := Calibrate(est, bands, calSweep, trueDist)
+	wantCal, err := est.Calibrate(bands, calSweep, trueDist)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,8 +227,8 @@ func TestCalibrateSharesEstimator(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if off := raw.ToF - trueDist/wifi.SpeedOfLight; off != wantOff {
-		t.Errorf("Calibrate returned %v, want the estimate's %v", wantOff, off)
+	if off := raw.ToF - trueDist/wifi.SpeedOfLight; off != wantCal.Offset {
+		t.Errorf("Calibrate returned %v, want the estimate's %v", wantCal.Offset, off)
 	}
 	want, err := est.Estimate(bands, sweep)
 	if err != nil {
@@ -238,23 +236,51 @@ func TestCalibrateSharesEstimator(t *testing.T) {
 	}
 
 	var wg sync.WaitGroup
-	var gotOff float64
+	var gotCal Calibration
 	var calErr error
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		gotOff, calErr = Calibrate(est, bands, calSweep, trueDist)
+		gotCal, calErr = est.Calibrate(bands, calSweep, trueDist)
 	}()
 	got, err := est.Estimate(bands, sweep)
 	wg.Wait()
 	if err != nil || calErr != nil {
 		t.Fatal(err, calErr)
 	}
-	if gotOff != wantOff {
-		t.Errorf("concurrent Calibrate returned %v, want %v", gotOff, wantOff)
+	if gotCal != wantCal {
+		t.Errorf("concurrent Calibrate returned %v, want %v", gotCal, wantCal)
 	}
 	if got.ToF != want.ToF {
 		t.Errorf("Estimate beside Calibrate returned ToF %v, want %v", got.ToF, want.ToF)
+	}
+}
+
+// TestCalibrationRange pins the one conversion from an estimate to
+// meters: above zero the range is bit-equal to (τ − offset)·c, below
+// zero it is exactly +0, and the zero calibration gives τ·c.
+func TestCalibrationRange(t *testing.T) {
+	diff := func(tof, off float64) float64 { return (tof - off) * wifi.SpeedOfLight }
+	raw := func(tof, _ float64) float64 { return tof * wifi.SpeedOfLight }
+	zero := func(float64, float64) float64 { return 0 }
+	for _, tc := range []struct {
+		name     string
+		tof, off float64
+		want     func(tof, off float64) float64
+	}{
+		{"above zero", 23.7e-9, 4.27e-9, diff},
+		{"negative offset", 10e-9, -1.5e-9, diff},
+		{"at the offset", 4.27e-9, 4.27e-9, zero},
+		{"below zero", 2.1e-9, 4.27e-9, zero},
+		{"zero ToF", 0, 4.27e-9, zero},
+		{"zero calibration", 23.7e-9, 0, raw},
+		{"zero calibration, zero ToF", 0, 0, zero},
+	} {
+		got := Calibration{Offset: tc.off}.Range(&Estimate{ToF: tc.tof})
+		if want := tc.want(tc.tof, tc.off); math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("%s: Range(%v s) at offset %v s = %v (%#x), want %v (%#x)",
+				tc.name, tc.tof, tc.off, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
 	}
 }
 

@@ -37,7 +37,7 @@ func TestSweepIncrementalMatchesBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if inc.ToF != batch.ToF || inc.Distance != batch.Distance || inc.Peaks != batch.Peaks {
+	if inc.ToF != batch.ToF || inc.Peaks != batch.Peaks {
 		t.Errorf("incremental fix diverged from batch: %+v vs %+v", inc, batch)
 	}
 }
@@ -217,7 +217,7 @@ func TestSweepReset(t *testing.T) {
 // TestAddBandDropsNonFiniteBand pins the guard against silently
 // corrupted inversions: one NaN, +Inf, or overflowing subcarrier in one
 // CSI pair must cost exactly its band — the estimate equals the same
-// sweep with that band removed, in Distance and Work — and the drop is
+// sweep with that band removed, in ToF and Work — and the drop is
 // counted under tof.bands_dropped. Each case corrupts a band its mode
 // folds. On a quirked 2.4 GHz band (Bands24Only) the 8th-power fold
 // overflows 1e300 to a non-finite value; on a 5 GHz band 1e300 folds to
@@ -260,9 +260,9 @@ func TestAddBandDropsNonFiniteBand(t *testing.T) {
 			if err != nil {
 				t.Fatalf("mode %d, band %d, value %g: %v", tc.mode, bad, v, err)
 			}
-			if got.Distance != want.Distance || got.Work != want.Work {
-				t.Errorf("mode %d, band %d, value %g: fix %.4f m (work %d), want the band-removed %.4f m (work %d)",
-					tc.mode, bad, v, got.Distance, got.Work, want.Distance, want.Work)
+			if got.ToF != want.ToF || got.Work != want.Work {
+				t.Errorf("mode %d, band %d, value %g: fix %.4f ns (work %d), want the band-removed %.4f ns (work %d)",
+					tc.mode, bad, v, got.ToF*1e9, got.Work, want.ToF*1e9, want.Work)
 			}
 			if n := obsBandsDropped.Value() - dropped; n != 1 {
 				t.Errorf("mode %d, band %d, value %g: tof.bands_dropped moved by %d, want 1", tc.mode, bad, v, n)

@@ -3,6 +3,7 @@ package track
 import (
 	"flag"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"runtime"
@@ -103,5 +104,23 @@ func TestSessionGoldenTraceFixture(t *testing.T) {
 	}
 	if got != string(want) {
 		t.Errorf("fix table moved from %s:\ngot:\n%s\nwant:\n%s", goldenFixture, got, want)
+	}
+}
+
+// TestSessionRangesNotNegative holds every early and full fix of the
+// golden sessions at or above zero: a fix whose ToF falls below the
+// pair's calibrated offset (a period-early fix) reads +0 m, not a
+// negative range.
+func TestSessionRangesNotNegative(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full-pipeline sessions")
+	}
+	for seed := int64(11); seed <= 14; seed++ {
+		r := runGolden(t, seed, goldenSessionConfig())
+		for _, f := range append(append([]Fix{}, r.EarlyFixes...), r.Fixes...) {
+			if math.Signbit(f.Range) {
+				t.Errorf("seed %d: fix at %v (early %v) ranges %v m, below zero", seed, f.At, f.Early, f.Range)
+			}
+		}
 	}
 }

@@ -4,9 +4,9 @@
 //
 //  1. the session (Session, RunSession) hops band by band with a
 //     hop.Hopper on its own virtual-time simulator while the incremental
-//     estimator core (tof.Sweep) folds each band's CSI in, so a fix is
-//     ready the moment the last band lands — with a degraded early fix
-//     available before;
+//     estimator core (tof.Sweep) folds each band's CSI in, so a fix (a
+//     calibrated range, tof.Calibration.Range) is ready the moment the
+//     last band lands — with a degraded early fix available before;
 //  2. a per-device constant-velocity Kalman filter (RangeTracker)
 //     smooths successive range fixes and gates out the profile-ghost
 //     outliers of §12.1's CDF tail.

@@ -64,7 +64,7 @@ type Fix struct {
 	At        time.Duration // virtual time the fix was emitted
 	Latency   time.Duration // sweep start → fix
 	Bands     int           // usable bands folded in
-	Range     float64       // raw per-sweep range estimate (m)
+	Range     float64       // the sweep's calibrated range, clamped at zero (m)
 	Smoothed  float64       // Kalman output (m); raw value for early fixes
 	TrueRange float64       // ground-truth anchor–target distance at emission
 	Early     bool
@@ -110,14 +110,13 @@ type Session struct {
 	cfg    SessionConfig
 	rng    *rand.Rand
 	office *sim.Office
-	est    *tof.Estimator
 	bands  []wifi.Band
 
 	roomOrigin geo.Point
 	anchor     geo.Point
 	walk       *drone.Walk
 	link       *csi.Link
-	offset     float64
+	cal        tof.Calibration
 
 	msim    *mac.Sim
 	hopper  *hop.Hopper
@@ -152,7 +151,7 @@ type Session struct {
 func NewSession(rng *rand.Rand, office *sim.Office, est *tof.Estimator, cfg SessionConfig) (*Session, error) {
 	cfg = cfg.withDefaults()
 	s := &Session{
-		cfg: cfg, rng: rng, office: office, est: est,
+		cfg: cfg, rng: rng, office: office,
 		bands: tof.BandsFor(est.Config()),
 		res:   &SessionResult{},
 	}
@@ -173,16 +172,15 @@ func NewSession(rng *rand.Rand, office *sim.Office, est *tof.Estimator, cfg Sess
 	s.link = &csi.Link{TX: tx, RX: rx}
 
 	// One-time calibration of the pair at a known LOS reference placement
-	// (§7 observation 2), exactly as the batch campaigns calibrate.
+	// (§7 observation 2), at that placement's own link SNR.
 	calP := office.RandomPlacement(rng, 8, false)
 	s.link.Channel = office.Channel(calP)
 	s.link.SNRdB = sim.LinkSNR(calP.TrueDistance(), false)
 	calSweep := s.link.Sweep(rng, s.bands, 3)
-	offset, err := tof.Calibrate(est, s.bands, calSweep, calP.TrueDistance())
-	if err != nil {
+	var err error
+	if s.cal, err = est.Calibrate(s.bands, calSweep, calP.TrueDistance()); err != nil {
 		return nil, err
 	}
-	s.offset = offset
 
 	s.msim = mac.NewSim()
 	s.hopper = hop.NewHopper(s.msim, rng)
@@ -284,7 +282,7 @@ func (s *Session) StepIngest() error {
 
 		if checkpoint < len(cfg.EarlyFixBands) && bi+1 >= cfg.EarlyFixBands[checkpoint] && bi+1 < len(s.bands) {
 			if r, err := s.acc.Estimate(); err == nil {
-				raw := r.Distance - float64(s.offset*wifi.SpeedOfLight)
+				raw := s.cal.Range(r)
 				s.res.EarlyFixes = append(s.res.EarlyFixes, Fix{
 					At: s.msim.Now(), Latency: s.msim.Now() - start, Bands: s.acc.Bands(),
 					Range: raw, Smoothed: raw,
@@ -337,7 +335,7 @@ func (s *Session) StepTrack() error {
 	cfg := s.cfg
 	start := s.sweepStart
 	if r := s.pendEst; r != nil {
-		raw := r.Distance - float64(s.offset*wifi.SpeedOfLight)
+		raw := s.cal.Range(r)
 		now := s.msim.Now()
 		truth := s.anchor.Dist(s.targetAt(now))
 		kalmanTick := obs.Tick()
@@ -382,10 +380,11 @@ func (s *Session) Result() *SessionResult {
 }
 
 // RunSession streams cfg.Sweeps full band sweeps over a moving target in
-// the office and returns the resulting fixes. The session never writes
-// est: tof.Calibrate and every sweep only call Estimate on it, which
-// holds no per-call state (only the shared plan registry fills), so
-// concurrent sessions may share one estimator.
+// the office and returns the resulting fixes, each ranged through the
+// pair's one calibration (tof.Calibration.Range, clamped at zero). The
+// session never writes est: its calibration and every sweep only call
+// Estimate on it, which holds no per-call state (only the shared plan
+// registry fills), so concurrent sessions may share one estimator.
 //
 // RunSession is the sequential wrapper over the steppable Session: it
 // builds one and steps it to completion. The chronos-svc daemon steps
