@@ -71,17 +71,6 @@ const (
 	BandsAllCoherent = tof.BandsAllCoherent
 )
 
-// StopRule selects the profile solver's termination rule
-// (ToFConfig.Stop): the noise-adaptive duality-gap stop (default) or
-// Algorithm 1's fixed iterate tolerance.
-type StopRule = tof.StopRule
-
-// Stop-rule selectors for ToFConfig.Stop.
-const (
-	StopGap     = tof.StopGap
-	StopIterate = tof.StopIterate
-)
-
 // SolverPlan is a precomputed NDFT solver plan for one band geometry:
 // the planar dictionary, step constants, and pooled scratch behind
 // every profile inversion. Estimators resolve plans from the shared

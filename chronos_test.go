@@ -136,11 +136,11 @@ func TestFacadePlanRegistryStats(t *testing.T) {
 	}
 }
 
-// TestFacadeStopRuleAndTelemetry pins the PR-5 facade surface: the
-// stop-rule re-exports select the solver's termination behavior through
-// ToFConfig, and estimates surface the convergence telemetry
-// (Converged, Iterations, GapAtStop, NoiseFloor).
-func TestFacadeStopRuleAndTelemetry(t *testing.T) {
+// TestFacadeConvergenceTelemetry pins the facade's convergence
+// telemetry: an estimate of a sweep with repeated CSI pairs stops on its
+// duality gap and reports it (Converged, Iterations, GapAtStop,
+// NoiseFloor).
+func TestFacadeConvergenceTelemetry(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	tx, rx := NewRadio(rng), NewRadio(rng)
 	tx.Quirk24, rx.Quirk24 = false, false
@@ -152,8 +152,7 @@ func TestFacadeStopRuleAndTelemetry(t *testing.T) {
 	bands := Bands5GHz()
 	sweep := link.Sweep(rng, bands, 3)
 
-	gap := NewToFEstimator(ToFConfig{Mode: Bands5GHzOnly, MaxIter: 1200, Stop: StopGap})
-	rg, err := gap.Estimate(bands, sweep)
+	rg, err := NewToFEstimator(ToFConfig{Mode: Bands5GHzOnly, MaxIter: 1200}).Estimate(bands, sweep)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,16 +161,5 @@ func TestFacadeStopRuleAndTelemetry(t *testing.T) {
 	}
 	if rg.GapAtStop <= 0 {
 		t.Errorf("gap-stopped estimate reported no duality gap (%v)", rg.GapAtStop)
-	}
-	eps := NewToFEstimator(ToFConfig{Mode: Bands5GHzOnly, MaxIter: 1200, Stop: StopIterate})
-	re, err := eps.Estimate(bands, sweep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if re.Work <= rg.Work {
-		t.Errorf("fixed-tolerance solve work %d not above gap-stopped %d at campaign SNR", re.Work, rg.Work)
-	}
-	if d := math.Abs(rg.ToF-re.ToF) * 1e9; d > 0.05 {
-		t.Errorf("gap-stopped ToF differs from fixed-tolerance by %.3f ns", d)
 	}
 }

@@ -41,11 +41,6 @@ var Figures = []Campaign{
 	// alias measures the family-ranked alias resolution on the office
 	// campaign and an adversarial deep-NLOS geometry.
 	{Key: "alias", Run: AliasRanking, ExplicitOnly: true},
-	// converge is the noise-adaptive convergence campaign: the
-	// duality-gap stop vs Algorithm 1's iterate rule across SNR, the
-	// office accuracy guard, and streaming-session convergence telemetry
-	// — all in deterministic units.
-	{Key: "converge", Run: PerfConverge, ExplicitOnly: true},
 	// pipeline is the solve-pool latency-isolation campaign: a
 	// latency-class stream under a bulk-class swarm on the daemon's solve
 	// pool, where latency solves dequeue first and bulk solves run

@@ -25,7 +25,7 @@ func TestSelect(t *testing.T) {
 		{name: "ablate list", ablate: "cfo,bands", want: "bands,cfo"},
 		{name: "ablate all with figures", fig: "capacity,4", ablate: "all", want: "4,bands,delay,cfo,sparsity,separation,capacity"},
 		{name: "repeated key runs once", fig: "3,3", want: "3"},
-		{name: "unknown figure", fig: "3,7z", err: `unknown -fig key(s) "7z" (have: ` + paper + ",alias,converge,pipeline,speed,latency,capacity)"},
+		{name: "unknown figure", fig: "3,7z", err: `unknown -fig key(s) "7z" (have: ` + paper + ",alias,pipeline,speed,latency,capacity)"},
 		{name: "ablation key under -fig", fig: "delay", err: `unknown -fig key(s) "delay"`},
 		{name: "figure key under -ablate", ablate: "3", err: `unknown -ablate key(s) "3" (have: bands,delay,cfo,sparsity,separation,all)`},
 		{name: "all is not a figure", fig: "all", err: `unknown -fig key(s) "all"`},

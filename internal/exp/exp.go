@@ -21,12 +21,11 @@
 // order trials finish — so a campaign's Result is bit-identical for a
 // given seed at any worker count. Shared campaign fixtures (the office
 // floor plan) are generated before the fan-out from their own stream
-// and are read-only during trials. Each trial constructs its own
-// tof.Estimator — a cheap struct, since the expensive NDFT solver plans
-// live in internal/tof's shared concurrency-safe registry and are built
-// once per band-group geometry for the whole process (the sync.Pool of
-// estimators this package once carried existed only to amortize
-// per-estimator matrix caches that no longer exist).
+// and are read-only during trials. So is a campaign's tof.Estimator,
+// which every trial may share: it holds no per-call state, and the
+// expensive NDFT solver plans live in internal/tof's shared
+// concurrency-safe registry, built once per band-group geometry for the
+// whole process.
 package exp
 
 import (
@@ -65,12 +64,6 @@ type Result struct {
 	Header  []string           `json:"header"`
 	Rows    [][]string         `json:"rows"`
 	Metrics map[string]float64 `json:"metrics"` // headline numbers by name; EXPERIMENTS.md quotes them
-	// CapRate, when set, is the fraction of the campaign's profile
-	// solves that hit their iteration cap instead of converging
-	// (tof.Estimate.Converged == false). The convergence campaign sets it
-	// over its gap-stopped solves; BenchmarkPerfConvergeCampaign asserts
-	// the campaign-SNR share of it (cap_rate_gap_26) stays ~0.
-	CapRate *float64 `json:"cap_rate,omitempty"`
 }
 
 // String renders the result as an aligned text table.

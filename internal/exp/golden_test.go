@@ -12,9 +12,9 @@ import (
 
 // campaignGolden is the committed JSON of every registered campaign but
 // the wall-clock ones, at seed 1 and default trials: what `chronos-bench
-// -json`, `chronos-bench -fig alias,converge -json`,
-// `chronos-bench -ablate all -json` and `chronos-bench -fig
-// speed,latency,capacity -json` print, as one array. Regenerate it with
+// -json`, `chronos-bench -fig alias -json`, `chronos-bench -ablate all
+// -json` and `chronos-bench -fig speed,latency,capacity -json` print,
+// as one array. Regenerate it with
 // `go test ./internal/exp -run TestCampaignGolden -update` only when a
 // change is meant to move a figure, say so in the change, and update
 // the rows it moved in EXPERIMENTS.md.

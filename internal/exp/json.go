@@ -20,9 +20,7 @@ type jsonResult struct {
 // WriteJSON renders campaign results as an indented JSON array so the
 // tables the binaries print are also machine-readable (the BENCH_*.json
 // trajectory). The encoding is the Result struct verbatim: id, title,
-// header, rows, the headline metrics map, and — for campaigns that
-// track solver convergence — the cap_rate field distinguishing
-// iteration-capped solves from converged ones. When the observability
+// header, rows and the headline metrics map. When the observability
 // layer is enabled (obs.SetEnabled), the last element additionally
 // carries the process-wide obs.Snapshot — counters, gauges, and stage
 // latency histograms accumulated across every campaign in the run —

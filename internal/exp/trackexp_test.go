@@ -23,7 +23,7 @@ func TestTrackCapacityDeterministicAcrossWorkers(t *testing.T) {
 }
 
 // TestTrackSpeedDeterministicAcrossWorkers covers the full-pipeline
-// streaming campaign (sync.Pool'd estimators under concurrent sessions).
+// streaming campaign (one estimator per session, sessions concurrent).
 func TestTrackSpeedDeterministicAcrossWorkers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaign experiment")

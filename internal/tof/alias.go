@@ -183,7 +183,6 @@ type refitMemo struct {
 type aliasScorer struct {
 	e       *Estimator
 	s       *Sweep
-	g       *bandGroup
 	plan    *ndft.Plan // the group's canonical window plan
 	floor   float64    // the refits' noise floor; see placeDirectPath
 	hNorm   float64
@@ -214,15 +213,13 @@ type aliasScorer struct {
 // A profile on which no family rises above the folded baseline places
 // firstPeakWindowed's peak through the same scorer; a profile with no
 // peak leaves fix unplaced. The error is the window plan's build
-// failure. The evidence gates derive from the group's
-// per-sweep relative noise estimate whatever floor is: they are decision
-// thresholds, not solve tolerances. floor is the refits' noise floor:
-// the group's ‖w‖₂ estimate, or 0 on the precise re-solve of a contested
-// placement, which stops every refit on the iterate rule. Under
-// StopIterate the refits stop on the iterate rule whatever floor is
-// (solveFloor).
-func (e *Estimator) placeDirectPath(fix *groupFix, g *bandGroup, s *Sweep, floor float64) error {
-	gates := gatesFor(g.noiseRel)
+// failure. The evidence gates derive from the sweep's relative noise
+// estimate whatever floor is: they are decision thresholds, not solve
+// tolerances. floor is the refits' noise floor: the sweep's ‖w‖₂
+// estimate, or 0 on the precise re-solve of a contested placement, which
+// stops every refit on the iterate rule.
+func (e *Estimator) placeDirectPath(fix *groupFix, s *Sweep, floor float64) error {
+	gates := gatesFor(s.noiseRel)
 	first, virtuals, peaks, ok := familyCandidates(fix.prof, gates)
 	fix.peaks = peaks
 	if !ok {
@@ -230,15 +227,15 @@ func (e *Estimator) placeDirectPath(fix *groupFix, g *bandGroup, s *Sweep, floor
 			return nil
 		}
 	}
-	plan, weights, err := e.windowPlan(g.freqs, g.power)
+	plan, weights, err := e.windowPlan(s.freqs, s.power)
 	if err != nil {
 		return err
 	}
 	s.refitMemo = s.refitMemo[:0]
-	s.refitRot = slices.Grow(s.refitRot[:0], len(g.h))[:len(g.h)]
+	s.refitRot = slices.Grow(s.refitRot[:0], len(s.h))[:len(s.h)]
 	sc := aliasScorer{
-		e: e, s: s, g: g, plan: plan, floor: floor,
-		hNorm: dsp.Norm2(g.h), gates: gates,
+		e: e, s: s, plan: plan, floor: floor,
+		hNorm: dsp.Norm2(s.h), gates: gates,
 		weights: weights,
 	}
 	fix.tau, fix.contested = sc.place(sc.admitVirtual(first, virtuals))
@@ -471,7 +468,7 @@ func (sc *aliasScorer) score(cand float64) refitScore {
 //     aliasWeights) beside the plain one.
 func (sc *aliasScorer) refit(cand float64) refitScore {
 	rot := sc.s.refitRot
-	rotateWindow(sc.g.freqs, sc.g.h, cand, float64(sc.g.power), rot)
+	rotateWindow(sc.s.freqs, sc.s.h, cand, float64(sc.s.power), rot)
 	if sc.alpha == 0 {
 		// The solver's standard scaling (10% of the largest atom
 		// correlation, times the ablation factor) on this window.
@@ -486,7 +483,7 @@ func (sc *aliasScorer) refit(cand float64) refitScore {
 		H: rot, Dst: &sc.s.refitDst,
 		InvertOptions: ndft.InvertOptions{
 			Alpha: sc.alpha, Epsilon: 1e-3 * sc.hNorm, MaxIter: 600,
-			NoiseFloor: sc.e.solveFloor(sc.floor),
+			NoiseFloor: sc.floor,
 		},
 	})
 	if err != nil {

@@ -93,20 +93,19 @@ func TestAliasFamilyRecoversGhostVertices(t *testing.T) {
 			if d := math.Abs(cand*1e9 - trueNs); d >= 12.5 {
 				t.Errorf("windowed first peak %.2f ns off, want it in the true alias cell", d)
 			}
-			g, err := est.group(s)
-			if err != nil {
+			if err := est.group(s); err != nil {
 				t.Fatal(err)
 			}
-			plan, _, err := est.windowPlan(g.freqs, g.power)
+			plan, _, err := est.windowPlan(s.freqs, s.power)
 			if err != nil {
 				t.Fatal(err)
 			}
 			autoRefit := func(c float64) float64 {
-				rot := make(dsp.Vec, len(g.h))
-				rotateWindow(g.freqs, g.h, c, float64(g.power), rot)
+				rot := make(dsp.Vec, len(s.h))
+				rotateWindow(s.freqs, s.h, c, float64(s.power), rot)
 				res, err := plan.Solve(ndft.SolveRequest{
 					H:             rot,
-					InvertOptions: ndft.InvertOptions{MaxIter: 600, NoiseFloor: g.noise},
+					InvertOptions: ndft.InvertOptions{MaxIter: 600, NoiseFloor: s.noise},
 				})
 				if err != nil {
 					t.Fatal(err)

@@ -39,23 +39,6 @@ const (
 	BandsAllCoherent
 )
 
-// StopRule selects when the estimator's profile solves stop.
-type StopRule int
-
-const (
-	// StopGap (default) stops a solve once a duality-gap bound certifies
-	// the objective within the per-sweep noise energy, estimated from the
-	// spread of repeated CSI pairs per band, or at Algorithm 1's iterate
-	// rule, whichever comes first.
-	StopGap StopRule = iota
-	// StopIterate is Algorithm 1's own rule: a solve stops only when
-	// ‖p_{t+1} − p_t‖₂ < ε (1e−6·‖h‖ for the main solve). The estimator
-	// passes its solves a zero noise floor; the noise estimate still sets
-	// the evidence gates. At campaign SNR the main solve routinely runs to
-	// the iteration cap, since that tolerance sits far below the noise.
-	StopIterate
-)
-
 // The estimator's fixed delay grid and §6 peak rules.
 const (
 	// maxTau is the largest resolvable time of flight (60 ns ≈ 18 m),
@@ -97,10 +80,6 @@ type Config struct {
 	// (default 1). The sparsity ablation sweeps this.
 	AlphaFactor float64
 	MaxIter     int // ISTA iteration cap (default 1500)
-	// Stop selects the solves' termination rule (default StopGap).
-	// StopIterate is the paper's fixed iterate tolerance, the comparison
-	// arm of the converge campaign.
-	Stop StopRule
 	// ForwardOnly disables the §7 CFO cancellation (ablation).
 	ForwardOnly bool
 }
@@ -259,10 +238,18 @@ type Sweep struct {
 	// interpolation's working memory.
 	foldScratch dsp.Vec
 	interp      interpScratch
-	// freqs and h are the folded bands' frequencies and measurement
-	// vector in frequency order (group).
-	freqs []float64
-	h     dsp.Vec
+	// The band group every solve attempt at the sweep shares (group):
+	// the folded bands' frequencies and measurement vector in frequency
+	// order, their channel power, the plan that inverts them, and the
+	// per-sweep noise estimate ‖w‖₂ (0 when no band had repeated pairs)
+	// with its ratio to ‖h‖₂. The noise sets the solver's gap tolerance,
+	// and its ratio the alias-evidence gates.
+	freqs    []float64
+	h        dsp.Vec
+	power    int
+	plan     *ndft.Plan
+	noise    float64
+	noiseRel float64
 	// refitMemo, refitRot and refitDst are the alias scorer's scratch
 	// (aliasScorer): one band group's memoized refit scores, cleared for
 	// each new scorer, the rotated window measurement, and the refit
@@ -335,26 +322,12 @@ func (e *Estimator) Estimate(bands []wifi.Band, sweep [][]csi.Pair) (*Estimate, 
 	return s.Estimate()
 }
 
-// bandGroup is a sweep's folded bands resolved for inversion: their
-// measurement vector, its plan, and the per-sweep noise estimate that
-// sets the solver's gap tolerance and the alias-evidence gates. Every
-// solve attempt at the sweep shares it.
-type bandGroup struct {
-	power    int
-	freqs    []float64
-	h        dsp.Vec
-	plan     *ndft.Plan
-	noise    float64 // ‖w‖₂ estimate (0 when no band had repeated pairs)
-	noiseRel float64 // noise / ‖h‖₂
-}
-
 // group resolves the sweep's folded bands for inversion. The
 // measurements are first sorted by frequency, so the plan key, the
 // solves and the noise sum see the bands in one order, whatever order
-// they arrived in. The frequencies and vector live on the sweep's
-// scratch: plans copy the frequencies they are built from, and nothing
-// keeps the vector past the estimate.
-func (e *Estimator) group(s *Sweep) (g bandGroup, err error) {
+// they arrived in. Plans copy the frequencies they are built from, and
+// nothing keeps the vector past the estimate.
+func (e *Estimator) group(s *Sweep) (err error) {
 	slices.SortStableFunc(s.meas, func(a, b bandMeas) int { return cmp.Compare(a.freq, b.freq) })
 	n := len(s.meas)
 	s.freqs = slices.Grow(s.freqs[:0], n)[:n]
@@ -362,20 +335,16 @@ func (e *Estimator) group(s *Sweep) (g bandGroup, err error) {
 	for i, m := range s.meas {
 		s.freqs[i], s.h[i] = m.freq, m.value
 	}
-	_, g.power = e.cfg.powers()
-	g.freqs, g.h = s.freqs, s.h
-	if g.plan, err = e.planForGroup(g.freqs, g.power); err != nil {
-		return g, err
+	_, s.power = e.cfg.powers()
+	if s.plan, err = e.planForGroup(s.freqs, s.power); err != nil {
+		return err
 	}
-	// The per-sweep noise estimate drives both the solver's gap
-	// tolerance and the alias-evidence gates; noiseRel normalizes it
-	// for the gates (residual comparisons scale with ‖h‖).
-	g.noise = groupNoiseFloor(s.meas)
-	if hNorm := dsp.Norm2(g.h); hNorm > 0 {
-		g.noiseRel = g.noise / hNorm
+	s.noise, s.noiseRel = groupNoiseFloor(s.meas), 0
+	if hNorm := dsp.Norm2(s.h); hNorm > 0 {
+		s.noiseRel = s.noise / hNorm
 	}
-	obsNoiseRel.Observe(g.noiseRel)
-	return g, nil
+	obsNoiseRel.Observe(s.noiseRel)
+	return nil
 }
 
 // estimate solves and places a sweep's accumulated band measurements.
@@ -385,11 +354,10 @@ func (e *Estimator) estimate(s *Sweep) (*Estimate, error) {
 		return nil, ErrNoBands
 	}
 	obsEstimates.Inc()
-	g, err := e.group(s)
-	if err != nil {
+	if err := e.group(s); err != nil {
 		return nil, err
 	}
-	fix, res, err := e.solveGroup(s, &g, g.noise)
+	fix, res, err := e.solveGroup(s, s.noise)
 	if err != nil {
 		return nil, err
 	}
@@ -397,12 +365,12 @@ func (e *Estimator) estimate(s *Sweep) (*Estimate, error) {
 	// The gap certifies the objective, not the alias decision built on
 	// it: two iterates equally close to the optimum can rank a path's
 	// grating-lobe members differently. When the placement comes out
-	// contested after a gap-stopped solve (a noise floor under StopGap;
-	// otherwise it was already precise), solve once more on the precise
-	// path and keep that answer.
-	if fix.contested && g.noise > 0 && e.cfg.Stop == StopGap {
+	// contested after a gap-stopped solve (a sweep with a noise
+	// estimate; otherwise it was already precise), solve once more on
+	// the precise path and keep that answer.
+	if fix.contested && s.noise > 0 {
 		obsAliasResolves.Inc()
-		if fix, res, err = e.solveGroup(s, &g, 0); err != nil {
+		if fix, res, err = e.solveGroup(s, 0); err != nil {
 			return nil, err
 		}
 		work += res.Work + fix.aliasWork
@@ -422,7 +390,7 @@ func (e *Estimator) estimate(s *Sweep) (*Estimate, error) {
 		Iterations: iters,
 		Converged:  res.Converged,
 		GapAtStop:  res.GapAtStop,
-		NoiseFloor: g.noiseRel,
+		NoiseFloor: s.noiseRel,
 	}, nil
 }
 
@@ -460,20 +428,20 @@ type groupFix struct {
 	aliasWork int64
 }
 
-// solveGroup makes one solve attempt at the band group: Algorithm 1, the
-// profile rescaled from the h̃ᵖ delay domain back to true τ, then the
-// direct-path placement. Under StopGap the main solve and the alias
-// refits stop at a duality gap scaled to floor: the group's noise
+// solveGroup makes one solve attempt at the sweep's band group:
+// Algorithm 1, the profile rescaled from the h̃ᵖ delay domain back to
+// true τ, then the direct-path placement. The main solve and the alias
+// refits stop at a duality gap scaled to floor: the sweep's noise
 // estimate, or 0 for the re-solve of a contested placement, which puts
 // both on the precise iterate rule.
-func (e *Estimator) solveGroup(s *Sweep, g *bandGroup, floor float64) (groupFix, *ndft.Result, error) {
+func (e *Estimator) solveGroup(s *Sweep, floor float64) (groupFix, *ndft.Result, error) {
 	solveStart := obs.Tick()
-	res, err := g.plan.Solve(ndft.SolveRequest{
-		H: g.h,
+	res, err := s.plan.Solve(ndft.SolveRequest{
+		H: s.h,
 		InvertOptions: ndft.InvertOptions{
 			AlphaScale: e.cfg.AlphaFactor,
 			MaxIter:    e.cfg.MaxIter,
-			NoiseFloor: e.solveFloor(floor),
+			NoiseFloor: floor,
 			Yield:      e.yield,
 		},
 	})
@@ -484,27 +452,17 @@ func (e *Estimator) solveGroup(s *Sweep, g *bandGroup, floor float64) (groupFix,
 	var fix groupFix
 	taus := make([]float64, len(res.Taus))
 	for i, t := range res.Taus {
-		taus[i] = t / float64(g.power)
+		taus[i] = t / float64(s.power)
 	}
-	fix.prof = &Profile{Taus: taus, Magnitude: res.Magnitude, Power: g.power}
+	fix.prof = &Profile{Taus: taus, Magnitude: res.Magnitude, Power: s.power}
 
 	aliasStart := obs.Tick()
-	err = e.placeDirectPath(&fix, g, s, floor)
+	err = e.placeDirectPath(&fix, s, floor)
 	obsStageAliasNs.Since(aliasStart)
 	if err != nil {
 		return groupFix{}, nil, err
 	}
 	return fix, res, nil
-}
-
-// solveFloor is the noise floor a solve stops against: floor itself
-// under StopGap, 0 under StopIterate, which leaves Algorithm 1's iterate
-// rule to decide alone.
-func (e *Estimator) solveFloor(floor float64) float64 {
-	if e.cfg.Stop == StopIterate {
-		return 0
-	}
-	return floor
 }
 
 // planForGroup resolves (building and registering on demand) the shared

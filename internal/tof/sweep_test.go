@@ -332,7 +332,7 @@ func TestEstimateSteadyStateAllocs(t *testing.T) {
 		}
 	}
 	estimate()
-	const maxAllocs = 14
+	const maxAllocs = 13
 	if n := testing.AllocsPerRun(10, estimate); n > maxAllocs {
 		t.Errorf("Estimate allocated %.0f times, want at most %d", n, maxAllocs)
 	}

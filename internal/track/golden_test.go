@@ -80,7 +80,8 @@ var update = flag.Bool("update", false, "rewrite "+goldenFixture+" from this bui
 // commits: the determinism tests compare two runs of one build, so a
 // refactor that moved every fix alike would pass them; this one compares
 // against a table recorded by an earlier build. The table holds on every
-// amd64 kernel tier (avx2, scalar).
+// amd64 kernel tier (avx2, scalar). Each session's CappedFixes must
+// count its final fixes that did not converge.
 func TestSessionGoldenTraceFixture(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-pipeline sessions")
@@ -90,7 +91,17 @@ func TestSessionGoldenTraceFixture(t *testing.T) {
 	}
 	var b strings.Builder
 	for seed := int64(11); seed <= 14; seed++ {
-		fmt.Fprintf(&b, "seed=%d\n%s", seed, fixTable(runGolden(t, seed, goldenSessionConfig())))
+		r := runGolden(t, seed, goldenSessionConfig())
+		capped := 0
+		for _, f := range r.Fixes {
+			if !f.Converged {
+				capped++
+			}
+		}
+		if r.CappedFixes != capped {
+			t.Errorf("seed %d: CappedFixes %d, want %d (final fixes not converged)", seed, r.CappedFixes, capped)
+		}
+		fmt.Fprintf(&b, "seed=%d\n%s", seed, fixTable(r))
 	}
 	got := b.String()
 	if *update {

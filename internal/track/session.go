@@ -71,9 +71,9 @@ type Fix struct {
 	Accepted  bool // measurement passed the Kalman gate
 	// Work is the deterministic solver cost of the fix's estimate (grid
 	// cells processed, tof.Estimate.Work); Converged reports whether
-	// every profile inversion behind the fix met its stopping rule —
-	// false marks an iteration-capped fix, which SessionResult counts as
-	// CappedFixes so campaigns can expose cap-rate.
+	// the estimate's final main inversion met its stopping rule — false
+	// marks an iteration-capped fix, which SessionResult counts as
+	// CappedFixes.
 	Work      int64
 	Converged bool
 }
@@ -86,10 +86,11 @@ type SessionResult struct {
 	// Kalman-smoothed ranges against ground truth over the final fixes.
 	RawRMSE, SmoothedRMSE float64
 	Rejected              int // fixes discarded by the Kalman gate
-	// CappedFixes counts final fixes whose estimate hit the solver's
-	// iteration cap instead of converging — the convergence-telemetry
-	// roll-up the PerfConverge campaign asserts drops to ~0 under the
-	// noise-adaptive stopping rule.
+	// CappedFixes counts final fixes whose estimate's final main
+	// inversion ran to the solver's iteration cap instead of converging
+	// (Fix.Converged false). At campaign SNR they are contested
+	// placements whose precise re-solve, which stops on the iterate rule
+	// alone, reached MaxIter.
 	CappedFixes int
 	Duration    time.Duration
 }
