@@ -1,48 +1,19 @@
-// Top-level benchmarks: the campaign whose assertion is a CI criterion
-// (the alias ghost count), driving the internal/exp campaign
-// chronos-bench runs at a reduced trial count, plus micro-benchmarks for
-// the pipeline's hot kernels. internal/exp's campaign golden pins the
-// figures themselves, and perfbench/ is the end-to-end performance
-// benchmark.
+// Top-level micro-benchmarks for the pipeline's hot kernels.
+// internal/exp's campaign golden pins the figures, and perfbench/ is the
+// end-to-end performance benchmark.
 package chronos
 
 import (
-	"flag"
 	"math/rand"
 	"testing"
 
 	"chronos/internal/dsp"
-	"chronos/internal/exp"
 	"chronos/internal/ndft"
 	"chronos/internal/sim"
 	"chronos/internal/tof"
 	"chronos/internal/track"
 	"chronos/internal/wifi"
 )
-
-// benchWorkers sizes the campaign worker pool for every exp benchmark
-// (0 = all cores). Per-trial seeding keeps results identical across
-// worker counts, so this trades only wall-clock, not comparability:
-//
-//	go test -bench . -workers 1
-var benchWorkers = flag.Int("workers", 0, "campaign worker-pool size for exp benchmarks (0 = all cores)")
-
-// quick returns bench-scale options: small campaigns, fixed seed.
-func quick(trials int) exp.Options {
-	return exp.Options{Seed: 1, Trials: trials, Workers: *benchWorkers}
-}
-
-func BenchmarkAliasRankingCampaign(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := exp.AliasRanking(quick(4))
-		// Every adversarial deep-NLOS fix must stay in the true alias cell.
-		if g := r.Metrics["adversarial_ghosts_family"]; g != 0 {
-			b.Fatalf("%v adversarial deep-NLOS fixes landed a whole alias period off, want 0", g)
-		}
-	}
-}
-
-// --- Micro-benchmarks for the pipeline's hot kernels ---
 
 // BenchmarkTrackSession streams one full-pipeline tracking session per
 // iteration: a static target, eight sweeps, the BandsFused evaluation

@@ -1,11 +1,12 @@
 // Command chronos-bench runs every campaign of the internal/exp
 // registry: the paper's evaluation (§12) regenerated from the simulated
-// testbed, the ablations, the pseudo-figures and the streaming tracking
-// campaigns, each printed as a text table.
+// testbed, the ablations and the streaming tracking campaigns, each
+// printed as a text table.
 //
 //	chronos-bench                              # every paper figure
 //	chronos-bench -fig 7a                      # one figure
 //	chronos-bench -fig speed,latency,capacity  # the tracking campaigns
+//	chronos-bench -fig pipeline                # the daemon's solve pool, timed on this host
 //	chronos-bench -ablate cfo                  # one ablation study
 //	chronos-bench -fig 3 -ablate all           # a figure and every ablation
 //	chronos-bench -trials 50                   # scale campaign sizes
@@ -34,7 +35,7 @@ import (
 )
 
 func main() {
-	fig := flag.String("fig", "", "comma-separated figures and tracking campaigns to run ("+exp.Keys(exp.Figures)+","+exp.Keys(exp.TrackCampaigns)+"); empty = the paper figures (pseudo-figures and tracking campaigns run only when named)")
+	fig := flag.String("fig", "", "comma-separated figures and tracking campaigns to run ("+exp.Keys(exp.Figures)+","+exp.Keys(exp.TrackCampaigns)+"); empty = the paper figures (tracking campaigns run only when named)")
 	ablate := flag.String("ablate", "", "comma-separated ablations to run ("+exp.Keys(exp.Ablations)+"), or 'all'")
 	trials := flag.Int("trials", 0, "trials per condition (0 = experiment default)")
 	seed := flag.Int64("seed", 1, "campaign seed")

@@ -11,19 +11,15 @@ import (
 type Campaign struct {
 	Key string
 	Run func(Options) *Result
-	// ExplicitOnly keeps a pseudo-figure out of chronos-bench's default
-	// run of the paper figures: it runs only when named.
-	ExplicitOnly bool
 	// WallClock marks a campaign whose columns time the host, so its
-	// table differs from run to run at one seed. Such a campaign is
-	// ExplicitOnly, since the default invocation is byte-identical per
-	// seed, and the campaign golden leaves it out.
+	// table differs from run to run at one seed. The default run is
+	// byte-identical per seed, so no Figures entry sets it, and the
+	// campaign golden leaves such a campaign out.
 	WallClock bool
 }
 
 // Figures lists chronos-bench's figure keys in run order: the paper's
-// §12 figures, then the pseudo-figures. The pseudo-figures are not paper
-// figures, so they run only when named.
+// §12 figures, the default run.
 var Figures = []Campaign{
 	{Key: "3", Run: Fig3},
 	{Key: "4", Run: Fig4},
@@ -38,15 +34,6 @@ var Figures = []Campaign{
 	{Key: "9c", Run: Fig9c},
 	{Key: "10a", Run: Fig10a},
 	{Key: "10b", Run: Fig10b},
-	// alias measures the family-ranked alias resolution on the office
-	// campaign and an adversarial deep-NLOS geometry.
-	{Key: "alias", Run: AliasRanking, ExplicitOnly: true},
-	// pipeline is the solve-pool latency-isolation campaign: a
-	// latency-class stream under a bulk-class swarm on the daemon's solve
-	// pool, where latency solves dequeue first and bulk solves run
-	// waiting ones inline at their gap checks, comparing per-class p99
-	// inter-fix gaps.
-	{Key: "pipeline", Run: PerfPipeline, ExplicitOnly: true, WallClock: true},
 }
 
 // Ablations lists chronos-bench's -ablate keys in run order.
@@ -59,12 +46,18 @@ var Ablations = []Campaign{
 }
 
 // TrackCampaigns lists the streaming tracking campaigns in run order.
-// chronos-bench's -fig names them beside the figures, and like the
-// pseudo-figures they run only when named.
+// chronos-bench's -fig names them beside the figures, and they run only
+// when named.
 var TrackCampaigns = []Campaign{
 	{Key: "speed", Run: TrackSpeed},
 	{Key: "latency", Run: TrackLatency},
 	{Key: "capacity", Run: TrackCapacity},
+	// pipeline is the solve-pool latency-isolation campaign: a
+	// latency-class stream under a bulk-class swarm on the daemon's solve
+	// pool, where latency solves dequeue first and bulk solves run
+	// waiting ones inline at their gap checks, comparing per-class p99
+	// inter-fix gaps.
+	{Key: "pipeline", Run: PerfPipeline, WallClock: true},
 }
 
 // registry is every campaign list in run order. Keys are unique across
@@ -84,10 +77,9 @@ func Keys(cs []Campaign) string {
 // campaigns they name, in registry order: Figures, Ablations, then
 // TrackCampaigns. Each value is a comma-separated key list: fig names
 // figure and tracking keys, ablate names ablation keys or is "all".
-// With both empty, Select returns the paper figures, the Figures that
-// are not ExplicitOnly. An unknown key, or a value that names no key,
-// is an error that lists the valid keys, so a typo fails before any
-// campaign runs.
+// With both empty, Select returns Figures, the paper figures. An
+// unknown key, or a value that names no key, is an error that lists the
+// valid keys, so a typo fails before any campaign runs.
 func Select(fig, ablate string) ([]Campaign, error) {
 	want := map[string]bool{}
 	figs := slices.Concat(Figures, TrackCampaigns)
@@ -102,7 +94,7 @@ func Select(fig, ablate string) ([]Campaign, error) {
 	}
 	if len(want) == 0 {
 		for _, c := range Figures {
-			want[c.Key] = !c.ExplicitOnly
+			want[c.Key] = true
 		}
 	}
 	var sel []Campaign

@@ -1,8 +1,9 @@
 // Package exp is the evaluation harness: one function per figure of the
 // paper's §12, each regenerating the corresponding table or series from
-// the simulated testbed, plus the ablations, the pseudo-figures and the
-// streaming tracking campaigns (TrackSpeed, TrackLatency, TrackCapacity)
-// built on internal/track. One registry (Figures, Ablations,
+// the simulated testbed, plus the ablations, the streaming tracking
+// campaigns (TrackSpeed, TrackLatency, TrackCapacity) built on
+// internal/track, and the daemon's solve-pool campaign (PerfPipeline),
+// which times the host. One registry (Figures, Ablations,
 // TrackCampaigns) lists them: cmd/chronos-bench runs from it through
 // Select, and TestCampaignGolden checks every campaign that does not
 // time the host against testdata/campaigns.json, the values

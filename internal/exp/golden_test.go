@@ -12,9 +12,8 @@ import (
 
 // campaignGolden is the committed JSON of every registered campaign but
 // the wall-clock ones, at seed 1 and default trials: what `chronos-bench
-// -json`, `chronos-bench -fig alias -json`, `chronos-bench -ablate all
-// -json` and `chronos-bench -fig speed,latency,capacity -json` print,
-// as one array. Regenerate it with
+// -json`, `chronos-bench -ablate all -json` and `chronos-bench -fig
+// speed,latency,capacity -json` print, as one array. Regenerate it with
 // `go test ./internal/exp -run TestCampaignGolden -update` only when a
 // change is meant to move a figure, say so in the change, and update
 // the rows it moved in EXPERIMENTS.md.
@@ -22,8 +21,8 @@ const campaignGolden = "testdata/campaigns.json"
 
 var update = flag.Bool("update", false, "rewrite "+campaignGolden+" from this build")
 
-// TestCampaignGolden pins every figure, pseudo-figure, ablation and
-// tracking campaign across commits. The determinism tests compare two
+// TestCampaignGolden pins every figure, ablation and tracking campaign
+// across commits. The determinism tests compare two
 // runs of one build; this one compares against tables recorded by an
 // earlier build, on every amd64 kernel tier.
 func TestCampaignGolden(t *testing.T) {

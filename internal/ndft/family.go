@@ -71,31 +71,6 @@ func (pl *Plan) WeightedResidual(p dsp.Vec, h dsp.Vec, w []float64) float64 {
 	return math.Sqrt(sum)
 }
 
-// MaxCorrelation returns ‖Fᴴh‖∞, the largest correlation between the
-// measurement and any single atom — the quantity the solver's default α
-// scales from. Callers comparing residuals across related solves (the
-// alias-window hypothesis refits) compute it once on a reference
-// measurement and pass the resulting fixed α to every solve: letting
-// each hypothesis auto-scale its own α would penalize the well-matched
-// window (large correlations → more shrinkage → larger residual) and
-// systematically favor displaced windows.
-func (pl *Plan) MaxCorrelation(h dsp.Vec) float64 {
-	if len(h) != pl.n {
-		return math.NaN()
-	}
-	w := pl.getWorkspace()
-	defer pl.ws.Put(w)
-	split(w.hRe, w.hIm, h)
-	pl.adjointDense(w, w.hRe, w.hIm)
-	var maxSq float64
-	for j := 0; j < pl.m; j++ {
-		if sq := float64(w.gRe[j]*w.gRe[j]) + float64(w.gIm[j]*w.gIm[j]); sq > maxSq {
-			maxSq = sq
-		}
-	}
-	return math.Sqrt(maxSq)
-}
-
 // MemoryBytes approximates the plan's resident size. The planar adjoint
 // dictionary dominates: two layouts (row-major and cell-major) of two
 // float64 planes of n×m each; the frequency/delay grids and the

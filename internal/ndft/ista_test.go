@@ -82,8 +82,8 @@ func TestContinuationStallExitsEarly(t *testing.T) {
 // guarantee: with a forced tiny α the fixed decay needs more iterations
 // than the whole budget (ln(250)/ln(1/0.97) ≈ 182 > 200), so the old
 // solver could never reach the target α, never arm the Epsilon exit,
-// and always burned the cap. The steepened schedule must hand the
-// target α at least half the budget and converge.
+// and always burned the cap. The schedule must hand the target α at
+// least half the budget and converge.
 func TestContinuationScheduleFitsBudget(t *testing.T) {
 	freqs := wifi.Centers(wifi.Bands5GHz())
 	pl, _ := NewPlan(freqs, TauGrid(20e-9, 0.5e-9))
@@ -97,5 +97,35 @@ func TestContinuationScheduleFitsBudget(t *testing.T) {
 	}
 	if res.Iterations >= 200 {
 		t.Errorf("tiny-α solve used the whole budget (%d)", res.Iterations)
+	}
+}
+
+// TestContinuationEndsAtHalfBudget pins the ramp's cap on its own. With
+// Epsilon < 0 the stall decay never fires, so the 0.97 decay alone would
+// still be ramping toward this tiny α at half the budget; the threshold
+// must sit on α from that iteration on.
+func TestContinuationEndsAtHalfBudget(t *testing.T) {
+	freqs := wifi.Centers(wifi.Bands5GHz())
+	pl, _ := NewPlan(freqs, TauGrid(20e-9, 0.5e-9))
+	const budget = 200
+	req := SolveRequest{
+		H: synthChannel(freqs, []float64{7}, []float64{1}), Dst: &Result{},
+		InvertOptions: InvertOptions{AlphaScale: 0.01, Epsilon: -1, MaxIter: budget},
+	}
+	w := pl.getWorkspace()
+	defer pl.ws.Put(w)
+	var task solveTask
+	task.init(pl, &req, w)
+	task.beginIterate(pl.allIdx, task.start(), budget, false)
+	for task.iter < budget {
+		if stop, _ := task.endStep(task.gradStep()); stop {
+			t.Fatalf("the solve stopped at iteration %d with Epsilon < 0", task.iter)
+		}
+		switch ramping := task.curAlpha != task.alpha; {
+		case task.iter == budget/2-1 && !ramping:
+			t.Fatalf("the decay reached α by iteration %d; the case no longer needs the cap", task.iter)
+		case task.iter >= budget/2 && ramping:
+			t.Fatalf("iteration %d: threshold %g, want α = %g from iteration %d on", task.iter, task.curAlpha, task.alpha, budget/2)
+		}
 	}
 }

@@ -106,6 +106,11 @@ type Result struct {
 	Iterations int
 	Converged  bool
 	Residual   float64 // ‖h − F·p‖₂ at termination
+	// Alpha is the α the solve used: InvertOptions.Alpha, or when that
+	// is zero the default 0.1·AlphaScale·‖Fᴴh‖∞. Callers that compare
+	// residuals across related solves pass it back as Alpha, so every
+	// solve shares one sparsity penalty.
+	Alpha float64
 	// GapAtStop is the LASSO duality-gap bound measured at the last gap
 	// check (0 when no check ran: no noise floor, or a solve that
 	// finished before the first check). For a gap-stopped

@@ -112,7 +112,7 @@ func TestScreenedSolveIdentical(t *testing.T) {
 			opts.NoiseFloor = 0
 		}
 		if rng.Intn(4) == 0 {
-			opts.Alpha = pl.MaxCorrelation(noisy(0)) * (0.02 + 0.3*rng.Float64())
+			opts.Alpha = maxCorrelation(pl, noisy(0)) * (0.02 + 0.3*rng.Float64())
 		}
 		h := noisy(0)
 		trials++
@@ -130,7 +130,7 @@ func TestScreenedSolveIdentical(t *testing.T) {
 		// residual barely moves, and the top cell's gradient sits on the
 		// threshold step after step. Epsilon < 0 disables the iterate
 		// stop so every step of the budget runs.
-		corr := pl.MaxCorrelation(h)
+		corr := maxCorrelation(pl, h)
 		for k := -4; k <= 4; k++ {
 			trials++
 			screened += solveScreenedAndNot(t, "just under α", pl, SolveRequest{H: h, InvertOptions: InvertOptions{

@@ -65,13 +65,14 @@ type solveTask struct {
 	resMaxSq float64
 	screened int64
 
-	// Current iterate-phase state (one beginIterate per phase). polish
-	// marks the polish of a gap-stopped iterate: it never yields, and its
-	// gap checks run against the polishGapFrac-tightened tolerance.
+	// Current iterate-phase state (one beginIterate per phase). rampEnd
+	// is the iteration that ends the α-continuation. polish marks the
+	// polish of a gap-stopped iterate: it never yields, and its gap
+	// checks run against the polishGapFrac-tightened tolerance.
 	set      []int
 	iter     int
 	curAlpha float64
-	decay    float64
+	rampEnd  int
 	tMom     float64
 	checkAt  int
 	polish   bool
@@ -156,7 +157,7 @@ func (t *solveTask) start() (a0 float64) {
 	zero(w.yIm)
 
 	res := t.res
-	res.Taus = pl.Taus
+	res.Taus, res.Alpha = pl.Taus, t.alpha
 	res.Iterations, res.Converged, res.Work = 0, false, 0
 	res.GapAtStop = 0
 	// The gap rule needs a tolerance to stop against: the caller's
@@ -207,16 +208,10 @@ func (t *solveTask) beginIterate(set []int, a0 float64, budget int, polish bool)
 	t.curAlpha = a0
 	// The continuation schedule must hand the target α a usable slice
 	// of the budget: with a forced tiny α (the sparsity ablation) the
-	// default decay could still be ramping when the budget expires,
-	// and the Epsilon exit — gated on curAlpha == alpha — could then
-	// never fire. Steepen the decay so the ramp spends at most half
-	// the budget.
-	t.decay = contDecay
-	if a0 > t.alpha && t.alpha > 0 && budget > 0 {
-		if need := math.Log(t.alpha/a0) / math.Log(t.decay); need > float64(budget)/2 {
-			t.decay = math.Exp(2 * math.Log(t.alpha/a0) / float64(budget))
-		}
-	}
+	// decay could still be ramping when the budget expires, and the
+	// Epsilon exit — gated on curAlpha == alpha — could then never
+	// fire. So the ramp ends at half the budget, wherever it has got to.
+	t.rampEnd = (budget + 1) / 2
 	t.tMom = 1
 	t.checkAt = gapEvery
 	t.res.Converged = false
@@ -278,14 +273,14 @@ func (t *solveTask) endStep(diffSq, gdot float64) (stop, gap bool) {
 	// Decay the continuation threshold toward the target α, jumping
 	// ahead when the iterate has already stalled at the current
 	// threshold (further same-α iterations are no-ops the Epsilon exit
-	// cannot act on yet).
+	// cannot act on yet), and land on α at the ramp's end.
 	if t.curAlpha > t.alpha {
-		d := t.decay
+		d := contDecay
 		if math.Sqrt(diffSq) < t.opts.Epsilon {
 			d = contStallDecay
 		}
 		t.curAlpha *= d
-		if t.curAlpha < t.alpha {
+		if t.curAlpha < t.alpha || t.iter >= t.rampEnd {
 			t.curAlpha = t.alpha
 		}
 	}

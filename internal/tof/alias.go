@@ -456,11 +456,11 @@ func (sc *aliasScorer) score(cand float64) refitScore {
 // on [0, W], since a delay shift is a per-frequency rotation that
 // preserves the residual norm. It is the scorer's one refit:
 //
-//   - every hypothesis shares one α, fixed from the first candidate
-//     scored: residuals of competing hypotheses are only comparable under
-//     one sparsity penalty, and the solver's per-window auto α grows with
-//     the window's atom correlations, shrinking the well-matched window
-//     harder than a displaced one;
+//   - every hypothesis shares one α: the first candidate scored takes
+//     the solver's auto α (times AlphaFactor, as the main solve does),
+//     and every later refit reuses that solve's Result.Alpha. Residuals
+//     of competing hypotheses are only comparable under one sparsity
+//     penalty;
 //   - it stops at 1e−3·‖h‖ instead of the solver's default 1e−6·‖h‖: a
 //     refit feeds a margin comparison, not a peak readout, so the looser
 //     tolerance cuts the refit cost and lets refits converge;
@@ -469,26 +469,18 @@ func (sc *aliasScorer) score(cand float64) refitScore {
 func (sc *aliasScorer) refit(cand float64) refitScore {
 	rot := sc.s.refitRot
 	rotateWindow(sc.s.freqs, sc.s.h, cand, float64(sc.s.power), rot)
-	if sc.alpha == 0 {
-		// The solver's standard scaling (10% of the largest atom
-		// correlation, times the ablation factor) on this window.
-		scale := sc.e.cfg.AlphaFactor
-		if scale == 0 {
-			scale = 1
-		}
-		sc.alpha = 0.1 * scale * sc.plan.MaxCorrelation(rot)
-	}
 	obsAliasRefits.Inc()
 	res, err := sc.plan.Solve(ndft.SolveRequest{
 		H: rot, Dst: &sc.s.refitDst,
 		InvertOptions: ndft.InvertOptions{
-			Alpha: sc.alpha, Epsilon: 1e-3 * sc.hNorm, MaxIter: 600,
-			NoiseFloor: sc.floor,
+			Alpha: sc.alpha, AlphaScale: sc.e.cfg.AlphaFactor,
+			Epsilon: 1e-3 * sc.hNorm, MaxIter: 600, NoiseFloor: sc.floor,
 		},
 	})
 	if err != nil {
 		return refitScore{plain: math.Inf(1), weighted: math.Inf(1)}
 	}
+	sc.alpha = res.Alpha
 	sc.work += res.Work
 	score := refitScore{plain: res.Residual, weighted: res.Residual}
 	if sc.weights != nil {

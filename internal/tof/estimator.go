@@ -184,12 +184,9 @@ type Estimate struct {
 	// not). A sweep re-solved after a contested placement counts both
 	// attempts.
 	Work int64
-	// AliasWork is the portion of Work spent in the alias-window refits
-	// that rank and place the direct path.
-	AliasWork int64
 	// Iterations totals the main profile inversions' solver iterations
-	// across attempts (alias refits are counted in AliasWork, not here).
-	// Deterministic, like Work.
+	// across attempts (alias refits are not counted). Deterministic, like
+	// Work.
 	Iterations int
 	// Converged reports whether the final main inversion met its
 	// stopping rule. False means the solve ran to its iteration cap and
@@ -361,7 +358,7 @@ func (e *Estimator) estimate(s *Sweep) (*Estimate, error) {
 	if err != nil {
 		return nil, err
 	}
-	work, aliasWork, iters := res.Work+fix.aliasWork, fix.aliasWork, res.Iterations
+	work, iters := res.Work+fix.aliasWork, res.Iterations
 	// The gap certifies the objective, not the alias decision built on
 	// it: two iterates equally close to the optimum can rank a path's
 	// grating-lobe members differently. When the placement comes out
@@ -374,7 +371,6 @@ func (e *Estimator) estimate(s *Sweep) (*Estimate, error) {
 			return nil, err
 		}
 		work += res.Work + fix.aliasWork
-		aliasWork += fix.aliasWork
 		iters += res.Iterations
 	}
 	if !fix.ok {
@@ -386,7 +382,6 @@ func (e *Estimator) estimate(s *Sweep) (*Estimate, error) {
 		Profile:    fix.prof,
 		Peaks:      fix.peaks,
 		Work:       work,
-		AliasWork:  aliasWork,
 		Iterations: iters,
 		Converged:  res.Converged,
 		GapAtStop:  res.GapAtStop,
