@@ -86,6 +86,8 @@ func BenchmarkFullToFEstimate(b *testing.B) {
 	}
 }
 
+// BenchmarkCSISweep35Bands renders and measures every band of the
+// 35-band hop: the every-band reference for BenchmarkCSISweepBandsFused.
 func BenchmarkCSISweep35Bands(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
 	rx, tx := newBenchRadio(rng), newBenchRadio(rng)
@@ -94,6 +96,21 @@ func BenchmarkCSISweep35Bands(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		link.Sweep(rng, bands, 3)
+	}
+}
+
+// BenchmarkCSISweepBandsFused is the 35-band hop as a BandsFused
+// estimator's sweeps capture it: the 24 bands it folds rendered, the
+// 11 2.4 GHz dwells drawn only.
+func BenchmarkCSISweepBandsFused(b *testing.B) {
+	rng := rand.New(rand.NewSource(3))
+	rx, tx := newBenchRadio(rng), newBenchRadio(rng)
+	link := &Link{TX: tx, RX: rx, Channel: NewChannel([]Path{{Delay: 10e-9, Gain: 1}}), SNRdB: 28}
+	bands := USBands()
+	folds := tof.Config{Mode: tof.BandsFused}.Folds
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		link.SweepRendering(rng, bands, 3, folds)
 	}
 }
 

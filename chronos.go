@@ -295,10 +295,11 @@ func NewService(cfg ServiceConfig) *Service { return svc.NewDaemon(cfg) }
 func SetSharedPlanCap(maxPlans int) int { return tof.SetSharedPlanCap(maxPlans) }
 
 // MeasureDistance is the quickstart helper: it sweeps the bands over the
-// link, runs the faithful estimator, and returns the fix's cal.Range in
-// meters (the zero calibration keeps the hardware delays in).
+// link, rendering those the estimator folds, runs the faithful
+// estimator, and returns the fix's cal.Range in meters (the zero
+// calibration keeps the hardware delays in).
 func MeasureDistance(rng *rand.Rand, link *Link, est *ToFEstimator, bands []Band, cal ToFCalibration) (float64, error) {
-	sweep := link.Sweep(rng, bands, 3)
+	sweep := link.SweepRendering(rng, bands, 3, est.Config().Folds)
 	r, err := est.Estimate(bands, sweep)
 	if err != nil {
 		return 0, err

@@ -46,7 +46,8 @@ func (l *ArrayLink) renderDwells(ds []Dwell, b wifi.Band) []Dwell {
 	return ds
 }
 
-// measureSet captures one set at time t from the rendered dwells ds.
+// measureSet captures one set at time t from the dwells ds, rendered or
+// drawn only.
 // Every chain's forward CSI shares the packet's detection delay, CFO
 // rotation and PLL jitter (they are card-level, not per-antenna), while
 // each chain sees its own geometry and its own thermal noise and
@@ -60,7 +61,7 @@ func (l *ArrayLink) measureSet(rng *rand.Rand, ds []Dwell, t float64) []Pair {
 	pairs := make([]Pair, len(ds))
 	delta, cfoPhase := l.RX.drawPacketImpairments(rng, opts)
 	for i := range ds {
-		l.RX.measureRendered(rng, &ds[i], t, delta, cfoPhase, &pairs[i].Forward)
+		l.RX.capture(rng, &ds[i], t, delta, cfoPhase, &pairs[i].Forward)
 	}
 	opts.TX = l.RX
 	for i := range ds {
@@ -68,7 +69,7 @@ func (l *ArrayLink) measureSet(rng *rand.Rand, ds []Dwell, t float64) []Pair {
 		// transmitter measures antenna i's reciprocal channel.
 		opts.Time = t + pairSeparation + float64(i)*pairSeparation
 		delta, cfoPhase = l.TX.drawPacketImpairments(rng, opts)
-		l.TX.measureRendered(rng, &ds[i], opts.Time, delta, cfoPhase, &pairs[i].Reverse)
+		l.TX.capture(rng, &ds[i], opts.Time, delta, cfoPhase, &pairs[i].Reverse)
 	}
 	return pairs
 }

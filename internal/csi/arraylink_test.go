@@ -65,7 +65,7 @@ func perPacketSet(rng *rand.Rand, l *ArrayLink, b wifi.Band, t float64) []Pair {
 	for i, ch := range l.Channels {
 		var d Dwell
 		l.RX.render(&d, ch, b, l.TX, l.SNRdB)
-		l.RX.measureRendered(rng, &d, t, delta, cfoPhase, &set[i].Forward)
+		l.RX.capture(rng, &d, t, delta, cfoPhase, &set[i].Forward)
 	}
 	opts.TX = l.RX
 	for i, ch := range l.Channels {

@@ -147,11 +147,13 @@ func (r *Radio) Measure(rng *rand.Rand, ch *rf.Channel, b wifi.Band, opts Measur
 	var d Dwell
 	r.render(&d, ch, b, opts.TX, opts.SNRdB)
 	m := Measurement{Subcarriers: d.subs, Values: d.resp}
-	r.measureRendered(rng, &d, opts.Time, delta, cfoPhase, &m)
+	r.capture(rng, &d, opts.Time, delta, cfoPhase, &m)
 	return m
 }
 
-// drawPacketImpairments samples the card-level impairments of one packet.
+// drawPacketImpairments samples the card-level impairments of one
+// packet: its detection delay, then its phase jitter. They are a
+// packet's first draws; capture makes the rest.
 func (r *Radio) drawPacketImpairments(rng *rand.Rand, opts MeasureOptions) (delta, cfoPhase float64) {
 	if !opts.DisableDetectionDelay {
 		delta = r.DrawDetectionDelay(rng, snrOrDefault(opts.SNRdB))
@@ -180,18 +182,35 @@ func (r *Radio) drawPacketImpairments(rng *rand.Rand, opts MeasureOptions) (delt
 // random draws in the same order as Radio.Measure, so the output is
 // Measure's bit for bit. hwDelay and hwPhase are sums of the two radios'
 // constants and IEEE addition commutes, so the forward and the reverse
-// measurement share one rendering. A Dwell's buffers are reused by the
-// next rendering.
+// measurement share one rendering. A dwell can instead be drawn only
+// (DrawOnly): its packets make exactly a rendered dwell's draws and
+// render nothing. A Dwell's buffers are reused by the next rendering.
 type Dwell struct {
 	band       wifi.Band
 	subs       []int
 	resp       dsp.Vec // channel response × exp(−j2πf·hwDelay) per subcarrier
 	hwPhase    float64
 	rms, sigma float64 // mean response magnitude and the AWGN σ it sets
+	drawn      bool    // DrawOnly: resp, hwPhase, rms and sigma are stale
 	// f holds the subcarrier frequencies (its first len(subs) elements,
 	// kept from the rendering for the packets) and the planar scratch of
 	// the batch math (detmath) behind them.
 	f []float64
+}
+
+// DrawOnly readies d for packets on band b that are drawn, not
+// rendered. A pair measured from it (Link.MeasureDwellPair) makes
+// exactly the draws a rendered dwell's pair makes, in the same order,
+// and reports each packet's Band, DetectionDelay and Time but no
+// Subcarriers or Values. A sweep draws the dwells of the bands its
+// estimator does not fold: every later draw lands where a rendered
+// sweep puts it, and none of the channel, rendering, rotation,
+// quantization or quirk math runs.
+func (d *Dwell) DrawOnly(b wifi.Band) {
+	if d.subs == nil {
+		d.subs = wifi.CSISubcarriers()
+	}
+	d.band, d.drawn = b, true
 }
 
 // scratch returns the dwell's subcarrier frequencies and its planar
@@ -226,7 +245,7 @@ func (r *Radio) render(d *Dwell, ch *rf.Channel, b wifi.Band, tx *Radio, snrDB f
 		d.resp = make(dsp.Vec, len(d.subs))
 	}
 	d.resp = d.resp[:len(d.subs)]
-	d.band, d.hwPhase = b, hwPhase
+	d.band, d.hwPhase, d.drawn = b, hwPhase, false
 
 	freqs, w := d.scratch()
 	n := len(freqs)
@@ -255,14 +274,43 @@ func (r *Radio) render(d *Dwell, ch *rf.Channel, b wifi.Band, tx *Radio, snrDB f
 	d.rms, d.sigma = rms, rf.NoiseSigmaForSNR(rms, snrOrDefault(snrDB))
 }
 
+// capture measures one packet that radio r receives at time t on dwell
+// d, whose detection delay and CFO phase drawPacketImpairments drew,
+// into dst. It makes the packet's remaining draws, two normals per
+// reported subcarrier (real, then imaginary, subcarrier by subcarrier),
+// and then, on a rendered dwell, the measurement they corrupt
+// (measureRendered). On a drawn-only dwell dst keeps its buffers'
+// capacity but reports no subcarriers or values.
+func (r *Radio) capture(rng *rand.Rand, d *Dwell, t, delta, cfoPhase float64, dst *Measurement) {
+	_, w := d.scratch()
+	n := len(d.subs)
+	// The draws sit past the rotations' sines and cosines (w[:2n]); the
+	// quirk's fold reuses their space once the values are formed.
+	noise := w[2*n : 4*n]
+	for i := range noise {
+		noise[i] = rng.NormFloat64()
+	}
+	if d.drawn {
+		*dst = Measurement{
+			Band:           d.band,
+			Subcarriers:    dst.Subcarriers[:0],
+			Values:         dst.Values[:0],
+			DetectionDelay: delta,
+			Time:           t,
+		}
+		return
+	}
+	r.measureRendered(d, t, delta, cfoPhase, noise, dst)
+}
+
 // measureRendered writes the CSI radio r reports for one packet of the
-// rendered dwell d, received at time t with the packet's detection delay
-// and CFO phase, into dst. dst's Subcarriers and Values are reused when
+// rendered dwell d, received at time t with the packet's detection
+// delay, CFO phase and noise draws (two per subcarrier, scaled by the
+// dwell's σ), into dst. dst's Subcarriers and Values are reused when
 // they have room (Measure hands over d's own buffers, which are read
 // before they are written). The packet's rotations run as one batch
-// before the noise draws and the quirk's fold as one after them, so the
-// draws keep their per-subcarrier order.
-func (r *Radio) measureRendered(rng *rand.Rand, d *Dwell, t, delta, cfoPhase float64, dst *Measurement) {
+// and the quirk's fold as another, in the dwell's scratch.
+func (r *Radio) measureRendered(d *Dwell, t, delta, cfoPhase float64, noise []float64, dst *Measurement) {
 	n := len(d.subs)
 	subs, vals := dst.Subcarriers, dst.Values
 	if cap(subs) < n {
@@ -284,7 +332,7 @@ func (r *Radio) measureRendered(rng *rand.Rand, d *Dwell, t, delta, cfoPhase flo
 	detmath.SincosBatch(sin, cos, sin)
 	for i := range vals {
 		h := dsp.Mul(d.resp[i], complex(cos[i], sin[i]))
-		h = rf.AWGN(rng, h, d.sigma)
+		h += complex(float64(noise[2*i]*d.sigma), float64(noise[2*i+1]*d.sigma))
 		if r.QuantBits > 0 {
 			h = quantize(h, r.QuantBits, d.rms*4)
 		}

@@ -207,7 +207,7 @@ func TestCaptureMatchesStdReference(t *testing.T) {
 		src = rand.New(rand.NewSource(seed))
 		delta, cfoPhase := rx.drawPacketImpairments(src, opts)
 		rx.render(&d, ch, b, tx, opts.SNRdB)
-		rx.measureRendered(src, &d, opts.Time, delta, cfoPhase, &reused)
+		rx.capture(src, &d, opts.Time, delta, cfoPhase, &reused)
 		sameMeasurement(t, label+" reused dwell", want, reused)
 		if src.Int63() != next {
 			t.Fatalf("%s: the dwell capture left its random source elsewhere than the reference", label)
@@ -215,10 +215,105 @@ func TestCaptureMatchesStdReference(t *testing.T) {
 	}
 }
 
+// sameDraws requires a drawn-only measurement to carry the band,
+// detection delay and time bits of the rendered one beside it, and no
+// subcarriers or values.
+func sameDraws(t *testing.T, label string, rendered, drawn Measurement) {
+	t.Helper()
+	if len(rendered.Values) == 0 {
+		t.Fatalf("%s: the rendered measurement has no values", label)
+	}
+	if drawn.Band != rendered.Band || math.Float64bits(drawn.DetectionDelay) != math.Float64bits(rendered.DetectionDelay) ||
+		math.Float64bits(drawn.Time) != math.Float64bits(rendered.Time) || len(drawn.Values) != 0 || len(drawn.Subcarriers) != 0 {
+		t.Fatalf("%s: drawn band %v delay %v time %v, %d values; rendered band %v delay %v time %v", label,
+			drawn.Band, drawn.DetectionDelay, drawn.Time, len(drawn.Values), rendered.Band, rendered.DetectionDelay, rendered.Time)
+	}
+}
+
+// TestDrawOnlyMakesTheRenderedDraws pins the drawn-only capture to the
+// rendered one: two sources from one seed, one capturing from rendered
+// dwells and the other from drawn-only ones (Dwell.DrawOnly), must end
+// in the same state, and every drawn-only packet must carry its
+// rendered twin's band, detection delay and time bits and no values. It
+// runs on a 2.4 and a 5 GHz band, with the quirk on and off and the
+// phase jitter zero and at NewRadio's default: Link pairs into reused
+// buffers, an ArrayLink set, and SweepRendering against Sweep, whose
+// rendered bands must match bit for bit.
+func TestDrawOnlyMakesTheRenderedDraws(t *testing.T) {
+	rng := rand.New(rand.NewSource(79))
+	bands := []wifi.Band{band24(), band5(), {Channel: 6, Center: 2.437e9}, {Channel: 149, Center: 5.745e9}}
+	for _, b := range bands[:2] {
+		for _, quirk := range []bool{false, true} {
+			for _, jitter := range []bool{false, true} {
+				l := dwellLink(rng)
+				l.TX.Quirk24, l.RX.Quirk24 = quirk, quirk
+				if !jitter {
+					l.TX.PhaseJitterRad, l.RX.PhaseJitterRad = 0, 0
+				}
+				label := fmt.Sprintf("band %d, quirk %v, jitter %v", b.Channel, quirk, l.RX.PhaseJitterRad)
+				sameSources := func(what string, rendered, drawn *rand.Rand) {
+					t.Helper()
+					if rendered.Int63() != drawn.Int63() {
+						t.Fatalf("%s, %s: the drawn-only capture left its source elsewhere than the rendered one", label, what)
+					}
+				}
+
+				seed := rng.Int63()
+				rendered, drawn := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+				var rd, dd Dwell
+				var rp, dp Pair
+				l.RenderDwell(&rd, b)
+				dd.DrawOnly(b)
+				for p := 0; p < 3; p++ {
+					at := 0.5 + float64(p)*1e-3
+					l.MeasureDwellPair(rendered, &rd, at, &rp)
+					l.MeasureDwellPair(drawn, &dd, at, &dp)
+					sameDraws(t, label+" pair forward", rp.Forward, dp.Forward)
+					sameDraws(t, label+" pair reverse", rp.Reverse, dp.Reverse)
+				}
+				sameSources("pairs", rendered, drawn)
+
+				al := &ArrayLink{TX: l.TX, RX: l.RX, Channels: []*rf.Channel{randomChannel(rng), randomChannel(rng), randomChannel(rng)}, SNRdB: l.SNRdB}
+				seed = rng.Int63()
+				rendered, drawn = rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+				dds := make([]Dwell, len(al.Channels))
+				for i := range dds {
+					dds[i].DrawOnly(b)
+				}
+				want := al.measureSet(rendered, al.renderDwells(nil, b), 0.5)
+				got := al.measureSet(drawn, dds, 0.5)
+				for a := range want {
+					sameDraws(t, fmt.Sprintf("%s set chain %d forward", label, a), want[a].Forward, got[a].Forward)
+					sameDraws(t, fmt.Sprintf("%s set chain %d reverse", label, a), want[a].Reverse, got[a].Reverse)
+				}
+				sameSources("set", rendered, drawn)
+
+				seed = rng.Int63()
+				rendered, drawn = rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+				full := l.Sweep(rendered, bands, 2)
+				part := l.SweepRendering(drawn, bands, 2, func(b wifi.Band) bool { return !b.GHz24() })
+				for bi, b := range bands {
+					for p := range full[bi] {
+						if b.GHz24() {
+							sameDraws(t, label+" sweep forward", full[bi][p].Forward, part[bi][p].Forward)
+							sameDraws(t, label+" sweep reverse", full[bi][p].Reverse, part[bi][p].Reverse)
+						} else {
+							sameMeasurement(t, label+" sweep forward", full[bi][p].Forward, part[bi][p].Forward)
+							sameMeasurement(t, label+" sweep reverse", full[bi][p].Reverse, part[bi][p].Reverse)
+						}
+					}
+				}
+				sameSources("sweep", rendered, drawn)
+			}
+		}
+	}
+}
+
 // TestDwellCaptureSteadyStateAllocsNothing pins the allocation-free
 // capture: once a Dwell and a Pair have grown, rendering a band dwell
 // and measuring a pair from it allocates nothing, on a quirked 2.4 GHz
-// band and on a 5 GHz band.
+// band and on a 5 GHz band, and neither does measuring a pair from a
+// drawn-only dwell between them into the same buffers.
 func TestDwellCaptureSteadyStateAllocsNothing(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	l := dwellLink(rng)
@@ -230,10 +325,12 @@ func TestDwellCaptureSteadyStateAllocsNothing(t *testing.T) {
 		for _, b := range []wifi.Band{band24(), band5()} {
 			l.RenderDwell(&d, b)
 			l.MeasureDwellPair(rng, &d, 0.5, &p)
+			d.DrawOnly(b)
+			l.MeasureDwellPair(rng, &d, 0.5, &p)
 		}
 	}
 	capture()
 	if n := testing.AllocsPerRun(20, capture); n != 0 {
-		t.Errorf("steady-state RenderDwell + MeasureDwellPair allocated %.0f times, want 0", n)
+		t.Errorf("steady-state RenderDwell/DrawOnly + MeasureDwellPair allocated %.0f times, want 0", n)
 	}
 }

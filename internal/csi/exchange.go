@@ -51,17 +51,18 @@ func (l *Link) RenderDwell(d *Dwell, b wifi.Band) {
 	l.RX.render(d, l.Channel, b, l.TX, l.SNRdB)
 }
 
-// MeasureDwellPair captures one forward/reverse CSI pair of the rendered
-// dwell d at simulated time t into dst, reusing dst's buffers. It draws
-// from rng exactly as two Radio.Measure calls would, forward then
-// reverse, and reports the same bits.
+// MeasureDwellPair captures one forward/reverse CSI pair of dwell d at
+// simulated time t into dst, reusing dst's buffers. It draws from rng
+// exactly as two Radio.Measure calls would, forward then reverse, and
+// on a rendered dwell reports the same bits; on a drawn-only dwell
+// (Dwell.DrawOnly) it makes the same draws and reports no values.
 func (l *Link) MeasureDwellPair(rng *rand.Rand, d *Dwell, t float64, dst *Pair) {
 	opts := MeasureOptions{SNRdB: l.SNRdB, Time: t, TX: l.TX}
 	delta, cfoPhase := l.RX.drawPacketImpairments(rng, opts)
-	l.RX.measureRendered(rng, d, opts.Time, delta, cfoPhase, &dst.Forward)
+	l.RX.capture(rng, d, opts.Time, delta, cfoPhase, &dst.Forward)
 	opts.Time, opts.TX = t+pairSeparation, l.RX
 	delta, cfoPhase = l.TX.drawPacketImpairments(rng, opts)
-	l.TX.measureRendered(rng, d, opts.Time, delta, cfoPhase, &dst.Reverse)
+	l.TX.capture(rng, d, opts.Time, delta, cfoPhase, &dst.Reverse)
 }
 
 // SweepDwell is the simulated time, in seconds, a Sweep spends on each
@@ -73,6 +74,16 @@ const SweepDwell = 2.4e-3
 // index-aligned with bands. Each band's dwell is rendered once for all of
 // its pairs.
 func (l *Link) Sweep(rng *rand.Rand, bands []wifi.Band, pairsPerBand int) [][]Pair {
+	return l.SweepRendering(rng, bands, pairsPerBand, nil)
+}
+
+// SweepRendering is Sweep that renders only the bands render selects
+// (nil selects every band) and draws the others' dwells only
+// (Dwell.DrawOnly): their pairs make the draws Sweep's make and carry
+// each packet's band, detection delay and time but no values, so every
+// rendered band's pairs are Sweep's bit for bit. A sweep that feeds an
+// estimator renders the bands it folds (tof.Config.Folds).
+func (l *Link) SweepRendering(rng *rand.Rand, bands []wifi.Band, pairsPerBand int, render func(wifi.Band) bool) [][]Pair {
 	if pairsPerBand < 1 {
 		pairsPerBand = 1
 	}
@@ -82,7 +93,11 @@ func (l *Link) Sweep(rng *rand.Rand, bands []wifi.Band, pairsPerBand int) [][]Pa
 	for i, b := range bands {
 		out[i] = make([]Pair, pairsPerBand)
 		step := SweepDwell / float64(pairsPerBand+1)
-		l.RenderDwell(&d, b)
+		if render == nil || render(b) {
+			l.RenderDwell(&d, b)
+		} else {
+			d.DrawOnly(b)
+		}
 		for p := range out[i] {
 			l.MeasureDwellPair(rng, &d, t+float64(p+1)*step, &out[i][p])
 		}

@@ -165,6 +165,53 @@ func InterpolateAt(xs, ys []float64, x float64, buf []float64) (float64, error) 
 	return evalCubic(x-xs[i], ys[i], b, c[i], d), nil
 }
 
+// InterpolatePairAt fits natural cubic splines to (xs, ya) and (xs, yb)
+// and evaluates both at x, returning InterpolateAt(xs, ya, x, ·) and
+// InterpolateAt(xs, yb, x, ·) bit for bit. The fits share their knots,
+// so the forward sweep's pivot chain (l and mu, which depend on xs
+// alone) runs once, with the two value chains beside it, each value by
+// the same operations in the same order as InterpolateAt. Each chain's
+// second derivatives c overwrite its z in place during the
+// back-substitution, which reads z[j] only to form c[j]. When buf holds
+// at least 3·len(xs) values the fits work in it instead of allocating.
+func InterpolatePairAt(xs, ya, yb []float64, x float64, buf []float64) (a, b float64, err error) {
+	if err := checkKnots(xs, ya); err != nil {
+		return 0, 0, err
+	}
+	n := len(xs)
+	if len(yb) != n {
+		return 0, 0, fmt.Errorf("%w (got %d xs, %d ys)", ErrSplineInput, n, len(yb))
+	}
+	i := interval(xs, x)
+	if n == 2 {
+		h, dx := xs[1]-xs[0], x-xs[0]
+		return evalCubic(dx, ya[0], (ya[1]-ya[0])/h, 0, 0), evalCubic(dx, yb[0], (yb[1]-yb[0])/h, 0, 0), nil
+	}
+	if len(buf) < 3*n {
+		buf = make([]float64, 3*n)
+	}
+	mu, za, zb := buf[:n], buf[n:2*n], buf[2*n:3*n]
+	mu[0], za[0], zb[0] = 0, 0, 0
+	for k := 1; k < n-1; k++ {
+		hPrev, h := xs[k]-xs[k-1], xs[k+1]-xs[k]
+		l := float64(2*(xs[k+1]-xs[k-1])) - float64(hPrev*mu[k-1])
+		mu[k] = h / l
+		alphaA := 3*(ya[k+1]-ya[k])/h - 3*(ya[k]-ya[k-1])/hPrev
+		alphaB := 3*(yb[k+1]-yb[k])/h - 3*(yb[k]-yb[k-1])/hPrev
+		za[k] = (alphaA - float64(hPrev*za[k-1])) / l
+		zb[k] = (alphaB - float64(hPrev*zb[k-1])) / l
+	}
+	za[n-1], zb[n-1] = 0, 0
+	for j := n - 2; j >= i; j-- {
+		za[j] -= float64(mu[j] * za[j+1])
+		zb[j] -= float64(mu[j] * zb[j+1])
+	}
+	h, dx := xs[i+1]-xs[i], x-xs[i]
+	a = evalCubic(dx, ya[i], (ya[i+1]-ya[i])/h-h*(za[i+1]+2*za[i])/3, za[i], (za[i+1]-za[i])/(3*h))
+	b = evalCubic(dx, yb[i], (yb[i+1]-yb[i])/h-h*(zb[i+1]+2*zb[i])/3, zb[i], (zb[i+1]-zb[i])/(3*h))
+	return a, b, nil
+}
+
 // LinearAt performs straight-line interpolation of (xs, ys) at x, used as
 // the ablation baseline for the spline (the "linear zero-subcarrier" row
 // of chronos-bench -ablate delay).

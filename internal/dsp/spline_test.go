@@ -110,6 +110,12 @@ func TestSplineErrors(t *testing.T) {
 	if _, err := NewSpline([]float64{1, 2}, []float64{1}); !errors.Is(err, ErrSplineInput) {
 		t.Errorf("length mismatch: err = %v", err)
 	}
+	if _, _, err := InterpolatePairAt([]float64{2, 1}, []float64{1, 2}, []float64{1, 2}, 0, nil); !errors.Is(err, ErrSplineInput) {
+		t.Errorf("pair, unsorted knots: err = %v", err)
+	}
+	if _, _, err := InterpolatePairAt([]float64{1, 2}, []float64{1, 2}, []float64{1}, 0, nil); !errors.Is(err, ErrSplineInput) {
+		t.Errorf("pair, second length mismatch: err = %v", err)
+	}
 }
 
 func TestLinearAt(t *testing.T) {
@@ -168,24 +174,34 @@ func TestSplineInterpolationBetweenKnotsProperty(t *testing.T) {
 
 // TestInterpolateAtMatchesSpline pins InterpolateAt, which
 // back-substitutes only down to the query's interval, to the full fit
-// bit for bit: random knot sets of 2, 3 and up to 40 knots (spread
-// scales, signed values, exact zeros), queried at every knot, between
-// knots, just outside and far outside the knot range, and at 0, with a
-// fresh and a reused scratch buffer.
+// bit for bit, and InterpolatePairAt, which fits two value vectors on
+// one pivot chain, to two InterpolateAt calls: random knot sets of 2, 3,
+// 30 (the CSI subcarrier count) and up to 40 knots (spread scales,
+// signed values, exact zeros), queried at every knot, between knots,
+// just outside and far outside the knot range, and at 0, with a fresh
+// and a reused scratch buffer.
 func TestInterpolateAtMatchesSpline(t *testing.T) {
 	rng := rand.New(rand.NewSource(81))
 	buf := make([]float64, 3*40)
-	for trial := 0; trial < 400; trial++ {
-		n := []int{2, 3, 2 + rng.Intn(39)}[trial%3]
-		xs, ys := make([]float64, n), make([]float64, n)
-		x := math.Ldexp(rng.NormFloat64(), rng.Intn(10)-5)
-		for i := range xs {
-			x += math.Ldexp(0.1+rng.Float64(), rng.Intn(6)-3)
-			xs[i] = x
+	values := func(n int) []float64 {
+		ys := make([]float64, n)
+		for i := range ys {
 			if rng.Intn(8) != 0 {
 				ys[i] = math.Ldexp(rng.NormFloat64(), rng.Intn(20)-10)
 			}
 		}
+		return ys
+	}
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	for trial := 0; trial < 400; trial++ {
+		n := []int{2, 3, 30, 2 + rng.Intn(39)}[trial%4]
+		xs := make([]float64, n)
+		x := math.Ldexp(rng.NormFloat64(), rng.Intn(10)-5)
+		for i := range xs {
+			x += math.Ldexp(0.1+rng.Float64(), rng.Intn(6)-3)
+			xs[i] = x
+		}
+		ys, yb := values(n), values(n)
 		sp, err := NewSpline(xs, ys)
 		if err != nil {
 			t.Fatal(err)
@@ -200,13 +216,24 @@ func TestInterpolateAtMatchesSpline(t *testing.T) {
 		}
 		for _, q := range queries {
 			want := sp.At(q)
+			wantB, err := InterpolateAt(xs, yb, q, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
 			for _, b := range [][]float64{nil, buf} {
 				got, err := InterpolateAt(xs, ys, q, b)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if math.Float64bits(got) != math.Float64bits(want) {
+				if !same(got, want) {
 					t.Fatalf("n=%d x=%v: InterpolateAt = %v, Spline.At = %v (knots %v, values %v)", n, q, got, want, xs, ys)
+				}
+				gotA, gotB, err := InterpolatePairAt(xs, ys, yb, q, b)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !same(gotA, want) || !same(gotB, wantB) {
+					t.Fatalf("n=%d x=%v: InterpolatePairAt = %v, %v; two InterpolateAt calls = %v, %v (knots %v)", n, q, gotA, gotB, want, wantB, xs)
 				}
 			}
 		}

@@ -120,14 +120,14 @@ func runToFCampaign(o Options, campaignID string, office *sim.Office, cfg tof.Co
 		// placement (LOS, mid-range).
 		calP := office.RandomPlacement(rng, 8, false)
 		link.Channel = office.Channel(calP)
-		calSweep := link.Sweep(rng, bands, 3)
+		calSweep := link.SweepRendering(rng, bands, 3, cfg.Folds)
 		cal, err := est.Calibrate(bands, calSweep, calP.TrueDistance())
 		if err != nil {
 			return tofTrial{}, false
 		}
 
 		link.Channel = office.Channel(p)
-		sweep := link.Sweep(rng, bands, 3)
+		sweep := link.SweepRendering(rng, bands, 3, cfg.Folds)
 		r, err := est.Estimate(bands, sweep)
 		if err != nil {
 			return tofTrial{}, false

@@ -19,9 +19,9 @@ type BandMode int
 const (
 	// BandsFused (default) is the paper's sweep: the hop visits all 35
 	// bands, and the fix is read off the 5 GHz bands alone, folded into the
-	// h̃² domain (645 MHz span). The 2.4 GHz bands are captured but not
-	// folded, whatever Quirk24 says: their 60 MHz span could move a
-	// full-sweep fix by millimetres at most.
+	// h̃² domain (645 MHz span). The 2.4 GHz bands are drawn, not rendered
+	// (Config.Folds), whatever Quirk24 says: their 60 MHz span could move
+	// a full-sweep fix by millimetres at most.
 	BandsFused BandMode = iota
 	// Bands5GHzOnly folds the same 5 GHz bands as BandsFused on a hop that
 	// visits only them (24 bands).
@@ -91,10 +91,12 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// folds reports whether the mode folds band b: the 5 GHz bands under
+// Folds reports whether the mode folds band b: the 5 GHz bands under
 // BandsFused and Bands5GHzOnly, the 2.4 GHz bands under Bands24Only, and
-// every band under BandsAllCoherent.
-func (c Config) folds(b wifi.Band) bool {
+// every band under BandsAllCoherent. A sweep that feeds the estimator
+// renders only these bands' CSI (csi.Link.SweepRendering) and draws the
+// rest, which AddBand ignores.
+func (c Config) Folds(b wifi.Band) bool {
 	switch c.Mode {
 	case Bands24Only:
 		return b.GHz24()
@@ -265,7 +267,7 @@ func (e *Estimator) NewSweep() *Sweep { return &Sweep{est: e} }
 // are counted under tof.bands_dropped.
 func (s *Sweep) AddBand(b wifi.Band, pairs []csi.Pair) error {
 	e := s.est
-	if len(pairs) == 0 || !e.cfg.folds(b) {
+	if len(pairs) == 0 || !e.cfg.Folds(b) {
 		return nil
 	}
 	if e.cfg.Mode == BandsAllCoherent && IsQuirked(b, e.cfg.Quirk24) {
@@ -475,9 +477,10 @@ func (e *Estimator) planForGroup(freqs []float64, power int) (*ndft.Plan, error)
 
 // BandsFor returns the bands a sweep's hop should visit for the config's
 // mode. BandsFused visits all 35, as the paper's sweep does, though it
-// folds only the 5 GHz ones. Callers that drive sweeps (the exp
-// campaigns, the track sessions) share this mapping so a new mode cannot
-// diverge between them.
+// folds only the 5 GHz ones: the 2.4 GHz dwells are drawn, not rendered
+// (Config.Folds). Callers that drive sweeps (the exp campaigns, the
+// track sessions) share this mapping so a new mode cannot diverge
+// between them.
 func BandsFor(cfg Config) []wifi.Band {
 	switch cfg.Mode {
 	case Bands5GHzOnly:

@@ -53,7 +53,8 @@ func ZeroSubcarrier(m csi.Measurement, power int, mode InterpMode) (complex128, 
 type interpScratch struct {
 	vals dsp.Vec // subcarrier values raised to the fold power
 	// f holds the knots, magnitudes and phases, then four planar work
-	// arrays for the batch math (detmath), which the spline fits reuse.
+	// arrays for the batch math (detmath), which the paired spline fit
+	// reuses.
 	f []float64
 }
 
@@ -114,10 +115,7 @@ func (sc *interpScratch) zeroSubcarrier(m csi.Measurement, power int, mode Inter
 	var err error
 	switch mode {
 	case InterpSpline:
-		if ph0, err = dsp.InterpolateAt(xs, phases, 0, fit); err != nil {
-			return 0, err
-		}
-		if mag0, err = dsp.InterpolateAt(xs, mags, 0, fit); err != nil {
+		if ph0, mag0, err = dsp.InterpolatePairAt(xs, phases, mags, 0, fit); err != nil {
 			return 0, err
 		}
 	case InterpLinear:

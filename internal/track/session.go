@@ -112,6 +112,7 @@ type Session struct {
 	rng    *rand.Rand
 	office *sim.Office
 	bands  []wifi.Band
+	folds  func(wifi.Band) bool // the bands the estimator folds (tof.Config.Folds)
 
 	roomOrigin geo.Point
 	anchor     geo.Point
@@ -154,6 +155,7 @@ func NewSession(rng *rand.Rand, office *sim.Office, est *tof.Estimator, cfg Sess
 	s := &Session{
 		cfg: cfg, rng: rng, office: office,
 		bands: tof.BandsFor(est.Config()),
+		folds: est.Config().Folds,
 		res:   &SessionResult{},
 	}
 
@@ -177,7 +179,7 @@ func NewSession(rng *rand.Rand, office *sim.Office, est *tof.Estimator, cfg Sess
 	calP := office.RandomPlacement(rng, 8, false)
 	s.link.Channel = office.Channel(calP)
 	s.link.SNRdB = sim.LinkSNR(calP.TrueDistance(), false)
-	calSweep := s.link.Sweep(rng, s.bands, 3)
+	calSweep := s.link.SweepRendering(rng, s.bands, 3, s.folds)
 	var err error
 	if s.cal, err = est.Calibrate(s.bands, calSweep, calP.TrueDistance()); err != nil {
 		return nil, err
@@ -245,10 +247,14 @@ func (s *Session) StepSweep() error {
 
 // StepIngest runs the capture stage of one sweep: band-by-band CSI
 // acquisition while the target walks, hop timing on the virtual MAC
-// timeline, and the early checkpoint fixes. Every random draw of the
-// sweep happens here, which is what lets the solve run on another
-// goroutine without touching the session's rng. After a successful
-// return the sweep is in flight: the session expects StepSolve next.
+// timeline, and the early checkpoint fixes. The hop visits every band
+// of the sweep, but only the bands the estimator folds are rendered;
+// the others' dwells are drawn, not rendered (csi.Dwell.DrawOnly), so
+// each band's draws, like the walk and the hop timing, stay where a
+// fully rendered sweep puts them. Every random draw of the sweep
+// happens here, which is what lets the solve run on another goroutine
+// without touching the session's rng. After a successful return the
+// sweep is in flight: the session expects StepSolve next.
 func (s *Session) StepIngest() error {
 	if s.Done() {
 		return ErrSessionDone
@@ -263,16 +269,23 @@ func (s *Session) StepIngest() error {
 	checkpoint := 0
 	for bi, b := range s.bands {
 		// The channel follows the target band by band: motion during
-		// the sweep is exactly what blurs high-speed tracking.
+		// the sweep is exactly what blurs high-speed tracking. The link
+		// SNR follows it on every band, drawn only or not: the drawn
+		// detection delays scale with it.
 		pos := s.targetAt(s.msim.Now())
 		pl := sim.Placement{TX: s.anchor, RX: pos, NLOS: cfg.NLOS}
-		s.link.Channel = s.office.Channel(pl)
 		s.link.SNRdB = sim.LinkSNR(pl.TrueDistance(), cfg.NLOS)
 
 		// The channel holds still for the dwell: render it once for
-		// every pair (the fold keeps no reference to the pairs).
+		// every pair (the fold keeps no reference to the pairs), or
+		// only draw the pairs of a band the estimator does not fold.
 		step := hop.Dwell.Seconds() / float64(pairsPerBand+1)
-		s.link.RenderDwell(&s.dwell, b)
+		if s.folds(b) {
+			s.link.Channel = s.office.Channel(pl)
+			s.link.RenderDwell(&s.dwell, b)
+		} else {
+			s.dwell.DrawOnly(b)
+		}
 		for pi := range s.pairs {
 			s.link.MeasureDwellPair(s.rng, &s.dwell, s.msim.Now().Seconds()+float64(float64(pi+1)*step), &s.pairs[pi])
 		}
