@@ -120,8 +120,6 @@ type MeasureOptions struct {
 	TX *Radio
 	// DisableDetectionDelay zeroes δ.
 	DisableDetectionDelay bool
-	// DisableCFO zeroes the carrier frequency offset phase.
-	DisableCFO bool
 }
 
 // defaultSNRdB is the per-subcarrier SNR of a capture whose SNR is zero.
@@ -163,7 +161,7 @@ func (r *Radio) drawPacketImpairments(rng *rand.Rand, opts MeasureOptions) (delt
 	// ±20 ppm offset is corrected per packet from the preamble; what
 	// remains is the residual offset, which is opposite in sign between
 	// forward and reverse measurements (Eq. 11 vs Eq. 12).
-	if !opts.DisableCFO && opts.TX != nil {
+	if opts.TX != nil {
 		cfoPhase = 2 * math.Pi * (opts.TX.ResidualCFOHz - r.ResidualCFOHz) * opts.Time
 	}
 	if r.PhaseJitterRad > 0 {

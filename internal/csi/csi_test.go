@@ -49,7 +49,7 @@ func TestMeasureIdealRecoversChannelPhase(t *testing.T) {
 	ch := singlePathChannel(7)
 	b := band5()
 	m := r.Measure(rng, ch, b, MeasureOptions{
-		SNRdB: 60, TX: tx, DisableDetectionDelay: true, DisableCFO: true,
+		SNRdB: 60, TX: tx, DisableDetectionDelay: true,
 	})
 	for i, k := range m.Subcarriers {
 		want := ch.Response(wifi.SubcarrierFreq(b, k))
@@ -68,7 +68,7 @@ func TestDetectionDelayAddsLinearPhaseRamp(t *testing.T) {
 	ch := singlePathChannel(3)
 	b := band5()
 
-	m := r.Measure(rng, ch, b, MeasureOptions{SNRdB: 90, TX: tx, DisableCFO: true})
+	m := r.Measure(rng, ch, b, MeasureOptions{SNRdB: 90, TX: tx})
 	delta := m.DetectionDelay
 	for i, k := range m.Subcarriers {
 		f := wifi.SubcarrierFreq(b, k)
@@ -187,7 +187,7 @@ func TestQuirkFoldsPhase(t *testing.T) {
 	tx := cleanRadio(rng)
 	ch := singlePathChannel(6)
 
-	m := r.Measure(rng, ch, band24(), MeasureOptions{SNRdB: 90, TX: tx, DisableDetectionDelay: true, DisableCFO: true})
+	m := r.Measure(rng, ch, band24(), MeasureOptions{SNRdB: 90, TX: tx, DisableDetectionDelay: true})
 	for i := range m.Values {
 		ph := cmplx.Phase(m.Values[i])
 		if ph < -1e-9 || ph >= math.Pi/2+1e-9 {
@@ -195,7 +195,7 @@ func TestQuirkFoldsPhase(t *testing.T) {
 		}
 	}
 	// 5 GHz unaffected.
-	m5 := r.Measure(rng, ch, band5(), MeasureOptions{SNRdB: 90, TX: tx, DisableDetectionDelay: true, DisableCFO: true})
+	m5 := r.Measure(rng, ch, band5(), MeasureOptions{SNRdB: 90, TX: tx, DisableDetectionDelay: true})
 	anyOutside := false
 	for i := range m5.Values {
 		if ph := cmplx.Phase(m5.Values[i]); ph < 0 || ph >= math.Pi/2 {

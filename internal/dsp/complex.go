@@ -25,14 +25,6 @@ func Mul(x, y complex128) complex128 {
 	return complex(float64(a*c)-float64(b*d), float64(a*d)+float64(b*c))
 }
 
-// Scale stores s*a into dst and returns dst.
-func Scale(dst Vec, s complex128, a Vec) Vec {
-	for i := range dst {
-		dst[i] = Mul(s, a[i])
-	}
-	return dst
-}
-
 // Norm2 returns the Euclidean (L2) norm of v.
 func Norm2(v Vec) float64 {
 	var sum float64

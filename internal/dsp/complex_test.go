@@ -13,15 +13,6 @@ const eps = 1e-12
 
 func approx(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
-func TestAddSubScale(t *testing.T) {
-	a := Vec{1 + 2i, 3 - 1i}
-	dst := make(Vec, 2)
-	Scale(dst, 2i, a)
-	if dst[0] != -4+2i || dst[1] != 2+6i {
-		t.Errorf("Scale = %v", dst)
-	}
-}
-
 func TestNorms(t *testing.T) {
 	v := Vec{3 + 4i, 0, -5}
 	if got := Norm2(v); !approx(got, math.Sqrt(50), eps) {

@@ -37,7 +37,7 @@ func NewSpline(xs, ys []float64) (*Spline, error) {
 		c:  make([]float64, n),
 		d:  make([]float64, n),
 	}
-	s.fit(make([]float64, n), make([]float64, n))
+	s.fit()
 	return s, nil
 }
 
@@ -58,42 +58,33 @@ func checkKnots(xs, ys []float64) error {
 }
 
 // fit computes the per-interval coefficients from the knots into s.b,
-// s.c and s.d, overwriting whatever they held, with mu and z (one entry
-// per knot) as the tridiagonal solver's scratch.
-func (s *Spline) fit(mu, z []float64) {
+// s.c and s.d. It runs the forward elimination of the tridiagonal system
+// for a natural spline's second derivatives (natural boundary:
+// c[0] = c[n-1] = 0; Thomas algorithm) into mu and z, with the interval
+// widths h[i] = xs[i+1] − xs[i] formed where they are used, then the
+// back-substitution c[j] = z[j] − mu[j]·c[j+1].
+func (s *Spline) fit() {
 	xs, ys := s.xs, s.ys
 	n := len(xs)
-	s.b[n-1], s.c[n-1], s.d[n-1] = 0, 0, 0
 	if n == 2 {
 		s.b[0] = (ys[1] - ys[0]) / (xs[1] - xs[0])
 		s.b[1] = s.b[0]
-		s.c[0], s.d[0] = 0, 0
 		return
 	}
 
-	forwardSweep(xs, ys, mu, z)
-	for j := n - 2; j >= 0; j-- {
-		h := xs[j+1] - xs[j]
-		s.c[j] = z[j] - float64(mu[j]*s.c[j+1])
-		s.b[j] = (ys[j+1]-ys[j])/h - h*(s.c[j+1]+2*s.c[j])/3
-		s.d[j] = (s.c[j+1] - s.c[j]) / (3 * h)
-	}
-}
-
-// forwardSweep runs the forward elimination of the tridiagonal system
-// for a natural spline's second derivatives (natural boundary:
-// c[0] = c[n-1] = 0; Thomas algorithm) over n ≥ 3 knots, into mu and z,
-// with the interval widths h[i] = xs[i+1] − xs[i] formed where they are
-// used. The back-substitution is c[j] = z[j] − mu[j]·c[j+1].
-func forwardSweep(xs, ys, mu, z []float64) {
-	n := len(xs)
-	mu[0], z[0] = 0, 0
+	mu, z := make([]float64, n), make([]float64, n)
 	for i := 1; i < n-1; i++ {
 		hPrev, h := xs[i]-xs[i-1], xs[i+1]-xs[i]
 		alpha := 3*(ys[i+1]-ys[i])/h - 3*(ys[i]-ys[i-1])/hPrev
 		l := float64(2*(xs[i+1]-xs[i-1])) - float64(hPrev*mu[i-1])
 		mu[i] = h / l
 		z[i] = (alpha - float64(hPrev*z[i-1])) / l
+	}
+	for j := n - 2; j >= 0; j-- {
+		h := xs[j+1] - xs[j]
+		s.c[j] = z[j] - float64(mu[j]*s.c[j+1])
+		s.b[j] = (ys[j+1]-ys[j])/h - h*(s.c[j+1]+2*s.c[j])/3
+		s.d[j] = (s.c[j+1] - s.c[j]) / (3 * h)
 	}
 }
 
@@ -133,47 +124,17 @@ func evalCubic(dx, a, b, c, d float64) float64 {
 	return a + float64(dx*(b+float64(dx*(c+float64(dx*d)))))
 }
 
-// InterpolateAt fits a natural cubic spline to (xs, ys) and evaluates it
-// at x, returning NewSpline(xs, ys).At(x) bit for bit. It runs the fit's
-// forward sweep in full, but back-substitutes the second derivatives c
-// only down to x's interval and forms b and d for that interval alone,
-// the only coefficients At reads, each value by the same operations in
-// the same order as the full fit. When buf holds at least 3·len(xs)
-// values the fit works in it instead of allocating, so a caller
-// interpolating many measurements can reuse one buffer.
-func InterpolateAt(xs, ys []float64, x float64, buf []float64) (float64, error) {
-	if err := checkKnots(xs, ys); err != nil {
-		return 0, err
-	}
-	n := len(xs)
-	if len(buf) < 3*n {
-		buf = make([]float64, 3*n)
-	}
-	i := interval(xs, x)
-	if n == 2 {
-		return evalCubic(x-xs[0], ys[0], (ys[1]-ys[0])/(xs[1]-xs[0]), 0, 0), nil
-	}
-	c, mu, z := buf[:n], buf[n:2*n], buf[2*n:3*n]
-	forwardSweep(xs, ys, mu, z)
-	c[n-1] = 0
-	for j := n - 2; j >= i; j-- {
-		c[j] = z[j] - float64(mu[j]*c[j+1])
-	}
-	h := xs[i+1] - xs[i]
-	b := (ys[i+1]-ys[i])/h - h*(c[i+1]+2*c[i])/3
-	d := (c[i+1] - c[i]) / (3 * h)
-	return evalCubic(x-xs[i], ys[i], b, c[i], d), nil
-}
-
 // InterpolatePairAt fits natural cubic splines to (xs, ya) and (xs, yb)
-// and evaluates both at x, returning InterpolateAt(xs, ya, x, ·) and
-// InterpolateAt(xs, yb, x, ·) bit for bit. The fits share their knots,
-// so the forward sweep's pivot chain (l and mu, which depend on xs
-// alone) runs once, with the two value chains beside it, each value by
-// the same operations in the same order as InterpolateAt. Each chain's
-// second derivatives c overwrite its z in place during the
-// back-substitution, which reads z[j] only to form c[j]. When buf holds
-// at least 3·len(xs) values the fits work in it instead of allocating.
+// and evaluates both at x, returning NewSpline(xs, ya).At(x) and
+// NewSpline(xs, yb).At(x) bit for bit. The fits share their knots, so
+// the forward sweep's pivot chain (l and mu, which depend on xs alone)
+// runs once, with the two value chains beside it. The second derivatives
+// c are back-substituted only down to x's interval, and b and d are
+// formed for that interval alone, the only coefficients At reads; each
+// value comes from the same operations in the same order as Spline's fit.
+// Each chain's c overwrite its z in place during the back-substitution,
+// which reads z[j] only to form c[j]. When buf holds at least 3·len(xs)
+// values the fits work in it instead of allocating.
 func InterpolatePairAt(xs, ya, yb []float64, x float64, buf []float64) (a, b float64, err error) {
 	if err := checkKnots(xs, ya); err != nil {
 		return 0, 0, err

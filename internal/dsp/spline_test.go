@@ -88,12 +88,12 @@ func TestSplineZeroSubcarrierScenario(t *testing.T) {
 		xs = append(xs, float64(k))
 		ys = append(ys, slope*float64(k)+intercept)
 	}
-	got, err := InterpolateAt(xs, ys, 0, nil)
+	got, got2, err := InterpolatePairAt(xs, ys, ys, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !approx(got, intercept, 1e-9) {
-		t.Errorf("zero-subcarrier = %v, want %v", got, intercept)
+	if !approx(got, intercept, 1e-9) || got2 != got {
+		t.Errorf("zero-subcarrier = %v, %v, want %v twice", got, got2, intercept)
 	}
 }
 
@@ -172,15 +172,14 @@ func TestSplineInterpolationBetweenKnotsProperty(t *testing.T) {
 	}
 }
 
-// TestInterpolateAtMatchesSpline pins InterpolateAt, which
-// back-substitutes only down to the query's interval, to the full fit
-// bit for bit, and InterpolatePairAt, which fits two value vectors on
-// one pivot chain, to two InterpolateAt calls: random knot sets of 2, 3,
-// 30 (the CSI subcarrier count) and up to 40 knots (spread scales,
-// signed values, exact zeros), queried at every knot, between knots,
-// just outside and far outside the knot range, and at 0, with a fresh
-// and a reused scratch buffer.
-func TestInterpolateAtMatchesSpline(t *testing.T) {
+// TestInterpolatePairAtMatchesSpline pins InterpolatePairAt, which fits
+// two value vectors on one pivot chain and back-substitutes only down to
+// the query's interval, to two full fits bit for bit: random knot sets
+// of 2, 3, 30 (the CSI subcarrier count) and up to 40 knots (spread
+// scales, signed values, exact zeros), queried at every knot, between
+// knots, just outside and far outside the knot range, and at 0, with a
+// fresh and a reused scratch buffer.
+func TestInterpolatePairAtMatchesSpline(t *testing.T) {
 	rng := rand.New(rand.NewSource(81))
 	buf := make([]float64, 3*40)
 	values := func(n int) []float64 {
@@ -201,8 +200,12 @@ func TestInterpolateAtMatchesSpline(t *testing.T) {
 			x += math.Ldexp(0.1+rng.Float64(), rng.Intn(6)-3)
 			xs[i] = x
 		}
-		ys, yb := values(n), values(n)
-		sp, err := NewSpline(xs, ys)
+		ya, yb := values(n), values(n)
+		spA, err := NewSpline(xs, ya)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spB, err := NewSpline(xs, yb)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -215,25 +218,14 @@ func TestInterpolateAtMatchesSpline(t *testing.T) {
 			}
 		}
 		for _, q := range queries {
-			want := sp.At(q)
-			wantB, err := InterpolateAt(xs, yb, q, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
+			wantA, wantB := spA.At(q), spB.At(q)
 			for _, b := range [][]float64{nil, buf} {
-				got, err := InterpolateAt(xs, ys, q, b)
+				gotA, gotB, err := InterpolatePairAt(xs, ya, yb, q, b)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !same(got, want) {
-					t.Fatalf("n=%d x=%v: InterpolateAt = %v, Spline.At = %v (knots %v, values %v)", n, q, got, want, xs, ys)
-				}
-				gotA, gotB, err := InterpolatePairAt(xs, ys, yb, q, b)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !same(gotA, want) || !same(gotB, wantB) {
-					t.Fatalf("n=%d x=%v: InterpolatePairAt = %v, %v; two InterpolateAt calls = %v, %v (knots %v)", n, q, gotA, gotB, want, wantB, xs)
+				if !same(gotA, wantA) || !same(gotB, wantB) {
+					t.Fatalf("n=%d x=%v: InterpolatePairAt = %v, %v; Spline.At = %v, %v (knots %v)", n, q, gotA, gotB, wantA, wantB, xs)
 				}
 			}
 		}

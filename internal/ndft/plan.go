@@ -7,14 +7,14 @@ import (
 
 	"chronos/internal/detmath"
 	"chronos/internal/dsp"
-	"chronos/internal/linalg"
 )
 
 // Plan is the precomputed, reusable form of one NDFT inversion problem:
-// the dictionary F for a fixed (freqs, taus) pair, its conjugate
-// transpose in two layouts (row-major for the forward product and the
-// row adjoints, cell-major for the AVX2 adjoint), and the Lipschitz/step
-// constants Algorithm 1 needs. A Plan is
+// the dictionary F for a fixed (freqs, taus) pair, held only as its
+// conjugate transpose in two layouts (row-major for the forward product
+// and the row adjoints, cell-major for the AVX2 adjoint), and the
+// Lipschitz/step constants Algorithm 1 needs, which the plan computes
+// from the row-major layout (spectralNorm). A Plan is
 // built once per band-group signature and shared: Solve is safe for
 // concurrent use (scratch vectors live in an internal pool, one set per
 // in-flight solve), and steady-state solves allocate nothing, so the
@@ -83,10 +83,11 @@ type workspace struct {
 	gsupp          []int     // support of the iterate at a gap check (≤ m)
 }
 
-// NewPlan precomputes the NDFT dictionary, its adjoint, and the ISTA
-// step size for the given frequencies and delay grid. Construction is
-// O(n·m) plus a short power iteration; amortize it through a registry
-// (see internal/tof) rather than per solve.
+// NewPlan precomputes the NDFT dictionary's two planar layouts of Fᴴ and
+// the ISTA step size 1/‖F‖₂² for the given frequencies and delay grid.
+// Construction is O(n·m) plus a 40-round power iteration over the
+// row-major layout; amortize it through a registry (see internal/tof)
+// rather than per solve.
 func NewPlan(freqs, taus []float64) (*Plan, error) {
 	n, m := len(freqs), len(taus)
 	if n == 0 || m == 0 {
@@ -99,7 +100,6 @@ func NewPlan(freqs, taus []float64) (*Plan, error) {
 		fhRe: make([]float64, n*m), fhIm: make([]float64, n*m),
 		ftRe: make([]float64, n*m), ftIm: make([]float64, n*m),
 	}
-	f := linalg.NewCMatrix(n, m)
 	var modSqMax float64
 	sin, cos := make([]float64, m), make([]float64, m)
 	for i, fr := range freqs {
@@ -112,7 +112,6 @@ func NewPlan(freqs, taus []float64) (*Plan, error) {
 		detmath.SincosBatch(sin, cos, sin)
 		for k, s := range sin {
 			c := cos[k]
-			f.Data[i*m+k] = complex(c, s)
 			// Adjoint row k, column i: conj(F[i][k]).
 			pl.fhRe[k*n+i], pl.fhIm[k*n+i] = c, -s
 			pl.ftRe[i*m+k], pl.ftIm[i*m+k] = c, -s
@@ -123,14 +122,12 @@ func NewPlan(freqs, taus []float64) (*Plan, error) {
 	pl.screenSlope = float64(pl.sqrtN * (1 + screenDelta))
 	pl.screenEps = float64(float64(4*(n+8))*0x1p-53) * pl.sqrtN
 	pl.screenOK = n <= screenMaxN && modSqMax <= 1+0x1p-40
-	// f is used only for the power iteration below and then released;
-	// the planar adjoint layouts are the plan's dictionary.
 	pl.allIdx = make([]int, m)
 	for j := range pl.allIdx {
 		pl.allIdx[j] = j
 	}
 	pl.allQuads = setQuads(make([]int, 0, (m+3)/4), pl.allIdx)
-	norm := f.SpectralNorm(rand.New(rand.NewSource(1)), 40)
+	norm := pl.spectralNorm()
 	if norm == 0 {
 		return nil, errZeroNorm
 	}
@@ -152,6 +149,67 @@ func NewPlan(freqs, taus []float64) (*Plan, error) {
 		}
 	}
 	return pl, nil
+}
+
+// powerIters is the number of power-iteration rounds behind ‖F‖₂.
+const powerIters = 40
+
+// spectralNorm estimates ‖F‖₂, the largest singular value of the
+// dictionary, by power iteration on FᴴF over the plan's row-major Fᴴ.
+// Each round forms t = F·v with axpyCols, forwardResid's kernel, over
+// every column from a zeroed t, then v = Fᴴ·t scaled by 1/‖v‖₂; the
+// estimate is ‖F·v‖₂ after the last round. The Fᴴ·t sums run on one
+// accumulator from +0 in ascending row order (not on cdot's four chains,
+// which round differently), so each output element of both products is
+// one ascending chain of Go's (ac−bd, ad+bc) with each partial product
+// rounded, which no architecture fuses into a multiply-add.
+//
+// The start vector is math/rand's normals from seed 1, re then im per
+// cell, so every plan of one geometry gets the same step on one
+// architecture. Those draws are not all exact: NormFloat64's tail branch
+// calls std's math.Log, which is assembly on amd64 and fusable Go
+// elsewhere, and seed 1's draw 884 (cell 441's imaginary part) takes it.
+// So a plan of 442 cells or more, the 600-cell main plan among them, may
+// start an ulp away off amd64, and the step's bits are pinned on amd64
+// only. (The draws' other slow branch, the wedge test, only compares,
+// and its first 1200 comparisons clear by at least 1659 float32 ulps.)
+// It returns 0 when an iterate vanishes.
+func (pl *Plan) spectralNorm() float64 {
+	n, m := pl.n, pl.m
+	rng := rand.New(rand.NewSource(1))
+	vRe, vIm := make([]float64, m), make([]float64, m)
+	for j := range vRe {
+		vRe[j], vIm[j] = rng.NormFloat64(), rng.NormFloat64()
+	}
+	tRe, tIm := make([]float64, n), make([]float64, n)
+	for k := 0; ; k++ {
+		zero(tRe)
+		zero(tIm)
+		axpyCols(pl.fhRe, pl.fhIm, n, pl.allIdx, vRe, vIm, tRe, tIm)
+		if k == powerIters {
+			return norm2Planar(tRe, tIm)
+		}
+		// v = Fᴴ·t, one row-major row of Fᴴ per cell.
+		for j := range vRe {
+			aRe, aIm := pl.fhRe[j*n:(j+1)*n], pl.fhIm[j*n:(j+1)*n]
+			var sr, si float64
+			for i, ar := range aRe {
+				ai := aIm[i]
+				sr += float64(ar*tRe[i]) - float64(ai*tIm[i])
+				si += float64(ar*tIm[i]) + float64(ai*tRe[i])
+			}
+			vRe[j], vIm[j] = sr, si
+		}
+		norm := norm2Planar(vRe, vIm)
+		if norm == 0 {
+			return 0
+		}
+		inv := 1 / norm
+		for j := range vRe {
+			vRe[j] *= inv
+			vIm[j] *= inv
+		}
+	}
 }
 
 // Dims returns the plan's (frequency, delay-grid) dimensions.

@@ -3,6 +3,7 @@ package ndft
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -107,6 +108,78 @@ func TestPlanSolveConcurrentIdentical(t *testing.T) {
 			if results[w].Profile[i] != want.Profile[i] {
 				t.Fatalf("worker %d profile[%d] differs", w, i)
 			}
+		}
+	}
+}
+
+// TestSpectralNormTwoFrequencies is the power iteration's known answer
+// with two competing singular values: a two-frequency dictionary's Gram
+// matrix FFᴴ is [[m, s], [s*, m]] with s = Σₖ exp(−j2π(f₁−f₂)τₖ), so
+// ‖F‖₂² = m + |s| and the other eigenvalue, m − |s|, is the one the
+// rounds must suppress (here about a third of the top one).
+func TestSpectralNormTwoFrequencies(t *testing.T) {
+	f1, f2 := 5.18e9, 5.19e9
+	pl, err := NewPlan([]float64{f1, f2}, TauGrid(60e-9, 0.1e-9))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sRe, sIm float64
+	for _, tau := range pl.Taus {
+		sin, cos := math.Sincos(-2 * math.Pi * (f1 - f2) * tau)
+		sRe += cos
+		sIm += sin
+	}
+	_, m := pl.Dims()
+	if want := float64(m) + math.Hypot(sRe, sIm); math.Abs(pl.normSq-want) > 1e-12*want {
+		t.Errorf("‖F‖₂² = %v, want %v (m + |s|)", pl.normSq, want)
+	}
+	if pl.gamma != 1/pl.normSq {
+		t.Errorf("γ = %v, want 1/‖F‖₂² = %v", pl.gamma, 1/pl.normSq)
+	}
+}
+
+// TestSpectralNormBounds holds the 24-band h̃² plan's ‖F‖₂² between its
+// largest column's squared norm and the squared Frobenius norm: every
+// column of F has n unit-modulus entries, so n ≤ ‖F‖₂² ≤ n·m.
+func TestSpectralNormBounds(t *testing.T) {
+	pl, err := NewPlan(wifi.Centers(wifi.Bands5GHz()), TauGrid(2*60e-9, 2*0.1e-9))
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, m := pl.Dims()
+	if pl.normSq < float64(n) || pl.normSq > float64(n*m) {
+		t.Errorf("‖F‖₂² = %v outside [n, n·m] = [%d, %d]", pl.normSq, n, n*m)
+	}
+}
+
+// TestSpectralNormPinnedBits pins the step of the two plans every
+// tracked fix solves on, the 24 5 GHz bands at h̃² over the estimator's
+// 60 ns grid and over the 24 ns alias-refit window, to the bit: the
+// step scales every iteration, so an ulp here can move a fix. Like the
+// goldens it skips itself off amd64: the 600-cell plan's start vector
+// takes one draw through std's math.Log (see spectralNorm).
+func TestSpectralNormPinnedBits(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("the start vector's draws call std's math.Log, which is fusable Go off amd64")
+	}
+	freqs := wifi.Centers(wifi.Bands5GHz())
+	for _, c := range []struct {
+		maxTau float64
+		m      int
+		bits   uint64
+	}{
+		{60e-9, 600, 0x408768cba24bbbc7},
+		{24e-9, 241, 0x40704778a1c3d827},
+	} {
+		pl, err := NewPlan(freqs, TauGrid(2*c.maxTau, 2*0.1e-9))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, m := pl.Dims(); m != c.m {
+			t.Fatalf("%v s grid: %d cells, want %d", c.maxTau, m, c.m)
+		}
+		if got := math.Float64bits(pl.normSq); got != c.bits {
+			t.Errorf("%v s grid: ‖F‖₂² = %v (%#x), want %v (%#x)", c.maxTau, pl.normSq, got, math.Float64frombits(c.bits), c.bits)
 		}
 	}
 }

@@ -192,9 +192,9 @@ type Estimate struct {
 	Iterations int
 	// Converged reports whether the final main inversion met its
 	// stopping rule. False means the solve ran to its iteration cap and
-	// returned its best iterate — the condition campaign summaries
-	// surface as cap-rate, previously indistinguishable from genuine
-	// convergence.
+	// returned its best iterate; a tracking session counts such fixes
+	// in track.SessionResult.CappedFixes, and the track.cap_rate gauge
+	// reports their share.
 	Converged bool
 	// GapAtStop is the certified LASSO duality gap at stop of the final
 	// main inversion (0 when no gap check ran).

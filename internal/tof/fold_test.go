@@ -68,15 +68,21 @@ func refZeroSubcarrier(m csi.Measurement, power int, mode InterpMode) (complex12
 		phases[i] = cmplx.Phase(dsp.Mul(vals[i], cmplx.Rect(1, -slope*float64(k))))
 	}
 	dsp.Unwrap(phases)
-	at := dsp.InterpolateAt
-	if mode == InterpLinear {
-		at = func(xs, ys []float64, x float64, _ []float64) (float64, error) { return dsp.LinearAt(xs, ys, x) }
+	at := func(xs, ys []float64, x float64) (float64, error) {
+		sp, err := dsp.NewSpline(xs, ys)
+		if err != nil {
+			return 0, err
+		}
+		return sp.At(x), nil
 	}
-	ph0, err := at(xs, phases, 0, nil)
+	if mode == InterpLinear {
+		at = dsp.LinearAt
+	}
+	ph0, err := at(xs, phases, 0)
 	if err != nil {
 		return 0, err
 	}
-	mag0, err := at(xs, mags, 0, nil)
+	mag0, err := at(xs, mags, 0)
 	if err != nil {
 		return 0, err
 	}

@@ -36,9 +36,9 @@ func TestZeroSubcarrierRemovesDetectionDelay(t *testing.T) {
 
 	// Measure twice with very different detection delays; the
 	// zero-subcarrier estimates must agree in phase regardless.
-	m1 := rx.Measure(rng, ch, b, csi.MeasureOptions{SNRdB: 60, TX: tx, DisableCFO: true})
+	m1 := rx.Measure(rng, ch, b, csi.MeasureOptions{SNRdB: 60, TX: tx})
 	rx.DetectDelayMed = 400e-9 // force a very different delay
-	m2 := rx.Measure(rng, ch, b, csi.MeasureOptions{SNRdB: 60, TX: tx, DisableCFO: true})
+	m2 := rx.Measure(rng, ch, b, csi.MeasureOptions{SNRdB: 60, TX: tx})
 
 	z1, err := ZeroSubcarrier(m1, 1, InterpSpline)
 	if err != nil {
@@ -74,9 +74,9 @@ func TestZeroSubcarrierInterpNoneKeepsDelayError(t *testing.T) {
 	rx, tx := cleanRadio(rng), cleanRadio(rng)
 	ch := singlePath(5)
 	b := band5()
-	m1 := rx.Measure(rng, ch, b, csi.MeasureOptions{SNRdB: 60, TX: tx, DisableCFO: true})
+	m1 := rx.Measure(rng, ch, b, csi.MeasureOptions{SNRdB: 60, TX: tx})
 	rx.DetectDelayMed = 500e-9
-	m2 := rx.Measure(rng, ch, b, csi.MeasureOptions{SNRdB: 60, TX: tx, DisableCFO: true})
+	m2 := rx.Measure(rng, ch, b, csi.MeasureOptions{SNRdB: 60, TX: tx})
 
 	z1, _ := ZeroSubcarrier(m1, 1, InterpNone)
 	z2, _ := ZeroSubcarrier(m2, 1, InterpNone)
@@ -93,7 +93,7 @@ func TestZeroSubcarrierLinearClose(t *testing.T) {
 	rx, tx := cleanRadio(rng), cleanRadio(rng)
 	ch := singlePath(3)
 	b := band5()
-	m := rx.Measure(rng, ch, b, csi.MeasureOptions{SNRdB: 60, TX: tx, DisableCFO: true})
+	m := rx.Measure(rng, ch, b, csi.MeasureOptions{SNRdB: 60, TX: tx})
 	zs, _ := ZeroSubcarrier(m, 1, InterpSpline)
 	zl, _ := ZeroSubcarrier(m, 1, InterpLinear)
 	if d := math.Abs(phaseDiff(cmplx.Phase(zs), cmplx.Phase(zl))); d > 0.1 {
