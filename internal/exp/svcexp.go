@@ -19,8 +19,9 @@ import (
 // jump the class queue, and a running bulk solve runs them inline at its
 // next gap check. The figure of merit is the latency-class p99
 // inter-fix wall gap, which must stay strictly below the bulk class's
-// at the same offered load. Wall-clock columns, so explicit-only like
-// the other perf campaigns.
+// at the same offered load. Its columns time the host, so it is
+// WallClock: the campaign golden leaves it out, and like every tracking
+// campaign it runs only when named.
 func PerfPipeline(o Options) *Result {
 	o = o.withDefaults(1)
 	const (

@@ -8,8 +8,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-
-	"chronos/internal/linalg"
 )
 
 // Point is a 2D position in meters.
@@ -67,22 +65,99 @@ var ErrTooFewCircles = errors.New("geo: need at least two circles")
 // ErrNoIntersection reports that no consistent position exists.
 var ErrNoIntersection = errors.New("geo: circles do not intersect")
 
-// circlesResidual adapts the trilateration problem to Gauss–Newton.
-type circlesResidual struct{ circles []Circle }
+// Gauss–Newton refinement: at most refineIters iterations, stopping once
+// a step's norm falls below refineTol; refineDamping is the Levenberg
+// damping added to the diagonal of JᵀJ, and refineHalvings bounds one
+// iteration's step backtracking (2⁻³⁰ of a step is far below refineTol).
+const (
+	refineIters    = 80
+	refineTol      = 1e-9
+	refineDamping  = 1e-9
+	refineHalvings = 30
+)
 
-func (c *circlesResidual) Dims() (int, int) { return len(c.circles), 2 }
-
-func (c *circlesResidual) Eval(x, r, jac []float64) {
-	for i, ci := range c.circles {
-		dx, dy := x[0]-ci.Center.X, x[1]-ci.Center.Y
-		d := math.Hypot(dx, dy)
-		r[i] = d - ci.Radius
-		if d < 1e-9 {
-			jac[i*2], jac[i*2+1] = 0, 0
-			continue
+// refine minimizes the squared circle residuals (distance to the center
+// minus the radius) from x by damped Gauss–Newton and returns the last
+// iterate with its residual norm, also when the iteration cap stops it.
+// Each step is clamped to stepLimit, then halved until the norm stops
+// growing, so the iteration descends even where a residual has a kink (a
+// distance at its anchor) that a full step would jump back and forth
+// across.
+func refine(circles []Circle, x Point, stepLimit float64) (Point, float64) {
+	r := make([]float64, len(circles))
+	jac := make([]Point, len(circles)) // unit rows, zero at a center
+	eval := func(p Point) float64 {
+		var s float64
+		for i, c := range circles {
+			v := p.Sub(c.Center)
+			d := v.Norm()
+			r[i] = d - c.Radius
+			s += r[i] * r[i]
+			if d < 1e-9 {
+				jac[i] = Point{}
+				continue
+			}
+			jac[i] = Point{v.X / d, v.Y / d}
 		}
-		jac[i*2], jac[i*2+1] = dx/d, dy/d
+		return math.Sqrt(s)
 	}
+
+	lastNorm := eval(x)
+	for range refineIters {
+		// Normal equations (JᵀJ + λI)·δ = −Jᵀr.
+		var a [2][2]float64
+		var b Point
+		for i, j := range jac {
+			b.X -= j.X * r[i]
+			b.Y -= j.Y * r[i]
+			a[0][0] += j.X * j.X
+			a[0][1] += j.X * j.Y
+			a[1][1] += j.Y * j.Y
+		}
+		a[0][0] += refineDamping
+		a[1][1] += refineDamping
+		a[1][0] = a[0][1]
+		delta := solve2(a, b)
+		stepNorm := math.Sqrt(delta.X*delta.X + delta.Y*delta.Y)
+		if stepNorm > stepLimit {
+			delta = delta.Scale(stepLimit / stepNorm)
+			stepNorm = stepLimit
+		}
+		// The trial evaluation leaves r and jac at the accepted point,
+		// ready for the next iteration's normal equations.
+		var xt Point
+		for halvings := 0; ; halvings++ {
+			xt = x.Add(delta)
+			norm := eval(xt)
+			if norm <= lastNorm || halvings == refineHalvings {
+				lastNorm = norm
+				break
+			}
+			delta = delta.Scale(0.5)
+			stepNorm *= 0.5
+		}
+		x = xt
+		if stepNorm < refineTol {
+			break
+		}
+	}
+	return x, lastNorm
+}
+
+// solve2 solves a·δ = b by Gaussian elimination with partial pivoting.
+// refine's a is JᵀJ + λI with unit or zero Jacobian rows, so both pivots
+// are at least λ and no singular case arises.
+func solve2(a [2][2]float64, b Point) Point {
+	if math.Abs(a[1][0]) > math.Abs(a[0][0]) {
+		a[0], a[1] = a[1], a[0]
+		b.X, b.Y = b.Y, b.X
+	}
+	if f := a[1][0] * (1 / a[0][0]); f != 0 {
+		a[1][1] -= f * a[0][1]
+		b.Y -= f * b.X
+	}
+	y := b.Y / a[1][1]
+	return Point{(b.X - a[0][1]*y) / a[0][0], y}
 }
 
 // Trilaterate finds the point minimizing the squared distance residuals to
@@ -123,19 +198,13 @@ func Trilaterate(circles []Circle) (best Point, ambiguous []Point, err error) {
 	}
 	bound := 1.5*maxR + 2
 
-	res := &circlesResidual{circles: circles}
 	type sol struct {
 		p    Point
 		norm float64
 	}
 	var sols []sol
 	for _, s := range seeds {
-		x, norm, gnErr := linalg.GaussNewton(res, []float64{s.X, s.Y},
-			linalg.GNOptions{MaxIter: 80, StepLimit: maxR/4 + 0.5})
-		if gnErr != nil && !errors.Is(gnErr, linalg.ErrNoConverge) {
-			continue
-		}
-		p := Point{x[0], x[1]}
+		p, norm := refine(circles, s, maxR/4+0.5)
 		if p.Sub(centroid).Norm() > bound {
 			continue
 		}

@@ -174,6 +174,119 @@ func TestTrilaterateLeastSquaresProperty(t *testing.T) {
 	}
 }
 
+// TestSolve2 pins the pivoted 2×2 solve on systems whose larger
+// first-column entry is already in the first row, so no rows swap.
+func TestSolve2(t *testing.T) {
+	for _, tc := range []struct {
+		a    [2][2]float64
+		b    Point
+		want Point
+	}{
+		{[2][2]float64{{4, 1}, {1, 3}}, Point{1, 2}, Point{1.0 / 11, 7.0 / 11}},
+		{[2][2]float64{{2, 1}, {1, -1}}, Point{5, 1}, Point{2, 1}},
+	} {
+		if got := solve2(tc.a, tc.b); !(got.Dist(tc.want) <= 1e-15) { // NaN fails
+			t.Errorf("solve2(%v, %v) = %v, want %v", tc.a, tc.b, got, tc.want)
+		}
+	}
+}
+
+// TestSolve2NeedsPivoting pins the pivoted 2×2 solve on systems whose
+// larger first-column entry is in the second row, so the rows (and b's
+// entries with them) swap; the second has a zero first pivot.
+func TestSolve2NeedsPivoting(t *testing.T) {
+	for _, tc := range []struct {
+		a    [2][2]float64
+		b    Point
+		want Point
+	}{
+		{[2][2]float64{{1, 2}, {2, 5}}, Point{3, 8}, Point{-1, 2}},
+		{[2][2]float64{{0, 1}, {1, 0}}, Point{3, 4}, Point{4, 3}},
+	} {
+		if got := solve2(tc.a, tc.b); !(got.Dist(tc.want) <= 1e-15) { // NaN fails
+			t.Errorf("solve2(%v, %v) = %v, want %v", tc.a, tc.b, got, tc.want)
+		}
+	}
+}
+
+// exactCircles returns the circles around anchors that pass through
+// truth.
+func exactCircles(truth Point, anchors ...Point) []Circle {
+	var circles []Circle
+	for _, a := range anchors {
+		circles = append(circles, Circle{Center: a, Radius: truth.Dist(a)})
+	}
+	return circles
+}
+
+// TestRefineTrilateration checks that refine, unclamped, converges
+// onto the one point three exact circles share.
+func TestRefineTrilateration(t *testing.T) {
+	truth := Point{3.2, -1.7}
+	circles := exactCircles(truth, Point{0, 0}, Point{10, 0}, Point{0, 10})
+	got, norm := refine(circles, Point{5, 5}, math.Inf(1))
+	if got.Dist(truth) > 1e-6 || norm > 1e-6 {
+		t.Errorf("refine = %v (norm %g), want %v", got, norm, truth)
+	}
+}
+
+// TestRefineNoisyOverdetermined checks that refine, unclamped, lands
+// near the truth on four circles whose radii are a few cm off.
+func TestRefineNoisyOverdetermined(t *testing.T) {
+	truth := Point{4, 4}
+	circles := exactCircles(truth, Point{0, 0}, Point{10, 0}, Point{0, 10}, Point{10, 10})
+	for i, e := range []float64{0.05, -0.03, 0.02, -0.04} {
+		circles[i].Radius += e
+	}
+	if got, _ := refine(circles, Point{1, 1}, math.Inf(1)); got.Dist(truth) > 0.1 {
+		t.Errorf("refine = %v, too far from %v", got, truth)
+	}
+}
+
+// TestRefineStepLimit checks that the step clamp slows convergence from
+// a distant start without breaking it.
+func TestRefineStepLimit(t *testing.T) {
+	truth := Point{0.5, 0.5}
+	circles := exactCircles(truth, Point{0, 0}, Point{1, 0}, Point{0, 1})
+	got, norm := refine(circles, Point{20, 20}, 0.5)
+	if got.Dist(truth) > 1e-6 || norm > 1e-6 {
+		t.Errorf("refine = %v (norm %g), want %v", got, norm, truth)
+	}
+}
+
+// TestRefineIterationCap checks the iteration cap: from (50, 50), on the
+// anchors' axis of symmetry, every step is clamped to 1 cm along the
+// diagonal, so refineIters steps cover exactly refineIters cm, and the
+// last iterate comes back with its own residual norm.
+func TestRefineIterationCap(t *testing.T) {
+	circles := exactCircles(Point{3, 3}, Point{0, 0}, Point{10, 0}, Point{0, 10})
+	x0 := Point{50, 50}
+	got, norm := refine(circles, x0, 0.01)
+	if moved := got.Dist(x0); math.Abs(moved-refineIters*0.01) > 1e-9 {
+		t.Errorf("refine moved %v m, want %v", moved, refineIters*0.01)
+	}
+	var ssq float64
+	for _, c := range circles {
+		r := got.Dist(c.Center) - c.Radius
+		ssq += r * r
+	}
+	if want := math.Sqrt(ssq); math.Abs(norm-want) > 1e-12 {
+		t.Errorf("norm = %v, want the last iterate's %v", norm, want)
+	}
+}
+
+// TestRefineOnCommonCenter starts refine on the one center every circle
+// shares: every Jacobian row is zero, so the normal equations are the
+// damping alone, and refine must stay put with a finite norm.
+func TestRefineOnCommonCenter(t *testing.T) {
+	c := Point{1, 2}
+	circles := []Circle{{c, 1}, {c, 2}, {c, 3}}
+	got, norm := refine(circles, c, 0.5)
+	if got != c || norm != math.Sqrt(14) {
+		t.Errorf("refine = %v (norm %v), want %v (norm √14)", got, norm, c)
+	}
+}
+
 func TestLinearArray(t *testing.T) {
 	a := LinearArray(3, 0.3)
 	if len(a.Antennas) != 3 {

@@ -93,13 +93,11 @@ type hopState struct {
 
 // Hop announces the next band to the receiver, retrying lost control
 // frames and applying the fail-safe on retry exhaustion. done runs
-// exactly once, at the virtual instant both radios are on the new band,
-// with the retransmit count of the successful announce round and the
-// number of fail-safe reverts taken along the way.
-func (h *Hopper) Hop(done func(retries, failsafes int)) { h.hop(0, 0, &hopState{}, done) }
+// exactly once, at the virtual instant both radios are on the new band.
+func (h *Hopper) Hop(done func()) { h.hop(0, &hopState{}, done) }
 
 // hop runs one announce round.
-func (h *Hopper) hop(retries, failsafes int, st *hopState, done func(retries, failsafes int)) {
+func (h *Hopper) hop(retries int, st *hopState, done func()) {
 	if retries > maxRetries {
 		// Fail-safe: after a silent window both radios revert to the
 		// default band (one retune) and the transmitter restarts the hop
@@ -112,7 +110,7 @@ func (h *Hopper) hop(retries, failsafes int, st *hopState, done func(retries, fa
 			h.RevertTime += revert
 			obsFailSafes.Inc()
 			obsRevertNs.Add(int64(revert))
-			h.hop(0, failsafes+1, st, done)
+			h.hop(0, st, done)
 		})
 		return
 	}
@@ -129,13 +127,13 @@ func (h *Hopper) hop(retries, failsafes int, st *hopState, done func(retries, fa
 			obsHops.Inc()
 			obsRetries.Add(int64(retries))
 			// Both sides retune; the slower radio gates band entry.
-			h.Sim.Schedule(h.switchDelay(), func() { done(retries, failsafes) })
+			h.Sim.Schedule(h.switchDelay(), done)
 		})
 	})
 	// Retransmit on silence.
 	h.Sim.Schedule(ackTimeout, func() {
 		if !st.acked {
-			h.hop(retries+1, failsafes, st, done)
+			h.hop(retries+1, st, done)
 		}
 	})
 }

@@ -143,21 +143,14 @@ func TestHopperCleanLinkNoRetries(t *testing.T) {
 	sim := mac.NewSim()
 	h := NewHopper(sim, rand.New(rand.NewSource(20)))
 	h.Link.LossProb = 0
-	var gotRetries, gotFailsafes int
 	done := false
-	h.Hop(func(retries, failsafes int) {
-		gotRetries, gotFailsafes = retries, failsafes
-		done = true
-	})
+	h.Hop(func() { done = true })
 	sim.RunAll()
 	if !done {
 		t.Fatal("Hop never completed")
 	}
-	if gotRetries != 0 || gotFailsafes != 0 || h.FailSafes != 0 {
-		t.Errorf("clean hop: retries=%d failsafes=%d", gotRetries, gotFailsafes)
-	}
-	if h.Announces != 1 {
-		t.Errorf("announces = %d, want 1", h.Announces)
+	if h.Announces != 1 || h.FailSafes != 0 {
+		t.Errorf("clean hop: announces=%d failsafes=%d, want 1 and 0", h.Announces, h.FailSafes)
 	}
 	min := switchTime + 2*latency
 	max := min + switchJitter
@@ -175,7 +168,7 @@ func TestHopperLostAnnounceRetries(t *testing.T) {
 	h.Link.LossProb = 0.6
 	completed := 0
 	for i := 0; i < 20; i++ {
-		h.Hop(func(retries, failsafes int) { completed++ })
+		h.Hop(func() { completed++ })
 		sim.RunAll()
 	}
 	if completed != 20 {
@@ -194,21 +187,16 @@ func TestHopperRetryExhaustionFailSafe(t *testing.T) {
 	sim := mac.NewSim()
 	h := NewHopper(sim, rand.New(rand.NewSource(22)))
 	h.Link.LossProb = 0.8
-	var failsafesSeen int
+	completed := 0
 	for i := 0; i < 30; i++ {
-		h.Hop(func(retries, failsafes int) {
-			if retries > maxRetries {
-				t.Errorf("done reported %d retries > maxRetries %d", retries, maxRetries)
-			}
-			failsafesSeen += failsafes
-		})
+		h.Hop(func() { completed++ })
 		sim.RunAll()
+	}
+	if completed != 30 {
+		t.Fatalf("completed %d/30 hops", completed)
 	}
 	if h.FailSafes == 0 {
 		t.Fatal("no fail-safes at 80% loss")
-	}
-	if failsafesSeen != h.FailSafes {
-		t.Errorf("done callbacks reported %d fail-safes, counter says %d", failsafesSeen, h.FailSafes)
 	}
 	minRevert := time.Duration(h.FailSafes) * (failSafe + switchTime)
 	if h.RevertTime < minRevert {
@@ -233,7 +221,7 @@ func TestHopperCompletesOnceWithShortAckTimeout(t *testing.T) {
 		for i := 0; i < 10; i++ {
 			completions := 0
 			start, doneAt := sim.Now(), time.Duration(0)
-			h.Hop(func(retries, failsafes int) { completions, doneAt = completions+1, sim.Now() })
+			h.Hop(func() { completions, doneAt = completions+1, sim.Now() })
 			sim.RunAll()
 			if completions != 1 {
 				t.Fatalf("latency %v: hop %d completed %d times, want exactly 1", lat, i, completions)

@@ -129,7 +129,7 @@ func runSchedule(hoppers []*Hopper, sweeps int) *Schedule {
 			if completed[d] < sweeps {
 				// Hop this pair to its next band (or back to the first
 				// band for its next sweep) before the anchor turns away.
-				hoppers[d].Hop(func(retries, failsafes int) { advance(d) })
+				hoppers[d].Hop(func() { advance(d) })
 			} else {
 				advance(d)
 			}

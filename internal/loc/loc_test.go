@@ -191,3 +191,36 @@ func TestLocateTwoAntennaAmbiguity(t *testing.T) {
 		t.Errorf("candidates %v and %v are not mirror images", a, b)
 	}
 }
+
+// TestSolvePicksMirrorCandidate drives solve's mirror pick: antenna 0's
+// distance is 1.5 m off, so outlier rejection drops it, the two circles
+// left report both mirror candidates, and the dropped circle's residual
+// must still pick the true side. The two cases pick opposite candidate
+// slots, so both branches of the pick run.
+func TestSolvePicksMirrorCandidate(t *testing.T) {
+	l := &Localizer{Array: geo.TriangleArray(0.3)}
+	for _, tc := range []struct {
+		truth geo.Point
+		err   float64 // added to antenna 0's distance
+		pick  int     // the candidate slot the truth lands in
+	}{
+		{geo.Point{X: 2, Y: -3}, 1.5, 1},
+		{geo.Point{X: 2, Y: 3}, -1.5, 0},
+	} {
+		var circles []geo.Circle
+		for _, ant := range l.Array.Antennas {
+			circles = append(circles, geo.Circle{Center: ant, Radius: tc.truth.Dist(ant)})
+		}
+		circles[0].Radius += tc.err
+		fix, err := l.solve(circles, []int{0, 1, 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fix.DroppedCount != 1 || len(fix.Candidates) != 2 {
+			t.Fatalf("truth %v: dropped %d, candidates %v; want 1 dropped, 2 candidates", tc.truth, fix.DroppedCount, fix.Candidates)
+		}
+		if fix.Position.Dist(tc.truth) > 1e-6 || fix.Position != fix.Candidates[tc.pick] {
+			t.Errorf("truth %v: position %v, want it within 1e-6 m as candidate %d of %v", tc.truth, fix.Position, tc.pick, fix.Candidates)
+		}
+	}
+}

@@ -181,10 +181,10 @@ type Estimate struct {
 	// Peaks is the number of dominant peaks in the profile (§12.1).
 	Peaks int
 	// Work counts solver grid cells processed for this estimate across
-	// its inversions and alias refits — the deterministic cost measure
-	// the perf campaigns snapshot (wall clock varies by host, Work does
-	// not). A sweep re-solved after a contested placement counts both
-	// attempts.
+	// its inversions and alias refits — a deterministic cost measure
+	// (wall clock varies by host, Work does not), pinned per fix through
+	// track.Fix.Work by golden_fixes.txt. A sweep re-solved after a
+	// contested placement counts both attempts.
 	Work int64
 	// Iterations totals the main profile inversions' solver iterations
 	// across attempts (alias refits are not counted). Deterministic, like

@@ -36,7 +36,7 @@ func ingestPerPacket(t *testing.T, s *Session) {
 			t.Fatal(err)
 		}
 		if bi+1 < len(s.bands) {
-			s.hopper.Hop(func(retries, failsafes int) {})
+			s.hopper.Hop(func() {})
 			s.msim.RunAll()
 		}
 	}

@@ -307,7 +307,7 @@ func (s *Session) StepIngest() error {
 			checkpoint++
 		}
 		if bi+1 < len(s.bands) {
-			s.hopper.Hop(func(retries, failsafes int) {})
+			s.hopper.Hop(func() {})
 			s.msim.RunAll()
 		}
 	}
@@ -369,7 +369,7 @@ func (s *Session) StepTrack() error {
 	}
 	if cfg.Sweeps < 0 || s.sweeps+1 < cfg.Sweeps {
 		// Hop back to the first band for the next cycle.
-		s.hopper.Hop(func(retries, failsafes int) {})
+		s.hopper.Hop(func() {})
 		s.msim.RunAll()
 	}
 	s.sweeps++
