@@ -35,6 +35,37 @@ func BenchmarkTrackSession(b *testing.B) {
 	}
 }
 
+// BenchmarkSessionSweep steps one endless session (a target walking at
+// 1 m/s, BenchmarkTrackSession's estimator) one full sweep per
+// iteration, StepIngest through StepTrack. A steady-state sweep
+// allocates nothing. The bytes per op it reports come from the endless
+// session's fix record, which keeps one Fix per sweep and grows by
+// doubling, and from the solver's pooled workspaces: sync.Pool keeps
+// them per P, so a sweep that first runs on another P builds one there.
+// Three untimed sweeps leave the fix record room for a fourth, so a
+// one-sweep run reads 0 allocs/op too.
+func BenchmarkSessionSweep(b *testing.B) {
+	office := sim.NewOffice(rand.New(rand.NewSource(7)), sim.OfficeConfig{})
+	cfg := track.SessionConfig{Speed: 1, Sweeps: -1}
+	est := tof.NewEstimator(tof.Config{Mode: tof.BandsFused, Quirk24: true, MaxIter: 1200})
+	s, err := track.NewSession(rand.New(rand.NewSource(7)), office, est, cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for range 3 {
+		if err := s.StepSweep(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := s.StepSweep(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkNDFTInvert(b *testing.B) {
 	freqs := wifi.Centers(wifi.Bands5GHz())
 	taus := ndft.TauGrid(120e-9, 0.2e-9)

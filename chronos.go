@@ -130,7 +130,9 @@ func CaptureObs() *ObsSnapshot { return obs.Capture() }
 // estimates (§4–§7 of the paper).
 type ToFEstimator = tof.Estimator
 
-// ToFEstimate is one estimation result (ToF, multipath profile).
+// ToFEstimate is one estimation result (ToF, multipath profile). One
+// from ToFEstimator.Estimate is the caller's to keep; one from a
+// ToFSweep is the sweep's (see ToFSweep).
 type ToFEstimate = tof.Estimate
 
 // NewToFEstimator builds an estimator.
@@ -241,7 +243,12 @@ func NewDroneSensor(rng *rand.Rand) (*DroneSensor, error) {
 
 // ToFSweep is the incremental estimation core: CSI folds in band by band
 // as a sweep streams in, and a (possibly early, degraded) fix can be
-// requested at any point. Obtain one from ToFEstimator.NewSweep.
+// requested at any point. Obtain one from ToFEstimator.NewSweep. The
+// estimate a ToFSweep returns, its Profile included, is the sweep's own:
+// valid until its next Estimate or Reset, which reuse its storage, so a
+// steady stream of sweeps allocates nothing. Its Profile's Taus is a
+// delay grid shared by every sweep in the process: read it, never write
+// it.
 type ToFSweep = tof.Sweep
 
 // RangeTracker smooths a stream of scalar range fixes with outlier gating.

@@ -19,9 +19,16 @@ type Peak struct {
 // dominant peak of the inverse-NDFT profile, so callers typically take
 // peaks[0].
 func FindPeaks(xs, mag []float64, threshold float64) []Peak {
+	return AppendPeaks(nil, xs, mag, threshold)
+}
+
+// AppendPeaks is FindPeaks appending to dst, which it returns: a caller
+// that scans profile after profile reuses one slice. No two peaks are
+// adjacent samples, so at most (len(mag)+1)/2 are appended.
+func AppendPeaks(dst []Peak, xs, mag []float64, threshold float64) []Peak {
 	n := len(mag)
 	if n == 0 || len(xs) != n {
-		return nil
+		return dst
 	}
 	maxV := 0.0
 	for _, v := range mag {
@@ -30,11 +37,11 @@ func FindPeaks(xs, mag []float64, threshold float64) []Peak {
 		}
 	}
 	if maxV == 0 {
-		return nil
+		return dst
 	}
 	floor := threshold * maxV
 
-	var peaks []Peak
+	peaks := dst
 	for i := 0; i < n; i++ {
 		v := mag[i]
 		if v < floor {
@@ -81,10 +88,10 @@ func refineParabolic(xs, mag []float64, i int) (x, y float64) {
 	return xs[i] + float64(delta*step), y1 - float64(0.25*(y0-y2)*delta)
 }
 
-// StrongestPeak returns the global maximum as a refined peak, or false for
-// an empty/zero profile.
-func StrongestPeak(xs, mag []float64) (Peak, bool) {
-	peaks := FindPeaks(xs, mag, 0)
+// StrongestPeak returns the peak of greatest refined power, the first of
+// equals, or false when there is none. Over a FindPeaks scan at
+// threshold 0 it is the profile's global maximum.
+func StrongestPeak(peaks []Peak) (Peak, bool) {
 	if len(peaks) == 0 {
 		return Peak{}, false
 	}

@@ -96,7 +96,7 @@ func TestStrongestPeak(t *testing.T) {
 	xs := grid(400, 0.05)
 	mag := gaussianBump(xs, 4, 0.3, 0.6)
 	addInto(mag, gaussianBump(xs, 9, 0.3, 1.0))
-	p, ok := StrongestPeak(xs, mag)
+	p, ok := StrongestPeak(FindPeaks(xs, mag, 0))
 	if !ok || math.Abs(p.X-9) > 0.1 {
 		t.Errorf("strongest peak = %+v, ok=%v, want ~9", p, ok)
 	}
@@ -111,8 +111,37 @@ func TestFindPeaksEmptyAndZero(t *testing.T) {
 	if got := FindPeaks(xs, zero, 0.5); got != nil {
 		t.Errorf("zero profile: %v", got)
 	}
-	if _, ok := StrongestPeak(xs, zero); ok {
+	if _, ok := StrongestPeak(FindPeaks(xs, zero, 0)); ok {
 		t.Error("StrongestPeak found peak in zero profile")
+	}
+}
+
+// TestAppendPeaksReusesDst pins the scratch form of the scan: it appends
+// FindPeaks' peaks after dst's own, and a dst with room for
+// (len(mag)+1)/2 peaks never grows, whatever the profile.
+func TestAppendPeaksReusesDst(t *testing.T) {
+	xs := grid(400, 0.05)
+	mag := gaussianBump(xs, 4, 0.3, 0.6)
+	addInto(mag, gaussianBump(xs, 9, 0.3, 1.0))
+	head := Peak{Index: -1}
+	got := AppendPeaks([]Peak{head}, xs, mag, 0.2)
+	want := FindPeaks(xs, mag, 0.2)
+	if len(got) != 1+len(want) || got[0] != head {
+		t.Fatalf("AppendPeaks = %v, want %v after the head", got, want)
+	}
+	for i, p := range want {
+		if got[1+i] != p {
+			t.Errorf("peak %d = %+v, want %+v", i, got[1+i], p)
+		}
+	}
+	// A sawtooth has a peak at every other sample: the most a scan holds.
+	saw := make([]float64, 9)
+	for i := range saw {
+		saw[i] = float64(1 - i%2)
+	}
+	dst := make([]Peak, 0, (len(saw)+1)/2)
+	if peaks := AppendPeaks(dst, grid(len(saw), 1), saw, 0); len(peaks) != cap(dst) || &peaks[0] != &dst[:1][0] {
+		t.Errorf("sawtooth: %d peaks in a slice of cap %d, want %d in dst's own array", len(peaks), cap(peaks), cap(dst))
 	}
 }
 

@@ -54,7 +54,8 @@ const (
 //
 // A Hopper is bound to its simulator and RNG and is not safe for
 // concurrent use; interleaving is achieved by event ordering on the
-// shared Sim, never by goroutines.
+// shared Sim, never by goroutines. It runs one hop at a time: call Hop
+// again only once the previous hop's done has run.
 type Hopper struct {
 	Sim *mac.Sim
 	Rng *rand.Rand
@@ -65,14 +66,35 @@ type Hopper struct {
 	Announces  int
 	FailSafes  int
 	RevertTime time.Duration
+
+	// The hop in flight, shared by its announce rounds: an ack that lands
+	// after its round already timed out (ackTimeout shorter than the ack
+	// round trip) must still complete the hop exactly once, silence every
+	// outstanding retry timer, and call off a pending fail-safe revert.
+	// hops numbers the hop; every frame and timer of the hop carries it
+	// with the round's retry count (roundArg), so an event left over from
+	// an earlier hop finds a later number and does nothing.
+	hops     uint64
+	acked    bool
+	revert   mac.Timer     // pending fail-safe revert; stale once fired or canceled
+	revertIn time.Duration // that revert's silence window plus retune
+	done     func()
+
+	// The protocol's event handlers, bound once so that a hop schedules
+	// no closure: the receiver's announce handler, the transmitter's ack
+	// and retry-timeout handlers, the fail-safe revert and the band
+	// entry that runs done.
+	onAnnounce, onAck, onTimeout, onRevert, onEnter func(uint64)
 }
 
 // NewHopper builds a hop driver for one device pair on sim.
 func NewHopper(sim *mac.Sim, rng *rand.Rand) *Hopper {
-	return &Hopper{
+	h := &Hopper{
 		Sim: sim, Rng: rng,
 		Link: &mac.Link{Sim: sim, Latency: latency, Rng: rng, LossProb: lossProb},
 	}
+	h.onAnnounce, h.onAck, h.onTimeout, h.onRevert, h.onEnter = h.announced, h.ackReceived, h.timedOut, h.reverted, h.entered
+	return h
 }
 
 // switchDelay draws one radio retune time (base switch time plus
@@ -82,58 +104,83 @@ func (h *Hopper) switchDelay() time.Duration {
 	return switchTime + time.Duration(h.Rng.Int63n(int64(switchJitter)+1))
 }
 
-// hopState is the Hop-scoped state shared across announce rounds: an ack
-// that lands after its round already timed out (ackTimeout shorter than
-// the ack round trip) must still complete the hop exactly once, silence
-// every outstanding retry timer, and call off a pending fail-safe revert.
-type hopState struct {
-	acked  bool
-	revert *mac.Timer // pending fail-safe revert, nil when none
+// roundBits is the width of the retry count in an event's argument, the
+// hop number filling the bits above it; retries never exceed maxRetries.
+const roundBits = 8
+
+// roundArg packs the hop in flight and one round's retry count into an
+// event argument.
+func (h *Hopper) roundArg(retries uint64) uint64 { return h.hops<<roundBits | retries }
+
+// current reports whether an event argument belongs to the hop in flight
+// and that hop is not yet acked, and returns the round's retry count.
+func (h *Hopper) current(arg uint64) (retries uint64, ok bool) {
+	return arg & (1<<roundBits - 1), arg>>roundBits == h.hops && !h.acked
 }
 
 // Hop announces the next band to the receiver, retrying lost control
 // frames and applying the fail-safe on retry exhaustion. done runs
 // exactly once, at the virtual instant both radios are on the new band.
-func (h *Hopper) Hop(done func()) { h.hop(0, &hopState{}, done) }
+func (h *Hopper) Hop(done func()) {
+	h.hops++
+	h.acked, h.revert, h.done = false, mac.Timer{}, done
+	h.announce(0)
+}
 
-// hop runs one announce round.
-func (h *Hopper) hop(retries int, st *hopState, done func()) {
+// announce runs one announce round of the hop in flight.
+func (h *Hopper) announce(retries uint64) {
 	if retries > maxRetries {
 		// Fail-safe: after a silent window both radios revert to the
 		// default band (one retune) and the transmitter restarts the hop
 		// announcement from there. Counters are charged when the revert
 		// actually happens — a late in-flight ack cancels it.
-		revert := failSafe + h.switchDelay()
-		st.revert = h.Sim.Schedule(revert, func() {
-			st.revert = nil
-			h.FailSafes++
-			h.RevertTime += revert
-			obsFailSafes.Inc()
-			obsRevertNs.Add(int64(revert))
-			h.hop(0, st, done)
-		})
+		h.revertIn = failSafe + h.switchDelay()
+		h.revert = h.Sim.Schedule(h.revertIn, h.onRevert, 0)
 		return
 	}
 	h.Announces++
 	obsAnnounces.Inc()
 	// Announce → receiver; receiver ACKs → transmitter.
-	h.Link.Send(func() {
-		h.Link.Send(func() {
-			if st.acked {
-				return
-			}
-			st.acked = true
-			st.revert.Cancel()
-			obsHops.Inc()
-			obsRetries.Add(int64(retries))
-			// Both sides retune; the slower radio gates band entry.
-			h.Sim.Schedule(h.switchDelay(), done)
-		})
-	})
+	arg := h.roundArg(retries)
+	h.Link.Send(h.onAnnounce, arg)
 	// Retransmit on silence.
-	h.Sim.Schedule(ackTimeout, func() {
-		if !st.acked {
-			h.hop(retries+1, st, done)
-		}
-	})
+	h.Sim.Schedule(ackTimeout, h.onTimeout, arg)
+}
+
+// announced is the receiver's side: it acknowledges every announce it
+// hears, a superseded round's included.
+func (h *Hopper) announced(arg uint64) { h.Link.Send(h.onAck, arg) }
+
+// ackReceived completes the hop on its first ack.
+func (h *Hopper) ackReceived(arg uint64) {
+	retries, ok := h.current(arg)
+	if !ok {
+		return
+	}
+	h.acked = true
+	h.revert.Cancel()
+	obsHops.Inc()
+	obsRetries.Add(int64(retries))
+	// Both sides retune; the slower radio gates band entry.
+	h.Sim.Schedule(h.switchDelay(), h.onEnter, 0)
+}
+
+// entered runs the hop's done once both radios are on the new band.
+func (h *Hopper) entered(uint64) { h.done() }
+
+// timedOut starts the next announce round when the round's ack has not
+// arrived.
+func (h *Hopper) timedOut(arg uint64) {
+	if retries, ok := h.current(arg); ok {
+		h.announce(retries + 1)
+	}
+}
+
+// reverted charges a fail-safe revert and restarts the announcement.
+func (h *Hopper) reverted(uint64) {
+	h.FailSafes++
+	h.RevertTime += h.revertIn
+	obsFailSafes.Inc()
+	obsRevertNs.Add(int64(h.revertIn))
+	h.announce(0)
 }

@@ -287,3 +287,41 @@ func TestSweepDwellRespected(t *testing.T) {
 		}
 	}
 }
+
+// TestHopAllocatesNothing pins the hop protocol's steady state: at 75%
+// control-frame loss every batch of hops retries and falls back to the
+// fail-safe, and once the simulator's queue has grown a batch allocates
+// nothing. The counters, the simulator clock and the RNG's next draw
+// equal what the protocol produced when it scheduled a closure per
+// round, so binding the handlers once moved no draw.
+func TestHopAllocatesNothing(t *testing.T) {
+	rng := rand.New(rand.NewSource(26))
+	sim := mac.NewSim()
+	h := NewHopper(sim, rng)
+	h.Link.LossProb = 0.75
+	var announces, failSafes int // at the start of the latest batch
+	batch := func(n int) func() {
+		return func() {
+			announces, failSafes = h.Announces, h.FailSafes
+			for range n {
+				h.Hop(func() {})
+				sim.RunAll()
+			}
+		}
+	}
+	batch(10)()
+	// AllocsPerRun runs the batch twice and measures the second run.
+	if n := testing.AllocsPerRun(1, batch(20)); n != 0 {
+		t.Errorf("20 hops allocated %.0f times, want 0", n)
+	}
+	if h.Announces-announces <= 20 || h.FailSafes == failSafes {
+		t.Errorf("the measured batch sent %d announces and took %d fail-safes over 20 hops, want retries and a fail-safe",
+			h.Announces-announces, h.FailSafes-failSafes)
+	}
+	if h.Announces != 687 || h.FailSafes != 53 || h.RevertTime != 1126375975 {
+		t.Errorf("Announces, FailSafes, RevertTime = %d, %d, %d; want 687, 53, 1126375975", h.Announces, h.FailSafes, h.RevertTime)
+	}
+	if now, next := sim.Now(), rng.Int63(); now != 1386378608 || next != 2130733661349190408 {
+		t.Errorf("clock %d and next draw %d, want 1386378608 and 2130733661349190408", now, next)
+	}
+}

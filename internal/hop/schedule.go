@@ -115,7 +115,7 @@ func runSchedule(hoppers []*Hopper, sweeps int) *Schedule {
 			sweepStart[d] = sim.Now()
 		}
 		start := sim.Now()
-		sim.Schedule(Dwell, func() {
+		sim.Schedule(Dwell, func(uint64) {
 			totalDwell += Dwell
 			res.Slots = append(res.Slots, Slot{Device: d, Band: bands[pos[d]], Start: start, End: sim.Now()})
 			pos[d]++
@@ -133,13 +133,13 @@ func runSchedule(hoppers []*Hopper, sweeps int) *Schedule {
 			} else {
 				advance(d)
 			}
-		})
+		}, 0)
 	}
 	beginSlot = func(d int) {
 		if lastDevice != d && lastDevice >= 0 {
 			// The anchor retunes onto this device's current band, at the
 			// same retune cost the hop protocol charges.
-			sim.Schedule(hoppers[d].switchDelay(), func() { dwell(d) })
+			sim.Schedule(hoppers[d].switchDelay(), func(uint64) { dwell(d) }, 0)
 			return
 		}
 		dwell(d)

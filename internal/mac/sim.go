@@ -13,13 +13,19 @@ import (
 	"time"
 )
 
-// Event is a scheduled callback.
+// event is one scheduled callback, fn(arg). Events are recycled: once
+// popped from the queue (fired, or canceled and skipped) an event
+// returns to its simulator's free list with its generation bumped,
+// which voids every Timer still naming it. So a simulator whose queue
+// has stopped growing schedules without allocating.
 type event struct {
 	at  time.Duration
 	seq uint64 // tie-breaker for events at the same instant (FIFO)
+	gen uint64 // recycles so far; a Timer holds the one it was issued at
 	// fn is nil once the event fired or was canceled; canceled events
 	// stay in the heap and are skipped on pop.
-	fn func()
+	fn  func(uint64)
+	arg uint64
 }
 
 type eventQueue []*event
@@ -46,6 +52,7 @@ func (q *eventQueue) Pop() any {
 type Sim struct {
 	now   time.Duration
 	queue eventQueue
+	free  []*event // popped events, ready for reuse
 	seq   uint64
 	live  int // queued events neither fired nor canceled
 }
@@ -56,47 +63,69 @@ func NewSim() *Sim { return &Sim{} }
 // Now returns the current virtual time.
 func (s *Sim) Now() time.Duration { return s.now }
 
-// Timer is a handle that can cancel a scheduled event.
+// Timer is a handle that can cancel a scheduled event. It names the
+// event and the generation it was scheduled at, so once the event has
+// fired or been canceled, and its storage has been recycled for a later
+// event, the Timer cancels nothing. The zero Timer cancels nothing.
 type Timer struct {
-	s  *Sim
-	ev *event
+	s   *Sim
+	ev  *event
+	gen uint64
 }
 
 // Cancel prevents the timer's callback from running. Safe to call more
 // than once or after the callback fired.
-func (t *Timer) Cancel() {
-	if t != nil && t.ev != nil && t.ev.fn != nil {
-		t.ev.fn = nil
+func (t Timer) Cancel() {
+	if ev := t.ev; ev != nil && ev.gen == t.gen && ev.fn != nil {
+		ev.fn = nil
 		t.s.live--
 	}
 }
 
-// Schedule runs fn after delay of virtual time and returns a cancellable
-// handle. A negative delay is treated as zero (run at the current
-// instant, after already-queued events at this instant).
-func (s *Sim) Schedule(delay time.Duration, fn func()) *Timer {
+// Schedule runs fn(arg) after delay of virtual time and returns a
+// cancellable handle. A negative delay is treated as zero (run at the
+// current instant, after already-queued events at this instant). A
+// protocol binds its handlers once and carries each event's state in
+// arg, so scheduling allocates no closure.
+func (s *Sim) Schedule(delay time.Duration, fn func(uint64), arg uint64) Timer {
 	if delay < 0 {
 		delay = 0
 	}
-	ev := &event{at: s.now + delay, seq: s.seq, fn: fn}
+	var ev *event
+	if n := len(s.free); n > 0 {
+		ev, s.free = s.free[n-1], s.free[:n-1]
+	} else {
+		ev = new(event)
+	}
+	ev.at, ev.seq, ev.fn, ev.arg = s.now+delay, s.seq, fn, arg
 	s.seq++
 	s.live++
 	heap.Push(&s.queue, ev)
-	return &Timer{s: s, ev: ev}
+	return Timer{s: s, ev: ev, gen: ev.gen}
+}
+
+// pop removes the head event from the queue and recycles it, returning
+// what it held.
+func (s *Sim) pop() (at time.Duration, fn func(uint64), arg uint64) {
+	ev := heap.Pop(&s.queue).(*event)
+	at, fn, arg = ev.at, ev.fn, ev.arg
+	ev.gen++
+	ev.fn = nil
+	s.free = append(s.free, ev)
+	return at, fn, arg
 }
 
 // step pops the head event and runs it unless it was canceled,
-// reporting whether a callback ran.
+// reporting whether a callback ran. The event is recycled before its
+// callback runs, so the callback's own schedules may reuse it.
 func (s *Sim) step() bool {
-	ev := heap.Pop(&s.queue).(*event)
-	fn := ev.fn
+	at, fn, arg := s.pop()
 	if fn == nil {
 		return false
 	}
-	ev.fn = nil
 	s.live--
-	s.now = ev.at
-	fn()
+	s.now = at
+	fn(arg)
 	return true
 }
 
@@ -139,7 +168,7 @@ func (s *Sim) Next() (time.Duration, bool) {
 		if head := s.queue[0]; head.fn != nil {
 			return head.at, true
 		}
-		heap.Pop(&s.queue)
+		s.pop()
 	}
 	return 0, false
 }
@@ -153,12 +182,13 @@ type Link struct {
 	Rng      *rand.Rand
 }
 
-// Send delivers a frame to the receiver callback after Latency, or drops
-// it. Loss happens silently at the receiver, as in a real radio: the
-// sender learns of it only by the missing reply.
-func (l *Link) Send(deliver func()) {
+// Send delivers a frame, its content arg, to the receiver callback as
+// deliver(arg) after Latency, or drops it. Loss happens silently at the
+// receiver, as in a real radio: the sender learns of it only by the
+// missing reply.
+func (l *Link) Send(deliver func(uint64), arg uint64) {
 	if l.Rng != nil && l.Rng.Float64() < l.LossProb {
 		return // lost in flight: receiver never sees it
 	}
-	l.Sim.Schedule(l.Latency, deliver)
+	l.Sim.Schedule(l.Latency, deliver, arg)
 }

@@ -10,9 +10,9 @@ import (
 func TestScheduleOrdering(t *testing.T) {
 	s := NewSim()
 	var order []int
-	s.Schedule(3*time.Millisecond, func() { order = append(order, 3) })
-	s.Schedule(1*time.Millisecond, func() { order = append(order, 1) })
-	s.Schedule(2*time.Millisecond, func() { order = append(order, 2) })
+	s.Schedule(3*time.Millisecond, func(uint64) { order = append(order, 3) }, 0)
+	s.Schedule(1*time.Millisecond, func(uint64) { order = append(order, 1) }, 0)
+	s.Schedule(2*time.Millisecond, func(uint64) { order = append(order, 2) }, 0)
 	s.RunAll()
 	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
 		t.Errorf("order = %v", order)
@@ -26,8 +26,7 @@ func TestScheduleSameInstantFIFO(t *testing.T) {
 	s := NewSim()
 	var order []int
 	for i := 0; i < 10; i++ {
-		i := i
-		s.Schedule(time.Millisecond, func() { order = append(order, i) })
+		s.Schedule(time.Millisecond, func(i uint64) { order = append(order, int(i)) }, uint64(i))
 	}
 	s.RunAll()
 	for i, v := range order {
@@ -40,12 +39,12 @@ func TestScheduleSameInstantFIFO(t *testing.T) {
 func TestNestedScheduling(t *testing.T) {
 	s := NewSim()
 	var hits []time.Duration
-	s.Schedule(time.Millisecond, func() {
+	s.Schedule(time.Millisecond, func(uint64) {
 		hits = append(hits, s.Now())
-		s.Schedule(time.Millisecond, func() {
+		s.Schedule(time.Millisecond, func(uint64) {
 			hits = append(hits, s.Now())
-		})
-	})
+		}, 0)
+	}, 0)
 	s.RunAll()
 	if len(hits) != 2 || hits[0] != time.Millisecond || hits[1] != 2*time.Millisecond {
 		t.Errorf("hits = %v", hits)
@@ -55,7 +54,7 @@ func TestNestedScheduling(t *testing.T) {
 func TestRunUntilStopsEarly(t *testing.T) {
 	s := NewSim()
 	ran := false
-	s.Schedule(10*time.Millisecond, func() { ran = true })
+	s.Schedule(10*time.Millisecond, func(uint64) { ran = true }, 0)
 	n := s.Run(5 * time.Millisecond)
 	if n != 0 || ran {
 		t.Error("event beyond horizon executed")
@@ -76,15 +75,70 @@ func TestRunUntilStopsEarly(t *testing.T) {
 func TestTimerCancel(t *testing.T) {
 	s := NewSim()
 	ran := false
-	tm := s.Schedule(time.Millisecond, func() { ran = true })
+	tm := s.Schedule(time.Millisecond, func(uint64) { ran = true }, 0)
 	tm.Cancel()
 	tm.Cancel() // double-cancel is safe
 	s.RunAll()
 	if ran {
 		t.Error("canceled event executed")
 	}
-	var nilTimer *Timer
-	nilTimer.Cancel() // nil-safe
+	var zero Timer
+	zero.Cancel() // the zero Timer cancels nothing
+}
+
+// TestRecycledTimerCancelsNothing pins the generation check behind event
+// recycling: a Timer whose event fired, or was canceled and popped, names
+// storage that a later Schedule reuses, and canceling it must leave the
+// later event alone.
+func TestRecycledTimerCancelsNothing(t *testing.T) {
+	s := NewSim()
+	fired := s.Schedule(time.Millisecond, func(uint64) {}, 0)
+	canceled := s.Schedule(2*time.Millisecond, func(uint64) { t.Error("canceled event ran") }, 0)
+	canceled.Cancel()
+	s.RunAll()
+	// Both events are back on the free list; these two reuse them.
+	ran := 0
+	a := s.Schedule(time.Millisecond, func(uint64) { ran++ }, 0)
+	b := s.Schedule(time.Millisecond, func(uint64) { ran++ }, 0)
+	if a.ev != canceled.ev && a.ev != fired.ev || b.ev != canceled.ev && b.ev != fired.ev {
+		t.Fatal("the new events did not reuse the popped ones")
+	}
+	fired.Cancel()
+	canceled.Cancel()
+	if s.Pending() != 2 {
+		t.Fatalf("pending = %d after canceling stale timers, want 2", s.Pending())
+	}
+	if n := s.RunAll(); n != 2 || ran != 2 {
+		t.Errorf("RunAll fired %d (callbacks ran %d), want 2", n, ran)
+	}
+}
+
+// TestScheduleFireCancelAllocsNothing pins the recycled queue: once it
+// has grown, scheduling, firing, canceling and sending allocate nothing.
+func TestScheduleFireCancelAllocsNothing(t *testing.T) {
+	s := NewSim()
+	l := &Link{Sim: s, Latency: time.Microsecond, Rng: rand.New(rand.NewSource(1))}
+	var sum uint64
+	fn := func(arg uint64) { sum += arg }
+	cycle := func() {
+		for i := 0; i < 50; i++ {
+			s.Schedule(time.Duration(i%7)*time.Millisecond, fn, uint64(i))
+			s.Schedule(time.Millisecond, fn, 1).Cancel()
+			l.Send(fn, 1)
+		}
+		s.RunAll()
+	}
+	// A loss-free cycle queues the most events a cycle can, so the queue
+	// and the free list reach their final size.
+	l.LossProb = 0
+	cycle()
+	l.LossProb = 0.5
+	if n := testing.AllocsPerRun(1, cycle); n != 0 {
+		t.Errorf("a schedule/fire/cancel cycle allocated %.0f times, want 0", n)
+	}
+	if sum == 0 {
+		t.Error("no callback ran")
+	}
 }
 
 // TestPendingCountsLiveEvents pins that Pending counts exactly the
@@ -94,9 +148,9 @@ func TestTimerCancel(t *testing.T) {
 func TestPendingCountsLiveEvents(t *testing.T) {
 	s := NewSim()
 	var inside int
-	first := s.Schedule(time.Millisecond, func() { inside = s.Pending() })
-	dropped := s.Schedule(2*time.Millisecond, func() { t.Error("canceled event ran") })
-	s.Schedule(3*time.Millisecond, func() {})
+	first := s.Schedule(time.Millisecond, func(uint64) { inside = s.Pending() }, 0)
+	dropped := s.Schedule(2*time.Millisecond, func(uint64) { t.Error("canceled event ran") }, 0)
+	s.Schedule(3*time.Millisecond, func(uint64) {}, 0)
 	if s.Pending() != 3 {
 		t.Fatalf("pending = %d, want 3", s.Pending())
 	}
@@ -125,8 +179,8 @@ func TestNextSkipsCanceledHead(t *testing.T) {
 	if _, ok := s.Next(); ok {
 		t.Error("empty sim reported a next event")
 	}
-	head := s.Schedule(3*time.Millisecond, func() {})
-	tail := s.Schedule(700*time.Millisecond, func() {})
+	head := s.Schedule(3*time.Millisecond, func(uint64) {}, 0)
+	tail := s.Schedule(700*time.Millisecond, func(uint64) {}, 0)
 	if at, ok := s.Next(); !ok || at != 3*time.Millisecond {
 		t.Errorf("Next = %v,%v, want 3ms,true", at, ok)
 	}
@@ -147,7 +201,7 @@ func TestNegativeDelay(t *testing.T) {
 	s := NewSim()
 	s.Run(5 * time.Millisecond) // advance clock
 	ran := time.Duration(-1)
-	s.Schedule(-time.Second, func() { ran = s.Now() })
+	s.Schedule(-time.Second, func(uint64) { ran = s.Now() }, 0)
 	s.RunAll()
 	if ran != 5*time.Millisecond {
 		t.Errorf("negative delay ran at %v", ran)
@@ -158,7 +212,7 @@ func TestLinkDeliveryTiming(t *testing.T) {
 	s := NewSim()
 	l := &Link{Sim: s, Latency: 10 * time.Microsecond}
 	var at time.Duration
-	l.Send(func() { at = s.Now() })
+	l.Send(func(uint64) { at = s.Now() }, 0)
 	s.RunAll()
 	if want := 10 * time.Microsecond; at != want {
 		t.Errorf("delivered at %v, want %v", at, want)
@@ -174,7 +228,7 @@ func TestLinkZeroRateInstantaneous(t *testing.T) {
 	l := &Link{Sim: s, Latency: time.Microsecond}
 	var at []time.Duration
 	for i := 0; i < 3; i++ {
-		l.Send(func() { at = append(at, s.Now()) })
+		l.Send(func(uint64) { at = append(at, s.Now()) }, 0)
 	}
 	s.RunAll()
 	if len(at) != 3 {
@@ -193,7 +247,7 @@ func TestLinkLossRate(t *testing.T) {
 	delivered := 0
 	n := 10000
 	for i := 0; i < n; i++ {
-		l.Send(func() { delivered++ })
+		l.Send(func(uint64) { delivered++ }, 0)
 	}
 	s.RunAll()
 	got := float64(delivered) / float64(n)
@@ -206,7 +260,7 @@ func TestLinkNoRngNeverDrops(t *testing.T) {
 	s := NewSim()
 	l := &Link{Sim: s, LossProb: 1.0} // no Rng → loss disabled
 	delivered := 0
-	l.Send(func() { delivered++ })
+	l.Send(func(uint64) { delivered++ }, 0)
 	s.RunAll()
 	if delivered != 1 {
 		t.Error("frame dropped without an Rng")
@@ -227,16 +281,16 @@ func simModel(t *testing.T, data []byte) {
 		at time.Duration
 	}
 	var (
-		handles []*Timer
+		handles []Timer
 		alive   = map[int]ev{}
 		fired   []ev
 		oracle  []ev
 	)
 	schedule := func(delay time.Duration) {
 		id := len(handles)
-		handles = append(handles, s.Schedule(delay, func() {
+		handles = append(handles, s.Schedule(delay, func(uint64) {
 			fired = append(fired, ev{id, s.Now()})
-		}))
+		}, 0))
 		alive[id] = ev{id, s.Now() + delay}
 	}
 	check := func(step int) {

@@ -34,15 +34,16 @@ type Channel struct {
 // NewChannel returns a channel over the given paths sorted by delay (the
 // direct path first). The input slice is copied.
 func NewChannel(paths []Path) *Channel {
-	return newChannel(slices.Clone(paths))
+	paths = slices.Clone(paths)
+	sortPaths(paths)
+	return &Channel{Paths: paths}
 }
 
-// newChannel sorts paths by delay in place and wraps them. The sort is
-// unstable, and ResponseAt adds the paths in order, so the order it
-// leaves paths of equal delay in is part of every response's bits.
-func newChannel(paths []Path) *Channel {
+// sortPaths sorts paths by delay in place. The sort is unstable, and
+// ResponseAt adds the paths in order, so the order it leaves paths of
+// equal delay in is part of every response's bits.
+func sortPaths(paths []Path) {
 	slices.SortFunc(paths, func(a, b Path) int { return cmp.Compare(a.Delay, b.Delay) })
-	return &Channel{Paths: paths}
 }
 
 // Response returns the complex frequency response h(f) = Σ aₖ·e^{−j2πfτₖ}:

@@ -101,9 +101,21 @@ const (
 // kept, even in NLOS (attenuated by nlosAttenDB), matching indoor reality
 // where the direct path penetrates walls with loss.
 func GenerateChannel(env *Environment, tx, rx geo.Point, nlos bool) *Channel {
+	ch := new(Channel)
+	FillChannel(ch, env, tx, rx, nlos)
+	return ch
+}
+
+// FillChannel is GenerateChannel into dst, reusing its path storage: a
+// caller that renders a moving channel dwell after dwell keeps one
+// Channel and allocates only on the first fill.
+func FillChannel(dst *Channel, env *Environment, tx, rx geo.Point, nlos bool) {
 	c := 299792458.0
 
-	var paths []Path
+	paths := dst.Paths[:0]
+	if n := 1 + len(env.Walls) + len(env.Scatterers); cap(paths) < n {
+		paths = make([]Path, 0, n)
+	}
 
 	// Direct path.
 	d := tx.Dist(rx)
@@ -142,14 +154,14 @@ func GenerateChannel(env *Environment, tx, rx geo.Point, nlos bool) *Channel {
 		paths = append(paths, Path{Delay: (d1 + d2) / c, Gain: gain})
 	}
 
-	ch := newChannel(paths)
+	sortPaths(paths)
 
 	// Prune weak and very late paths (always keep the direct one at
 	// index 0).
-	ref := ch.Paths[0].Gain
-	directDelay := ch.Paths[0].Delay
-	kept := ch.Paths[:1]
-	for _, p := range ch.Paths[1:] {
+	ref := paths[0].Gain
+	directDelay := paths[0].Delay
+	kept := paths[:1]
+	for _, p := range paths[1:] {
 		if p.Gain >= minGain*ref && p.Delay-directDelay <= maxExcessDelay {
 			kept = append(kept, p)
 		}
@@ -157,8 +169,7 @@ func GenerateChannel(env *Environment, tx, rx geo.Point, nlos bool) *Channel {
 	if len(kept) > maxPaths {
 		kept = kept[:maxPaths]
 	}
-	ch.Paths = kept
-	return ch
+	dst.Paths = kept
 }
 
 // RandomScatterers places n scatterers uniformly in [x0,x1]×[y0,y1].

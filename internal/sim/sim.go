@@ -134,6 +134,13 @@ func (o *Office) Channel(p Placement) *rf.Channel {
 	return rf.GenerateChannel(o.Env, p.TX, p.RX, p.NLOS)
 }
 
+// FillChannel is Channel into dst, reusing its path storage
+// (rf.FillChannel): a streaming session fills its one channel on every
+// dwell.
+func (o *Office) FillChannel(dst *rf.Channel, p Placement) {
+	rf.FillChannel(dst, o.Env, p.TX, p.RX, p.NLOS)
+}
+
 // LinkConfig tunes device-pair link creation.
 type LinkConfig struct {
 	Quirk bool // radios exhibit the 2.4 GHz quirk (default matches radios)

@@ -3,9 +3,11 @@ package sim
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"chronos/internal/geo"
+	"chronos/internal/rf"
 	"chronos/internal/wifi"
 )
 
@@ -87,6 +89,28 @@ func TestChannelDirectDelayMatchesGeometry(t *testing.T) {
 	}
 	if len(ch.Paths) < 2 {
 		t.Errorf("office channel has only %d paths — multipath missing", len(ch.Paths))
+	}
+}
+
+// TestFillChannelMatchesChannel pins the reused channel a streaming
+// session renders from: one Channel filled placement after placement
+// holds exactly the paths Office.Channel builds for each, and once
+// filled, filling it again allocates nothing.
+func TestFillChannelMatchesChannel(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	o := NewOffice(rng, OfficeConfig{})
+	var ch rf.Channel
+	for i := 0; i < 40; i++ {
+		p := o.RandomPlacement(rng, 15, i%3 == 0)
+		o.FillChannel(&ch, p)
+		want := o.Channel(p).Paths
+		if !slices.Equal(ch.Paths, want) {
+			t.Fatalf("placement %d: filled paths %v, want %v", i, ch.Paths, want)
+		}
+	}
+	p := o.RandomPlacement(rng, 15, false)
+	if n := testing.AllocsPerRun(10, func() { o.FillChannel(&ch, p) }); n != 0 {
+		t.Errorf("FillChannel allocated %.0f times, want 0", n)
 	}
 }
 

@@ -343,9 +343,12 @@ type shard struct {
 
 	// comps is the completion mailbox: solve workers append solved
 	// tokens (never blocking) and nudge compWake; the shard drains it
-	// on its own goroutine, where finishing a sweep is safe.
+	// on its own goroutine, where finishing a sweep is safe. It is
+	// double-buffered: a drain swaps in spare, the list it drained last
+	// time, and keeps the one it takes as the next spare.
 	compMu   sync.Mutex
 	comps    []*sweepToken
+	spare    []*sweepToken // shard goroutine only
 	compWake chan struct{}
 }
 
@@ -388,13 +391,16 @@ func (s *shard) complete(t *sweepToken) {
 func (s *shard) drainCompletions(retiring bool) {
 	s.compMu.Lock()
 	list := s.comps
-	s.comps = nil
+	s.comps = s.spare
 	s.compMu.Unlock()
 	for _, t := range list {
 		t.ds.inflight = false
 		s.inflight.Add(-1)
 		t.ds.finish(t, retiring)
 	}
+	// Drop the token pointers, so a retired device is not kept alive.
+	clear(list)
+	s.spare = list[:0]
 }
 
 // run is the shard loop. Virtual mode: drain completions and commands,
@@ -530,7 +536,6 @@ func (s *shard) attach(id uint64, cfg DeviceConfig) {
 // of it.
 func (s *shard) remove(ds *deviceSession, err error) {
 	ds.timer.Cancel()
-	ds.timer = nil
 	delete(s.sessions, ds.id)
 	s.retire(ds.result(err))
 	s.live.Add(-1)
@@ -565,7 +570,6 @@ func (s *shard) shutdown() {
 	s.drainCompletions(true)
 	for _, ds := range s.sessions {
 		ds.timer.Cancel()
-		ds.timer = nil
 		s.retire(ds.result(nil))
 	}
 	s.sessions = make(map[uint64]*deviceSession)

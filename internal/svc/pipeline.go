@@ -91,11 +91,15 @@ func (c PipelineConfig) withDefaults() PipelineConfig {
 }
 
 // sweepToken carries one device's in-flight sweep from ingest to
-// finish. Exactly one token exists per device at a time; whichever
-// goroutine holds the token owns the device session.
+// finish. Each device owns one token and reuses it for every sweep, so
+// at most one is in flight; whichever goroutine holds the token owns the
+// device session.
 type sweepToken struct {
 	ds    *deviceSession
 	class Class
+	// yield is a bulk token's solve hook (runInline over this token),
+	// bound once at attach; nil on a latency token.
+	yield func()
 	start int64 // obs.Tick at the timer fire (end-to-end sweep span)
 	enq   int64 // obs.Tick at solve enqueue (solve-wait span)
 	// solveAt is the obs.Tick the solve span starts at. A bulk solve's
@@ -303,7 +307,7 @@ func (p *pipeline) solveWorker() {
 func (p *pipeline) run(t *sweepToken) {
 	obsStageSolveWaitNs.Since(t.enq)
 	if t.class == ClassBulk {
-		t.ds.est.SetYield(func() { p.runInline(t) })
+		t.ds.est.SetYield(t.yield)
 		t.solve()
 		t.ds.est.SetYield(nil)
 	} else {

@@ -315,7 +315,7 @@ func inlineSessions(t *testing.T, office *sim.Office, devs map[uint64]DeviceConf
 	}
 	fire := func(ds *deviceSession) {
 		ds.timer.Cancel()
-		ds.sweep()
+		ds.sweep(0)
 	}
 	q := d.pipe.solveQ
 	for s.live.Load() > 0 {

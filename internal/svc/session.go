@@ -24,19 +24,24 @@ type deviceSession struct {
 
 	// attachedAt anchors the device's virtual timeline on the shard
 	// clock: sweep k is due at attachedAt + (session virtual time of k).
+	// timer is the next sweep's, whose callback sweepFn is ds.sweep,
+	// bound once at attach.
 	attachedAt time.Duration
-	timer      *mac.Timer
+	timer      mac.Timer
+	sweepFn    func(uint64)
 
 	sess *track.Session
 	est  *tof.Estimator // the session's estimator (yield hook target)
 
 	// Sweep-token state, owned by the shard goroutine except where
-	// noted. inflight marks a sweep token out in the solve pool (the
-	// token holder owns the session until it comes home); detachWanted
-	// defers a detach that arrived meanwhile. lastFixWall is the wall
-	// clock of the device's previous completed sweep (obs.Tick units),
-	// written by finish — it backs the per-class inter-fix latency
-	// histograms.
+	// noted. tok is the device's one sweep token, reused by every sweep:
+	// at most one is ever in flight. inflight marks it out in the solve
+	// pool (the token holder owns the session until it comes home);
+	// detachWanted defers a detach that arrived meanwhile. lastFixWall is
+	// the wall clock of the device's previous completed sweep (obs.Tick
+	// units), written by finish — it backs the per-class inter-fix
+	// latency histograms.
+	tok          sweepToken
 	inflight     bool
 	detachWanted bool
 	lastFixWall  int64
@@ -59,7 +64,14 @@ func newDeviceSession(s *shard, id uint64, cfg DeviceConfig) (*deviceSession, er
 	if err != nil {
 		return nil, err
 	}
-	return &deviceSession{shard: s, id: id, cfg: cfg, attachedAt: at, sess: sess, est: est}, nil
+	ds := &deviceSession{shard: s, id: id, cfg: cfg, attachedAt: at, sess: sess, est: est}
+	ds.sweepFn = ds.sweep
+	ds.tok = sweepToken{ds: ds, class: cfg.Class}
+	if cfg.Class == ClassBulk {
+		pipe := s.d.pipe
+		ds.tok.yield = func() { pipe.runInline(&ds.tok) }
+	}
+	return ds, nil
 }
 
 // recordFixGap feeds the device's wall time since its previous
@@ -84,28 +96,30 @@ func (ds *deviceSession) recordFixGap() {
 // in virtual mode the shard loop collapses the waits and the mapping
 // only orders sweeps.
 func (ds *deviceSession) scheduleNext() {
-	ds.timer = ds.shard.scheduleAt(ds.attachedAt+ds.sess.Now(), ds.sweep)
+	ds.timer = ds.shard.scheduleAt(ds.attachedAt+ds.sess.Now(), ds.sweepFn)
 }
 
 // scheduleAt books fn on the shard sim at shard time at, rounded up to
 // timerGrain; a time at or before the shard's now moves to the next
 // grain, so an event never fires inside the Run that scheduled it.
-func (s *shard) scheduleAt(at time.Duration, fn func()) *mac.Timer {
+func (s *shard) scheduleAt(at time.Duration, fn func(uint64)) mac.Timer {
 	now := s.sim.Now()
 	at = (at + timerGrain - 1) / timerGrain * timerGrain
 	if at <= now {
 		at = (now/timerGrain + 1) * timerGrain
 	}
-	return s.sim.Schedule(at-now, fn)
+	return s.sim.Schedule(at-now, fn, 0)
 }
 
 // sweep runs one timer fire: it starts a full band sweep on the shard
-// goroutine, StepIngest here, then pushes the sweep as a token through
-// the class queue, whose solve worker hands it back through the shard's
-// completion queue to finish. A failed ingest finishes here at once.
-func (ds *deviceSession) sweep() {
+// goroutine, StepIngest here, then pushes the sweep as the device's
+// token through the class queue, whose solve worker hands it back
+// through the shard's completion queue to finish. A failed ingest
+// finishes here at once.
+func (ds *deviceSession) sweep(uint64) {
 	obsTimerFires.Inc()
-	t := &sweepToken{ds: ds, class: ds.cfg.Class, start: obs.Tick()}
+	t := &ds.tok
+	t.start, t.enq, t.solveAt, t.inline, t.err = obs.Tick(), 0, 0, 0, nil
 	t.err = ds.sess.StepIngest()
 	obsStageIngestNs.Since(t.start)
 	if t.err != nil {

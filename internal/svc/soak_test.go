@@ -318,7 +318,7 @@ func TestScheduleNextDue(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			s := &shard{sim: mac.NewSim()}
 			s.sim.Run(tc.now)
-			s.scheduleAt(tc.due, func() {})
+			s.scheduleAt(tc.due, func(uint64) {})
 			if got, ok := s.sim.Next(); !ok || got != tc.want {
 				t.Errorf("due %v at now %v scheduled for %v,%v, want %v", tc.due, tc.now, got, ok, tc.want)
 			}

@@ -3,7 +3,6 @@ package tof
 import (
 	"math"
 	"slices"
-	"sort"
 
 	"chronos/internal/detmath"
 	"chronos/internal/dsp"
@@ -220,10 +219,10 @@ type aliasScorer struct {
 // stops every refit on the iterate rule.
 func (e *Estimator) placeDirectPath(fix *groupFix, s *Sweep, floor float64) error {
 	gates := gatesFor(s.noiseRel)
-	first, virtuals, peaks, ok := familyCandidates(fix.prof, gates)
+	first, virtuals, peaks, ok := familyCandidates(&s.prof, gates, &s.cands)
 	fix.peaks = peaks
 	if !ok {
-		if first, ok = firstPeakWindowed(fix.prof); !ok {
+		if first, ok = firstPeakWindowed(&s.prof, &s.cands); !ok {
 			return nil
 		}
 	}
@@ -231,7 +230,9 @@ func (e *Estimator) placeDirectPath(fix *groupFix, s *Sweep, floor float64) erro
 	if err != nil {
 		return err
 	}
-	s.refitMemo = s.refitMemo[:0]
+	// A scorer scores the first peak, virtuals until one is admitted, and
+	// the placement's two neighbours.
+	s.refitMemo = slices.Grow(s.refitMemo[:0], 3+maxVirtuals)
 	s.refitRot = slices.Grow(s.refitRot[:0], len(s.h))[:len(s.h)]
 	sc := aliasScorer{
 		e: e, s: s, plan: plan, floor: floor,
@@ -243,22 +244,48 @@ func (e *Estimator) placeDirectPath(fix *groupFix, s *Sweep, floor float64) erro
 	return nil
 }
 
+// candScratch is familyCandidates' working memory, Sweep-owned so that
+// proposing candidates allocates nothing after the first profile: the
+// peak scan, the folded family mass and its sorted copy, and the virtual
+// candidates familyCandidates returns.
+type candScratch struct {
+	peaks                  []dsp.Peak
+	fold, sorted, virtuals []float64
+}
+
+// maxVirtuals bounds the virtual candidates of one profile: they lie in
+// a span of searchWindow plus a cell, more than two cells apart.
+const maxVirtuals = int(searchWindow/(2*gridStep)) + 2
+
+// grow sizes the scratch for a profile of n cells on first use, to the
+// most a profile can need: no two peaks are adjacent cells, and at most
+// maxVirtuals virtuals. So its slices never grow in steady state.
+func (cs *candScratch) grow(n int) {
+	if cap(cs.peaks) < (n+1)/2 {
+		cs.peaks = make([]dsp.Peak, 0, (n+1)/2)
+		cs.virtuals = make([]float64, 0, maxVirtuals)
+	}
+}
+
 // familyCandidates proposes the direct-path candidates on one profile
 // without solving anything. first is the earliest dominant real peak
 // within searchWindow before the anchor (the anchor itself when nothing
 // dominant precedes it). virtuals, in ascending delay order, are the
 // in-window member positions of dominant families that hold no real
-// peak there and would precede first. dominant is the profile's §12.1
-// dominant-peak count, set on every return. ok is false when the
-// profile has no peak or no family rises above the folded baseline.
-func familyCandidates(prof *Profile, gates evidenceGates) (first float64, virtuals []float64, dominant int, ok bool) {
+// peak there and would precede first; the slice is cs's, valid until
+// the next call on cs. dominant is the profile's §12.1 dominant-peak
+// count, set on every return. ok is false when the profile has no peak
+// or no family rises above the folded baseline.
+func familyCandidates(prof *Profile, gates evidenceGates, cs *candScratch) (first float64, virtuals []float64, dominant int, ok bool) {
 	cells := int(math.Round(aliasPeriod / gridStep))
 	period := float64(cells) * gridStep
+	cs.grow(len(prof.Magnitude))
 
 	// Half the first-peak floor admits direct paths whose tallest member
 	// was halved by a family split; what this lets through is filtered
 	// by family dominance below.
-	peaks := dsp.FindPeaks(prof.Taus, prof.Magnitude, 0.5*peakThreshold)
+	cs.peaks = dsp.AppendPeaks(cs.peaks[:0], prof.Taus, prof.Magnitude, 0.5*peakThreshold)
+	peaks := cs.peaks
 	if len(peaks) == 0 {
 		return 0, nil, 0, false
 	}
@@ -268,9 +295,10 @@ func familyCandidates(prof *Profile, gates evidenceGates) (first float64, virtua
 	// residue, so family mass is measured above the folded baseline (the
 	// median residue mass) — otherwise noise families at campaign SNR
 	// pass any threshold set relative to the strongest family.
-	fold := ndft.FoldMass(nil, prof.Magnitude, cells)
-	sorted := append([]float64(nil), fold...)
-	sort.Float64s(sorted)
+	cs.fold = ndft.FoldMass(cs.fold, prof.Magnitude, cells)
+	cs.sorted = append(cs.sorted[:0], cs.fold...)
+	fold, sorted := cs.fold, cs.sorted
+	slices.Sort(sorted)
 	baseline := sorted[len(sorted)/2]
 	famMass := func(idx int) float64 {
 		r := ((idx % cells) + cells) % cells
@@ -290,12 +318,7 @@ func familyCandidates(prof *Profile, gates evidenceGates) (first float64, virtua
 	// whose folded mass is decisively larger (anchorMargin). Raw height
 	// breaks within-family ties, so the anchor sits on the member the
 	// solver believes in.
-	tallest := peaks[0]
-	for _, p := range peaks[1:] {
-		if p.Power > tallest.Power {
-			tallest = p
-		}
-	}
+	tallest, _ := dsp.StrongestPeak(peaks)
 	anchor, anchorMass := tallest, famMass(tallest.Index)
 	byMass, byMassVal := anchor, anchorMass
 	for _, p := range peaks {
@@ -325,6 +348,7 @@ func familyCandidates(prof *Profile, gates evidenceGates) (first float64, virtua
 	// Virtual candidates: dominant families whose in-window member
 	// position holds no real peak — their mass is stranded on an
 	// out-of-window ghost member.
+	virtuals = cs.virtuals[:0]
 	for _, p := range peaks {
 		if famMass(p.Index) < floor {
 			continue
@@ -338,7 +362,8 @@ func familyCandidates(prof *Profile, gates evidenceGates) (first float64, virtua
 		}
 		virtuals = append(virtuals, v)
 	}
-	sort.Float64s(virtuals)
+	cs.virtuals = virtuals
+	slices.Sort(virtuals)
 	return first, virtuals, dominant, true
 }
 

@@ -90,7 +90,7 @@ func TestAliasFamilyRecoversGhostVertices(t *testing.T) {
 
 			// The trap: refit the windowed first peak and its member one
 			// period early, each with the solver's own α.
-			cand, ok := firstPeakWindowed(r.Profile)
+			cand, ok := firstPeakWindowed(r.Profile, new(candScratch))
 			if !ok {
 				t.Fatal("profile has no peak")
 			}
@@ -157,7 +157,7 @@ func TestAliasFamilyMatchesVertexOnCleanLinks(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		first, ok := firstPeakWindowed(r.Profile)
+		first, ok := firstPeakWindowed(r.Profile, new(candScratch))
 		if !ok {
 			t.Fatalf("seed %d: profile has no peak", seed)
 		}
@@ -400,11 +400,13 @@ func spikeProfile(spikes ...[2]float64) *Profile {
 }
 
 // TestFamilyCandidates checks the solver-free candidate rules on
-// synthetic profiles under fixedGates (anchor margin 1.3). 10 and 35 ns
-// share one alias family; 8 and 40 ns do not. Every return counts the
-// profile's dominant peaks exactly as a FindPeaks scan at peakThreshold
-// does.
+// synthetic profiles under fixedGates (anchor margin 1.3), on one
+// scratch. 10 and 35 ns share one alias family; 8 and 40 ns do not.
+// Every return counts the profile's dominant peaks exactly as a
+// FindPeaks scan at peakThreshold does.
 func TestFamilyCandidates(t *testing.T) {
+	// One scratch serves every profile, as a Sweep's does.
+	var cs candScratch
 	dominant := func(prof *Profile) int {
 		return len(dsp.FindPeaks(prof.Taus, prof.Magnitude, peakThreshold))
 	}
@@ -429,7 +431,7 @@ func TestFamilyCandidates(t *testing.T) {
 		{"uncovered family yields one virtual", spikeProfile([2]float64{8, 0.5}, [2]float64{20, 0.1}, [2]float64{40, 1}), 40, []float64{33}, 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			first, virtuals, peaks, ok := familyCandidates(tc.prof, fixedGates)
+			first, virtuals, peaks, ok := familyCandidates(tc.prof, fixedGates, &cs)
 			if !ok {
 				t.Fatal("no candidates")
 			}
@@ -449,7 +451,7 @@ func TestFamilyCandidates(t *testing.T) {
 			}
 		})
 	}
-	if _, _, peaks, ok := familyCandidates(spikeProfile(), fixedGates); ok || peaks != 0 {
+	if _, _, peaks, ok := familyCandidates(spikeProfile(), fixedGates, &cs); ok || peaks != 0 {
 		t.Errorf("an all-zero profile returned candidates (ok %v) or %d dominant peaks", ok, peaks)
 	}
 
@@ -466,7 +468,7 @@ func TestFamilyCandidates(t *testing.T) {
 			flat.Magnitude[i] = 1
 		}
 	}
-	if _, _, peaks, ok := familyCandidates(flat, fixedGates); ok || peaks != 3 || peaks != dominant(flat) {
+	if _, _, peaks, ok := familyCandidates(flat, fixedGates, &cs); ok || peaks != 3 || peaks != dominant(flat) {
 		t.Errorf("baseline-only profile: ok %v, %d dominant peaks, want false and 3 (FindPeaks at the threshold: %d)", ok, peaks, dominant(flat))
 	}
 }

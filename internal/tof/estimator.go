@@ -163,7 +163,11 @@ func (e *Estimator) Config() Config { return e.cfg }
 func (e *Estimator) SetYield(f func()) { e.yield = f }
 
 // Profile is a multipath profile expressed in true time-of-flight units
-// (the channel-power scaling has been divided out).
+// (the channel-power scaling has been divided out). The profile of a
+// Sweep.Estimate is the Sweep's own and lives as long as that estimate;
+// its Taus is the solver plan's grid, shared process-wide: read it,
+// never write it. Estimator.Estimate returns a profile with its own
+// copy of the grid.
 type Profile struct {
 	Taus      []float64 // delays in seconds (τ domain)
 	Magnitude []float64
@@ -176,7 +180,10 @@ type Profile struct {
 type Estimate struct {
 	// ToF is the direct-path time of flight in seconds, hardware chain
 	// delays included: a pair's Calibration.Range removes them.
-	ToF     float64
+	ToF float64
+	// Profile is the multipath profile the fix was read off. On an
+	// estimate from Sweep.Estimate it is the Sweep's own, valid until the
+	// next Estimate or Reset on that Sweep, like the estimate itself.
 	Profile *Profile
 	// Peaks is the number of dominant peaks in the profile (§12.1).
 	Peaks int
@@ -249,6 +256,16 @@ type Sweep struct {
 	plan     *ndft.Plan
 	noise    float64
 	noiseRel float64
+	// taus is the plan's delay grid in true τ, shared with every sweep of
+	// the geometry (planForGroup): the grid the profile is read on.
+	taus []float64
+	// What Estimate returns, reused by every call: the main solve's
+	// result, the profile read off it, and the estimate. cands is the
+	// candidate proposal's scratch (familyCandidates).
+	res   ndft.Result
+	prof  Profile
+	out   Estimate
+	cands candScratch
 	// refitMemo, refitRot and refitDst are the alias scorer's scratch
 	// (aliasScorer): one band group's memoized refit scores, cleared for
 	// each new scorer, the rotated window measurement, and the refit
@@ -303,22 +320,45 @@ func (s *Sweep) Reset() { s.meas = s.meas[:0] }
 // Estimate inverts the bands folded in so far. It may be called more than
 // once per sweep: a call before the sweep completes yields an early fix
 // whose resolution is limited by the partial frequency span.
+//
+// The estimate, its Profile included, is the Sweep's own: it stays valid
+// until the next Estimate or Reset on this Sweep, which reuse its
+// storage. Once its buffers have grown to the sweep's size, an Estimate
+// allocates nothing. Copy what must outlive the next call. The Profile's
+// Taus is the plan's delay grid, shared by every Sweep of the geometry
+// in the process: read it, never write it.
 func (s *Sweep) Estimate() (*Estimate, error) { return s.est.estimate(s) }
+
+// AddSweep folds a whole sweep, band by band: sweep[i] holds the CSI
+// pairs captured on bands[i] (AddBand).
+func (s *Sweep) AddSweep(bands []wifi.Band, sweep [][]csi.Pair) error {
+	if len(bands) != len(sweep) {
+		return fmt.Errorf("tof: %d bands but %d sweep entries", len(bands), len(sweep))
+	}
+	for i, b := range bands {
+		if err := s.AddBand(b, sweep[i]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
 
 // Estimate processes one full sweep: sweep[i] holds the CSI pairs
 // captured on bands[i]. It is the batch entry point over the incremental
-// Sweep core.
+// Sweep core; each call folds into a fresh Sweep and copies the
+// profile's delay grid out of the shared plan, so its estimate, Profile
+// included, is the caller's to keep.
 func (e *Estimator) Estimate(bands []wifi.Band, sweep [][]csi.Pair) (*Estimate, error) {
-	if len(bands) != len(sweep) {
-		return nil, fmt.Errorf("tof: %d bands but %d sweep entries", len(bands), len(sweep))
-	}
 	s := e.NewSweep()
-	for i, b := range bands {
-		if err := s.AddBand(b, sweep[i]); err != nil {
-			return nil, err
-		}
+	if err := s.AddSweep(bands, sweep); err != nil {
+		return nil, err
 	}
-	return s.Estimate()
+	est, err := s.Estimate()
+	if err != nil {
+		return nil, err
+	}
+	est.Profile.Taus = slices.Clone(est.Profile.Taus)
+	return est, nil
 }
 
 // group resolves the sweep's folded bands for inversion. The
@@ -335,7 +375,7 @@ func (e *Estimator) group(s *Sweep) (err error) {
 		s.freqs[i], s.h[i] = m.freq, m.value
 	}
 	_, s.power = e.cfg.powers()
-	if s.plan, err = e.planForGroup(s.freqs, s.power); err != nil {
+	if s.plan, s.taus, err = e.planForGroup(s.freqs, s.power); err != nil {
 		return err
 	}
 	s.noise, s.noiseRel = groupNoiseFloor(s.meas), 0
@@ -378,32 +418,35 @@ func (e *Estimator) estimate(s *Sweep) (*Estimate, error) {
 	if !fix.ok {
 		return nil, ErrNoBands
 	}
-	return &Estimate{
+	s.out = Estimate{
 		// A candidate can sit up to 1 ns before zero; no fix lies there.
 		ToF:        max(fix.tau, 0),
-		Profile:    fix.prof,
+		Profile:    &s.prof,
 		Peaks:      fix.peaks,
 		Work:       work,
 		Iterations: iters,
 		Converged:  res.Converged,
 		GapAtStop:  res.GapAtStop,
 		NoiseFloor: s.noiseRel,
-	}, nil
+	}
+	return &s.out, nil
 }
 
 // firstPeakWindowed applies the §6 first-peak rule with an alias guard:
 // the earliest dominant peak is searched only within searchWindow before
 // the strongest peak. The band lattice's grating-lobe ghosts land a full
 // alias period earlier and are excluded; the genuine direct path, bounded
-// by the indoor delay spread, is not.
-func firstPeakWindowed(prof *Profile) (float64, bool) {
-	strongest, ok := dsp.StrongestPeak(prof.Taus, prof.Magnitude)
+// by the indoor delay spread, is not. Both peak scans run in cs.peaks,
+// which familyCandidates has sized.
+func firstPeakWindowed(prof *Profile, cs *candScratch) (float64, bool) {
+	cs.peaks = dsp.AppendPeaks(cs.peaks[:0], prof.Taus, prof.Magnitude, 0)
+	strongest, ok := dsp.StrongestPeak(cs.peaks)
 	if !ok {
 		return 0, false
 	}
-	peaks := dsp.FindPeaks(prof.Taus, prof.Magnitude, peakThreshold)
+	cs.peaks = dsp.AppendPeaks(cs.peaks[:0], prof.Taus, prof.Magnitude, peakThreshold)
 	lo := strongest.X - searchWindow
-	for _, p := range peaks {
+	for _, p := range cs.peaks {
 		if p.X >= lo && p.X <= strongest.X+1e-15 {
 			return p.X, true
 		}
@@ -411,12 +454,11 @@ func firstPeakWindowed(prof *Profile) (float64, bool) {
 	return strongest.X, true
 }
 
-// groupFix is one solve attempt at a sweep's band group: the profile in
-// true τ and the direct-path delay placed on it.
+// groupFix is one solve attempt at a sweep's band group: the direct-path
+// delay placed on the profile in true τ (the sweep's prof).
 type groupFix struct {
-	prof  *Profile
 	tau   float64
-	peaks int  // dominant peaks on prof, counted by familyCandidates
+	peaks int  // dominant peaks on the profile, counted by familyCandidates
 	ok    bool // a direct-path candidate was placed
 	// contested marks a kept placement that a ±1-period neighbour
 	// out-fit without clearing the refit margin (aliasScorer.place): the
@@ -426,15 +468,17 @@ type groupFix struct {
 }
 
 // solveGroup makes one solve attempt at the sweep's band group:
-// Algorithm 1, the profile rescaled from the h̃ᵖ delay domain back to
-// true τ, then the direct-path placement. The main solve and the alias
-// refits stop at a duality gap scaled to floor: the sweep's noise
-// estimate, or 0 for the re-solve of a contested placement, which puts
-// both on the precise iterate rule.
+// Algorithm 1 into the sweep's result, the profile read off it on the
+// plan's true-τ grid (the h̃ᵖ delay domain rescaled), then the
+// direct-path placement. The main solve and the alias refits stop at a
+// duality gap scaled to floor: the sweep's noise estimate, or 0 for the
+// re-solve of a contested placement, which puts both on the precise
+// iterate rule. A re-solve overwrites the first attempt's result and
+// profile.
 func (e *Estimator) solveGroup(s *Sweep, floor float64) (groupFix, *ndft.Result, error) {
 	solveStart := obs.Tick()
 	res, err := s.plan.Solve(ndft.SolveRequest{
-		H: s.h,
+		H: s.h, Dst: &s.res,
 		InvertOptions: ndft.InvertOptions{
 			AlphaScale: e.cfg.AlphaFactor,
 			MaxIter:    e.cfg.MaxIter,
@@ -447,11 +491,7 @@ func (e *Estimator) solveGroup(s *Sweep, floor float64) (groupFix, *ndft.Result,
 		return groupFix{}, nil, err
 	}
 	var fix groupFix
-	taus := make([]float64, len(res.Taus))
-	for i, t := range res.Taus {
-		taus[i] = t / float64(s.power)
-	}
-	fix.prof = &Profile{Taus: taus, Magnitude: res.Magnitude, Power: s.power}
+	s.prof = Profile{Taus: s.taus, Magnitude: res.Magnitude, Power: s.power}
 
 	aliasStart := obs.Tick()
 	err = e.placeDirectPath(&fix, s, floor)
@@ -463,16 +503,26 @@ func (e *Estimator) solveGroup(s *Sweep, floor float64) (groupFix, *ndft.Result,
 }
 
 // planForGroup resolves (building and registering on demand) the shared
-// plan for one band group's inversion geometry.
-func (e *Estimator) planForGroup(freqs []float64, power int) (*ndft.Plan, error) {
-	return e.plans.planFor(newPlanKey(freqs, power), func() (*ndft.Plan, error) {
+// plan for one band group's inversion geometry, and the plan's delay grid
+// divided by the channel power: the true-τ grid every profile of the
+// geometry is read on, built once with the plan. The grid is shared:
+// read it, never write it.
+func (e *Estimator) planForGroup(freqs []float64, power int) (*ndft.Plan, []float64, error) {
+	ent := e.plans.entryFor(newPlanKey(freqs, power), func(ent *planEntry) {
 		// The h̃ᵖ profile lives on delays that are sums of p path delays,
 		// so the grid must span p·maxTau. Keep the column count constant
 		// by scaling the step too: resolution in τ is preserved after
 		// division by p.
-		taus := ndft.TauGrid(float64(power)*maxTau, float64(power)*gridStep)
-		return ndft.NewPlan(freqs, taus)
+		pf := float64(power)
+		if ent.plan, ent.err = ndft.NewPlan(freqs, ndft.TauGrid(pf*maxTau, pf*gridStep)); ent.err != nil {
+			return
+		}
+		ent.taus = make([]float64, len(ent.plan.Taus))
+		for i, t := range ent.plan.Taus {
+			ent.taus[i] = t / pf
+		}
 	})
+	return ent.plan, ent.taus, ent.err
 }
 
 // BandsFor returns the bands a sweep's hop should visit for the config's
@@ -500,7 +550,18 @@ type Calibration struct{ Offset float64 }
 // Calibrate measures a device pair's hardware offset from a sweep taken
 // at a known true distance: the estimate's ToF less the true one.
 func (e *Estimator) Calibrate(bands []wifi.Band, sweep [][]csi.Pair, trueDistance float64) (Calibration, error) {
-	r, err := e.Estimate(bands, sweep)
+	s := e.NewSweep()
+	if err := s.AddSweep(bands, sweep); err != nil {
+		return Calibration{}, err
+	}
+	return s.Calibrate(trueDistance)
+}
+
+// Calibrate is Estimator.Calibrate over the bands folded into the sweep
+// so far. A streaming session calibrates on the Sweep it goes on to
+// track with, so the calibration grows the buffers its sweeps reuse.
+func (s *Sweep) Calibrate(trueDistance float64) (Calibration, error) {
+	r, err := s.Estimate()
 	if err != nil {
 		return Calibration{}, err
 	}

@@ -70,12 +70,13 @@ type planEntry struct {
 	once sync.Once
 	plan *ndft.Plan
 	err  error
-	// weights are a window plan's alias-discrimination weights
-	// (aliasWeights), built with the plan: they depend only on the
-	// frequencies and the power that key it. nil on other plans.
-	weights  []float64
-	lastUsed atomic.Int64
-	bytes    atomic.Int64
+	// Built with the plan from the frequencies and the power that key it:
+	// a main plan's delay grid in true τ (planForGroup), and a window
+	// plan's alias-discrimination weights (aliasWeights). Each is nil on
+	// the other kind of plan.
+	taus, weights []float64
+	lastUsed      atomic.Int64
+	bytes         atomic.Int64
 }
 
 // newPlanRegistry builds a registry bounded to maxPlans resident
@@ -90,12 +91,6 @@ func newPlanRegistry(maxPlans int) *planRegistry {
 // sharedPlans is the process-wide default registry. Every Estimator
 // built by NewEstimator resolves plans here.
 var sharedPlans = newPlanRegistry(0)
-
-// planFor returns the plan for key, building it via build on first use.
-func (r *planRegistry) planFor(key planKey, build func() (*ndft.Plan, error)) (*ndft.Plan, error) {
-	e := r.entryFor(key, func(e *planEntry) { e.plan, e.err = build() })
-	return e.plan, e.err
-}
 
 // entryFor returns key's entry, filled by build on first use: build sets
 // the plan or the error, and anything derived alongside the plan.

@@ -11,6 +11,13 @@ import (
 	"chronos/internal/wifi"
 )
 
+// planFor returns the plan for key, building it via build on first use:
+// entryFor for a plan with nothing built beside it.
+func (r *planRegistry) planFor(key planKey, build func() (*ndft.Plan, error)) (*ndft.Plan, error) {
+	e := r.entryFor(key, func(e *planEntry) { e.plan, e.err = build() })
+	return e.plan, e.err
+}
+
 func TestPlanKeyDistinguishesGeometries(t *testing.T) {
 	freqs := []float64{5.18e9, 5.2e9, 5.22e9}
 	base := newPlanKey(freqs, 2)

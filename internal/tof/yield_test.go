@@ -3,6 +3,7 @@ package tof
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"chronos/internal/csi"
@@ -44,7 +45,7 @@ func TestEstimatorYieldIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			out = append(out, r)
+			out = append(out, kept(r))
 		}
 		return out
 	}
@@ -52,10 +53,11 @@ func TestEstimatorYieldIdentical(t *testing.T) {
 	// The other device: one sweep, estimated again on every call.
 	other := NewEstimator(cfg).NewSweep()
 	fill(other, link(rand.New(rand.NewSource(21)), 33)())
-	otherRef, err := other.Estimate()
+	r, err := other.Estimate()
 	if err != nil {
 		t.Fatal(err)
 	}
+	otherRef := kept(r)
 
 	ref := stream(nil)
 	if got := stream(func() {}); !reflect.DeepEqual(got, ref) {
@@ -84,4 +86,13 @@ func TestEstimatorYieldIdentical(t *testing.T) {
 			t.Errorf("sweep %d: estimate with a nested solve differs:\n  got  %+v\n  want %+v", k, *got[k], *ref[k])
 		}
 	}
+}
+
+// kept copies a Sweep's estimate, profile included, out of the storage
+// the Sweep's next Estimate reuses.
+func kept(r *Estimate) *Estimate {
+	c, p := *r, *r.Profile
+	p.Taus, p.Magnitude = slices.Clone(p.Taus), slices.Clone(p.Magnitude)
+	c.Profile = &p
+	return &c
 }

@@ -12,6 +12,7 @@ import (
 	"chronos/internal/hop"
 	"chronos/internal/mac"
 	"chronos/internal/obs"
+	"chronos/internal/rf"
 	"chronos/internal/sim"
 	"chronos/internal/tof"
 	"chronos/internal/wifi"
@@ -125,10 +126,12 @@ type Session struct {
 	tracker *RangeTracker
 	acc     *tof.Sweep
 
-	// The capture buffers StepIngest reuses band after band: the band
-	// dwell's rendered CSI and its pairs.
-	dwell csi.Dwell
-	pairs []csi.Pair
+	// The capture buffers StepIngest reuses band after band: the
+	// channel at the target's position, the band dwell's rendered CSI
+	// and its pairs.
+	channel rf.Channel
+	dwell   csi.Dwell
+	pairs   []csi.Pair
 
 	res             *SessionResult
 	walkedTo        float64
@@ -138,11 +141,18 @@ type Session struct {
 	// Staged-pipeline state: one sweep in flight between StepIngest and
 	// StepTrack. sweepStart is the virtual time the in-flight sweep
 	// began; pendEst holds the solved estimate between StepSolve and
-	// StepTrack (nil when the estimator failed and the fix is skipped).
+	// StepTrack (nil when the estimator failed and the fix is skipped),
+	// acc's own, which the next sweep's Reset and Estimate reuse.
 	sweepStart time.Duration
 	ingested   bool
 	pendEst    *tof.Estimate
 }
+
+// fixHint caps the fixes a finite session's record reserves at set-up
+// (about 330 KB), so that a session of millions of sweeps does not
+// reserve its whole record before the first one; a longer record grows
+// as the sweeps run.
+const fixHint = 1 << 12
 
 // NewSession builds and calibrates a steppable session. It performs the
 // same setup as RunSession's preamble — room geometry, fresh radios, the
@@ -150,6 +160,14 @@ type Session struct {
 // identically, so a Session stepped to completion reproduces RunSession
 // byte for byte. The estimator is never written (only the shared plan
 // registry fills), so sessions on other goroutines may share it.
+//
+// The calibration runs on the sweep accumulator the session tracks
+// with, and a finite session's fix record is sized for its sweeps (up
+// to fixHint fixes), so set-up grows most buffers a sweep uses and the
+// first sweep grows the rest (the dwell, the pairs, the event queue).
+// After it a sweep allocates nothing; only the fix record of an endless
+// session, or of one longer than fixHint fixes, still grows, by one Fix
+// per sweep.
 func NewSession(rng *rand.Rand, office *sim.Office, est *tof.Estimator, cfg SessionConfig) (*Session, error) {
 	cfg = cfg.withDefaults()
 	s := &Session{
@@ -157,6 +175,13 @@ func NewSession(rng *rand.Rand, office *sim.Office, est *tof.Estimator, cfg Sess
 		bands: tof.BandsFor(est.Config()),
 		folds: est.Config().Folds,
 		res:   &SessionResult{},
+	}
+	if cfg.Sweeps > 0 {
+		// A sweep makes at most one early fix per band it hops past.
+		s.res.Fixes = make([]Fix, 0, min(cfg.Sweeps, fixHint))
+		if k := min(len(cfg.EarlyFixBands), len(s.bands)); k > 0 {
+			s.res.EarlyFixes = make([]Fix, 0, min(cfg.Sweeps, fixHint/k)*k)
+		}
 	}
 
 	// The target random-waypoint-walks a room centered on the office
@@ -177,18 +202,22 @@ func NewSession(rng *rand.Rand, office *sim.Office, est *tof.Estimator, cfg Sess
 	// One-time calibration of the pair at a known LOS reference placement
 	// (§7 observation 2), at that placement's own link SNR.
 	calP := office.RandomPlacement(rng, 8, false)
-	s.link.Channel = office.Channel(calP)
+	office.FillChannel(&s.channel, calP)
+	s.link.Channel = &s.channel
 	s.link.SNRdB = sim.LinkSNR(calP.TrueDistance(), false)
 	calSweep := s.link.SweepRendering(rng, s.bands, 3, s.folds)
+	s.acc = est.NewSweep()
+	if err := s.acc.AddSweep(s.bands, calSweep); err != nil {
+		return nil, err
+	}
 	var err error
-	if s.cal, err = est.Calibrate(s.bands, calSweep, calP.TrueDistance()); err != nil {
+	if s.cal, err = s.acc.Calibrate(calP.TrueDistance()); err != nil {
 		return nil, err
 	}
 
 	s.msim = mac.NewSim()
 	s.hopper = hop.NewHopper(s.msim, rng)
 	s.tracker = NewRangeTracker()
-	s.acc = est.NewSweep()
 	s.pairs = make([]csi.Pair, pairsPerBand)
 	return s, nil
 }
@@ -281,7 +310,8 @@ func (s *Session) StepIngest() error {
 		// only draw the pairs of a band the estimator does not fold.
 		step := hop.Dwell.Seconds() / float64(pairsPerBand+1)
 		if s.folds(b) {
-			s.link.Channel = s.office.Channel(pl)
+			s.office.FillChannel(&s.channel, pl)
+			s.link.Channel = &s.channel
 			s.link.RenderDwell(&s.dwell, b)
 		} else {
 			s.dwell.DrawOnly(b)

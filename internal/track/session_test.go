@@ -4,10 +4,12 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
 	"chronos/internal/hop"
+	"chronos/internal/obs"
 	"chronos/internal/sim"
 	"chronos/internal/stats"
 	"chronos/internal/tof"
@@ -195,4 +197,80 @@ func TestSessionEstimatorReusableAcrossSessions(t *testing.T) {
 	if !reflect.DeepEqual(warm, fresh) {
 		t.Error("warm pooled estimator diverged from fresh estimator")
 	}
+}
+
+// TestSteadyStateSweepAllocatesNothing pins the allocation-free sweep:
+// after a session's first sweep, StepSweep (the ingest with its 35 hops,
+// the solve and the track) allocates nothing, for a static target and a
+// walking one, on perfbench's estimator and with obs recording, as a
+// traced run has it. Seed 11's measured sweeps include a contested
+// re-solve for both targets (tof.alias.resolves), the path that solves
+// a sweep twice.
+func TestSteadyStateSweepAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-instrumented sync.Pool drops the solver's workspaces")
+	}
+	obs.Reset()
+	obs.SetEnabled(true)
+	defer func() { obs.SetEnabled(false); obs.Reset() }()
+	// One P throughout, as testing.AllocsPerRun runs: a change of
+	// GOMAXPROCS makes each sync.Pool reallocate its per-P slots.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	resolves := func() int64 { return obs.Capture().Counters["tof.alias.resolves"] }
+	office := sim.NewOffice(rand.New(rand.NewSource(3)), sim.OfficeConfig{})
+	est := tof.NewEstimator(tof.Config{Mode: tof.BandsFused, Quirk24: true, MaxIter: 1200})
+	const sweeps = 8
+	for _, speed := range []float64{0, 1} {
+		s, err := NewSession(rand.New(rand.NewSource(11)), office, est, SessionConfig{Speed: speed, Sweeps: 1 + sweeps})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.StepSweep(); err != nil {
+			t.Fatal(err)
+		}
+		before := resolves()
+		n := mallocs(func() {
+			for range sweeps {
+				if err := s.StepSweep(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+		if n != 0 {
+			t.Errorf("speed %g m/s: %d sweeps after the first allocated %d times, want 0", speed, sweeps, n)
+		}
+		if resolves() == before {
+			t.Errorf("speed %g m/s: no contested re-solve in the measured sweeps; re-pin the seed", speed)
+		}
+		if got := len(s.Result().Fixes); got != 1+sweeps {
+			t.Errorf("speed %g m/s: %d fixes, want %d", speed, got, 1+sweeps)
+		}
+	}
+}
+
+// TestLongSessionReservesBoundedRecord pins that a finite session's
+// set-up reserves at most fixHint fixes of record, however many sweeps
+// it is configured for, and that the early-fix reservation cannot
+// overflow.
+func TestLongSessionReservesBoundedRecord(t *testing.T) {
+	office := sim.NewOffice(rand.New(rand.NewSource(3)), sim.OfficeConfig{})
+	est := tof.NewEstimator(tof.Config{Mode: tof.BandsFused, Quirk24: true})
+	s, err := NewSession(rand.New(rand.NewSource(1)), office, est,
+		SessionConfig{Sweeps: math.MaxInt, EarlyFixBands: []int{5, 10, 20}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f, e := cap(s.res.Fixes), cap(s.res.EarlyFixes); f != fixHint || e == 0 || e > fixHint {
+		t.Errorf("reserved %d fixes and %d early fixes, want %d and 1..%d", f, e, fixHint, fixHint)
+	}
+}
+
+// mallocs counts the heap allocations f makes, as testing.AllocsPerRun
+// counts one run, but with no warm-up run before it.
+func mallocs(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
 }
